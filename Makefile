@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit check bench bench-json bench-gate analyze-bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
+.PHONY: all build vet test race audit perf-test check bench bench-json bench-gate analyze-bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
 
 all: check
 
@@ -24,18 +24,16 @@ race:
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:
 	$(GO) test -race ./internal/metrics ./internal/refmodel ./internal/trace
-	$(GO) test -race -run 'Metrics|WaiterDepth' .
+	$(GO) test -race -run Metrics .
 
 # A short analyzer fuzz pass that rides the commit gate (the longer
 # campaign lives in fuzz-smoke).
 analyze-smoke:
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=5s -run '^$$' ./internal/analysis
 
-# The full schedule-exploration campaign: 1000+ seeds across the fifteen
-# corpus programs (15 programs x 84 seeds = 1260 runs), light faults,
-# serializability-checked, with seeds split between the reactive wakeup
-# path and its full re-query ablation. Any failure prints a replayable
-# seed.
+# The full schedule-exploration campaign: 1000+ seeds across the sixteen
+# corpus programs (16 programs x 84 seeds = 1344 runs), light faults,
+# serializability-checked. Any failure prints a replayable seed.
 explore:
 	$(GO) run ./cmd/sdlexplore -seeds 84
 
@@ -61,8 +59,14 @@ wal-test:
 wal-smoke:
 	SDL_WAL_KILL_ITERS=2 $(GO) test -count=1 -run TestKillRecover ./internal/wal
 
+# The benchmark is a module of its own (perf/go.mod), so the root targets
+# neither build nor test it; it compiles against product internals, and
+# this is what notices an API change breaking it.
+perf-test:
+	cd perf && $(GO) vet ./... && $(GO) test ./...
+
 # The verification gate: everything a commit must pass.
-check: vet build race audit analyze-smoke sched-test explore-smoke wal-smoke
+check: vet build race audit analyze-smoke sched-test explore-smoke wal-smoke perf-test
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

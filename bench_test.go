@@ -158,17 +158,14 @@ func BenchmarkE15RefinedAdmission(b *testing.B) {
 // BenchmarkE16ReactiveWakeups runs the shared-bucket wakeup workload once
 // per iteration: P waiters blocked on delta-safe constant guards while 300
 // unrelated commits land in their index bucket, then one batched release.
-// With reactive=true the publisher-side delta filters suppress every noise
-// wakeup; reactive=false re-evaluates all P guards per noise commit.
+// The publisher-side delta filters suppress every noise wakeup.
 func BenchmarkE16ReactiveWakeups(b *testing.B) {
 	for _, waiters := range []int{50, 200} {
-		for _, reactive := range []bool{false, true} {
-			b.Run(fmt.Sprintf("waiters=%d/reactive=%v", waiters, reactive), func(b *testing.B) {
-				benchExperiment(b, func(ctx context.Context) error {
-					return bench.ReactiveWakeups(ctx, waiters, reactive)
-				})
+		b.Run(fmt.Sprintf("waiters=%d", waiters), func(b *testing.B) {
+			benchExperiment(b, func(ctx context.Context) error {
+				return bench.ReactiveWakeups(ctx, waiters)
 			})
-		}
+		})
 	}
 }
 

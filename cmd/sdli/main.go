@@ -42,10 +42,6 @@
 //	                          at compile time (default true); -refine=false
 //	                          keeps the compiler's intraprocedural
 //	                          classification only
-//	-reactive                 delta-driven wakeups for blocked delayed
-//	                          transactions (default true); -reactive=false
-//	                          restores the full re-query baseline of
-//	                          experiment E16
 //	-secondary-index          adaptive secondary field indexes and
 //	                          selectivity-guided join planning (default
 //	                          true); -secondary-index=false restores full
@@ -189,7 +185,6 @@ func run(args []string) error {
 		schedSeed   = fs.Int64("sched-seed", -1, "deterministic schedule-controller seed (-1 = off)")
 		schedFaults = fs.String("sched-faults", "light", "fault profile under -sched-seed: off, light, or heavy")
 		refine      = fs.Bool("refine", true, "apply the interprocedural footprint refiner (analysis/dataflow) at compile time")
-		reactive    = fs.Bool("reactive", true, "delta-driven wakeups for blocked delayed transactions (false = full re-query baseline)")
 		secondary   = fs.Bool("secondary-index", true, "adaptive secondary field indexes and selectivity-guided join planning (false = arity-scan baseline)")
 	)
 	vet := &vetFlag{mode: "off"}
@@ -253,7 +248,7 @@ func run(args []string) error {
 	}
 
 	store := dataspace.New(dataspace.WithShards(*shards), dataspace.WithScheduler(sc),
-		dataspace.WithReactive(*reactive), dataspace.WithSecondaryIndex(*secondary))
+		dataspace.WithSecondaryIndex(*secondary))
 	var wlog *wal.Log
 	if *walDir != "" {
 		if *restore != "" {
@@ -435,8 +430,8 @@ func printMetrics(snap metrics.Snapshot) {
 				class, n, snap.FootprintPlanned[class])
 		}
 	}
-	fmt.Printf("  wakeups       mean fan-out %.2f, waiter depth %d\n",
-		snap.WakeupFanout.Mean(), snap.WaiterDepth)
+	fmt.Printf("  wakeups       mean fan-out %.2f, %d live subscriptions\n",
+		snap.WakeupFanout.Mean(), snap.ReactiveSubscriptions)
 	if snap.ReactiveSignals > 0 || snap.ReactiveEvals > 0 {
 		fmt.Printf("  reactive      %d signals (%d suppressed), %d evals (%d delta hits, %d full re-queries), %d consensus kicks suppressed\n",
 			snap.ReactiveSignals, snap.ReactiveSuppressed, snap.ReactiveEvals,

@@ -200,7 +200,7 @@ func TestRunStatsMetricsSection(t *testing.T) {
 		"-- metrics --",
 		"txn immediate",
 		"footprint",
-		"waiter depth 0",
+		"0 live subscriptions",
 		"detection rounds",
 	} {
 		if !strings.Contains(out, want) {

@@ -1396,57 +1396,48 @@ func reactiveWakeupCell(ctx context.Context, s *dataspace.Store, e *txn.Engine, 
 	})
 }
 
-// E16ReactiveWakeups is the ablation for the reactive delta-wakeup layer
-// (DESIGN.md section 11). Interest-keyed wakeups (E10) cannot tell the
-// noise and release commits apart — they share the waiters' index bucket —
-// so the full re-query baseline re-evaluates all P blocked guards on every
-// noise commit. The reactive path compiles each guard into a delta filter,
-// suppresses the unmatched wakeups at the publisher, and re-evaluates each
-// waiter exactly once, against the delta that satisfies it.
+// E16ReactiveWakeups measures the delta-wakeup layer (DESIGN.md section
+// 11) where interest-keyed wakeups (E10) cannot help: the noise and release
+// commits share the waiters' index bucket, so a wake-on-any-covering-commit
+// scheme re-evaluates all P blocked guards on every noise commit. Each
+// guard is compiled into a delta filter that suppresses the unmatched
+// wakeups at the publisher, and each waiter re-evaluates exactly once,
+// against the delta that satisfies it.
 func E16ReactiveWakeups(ctx context.Context, waiterCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E16",
-		Title: "ablation: reactive delta-driven wakeups vs full guard re-query (shared-bucket noise)",
+		Title: "reactive delta-driven wakeups under shared-bucket noise",
 		Note:  "subscription lifecycle and delta-safety rules in DESIGN.md section 11",
 	}
 	const noise = 300
 	for _, p := range waiterCounts {
-		row := Row{Config: fmt.Sprintf("waiters=%d noise=%d", p, noise)}
-		for _, reactive := range []bool{true, false} {
-			s := dataspace.New(dataspace.WithReactive(reactive))
-			// Both variants observed, so the gated histograms record and the
-			// timing handicap is identical on each side of the ablation.
-			s.Metrics().SetObserved(true)
-			e := txn.New(s, txn.Coarse)
-			d, err := reactiveWakeupCell(ctx, s, e, p, noise)
-			if err != nil {
-				return nil, fmt.Errorf("E16 reactive=%v p=%d: %w", reactive, p, err)
-			}
-			name := "requery"
-			if reactive {
-				name = "reactive"
-			}
-			st := e.Stats()
-			snap := s.Metrics().Snapshot()
-			row.Metrics = append(row.Metrics,
-				Ms(name, d),
-				Count(name+" evals", float64(st.Wakeups), "wakeups"))
-			if reactive {
-				row.Metrics = append(row.Metrics,
-					Count("suppressed", float64(snap.ReactiveSuppressed), "wakeups"),
-					Count("delta hits", float64(snap.ReactiveHits), "evals"))
-			}
+		s := dataspace.New()
+		// Observed, so the gated histograms record.
+		s.Metrics().SetObserved(true)
+		e := txn.New(s, txn.Coarse)
+		d, err := reactiveWakeupCell(ctx, s, e, p, noise)
+		if err != nil {
+			return nil, fmt.Errorf("E16 p=%d: %w", p, err)
 		}
-		t.Rows = append(t.Rows, row)
+		snap := s.Metrics().Snapshot()
+		t.Rows = append(t.Rows, Row{
+			Config: fmt.Sprintf("waiters=%d noise=%d", p, noise),
+			Metrics: []Metric{
+				Ms("reactive", d),
+				Count("reactive evals", float64(e.Stats().Wakeups), "wakeups"),
+				Count("suppressed", float64(snap.ReactiveSuppressed), "wakeups"),
+				Count("delta hits", float64(snap.ReactiveHits), "evals"),
+			},
+		})
 	}
 	return t, nil
 }
 
 // ReactiveWakeups runs one configuration of the E16 workload (for the
 // testing.B benchmark): P blocked delta-safe guards under same-bucket
-// noise, with the reactive delta path on or off.
-func ReactiveWakeups(ctx context.Context, waiters int, reactive bool) error {
-	s := dataspace.New(dataspace.WithReactive(reactive))
+// noise.
+func ReactiveWakeups(ctx context.Context, waiters int) error {
+	s := dataspace.New()
 	_, err := reactiveWakeupCell(ctx, s, txn.New(s, txn.Coarse), waiters, 300)
 	return err
 }

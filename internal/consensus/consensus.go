@@ -164,15 +164,12 @@ type Manager struct {
 	// window-visible query answer either — so the detector kick is elided
 	// (the buckets are still recorded in pendingKeys; invalidation is
 	// never lost). nil means every commit is relevant (broad): the initial
-	// state, the reactive-off ablation, and whenever any member's import
-	// is universal, unbounded, or not yet materialized. relGen guards
-	// summary writes: membership and offer changes bump it (resetRelevance)
-	// so a summary computed against a stale society never lands. Both
-	// guarded by pendingMu.
+	// state, and whenever any member's import is universal, unbounded, or
+	// not yet materialized. relGen guards summary writes: membership and
+	// offer changes bump it (resetRelevance) so a summary computed against
+	// a stale society never lands. Both guarded by pendingMu.
 	relevance map[view.BucketKey]struct{}
 	relGen    uint64
-
-	reactive bool // store's reactive flag: gates kick suppression
 
 	fires    atomic.Uint64 // successful consensus firings
 	attempts atomic.Uint64 // detector evaluations
@@ -189,7 +186,6 @@ func NewManager(engine *txn.Engine) *Manager {
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		pendingKeys: make(map[view.BucketKey]struct{}),
-		reactive:    engine.Store().Reactive(),
 	}
 	engine.Store().OnCommit(func(rec dataspace.CommitRecord) {
 		m.pendingMu.Lock()
@@ -627,12 +623,8 @@ func (m *Manager) candidateGroups(members, offering, idle []*member) [][]tuple.P
 // (nil) summary. The write is dropped when the generation moved — a
 // Register/Unregister/offer change raced this round and already reset the
 // summary. Only the detector goroutine reads the cache fields here, so no
-// member lock is needed; disabled (summary pinned broad) under the
-// reactive-off ablation.
+// member lock is needed.
 func (m *Manager) refreshRelevance(members []*member, gen uint64) {
-	if !m.reactive {
-		return
-	}
 	broad := false
 	sum := make(map[view.BucketKey]struct{})
 	for _, mem := range members {

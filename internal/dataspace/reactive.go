@@ -16,8 +16,8 @@ type Delta struct {
 	Inst     Instance
 }
 
-// Subscription is a registered delta sink: the reactive replacement for
-// the one-shot Wait channel. A blocked delayed transaction subscribes
+// Subscription is the store's one wakeup primitive: a registered delta
+// sink. A blocked delayed transaction or guarded selection subscribes
 // once, and every relevant commit publishes its deltas into the
 // subscription's buffer and fires the ready channel; the waiter drains
 // the buffer, re-evaluates, and blocks again on the SAME subscription —
@@ -25,17 +25,17 @@ type Delta struct {
 //
 // The publisher filters: a subscription created with a non-nil filter
 // receives only the deltas the filter accepts, and when every delta of a
-// commit is rejected the wakeup is suppressed entirely (the legacy path
-// would have woken the waiter for a full re-query). A nil filter marks
-// the guard as not delta-safe: any covering commit marks the buffer full
-// (re-query required) but still batches — one wakeup per drain, however
-// many commits landed.
+// commit is rejected the wakeup is suppressed entirely. A nil filter means
+// "wake on any covering commit": the guard is not delta-safe, so any
+// covering commit marks the buffer full (re-query required) but still
+// batches — one wakeup per drain, however many commits landed.
 //
-// The registration maps mirror Wait's: a lead-known interest key
-// registers only in the shard owning its bucket; lead-unknown keys of
-// arity > 0 register in every shard; arity-0 keys in the fixed zero-lead
-// shard. Like the waiter registry, the subscription mutex is a leaf —
-// publish and Drain never touch shard locks.
+// Registrations are sharded like the tuples themselves: a lead-known
+// interest key registers only in the shard owning its bucket, so commits
+// on other shards never even inspect it; lead-unknown keys of arity > 0
+// register in every shard (their tuples may appear anywhere); arity-0 keys
+// in the fixed zero-lead shard. The subscription mutex is a leaf — publish
+// and Drain never touch shard locks.
 type Subscription struct {
 	s      *Store
 	filter func(Delta) bool
@@ -46,26 +46,17 @@ type Subscription struct {
 	deltas []Delta
 	full   bool // a non-delta-safe or broad/spurious wakeup landed: re-query
 
-	regKeys    []subKeyReg
-	regArities []subArityReg
+	regs       []subReg
 	cancelOnce sync.Once
 }
 
-type subKeyReg struct {
-	si uint32
-	ik indexKey
-}
-
-type subArityReg struct {
-	si uint32
-	a  int
-}
-
-// Subscribe registers a reactive subscription for the given interest keys.
-// filter decides, per delta, whether the change can affect the blocked
-// guard; nil means "any covering change requires a full re-query". Like
-// Wait, callers must Subscribe BEFORE evaluating the query that may block,
-// and must Cancel the subscription when done (idempotent).
+// Subscribe registers a subscription for the given interest keys. filter
+// decides, per delta, whether the change can affect the blocked guard; nil
+// means "any covering change requires a full re-query". To avoid lost
+// wakeups, callers must Subscribe BEFORE evaluating the query that may
+// block — any commit after registration fires the ready channel, so a
+// change racing with the evaluation is never missed — and must Cancel the
+// subscription when done (idempotent).
 func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool) *Subscription {
 	s.sc.Yield(sched.PointWaiterRegister)
 	sub := &Subscription{s: s, filter: filter, ch: make(chan struct{})}
@@ -73,20 +64,18 @@ func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool) *Subscrip
 	for _, k := range keys {
 		switch {
 		case k.Arity == 0:
-			si := s.shardIndex(indexKey{})
-			s.shards[si].waiters.addSubArity(0, sub)
-			sub.regArities = append(sub.regArities, subArityReg{si: si, a: 0})
+			sub.regs = append(sub.regs, subReg{si: s.shardIndex(indexKey{})})
 		case k.LeadKnown:
 			ik := indexKey{arity: k.Arity, lead: canonLead(k.Lead)}
-			si := s.shardIndex(ik)
-			s.shards[si].waiters.addSubKey(ik, sub)
-			sub.regKeys = append(sub.regKeys, subKeyReg{si: si, ik: ik})
+			sub.regs = append(sub.regs, subReg{si: s.shardIndex(ik), ik: ik})
 		default:
 			for si := range s.shards {
-				s.shards[si].waiters.addSubArity(k.Arity, sub)
-				sub.regArities = append(sub.regArities, subArityReg{si: uint32(si), a: k.Arity})
+				sub.regs = append(sub.regs, subReg{si: uint32(si), ik: indexKey{arity: k.Arity}})
 			}
 		}
+	}
+	for _, reg := range sub.regs {
+		s.shards[reg.si].waiters.add(reg, sub)
 	}
 	return sub
 }
@@ -137,106 +126,110 @@ func (sub *Subscription) publish(deltas []Delta, full bool) {
 // publishes).
 func (sub *Subscription) Cancel() {
 	sub.cancelOnce.Do(func() {
-		for _, reg := range sub.regKeys {
-			sub.s.shards[reg.si].waiters.removeSubKey(reg.ik, sub)
-		}
-		for _, reg := range sub.regArities {
-			sub.s.shards[reg.si].waiters.removeSubArity(reg.a, sub)
+		for _, reg := range sub.regs {
+			sub.s.shards[reg.si].waiters.remove(reg, sub)
 		}
 		sub.s.metrics.SubscriptionsLive().Dec()
 	})
 }
 
-// subDelivery accumulates one commit's deltas for one subscription while
-// the candidates are being collected.
+// subDelivery is what one commit owes one candidate subscription.
 type subDelivery struct {
+	sub    *Subscription
 	deltas []Delta
 	full   bool
 }
 
-// deliverDeltas routes a commit's tuple-level changes to the reactive
-// subscriptions whose interest covers them, returning how many it woke
-// (published to; suppressed candidates are not counted — they are the
-// wakeup fan-out the filter saved). It runs after the commit's locks are
-// released (alongside waiter wakeup, after the durability wait), so
-// filters may be arbitrary user-level matchers. broad forces a
-// full-re-query delivery to every subscription in every shard (the
-// broad-wakeup ablation and the spurious-wakeup fault; correctness never
-// depends on suppression).
-func (s *Store) deliverDeltas(rec CommitRecord, insShard, delShard []uint32, broad bool) int {
-	cands := make(map[*Subscription]*subDelivery)
-	var order []*Subscription // first-seen order: deterministic under replay
-	get := func(sub *Subscription) *subDelivery {
-		sd := cands[sub]
-		if sd == nil {
-			sd = &subDelivery{}
-			cands[sub] = sd
-			order = append(order, sub)
+// delivery accumulates one commit's candidates in first-seen order. The
+// zero value is ready to use and allocates nothing until the first
+// candidate — most commits have none.
+type delivery struct {
+	index map[*Subscription]int // position in list
+	list  []subDelivery
+}
+
+func (dl *delivery) get(sub *Subscription) *subDelivery {
+	i, ok := dl.index[sub]
+	if !ok {
+		if dl.index == nil {
+			dl.index = make(map[*Subscription]int)
 		}
-		return sd
+		i = len(dl.list)
+		dl.index[sub] = i
+		dl.list = append(dl.list, subDelivery{sub: sub})
 	}
-	add := func(sub *Subscription, d Delta) {
-		sd := get(sub)
-		if sd.full {
-			return
-		}
+	return &dl.list[i]
+}
+
+// add offers one delta to every subscription in subs, through its filter.
+func (dl *delivery) add(subs []*Subscription, d Delta) {
+	for _, sub := range subs {
+		sd := dl.get(sub)
 		switch {
+		case sd.full:
 		case sub.filter == nil:
 			sd.full = true
-			sd.deltas = nil
 		case sub.filter(d):
 			sd.deltas = append(sd.deltas, d)
 		}
 	}
-	if broad {
-		var all []*Subscription
+}
+
+// notify is the store's single wakeup pass: it routes a commit's
+// tuple-level changes to the subscriptions whose interest covers them.
+// Each written instance is matched against the registry of the shard it
+// lives in — commits never touch the registries of shards outside their
+// footprint; insShard and delShard are the per-instance shard indexes
+// recorded by the commit's writer (shard path and key path alike). It runs
+// after the commit's locks are released and after the durability wait, so
+// filters may be arbitrary user-level matchers.
+//
+// A candidate whose filter rejected every delta is suppressed (counted,
+// not woken); the recorded fan-out is the subscriptions actually published
+// to. Broad mode (the E10 ablation) and the spurious-wakeup fault instead
+// force a full-re-query delivery to every subscription in every shard,
+// matched or not: woken waiters re-evaluate and, finding their query still
+// unsatisfied, block again — the subscribe-before-evaluate protocol makes
+// this safe, and exploration verifies it stays safe. Correctness never
+// depends on suppression.
+func (s *Store) notify(rec CommitRecord, insShard, delShard []uint32) {
+	var (
+		dl      delivery
+		scratch []*Subscription
+	)
+	if s.broadWake.Load() || s.sc.SpuriousWakeup() {
 		for _, sh := range s.shards {
-			all = sh.waiters.collectAllSubs(all)
+			scratch = sh.waiters.collectAll(scratch)
 		}
-		for _, sub := range all {
-			sd := get(sub)
-			sd.full = true
-			sd.deltas = nil
+		for _, sub := range scratch {
+			dl.get(sub).full = true
 		}
 	} else {
-		var scratch []*Subscription
 		for i, inst := range rec.Inserted {
-			scratch = s.shards[insShard[i]].waiters.collectSubs(inst, scratch[:0])
-			d := Delta{Asserted: true, Inst: inst}
-			for _, sub := range scratch {
-				add(sub, d)
-			}
+			scratch = s.shards[insShard[i]].waiters.collect(inst, scratch[:0])
+			dl.add(scratch, Delta{Asserted: true, Inst: inst})
 		}
 		for i, inst := range rec.Deleted {
-			scratch = s.shards[delShard[i]].waiters.collectSubs(inst, scratch[:0])
-			d := Delta{Asserted: false, Inst: inst}
-			for _, sub := range scratch {
-				add(sub, d)
-			}
+			scratch = s.shards[delShard[i]].waiters.collect(inst, scratch[:0])
+			dl.add(scratch, Delta{Asserted: false, Inst: inst})
 		}
 	}
-	if len(order) == 0 {
-		return 0
-	}
 	published := 0
-	deliver := func(sub *Subscription) {
-		sd := cands[sub]
+	perm := s.sc.Perm(sched.PointReactiveDeliver, len(dl.list))
+	for i := range dl.list {
+		if perm != nil {
+			i = perm[i]
+		}
+		sd := &dl.list[i]
 		s.metrics.IncReactiveSignal()
 		if sd.full || len(sd.deltas) > 0 {
-			sub.publish(sd.deltas, sd.full)
+			sd.sub.publish(sd.deltas, sd.full)
 			published++
 		} else {
 			s.metrics.IncReactiveSuppressed()
 		}
 	}
-	if perm := s.sc.Perm(sched.PointReactiveDeliver, len(order)); perm != nil {
-		for _, i := range perm {
-			deliver(order[i])
-		}
-		return published
+	if s.metrics.Observed() {
+		s.metrics.ObserveWakeupFanout(published)
 	}
-	for _, sub := range order {
-		deliver(sub)
-	}
-	return published
 }

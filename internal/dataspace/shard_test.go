@@ -216,63 +216,61 @@ func TestCrossShardRollback(t *testing.T) {
 	}
 }
 
-func TestWaiterCancelAfterFire(t *testing.T) {
+func TestSubscriptionCancelAfterFire(t *testing.T) {
 	s := New(WithShards(8))
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Int(1), LeadKnown: true}})
+	sub := s.Subscribe([]InterestKey{{Arity: 2, Lead: tuple.Int(1), LeadKnown: true}}, nil)
 	s.Assert(tuple.Environment, tuple.New(tuple.Int(1), tuple.Int(0)))
-	if !waitFired(t, ch) {
-		t.Fatal("waiter not fired")
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("subscription not fired")
 	}
-	cancel() // after fire: must not panic or corrupt the registry
-	cancel() // and stays idempotent
-	for i, sh := range s.shards {
-		sh.waiters.mu.Lock()
-		if len(sh.waiters.byKey) != 0 || len(sh.waiters.byArity) != 0 {
-			t.Errorf("shard %d registry not empty after cancel-after-fire", i)
-		}
-		sh.waiters.mu.Unlock()
-	}
+	sub.Cancel() // after fire: must not panic or corrupt the registry
+	sub.Cancel() // and stays idempotent
+	assertRegistriesEmpty(t, s)
 }
 
 func TestCommitOnOtherShardDoesNotWake(t *testing.T) {
 	s := New(WithShards(8))
 	a, b := leadsOnDistinctShards(t, s, 2)
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Int(a), LeadKnown: true}})
-	defer cancel()
-	// A keyed commit on a different shard never even inspects the waiter's
-	// registry; it must not wake.
+	sub := s.Subscribe([]InterestKey{{Arity: 2, Lead: tuple.Int(a), LeadKnown: true}}, nil)
+	defer sub.Cancel()
+	// A keyed commit on a different shard never even inspects the
+	// subscription's registry; it must not wake.
 	keys := []InterestKey{{Arity: 2, Lead: tuple.Int(b), LeadKnown: true}}
 	_ = s.UpdateKeys(tuple.Environment, keys, func(w Writer) error {
 		w.Insert(tuple.New(tuple.Int(b), tuple.Int(1)), tuple.Environment)
 		return nil
 	})
-	assertNotFired(t, ch)
+	assertNotFired(t, sub.Ready())
+	if got := s.Metrics().Snapshot().ReactiveSignals; got != 0 {
+		t.Errorf("other-shard commit inspected %d subscriptions, want 0", got)
+	}
 	// The matching commit still wakes it.
 	s.Assert(tuple.Environment, tuple.New(tuple.Int(a), tuple.Int(1)))
-	if !waitFired(t, ch) {
-		t.Fatal("waiter missed its own shard's commit")
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("subscription missed its own shard's commit")
 	}
 }
 
-func TestArityWaiterRegisteredInAllShards(t *testing.T) {
+func TestAritySubscriptionRegisteredInAllShards(t *testing.T) {
 	s := New(WithShards(8))
 	_, b := leadsOnDistinctShards(t, s, 2)
-	// A lead-unknown waiter must be woken by a commit on ANY shard.
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2}})
-	defer cancel()
+	// A lead-unknown subscription must be woken by a commit on ANY shard.
+	sub := s.Subscribe([]InterestKey{{Arity: 2}}, nil)
+	defer sub.Cancel()
 	keys := []InterestKey{{Arity: 2, Lead: tuple.Int(b), LeadKnown: true}}
 	_ = s.UpdateKeys(tuple.Environment, keys, func(w Writer) error {
 		w.Insert(tuple.New(tuple.Int(b), tuple.Int(1)), tuple.Environment)
 		return nil
 	})
-	if !waitFired(t, ch) {
-		t.Fatal("arity-wide waiter missed a keyed commit")
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("arity-wide subscription missed a keyed commit")
 	}
 }
 
-func TestConcurrentWaitUpdateSnapshotStress(t *testing.T) {
+func TestConcurrentSubscribeUpdateSnapshotStress(t *testing.T) {
 	// Cross-shard stress under -race: keyed updates on per-worker buckets,
-	// full snapshots, multi-shard updates, and waiter churn, concurrently.
+	// full snapshots, multi-shard updates, and subscription churn,
+	// concurrently.
 	s := New(WithShards(8))
 	const workers = 8
 	const iters = 150
@@ -298,14 +296,14 @@ func TestConcurrentWaitUpdateSnapshotStress(t *testing.T) {
 							t.Errorf("Each saw %d, Len %d", n, r.Len())
 						}
 					})
-				case 2: // waiter churn: register, commit, await, cancel
-					ch, cancel := s.Wait(keys)
+				case 2: // subscription churn: register, commit, await, cancel
+					sub := s.Subscribe(keys, nil)
 					_ = s.UpdateKeys(tuple.ProcessID(wkr+1), keys, func(w Writer) error {
 						id := w.Insert(tuple.New(lead, tuple.Int(-1)), tuple.ProcessID(wkr+1))
 						return w.Delete(id)
 					})
-					<-ch
-					cancel()
+					<-sub.Ready()
+					sub.Cancel()
 				default: // multi-shard update touching a neighbor's bucket too
 					other := tuple.Int(int64((wkr + 1) % workers))
 					mk := []InterestKey{

@@ -150,8 +150,8 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 }
 
 // shard is one partition of the dataspace. A shard's maps, counters, and
-// waiter registry are guarded by its mu (the registry additionally has its
-// own short-lived mutex so Wait/cancel need no shard lock).
+// subscription registry are guarded by its mu (the registry additionally
+// has its own short-lived mutex so Subscribe/Cancel need no shard lock).
 //
 // The commuting commit path (see locktable.go) layers two more lock
 // classes around mu. intent separates the two commit disciplines: key-mode
@@ -204,7 +204,6 @@ type Store struct {
 	all    shardSet // every shard index, for the full-lock paths
 
 	commuting bool // key-level locking + group commit enabled
-	reactive  bool // delta-driven wakeups for delayed transactions enabled
 	secondary bool // adaptive secondary field indexes + selectivity planning enabled
 
 	metrics *metrics.Registry
@@ -222,7 +221,6 @@ type storeConfig struct {
 	shards      int
 	sc          *sched.Controller
 	noCommuting bool
-	noReactive  bool
 	noSecondary bool
 }
 
@@ -247,15 +245,6 @@ func WithScheduler(sc *sched.Controller) Option {
 // every planned commit to shard-level locking — the E13 ablation baseline.
 func WithCommuting(on bool) Option {
 	return func(c *storeConfig) { c.noCommuting = !on }
-}
-
-// WithReactive enables or disables delta-driven wakeups for delayed
-// transactions (on by default). Disabling it keeps blocked guards on the
-// legacy signal-then-full-re-query loop — the E16 ablation baseline. The
-// flag is advisory for the engine layered above: the store serves
-// Subscribe either way.
-func WithReactive(on bool) Option {
-	return func(c *storeConfig) { c.noReactive = !on }
 }
 
 // WithSecondaryIndex enables or disables adaptive secondary field indexes
@@ -329,7 +318,6 @@ func New(opts ...Option) *Store {
 		shards:    make([]*shard, n),
 		mask:      uint32(n - 1),
 		commuting: !cfg.noCommuting,
-		reactive:  !cfg.noReactive,
 		secondary: !cfg.noSecondary,
 		metrics:   metrics.NewRegistry(n),
 		sc:        cfg.sc,
@@ -350,10 +338,6 @@ func New(opts ...Option) *Store {
 
 // NumShards returns the store's shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
-
-// Reactive reports whether delta-driven wakeups are enabled (the delayed
-// engine consults this to pick its blocking path).
-func (s *Store) Reactive() bool { return s.reactive }
 
 // SecondaryIndex reports whether adaptive secondary field indexes are
 // enabled.
@@ -790,18 +774,15 @@ func (r reader) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 		return
 	}
 	// Lead unknown: tuples of this arity may live in any locked shard.
-	stopped := false
 	r.ss.forEach(func(si uint32) bool {
 		sh := r.s.shards[si]
 		for id := range sh.byArity[arity] {
 			if !fn(id, sh.entries[id].t) {
-				stopped = true
 				return false
 			}
 		}
 		return true
 	})
-	_ = stopped
 }
 
 func (r reader) Get(id tuple.ID) (Instance, bool) {

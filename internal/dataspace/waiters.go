@@ -3,7 +3,6 @@ package dataspace
 import (
 	"sync"
 
-	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -21,139 +20,81 @@ type InterestKey struct {
 	LeadKnown bool
 }
 
-// waiter is one registered wakeup target. Its channel is closed at most
-// once, by the first relevant commit; fire is idempotent, so a multi-shard
-// commit waking the same waiter through several registries is harmless.
-type waiter struct {
-	ch   chan struct{}
-	once sync.Once
+type subSet map[*Subscription]struct{}
+
+// subReg is one registry entry of a subscription: the shard it lives in and
+// the bucket it covers. A zero lead class (no tuple value canonicalizes to
+// it) marks an arity-wide entry.
+type subReg struct {
+	si uint32
+	ik indexKey
 }
 
-func (w *waiter) fire() { w.once.Do(func() { close(w.ch) }) }
+func (reg subReg) arityWide() bool { return reg.ik.lead.class == 0 }
 
-// waiterRegistry indexes one shard's waiters — one-shot Wait channels and
-// reactive subscriptions alike — by interest key. The zero value is ready
-// to use. Its mutex is independent of the shard lock: Wait/Subscribe/cancel
-// never block behind a running transaction.
+// waiterRegistry indexes one shard's subscriptions by interest key. The
+// zero value is ready to use. Its mutex is independent of the shard lock:
+// Subscribe/Cancel never block behind a running transaction.
 type waiterRegistry struct {
 	mu      sync.Mutex
-	byKey   map[indexKey]map[*waiter]struct{}
-	byArity map[int]map[*waiter]struct{}
-
-	subsByKey   map[indexKey]map[*Subscription]struct{}
-	subsByArity map[int]map[*Subscription]struct{}
+	byKey   map[indexKey]subSet
+	byArity map[int]subSet
 }
 
-func (r *waiterRegistry) addKey(ik indexKey, w *waiter) {
+func (r *waiterRegistry) add(reg subReg, sub *Subscription) {
 	r.mu.Lock()
-	if r.byKey == nil {
-		r.byKey = make(map[indexKey]map[*waiter]struct{})
-	}
-	set := r.byKey[ik]
-	if set == nil {
-		set = make(map[*waiter]struct{})
-		r.byKey[ik] = set
-	}
-	set[w] = struct{}{}
-	r.mu.Unlock()
-}
-
-func (r *waiterRegistry) addArity(a int, w *waiter) {
-	r.mu.Lock()
-	if r.byArity == nil {
-		r.byArity = make(map[int]map[*waiter]struct{})
-	}
-	set := r.byArity[a]
-	if set == nil {
-		set = make(map[*waiter]struct{})
-		r.byArity[a] = set
-	}
-	set[w] = struct{}{}
-	r.mu.Unlock()
-}
-
-func (r *waiterRegistry) removeKey(ik indexKey, w *waiter) {
-	r.mu.Lock()
-	if set := r.byKey[ik]; set != nil {
-		delete(set, w)
-		if len(set) == 0 {
-			delete(r.byKey, ik)
+	if reg.arityWide() {
+		if r.byArity == nil {
+			r.byArity = make(map[int]subSet)
 		}
-	}
-	r.mu.Unlock()
-}
-
-func (r *waiterRegistry) removeArity(a int, w *waiter) {
-	r.mu.Lock()
-	if set := r.byArity[a]; set != nil {
-		delete(set, w)
-		if len(set) == 0 {
-			delete(r.byArity, a)
+		insertSub(r.byArity, reg.ik.arity, sub)
+	} else {
+		if r.byKey == nil {
+			r.byKey = make(map[indexKey]subSet)
 		}
+		insertSub(r.byKey, reg.ik, sub)
 	}
 	r.mu.Unlock()
 }
 
-func (r *waiterRegistry) addSubKey(ik indexKey, sub *Subscription) {
+func (r *waiterRegistry) remove(reg subReg, sub *Subscription) {
 	r.mu.Lock()
-	if r.subsByKey == nil {
-		r.subsByKey = make(map[indexKey]map[*Subscription]struct{})
+	if reg.arityWide() {
+		deleteSub(r.byArity, reg.ik.arity, sub)
+	} else {
+		deleteSub(r.byKey, reg.ik, sub)
 	}
-	set := r.subsByKey[ik]
+	r.mu.Unlock()
+}
+
+func insertSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
+	set := m[k]
 	if set == nil {
-		set = make(map[*Subscription]struct{})
-		r.subsByKey[ik] = set
+		set = make(subSet)
+		m[k] = set
 	}
 	set[sub] = struct{}{}
-	r.mu.Unlock()
 }
 
-func (r *waiterRegistry) addSubArity(a int, sub *Subscription) {
-	r.mu.Lock()
-	if r.subsByArity == nil {
-		r.subsByArity = make(map[int]map[*Subscription]struct{})
-	}
-	set := r.subsByArity[a]
-	if set == nil {
-		set = make(map[*Subscription]struct{})
-		r.subsByArity[a] = set
-	}
-	set[sub] = struct{}{}
-	r.mu.Unlock()
-}
-
-func (r *waiterRegistry) removeSubKey(ik indexKey, sub *Subscription) {
-	r.mu.Lock()
-	if set := r.subsByKey[ik]; set != nil {
+func deleteSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
+	if set := m[k]; set != nil {
 		delete(set, sub)
 		if len(set) == 0 {
-			delete(r.subsByKey, ik)
+			delete(m, k)
 		}
 	}
-	r.mu.Unlock()
 }
 
-func (r *waiterRegistry) removeSubArity(a int, sub *Subscription) {
-	r.mu.Lock()
-	if set := r.subsByArity[a]; set != nil {
-		delete(set, sub)
-		if len(set) == 0 {
-			delete(r.subsByArity, a)
-		}
-	}
-	r.mu.Unlock()
-}
-
-// collectSubs appends the subscriptions whose interest covers inst.
-func (r *waiterRegistry) collectSubs(inst Instance, into []*Subscription) []*Subscription {
+// collect appends the subscriptions whose interest covers inst.
+func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscription {
 	r.mu.Lock()
 	a := inst.Tuple.Arity()
-	for sub := range r.subsByArity[a] {
+	for sub := range r.byArity[a] {
 		into = append(into, sub)
 	}
 	if a > 0 {
 		ik := indexKey{arity: a, lead: canonLead(inst.Tuple.Field(0))}
-		for sub := range r.subsByKey[ik] {
+		for sub := range r.byKey[ik] {
 			into = append(into, sub)
 		}
 	}
@@ -161,180 +102,30 @@ func (r *waiterRegistry) collectSubs(inst Instance, into []*Subscription) []*Sub
 	return into
 }
 
-// collectAllSubs appends every registered subscription (broad wakeups and
-// the spurious-wakeup fault).
-func (r *waiterRegistry) collectAllSubs(into []*Subscription) []*Subscription {
-	r.mu.Lock()
-	for _, set := range r.subsByKey {
-		for sub := range set {
-			into = append(into, sub)
-		}
-	}
-	for _, set := range r.subsByArity {
-		for sub := range set {
-			into = append(into, sub)
-		}
-	}
-	r.mu.Unlock()
-	return into
-}
-
-// collect appends the waiters whose interest covers inst.
-func (r *waiterRegistry) collect(inst Instance, fired []*waiter) []*waiter {
-	r.mu.Lock()
-	a := inst.Tuple.Arity()
-	for w := range r.byArity[a] {
-		fired = append(fired, w)
-	}
-	if a > 0 {
-		ik := indexKey{arity: a, lead: canonLead(inst.Tuple.Field(0))}
-		for w := range r.byKey[ik] {
-			fired = append(fired, w)
-		}
-	}
-	r.mu.Unlock()
-	return fired
-}
-
-// collectAll appends every registered waiter (broad-wakeup ablation).
-func (r *waiterRegistry) collectAll(fired []*waiter) []*waiter {
+// collectAll appends every registered subscription (broad wakeups and the
+// spurious-wakeup fault).
+func (r *waiterRegistry) collectAll(into []*Subscription) []*Subscription {
 	r.mu.Lock()
 	for _, set := range r.byKey {
-		for w := range set {
-			fired = append(fired, w)
+		for sub := range set {
+			into = append(into, sub)
 		}
 	}
 	for _, set := range r.byArity {
-		for w := range set {
-			fired = append(fired, w)
+		for sub := range set {
+			into = append(into, sub)
 		}
 	}
 	r.mu.Unlock()
-	return fired
+	return into
 }
 
 // SetBroadWakeups disables interest-keyed wakeups: every commit wakes
-// every waiter, as a naive implementation would. This exists solely for
-// the E10 ablation benchmark; call it before the store is shared.
+// every subscription for a full re-query, as a naive implementation would.
+// This exists solely for the E10 ablation benchmark; call it before the
+// store is shared.
 func (s *Store) SetBroadWakeups(broad bool) {
 	s.broadWake.Store(broad)
-}
-
-// Wait registers interest in the given keys and returns a channel that is
-// closed by the first commit touching any of them, plus a cancel function
-// that must be called to release the registration (idempotent, safe after
-// the wakeup fired).
-//
-// Registrations are sharded like the tuples themselves: a lead-known key
-// registers only in the shard owning its bucket, so commits on other
-// shards never even inspect it. A lead-unknown key of arity > 0 registers
-// in every shard (its tuples may appear anywhere); arity-0 keys register
-// in the fixed zero-lead shard.
-//
-// To avoid lost wakeups, callers must register BEFORE evaluating the query
-// that may block: any commit after registration fires the channel, so a
-// change racing with the evaluation is never missed.
-func (s *Store) Wait(keys []InterestKey) (<-chan struct{}, func()) {
-	s.sc.Yield(sched.PointWaiterRegister)
-	w := &waiter{ch: make(chan struct{})}
-	s.metrics.WaiterDepth().Inc()
-	type keyReg struct {
-		si uint32
-		ik indexKey
-	}
-	type arityReg struct {
-		si uint32
-		a  int
-	}
-	var regKeys []keyReg
-	var regArities []arityReg
-	for _, k := range keys {
-		switch {
-		case k.Arity == 0:
-			si := s.shardIndex(indexKey{})
-			s.shards[si].waiters.addArity(0, w)
-			regArities = append(regArities, arityReg{si: si, a: 0})
-		case k.LeadKnown:
-			ik := indexKey{arity: k.Arity, lead: canonLead(k.Lead)}
-			si := s.shardIndex(ik)
-			s.shards[si].waiters.addKey(ik, w)
-			regKeys = append(regKeys, keyReg{si: si, ik: ik})
-		default:
-			for si := range s.shards {
-				s.shards[si].waiters.addArity(k.Arity, w)
-				regArities = append(regArities, arityReg{si: uint32(si), a: k.Arity})
-			}
-		}
-	}
-
-	var cancelOnce sync.Once
-	cancel := func() {
-		cancelOnce.Do(func() {
-			for _, reg := range regKeys {
-				s.shards[reg.si].waiters.removeKey(reg.ik, w)
-			}
-			for _, reg := range regArities {
-				s.shards[reg.si].waiters.removeArity(reg.a, w)
-			}
-			s.metrics.WaiterDepth().Dec()
-		})
-	}
-	return w.ch, cancel
-}
-
-// notify wakes every waiter whose interest intersects the commit (or every
-// waiter, in the ablation's broad mode). Each written instance is matched
-// against the registry of the shard it lives in — commits never touch the
-// registries of shards outside their footprint. insShard and delShard are
-// the per-instance shard indexes recorded by the commit's writer (shard
-// path and key path alike).
-func (s *Store) notify(rec CommitRecord, insShard, delShard []uint32) {
-	broad := s.broadWake.Load()
-	// Spurious-wakeup fault: also wake every registered waiter and
-	// subscription, matched or not. Woken delayed transactions re-evaluate
-	// and, finding their query still unsatisfied, block again — the
-	// register-before-evaluate protocol makes this safe, and exploration
-	// verifies it stays safe. Drawn once so the delta path and the legacy
-	// path perturb together.
-	spurious := s.sc != nil && s.sc.SpuriousWakeup()
-	// Reactive subscriptions are served first, so a waiter blocked on both
-	// paths (there are none today, but the invariant is cheap) would see
-	// its deltas buffered before any legacy channel fires.
-	delivered := s.deliverDeltas(rec, insShard, delShard, broad || spurious)
-	var fired []*waiter
-	if broad {
-		for _, sh := range s.shards {
-			fired = sh.waiters.collectAll(fired)
-		}
-	} else {
-		for i, inst := range rec.Inserted {
-			fired = s.shards[insShard[i]].waiters.collect(inst, fired)
-		}
-		for i, inst := range rec.Deleted {
-			fired = s.shards[delShard[i]].waiters.collect(inst, fired)
-		}
-	}
-	if spurious {
-		for _, sh := range s.shards {
-			fired = sh.waiters.collectAll(fired)
-		}
-	}
-	if s.metrics.Observed() {
-		// Fan-out counts everything this commit woke: legacy one-shot
-		// waiters plus published (non-suppressed) subscriptions.
-		s.metrics.ObserveWakeupFanout(len(fired) + delivered)
-	}
-	if perm := s.sc.Perm(sched.PointWakeupDispatch, len(fired)); perm != nil {
-		// Dispatch-order perturbation: fire is idempotent and duplicate
-		// waiters are possible in fired, so permuting indexes is safe.
-		for _, i := range perm {
-			fired[i].fire()
-		}
-		return
-	}
-	for _, wt := range fired {
-		wt.fire()
-	}
 }
 
 // InterestOf derives the interest keys for a set of (arity, lead) pattern

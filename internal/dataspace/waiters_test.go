@@ -1,6 +1,7 @@
 package dataspace
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -21,129 +22,268 @@ func assertNotFired(t *testing.T, ch <-chan struct{}) {
 	t.Helper()
 	select {
 	case <-ch:
-		t.Error("waiter fired unexpectedly")
+		t.Error("subscription fired unexpectedly")
 	case <-time.After(20 * time.Millisecond):
 	}
 }
 
-func TestWaitWakesOnMatchingInsert(t *testing.T) {
-	s := New()
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
-	defer cancel()
-	s.Assert(tuple.Environment, year(90))
-	if !waitFired(t, ch) {
-		t.Fatal("waiter not woken by matching insert")
+var yearKey = []InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}}
+
+// assertRegistriesEmpty checks that no shard still indexes a subscription
+// and the live gauge is back to zero.
+func assertRegistriesEmpty(t *testing.T, s *Store) {
+	t.Helper()
+	for i, sh := range s.shards {
+		r := &sh.waiters
+		r.mu.Lock()
+		if len(r.byKey) != 0 || len(r.byArity) != 0 {
+			t.Errorf("shard %d registry not empty: %d keyed, %d arity-wide", i, len(r.byKey), len(r.byArity))
+		}
+		r.mu.Unlock()
+	}
+	if n := s.Metrics().Snapshot().ReactiveSubscriptions; n != 0 {
+		t.Errorf("live subscription gauge = %d, want 0", n)
 	}
 }
 
-func TestWaitIgnoresIrrelevantCommit(t *testing.T) {
+func TestSubscribeWakesOnMatchingInsert(t *testing.T) {
 	s := New()
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
-	defer cancel()
-	// Different lead and different arity must not wake the waiter.
-	s.Assert(tuple.Environment, tuple.New(tuple.Atom("month"), tuple.Int(1)))
-	s.Assert(tuple.Environment, tuple.New(tuple.Atom("year"), tuple.Int(1), tuple.Int(2)))
-	assertNotFired(t, ch)
+	sub := s.Subscribe(yearKey, nil)
+	defer sub.Cancel()
+	s.Assert(tuple.Environment, year(90))
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("subscription not fired by matching insert")
+	}
 }
 
-func TestWaitWakesOnDelete(t *testing.T) {
+func TestSubscribeIgnoresIrrelevantCommit(t *testing.T) {
+	s := New()
+	sub := s.Subscribe(yearKey, nil)
+	defer sub.Cancel()
+	// Different lead and different arity must not fire the subscription.
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("month"), tuple.Int(1)))
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("year"), tuple.Int(1), tuple.Int(2)))
+	assertNotFired(t, sub.Ready())
+}
+
+func TestSubscribeWakesOnDelete(t *testing.T) {
 	// Deletes matter for negated patterns: retraction can enable a query.
 	s := New()
 	ids := s.Assert(tuple.Environment, year(90))
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
-	defer cancel()
+	sub := s.Subscribe(yearKey, nil)
+	defer sub.Cancel()
 	_ = s.Update(tuple.Environment, func(w Writer) error { return w.Delete(ids[0]) })
-	if !waitFired(t, ch) {
-		t.Fatal("waiter not woken by delete")
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("subscription not fired by delete")
 	}
 }
 
-func TestWaitArityOnlyKey(t *testing.T) {
+func TestSubscribeArityOnlyKey(t *testing.T) {
 	s := New()
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2}})
-	defer cancel()
+	sub := s.Subscribe([]InterestKey{{Arity: 2}}, nil)
+	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("anything"), tuple.Int(1)))
-	if !waitFired(t, ch) {
-		t.Fatal("arity waiter not woken")
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("arity-wide subscription not fired")
 	}
 }
 
-func TestWaitNumericLeadCanonical(t *testing.T) {
+func TestSubscribeArityZeroKey(t *testing.T) {
+	s := New(WithShards(8))
+	sub := s.Subscribe([]InterestKey{{Arity: 0}}, nil)
+	defer sub.Cancel()
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
+	assertNotFired(t, sub.Ready())
+	s.Assert(tuple.Environment, tuple.New())
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("arity-0 subscription missed the empty tuple")
+	}
+}
+
+func TestSubscribeNumericLeadCanonical(t *testing.T) {
 	s := New()
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Float(2.0), LeadKnown: true}})
-	defer cancel()
+	sub := s.Subscribe([]InterestKey{{Arity: 2, Lead: tuple.Float(2.0), LeadKnown: true}}, nil)
+	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Int(2), tuple.Int(9)))
-	if !waitFired(t, ch) {
+	if !waitFired(t, sub.Ready()) {
 		t.Fatal("canonical numeric lead missed wakeup")
 	}
 }
 
 func TestCancelRemovesRegistration(t *testing.T) {
-	s := New()
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
-	cancel()
-	cancel() // idempotent
+	s := New(WithShards(8))
+	sub := s.Subscribe(append([]InterestKey{{Arity: 3}, {Arity: 0}}, yearKey...), nil)
+	if n := s.Metrics().Snapshot().ReactiveSubscriptions; n != 1 {
+		t.Errorf("live subscription gauge = %d, want 1", n)
+	}
+	sub.Cancel()
+	sub.Cancel() // idempotent
 	s.Assert(tuple.Environment, year(1))
-	assertNotFired(t, ch)
+	assertNotFired(t, sub.Ready())
+	assertRegistriesEmpty(t, s)
+}
 
-	for i, sh := range s.shards {
-		r := &sh.waiters
-		r.mu.Lock()
-		if len(r.byKey) != 0 || len(r.byArity) != 0 {
-			t.Errorf("shard %d registry not empty after cancel: %d/%d", i, len(r.byKey), len(r.byArity))
-		}
-		r.mu.Unlock()
+func TestFiredImpliesDrainNonEmpty(t *testing.T) {
+	s := New()
+	filtered := s.Subscribe(yearKey, func(d Delta) bool { return d.Asserted })
+	defer filtered.Cancel()
+	unfiltered := s.Subscribe(yearKey, nil)
+	defer unfiltered.Cancel()
+	ids := s.Assert(tuple.Environment, year(1))
+	s.Assert(tuple.Environment, year(2)) // a second publish before Drain must not panic
+
+	if !waitFired(t, filtered.Ready()) || !waitFired(t, unfiltered.Ready()) {
+		t.Fatal("not fired")
+	}
+	deltas, full := filtered.Drain()
+	if full || len(deltas) != 2 || deltas[0].Inst.ID != ids[0] || !deltas[0].Asserted {
+		t.Errorf("filtered Drain = %v, full=%t; want the two asserted deltas in commit order", deltas, full)
+	}
+	if deltas, full := unfiltered.Drain(); !full || len(deltas) != 0 {
+		t.Errorf("nil-filter Drain = %v, full=%t; want full with no deltas", deltas, full)
+	}
+	// Drained: nothing buffered, channel re-armed and unfired.
+	if deltas, full := filtered.Drain(); full || len(deltas) != 0 {
+		t.Errorf("second Drain = %v, full=%t; want empty", deltas, full)
+	}
+	assertNotFired(t, filtered.Ready())
+}
+
+func TestPublishAfterDrainFiresRearmedChannel(t *testing.T) {
+	s := New()
+	sub := s.Subscribe(yearKey, nil)
+	defer sub.Cancel()
+	s.Assert(tuple.Environment, year(1))
+	first := sub.Ready()
+	if !waitFired(t, first) {
+		t.Fatal("not fired")
+	}
+	sub.Drain()
+	second := sub.Ready()
+	if second == first {
+		t.Fatal("Drain did not re-arm the ready channel")
+	}
+	assertNotFired(t, second)
+	s.Assert(tuple.Environment, year(2))
+	if !waitFired(t, second) {
+		t.Fatal("publish after Drain did not fire the re-armed channel")
+	}
+	if _, full := sub.Drain(); !full {
+		t.Error("fired but Drain reported nothing")
 	}
 }
 
-func TestWaiterFiresOnce(t *testing.T) {
+func TestFilterRejectedCommitIsSuppressed(t *testing.T) {
 	s := New()
-	ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
-	defer cancel()
-	s.Assert(tuple.Environment, year(1))
-	s.Assert(tuple.Environment, year(2)) // second fire must not panic (close once)
-	if !waitFired(t, ch) {
-		t.Fatal("not fired")
+	sub := s.Subscribe(yearKey, func(d Delta) bool {
+		return d.Asserted && d.Inst.Tuple.Field(1).Equal(tuple.Int(7))
+	})
+	defer sub.Cancel()
+	s.Assert(tuple.Environment, year(1), year(2)) // same bucket, every delta rejected
+	assertNotFired(t, sub.Ready())
+	snap := s.Metrics().Snapshot()
+	if snap.ReactiveSignals != 1 || snap.ReactiveSuppressed != 1 {
+		t.Errorf("signals=%d suppressed=%d, want 1/1", snap.ReactiveSignals, snap.ReactiveSuppressed)
+	}
+	s.Assert(tuple.Environment, year(3), year(7))
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("accepted delta did not fire")
+	}
+	if deltas, full := sub.Drain(); full || len(deltas) != 1 {
+		t.Errorf("Drain = %v, full=%t; want exactly the accepted delta", deltas, full)
+	}
+	snap = s.Metrics().Snapshot()
+	if snap.ReactiveSignals != 2 || snap.ReactiveSuppressed != 1 {
+		t.Errorf("signals=%d suppressed=%d, want 2/1", snap.ReactiveSignals, snap.ReactiveSuppressed)
+	}
+}
+
+func TestBroadWakeupsForceFullRequery(t *testing.T) {
+	s := New(WithShards(4))
+	s.SetBroadWakeups(true)
+	sub := s.Subscribe(yearKey, func(Delta) bool { return false })
+	defer sub.Cancel()
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("unrelated")))
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("broad mode did not wake an uncovered subscription")
+	}
+	if deltas, full := sub.Drain(); !full || len(deltas) != 0 {
+		t.Errorf("Drain = %v, full=%t; want full", deltas, full)
 	}
 }
 
 func TestNoLostWakeupProtocol(t *testing.T) {
-	// Register-then-evaluate: a commit racing with the evaluation is caught
-	// because registration happened first.
+	// Subscribe-then-evaluate on ONE subscription: a commit racing with the
+	// evaluation (or with Drain) is caught because it fires whichever
+	// channel is current.
 	s := New()
+	sub := s.Subscribe(yearKey, nil)
+	defer sub.Cancel()
 	for i := 0; i < 200; i++ {
-		ch, cancel := s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
 		done := make(chan struct{})
 		go func() {
 			s.Assert(tuple.Environment, year(int64(i)))
 			close(done)
 		}()
 		// Evaluate (find nothing or something — irrelevant); then wait.
-		if !waitFired(t, ch) {
+		if !waitFired(t, sub.Ready()) {
 			t.Fatal("lost wakeup")
 		}
 		<-done
-		cancel()
+		if _, full := sub.Drain(); !full {
+			t.Fatal("fired with nothing to drain")
+		}
 	}
 }
 
-func TestMultipleWaitersAllWoken(t *testing.T) {
+func TestMultipleSubscriptionsAllWoken(t *testing.T) {
 	s := New()
-	const n = 10
-	chans := make([]<-chan struct{}, n)
-	cancels := make([]func(), n)
-	for i := range chans {
-		chans[i], cancels[i] = s.Wait([]InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}})
+	subs := make([]*Subscription, 10)
+	for i := range subs {
+		subs[i] = s.Subscribe(yearKey, nil)
+		defer subs[i].Cancel()
 	}
-	defer func() {
-		for _, c := range cancels {
-			c()
+	s.Assert(tuple.Environment, year(90))
+	for i, sub := range subs {
+		if !waitFired(t, sub.Ready()) {
+			t.Fatalf("subscription %d not fired", i)
+		}
+	}
+	if got := s.Metrics().Snapshot().ReactiveSignals; got != uint64(len(subs)) {
+		t.Errorf("signals = %d, want %d", got, len(subs))
+	}
+}
+
+func TestCancelConcurrentWithPublish(t *testing.T) {
+	s := New(WithShards(4))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Assert(tuple.Environment, year(i))
+			}
 		}
 	}()
-	s.Assert(tuple.Environment, year(90))
-	for i, ch := range chans {
-		if !waitFired(t, ch) {
-			t.Fatalf("waiter %d not woken", i)
+	for i := 0; i < 300; i++ {
+		sub := s.Subscribe(append([]InterestKey{{Arity: 2}}, yearKey...), func(Delta) bool { return true })
+		if i%2 == 0 {
+			<-sub.Ready()
+			sub.Drain()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub.Cancel()
+		}()
+		sub.Cancel()
 	}
+	close(stop)
+	wg.Wait()
+	assertRegistriesEmpty(t, s)
 }

@@ -32,7 +32,7 @@ type Space struct {
 	mu      sync.Mutex
 	byLead  map[leadKey]map[int64]tuple.Tuple
 	nextID  int64
-	waiters map[*waiter]struct{}
+	waiters map[chan struct{}]struct{} // one wake channel per blocked In/Rd
 	outs    uint64
 	ins     uint64
 	rds     uint64
@@ -75,16 +75,11 @@ func keyOf(t tuple.Tuple) leadKey {
 	return k
 }
 
-// waiter blocks an In/Rd until a candidate tuple arrives.
-type waiter struct {
-	ch chan struct{}
-}
-
 // NewSpace returns an empty tuple space.
 func NewSpace() *Space {
 	return &Space{
 		byLead:  make(map[leadKey]map[int64]tuple.Tuple),
-		waiters: make(map[*waiter]struct{}),
+		waiters: make(map[chan struct{}]struct{}),
 	}
 }
 
@@ -174,7 +169,7 @@ func (s *Space) Out(t tuple.Tuple) {
 	// implementations wake conservatively, as we do.
 	for w := range s.waiters {
 		select {
-		case w.ch <- struct{}{}:
+		case w <- struct{}{}:
 		default:
 		}
 	}
@@ -225,7 +220,7 @@ func (s *Space) Rdp(t Template) (tuple.Tuple, bool) { return s.take(t, false) }
 // blocking performs the wait loop shared by In and Rd.
 func (s *Space) blocking(ctx context.Context, t Template, remove bool) (tuple.Tuple, error) {
 	for {
-		w := &waiter{ch: make(chan struct{}, 1)}
+		w := make(chan struct{}, 1)
 		s.mu.Lock()
 		s.waiters[w] = struct{}{}
 		s.mu.Unlock()
@@ -236,7 +231,7 @@ func (s *Space) blocking(ctx context.Context, t Template, remove bool) (tuple.Tu
 			return tp, nil
 		}
 		select {
-		case <-w.ch:
+		case <-w:
 			s.dropWaiter(w)
 		case <-ctx.Done():
 			s.dropWaiter(w)
@@ -245,7 +240,7 @@ func (s *Space) blocking(ctx context.Context, t Template, remove bool) (tuple.Tu
 	}
 }
 
-func (s *Space) dropWaiter(w *waiter) {
+func (s *Space) dropWaiter(w chan struct{}) {
 	s.mu.Lock()
 	delete(s.waiters, w)
 	s.mu.Unlock()

@@ -208,10 +208,9 @@ type Registry struct {
 	footprintPlanned [FootprintClasses]cell // of those, how many the planner admitted
 
 	footprint    *Histogram // shards write-locked per update; gated on Observed
-	wakeupFanout *Histogram // waiters woken per mutating commit; gated on Observed
-	waiterDepth  Gauge      // currently registered waiters
+	wakeupFanout *Histogram // subscriptions woken per mutating commit; gated on Observed
 
-	subsLive           Gauge   // currently registered reactive subscriptions
+	subsLive           Gauge   // currently registered subscriptions (blocked delayed txns and selections)
 	reactiveSignals    Counter // subscription candidates a commit's delta delivery inspected
 	reactiveSuppressed Counter // candidates whose deltas filtered to nothing (wakeup suppressed)
 	reactiveEvals      Counter // guard re-evaluations after a subscription fired
@@ -342,15 +341,12 @@ func (r *Registry) IncEpochFallback() { r.epochFallbacks.Add(1) }
 // Gated: call only when Observed.
 func (r *Registry) ObserveFootprint(shards int) { r.footprint.Observe(uint64(shards)) }
 
-// ObserveWakeupFanout records the number of waiters a commit woke.
+// ObserveWakeupFanout records the number of subscriptions a commit woke.
 // Gated: call only when Observed.
 func (r *Registry) ObserveWakeupFanout(n int) { r.wakeupFanout.Observe(uint64(n)) }
 
-// WaiterDepth is the gauge of currently registered waiters.
-func (r *Registry) WaiterDepth() *Gauge { return &r.waiterDepth }
-
-// SubscriptionsLive is the gauge of currently registered reactive
-// subscriptions (delta-driven delayed waiters).
+// SubscriptionsLive is the gauge of currently registered subscriptions:
+// one per blocked delayed transaction or guarded selection.
 func (r *Registry) SubscriptionsLive() *Gauge { return &r.subsLive }
 
 // IncReactiveSignal counts one subscription candidate inspected during a
@@ -358,8 +354,8 @@ func (r *Registry) SubscriptionsLive() *Gauge { return &r.subsLive }
 func (r *Registry) IncReactiveSignal() { r.reactiveSignals.Add(1) }
 
 // IncReactiveSuppressed counts one subscription candidate whose deltas all
-// filtered to nothing — the wakeup the legacy path would have issued was
-// suppressed at the publisher.
+// filtered to nothing — the wakeup a covering commit would otherwise have
+// issued was suppressed at the publisher.
 func (r *Registry) IncReactiveSuppressed() { r.reactiveSuppressed.Add(1) }
 
 // IncReactiveEval counts one guard re-evaluation after a subscription
@@ -517,7 +513,6 @@ type Snapshot struct {
 
 	Footprint    HistogramSnapshot `json:"footprintShards"`
 	WakeupFanout HistogramSnapshot `json:"wakeupFanout"`
-	WaiterDepth  int64             `json:"waiterDepth"`
 
 	ReactiveSubscriptions    int64  `json:"reactiveSubscriptions"`    // live subscription gauge
 	ReactiveSignals          uint64 `json:"reactiveSignals"`          // subscription candidates inspected by commits
@@ -606,7 +601,6 @@ func (r *Registry) Snapshot() Snapshot {
 		FootprintPlanned:         make(map[string]uint64, FootprintClasses),
 		Footprint:                r.footprint.snapshot(),
 		WakeupFanout:             r.wakeupFanout.snapshot(),
-		WaiterDepth:              r.waiterDepth.Value(),
 		ReactiveSubscriptions:    r.subsLive.Value(),
 		ReactiveSignals:          r.reactiveSignals.Value(),
 		ReactiveSuppressed:       r.reactiveSuppressed.Value(),

@@ -100,7 +100,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	r.IncCommits()
 	r.ObserveFootprint(2)
 	r.ObserveWakeupFanout(5)
-	r.WaiterDepth().Inc()
+	r.SubscriptionsLive().Inc()
 	r.IncTxnAttempt(TxnDelayed)
 	r.IncTxnCommit(TxnDelayed)
 	r.IncTxnRetry(TxnDelayed)
@@ -140,8 +140,8 @@ func TestRegistrySnapshot(t *testing.T) {
 	if s.Footprint.Count != 1 || s.Footprint.Sum != 2 {
 		t.Errorf("footprint = %+v", s.Footprint)
 	}
-	if s.WakeupFanout.Sum != 5 || s.WaiterDepth != 1 {
-		t.Errorf("fanout=%+v depth=%d", s.WakeupFanout, s.WaiterDepth)
+	if s.WakeupFanout.Sum != 5 || s.ReactiveSubscriptions != 1 {
+		t.Errorf("fanout=%+v subscriptions=%d", s.WakeupFanout, s.ReactiveSubscriptions)
 	}
 	if s.ConsensusRounds != 1 || s.ConsensusCommunity.Sum != 7 {
 		t.Errorf("consensus = %d/%+v", s.ConsensusRounds, s.ConsensusCommunity)

@@ -710,3 +710,71 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// A selection blocked on a delayed guard holds ONE subscription for the
+// whole wait: covering commits wake it to re-try its guards, but it neither
+// re-registers per pass nor leaks the registration when it finally commits.
+func TestSelectionHoldsOneSubscription(t *testing.T) {
+	s, rt := newRuntime(t, txn.Coarse)
+	if err := rt.Define(&Definition{
+		Name: "P",
+		Body: []Stmt{Select{Branches: []Branch{{Guard: Transact{
+			Kind:    Delayed,
+			Query:   pattern.Q(pattern.R(pattern.C(atom("go")), pattern.C(tuple.Int(1)))),
+			Asserts: []pattern.Pattern{pattern.P(pattern.C(atom("went")))},
+		}}}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Spawn("P"); err != nil {
+		t.Fatal(err)
+	}
+	// awaitBlocked waits until the selection has evaluated its guard
+	// `attempts` times and is blocked again.
+	awaitBlocked := func(attempts uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			soc := rt.Society()
+			if rt.engine.Stats().Attempts >= attempts && len(soc) == 1 && soc[0].State == StateBlockedSelect {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("selection not blocked after %d attempts: society %+v, attempts %d",
+					attempts, soc, rt.engine.Stats().Attempts)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	live := func() int64 { return s.Metrics().Snapshot().ReactiveSubscriptions }
+
+	awaitBlocked(2) // the first pass, then the re-try after subscribing
+	if n := live(); n != 1 {
+		t.Fatalf("blocked selection holds %d subscriptions, want 1", n)
+	}
+	const covering = 10
+	for k := 0; k < covering; k++ {
+		// Same index bucket as the guard, never a match.
+		s.Assert(tuple.Environment, tuple.New(atom("go"), tuple.Int(int64(-k))))
+		awaitBlocked(uint64(3 + k))
+		if n := live(); n != 1 {
+			t.Fatalf("after covering commit %d: %d live subscriptions, want 1", k, n)
+		}
+	}
+	s.Assert(tuple.Environment, tuple.New(atom("go"), tuple.Int(1)))
+	waitDone(t, rt, 2*time.Second)
+
+	snap := s.Metrics().Snapshot()
+	if snap.ReactiveSubscriptions != 0 {
+		t.Errorf("%d subscriptions live after the selection committed, want 0", snap.ReactiveSubscriptions)
+	}
+	// The covering commits, the release, and the selection's own retraction
+	// of <go, 1> (committed while it is still subscribed).
+	if snap.ReactiveSignals != covering+2 || snap.ReactiveSuppressed != 0 {
+		t.Errorf("signals=%d suppressed=%d, want %d/0: every covering commit wakes a nil-filter subscription",
+			snap.ReactiveSignals, snap.ReactiveSuppressed, covering+2)
+	}
+	if snap.ReactiveEvals != 0 {
+		t.Errorf("selection wakeups counted as %d reactive evals, want 0", snap.ReactiveEvals)
+	}
+}

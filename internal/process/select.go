@@ -38,24 +38,29 @@ func (p *proc) runSelect(ctx context.Context, branches []Branch, _ bool) (bool, 
 		return false, nil // all guards immediate and all failed: skip
 	}
 
-	// Blocking loop: register interest, re-try, offer consensus, wait.
-	keys := p.guardInterestKeys(branches)
+	idx, res, err := p.awaitGuard(ctx, branches, consensusIdx)
+	if err != nil {
+		return false, err
+	}
+	return true, p.runBranch(ctx, branches[idx], res)
+}
+
+// awaitGuard is the selection's blocking loop: it returns the index and
+// result of the first guard to commit. One nil-filter subscription (wake on
+// any commit covering a guard pattern) spans the whole wait; it is taken
+// before the guards are re-tried, and every later re-try is preceded by a
+// Drain, so a commit racing with an evaluation re-fires the ready channel
+// rather than being lost.
+func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx []int) (int, txn.Result, error) {
+	sub := p.rt.engine.Store().Subscribe(p.guardInterestKeys(branches), nil)
+	defer sub.Cancel()
 	for {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return -1, txn.Result{}, err
 		}
-		ch, cancel := p.rt.engine.Store().Wait(keys)
-
-		// Re-try after registration so a commit racing with the first pass
-		// is not lost.
-		idx, res, err := p.tryGuards(branches)
-		if err != nil {
-			cancel()
-			return false, err
-		}
-		if idx >= 0 {
-			cancel()
-			return true, p.runBranch(ctx, branches[idx], res)
+		sub.Drain()
+		if idx, res, err := p.tryGuards(branches); err != nil || idx >= 0 {
+			return idx, res, err
 		}
 
 		// Offer the consensus guards (if any), as alternatives of a single
@@ -67,48 +72,48 @@ func (p *proc) runSelect(ctx context.Context, branches []Branch, _ bool) (bool, 
 			for i, bi := range consensusIdx {
 				reqs[i] = p.request(branches[bi].Guard)
 			}
-			o, oerr := p.rt.cons.StartOfferAlts(reqs)
-			if oerr != nil {
-				cancel()
-				return false, oerr
+			o, err := p.rt.cons.StartOfferAlts(reqs)
+			if err != nil {
+				return -1, txn.Result{}, err
 			}
 			offer = o
 			offerDone = o.Done()
 		}
-
-		firedBranch := func() (bool, error) {
-			res, oerr := offer.Result()
-			if oerr != nil {
-				return false, oerr
+		fired := func() (int, txn.Result, error) {
+			res, err := offer.Result()
+			if err != nil {
+				return -1, txn.Result{}, err
 			}
-			bi := consensusIdx[offer.Chosen()]
-			return true, p.runBranch(ctx, branches[bi], res)
+			return consensusIdx[offer.Chosen()], res, nil
+		}
+		// withdrawn reports whether the pending offer (if any) was taken
+		// back; false means the consensus fired while we were withdrawing —
+		// its effect is committed, so that guard is the selected one.
+		withdrawn := func() bool {
+			if offer == nil || offer.Withdraw() {
+				return true
+			}
+			<-offer.Done()
+			return false
 		}
 
 		restore := p.setState(StateBlockedSelect)
 		select {
 		case <-offerDone:
 			restore()
-			cancel()
-			return firedBranch()
-		case <-ch:
+			return fired()
+		case <-sub.Ready():
 			restore()
-			cancel()
-			if offer != nil && !offer.Withdraw() {
-				// The consensus fired while we were withdrawing: its effect
-				// is committed, so that guard is the selected one.
-				<-offer.Done()
-				return firedBranch()
+			if !withdrawn() {
+				return fired()
 			}
 			// Dataspace changed: loop and re-try the guards.
 		case <-ctx.Done():
 			restore()
-			cancel()
-			if offer != nil && !offer.Withdraw() {
-				<-offer.Done()
-				return firedBranch()
+			if !withdrawn() {
+				return fired()
 			}
-			return false, ctx.Err()
+			return -1, txn.Result{}, ctx.Err()
 		}
 	}
 }

@@ -81,7 +81,7 @@ func (o Options) withDefaults() Options {
 
 // configFor derives the per-seed system configuration. All knobs are pure
 // functions of the seed, so a reported seed reproduces its configuration.
-func configFor(seed uint64, o Options) (shards int, mode txn.Mode, reactive, secondary bool) {
+func configFor(seed uint64, o Options) (shards int, mode txn.Mode, secondary bool) {
 	h := sched.Decide(seed, sched.NumPoints-1, 0x5eed)
 	shards = o.Shards
 	if shards == 0 {
@@ -95,12 +95,10 @@ func configFor(seed uint64, o Options) (shards int, mode txn.Mode, reactive, sec
 			mode = txn.Coarse
 		}
 	}
-	// The reactive delta-wakeup path and its full re-query ablation must
-	// both survive every schedule, so the campaign splits seeds between
-	// them. Same for the secondary-index path and its arity-scan ablation.
-	reactive = h&(1<<17) != 0
+	// The secondary-index path and its arity-scan fallback must both
+	// survive every schedule, so the campaign splits seeds between them.
 	secondary = h&(1<<18) != 0
-	return shards, mode, reactive, secondary
+	return shards, mode, secondary
 }
 
 // Failure describes one failing (program, seed) pair.
@@ -109,7 +107,6 @@ type Failure struct {
 	Seed      uint64
 	Shards    int
 	Mode      txn.Mode
-	Reactive  bool
 	Secondary bool
 	Err       error
 	// Decisions is the number of decisions the failing run drew.
@@ -122,7 +119,7 @@ type Failure struct {
 }
 
 func (f Failure) String() string {
-	s := fmt.Sprintf("%s: seed %d (shards=%d mode=%s reactive=%t secondary=%t): %v", f.Program, f.Seed, f.Shards, f.Mode, f.Reactive, f.Secondary, f.Err)
+	s := fmt.Sprintf("%s: seed %d (shards=%d mode=%s secondary=%t): %v", f.Program, f.Seed, f.Shards, f.Mode, f.Secondary, f.Err)
 	if f.MinLimit >= 0 {
 		s += fmt.Sprintf("\n  shrunk to %d active decisions (of %d drawn); replay: sdlexplore -program %s -seed %d -limit %d",
 			f.MinLimit, f.Decisions, f.Program, f.Seed, f.MinLimit)
@@ -159,9 +156,9 @@ func Run(opts Options) Report {
 				continue
 			}
 			failed++
-			shards, mode, reactive, secondary := configFor(seed, opts)
+			shards, mode, secondary := configFor(seed, opts)
 			f := Failure{Program: p.Name, Seed: seed, Shards: shards, Mode: mode,
-				Reactive: reactive, Secondary: secondary, Err: err, Decisions: decisions, MinLimit: -1}
+				Secondary: secondary, Err: err, Decisions: decisions, MinLimit: -1}
 			logf("FAIL %s seed=%d: %v (shrinking...)", p.Name, seed, err)
 			f = Shrink(p, f, opts)
 			rep.Failures = append(rep.Failures, f)
@@ -190,7 +187,7 @@ func RunSeed(p Program, seed uint64, limit int64, opts Options) (int64, error) {
 // runOnce assembles a fresh system under a seed-deterministic controller,
 // runs the program, and verifies the run.
 func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (int64, []sched.Decision, error) {
-	shards, mode, reactive, secondary := configFor(seed, opts)
+	shards, mode, secondary := configFor(seed, opts)
 	c := sched.New(seed, opts.Faults)
 	if limit >= 0 {
 		c.SetLimit(limit)
@@ -199,7 +196,7 @@ func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (in
 		c.EnableTrace(0)
 	}
 	store := dataspace.New(dataspace.WithShards(shards), dataspace.WithScheduler(c),
-		dataspace.WithReactive(reactive), dataspace.WithSecondaryIndex(secondary))
+		dataspace.WithSecondaryIndex(secondary))
 	clog := trace.NewCommitLog()
 	clog.Attach(store)
 

@@ -229,21 +229,15 @@ type fakeErr struct{}
 func (*fakeErr) Error() string { return "fake failure" }
 
 func TestConfigForIsPure(t *testing.T) {
-	sawReactive, sawRequery := false, false
 	sawIndexed, sawScan := false, false
 	for seed := uint64(0); seed < 64; seed++ {
-		s1, m1, r1, x1 := configFor(seed, Options{})
-		s2, m2, r2, x2 := configFor(seed, Options{})
-		if s1 != s2 || m1 != m2 || r1 != r2 || x1 != x2 {
+		s1, m1, x1 := configFor(seed, Options{})
+		s2, m2, x2 := configFor(seed, Options{})
+		if s1 != s2 || m1 != m2 || x1 != x2 {
 			t.Fatalf("configFor(%d) unstable", seed)
 		}
 		if s1 < 1 || s1 > 8 {
 			t.Errorf("configFor(%d) shards = %d", seed, s1)
-		}
-		if r1 {
-			sawReactive = true
-		} else {
-			sawRequery = true
 		}
 		if x1 {
 			sawIndexed = true
@@ -251,14 +245,11 @@ func TestConfigForIsPure(t *testing.T) {
 			sawScan = true
 		}
 	}
-	if !sawReactive || !sawRequery {
-		t.Errorf("seed split misses an ablation arm: reactive=%t requery=%t", sawReactive, sawRequery)
-	}
 	if !sawIndexed || !sawScan {
 		t.Errorf("seed split misses a secondary-index arm: indexed=%t scan=%t", sawIndexed, sawScan)
 	}
 	// Overrides win.
-	s, m, _, _ := configFor(9, Options{Shards: 2, Mode: 1})
+	s, m, _ := configFor(9, Options{Shards: 2, Mode: 1})
 	if s != 2 || m != 1 {
 		t.Errorf("overrides ignored: shards=%d mode=%v", s, m)
 	}

@@ -229,9 +229,8 @@ end
 
 	// microReactiveSrc stresses the delta-driven wakeup paths. Waiter's
 	// pure-positive constant guard is delta-safe: the noise commits land in
-	// its own <job, ...> index bucket but never match, so the reactive path
-	// suppresses those wakeups outright (and the re-query ablation arm must
-	// reach the same final state through full re-evaluation). Taker's
+	// its own <job, ...> index bucket but never match, so the publisher
+	// suppresses those wakeups outright. Taker's
 	// retract guard is NOT delta-safe — its nil filter pins the
 	// full-re-query fallback under the same churn. Release unblocks both.
 	microReactiveSrc = `

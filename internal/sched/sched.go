@@ -53,7 +53,6 @@ const (
 	PointLockShard                     // dataspace: before each shard-lock acquisition
 	PointLockSpike                     // dataspace: contention-spike injection under locks
 	PointCommitPublish                 // dataspace: commit version allocation
-	PointWakeupDispatch                // dataspace: waiter wakeup ordering
 	PointWakeupSpurious                // dataspace: spurious-wakeup injection
 	PointWaiterRegister                // dataspace: delayed-txn interest registration
 	PointConsensusEval                 // consensus: detector evaluation round
@@ -86,8 +85,6 @@ func (p Point) String() string {
 		return "lock-spike"
 	case PointCommitPublish:
 		return "commit-publish"
-	case PointWakeupDispatch:
-		return "wakeup-dispatch"
 	case PointWakeupSpurious:
 		return "wakeup-spurious"
 	case PointWaiterRegister:

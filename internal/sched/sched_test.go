@@ -39,7 +39,7 @@ func TestDecideSeedsDiffer(t *testing.T) {
 func TestNilControllerNoOps(t *testing.T) {
 	var c *Controller
 	c.Yield(PointTxnExec)
-	if p := c.Perm(PointWakeupDispatch, 5); p != nil {
+	if p := c.Perm(PointReactiveDeliver, 5); p != nil {
 		t.Errorf("nil Perm = %v", p)
 	}
 	if c.SpuriousWakeup() || c.ForceRetry() || c.DelaySignal() || c.RacyVersion() {
@@ -72,7 +72,7 @@ func TestControllerStreamReproduces(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
 					c.Yield(PointTxnExec)
-					c.Perm(PointWakeupDispatch, 4)
+					c.Perm(PointReactiveDeliver, 4)
 					c.ForceRetry()
 				}
 			}()
@@ -134,7 +134,7 @@ func TestLimitCutsDecisions(t *testing.T) {
 	c.SetLimit(10)
 	active := 0
 	for i := 0; i < 100; i++ {
-		if c.Perm(PointWakeupDispatch, 4) != nil {
+		if c.Perm(PointReactiveDeliver, 4) != nil {
 			active++
 		}
 	}
@@ -146,7 +146,7 @@ func TestLimitCutsDecisions(t *testing.T) {
 	}
 	// Beyond the limit the fingerprint must stop changing.
 	fp := c.Fingerprint()
-	c.Perm(PointWakeupDispatch, 4)
+	c.Perm(PointReactiveDeliver, 4)
 	if c.Fingerprint() != fp {
 		t.Error("fingerprint changed beyond the limit")
 	}

@@ -19,10 +19,12 @@
 //     internal/consensus.
 //
 // Two concurrency-control modes are provided (experiment E9 compares
-// them): Coarse evaluates every transaction under the store's write lock;
-// Optimistic evaluates the query under a read lock first and re-validates
-// the dataspace version at commit time, falling back to an under-lock
-// re-evaluation when a concurrent commit intervened.
+// them): Coarse evaluates every transaction inside its commit's exclusive
+// section; Optimistic evaluates the query against a snapshot first and
+// re-validates the dataspace version at commit time, falling back to an
+// under-lock re-evaluation when a concurrent commit intervened. Either way
+// the exclusive section is the narrowest the footprint plan allows (see
+// Engine.update): key latches, the planned shards, or the whole store.
 package txn
 
 import (
@@ -327,18 +329,10 @@ func (e *Engine) update(req Request, keys []dataspace.InterestKey, planned bool,
 	return e.store.Update(req.Proc, fn)
 }
 
-func (e *Engine) immediateCoarse(req Request) (Result, error) {
-	var res Result
-	e.attempts.Add(1)
-	keys, planned := e.planKeys(req)
-	err := e.update(req, keys, planned, func(w dataspace.Writer) error {
-		r, err := e.evalAndApply(w, req)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	})
+// settle folds the outcome of an update into the engine counters and the
+// caller's result: errFailed is a failed evaluation with no effect, any
+// other error aborts the transaction, nil is a commit.
+func (e *Engine) settle(req Request, res Result, err error) (Result, error) {
 	switch {
 	case errors.Is(err, errFailed):
 		e.failures.Add(1)
@@ -349,6 +343,22 @@ func (e *Engine) immediateCoarse(req Request) (Result, error) {
 		e.commits.Add(1)
 		return res, nil
 	}
+}
+
+// evalUnderLock evaluates and applies req inside its exclusive section.
+func (e *Engine) evalUnderLock(req Request, keys []dataspace.InterestKey, planned bool) (Result, error) {
+	var res Result
+	e.attempts.Add(1)
+	err := e.update(req, keys, planned, func(w dataspace.Writer) (err error) {
+		res, err = e.evalAndApply(w, req)
+		return err
+	})
+	return e.settle(req, res, err)
+}
+
+func (e *Engine) immediateCoarse(req Request) (Result, error) {
+	keys, planned := e.planKeys(req)
+	return e.evalUnderLock(req, keys, planned)
 }
 
 // immediateOptimistic evaluates the query against a read snapshot. Three
@@ -461,65 +471,29 @@ func (e *Engine) immediateOptimistic(req Request, kind metrics.TxnKind) (Result,
 	}
 
 	var res Result
-	err := e.update(req, keys, planned, func(w dataspace.Writer) error {
+	err := e.update(req, keys, planned, func(w dataspace.Writer) (err error) {
 		if forced || w.Version() != snapVersion {
 			// Conflict: the snapshot's solutions may be stale; re-evaluate
 			// in place.
 			e.conflicts.Add(1)
 			e.attempts.Add(1)
 			e.m.IncTxnRetry(kind)
-			r, err := e.evalAndApply(w, req)
-			if err != nil {
-				return err
-			}
-			res = r
-			return nil
+			res, err = e.evalAndApply(w, req)
+		} else {
+			// Unchanged: the snapshot solutions are still exact.
+			res, err = e.apply(w, req, sols)
 		}
-		// Unchanged: the snapshot solutions are still exact.
-		r, err := e.apply(w, req, sols)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
+		return err
 	})
-	switch {
-	case errors.Is(err, errFailed):
-		e.failures.Add(1)
-		return Result{Env: req.Env}, nil
-	case err != nil:
-		return Result{}, err
-	default:
-		e.commits.Add(1)
-		return res, nil
-	}
+	return e.settle(req, res, err)
 }
 
 // lockedRetry re-evaluates a transaction under the write lock (of its
 // planned shard set, when exact) after a snapshot-phase miss raced with a
 // commit.
 func (e *Engine) lockedRetry(req Request, keys []dataspace.InterestKey, planned bool) (Result, error) {
-	var res Result
 	e.sc.Yield(sched.PointTxnRetry)
-	e.attempts.Add(1)
-	err := e.update(req, keys, planned, func(w dataspace.Writer) error {
-		r, err := e.evalAndApply(w, req)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	})
-	switch {
-	case errors.Is(err, errFailed):
-		e.failures.Add(1)
-		return Result{Env: req.Env}, nil
-	case err != nil:
-		return Result{}, err
-	default:
-		e.commits.Add(1)
-		return res, nil
-	}
+	return e.evalUnderLock(req, keys, planned)
 }
 
 // retractFree reports whether the query is statically retract-free: no
@@ -708,45 +682,18 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 }
 
 // Delayed executes req as a delayed ('⇒') transaction: it blocks until a
-// successful evaluation is possible or ctx is cancelled. The register-then-
+// successful evaluation is possible or ctx is cancelled. The subscribe-then-
 // evaluate protocol guarantees no lost wakeups.
 //
-// With the store's reactive path enabled, the blocked guard registers one
-// delta subscription for the whole wait: commits publish their asserted/
-// retracted tuples through the publisher-side filter, irrelevant commits
-// are suppressed before any wakeup, and the commits of one group-commit
-// drain batch into a single re-evaluation. With it disabled (the E16
-// ablation), every covering commit wakes the waiter for a full re-query
-// through a fresh one-shot Wait registration.
+// The blocked guard holds one delta subscription for the whole wait: commits
+// publish their asserted/retracted tuples through the publisher-side filter,
+// irrelevant commits are suppressed before any wakeup, and the commits of one
+// group-commit drain batch into a single re-evaluation. A guard that is not
+// delta-safe subscribes with a nil filter and re-queries on every covering
+// commit.
 func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {
-	keys := interestKeys(req)
-	if !e.store.Reactive() {
-		for {
-			ch, cancel := e.store.Wait(keys)
-			res, err := e.exec(req, metrics.TxnDelayed)
-			if err != nil {
-				cancel()
-				return Result{}, err
-			}
-			if res.OK {
-				cancel()
-				return res, nil
-			}
-			e.m.IncTxnBlock(metrics.TxnDelayed)
-			select {
-			case <-ch:
-				e.wakeups.Add(1)
-				cancel()
-				e.sc.Yield(sched.PointTxnWakeup)
-			case <-ctx.Done():
-				cancel()
-				return Result{}, ctx.Err()
-			}
-		}
-	}
-
 	filter := deltaFilter(req)
-	sub := e.store.Subscribe(keys, filter)
+	sub := e.store.Subscribe(interestKeys(req), filter)
 	defer sub.Cancel()
 	for {
 		res, err := e.exec(req, metrics.TxnDelayed)

@@ -337,66 +337,49 @@ func TestSystemMetricsInvariants(t *testing.T) {
 		t.Errorf("secondary demotions %d > promotions %d", secSnap.SecondaryDemotions, secSnap.SecondaryPromotions)
 	}
 
-	// All waiters were satisfied, and shutdown leaves both gauges at zero.
+	// All waiters were satisfied, and shutdown leaves the gauge at zero.
 	sys.Close()
-	final := sys.Snapshot()
-	if d := final.WaiterDepth; d != 0 {
-		t.Errorf("waiter depth %d after Close, want 0", d)
-	}
-	if d := final.ReactiveSubscriptions; d != 0 {
+	if d := sys.Snapshot().ReactiveSubscriptions; d != 0 {
 		t.Errorf("live subscriptions %d after Close, want 0", d)
 	}
 }
 
-// The blocked-guard gauges must drain even when waiters are cancelled
-// rather than satisfied. With reactive wakeups on, a blocked delayed
-// transaction registers a subscription; with them off, a one-shot waiter —
-// both gauges must reach zero after cancellation either way.
-func TestWaiterDepthDrainsOnCancel(t *testing.T) {
-	for _, reactive := range []bool{true, false} {
-		t.Run(fmt.Sprintf("reactive=%t", reactive), func(t *testing.T) {
-			sys := New(Options{DisableReactive: !reactive})
-			defer sys.Close()
-			depth := func() int64 {
-				snap := sys.Snapshot()
-				return snap.WaiterDepth + snap.ReactiveSubscriptions
+// The live-subscription gauge must drain even when blocked delayed
+// transactions are cancelled rather than satisfied.
+func TestMetricsSubscriptionsDrainOnCancel(t *testing.T) {
+	sys := New(Options{})
+	defer sys.Close()
+	live := func() int64 { return sys.Snapshot().ReactiveSubscriptions }
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := sys.Delayed(ctx, Request{
+				Proc:  ProcessID(i + 1),
+				View:  Universal(),
+				Query: Q(R(C(Atom("never")), C(Int(int64(i))))),
+			})
+			if err == nil {
+				t.Error("cancelled delayed txn returned nil error")
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			var wg sync.WaitGroup
-			for i := 0; i < 8; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					_, err := sys.Delayed(ctx, Request{
-						Proc:  ProcessID(i + 1),
-						View:  Universal(),
-						Query: Q(R(C(Atom("never")), C(Int(int64(i))))),
-					})
-					if err == nil {
-						t.Error("cancelled delayed txn returned nil error")
-					}
-				}(i)
-			}
-			// Wait until every waiter has registered, then cancel them all.
-			deadline := time.Now().Add(5 * time.Second)
-			for depth() < 8 {
-				if time.Now().After(deadline) {
-					t.Fatalf("waiters never registered: depth %d", depth())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			snap := sys.Snapshot()
-			if reactive && snap.ReactiveSubscriptions != 8 {
-				t.Errorf("reactive subscriptions %d, want 8", snap.ReactiveSubscriptions)
-			}
-			if !reactive && snap.WaiterDepth != 8 {
-				t.Errorf("waiter depth %d, want 8", snap.WaiterDepth)
-			}
-			cancel()
-			wg.Wait()
-			if d := depth(); d != 0 {
-				t.Errorf("blocked-guard depth %d after cancellation, want 0", d)
-			}
-		})
+		}(i)
+	}
+	// Wait until every waiter has subscribed, then cancel them all.
+	deadline := time.Now().Add(5 * time.Second)
+	for live() < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiters never subscribed: %d live", live())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := live(); n != 8 {
+		t.Errorf("live subscriptions %d, want 8", n)
+	}
+	cancel()
+	wg.Wait()
+	if n := live(); n != 0 {
+		t.Errorf("live subscriptions %d after cancellation, want 0", n)
 	}
 }

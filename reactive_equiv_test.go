@@ -10,23 +10,35 @@ import (
 	"github.com/sdl-lang/sdl/internal/refmodel"
 )
 
-// Reactive ablation equivalence: delta-driven wakeups are a pure
-// scheduling optimization, so a confluent workload must reach the same
-// final content multiset whether blocked guards re-evaluate against
-// deltas (reactive on) or re-query on every covering commit (reactive
-// off). The workload mixes both blocked-guard classes — delta-safe
-// pure-positive waiters, whose irrelevant-commit wakeups the reactive
-// path suppresses, and retract-pattern consumers, which always fall back
-// to full re-queries — under churn that lands in the waiters' own index
+// Delta-driven wakeups are a pure scheduling optimization: a confluent
+// workload must reach its one closed-form final content multiset however
+// the wakeups interleave. The workload mixes both blocked-guard classes —
+// delta-safe pure-positive waiters, whose irrelevant-commit wakeups the
+// publisher suppresses, and retract-pattern consumers, which re-query on
+// every covering commit — under churn that lands in the waiters' own index
 // buckets without ever matching them.
-func TestReactiveAblationEquivalence(t *testing.T) {
+func TestReactiveWakeupsConfluent(t *testing.T) {
 	const (
 		waiters = 6
 		tokens  = 8
 		noise   = 5
 	)
-	run := func(t *testing.T, shards int, disable bool) map[uint64]int {
-		sys := New(Options{Shards: shards, DisableReactive: disable})
+	// The noise and release tuples survive, every waiter acked, and every
+	// token was consumed and converted.
+	want := map[uint64]int{}
+	for i := 0; i < waiters; i++ {
+		for k := 0; k < noise; k++ {
+			want[NewTuple(Atom("job"), Int(int64(i)), Int(int64(-1-k))).Hash()]++
+		}
+		want[NewTuple(Atom("job"), Int(int64(i)), Int(1)).Hash()]++
+		want[NewTuple(Atom("ack"), Int(int64(i))).Hash()]++
+	}
+	for v := 0; v < tokens; v++ {
+		want[NewTuple(Atom("did"), Int(int64(v))).Hash()]++
+	}
+
+	run := func(t *testing.T, shards int) {
+		sys := New(Options{Shards: shards})
 		defer sys.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -34,7 +46,7 @@ func TestReactiveAblationEquivalence(t *testing.T) {
 		var wg sync.WaitGroup
 		// Delta-safe waiters: block on the constant tuple <job, i, 1> and
 		// acknowledge it. The guard is pure-positive with a known lead, so
-		// the reactive path compiles it to a delta filter.
+		// it compiles to a delta filter.
 		for i := 0; i < waiters; i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -51,8 +63,8 @@ func TestReactiveAblationEquivalence(t *testing.T) {
 			}(i)
 		}
 		// Retract consumers: each consumes one <tok, v> and converts it.
-		// The retract pattern is not delta-safe, so these exercise the
-		// full-re-query fallback under both settings.
+		// The retract pattern is not delta-safe, so these subscribe with a
+		// nil filter and exercise the full-re-query fallback.
 		for i := 0; i < tokens; i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -82,27 +94,27 @@ func TestReactiveAblationEquivalence(t *testing.T) {
 			sys.Store.Assert(Environment, NewTuple(Atom("tok"), Int(int64(i))))
 		}
 		wg.Wait()
-		return refmodel.MultisetOf(sys.Store)
+
+		if got := refmodel.MultisetOf(sys.Store); !refmodel.SameMultiset(got, want) {
+			t.Errorf("final multiset has %d distinct tuples, want the closed form's %d (%d tuples)",
+				len(got), len(want), waiters*noise+2*waiters+tokens)
+		}
+		snap := sys.Snapshot()
+		if got := snap.ReactiveHits + snap.ReactiveFallbacks; got != snap.ReactiveEvals {
+			t.Errorf("reactive evals %d != hits %d + fallbacks %d",
+				snap.ReactiveEvals, snap.ReactiveHits, snap.ReactiveFallbacks)
+		}
+		if snap.ReactiveSuppressed > snap.ReactiveSignals {
+			t.Errorf("reactive suppressed %d > signals %d", snap.ReactiveSuppressed, snap.ReactiveSignals)
+		}
+		if blocks := snap.Txn["delayed"].Blocks; snap.ReactiveEvals != blocks {
+			t.Errorf("reactive evals %d != delayed blocks %d", snap.ReactiveEvals, blocks)
+		}
+		if snap.ReactiveSubscriptions != 0 {
+			t.Errorf("%d subscriptions still live after every waiter returned", snap.ReactiveSubscriptions)
+		}
 	}
 	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			on := run(t, shards, false)
-			off := run(t, shards, true)
-			if !refmodel.SameMultiset(on, off) {
-				t.Errorf("final multisets diverge: reactive %d distinct tuples, re-query %d",
-					len(on), len(off))
-			}
-			// Sanity: the workload actually ran to completion — the noise
-			// and release tuples survive, every waiter acked, and every
-			// token was consumed and converted.
-			want := waiters*noise + 2*waiters + tokens
-			var total int
-			for _, n := range on {
-				total += n
-			}
-			if total != want {
-				t.Errorf("reactive run finished with %d tuples, want %d", total, want)
-			}
-		})
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { run(t, shards) })
 	}
 }

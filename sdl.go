@@ -105,13 +105,6 @@ var WithShards = dataspace.WithShards
 // baseline of experiment E13.
 var WithCommuting = dataspace.WithCommuting
 
-// WithReactive enables or disables delta-driven wakeups (on by default).
-// When on, blocked delayed transactions whose guards are delta-safe
-// re-evaluate only against the tuples each commit changed, and commits
-// whose deltas cannot affect a guard do not wake it at all. Disabling it
-// restores the wake-on-any-covering-commit baseline of experiment E16.
-var WithReactive = dataspace.WithReactive
-
 // WithSecondaryIndex enables or disables adaptive secondary field indexes
 // and selectivity-guided join planning (on by default). When on, scan
 // shapes with an unknown lead but constrained non-lead fields are promoted
@@ -323,7 +316,7 @@ var (
 type (
 	// SchedController is a seedable deterministic scheduler and fault
 	// injector. Installed via Options.Scheduler (or the WithScheduler
-	// store option), it drives yields, wakeup-dispatch order, spurious
+	// store option), it drives yields, wakeup-delivery order, spurious
 	// wakeups, forced optimistic retries, and delayed consensus signals
 	// from a pure decision stream, so any interleaving it provokes can
 	// be replayed from its seed. A nil controller leaves every hook as

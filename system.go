@@ -25,11 +25,6 @@ type Options struct {
 	// (per-key latches, group commit, epoch reads), demoting every planned
 	// commit to shard-level locking. The E13 ablation baseline.
 	DisableCommuting bool
-	// DisableReactive turns off delta-driven wakeups for blocked delayed
-	// transactions and consensus kick suppression: every covering commit
-	// wakes every blocked guard for a full re-query. The E16 ablation
-	// baseline.
-	DisableReactive bool
 	// DisableSecondaryIndex turns off adaptive secondary field indexes and
 	// the selectivity-guided join planner they feed: non-lead constrained
 	// scans degrade to full arity walks and plans to the boundness
@@ -81,8 +76,7 @@ func New(opts Options) *System {
 // every commit is durable before it becomes visible.
 func Open(opts Options) (*System, error) {
 	store := NewStore(WithShards(opts.Shards), WithScheduler(opts.Scheduler),
-		WithCommuting(!opts.DisableCommuting), WithReactive(!opts.DisableReactive),
-		WithSecondaryIndex(!opts.DisableSecondaryIndex))
+		WithCommuting(!opts.DisableCommuting), WithSecondaryIndex(!opts.DisableSecondaryIndex))
 	var (
 		wlog     *WAL
 		recovery *WALRecoveryStats
@@ -146,7 +140,7 @@ func (s *System) Metrics() *MetricsRegistry { return s.Store.Metrics() }
 
 // Snapshot returns a point-in-time copy of the system's metrics: per-shard
 // lock acquisitions, transaction attempts/commits/retries/blocks by kind,
-// waiter depth and wakeup fan-out, consensus rounds and community sizes,
+// live subscriptions and wakeup fan-out, consensus rounds and community sizes,
 // and checkpoint timings.
 func (s *System) Snapshot() MetricsSnapshot { return s.Store.Metrics().Snapshot() }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit perf-test check bench bench-json bench-gate analyze-bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
+.PHONY: all build vet test race audit perf-test perf-pair check bench bench-json bench-gate analyze-bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
 
 all: check
 
@@ -64,6 +64,16 @@ wal-smoke:
 # this is what notices an API change breaking it.
 perf-test:
 	cd perf && $(GO) vet ./... && $(GO) test ./...
+
+# The paired parent/change protocol of the perf benchmark (choosing-metrics
+# §8) for one workload: N alternating pairs of S-second runs, then medians,
+# quartiles, wins and resolved/unresolved against the BENCHMARK.json bounds.
+# `make perf-pair W=join-read N=10 S=20`; takes 2*N*(S + set-up) seconds.
+W ?= join-read
+N ?= 10
+S ?= 20
+perf-pair:
+	bash scripts/perf-pair.sh $(W) $(N) $(S)
 
 # The verification gate: everything a commit must pass.
 check: vet build race audit analyze-smoke sched-test explore-smoke wal-smoke perf-test

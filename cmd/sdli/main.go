@@ -430,6 +430,8 @@ func printMetrics(snap metrics.Snapshot) {
 				class, n, snap.FootprintPlanned[class])
 		}
 	}
+	fmt.Printf("  shared reads  %d executions without an exclusive lock (%d epoch reads, %d torn)\n",
+		snap.SharedReads, snap.EpochReads, snap.EpochFallbacks)
 	fmt.Printf("  wakeups       mean fan-out %.2f, %d live subscriptions\n",
 		snap.WakeupFanout.Mean(), snap.ReactiveSubscriptions)
 	if snap.ReactiveSignals > 0 || snap.ReactiveEvals > 0 {

@@ -16,9 +16,15 @@ import (
 // snapshot but missing from another always leaves a sequence mismatch
 // behind. On mismatch the caller falls back to the locked read path.
 //
-// Snapshots are cached per shard (shard.snap) and rebuilt lazily on the
-// first epoch read after a change, so a read-hot bucket amortizes one
-// rebuild over arbitrarily many lock-free reads.
+// Snapshots are cached per shard (shard.snap) and rebuilt lazily, so a
+// read-hot bucket amortizes one rebuild over arbitrarily many lock-free
+// reads. A rebuild copies the whole shard, so it has to be earned: a read
+// that finds the cache stale is declined (the caller takes the shared-lock
+// path, which costs two lock operations) until as many reads have found it
+// stale since the shard's last commit as the shard holds tuples — each of
+// them has then paid, amortized, for copying one tuple. A shard that is
+// written more often than that never rebuilds, so a point read of a large,
+// churning shard stays O(1) instead of O(shard).
 
 // shardSnap is an immutable snapshot of one shard's contents, stamped with
 // the change sequence it was built at. byField materializes the buckets of
@@ -79,10 +85,11 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 }
 
 // getSnap returns a snapshot of shard si no older than the shard's state at
-// some point after this call began. The fast path is a lock-free cache hit;
-// a stale cache is rebuilt under the shard's read lock. A racing commit can
-// invalidate the returned snapshot immediately — the caller's end-of-read
-// sequence validation catches that.
+// some point after this call began, or nil when the cache is stale and a
+// rebuild is not yet earned (see above). The fast path is a lock-free cache
+// hit; a stale cache is rebuilt under the shard's read lock. A racing
+// commit can invalidate the returned snapshot immediately — the caller's
+// end-of-read sequence validation catches that.
 func (s *Store) getSnap(si uint32) *shardSnap {
 	sh := s.shards[si]
 	if snap := sh.snap.Load(); snap != nil && snap.seq == sh.seq.Load() {
@@ -93,6 +100,10 @@ func (s *Store) getSnap(si uint32) *shardSnap {
 	if snap := sh.snap.Load(); snap != nil && snap.seq == seq {
 		sh.mu.RUnlock()
 		return snap
+	}
+	if int(sh.staleReads.Add(1)) < len(sh.entries) {
+		sh.mu.RUnlock()
+		return nil
 	}
 	snap := buildSnap(sh, seq)
 	sh.mu.RUnlock()
@@ -200,8 +211,9 @@ func (r epochReader) Len() int {
 // keys, without taking any locks, and reports whether the read was
 // consistent: true means no footprint shard changed while fn ran and its
 // observations stand; false means the read may be torn and the caller must
-// retry on the locked path (SnapshotKeys). Wildcard keys and stores built
-// with WithCommuting(false) always return false.
+// retry on the locked path (SnapshotKeys). Wildcard keys, stores built with
+// WithCommuting(false), and footprints with a stale shard snapshot that is
+// not yet worth rebuilding return false without running fn.
 func (s *Store) SnapshotKeysEpoch(keys []InterestKey, fn func(r Reader)) bool {
 	if !s.commuting {
 		return false
@@ -217,12 +229,17 @@ func (s *Store) SnapshotKeysEpoch(keys []InterestKey, fn func(r Reader)) bool {
 			return false // unbounded footprint: locked path only
 		}
 	}
-	s.metrics.IncEpochRead()
 	snaps := make([]*shardSnap, len(s.shards))
+	current := true
 	ss.forEach(func(si uint32) bool {
 		snaps[si] = s.getSnap(si)
-		return true
+		current = snaps[si] != nil
+		return current
 	})
+	if !current {
+		return false
+	}
+	s.metrics.IncEpochRead()
 	fn(epochReader{s: s, ss: &ss, snaps: snaps, version: s.version.Load()})
 	valid := true
 	ss.forEach(func(si uint32) bool {

@@ -262,14 +262,17 @@ func (sh *shard) secWrite(st *shapeStats) bool {
 	return true
 }
 
-// bumpSeq advances the shard's change sequence for one commit and
-// re-stamps every hot shape index that was maintained through it, so
-// incremental maintenance survives the sequence check instead of forcing a
-// rebuild. An index whose stamp already lagged stays stale.
+// bumpSeq advances the shard's change sequence for one commit, restarts
+// the count of reads that must find the epoch snapshot stale before it is
+// rebuilt, and re-stamps every hot shape index that was maintained through
+// the commit, so incremental maintenance survives the sequence check
+// instead of forcing a rebuild. An index whose stamp already lagged stays
+// stale.
 //
 // lint:holds mu
 func (sh *shard) bumpSeq() {
 	seq := sh.seq.Add(1)
+	sh.staleReads.Store(0)
 	if sh.sec.hot.Load() == 0 {
 		return
 	}

@@ -164,8 +164,9 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // order that keeps the three-layer ladder deadlock-free.
 //
 // seq counts committed changes to this shard's contents and snap caches an
-// immutable epoch snapshot of them (see epoch.go); both are maintained
-// under mu and read lock-free by the epoch read path.
+// immutable epoch snapshot of them, rebuilt once staleReads has earned it
+// (see epoch.go); all three are maintained under mu and read lock-free by
+// the epoch read path.
 type shard struct {
 	mu      sync.RWMutex
 	entries map[tuple.ID]entry
@@ -187,8 +188,9 @@ type shard struct {
 	latches [keyStripes]sync.Mutex
 	queue   commitQueue
 
-	seq  atomic.Uint64
-	snap atomic.Pointer[shardSnap]
+	seq        atomic.Uint64
+	snap       atomic.Pointer[shardSnap]
+	staleReads atomic.Uint32 // epoch reads that found snap stale since the last commit
 
 	waiters waiterRegistry
 }
@@ -670,24 +672,22 @@ func (s *Store) bumpSeqs(insShard, delShard []uint32) {
 	}
 }
 
-// allocVersion claims the commit's serialization position. Normally a
-// single atomic add — correct even though commits with disjoint shard
-// footprints allocate concurrently. When the exploration controller's
-// RacyVersionBug fault fires, the allocation instead runs a deliberate
-// load-yield-store race: two concurrent disjoint-footprint commits can both
-// observe the same version and claim the same slot, corrupting the
-// serialization witness the refmodel replay checks. This is the harness's
-// "teeth" bug (ISSUE 4): it exists only to prove exploration detects and
-// shrinks real ordering violations. The fault cannot fire without an
-// installed controller whose RacyVersionBug probability is nonzero.
+// allocVersion claims the commit's serialization position: a single atomic
+// add — correct even though commits with disjoint shard footprints allocate
+// concurrently. When the exploration controller's RacyVersionBug fault
+// fires, the commit instead reuses the latest allocated version without
+// advancing it: a duplicate serialization position, corrupting the witness
+// the refmodel replay checks. The duplicate is a pure function of the
+// controller's decision, so a failing (seed, limit) pair replays. This is
+// the harness's "teeth" bug (ISSUE 4): it exists only to prove exploration
+// detects and shrinks real ordering violations. The fault cannot fire
+// without an installed controller whose RacyVersionBug probability is
+// nonzero.
 func (s *Store) allocVersion() uint64 {
 	if s.sc != nil && s.sc.RacyVersion() {
-		v := s.version.Load() + 1
-		for i := 0; i < 64; i++ {
-			runtime.Gosched()
+		if v := s.version.Load(); v > 0 {
+			return v
 		}
-		s.version.Store(v)
-		return v
 	}
 	return s.version.Add(1)
 }

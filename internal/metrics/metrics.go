@@ -201,8 +201,9 @@ type Registry struct {
 	epochRebuilds  Counter    // epoch snapshot rebuilds (cache misses)
 	epochFallbacks Counter    // epoch reads invalidated by a concurrent commit
 
-	txn        [numTxnKinds]txnCells
-	txnLatency [numTxnKinds]*Histogram // ns per execution; gated on Observed
+	txn         [numTxnKinds]txnCells
+	txnLatency  [numTxnKinds]*Histogram // ns per execution; gated on Observed
+	sharedReads cell                    // executions served by the engine's shared read path
 
 	footprintAdmit   [FootprintClasses]cell // executions per static footprint class
 	footprintPlanned [FootprintClasses]cell // of those, how many the planner admitted
@@ -469,6 +470,11 @@ func (r *Registry) IncTxnRetry(k TxnKind) { r.txn[k].retries.v.Add(1) }
 // IncTxnBlock counts one process block.
 func (r *Registry) IncTxnBlock(k TxnKind) { r.txn[k].blocks.v.Add(1) }
 
+// IncSharedRead counts one execution served by the engine's shared read
+// path: a statically read-only transaction, evaluated without any
+// exclusive lock. Every one is also an attempt of its kind.
+func (r *Registry) IncSharedRead() { r.sharedReads.v.Add(1) }
+
 // TxnAttempts returns the kind's execution count.
 func (r *Registry) TxnAttempts(k TxnKind) uint64 { return r.txn[k].attempts.v.Load() }
 
@@ -502,8 +508,9 @@ type Snapshot struct {
 	EpochRebuilds  uint64            `json:"epochRebuilds"`  // snapshot rebuilds
 	EpochFallbacks uint64            `json:"epochFallbacks"` // epoch reads that fell back to locking
 
-	Txn        map[string]TxnCounters       `json:"txn"`
-	TxnLatency map[string]HistogramSnapshot `json:"txnLatencyNs"`
+	Txn         map[string]TxnCounters       `json:"txn"`
+	TxnLatency  map[string]HistogramSnapshot `json:"txnLatencyNs"`
+	SharedReads uint64                       `json:"sharedReads"` // executions served by the shared read path (no exclusive lock)
 
 	// FootprintAdmissions counts transaction executions per static
 	// footprint class; FootprintPlanned is the subset the dynamic planner
@@ -597,6 +604,7 @@ func (r *Registry) Snapshot() Snapshot {
 		EpochFallbacks:           r.epochFallbacks.Value(),
 		Txn:                      make(map[string]TxnCounters, int(numTxnKinds)),
 		TxnLatency:               make(map[string]HistogramSnapshot, int(numTxnKinds)),
+		SharedReads:              r.sharedReads.v.Load(),
 		FootprintAdmissions:      make(map[string]uint64, FootprintClasses),
 		FootprintPlanned:         make(map[string]uint64, FootprintClasses),
 		Footprint:                r.footprint.snapshot(),

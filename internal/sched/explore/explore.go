@@ -396,61 +396,58 @@ func isMarker(t tuple.Tuple, lead string) bool {
 	return ok && a == lead
 }
 
-// shrinkAttempts is how many runs may vote on whether a budget still
-// fails: the decision stream is deterministic, but the goroutine schedule
-// consuming it is not, so a budget's failure is re-tried a few times
-// before it is declared passing.
+// shrinkAttempts is how many runs vote on whether a budget still fails: the
+// decision stream is deterministic, but the goroutine schedule consuming it
+// is not, so which decisions land inside a budget varies a little from run
+// to run.
 const shrinkAttempts = 4
 
 // Shrink minimizes a failing seed's active-decision budget: decisions
 // beyond the budget return "no perturbation", so the smallest failing
 // budget is the minimal perturbation prefix that still triggers the
-// failure. Binary search over the budget, with retries at each probe
-// (see shrinkAttempts). The shrunk failure carries the failing prefix's
-// decision trace.
+// failure. Binary search over the budget, shrinkAttempts votes per probe: a
+// budget counts as failing only when every vote fails, so the reported
+// (seed, limit) pair replays reliably instead of sitting on the boundary
+// where the failing decision is only sometimes inside the budget. A failure
+// too racy for that — some vote passes even unshrunk — shrinks to the
+// smallest budget at which any vote fails. The shrunk failure carries the
+// failing prefix's decision trace.
 func Shrink(p Program, f Failure, opts Options) Failure {
 	opts = opts.withDefaults()
-	fails := func(limit int64) (int64, []sched.Decision, error) {
-		var (
-			lastTrace []sched.Decision
-			lastDec   int64
-		)
+	every := true
+	// fails reports the outcome the votes settle on: under every, the first
+	// passing vote settles a pass; otherwise the first failing vote settles
+	// a failure.
+	fails := func(limit int64) (dec int64, tr []sched.Decision, err error) {
 		for a := 0; a < shrinkAttempts; a++ {
-			dec, tr, err := runOnce(p, f.Seed, limit, true, opts)
-			if err != nil {
-				return dec, tr, err
+			dec, tr, err = runOnce(p, f.Seed, limit, true, opts)
+			if (err == nil) == every {
+				break
 			}
-			lastDec, lastTrace = dec, tr
 		}
-		return lastDec, lastTrace, nil
+		return dec, tr, err
 	}
 
 	// The failure was observed with an unlimited budget; bound the search
-	// by the decisions that run drew.
+	// by the decisions that run drew. hi is always a budget seen failing.
 	lo, hi := int64(0), f.Decisions
-	if _, _, err := fails(hi); err == nil {
-		// The failure did not reproduce even unshrunk; report it as-is.
-		return f
+	dec, tr, err := fails(hi)
+	if err == nil {
+		every = false
+		if dec, tr, err = fails(hi); err == nil {
+			// The failure did not reproduce even unshrunk; report it as-is.
+			return f
+		}
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if _, _, err := fails(mid); err != nil {
-			hi = mid
+		if d, t, e := fails(mid); e != nil {
+			hi, dec, tr, err = mid, d, t, e
 		} else {
 			lo = mid + 1
 		}
 	}
-	// Final confirmation at the minimal budget; keep its trace and error.
-	dec, tr, err := fails(lo)
-	if err == nil {
-		// Noise at the boundary: fall back to the full budget.
-		lo = f.Decisions
-		dec, tr, err = fails(lo)
-		if err == nil {
-			return f
-		}
-	}
-	f.MinLimit = lo
+	f.MinLimit = hi
 	f.Err = err
 	// Decision counts vary slightly run to run (retries draw extra);
 	// keep the largest observed so MinLimit <= Decisions always holds.

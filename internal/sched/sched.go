@@ -138,11 +138,11 @@ type Faults struct {
 	// LockSpike widens a commit's critical section with extra yields while
 	// the shard locks are held, simulating contention spikes.
 	LockSpike uint8
-	// RacyVersionBug is a TEST-ONLY injected ordering bug: commit versions
-	// are allocated with a load-yield-store race instead of one atomic add,
-	// so concurrent disjoint-shard commits can claim the same version and
-	// break the serialization witness. It exists to prove the exploration
-	// harness detects real violations. Keep 0 outside harness self-tests.
+	// RacyVersionBug is a TEST-ONLY injected ordering bug: a commit it fires
+	// on reuses the latest allocated version instead of advancing it, so
+	// two commits claim the same serialization position and break the
+	// witness. It exists to prove the exploration harness detects real
+	// violations. Keep 0 outside harness self-tests.
 	RacyVersionBug uint8
 }
 
@@ -391,8 +391,8 @@ func (c *Controller) LockSpike() int {
 	return 2 + int((v>>24)&7)
 }
 
-// RacyVersion reports whether this commit's version allocation should run
-// the injected load-yield-store race (test-only; see Faults.RacyVersionBug).
+// RacyVersion reports whether this commit should claim a duplicate version
+// (test-only; see Faults.RacyVersionBug).
 func (c *Controller) RacyVersion() bool {
 	v := c.draw(PointCommitPublish)
 	return v != 0 && uint8(v>>16) < c.faults.RacyVersionBug

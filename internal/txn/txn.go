@@ -18,13 +18,18 @@
 //   - Consensus ('⇑') is built on top of this package by
 //     internal/consensus.
 //
-// Two concurrency-control modes are provided (experiment E9 compares
-// them): Coarse evaluates every transaction inside its commit's exclusive
-// section; Optimistic evaluates the query against a snapshot first and
-// re-validates the dataspace version at commit time, falling back to an
-// under-lock re-evaluation when a concurrent commit intervened. Either way
-// the exclusive section is the narrowest the footprint plan allows (see
-// Engine.update): key latches, the planned shards, or the whole store.
+// A statically read-only transaction — nothing to assert, no retract tag —
+// never takes an exclusive lock, in any mode: it evaluates against a
+// consistent cut of its footprint (Engine.read) and its answer is final.
+//
+// Two concurrency-control modes are provided for the transactions that can
+// mutate (experiment E9 compares them): Coarse evaluates them inside their
+// commit's exclusive section; Optimistic evaluates the query against a
+// snapshot first and re-validates the dataspace version at commit time,
+// falling back to an under-lock re-evaluation when a concurrent commit
+// intervened. Either way the exclusive section is the narrowest the
+// footprint plan allows (see Engine.update): key latches, the planned
+// shards, or the whole store.
 package txn
 
 import (
@@ -43,17 +48,19 @@ import (
 	"github.com/sdl-lang/sdl/internal/view"
 )
 
-// Mode selects the engine's concurrency-control strategy.
+// Mode selects how the engine evaluates transactions that can mutate the
+// dataspace. Statically read-only transactions run the same shared read
+// path (Engine.read) under either mode.
 type Mode uint8
 
 // Concurrency-control modes.
 const (
-	// Coarse serializes all transactions behind the store's write lock:
-	// the reference semantics, trivially serializable.
+	// Coarse evaluates a mutating transaction inside its commit's
+	// exclusive section: the reference semantics, trivially serializable.
 	Coarse Mode = iota + 1
-	// Optimistic evaluates queries under a read lock against a version
-	// snapshot and validates at commit; concurrent read-phase evaluation
-	// proceeds in parallel.
+	// Optimistic evaluates a mutating transaction's query under read locks
+	// against a version snapshot and validates at commit; concurrent
+	// read-phase evaluation proceeds in parallel.
 	Optimistic
 )
 
@@ -198,7 +205,8 @@ func (e *Engine) Immediate(req Request) (Result, error) {
 	return e.exec(req, metrics.TxnImmediate)
 }
 
-// exec runs one evaluation of req under the engine's mode, recording the
+// exec runs one evaluation of req — on the shared read path when req is
+// statically read-only, under the engine's mode otherwise — recording the
 // per-kind metrics: one attempt per exec, one commit on success, and —
 // when an observer is attached — the end-to-end latency. The registry's
 // attempts therefore count executions; extra under-lock re-evaluations
@@ -216,8 +224,10 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 		res Result
 		err error
 	)
-	switch e.mode {
-	case Optimistic:
+	switch {
+	case len(req.Asserts) == 0 && retractFree(req.Query):
+		res, err = e.read(req)
+	case e.mode == Optimistic:
 		res, err = e.immediateOptimistic(req, kind)
 	default:
 		res, err = e.immediateCoarse(req)
@@ -311,7 +321,8 @@ func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
 // planKeys runs the footprint planner and records the admission: one
 // counter bump per execution, keyed by the request's static class and by
 // whether the plan succeeded (planned executions are the commuting fast
-// path's intake; unplanned ones serialize on the full-store lock).
+// path's and the epoch read path's intake; unplanned mutating ones
+// serialize on the full-store lock, unplanned reads share it).
 func (e *Engine) planKeys(req Request) ([]dataspace.InterestKey, bool) {
 	keys, planned := footprintKeys(req)
 	e.m.IncFootprintAdmission(uint8(req.Footprint), planned)
@@ -361,16 +372,52 @@ func (e *Engine) immediateCoarse(req Request) (Result, error) {
 	return e.evalUnderLock(req, keys, planned)
 }
 
-// immediateOptimistic evaluates the query against a read snapshot. Three
-// outcomes:
+// read executes a statically read-only request — nothing to assert and a
+// retract-free query — in every mode, without any exclusive lock, key
+// latch, intent lock or commit record. A planned footprint evaluates
+// lock-free against epoch snapshots (a read the store declines or finds
+// torn falls through); otherwise the evaluation holds the shared locks of
+// the footprint's shards, or of every shard when the footprint is unplanned.
 //
-//   - The transaction is read-only (no retract tags matched, nothing to
-//     assert): the snapshot answer is final — a read-only transaction
-//     serializes at its snapshot point — and no write lock is taken at
-//     all. This is the mode's payoff on read-mostly workloads.
-//   - The transaction mutates and the version is unchanged under the
-//     write lock: the snapshot's solutions are applied directly, without
-//     re-evaluating the query.
+// Either way the query sees a consistent cut of its whole footprint.
+// Commits apply and allocate their version inside the exclusive mu section
+// of every shard they write, so the cut holds exactly the commits that
+// finished that section before the read began — a prefix, in version order,
+// of the commits that touch the footprint — and the read serializes right
+// after that prefix. Success and failure are therefore both final: there is
+// nothing to validate and nothing to retry (a delayed guard's subscription,
+// registered before the evaluation, covers every commit past the cut).
+func (e *Engine) read(req Request) (Result, error) {
+	var (
+		sols []pattern.Binding
+		err  error
+	)
+	eval := func(r dataspace.Reader) { sols, err = solve(req, r, nil) }
+	e.attempts.Add(1)
+	e.m.IncSharedRead()
+	keys, planned := e.planKeys(req)
+	switch {
+	case !planned:
+		e.store.Snapshot(eval)
+	case !e.store.SnapshotKeysEpoch(keys, eval):
+		e.store.SnapshotKeys(keys, eval)
+	}
+	switch {
+	case err != nil:
+		return Result{}, err
+	case len(sols) == 0:
+		e.failures.Add(1)
+		return Result{Env: req.Env}, nil
+	}
+	e.commits.Add(1)
+	return solved(req, sols), nil
+}
+
+// immediateOptimistic evaluates a mutating transaction's query against a
+// read snapshot. Two outcomes:
+//
+//   - The version is unchanged under the write lock: the snapshot's
+//     solutions are applied directly, without re-evaluating the query.
 //   - A concurrent commit intervened: re-evaluate under the lock
 //     (degenerating to coarse for this attempt) and count a conflict.
 //
@@ -394,53 +441,13 @@ func (e *Engine) immediateOptimistic(req Request, kind metrics.TxnKind) (Result,
 	keys, planned := e.planKeys(req)
 	eval := func(r dataspace.Reader) {
 		snapVersion = r.Version()
-		win := req.View.Window(r, req.Env)
-		switch req.Query.Quant {
-		case pattern.ForAll:
-			sols, evalErr = pattern.SolveAll(req.Query, win, req.Env)
-		default:
-			b, found, err := pattern.Solve(req.Query, win, req.Env)
-			if err != nil {
-				evalErr = err
-			} else if found {
-				sols = []pattern.Binding{b}
-			}
-		}
+		sols, evalErr = solve(req, r, nil)
 	}
-
-	if planned && !forced && len(req.Asserts) == 0 && retractFree(req.Query) {
-		// Epoch read path: a statically read-only planned transaction
-		// evaluates lock-free against epoch snapshots. A valid read (no
-		// footprint shard changed during evaluation) is final — success and
-		// failure alike serialize at the validation point, and commits on
-		// shards outside the footprint cannot affect the answer. A torn
-		// read is discarded and the transaction retries on the locked path.
-		if e.store.SnapshotKeysEpoch(keys, eval) {
-			if evalErr != nil {
-				return Result{}, evalErr
-			}
-			if len(sols) == 0 {
-				e.failures.Add(1)
-				return Result{Env: req.Env}, nil
-			}
-			e.commits.Add(1)
-			res := Result{OK: true, Env: req.Env}
-			for _, sol := range sols {
-				res.Solutions = append(res.Solutions, sol.Env)
-			}
-			if req.Query.Quant == pattern.Exists {
-				res.Env = sols[0].Env
-			}
-			return res, nil
-		}
-		sols, evalErr = nil, nil
-	}
-
-	snapshot := e.store.Snapshot
 	if planned {
-		snapshot = func(fn func(r dataspace.Reader)) { e.store.SnapshotKeys(keys, fn) }
+		e.store.SnapshotKeys(keys, eval)
+	} else {
+		e.store.Snapshot(eval)
 	}
-	snapshot(eval)
 	if evalErr != nil {
 		return Result{}, evalErr
 	}
@@ -454,20 +461,8 @@ func (e *Engine) immediateOptimistic(req Request, kind metrics.TxnKind) (Result,
 		}
 		e.conflicts.Add(1)
 		e.m.IncTxnRetry(kind)
-		return e.lockedRetry(req, keys, planned)
-	}
-
-	if !forced && len(req.Asserts) == 0 && !anyRetracts(sols) {
-		// Read-only fast path: commit-free.
-		e.commits.Add(1)
-		res := Result{OK: true, Env: req.Env}
-		for _, sol := range sols {
-			res.Solutions = append(res.Solutions, sol.Env)
-		}
-		if req.Query.Quant == pattern.Exists {
-			res.Env = sols[0].Env
-		}
-		return res, nil
+		e.sc.Yield(sched.PointTxnRetry)
+		return e.evalUnderLock(req, keys, planned)
 	}
 
 	var res Result
@@ -488,17 +483,8 @@ func (e *Engine) immediateOptimistic(req Request, kind metrics.TxnKind) (Result,
 	return e.settle(req, res, err)
 }
 
-// lockedRetry re-evaluates a transaction under the write lock (of its
-// planned shard set, when exact) after a snapshot-phase miss raced with a
-// commit.
-func (e *Engine) lockedRetry(req Request, keys []dataspace.InterestKey, planned bool) (Result, error) {
-	e.sc.Yield(sched.PointTxnRetry)
-	return e.evalUnderLock(req, keys, planned)
-}
-
 // retractFree reports whether the query is statically retract-free: no
-// pattern carries a retract tag, so no solution can imply a deletion and a
-// successful evaluation needs no write lock at all.
+// pattern carries a retract tag, so no solution can imply a deletion.
 func retractFree(q pattern.Query) bool {
 	for _, p := range q.Patterns {
 		if p.Retract {
@@ -508,38 +494,44 @@ func retractFree(q pattern.Query) bool {
 	return true
 }
 
-func anyRetracts(sols []pattern.Binding) bool {
-	for _, sol := range sols {
-		for _, m := range sol.Matched {
-			if m.Retract {
-				return true
-			}
-		}
+// solve evaluates req's query through its view's window over r: the one
+// solution of an ∃ query, every solution of a ∀ query, none when it fails.
+// The ∃ solution is appended to buf, so a caller whose solutions do not
+// outlive it can keep them off the heap.
+func solve(req Request, r dataspace.Reader, buf []pattern.Binding) ([]pattern.Binding, error) {
+	win := req.View.Window(r, req.Env)
+	if req.Query.Quant == pattern.ForAll {
+		return pattern.SolveAll(req.Query, win, req.Env)
 	}
-	return false
+	b, found, err := pattern.Solve(req.Query, win, req.Env)
+	if err != nil || !found {
+		return nil, err
+	}
+	return append(buf, b), nil
+}
+
+// solved builds the result of a successful evaluation before any effect is
+// applied: one solution environment per solution, and for ∃ the solution's
+// environment as the result's own.
+func solved(req Request, sols []pattern.Binding) Result {
+	res := Result{OK: true, Env: req.Env}
+	for _, sol := range sols {
+		res.Solutions = append(res.Solutions, sol.Env)
+	}
+	if req.Query.Quant == pattern.Exists {
+		res.Env = sols[0].Env
+	}
+	return res
 }
 
 // evalAndApply evaluates the query against the window over w and applies
 // retractions and assertions. It returns errFailed when the query has no
 // solution.
 func (e *Engine) evalAndApply(w dataspace.Writer, req Request) (Result, error) {
-	win := req.View.Window(w, req.Env)
-	var sols []pattern.Binding
-	switch req.Query.Quant {
-	case pattern.ForAll:
-		all, err := pattern.SolveAll(req.Query, win, req.Env)
-		if err != nil {
-			return Result{}, err
-		}
-		sols = all
-	default:
-		b, found, err := pattern.Solve(req.Query, win, req.Env)
-		if err != nil {
-			return Result{}, err
-		}
-		if found {
-			sols = []pattern.Binding{b}
-		}
+	var one [1]pattern.Binding
+	sols, err := solve(req, w, one[:0])
+	if err != nil {
+		return Result{}, err
 	}
 	if len(sols) == 0 {
 		return Result{}, errFailed
@@ -551,10 +543,9 @@ func (e *Engine) evalAndApply(w dataspace.Writer, req Request) (Result, error) {
 // (deduplicated by instance), then all assertions, as the paper specifies
 // for composite transactions.
 func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) (Result, error) {
-	res := Result{OK: true, Env: req.Env}
+	res := solved(req, sols)
 	seen := make(map[tuple.ID]struct{})
 	for _, sol := range sols {
-		res.Solutions = append(res.Solutions, sol.Env)
 		for _, m := range sol.Matched {
 			if !m.Retract {
 				continue
@@ -590,9 +581,6 @@ func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) 
 			id := w.Insert(t, req.Proc)
 			res.Asserted = append(res.Asserted, dataspace.Instance{ID: id, Tuple: t, Owner: req.Proc})
 		}
-	}
-	if req.Query.Quant == pattern.Exists {
-		res.Env = sols[0].Env
 	}
 	return res, nil
 }

@@ -614,22 +614,32 @@ func TestModeAndKindStrings(t *testing.T) {
 
 func BenchmarkImmediateReadOnly(b *testing.B) {
 	for _, mode := range []Mode{Coarse, Optimistic} {
-		b.Run(mode.String(), func(b *testing.B) {
-			s := dataspace.New()
-			s.Assert(tuple.Environment, year(90))
-			e := New(s, mode)
-			req := Request{
+		s := dataspace.New()
+		s.Assert(tuple.Environment, year(90))
+		e := New(s, mode)
+		read := func(b *testing.B) {
+			res, err := e.Immediate(Request{
 				Proc:  1,
 				View:  view.Universal(),
 				Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("year")), pattern.V("a"))),
+			})
+			if err != nil || !res.OK {
+				b.Error(res.OK, err)
 			}
-			b.ResetTimer()
+		}
+		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := e.Immediate(req)
-				if err != nil || !res.OK {
-					b.Fatal(res.OK, err)
-				}
+				read(b)
 			}
+		})
+		// Concurrent readers of one bucket: they share the read path, so
+		// throughput must not collapse to one reader at a time.
+		b.Run(mode.String()+"/parallel", func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					read(b)
+				}
+			})
 		})
 	}
 }

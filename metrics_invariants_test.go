@@ -13,9 +13,15 @@ import (
 // Metrics invariants over a whole System run: the observability layer's
 // counters must agree with the ground truth the commit log records, per
 // kind and in aggregate, and the waiter gauge must drain when the system
-// shuts down.
+// shuts down. Both engine modes must satisfy every one of them.
 func TestSystemMetricsInvariants(t *testing.T) {
-	sys := New(Options{Mode: Optimistic, Shards: 4})
+	for _, mode := range []Mode{Coarse, Optimistic} {
+		t.Run(mode.String(), func(t *testing.T) { systemMetricsInvariants(t, mode) })
+	}
+}
+
+func systemMetricsInvariants(t *testing.T, mode Mode) {
+	sys := New(Options{Mode: mode, Shards: 4})
 	clog := NewCommitLog()
 	clog.Attach(sys.Store)
 	sys.Metrics().SetObserved(true)
@@ -175,14 +181,18 @@ func TestSystemMetricsInvariants(t *testing.T) {
 		t.Errorf("key-latch acquisitions %d < key commits %d", snap.KeyLockTotal(), snap.KeyCommits)
 	}
 	// This workload is write-only from the engine's perspective (every
-	// query retracts), so the epoch read path must not have engaged.
-	if snap.EpochReads != 0 {
-		t.Errorf("epoch reads %d on a retract-only workload, want 0", snap.EpochReads)
+	// query retracts), so the shared read path must not have engaged.
+	if snap.SharedReads != 0 || snap.EpochReads != 0 {
+		t.Errorf("shared reads %d, epoch reads %d on a retract-only workload, want 0",
+			snap.SharedReads, snap.EpochReads)
 	}
 
-	// Epoch read path: statically read-only planned queries evaluate
-	// lock-free. With no concurrent writers every one must validate, and
-	// the first read of each touched shard rebuilds its snapshot.
+	// Shared read path: statically read-only queries take no exclusive lock
+	// in either mode, and the planned ones evaluate lock-free on epoch
+	// snapshots. With no concurrent writers every epoch read must validate,
+	// and each touched shard's snapshot is rebuilt at most once. Half
+	// the reads are planned point reads; the other half alternate between
+	// an unplanned scan and a failing query.
 	const reads = 50
 	for i := 0; i < reads; i++ {
 		res, err := sys.Immediate(Request{
@@ -193,10 +203,27 @@ func TestSystemMetricsInvariants(t *testing.T) {
 		if err != nil || !res.OK {
 			t.Fatalf("read %d: res=%+v err=%v", i, res, err)
 		}
+		q, want := Q(P(V("k"), V("n"))), true
+		if i%2 == 1 {
+			q, want = Q(P(C(Atom("absent")), V("n"))), false
+		}
+		res, err = sys.Immediate(Request{Proc: ProcessID(1), View: Universal(), Query: q})
+		if err != nil || res.OK != want {
+			t.Fatalf("read %d (second): res=%+v err=%v, want OK=%v", i, res, err, want)
+		}
 	}
 	after := sys.Snapshot()
-	if got := after.EpochReads - snap.EpochReads; got != reads {
-		t.Errorf("epoch reads %d, want %d", got, reads)
+	if got := after.SharedReads - snap.SharedReads; got != 2*reads {
+		t.Errorf("shared reads %d, want %d", got, 2*reads)
+	}
+	if after.SharedReads > after.TotalAttempts() {
+		t.Errorf("shared reads %d > attempts %d", after.SharedReads, after.TotalAttempts())
+	}
+	// Every planned read is an epoch read, bar the few a stale snapshot
+	// declines before its rebuild is earned: fewer than its shard holds.
+	const planned = reads + reads/2
+	if got := after.EpochReads - snap.EpochReads; got > planned || planned-got >= uint64(sys.Store.Len()) {
+		t.Errorf("epoch reads %d of %d planned reads over a %d-tuple store", got, planned, sys.Store.Len())
 	}
 	if after.EpochFallbacks != snap.EpochFallbacks {
 		t.Errorf("epoch fallbacks %d with no concurrent writers, want 0",
@@ -205,13 +232,20 @@ func TestSystemMetricsInvariants(t *testing.T) {
 	if after.EpochRebuilds == 0 {
 		t.Error("epoch reads ran but no snapshot was ever rebuilt")
 	}
-	// Lock-free reads commit without key latches or store writes.
+	// Reads commit without store commits, exclusive shard locks or key
+	// latches: each of these moves by exactly zero.
 	if after.KeyCommits != snap.KeyCommits || after.StoreCommits != snap.StoreCommits {
-		t.Errorf("read-only epoch phase changed commit counters: key %d->%d store %d->%d",
+		t.Errorf("read-only phase changed commit counters: key %d->%d store %d->%d",
 			snap.KeyCommits, after.KeyCommits, snap.StoreCommits, after.StoreCommits)
 	}
-	if got := after.TotalCommits() - snap.TotalCommits(); got != reads {
-		t.Errorf("engine commits grew by %d over the read phase, want %d", got, reads)
+	_, writesBefore := snap.ShardLockTotals()
+	_, writesAfter := after.ShardLockTotals()
+	if writesAfter != writesBefore || after.KeyLockTotal() != snap.KeyLockTotal() {
+		t.Errorf("read-only phase took exclusive locks: shard write locks %d->%d, key latches %d->%d",
+			writesBefore, writesAfter, snap.KeyLockTotal(), after.KeyLockTotal())
+	}
+	if got := after.TotalCommits() - snap.TotalCommits(); got != planned {
+		t.Errorf("engine commits grew by %d over the read phase, want %d (the successful reads)", got, planned)
 	}
 
 	// Refined admission under a restricted view: a request the compiler's

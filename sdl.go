@@ -220,9 +220,12 @@ var NewEngine = txn.New
 
 // Concurrency-control modes and export policies.
 const (
-	// Coarse serializes transactions behind the store's write lock.
+	// Coarse evaluates mutating transactions inside their commit's
+	// exclusive section.
 	Coarse = txn.Coarse
-	// Optimistic validates a read-phase snapshot at commit time.
+	// Optimistic evaluates them against a read-phase snapshot validated at
+	// commit time. Read-only transactions run the same shared read path
+	// under either mode.
 	Optimistic = txn.Optimistic
 	// ExportDrop silently drops non-exportable assertions (the formal
 	// semantics); ExportError fails the transaction instead.

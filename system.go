@@ -6,8 +6,9 @@ import (
 
 // Options configures a System.
 type Options struct {
-	// Mode selects the transaction engine's concurrency control
-	// (default Coarse).
+	// Mode selects the transaction engine's concurrency control for
+	// mutating transactions (default Coarse); read-only ones never take an
+	// exclusive lock under either mode.
 	Mode Mode
 	// Trace attaches a Recorder when positive (event cap) or when -1
 	// (unbounded).

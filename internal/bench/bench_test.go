@@ -191,13 +191,15 @@ func TestE16ShapeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The noise commits share the waiters' index bucket, so only the delta
-	// filters can tell them from the release: every noise candidate is
-	// suppressed at the publisher, and each waiter re-evaluates exactly
+	// The noise commits share the waiters' index bucket, but each waiter's
+	// subscription is filed under its own (field 1 = i): a noise tuple
+	// carries nobody's value, so it reaches no filter at all — nothing is
+	// left to suppress (this read waiters × noise while every commit met
+	// every filter of the bucket) — and each waiter re-evaluates exactly
 	// once, for the delta that satisfies it.
 	want := map[string]float64{
 		"reactive evals": waiters,
-		"suppressed":     waiters * noise,
+		"suppressed":     0,
 		"delta hits":     waiters,
 	}
 	for _, m := range tbl.Rows[0].Metrics {

@@ -1400,9 +1400,11 @@ func reactiveWakeupCell(ctx context.Context, s *dataspace.Store, e *txn.Engine, 
 // 11) where interest-keyed wakeups (E10) cannot help: the noise and release
 // commits share the waiters' index bucket, so a wake-on-any-covering-commit
 // scheme re-evaluates all P blocked guards on every noise commit. Each
-// guard is compiled into a delta filter that suppresses the unmatched
-// wakeups at the publisher, and each waiter re-evaluates exactly once,
-// against the delta that satisfies it.
+// guard is compiled into a delta filter, and its subscription is filed
+// under the guard's constant field, so a noise commit reaches no filter
+// (the "suppressed" series — candidates a filter rejected — reads 0 since
+// subscriptions are field-indexed; it read P × noise before) and each
+// waiter re-evaluates exactly once, against the delta that satisfies it.
 func E16ReactiveWakeups(ctx context.Context, waiterCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E16",

@@ -9,9 +9,11 @@
 // whose query succeeds). The composite effect is computed by first
 // performing the retractions of all participating transactions and then
 // the assertions, as a single atomic transformation. Detection is the
-// paper's "very similar to the quiescence detection problem": a detector
-// re-evaluates readiness after every relevant event (new offer, dataspace
-// commit, membership change).
+// paper's "very similar to the quiescence detection problem", and is
+// implemented as one: the detector keeps the partition of the society into
+// consensus sets and, per set, how many of its members are offering; it
+// evaluates a set only when all of them are and something its evaluation
+// depends on has changed since the set last failed (the gate, see Manager).
 //
 // Processes register with the Manager (carrying their view and parameter
 // environment) so that consensus sets range over the whole process
@@ -96,27 +98,26 @@ func (o *Offer) pid() tuple.ProcessID { return o.reqs[0].Proc }
 // to fire) and the caller must take its result. Selection constructs use
 // this when another guard commits first.
 func (o *Offer) Withdraw() bool {
-	if !o.state.CompareAndSwap(int32(stateOffered), int32(stateWithdrawn)) {
-		// Claimed or fired: a firing attempt owns it. Claimed reverts to
-		// Offered if the attempt aborts; spin until the state settles.
-		for {
-			switch offerState(o.state.Load()) {
-			case stateFired:
-				return false
-			case stateWithdrawn:
-				return true
-			case stateOffered:
-				if o.state.CompareAndSwap(int32(stateOffered), int32(stateWithdrawn)) {
-					o.m.removeOffer(o)
-					return true
-				}
-			default: // stateClaimed: firing in progress, wait for outcome
-				runtime.Gosched()
+	for {
+		if o.state.CompareAndSwap(int32(stateOffered), int32(stateWithdrawn)) {
+			o.m.removeOffer(o)
+			return true
+		}
+		switch offerState(o.state.Load()) {
+		case stateFired:
+			return false
+		case stateWithdrawn:
+			return true
+		case stateClaimed:
+			// A firing attempt owns the offer and will either fire it or
+			// revert it to Offered; park until it has settled.
+			o.m.mu.Lock()
+			for offerState(o.state.Load()) == stateClaimed {
+				o.m.settled.Wait()
 			}
+			o.m.mu.Unlock()
 		}
 	}
-	o.m.removeOffer(o)
-	return true
 }
 
 // member is one registered process.
@@ -125,118 +126,259 @@ type member struct {
 	view view.View
 	env  expr.Env
 
-	// Cached import materialization, maintained by the detector. A member
-	// with a bounded import is re-materialized only when a commit touches
-	// one of its index buckets (see view.Matcher's bounded contract);
-	// unbounded imports are re-materialized on every evaluation. Guarded by
-	// Manager.mu.
-	cacheIDs   map[tuple.ID]struct{}
-	cacheKeys  map[view.BucketKey]struct{}
-	cacheValid bool
-	bounded    bool
+	// shape is the static shape of the import clause under env.
+	shape view.ImportShape
+	// envFree records that shape holds under every environment: the import
+	// is bounded with no lead taken from a variable, so an offer under the
+	// same clause reads the same buckets whatever its Env.
+	envFree bool
+	// wide is set (for good) when the process offers under a view its
+	// registered import does not cover: its queries may then read buckets
+	// the gate does not watch, so the member is treated like an unbounded
+	// one — every commit touches its community and evaluation locks every
+	// shard. Guarded by Manager.mu.
+	wide bool
+	// comm is the member's community in the current partition (nil until
+	// the first partition after registration). Guarded by Manager.mu.
+	comm *community
+
+	// ids is the tuple-ID refinement of an import that is not
+	// bucket-complete: the materialized Import(p) ∩ D with each instance's
+	// bucket. It is owned by the detector goroutine and refreshed when
+	// stale; stale is set (under Manager.mu) by commits touching the
+	// import's buckets. Unbounded imports are refreshed at every partition.
+	ids   map[tuple.ID]view.BucketKey
+	stale bool
+}
+
+// community is one consensus set of the current partition, with the
+// readiness counters of the gate. All fields are guarded by Manager.mu;
+// members and the lock plan are immutable once installed.
+type community struct {
+	members []*member // ascending pid
+	// offered counts the members with an offer in Manager.offers.
+	offered int
+	// dirty records that something an evaluation of this set depends on
+	// has changed since its last firing attempt began: a new offer, or a
+	// commit touching a bucket some member imports.
+	dirty bool
+	// keys cover every import bucket of the set when planned; an unplanned
+	// set (a universal, unbounded or wide member) is evaluated under every
+	// shard's lock.
+	keys    []dataspace.InterestKey
+	planned bool
+}
+
+// bucketWatch is the gate's view of one imported index bucket.
+type bucketWatch struct {
+	// count is the bucket's live instance count: exact as of the partition
+	// snapshot, then maintained by the commit hook.
+	count int
+	// partial lists the importers whose import is not bucket-complete: any
+	// commit here stales their tuple-ID refinement and may change the
+	// overlap relation.
+	partial []*member
+	comms   []*community
+}
+
+// watchedBy adds c to the sets the bucket's commits touch.
+func (w *bucketWatch) watchedBy(c *community) {
+	for _, have := range w.comms {
+		if have == c {
+			return
+		}
+	}
+	w.comms = append(w.comms, c)
 }
 
 // Manager coordinates consensus transactions over one engine/store.
+//
+// The gate. The detector keeps the exact partition of the registered
+// society into consensus sets (communities) between events, together with
+// each set's offered count, and runs a firing attempt only for a set that
+// is fully offered and dirty. Soundness rests on one rule — a skipped
+// evaluation must be provably unable to fire:
+//
+//   - a set with a non-offering member cannot fire, by definition;
+//   - a fully offered set whose last attempt failed cannot fire until an
+//     offer of the set is replaced or a commit touches a bucket one of its
+//     members imports (by the bounded-matcher contract a window-visible
+//     query answer depends on nothing else), and both mark it dirty;
+//   - the sets gated on are the exact ones: the partition is recomputed
+//     (never approximated) whenever it could have changed — a membership
+//     change, an imported bucket's emptiness flipping, the dataspace
+//     becoming (non)empty under a universal member, any commit into a
+//     bucket of an import that is not bucket-complete, and any commit at
+//     all while some import is unbounded — and a firing attempt re-checks,
+//     inside its exclusive section, that the partition it was chosen from
+//     is still the current one.
 type Manager struct {
 	engine *txn.Engine
 	sc     *sched.Controller // the store's exploration controller (usually nil)
 
+	// mu guards everything below it. It is taken by the commit hook while
+	// the committing shards' write locks are held, so it is a leaf with
+	// respect to the store: never call into the store while holding it.
 	mu      sync.Mutex
+	settled *sync.Cond // broadcast when a firing attempt reverts or fires its claims
 	members map[tuple.ProcessID]*member
 	offers  map[tuple.ProcessID]*Offer
 	closed  bool
+
+	// The partition and the gate's commit-side index of it. gen counts
+	// membership changes; valid is cleared by anything that may change the
+	// partition and set when the detector installs a fresh one.
+	gen      uint64
+	valid    bool
+	comms    []*community
+	watch    map[view.BucketKey]*bucketWatch
+	broad    []*community // sets every commit touches (universal, unbounded or wide member)
+	volatile bool         // some import is unbounded but not universal: any commit may re-partition
+	total    int          // live instances in the dataspace, tracked while broad is non-empty
+
+	// registered mirrors len(members) for the commit hook's lock-free fast
+	// path: a society without members has nothing to gate.
+	registered atomic.Int32
 
 	kick chan struct{} // detector wakeup (capacity 1)
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// pendingKeys accumulates the index buckets touched by commits since
-	// the detector last evaluated; it drives cache invalidation. Guarded
-	// by pendingMu (the commit hook runs under the committing shards'
-	// write locks and must not take m.mu; commits on disjoint shard sets
-	// invoke the hook concurrently, which pendingMu serializes).
-	pendingMu   sync.Mutex
-	pendingKeys map[view.BucketKey]struct{}
-
-	// relevance is the detector's commit-relevance summary: when non-nil,
-	// a commit touching only buckets outside it cannot change any member's
-	// import materialization — and, by the bounded-matcher contract, no
-	// window-visible query answer either — so the detector kick is elided
-	// (the buckets are still recorded in pendingKeys; invalidation is
-	// never lost). nil means every commit is relevant (broad): the initial
-	// state, and whenever any member's import is universal, unbounded, or
-	// not yet materialized. relGen guards summary writes: membership and
-	// offer changes bump it (resetRelevance) so a summary computed against
-	// a stale society never lands. Both guarded by pendingMu.
-	relevance map[view.BucketKey]struct{}
-	relGen    uint64
-
 	fires    atomic.Uint64 // successful consensus firings
-	attempts atomic.Uint64 // detector evaluations
+	attempts atomic.Uint64 // firing attempts (evaluations of a ready set)
 }
 
 // NewManager creates a manager over the engine and starts its detector.
 // Close must be called to stop the detector.
 func NewManager(engine *txn.Engine) *Manager {
-	m := &Manager{
-		engine:      engine,
-		sc:          engine.Store().Sched(),
-		members:     make(map[tuple.ProcessID]*member),
-		offers:      make(map[tuple.ProcessID]*Offer),
-		kick:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		pendingKeys: make(map[view.BucketKey]struct{}),
-	}
-	engine.Store().OnCommit(func(rec dataspace.CommitRecord) {
-		m.pendingMu.Lock()
-		relevant := m.relevance == nil
-		record := func(inst dataspace.Instance) {
-			a := inst.Tuple.Arity()
-			key := view.BucketKey{}
-			if a > 0 {
-				key = view.CanonBucket(a, inst.Tuple.Field(0))
-			}
-			m.pendingKeys[key] = struct{}{}
-			if !relevant {
-				if _, hit := m.relevance[key]; hit {
-					relevant = true
-				}
-			}
-		}
-		for _, inst := range rec.Inserted {
-			record(inst)
-		}
-		for _, inst := range rec.Deleted {
-			record(inst)
-		}
-		m.pendingMu.Unlock()
-		if !relevant {
-			// Every touched bucket is outside every registered import: the
-			// commit can change neither an import materialization nor a
-			// window-visible query answer (see Manager.relevance), so the
-			// detector's last decision stands. The buckets were recorded
-			// above — cache invalidation is deferred, never lost — and any
-			// society change that could widen relevance resets the summary
-			// (and signals) itself.
-			engine.Metrics().IncConsensusKickSuppressed()
-			return
-		}
-		if m.sc != nil && m.sc.DelaySignal() {
-			// Delayed-invalidation fault: the touched buckets are already in
-			// pendingKeys (above), so only the detector kick is deferred —
-			// delivery is late, never lost. The detector must tolerate
-			// learning about a commit arbitrarily after it happened.
-			go func() {
-				runtime.Gosched()
-				m.signal()
-			}()
-			return
-		}
-		m.signal()
-	})
+	m := newUnstarted(engine)
 	m.wg.Add(1)
 	go m.detector()
 	return m
+}
+
+// newUnstarted builds a manager whose detector is not running: step must be
+// driven by the caller (the detector goroutine, or a test stepping the gate
+// deterministically).
+func newUnstarted(engine *txn.Engine) *Manager {
+	m := &Manager{
+		engine:  engine,
+		sc:      engine.Store().Sched(),
+		members: make(map[tuple.ProcessID]*member),
+		offers:  make(map[tuple.ProcessID]*Offer),
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+	}
+	m.settled = sync.NewCond(&m.mu)
+	engine.Store().OnCommit(m.onCommit)
+	return m
+}
+
+// bucketOf returns the bucket key a tuple is indexed under, canonicalized
+// like ImportShape's keys.
+func bucketOf(t tuple.Tuple) view.BucketKey {
+	if a := t.Arity(); a > 0 {
+		return view.CanonBucket(a, t.Field(0))
+	}
+	return view.BucketKey{}
+}
+
+// onCommit is the gate's commit side. It runs under the commit's shard
+// write locks: it marks the sets whose imports the commit touched dirty,
+// invalidates the partition when the commit may have changed it, and wakes
+// the detector only when that leaves it something to do — a ready set to
+// evaluate or a partition to recompute. Every other commit is counted as a
+// suppressed kick.
+func (m *Manager) onCommit(rec dataspace.CommitRecord) {
+	if m.registered.Load() == 0 {
+		// No society: nothing to gate. A Register racing with this commit
+		// invalidates the partition, and the recomputation's snapshot
+		// orders itself against the commit through the shard locks.
+		m.engine.Metrics().IncConsensusKickSuppressed()
+		return
+	}
+	m.mu.Lock()
+	// While the partition is invalid the counters below are about to be
+	// rebuilt and the detector is already awake; the bookkeeping still runs
+	// — the staleness of a tuple-ID refinement must not be lost — but wakes
+	// nobody.
+	kick := m.valid
+	kick = m.noteCommit(rec) && kick
+	m.mu.Unlock()
+	switch {
+	case !kick:
+		// Nothing this commit touched can make a set fire, and whoever
+		// invalidated the partition before it has already woken the
+		// detector.
+		m.engine.Metrics().IncConsensusKickSuppressed()
+	case m.sc != nil && m.sc.DelaySignal():
+		// Delayed-invalidation fault: the gate's state is already updated
+		// (above), so only the detector kick is deferred — delivery is
+		// late, never lost. The detector must tolerate learning about a
+		// commit arbitrarily after it happened.
+		go func() {
+			runtime.Gosched()
+			m.signal()
+		}()
+	default:
+		m.signal()
+	}
+}
+
+// noteCommit applies one commit to the gate's state and reports whether it
+// left the detector something to do: a fully offered set touched, or the
+// partition invalidated. Caller holds mu.
+func (m *Manager) noteCommit(rec dataspace.CommitRecord) (wake bool) {
+	touch := func(c *community) {
+		c.dirty = true
+		if c.offered == len(c.members) {
+			wake = true
+		}
+	}
+	invalidate := func() {
+		m.valid = false
+		wake = true
+	}
+	if m.volatile {
+		invalidate()
+	}
+	if len(m.broad) > 0 {
+		for _, c := range m.broad {
+			touch(c)
+		}
+		before := m.total
+		m.total += len(rec.Inserted) - len(rec.Deleted)
+		if (before == 0) != (m.total == 0) {
+			invalidate()
+		}
+	}
+	if len(m.watch) == 0 {
+		return wake
+	}
+	note := func(inst dataspace.Instance, delta int) {
+		w := m.watch[bucketOf(inst.Tuple)]
+		if w == nil {
+			return
+		}
+		before := w.count
+		w.count += delta
+		for _, mem := range w.partial {
+			mem.stale = true
+		}
+		if len(w.partial) > 0 || (before == 0) != (w.count == 0) {
+			invalidate()
+		}
+		for _, c := range w.comms {
+			touch(c)
+		}
+	}
+	for _, inst := range rec.Inserted {
+		note(inst, +1)
+	}
+	for _, inst := range rec.Deleted {
+		note(inst, -1)
+	}
+	return wake
 }
 
 // Close stops the detector. Pending offers fail with ErrClosed.
@@ -252,6 +394,7 @@ func (m *Manager) Close() {
 		pending = append(pending, o)
 	}
 	m.offers = map[tuple.ProcessID]*Offer{}
+	m.valid = false
 	m.mu.Unlock()
 
 	close(m.stop)
@@ -270,10 +413,14 @@ func (m *Manager) Fires() uint64 { return m.fires.Load() }
 // Register adds a process (with its view and parameter environment) to the
 // society the manager considers for consensus sets.
 func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Env) {
+	mem := &member{pid: pid, view: v, env: env, shape: v.ImportShape(env), stale: true}
+	mem.envFree = mem.shape.Bounded && v.ImportShape(nil).Bounded
 	m.mu.Lock()
-	m.members[pid] = &member{pid: pid, view: v, env: env}
+	m.members[pid] = mem
+	m.registered.Store(int32(len(m.members)))
+	m.gen++
+	m.valid = false
 	m.mu.Unlock()
-	m.resetRelevance()
 	m.signal()
 }
 
@@ -282,8 +429,10 @@ func (m *Manager) Unregister(pid tuple.ProcessID) {
 	m.mu.Lock()
 	delete(m.members, pid)
 	delete(m.offers, pid)
+	m.registered.Store(int32(len(m.members)))
+	m.gen++
+	m.valid = false
 	m.mu.Unlock()
-	m.resetRelevance()
 	m.signal()
 }
 
@@ -311,20 +460,76 @@ func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
 	o := &Offer{reqs: reqs, m: m, done: make(chan struct{})}
 	o.state.Store(int32(stateOffered))
 	m.mu.Lock()
+	mem := m.members[pid]
 	switch {
 	case m.closed:
 		m.mu.Unlock()
 		return nil, ErrClosed
-	case m.members[pid] == nil:
+	case mem == nil:
 		m.mu.Unlock()
 		return nil, ErrNotRegistered
 	}
+	if !mem.wide && !mem.covers(reqs) {
+		mem.wide = true
+		m.valid = false
+	}
+	wake := !m.valid
+	if m.offers[pid] == nil && m.valid {
+		mem.comm.offered++
+	}
 	m.offers[pid] = o
+	if m.valid {
+		// A new offer is a new query: whatever the set's last attempt
+		// concluded no longer stands.
+		mem.comm.dirty = true
+		wake = mem.comm.offered == len(mem.comm.members)
+	}
 	m.mu.Unlock()
 	m.engine.Metrics().IncTxnBlock(metrics.TxnConsensus)
-	m.resetRelevance()
-	m.signal()
+	if wake {
+		m.signal()
+	}
 	return o, nil
+}
+
+// covers reports whether offers under reqs read and write only what the
+// member's registered view already tells the gate: an import clause bounded,
+// under the offer's own environment, to a subset of the registered buckets,
+// and an export clause that decides on the candidate tuple alone. The
+// registered clause itself needs no comparison when its buckets do not depend
+// on the environment; when they do (a lead taken from a parameter), an offer
+// whose Env rebinds that parameter reads another bucket and is not covered.
+// Universal and unbounded members are watched through every commit and
+// evaluated under every lock, so anything is covered.
+func (mem *member) covers(reqs []txn.Request) bool {
+	if !mem.shape.Bounded {
+		return true
+	}
+	for _, r := range reqs {
+		if !r.View.Export.Pure() {
+			return false
+		}
+		if mem.envFree && r.View.Import.Same(mem.view.Import) {
+			continue
+		}
+		rs := r.View.ImportShape(r.Env)
+		if !rs.Bounded {
+			return false
+		}
+		for _, k := range rs.Keys {
+			found := false
+			for _, have := range mem.shape.Keys {
+				if have == k {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Offer submits a consensus transaction and blocks until it fires or ctx
@@ -346,14 +551,25 @@ func (m *Manager) Offer(ctx context.Context, req txn.Request) (txn.Result, error
 	}
 }
 
+// removeOffer forgets a withdrawn offer. A withdrawal can make no set
+// ready, so the detector is not woken.
 func (m *Manager) removeOffer(o *Offer) {
 	m.mu.Lock()
-	if cur := m.offers[o.pid()]; cur == o {
-		delete(m.offers, o.pid())
-	}
+	m.dropOffer(o)
 	m.mu.Unlock()
-	m.resetRelevance()
-	m.signal()
+}
+
+// dropOffer removes o from the offer table (if it is still the process's
+// current offer) and from its community's offered count. Caller holds mu.
+func (m *Manager) dropOffer(o *Offer) {
+	pid := o.pid()
+	if m.offers[pid] != o {
+		return
+	}
+	delete(m.offers, pid)
+	if mem := m.members[pid]; m.valid && mem != nil {
+		mem.comm.offered--
+	}
 }
 
 func (m *Manager) signal() {
@@ -363,20 +579,9 @@ func (m *Manager) signal() {
 	}
 }
 
-// resetRelevance widens the commit-relevance summary back to broad (every
-// commit kicks) and bumps the generation so an in-flight detector round
-// cannot re-install a summary computed against the previous society.
-// Called on every membership or offer change, before the change's own
-// signal.
-func (m *Manager) resetRelevance() {
-	m.pendingMu.Lock()
-	m.relGen++
-	m.relevance = nil
-	m.pendingMu.Unlock()
-}
-
-// detector is the manager's background loop: on every signal it looks for
-// a consensus set whose members are all ready, and fires it.
+// detector is the manager's background loop: on every signal it brings the
+// partition up to date and evaluates the ready sets, until neither is left
+// to do.
 func (m *Manager) detector() {
 	defer m.wg.Done()
 	for {
@@ -385,308 +590,354 @@ func (m *Manager) detector() {
 			return
 		case <-m.kick:
 		}
-		// Keep evaluating until no set fires; each firing changes the
-		// dataspace and may enable another set.
-		for m.evaluateOnce() {
+		for m.step() {
 		}
 	}
 }
 
-// evaluateOnce looks for a consensus set whose members are all ready and
-// fires it. It reports whether anything fired.
-//
-// The consensus set is defined over the whole society (the transitive
-// closure of import overlap), but the expensive part — materializing each
-// member's import — is done lazily: first the *offering* members are
-// grouped; then non-offering members are examined one at a time only to
-// check whether they belong to (and therefore block) a candidate group,
-// stopping as soon as every candidate is blocked. Early in a computation,
-// when few processes are at their consensus statements, this makes the
-// per-commit detection cost proportional to the offers, not the society.
-func (m *Manager) evaluateOnce() bool {
+// step does one unit of detector work: recompute an invalid partition, or
+// attempt to fire the ready sets (fully offered and dirty) until one
+// fires. It reports whether another step may find more to do; every event
+// that makes a set ready after step looked signals the detector itself.
+func (m *Manager) step() bool {
 	m.sc.Yield(sched.PointConsensusEval)
-	m.attempts.Add(1)
-	m.engine.Metrics().IncConsensusRound()
-
 	m.mu.Lock()
 	if m.closed || len(m.offers) == 0 {
+		// Without offers nothing can fire; a stale partition is recomputed
+		// when the first offer arrives.
 		m.mu.Unlock()
 		return false
 	}
-	members := make([]*member, 0, len(m.members))
-	for _, mem := range m.members {
-		members = append(members, mem)
+	if !m.valid {
+		m.mu.Unlock()
+		m.repartition()
+		return true
 	}
-	offers := make(map[tuple.ProcessID]*Offer, len(m.offers))
-	for pid, o := range m.offers {
-		offers[pid] = o
+	var ready []*community
+	for _, c := range m.comms {
+		if c.dirty && c.offered == len(c.members) {
+			ready = append(ready, c)
+		}
 	}
 	m.mu.Unlock()
-
-	var offering, idle []*member
-	for _, mem := range members {
-		if o := offers[mem.pid]; o != nil && offerState(o.state.Load()) == stateOffered {
-			offering = append(offering, mem)
-		} else {
-			idle = append(idle, mem)
-		}
-	}
-	if len(offering) == 0 {
-		return false
-	}
-
-	groups := m.candidateGroups(members, offering, idle)
-	if perm := m.sc.Perm(sched.PointConsensusEval, len(groups)); perm != nil {
-		// The attempt order over ready groups is unspecified (each group is
-		// an independent consensus set); explore permutations of it.
-		permuted := make([][]tuple.ProcessID, len(groups))
+	if perm := m.sc.Perm(sched.PointConsensusEval, len(ready)); perm != nil {
+		// The attempt order over ready sets is unspecified (each is an
+		// independent consensus set); explore permutations of it.
+		permuted := make([]*community, len(ready))
 		for i, j := range perm {
-			permuted[i] = groups[j]
+			permuted[i] = ready[j]
 		}
-		groups = permuted
+		ready = permuted
 	}
-	for _, g := range groups {
-		if m.tryFire(g, offers) {
+	for _, c := range ready {
+		if m.evaluate(c) {
 			return true
 		}
 	}
 	return false
 }
 
-// candidateGroups partitions the offering members into import-overlap
-// groups and discards any group that a non-offering member belongs to.
+// evaluate runs one firing attempt for c if it is still ready, clearing its
+// dirty mark first so that a commit landing during the attempt re-marks it.
+func (m *Manager) evaluate(c *community) bool {
+	m.mu.Lock()
+	if !m.valid || !c.dirty || c.offered != len(c.members) {
+		m.mu.Unlock()
+		return false
+	}
+	c.dirty = false
+	offers := make([]*Offer, len(c.members))
+	for i, mem := range c.members {
+		offers[i] = m.offers[mem.pid]
+	}
+	m.mu.Unlock()
+	m.attempts.Add(1)
+	m.engine.Metrics().IncConsensusRound()
+	return m.tryFire(c, offers)
+}
+
+// repartition recomputes the consensus sets of the whole society from the
+// import-overlap relation and installs them, with fresh readiness counters
+// and the commit-side watch index, unless the membership changed meanwhile
+// (the next step then starts over).
 //
-// Cache invalidation (draining the commit-touched buckets) happens inside
-// the grouping snapshot, while the snapshot's read locks exclude every
-// commit: a commit either completed before the snapshot — and its buckets
-// are in the drained set, invalidating the caches it staled — or starts
-// after it and is drained on the next evaluation. Draining outside the
-// snapshot would leave a window (drain, then commit, then snapshot) in
-// which a stale cache passes for valid and the overlap relation is
-// computed from instance IDs two configurations apart, splitting one
-// consensus set into groups that fire separately.
-func (m *Manager) candidateGroups(members, offering, idle []*member) [][]tuple.ProcessID {
-	parent := make(map[tuple.ProcessID]tuple.ProcessID, len(offering))
-	var find func(tuple.ProcessID) tuple.ProcessID
-	find = func(x tuple.ProcessID) tuple.ProcessID {
+// Everything is computed inside one snapshot of the whole store, whose read
+// locks exclude every commit — and therefore the commit hook: the bucket
+// counts and tuple-ID refinements read here are exactly the ones the hook
+// continues from, and a commit either completed before the snapshot (its
+// effect is in what we read) or runs its hook against the installed
+// partition.
+//
+// Overlap is decided without materializing an import wherever its shape
+// allows: a universal import overlaps every nonempty one; two
+// bucket-complete imports overlap iff they share a nonempty bucket (a
+// count, maintained afterwards by the hook); only imports that admit part
+// of a bucket, or are unbounded, are compared by tuple instance.
+func (m *Manager) repartition() {
+	m.engine.Store().Snapshot(func(r dataspace.Reader) {
+		m.mu.Lock()
+		gen := m.gen
+		members := make([]*member, 0, len(m.members))
+		var refresh []*member
+		for _, mem := range m.members {
+			members = append(members, mem)
+			if sh := mem.shape; !sh.Universal && !sh.Complete && (mem.stale || !sh.Bounded) {
+				mem.stale = false
+				refresh = append(refresh, mem)
+			}
+		}
+		m.mu.Unlock()
+
+		sort.Slice(members, func(i, j int) bool { return members[i].pid < members[j].pid })
+		for _, mem := range refresh {
+			mem.ids = materialize(mem, r)
+		}
+		total := r.Len()
+		counts := make(map[view.BucketKey]int)
+		for _, mem := range members {
+			for _, k := range mem.shape.Keys {
+				if _, ok := counts[k]; !ok {
+					n := 0
+					r.Scan(k.Arity, k.Lead, true, func(tuple.ID, tuple.Tuple) bool { n++; return true })
+					counts[k] = n
+				}
+			}
+		}
+
+		root := overlapSets(members, counts, total)
+
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.gen != gen || m.closed {
+			// The society changed while we computed: start over. The
+			// refinements refreshed above are not yet watched, so nothing
+			// would record a commit staling them.
+			for _, mem := range refresh {
+				mem.stale = true
+			}
+			return
+		}
+		m.install(members, root, counts, total)
+	})
+}
+
+// overlapSets closes the members (ascending pid) under import overlap and
+// returns, per member index, the index of its set's representative. counts
+// holds the live size of every bucket a bounded member imports, total the
+// size of the dataspace.
+func overlapSets(members []*member, counts map[view.BucketKey]int, total int) []int {
+	parent := make([]int, len(members))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b tuple.ProcessID) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, mem := range offering {
-		parent[mem.pid] = mem.pid
-	}
-
-	blockedRoots := make(map[tuple.ProcessID]bool)
-	var relGen uint64
-	m.engine.Store().Snapshot(func(r dataspace.Reader) {
-		// Drain the commit-touched buckets and invalidate affected caches
-		// under the snapshot's locks (see the function comment). Cache
-		// fields are only ever written by this detector goroutine; never
-		// alias the live map outside pendingMu (commit hooks write to it).
-		// The relevance generation is read under the same lock: a society
-		// change after this point bumps it and voids the summary this
-		// round computes.
-		m.pendingMu.Lock()
-		relGen = m.relGen
-		var touched map[view.BucketKey]struct{}
-		if len(m.pendingKeys) > 0 {
-			touched = m.pendingKeys
-			m.pendingKeys = make(map[view.BucketKey]struct{})
-		}
-		m.pendingMu.Unlock()
-		if len(touched) > 0 {
-			for _, mem := range members {
-				if !mem.cacheValid {
-					continue
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	if total > 0 { // an empty dataspace has no overlaps: every member is a singleton set
+		universal := -1
+		nonEmpty := make([]bool, len(members))
+		firstComplete := make(map[view.BucketKey]int) // first bucket-complete importer of a nonempty bucket
+		for i, mem := range members {
+			switch {
+			case mem.shape.Universal:
+				nonEmpty[i] = true
+				if universal >= 0 {
+					union(universal, i)
 				}
-				for k := range mem.cacheKeys {
-					if _, hit := touched[k]; hit {
-						mem.cacheValid = false
-						break
+				universal = i
+			case mem.shape.Complete:
+				for _, k := range mem.shape.Keys {
+					if counts[k] == 0 {
+						continue
+					}
+					nonEmpty[i] = true
+					if first, ok := firstComplete[k]; ok {
+						union(first, i)
+					} else {
+						firstComplete[k] = i
 					}
 				}
 			}
 		}
-
-		if r.Len() == 0 {
-			return // empty dataspace: no overlaps; every offer is a singleton set
-		}
-		// Group the offering members. Universal imports short-circuit: with
-		// a nonempty dataspace they overlap each other and every member
-		// whose import is nonempty (the Sum1 barrier case).
-		var universalRoot tuple.ProcessID
-		haveUniversal := false
-		for _, mem := range offering {
-			if !mem.view.Import.All {
+		importers := make(map[tuple.ID]int)
+		for i, mem := range members {
+			if mem.shape.Universal || mem.shape.Complete {
 				continue
 			}
-			if haveUniversal {
-				union(universalRoot, mem.pid)
-			} else {
-				universalRoot, haveUniversal = mem.pid, true
-			}
-		}
-		importers := make(map[tuple.ID]tuple.ProcessID)
-		nonEmpty := make(map[tuple.ProcessID]bool)
-		for _, mem := range offering {
-			if mem.view.Import.All {
-				nonEmpty[mem.pid] = true
-				continue
-			}
-			ids := m.importOf(mem, r)
-			if len(ids) > 0 {
-				nonEmpty[mem.pid] = true
-				if haveUniversal {
-					union(universalRoot, mem.pid)
-				}
-			}
-			for id := range ids {
+			for id, k := range mem.ids {
+				nonEmpty[i] = true
 				if first, ok := importers[id]; ok {
-					union(first, mem.pid)
+					union(first, i)
 				} else {
-					importers[id] = mem.pid
+					importers[id] = i
+				}
+				if first, ok := firstComplete[k]; ok {
+					union(first, i)
 				}
 			}
 		}
-
-		// Block-check: a non-offering member whose import overlaps a
-		// candidate group is part of that consensus set, so the set is not
-		// ready. Stop as soon as everything is blocked.
-		totalRoots := make(map[tuple.ProcessID]bool)
-		for _, mem := range offering {
-			totalRoots[find(mem.pid)] = true
-		}
-		allBlocked := func() bool { return len(blockedRoots) == len(totalRoots) }
-		blockRootOf := func(pid tuple.ProcessID) { blockedRoots[find(pid)] = true }
-		for _, mem := range idle {
-			if allBlocked() {
-				break
-			}
-			if mem.view.Import.All {
-				// Overlaps every group with a nonempty import.
-				for _, om := range offering {
-					if nonEmpty[om.pid] {
-						blockRootOf(om.pid)
-					}
-				}
-				continue
-			}
-			ids := m.importOf(mem, r)
-			if len(ids) == 0 {
-				continue
-			}
-			if haveUniversal {
-				blockRootOf(universalRoot)
-			}
-			for id := range ids {
-				if pid, ok := importers[id]; ok {
-					blockRootOf(pid)
+		if universal >= 0 {
+			for i, ne := range nonEmpty {
+				if ne {
+					union(universal, i)
 				}
 			}
 		}
-	})
-	m.refreshRelevance(members, relGen)
-
-	groups := make(map[tuple.ProcessID][]tuple.ProcessID)
-	for _, mem := range offering {
-		root := find(mem.pid)
-		if blockedRoots[root] {
-			continue
-		}
-		groups[root] = append(groups[root], mem.pid)
 	}
-	out := make([][]tuple.ProcessID, 0, len(groups))
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-		out = append(out, g)
+	for i := range parent {
+		parent[i] = find(i)
 	}
-	// Deterministic group order (by first member) for reproducible firing.
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return parent
 }
 
-// refreshRelevance recomputes the commit-relevance summary from the
-// member caches as of the grouping snapshot: the union of every bounded,
-// valid cached import's bucket keys (which, for a bounded pure matcher,
-// depend only on the member's view and environment — including currently
-// empty buckets, per MaterializeKeyed). Any member with a universal,
-// unbounded, invalid, or not-yet-materialized import forces the broad
-// (nil) summary. The write is dropped when the generation moved — a
-// Register/Unregister/offer change raced this round and already reset the
-// summary. Only the detector goroutine reads the cache fields here, so no
-// member lock is needed.
-func (m *Manager) refreshRelevance(members []*member, gen uint64) {
-	broad := false
-	sum := make(map[view.BucketKey]struct{})
-	for _, mem := range members {
-		if mem.view.Import.All || !mem.cacheValid || !mem.bounded {
-			broad = true
-			break
+// install makes the computed partition current: fresh communities with
+// their offered counts and lock plans, and the commit hook's index of them
+// (bucket watches seeded with the snapshot's counts, the broad sets, the
+// dataspace size). Caller holds mu, inside the partition snapshot.
+func (m *Manager) install(members []*member, root []int, counts map[view.BucketKey]int, total int) {
+	m.comms, m.broad, m.volatile, m.total = nil, nil, false, total
+	m.watch = make(map[view.BucketKey]*bucketWatch)
+	byRoot := make(map[int]*community)
+	for i, mem := range members {
+		c := byRoot[root[i]]
+		if c == nil {
+			c = &community{dirty: true, planned: true}
+			byRoot[root[i]] = c
+			m.comms = append(m.comms, c) // ascending first member: a deterministic attempt order
 		}
-		for k := range mem.cacheKeys {
-			sum[k] = struct{}{}
+		c.members = append(c.members, mem)
+		mem.comm = c
+		if m.offers[mem.pid] != nil {
+			c.offered++
+		}
+		if !mem.shape.Bounded || mem.wide {
+			c.planned = false
+			if !mem.shape.Universal && !mem.shape.Bounded {
+				m.volatile = true
+			}
+		}
+		for _, k := range mem.shape.Keys {
+			w := m.watch[k]
+			if w == nil {
+				w = &bucketWatch{count: counts[k]}
+				m.watch[k] = w
+			}
+			if !mem.shape.Complete {
+				w.partial = append(w.partial, mem)
+			}
+			w.watchedBy(c)
+			c.keys = append(c.keys, dataspace.InterestKey{Arity: k.Arity, Lead: k.Lead, LeadKnown: k.Arity > 0})
 		}
 	}
-	m.pendingMu.Lock()
-	if m.relGen == gen {
-		if broad {
-			m.relevance = nil
-		} else {
-			m.relevance = sum
+	for _, c := range m.comms {
+		if !c.planned {
+			c.keys = nil
+			m.broad = append(m.broad, c)
 		}
 	}
-	m.pendingMu.Unlock()
+	m.valid = true
 }
 
-// importOf returns the member's materialized import, from the cache when
-// it is still valid. Only the detector goroutine touches the cache fields.
-func (m *Manager) importOf(mem *member, r dataspace.Reader) map[tuple.ID]struct{} {
-	if mem.cacheValid {
-		return mem.cacheIDs
+// materialize computes Import(p) ∩ D for a member whose import is not
+// bucket-complete, recording each instance's bucket. A bounded import scans
+// exactly its own buckets; an unbounded one every arity present.
+func materialize(mem *member, r dataspace.Reader) map[tuple.ID]view.BucketKey {
+	ids := make(map[tuple.ID]view.BucketKey)
+	w := mem.view.Window(r, mem.env)
+	collect := func(id tuple.ID, t tuple.Tuple) bool {
+		ids[id] = bucketOf(t)
+		return true
 	}
-	ids, keys, bounded := view.MaterializeKeyed(mem.view, r, mem.env)
-	mem.cacheIDs, mem.cacheKeys, mem.bounded = ids, keys, bounded
-	// Unbounded imports cannot be invalidated by bucket, so they are never
-	// cached (every evaluation recomputes them).
-	mem.cacheValid = bounded
+	if mem.shape.Bounded {
+		for _, k := range mem.shape.Keys {
+			w.Scan(k.Arity, k.Lead, true, collect)
+		}
+		return ids
+	}
+	for _, arity := range r.Arities() {
+		w.Scan(arity, tuple.Value{}, false, collect)
+	}
 	return ids
 }
 
-// hidingSource hides tuple instances already claimed for retraction by an
-// earlier participant of the same composite, so participants retract
-// pairwise-distinct instances.
+// hidingSource is a member's window minus the tuple instances already
+// claimed for retraction by an earlier participant of the same composite,
+// so participants retract pairwise-distinct instances. It forwards the
+// window's secondary-index access path and join estimator, so a query
+// evaluated for a firing attempt is planned and served exactly as the same
+// query is inside an ordinary transaction.
 type hidingSource struct {
-	r      dataspace.Reader
-	v      view.View
-	env    expr.Env
+	win    view.Window
 	hidden map[tuple.ID]struct{}
 }
 
-func (h hidingSource) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
-	h.v.Window(h.r, h.env).Scan(arity, lead, leadKnown, func(id tuple.ID, t tuple.Tuple) bool {
+func (h hidingSource) visible(fn func(tuple.ID, tuple.Tuple) bool) func(tuple.ID, tuple.Tuple) bool {
+	if len(h.hidden) == 0 {
+		return fn
+	}
+	return func(id tuple.ID, t tuple.Tuple) bool {
 		if _, hid := h.hidden[id]; hid {
 			return true
 		}
 		return fn(id, t)
-	})
+	}
 }
 
-// tryFire attempts to execute the composite transaction of a consensus
-// set. It claims every member's offer, re-validates all queries under the
-// store's full write lock — a composite commit may span member views and
-// therefore shards, so it locks every shard rather than planning a
-// footprint — applies all retractions then all assertions as one commit,
-// and resolves the offers. On any failure the claims revert.
-func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Offer) bool {
+func (h hidingSource) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
+	h.win.Scan(arity, lead, leadKnown, h.visible(fn))
+}
+
+func (h hidingSource) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
+	h.win.ScanFields(arity, sels, h.visible(fn))
+}
+
+func (h hidingSource) LeadWide(arity int, lead tuple.Value) bool {
+	return h.win.LeadWide(arity, lead)
+}
+
+func (h hidingSource) JoinEstimator() pattern.Estimator { return h.win.JoinEstimator() }
+
+var (
+	_ pattern.FieldSource       = hidingSource{}
+	_ pattern.EstimatorProvider = hidingSource{}
+)
+
+// lockPlan returns the keys covering everything a firing attempt for c can
+// read or write — the set's import buckets plus the buckets its offers
+// assert into — or planned=false when that is not statically known (an
+// unplanned set, or an assertion whose lead depends on the solution).
+func lockPlan(c *community, offers []*Offer) (keys []dataspace.InterestKey, planned bool) {
+	if !c.planned {
+		return nil, false
+	}
+	keys = c.keys[:len(c.keys):len(c.keys)]
+	for _, o := range offers {
+		for _, req := range o.reqs {
+			for _, ap := range req.Asserts {
+				a := ap.Arity()
+				lead, known := ap.Lead(req.Env)
+				if a > 0 && !known {
+					return nil, false
+				}
+				keys = append(keys, dataspace.InterestKey{Arity: a, Lead: lead, LeadKnown: a > 0})
+			}
+		}
+	}
+	return keys, true
+}
+
+// tryFire attempts to execute the composite transaction of consensus set c.
+// It claims every member's offer, re-validates all queries inside one
+// exclusive section — over the shards of the set's lock plan when there is
+// one, over every shard otherwise — applies all retractions then all
+// assertions as one commit, and resolves the offers. On any failure the
+// claims revert.
+func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 	reg := m.engine.Metrics()
 	reg.IncTxnAttempt(metrics.TxnConsensus)
 	observed := reg.Observed()
@@ -699,25 +950,27 @@ func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Off
 			reg.ObserveTxnLatency(metrics.TxnConsensus, time.Since(start))
 		}
 	}()
-	if perm := m.sc.Perm(sched.PointConsensusClaim, len(set)); perm != nil {
+	if perm := m.sc.Perm(sched.PointConsensusClaim, len(offers)); perm != nil {
 		// Claim (and therefore phase-1 evaluation) order within a set is
 		// unspecified: participants hide the instances they retract from
 		// later participants, and any claiming order must yield a consistent
 		// composite. Explore permutations of it.
-		permuted := make([]tuple.ProcessID, len(set))
+		permuted := make([]*Offer, len(offers))
 		for i, j := range perm {
-			permuted[i] = set[j]
+			permuted[i] = offers[j]
 		}
-		set = permuted
+		offers = permuted
 	}
-	claimed := make([]*Offer, 0, len(set))
+	claimed := make([]*Offer, 0, len(offers))
 	revert := func() {
 		for _, o := range claimed {
 			o.state.CompareAndSwap(int32(stateClaimed), int32(stateOffered))
 		}
+		m.mu.Lock()
+		m.settled.Broadcast()
+		m.mu.Unlock()
 	}
-	for _, pid := range set {
-		o := offers[pid]
+	for _, o := range offers {
 		if o == nil || !o.state.CompareAndSwap(int32(stateOffered), int32(stateClaimed)) {
 			revert()
 			return false
@@ -730,7 +983,17 @@ func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Off
 	// The window between claiming and committing is where withdrawals and
 	// cancellations race a firing attempt; stretch it.
 	m.sc.Yield(sched.PointConsensusClaim)
-	err := m.engine.Store().Update(tuple.Environment, func(w dataspace.Writer) error {
+	attempt := func(w dataspace.Writer) error {
+		// The locks now held exclude every commit that could re-partition
+		// this set (such a commit writes a bucket one of its members
+		// imports); a membership change or an earlier invalidation shows
+		// here, and the attempt stands down for the recomputation.
+		m.mu.Lock()
+		current := m.valid && c.members[0].comm == c
+		m.mu.Unlock()
+		if !current {
+			return errAbortFire
+		}
 		hidden := make(map[tuple.ID]struct{})
 		type planned struct {
 			retract []dataspace.Instance
@@ -745,7 +1008,7 @@ func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Off
 		for i, o := range claimed {
 			matched := false
 			for ai, req := range o.reqs {
-				src := hidingSource{r: w, v: req.View, env: req.Env, hidden: hidden}
+				src := hidingSource{win: req.View.Window(w, req.Env), hidden: hidden}
 				sol, found, err := pattern.Solve(req.Query, src, req.Env)
 				if err != nil {
 					return err
@@ -806,7 +1069,13 @@ func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Off
 			results[i] = res
 		}
 		return nil
-	})
+	}
+	var err error
+	if keys, planned := lockPlan(c, claimed); planned {
+		err = m.engine.Store().UpdateKeys(tuple.Environment, keys, attempt)
+	} else {
+		err = m.engine.Store().Update(tuple.Environment, attempt)
+	}
 	if err != nil {
 		revert()
 		reg.IncTxnRetry(metrics.TxnConsensus)
@@ -815,9 +1084,7 @@ func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Off
 
 	m.mu.Lock()
 	for _, o := range claimed {
-		if cur := m.offers[o.pid()]; cur == o {
-			delete(m.offers, o.pid())
-		}
+		m.dropOffer(o)
 	}
 	m.mu.Unlock()
 	// Count the fire before resolving any offer: a resolved offerer may run
@@ -843,5 +1110,8 @@ func (m *Manager) tryFire(set []tuple.ProcessID, offers map[tuple.ProcessID]*Off
 		close(o.done)
 		m.sc.Yield(sched.PointConsensusResolve)
 	}
+	m.mu.Lock()
+	m.settled.Broadcast()
+	m.mu.Unlock()
 	return true
 }

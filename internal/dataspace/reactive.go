@@ -3,6 +3,7 @@ package dataspace
 import (
 	"sync"
 
+	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/sched"
 )
 
@@ -57,17 +58,32 @@ type Subscription struct {
 // block — any commit after registration fires the ready channel, so a
 // change racing with the evaluation is never missed — and must Cancel the
 // subscription when done (idempotent).
-func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool) *Subscription {
+//
+// sels optionally narrows a filtered subscription inside its buckets:
+// sels[i] promises that filter accepts a tuple reached through keys[i] only
+// if it carries sels[i].Val at sels[i].Pos, and the subscription is then
+// filed under that (pos, value) — commits look it up by the written tuple's
+// own field values instead of running the filter of every subscription in
+// the bucket. A missing or zero selector (Pos 0) means the whole bucket;
+// selectors of unfiltered subscriptions and of lead-unknown keys are
+// ignored. The filter still has the last word.
+func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool, sels ...pattern.FieldSel) *Subscription {
 	s.sc.Yield(sched.PointWaiterRegister)
 	sub := &Subscription{s: s, filter: filter, ch: make(chan struct{})}
 	s.metrics.SubscriptionsLive().Inc()
-	for _, k := range keys {
+	for i, k := range keys {
 		switch {
 		case k.Arity == 0:
 			sub.regs = append(sub.regs, subReg{si: s.shardIndex(indexKey{})})
 		case k.LeadKnown:
-			ik := indexKey{arity: k.Arity, lead: canonLead(k.Lead)}
-			sub.regs = append(sub.regs, subReg{si: s.shardIndex(ik), ik: ik})
+			reg := subReg{ik: indexKey{arity: k.Arity, lead: canonLead(k.Lead)}}
+			reg.si = s.shardIndex(reg.ik)
+			if filter != nil && i < len(sels) {
+				if p := sels[i].Pos; p > 0 && p < k.Arity && p < maxFieldArity {
+					reg.sel = subSel{pos: p, val: canonLead(sels[i].Val)}
+				}
+			}
+			sub.regs = append(sub.regs, reg)
 		default:
 			for si := range s.shards {
 				sub.regs = append(sub.regs, subReg{si: uint32(si), ik: indexKey{arity: k.Arity}})
@@ -138,6 +154,7 @@ type subDelivery struct {
 	sub    *Subscription
 	deltas []Delta
 	full   bool
+	seen   int // ordinal of the last delta offered to sub (0 = none yet)
 }
 
 // delivery accumulates one commit's candidates in first-seen order. The
@@ -161,10 +178,15 @@ func (dl *delivery) get(sub *Subscription) *subDelivery {
 	return &dl.list[i]
 }
 
-// add offers one delta to every subscription in subs, through its filter.
-func (dl *delivery) add(subs []*Subscription, d Delta) {
+// add offers the commit's nth delta (n >= 1) to every subscription in subs,
+// through its filter — once, however many of its registrations collected it.
+func (dl *delivery) add(subs []*Subscription, n int, d Delta) {
 	for _, sub := range subs {
 		sd := dl.get(sub)
+		if sd.seen == n {
+			continue
+		}
+		sd.seen = n
 		switch {
 		case sd.full:
 		case sub.filter == nil:
@@ -207,11 +229,11 @@ func (s *Store) notify(rec CommitRecord, insShard, delShard []uint32) {
 	} else {
 		for i, inst := range rec.Inserted {
 			scratch = s.shards[insShard[i]].waiters.collect(inst, scratch[:0])
-			dl.add(scratch, Delta{Asserted: true, Inst: inst})
+			dl.add(scratch, 1+i, Delta{Asserted: true, Inst: inst})
 		}
 		for i, inst := range rec.Deleted {
 			scratch = s.shards[delShard[i]].waiters.collect(inst, scratch[:0])
-			dl.add(scratch, Delta{Asserted: false, Inst: inst})
+			dl.add(scratch, 1+len(rec.Inserted)+i, Delta{Asserted: false, Inst: inst})
 		}
 	}
 	published := 0

@@ -38,8 +38,8 @@ const (
 	// fields fall back to arity scans (none of the paper's examples come
 	// close).
 	maxFieldArity = 8
-	// promoteScanBar is the number of fallback arity scans a shape absorbs
-	// before it is promoted.
+	// promoteScanBar is the number of scans carrying a cold shape's selector
+	// it takes to promote the shape.
 	promoteScanBar = 2
 	// demoteMinWrites is the write count (since promotion) below which a
 	// hot shape is never demoted; past it, a shape whose writes outnumber
@@ -47,6 +47,14 @@ const (
 	demoteMinWrites = 256
 	// demoteCheckMask rate-limits the demotion check to every 256th write.
 	demoteCheckMask = 0xFF
+	// wideLeadBucket is the (arity, lead) bucket size above which a
+	// lead-known scan consults the field indexes (LeadWide). Swept over
+	// 0/4/16/64/never on perf/ (3 runs each): 4 and 16 are indistinguishable
+	// on every workload; 0 sends the 1-tuple point lookups of
+	// upsert-durable through the selector buffers (+2 allocations per
+	// operation, 47 → 49); 64 and never leave the 64-tuple barrier bucket
+	// on the lead scan (process.barrier_ms 5.5 → 10.7 and 11.5).
+	wideLeadBucket = 16
 )
 
 // Shape lifecycle states.
@@ -149,11 +157,15 @@ func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (map[
 	return best, ok
 }
 
-// countFieldShapes charges one fallback arity scan to every selector's
-// shape, promoting shapes that cross the threshold (unless the scheduler
-// defers the promotion — the exploration harness perturbs build timing
-// through this decision point). Runs under sh.mu or lock-free from the
-// epoch path; the transition is a CAS.
+// countFieldShapes charges one scan to every selector's cold shape,
+// promoting shapes that cross the threshold (unless the scheduler defers the
+// promotion — the exploration harness perturbs build timing through this
+// decision point). Every field scan charges, also one a hot shape served: a
+// shape promoted by queries that carry it alone (a type tag next to a known
+// lead, say) would otherwise serve its unselective bucket to every later
+// query that also carries a selective field, whose shape would then never
+// see the fallback scans that promote it. Runs under sh.mu or lock-free
+// from the epoch path; the transition is a CAS.
 func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) {
 	if !sh.sec.enabled {
 		return
@@ -289,41 +301,72 @@ func (sh *shard) bumpSeq() {
 	}
 }
 
-// ScanFields implements pattern.FieldSource over the live index: per
-// footprint shard it serves the most selective promoted bucket among sels,
-// falling back to the arity scan (charging every selector's shape toward
-// promotion) when none is hot. Delivery is a superset of the tuples
-// matching sels — the matcher re-verifies — and never includes tuples
-// outside the reader's locked shards.
+// ScanFields implements pattern.FieldSource over the live index. Without a
+// lead selector it serves, per footprint shard, the most selective promoted
+// bucket among sels, falling back to the arity scan when none is hot. With
+// one, the lead's bucket in its one shard is the candidate to beat: a
+// smaller promoted (pos, value) bucket is served instead, otherwise the
+// lead bucket is walked as Scan would. Either way every selector's cold
+// shape is charged toward promotion. Delivery is a superset of
+// the tuples matching sels — the matcher re-verifies — and never includes
+// tuples outside the reader's locked shards.
 func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	var indexed, fallback, visited uint64
-	r.ss.forEach(func(si uint32) bool {
-		sh := r.s.shards[si]
-		if len(sh.byArity[arity]) == 0 {
-			return true
-		}
-		bucket, ok := r.s.fieldBucket(sh, arity, sels)
-		if ok {
-			indexed++
-			for id := range bucket {
-				visited++
-				if !fn(id, sh.entries[id].t) {
-					return false
-				}
-			}
-			return true
-		}
-		fallback++
-		r.s.countFieldShapes(sh, arity, sels)
-		for id := range sh.byArity[arity] {
+	serve := func(sh *shard, ids map[tuple.ID]struct{}) bool {
+		for id := range ids {
 			visited++
 			if !fn(id, sh.entries[id].t) {
 				return false
 			}
 		}
 		return true
+	}
+	if lead, known := pattern.LeadSel(sels); known {
+		k := indexKey{arity: arity, lead: canonLead(lead)}
+		if si := r.s.shardIndex(k); r.ss.has(si) {
+			sh := r.s.shards[si]
+			if byLead := sh.byLead[k]; len(byLead) > 0 {
+				bucket, ok := r.s.fieldBucket(sh, arity, sels[1:])
+				r.s.countFieldShapes(sh, arity, sels[1:])
+				if ok && len(bucket) < len(byLead) {
+					indexed++
+					serve(sh, bucket)
+				} else {
+					fallback++
+					serve(sh, byLead)
+				}
+			}
+		}
+		r.s.metrics.AddFieldScans(indexed, fallback, visited)
+		return
+	}
+	r.ss.forEach(func(si uint32) bool {
+		sh := r.s.shards[si]
+		if len(sh.byArity[arity]) == 0 {
+			return true
+		}
+		bucket, ok := r.s.fieldBucket(sh, arity, sels)
+		r.s.countFieldShapes(sh, arity, sels)
+		if ok {
+			indexed++
+			return serve(sh, bucket)
+		}
+		fallback++
+		return serve(sh, sh.byArity[arity])
 	})
 	r.s.metrics.AddFieldScans(indexed, fallback, visited)
+}
+
+// LeadWide implements pattern.FieldSource: the bucket is in the reader's
+// footprint and holds more than wideLeadBucket tuples. Stores without
+// secondary indexes answer false, keeping every lead-known scan on Scan.
+func (r reader) LeadWide(arity int, lead tuple.Value) bool {
+	if !r.s.secondary {
+		return false
+	}
+	k := indexKey{arity: arity, lead: canonLead(lead)}
+	si := r.s.shardIndex(k)
+	return r.ss.has(si) && len(r.s.shards[si].byLead[k]) > wideLeadBucket
 }
 
 // --- join-cost estimation (pattern.Estimator) ---
@@ -419,8 +462,7 @@ func (e estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 // ScanFields mirrors the keyWriter's Scan overlay for the field access
 // path: live results minus this transaction's buffered deletes, plus its
 // buffered inserts of the arity (a superset of the sels match — the
-// matcher re-verifies, and sels must not be re-read after delivery
-// starts).
+// matcher re-verifies).
 func (kw *keyWriter) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	stopped := false
 	kw.live().ScanFields(arity, sels, func(id tuple.ID, t tuple.Tuple) bool {
@@ -446,6 +488,12 @@ func (kw *keyWriter) ScanFields(arity int, sels []pattern.FieldSel, fn func(tupl
 	}
 }
 
+// LeadWide implements pattern.FieldSource; the few buffered mutations do
+// not change which access path pays.
+func (kw *keyWriter) LeadWide(arity int, lead tuple.Value) bool {
+	return kw.live().LeadWide(arity, lead)
+}
+
 // JoinEstimator implements pattern.EstimatorProvider; buffered mutations
 // are few, so the live estimates stand in for the overlay.
 func (kw *keyWriter) JoinEstimator() pattern.Estimator {
@@ -458,50 +506,78 @@ func (kw *keyWriter) JoinEstimator() pattern.Estimator {
 // materialized in the snapshot (it was hot at build time) serves its
 // bucket — including proving emptiness — and scans against unmaterialized
 // shapes count toward promotion exactly like locked reads, so a read-only
-// workload on the epoch path still promotes.
+// workload on the epoch path still promotes. A lead selector makes the
+// snapshot's lead bucket the candidate to beat, as in reader.ScanFields.
 func (r epochReader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	var indexed, fallback, visited uint64
-	r.ss.forEach(func(si uint32) bool {
-		snap := r.snaps[si]
-		if len(snap.byArity[arity]) == 0 {
-			return true
-		}
-		var (
-			best []Instance
-			ok   bool
-		)
-		if arity >= 2 && arity <= maxFieldArity {
-			for _, sel := range sels {
-				if sel.Pos < 1 || sel.Pos >= arity || snap.fieldShapes[arity]&(1<<sel.Pos) == 0 {
-					continue
-				}
-				b := snap.byField[fieldKey{arity: arity, pos: sel.Pos, val: canonLead(sel.Val)}]
-				if !ok || len(b) < len(best) {
-					best, ok = b, true
-				}
-			}
-		}
-		if ok {
-			indexed++
-			for _, inst := range best {
-				visited++
-				if !fn(inst.ID, inst.Tuple) {
-					return false
-				}
-			}
-			return true
-		}
-		fallback++
-		r.s.countFieldShapes(r.s.shards[si], arity, sels)
-		for _, inst := range snap.byArity[arity] {
+	serve := func(insts []Instance) bool {
+		for _, inst := range insts {
 			visited++
 			if !fn(inst.ID, inst.Tuple) {
 				return false
 			}
 		}
 		return true
+	}
+	// best is the smallest materialized (pos, value) bucket among sels.
+	best := func(snap *shardSnap, sels []pattern.FieldSel) (b []Instance, ok bool) {
+		if arity < 2 || arity > maxFieldArity {
+			return nil, false
+		}
+		for _, sel := range sels {
+			if sel.Pos < 1 || sel.Pos >= arity || snap.fieldShapes[arity]&(1<<sel.Pos) == 0 {
+				continue
+			}
+			c := snap.byField[fieldKey{arity: arity, pos: sel.Pos, val: canonLead(sel.Val)}]
+			if !ok || len(c) < len(b) {
+				b, ok = c, true
+			}
+		}
+		return b, ok
+	}
+	if lead, known := pattern.LeadSel(sels); known {
+		k := indexKey{arity: arity, lead: canonLead(lead)}
+		if si := r.s.shardIndex(k); r.ss.has(si) {
+			if byLead := r.snaps[si].byLead[k]; len(byLead) > 0 {
+				b, ok := best(r.snaps[si], sels[1:])
+				r.s.countFieldShapes(r.s.shards[si], arity, sels[1:])
+				if ok && len(b) < len(byLead) {
+					indexed++
+					serve(b)
+				} else {
+					fallback++
+					serve(byLead)
+				}
+			}
+		}
+		r.s.metrics.AddFieldScans(indexed, fallback, visited)
+		return
+	}
+	r.ss.forEach(func(si uint32) bool {
+		snap := r.snaps[si]
+		if len(snap.byArity[arity]) == 0 {
+			return true
+		}
+		b, ok := best(snap, sels)
+		r.s.countFieldShapes(r.s.shards[si], arity, sels)
+		if ok {
+			indexed++
+			return serve(b)
+		}
+		fallback++
+		return serve(snap.byArity[arity])
 	})
 	r.s.metrics.AddFieldScans(indexed, fallback, visited)
+}
+
+// LeadWide implements pattern.FieldSource over the snapshot's lead bucket.
+func (r epochReader) LeadWide(arity int, lead tuple.Value) bool {
+	if !r.s.secondary {
+		return false
+	}
+	k := indexKey{arity: arity, lead: canonLead(lead)}
+	si := r.s.shardIndex(k)
+	return r.ss.has(si) && len(r.snaps[si].byLead[k]) > wideLeadBucket
 }
 
 // Interface conformance for every reader flavor (writer embeds reader).

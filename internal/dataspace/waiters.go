@@ -22,33 +22,65 @@ type InterestKey struct {
 
 type subSet map[*Subscription]struct{}
 
-// subReg is one registry entry of a subscription: the shard it lives in and
-// the bucket it covers. A zero lead class (no tuple value canonicalizes to
-// it) marks an arity-wide entry.
+// subReg is one registry entry of a subscription: the shard it lives in,
+// the bucket it covers and, for a field-indexed entry, the (pos, value) it
+// is filed under. A zero lead class (no tuple value canonicalizes to it)
+// marks an arity-wide entry; a zero sel.pos marks a whole-bucket one.
 type subReg struct {
-	si uint32
-	ik indexKey
+	si  uint32
+	ik  indexKey
+	sel subSel
+}
+
+// subSel is the (pos, value) a field-indexed registration is filed under.
+type subSel struct {
+	pos int
+	val leadKey
 }
 
 func (reg subReg) arityWide() bool { return reg.ik.lead.class == 0 }
 
-// waiterRegistry indexes one shard's subscriptions by interest key. The
-// zero value is ready to use. Its mutex is independent of the shard lock:
-// Subscribe/Cancel never block behind a running transaction.
+// selBucket holds one index bucket's field-indexed registrations. perPos
+// counts them by position so collect probes only positions in use.
+type selBucket struct {
+	byVal  map[subSel]subSet
+	perPos [maxFieldArity]int
+}
+
+// waiterRegistry indexes one shard's subscriptions by interest key: flat
+// per bucket (byKey) and per arity (byArity), and — for subscriptions whose
+// filter can only accept tuples carrying one known field value — by that
+// (pos, value) inside the bucket (bySel), the subscription-side twin of the
+// store's secondary field index. The zero value is ready to use. Its mutex
+// is independent of the shard lock: Subscribe/Cancel never block behind a
+// running transaction.
 type waiterRegistry struct {
 	mu      sync.Mutex
 	byKey   map[indexKey]subSet
 	byArity map[int]subSet
+	bySel   map[indexKey]*selBucket
 }
 
 func (r *waiterRegistry) add(reg subReg, sub *Subscription) {
 	r.mu.Lock()
-	if reg.arityWide() {
+	switch {
+	case reg.arityWide():
 		if r.byArity == nil {
 			r.byArity = make(map[int]subSet)
 		}
 		insertSub(r.byArity, reg.ik.arity, sub)
-	} else {
+	case reg.sel.pos > 0:
+		if r.bySel == nil {
+			r.bySel = make(map[indexKey]*selBucket)
+		}
+		sb := r.bySel[reg.ik]
+		if sb == nil {
+			sb = &selBucket{byVal: make(map[subSel]subSet)}
+			r.bySel[reg.ik] = sb
+		}
+		insertSub(sb.byVal, reg.sel, sub)
+		sb.perPos[reg.sel.pos]++
+	default:
 		if r.byKey == nil {
 			r.byKey = make(map[indexKey]subSet)
 		}
@@ -59,9 +91,18 @@ func (r *waiterRegistry) add(reg subReg, sub *Subscription) {
 
 func (r *waiterRegistry) remove(reg subReg, sub *Subscription) {
 	r.mu.Lock()
-	if reg.arityWide() {
+	switch {
+	case reg.arityWide():
 		deleteSub(r.byArity, reg.ik.arity, sub)
-	} else {
+	case reg.sel.pos > 0:
+		if sb := r.bySel[reg.ik]; sb != nil {
+			deleteSub(sb.byVal, reg.sel, sub)
+			sb.perPos[reg.sel.pos]--
+			if len(sb.byVal) == 0 {
+				delete(r.bySel, reg.ik)
+			}
+		}
+	default:
 		deleteSub(r.byKey, reg.ik, sub)
 	}
 	r.mu.Unlock()
@@ -85,7 +126,12 @@ func deleteSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
 	}
 }
 
-// collect appends the subscriptions whose interest covers inst.
+// collect appends the subscriptions whose interest covers inst: the
+// arity-wide and whole-bucket ones, plus the field-indexed ones filed under
+// a value inst carries — looked up by inst's own fields, so a commit never
+// meets the bucket's other field-indexed subscriptions. A subscription
+// registered through several keys may be appended more than once; the
+// delivery pass offers it each delta once.
 func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscription {
 	r.mu.Lock()
 	a := inst.Tuple.Arity()
@@ -97,6 +143,16 @@ func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscri
 		for sub := range r.byKey[ik] {
 			into = append(into, sub)
 		}
+		if sb := r.bySel[ik]; sb != nil {
+			for pos := 1; pos < a && pos < maxFieldArity; pos++ {
+				if sb.perPos[pos] == 0 {
+					continue
+				}
+				for sub := range sb.byVal[subSel{pos: pos, val: canonLead(inst.Tuple.Field(pos))}] {
+					into = append(into, sub)
+				}
+			}
+		}
 	}
 	r.mu.Unlock()
 	return into
@@ -105,15 +161,21 @@ func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscri
 // collectAll appends every registered subscription (broad wakeups and the
 // spurious-wakeup fault).
 func (r *waiterRegistry) collectAll(into []*Subscription) []*Subscription {
-	r.mu.Lock()
-	for _, set := range r.byKey {
+	appendSet := func(set subSet) {
 		for sub := range set {
 			into = append(into, sub)
 		}
 	}
+	r.mu.Lock()
+	for _, set := range r.byKey {
+		appendSet(set)
+	}
 	for _, set := range r.byArity {
-		for sub := range set {
-			into = append(into, sub)
+		appendSet(set)
+	}
+	for _, sb := range r.bySel {
+		for _, set := range sb.byVal {
+			appendSet(set)
 		}
 	}
 	r.mu.Unlock()

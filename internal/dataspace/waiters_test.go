@@ -36,8 +36,9 @@ func assertRegistriesEmpty(t *testing.T, s *Store) {
 	for i, sh := range s.shards {
 		r := &sh.waiters
 		r.mu.Lock()
-		if len(r.byKey) != 0 || len(r.byArity) != 0 {
-			t.Errorf("shard %d registry not empty: %d keyed, %d arity-wide", i, len(r.byKey), len(r.byArity))
+		if len(r.byKey) != 0 || len(r.byArity) != 0 || len(r.bySel) != 0 {
+			t.Errorf("shard %d registry not empty: %d keyed, %d arity-wide, %d field-indexed buckets",
+				i, len(r.byKey), len(r.byArity), len(r.bySel))
 		}
 		r.mu.Unlock()
 	}

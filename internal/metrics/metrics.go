@@ -225,7 +225,7 @@ type Registry struct {
 	idxArityScans Counter // of those, served by the full arity-scan fallback
 	idxTuples     Counter // tuple candidates delivered by field scans
 
-	consensusKicksSuppressed Counter // detector kicks elided by the relevance filter
+	consensusKicksSuppressed Counter // commits that woke no consensus detector work
 
 	consensusRounds    Counter    // detector evaluation rounds
 	consensusCommunity *Histogram // members per fired consensus set (always on; fires are rare)
@@ -398,9 +398,9 @@ func (r *Registry) AddFieldScans(indexed, arity, visited uint64) {
 	}
 }
 
-// IncConsensusKickSuppressed counts one commit whose invalidation was
-// recorded without kicking the detector: its buckets were provably outside
-// every registered offer's import relevance.
+// IncConsensusKickSuppressed counts one commit that did not kick the
+// consensus detector: it touched no bucket imported by a fully offered
+// consensus set and could not have changed the partition into sets.
 func (r *Registry) IncConsensusKickSuppressed() { r.consensusKicksSuppressed.Add(1) }
 
 // ObserveCheckpointWrite records a WriteCheckpoint duration.
@@ -484,7 +484,8 @@ func (r *Registry) ObserveTxnLatency(k TxnKind, d time.Duration) {
 	r.txnLatency[k].Observe(uint64(d.Nanoseconds()))
 }
 
-// IncConsensusRound counts one detector evaluation round.
+// IncConsensusRound counts one detector evaluation: a firing attempt for a
+// consensus set the readiness gate admitted (fully offered and dirty).
 func (r *Registry) IncConsensusRound() { r.consensusRounds.Add(1) }
 
 // ObserveCommunity records the size of a fired consensus set.
@@ -527,7 +528,7 @@ type Snapshot struct {
 	ReactiveEvals            uint64 `json:"reactiveWakeupEvals"`      // guard re-evaluations after a subscription fired
 	ReactiveHits             uint64 `json:"reactiveDeltaHits"`        // of those, driven by a concrete delta batch
 	ReactiveFallbacks        uint64 `json:"reactiveFallbacks"`        // of those, full re-queries
-	ConsensusKicksSuppressed uint64 `json:"consensusKicksSuppressed"` // detector kicks elided by relevance filtering
+	ConsensusKicksSuppressed uint64 `json:"consensusKicksSuppressed"` // commits that left the consensus detector nothing to do
 
 	SecondaryPromotions    uint64 `json:"secondaryPromotions"`    // field-index shape promotions (cold -> hot)
 	SecondaryDemotions     uint64 `json:"secondaryDemotions"`     // field-index shape demotions (write-heavy)

@@ -105,6 +105,20 @@ func (q Query) String() string {
 	return s
 }
 
+// splitPatterns returns the indexes of q's positive and negated patterns,
+// each in written order.
+func splitPatterns(q Query) (positives, negatives []int) {
+	positives = make([]int, 0, len(q.Patterns))
+	for i, p := range q.Patterns {
+		if p.Negated {
+			negatives = append(negatives, i)
+		} else {
+			positives = append(positives, i)
+		}
+	}
+	return positives, negatives
+}
+
 // Source supplies candidate tuples to the matcher. Implementations (the
 // dataspace window) must support reentrant Scan calls: the matcher nests a
 // Scan per pattern during the join.
@@ -156,17 +170,7 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	var (
-		positives []int
-		negatives []int
-	)
-	for i, p := range q.Patterns {
-		if p.Negated {
-			negatives = append(negatives, i)
-		} else {
-			positives = append(positives, i)
-		}
-	}
+	positives, negatives := splitPatterns(q)
 	if base == nil {
 		base = expr.Env{}
 	}
@@ -184,11 +188,10 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 		env[k] = v
 	}
 	fsrc, hasFields := src.(FieldSource)
-	// selsBuf holds per-depth FieldSel buffers, reused across candidates.
-	// It is allocated on the first unknown-lead pattern that can use a
-	// selective scan, so lead-keyed queries never pay for it.
-	var selsBuf [][]FieldSel
-	nslots := len(positives) + len(negatives)
+	// slots holds the per-depth FieldSel buffers, reused across candidates.
+	// They are carved on the first scan that builds selectors, so lead-keyed
+	// point queries never pay for them.
+	slots := selSlots{q: q, positives: positives, negatives: negatives}
 
 	matched := make([]Match, 0, len(positives))
 	var (
@@ -203,7 +206,7 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 			return
 		}
 		if k == len(positives) {
-			ok, err := checkSolution(q, negatives, src, fsrc, &selsBuf, nslots, env, &trail)
+			ok, err := checkSolution(q, negatives, src, fsrc, &slots, env, &trail)
 			if err != nil {
 				walkErr = err
 				return
@@ -265,21 +268,70 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 			undo()
 			return !stopped && walkErr == nil
 		}
-		if !known && hasFields {
-			if selsBuf == nil {
-				selsBuf = make([][]FieldSel, nslots)
-			}
-			sels := appendFieldSels(p, env, selsBuf[k][:0])
-			selsBuf[k] = sels
-			if len(sels) > 0 {
-				fsrc.ScanFields(p.Arity(), sels, deliver)
-				return
-			}
+		if hasFields && fieldScan(p, lead, known, env, fsrc, &slots, k, deliver) {
+			return
 		}
 		src.Scan(p.Arity(), lead, known, deliver)
 	}
 	walk(0)
 	return walkErr
+}
+
+// selSlots is one enumeration's set of FieldSel buffers: slot k belongs to
+// the k-th positive pattern in join order, the slots after them to the
+// negated patterns. A nested scan must not overwrite the selectors of the
+// scan it runs inside (a source may consult them once per shard), hence one
+// slot per depth; all of them are carved from a single allocation sized by
+// the patterns' arities.
+type selSlots struct {
+	q                    Query
+	positives, negatives []int
+	bufs                 [][]FieldSel
+}
+
+func (s *selSlots) slot(k int) []FieldSel {
+	if s.bufs == nil {
+		total := 0
+		for _, p := range s.q.Patterns {
+			total += len(p.Fields)
+		}
+		arena := make([]FieldSel, total)
+		s.bufs = make([][]FieldSel, 0, len(s.positives)+len(s.negatives))
+		for _, order := range [2][]int{s.positives, s.negatives} {
+			for _, pi := range order {
+				n := len(s.q.Patterns[pi].Fields)
+				s.bufs = append(s.bufs, arena[:0:n])
+				arena = arena[n:]
+			}
+		}
+	}
+	return s.bufs[k]
+}
+
+// fieldScan runs pattern p's candidate scan through the source's secondary
+// field indexes when that can beat the plain scan: always for an unknown
+// lead (the alternative is the arity scan), and for a known lead only when
+// the source reports the lead bucket wide enough that a (pos, value) bucket
+// could be smaller — small lead buckets never reach the selector buffers, so
+// lead-keyed point queries pay one LeadWide probe and allocate nothing. It
+// reports whether the scan ran; false means no non-lead field of p is
+// determined under env (or the bucket is narrow) and the caller scans
+// plainly. slot is p's index into slots.
+func fieldScan(p Pattern, lead tuple.Value, known bool, env expr.Env, fsrc FieldSource, slots *selSlots, slot int, deliver func(tuple.ID, tuple.Tuple) bool) bool {
+	if known && !(constrainsFields(p) && fsrc.LeadWide(p.Arity(), lead)) {
+		return false
+	}
+	sels := slots.slot(slot)
+	if known {
+		sels = append(sels, FieldSel{Pos: 0, Val: lead})
+	}
+	fixed := len(sels)
+	sels = FieldSels(p, env, sels)
+	if len(sels) == fixed {
+		return false
+	}
+	fsrc.ScanFields(p.Arity(), sels, deliver)
+	return true
 }
 
 // matchTrail matches p against t by extending env in place, appending each
@@ -341,10 +393,9 @@ func retractedAlready(matched []Match, id tuple.ID) bool {
 
 // checkSolution evaluates the test query and the negated patterns under the
 // candidate environment. Negated patterns bind via the same trail as the
-// join (undone before returning); the last len(negatives) slots of the
-// lazily allocated nslots-wide selsBuf hold their reusable FieldSel
-// buffers.
-func checkSolution(q Query, negatives []int, src Source, fsrc FieldSource, selsBuf *[][]FieldSel, nslots int, env expr.Env, trail *[]string) (bool, error) {
+// join (undone before returning) and build their selectors in the slots
+// after the positive patterns'.
+func checkSolution(q Query, negatives []int, src Source, fsrc FieldSource, slots *selSlots, env expr.Env, trail *[]string) (bool, error) {
 	ok, err := expr.EvalBool(q.Test, env)
 	if err != nil {
 		return false, fmt.Errorf("pattern: test query: %w", err)
@@ -386,25 +437,9 @@ func checkSolution(q Query, negatives []int, src Source, fsrc FieldSource, selsB
 			found = true
 			return false
 		}
-		if !known && fsrc != nil {
-			if *selsBuf == nil {
-				*selsBuf = make([][]FieldSel, nslots)
-			}
-			bi := nslots - len(negatives) + nk
-			sels := appendFieldSels(p, env, (*selsBuf)[bi][:0])
-			(*selsBuf)[bi] = sels
-			if len(sels) > 0 {
-				fsrc.ScanFields(p.Arity(), sels, deliver)
-				if guardErr != nil {
-					return false, fmt.Errorf("pattern: negation guard: %w", guardErr)
-				}
-				if found {
-					return false, nil
-				}
-				continue
-			}
+		if fsrc == nil || !fieldScan(p, lead, known, env, fsrc, slots, len(slots.positives)+nk, deliver) {
+			src.Scan(p.Arity(), lead, known, deliver)
 		}
-		src.Scan(p.Arity(), lead, known, deliver)
 		if guardErr != nil {
 			return false, fmt.Errorf("pattern: negation guard: %w", guardErr)
 		}

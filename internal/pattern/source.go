@@ -5,31 +5,48 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// FieldSel is one concrete non-lead field constraint of a pattern: the
-// matched tuple must carry Val at position Pos. The matcher hands every
-// selector it can evaluate to the source, which picks the most selective
-// indexed access path among them (or none).
+// FieldSel is one concrete field constraint of a pattern: the matched tuple
+// must carry Val at position Pos. The matcher hands every selector it can
+// evaluate to the source, which picks the most selective access path among
+// them. Pos 0 is the lead: when the pattern's lead is known it is the first
+// selector, and the (arity, lead) bucket is one more candidate set.
 type FieldSel struct {
-	Pos int         // field position, >= 1 (position 0 is the lead)
+	Pos int         // field position (0 = the lead)
 	Val tuple.Value // concrete value the tuple must carry at Pos
 }
 
-// FieldSource is a Source with a secondary field-index access path for
-// patterns whose leading field is unknown. The dataspace readers implement
-// it; sources without field indexes simply don't, and the matcher falls
-// back to the arity scan.
+// LeadSel returns the lead selector of sels (by contract the first one),
+// if present.
+func LeadSel(sels []FieldSel) (tuple.Value, bool) {
+	if len(sels) > 0 && sels[0].Pos == 0 {
+		return sels[0].Val, true
+	}
+	return tuple.Value{}, false
+}
+
+// FieldSource is a Source with a secondary field-index access path. The
+// dataspace readers implement it; sources without field indexes simply
+// don't, and the matcher falls back to Scan.
 type FieldSource interface {
 	Source
 	// ScanFields calls fn for tuple instances with the given arity,
-	// consulting the source's secondary field indexes: among sels it may
-	// pick any one selector whose (arity, pos, value) bucket is promoted
-	// and deliver only that bucket, falling back to the full arity scan
-	// otherwise. Delivery is a superset of the tuples satisfying all sels
-	// (the matcher re-verifies every field) and a subset of the full arity
-	// scan. Iteration stops when fn returns false. sels is non-empty and
-	// must not be retained or re-read after the first fn call: the
-	// matcher reuses the backing array across patterns.
+	// choosing among the candidate sets sels describes: the (arity, lead)
+	// bucket when sels starts with a lead selector, and the (arity, pos,
+	// value) bucket of every other selector whose shape is promoted. It
+	// delivers the smallest; with no lead selector and no promoted shape it
+	// falls back to the full arity scan. Delivery is a superset of the
+	// tuples satisfying all sels (the matcher re-verifies every field —
+	// a field bucket served in place of the lead bucket holds other leads
+	// too) and a subset of the arity. Iteration stops when fn returns false.
+	// sels holds at least one non-lead selector. It stays intact for the
+	// whole call (nested scans build theirs elsewhere) but must not be
+	// retained past it: the matcher reuses the backing array.
 	ScanFields(arity int, sels []FieldSel, fn func(id tuple.ID, t tuple.Tuple) bool)
+	// LeadWide reports whether the (arity, lead) bucket holds enough
+	// tuples that a field selector could beat scanning it. The matcher asks
+	// before building selectors for a lead-known pattern, so narrow buckets
+	// keep the plain Scan path untouched.
+	LeadWide(arity int, lead tuple.Value) bool
 }
 
 // Estimator exposes a source's cardinality statistics so planJoinOrder can
@@ -77,11 +94,25 @@ func sourceEstimator(src Source) Estimator {
 	}
 }
 
-// appendFieldSels collects the concrete non-lead field constraints of p
-// under env — every position whose required value the matcher already
-// knows — appending to dst. Unevaluable computed fields are skipped (they
-// fail candidates during the match instead).
-func appendFieldSels(p Pattern, env expr.Env, dst []FieldSel) []FieldSel {
+// constrainsFields reports whether p has a non-lead field that could yield
+// a selector (anything but a wildcard) — the static half of the test
+// FieldSels completes under an environment.
+func constrainsFields(p Pattern) bool {
+	for i := 1; i < len(p.Fields); i++ {
+		if p.Fields[i].Kind != FieldWildcard {
+			return true
+		}
+	}
+	return false
+}
+
+// FieldSels collects the concrete non-lead field constraints of p under
+// env — every position whose required value is already known — appending
+// to dst. Unevaluable computed fields are skipped (they fail candidates
+// during the match instead). The matcher builds its ScanFields selectors
+// with it, and a blocked transaction picks the selector its subscription
+// is filed under from the same list.
+func FieldSels(p Pattern, env expr.Env, dst []FieldSel) []FieldSel {
 	for i := 1; i < len(p.Fields); i++ {
 		switch f := p.Fields[i]; f.Kind {
 		case FieldConst:

@@ -289,10 +289,88 @@ main
   spawn Find(1, 1), spawn Find(2, 1), spawn Churn(1), spawn Churn(3)
 end
 `
+
+	// fanoutSrc is the perf benchmark's fan-out program at P=6: every Waiter
+	// blocks on its own <job, i, 1> in ONE index bucket, so their delta
+	// subscriptions are filed under (field 1 = i); main waits until all are
+	// past their first statement, streams noise into the bucket — a tuple
+	// nobody's selector matches, a near miss that shares Waiter 3's selector
+	// value, and a batch that makes the bucket wide enough for the waiters'
+	// re-evaluations to go through the in-bucket field lookup — then
+	// releases everyone in one commit. A subscription filed under the wrong
+	// value, or a wakeup dropped by the indexed lookup, leaves a Waiter
+	// blocked and the run times out.
+	fanoutSrc = `
+process Waiter(i)
+behavior
+  <pending, i>! -> skip;
+  <job, i, 1> => <woke, i>
+end
+
+main
+  -> <pending, 0>, <pending, 1>, <pending, 2>, <pending, 3>, <pending, 4>, <pending, 5>;
+  spawn Waiter(0), spawn Waiter(1), spawn Waiter(2), spawn Waiter(3), spawn Waiter(4), spawn Waiter(5);
+  not <pending, *> => skip;
+  -> <job, 106, 0>;
+  -> <job, 3, 0>;
+  -> <job, 10, 0>, <job, 11, 0>, <job, 12, 0>, <job, 13, 0>, <job, 14, 0>, <job, 15, 0>,
+     <job, 16, 0>, <job, 17, 0>, <job, 18, 0>, <job, 19, 0>, <job, 20, 0>, <job, 21, 0>;
+  -> <job, 0, 1>, <job, 1, 1>, <job, 2, 1>, <job, 3, 1>, <job, 4, 1>, <job, 5, 1>
+end
+`
+
+	// twoCommunitiesSrc exercises the consensus gate's partition upkeep: two
+	// disjoint three-member communities (group 1 is two Members plus Edge,
+	// group 2 three Members), and a Drifter whose community changes when a
+	// bucket empties. While <x, 0> exists Edge and Drifter both import it, so
+	// Drifter belongs to group 1's consensus set and — its guard demanding x
+	// be gone — blocks it; when Drain retracts the tuple the x bucket's
+	// emptiness flips, Drifter becomes a singleton set and fires alone, and
+	// group 1 fires through Edge's second alternative. Edge's first
+	// alternative (x still there) can only ever fire under a stale partition
+	// that left Drifter out: it plants <sawx, 1>, which the final-state check
+	// rejects. The marker check pins every <fired, ...> commit to a whole
+	// community of three.
+	twoCommunitiesSrc = `
+process Member(g, id)
+import <g, *>
+behavior
+  -> <g, id>;
+  <g, 1>, <g, 2> @> <fired, g, id>
+end
+
+process Edge()
+import <1, *>; <x, *>
+behavior
+  sel {
+    <1, 1>, <1, 2>, <x, 0> @> <sawx, 1>, <fired, 1, 3>
+  | <1, 1>, <1, 2>, not <x, *> @> <fired, 1, 3>
+  }
+end
+
+process Drifter()
+import <x, *>
+behavior
+  not <x, *> @> <free, 1>
+end
+
+process Drain()
+behavior
+  <x, 0>! -> skip
+end
+
+main
+  -> <x, 0>;
+  spawn Member(1, 1), spawn Member(1, 2), spawn Edge(),
+  spawn Member(2, 1), spawn Member(2, 2), spawn Member(2, 3),
+  spawn Drifter(), spawn Drain()
+end
+`
 )
 
 // Corpus returns the exploration corpus: the seven examples/sdl programs
-// plus the targeted micro-programs, each with its final-state invariant.
+// plus the targeted micro-programs and the two coordination-path programs,
+// each with its final-state invariant.
 func Corpus() []Program {
 	phil := map[string]int{}
 	for id := 1; id <= 5; id++ {
@@ -437,6 +515,30 @@ func Corpus() []Program {
 				"<job, 3, 0>": 1, "<job, 13, 0>": 1,
 				"<job, 4, 0>": 1, "<job, 14, 0>": 1,
 			}),
+		},
+		{
+			Name: "fanout",
+			Src:  fanoutSrc,
+			Check: exact(map[string]int{
+				"<woke, 0>": 1, "<woke, 1>": 1, "<woke, 2>": 1, "<woke, 3>": 1, "<woke, 4>": 1, "<woke, 5>": 1,
+				"<job, 0, 1>": 1, "<job, 1, 1>": 1, "<job, 2, 1>": 1, "<job, 3, 1>": 1, "<job, 4, 1>": 1, "<job, 5, 1>": 1,
+				"<job, 106, 0>": 1, "<job, 3, 0>": 1,
+				"<job, 10, 0>": 1, "<job, 11, 0>": 1, "<job, 12, 0>": 1, "<job, 13, 0>": 1, "<job, 14, 0>": 1, "<job, 15, 0>": 1,
+				"<job, 16, 0>": 1, "<job, 17, 0>": 1, "<job, 18, 0>": 1, "<job, 19, 0>": 1, "<job, 20, 0>": 1, "<job, 21, 0>": 1,
+			}),
+		},
+		{
+			Name: "two-communities",
+			Src:  twoCommunitiesSrc,
+			Check: exact(map[string]int{
+				"<1, 1>": 1, "<1, 2>": 1,
+				"<2, 1>": 1, "<2, 2>": 1, "<2, 3>": 1,
+				"<fired, 1, 1>": 1, "<fired, 1, 2>": 1, "<fired, 1, 3>": 1,
+				"<fired, 2, 1>": 1, "<fired, 2, 2>": 1, "<fired, 2, 3>": 1,
+				"<free, 1>": 1,
+			}),
+			MarkerLead:  "fired",
+			MarkerCount: 3,
 		},
 		{
 			Name: "micro-index",

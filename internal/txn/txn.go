@@ -585,16 +585,46 @@ func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) 
 	return res, nil
 }
 
-// interestKeys derives the wakeup subscription for a blocked request: one
-// key per pattern (positive and negated), with the lead pinned when it is
-// determined by the request environment alone.
-func interestKeys(req Request) []dataspace.InterestKey {
-	keys := make([]dataspace.InterestKey, 0, len(req.Query.Patterns))
+// interest derives the wakeup subscription for a blocked request: one key
+// per pattern (positive and negated), with the lead pinned when it is
+// determined by the request environment alone, and — for a delta-safe
+// request (indexed), whose filter accepts only standalone matches of one of
+// its patterns — each key's selector: the field the store files that
+// registration under.
+func interest(req Request, indexed bool) (keys []dataspace.InterestKey, sels []pattern.FieldSel) {
+	keys = make([]dataspace.InterestKey, 0, len(req.Query.Patterns))
+	if indexed {
+		sels = make([]pattern.FieldSel, 0, len(req.Query.Patterns))
+	}
 	for _, p := range req.Query.Patterns {
 		lead, known := p.Lead(req.Env)
 		keys = append(keys, dataspace.InterestOf(p.Arity(), lead, known))
+		if indexed {
+			sels = append(sels, subscriptionSel(p, req.Env))
+		}
 	}
-	return keys
+	return keys, sels
+}
+
+// subscriptionSel picks the one (pos, value) a delta-safe pattern's
+// subscription is indexed under, among the non-lead fields the request
+// environment determines (pattern.FieldSels). An environment-bound variable
+// or computed field is preferred over a literal — sibling processes of one
+// definition share their literals but differ in their parameters, so the
+// parameter is what tells their subscriptions apart. The zero selector
+// means none.
+func subscriptionSel(p pattern.Pattern, env expr.Env) pattern.FieldSel {
+	var buf [8]pattern.FieldSel
+	sels := pattern.FieldSels(p, env, buf[:0])
+	for _, s := range sels {
+		if p.Fields[s.Pos].Kind != pattern.FieldConst {
+			return s
+		}
+	}
+	if len(sels) > 0 {
+		return sels[0]
+	}
+	return pattern.FieldSel{}
 }
 
 // deltaSafe reports whether a blocked req's guard may be re-evaluated
@@ -681,7 +711,8 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 // commit.
 func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {
 	filter := deltaFilter(req)
-	sub := e.store.Subscribe(interestKeys(req), filter)
+	keys, sels := interest(req, filter != nil)
+	sub := e.store.Subscribe(keys, filter, sels...)
 	defer sub.Cancel()
 	for {
 		res, err := e.exec(req, metrics.TxnDelayed)

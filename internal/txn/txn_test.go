@@ -714,3 +714,24 @@ func TestFieldIndexedQueryStaysUnplanned(t *testing.T) {
 		t.Error("promoted shape served no indexed scan")
 	}
 }
+
+func TestSubscriptionSelPrefersParameters(t *testing.T) {
+	job := pattern.C(tuple.Atom("job"))
+	env := expr.Env{"i": tuple.Int(4)}
+	cases := []struct {
+		name string
+		p    pattern.Pattern
+		want pattern.FieldSel
+	}{
+		{"literal only: the first one", pattern.P(job, pattern.C(tuple.Int(9)), pattern.C(tuple.Int(1))), pattern.FieldSel{Pos: 1, Val: tuple.Int(9)}},
+		{"parameter beats an earlier literal", pattern.P(job, pattern.C(tuple.Int(1)), pattern.V("i")), pattern.FieldSel{Pos: 2, Val: tuple.Int(4)}},
+		{"closed computed field counts as a parameter", pattern.P(job, pattern.C(tuple.Int(1)), pattern.E(expr.Add(expr.V("i"), expr.Const(tuple.Int(1))))), pattern.FieldSel{Pos: 2, Val: tuple.Int(5)}},
+		{"unbound variable and wildcard select nothing", pattern.P(job, pattern.V("x"), pattern.W()), pattern.FieldSel{}},
+		{"the lead is never the selector", pattern.P(pattern.V("i"), pattern.W()), pattern.FieldSel{}},
+	}
+	for _, tc := range cases {
+		if got := subscriptionSel(tc.p, env); got.Pos != tc.want.Pos || !got.Val.Equal(tc.want.Val) {
+			t.Errorf("%s: selector %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -175,6 +175,20 @@ func (c Clause) Admits(r dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
 	return false
 }
 
+// Same reports whether c and o are the same clause value — both universal,
+// or sharing one matcher list — as when a process issues transactions under
+// the view it was registered with. It is an identity test, not an
+// equivalence: clauses built separately from equal matchers are not Same.
+func (c Clause) Same(o Clause) bool {
+	if c.All || o.All {
+		return c.All && o.All
+	}
+	if len(c.Matchers) != len(o.Matchers) {
+		return false
+	}
+	return len(c.Matchers) == 0 || &c.Matchers[0] == &o.Matchers[0]
+}
+
 // Pure reports whether every matcher of the clause is a PureMatcher (the
 // universal clause is trivially pure). A pure clause's admit decisions
 // never consult the dataspace, so they hold identically under any reader.
@@ -306,42 +320,42 @@ func (w Window) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 }
 
 // ScanFields implements pattern.FieldSource, forwarding the secondary
-// field-index access path through the import filter. A bounded restriction
-// already narrows the scan to concrete lead buckets — cheaper than any
-// field index — so only the unbounded cases forward to the underlying
-// reader's ScanFields (when it has one; plain sources fall back to the
-// arity scan Scan performs).
+// field-index access path through the import filter. With a lead selector
+// the underlying reader chooses between the lead bucket and a promoted
+// field bucket. Without one, a bounded restriction already narrows the scan
+// to concrete lead buckets — cheaper than any field index — so only the
+// unbounded cases forward to the underlying reader's ScanFields. Readers
+// without field indexes fall back to what Scan performs.
 func (w Window) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	imp := w.v.Import
-	if imp.All {
-		if fs, ok := w.r.(pattern.FieldSource); ok {
-			fs.ScanFields(arity, sels, fn)
-			return
-		}
-		w.r.Scan(arity, tuple.Value{}, false, fn)
+	fs, indexed := w.r.(pattern.FieldSource)
+	lead, leadKnown := pattern.LeadSel(sels)
+	if !indexed {
+		w.Scan(arity, lead, leadKnown, fn)
 		return
 	}
-	filtered := func(id tuple.ID, t tuple.Tuple) bool {
+	if imp.All {
+		fs.ScanFields(arity, sels, fn)
+		return
+	}
+	if !leadKnown {
+		if _, admitsAny, bounded := imp.restriction(w.env, arity); !admitsAny || bounded {
+			w.Scan(arity, lead, false, fn)
+			return
+		}
+	}
+	fs.ScanFields(arity, sels, func(id tuple.ID, t tuple.Tuple) bool {
 		if !imp.Admits(w.r, w.env, t) {
 			return true
 		}
 		return fn(id, t)
-	}
-	leads, admitsAny, bounded := imp.restriction(w.env, arity)
-	switch {
-	case !admitsAny:
-		return // the view imports nothing of this arity
-	case bounded:
-		for _, l := range leads {
-			w.r.Scan(arity, l, true, filtered)
-		}
-	default:
-		if fs, ok := w.r.(pattern.FieldSource); ok {
-			fs.ScanFields(arity, sels, filtered)
-			return
-		}
-		w.r.Scan(arity, tuple.Value{}, false, filtered)
-	}
+	})
+}
+
+// LeadWide implements pattern.FieldSource by asking the underlying reader.
+func (w Window) LeadWide(arity int, lead tuple.Value) bool {
+	fs, ok := w.r.(pattern.FieldSource)
+	return ok && fs.LeadWide(arity, lead)
 }
 
 // JoinEstimator implements pattern.EstimatorProvider, exposing the
@@ -392,8 +406,8 @@ func Materialize(v View, r dataspace.Reader, env expr.Env) map[tuple.ID]struct{}
 }
 
 // BucketKey identifies one index bucket: an arity plus the canonical form
-// of a leading value. Keys from MaterializeKeyed and from commit records
-// compare with ==.
+// of a leading value. Keys from ImportShape and from commit records compare
+// with ==.
 type BucketKey struct {
 	Arity int
 	Lead  tuple.Value
@@ -408,75 +422,86 @@ func CanonBucket(arity int, lead tuple.Value) BucketKey {
 	return BucketKey{Arity: arity, Lead: lead}
 }
 
-// MaterializeKeyed is Materialize plus the provenance the consensus
-// detector needs for caching: the exact index buckets the import covers
-// (including currently empty ones) and whether the import is bounded to
-// those buckets. An unbounded import (universal clause, lead-free pattern,
-// or any-arity dynamic matcher) returns bounded=false with nil keys, and
-// its materialization must be recomputed after every commit.
-func MaterializeKeyed(v View, r dataspace.Reader, env expr.Env) (ids map[tuple.ID]struct{}, keys map[BucketKey]struct{}, bounded bool) {
-	ids = make(map[tuple.ID]struct{})
+// ImportShape is the static shape of a view's import clause under a process
+// environment — what the consensus detector can know about Import(p) ∩ D
+// without reading D.
+type ImportShape struct {
+	// Universal: the import is the whole dataspace.
+	Universal bool
+	// Bounded: every matcher pins its leading field, so the import lies
+	// inside the buckets Keys (including currently empty ones) and — by the
+	// bounded-matcher contract — depends on nothing outside them. An
+	// unbounded import (universal clause, lead-free pattern, any-arity
+	// dynamic matcher) can be changed by any commit.
+	Bounded bool
+	// Complete: Bounded, and every matcher admits its whole bucket (a
+	// pattern such as <a, *, *, *> with no predicate), so Import(p) ∩ D is
+	// exactly the union of the Keys buckets and two complete imports
+	// overlap iff they share a nonempty bucket.
+	Complete bool
+	// Keys are the canonical buckets of a Bounded import, deduplicated.
+	Keys []BucketKey
+}
+
+// ImportShape classifies the view's import clause under env.
+func (v View) ImportShape(env expr.Env) ImportShape {
 	imp := v.Import
 	if imp.All {
-		r.Each(func(inst dataspace.Instance) bool {
-			ids[inst.ID] = struct{}{}
-			return true
-		})
-		return ids, nil, false
+		return ImportShape{Universal: true}
 	}
-
-	// The arity set the clause covers: the union of the matchers' declared
-	// arities (not just the arities currently present — empty buckets must
-	// still produce invalidation keys).
-	aritySet := make(map[int]struct{})
-	anyArity := false
+	sh := ImportShape{Bounded: true, Complete: true}
 	for _, m := range imp.Matchers {
-		list, all := m.Arities()
-		if all {
-			anyArity = true
-			break
+		arities, anyArity := m.Arities()
+		if anyArity {
+			return ImportShape{}
 		}
-		for _, a := range list {
-			aritySet[a] = struct{}{}
+		if pm, ok := m.(PatternMatcher); !ok || pm.Where != nil || !wildcardTail(pm.Pattern) {
+			sh.Complete = false
+		}
+		for _, a := range arities {
+			leads, applies, bounded := m.Restriction(env, a)
+			if !applies {
+				continue
+			}
+			if !bounded {
+				return ImportShape{}
+			}
+			for _, l := range leads {
+				k := CanonBucket(a, l)
+				dup := false
+				for _, have := range sh.Keys {
+					if have == k {
+						dup = true
+						break
+					}
+				}
+				if !dup {
+					sh.Keys = append(sh.Keys, k)
+				}
+			}
 		}
 	}
-	if anyArity {
-		for _, a := range r.Arities() {
-			aritySet[a] = struct{}{}
-		}
-	}
+	return sh
+}
 
-	keys = make(map[BucketKey]struct{})
-	bounded = !anyArity
-	w := v.Window(r, env)
-	collect := func(id tuple.ID, _ tuple.Tuple) bool {
-		ids[id] = struct{}{}
-		return true
+// wildcardTail reports whether every non-lead field of p is a wildcard and p
+// carries no guard: with its lead pinned, p admits its whole bucket.
+func wildcardTail(p pattern.Pattern) bool {
+	if p.Guard != nil {
+		return false
 	}
-	for arity := range aritySet {
-		leads, admitsAny, b := imp.restriction(env, arity)
-		if !admitsAny {
-			continue
-		}
-		if !b {
-			bounded = false
-			w.Scan(arity, tuple.Value{}, false, collect)
-			continue
-		}
-		for _, l := range leads {
-			keys[CanonBucket(arity, l)] = struct{}{}
-			w.Scan(arity, l, true, collect)
+	for i := 1; i < len(p.Fields); i++ {
+		if p.Fields[i].Kind != pattern.FieldWildcard {
+			return false
 		}
 	}
-	if !bounded {
-		keys = nil
-	}
-	return ids, keys, bounded
+	return true
 }
 
 // Compile-time interface checks.
 var (
-	_ Matcher        = PatternMatcher{}
-	_ Matcher        = DynamicMatcher{}
-	_ pattern.Source = Window{}
+	_ Matcher                   = PatternMatcher{}
+	_ Matcher                   = DynamicMatcher{}
+	_ pattern.FieldSource       = Window{}
+	_ pattern.EstimatorProvider = Window{}
 )

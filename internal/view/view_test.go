@@ -398,3 +398,94 @@ func TestQuickWindowScanEquivalence(t *testing.T) {
 		}
 	}
 }
+
+func TestImportShape(t *testing.T) {
+	a, b := tuple.Atom("a"), tuple.Atom("b")
+	whole := func(lead pattern.Field) Matcher { return Pat(pattern.P(lead, pattern.W(), pattern.W())) }
+	cases := []struct {
+		name string
+		v    View
+		env  expr.Env
+		want ImportShape
+	}{
+		{"universal", Universal(), nil, ImportShape{Universal: true}},
+		{"complete, duplicate and numeric-equal leads merged",
+			New(Union(whole(pattern.C(a)), whole(pattern.C(a)), Pat(pattern.P(pattern.C(tuple.Int(2)), pattern.W())), Pat(pattern.P(pattern.C(tuple.Float(2)), pattern.W()))), Everything()), nil,
+			ImportShape{Bounded: true, Complete: true, Keys: []BucketKey{CanonBucket(3, a), CanonBucket(2, tuple.Int(2))}}},
+		{"lead from the process environment",
+			New(Union(whole(pattern.V("node"))), Everything()), expr.Env{"node": tuple.Int(7)},
+			ImportShape{Bounded: true, Complete: true, Keys: []BucketKey{CanonBucket(3, tuple.Int(7))}}},
+		{"part of a bucket",
+			New(Union(whole(pattern.C(a)), Pat(pattern.P(pattern.C(b), pattern.C(tuple.Int(1)), pattern.W()))), Everything()), nil,
+			ImportShape{Bounded: true, Keys: []BucketKey{CanonBucket(3, a), CanonBucket(3, b)}}},
+		{"predicate", New(Union(PatWhere(pattern.P(pattern.C(a), pattern.V("x")), expr.Le(expr.V("x"), expr.Const(tuple.Int(87))))), Everything()), nil,
+			ImportShape{Bounded: true, Keys: []BucketKey{CanonBucket(2, a)}}},
+		{"lead-free pattern", New(Union(whole(pattern.C(a)), Pat(pattern.P(pattern.W(), pattern.C(a)))), Everything()), nil, ImportShape{}},
+		{"unbound lead variable", New(Union(whole(pattern.V("node"))), Everything()), nil, ImportShape{}},
+		{"dynamic, one arity", New(Union(Dyn(2, func(dataspace.Reader, expr.Env, tuple.Tuple) bool { return true })), Everything()), nil, ImportShape{}},
+		{"dynamic, any arity", New(Union(Dyn(0, func(dataspace.Reader, expr.Env, tuple.Tuple) bool { return true })), Everything()), nil, ImportShape{}},
+		{"no matcher: imports nothing", New(Union(), Everything()), nil, ImportShape{Bounded: true, Complete: true}},
+	}
+	for _, tc := range cases {
+		got := tc.v.ImportShape(tc.env)
+		if got.Universal != tc.want.Universal || got.Bounded != tc.want.Bounded || got.Complete != tc.want.Complete || len(got.Keys) != len(tc.want.Keys) {
+			t.Errorf("%s: shape %+v, want %+v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got.Keys {
+			if got.Keys[i] != tc.want.Keys[i] {
+				t.Errorf("%s: key %d = %v, want %v", tc.name, i, got.Keys[i], tc.want.Keys[i])
+			}
+		}
+	}
+}
+
+func TestClauseSame(t *testing.T) {
+	c := Union(Pat(pattern.P(pattern.C(tuple.Atom("a")), pattern.W())))
+	rebuilt := Union(Pat(pattern.P(pattern.C(tuple.Atom("a")), pattern.W())))
+	if !c.Same(c) || !Everything().Same(Everything()) || !Union().Same(Union()) {
+		t.Error("a clause is not the same as itself")
+	}
+	if c.Same(rebuilt) || c.Same(Everything()) || Everything().Same(c) || c.Same(Union()) {
+		t.Error("Same is an identity test: separately built, universal and empty clauses differ")
+	}
+}
+
+// TestWindowScanFieldsWithLead: a lead selector goes through the import
+// filter to the reader's in-bucket lookup and yields what Scan yields.
+func TestWindowScanFieldsWithLead(t *testing.T) {
+	s := dataspace.New(dataspace.WithShards(4))
+	job := tuple.Atom("job")
+	for i := 0; i < 40; i++ {
+		s.Assert(tuple.Environment, tuple.New(job, tuple.Int(int64(i)), tuple.Int(int64(i%2))))
+	}
+	odd := New(Union(PatWhere(pattern.P(pattern.C(job), pattern.W(), pattern.V("p")),
+		expr.Eq(expr.V("p"), expr.Const(tuple.Int(1))))), Everything())
+	sels := []pattern.FieldSel{{Pos: 0, Val: job}, {Pos: 1, Val: tuple.Int(7)}}
+	for _, v := range []View{Universal(), odd} {
+		for pass := 0; pass < 4; pass++ { // across the promotion of the (3, 1) shape
+			s.Snapshot(func(r dataspace.Reader) {
+				w := v.Window(r, nil)
+				if !w.LeadWide(3, job) {
+					t.Fatal("window hides the reader's wide bucket")
+				}
+				var viaFields, viaScan []string
+				w.ScanFields(3, sels, func(_ tuple.ID, tup tuple.Tuple) bool {
+					if tup.Field(0).Equal(job) && tup.Field(1).Equal(tuple.Int(7)) {
+						viaFields = append(viaFields, tup.String())
+					}
+					return true
+				})
+				w.Scan(3, job, true, func(_ tuple.ID, tup tuple.Tuple) bool {
+					if tup.Field(1).Equal(tuple.Int(7)) {
+						viaScan = append(viaScan, tup.String())
+					}
+					return true
+				})
+				if len(viaFields) != 1 || len(viaScan) != 1 || viaFields[0] != viaScan[0] {
+					t.Errorf("pass %d: ScanFields found %v, Scan found %v", pass, viaFields, viaScan)
+				}
+			})
+		}
+	}
+}

@@ -40,6 +40,12 @@ func TestSecondaryIndexAblationEquivalence(t *testing.T) {
 		for g := 0; g < groups; g++ {
 			sys.Store.Assert(Environment, NewTuple(Atom(fmt.Sprintf("probe%d", g)), Atom("link"), Int(int64(g))))
 		}
+		// One wide lead bucket: every record once more under the lead "hub".
+		// Lead-known patterns over it may be served from a (pos, value)
+		// bucket instead of the lead bucket when the secondary layer is on.
+		for i := 0; i < records; i++ {
+			sys.Store.Assert(Environment, NewTuple(Atom("hub"), Int(int64(i)), Int(int64(i%groups))))
+		}
 
 		var wg sync.WaitGroup
 		per := records / workers
@@ -79,6 +85,19 @@ func TestSecondaryIndexAblationEquivalence(t *testing.T) {
 						t.Errorf("reader %d scan %d: %v", r, i, err)
 						return
 					}
+					// A point lookup inside the wide hub bucket: its one
+					// answer is fixed, so it is checked here, mid-churn and
+					// across the promotion of the hub shapes.
+					id := int64((r*reads + i) % records)
+					res, err := sys.Immediate(Request{
+						Proc:  ProcessID(100 + r),
+						View:  Universal(),
+						Query: Q(P(C(Atom("hub")), C(Int(id)), V("g"))),
+					})
+					if err != nil || !res.OK || !res.Env["g"].Equal(Int(id%groups)) {
+						t.Errorf("reader %d hub lookup %d: res=%+v err=%v", r, id, res, err)
+						return
+					}
 				}
 			}(r)
 		}
@@ -100,6 +119,35 @@ func TestSecondaryIndexAblationEquivalence(t *testing.T) {
 			for _, env := range res.Solutions {
 				results = append(results, fmt.Sprintf("g%d:%v", g, env["x"]))
 			}
+		}
+		// Lead-known lookups in the wide bucket, by each non-lead field, and
+		// a join whose second leg is lead-known with a field bound by the
+		// first.
+		for g := 0; g < groups; g++ {
+			res, err := sys.Immediate(Request{
+				Proc:  ProcessID(200),
+				View:  Universal(),
+				Query: QAll(P(C(Atom("hub")), V("i"), C(Int(int64(g))))),
+			})
+			if err != nil {
+				t.Fatalf("hub lookup g=%d: %v", g, err)
+			}
+			for _, env := range res.Solutions {
+				results = append(results, fmt.Sprintf("hub-g%d:%v", g, env["i"]))
+			}
+		}
+		hubJoin, err := sys.Immediate(Request{
+			Proc: ProcessID(200),
+			View: Universal(),
+			Query: QAll(
+				P(V("p"), C(Atom("link")), V("g")),
+				P(C(Atom("hub")), V("i"), V("g"))),
+		})
+		if err != nil {
+			t.Fatalf("hub join: %v", err)
+		}
+		for _, env := range hubJoin.Solutions {
+			results = append(results, fmt.Sprintf("hubjoin:%v:%v:%v", env["p"], env["g"], env["i"]))
 		}
 		res, err := sys.Immediate(Request{
 			Proc: ProcessID(201),
@@ -134,9 +182,9 @@ func TestSecondaryIndexAblationEquivalence(t *testing.T) {
 					len(onSet), len(offSet))
 			}
 			// Sanity: every record was converted and found — per-group
-			// lookups return all records, the join pairs each probe with
-			// its whole group.
-			if want := records + records; len(onRes) != want {
+			// lookups return all records, each join pairs every probe with
+			// its whole group; once over the done rows, once over the hub.
+			if want := 4 * records; len(onRes) != want {
 				t.Errorf("deterministic phase returned %d solutions, want %d", len(onRes), want)
 			}
 		})

@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDataflow -fuzztime=10s -run '^$$' ./internal/analysis/dataflow
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALRoundTrip -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzIDSet -fuzztime=10s -run '^$$' ./internal/dataspace
 
 clean:
 	$(GO) clean ./...

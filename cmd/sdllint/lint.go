@@ -51,7 +51,7 @@ var classByName = map[string]int{
 // Finding is one lock-discipline violation.
 type Finding struct {
 	Pos  token.Position
-	Rule string // lock-order, leaf-lock, unlocked-mutation, rlock-mutation, unlocked-append, rlock-append, unlocked-index
+	Rule string // lock-order, leaf-lock, unlocked-mutation, rlock-mutation, unlocked-append, rlock-append
 	Msg  string
 }
 
@@ -139,9 +139,9 @@ func newScope(fset *token.FileSet, name string) *scope {
 // seedAnnotation reads a `lint:holds <class ...>` line from the doc
 // comment and marks those classes as exclusively held on entry — the
 // contract that the function's callers hold them. The special name `rmu`
-// seeds a read-held mu: enough for the operations that only need *some*
-// shard lock (secondary-index bucket builds), but not for exclusive
-// mutations.
+// seeds a read-held mu: the contract of functions that run on the read
+// path (a secondary-index build fills a private index and publishes it),
+// under which every mutation of the live maps is a finding.
 func (sc *scope) seedAnnotation(doc *ast.CommentGroup) {
 	if doc == nil {
 		return
@@ -323,18 +323,30 @@ func (sc *scope) walkExpr(e ast.Expr) {
 	}
 }
 
+// liveMap names the shard structure a selector chain ends in, or "" when it
+// is none of them: the entries map, an arity's lead index (arityIndex.leads)
+// and a published secondary index (fieldIndex.buckets). The two indexes are
+// idIndex values edited through its add/remove methods. A fresh index being
+// filled in a local before publication has no such suffix and is free.
+func liveMap(chain string) string {
+	switch {
+	case strings.HasSuffix(chain, ".entries"):
+		return "live entries map"
+	case strings.HasSuffix(chain, ".leads"):
+		return "lead index"
+	case strings.HasSuffix(chain, ".buckets"):
+		return "published secondary index"
+	}
+	return ""
+}
+
 // callEvent interprets one call: a lock operation, a modeled store helper,
 // a durability append, an index mutation, or an ordinary call (whose
 // arguments may carry function literals and nested calls).
 func (sc *scope) callEvent(call *ast.CallExpr) {
-	// delete(sh.entries, id) is a mutation of the live store; deletes from a
-	// secondary-index bucket map need at least a shard lock.
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && len(call.Args) > 0 {
-		switch chain := chainOf(call.Args[0]); {
-		case strings.HasSuffix(chain, ".entries"):
-			sc.requireExclusiveMu(call.Pos(), "mutation", "delete from the live entries map")
-		case strings.HasSuffix(chain, ".buckets"):
-			sc.requireAnyMu(call.Pos(), "delete from a secondary-index bucket map")
+		if what := liveMap(chainOf(call.Args[0])); what != "" {
+			sc.requireExclusiveMu(call.Pos(), "mutation", "delete from the "+what)
 		}
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -374,8 +386,13 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	case "runlockSet":
 		sc.release(classMu)
 		return
-	case "indexAdd", "indexRemove", "secAdd", "secRemove":
+	case "indexAdd", "indexRemove", "secEdit":
 		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard indexes")
+	case "add", "remove":
+		// idIndex's mutators: an edit of one bucket's ID set.
+		if what := liveMap(recv); what != "" {
+			sc.requireExclusiveMu(call.Pos(), "mutation", method+" on a bucket of the "+what)
+		}
 	case "bumpSeq":
 		// Advances the change sequence and re-stamps maintained field
 		// indexes: commit-publication work, exclusive mu only.
@@ -391,21 +408,15 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	}
 }
 
-// mutationEvent flags assignments into the live entries map (exclusive mu
-// only) and into secondary-index bucket maps (any shard lock: a fresh
-// index is built under the read lock and atomically published, but a
-// published index is mutated only by the exclusive-mu maintenance hooks —
-// a bucket write with no lock at all is always a bug).
+// mutationEvent flags assignments into the live entries map and directly
+// into an index's bucket map: exclusive mu only.
 func (sc *scope) mutationEvent(lhs ast.Expr) {
 	idx, ok := lhs.(*ast.IndexExpr)
 	if !ok {
 		return
 	}
-	switch chain := chainOf(idx.X); {
-	case strings.HasSuffix(chain, ".entries"):
-		sc.requireExclusiveMu(lhs.Pos(), "mutation", "write to the live entries map")
-	case strings.HasSuffix(chain, ".buckets"):
-		sc.requireAnyMu(lhs.Pos(), "write to a secondary-index bucket map")
+	if what := liveMap(chainOf(idx.X)); what != "" {
+		sc.requireExclusiveMu(lhs.Pos(), "mutation", "write to the "+what)
 	}
 }
 
@@ -470,17 +481,6 @@ func terminates(b *ast.BlockStmt) bool {
 func (sc *scope) release(class int) {
 	if h := sc.held[class]; h != nil && h.n > 0 {
 		h.n--
-	}
-}
-
-// requireAnyMu demands that *some* shard mu (read or write) is held — the
-// discipline for secondary-index bucket maps, whose lazy builds run under
-// the read lock (see internal/dataspace/secondary.go).
-func (sc *scope) requireAnyMu(pos token.Pos, what string) {
-	if h := sc.held[classMu]; h == nil || h.n == 0 {
-		sc.addf(pos, "unlocked-index",
-			"%s performs a %s with no shard mu held at all (annotate with `lint:holds mu` or `lint:holds rmu` if the callers lock)",
-			sc.name, what)
 	}
 }
 

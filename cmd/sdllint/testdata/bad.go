@@ -94,35 +94,64 @@ func closureScope(sh *shard, run func(func())) {
 	})
 }
 
+type idIndex map[int]int
+
+func (ix idIndex) add(k, id int) bool    { return true }
+func (ix idIndex) remove(k, id int) bool { return true }
+
 type fieldIndex struct {
-	buckets map[int]map[int]struct{}
+	buckets idIndex
 }
+
+type arityIndex struct{ leads idIndex }
 
 type shapeStats struct{ idx *fieldIndex }
 
-// bareIndexWrite mutates a secondary-index bucket map with no shard lock
-// held at all — a published index may only be touched by the exclusive-mu
-// maintenance hooks, and even a fresh build holds at least the read lock.
+// bareIndexWrite writes a published secondary index's bucket map with no
+// shard lock held — a published index may only be touched by the
+// exclusive-mu maintenance hooks.
 func bareIndexWrite(st *shapeStats) {
-	st.idx.buckets[1] = nil // want unlocked-index
+	st.idx.buckets[1] = 0 // want unlocked-mutation
 }
 
 // bareIndexDelete drops a bucket with no shard lock.
 func bareIndexDelete(st *shapeStats) {
-	delete(st.idx.buckets, 1) // want unlocked-index
+	delete(st.idx.buckets, 1) // want unlocked-mutation
+}
+
+// rlockBucketEdit edits one bucket's ID set through the index's mutator
+// while holding only the read lock: readers iterate these sets under the
+// same lock.
+func rlockBucketEdit(sh *shard, st *shapeStats) {
+	sh.mu.RLock()
+	st.idx.buckets.add(1, 2) // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// bareLeadEdit files an ID in the lead index with no lock at all.
+func bareLeadEdit(ai *arityIndex) {
+	ai.leads.remove(1, 2) // want unlocked-mutation
+}
+
+// lockedBucketEdit is CLEAN: the same edits under the exclusive mu.
+func lockedBucketEdit(sh *shard, st *shapeStats, ai *arityIndex) {
+	sh.mu.Lock()
+	st.idx.buckets.remove(1, 2)
+	ai.leads.add(1, 2)
+	sh.mu.Unlock()
 }
 
 // bareSecMaintain calls the secondary-index maintenance hook without the
 // exclusive mu the hook's bucket mutations require.
 func bareSecMaintain(sh *shard) {
-	sh.secAdd(1, 2) // want unlocked-mutation
+	sh.secEdit(1, 2, nil) // want unlocked-mutation
 }
 
 // rlockSecMaintain holds only the read lock across maintenance — the hook
 // mutates published buckets, so the exclusive lock is required.
 func rlockSecMaintain(sh *shard) {
 	sh.mu.RLock()
-	sh.secRemove(1, 2) // want rlock-mutation
+	sh.secEdit(1, 2, nil) // want rlock-mutation
 	sh.mu.RUnlock()
 }
 
@@ -134,13 +163,22 @@ func rlockBump(sh *shard) {
 	sh.mu.RUnlock()
 }
 
-// readLockedRebuild is CLEAN: a fresh index build may run under the read
-// lock (racing builders each fill their own map and publication is an
-// atomic store), declared by the read-held annotation.
+// readLockedRebuild is CLEAN: a fresh index is filled in a local under the
+// read lock (racing builders each fill their own) and published whole.
 //
 // lint:holds rmu
 func readLockedRebuild(st *shapeStats) {
-	st.idx.buckets[2] = nil
+	fresh := make(idIndex)
+	fresh.add(1, 2)
+	st.idx = &fieldIndex{buckets: fresh}
+}
+
+// rmuBucketEdit: the read-held annotation does not license editing a
+// published index.
+//
+// lint:holds rmu
+func rmuBucketEdit(st *shapeStats) {
+	st.idx.buckets.add(1, 2) // want rlock-mutation
 }
 
 // rmuIsNotExclusive: the read-held annotation must NOT satisfy the

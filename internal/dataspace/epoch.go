@@ -41,13 +41,20 @@ type shardSnap struct {
 	fieldShapes [maxFieldArity + 1]uint8
 }
 
-// buildSnap materializes a snapshot of sh. The caller holds sh.mu (read or
-// write), so the maps and seq are mutually consistent.
+// buildSnap materializes a snapshot of sh by walking the lead index, so one
+// backing array serves all three views: insts is the whole of it, an
+// arity's slice is a run of insts, and a lead bucket is a run of its
+// arity's. The caller holds sh.mu (read or write), so the maps and seq are
+// mutually consistent.
 func buildSnap(sh *shard, seq uint64) *shardSnap {
+	leads := 0
+	for _, ai := range sh.byArity {
+		leads += len(ai.leads)
+	}
 	snap := &shardSnap{
 		seq:     seq,
 		insts:   make([]Instance, 0, len(sh.entries)),
-		byLead:  make(map[indexKey][]Instance, len(sh.byLead)),
+		byLead:  make(map[indexKey][]Instance, leads),
 		byArity: make(map[int][]Instance, len(sh.byArity)),
 	}
 	if sh.sec.hot.Load() != 0 {
@@ -59,25 +66,33 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 			}
 		}
 	}
-	for id, e := range sh.entries {
-		inst := Instance{ID: id, Tuple: e.t, Owner: e.owner}
-		snap.insts = append(snap.insts, inst)
-		a := e.t.Arity()
-		snap.byArity[a] = append(snap.byArity[a], inst)
-		if a > 0 {
-			k := indexKey{arity: a, lead: canonLead(e.t.Field(0))}
-			snap.byLead[k] = append(snap.byLead[k], inst)
+	for a, ai := range sh.byArity {
+		arityStart := len(snap.insts)
+		for lead, set := range ai.leads {
+			leadStart := len(snap.insts)
+			set.each(func(id tuple.ID) bool {
+				e := sh.entries[id]
+				snap.insts = append(snap.insts, Instance{ID: id, Tuple: e.t, Owner: e.owner})
+				return true
+			})
+			if a > 0 {
+				snap.byLead[indexKey{arity: a, lead: lead}] = snap.insts[leadStart:len(snap.insts):len(snap.insts)]
+			}
 		}
-		if a >= 2 && a <= maxFieldArity && snap.fieldShapes[a] != 0 {
+		of := snap.insts[arityStart:len(snap.insts):len(snap.insts)]
+		snap.byArity[a] = of
+		if a < 2 || a > maxFieldArity || snap.fieldShapes[a] == 0 {
+			continue
+		}
+		if snap.byField == nil {
+			snap.byField = make(map[fieldKey][]Instance)
+		}
+		for _, inst := range of {
 			for pos := 1; pos < a; pos++ {
-				if snap.fieldShapes[a]&(1<<pos) == 0 {
-					continue
+				if snap.fieldShapes[a]&(1<<pos) != 0 {
+					fk := fieldKey{arity: a, pos: pos, val: canonLead(inst.Tuple.Field(pos))}
+					snap.byField[fk] = append(snap.byField[fk], inst)
 				}
-				if snap.byField == nil {
-					snap.byField = make(map[fieldKey][]Instance)
-				}
-				fk := fieldKey{arity: a, pos: pos, val: canonLead(e.t.Field(pos))}
-				snap.byField[fk] = append(snap.byField[fk], inst)
 			}
 		}
 	}
@@ -180,16 +195,7 @@ func (r epochReader) Arities() []int {
 	var out []int
 	r.ss.forEach(func(si uint32) bool {
 		for a := range r.snaps[si].byArity {
-			dup := false
-			for _, have := range out {
-				if have == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, a)
-			}
+			out = addArity(out, a)
 		}
 		return true
 	})
@@ -218,16 +224,9 @@ func (s *Store) SnapshotKeysEpoch(keys []InterestKey, fn func(r Reader)) bool {
 	if !s.commuting {
 		return false
 	}
-	var ss shardSet
-	for _, k := range keys {
-		switch {
-		case k.Arity == 0:
-			ss.add(s.shardIndex(indexKey{}))
-		case k.LeadKnown:
-			ss.add(s.shardIndex(indexKey{arity: k.Arity, lead: canonLead(k.Lead)}))
-		default:
-			return false // unbounded footprint: locked path only
-		}
+	ss, bounded := s.planShards(keys)
+	if !bounded {
+		return false // locked path only
 	}
 	snaps := make([]*shardSnap, len(s.shards))
 	current := true

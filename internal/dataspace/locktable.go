@@ -89,13 +89,8 @@ func stripeOf(k indexKey) uint32 {
 func (s *Store) planLatches(keys []InterestKey) (latchPlan, bool) {
 	var lp latchPlan
 	for _, k := range keys {
-		var ik indexKey
-		switch {
-		case k.Arity == 0:
-			// arity-0 tuples share the single zero-lead bucket
-		case k.LeadKnown:
-			ik = indexKey{arity: k.Arity, lead: canonLead(k.Lead)}
-		default:
+		ik, ok := k.bucket()
+		if !ok {
 			return latchPlan{}, false
 		}
 		if lp.covers(ik) {
@@ -170,7 +165,7 @@ func (kw *keyWriter) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(t
 		if t.Arity() != arity {
 			continue
 		}
-		if leadKnown && (arity == 0 || !canonLead(t.Field(0)).equal(canonLead(lead))) {
+		if leadKnown && (arity == 0 || canonLead(t.Field(0)) != canonLead(lead)) {
 			continue
 		}
 		if !fn(ins.ID, t) {
@@ -216,17 +211,7 @@ func (kw *keyWriter) Each(fn func(Instance) bool) {
 func (kw *keyWriter) Arities() []int {
 	out := kw.live().Arities()
 	for _, ins := range kw.inserted {
-		a := ins.Tuple.Arity()
-		dup := false
-		for _, have := range out {
-			if have == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, a)
-		}
+		out = addArity(out, ins.Tuple.Arity())
 	}
 	return out
 }
@@ -277,10 +262,6 @@ func (kw *keyWriter) Delete(id tuple.ID) error {
 	return nil
 }
 
-// equal compares canonical lead keys (leadKey is comparable, but spelled
-// out here so the Scan overlay reads clearly).
-func (k leadKey) equal(o leadKey) bool { return k == o }
-
 // commitItem is one buffered commit queued for a shard's group-commit
 // drain. done is closed by the leader once the item's mutations are
 // applied, its version allocated, and its hooks run.
@@ -314,11 +295,11 @@ type commitQueue struct {
 // panics on a mutation outside the latched buckets.
 func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn func(w Writer) error) error {
 	if !s.commuting {
-		return s.fallbackUpdate(keys, owner, fn)
+		return s.UpdateKeys(owner, keys, fn)
 	}
 	lp, ok := s.planLatches(keys)
 	if !ok || len(lp.latches) == 0 {
-		return s.fallbackUpdate(keys, owner, fn)
+		return s.UpdateKeys(owner, keys, fn)
 	}
 
 	// 1. Key latches, ascending global (shard, stripe) order.
@@ -393,13 +374,6 @@ func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn fu
 	s.waitDurable(dtok)
 	s.notify(rec, kw.insShard, kw.delShard)
 	return nil
-}
-
-// fallbackUpdate demotes a planned commit to shard-level locking; the
-// shard-fallback counter is bumped inside updateSet when it commits.
-func (s *Store) fallbackUpdate(keys []InterestKey, owner tuple.ProcessID, fn func(w Writer) error) error {
-	_, err := s.updateSet(s.planShards(keys), owner, false, fn)
-	return err
 }
 
 // groupCommit publishes a single-shard buffered commit through the shard's

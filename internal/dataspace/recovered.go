@@ -1,6 +1,10 @@
 package dataspace
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/sdl-lang/sdl/internal/tuple"
+)
 
 // ApplyRecovered replays one committed record's effects verbatim during
 // crash recovery: deletes are applied first (each target must be present
@@ -42,20 +46,14 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 	for _, ins := range rec.Inserted {
 		si := s.shardIndex(indexKeyOf(ins.Tuple))
 		sh := s.shards[si]
-		if _, dup := sh.entries[ins.ID]; dup {
-			return fmt.Errorf("dataspace: recovered insert of duplicate instance #%d %s (version %d)",
+		if _, dup := sh.entries[ins.ID]; dup || ins.ID == tuple.NoID {
+			return fmt.Errorf("dataspace: recovered insert of duplicate or null instance #%d %s (version %d)",
 				ins.ID, ins.Tuple, rec.Version)
 		}
 		sh.entries[ins.ID] = entry{t: ins.Tuple, owner: ins.Owner}
 		sh.indexAdd(ins.ID, ins.Tuple)
 		touchedIns = append(touchedIns, si)
-		// Future IDs must not collide with recovered instances.
-		for {
-			cur := s.nextID.Load()
-			if cur >= uint64(ins.ID) || s.nextID.CompareAndSwap(cur, uint64(ins.ID)) {
-				break
-			}
-		}
+		s.reserveIDs(ins.ID)
 	}
 	s.bumpSeqs(touchedIns, touchedDel)
 	s.version.Store(rec.Version)

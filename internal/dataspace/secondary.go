@@ -8,7 +8,7 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// Adaptive secondary field indexes. The lead index (shard.byLead) only
+// Adaptive secondary field indexes. The lead index (shard.byArity) only
 // serves patterns whose leading field is known; every other constrained
 // pattern — e.g. a constant in position 2 — degenerated to a full arity
 // scan. This file adds, per shard, field-value indexes
@@ -21,17 +21,18 @@ import (
 // first scan that needs them builds them under the shard lock already held
 // for the read — then maintained incrementally by every assert/retract
 // (writer, rollback, and the keyWriter's batched apply all funnel through
-// indexAdd/indexRemove) and validated by the same change sequence the
-// epoch snapshots use. Shapes whose write traffic dwarfs their scan usage
-// are demoted back to cold, dropping their buckets.
+// indexAdd/indexRemove into secEdit) and validated by the same change
+// sequence the epoch snapshots use. Shapes whose write traffic dwarfs their
+// scan usage are demoted back to cold, dropping their buckets.
 //
-// Concurrency discipline (checked by cmd/sdllint): bucket maps are
-// mutated only while the shard's exclusive mu is held; readers touch them
-// only under at least mu.RLock, where a published fieldIndex whose seq
-// matches the shard's is immutable (writers need the exclusive mu to
-// change either). Shape state, scan, and write counters are atomics so the
-// read path stays lock-free-ish under mu.RLock; the cold→hot transition is
-// a CAS that concurrent scanners race benignly.
+// Concurrency discipline (checked by cmd/sdllint): a published index's
+// buckets are edited only through idIndex.add/remove while the shard's
+// exclusive mu is held (a fresh index is filled in a local before it is
+// published); readers touch them only under at least mu.RLock, where a
+// published fieldIndex whose seq matches the shard's is immutable (writers
+// need the exclusive mu to change either). Shape state, scan, and write
+// counters are atomics so the read path stays lock-free-ish under mu.RLock;
+// the cold→hot transition is a CAS that concurrent scanners race benignly.
 
 const (
 	// maxFieldArity bounds the shapes tracked per shard; tuples with more
@@ -54,6 +55,10 @@ const (
 	// upsert-durable through the selector buffers (+2 allocations per
 	// operation, 47 → 49); 64 and never leave the 64-tuple barrier bucket
 	// on the lead scan (process.barrier_ms 5.5 → 10.7 and 11.5).
+	//
+	// It is also the size up to which an idSet keeps its spill as a slice
+	// (idset.go): a bucket the planner treats as narrow is one a linear
+	// probe of its IDs is cheap on.
 	wideLeadBucket = 16
 )
 
@@ -76,7 +81,7 @@ type fieldKey struct {
 // not maintained through) makes readers rebuild from the live maps.
 type fieldIndex struct {
 	seq     uint64
-	buckets map[leadKey]map[tuple.ID]struct{}
+	buckets idIndex
 }
 
 // shapeStats is the adaptive state of one (arity, field-pos) scan shape.
@@ -117,30 +122,26 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 	if idx := st.idx.Load(); idx != nil && idx.seq == seq {
 		return idx
 	}
-	idx := &fieldIndex{seq: seq, buckets: make(map[leadKey]map[tuple.ID]struct{})}
-	for id := range sh.byArity[arity] {
-		k := canonLead(sh.entries[id].t.Field(pos))
-		b := idx.buckets[k]
-		if b == nil {
-			b = make(map[tuple.ID]struct{})
-			idx.buckets[k] = b
-		}
-		b[id] = struct{}{}
-	}
+	fresh := make(idIndex)
+	sh.eachOfArity(arity, func(id tuple.ID) bool {
+		fresh.add(canonLead(sh.entries[id].t.Field(pos)), id)
+		return true
+	})
+	idx := &fieldIndex{seq: seq, buckets: fresh}
 	st.idx.Store(idx)
 	return idx
 }
 
 // fieldBucket picks the most selective promoted bucket among sels: the
 // smallest (arity, pos, value) ID set over every hot selector shape.
-// ok=true with a nil bucket means an index proved there are no matches.
+// ok=true with an empty bucket means an index proved there are no matches.
 // The caller holds sh.mu (read or write).
-func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (map[tuple.ID]struct{}, bool) {
+func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idSet, bool) {
 	if !sh.sec.enabled || sh.sec.hot.Load() == 0 {
-		return nil, false
+		return idSet{}, false
 	}
 	var (
-		best map[tuple.ID]struct{}
+		best idSet
 		ok   bool
 	)
 	for _, sel := range sels {
@@ -150,7 +151,7 @@ func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (map[
 		}
 		st.scans.Add(1)
 		b := sh.shapeIndex(st, arity, sel.Pos).buckets[canonLead(sel.Val)]
-		if !ok || len(b) < len(best) {
+		if !ok || b.len() < best.len() {
 			best, ok = b, true
 		}
 	}
@@ -190,12 +191,14 @@ func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) 
 	}
 }
 
-// secAdd maintains hot shape buckets for one insert. Shapes whose index is
-// stale (a commit slipped by unmaintained) are left for the next reader to
-// rebuild; shapes that turned write-heavy are demoted here.
+// secEdit applies one insert's or delete's edit — idIndex.add or
+// idIndex.remove — to the bucket the tuple falls in under every hot shape.
+// Shapes whose index is stale (a commit slipped by unmaintained) are left
+// for the next reader to rebuild; shapes that turned write-heavy are
+// demoted here.
 //
 // lint:holds mu
-func (sh *shard) secAdd(id tuple.ID, t tuple.Tuple) {
+func (sh *shard) secEdit(id tuple.ID, t tuple.Tuple, edit func(idIndex, leadKey, tuple.ID) bool) {
 	if sh.sec.hot.Load() == 0 {
 		return
 	}
@@ -208,46 +211,8 @@ func (sh *shard) secAdd(id tuple.ID, t tuple.Tuple) {
 		if st.state.Load() != shapeHot || sh.secWrite(st) {
 			continue
 		}
-		idx := st.idx.Load()
-		if idx == nil || idx.seq != sh.seq.Load() {
-			continue
-		}
-		k := canonLead(t.Field(pos))
-		b := idx.buckets[k]
-		if b == nil {
-			b = make(map[tuple.ID]struct{})
-			idx.buckets[k] = b
-		}
-		b[id] = struct{}{}
-	}
-}
-
-// secRemove is secAdd's inverse for one delete.
-//
-// lint:holds mu
-func (sh *shard) secRemove(id tuple.ID, t tuple.Tuple) {
-	if sh.sec.hot.Load() == 0 {
-		return
-	}
-	a := t.Arity()
-	if a < 2 || a > maxFieldArity {
-		return
-	}
-	for pos := 1; pos < a; pos++ {
-		st := &sh.sec.shapes[a][pos]
-		if st.state.Load() != shapeHot || sh.secWrite(st) {
-			continue
-		}
-		idx := st.idx.Load()
-		if idx == nil || idx.seq != sh.seq.Load() {
-			continue
-		}
-		k := canonLead(t.Field(pos))
-		if b := idx.buckets[k]; b != nil {
-			delete(b, id)
-			if len(b) == 0 {
-				delete(idx.buckets, k)
-			}
+		if idx := st.idx.Load(); idx != nil && idx.seq == sh.seq.Load() {
+			edit(idx.buckets, canonLead(t.Field(pos)), id)
 		}
 	}
 }
@@ -312,28 +277,24 @@ func (sh *shard) bumpSeq() {
 // tuples outside the reader's locked shards.
 func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	var indexed, fallback, visited uint64
-	serve := func(sh *shard, ids map[tuple.ID]struct{}) bool {
-		for id := range ids {
-			visited++
-			if !fn(id, sh.entries[id].t) {
-				return false
-			}
-		}
-		return true
+	var sh *shard
+	visit := func(id tuple.ID) bool {
+		visited++
+		return fn(id, sh.entries[id].t)
 	}
 	if lead, known := pattern.LeadSel(sels); known {
 		k := indexKey{arity: arity, lead: canonLead(lead)}
 		if si := r.s.shardIndex(k); r.ss.has(si) {
-			sh := r.s.shards[si]
-			if byLead := sh.byLead[k]; len(byLead) > 0 {
+			sh = r.s.shards[si]
+			if byLead := sh.leadSet(arity, k.lead); byLead.len() > 0 {
 				bucket, ok := r.s.fieldBucket(sh, arity, sels[1:])
 				r.s.countFieldShapes(sh, arity, sels[1:])
-				if ok && len(bucket) < len(byLead) {
+				if ok && bucket.len() < byLead.len() {
 					indexed++
-					serve(sh, bucket)
+					bucket.each(visit)
 				} else {
 					fallback++
-					serve(sh, byLead)
+					byLead.each(visit)
 				}
 			}
 		}
@@ -341,18 +302,18 @@ func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID,
 		return
 	}
 	r.ss.forEach(func(si uint32) bool {
-		sh := r.s.shards[si]
-		if len(sh.byArity[arity]) == 0 {
+		sh = r.s.shards[si]
+		if sh.arityLen(arity) == 0 {
 			return true
 		}
 		bucket, ok := r.s.fieldBucket(sh, arity, sels)
 		r.s.countFieldShapes(sh, arity, sels)
 		if ok {
 			indexed++
-			return serve(sh, bucket)
+			return bucket.each(visit)
 		}
 		fallback++
-		return serve(sh, sh.byArity[arity])
+		return sh.eachOfArity(arity, visit)
 	})
 	r.s.metrics.AddFieldScans(indexed, fallback, visited)
 }
@@ -366,7 +327,7 @@ func (r reader) LeadWide(arity int, lead tuple.Value) bool {
 	}
 	k := indexKey{arity: arity, lead: canonLead(lead)}
 	si := r.s.shardIndex(k)
-	return r.ss.has(si) && len(r.s.shards[si].byLead[k]) > wideLeadBucket
+	return r.ss.has(si) && r.s.shards[si].leadSet(arity, k.lead).len() > wideLeadBucket
 }
 
 // --- join-cost estimation (pattern.Estimator) ---
@@ -388,7 +349,7 @@ func (r reader) JoinEstimator() pattern.Estimator {
 func (e estimator) ArityEstimate(arity int) float64 {
 	n := 0
 	e.r.ss.forEach(func(si uint32) bool {
-		n += len(e.r.s.shards[si].byArity[arity])
+		n += e.r.s.shards[si].arityLen(arity)
 		return true
 	})
 	return float64(n)
@@ -397,9 +358,10 @@ func (e estimator) ArityEstimate(arity int) float64 {
 func (e estimator) LeadEstimate(arity int) float64 {
 	n, buckets := 0, 0
 	e.r.ss.forEach(func(si uint32) bool {
-		sh := e.r.s.shards[si]
-		n += len(sh.byArity[arity])
-		buckets += sh.leadBuckets[arity]
+		if ai := e.r.s.shards[si].byArity[arity]; ai != nil {
+			n += ai.n
+			buckets += len(ai.leads)
+		}
 		return true
 	})
 	if buckets == 0 {
@@ -414,44 +376,37 @@ func (e estimator) LeadValueEstimate(arity int, lead tuple.Value) float64 {
 	if !e.r.ss.has(si) {
 		return 0
 	}
-	return float64(len(e.r.s.shards[si].byLead[k]))
+	return float64(e.r.s.shards[si].leadSet(arity, k.lead).len())
 }
 
 func (e estimator) FieldEstimate(arity, pos int) float64 {
-	total := 0.0
-	e.r.ss.forEach(func(si uint32) bool {
-		sh := e.r.s.shards[si]
-		n := len(sh.byArity[arity])
-		if n == 0 {
-			return true
+	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, n int) float64 {
+		if idx := st.idx.Load(); idx != nil && len(idx.buckets) > 0 {
+			return float64(n) / float64(len(idx.buckets))
 		}
-		st := sh.secShape(arity, pos)
-		if st != nil && st.state.Load() == shapeHot {
-			if idx := st.idx.Load(); idx != nil && len(idx.buckets) > 0 {
-				total += float64(n) / float64(len(idx.buckets))
-				return true
-			}
-		}
-		total += float64(n) // unpromoted (or unbuilt): honest full-scan cost
-		return true
+		return float64(n) // unbuilt: honest full-scan cost
 	})
-	return total
 }
 
 func (e estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
+	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, _ int) float64 {
+		return float64(sh.shapeIndex(st, arity, pos).buckets[canonLead(val)].len())
+	})
+}
+
+// fieldEstimate sums a scan-cost estimate over the footprint shards: hot's
+// answer where the (arity, pos) shape is promoted, the honest full-scan
+// cost — every tuple of the arity — where it is not.
+func (e estimator) fieldEstimate(arity, pos int, hot func(sh *shard, st *shapeStats, n int) float64) float64 {
 	total := 0.0
 	e.r.ss.forEach(func(si uint32) bool {
 		sh := e.r.s.shards[si]
-		n := len(sh.byArity[arity])
-		if n == 0 {
-			return true
+		n := sh.arityLen(arity)
+		if st := sh.secShape(arity, pos); n > 0 && st != nil && st.state.Load() == shapeHot {
+			total += hot(sh, st, n)
+		} else {
+			total += float64(n)
 		}
-		st := sh.secShape(arity, pos)
-		if st != nil && st.state.Load() == shapeHot {
-			total += float64(len(sh.shapeIndex(st, arity, pos).buckets[canonLead(val)]))
-			return true
-		}
-		total += float64(n)
 		return true
 	})
 	return total

@@ -58,10 +58,9 @@ func TestShardRoutingIsByBucket(t *testing.T) {
 		s.Assert(tuple.Environment, tuple.New(tuple.Int(i%8), tuple.Int(i)))
 	}
 	for lead := int64(0); lead < 8; lead++ {
-		si := s.shardIndex(indexKey{arity: 2, lead: canonLead(tuple.Int(lead))})
-		sh := s.shards[si]
 		k := indexKey{arity: 2, lead: canonLead(tuple.Int(lead))}
-		if got := len(sh.byLead[k]); got != 8 {
+		sh := s.shards[s.shardIndex(k)]
+		if got := sh.leadSet(2, k.lead).len(); got != 8 {
 			t.Errorf("bucket lead=%d has %d tuples in its shard, want 8", lead, got)
 		}
 	}

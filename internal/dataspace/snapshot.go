@@ -75,19 +75,23 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 func (s *Store) ReadCheckpoint(r io.Reader) error {
 	start := time.Now()
 	defer func() { s.metrics.ObserveCheckpointRead(time.Since(start)) }()
-	s.lockSet(&s.all)
-	defer s.unlockSet(&s.all)
-	for _, sh := range s.shards {
-		if len(sh.entries) != 0 {
-			return fmt.Errorf("%w: store not empty", ErrBadCheckpoint)
-		}
-	}
-	data, err := io.ReadAll(r)
+	insts, version, err := DecodeCheckpoint(r)
 	if err != nil {
 		return err
 	}
+	return s.Restore(insts, version)
+}
+
+// DecodeCheckpoint is the checkpoint format's only reader: it returns the
+// instances in file order and the store version, or ErrBadCheckpoint for a
+// malformed file, a duplicate instance ID, NoID, or trailing bytes.
+func DecodeCheckpoint(r io.Reader) ([]Instance, uint64, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, err
+	}
 	if len(data) < 4 || [4]byte(data[:4]) != checkpointMagic {
-		return fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
 	data = data[4:]
 	next := func() (uint64, error) {
@@ -100,60 +104,121 @@ func (s *Store) ReadCheckpoint(r io.Reader) error {
 	}
 	fv, err := next()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	if fv != checkpointVersion {
-		return fmt.Errorf("%w: unsupported format version %d", ErrBadCheckpoint, fv)
+		return nil, 0, fmt.Errorf("%w: unsupported format version %d", ErrBadCheckpoint, fv)
 	}
-	storeVersion, err := next()
+	version, err := next()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	count, err := next()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	seen := make(map[tuple.ID]struct{}, count)
-	var maxID uint64
+	// A record is at least three bytes, which bounds what a corrupt count
+	// can make us reserve.
+	insts := make([]Instance, 0, min(count, uint64(len(data))/3))
 	for i := uint64(0); i < count; i++ {
 		id, err := next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		owner, err := next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		t, n, terr := tuple.DecodeTuple(data)
 		if terr != nil {
-			return fmt.Errorf("%w: record %d: %v", ErrBadCheckpoint, i, terr)
+			return nil, 0, fmt.Errorf("%w: record %d: %v", ErrBadCheckpoint, i, terr)
 		}
 		data = data[n:]
-		if _, dup := seen[tuple.ID(id)]; dup {
-			return fmt.Errorf("%w: duplicate instance %d", ErrBadCheckpoint, id)
-		}
-		seen[tuple.ID(id)] = struct{}{}
-		sh := s.shards[s.shardIndex(indexKeyOf(t))]
-		sh.entries[tuple.ID(id)] = entry{t: t, owner: tuple.ProcessID(owner)}
-		sh.indexAdd(tuple.ID(id), t)
-		if id > maxID {
-			maxID = id
-		}
+		insts = append(insts, Instance{ID: tuple.ID(id), Tuple: t, Owner: tuple.ProcessID(owner)})
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(data))
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(data))
 	}
-	s.version.Store(storeVersion)
+	if err := checkIDs(insts); err != nil {
+		return nil, 0, err
+	}
+	return insts, version, nil
+}
+
+// checkIDs rejects a configuration that carries the null instance ID or
+// the same ID twice. The checkpoint writer sorts by ID, and ascending IDs
+// rule duplicates out in one pass; only an unsorted input pays for a set.
+func checkIDs(insts []Instance) error {
+	ascending := true
+	for i, inst := range insts {
+		if inst.ID == tuple.NoID {
+			return fmt.Errorf("%w: instance %d carries the null ID", ErrBadCheckpoint, i)
+		}
+		if i > 0 && inst.ID <= insts[i-1].ID {
+			ascending = false
+		}
+	}
+	if ascending {
+		return nil
+	}
+	seen := make(map[tuple.ID]struct{}, len(insts))
+	for _, inst := range insts {
+		if _, dup := seen[inst.ID]; dup {
+			return fmt.Errorf("%w: duplicate instance %d", ErrBadCheckpoint, inst.ID)
+		}
+		seen[inst.ID] = struct{}{}
+	}
+	return nil
+}
+
+// Restore bulk-loads a decoded configuration (DecodeCheckpoint's result, or
+// a wal.State's Base) into an empty store and sets its version. Each
+// shard's entry map is sized once from the instance count instead of
+// growing through the load. Like ReadCheckpoint it refuses a store that
+// already holds tuples, and instances with null or duplicate IDs.
+func (s *Store) Restore(insts []Instance, version uint64) error {
+	if err := checkIDs(insts); err != nil {
+		return err
+	}
+	s.lockSet(&s.all)
+	defer s.unlockSet(&s.all)
+	for _, sh := range s.shards {
+		if len(sh.entries) != 0 {
+			return fmt.Errorf("%w: store not empty", ErrBadCheckpoint)
+		}
+	}
+	home := make([]uint32, len(insts))
+	perShard := make([]int, len(s.shards))
+	for i, inst := range insts {
+		home[i] = s.shardIndex(indexKeyOf(inst.Tuple))
+		perShard[home[i]]++
+	}
+	for si, sh := range s.shards {
+		sh.entries = make(map[tuple.ID]entry, perShard[si])
+	}
+	var maxID tuple.ID
+	for i, inst := range insts {
+		sh := s.shards[home[i]]
+		sh.entries[inst.ID] = entry{t: inst.Tuple, owner: inst.Owner}
+		sh.indexAdd(inst.ID, inst.Tuple)
+		maxID = max(maxID, inst.ID)
+	}
+	s.version.Store(version)
 	// Invalidate any epoch snapshots built against the pre-restore state.
 	for _, sh := range s.shards {
 		sh.seq.Add(1)
 	}
-	// Future IDs must not collide with restored instances.
+	s.reserveIDs(maxID)
+	return nil
+}
+
+// reserveIDs makes sure no future instance ID is at or below id (restored
+// and recovered instances keep theirs).
+func (s *Store) reserveIDs(id tuple.ID) {
 	for {
 		cur := s.nextID.Load()
-		if cur >= maxID || s.nextID.CompareAndSwap(cur, maxID) {
-			break
+		if cur >= uint64(id) || s.nextID.CompareAndSwap(cur, uint64(id)) {
+			return
 		}
 	}
-	return nil
 }

@@ -2,8 +2,11 @@ package dataspace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -151,5 +154,78 @@ func TestQuickCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckpointGoldenBytes restores a checkpoint written by the encoder of
+// commit 049c2d8 (before tuple.Value's payloads shared a word and before
+// the index layout changed) and requires the change to write the same
+// bytes back: the format is what the file says, not what the structs are.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint-049c2d8.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts, version, err := DecodeCheckpoint(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(insts) != 26 || version != 23 {
+		t.Fatalf("decoded %d instances at version %d, want 26 at 23", len(insts), version)
+	}
+	for _, shards := range []int{1, 16} {
+		s := New(WithShards(shards))
+		if err := s.ReadCheckpoint(bytes.NewReader(golden)); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		s.Snapshot(func(r Reader) {
+			if got := collect(r, 3, tuple.Int(2), true); len(got) != 2 {
+				t.Errorf("%d shards: <2, rec, *> serves %d tuples, want 2 (an int and a float lead)", shards, len(got))
+			}
+			if got := collect(r, 0, tuple.Value{}, false); len(got) != 1 {
+				t.Errorf("%d shards: the empty tuple was not restored", shards)
+			}
+		})
+		var out bytes.Buffer
+		if err := s.WriteCheckpoint(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), golden) {
+			t.Errorf("%d shards: re-written checkpoint differs from the golden bytes", shards)
+		}
+	}
+}
+
+// TestCheckpointRejectsBadIDs: a duplicate instance ID — adjacent or not,
+// in a file that is otherwise ascending or not — and the null ID are
+// ErrBadCheckpoint, from the decoder and from a direct Restore.
+func TestCheckpointRejectsBadIDs(t *testing.T) {
+	file := func(ids ...uint64) []byte {
+		buf := append([]byte(nil), checkpointMagic[:]...)
+		buf = binary.AppendUvarint(buf, checkpointVersion)
+		buf = binary.AppendUvarint(buf, 9)
+		buf = binary.AppendUvarint(buf, uint64(len(ids)))
+		for _, id := range ids {
+			buf = binary.AppendUvarint(buf, id)
+			buf = binary.AppendUvarint(buf, 1)
+			buf = tuple.AppendTuple(buf, year(int64(id)))
+		}
+		return buf
+	}
+	if err := New().ReadCheckpoint(bytes.NewReader(file(3, 1, 2))); err != nil {
+		t.Errorf("unsorted but duplicate-free: %v", err)
+	}
+	for _, ids := range [][]uint64{{1, 1}, {1, 2, 1}, {2, 1, 2}, {0}, {1, 0}} {
+		if _, _, err := DecodeCheckpoint(bytes.NewReader(file(ids...))); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("ids %v: err = %v", ids, err)
+		}
+	}
+	for _, insts := range [][]Instance{
+		{{ID: 4, Tuple: year(1)}, {ID: 4, Tuple: year(2)}},
+		{{ID: tuple.NoID, Tuple: year(1)}},
+	} {
+		if err := New().Restore(insts, 1); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("Restore(%v): err = %v", insts, err)
+		}
 	}
 }

@@ -73,16 +73,18 @@ const (
 	leadOther
 )
 
-// leadKey is the comparable canonical form of a leading field value.
+// leadKey is the comparable canonical form of a leading field value. num
+// holds a number's float64 bits (canonical, see tuple.Float — so a NaN lead
+// is an ordinary map key) or a bool's 0/1.
 type leadKey struct {
 	class leadClass
-	num   float64
+	num   uint64
 	str   string
 }
 
 func canonLead(v tuple.Value) leadKey {
 	if n, ok := v.Numeric(); ok {
-		return leadKey{class: leadNumber, num: n}
+		return leadKey{class: leadNumber, num: math.Float64bits(n)}
 	}
 	if a, ok := v.AsAtom(); ok {
 		return leadKey{class: leadAtom, str: a}
@@ -109,11 +111,16 @@ type indexKey struct {
 // indexKeyOf returns the bucket a tuple is indexed (and sharded) under.
 // Arity-0 tuples share the single zero-lead bucket.
 func indexKeyOf(t tuple.Tuple) indexKey {
-	a := t.Arity()
-	if a == 0 {
-		return indexKey{}
+	return indexKey{arity: t.Arity(), lead: leadOf(t)}
+}
+
+// leadOf returns the canonical lead a tuple is filed under within its
+// arity: its first field, or the zero key for the empty tuple.
+func leadOf(t tuple.Tuple) leadKey {
+	if t.Arity() == 0 {
+		return leadKey{}
 	}
-	return indexKey{arity: a, lead: canonLead(t.Field(0))}
+	return canonLead(t.Field(0))
 }
 
 // maxShards bounds the shard count so lock sets fit a fixed-size bitset
@@ -153,6 +160,13 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // subscription registry are guarded by its mu (the registry additionally
 // has its own short-lived mutex so Subscribe/Cancel need no shard lock).
 //
+// A stored tuple is resident in three places: its fields block (32 bytes a
+// field), its slot in entries, and its ID in one set of the lead index
+// byArity — arity, then canonical lead, then an idSet (idset.go) — from
+// which lead-known scans, arity scans, Arities and the planner's
+// cardinalities are all read. Hot secondary shapes (secondary.go) file the
+// ID once more per shape, in the same set type.
+//
 // The commuting commit path (see locktable.go) layers two more lock
 // classes around mu. intent separates the two commit disciplines: key-mode
 // commits hold it shared for their whole span, shard-mode commits hold it
@@ -170,13 +184,7 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 type shard struct {
 	mu      sync.RWMutex
 	entries map[tuple.ID]entry
-	byArity map[int]map[tuple.ID]struct{}
-	byLead  map[indexKey]map[tuple.ID]struct{}
-
-	// leadBuckets counts the live byLead buckets per arity (maintained by
-	// indexAdd/indexRemove) so the join planner's mean-bucket estimate is
-	// O(1) instead of an index walk.
-	leadBuckets map[int]int
+	byArity map[int]*arityIndex
 
 	// sec is the adaptive secondary field-index layer (secondary.go).
 	sec secondaryState
@@ -193,6 +201,42 @@ type shard struct {
 	staleReads atomic.Uint32 // epoch reads that found snap stale since the last commit
 
 	waiters waiterRegistry
+}
+
+// arityIndex is one arity's part of a shard's lead index. An arity is
+// present in shard.byArity exactly while n > 0.
+type arityIndex struct {
+	n     int     // tuples of this arity in the shard
+	leads idIndex // canonical lead → their IDs
+}
+
+// arityLen returns the number of tuples of the arity in the shard.
+func (sh *shard) arityLen(arity int) int {
+	if ai := sh.byArity[arity]; ai != nil {
+		return ai.n
+	}
+	return 0
+}
+
+// leadSet returns the IDs filed under (arity, lead); the zero set if none.
+func (sh *shard) leadSet(arity int, lead leadKey) idSet {
+	if ai := sh.byArity[arity]; ai != nil {
+		return ai.leads[lead]
+	}
+	return idSet{}
+}
+
+// eachOfArity visits the IDs of every tuple of the arity, bucket by bucket,
+// until fn returns false; it reports whether it ran to completion.
+func (sh *shard) eachOfArity(arity int, fn func(tuple.ID) bool) bool {
+	if ai := sh.byArity[arity]; ai != nil {
+		for _, set := range ai.leads {
+			if !set.each(fn) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Store is the shared dataspace. The zero value is not usable; construct
@@ -326,10 +370,8 @@ func New(opts ...Option) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			entries:     make(map[tuple.ID]entry),
-			byArity:     make(map[int]map[tuple.ID]struct{}),
-			byLead:      make(map[indexKey]map[tuple.ID]struct{}),
-			leadBuckets: make(map[int]int),
+			entries: make(map[tuple.ID]entry),
+			byArity: make(map[int]*arityIndex),
 		}
 		s.shards[i].sec.enabled = s.secondary
 		s.shards[i].sec.met = s.metrics
@@ -373,7 +415,7 @@ func hashKey(k indexKey) uint64 {
 	}
 	mix(uint64(k.arity))
 	mix(uint64(k.lead.class))
-	mix(math.Float64bits(k.lead.num))
+	mix(k.lead.num)
 	for i := 0; i < len(k.lead.str); i++ {
 		h ^= uint64(k.lead.str[i])
 		h *= prime64
@@ -396,23 +438,31 @@ func (s *Store) shardIndex(k indexKey) uint32 {
 	return uint32(hashKey(k)) & s.mask
 }
 
-// planShards maps interest keys onto the shard set their buckets live in.
-// A lead-unknown key of arity > 0 can match tuples in any shard, so it
-// widens the plan to every shard; arity-0 keys address the single
-// zero-lead bucket.
-func (s *Store) planShards(keys []InterestKey) shardSet {
-	var ss shardSet
-	for _, k := range keys {
-		switch {
-		case k.Arity == 0:
-			ss.add(s.shardIndex(indexKey{}))
-		case k.LeadKnown:
-			ss.add(s.shardIndex(indexKey{arity: k.Arity, lead: canonLead(k.Lead)}))
-		default:
-			return s.all
-		}
+// bucket returns the one index bucket an interest key addresses; ok=false
+// for a lead-unknown key of arity > 0, which can match in any bucket of its
+// arity. Arity-0 keys address the single zero-lead bucket.
+func (k InterestKey) bucket() (ik indexKey, ok bool) {
+	switch {
+	case k.Arity == 0:
+		return indexKey{}, true
+	case k.LeadKnown:
+		return indexKey{arity: k.Arity, lead: canonLead(k.Lead)}, true
 	}
-	return ss
+	return indexKey{}, false
+}
+
+// planShards maps interest keys onto the shard set their buckets live in.
+// A key without a single bucket widens the plan to every shard and makes
+// it unbounded.
+func (s *Store) planShards(keys []InterestKey) (ss shardSet, bounded bool) {
+	for _, k := range keys {
+		ik, ok := k.bucket()
+		if !ok {
+			return s.all, false
+		}
+		ss.add(s.shardIndex(ik))
+	}
+	return ss, true
 }
 
 func (s *Store) rlockSet(ss *shardSet) {
@@ -557,7 +607,8 @@ func (s *Store) Snapshot(fn func(r Reader)) {
 // derive keys from the same (arity, lead) pairs they will scan — the
 // transaction engine's footprint planner does.
 func (s *Store) SnapshotKeys(keys []InterestKey, fn func(r Reader)) {
-	s.snapshotSet(s.planShards(keys), fn)
+	ss, _ := s.planShards(keys)
+	s.snapshotSet(ss, fn)
 }
 
 func (s *Store) snapshotSet(ss shardSet, fn func(r Reader)) {
@@ -582,7 +633,8 @@ func (s *Store) Update(owner tuple.ProcessID, fn func(w Writer) error) error {
 // reports ErrNoSuchTuple for Deletes outside them; callers must plan keys
 // covering every bucket they scan, retract from, or assert into.
 func (s *Store) UpdateKeys(owner tuple.ProcessID, keys []InterestKey, fn func(w Writer) error) error {
-	_, err := s.updateSet(s.planShards(keys), owner, false, fn)
+	ss, _ := s.planShards(keys)
+	_, err := s.updateSet(ss, owner, false, fn)
 	return err
 }
 
@@ -766,39 +818,36 @@ func (r reader) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 			return // bucket outside the reader's locked footprint
 		}
 		sh := r.s.shards[si]
-		for id := range sh.byLead[k] {
-			if !fn(id, sh.entries[id].t) {
-				return
-			}
-		}
+		sh.leadSet(arity, k.lead).each(func(id tuple.ID) bool {
+			return fn(id, sh.entries[id].t)
+		})
 		return
 	}
 	// Lead unknown: tuples of this arity may live in any locked shard.
 	r.ss.forEach(func(si uint32) bool {
 		sh := r.s.shards[si]
-		for id := range sh.byArity[arity] {
-			if !fn(id, sh.entries[id].t) {
-				return false
-			}
-		}
-		return true
+		return sh.eachOfArity(arity, func(id tuple.ID) bool {
+			return fn(id, sh.entries[id].t)
+		})
 	})
 }
 
-func (r reader) Get(id tuple.ID) (Instance, bool) {
-	var (
-		inst Instance
-		ok   bool
-	)
-	r.ss.forEach(func(si uint32) bool {
-		if e, hit := r.s.shards[si].entries[id]; hit {
-			inst = Instance{ID: id, Tuple: e.t, Owner: e.owner}
-			ok = true
-			return false
-		}
-		return true
+// find locates an instance among the reader's locked shards.
+func (r reader) find(id tuple.ID) (si uint32, e entry, ok bool) {
+	r.ss.forEach(func(i uint32) bool {
+		si = i
+		e, ok = r.s.shards[i].entries[id]
+		return !ok
 	})
-	return inst, ok
+	return si, e, ok
+}
+
+func (r reader) Get(id tuple.ID) (Instance, bool) {
+	_, e, ok := r.find(id)
+	if !ok {
+		return Instance{}, false
+	}
+	return Instance{ID: id, Tuple: e.t, Owner: e.owner}, true
 }
 
 func (r reader) Each(fn func(Instance) bool) {
@@ -813,30 +862,25 @@ func (r reader) Each(fn func(Instance) bool) {
 }
 
 func (r reader) Arities() []int {
-	// Pre-size to the summed bucket counts; the cross-shard union is
-	// deduplicated with a linear probe (the arity population is tiny).
-	n := 0
-	r.ss.forEach(func(si uint32) bool {
-		n += len(r.s.shards[si].byArity)
-		return true
-	})
-	out := make([]int, 0, n)
+	out := make([]int, 0, 8)
 	r.ss.forEach(func(si uint32) bool {
 		for a := range r.s.shards[si].byArity {
-			dup := false
-			for _, have := range out {
-				if have == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, a)
-			}
+			out = addArity(out, a)
 		}
 		return true
 	})
 	return out
+}
+
+// addArity appends a to the arity list unless it is there; the arity
+// population is tiny, so the union is a linear probe.
+func addArity(out []int, a int) []int {
+	for _, have := range out {
+		if have == a {
+			return out
+		}
+	}
+	return append(out, a)
 }
 
 func (r reader) Version() uint64 { return r.s.version.Load() }
@@ -875,22 +919,11 @@ func (w *writer) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 //
 // lint:holds intent mu
 func (w *writer) Delete(id tuple.ID) error {
-	var (
-		sh *shard
-		si uint32
-		e  entry
-		ok bool
-	)
-	w.ss.forEach(func(i uint32) bool {
-		if got, hit := w.s.shards[i].entries[id]; hit {
-			sh, si, e, ok = w.s.shards[i], i, got, true
-			return false
-		}
-		return true
-	})
+	si, e, ok := w.find(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchTuple, id)
 	}
+	sh := w.s.shards[si]
 	delete(sh.entries, id)
 	sh.indexRemove(id, e.t)
 	w.deleted = append(w.deleted, Instance{ID: id, Tuple: e.t, Owner: e.owner})
@@ -917,56 +950,33 @@ func (w *writer) rollback() {
 	}
 }
 
-// indexAdd maintains the arity, lead, and secondary field indexes (plus
-// the lead-bucket cardinality counters) for one insert; every caller holds
-// the shard's exclusive mu.
+// indexAdd files one inserted tuple in the lead index and the hot secondary
+// shapes; every caller holds the shard's exclusive mu.
 //
 // lint:holds mu
 func (sh *shard) indexAdd(id tuple.ID, t tuple.Tuple) {
 	a := t.Arity()
-	byA := sh.byArity[a]
-	if byA == nil {
-		byA = make(map[tuple.ID]struct{})
-		sh.byArity[a] = byA
+	ai := sh.byArity[a]
+	if ai == nil {
+		ai = &arityIndex{leads: make(idIndex)}
+		sh.byArity[a] = ai
 	}
-	byA[id] = struct{}{}
-	if a > 0 {
-		k := indexKey{arity: a, lead: canonLead(t.Field(0))}
-		byL := sh.byLead[k]
-		if byL == nil {
-			byL = make(map[tuple.ID]struct{})
-			sh.byLead[k] = byL
-			sh.leadBuckets[a]++
-		}
-		byL[id] = struct{}{}
+	if ai.leads.add(leadOf(t), id) {
+		ai.n++
 	}
-	sh.secAdd(id, t)
+	sh.secEdit(id, t, idIndex.add)
 }
 
-// indexRemove maintains the arity, lead, and secondary field indexes (plus
-// the lead-bucket cardinality counters) for one delete; every caller holds
-// the shard's exclusive mu.
+// indexRemove is indexAdd's inverse for one delete; every caller holds the
+// shard's exclusive mu.
 //
 // lint:holds mu
 func (sh *shard) indexRemove(id tuple.ID, t tuple.Tuple) {
 	a := t.Arity()
-	if byA := sh.byArity[a]; byA != nil {
-		delete(byA, id)
-		if len(byA) == 0 {
+	if ai := sh.byArity[a]; ai != nil && ai.leads.remove(leadOf(t), id) {
+		if ai.n--; ai.n == 0 {
 			delete(sh.byArity, a)
 		}
 	}
-	if a > 0 {
-		k := indexKey{arity: a, lead: canonLead(t.Field(0))}
-		if byL := sh.byLead[k]; byL != nil {
-			delete(byL, id)
-			if len(byL) == 0 {
-				delete(sh.byLead, k)
-				if sh.leadBuckets[a]--; sh.leadBuckets[a] == 0 {
-					delete(sh.leadBuckets, a)
-				}
-			}
-		}
-	}
-	sh.secRemove(id, t)
+	sh.secEdit(id, t, idIndex.remove)
 }

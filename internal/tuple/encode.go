@@ -32,9 +32,9 @@ func AppendValue(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
 		dst = append(dst, v.str...)
 	case KindInt:
-		dst = binary.AppendVarint(dst, v.num)
+		dst = binary.AppendVarint(dst, int64(v.num))
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.flt))
+		dst = binary.LittleEndian.AppendUint64(dst, v.num)
 	case KindBool:
 		dst = append(dst, byte(v.num))
 	}
@@ -112,7 +112,3 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 	}
 	return Tuple{fields: fields}, n, nil
 }
-
-// mathFloat64bits is a tiny indirection so tuple.go does not import math
-// twice; kept here with the other encoding helpers.
-func mathFloat64bits(f float64) uint64 { return math.Float64bits(f) }

@@ -1,7 +1,7 @@
 package tuple
 
 import (
-	"hash/fnv"
+	"math"
 	"strings"
 )
 
@@ -105,42 +105,44 @@ func (t Tuple) Compare(u Tuple) int {
 
 // Hash returns a 64-bit content hash of the tuple, suitable for grouping
 // identical tuples in multiset accounting. Values that are Equal hash
-// equal (numeric values hash through their float64 representation).
+// equal (numeric values hash through their float64 representation). It is
+// FNV-1a over a kind tag, the payload bytes and a 0xFF separator per field,
+// written out inline so hashing allocates nothing.
 func (t Tuple) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, v := range t.fields {
 		switch v.kind {
-		case KindAtom:
-			buf[0] = 'a'
-			_, _ = h.Write(buf[:1])
-			_, _ = h.Write([]byte(v.str))
-		case KindString:
-			buf[0] = 's'
-			_, _ = h.Write(buf[:1])
-			_, _ = h.Write([]byte(v.str))
+		case KindAtom, KindString:
+			tag := byte('a')
+			if v.kind == KindString {
+				tag = 's'
+			}
+			h = (h ^ uint64(tag)) * prime64
+			for i := 0; i < len(v.str); i++ {
+				h = (h ^ uint64(v.str[i])) * prime64
+			}
 		case KindBool:
-			buf[0] = 'b'
-			buf[1] = byte(v.num)
-			_, _ = h.Write(buf[:2])
+			h = (h ^ 'b') * prime64
+			h = (h ^ uint64(byte(v.num))) * prime64
 		case KindInt, KindFloat:
 			// Hash through float64 so Int(2) and Float(2.0) collide,
 			// consistent with Equal.
 			n, _ := v.Numeric()
-			bits := mathFloat64bits(n)
-			buf[0] = 'n'
+			bits := math.Float64bits(n)
+			h = (h ^ 'n') * prime64
 			for i := 0; i < 8; i++ {
-				buf[1+i] = byte(bits >> (8 * i))
+				h = (h ^ uint64(byte(bits>>(8*i)))) * prime64
 			}
-			_, _ = h.Write(buf[:9])
 		default:
-			buf[0] = '?'
-			_, _ = h.Write(buf[:1])
+			h = (h ^ '?') * prime64
 		}
-		buf[0] = 0xFF // field separator
-		_, _ = h.Write(buf[:1])
+		h = (h ^ 0xFF) * prime64 // field separator
 	}
-	return h.Sum64()
+	return h
 }
 
 // String renders the tuple in the paper's angle-bracket notation,

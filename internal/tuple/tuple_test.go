@@ -1,6 +1,8 @@
 package tuple
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -127,4 +129,64 @@ func TestQuickTupleCompareAntisymmetric(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// fnvReferenceHash is Hash as it was first written — hash/fnv fed a kind
+// tag, the payload bytes and a 0xFF separator per field. The inlined Hash
+// must stay bit-identical to it: recovery's multiset proof compares hashes
+// computed on both sides of a crash.
+func fnvReferenceHash(t Tuple) uint64 {
+	h := fnv.New64a()
+	for _, v := range t.fields {
+		switch v.kind {
+		case KindAtom:
+			h.Write([]byte{'a'})
+			h.Write([]byte(v.str))
+		case KindString:
+			h.Write([]byte{'s'})
+			h.Write([]byte(v.str))
+		case KindBool:
+			h.Write([]byte{'b', byte(v.num)})
+		case KindInt, KindFloat:
+			n, _ := v.Numeric()
+			bits := math.Float64bits(n)
+			buf := []byte{'n', 0, 0, 0, 0, 0, 0, 0, 0}
+			for i := 0; i < 8; i++ {
+				buf[1+i] = byte(bits >> (8 * i))
+			}
+			h.Write(buf)
+		default:
+			h.Write([]byte{'?'})
+		}
+		h.Write([]byte{0xFF})
+	}
+	return h.Sum64()
+}
+
+func TestHashMatchesFNVReference(t *testing.T) {
+	fixed := []Tuple{
+		{},
+		New(Value{}),
+		New(Atom(""), String(""), Bool(true), Bool(false)),
+		New(Int(math.MinInt64), Int(math.MaxInt64), Float(math.Inf(-1)), Float(math.NaN()), Float(math.Copysign(0, -1))),
+		New(Atom("rec"), Int(7), String("héllo\x00")),
+	}
+	for _, tp := range fixed {
+		if got, want := tp.Hash(), fnvReferenceHash(tp); got != want {
+			t.Errorf("Hash(%v) = %#x, reference %#x", tp, got, want)
+		}
+	}
+	f := func(tp Tuple) bool { return tp.Hash() == fnvReferenceHash(tp) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestHashDoesNotAllocate(t *testing.T) {
+	tp := New(Int(42), Atom("rec"), String("a string payload"), Float(2.5), Bool(true))
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += tp.Hash() }); n != 0 {
+		t.Errorf("Hash allocates %v times per call, want 0", n)
+	}
+	_ = sink
 }

@@ -6,6 +6,7 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,11 +46,17 @@ func (k Kind) String() string {
 // Value is a single field of a tuple. Values are immutable and comparable
 // with ==, so they can be used directly as map keys (the dataspace indexes
 // rely on this).
+//
+// Every scalar payload shares one 8-byte word, which keeps a Value at 32
+// bytes (a 3-field tuple is one 96-byte block). Because == compares that
+// word bit for bit, Float stores a canonical bit pattern: -0.0 is stored as
+// +0.0 and every NaN as the one quiet NaN, so same-kind == agrees with
+// numeric equality on zeros and a NaN equals itself (it can be found in,
+// and deleted from, a map).
 type Value struct {
 	kind Kind
-	num  int64   // int payload, or bool (0/1)
-	flt  float64 // float payload
-	str  string  // atom or string payload
+	num  uint64 // int (two's complement), float (canonical IEEE-754 bits) or bool (0/1) payload
+	str  string // atom or string payload
 }
 
 // Atom returns an atom value. Atoms are symbolic constants such as `year`
@@ -57,17 +64,26 @@ type Value struct {
 func Atom(name string) Value { return Value{kind: KindAtom, str: name} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, num: v} }
+func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
 
-// Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, flt: v} }
+// Float returns a floating-point value, canonicalized so that == on Values
+// is numeric equality: -0.0 becomes +0.0 and every NaN the same NaN.
+func Float(v float64) Value {
+	switch {
+	case v == 0:
+		v = 0 // drops the sign of -0.0
+	case v != v:
+		v = math.NaN()
+	}
+	return Value{kind: KindFloat, num: math.Float64bits(v)}
+}
 
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, str: v} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var n int64
+	var n uint64
 	if v {
 		n = 1
 	}
@@ -84,10 +100,12 @@ func (v Value) IsValid() bool { return v.kind != KindInvalid }
 func (v Value) AsAtom() (string, bool) { return v.str, v.kind == KindAtom }
 
 // AsInt returns the integer payload; ok is false if the value is not an int.
-func (v Value) AsInt() (int64, bool) { return v.num, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) { return int64(v.num), v.kind == KindInt }
 
 // AsFloat returns the float payload; ok is false if the value is not a float.
-func (v Value) AsFloat() (float64, bool) { return v.flt, v.kind == KindFloat }
+func (v Value) AsFloat() (float64, bool) {
+	return math.Float64frombits(v.num), v.kind == KindFloat
+}
 
 // AsString returns the string payload; ok is false if the value is not a
 // string.
@@ -101,9 +119,9 @@ func (v Value) AsBool() (bool, bool) { return v.num != 0, v.kind == KindBool }
 func (v Value) Numeric() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.num), true
+		return float64(int64(v.num)), true
 	case KindFloat:
-		return v.flt, true
+		return math.Float64frombits(v.num), true
 	default:
 		return 0, false
 	}
@@ -111,7 +129,8 @@ func (v Value) Numeric() (float64, bool) {
 
 // Equal reports value equality. Unlike ==, Equal treats an int and a float
 // holding the same mathematical value as equal (2 == 2.0), matching the
-// paper's untyped treatment of numbers in queries.
+// paper's untyped treatment of numbers in queries. Within one kind Equal is
+// ==, so a NaN equals itself and no int.
 func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {
 		return v == w
@@ -121,10 +140,10 @@ func (v Value) Equal(w Value) bool {
 	return vok && wok && vn == wn
 }
 
-// Compare orders two values. Numbers order numerically across int/float;
-// otherwise values order first by kind, then by payload. It returns -1, 0,
-// or +1. A total order over all values is needed by ∀-transactions and by
-// deterministic test fixtures.
+// Compare orders two values. Numbers order numerically across int/float
+// (NaN before every other number); otherwise values order first by kind,
+// then by payload. It returns -1, 0, or +1. A total order over all values
+// is needed by ∀-transactions and by deterministic test fixtures.
 func (v Value) Compare(w Value) int {
 	vn, vok := v.Numeric()
 	wn, wok := w.Numeric()
@@ -133,6 +152,15 @@ func (v Value) Compare(w Value) int {
 		case vn < wn:
 			return -1
 		case vn > wn:
+			return 1
+		case vn == wn:
+			return 0
+		}
+		// Unordered: at least one side is NaN.
+		switch {
+		case wn == wn:
+			return -1
+		case vn == vn:
 			return 1
 		default:
 			return 0
@@ -165,9 +193,9 @@ func (v Value) String() string {
 	case KindAtom:
 		return v.str
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(int64(v.num), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.flt, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.str)
 	case KindBool:

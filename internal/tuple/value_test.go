@@ -1,10 +1,12 @@
 package tuple
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -44,6 +46,65 @@ func TestZeroValueIsInvalid(t *testing.T) {
 	}
 	if v.Kind() != KindInvalid {
 		t.Errorf("zero Value kind = %v", v.Kind())
+	}
+}
+
+// TestValueLayout guards the resident size of a field: every scalar payload
+// shares one word beside the kind and the string header. A fourth word here
+// is 8 bytes per stored field of every dataspace.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", got)
+	}
+}
+
+// TestFloatCanonicalForm pins what folding the float payload into a word
+// compared with == must preserve (zeros) and what it decides (NaN).
+func TestFloatCanonicalForm(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	if !Float(0).Equal(negZero) || Float(0) != negZero {
+		t.Error("Float(0) and Float(-0.0) must be Equal and ==")
+	}
+	if f, _ := negZero.AsFloat(); math.Signbit(f) {
+		t.Error("Float(-0.0) kept its sign bit")
+	}
+	if !Int(0).Equal(negZero) || Int(0).Compare(negZero) != 0 {
+		t.Error("Int(0) and Float(-0.0) must be Equal and Compare 0")
+	}
+	if New(Float(0)).Hash() != New(negZero).Hash() || New(Int(0)).Hash() != New(negZero).Hash() {
+		t.Error("zeros that are Equal must hash equal")
+	}
+	if !Int(2).Equal(Float(2)) || New(Int(2)).Hash() != New(Float(2)).Hash() {
+		t.Error("Int(2) and Float(2) must be Equal and hash equal")
+	}
+
+	// NaN: one canonical pattern, equal to itself (so usable as a map key),
+	// equal to no other number, and ordered before all of them.
+	nan := Float(math.NaN())
+	other := Float(math.Float64frombits(0x7ff8dead00000001))
+	if nan != other || !nan.Equal(other) || nan.Compare(other) != 0 {
+		t.Error("every NaN must be the same Value")
+	}
+	if f, ok := nan.AsFloat(); !ok || !math.IsNaN(f) {
+		t.Errorf("AsFloat(NaN) = %v, %v", f, ok)
+	}
+	if New(nan).Hash() != New(other).Hash() {
+		t.Error("NaNs that are Equal must hash equal")
+	}
+	m := map[Value]int{nan: 1}
+	if m[other] != 1 {
+		t.Error("a NaN Value must be retrievable from a map")
+	}
+	for _, v := range []Value{Int(1), Float(-1e300), Float(math.Inf(-1))} {
+		if nan.Equal(v) || v.Equal(nan) {
+			t.Errorf("NaN must not Equal %v", v)
+		}
+		if nan.Compare(v) != -1 || v.Compare(nan) != 1 {
+			t.Errorf("NaN must order before %v", v)
+		}
+	}
+	if got := nan.String(); got != "NaN" {
+		t.Errorf("NaN renders as %q", got)
 	}
 }
 

@@ -2,8 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
@@ -32,8 +30,9 @@ type RecoveryStats struct {
 //
 //  1. Read the newest valid checkpoint and the gap-free record suffix
 //     after it (ReadState).
-//  2. Restore the checkpoint into the store (shard-count independent) and
-//     replay the suffix record-by-record through Store.ApplyRecovered.
+//  2. Install the checkpoint ReadState already decoded into the store
+//     (Store.Restore, shard-count independent) and replay the suffix
+//     record-by-record through Store.ApplyRecovered.
 //  3. Verify: refmodel.ReplayFrom re-executes checkpoint+suffix on the
 //     naive reference model, and its content multiset must equal the
 //     recovered store's. Recovery refuses to hand back a store it cannot
@@ -58,13 +57,7 @@ func (l *Log) Recover(s *dataspace.Store) (*RecoveryStats, error) {
 		return nil, err
 	}
 	if st.CheckpointSeq != 0 {
-		f, err := os.Open(filepath.Join(l.dir, checkpointName(st.CheckpointSeq)))
-		if err != nil {
-			return nil, fmt.Errorf("wal: recover checkpoint: %w", err)
-		}
-		err = s.ReadCheckpoint(f)
-		f.Close()
-		if err != nil {
+		if err := s.Restore(st.Base, st.CheckpointVersion); err != nil {
 			return nil, fmt.Errorf("wal: recover checkpoint: %w", err)
 		}
 	}

@@ -128,20 +128,16 @@ func ReadState(dir string) (*State, error) {
 	return st, nil
 }
 
-// readCheckpointFile decodes a checkpoint through the store's own restore
-// path (a throwaway single-shard store), so the format has exactly one
-// reader and checkpoints stay shard-count independent.
+// readCheckpointFile decodes a checkpoint with the store's own decoder, so
+// the format has exactly one reader; nothing is indexed until Recover
+// installs the result.
 func readCheckpointFile(path string) ([]dataspace.Instance, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	tmp := dataspace.New(dataspace.WithShards(1))
-	if err := tmp.ReadCheckpoint(f); err != nil {
-		return nil, 0, err
-	}
-	return tmp.All(), tmp.Version(), nil
+	return dataspace.DecodeCheckpoint(f)
 }
 
 // SegmentFiles returns the directory's segment paths in ascending sequence

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit perf-test perf-pair check bench bench-json bench-gate analyze-bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
+.PHONY: all build vet test race alloc-guard audit perf-test perf-pair check bench bench-json bench-gate analyze-bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
 
 all: check
 
@@ -20,6 +20,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The count-exact allocation guards (what a match, a solution, an upsert and
+# a read may allocate). They skip under the race detector — it allocates on
+# its own and sync.Pool drops Puts there — so the race target above does not
+# run them; this does.
+alloc-guard:
+	$(GO) test -run 'Alloc|Allocates' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/txn .
 
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:
@@ -76,7 +83,7 @@ perf-pair:
 	bash scripts/perf-pair.sh $(W) $(N) $(S)
 
 # The verification gate: everything a commit must pass.
-check: vet build race audit analyze-smoke sched-test explore-smoke wal-smoke perf-test
+check: vet build race alloc-guard audit analyze-smoke sched-test explore-smoke wal-smoke perf-test
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
@@ -109,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/lang
 	$(GO) test -fuzz=FuzzLex -fuzztime=10s -run '^$$' ./internal/lang
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./internal/pattern
+	$(GO) test -fuzz=FuzzEnumerate -fuzztime=10s -run '^$$' ./internal/pattern
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz=FuzzDataflow -fuzztime=10s -run '^$$' ./internal/analysis/dataflow
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/wal

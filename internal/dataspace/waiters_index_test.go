@@ -24,7 +24,7 @@ func (f *matchFilter) accept(d Delta) bool {
 		return false
 	}
 	for _, p := range f.pats {
-		if _, ok := p.MatchInto(d.Inst.Tuple, nil); ok {
+		if p.Match(d.Inst.Tuple, nil, nil) {
 			return true
 		}
 	}

@@ -1,0 +1,344 @@
+package pattern_test
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/pattern"
+	"github.com/sdl-lang/sdl/internal/refmodel"
+	"github.com/sdl-lang/sdl/internal/tuple"
+)
+
+// FuzzEnumerate and TestEnumerateMatchesOracle check the compiled matcher
+// against refmodel.Solutions — nested loops in written order, a cloned
+// environment per candidate, no planner, no frame, no index — on random
+// multi-pattern queries over random tuple sets: constants, wildcards, shared
+// and repeated variables, computed fields, guards, negated patterns with and
+// without guards, retract tags, a test query, a non-empty base environment.
+// Per query, through a plain Source and through the adversarial wideSource,
+// under PlanAuto and PlanWritten:
+//
+//   - SolveAll's solution multiset (environment + retracted instances)
+//     equals the oracle's, and Solve finds a member of it iff it is non-empty;
+//   - the caller's base environment is untouched;
+//   - a solution handed to a consumer that stops the enumeration stays
+//     intact while the pooled matcher serves other enumerations;
+//   - an enumeration started from inside the consumer neither disturbs the
+//     outer run nor is disturbed by it.
+//
+// Evaluation errors (an unbound variable or a type error in a guard or the
+// test query) abort an enumeration at the first candidate that raises one,
+// and which candidate that is depends on the join order: under PlanWritten
+// the matcher must fail exactly when the oracle does, under PlanAuto a run
+// where either side fails is not compared. Nor is a PlanAuto run of a query
+// that writes a computed field before the pattern binding its variables:
+// evaluated as written such a field never matches, while the planner places
+// its pattern after the binder and finds the declarative answer.
+
+var (
+	enumVals = []tuple.Value{
+		tuple.Int(0), tuple.Int(1), tuple.Int(2), tuple.Int(3),
+		tuple.Atom("a"), tuple.Atom("b"), tuple.Float(1), tuple.Bool(true),
+	}
+	enumNames = []string{"x", "y", "z", "w"}
+)
+
+// enumInput is one decoded fuzz case.
+type enumInput struct {
+	q      pattern.Query
+	tuples []tuple.Tuple
+	base   expr.Env
+}
+
+// decodeEnumInput consumes data into a query, a tuple set and a base
+// environment. Every byte string decodes to something valid; exhausted input
+// reads zeros.
+func decodeEnumInput(data []byte) enumInput {
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		b := data[pos]
+		pos++
+		return int(b)
+	}
+	val := func() tuple.Value {
+		// Mostly the small integers, so joins and equalities actually fire.
+		if b := next(); b%4 != 0 {
+			return enumVals[(b/4)%4]
+		} else {
+			return enumVals[(b/4)%len(enumVals)]
+		}
+	}
+	name := func() string { return enumNames[next()%len(enumNames)] }
+	operand := func() expr.Expr {
+		if b := next(); b%3 == 0 {
+			return expr.Const(enumVals[(b/3)%4])
+		}
+		return expr.V(name())
+	}
+	predicate := func() expr.Expr {
+		l, r := operand(), operand()
+		switch next() % 6 {
+		case 0:
+			return expr.Eq(l, r)
+		case 1:
+			return expr.Ne(l, r)
+		case 2:
+			return expr.Lt(l, r)
+		case 3:
+			return expr.Ge(l, r)
+		case 4: // may raise a type error on an atom
+			return expr.Gt(expr.Add(l, expr.Const(tuple.Int(1))), r)
+		default:
+			return expr.Or(expr.Eq(l, r), expr.Lt(l, operand()))
+		}
+	}
+
+	var in enumInput
+	for n := next() % 13; len(in.tuples) < n; {
+		vals := make([]tuple.Value, 1+next()%3)
+		for i := range vals {
+			vals[i] = val()
+		}
+		in.tuples = append(in.tuples, tuple.New(vals...))
+	}
+	in.q.Quant = pattern.Exists
+	if next()%2 == 0 {
+		in.q.Quant = pattern.ForAll
+	}
+	for n := 1 + next()%4; len(in.q.Patterns) < n; {
+		var p pattern.Pattern
+		for arity := 1 + next()%3; len(p.Fields) < arity; {
+			switch next() % 8 {
+			case 0, 1:
+				p.Fields = append(p.Fields, pattern.C(val()))
+			case 2:
+				p.Fields = append(p.Fields, pattern.W())
+			case 3:
+				p.Fields = append(p.Fields, pattern.E(expr.Add(operand(), expr.Const(tuple.Int(int64(next()%2))))))
+			default:
+				p.Fields = append(p.Fields, pattern.V(name()))
+			}
+		}
+		switch next() % 8 {
+		case 0, 1:
+			p.Retract = true
+		case 2:
+			p.Negated = true
+		}
+		if next()%4 == 0 {
+			p.Guard = predicate()
+		}
+		in.q.Patterns = append(in.q.Patterns, p)
+	}
+	if next()%4 == 0 {
+		in.q.Test = predicate()
+	}
+	if n := next() % 4; n > 0 {
+		in.base = expr.Env{}
+		for ; n > 1; n-- {
+			in.base[name()] = val()
+		}
+		in.base["p"] = val() // a parameter no pattern mentions
+	}
+	return in
+}
+
+// scopedAsWritten reports whether every computed field of q reads only
+// variables in scope where it is written: the base environment's, those of
+// earlier positive patterns, and those of earlier fields of its own pattern.
+func scopedAsWritten(q pattern.Query, base expr.Env) bool {
+	bound := map[string]bool{}
+	for name := range base {
+		bound[name] = true
+	}
+	scoped := func(p pattern.Pattern) (local []string, ok bool) {
+		for _, f := range p.Fields {
+			switch f.Kind {
+			case pattern.FieldVar:
+				local = append(local, f.Name)
+			case pattern.FieldExpr:
+				for _, v := range f.Expr.Vars(nil) {
+					if !bound[v] && !slices.Contains(local, v) {
+						return nil, false
+					}
+				}
+			}
+		}
+		return local, true
+	}
+	for _, negated := range []bool{false, true} {
+		for _, p := range q.Patterns {
+			if p.Negated != negated {
+				continue
+			}
+			local, ok := scoped(p)
+			if !ok {
+				return false
+			}
+			for _, v := range local {
+				bound[v] = bound[v] || !negated
+			}
+		}
+	}
+	return true
+}
+
+// solutionKey renders a solution canonically: sorted bindings, then the
+// sorted retracted instances (the matcher lists them in join order, the
+// oracle in written order). Numbers render by value: 1 and 1.0 are Equal, and
+// which of the two a variable holds depends on which pattern bound it first.
+func solutionKey(env expr.Env, retracted []tuple.ID) string {
+	parts := make([]string, 0, len(env))
+	for k, v := range env {
+		if n, ok := v.Numeric(); ok {
+			parts = append(parts, fmt.Sprintf("%s=%g", k, n))
+		} else {
+			parts = append(parts, fmt.Sprintf("%s=%v/%d", k, v, v.Kind()))
+		}
+	}
+	slices.Sort(parts)
+	ids := slices.Clone(retracted)
+	slices.Sort(ids)
+	return fmt.Sprintf("%s | %v", strings.Join(parts, " "), ids)
+}
+
+func bindingKeys(sols []pattern.Binding) map[string]int {
+	out := map[string]int{}
+	for _, b := range sols {
+		for _, m := range b.Matched {
+			if !m.Retract {
+				panic("Binding.Matched lists a read pattern's match")
+			}
+		}
+		out[solutionKey(b.Env, b.RetractedIDs())]++
+	}
+	return out
+}
+
+func checkEnumerate(t *testing.T, data []byte) {
+	in := decodeEnumInput(data)
+	window := make([]refmodel.Instance, len(in.tuples))
+	for i, tp := range in.tuples {
+		window[i] = refmodel.Instance{ID: tuple.ID(i + 1), Tuple: tp}
+	}
+	oracle, oracleErr := refmodel.Solutions(in.q, window, in.base)
+	want := map[string]int{}
+	for _, s := range oracle {
+		want[solutionKey(s.Env, s.Retracted)]++
+	}
+	baseBefore := in.base.Clone()
+
+	sources := map[string]func() pattern.Source{
+		"plain": func() pattern.Source { return pattern.NewSliceSource(in.tuples) },
+		"wide":  func() pattern.Source { return pattern.NewWideSource(in.tuples) },
+	}
+	for srcName, mk := range sources {
+		for _, plan := range []pattern.Plan{pattern.PlanAuto, pattern.PlanWritten} {
+			q := in.q
+			q.Plan = plan
+			where := fmt.Sprintf("%s over %v from %v (%s source, plan %d)", q, in.tuples, baseBefore, srcName, plan)
+
+			sols, err := pattern.SolveAll(q, mk(), in.base)
+			if plan == pattern.PlanWritten && (err != nil) != (oracleErr != nil) {
+				t.Fatalf("%s: error %v, oracle %v", where, err, oracleErr)
+			}
+			if err != nil || oracleErr != nil || plan == pattern.PlanAuto && !scopedAsWritten(q, in.base) {
+				continue
+			}
+			if got := bindingKeys(sols); !maps.Equal(got, want) {
+				t.Fatalf("%s:\n got %v\nwant %v", where, got, want)
+			}
+
+			one, found, err := pattern.Solve(q, mk(), in.base)
+			if err != nil || found != (len(want) > 0) {
+				t.Fatalf("%s: Solve found %v, err %v; oracle has %d solutions", where, found, err, len(oracle))
+			}
+			if found && want[solutionKey(one.Env, one.RetractedIDs())] == 0 {
+				t.Fatalf("%s: Solve returned %v, not an oracle solution", where, one)
+			}
+
+			// Early stop: keep the solution the consumer stopped on, let the
+			// pooled matcher serve other runs, then look at it again.
+			var kept pattern.Binding
+			var keptKey string
+			if err := pattern.Enumerate(q, mk(), in.base, func(b pattern.Binding) bool {
+				kept, keptKey = b, solutionKey(b.Env, b.RetractedIDs())
+				return false
+			}); err != nil {
+				t.Fatalf("%s: early-stopped run: %v", where, err)
+			}
+			if _, err := pattern.SolveAll(q, mk(), in.base); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if len(want) > 0 && (solutionKey(kept.Env, kept.RetractedIDs()) != keptKey || want[keptKey] == 0) {
+				t.Fatalf("%s: handed-off solution changed from %s to %v", where, keptKey, kept)
+			}
+
+			// Re-entrancy: every solution of the outer run starts a nested
+			// run; both must see the oracle's solutions.
+			var outer []pattern.Binding
+			if err := pattern.Enumerate(q, mk(), in.base, func(b pattern.Binding) bool {
+				outer = append(outer, b)
+				inner, err := pattern.SolveAll(q, mk(), in.base)
+				if err != nil || !maps.Equal(bindingKeys(inner), want) {
+					t.Fatalf("%s: nested run: %v, err %v; want %v", where, bindingKeys(inner), err, want)
+				}
+				return true
+			}); err != nil {
+				t.Fatalf("%s: outer run: %v", where, err)
+			}
+			if got := bindingKeys(outer); !maps.Equal(got, want) {
+				t.Fatalf("%s: outer run around nested ones:\n got %v\nwant %v", where, got, want)
+			}
+		}
+	}
+	if len(in.base) != len(baseBefore) {
+		t.Fatalf("base environment changed: %v, had %v", in.base, baseBefore)
+	}
+	for k, v := range baseBefore {
+		if w, ok := in.base[k]; !ok || w != v {
+			t.Fatalf("base environment changed: %v, had %v", in.base, baseBefore)
+		}
+	}
+}
+
+func FuzzEnumerate(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 5, 2, 1, 5, 9, 0, 1, 1, 1, 5, 4, 0, 7, 3})
+	// <?x, ?y>!, <?y, ?z>!, not <?z> over a handful of pairs, forall.
+	f.Add([]byte{6, 1, 5, 9, 1, 9, 13, 1, 13, 5, 1, 5, 5, 0, 9, 0, 0, 2, 1, 4, 0, 4, 1, 0, 1, 1, 4, 1, 4, 2, 0, 1, 0, 4, 2, 2, 1})
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 96)
+		r.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(checkEnumerate)
+}
+
+// TestEnumerateMatchesOracle runs the fuzz body over a fixed pseudo-random
+// corpus, so the differential check rides every `go test`.
+func TestEnumerateMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	compared := 0
+	for round := 0; round < 4000; round++ {
+		data := make([]byte, 32+r.Intn(96))
+		r.Read(data)
+		in := decodeEnumInput(data)
+		if sols, err := pattern.SolveAll(in.q, pattern.NewSliceSource(in.tuples), in.base); err == nil && len(sols) > 0 {
+			compared++
+		}
+		checkEnumerate(t, data)
+	}
+	if compared < 400 {
+		t.Fatalf("only %d of 4000 random queries had a solution: the corpus exercises too little", compared)
+	}
+}

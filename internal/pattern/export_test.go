@@ -1,0 +1,15 @@
+package pattern
+
+import "github.com/sdl-lang/sdl/internal/tuple"
+
+// The in-package test sources, for the external differential tests
+// (package pattern_test, which may import the reference model). Instance i
+// of ts gets ID i+1.
+
+// NewSliceSource returns a plain Source over ts.
+func NewSliceSource(ts []tuple.Tuple) Source { return &sliceSource{tuples: ts} }
+
+// NewWideSource returns the adversarial FieldSource over ts (see wideSource).
+func NewWideSource(ts []tuple.Tuple) Source {
+	return &wideSource{sliceSource: sliceSource{tuples: ts}}
+}

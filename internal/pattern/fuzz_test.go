@@ -7,12 +7,14 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// FuzzMatch drives MatchInto with randomly decoded (pattern, tuple,
-// pre-bound environment) triples and checks it against naiveMatch, an
-// independently written structural walk with none of MatchInto's
-// copy-on-write optimization. The two must agree on the match verdict and
-// on every binding, and MatchInto must never mutate the caller's
-// environment.
+// FuzzMatch drives Pattern.Match — the compiled single-pattern match behind
+// view admission and the publisher-side delta filter — with randomly decoded
+// (pattern, tuple, pre-bound environment) triples and checks it against
+// naiveMatch, an independently written structural walk with no compile step,
+// no slot frame and no stack buffers. The two must agree on the match
+// verdict and on every binding a where clause sees, the verdict must not
+// depend on whether a where clause is there to look, and Match must never
+// mutate the caller's environment.
 
 // fuzz value/expression/variable pools: small enough that random inputs
 // collide often (bound-variable re-checks, expression equalities actually
@@ -126,6 +128,25 @@ func sameEnv(a, b expr.Env) bool {
 	return true
 }
 
+// envSpy is a where clause that records the environment it is evaluated
+// under and holds.
+type envSpy struct{ seen *expr.Env }
+
+func (s envSpy) Eval(env expr.Env) (tuple.Value, error) {
+	*s.seen = env.Clone()
+	return tuple.Bool(true), nil
+}
+func (envSpy) Vars(dst []string) []string { return dst }
+func (envSpy) String() string             { return "spy" }
+
+// matchEnv matches p against t under env and returns the environment a
+// where clause is evaluated under (nil when the match fails before it).
+func matchEnv(p Pattern, t tuple.Tuple, env expr.Env) (expr.Env, bool) {
+	var seen expr.Env
+	ok := p.Match(t, env, envSpy{&seen})
+	return seen, ok
+}
+
 func FuzzMatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 1, 2, 0, 2, 0, 1, 1, 2, 0}) // const+var vs 2-tuple, one binding
@@ -133,12 +154,9 @@ func FuzzMatch(f *testing.F) {
 	f.Add([]byte{4, 1, 3, 5, 2, 1, 2, 2, 4, 2, 3, 4, 2, 1, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pat, tup, env := decodeMatchInput(data)
-		before := expr.Env{}
-		for k, v := range env {
-			before[k] = v
-		}
+		before := env.Clone()
 
-		gotEnv, gotOK := pat.MatchInto(tup, env)
+		gotEnv, gotOK := matchEnv(pat, tup, env)
 		wantEnv, wantOK := naiveMatch(pat, tup, env)
 
 		if gotOK != wantOK {
@@ -147,12 +165,12 @@ func FuzzMatch(f *testing.F) {
 		if gotOK && !sameEnv(gotEnv, wantEnv) {
 			t.Fatalf("match(%s, %s, %v): env %v, oracle %v", pat, tup, before, gotEnv, wantEnv)
 		}
-		if !gotOK && !sameEnv(gotEnv, before) {
-			t.Fatalf("failed match returned altered env %v, had %v", gotEnv, before)
+		if bare := pat.Match(tup, env, nil); bare != wantOK {
+			t.Fatalf("match(%s, %s, %v) without a where clause = %v, oracle says %v", pat, tup, before, bare, wantOK)
 		}
 		// The caller's map must be untouched either way.
 		if !sameEnv(env, before) {
-			t.Fatalf("MatchInto mutated caller env: %v, had %v", env, before)
+			t.Fatalf("Match mutated caller env: %v, had %v", env, before)
 		}
 	})
 }

@@ -143,6 +143,7 @@ func TestLeadKnownFieldLookupMatchesOracle(t *testing.T) {
 		data := make([]byte, 24)
 		r.Read(data)
 		pat, _, env := decodeMatchInput(data)
+		pat.Retract = true // solutions then name the instance they matched
 		var store []tuple.Tuple
 		for i := 0; i < 40; i++ {
 			vals := make([]tuple.Value, len(pat.Fields))

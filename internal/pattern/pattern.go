@@ -173,56 +173,6 @@ func (p Pattern) Lead(env expr.Env) (v tuple.Value, known bool) {
 	}
 }
 
-// MatchInto attempts to match p against t under env. On success it returns
-// true and env extended with any new bindings; the returned env is a fresh
-// map only when new bindings were added (callers must treat it as
-// read-through). On failure it returns env unchanged and false.
-func (p Pattern) MatchInto(t tuple.Tuple, env expr.Env) (expr.Env, bool) {
-	if t.Arity() != len(p.Fields) {
-		return env, false
-	}
-	var extended expr.Env
-	current := func() expr.Env {
-		if extended != nil {
-			return extended
-		}
-		return env
-	}
-	for i, f := range p.Fields {
-		fv := t.Field(i)
-		switch f.Kind {
-		case FieldWildcard:
-			// matches anything
-		case FieldConst:
-			if !f.Value.Equal(fv) {
-				return env, false
-			}
-		case FieldVar:
-			if bound, ok := current()[f.Name]; ok {
-				if !bound.Equal(fv) {
-					return env, false
-				}
-			} else {
-				if extended == nil {
-					extended = env.Clone()
-				}
-				extended[f.Name] = fv
-			}
-		case FieldExpr:
-			want, err := f.Expr.Eval(current())
-			if err != nil {
-				return env, false
-			}
-			if !want.Equal(fv) {
-				return env, false
-			}
-		default:
-			return env, false
-		}
-	}
-	return current(), true
-}
-
 // Vars appends the variables that the pattern can bind (FieldVar names in
 // positive patterns) to dst.
 func (p Pattern) Vars(dst []string) []string {
@@ -262,5 +212,5 @@ func (p Pattern) Ground(env expr.Env) (tuple.Tuple, error) {
 			return tuple.Tuple{}, fmt.Errorf("pattern: ground: field %d is not groundable", i)
 		}
 	}
-	return tuple.New(fields...), nil
+	return tuple.Adopt(fields), nil
 }

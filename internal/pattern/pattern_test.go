@@ -75,11 +75,11 @@ func TestPatternValidate(t *testing.T) {
 	}
 }
 
-func TestMatchIntoBasics(t *testing.T) {
+func TestMatchBasics(t *testing.T) {
 	tp := tuple.New(tuple.Atom("year"), tuple.Int(90))
 
 	// Constant + fresh variable.
-	env, ok := P(C(tuple.Atom("year")), V("a")).MatchInto(tp, expr.Env{})
+	env, ok := matchEnv(P(C(tuple.Atom("year")), V("a")), tp, expr.Env{})
 	if !ok {
 		t.Fatal("expected match")
 	}
@@ -88,20 +88,20 @@ func TestMatchIntoBasics(t *testing.T) {
 	}
 
 	// Arity mismatch.
-	if _, ok := P(C(tuple.Atom("year"))).MatchInto(tp, expr.Env{}); ok {
+	if _, ok := matchEnv(P(C(tuple.Atom("year"))), tp, expr.Env{}); ok {
 		t.Error("arity mismatch should fail")
 	}
 
 	// Constant mismatch.
-	if _, ok := P(C(tuple.Atom("month")), W()).MatchInto(tp, expr.Env{}); ok {
+	if _, ok := matchEnv(P(C(tuple.Atom("month")), W()), tp, expr.Env{}); ok {
 		t.Error("constant mismatch should fail")
 	}
 
 	// Bound variable must agree.
-	if _, ok := P(C(tuple.Atom("year")), V("a")).MatchInto(tp, expr.Env{"a": tuple.Int(7)}); ok {
+	if _, ok := matchEnv(P(C(tuple.Atom("year")), V("a")), tp, expr.Env{"a": tuple.Int(7)}); ok {
 		t.Error("bound variable disagreement should fail")
 	}
-	env2, ok := P(C(tuple.Atom("year")), V("a")).MatchInto(tp, expr.Env{"a": tuple.Int(90)})
+	env2, ok := matchEnv(P(C(tuple.Atom("year")), V("a")), tp, expr.Env{"a": tuple.Int(90)})
 	if !ok {
 		t.Error("bound variable agreement should match")
 	}
@@ -110,47 +110,47 @@ func TestMatchIntoBasics(t *testing.T) {
 	}
 }
 
-func TestMatchIntoDoesNotMutateBase(t *testing.T) {
+func TestMatchDoesNotMutateBase(t *testing.T) {
 	tp := tuple.New(tuple.Atom("k"), tuple.Int(5))
 	base := expr.Env{"x": tuple.Int(1)}
-	env, ok := P(C(tuple.Atom("k")), V("v")).MatchInto(tp, base)
+	env, ok := matchEnv(P(C(tuple.Atom("k")), V("v")), tp, base)
 	if !ok {
 		t.Fatal("expected match")
 	}
 	if _, exists := base["v"]; exists {
-		t.Error("MatchInto mutated the base env")
+		t.Error("Match mutated the base env")
 	}
 	if env["v"] != tuple.Int(5) || env["x"] != tuple.Int(1) {
 		t.Errorf("env = %v", env)
 	}
 }
 
-func TestMatchIntoRepeatedVariable(t *testing.T) {
+func TestMatchRepeatedVariable(t *testing.T) {
 	// <a, a> matches only tuples with equal fields.
 	p := P(V("a"), V("a"))
-	if _, ok := p.MatchInto(tuple.New(tuple.Int(3), tuple.Int(3)), expr.Env{}); !ok {
+	if _, ok := matchEnv(p, tuple.New(tuple.Int(3), tuple.Int(3)), expr.Env{}); !ok {
 		t.Error("<3,3> should match <a,a>")
 	}
-	if _, ok := p.MatchInto(tuple.New(tuple.Int(3), tuple.Int(4)), expr.Env{}); ok {
+	if _, ok := matchEnv(p, tuple.New(tuple.Int(3), tuple.Int(4)), expr.Env{}); ok {
 		t.Error("<3,4> should not match <a,a>")
 	}
 }
 
-func TestMatchIntoExprField(t *testing.T) {
+func TestMatchExprField(t *testing.T) {
 	// Pattern <k-1, v> with k bound to 5 matches <4, v>.
 	p := P(E(expr.Sub(expr.V("k"), expr.Const(tuple.Int(1)))), V("v"))
-	env, ok := p.MatchInto(tuple.New(tuple.Int(4), tuple.Int(99)), expr.Env{"k": tuple.Int(5)})
+	env, ok := matchEnv(p, tuple.New(tuple.Int(4), tuple.Int(99)), expr.Env{"k": tuple.Int(5)})
 	if !ok {
 		t.Fatal("expected match")
 	}
 	if env["v"] != tuple.Int(99) {
 		t.Errorf("v = %v", env["v"])
 	}
-	if _, ok := p.MatchInto(tuple.New(tuple.Int(3), tuple.Int(99)), expr.Env{"k": tuple.Int(5)}); ok {
+	if _, ok := matchEnv(p, tuple.New(tuple.Int(3), tuple.Int(99)), expr.Env{"k": tuple.Int(5)}); ok {
 		t.Error("<3,99> should not match <k-1, v> with k=5")
 	}
 	// Unevaluable expression (unbound k) is treated as no-match.
-	if _, ok := p.MatchInto(tuple.New(tuple.Int(4), tuple.Int(1)), expr.Env{}); ok {
+	if _, ok := matchEnv(p, tuple.New(tuple.Int(4), tuple.Int(1)), expr.Env{}); ok {
 		t.Error("unbound expression field should not match")
 	}
 }

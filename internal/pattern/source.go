@@ -94,24 +94,12 @@ func sourceEstimator(src Source) Estimator {
 	}
 }
 
-// constrainsFields reports whether p has a non-lead field that could yield
-// a selector (anything but a wildcard) — the static half of the test
-// FieldSels completes under an environment.
-func constrainsFields(p Pattern) bool {
-	for i := 1; i < len(p.Fields); i++ {
-		if p.Fields[i].Kind != FieldWildcard {
-			return true
-		}
-	}
-	return false
-}
-
 // FieldSels collects the concrete non-lead field constraints of p under
 // env — every position whose required value is already known — appending
 // to dst. Unevaluable computed fields are skipped (they fail candidates
-// during the match instead). The matcher builds its ScanFields selectors
-// with it, and a blocked transaction picks the selector its subscription
-// is filed under from the same list.
+// during the match instead): the selectors the matcher hands ScanFields for
+// p when no earlier pattern has bound anything. A blocked transaction picks
+// the selector its subscription is filed under from this list.
 func FieldSels(p Pattern, env expr.Env, dst []FieldSel) []FieldSel {
 	for i := 1; i < len(p.Fields); i++ {
 		switch f := p.Fields[i]; f.Kind {

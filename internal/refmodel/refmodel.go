@@ -57,15 +57,15 @@ func (m *Model) All() []Instance {
 	return out
 }
 
-// source adapts a window (import-filtered instance list) to
-// pattern.Source by brute force: every scan enumerates everything and
-// filters.
-type source struct {
+// readerShim gives view matchers a dataspace.Reader over the model (for
+// dynamic views). Only the methods matchers actually use do real work.
+type readerShim struct {
 	insts []Instance
 }
 
-func (s source) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
-	for _, inst := range s.insts {
+// Scan is brute force: every scan enumerates everything and filters.
+func (r readerShim) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
+	for _, inst := range r.insts {
 		if inst.Tuple.Arity() != arity {
 			continue
 		}
@@ -76,16 +76,6 @@ func (s source) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 			return
 		}
 	}
-}
-
-// readerShim gives view matchers a dataspace.Reader over the model (for
-// dynamic views). Only the methods matchers actually use do real work.
-type readerShim struct {
-	insts []Instance
-}
-
-func (r readerShim) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
-	source{insts: r.insts}.Scan(arity, lead, leadKnown, fn)
 }
 
 func (r readerShim) Get(id tuple.ID) (dataspace.Instance, bool) {
@@ -141,11 +131,10 @@ type Result struct {
 // Apply evaluates one transaction per the paper's definition and, on
 // success, applies its effect. On failure the model is unchanged.
 //
-// Solution choice is deterministic: among all solutions of an ∃ query the
-// one with the lexicographically smallest retraction-ID list (then
-// smallest environment rendering) is taken, so differential tests can
-// steer the production engine only when queries are confluent (the tests
-// use value-deterministic workloads).
+// Solution choice is deterministic — an ∃ query takes the first solution
+// of the written-order enumeration (Solutions) — and generally not the
+// production engine's, so differential tests compare the two only on
+// confluent queries (the tests use value-deterministic workloads).
 func (m *Model) Apply(tx Txn) (Result, error) {
 	rd := readerShim{insts: m.instances}
 
@@ -157,11 +146,9 @@ func (m *Model) Apply(tx Txn) (Result, error) {
 		}
 	}
 
-	var sols []pattern.Binding
-	err := pattern.Enumerate(tx.Query, source{insts: window}, tx.Env, func(b pattern.Binding) bool {
-		sols = append(sols, b)
-		return true
-	})
+	// (W_r, W_a) = q(W), by the model's own enumerator — never the
+	// production matcher, which this model is the oracle for.
+	sols, err := Solutions(tx.Query, window, tx.Env)
 	if err != nil {
 		return Result{}, err
 	}
@@ -175,7 +162,7 @@ func (m *Model) Apply(tx Txn) (Result, error) {
 	// W_r: union of retractions, deduplicated.
 	retract := map[tuple.ID]bool{}
 	for _, sol := range sols {
-		for _, id := range sol.RetractedIDs() {
+		for _, id := range sol.Retracted {
 			retract[id] = true
 		}
 	}
@@ -342,8 +329,5 @@ func MultisetOf(s *dataspace.Store) map[uint64]int {
 	return out
 }
 
-// Compile-time checks.
-var (
-	_ pattern.Source   = source{}
-	_ dataspace.Reader = readerShim{}
-)
+// Compile-time check.
+var _ dataspace.Reader = readerShim{}

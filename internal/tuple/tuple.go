@@ -36,6 +36,11 @@ func New(fields ...Value) Tuple {
 	return Tuple{fields: cp}
 }
 
+// Adopt builds a tuple around fields without copying: the tuple takes
+// ownership, and the caller must not modify the slice afterwards. For
+// builders that fill a fresh slice field by field (pattern grounding).
+func Adopt(fields []Value) Tuple { return Tuple{fields: fields} }
+
 // Make builds a tuple from native Go values via Of. It returns an error if
 // any field has an unsupported type.
 func Make(fields ...any) (Tuple, error) {

@@ -248,8 +248,8 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 // commit in parallel.
 //
 // The plan is sound because pattern matching never rebinds a variable
-// already bound in req.Env (MatchInto treats bound variables as equality
-// tests), so a lead determined under req.Env keeps that value under every
+// already bound in req.Env (a bound variable compiles to an equality
+// test), so a lead determined under req.Env keeps that value under every
 // solution environment: every bucket the join, the negation checks, or the
 // assertion grounding can touch is in the plan. The plan is abandoned
 // (ok=false) when any lead of arity > 0 is undetermined under req.Env.
@@ -291,7 +291,10 @@ func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
 		// evaluation entirely.
 		return req.StaticKeys, true
 	}
-	keys := make([]dataspace.InterestKey, 0, len(req.Query.Patterns)+len(req.Asserts))
+	// Collected on the stack, so a plan abandoned at its second or third
+	// pattern (every unplanned read) has allocated nothing.
+	var buf [8]dataspace.InterestKey
+	keys := buf[:0]
 	add := func(p pattern.Pattern) bool {
 		a := p.Arity()
 		if a == 0 {
@@ -315,7 +318,7 @@ func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
 			return nil, false
 		}
 	}
-	return keys, true
+	return append([]dataspace.InterestKey(nil), keys...), true
 }
 
 // planKeys runs the footprint planner and records the admission: one
@@ -389,10 +392,11 @@ func (e *Engine) immediateCoarse(req Request) (Result, error) {
 // registered before the evaluation, covers every commit past the cut).
 func (e *Engine) read(req Request) (Result, error) {
 	var (
+		one  [1]pattern.Binding
 		sols []pattern.Binding
 		err  error
 	)
-	eval := func(r dataspace.Reader) { sols, err = solve(req, r, nil) }
+	eval := func(r dataspace.Reader) { sols, err = solve(req, r, one[:0]) }
 	e.attempts.Add(1)
 	e.m.IncSharedRead()
 	keys, planned := e.planKeys(req)
@@ -499,11 +503,14 @@ func retractFree(q pattern.Query) bool {
 // The ∃ solution is appended to buf, so a caller whose solutions do not
 // outlive it can keep them off the heap.
 func solve(req Request, r dataspace.Reader, buf []pattern.Binding) ([]pattern.Binding, error) {
-	win := req.View.Window(r, req.Env)
-	if req.Query.Quant == pattern.ForAll {
-		return pattern.SolveAll(req.Query, win, req.Env)
+	var src pattern.Source = r // the universal import's window is the reader itself
+	if !req.View.Import.All {
+		src = req.View.Window(r, req.Env)
 	}
-	b, found, err := pattern.Solve(req.Query, win, req.Env)
+	if req.Query.Quant == pattern.ForAll {
+		return pattern.SolveAll(req.Query, src, req.Env)
+	}
+	b, found, err := pattern.Solve(req.Query, src, req.Env)
 	if err != nil || !found {
 		return nil, err
 	}
@@ -514,9 +521,9 @@ func solve(req Request, r dataspace.Reader, buf []pattern.Binding) ([]pattern.Bi
 // applied: one solution environment per solution, and for ∃ the solution's
 // environment as the result's own.
 func solved(req Request, sols []pattern.Binding) Result {
-	res := Result{OK: true, Env: req.Env}
-	for _, sol := range sols {
-		res.Solutions = append(res.Solutions, sol.Env)
+	res := Result{OK: true, Env: req.Env, Solutions: make([]expr.Env, len(sols))}
+	for i := range sols {
+		res.Solutions[i] = sols[i].Env
 	}
 	if req.Query.Quant == pattern.Exists {
 		res.Env = sols[0].Env
@@ -544,16 +551,27 @@ func (e *Engine) evalAndApply(w dataspace.Writer, req Request) (Result, error) {
 // for composite transactions.
 func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) (Result, error) {
 	res := solved(req, sols)
-	seen := make(map[tuple.ID]struct{})
+	retracts := 0
+	for i := range sols {
+		retracts += len(sols[i].Matched)
+	}
+	if retracts > 0 {
+		res.Retracted = make([]dataspace.Instance, 0, retracts)
+	}
+	// One solution's retract-tagged matches are pairwise distinct by
+	// construction; an instance can recur only across the solutions of a ∀.
+	var seen map[tuple.ID]struct{}
+	if len(sols) > 1 && retracts > 1 {
+		seen = make(map[tuple.ID]struct{}, retracts)
+	}
 	for _, sol := range sols {
 		for _, m := range sol.Matched {
-			if !m.Retract {
-				continue
+			if seen != nil {
+				if _, dup := seen[m.ID]; dup {
+					continue
+				}
+				seen[m.ID] = struct{}{}
 			}
-			if _, dup := seen[m.ID]; dup {
-				continue
-			}
-			seen[m.ID] = struct{}{}
 			inst, ok := w.Get(m.ID)
 			if !ok {
 				// The instance vanished between evaluation and application;
@@ -565,6 +583,9 @@ func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) 
 			}
 			res.Retracted = append(res.Retracted, inst)
 		}
+	}
+	if n := len(sols) * len(req.Asserts); n > 0 {
+		res.Asserted = make([]dataspace.Instance, 0, n)
 	}
 	for _, sol := range sols {
 		for _, ap := range req.Asserts {
@@ -641,7 +662,7 @@ func subscriptionSel(p pattern.Pattern, env expr.Env) pattern.FieldSel {
 //     from unsatisfiable to satisfiable; only assertions are delta-checked.
 //   - A pattern whose lead is not determined by the request environment,
 //     or with an expression field that is not closed under it, cannot be
-//     matched standalone against a candidate tuple (MatchInto would
+//     matched standalone against a candidate tuple (Pattern.Match would
 //     wrongly reject tuples whose match depends on earlier join bindings).
 //
 // For the surviving class — pure-positive, lead-known, standalone-
@@ -691,7 +712,7 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 			return false
 		}
 		for _, p := range req.Query.Patterns {
-			if _, ok := p.MatchInto(d.Inst.Tuple, req.Env); ok {
+			if p.Match(d.Inst.Tuple, req.Env, nil) {
 				return true
 			}
 		}

@@ -86,12 +86,7 @@ func PatWhere(p pattern.Pattern, where expr.Expr) PatternMatcher {
 
 // Admits implements Matcher.
 func (m PatternMatcher) Admits(_ dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
-	env2, ok := m.Pattern.MatchInto(t, env)
-	if !ok {
-		return false
-	}
-	res, err := expr.EvalBool(m.Where, env2)
-	return err == nil && res
+	return m.Pattern.Match(t, env, m.Where)
 }
 
 // Restriction implements Matcher.

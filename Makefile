@@ -98,9 +98,9 @@ bench-json:
 	$(GO) run ./cmd/sdlbench -quick -json -rev $$(git rev-parse --short HEAD)
 
 # Regression gate: measure the working tree and diff it against the most
-# recent committed BENCH_*.json (>30% on E1/E9/E12/E13/E14/E15/E16/E17 fails).
+# recent committed BENCH_*.json (>30% on E1/E12/E13/E14/E15/E16/E17 fails).
 bench-gate:
-	$(GO) run ./cmd/sdlbench -quick -json -rev gate -run E1,E9,E12,E13,E14,E15,E16,E17
+	$(GO) run ./cmd/sdlbench -quick -json -rev gate -run E1,E12,E13,E14,E15,E16,E17
 	$(GO) run ./cmd/benchgate -new BENCH_gate.json BENCH_*.json
 	rm -f BENCH_gate.json
 

@@ -88,13 +88,6 @@ func BenchmarkE8SocietyScale(b *testing.B) {
 	})
 }
 
-func BenchmarkE9ConcurrencyControl(b *testing.B) {
-	benchExperiment(b, func(ctx context.Context) error {
-		_, err := bench.E9ConcurrencyControl(ctx, []int{8})
-		return err
-	})
-}
-
 func BenchmarkE10WakeupIndex(b *testing.B) {
 	benchExperiment(b, func(ctx context.Context) error {
 		_, err := bench.E10WakeupIndex(ctx, []int{100})
@@ -123,9 +116,10 @@ func BenchmarkE12ShardScaling(b *testing.B) {
 }
 
 // BenchmarkE13CommutingUpserts runs the disjoint-key upsert workload once
-// per iteration, with the commutativity-aware commit path (key latches +
-// group commit) on or off at each shard count. Compare commute=true against
-// commute=false at the same shard count for the commit-path speedup;
+// per iteration, through the engine's commutativity-aware commit path (key
+// latches + group commit) or the shard-mutex baseline (Store.UpdateKeys) at
+// each shard count. Compare commute=true against commute=false at the same
+// shard count for the commit-path speedup;
 // divergence requires hardware parallelism (flat at GOMAXPROCS=1).
 func BenchmarkE13CommutingUpserts(b *testing.B) {
 	for _, shards := range []int{1, 8} {

@@ -2,7 +2,7 @@
 // freshly measured BENCH_<rev>.json (written by sdlbench -json, in the
 // github-action-benchmark data.js shape) against a committed baseline run
 // and exits nonzero when any gated metric regressed by more than the
-// threshold — by default 30% on the E1/E9/E12/E13/E14/E15/E16/E17 series, wide enough to
+// threshold — by default 30% on the E1/E12/E13/E14/E15/E16/E17 series, wide enough to
 // ride out shared-runner noise while still catching a 2x cliff.
 //
 // Metric direction is taken from each bench entry's unit (kops/s up is
@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	benchgate -new BENCH_ci.json [-threshold 0.30] [-experiments E1,E9,E12] baseline.json...
+//	benchgate -new BENCH_ci.json [-threshold 0.30] [-experiments E1,E12,E13] baseline.json...
 //
 // Multiple baseline candidates may be given (e.g. a BENCH_*.json glob); the
 // most recent run among them — excluding the -new file itself — is the
@@ -41,7 +41,7 @@ func run(args []string) error {
 	var (
 		newPath   = fs.String("new", "", "freshly measured BENCH_<rev>.json (required)")
 		threshold = fs.Float64("threshold", 0.30, "maximum tolerated fractional regression")
-		expList   = fs.String("experiments", "E1,E9,E12,E13,E14,E15,E16,E17", "comma-separated gated experiment ids")
+		expList   = fs.String("experiments", "E1,E12,E13,E14,E15,E16,E17", "comma-separated gated experiment ids")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

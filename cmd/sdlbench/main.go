@@ -1,5 +1,5 @@
-// Command sdlbench runs the paper-reproduction experiments (E1–E17, see
-// DESIGN.md §4) as full parameter sweeps and prints one table per
+// Command sdlbench runs the paper-reproduction experiments (E1–E17 but the
+// retired E9, see DESIGN.md §4) as full parameter sweeps and prints one table per
 // experiment. EXPERIMENTS.md records a reference run.
 //
 // With -json, the sweep additionally writes BENCH_<rev>.json — one run in
@@ -87,13 +87,6 @@ func experiments() []experiment {
 			},
 			func(ctx context.Context) (*bench.Table, error) {
 				return bench.E8SocietyScale(ctx, []int{100, 1000, 5000, 10000})
-			}},
-		{"E9",
-			func(ctx context.Context) (*bench.Table, error) {
-				return bench.E9ConcurrencyControl(ctx, []int{2, 8})
-			},
-			func(ctx context.Context) (*bench.Table, error) {
-				return bench.E9ConcurrencyControl(ctx, []int{1, 2, 4, 8, 16})
 			}},
 		{"E10",
 			func(ctx context.Context) (*bench.Table, error) {

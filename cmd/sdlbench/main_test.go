@@ -57,8 +57,8 @@ func TestRunMultipleSelection(t *testing.T) {
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	exps := experiments()
-	if len(exps) != 17 {
-		t.Fatalf("experiments = %d, want 17", len(exps))
+	if len(exps) != 16 {
+		t.Fatalf("experiments = %d, want 16", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, ex := range exps {

@@ -20,7 +20,6 @@
 //	-bug            enable the test-only racy-version ordering bug (proves
 //	                the harness catches and shrinks real violations)
 //	-shards n       fix the shard count (0 = derive from each seed)
-//	-mode m         fix the mode: coarse or optimistic ("" = derive)
 //	-timeout d      per-run timeout (default 30s)
 //	-trace          print the decision trace of failing runs
 //	-list           list the corpus programs and exit
@@ -37,7 +36,6 @@ import (
 
 	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/sched/explore"
-	"github.com/sdl-lang/sdl/internal/txn"
 )
 
 func main() {
@@ -58,7 +56,6 @@ func run(args []string) error {
 		faults    = fs.String("faults", "light", "fault profile: off, light, or heavy")
 		bug       = fs.Bool("bug", false, "enable the test-only racy-version ordering bug")
 		shards    = fs.Int("shards", 0, "fix the shard count (0 = derive from each seed)")
-		modeName  = fs.String("mode", "", "fix the mode: coarse or optimistic (default: derive from each seed)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-run timeout")
 		showTrace = fs.Bool("trace", false, "print the decision trace of failing runs")
 		list      = fs.Bool("list", false, "list the corpus programs and exit")
@@ -92,23 +89,11 @@ func run(args []string) error {
 		}
 	}
 
-	var mode txn.Mode
-	switch *modeName {
-	case "":
-	case "coarse":
-		mode = txn.Coarse
-	case "optimistic":
-		mode = txn.Optimistic
-	default:
-		return fmt.Errorf("unknown mode %q", *modeName)
-	}
-
 	opts := explore.Options{
 		Seeds:     *seeds,
 		StartSeed: *startSeed,
 		Faults:    f,
 		Shards:    *shards,
-		Mode:      mode,
 		Timeout:   *timeout,
 		Log: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)

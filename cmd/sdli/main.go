@@ -9,7 +9,6 @@
 //
 // Flags:
 //
-//	-mode coarse|optimistic   concurrency control (default coarse)
 //	-shards n                 dataspace shard count (0 = GOMAXPROCS default)
 //	-timeout duration         abort the run after this long (default 1m);
 //	                          on timeout, prints each live process's state
@@ -167,7 +166,6 @@ func vetProgram(prog *lang.Program, mode string) error {
 func run(args []string) error {
 	fs := flag.NewFlagSet("sdli", flag.ContinueOnError)
 	var (
-		modeName    = fs.String("mode", "coarse", "concurrency control: coarse or optimistic")
 		shards      = fs.Int("shards", 0, "dataspace shard count, rounded up to a power of two (0 = GOMAXPROCS default)")
 		timeout     = fs.Duration("timeout", time.Minute, "abort the run after this long")
 		dump        = fs.Bool("dump", false, "print the final dataspace contents")
@@ -219,16 +217,6 @@ func run(args []string) error {
 		if err := vetProgram(prog, vet.mode); err != nil {
 			return err
 		}
-	}
-
-	var mode txn.Mode
-	switch *modeName {
-	case "coarse":
-		mode = txn.Coarse
-	case "optimistic":
-		mode = txn.Optimistic
-	default:
-		return fmt.Errorf("unknown mode %q", *modeName)
 	}
 
 	var sc *sched.Controller
@@ -300,7 +288,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	engine := txn.New(store, mode)
+	engine := txn.New(store)
 	rt := process.NewRuntime(engine, nil)
 	defer func() {
 		rt.Shutdown()
@@ -396,8 +384,8 @@ func run(args []string) error {
 		fmt.Println("-- stats --")
 		fmt.Printf("  elapsed       %v\n", elapsed)
 		fmt.Printf("  processes     %d spawned\n", rt.SpawnCount())
-		fmt.Printf("  transactions  %d commits, %d failures, %d attempts, %d conflicts, %d wakeups\n",
-			es.Commits, es.Failures, es.Attempts, es.Conflicts, es.Wakeups)
+		fmt.Printf("  transactions  %d commits, %d failures, %d attempts, %d wakeups\n",
+			es.Commits, es.Failures, es.Attempts, es.Wakeups)
 		fmt.Printf("  dataspace     %d asserts, %d retracts, %d left, version %d\n",
 			ss.Asserts, ss.Retracts, store.Len(), store.Version())
 		fmt.Printf("  consensus     %d fires\n", rt.Consensus().Fires())

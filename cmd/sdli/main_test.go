@@ -60,15 +60,6 @@ func TestRunBasicProgram(t *testing.T) {
 	}
 }
 
-func TestRunOptimisticMode(t *testing.T) {
-	path := writeProgram(t, `main -> <x, 1> end`)
-	if _, err := captureStdout(t, func() error {
-		return run([]string{"-mode", "optimistic", path})
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunTraceOutput(t *testing.T) {
 	path := writeProgram(t, `main -> <seen, 9> end`)
 	out, err := captureStdout(t, func() error {
@@ -99,7 +90,7 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                        // missing file
 		{"/nonexistent/prog.sdl"}, // unreadable
-		{"-mode", "bogus", writeProgram(t, `main -> skip end`)}, // bad mode
+		{"-bogus", writeProgram(t, `main -> skip end`)}, // unknown flag
 	}
 	for i, args := range cases {
 		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {

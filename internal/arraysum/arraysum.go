@@ -231,8 +231,8 @@ func RunSum1(ctx context.Context, rt *process.Runtime, n int, seed int64) (int64
 }
 
 // NewRuntime builds a fresh runtime for one summation run.
-func NewRuntime(mode txn.Mode) *process.Runtime {
-	return process.NewRuntime(txn.New(dataspace.New(), mode), nil)
+func NewRuntime() *process.Runtime {
+	return process.NewRuntime(txn.New(dataspace.New()), nil)
 }
 
 // CloseRuntime tears a runtime down.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/process"
-	"github.com/sdl-lang/sdl/internal/txn"
 	"github.com/sdl-lang/sdl/internal/workload"
 )
 
@@ -17,10 +16,10 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-func runOne(t *testing.T, mode txn.Mode, n int, seed int64,
+func runOne(t *testing.T, n int, seed int64,
 	run func(context.Context, *process.Runtime, int, int64) (int64, error)) {
 	t.Helper()
-	rt := NewRuntime(mode)
+	rt := NewRuntime()
 	defer CloseRuntime(rt)
 	_, want := workload.Array(n, seed)
 	got, err := run(ctxT(t), rt, n, seed)
@@ -34,33 +33,35 @@ func runOne(t *testing.T, mode txn.Mode, n int, seed int64,
 
 func TestSum3Sizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 32, 100} {
-		runOne(t, txn.Coarse, n, int64(n), RunSum3)
+		runOne(t, n, int64(n), RunSum3)
 	}
 }
 
+// TestSum3Optimistic runs one more sum3 input. It ran under the deleted
+// Optimistic mode; the ID is kept so the suite's test IDs stay stable.
 func TestSum3Optimistic(t *testing.T) {
-	runOne(t, txn.Optimistic, 64, 5, RunSum3)
+	runOne(t, 64, 5, RunSum3)
 }
 
 func TestSum2Sizes(t *testing.T) {
 	for _, n := range []int{2, 4, 16, 64} {
-		runOne(t, txn.Coarse, n, int64(n), RunSum2)
+		runOne(t, n, int64(n), RunSum2)
 	}
 }
 
 func TestSum1Sizes(t *testing.T) {
 	for _, n := range []int{2, 4, 16} {
-		runOne(t, txn.Coarse, n, int64(n), RunSum1)
+		runOne(t, n, int64(n), RunSum1)
 	}
 }
 
 func TestPowerOfTwoValidation(t *testing.T) {
-	rt := NewRuntime(txn.Coarse)
+	rt := NewRuntime()
 	defer CloseRuntime(rt)
 	if _, err := RunSum2(ctxT(t), rt, 6, 1); err == nil {
 		t.Error("n=6 should be rejected")
 	}
-	rt2 := NewRuntime(txn.Coarse)
+	rt2 := NewRuntime()
 	defer CloseRuntime(rt2)
 	if _, err := RunSum1(ctxT(t), rt2, 1, 1); err == nil {
 		t.Error("n=1 should be rejected")
@@ -68,7 +69,7 @@ func TestPowerOfTwoValidation(t *testing.T) {
 }
 
 func TestSum1UsesConsensusBarriers(t *testing.T) {
-	rt := NewRuntime(txn.Coarse)
+	rt := NewRuntime()
 	defer CloseRuntime(rt)
 	if _, err := RunSum1(ctxT(t), rt, 8, 2); err != nil {
 		t.Fatal(err)

@@ -119,12 +119,6 @@ func TestE8Smoke(t *testing.T) {
 	}
 }
 
-func TestE9Smoke(t *testing.T) {
-	if _, err := E9ConcurrencyControl(ctxT(t), []int{4}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestE10ShapeKeyedBeatsBroad(t *testing.T) {
 	tbl, err := E10WakeupIndex(ctxT(t), []int{300})
 	if err != nil {

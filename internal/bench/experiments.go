@@ -14,7 +14,6 @@ import (
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/linda"
-	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/process"
 	"github.com/sdl-lang/sdl/internal/proplist"
@@ -28,8 +27,8 @@ import (
 
 const seed = 1988 // the paper's year, used as the global workload seed
 
-func newRT(mode txn.Mode) *process.Runtime {
-	return process.NewRuntime(txn.New(dataspace.New(), mode), nil)
+func newRT() *process.Runtime {
+	return process.NewRuntime(txn.New(dataspace.New()), nil)
 }
 
 func closeRT(rt *process.Runtime) {
@@ -57,7 +56,7 @@ func E1ArraySum(ctx context.Context, sizes []int) (*Table, error) {
 		row := Row{Config: fmt.Sprintf("n=%d", n)}
 		_, want := workload.Array(n, seed)
 		for _, v := range variants {
-			rt := newRT(txn.Coarse)
+			rt := newRT()
 			var got int64
 			d, err := timeIt(func() error {
 				var err error
@@ -92,7 +91,7 @@ func E2PropertyList(ctx context.Context, lengths []int) (*Table, error) {
 		row := Row{Config: fmt.Sprintf("L=%d", l)}
 
 		for _, variant := range []string{"Search", "Find"} {
-			rt := newRT(txn.Coarse)
+			rt := newRT()
 			workload.LoadPropertyList(rt.Engine().Store(), nodes)
 			var def *process.Definition
 			var args []tuple.Value
@@ -149,7 +148,7 @@ func E3SortConsensus(ctx context.Context, lengths []int) (*Table, error) {
 	}
 	for _, l := range lengths {
 		nodes := workload.PropertyList(l, seed)
-		rt := newRT(txn.Coarse)
+		rt := newRT()
 		d, err := timeIt(func() error {
 			return proplist.RunSort(ctx, rt, nodes)
 		})
@@ -187,13 +186,13 @@ func E4RegionLabel(ctx context.Context, sizes []int) (*Table, error) {
 		ref := workload.ReferenceLabels(im, cut)
 		row := Row{Config: fmt.Sprintf("%dx%d (%d regions)", w, w, workload.RegionCount(ref))}
 
-		rtW := newRT(txn.Coarse)
+		rtW := newRT()
 		resW, err := regionlabel.RunWorker(ctx, rtW, im, cut)
 		closeRT(rtW)
 		if err != nil {
 			return nil, fmt.Errorf("E4 worker %d: %w", w, err)
 		}
-		rtC := newRT(txn.Coarse)
+		rtC := newRT()
 		resC, err := regionlabel.RunCommunity(ctx, rtC, im, cut)
 		closeRT(rtC)
 		if err != nil {
@@ -236,7 +235,7 @@ func E5ViewScoping(_ context.Context, backgroundSizes []int) (*Table, error) {
 
 	for _, bg := range backgroundSizes {
 		s := dataspace.New()
-		e := txn.New(s, txn.Coarse)
+		e := txn.New(s)
 		for i := 0; i < workSet; i++ {
 			s.Assert(tuple.Environment, tuple.New(tuple.Atom("work"), tuple.Int(int64(i))))
 		}
@@ -287,7 +286,7 @@ func E6ConsensusScale(ctx context.Context, sizes []int) (*Table, error) {
 	}
 	for _, p := range sizes {
 		s := dataspace.New()
-		e := txn.New(s, txn.Coarse)
+		e := txn.New(s)
 		m := consensus.NewManager(e)
 		s.Assert(tuple.Environment, tuple.New(tuple.Atom("shared"), tuple.Int(1)))
 		for i := 1; i <= p; i++ {
@@ -385,7 +384,7 @@ func E7LindaVsSDL(ctx context.Context, workerCounts []int) (*Table, error) {
 
 		// SDL: one atomic transaction per increment.
 		s := dataspace.New()
-		e := txn.New(s, txn.Coarse)
+		e := txn.New(s)
 		s.Assert(tuple.Environment, tuple.New(ctr, tuple.Int(0)))
 		req := txn.Request{
 			Proc:  1,
@@ -474,7 +473,7 @@ func E7LindaVsSDL(ctx context.Context, workerCounts []int) (*Table, error) {
 		}
 
 		sT := dataspace.New()
-		eT := txn.New(sT, txn.Coarse)
+		eT := txn.New(sT)
 		for i := 0; i < accounts; i++ {
 			sT.Assert(tuple.Environment, tuple.New(acct, tuple.Int(int64(i)), tuple.Int(100)))
 		}
@@ -562,7 +561,7 @@ func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 		Note:  `"programs involving many thousands of concurrent processes"`,
 	}
 	for _, p := range sizes {
-		rt := newRT(txn.Coarse)
+		rt := newRT()
 		// Waiter(i): one delayed transaction on its own key.
 		if err := rt.Define(&process.Definition{
 			Name:   "Waiter",
@@ -651,7 +650,7 @@ func E10WakeupIndex(ctx context.Context, waiterCounts []int) (*Table, error) {
 			// and the timing handicap (one clock-free histogram update per
 			// commit) is identical on each side of the ablation.
 			s.Metrics().SetObserved(true)
-			e := txn.New(s, txn.Coarse)
+			e := txn.New(s)
 			var wg sync.WaitGroup
 			errCh := make(chan error, p)
 			for i := 0; i < p; i++ {
@@ -723,7 +722,7 @@ func E11JoinPlanner(_ context.Context, sizes []int) (*Table, error) {
 	label := tuple.Atom("label")
 	for _, n := range sizes {
 		s := dataspace.New()
-		e := txn.New(s, txn.Coarse)
+		e := txn.New(s)
 		for i := int64(0); i < int64(n); i++ {
 			s.Assert(tuple.Environment,
 				tuple.New(tuple.Int(i), label, tuple.Int(i)),
@@ -849,7 +848,7 @@ func ShardedRMW(shards, listLen int) error {
 	if workers < 4 {
 		workers = 4
 	}
-	_, err := shardedRMW(txn.New(s, txn.Coarse), s, nodes, workers, 1000)
+	_, err := shardedRMW(txn.New(s), s, nodes, workers, 1000)
 	return err
 }
 
@@ -880,7 +879,7 @@ func E12ShardScaling(ctx context.Context, sizes []int) (*Table, error) {
 		for _, sc := range shardCounts {
 			s := dataspace.New(dataspace.WithShards(sc))
 			workload.LoadPropertyList(s, nodes)
-			d, err := shardedRMW(txn.New(s, txn.Coarse), s, nodes, workers, opsPerWorker)
+			d, err := shardedRMW(txn.New(s), s, nodes, workers, opsPerWorker)
 			if err != nil {
 				return nil, fmt.Errorf("E12 rmw shards=%d n=%d: %w", sc, n, err)
 			}
@@ -902,7 +901,7 @@ func E12ShardScaling(ctx context.Context, sizes []int) (*Table, error) {
 		}
 		for _, sc := range shardCounts {
 			rt := process.NewRuntime(
-				txn.New(dataspace.New(dataspace.WithShards(sc)), txn.Coarse), nil)
+				txn.New(dataspace.New(dataspace.WithShards(sc))), nil)
 			var got int64
 			d, err := timeIt(func() error {
 				var err error
@@ -917,74 +916,6 @@ func E12ShardScaling(ctx context.Context, sizes []int) (*Table, error) {
 				return nil, fmt.Errorf("E12 Sum3 shards=%d n=%d: sum %d, want %d", sc, n, got, want)
 			}
 			row.Metrics = append(row.Metrics, Ms(fmt.Sprintf("Sum3 s=%d", sc), d))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// E9ConcurrencyControl compares the coarse and optimistic engines on a
-// read-mostly workload (the ablation DESIGN.md calls out).
-func E9ConcurrencyControl(_ context.Context, workerCounts []int) (*Table, error) {
-	t := &Table{
-		ID:    "E9",
-		Title: "ablation: coarse lock vs optimistic validation (95% read workload)",
-		Note:  "design decision 1 in DESIGN.md",
-	}
-	const opsPerWorker = 5000
-	for _, workers := range workerCounts {
-		row := Row{Config: fmt.Sprintf("workers=%d", workers)}
-		for _, mode := range []txn.Mode{txn.Coarse, txn.Optimistic} {
-			s := dataspace.New()
-			e := txn.New(s, mode)
-			for i := 0; i < 512; i++ {
-				s.Assert(tuple.Environment, tuple.New(tuple.Atom("item"), tuple.Int(int64(i))))
-			}
-			readReq := txn.Request{
-				Proc: 1,
-				View: view.Universal(),
-				Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("item")), pattern.V("v"))).
-					Where(expr.Ge(expr.V("v"), expr.Const(tuple.Int(400)))),
-			}
-			writeReq := txn.Request{
-				Proc:  1,
-				View:  view.Universal(),
-				Query: pattern.Q(pattern.R(pattern.C(tuple.Atom("item")), pattern.V("v"))),
-				Asserts: []pattern.Pattern{pattern.P(pattern.C(tuple.Atom("item")),
-					pattern.V("v"))},
-			}
-			d, err := timeIt(func() error {
-				var wg sync.WaitGroup
-				errCh := make(chan error, workers)
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := 0; i < opsPerWorker; i++ {
-							req := readReq
-							if i%20 == 0 { // 5% writes
-								req = writeReq
-							}
-							if _, err := e.Immediate(req); err != nil {
-								errCh <- err
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				close(errCh)
-				return <-errCh
-			})
-			if err != nil {
-				return nil, fmt.Errorf("E9 %v w=%d: %w", mode, workers, err)
-			}
-			total := float64(workers * opsPerWorker)
-			snap := s.Metrics().Snapshot()
-			row.Metrics = append(row.Metrics,
-				Metric{Name: mode.String(), Value: total / d.Seconds() / 1000, Unit: "kops/s"},
-				Count(mode.String()+" retries",
-					float64(snap.Txn[metrics.TxnImmediate.String()].Retries), "retries"))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -1050,7 +981,7 @@ func E14DurableUpserts(_ context.Context, opsPerWorkerCounts []int) (*Table, err
 					os.RemoveAll(dir)
 				}()
 			}
-			d, err := commutingUpserts(txn.New(s, txn.Coarse), s, keysPerWorker, workers, opw)
+			d, err := commutingUpserts(s, viaEngine(txn.New(s)), keysPerWorker, workers, opw)
 			if err != nil {
 				return nil, fmt.Errorf("E14 %s opw=%d: %w", m.name, opw, err)
 			}
@@ -1076,9 +1007,9 @@ func E14DurableUpserts(_ context.Context, opsPerWorkerCounts []int) (*Table, err
 // commutingUpserts runs the E13 workload: workers upserting counters whose
 // keys are disjoint per worker — every pair of concurrent transactions
 // commutes, so an ideal commit path admits all of them in parallel. Each op
-// is exists v: <k, ?v>! => <k, ?v + 1>; the final value sum must equal the
-// op count (the lost-increment invariant).
-func commutingUpserts(e *txn.Engine, s *dataspace.Store, keysPerWorker, workers, opsPerWorker int) (time.Duration, error) {
+// is the request exists v: <k, ?v>! => <k, ?v + 1>, executed by run; the
+// final value sum must equal the op count (the lost-increment invariant).
+func commutingUpserts(s *dataspace.Store, run func(txn.Request) error, keysPerWorker, workers, opsPerWorker int) (time.Duration, error) {
 	nKeys := keysPerWorker * workers
 	for k := 0; k < nKeys; k++ {
 		s.Assert(tuple.Environment, tuple.New(tuple.Int(int64(k)), tuple.Int(0)))
@@ -1093,7 +1024,7 @@ func commutingUpserts(e *txn.Engine, s *dataspace.Store, keysPerWorker, workers,
 				base := int64(w * keysPerWorker)
 				for i := 0; i < opsPerWorker; i++ {
 					id := base + int64(i%keysPerWorker)
-					_, err := e.Immediate(txn.Request{
+					err := run(txn.Request{
 						Proc:  tuple.ProcessID(w + 1),
 						View:  view.Universal(),
 						Query: pattern.Q(pattern.R(pattern.C(tuple.Int(id)), pattern.V("v"))),
@@ -1126,6 +1057,43 @@ func commutingUpserts(e *txn.Engine, s *dataspace.Store, keysPerWorker, workers,
 		return 0, fmt.Errorf("value sum %d, want %d (lost or duplicated increments)", gotSum, total)
 	}
 	return d, nil
+}
+
+// viaEngine executes each upsert as a transaction of e: a disjoint counter's
+// footprint plans to the key-latch / group-commit path.
+func viaEngine(e *txn.Engine) func(txn.Request) error {
+	return func(req txn.Request) error {
+		_, err := e.Immediate(req)
+		return err
+	}
+}
+
+// viaShardMutex executes each upsert's query and effect inside
+// Store.UpdateKeys on the counter's bucket: the same footprint under the
+// shard mutex, with no key latch and no group commit — E13's baseline.
+func viaShardMutex(s *dataspace.Store) func(txn.Request) error {
+	return func(req txn.Request) error {
+		lead, _ := req.Query.Patterns[0].Lead(req.Env)
+		keys := []dataspace.InterestKey{{Arity: 2, Lead: lead, LeadKnown: true}}
+		return s.UpdateKeys(req.Proc, keys, func(w dataspace.Writer) error {
+			b, found, err := pattern.Solve(req.Query, w, req.Env)
+			if err != nil {
+				return err
+			}
+			if !found {
+				return fmt.Errorf("counter %v missing", lead)
+			}
+			if err := w.Delete(b.RetractedIDs()[0]); err != nil {
+				return err
+			}
+			t, err := req.Asserts[0].Ground(b.Env)
+			if err != nil {
+				return err
+			}
+			w.Insert(t, req.Proc)
+			return nil
+		})
+	}
 }
 
 // restrictedUpserts runs the E15 workload: the E13 disjoint-key upserts,
@@ -1226,10 +1194,10 @@ func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 	for _, kpw := range keysPerWorkerCounts {
 		row := Row{Config: fmt.Sprintf("keys/worker=%d workers=%d", kpw, workers)}
 		for _, v := range variants {
-			s := dataspace.New(dataspace.WithShards(shards), dataspace.WithCommuting(true))
+			s := dataspace.New(dataspace.WithShards(shards))
 			seedCounters(s, kpw*workers)
 			before := s.Metrics().Snapshot()
-			d, err := restrictedUpserts(txn.New(s, txn.Coarse), s, kpw, workers, opsPerWorker, v.fp)
+			d, err := restrictedUpserts(txn.New(s), s, kpw, workers, opsPerWorker, v.fp)
 			if err != nil {
 				return nil, fmt.Errorf("E15 %s kpw=%d: %w", v.name, kpw, err)
 			}
@@ -1269,27 +1237,36 @@ func RefinedUpserts(refined bool) error {
 	if refined {
 		fp = footprint.Ground
 	}
-	s := dataspace.New(dataspace.WithShards(8), dataspace.WithCommuting(true))
+	s := dataspace.New(dataspace.WithShards(8))
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
 	seedCounters(s, 8*workers)
-	_, err := restrictedUpserts(txn.New(s, txn.Coarse), s, 8, workers, 1000, fp)
+	_, err := restrictedUpserts(txn.New(s), s, 8, workers, 1000, fp)
 	return err
 }
 
 // CommutingUpserts runs one configuration of the E13 workload (for the
-// testing.B benchmark): disjoint-key upserts with the commutativity-aware
-// commit path on or off.
+// testing.B benchmark): disjoint-key upserts through the engine's
+// commutativity-aware commit path, or through the shard-mutex baseline.
 func CommutingUpserts(shards int, commuting bool) error {
-	s := dataspace.New(dataspace.WithShards(shards), dataspace.WithCommuting(commuting))
+	s := dataspace.New(dataspace.WithShards(shards))
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
-	_, err := commutingUpserts(txn.New(s, txn.Coarse), s, 8, workers, 1000)
+	_, err := commutingUpserts(s, upsertPath(s, commuting), 8, workers, 1000)
 	return err
+}
+
+// upsertPath picks an E13 arm: the engine when commuting, the shard-mutex
+// baseline otherwise.
+func upsertPath(s *dataspace.Store, commuting bool) func(txn.Request) error {
+	if commuting {
+		return viaEngine(txn.New(s))
+	}
+	return viaShardMutex(s)
 }
 
 // E13CommutingUpserts is the commit-path ablation: key-level latches plus
@@ -1317,8 +1294,8 @@ func E13CommutingUpserts(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 		row := Row{Config: fmt.Sprintf("keys/worker=%d workers=%d", kpw, workers)}
 		for _, sc := range shardCounts {
 			for _, commuting := range []bool{false, true} {
-				s := dataspace.New(dataspace.WithShards(sc), dataspace.WithCommuting(commuting))
-				d, err := commutingUpserts(txn.New(s, txn.Coarse), s, kpw, workers, opsPerWorker)
+				s := dataspace.New(dataspace.WithShards(sc))
+				d, err := commutingUpserts(s, upsertPath(s, commuting), kpw, workers, opsPerWorker)
 				if err != nil {
 					return nil, fmt.Errorf("E13 commuting=%v shards=%d kpw=%d: %w", commuting, sc, kpw, err)
 				}
@@ -1416,7 +1393,7 @@ func E16ReactiveWakeups(ctx context.Context, waiterCounts []int) (*Table, error)
 		s := dataspace.New()
 		// Observed, so the gated histograms record.
 		s.Metrics().SetObserved(true)
-		e := txn.New(s, txn.Coarse)
+		e := txn.New(s)
 		d, err := reactiveWakeupCell(ctx, s, e, p, noise)
 		if err != nil {
 			return nil, fmt.Errorf("E16 p=%d: %w", p, err)
@@ -1440,7 +1417,7 @@ func E16ReactiveWakeups(ctx context.Context, waiterCounts []int) (*Table, error)
 // noise.
 func ReactiveWakeups(ctx context.Context, waiters int) error {
 	s := dataspace.New()
-	_, err := reactiveWakeupCell(ctx, s, txn.New(s, txn.Coarse), waiters, 300)
+	_, err := reactiveWakeupCell(ctx, s, txn.New(s), waiters, 300)
 	return err
 }
 
@@ -1545,7 +1522,7 @@ func E17SecondaryIndex(_ context.Context, sizes []int) (*Table, error) {
 		row := Row{Config: fmt.Sprintf("n=%d groups=%d", n, groups)}
 		for _, secondary := range []bool{false, true} {
 			s := dataspace.New(dataspace.WithShards(8), dataspace.WithSecondaryIndex(secondary))
-			e := txn.New(s, txn.Coarse)
+			e := txn.New(s)
 			secondaryLoad(s, n, groups)
 			if err := secondaryLookups(e, warmReps, groups); err != nil {
 				return nil, fmt.Errorf("E17 warm secondary=%v n=%d: %w", secondary, n, err)
@@ -1594,7 +1571,7 @@ func E17SecondaryIndex(_ context.Context, sizes []int) (*Table, error) {
 // and joins with the secondary-index layer on or off.
 func SecondaryLookups(n int, secondary bool) error {
 	s := dataspace.New(dataspace.WithShards(8), dataspace.WithSecondaryIndex(secondary))
-	e := txn.New(s, txn.Coarse)
+	e := txn.New(s)
 	secondaryLoad(s, n, 1024)
 	// Enough lookup rounds that the measured phase dominates the load
 	// (each ∀ round on the scan arm walks the whole arity population).

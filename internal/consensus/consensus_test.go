@@ -18,7 +18,7 @@ import (
 func newManager(t *testing.T) (*dataspace.Store, *txn.Engine, *Manager) {
 	t.Helper()
 	s := dataspace.New()
-	e := txn.New(s, txn.Coarse)
+	e := txn.New(s)
 	m := NewManager(e)
 	t.Cleanup(m.Close)
 	return s, e, m
@@ -335,7 +335,7 @@ func TestUnregisteredOfferRejected(t *testing.T) {
 
 func TestClosedManager(t *testing.T) {
 	s := dataspace.New()
-	e := txn.New(s, txn.Coarse)
+	e := txn.New(s)
 	m := NewManager(e)
 	m.Register(1, view.Universal(), nil)
 	o, err := m.StartOffer(barrierReq(1))
@@ -583,7 +583,7 @@ func TestOfferAltsValidation(t *testing.T) {
 
 func BenchmarkBarrierRound(b *testing.B) {
 	s := dataspace.New()
-	e := txn.New(s, txn.Coarse)
+	e := txn.New(s)
 	m := NewManager(e)
 	defer m.Close()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("seed"), tuple.Int(1)))

@@ -280,7 +280,7 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 	for seed := int64(1); seed <= societies; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		store := dataspace.New(dataspace.WithShards(1 << r.Intn(4)))
-		engine := txn.New(store, txn.Coarse)
+		engine := txn.New(store)
 		var log []dataspace.CommitRecord
 		store.OnCommit(func(rec dataspace.CommitRecord) { log = append(log, rec) })
 		m := newUnstarted(engine)
@@ -471,7 +471,7 @@ func joinLines(lines []string) string {
 // there, and on one asserted after a failed attempt.
 func TestOfferUnderRebindingEnvFires(t *testing.T) {
 	store := dataspace.New(dataspace.WithShards(16))
-	m := newUnstarted(txn.New(store, txn.Coarse))
+	m := newUnstarted(txn.New(store))
 	defer m.Close()
 	v := view.New(view.Union(view.Pat(pattern.P(pattern.V("x"), pattern.W()))), view.Everything())
 	query := pattern.Q(pattern.P(pattern.V("x"), pattern.V("n")))

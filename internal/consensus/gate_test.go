@@ -20,7 +20,7 @@ import (
 func stepped(t *testing.T, opts ...dataspace.Option) (*dataspace.Store, *txn.Engine, *Manager) {
 	t.Helper()
 	s := dataspace.New(opts...)
-	e := txn.New(s, txn.Coarse)
+	e := txn.New(s)
 	m := newUnstarted(e)
 	t.Cleanup(m.Close)
 	return s, e, m
@@ -111,7 +111,7 @@ func TestWithdrawParksOnClaim(t *testing.T) {
 func TestWithdrawDuringStretchedClaim(t *testing.T) {
 	sc := sched.New(3, sched.Faults{Yield: 255})
 	s := dataspace.New(dataspace.WithScheduler(sc))
-	m := NewManager(txn.New(s, txn.Coarse))
+	m := NewManager(txn.New(s))
 	defer m.Close()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
 	m.Register(1, view.Universal(), nil)

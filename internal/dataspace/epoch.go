@@ -217,13 +217,10 @@ func (r epochReader) Len() int {
 // keys, without taking any locks, and reports whether the read was
 // consistent: true means no footprint shard changed while fn ran and its
 // observations stand; false means the read may be torn and the caller must
-// retry on the locked path (SnapshotKeys). Wildcard keys, stores built with
-// WithCommuting(false), and footprints with a stale shard snapshot that is
-// not yet worth rebuilding return false without running fn.
+// retry on the locked path (SnapshotKeys). Wildcard keys and footprints with
+// a stale shard snapshot that is not yet worth rebuilding return false
+// without running fn.
 func (s *Store) SnapshotKeysEpoch(keys []InterestKey, fn func(r Reader)) bool {
-	if !s.commuting {
-		return false
-	}
 	ss, bounded := s.planShards(keys)
 	if !bounded {
 		return false // locked path only

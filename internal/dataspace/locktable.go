@@ -286,17 +286,14 @@ type commitQueue struct {
 // commit path. When every key is concrete (arity + known lead), fn runs
 // under per-key latches: commits touching disjoint buckets — even buckets
 // of the same shard — proceed in parallel, and same-shard commits batch
-// their publication (group commit). Wildcard keys, and stores built with
-// WithCommuting(false), fall back to shard-level locking.
+// their publication (group commit). Footprints with a wildcard key, or
+// that latch nothing, fall back to shard-level locking.
 //
 // fn receives a Writer with standard semantics (reads observe the
 // transaction's own mutations). As with UpdateKeys, the footprint must
 // cover every bucket fn scans, retracts from, or asserts into; the writer
 // panics on a mutation outside the latched buckets.
 func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn func(w Writer) error) error {
-	if !s.commuting {
-		return s.UpdateKeys(owner, keys, fn)
-	}
 	lp, ok := s.planLatches(keys)
 	if !ok || len(lp.latches) == 0 {
 		return s.UpdateKeys(owner, keys, fn)

@@ -249,7 +249,6 @@ type Store struct {
 	mask   uint32
 	all    shardSet // every shard index, for the full-lock paths
 
-	commuting bool // key-level locking + group commit enabled
 	secondary bool // adaptive secondary field indexes + selectivity planning enabled
 
 	metrics *metrics.Registry
@@ -266,7 +265,6 @@ type Option func(*storeConfig)
 type storeConfig struct {
 	shards      int
 	sc          *sched.Controller
-	noCommuting bool
 	noSecondary bool
 }
 
@@ -284,13 +282,6 @@ func WithShards(n int) Option {
 // controller (the default) keeps every hook a no-op.
 func WithScheduler(sc *sched.Controller) Option {
 	return func(c *storeConfig) { c.sc = sc }
-}
-
-// WithCommuting enables or disables the commutativity-aware commit path
-// (per-key latches plus group commit; on by default). Disabling it demotes
-// every planned commit to shard-level locking — the E13 ablation baseline.
-func WithCommuting(on bool) Option {
-	return func(c *storeConfig) { c.noCommuting = !on }
 }
 
 // WithSecondaryIndex enables or disables adaptive secondary field indexes
@@ -363,7 +354,6 @@ func New(opts ...Option) *Store {
 	s := &Store{
 		shards:    make([]*shard, n),
 		mask:      uint32(n - 1),
-		commuting: !cfg.noCommuting,
 		secondary: !cfg.noSecondary,
 		metrics:   metrics.NewRegistry(n),
 		sc:        cfg.sc,

@@ -500,9 +500,9 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 			case j.Class == footprint.GroundKeys && len(j.Keys) > 0:
 				tx.Footprint, tx.StaticKeys = j.Class, j.Keys
 			case j.Class == footprint.Ground && len(j.Keys) == 0:
-				// Optimistic only: the dynamic planner re-evaluates every
-				// lead, so a wrong Ground refinement costs a failed plan,
-				// never a wrong lock set.
+				// A judgment, not a promise: the dynamic planner
+				// re-evaluates every lead, so a wrong Ground refinement
+				// costs a failed plan, never a wrong lock set.
 				tx.Footprint = footprint.Ground
 			}
 		}

@@ -30,7 +30,7 @@ func compileOK(t *testing.T, src string) *Compiled {
 func run(t *testing.T, src string) *dataspace.Store {
 	t.Helper()
 	s := dataspace.New()
-	e := txn.New(s, txn.Coarse)
+	e := txn.New(s)
 	rt := process.NewRuntime(e, nil)
 	t.Cleanup(func() {
 		rt.Shutdown()
@@ -341,7 +341,7 @@ func TestRunNoMain(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := dataspace.New()
-	rt := process.NewRuntime(txn.New(s, txn.Coarse), nil)
+	rt := process.NewRuntime(txn.New(s), nil)
 	defer func() { rt.Shutdown(); rt.Consensus().Close() }()
 	if err := c.Run(context.Background(), rt); err == nil {
 		t.Error("Run without main should fail")

@@ -22,7 +22,7 @@ func runFile(t *testing.T, path string) *dataspace.Store {
 		t.Fatal(err)
 	}
 	s := dataspace.New()
-	rt := process.NewRuntime(txn.New(s, txn.Coarse), nil)
+	rt := process.NewRuntime(txn.New(s), nil)
 	t.Cleanup(func() {
 		rt.Shutdown()
 		rt.Consensus().Close()

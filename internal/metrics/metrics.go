@@ -158,7 +158,7 @@ func (k TxnKind) String() string {
 type TxnCounters struct {
 	Attempts uint64 `json:"attempts"` // executions (one per Immediate/Delayed evaluation or consensus firing attempt)
 	Commits  uint64 `json:"commits"`  // successful executions
-	Retries  uint64 `json:"retries"`  // extra under-lock re-evaluations (optimistic conflicts, aborted fires)
+	Retries  uint64 `json:"retries"`  // aborted consensus fires (always 0 for immediate and delayed)
 	Blocks   uint64 `json:"blocks"`   // times a process blocked (delayed wait, consensus offer)
 }
 
@@ -464,7 +464,8 @@ func (r *Registry) IncTxnAttempt(k TxnKind) { r.txn[k].attempts.v.Add(1) }
 // IncTxnCommit counts one successful kind-k transaction.
 func (r *Registry) IncTxnCommit(k TxnKind) { r.txn[k].commits.v.Add(1) }
 
-// IncTxnRetry counts one extra under-lock re-evaluation.
+// IncTxnRetry counts one aborted consensus fire; immediate and delayed
+// transactions evaluate once per execution and never retry.
 func (r *Registry) IncTxnRetry(k TxnKind) { r.txn[k].retries.v.Add(1) }
 
 // IncTxnBlock counts one process block.

@@ -13,10 +13,10 @@ import (
 )
 
 // newRuntime builds a runtime over a fresh store, cleaning up at test end.
-func newRuntime(t *testing.T, mode txn.Mode) (*dataspace.Store, *Runtime) {
+func newRuntime(t *testing.T) (*dataspace.Store, *Runtime) {
 	t.Helper()
 	s := dataspace.New()
-	e := txn.New(s, mode)
+	e := txn.New(s)
 	rt := NewRuntime(e, nil)
 	t.Cleanup(func() {
 		rt.Shutdown()
@@ -43,7 +43,7 @@ func waitDone(t *testing.T, rt *Runtime, d time.Duration) {
 func atom(s string) tuple.Value { return tuple.Atom(s) }
 
 func TestDefineAndSpawnValidation(t *testing.T) {
-	_, rt := newRuntime(t, txn.Coarse)
+	_, rt := newRuntime(t)
 	def := &Definition{Name: "P", Params: []string{"x"}}
 	if err := rt.Define(def); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestDefineAndSpawnValidation(t *testing.T) {
 }
 
 func TestSequenceAndAssert(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	err := rt.Define(&Definition{
 		Name:   "Asserter",
 		Params: []string{"n"},
@@ -108,7 +108,7 @@ func TestSequenceAndAssert(t *testing.T) {
 }
 
 func TestImmediateFailureContinuesSequence(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	err := rt.Define(&Definition{
 		Name: "P",
 		Body: []Stmt{
@@ -133,7 +133,7 @@ func TestImmediateFailureContinuesSequence(t *testing.T) {
 }
 
 func TestDelayedStatementBlocksAndResumes(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	err := rt.Define(&Definition{
 		Name: "Waiter",
 		Body: []Stmt{
@@ -169,7 +169,7 @@ func TestDelayedStatementBlocksAndResumes(t *testing.T) {
 }
 
 func TestLetBindsConstantForLaterStatements(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	// let N = a; assert <const, N> in a later transaction.
 	err := rt.Define(&Definition{
 		Name: "P",
@@ -207,7 +207,7 @@ func TestLetBindsConstantForLaterStatements(t *testing.T) {
 }
 
 func TestSpawnActionCreatesProcess(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name:   "Child",
 		Params: []string{"v"},
@@ -253,7 +253,7 @@ func TestSpawnActionCreatesProcess(t *testing.T) {
 }
 
 func TestAbortStopsProcess(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "P",
 		Body: []Stmt{
@@ -281,7 +281,7 @@ func TestAbortStopsProcess(t *testing.T) {
 }
 
 func TestSelectionPicksExactlyOneGuard(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	branch := func(tag string) Branch {
 		return Branch{Guard: Transact{
 			Kind:    Immediate,
@@ -306,7 +306,7 @@ func TestSelectionPicksExactlyOneGuard(t *testing.T) {
 }
 
 func TestSelectionAllImmediateFailIsSkip(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "P",
 		Body: []Stmt{
@@ -333,7 +333,7 @@ func TestSelectionAllImmediateFailIsSkip(t *testing.T) {
 }
 
 func TestSelectionDelayedGuardBlocks(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "P",
 		Body: []Stmt{Select{Branches: []Branch{
@@ -376,7 +376,7 @@ func TestRepeatDrainsAndTerminates(t *testing.T) {
 	// The paper's index/value pairing repetition, simplified: pair each
 	// positive index with a fresh output; drop non-positive indices;
 	// terminate when no index tuples remain.
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "Pairer",
 		Body: []Stmt{Repeat{Branches: []Branch{
@@ -413,7 +413,7 @@ func TestRepeatDrainsAndTerminates(t *testing.T) {
 }
 
 func TestRepeatExitAction(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	// Repetition that consumes tokens but exits on the stop token even
 	// though more work remains.
 	if err := rt.Define(&Definition{
@@ -458,7 +458,7 @@ func TestRepeatExitAction(t *testing.T) {
 }
 
 func TestReplicateGuardValidation(t *testing.T) {
-	_, rt := newRuntime(t, txn.Coarse)
+	_, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "Bad",
 		Body: []Stmt{Replicate{Branches: []Branch{{Guard: Transact{
@@ -479,7 +479,7 @@ func TestReplicateGuardValidation(t *testing.T) {
 }
 
 func TestRuntimeShutdownCancelsBlockedProcesses(t *testing.T) {
-	_, rt := newRuntime(t, txn.Coarse)
+	_, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "Stuck",
 		Body: []Stmt{Transact{
@@ -508,7 +508,7 @@ func TestSelectionFairnessRotation(t *testing.T) {
 	// Two always-enabled guards in a repetition: both must be selected
 	// over the run ("an arbitrary one of them is selected" — our
 	// implementation rotates).
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	for i := 0; i < 20; i++ {
 		s.Assert(tuple.Environment, tuple.New(atom("tok"), tuple.Int(int64(i))))
 	}
@@ -550,7 +550,7 @@ func TestNestedConstructs(t *testing.T) {
 	// another transaction; exit in the inner selection terminates the
 	// outer repetition (per the paper: "the exit action terminates the
 	// guarded sequence and the repetition").
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	s.Assert(tuple.Environment,
 		tuple.New(atom("work"), tuple.Int(1)),
 		tuple.New(atom("work"), tuple.Int(2)),
@@ -598,7 +598,7 @@ func TestNestedConstructs(t *testing.T) {
 
 func TestReplicationMultipleBranches(t *testing.T) {
 	// Two branch families drain two tuple populations concurrently.
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	for i := 0; i < 30; i++ {
 		s.Assert(tuple.Environment, tuple.New(atom("xs"), tuple.Int(int64(i))))
 		s.Assert(tuple.Environment, tuple.New(atom("ys"), tuple.Int(int64(i))))
@@ -633,7 +633,7 @@ func TestReplicationMultipleBranches(t *testing.T) {
 }
 
 func TestSocietyIntrospection(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "Stuck",
 		Body: []Stmt{Transact{
@@ -715,7 +715,7 @@ func TestStateStrings(t *testing.T) {
 // whole wait: covering commits wake it to re-try its guards, but it neither
 // re-registers per pass nor leaks the registration when it finally commits.
 func TestSelectionHoldsOneSubscription(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	if err := rt.Define(&Definition{
 		Name: "P",
 		Body: []Stmt{Select{Branches: []Branch{{Guard: Transact{

@@ -1,7 +1,7 @@
 package process
 
 // Randomized soak: pipelines of random shape (stage count, token count,
-// movers per stage, concurrency-control mode) built from delayed guards,
+// movers per stage) built from delayed guards,
 // repetitions, negation-based termination, and dynamic spawning. Each
 // configuration must drain completely with every token accounted for —
 // a liveness and atomicity workout across the whole runtime.
@@ -16,7 +16,6 @@ import (
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/tuple"
-	"github.com/sdl-lang/sdl/internal/txn"
 )
 
 // stageDef builds the mover process for stage s: it shifts <s, i, v>
@@ -61,14 +60,9 @@ func TestSoakRandomPipelines(t *testing.T) {
 		stages := 1 + rng.Intn(4)
 		tokens := 5 + rng.Intn(40)
 		movers := 1 + rng.Intn(3)
-		mode := txn.Coarse
-		if trial%2 == 1 {
-			mode = txn.Optimistic
-		}
-		t.Logf("trial %d: stages=%d tokens=%d movers=%d mode=%v",
-			trial, stages, tokens, movers, mode)
+		t.Logf("trial %d: stages=%d tokens=%d movers=%d", trial, stages, tokens, movers)
 
-		s, rt := newRuntime(t, mode)
+		s, rt := newRuntime(t)
 		if err := rt.Define(stageDef()); err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/tuple"
-	"github.com/sdl-lang/sdl/internal/txn"
 )
 
 // ints is a convenience literal.
@@ -52,10 +51,12 @@ func sum3Def() *Definition {
 }
 
 func TestSum3Replication(t *testing.T) {
-	for _, mode := range []txn.Mode{txn.Coarse, txn.Optimistic} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			s, rt := newRuntime(t, mode)
+	// The subtest IDs are those of the two concurrency-control modes the
+	// engine once had, kept so the suite's test IDs stay stable; both run
+	// the one engine.
+	for _, name := range []string{"coarse", "optimistic"} {
+		t.Run(name, func(t *testing.T) {
+			s, rt := newRuntime(t)
 			want := loadArray(s, 16)
 			if err := rt.Define(sum3Def()); err != nil {
 				t.Fatal(err)
@@ -109,7 +110,7 @@ func sum2Def() *Definition {
 }
 
 func TestSum2Asynchronous(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	const n, phases = 16, 4
 	want := int64(0)
 	for k := int64(1); k <= n; k++ {
@@ -194,7 +195,7 @@ func sum1Def() *Definition {
 }
 
 func TestSum1SynchronousConsensus(t *testing.T) {
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	const n = 8
 	want := loadArray(s, n)
 	if err := rt.Define(sum1Def()); err != nil {
@@ -228,7 +229,7 @@ func TestSum1SynchronousConsensus(t *testing.T) {
 func TestSelectionWithTwoConsensusGuards(t *testing.T) {
 	// Directly exercises the alternatives mechanism: two processes, each
 	// in a selection with two mutually exclusive consensus guards.
-	s, rt := newRuntime(t, txn.Coarse)
+	s, rt := newRuntime(t)
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("seed"), tuple.Int(1)))
 	if err := rt.Define(&Definition{
 		Name:   "Chooser",

@@ -16,7 +16,7 @@ import (
 func newRT(t *testing.T) (*dataspace.Store, *process.Runtime) {
 	t.Helper()
 	s := dataspace.New()
-	rt := process.NewRuntime(txn.New(s, txn.Coarse), nil)
+	rt := process.NewRuntime(txn.New(s), nil)
 	t.Cleanup(func() {
 		rt.Shutdown()
 		rt.Consensus().Close()

@@ -13,10 +13,10 @@ import (
 
 const cut = 100
 
-func newRT(t *testing.T, mode txn.Mode) *process.Runtime {
+func newRT(t *testing.T) *process.Runtime {
 	t.Helper()
 	s := dataspace.New()
-	rt := process.NewRuntime(txn.New(s, mode), nil)
+	rt := process.NewRuntime(txn.New(s), nil)
 	t.Cleanup(func() {
 		rt.Shutdown()
 		rt.Consensus().Close()
@@ -41,7 +41,7 @@ func TestWorkerModelMatchesReference(t *testing.T) {
 		{12, 12, 3},
 	} {
 		im := workload.GenImage(tc.w, tc.h, tc.blobs, int64(tc.w*tc.h))
-		rt := newRT(t, txn.Coarse)
+		rt := newRT(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		res, err := RunWorker(ctx, rt, im, cut)
 		cancel()
@@ -60,7 +60,7 @@ func TestWorkerModelMatchesReference(t *testing.T) {
 
 func TestWorkerModelUniformImage(t *testing.T) {
 	im := &workload.Image{W: 4, H: 3, Pix: make([]int64, 12)}
-	rt := newRT(t, txn.Coarse)
+	rt := newRT(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := RunWorker(ctx, rt, im, cut)
@@ -84,7 +84,7 @@ func TestCommunityModelMatchesReference(t *testing.T) {
 		{8, 8, 2},
 	} {
 		im := workload.GenImage(tc.w, tc.h, tc.blobs, int64(tc.w+tc.h))
-		rt := newRT(t, txn.Coarse)
+		rt := newRT(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		res, err := RunCommunity(ctx, rt, im, cut)
 		cancel()
@@ -108,7 +108,7 @@ func TestCommunityModelMatchesReference(t *testing.T) {
 
 func TestCommunitySinglePixel(t *testing.T) {
 	im := &workload.Image{W: 1, H: 1, Pix: []int64{200}}
-	rt := newRT(t, txn.Coarse)
+	rt := newRT(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := RunCommunity(ctx, rt, im, cut)
@@ -124,7 +124,7 @@ func TestCommunityThresholdsDiscarded(t *testing.T) {
 	// "When the labeling is complete in a given region, the threshold
 	// values are discarded."
 	im := workload.GenImage(5, 5, 1, 3)
-	rt := newRT(t, txn.Coarse)
+	rt := newRT(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if _, err := RunCommunity(ctx, rt, im, cut); err != nil {
@@ -145,9 +145,12 @@ func TestCommunityThresholdsDiscarded(t *testing.T) {
 	}
 }
 
+// TestWorkerOptimisticMode labels one more image with the worker model. It
+// ran under the deleted Optimistic mode; the ID is kept so the suite's test
+// IDs stay stable.
 func TestWorkerOptimisticMode(t *testing.T) {
 	im := workload.GenImage(8, 8, 2, 99)
-	rt := newRT(t, txn.Optimistic)
+	rt := newRT(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	res, err := RunWorker(ctx, rt, im, cut)

@@ -52,8 +52,6 @@ type Options struct {
 	// Shards fixes the store's shard count; 0 derives it from the seed
 	// (1, 2, 4, or 8 — reproducible, since it is a pure function of seed).
 	Shards int
-	// Mode fixes the concurrency-control mode; 0 derives it from the seed.
-	Mode txn.Mode
 	// Timeout bounds one run (default 30s; runs normally take
 	// milliseconds, so hitting it is itself a liveness failure).
 	Timeout time.Duration
@@ -79,26 +77,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// configPoint is the decision stream configFor hashes. It is frozen: the
+// value is the ordinal the stream had when seeds were first assigned their
+// configurations, so adding or retiring a sched.Point never reassigns a
+// recorded seed's shards or secondary arm.
+const configPoint sched.Point = 19
+
 // configFor derives the per-seed system configuration. All knobs are pure
 // functions of the seed, so a reported seed reproduces its configuration.
-func configFor(seed uint64, o Options) (shards int, mode txn.Mode, secondary bool) {
-	h := sched.Decide(seed, sched.NumPoints-1, 0x5eed)
+func configFor(seed uint64, o Options) (shards int, secondary bool) {
+	h := sched.Decide(seed, configPoint, 0x5eed)
 	shards = o.Shards
 	if shards == 0 {
 		shards = 1 << (h % 4) // 1, 2, 4, 8
 	}
-	mode = o.Mode
-	if mode == 0 {
-		if h&(1<<16) != 0 {
-			mode = txn.Optimistic
-		} else {
-			mode = txn.Coarse
-		}
-	}
 	// The secondary-index path and its arity-scan fallback must both
 	// survive every schedule, so the campaign splits seeds between them.
 	secondary = h&(1<<18) != 0
-	return shards, mode, secondary
+	return shards, secondary
 }
 
 // Failure describes one failing (program, seed) pair.
@@ -106,7 +102,6 @@ type Failure struct {
 	Program   string
 	Seed      uint64
 	Shards    int
-	Mode      txn.Mode
 	Secondary bool
 	Err       error
 	// Decisions is the number of decisions the failing run drew.
@@ -119,7 +114,7 @@ type Failure struct {
 }
 
 func (f Failure) String() string {
-	s := fmt.Sprintf("%s: seed %d (shards=%d mode=%s secondary=%t): %v", f.Program, f.Seed, f.Shards, f.Mode, f.Secondary, f.Err)
+	s := fmt.Sprintf("%s: seed %d (shards=%d secondary=%t): %v", f.Program, f.Seed, f.Shards, f.Secondary, f.Err)
 	if f.MinLimit >= 0 {
 		s += fmt.Sprintf("\n  shrunk to %d active decisions (of %d drawn); replay: sdlexplore -program %s -seed %d -limit %d",
 			f.MinLimit, f.Decisions, f.Program, f.Seed, f.MinLimit)
@@ -156,9 +151,9 @@ func Run(opts Options) Report {
 				continue
 			}
 			failed++
-			shards, mode, secondary := configFor(seed, opts)
-			f := Failure{Program: p.Name, Seed: seed, Shards: shards, Mode: mode,
-				Secondary: secondary, Err: err, Decisions: decisions, MinLimit: -1}
+			shards, secondary := configFor(seed, opts)
+			f := Failure{Program: p.Name, Seed: seed, Shards: shards, Secondary: secondary,
+				Err: err, Decisions: decisions, MinLimit: -1}
 			logf("FAIL %s seed=%d: %v (shrinking...)", p.Name, seed, err)
 			f = Shrink(p, f, opts)
 			rep.Failures = append(rep.Failures, f)
@@ -187,7 +182,7 @@ func RunSeed(p Program, seed uint64, limit int64, opts Options) (int64, error) {
 // runOnce assembles a fresh system under a seed-deterministic controller,
 // runs the program, and verifies the run.
 func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (int64, []sched.Decision, error) {
-	shards, mode, secondary := configFor(seed, opts)
+	shards, secondary := configFor(seed, opts)
 	c := sched.New(seed, opts.Faults)
 	if limit >= 0 {
 		c.SetLimit(limit)
@@ -224,7 +219,7 @@ func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (in
 		store.SetDurable(wlog)
 	}
 
-	engine := txn.New(store, mode)
+	engine := txn.New(store)
 	rt := process.NewRuntime(engine, nil)
 
 	// Compile through the interprocedural footprint refiner so the

@@ -231,9 +231,9 @@ func (*fakeErr) Error() string { return "fake failure" }
 func TestConfigForIsPure(t *testing.T) {
 	sawIndexed, sawScan := false, false
 	for seed := uint64(0); seed < 64; seed++ {
-		s1, m1, x1 := configFor(seed, Options{})
-		s2, m2, x2 := configFor(seed, Options{})
-		if s1 != s2 || m1 != m2 || x1 != x2 {
+		s1, x1 := configFor(seed, Options{})
+		s2, x2 := configFor(seed, Options{})
+		if s1 != s2 || x1 != x2 {
 			t.Fatalf("configFor(%d) unstable", seed)
 		}
 		if s1 < 1 || s1 > 8 {
@@ -249,9 +249,58 @@ func TestConfigForIsPure(t *testing.T) {
 		t.Errorf("seed split misses a secondary-index arm: indexed=%t scan=%t", sawIndexed, sawScan)
 	}
 	// Overrides win.
-	s, m, _ := configFor(9, Options{Shards: 2, Mode: 1})
-	if s != 2 || m != 1 {
-		t.Errorf("overrides ignored: shards=%d mode=%v", s, m)
+	if s, _ := configFor(9, Options{Shards: 2}); s != 2 {
+		t.Errorf("override ignored: shards=%d", s)
+	}
+}
+
+// TestConfigForGolden pins the configuration every recorded seed replays
+// with, as captured before the mode arm was deleted: each seed keeps its
+// shard count and secondary-index arm (the seeds that drew the Optimistic
+// mode now run the one engine).
+func TestConfigForGolden(t *testing.T) {
+	golden := []struct {
+		seed      uint64
+		shards    int
+		secondary bool
+	}{
+		{0, 2, true},
+		{1, 1, true},
+		{2, 2, true},
+		{3, 8, true},
+		{4, 4, false},
+		{5, 1, true},
+		{6, 1, false},
+		{7, 2, true},
+		{8, 2, false},
+		{9, 2, true},
+		{10, 2, true},
+		{11, 4, true},
+		{12, 4, true},
+		{13, 8, true},
+		{14, 8, true},
+		{15, 8, false},
+		{16, 2, true},
+		{17, 1, false},
+		{18, 8, false},
+		{19, 4, true},
+		{20, 1, true},
+		{21, 4, true},
+		{22, 2, true},
+		{23, 1, false},
+		{24, 4, true},
+		{25, 4, false},
+		{26, 4, false},
+		{27, 1, true},
+		{28, 1, false},
+		{29, 8, true},
+		{30, 4, false},
+		{31, 2, false},
+	}
+	for _, g := range golden {
+		if s, x := configFor(g.seed, Options{}); s != g.shards || x != g.secondary {
+			t.Errorf("configFor(%d) = shards %d secondary %t, want %d %t", g.seed, s, x, g.shards, g.secondary)
+		}
 	}
 }
 

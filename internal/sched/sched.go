@@ -23,8 +23,7 @@
 //
 // Faults are correctness-preserving perturbations the runtime must tolerate:
 // spurious wakeups (a delayed transaction wakes, re-evaluates, re-blocks),
-// forced optimistic retries (the validation path runs even when the version
-// matched), delayed consensus invalidation signals (delivery is deferred,
+// delayed consensus invalidation signals (delivery is deferred,
 // never lost), and shard-lock contention spikes (critical sections are
 // artificially widened). The one exception is RacyVersionBug, a test-only
 // injected ordering bug that deliberately breaks the commit-version
@@ -45,10 +44,13 @@ import (
 // Point identifies one instrumented decision point in the runtime.
 type Point uint8
 
-// Decision points. Each point owns an independent decision sequence.
+// Decision points. Each point owns an independent decision sequence. A
+// point's ordinal seeds its stream (Decide), so a retired point keeps its
+// slot: renumbering would re-draw every later point's decisions and break
+// the replay of every recorded seed.
 const (
 	PointTxnExec          Point = iota // txn: before a transaction evaluation
-	PointTxnRetry                      // txn: optimistic conflict / locked retry
+	_                                  // retired (was txn-retry); the slot keeps later ordinals fixed
 	PointTxnWakeup                     // txn: delayed transaction woken
 	PointLockShard                     // dataspace: before each shard-lock acquisition
 	PointLockSpike                     // dataspace: contention-spike injection under locks
@@ -75,8 +77,6 @@ func (p Point) String() string {
 	switch p {
 	case PointTxnExec:
 		return "txn-exec"
-	case PointTxnRetry:
-		return "txn-retry"
 	case PointTxnWakeup:
 		return "txn-wakeup"
 	case PointLockShard:
@@ -130,9 +130,6 @@ type Faults struct {
 	// the interest-matched ones; delayed transactions must re-evaluate and
 	// re-block harmlessly.
 	SpuriousWakeup uint8
-	// ForceRetry makes an optimistic transaction take its conflict path
-	// even when the version validated, exercising under-lock re-evaluation.
-	ForceRetry uint8
 	// DelaySignal defers (never drops) a consensus invalidation signal.
 	DelaySignal uint8
 	// LockSpike widens a commit's critical section with extra yields while
@@ -152,12 +149,12 @@ func NoFaults() Faults { return Faults{} }
 
 // Light is a mild exploration profile: frequent yields, occasional faults.
 func Light() Faults {
-	return Faults{Yield: 64, Shuffle: 64, SpuriousWakeup: 16, ForceRetry: 16, DelaySignal: 16, LockSpike: 8}
+	return Faults{Yield: 64, Shuffle: 64, SpuriousWakeup: 16, DelaySignal: 16, LockSpike: 8}
 }
 
 // Heavy is an adversarial profile for exploration campaigns.
 func Heavy() Faults {
-	return Faults{Yield: 128, Shuffle: 128, SpuriousWakeup: 48, ForceRetry: 48, DelaySignal: 48, LockSpike: 32}
+	return Faults{Yield: 128, Shuffle: 128, SpuriousWakeup: 48, DelaySignal: 48, LockSpike: 32}
 }
 
 // Decide is the pure decision function: the value drawn at (point, seq)
@@ -356,13 +353,6 @@ func (c *Controller) Perm(p Point, n int) []int {
 func (c *Controller) SpuriousWakeup() bool {
 	v := c.draw(PointWakeupSpurious)
 	return v != 0 && uint8(v>>16) < c.faults.SpuriousWakeup
-}
-
-// ForceRetry reports whether an optimistic transaction should take its
-// conflict path despite a clean validation.
-func (c *Controller) ForceRetry() bool {
-	v := c.draw(PointTxnRetry)
-	return v != 0 && uint8(v>>16) < c.faults.ForceRetry
 }
 
 // DelaySignal reports whether a consensus invalidation signal should be

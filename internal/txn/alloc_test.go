@@ -24,7 +24,7 @@ func TestApplyAllocatesFixedCosts(t *testing.T) {
 	for k := int64(0); k < 64; k++ {
 		s.Assert(tuple.Environment, tuple.New(tuple.Int(k), tuple.Int(0)))
 	}
-	e := New(s, Coarse)
+	e := New(s)
 	upsert := func(quant pattern.Quantifier) Request {
 		k := pattern.C(tuple.Int(7))
 		return Request{Proc: 1, View: view.Universal(),

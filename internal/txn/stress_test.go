@@ -14,12 +14,11 @@ import (
 )
 
 // Bank stress: random concurrent transfers between account tuples must
-// preserve the total balance under both concurrency-control modes, never
-// produce a negative balance (the guard forbids overdrafts), and the
-// final state must equal the commit-log replay — a strong serializability
-// and atomicity check.
+// preserve the total balance, never produce a negative balance (the guard
+// forbids overdrafts), and the final state must equal the commit-log
+// replay — a strong serializability and atomicity check.
 func TestBankTransferStress(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		const (
 			accounts = 8
 			workers  = 6
@@ -42,7 +41,7 @@ func TestBankTransferStress(t *testing.T) {
 		for i := 0; i < accounts; i++ {
 			s.Assert(tuple.Environment, tuple.New(acct, tuple.Int(int64(i)), tuple.Int(initial)))
 		}
-		e := New(s, mode)
+		e := New(s)
 
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -141,9 +140,9 @@ func TestBankTransferStress(t *testing.T) {
 // Random mixed workload: asserts, guarded retracts, and reads race; the
 // store's Len must equal asserts minus retracts observed through results.
 func TestMixedWorkloadAccounting(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
-		e := New(s, mode)
+		e := New(s)
 		const workers = 4
 		const ops = 150
 		var inserted, removed int64
@@ -235,13 +234,13 @@ func TestReadsObserveConservedSum(t *testing.T) {
 		Patterns: []pattern.Pattern{pattern.P(pattern.V("id"), acct, pattern.V("b"))}}
 	joinAll := pattern.Query{Quant: pattern.ForAll, Patterns: joined}
 
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		for _, shards := range []int{1, 4, 16} {
 			s := dataspace.New(dataspace.WithShards(shards))
 			for i := int64(0); i < accounts; i++ {
 				s.Assert(tuple.Environment, tuple.New(tuple.Int(i), tuple.Atom("acct"), tuple.Int(initial)))
 			}
-			e := New(s, mode)
+			e := New(s)
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
 				wg.Add(1)

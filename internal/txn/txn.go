@@ -19,17 +19,13 @@
 //     internal/consensus.
 //
 // A statically read-only transaction — nothing to assert, no retract tag —
-// never takes an exclusive lock, in any mode: it evaluates against a
-// consistent cut of its footprint (Engine.read) and its answer is final.
+// never takes an exclusive lock: it evaluates against a consistent cut of
+// its footprint (Engine.read) and its answer is final.
 //
-// Two concurrency-control modes are provided for the transactions that can
-// mutate (experiment E9 compares them): Coarse evaluates them inside their
-// commit's exclusive section; Optimistic evaluates the query against a
-// snapshot first and re-validates the dataspace version at commit time,
-// falling back to an under-lock re-evaluation when a concurrent commit
-// intervened. Either way the exclusive section is the narrowest the
-// footprint plan allows (see Engine.update): key latches, the planned
-// shards, or the whole store.
+// A transaction that can mutate evaluates inside its commit's exclusive
+// section, which is the narrowest the request's footprint plan allows (see
+// Engine.write): key latches, the planned shards, or the whole store. The
+// request alone picks the rung.
 package txn
 
 import (
@@ -47,34 +43,6 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 	"github.com/sdl-lang/sdl/internal/view"
 )
-
-// Mode selects how the engine evaluates transactions that can mutate the
-// dataspace. Statically read-only transactions run the same shared read
-// path (Engine.read) under either mode.
-type Mode uint8
-
-// Concurrency-control modes.
-const (
-	// Coarse evaluates a mutating transaction inside its commit's
-	// exclusive section: the reference semantics, trivially serializable.
-	Coarse Mode = iota + 1
-	// Optimistic evaluates a mutating transaction's query under read locks
-	// against a version snapshot and validates at commit; concurrent
-	// read-phase evaluation proceeds in parallel.
-	Optimistic
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Coarse:
-		return "coarse"
-	case Optimistic:
-		return "optimistic"
-	default:
-		return "invalid"
-	}
-}
 
 // ExportPolicy controls what happens when a transaction asserts a tuple
 // outside the process's export set.
@@ -148,33 +116,27 @@ type Result struct {
 
 // Stats counts engine activity.
 type Stats struct {
-	Attempts  uint64 // evaluation attempts (incl. retries and re-checks)
-	Commits   uint64 // successful transactions
-	Failures  uint64 // failed immediate evaluations
-	Conflicts uint64 // optimistic validations that found a newer version
-	Wakeups   uint64 // delayed-transaction wakeups
+	Attempts uint64 // evaluation attempts
+	Commits  uint64 // successful transactions
+	Failures uint64 // failed immediate evaluations
+	Wakeups  uint64 // delayed-transaction wakeups
 }
 
 // Engine executes transactions against a store.
 type Engine struct {
 	store *dataspace.Store
-	mode  Mode
 	m     *metrics.Registry // the store's registry, cached
 	sc    *sched.Controller // the store's exploration controller (usually nil)
 
-	attempts  atomic.Uint64
-	commits   atomic.Uint64
-	failures  atomic.Uint64
-	conflicts atomic.Uint64
-	wakeups   atomic.Uint64
+	attempts atomic.Uint64
+	commits  atomic.Uint64
+	failures atomic.Uint64
+	wakeups  atomic.Uint64
 }
 
-// New returns an engine over the store using the given mode.
-func New(store *dataspace.Store, mode Mode) *Engine {
-	if mode != Coarse && mode != Optimistic {
-		mode = Coarse
-	}
-	return &Engine{store: store, mode: mode, m: store.Metrics(), sc: store.Sched()}
+// New returns an engine over the store.
+func New(store *dataspace.Store) *Engine {
+	return &Engine{store: store, m: store.Metrics(), sc: store.Sched()}
 }
 
 // Store returns the engine's dataspace.
@@ -183,17 +145,13 @@ func (e *Engine) Store() *dataspace.Store { return e.store }
 // Metrics returns the store's metrics registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.m }
 
-// Mode returns the engine's concurrency-control mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Attempts:  e.attempts.Load(),
-		Commits:   e.commits.Load(),
-		Failures:  e.failures.Load(),
-		Conflicts: e.conflicts.Load(),
-		Wakeups:   e.wakeups.Load(),
+		Attempts: e.attempts.Load(),
+		Commits:  e.commits.Load(),
+		Failures: e.failures.Load(),
+		Wakeups:  e.wakeups.Load(),
 	}
 }
 
@@ -206,11 +164,10 @@ func (e *Engine) Immediate(req Request) (Result, error) {
 }
 
 // exec runs one evaluation of req — on the shared read path when req is
-// statically read-only, under the engine's mode otherwise — recording the
-// per-kind metrics: one attempt per exec, one commit on success, and —
+// statically read-only, inside its exclusive section otherwise — recording
+// the per-kind metrics: one attempt per exec, one commit on success, and —
 // when an observer is attached — the end-to-end latency. The registry's
-// attempts therefore count executions; extra under-lock re-evaluations
-// inside one exec are counted as retries, so per kind
+// attempts therefore count executions, so per kind
 // latency-histogram count == attempts ≥ commits.
 func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 	e.sc.Yield(sched.PointTxnExec)
@@ -224,13 +181,10 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 		res Result
 		err error
 	)
-	switch {
-	case len(req.Asserts) == 0 && retractFree(req.Query):
+	if len(req.Asserts) == 0 && retractFree(req.Query) {
 		res, err = e.read(req)
-	case e.mode == Optimistic:
-		res, err = e.immediateOptimistic(req, kind)
-	default:
-		res, err = e.immediateCoarse(req)
+	} else {
+		res, err = e.write(req)
 	}
 	if observed {
 		e.m.ObserveTxnLatency(kind, time.Since(start))
@@ -332,51 +286,38 @@ func (e *Engine) planKeys(req Request) ([]dataspace.InterestKey, bool) {
 	return keys, planned
 }
 
-// update runs fn under the narrowest sound lock: the commutativity-aware
-// key-level path when the footprint plan is exact (per-bucket latches plus
-// group commit, falling back to shard locks for plans the lock table cannot
-// latch), the whole store otherwise.
-func (e *Engine) update(req Request, keys []dataspace.InterestKey, planned bool, fn func(w dataspace.Writer) error) error {
-	if planned {
-		return e.store.UpdateCommuting(req.Proc, keys, fn)
+// write evaluates and applies a mutating req inside its exclusive section,
+// under the narrowest sound lock: the commutativity-aware key-level path
+// when the footprint plan is exact (per-bucket latches plus group commit,
+// falling back to shard locks for plans the lock table cannot latch), the
+// whole store otherwise. A query with no solution is a failure with no
+// effect; any other error aborts the transaction.
+func (e *Engine) write(req Request) (Result, error) {
+	var res Result
+	e.attempts.Add(1)
+	fn := func(w dataspace.Writer) (err error) {
+		res, err = e.evalAndApply(w, req)
+		return err
 	}
-	return e.store.Update(req.Proc, fn)
-}
-
-// settle folds the outcome of an update into the engine counters and the
-// caller's result: errFailed is a failed evaluation with no effect, any
-// other error aborts the transaction, nil is a commit.
-func (e *Engine) settle(req Request, res Result, err error) (Result, error) {
+	var err error
+	if keys, planned := e.planKeys(req); planned {
+		err = e.store.UpdateCommuting(req.Proc, keys, fn)
+	} else {
+		err = e.store.Update(req.Proc, fn)
+	}
 	switch {
 	case errors.Is(err, errFailed):
 		e.failures.Add(1)
 		return Result{Env: req.Env}, nil
 	case err != nil:
 		return Result{}, err
-	default:
-		e.commits.Add(1)
-		return res, nil
 	}
-}
-
-// evalUnderLock evaluates and applies req inside its exclusive section.
-func (e *Engine) evalUnderLock(req Request, keys []dataspace.InterestKey, planned bool) (Result, error) {
-	var res Result
-	e.attempts.Add(1)
-	err := e.update(req, keys, planned, func(w dataspace.Writer) (err error) {
-		res, err = e.evalAndApply(w, req)
-		return err
-	})
-	return e.settle(req, res, err)
-}
-
-func (e *Engine) immediateCoarse(req Request) (Result, error) {
-	keys, planned := e.planKeys(req)
-	return e.evalUnderLock(req, keys, planned)
+	e.commits.Add(1)
+	return res, nil
 }
 
 // read executes a statically read-only request — nothing to assert and a
-// retract-free query — in every mode, without any exclusive lock, key
+// retract-free query — without any exclusive lock, key
 // latch, intent lock or commit record. A planned footprint evaluates
 // lock-free against epoch snapshots (a read the store declines or finds
 // torn falls through); otherwise the evaluation holds the shared locks of
@@ -415,76 +356,6 @@ func (e *Engine) read(req Request) (Result, error) {
 	}
 	e.commits.Add(1)
 	return solved(req, sols), nil
-}
-
-// immediateOptimistic evaluates a mutating transaction's query against a
-// read snapshot. Two outcomes:
-//
-//   - The version is unchanged under the write lock: the snapshot's
-//     solutions are applied directly, without re-evaluating the query.
-//   - A concurrent commit intervened: re-evaluate under the lock
-//     (degenerating to coarse for this attempt) and count a conflict.
-//
-// Validation compares the store's global version, which any shard's commit
-// bumps. Under a sharded store this is conservative: a commit on shards
-// disjoint from the footprint triggers a spurious re-evaluation (never an
-// incorrect commit) — the retry runs under the footprint's shard locks and
-// observes exactly the configuration it validates against.
-func (e *Engine) immediateOptimistic(req Request, kind metrics.TxnKind) (Result, error) {
-	var (
-		snapVersion uint64
-		sols        []pattern.Binding
-		evalErr     error
-	)
-	e.attempts.Add(1)
-	// Forced-retry fault: treat this evaluation's validation as failed even
-	// when the version matches, driving the under-lock re-evaluation path a
-	// wall-clock schedule rarely reaches. Drawn before the snapshot so the
-	// decision stream is independent of evaluation timing.
-	forced := e.sc.ForceRetry()
-	keys, planned := e.planKeys(req)
-	eval := func(r dataspace.Reader) {
-		snapVersion = r.Version()
-		sols, evalErr = solve(req, r, nil)
-	}
-	if planned {
-		e.store.SnapshotKeys(keys, eval)
-	} else {
-		e.store.Snapshot(eval)
-	}
-	if evalErr != nil {
-		return Result{}, evalErr
-	}
-
-	if len(sols) == 0 {
-		// A definitive failure only if nothing changed since the snapshot;
-		// otherwise re-check under the lock.
-		if !forced && e.store.Version() == snapVersion {
-			e.failures.Add(1)
-			return Result{Env: req.Env}, nil
-		}
-		e.conflicts.Add(1)
-		e.m.IncTxnRetry(kind)
-		e.sc.Yield(sched.PointTxnRetry)
-		return e.evalUnderLock(req, keys, planned)
-	}
-
-	var res Result
-	err := e.update(req, keys, planned, func(w dataspace.Writer) (err error) {
-		if forced || w.Version() != snapVersion {
-			// Conflict: the snapshot's solutions may be stale; re-evaluate
-			// in place.
-			e.conflicts.Add(1)
-			e.attempts.Add(1)
-			e.m.IncTxnRetry(kind)
-			res, err = e.evalAndApply(w, req)
-		} else {
-			// Unchanged: the snapshot solutions are still exact.
-			res, err = e.apply(w, req, sols)
-		}
-		return err
-	})
-	return e.settle(req, res, err)
 }
 
 // retractFree reports whether the query is statically retract-free: no

@@ -16,19 +16,21 @@ import (
 
 func year(n int64) tuple.Tuple { return tuple.New(tuple.Atom("year"), tuple.Int(n)) }
 
-// modes runs a subtest under both concurrency-control modes.
-func modes(t *testing.T, fn func(t *testing.T, mode Mode)) {
+// stableIDs runs fn as the subtests "coarse" and "optimistic": the IDs these
+// scenarios had when the engine offered two concurrency-control modes, kept
+// so the suite's test IDs stay stable. Both run the one engine.
+func stableIDs(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	t.Run("coarse", func(t *testing.T) { fn(t, Coarse) })
-	t.Run("optimistic", func(t *testing.T) { fn(t, Optimistic) })
+	t.Run("coarse", fn)
+	t.Run("optimistic", fn)
 }
 
 func TestImmediatePaperExample(t *testing.T) {
 	// ∃α: <year, α>! : α > 87 → (found, α)
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(85), year(90))
-		e := New(s, mode)
+		e := New(s)
 		res, err := e.Immediate(Request{
 			Proc: 1,
 			View: view.Universal(),
@@ -64,10 +66,10 @@ func TestImmediatePaperExample(t *testing.T) {
 }
 
 func TestImmediateFailureHasNoEffect(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(85))
-		e := New(s, mode)
+		e := New(s)
 		v0 := s.Version()
 		res, err := e.Immediate(Request{
 			Proc: 1,
@@ -96,10 +98,10 @@ func TestImmediateFailureHasNoEffect(t *testing.T) {
 
 func TestMembershipTestNoEffect(t *testing.T) {
 	// A pure membership test commits without mutating (version unchanged).
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(87))
-		e := New(s, mode)
+		e := New(s)
 		v0 := s.Version()
 		res, err := e.Immediate(Request{
 			Proc:  1,
@@ -118,10 +120,10 @@ func TestMembershipTestNoEffect(t *testing.T) {
 func TestForAllCompositeEffect(t *testing.T) {
 	// ∀α: <year, α>! : α > 87 → (old, α): retract all matching, assert one
 	// tuple per solution, atomically.
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(85), year(90), year(95))
-		e := New(s, mode)
+		e := New(s)
 		res, err := e.Immediate(Request{
 			Proc: 1,
 			View: view.Universal(),
@@ -145,9 +147,9 @@ func TestForAllCompositeEffect(t *testing.T) {
 }
 
 func TestForAllZeroSolutionsFails(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
-		e := New(s, mode)
+		e := New(s)
 		res, err := e.Immediate(Request{
 			Proc:  1,
 			View:  view.Universal(),
@@ -165,7 +167,7 @@ func TestForAllZeroSolutionsFails(t *testing.T) {
 func TestViewRestrictsTransaction(t *testing.T) {
 	// With the paper's `α ≤ 87` import view, the transaction cannot see
 	// year(90).
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(85), year(90))
 		v := view.New(
@@ -175,7 +177,7 @@ func TestViewRestrictsTransaction(t *testing.T) {
 			)),
 			view.Everything(),
 		)
-		e := New(s, mode)
+		e := New(s)
 		res, err := e.Immediate(Request{
 			Proc: 1,
 			View: v,
@@ -192,14 +194,14 @@ func TestViewRestrictsTransaction(t *testing.T) {
 }
 
 func TestExportDropAndError(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(85))
 		v := view.New(
 			view.Everything(),
 			view.Union(view.Pat(pattern.P(pattern.C(tuple.Atom("year")), pattern.W()))),
 		)
-		e := New(s, mode)
+		e := New(s)
 		req := Request{
 			Proc:  1,
 			View:  v,
@@ -227,11 +229,11 @@ func TestExportDropAndError(t *testing.T) {
 }
 
 func TestExportErrorRollsBack(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(85))
 		v := view.New(view.Everything(), view.Union()) // exports nothing
-		e := New(s, mode)
+		e := New(s)
 		_, err := e.Immediate(Request{
 			Proc:    1,
 			View:    v,
@@ -251,10 +253,10 @@ func TestExportErrorRollsBack(t *testing.T) {
 func TestRetractOneInstanceLeavesOthers(t *testing.T) {
 	// "retracting one instance of a tuple may leave other instances of it
 	// in the dataspace."
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(87), year(87))
-		e := New(s, mode)
+		e := New(s)
 		res, err := e.Immediate(Request{
 			Proc:  1,
 			View:  view.Universal(),
@@ -270,9 +272,9 @@ func TestRetractOneInstanceLeavesOthers(t *testing.T) {
 }
 
 func TestDelayedBlocksUntilEnabled(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
-		e := New(s, mode)
+		e := New(s)
 		done := make(chan Result, 1)
 		go func() {
 			res, err := e.Delayed(context.Background(), Request{
@@ -309,7 +311,7 @@ func TestDelayedBlocksUntilEnabled(t *testing.T) {
 
 func TestDelayedContextCancel(t *testing.T) {
 	s := dataspace.New()
-	e := New(s, Coarse)
+	e := New(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -335,7 +337,7 @@ func TestDelayedContextCancel(t *testing.T) {
 func TestDelayedImmediatelyEnabled(t *testing.T) {
 	s := dataspace.New()
 	s.Assert(tuple.Environment, year(90))
-	e := New(s, Optimistic)
+	e := New(s)
 	res, err := e.Delayed(context.Background(), Request{
 		Proc:  1,
 		View:  view.Universal(),
@@ -347,12 +349,12 @@ func TestDelayedImmediatelyEnabled(t *testing.T) {
 }
 
 // Serializability: concurrent read-modify-write increments of a counter
-// tuple must not lose updates, under both modes.
+// tuple must not lose updates.
 func TestConcurrentIncrementsSerializable(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, tuple.New(tuple.Atom("counter"), tuple.Int(0)))
-		e := New(s, mode)
+		e := New(s)
 		const workers = 8
 		const perWorker = 50
 		var wg sync.WaitGroup
@@ -396,11 +398,11 @@ func TestConcurrentIncrementsSerializable(t *testing.T) {
 
 // Two concurrent retractors of a single instance: exactly one must win.
 func TestConcurrentRetractionExactlyOnce(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			s := dataspace.New()
 			s.Assert(tuple.Environment, year(90))
-			e := New(s, mode)
+			e := New(s)
 			results := make(chan bool, 2)
 			for w := 0; w < 2; w++ {
 				go func(w int) {
@@ -431,56 +433,11 @@ func TestConcurrentRetractionExactlyOnce(t *testing.T) {
 	})
 }
 
-func TestOptimisticConflictCounted(t *testing.T) {
-	// Force a conflict: evaluate under snapshot, mutate between phases.
-	// We can't hook between phases directly, so run contended increments
-	// and just require the engine to have recorded activity consistently.
-	s := dataspace.New()
-	s.Assert(tuple.Environment, tuple.New(tuple.Atom("counter"), tuple.Int(0)))
-	e := New(s, Optimistic)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				_, _ = e.Immediate(Request{
-					Proc:  tuple.ProcessID(w + 1),
-					View:  view.Universal(),
-					Query: pattern.Q(pattern.R(pattern.C(tuple.Atom("counter")), pattern.V("n"))),
-					Asserts: []pattern.Pattern{pattern.P(
-						pattern.C(tuple.Atom("counter")),
-						pattern.E(expr.Add(expr.V("n"), expr.Const(tuple.Int(1)))),
-					)},
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := e.Stats()
-	if st.Commits != 400 {
-		t.Errorf("commits = %d", st.Commits)
-	}
-	if st.Attempts < st.Commits {
-		t.Errorf("attempts %d < commits %d", st.Attempts, st.Commits)
-	}
-}
-
-func TestInvalidModeDefaultsToCoarse(t *testing.T) {
-	e := New(dataspace.New(), Mode(99))
-	if e.Mode() != Coarse {
-		t.Errorf("mode = %v", e.Mode())
-	}
-	if e.Store() == nil {
-		t.Error("Store() nil")
-	}
-}
-
 func TestQueryErrorPropagates(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(90))
-		e := New(s, mode)
+		e := New(s)
 		_, err := e.Immediate(Request{
 			Proc: 1,
 			View: view.Universal(),
@@ -494,10 +451,10 @@ func TestQueryErrorPropagates(t *testing.T) {
 }
 
 func TestAssertGroundErrorFailsTransaction(t *testing.T) {
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		s.Assert(tuple.Environment, year(90))
-		e := New(s, mode)
+		e := New(s)
 		_, err := e.Immediate(Request{
 			Proc:    1,
 			View:    view.Universal(),
@@ -513,67 +470,13 @@ func TestAssertGroundErrorFailsTransaction(t *testing.T) {
 	})
 }
 
-func TestOptimisticConflictPathsExercised(t *testing.T) {
-	// Force the snapshot-miss-then-version-moved path: a flipper toggles
-	// the presence of <x> while a prober runs immediate queries for it.
-	s := dataspace.New()
-	e := New(s, Optimistic)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ids := s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
-			_ = s.Update(tuple.Environment, func(w dataspace.Writer) error {
-				return w.Delete(ids[0])
-			})
-		}
-	}()
-	req := Request{
-		Proc:    1,
-		View:    view.Universal(),
-		Query:   pattern.Q(pattern.R(pattern.C(tuple.Atom("x")))),
-		Asserts: []pattern.Pattern{pattern.P(pattern.C(tuple.Atom("seen")))},
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats().Conflicts == 0 && time.Now().Before(deadline) {
-		if _, err := e.Immediate(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if e.Stats().Conflicts == 0 {
-		t.Skip("no conflict provoked on this host (single-threaded scheduling)")
-	}
-	// Consistency: every committed probe left exactly one seen tuple and
-	// removed one x.
-	st := e.Stats()
-	var seen int
-	s.Snapshot(func(r dataspace.Reader) {
-		r.Scan(1, tuple.Atom("seen"), true, func(tuple.ID, tuple.Tuple) bool {
-			seen++
-			return true
-		})
-	})
-	if uint64(seen) != st.Commits {
-		t.Errorf("seen=%d commits=%d", seen, st.Commits)
-	}
-}
-
 func TestDelayedNegationOnlyQuery(t *testing.T) {
 	// A delayed transaction whose query is a lone negation fires when the
 	// blocking tuple is retracted.
-	modes(t, func(t *testing.T, mode Mode) {
+	stableIDs(t, func(t *testing.T) {
 		s := dataspace.New()
 		ids := s.Assert(tuple.Environment, tuple.New(tuple.Atom("busy")))
-		e := New(s, mode)
+		e := New(s)
 		done := make(chan Result, 1)
 		go func() {
 			res, err := e.Delayed(context.Background(), Request{
@@ -606,65 +509,52 @@ func TestDelayedNegationOnlyQuery(t *testing.T) {
 	})
 }
 
-func TestModeAndKindStrings(t *testing.T) {
-	if Coarse.String() != "coarse" || Optimistic.String() != "optimistic" || Mode(0).String() != "invalid" {
-		t.Error("Mode.String misnames")
-	}
-}
-
 func BenchmarkImmediateReadOnly(b *testing.B) {
-	for _, mode := range []Mode{Coarse, Optimistic} {
-		s := dataspace.New()
-		s.Assert(tuple.Environment, year(90))
-		e := New(s, mode)
-		read := func(b *testing.B) {
-			res, err := e.Immediate(Request{
-				Proc:  1,
-				View:  view.Universal(),
-				Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("year")), pattern.V("a"))),
-			})
-			if err != nil || !res.OK {
-				b.Error(res.OK, err)
-			}
+	s := dataspace.New()
+	s.Assert(tuple.Environment, year(90))
+	e := New(s)
+	read := func(b *testing.B) {
+		res, err := e.Immediate(Request{
+			Proc:  1,
+			View:  view.Universal(),
+			Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("year")), pattern.V("a"))),
+		})
+		if err != nil || !res.OK {
+			b.Error(res.OK, err)
 		}
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+	}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			read(b)
+		}
+	})
+	// Concurrent readers of one bucket: they share the read path, so
+	// throughput must not collapse to one reader at a time.
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
 				read(b)
 			}
 		})
-		// Concurrent readers of one bucket: they share the read path, so
-		// throughput must not collapse to one reader at a time.
-		b.Run(mode.String()+"/parallel", func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					read(b)
-				}
-			})
-		})
-	}
+	})
 }
 
 func BenchmarkImmediateRMW(b *testing.B) {
-	for _, mode := range []Mode{Coarse, Optimistic} {
-		b.Run(mode.String(), func(b *testing.B) {
-			s := dataspace.New()
-			s.Assert(tuple.Environment, tuple.New(tuple.Atom("counter"), tuple.Int(0)))
-			e := New(s, mode)
-			req := Request{
-				Proc:  1,
-				View:  view.Universal(),
-				Query: pattern.Q(pattern.R(pattern.C(tuple.Atom("counter")), pattern.V("n"))),
-				Asserts: []pattern.Pattern{pattern.P(pattern.C(tuple.Atom("counter")),
-					pattern.E(expr.Add(expr.V("n"), expr.Const(tuple.Int(1)))))},
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.Immediate(req)
-				if err != nil || !res.OK {
-					b.Fatal(res.OK, err)
-				}
-			}
-		})
+	s := dataspace.New()
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("counter"), tuple.Int(0)))
+	e := New(s)
+	req := Request{
+		Proc:  1,
+		View:  view.Universal(),
+		Query: pattern.Q(pattern.R(pattern.C(tuple.Atom("counter")), pattern.V("n"))),
+		Asserts: []pattern.Pattern{pattern.P(pattern.C(tuple.Atom("counter")),
+			pattern.E(expr.Add(expr.V("n"), expr.Const(tuple.Int(1)))))},
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := e.Immediate(req)
+		if err != nil || !res.OK {
+			b.Fatal(res.OK, err)
+		}
 	}
 }
 
@@ -678,7 +568,7 @@ func BenchmarkImmediateRMW(b *testing.B) {
 // path.
 func TestFieldIndexedQueryStaysUnplanned(t *testing.T) {
 	s := dataspace.New(dataspace.WithShards(4), dataspace.WithSecondaryIndex(true))
-	e := New(s, Coarse)
+	e := New(s)
 	for i := 0; i < 32; i++ {
 		s.Assert(tuple.Environment,
 			tuple.New(tuple.Int(int64(i)), tuple.Atom("rec"), tuple.Int(int64(i%4))))

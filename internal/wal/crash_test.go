@@ -68,7 +68,7 @@ func runCrashChild() {
 	}
 	segSize, _ := strconv.Atoi(os.Getenv(crashSegSizeEnv))
 
-	s := dataspace.New(dataspace.WithShards(shards), dataspace.WithCommuting(true))
+	s := dataspace.New(dataspace.WithShards(shards))
 	l, err := Open(dir, Options{Sync: mode, SegmentSize: int64(segSize)})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)

@@ -18,9 +18,9 @@ func exclusive(s MetricsSnapshot) uint64 {
 }
 
 // A statically read-only transaction takes no exclusive lock, whatever the
-// engine mode, the shard count, the shape of its footprint or the view it
-// reads through — and a delayed read-only guard adds none to those of the
-// commit that releases it.
+// shard count, the shape of its footprint or the view it reads through —
+// and a delayed read-only guard adds none to those of the commit that
+// releases it.
 func TestReadOnlyTakesNoExclusiveLock(t *testing.T) {
 	ctr, rec, link := C(Atom("ctr")), C(Atom("rec")), C(Atom("link"))
 	ctrOnly := Union(Pat(P(ctr, W())))
@@ -40,10 +40,10 @@ func TestReadOnlyTakesNoExclusiveLock(t *testing.T) {
 			Query: Q(P(ctr, V("n")))}, 1},
 		{"impure-matcher view", Request{View: NewView(impure, Everything()), Query: Q(P(ctr, V("n")))}, 1},
 	}
-	for _, mode := range []Mode{Coarse, Optimistic} {
+	for _, name := range stableIDs {
 		for _, shards := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("%s/%d", mode, shards), func(t *testing.T) {
-				sys := New(Options{Mode: mode, Shards: shards})
+			t.Run(fmt.Sprintf("%s/%d", name, shards), func(t *testing.T) {
+				sys := New(Options{Shards: shards})
 				defer sys.Close()
 				sys.Store.Assert(Environment, NewTuple(Atom("ctr"), Int(7)))
 				for i := 0; i < 32; i++ {
@@ -119,9 +119,9 @@ func TestReadOnlyTakesNoExclusiveLock(t *testing.T) {
 // evaluation — here inside a dynamic import matcher — must not hold up
 // another reader of the same shards.
 func TestParkedReaderDoesNotBlockReaders(t *testing.T) {
-	for _, mode := range []Mode{Coarse, Optimistic} {
-		t.Run(mode.String(), func(t *testing.T) {
-			sys := New(Options{Mode: mode, Shards: 4})
+	for _, name := range stableIDs {
+		t.Run(name, func(t *testing.T) {
+			sys := New(Options{Shards: 4})
 			defer sys.Close()
 			sys.Store.Assert(Environment, NewTuple(Atom("ctr"), Int(7)))
 

@@ -11,8 +11,8 @@
 //   - patterns and queries (P/R/N fields, Exists/ForAll)
 //   - programmer-defined views (import/export clauses, dynamic matchers)
 //   - the transaction engine: immediate ('→'), delayed ('⇒') and
-//     consensus ('⇑') transactions, with coarse or optimistic
-//     concurrency control
+//     consensus ('⇑') transactions, each committing under the narrowest
+//     lock its footprint allows
 //   - the process runtime: definitions, dynamic spawn, sequence,
 //     selection, repetition and replication constructs
 //   - tracing and replay of the dataspace evolution
@@ -98,12 +98,6 @@ type StoreOption = dataspace.Option
 // default. Transactions whose patterns name their lead field lock only
 // the shards they touch, so disjoint transactions commit in parallel.
 var WithShards = dataspace.WithShards
-
-// WithCommuting enables or disables the commutativity-aware commit path
-// (per-key latches, group commit, epoch reads; on by default). Disabling
-// it demotes every planned commit to shard-level locking — the ablation
-// baseline of experiment E13.
-var WithCommuting = dataspace.WithCommuting
 
 // WithSecondaryIndex enables or disables adaptive secondary field indexes
 // and selectivity-guided join planning (on by default). When on, scan
@@ -211,22 +205,15 @@ type (
 	Request = txn.Request
 	// Result reports a transaction outcome.
 	Result = txn.Result
-	// Mode selects the concurrency-control strategy.
-	Mode = txn.Mode
 )
 
-// Engine construction and modes.
+// NewEngine returns a transaction engine over a store. A mutating
+// transaction commits under the narrowest lock its footprint allows; a
+// read-only one never takes an exclusive lock.
 var NewEngine = txn.New
 
-// Concurrency-control modes and export policies.
+// Export policies.
 const (
-	// Coarse evaluates mutating transactions inside their commit's
-	// exclusive section.
-	Coarse = txn.Coarse
-	// Optimistic evaluates them against a read-phase snapshot validated at
-	// commit time. Read-only transactions run the same shared read path
-	// under either mode.
-	Optimistic = txn.Optimistic
 	// ExportDrop silently drops non-exportable assertions (the formal
 	// semantics); ExportError fails the transaction instead.
 	ExportDrop  = txn.ExportDrop
@@ -320,7 +307,7 @@ type (
 	// SchedController is a seedable deterministic scheduler and fault
 	// injector. Installed via Options.Scheduler (or the WithScheduler
 	// store option), it drives yields, wakeup-delivery order, spurious
-	// wakeups, forced optimistic retries, and delayed consensus signals
+	// wakeups, contention spikes, and delayed consensus signals
 	// from a pure decision stream, so any interleaving it provokes can
 	// be replayed from its seed. A nil controller leaves every hook as
 	// a no-op.

@@ -35,7 +35,7 @@ func TestSystemQuickFlow(t *testing.T) {
 }
 
 func TestSystemRunProcess(t *testing.T) {
-	sys := New(Options{Mode: Optimistic})
+	sys := New(Options{})
 	defer sys.Close()
 
 	if err := sys.Define(&Definition{

@@ -6,10 +6,6 @@ import (
 
 // Options configures a System.
 type Options struct {
-	// Mode selects the transaction engine's concurrency control for
-	// mutating transactions (default Coarse); read-only ones never take an
-	// exclusive lock under either mode.
-	Mode Mode
 	// Trace attaches a Recorder when positive (event cap) or when -1
 	// (unbounded).
 	Trace int
@@ -22,10 +18,6 @@ type Options struct {
 	// controller's seed. Nil (the default) leaves all hook points as
 	// no-ops.
 	Scheduler *SchedController
-	// DisableCommuting turns off the commutativity-aware commit path
-	// (per-key latches, group commit, epoch reads), demoting every planned
-	// commit to shard-level locking. The E13 ablation baseline.
-	DisableCommuting bool
 	// DisableSecondaryIndex turns off adaptive secondary field indexes and
 	// the selectivity-guided join planner they feed: non-lead constrained
 	// scans degrade to full arity walks and plans to the boundness
@@ -77,7 +69,7 @@ func New(opts Options) *System {
 // every commit is durable before it becomes visible.
 func Open(opts Options) (*System, error) {
 	store := NewStore(WithShards(opts.Shards), WithScheduler(opts.Scheduler),
-		WithCommuting(!opts.DisableCommuting), WithSecondaryIndex(!opts.DisableSecondaryIndex))
+		WithSecondaryIndex(!opts.DisableSecondaryIndex))
 	var (
 		wlog     *WAL
 		recovery *WALRecoveryStats
@@ -104,11 +96,7 @@ func Open(opts Options) (*System, error) {
 		rec = NewRecorder(0)
 		rec.Attach(store)
 	}
-	mode := opts.Mode
-	if mode == 0 {
-		mode = Coarse
-	}
-	engine := NewEngine(store, mode)
+	engine := NewEngine(store)
 	cons := NewConsensusManager(engine)
 	rt := NewRuntime(engine, cons)
 	return &System{Store: store, Engine: engine, Cons: cons, Runtime: rt, Recorder: rec,

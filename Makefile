@@ -21,12 +21,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The count-exact allocation guards (what a match, a solution, an upsert and
-# a read may allocate). They skip under the race detector — it allocates on
-# its own and sync.Pool drops Puts there — so the race target above does not
-# run them; this does.
+# The count-exact allocation guards (what a match, a solution, an upsert, a
+# store commit, a WAL append and a read may allocate). They skip under the
+# race detector — it allocates on its own and sync.Pool drops Puts there — so
+# the race target above does not run them; this does.
 alloc-guard:
-	$(GO) test -run 'Alloc|Allocates' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/txn .
+	$(GO) test -run 'Alloc|Allocates' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/txn ./internal/wal .
 
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:

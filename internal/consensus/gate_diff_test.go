@@ -10,6 +10,7 @@ import (
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/refmodel"
+	"github.com/sdl-lang/sdl/internal/trace"
 	"github.com/sdl-lang/sdl/internal/tuple"
 	"github.com/sdl-lang/sdl/internal/txn"
 	"github.com/sdl-lang/sdl/internal/view"
@@ -281,8 +282,8 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		store := dataspace.New(dataspace.WithShards(1 << r.Intn(4)))
 		engine := txn.New(store)
-		var log []dataspace.CommitRecord
-		store.OnCommit(func(rec dataspace.CommitRecord) { log = append(log, rec) })
+		log := trace.NewCommitLog()
+		log.Attach(store)
 		m := newUnstarted(engine)
 		ref := &refSociety{members: map[tuple.ProcessID]refMember{}, offers: map[tuple.ProcessID][]txn.Request{}}
 		pending := map[tuple.ProcessID]*Offer{}
@@ -436,7 +437,7 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 				fail("dataspace diverged from the reference after firing %v", want)
 			}
 		}
-		replayed, err := refmodel.Replay(log)
+		replayed, err := refmodel.Replay(log.Commits())
 		if err != nil {
 			fail("commit log does not replay: %v", err)
 		}

@@ -1,0 +1,119 @@
+package dataspace
+
+import (
+	"sync"
+
+	"github.com/sdl-lang/sdl/internal/tuple"
+)
+
+// journal is one mutating commit's state, from its footprint to its
+// publication, shared by both write paths: the shard-locked writer applies
+// its mutations to the live maps and records them here; the key-latch
+// keyWriter buffers them here and applies them at publication. Either way
+// publish reads the journal in place — the CommitRecord it lends the hooks
+// and the durability sink is a view of the journal's slices — and notify
+// routes the same slices to the subscriptions.
+//
+// Journals are pooled: a commit takes one, and returns it once its waiters
+// are notified (or its fn failed). Nothing in a journal outlives the commit,
+// so in the steady state a commit allocates only what it stores. A journal
+// that carried more than maxPooledEffects effects is dropped instead of
+// pooled, and a pooled one holds no instance, so the pool never pins
+// retracted tuples or the arrays of a bulk commit.
+type journal struct {
+	reader           // the live maps of the footprint; ss points at lp.ss
+	lp     latchPlan // the footprint: shards on both paths, latches and buckets on the key path
+	owner  tuple.ProcessID
+
+	inserted []Instance
+	insShard []uint32 // shard of inserted[i]
+	deleted  []Instance
+	delShard []uint32              // shard of deleted[i]
+	delIDs   map[tuple.ID]struct{} // key path: the buffered deletes, hidden from live reads
+
+	dtok uint64        // durability wait token, set by publish
+	done chan struct{} // cap 1: the group-commit leader's "published" signal to a follower
+}
+
+// maxPooledEffects caps the effects (and footprint buckets) a journal may
+// have carried and still be pooled.
+const maxPooledEffects = 256
+
+var journals = sync.Pool{New: func() any {
+	j := &journal{done: make(chan struct{}, 1)}
+	j.ss = &j.lp.ss
+	return j
+}}
+
+// journal takes an empty journal from the pool for a commit by owner.
+func (s *Store) journal(owner tuple.ProcessID) *journal {
+	j := journals.Get().(*journal)
+	j.s, j.owner = s, owner
+	return j
+}
+
+// release returns a finished commit's journal to the pool — emptied, so the
+// next commit's record and result hold exactly its own effects — or drops
+// it when it grew past maxPooledEffects.
+func (j *journal) release() {
+	if cap(j.inserted) > maxPooledEffects || cap(j.deleted) > maxPooledEffects || cap(j.lp.keys) > maxPooledEffects {
+		return
+	}
+	// Whole capacity: a cancelled buffered insert leaves a stale copy past len.
+	clear(j.inserted[:cap(j.inserted)])
+	clear(j.deleted[:cap(j.deleted)])
+	clear(j.lp.keys[:cap(j.lp.keys)])
+	clear(j.delIDs)
+	j.inserted, j.insShard = j.inserted[:0], j.insShard[:0]
+	j.deleted, j.delShard = j.deleted[:0], j.delShard[:0]
+	j.lp = latchPlan{latches: j.lp.latches[:0], keys: j.lp.keys[:0]}
+	j.s, j.owner, j.dtok = nil, 0, 0
+	journals.Put(j)
+}
+
+// rung is the commit-ladder rung a commit took; publish counts it.
+type rung uint8
+
+const (
+	rungKey    rung = iota // key latches (UpdateCommuting)
+	rungShard              // a planned shard set (UpdateKeys, or a plan the latches could not take)
+	rungCoarse             // the whole store (Update) or a bulk Assert
+)
+
+// publish is the commit's one publication step, shared by both write paths:
+// it counts the commit, claims its version, and lends the journal's effects
+// to the hooks and the durability sink as one CommitRecord. Callers hold the
+// exclusive mu of every shard the journal wrote, plus the commit's latches
+// (key path) or intent locks (shard path), so conflicting commits publish —
+// and append — in version order.
+//
+// lint:holds latch mu
+func (s *Store) publish(j *journal, r rung) {
+	for _, si := range j.insShard {
+		s.shards[si].asserts++
+	}
+	for _, si := range j.delShard {
+		s.shards[si].retracts++
+	}
+	s.metrics.IncCommits()
+	switch r {
+	case rungKey:
+		s.metrics.IncKeyCommit()
+	case rungShard:
+		s.metrics.IncShardFallback()
+	default:
+		s.metrics.IncCoarseCommit()
+	}
+	rec := CommitRecord{
+		Version:  s.allocVersion(),
+		Owner:    j.owner,
+		Inserted: j.inserted,
+		Deleted:  j.deleted,
+	}
+	for _, h := range s.onCommit {
+		h(rec)
+	}
+	if s.durable != nil {
+		j.dtok = s.durable.Append(rec)
+	}
+}

@@ -1,9 +1,10 @@
 package dataspace
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/sdl-lang/sdl/internal/sched"
@@ -39,14 +40,20 @@ import (
 // Every path acquires classes strictly in this order, and within a class in
 // ascending global order, so the ladder is deadlock-free.
 //
-// A key-mode commit buffers its mutations (keyWriter) during evaluation
-// under mu.RLock and publishes them under mu.Lock — either by enqueueing on
-// its shard's commit queue, where the first committer becomes the leader
-// and drains everyone's buffers under a single mu.Lock (amortizing the E12
-// locks/op cost), or, for multi-shard footprints, by applying directly
-// while holding every footprint shard's mu (so full-store snapshots never
-// observe a torn commit). Latches are held until the commit's mutations are
-// applied and its version allocated, preserving two-phase locking.
+// A key-mode commit buffers its mutations in its pooled journal (journal.go;
+// keyWriter is the journal's overlay view) during evaluation under
+// mu.RLock and publishes them under mu.Lock — either by enqueueing the
+// journal on its shard's double-buffered commit queue, where the first
+// committer becomes the leader, drains everyone's journals under a single
+// mu.Lock (amortizing the E12 locks/op cost) and signals each follower on
+// its journal's reusable done channel, or, for multi-shard footprints, by
+// applying directly while holding every footprint shard's mu (so
+// full-store snapshots never observe a torn commit). Either way the one
+// publish step shared with the shard path reads the journal in place.
+// Latches are held until the commit's mutations are applied and its version
+// allocated, preserving two-phase locking. The latch plan itself is filled
+// into the journal's buffers and sorted in place, so in the steady state the
+// whole path allocates nothing.
 
 // keyStripes is the number of key-latch stripes per shard. Collisions only
 // serialize (never break) commits, so a modest count suffices.
@@ -60,7 +67,8 @@ type latchRef struct {
 
 // latchPlan is a commit's latch set: deduplicated, ascending (shard,
 // stripe) — the global latch order — plus the covered buckets for Insert
-// validation and the footprint shard set.
+// validation and the footprint shard set. It lives in the commit's journal,
+// so planning reuses the journal's buffers.
 type latchPlan struct {
 	latches []latchRef
 	keys    []indexKey
@@ -83,15 +91,14 @@ func stripeOf(k indexKey) uint32 {
 	return uint32(hashKey(k)>>32) % keyStripes
 }
 
-// planLatches maps interest keys onto a latch plan. ok=false when any key
-// is lead-unknown (arity > 0): such a footprint can touch any bucket of its
-// arity and must fall back to shard-level locking.
-func (s *Store) planLatches(keys []InterestKey) (latchPlan, bool) {
-	var lp latchPlan
+// planLatches fills the empty plan lp with the latches of keys. It reports
+// false when any key is lead-unknown (arity > 0): such a footprint can
+// touch any bucket of its arity and must fall back to shard-level locking.
+func (s *Store) planLatches(keys []InterestKey, lp *latchPlan) bool {
 	for _, k := range keys {
 		ik, ok := k.bucket()
 		if !ok {
-			return latchPlan{}, false
+			return false
 		}
 		if lp.covers(ik) {
 			continue
@@ -101,53 +108,35 @@ func (s *Store) planLatches(keys []InterestKey) (latchPlan, bool) {
 		lp.ss.add(si)
 		lp.latches = append(lp.latches, latchRef{si: si, stripe: stripeOf(ik)})
 	}
-	sort.Slice(lp.latches, func(i, j int) bool {
-		a, b := lp.latches[i], lp.latches[j]
+	slices.SortFunc(lp.latches, func(a, b latchRef) int {
 		if a.si != b.si {
-			return a.si < b.si
+			return cmp.Compare(a.si, b.si)
 		}
-		return a.stripe < b.stripe
+		return cmp.Compare(a.stripe, b.stripe)
 	})
 	// Distinct buckets can collide on a stripe; latch each stripe once.
-	dedup := lp.latches[:0]
-	for _, l := range lp.latches {
-		if len(dedup) == 0 || dedup[len(dedup)-1] != l {
-			dedup = append(dedup, l)
-		}
-	}
-	lp.latches = dedup
-	return lp, true
+	lp.latches = slices.Compact(lp.latches)
+	return true
 }
 
-// keyWriter implements Writer for the commuting path. Reads go to the live
-// shard maps (under the footprint's mu read locks) overlaid with the
-// writer's own buffered mutations, so fn observes the standard
-// read-your-writes semantics; mutations are buffered and applied under
-// mu.Lock at publication.
-type keyWriter struct {
-	s     *Store
-	lp    *latchPlan
-	owner tuple.ProcessID
+// keyWriter implements Writer for the commuting path over the commit's
+// journal. Reads go to the live shard maps (under the footprint's mu read
+// locks) overlaid with the journal's buffered mutations, so fn observes the
+// standard read-your-writes semantics; mutations are buffered and applied
+// under mu.Lock at publication. It overrides every reader method the
+// journal would otherwise promote from its live reader.
+type keyWriter struct{ *journal }
 
-	inserted []Instance
-	insShard []uint32
-	deleted  []Instance
-	delShard []uint32
-	delIDs   map[tuple.ID]struct{}
-}
+var _ Writer = keyWriter{}
 
-var _ Writer = (*keyWriter)(nil)
-
-func (kw *keyWriter) isDeleted(id tuple.ID) bool {
+func (kw keyWriter) isDeleted(id tuple.ID) bool {
 	_, gone := kw.delIDs[id]
 	return gone
 }
 
-func (kw *keyWriter) live() reader { return reader{s: kw.s, ss: &kw.lp.ss} }
-
-func (kw *keyWriter) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
+func (kw keyWriter) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
 	stopped := false
-	kw.live().Scan(arity, lead, leadKnown, func(id tuple.ID, t tuple.Tuple) bool {
+	kw.reader.Scan(arity, lead, leadKnown, func(id tuple.ID, t tuple.Tuple) bool {
 		if kw.isDeleted(id) {
 			return true
 		}
@@ -174,7 +163,7 @@ func (kw *keyWriter) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(t
 	}
 }
 
-func (kw *keyWriter) Get(id tuple.ID) (Instance, bool) {
+func (kw keyWriter) Get(id tuple.ID) (Instance, bool) {
 	if kw.isDeleted(id) {
 		return Instance{}, false
 	}
@@ -183,12 +172,12 @@ func (kw *keyWriter) Get(id tuple.ID) (Instance, bool) {
 			return ins, true
 		}
 	}
-	return kw.live().Get(id)
+	return kw.reader.Get(id)
 }
 
-func (kw *keyWriter) Each(fn func(Instance) bool) {
+func (kw keyWriter) Each(fn func(Instance) bool) {
 	stopped := false
-	kw.live().Each(func(inst Instance) bool {
+	kw.reader.Each(func(inst Instance) bool {
 		if kw.isDeleted(inst.ID) {
 			return true
 		}
@@ -208,21 +197,21 @@ func (kw *keyWriter) Each(fn func(Instance) bool) {
 	}
 }
 
-func (kw *keyWriter) Arities() []int {
-	out := kw.live().Arities()
+func (kw keyWriter) Arities() []int {
+	out := kw.reader.Arities()
 	for _, ins := range kw.inserted {
 		out = addArity(out, ins.Tuple.Arity())
 	}
 	return out
 }
 
-func (kw *keyWriter) Version() uint64 { return kw.s.version.Load() }
+func (kw keyWriter) Version() uint64 { return kw.s.version.Load() }
 
-func (kw *keyWriter) Len() int {
-	return kw.live().Len() - len(kw.deleted) + len(kw.inserted)
+func (kw keyWriter) Len() int {
+	return kw.reader.Len() - len(kw.deleted) + len(kw.inserted)
 }
 
-func (kw *keyWriter) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
+func (kw keyWriter) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 	ik := indexKeyOf(t)
 	if !kw.lp.covers(ik) {
 		panic(fmt.Sprintf("dataspace: Insert of %v outside the commit's latched buckets (footprint plan missed a bucket)", t))
@@ -233,7 +222,7 @@ func (kw *keyWriter) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 	return id
 }
 
-func (kw *keyWriter) Delete(id tuple.ID) error {
+func (kw keyWriter) Delete(id tuple.ID) error {
 	if kw.isDeleted(id) {
 		return fmt.Errorf("%w: %d", ErrNoSuchTuple, id)
 	}
@@ -246,11 +235,12 @@ func (kw *keyWriter) Delete(id tuple.ID) error {
 			return nil
 		}
 	}
-	inst, ok := kw.live().Get(id)
+	inst, ok := kw.reader.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchTuple, id)
 	}
-	if !kw.lp.covers(indexKeyOf(inst.Tuple)) {
+	ik := indexKeyOf(inst.Tuple)
+	if !kw.lp.covers(ik) {
 		panic(fmt.Sprintf("dataspace: Delete of %v outside the commit's latched buckets (footprint plan missed a bucket)", inst.Tuple))
 	}
 	if kw.delIDs == nil {
@@ -258,27 +248,22 @@ func (kw *keyWriter) Delete(id tuple.ID) error {
 	}
 	kw.delIDs[id] = struct{}{}
 	kw.deleted = append(kw.deleted, inst)
-	kw.delShard = append(kw.delShard, kw.s.shardIndex(indexKeyOf(inst.Tuple)))
+	kw.delShard = append(kw.delShard, kw.s.shardIndex(ik))
 	return nil
 }
 
-// commitItem is one buffered commit queued for a shard's group-commit
-// drain. done is closed by the leader once the item's mutations are
-// applied, its version allocated, and its hooks run.
-type commitItem struct {
-	kw   *keyWriter
-	rec  CommitRecord
-	dtok uint64 // durability wait token (set by the leader's apply)
-	done chan struct{}
-}
-
-// commitQueue is a shard's group-commit queue. The first committer to find
-// the queue inactive becomes the leader: it acquires the shard's mu once
-// and drains every queued item — including items that arrive while it
-// drains — under that single critical section.
+// commitQueue is a shard's group-commit queue of buffered journals. The
+// first committer to find the queue inactive becomes the leader: it acquires
+// the shard's mu once and drains every queued journal — including journals
+// that arrive while it drains — under that single critical section. The
+// queue is double-buffered: the leader swaps items with spare under mu and
+// drains the taken list outside it, so a steady stream of commits reuses
+// two arrays instead of growing a fresh one per drain. Only the leader
+// touches spare.
 type commitQueue struct {
 	mu     sync.Mutex
-	items  []*commitItem
+	items  []*journal
+	spare  []*journal
 	active bool
 }
 
@@ -294,8 +279,10 @@ type commitQueue struct {
 // cover every bucket fn scans, retracts from, or asserts into; the writer
 // panics on a mutation outside the latched buckets.
 func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn func(w Writer) error) error {
-	lp, ok := s.planLatches(keys)
-	if !ok || len(lp.latches) == 0 {
+	j := s.journal(owner)
+	lp := &j.lp
+	if !s.planLatches(keys, lp) || len(lp.latches) == 0 {
+		j.release()
 		return s.UpdateKeys(owner, keys, fn)
 	}
 
@@ -336,63 +323,54 @@ func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn fu
 	if s.metrics.Observed() {
 		s.metrics.ObserveFootprint(lp.ss.count())
 	}
-	kw := &keyWriter{s: s, lp: &lp, owner: owner}
 	s.rlockSet(&lp.ss)
-	err := fn(kw)
+	err := fn(keyWriter{j})
 	s.runlockSet(&lp.ss)
-	if err != nil {
+	if err != nil || (len(j.inserted) == 0 && len(j.deleted) == 0) {
 		// Nothing was applied; discarding the buffers is the whole rollback.
 		unintent()
 		unlatch()
+		j.release()
 		return err
-	}
-	if len(kw.inserted) == 0 && len(kw.deleted) == 0 {
-		unintent()
-		unlatch()
-		return nil
 	}
 
 	// 4. Publication: batched through the shard's commit queue when the
 	// footprint is a single shard, direct (holding every footprint mu, so
 	// snapshots never see a torn commit) when it spans several.
-	var (
-		rec  CommitRecord
-		dtok uint64
-	)
 	if lp.ss.count() == 1 {
 		var si uint32
 		lp.ss.forEach(func(i uint32) bool { si = i; return false })
-		rec, dtok = s.groupCommit(si, kw)
+		s.groupCommit(si, j)
 	} else {
-		rec, dtok = s.directCommit(kw)
+		s.directCommit(j)
 	}
 	unintent()
 	unlatch()
-	s.waitDurable(dtok)
-	s.notify(rec, kw.insShard, kw.delShard)
+	s.waitDurable(j.dtok)
+	s.notify(j)
+	j.release()
 	return nil
 }
 
 // groupCommit publishes a single-shard buffered commit through the shard's
 // queue. The leader drains the queue under one mu.Lock: it applies every
-// item's buffer, allocates versions, and runs hooks — one lock acquisition
-// for the whole batch. Items commute (their latch sets are disjoint, or
-// they would not be in the queue concurrently), so the apply order within
-// a batch is free; the exploration controller may permute it.
-func (s *Store) groupCommit(si uint32, kw *keyWriter) (CommitRecord, uint64) {
+// journal, allocates versions, and runs hooks — one lock acquisition for the
+// whole batch — then signals each follower on its journal's done channel
+// (its own journal needs no signal). Journals in one batch commute (their
+// latch sets are disjoint, or they would not be queued concurrently), so the
+// apply order within a batch is free; the exploration controller may permute
+// it.
+func (s *Store) groupCommit(si uint32, j *journal) {
 	sh := s.shards[si]
-	item := &commitItem{kw: kw, done: make(chan struct{})}
 	sh.queue.mu.Lock()
-	sh.queue.items = append(sh.queue.items, item)
+	sh.queue.items = append(sh.queue.items, j)
 	leader := !sh.queue.active
-	if leader {
-		sh.queue.active = true
-	}
+	sh.queue.active = true
 	sh.queue.mu.Unlock()
 
 	if !leader {
-		<-item.done
-		return item.rec, item.dtok
+		<-j.done
+		return
 	}
 
 	s.sc.Yield(sched.PointGroupCommit)
@@ -401,7 +379,6 @@ func (s *Store) groupCommit(si uint32, kw *keyWriter) (CommitRecord, uint64) {
 	for {
 		sh.queue.mu.Lock()
 		batch := sh.queue.items
-		sh.queue.items = nil
 		if len(batch) == 0 {
 			// The emptiness check and the handoff are atomic under queue.mu:
 			// a committer enqueueing after this sees active=false and
@@ -410,61 +387,61 @@ func (s *Store) groupCommit(si uint32, kw *keyWriter) (CommitRecord, uint64) {
 			sh.queue.mu.Unlock()
 			break
 		}
+		sh.queue.items, sh.queue.spare = sh.queue.spare[:0], batch
 		sh.queue.mu.Unlock()
+		order := batch
 		if perm := s.sc.Perm(sched.PointGroupCommit, len(batch)); perm != nil {
-			reordered := make([]*commitItem, len(batch))
-			for i, j := range perm {
-				reordered[i] = batch[j]
+			order = make([]*journal, len(batch))
+			for i, k := range perm {
+				order[i] = batch[k]
 			}
-			batch = reordered
 		}
-		for _, it := range batch {
-			it.rec, it.dtok = s.applyBuffered(it.kw)
+		for _, it := range order {
+			s.applyBuffered(it)
 		}
 		sh.bumpSeq()
 		s.metrics.ObserveGroupBatch(len(batch))
 		for _, it := range batch {
-			close(it.done)
+			if it != j {
+				it.done <- struct{}{}
+			}
 		}
+		clear(batch) // the signalled journals belong to their committers again
 	}
 	sh.mu.Unlock()
-	return item.rec, item.dtok
 }
 
 // directCommit publishes a multi-shard buffered commit, holding every
 // footprint shard's mu (ascending) for the apply so cross-shard snapshots
 // observe the commit atomically.
-func (s *Store) directCommit(kw *keyWriter) (CommitRecord, uint64) {
-	kw.lp.ss.forEach(func(i uint32) bool {
+func (s *Store) directCommit(j *journal) {
+	j.lp.ss.forEach(func(i uint32) bool {
 		s.shards[i].mu.Lock()
 		s.metrics.IncShardWrite(i)
 		return true
 	})
-	rec, dtok := s.applyBuffered(kw)
-	s.bumpSeqs(kw.insShard, kw.delShard)
-	kw.lp.ss.forEach(func(i uint32) bool {
+	s.applyBuffered(j)
+	s.bumpSeqs(j.insShard, j.delShard)
+	j.lp.ss.forEach(func(i uint32) bool {
 		s.shards[i].mu.Unlock()
 		return true
 	})
-	return rec, dtok
 }
 
-// applyBuffered applies one keyWriter's buffered mutations to the live
-// maps, allocates the commit's version, runs the hooks, and appends the
-// record to the durability sink (the commit's key latches are still held,
-// so conflicting commits append in version order). Callers hold the mu of
-// every shard the buffer touches.
+// applyBuffered applies one journal's buffered mutations to the live maps
+// and publishes it (the commit's key latches are still held, so conflicting
+// commits append in version order). Callers hold the mu of every shard the
+// journal touches.
 //
 // lint:holds latch mu
-func (s *Store) applyBuffered(kw *keyWriter) (CommitRecord, uint64) {
-	for i, ins := range kw.inserted {
-		sh := s.shards[kw.insShard[i]]
+func (s *Store) applyBuffered(j *journal) {
+	for i, ins := range j.inserted {
+		sh := s.shards[j.insShard[i]]
 		sh.entries[ins.ID] = entry{t: ins.Tuple, owner: ins.Owner}
 		sh.indexAdd(ins.ID, ins.Tuple)
-		sh.asserts++
 	}
-	for i, del := range kw.deleted {
-		sh := s.shards[kw.delShard[i]]
+	for i, del := range j.deleted {
+		sh := s.shards[j.delShard[i]]
 		if _, ok := sh.entries[del.ID]; !ok {
 			// The latch held since evaluation makes this unreachable; a miss
 			// means the two-phase-locking invariant was broken.
@@ -472,22 +449,6 @@ func (s *Store) applyBuffered(kw *keyWriter) (CommitRecord, uint64) {
 		}
 		delete(sh.entries, del.ID)
 		sh.indexRemove(del.ID, del.Tuple)
-		sh.retracts++
 	}
-	s.metrics.IncCommits()
-	s.metrics.IncKeyCommit()
-	rec := CommitRecord{
-		Version:  s.allocVersion(),
-		Owner:    kw.owner,
-		Inserted: kw.inserted,
-		Deleted:  kw.deleted,
-	}
-	for _, h := range s.onCommit {
-		h(rec)
-	}
-	var dtok uint64
-	if s.durable != nil {
-		dtok = s.durable.Append(rec)
-	}
-	return rec, dtok
+	s.publish(j, rungKey)
 }

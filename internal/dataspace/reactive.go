@@ -201,10 +201,9 @@ func (dl *delivery) add(subs []*Subscription, n int, d Delta) {
 // tuple-level changes to the subscriptions whose interest covers them.
 // Each written instance is matched against the registry of the shard it
 // lives in — commits never touch the registries of shards outside their
-// footprint; insShard and delShard are the per-instance shard indexes
-// recorded by the commit's writer (shard path and key path alike). It runs
-// after the commit's locks are released and after the durability wait, so
-// filters may be arbitrary user-level matchers.
+// footprint; the journal records each instance's shard (shard path and key
+// path alike). It runs after the commit's locks are released and after the
+// durability wait, so filters may be arbitrary user-level matchers.
 //
 // A candidate whose filter rejected every delta is suppressed (counted,
 // not woken); the recorded fan-out is the subscriptions actually published
@@ -214,7 +213,7 @@ func (dl *delivery) add(subs []*Subscription, n int, d Delta) {
 // unsatisfied, block again — the subscribe-before-evaluate protocol makes
 // this safe, and exploration verifies it stays safe. Correctness never
 // depends on suppression.
-func (s *Store) notify(rec CommitRecord, insShard, delShard []uint32) {
+func (s *Store) notify(j *journal) {
 	var (
 		dl      delivery
 		scratch []*Subscription
@@ -227,13 +226,13 @@ func (s *Store) notify(rec CommitRecord, insShard, delShard []uint32) {
 			dl.get(sub).full = true
 		}
 	} else {
-		for i, inst := range rec.Inserted {
-			scratch = s.shards[insShard[i]].waiters.collect(inst, scratch[:0])
+		for i, inst := range j.inserted {
+			scratch = s.shards[j.insShard[i]].waiters.collect(inst, scratch[:0])
 			dl.add(scratch, 1+i, Delta{Asserted: true, Inst: inst})
 		}
-		for i, inst := range rec.Deleted {
-			scratch = s.shards[delShard[i]].waiters.collect(inst, scratch[:0])
-			dl.add(scratch, 1+len(rec.Inserted)+i, Delta{Asserted: false, Inst: inst})
+		for i, inst := range j.deleted {
+			scratch = s.shards[j.delShard[i]].waiters.collect(inst, scratch[:0])
+			dl.add(scratch, 1+len(j.inserted)+i, Delta{Asserted: false, Inst: inst})
 		}
 	}
 	published := 0

@@ -418,9 +418,9 @@ func (e estimator) fieldEstimate(arity, pos int, hot func(sh *shard, st *shapeSt
 // path: live results minus this transaction's buffered deletes, plus its
 // buffered inserts of the arity (a superset of the sels match — the
 // matcher re-verifies).
-func (kw *keyWriter) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
+func (kw keyWriter) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	stopped := false
-	kw.live().ScanFields(arity, sels, func(id tuple.ID, t tuple.Tuple) bool {
+	kw.reader.ScanFields(arity, sels, func(id tuple.ID, t tuple.Tuple) bool {
 		if kw.isDeleted(id) {
 			return true
 		}
@@ -445,14 +445,14 @@ func (kw *keyWriter) ScanFields(arity int, sels []pattern.FieldSel, fn func(tupl
 
 // LeadWide implements pattern.FieldSource; the few buffered mutations do
 // not change which access path pays.
-func (kw *keyWriter) LeadWide(arity int, lead tuple.Value) bool {
-	return kw.live().LeadWide(arity, lead)
+func (kw keyWriter) LeadWide(arity int, lead tuple.Value) bool {
+	return kw.reader.LeadWide(arity, lead)
 }
 
 // JoinEstimator implements pattern.EstimatorProvider; buffered mutations
 // are few, so the live estimates stand in for the overlay.
-func (kw *keyWriter) JoinEstimator() pattern.Estimator {
-	return kw.live().JoinEstimator()
+func (kw keyWriter) JoinEstimator() pattern.Estimator {
+	return kw.reader.JoinEstimator()
 }
 
 // --- epoch read path ---
@@ -538,8 +538,8 @@ func (r epochReader) LeadWide(arity int, lead tuple.Value) bool {
 // Interface conformance for every reader flavor (writer embeds reader).
 var (
 	_ pattern.FieldSource       = reader{}
-	_ pattern.FieldSource       = (*keyWriter)(nil)
+	_ pattern.FieldSource       = keyWriter{}
 	_ pattern.FieldSource       = epochReader{}
 	_ pattern.EstimatorProvider = reader{}
-	_ pattern.EstimatorProvider = (*keyWriter)(nil)
+	_ pattern.EstimatorProvider = keyWriter{}
 )

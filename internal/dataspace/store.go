@@ -325,11 +325,16 @@ type Stats struct {
 // Hooks run while the commit's shard write locks are held and must not
 // call back into the store. Commits touching disjoint shard sets run — and
 // therefore invoke hooks — concurrently, so hooks must be safe to call
-// from multiple goroutines.
+// from multiple goroutines. The record is lent to the hook for the
+// duration of the call (see CommitRecord): a hook that keeps its effects
+// copies them, as trace.CommitLog does.
 type CommitHook func(rec CommitRecord)
 
 // CommitRecord describes one committed mutation batch (the merged record
-// of every shard the commit touched).
+// of every shard the commit touched). Inserted and Deleted are views of
+// the commit's pooled journal, valid only during the CommitHook or
+// DurableSink.Append call that receives them: the journal is emptied and
+// reused by a later commit once this one has notified its waiters.
 type CommitRecord struct {
 	Version  uint64
 	Owner    tuple.ProcessID
@@ -499,9 +504,10 @@ func (s *Store) OnCommit(h CommitHook) {
 
 // DurableSink makes commits durable before they become visible. Append is
 // called inside the commit's critical section — the same place hooks run,
-// after the version is allocated and while every conflicting commit is
-// still excluded by the commit's locks — so conflicting commits append in
-// version order and the sink's append order extends the conflict order.
+// with the same lent record, after the version is allocated and while
+// every conflicting commit is still excluded by the commit's locks — so
+// conflicting commits append in version order and the sink's append order
+// extends the conflict order.
 // Append must be fast and non-blocking (buffer and return a wait token);
 // WaitDurable blocks until the token's record is on stable storage. It is
 // called after the commit's locks are released but before its waiters are
@@ -564,24 +570,19 @@ type Writer interface {
 	Delete(id tuple.ID) error
 }
 
-// reader/writer implement the interfaces over a locked shard set.
+// reader implements Reader over a locked shard set; writer extends it with
+// in-place mutation for the shard-locked commit path, recording every effect
+// in the commit's journal.
 type reader struct {
 	s  *Store
 	ss *shardSet // the shards this reader holds locked
 }
 
-type writer struct {
-	reader
-	owner    tuple.ProcessID
-	inserted []Instance
-	insShard []uint32
-	deleted  []Instance
-	delShard []uint32
-}
+type writer struct{ *journal }
 
 var (
 	_ Reader = reader{}
-	_ Writer = (*writer)(nil)
+	_ Writer = writer{}
 )
 
 // Snapshot runs fn with read access to a consistent configuration of the
@@ -613,8 +614,7 @@ func (s *Store) snapshotSet(ss shardSet, fn func(r Reader)) {
 // keys are woken, and commit hooks run. If fn returns an error, mutations
 // made through the writer are rolled back and the error is returned.
 func (s *Store) Update(owner tuple.ProcessID, fn func(w Writer) error) error {
-	_, err := s.updateSet(s.all, owner, true, fn)
-	return err
+	return s.updateSet(s.all, owner, rungCoarse, fn)
 }
 
 // UpdateKeys is Update restricted to the shards covering keys: only those
@@ -624,17 +624,19 @@ func (s *Store) Update(owner tuple.ProcessID, fn func(w Writer) error) error {
 // covering every bucket they scan, retract from, or assert into.
 func (s *Store) UpdateKeys(owner tuple.ProcessID, keys []InterestKey, fn func(w Writer) error) error {
 	ss, _ := s.planShards(keys)
-	_, err := s.updateSet(ss, owner, false, fn)
-	return err
+	return s.updateSet(ss, owner, rungShard, fn)
 }
 
-// updateSet is the shard-locked commit path. coarse distinguishes the
-// accounting ladder: an unplanned commit over the full lock set (or a bulk
-// Assert) counts as coarse, a keys-planned commit counts as a shard
-// fallback. Together with the per-key path's IncKeyCommit, every mutating
-// store commit lands in exactly one of the three counters.
-func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, coarse bool, fn func(w Writer) error) (bool, error) {
-	s.lockSet(&ss)
+// updateSet is the shard-locked commit path: fn mutates the live maps of
+// the locked set in place, and the commit is published while the locks are
+// still held. r is the rung the commit is counted under: an unplanned
+// commit over the full lock set (or a bulk Assert) is coarse, a
+// keys-planned one a shard fallback. Together with the per-key path, every
+// mutating store commit lands in exactly one of the three counters.
+func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, r rung, fn func(w Writer) error) error {
+	j := s.journal(owner)
+	j.lp.ss = ss
+	s.lockSet(&j.lp.ss)
 	if s.sc != nil {
 		// Contention spike: widen the critical section while the shard
 		// locks are held, so other commits pile up behind this footprint.
@@ -643,53 +645,27 @@ func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, coarse bool, fn fu
 		}
 	}
 	if s.metrics.Observed() {
-		s.metrics.ObserveFootprint(ss.count())
+		s.metrics.ObserveFootprint(j.lp.ss.count())
 	}
-	w := &writer{reader: reader{s: s, ss: &ss}, owner: owner}
-	err := fn(w)
-	if err != nil {
+	w := writer{j}
+	if err := fn(w); err != nil {
 		w.rollback()
-		s.unlockSet(&ss)
-		return false, err
+		s.unlockSet(&j.lp.ss)
+		j.release()
+		return err
 	}
-	var (
-		rec  CommitRecord
-		dtok uint64
-	)
-	changed := len(w.inserted) > 0 || len(w.deleted) > 0
+	changed := len(j.inserted) > 0 || len(j.deleted) > 0
 	if changed {
-		s.metrics.IncCommits()
-		if coarse {
-			s.metrics.IncCoarseCommit()
-		} else {
-			s.metrics.IncShardFallback()
-		}
-		for _, si := range w.insShard {
-			s.shards[si].asserts++
-		}
-		for _, si := range w.delShard {
-			s.shards[si].retracts++
-		}
-		s.bumpSeqs(w.insShard, w.delShard)
-		rec = CommitRecord{
-			Version:  s.allocVersion(),
-			Owner:    owner,
-			Inserted: w.inserted,
-			Deleted:  w.deleted,
-		}
-		for _, h := range s.onCommit {
-			h(rec)
-		}
-		if s.durable != nil {
-			dtok = s.durable.Append(rec)
-		}
+		s.bumpSeqs(j.insShard, j.delShard)
+		s.publish(j, r)
 	}
-	s.unlockSet(&ss)
+	s.unlockSet(&j.lp.ss)
 	if changed {
-		s.waitDurable(dtok)
-		s.notify(rec, w.insShard, w.delShard)
+		s.waitDurable(j.dtok)
+		s.notify(j)
 	}
-	return changed, nil
+	j.release()
+	return nil
 }
 
 // bumpSeqs advances the change sequence of every shard the commit wrote,
@@ -767,7 +743,7 @@ func (s *Store) Assert(owner tuple.ProcessID, ts ...tuple.Tuple) []tuple.ID {
 	for _, t := range ts {
 		ss.add(s.shardIndex(indexKeyOf(t)))
 	}
-	_, _ = s.updateSet(ss, owner, true, func(w Writer) error {
+	_ = s.updateSet(ss, owner, rungCoarse, func(w Writer) error {
 		for i, t := range ts {
 			ids[i] = w.Insert(t, owner)
 		}
@@ -890,7 +866,7 @@ func (r reader) Len() int {
 // exclusive locks of every shard in the writer's set for the whole fn.
 //
 // lint:holds intent mu
-func (w *writer) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
+func (w writer) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 	si := w.s.shardIndex(indexKeyOf(t))
 	if !w.ss.has(si) {
 		panic(fmt.Sprintf("dataspace: Insert of %v outside the update's locked shards (footprint plan missed a bucket)", t))
@@ -908,7 +884,7 @@ func (w *writer) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 // exclusive locks of every shard in the writer's set for the whole fn.
 //
 // lint:holds intent mu
-func (w *writer) Delete(id tuple.ID) error {
+func (w writer) Delete(id tuple.ID) error {
 	si, e, ok := w.find(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchTuple, id)
@@ -925,7 +901,7 @@ func (w *writer) Delete(id tuple.ID) error {
 // every touched shard's entries and indexes.
 //
 // lint:holds intent mu
-func (w *writer) rollback() {
+func (w writer) rollback() {
 	for i, ins := range w.inserted {
 		sh := w.s.shards[w.insShard[i]]
 		if _, ok := sh.entries[ins.ID]; ok {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -174,7 +175,11 @@ func TestStatsCounters(t *testing.T) {
 func TestCommitHookObservesMutations(t *testing.T) {
 	s := New()
 	var recs []CommitRecord
-	s.OnCommit(func(rec CommitRecord) { recs = append(recs, rec) })
+	s.OnCommit(func(rec CommitRecord) {
+		// The record's slices are lent for the call: keep copies.
+		recs = append(recs, CommitRecord{Version: rec.Version, Owner: rec.Owner,
+			Inserted: slices.Clone(rec.Inserted), Deleted: slices.Clone(rec.Deleted)})
+	})
 	ids := s.Assert(tuple.Environment, year(1))
 	_ = s.Update(7, func(w Writer) error {
 		w.Insert(year(2), 7)
@@ -184,7 +189,8 @@ func TestCommitHookObservesMutations(t *testing.T) {
 		t.Fatalf("hooks fired %d times", len(recs))
 	}
 	last := recs[1]
-	if last.Owner != 7 || len(last.Inserted) != 1 || len(last.Deleted) != 1 {
+	if last.Owner != 7 || len(last.Inserted) != 1 || len(last.Deleted) != 1 ||
+		!last.Inserted[0].Tuple.Equal(year(2)) || last.Deleted[0].ID != ids[0] {
 		t.Errorf("record = %+v", last)
 	}
 	if last.Version != s.Version() {

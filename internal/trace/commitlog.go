@@ -47,8 +47,8 @@ func (l *CommitLog) observe(rec dataspace.CommitRecord) {
 	if l.detached.Load() {
 		return
 	}
-	// Copy the effect slices: they are owned by the committing writer and
-	// only valid during the hook call. Len-gated so effect-free sides of a
+	// Copy the effect slices: they are lent from the commit's pooled journal
+	// for the hook call only. Len-gated so effect-free sides of a
 	// commit don't allocate.
 	cp := dataspace.CommitRecord{Version: rec.Version, Owner: rec.Owner}
 	if len(rec.Inserted) > 0 {

@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,8 +34,9 @@ func TestBankTransferStress(t *testing.T) {
 		var logMu sync.Mutex
 		var log []logEntry
 		s.OnCommit(func(rec dataspace.CommitRecord) {
+			// The record's slices are lent for the call: keep copies.
 			logMu.Lock()
-			log = append(log, logEntry{inserted: rec.Inserted, deleted: rec.Deleted})
+			log = append(log, logEntry{inserted: slices.Clone(rec.Inserted), deleted: slices.Clone(rec.Deleted)})
 			logMu.Unlock()
 		})
 		acct := tuple.Atom("acct")

@@ -224,7 +224,10 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 // shard — the footprint must still cover any shard a tuple of that arity
 // can live in. The index changes which tuples a scan visits inside the
 // locked footprint, not which shards the footprint locks.
-func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
+//
+// The keys are appended to buf — callers pass a stack array, so a plan costs
+// no allocation; the store copies what it keeps of them.
+func footprintKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
 	if !req.View.Import.All || !req.View.Export.All {
 		if req.Footprint != footprint.Ground && req.Footprint != footprint.GroundKeys {
 			return nil, false
@@ -245,10 +248,7 @@ func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
 		// evaluation entirely.
 		return req.StaticKeys, true
 	}
-	// Collected on the stack, so a plan abandoned at its second or third
-	// pattern (every unplanned read) has allocated nothing.
-	var buf [8]dataspace.InterestKey
-	keys := buf[:0]
+	keys := buf
 	add := func(p pattern.Pattern) bool {
 		a := p.Arity()
 		if a == 0 {
@@ -272,16 +272,17 @@ func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
 			return nil, false
 		}
 	}
-	return append([]dataspace.InterestKey(nil), keys...), true
+	return keys, true
 }
 
 // planKeys runs the footprint planner and records the admission: one
 // counter bump per execution, keyed by the request's static class and by
 // whether the plan succeeded (planned executions are the commuting fast
 // path's and the epoch read path's intake; unplanned mutating ones
-// serialize on the full-store lock, unplanned reads share it).
-func (e *Engine) planKeys(req Request) ([]dataspace.InterestKey, bool) {
-	keys, planned := footprintKeys(req)
+// serialize on the full-store lock, unplanned reads share it). The keys are
+// appended to buf, as footprintKeys does.
+func (e *Engine) planKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
+	keys, planned := footprintKeys(req, buf)
 	e.m.IncFootprintAdmission(uint8(req.Footprint), planned)
 	return keys, planned
 }
@@ -299,8 +300,11 @@ func (e *Engine) write(req Request) (Result, error) {
 		res, err = e.evalAndApply(w, req)
 		return err
 	}
-	var err error
-	if keys, planned := e.planKeys(req); planned {
+	var (
+		err error
+		buf [8]dataspace.InterestKey
+	)
+	if keys, planned := e.planKeys(req, buf[:0]); planned {
 		err = e.store.UpdateCommuting(req.Proc, keys, fn)
 	} else {
 		err = e.store.Update(req.Proc, fn)
@@ -336,11 +340,12 @@ func (e *Engine) read(req Request) (Result, error) {
 		one  [1]pattern.Binding
 		sols []pattern.Binding
 		err  error
+		buf  [8]dataspace.InterestKey
 	)
 	eval := func(r dataspace.Reader) { sols, err = solve(req, r, one[:0]) }
 	e.attempts.Add(1)
 	e.m.IncSharedRead()
-	keys, planned := e.planKeys(req)
+	keys, planned := e.planKeys(req, buf[:0])
 	switch {
 	case !planned:
 		e.store.Snapshot(eval)
@@ -426,8 +431,18 @@ func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) 
 	for i := range sols {
 		retracts += len(sols[i].Matched)
 	}
+	// Retracted and Asserted are carved out of one array, each capped so
+	// that an append by the caller cannot run into the other.
+	asserts := len(sols) * len(req.Asserts)
+	var effects []dataspace.Instance
+	if retracts+asserts > 0 {
+		effects = make([]dataspace.Instance, 0, retracts+asserts)
+	}
 	if retracts > 0 {
-		res.Retracted = make([]dataspace.Instance, 0, retracts)
+		res.Retracted = effects[:0:retracts]
+	}
+	if asserts > 0 {
+		res.Asserted = effects[retracts:retracts:cap(effects)]
 	}
 	// One solution's retract-tagged matches are pairwise distinct by
 	// construction; an instance can recur only across the solutions of a ∀.
@@ -454,9 +469,6 @@ func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) 
 			}
 			res.Retracted = append(res.Retracted, inst)
 		}
-	}
-	if n := len(sols) * len(req.Asserts); n > 0 {
-		res.Asserted = make([]dataspace.Instance, 0, n)
 	}
 	for _, sol := range sols {
 		for _, ap := range req.Asserts {

@@ -50,21 +50,6 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecordPayload appends the frame payload encoding rec to dst.
-func appendRecordPayload(dst []byte, rec dataspace.CommitRecord) []byte {
-	dst = binary.AppendUvarint(dst, rec.Version)
-	dst = binary.AppendUvarint(dst, uint64(rec.Owner))
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Inserted)))
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Deleted)))
-	for _, inst := range rec.Inserted {
-		dst = appendInstance(dst, inst)
-	}
-	for _, inst := range rec.Deleted {
-		dst = appendInstance(dst, inst)
-	}
-	return dst
-}
-
 func appendInstance(dst []byte, inst dataspace.Instance) []byte {
 	dst = binary.AppendUvarint(dst, uint64(inst.ID))
 	dst = binary.AppendUvarint(dst, uint64(inst.Owner))
@@ -148,11 +133,27 @@ func decodeRecordPayload(b []byte) (dataspace.CommitRecord, error) {
 	return rec, nil
 }
 
-// appendFrame wraps a payload in its length + CRC header.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// appendRecordFrame appends rec's whole frame to dst: the payload is encoded
+// in place behind a reserved header, which is then patched with the
+// payload's length and CRC — no payload scratch, no second copy.
+func appendRecordFrame(dst []byte, rec dataspace.CommitRecord) []byte {
+	start := len(dst)
+	var hdr [frameHeaderLen]byte
+	dst = append(dst, hdr[:]...)
+	dst = binary.AppendUvarint(dst, rec.Version)
+	dst = binary.AppendUvarint(dst, uint64(rec.Owner))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Inserted)))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Deleted)))
+	for _, inst := range rec.Inserted {
+		dst = appendInstance(dst, inst)
+	}
+	for _, inst := range rec.Deleted {
+		dst = appendInstance(dst, inst)
+	}
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // scanFrames decodes the record stream of a segment body (everything after

@@ -28,7 +28,7 @@ func fuzzRecords() []dataspace.CommitRecord {
 func encodeFrames(recs []dataspace.CommitRecord) []byte {
 	var body []byte
 	for _, rec := range recs {
-		body = appendFrame(body, appendRecordPayload(nil, rec))
+		body = appendRecordFrame(body, rec)
 	}
 	return body
 }
@@ -61,8 +61,8 @@ func sameRecord(a, b dataspace.CommitRecord) bool {
 func FuzzWALDecode(f *testing.F) {
 	valid := encodeFrames(fuzzRecords())
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])          // torn tail
-	f.Add([]byte{})                      // empty body
+	f.Add(valid[:len(valid)-3])                       // torn tail
+	f.Add([]byte{})                                   // empty body
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix
 	mut := bytes.Clone(valid)
 	mut[2] ^= 0x40

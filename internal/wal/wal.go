@@ -116,12 +116,11 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex // guards f, segSeq, segBytes, buf, pbuf, closed
+	mu       sync.Mutex // guards f, segSeq, segBytes, buf, closed
 	f        *os.File
 	segSeq   uint64
 	segBytes int64
 	buf      []byte // frame scratch
-	pbuf     []byte // payload scratch
 	closed   bool
 
 	appended atomic.Uint64 // LSN of the last fully written record
@@ -260,7 +259,8 @@ func syncDirEntry(dir string) error {
 	return nil
 }
 
-// Append encodes rec, writes its frame to the current segment with a bare
+// Append encodes rec's frame straight into the log's scratch buffer (see
+// appendRecordFrame), writes it to the current segment with a bare
 // write(2) (no user-space buffering: data handed to the kernel survives a
 // SIGKILL of this process; only power loss needs the fsync that WaitDurable
 // arranges), and returns the record's LSN. The store calls this inside the
@@ -275,8 +275,7 @@ func (l *Log) Append(rec dataspace.CommitRecord) uint64 {
 	if l.closed {
 		panic("wal: Append after Close")
 	}
-	l.pbuf = appendRecordPayload(l.pbuf[:0], rec)
-	l.buf = appendFrame(l.buf[:0], l.pbuf)
+	l.buf = appendRecordFrame(l.buf[:0], rec)
 	if _, err := l.f.Write(l.buf); err != nil {
 		panic(fmt.Sprintf("wal: append write failed: %v", err))
 	}

@@ -1,16 +1,12 @@
 // Command sdlbench runs the paper-reproduction experiments (E1–E17 but the
 // retired E9, see DESIGN.md §4) as full parameter sweeps and prints one table per
-// experiment. EXPERIMENTS.md records a reference run.
-//
-// With -json, the sweep additionally writes BENCH_<rev>.json — one run in
-// the github-action-benchmark data.js shape (see internal/bench
-// trajectory.go) — so committed runs form a machine-diffable performance
-// trajectory; cmd/benchgate compares two such files and fails on
-// regression.
+// experiment. EXPERIMENTS.md records a reference run; `make sweep`
+// regenerates bench_sweep.txt. The tables are not a regression gate — the
+// end-to-end benchmark is perf/ (BENCHMARK.json).
 //
 // Usage:
 //
-//	sdlbench [-run E1,E4] [-quick] [-json] [-rev abc1234] [-timeout 10m]
+//	sdlbench [-run E1,E4] [-quick] [-timeout 10m]
 package main
 
 import (
@@ -160,8 +156,6 @@ func run(args []string) error {
 		only    = fs.String("run", "", "comma-separated experiment ids (default: all)")
 		quick   = fs.Bool("quick", false, "small parameter sweeps")
 		timeout = fs.Duration("timeout", 15*time.Minute, "total time budget")
-		asJSON  = fs.Bool("json", false, "also write BENCH_<rev>.json (github-action-benchmark data.js shape)")
-		rev     = fs.String("rev", "local", "revision id recorded in BENCH_<rev>.json")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -175,7 +169,6 @@ func run(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	var tables []*bench.Table
 	for _, ex := range experiments() {
 		if len(selected) > 0 && !selected[ex.id] {
 			continue
@@ -189,26 +182,10 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", ex.id, err)
 		}
-		tables = append(tables, tbl)
 		if err := tbl.Write(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Printf("   (%s took %v)\n\n", ex.id, time.Since(start).Round(time.Millisecond))
-	}
-	if *asJSON {
-		name := "BENCH_" + *rev + ".json"
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteTrajectory(f, *rev, time.Now(), tables); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", name, len(tables))
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"github.com/sdl-lang/sdl/internal/bench"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -75,42 +73,5 @@ func TestAllExperimentsRegistered(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	if _, err := capture(t, func() error { return run([]string{"-no-such-flag"}) }); err == nil {
 		t.Error("bad flag accepted")
-	}
-}
-
-func TestRunJSONOutput(t *testing.T) {
-	t.Chdir(t.TempDir())
-	out, err := capture(t, func() error {
-		return run([]string{"-quick", "-json", "-rev", "testrev", "-run", "E5"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Human tables still print alongside the trajectory file.
-	if !strings.Contains(out, "== E5:") {
-		t.Errorf("human table missing:\n%s", out)
-	}
-	f, err := os.Open("BENCH_testrev.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	run, err := bench.ReadTrajectory(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Tool != "sdlbench" || run.Commit.ID != "testrev" {
-		t.Errorf("run header = %+v", run)
-	}
-	if len(run.Benches) == 0 {
-		t.Fatal("no benches recorded")
-	}
-	for _, b := range run.Benches {
-		if !strings.HasPrefix(b.Name, "E5 ") {
-			t.Errorf("bench %q not from the selected experiment", b.Name)
-		}
-		if b.Unit == "" || b.Extra == "" {
-			t.Errorf("bench %q missing unit/direction: %+v", b.Name, b)
-		}
 	}
 }

@@ -41,11 +41,6 @@
 //	                          at compile time (default true); -refine=false
 //	                          keeps the compiler's intraprocedural
 //	                          classification only
-//	-secondary-index          adaptive secondary field indexes and
-//	                          selectivity-guided join planning (default
-//	                          true); -secondary-index=false restores full
-//	                          arity scans and the boundness heuristic, the
-//	                          baseline of experiment E17
 package main
 
 import (
@@ -183,7 +178,6 @@ func run(args []string) error {
 		schedSeed   = fs.Int64("sched-seed", -1, "deterministic schedule-controller seed (-1 = off)")
 		schedFaults = fs.String("sched-faults", "light", "fault profile under -sched-seed: off, light, or heavy")
 		refine      = fs.Bool("refine", true, "apply the interprocedural footprint refiner (analysis/dataflow) at compile time")
-		secondary   = fs.Bool("secondary-index", true, "adaptive secondary field indexes and selectivity-guided join planning (false = arity-scan baseline)")
 	)
 	vet := &vetFlag{mode: "off"}
 	fs.Var(vet, "vet", `run the static analyzer first: "on" refuses to run on errors, "warn" reports and runs anyway`)
@@ -235,8 +229,7 @@ func run(args []string) error {
 		sc = sched.New(uint64(*schedSeed), f)
 	}
 
-	store := dataspace.New(dataspace.WithShards(*shards), dataspace.WithScheduler(sc),
-		dataspace.WithSecondaryIndex(*secondary))
+	store := dataspace.New(dataspace.WithShards(*shards), dataspace.WithScheduler(sc))
 	var wlog *wal.Log
 	if *walDir != "" {
 		if *restore != "" {

@@ -66,7 +66,7 @@ func runDataflow(p *pass) {
 					}
 					if scanSelective(ti.txn.Items[ld.Index-1].Pattern) {
 						p.addf(ld.Pos, CheckDataflow, Note,
-							"scan-heavy: pattern %d runs a full arity scan under every spawn environment (its lead never grounds); its constant non-lead field(s) key the adaptive secondary index once the shape promotes (-secondary-index)",
+							"scan-heavy: pattern %d runs a full arity scan under every spawn environment (its lead never grounds); its constant non-lead field(s) key the adaptive secondary index once the shape promotes",
 							ld.Index)
 					} else {
 						p.addf(ld.Pos, CheckDataflow, Note,

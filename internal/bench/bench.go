@@ -1,13 +1,14 @@
 // Package bench is the experiment harness reproducing the paper's
 // evaluation (see DESIGN.md §4 and EXPERIMENTS.md). The paper — a language
-// design overview — reports no measured tables or figures, so each
-// experiment E1–E12 regenerates one of its worked examples or qualitative
-// performance claims as a measured series. The harness is deterministic
-// (seeded workloads) up to scheduler timing.
+// design overview — reports no measured tables or figures, so experiments
+// E1–E8 regenerate its worked examples and qualitative performance claims as
+// measured series, and E10–E17 measure the runtime's own design decisions,
+// most as ablations (E9 is retired). cmd/sdlbench prints the tables; no
+// timing is gated, and the count-exact shapes are this package's tests. The
+// harness is deterministic (seeded workloads) up to scheduler timing.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -16,9 +17,9 @@ import (
 
 // Metric is one measured quantity.
 type Metric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
+	Name  string
+	Value float64
+	Unit  string
 }
 
 // Ms wraps a duration as a milliseconds metric.
@@ -33,22 +34,16 @@ func Count(name string, v float64, unit string) Metric {
 
 // Row is one configuration's measurements.
 type Row struct {
-	Config  string   `json:"config"`
-	Metrics []Metric `json:"metrics"`
+	Config  string
+	Metrics []Metric
 }
 
 // Table is one experiment's output.
 type Table struct {
-	ID    string `json:"id"` // e.g. "E1"
-	Title string `json:"title"`
-	Note  string `json:"note,omitempty"` // the paper claim being checked
-	Rows  []Row  `json:"rows"`
-}
-
-// WriteJSON renders the table as one JSON object.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t)
+	ID    string // e.g. "E1"
+	Title string
+	Note  string // the paper claim being checked
+	Rows  []Row
 }
 
 // Write renders the table as aligned text.

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +177,90 @@ func TestE11ShapePlannerWins(t *testing.T) {
 	}
 	if written < 5*planned {
 		t.Errorf("planner speedup too small: written=%.1f planned=%.1f us/txn", written, planned)
+	}
+}
+
+// byName indexes a row's metrics by name.
+func byName(r Row) map[string]float64 {
+	out := make(map[string]float64, len(r.Metrics))
+	for _, m := range r.Metrics {
+		out[m.Name] = m.Value
+	}
+	return out
+}
+
+func TestE13Smoke(t *testing.T) {
+	tbl, err := E13CommutingUpserts(ctxT(t), []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := byName(tbl.Rows[0])
+	// The commuting arm must take key latches, and group commit may only
+	// share shard write locks, never add to them.
+	for _, sc := range []int{1, 8} {
+		arm := fmt.Sprintf("commute s=%d", sc)
+		if got[arm+" klocks"] <= 0 {
+			t.Errorf("%s klocks = %v locks/op, want > 0", arm, got[arm+" klocks"])
+		}
+		if w := got[arm+" wlocks"]; w <= 0 || w > 1.5 {
+			t.Errorf("%s wlocks = %v locks/op, want (0, 1.5]", arm, w)
+		}
+	}
+}
+
+func TestE14Smoke(t *testing.T) {
+	// Each arm checks the lost-increment invariant (the counters sum to the
+	// op count) before it reports, so a row per policy is the invariant held
+	// under that policy.
+	tbl, err := E14DurableUpserts(ctxT(t), []int{250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := byName(tbl.Rows[0])
+	for _, policy := range []string{"volatile", "interval", "batch", "commit"} {
+		if got[policy] <= 0 {
+			t.Errorf("%s arm missing or idle: %v kops/s", policy, got[policy])
+		}
+	}
+}
+
+func TestE15AdmissionExact(t *testing.T) {
+	tbl, err := E15RefinedAdmission(ctxT(t), []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unrefined, the restricted view forces the full lock set on every
+	// upsert; refined, every upsert commits on the key path.
+	got := byName(tbl.Rows[0])
+	for name, want := range map[string]float64{"unrefined fastpath": 0, "refined fastpath": 100} {
+		if got[name] != want {
+			t.Errorf("%s = %v%%, want %v%%", name, got[name], want)
+		}
+	}
+}
+
+func TestE17VisitedExact(t *testing.T) {
+	const n, groups, shards = 4096, 1024, 8
+	tbl, err := E17SecondaryIndex(ctxT(t), []int{n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both queries are ∀. Without the index each walks the whole arity: n
+	// records plus one probe row per group. With it, each reads one (pos 2,
+	// g) bucket: the n/groups records of group g plus the probe row <g, link,
+	// g>. Warm-up promotes the two field shapes the lookups carry (pos 1 and
+	// 2) in every shard, and every measured field scan is served indexed.
+	want := map[string]float64{
+		"scan visited":    n + groups,
+		"indexed visited": n/groups + 1,
+		"promotions":      2 * shards,
+		"indexed share":   100,
+	}
+	got := byName(tbl.Rows[0])
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s = %v, want %v", name, got[name], w)
+		}
 	}
 }
 

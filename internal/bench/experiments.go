@@ -198,9 +198,15 @@ func E4RegionLabel(ctx context.Context, sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E4 community %d: %w", w, err)
 		}
-		for p := range ref {
-			if resW.Labels[p] != ref[p] || resC.Labels[p] != ref[p] {
-				return nil, fmt.Errorf("E4 %d: labeling mismatch at pixel %d", w, p)
+		for _, run := range []struct {
+			model  string
+			labels []int64
+		}{{"worker", resW.Labels}, {"community", resC.Labels}} {
+			for p := range ref {
+				if run.labels[p] != ref[p] {
+					return nil, fmt.Errorf("E4 %d: %s model labeling mismatch at pixel %d\n  got  %v\n  want %v",
+						w, run.model, p, run.labels, ref)
+				}
 			}
 		}
 		row.Metrics = append(row.Metrics,
@@ -838,20 +844,6 @@ func shardedRMW(e *txn.Engine, s *dataspace.Store, nodes []workload.PropertyNode
 	return d, nil
 }
 
-// ShardedRMW runs one configuration of the E12 keyed RMW workload (for the
-// per-shard-count testing.B benchmarks).
-func ShardedRMW(shards, listLen int) error {
-	nodes := workload.PropertyList(listLen, seed)
-	s := dataspace.New(dataspace.WithShards(shards))
-	workload.LoadPropertyList(s, nodes)
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	_, err := shardedRMW(txn.New(s), s, nodes, workers, 1000)
-	return err
-}
-
 // E12ShardScaling measures the sharded store at shard counts 1, 4, and 16
 // on two workloads: a keyed read-modify-write sweep over the §3.2 property
 // list (every transaction names its node, so its footprint is one shard
@@ -1169,7 +1161,7 @@ func seedCounters(s *dataspace.Store, n int) {
 // pass proves (Ground — commits take the key-latch/group-commit path). The
 // headline column is fast-path admission: the percentage of store commits
 // that went through per-key latches, 0% unrefined and 100% refined by
-// construction — the gated trajectory metric make analyze-bench records.
+// construction (TestE15AdmissionExact holds it).
 // Throughput rides along; like E13 it needs hardware parallelism to
 // separate, while the admission percentages are deterministic on any host.
 func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, error) {
@@ -1228,47 +1220,6 @@ func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 	return t, nil
 }
 
-// RefinedUpserts runs one configuration of the E15 workload (for the
-// testing.B benchmark): view-restricted disjoint-key upserts carrying the
-// footprint class the interprocedural refiner proves (Ground, the key-latch
-// path) or the unrefined default (Unknown, the full lock set).
-func RefinedUpserts(refined bool) error {
-	fp := footprint.Unknown
-	if refined {
-		fp = footprint.Ground
-	}
-	s := dataspace.New(dataspace.WithShards(8))
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	seedCounters(s, 8*workers)
-	_, err := restrictedUpserts(txn.New(s), s, 8, workers, 1000, fp)
-	return err
-}
-
-// CommutingUpserts runs one configuration of the E13 workload (for the
-// testing.B benchmark): disjoint-key upserts through the engine's
-// commutativity-aware commit path, or through the shard-mutex baseline.
-func CommutingUpserts(shards int, commuting bool) error {
-	s := dataspace.New(dataspace.WithShards(shards))
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	_, err := commutingUpserts(s, upsertPath(s, commuting), 8, workers, 1000)
-	return err
-}
-
-// upsertPath picks an E13 arm: the engine when commuting, the shard-mutex
-// baseline otherwise.
-func upsertPath(s *dataspace.Store, commuting bool) func(txn.Request) error {
-	if commuting {
-		return viaEngine(txn.New(s))
-	}
-	return viaShardMutex(s)
-}
-
 // E13CommutingUpserts is the commit-path ablation: key-level latches plus
 // group commit (the commutativity-aware path) against the shard-mutex
 // baseline, on disjoint-key contended upserts where every transaction pair
@@ -1295,7 +1246,11 @@ func E13CommutingUpserts(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 		for _, sc := range shardCounts {
 			for _, commuting := range []bool{false, true} {
 				s := dataspace.New(dataspace.WithShards(sc))
-				d, err := commutingUpserts(s, upsertPath(s, commuting), kpw, workers, opsPerWorker)
+				path := viaShardMutex(s)
+				if commuting {
+					path = viaEngine(txn.New(s))
+				}
+				d, err := commutingUpserts(s, path, kpw, workers, opsPerWorker)
 				if err != nil {
 					return nil, fmt.Errorf("E13 commuting=%v shards=%d kpw=%d: %w", commuting, sc, kpw, err)
 				}
@@ -1412,15 +1367,6 @@ func E16ReactiveWakeups(ctx context.Context, waiterCounts []int) (*Table, error)
 	return t, nil
 }
 
-// ReactiveWakeups runs one configuration of the E16 workload (for the
-// testing.B benchmark): P blocked delta-safe guards under same-bucket
-// noise.
-func ReactiveWakeups(ctx context.Context, waiters int) error {
-	s := dataspace.New()
-	_, err := reactiveWakeupCell(ctx, s, txn.New(s), waiters, 300)
-	return err
-}
-
 // secondaryLoad fills the store with the E17 dataset: n arity-3 records
 // <i, rec, i%groups> — every lead unique, so the (arity, lead) index never
 // narrows a lookup and a wildcard-lead query degrades to a full arity scan
@@ -1458,13 +1404,10 @@ func secondaryLoad(s *dataspace.Store, n, groups int) {
 // lead-keyed and binds ?g; its second leg <?y, rec, ?g> is selective only
 // through the runtime-bound ?g field, exercising both the bound-variable
 // field selector and the estimator-driven join order (the selective leg
-// must run second — ?g is unbound before the probe row binds it).
-// secondaryLookups runs the measured phase: per rep, one ∀ group fetch
-// addressed by the non-lead group field and one ∀ probe join whose second
-// leg the planner orders by field selectivity. Universal quantification
-// keeps the visited-candidate counters deterministic — an ∃ lookup stops
-// at the first hit, which floats with shard/bucket iteration order and
-// would make the benchgate series flap run to run.
+// must run second — ?g is unbound before the probe row binds it). Both
+// queries are ∀, which keeps the visited-candidate counts exact — an ∃
+// lookup stops at the first hit, which floats with shard/bucket iteration
+// order.
 func secondaryLookups(e *txn.Engine, reps, groups int) error {
 	rec, link := tuple.Atom("rec"), tuple.Atom("link")
 	for i := 0; i < reps; i++ {
@@ -1564,16 +1507,4 @@ func E17SecondaryIndex(_ context.Context, sizes []int) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-// SecondaryLookups runs one configuration of the E17 workload (for the
-// testing.B benchmark): load, warm, then one measured round of lookups
-// and joins with the secondary-index layer on or off.
-func SecondaryLookups(n int, secondary bool) error {
-	s := dataspace.New(dataspace.WithShards(8), dataspace.WithSecondaryIndex(secondary))
-	e := txn.New(s)
-	secondaryLoad(s, n, 1024)
-	// Enough lookup rounds that the measured phase dominates the load
-	// (each ∀ round on the scan arm walks the whole arity population).
-	return secondaryLookups(e, 20, 1024)
 }

@@ -21,7 +21,7 @@ import (
 // <a,1,*> vs <a,2,*>, universal and unbounded members, and parameterized
 // imports <x,*,*> whose offers may rebind x mixed in — is driven
 // through a random event sequence (register, unregister, offer with
-// satisfiable, unsatisfiable-until-later and retracting queries, withdraw,
+// satisfiable, unsatisfiable-until-later, negated and retracting queries, withdraw,
 // assert, retract, empty a bucket, refill it) against two detectors:
 //
 //   - the production Manager, its gate stepped synchronously after every
@@ -253,9 +253,14 @@ func diffOffer(r *rand.Rand, pid tuple.ProcessID, v view.View, env expr.Env, reg
 			}
 		}
 		k := pattern.C(tuple.Int(int64(1 + r.Intn(2))))
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			req.Query = pattern.Q(pattern.P(reg, pattern.V("k"), pattern.V("v")))
+		case 4:
+			// A lead-free negation walks every bucket the import names: one
+			// counterexample in any of them must sink the offer.
+			req.Query = pattern.Q(pattern.P(reg, pattern.V("k"), pattern.V("v")),
+				pattern.N(pattern.W(), k, pattern.C(diffGo)))
 		case 1:
 			req.Query = pattern.Q(pattern.P(reg, k, pattern.C(diffGo)))
 		case 2:

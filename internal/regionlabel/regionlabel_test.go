@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
+	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/process"
+	"github.com/sdl-lang/sdl/internal/tuple"
 	"github.com/sdl-lang/sdl/internal/txn"
 	"github.com/sdl-lang/sdl/internal/workload"
 )
@@ -142,6 +145,53 @@ func TestCommunityThresholdsDiscarded(t *testing.T) {
 	})
 	if count != 0 {
 		t.Errorf("%d threshold tuples left", count)
+	}
+}
+
+// TestCompletionGuardSeesWholeNeighbourhood evaluates the Label completion
+// guard — "every label in my window equals mine" — through the real dynamic
+// import. A pixel's window spans its own bucket and each neighbour's; a
+// differing label in any of them must sink the guard, whichever bucket the
+// scan visits after it — or a community fires with a pixel a label short
+// (E4's "labeling mismatch").
+func TestCompletionGuardSeesWholeNeighbourhood(t *testing.T) {
+	im := &workload.Image{W: 3, H: 1, Pix: []int64{200, 200, 200}} // one bright region
+	guard := LabelDef(im).Body[2].(process.Repeat).Branches[1].Guard.Query
+	s := dataspace.New()
+	label := func(p, l int64) tuple.Tuple { return tuple.New(tuple.Int(p), atomLabel, tuple.Int(l)) }
+	for p := int64(0); p < 3; p++ {
+		s.Assert(tuple.Environment, tuple.New(tuple.Int(p), atomThreshold, tuple.Int(1)))
+	}
+	stale := s.Assert(tuple.Environment, label(0, 0), label(1, 2), label(2, 2))[0]
+	holds := func(r int64) bool {
+		env := expr.Env{"r": tuple.Int(r), "t": tuple.Int(1)}
+		var found bool
+		s.Snapshot(func(rd dataspace.Reader) {
+			var err error
+			_, found, err = pattern.Solve(guard, labelView(im)(env).Window(rd, env), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		return found
+	}
+	// Pixel 1 scans buckets 1, 0, 2: the counterexample <0, label, 0> comes
+	// before the agreeing <2, label, 2>.
+	for r, want := range []bool{false, false, true} {
+		if got := holds(int64(r)); got != want {
+			t.Errorf("labels (0, 2, 2): pixel %d completion guard = %v, want %v", r, got, want)
+		}
+	}
+	if err := s.Update(tuple.Environment, func(w dataspace.Writer) error {
+		w.Insert(label(0, 2), tuple.Environment)
+		return w.Delete(stale)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r := int64(0); r < 3; r++ {
+		if !holds(r) {
+			t.Errorf("labels (2, 2, 2): pixel %d completion guard fails", r)
+		}
 	}
 }
 

@@ -306,8 +306,18 @@ func (w Window) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 	case !admitsAny:
 		return // the view imports nothing of this arity
 	case bounded:
+		// fn's stop ends the whole scan, not only the current lead's bucket:
+		// a negated pattern stops at its first violation, and a later bucket
+		// must not overwrite that verdict.
+		stopped := false
+		each := func(id tuple.ID, t tuple.Tuple) bool {
+			stopped = !filtered(id, t)
+			return !stopped
+		}
 		for _, l := range leads {
-			w.r.Scan(arity, l, true, filtered)
+			if w.r.Scan(arity, l, true, each); stopped {
+				return
+			}
 		}
 	default:
 		w.r.Scan(arity, tuple.Value{}, false, filtered)

@@ -147,6 +147,37 @@ func TestBoundedScanUsesIndexBuckets(t *testing.T) {
 	})
 }
 
+// TestBoundedScanStopsAcrossLeads: a callback's false ends a lead-unknown
+// scan of a multi-lead import, not just the bucket it came from. A negated
+// pattern relies on it: its scan stops at the first violation, and a
+// non-violating tuple from a later bucket must not reach it and overwrite
+// the verdict, or ¬∃ succeeds over a window that holds a counterexample.
+func TestBoundedScanStopsAcrossLeads(t *testing.T) {
+	a, b := tuple.Atom("a"), tuple.Atom("b")
+	v := New(Union(
+		Pat(pattern.P(pattern.C(a), pattern.W())),
+		Pat(pattern.P(pattern.C(b), pattern.W())),
+	), Everything())
+	s := dataspace.New()
+	s.Assert(tuple.Environment, tuple.New(a, tuple.Int(1)), tuple.New(b, tuple.Int(2)))
+	withWindow(s, v, nil, func(w Window) {
+		delivered := 0
+		w.Scan(2, tuple.Value{}, false, func(tuple.ID, tuple.Tuple) bool {
+			delivered++
+			return false
+		})
+		if delivered != 1 {
+			t.Errorf("scan delivered %d tuples after the callback stopped it, want 1", delivered)
+		}
+		// Some tuple differs from 2, whichever bucket the scan visits first.
+		q := pattern.Q(pattern.N(pattern.W(), pattern.V("x")).
+			Guarded(expr.Ne(expr.V("x"), expr.Const(tuple.Int(2)))))
+		if _, found, err := pattern.Solve(q, w, nil); err != nil || found {
+			t.Errorf("¬∃ <*, x> : x ≠ 2 over {<a,1>, <b,2>}: found=%v err=%v, want false", found, err)
+		}
+	})
+}
+
 type countingReader struct {
 	dataspace.Reader
 	visited int

@@ -1,6 +1,6 @@
 // Command sdlbench runs the paper-reproduction experiments (E1–E17 but the
-// retired E9, see DESIGN.md §4) as full parameter sweeps and prints one table per
-// experiment. EXPERIMENTS.md records a reference run; `make sweep`
+// retired E9 and E15, see DESIGN.md §4) as full parameter sweeps and
+// prints one table per experiment. EXPERIMENTS.md records a reference run; `make sweep`
 // regenerates bench_sweep.txt. The tables are not a regression gate — the
 // end-to-end benchmark is perf/ (BENCHMARK.json).
 //
@@ -118,13 +118,6 @@ func experiments() []experiment {
 			},
 			func(ctx context.Context) (*bench.Table, error) {
 				return bench.E14DurableUpserts(ctx, []int{250, 1000})
-			}},
-		{"E15",
-			func(ctx context.Context) (*bench.Table, error) {
-				return bench.E15RefinedAdmission(ctx, []int{8})
-			},
-			func(ctx context.Context) (*bench.Table, error) {
-				return bench.E15RefinedAdmission(ctx, []int{2, 8, 64})
 			}},
 		{"E16",
 			func(ctx context.Context) (*bench.Table, error) {

@@ -55,8 +55,8 @@ func TestRunMultipleSelection(t *testing.T) {
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	exps := experiments()
-	if len(exps) != 16 {
-		t.Fatalf("experiments = %d, want 16", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("experiments = %d, want 15", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, ex := range exps {

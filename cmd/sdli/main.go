@@ -37,10 +37,6 @@
 //	-vet                      run the static analyzer first and refuse to
 //	                          run if it reports errors; -vet=warn reports
 //	                          but runs anyway
-//	-refine                   apply the interprocedural footprint refiner
-//	                          at compile time (default true); -refine=false
-//	                          keeps the compiler's intraprocedural
-//	                          classification only
 package main
 
 import (
@@ -58,7 +54,6 @@ import (
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/analysis"
-	"github.com/sdl-lang/sdl/internal/analysis/dataflow"
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/lang"
 	"github.com/sdl-lang/sdl/internal/metrics"
@@ -177,7 +172,6 @@ func run(args []string) error {
 
 		schedSeed   = fs.Int64("sched-seed", -1, "deterministic schedule-controller seed (-1 = off)")
 		schedFaults = fs.String("sched-faults", "light", "fault profile under -sched-seed: off, light, or heavy")
-		refine      = fs.Bool("refine", true, "apply the interprocedural footprint refiner (analysis/dataflow) at compile time")
 	)
 	vet := &vetFlag{mode: "off"}
 	fs.Var(vet, "vet", `run the static analyzer first: "on" refuses to run on errors, "warn" reports and runs anyway`)
@@ -314,12 +308,7 @@ func run(args []string) error {
 		})
 		defer watcher.Stop()
 	}
-	var compiled *lang.Compiled
-	if *refine {
-		compiled, _, err = dataflow.Compile(prog)
-	} else {
-		compiled, err = lang.Compile(prog)
-	}
+	compiled, err := lang.Compile(prog)
 	if err != nil {
 		return err
 	}
@@ -391,8 +380,8 @@ func run(args []string) error {
 func printMetrics(snap metrics.Snapshot) {
 	fmt.Println("-- metrics --")
 	reads, writes := snap.ShardLockTotals()
-	fmt.Printf("  shards        %d shards, %d read locks, %d write locks, %d store commits\n",
-		len(snap.Shards), reads, writes, snap.StoreCommits)
+	fmt.Printf("  shards        %d shards, %d read locks, %d write locks, %d key latches, %d store commits\n",
+		len(snap.Shards), reads, writes, snap.KeyLockTotal(), snap.StoreCommits)
 	for _, kind := range []string{"immediate", "delayed", "consensus"} {
 		c := snap.Txn[kind]
 		if c.Attempts == 0 && c.Blocks == 0 {
@@ -405,12 +394,8 @@ func printMetrics(snap metrics.Snapshot) {
 	fmt.Printf("  footprint     mean %.2f shards/update\n", snap.Footprint.Mean())
 	fmt.Printf("  commit paths  %d key-latched, %d shard fallbacks, %d coarse\n",
 		snap.KeyCommits, snap.ShardFallbacks, snap.CoarseCommits)
-	for _, class := range []string{"ground", "ground-keys", "wildcard", "unknown"} {
-		if n := snap.FootprintAdmissions[class]; n > 0 {
-			fmt.Printf("  admit %-8s %d executions, %d planned\n",
-				class, n, snap.FootprintPlanned[class])
-		}
-	}
+	fmt.Printf("  planner       %d planned, %d unplanned executions\n",
+		snap.FootprintPlanned, snap.FootprintUnplanned)
 	fmt.Printf("  shared reads  %d executions without an exclusive lock (%d epoch reads, %d torn)\n",
 		snap.SharedReads, snap.EpochReads, snap.EpochFallbacks)
 	fmt.Printf("  wakeups       mean fan-out %.2f, %d live subscriptions\n",

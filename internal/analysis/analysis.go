@@ -21,15 +21,15 @@
 //   - hygiene: unused quantifier variables, variables referenced but
 //     bound only by negated patterns, and branches with constant-false
 //     guards.
-//   - footprint: transactions the runtime's commutativity-aware commit
-//     path cannot plan — view-restricted processes, and patterns or
-//     assertions whose leading field is not determined by parameters and
-//     lets. Notes only: wide footprints are legal, they just serialize.
-//   - dataflow: the interprocedural refinement (analysis/dataflow) —
-//     constant/lead propagation across the spawn graph. Reports
-//     footprint-widened transactions (re-admitted to planning, or
-//     carrying a static key set) and footprint-blocked ones with the
-//     binding chain from the offending lead to the sites that feed it.
+//   - footprint: transactions the runtime's footprint planner cannot plan
+//     — patterns or assertions whose leading field is not determined by
+//     parameters and lets. Notes only: wide footprints are legal, they
+//     just serialize.
+//   - dataflow: interprocedural constant/lead propagation
+//     (analysis/dataflow) across the spawn graph. Reports footprint-blocked
+//     transactions with the binding chain from the offending lead to the
+//     sites that feed it, and the full arity scans (scan-heavy) the
+//     secondary index can or cannot absorb.
 //
 // All passes are conservative in the same direction: silence proves
 // nothing, but every error-severity diagnostic identifies a transaction
@@ -39,7 +39,6 @@ package analysis
 import (
 	"fmt"
 
-	"github.com/sdl-lang/sdl/internal/analysis/dataflow"
 	"github.com/sdl-lang/sdl/internal/lang"
 )
 
@@ -69,7 +68,6 @@ type pass struct {
 	units     []*unit
 	asserts   []assertSite
 	reachable map[string]bool
-	df        *dataflow.Result // lazily computed; see dataflowResult
 	diags     []Diagnostic
 }
 

@@ -4,36 +4,19 @@
 // name can take at run time (widening to "any" past a small cap), and per
 // query variable, the values statically-known assert sites can bind it to.
 //
-// Its product is a per-transaction footprint Judgment that refines the
-// compiler's intraprocedural classification:
-//
-//   - GroundKeys: every lead folds to an environment-independent constant
-//     (literals, atoms, and closed lets only — never a parameter or query
-//     binding, because hosts can Spawn processes with arbitrary arguments
-//     at run time), so the exact bucket set travels with the transaction
-//     and the engine skips per-execution lead evaluation.
-//   - Ground for view-restricted processes: compiled SDL views contain
-//     only pure pattern matchers, so when every lead is determined by
-//     parameters and lets the dynamic planner's per-pattern plan covers
-//     everything the evaluation can touch; the judgment re-admits the
-//     transaction to footprint planning that the compiler alone had to
-//     deny (the runtime still double-checks View.Plannable()).
-//   - Diagnostics: for leads that stay unplannable, the judgment carries a
-//     witness — the binding chain from the lead back to the spawn or
-//     assert sites that feed it — surfaced by sdlvet's dataflow check.
-//
-// The pass is deliberately conservative in the same direction as the rest
-// of the analyzer: a refinement is only emitted when it is sound against
-// an open world (host-spawned processes, host-asserted tuples), and
-// anything the engine must trust without re-evaluation is derived from
-// environment-independent folds alone.
+// Its product is diagnostics only: a per-transaction Judgment that says,
+// for every pattern and assertion lead, whether the issuing environment
+// (parameters and lets) determines it — the condition under which the
+// transaction engine's run-time footprint planner can plan the
+// transaction — and a witness: the values that flow into a ground lead, or
+// the binding chain from an unplannable lead back to the spawn or assert
+// sites that feed it. sdlvet's dataflow check surfaces them. Nothing the
+// pass computes reaches the compiler or the runtime.
 package dataflow
 
 import (
 	"strings"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
-	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/lang"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -85,23 +68,15 @@ type Lead struct {
 	Index  int    // 1-based position among the transaction's items
 	Pos    lang.Pos
 	Ground bool  // determined by the issuing environment (params + lets)
-	Closed bool  // folds to an environment-independent constant
 	Val    Value // abstract lead value (diagnostics)
 	Why    string
 }
 
-// Judgment is the refined footprint classification of one transaction.
+// Judgment explains one transaction's leads.
 type Judgment struct {
-	Proc           string
-	Node           *lang.TxnNode
-	ViewRestricted bool
-	Class          footprint.Class
-	Keys           []dataspace.InterestKey // with GroundKeys
-	// Widened reports that the refinement admits the transaction to
-	// footprint planning where the compiler's intraprocedural judgment
-	// could not (a view-restricted process with ground leads).
-	Widened bool
-	Leads   []Lead
+	Proc  string
+	Node  *lang.TxnNode
+	Leads []Lead
 }
 
 // Result is a completed analysis.
@@ -120,13 +95,11 @@ type Result struct {
 // --- program model ---
 
 type procInfo struct {
-	name           string
-	decl           *lang.ProcessDecl // nil for main
-	params         []string
-	viewRestricted bool
-	bound          map[string]bool // params + behavior-wide lets
-	letNames       map[string]bool
-	txns           []*txnCtx
+	name     string
+	params   []string
+	bound    map[string]bool // params + behavior-wide lets
+	letNames map[string]bool
+	txns     []*txnCtx
 }
 
 type txnCtx struct {
@@ -192,16 +165,12 @@ func build(prog *lang.Program) *analysis {
 		params: make(map[*procInfo][]*Fact),
 		lets:   make(map[*procInfo]map[string]*Fact),
 	}
-	add := func(name string, decl *lang.ProcessDecl, params []string, body []lang.StmtNode) {
+	add := func(name string, params []string, body []lang.StmtNode) {
 		p := &procInfo{
 			name:     name,
-			decl:     decl,
 			params:   params,
 			bound:    make(map[string]bool, len(params)),
 			letNames: make(map[string]bool),
-		}
-		if decl != nil {
-			p.viewRestricted = len(decl.Imports) > 0 || len(decl.Exports) > 0
 		}
 		for _, prm := range params {
 			p.bound[prm] = true
@@ -256,10 +225,10 @@ func build(prog *lang.Program) *analysis {
 		}
 	}
 	for _, pd := range prog.Processes {
-		add(pd.Name, pd, pd.Params, pd.Body)
+		add(pd.Name, pd.Params, pd.Body)
 	}
 	if prog.Main != nil {
-		add(lang.MainProcess, nil, nil, prog.Main.Body)
+		add(lang.MainProcess, nil, prog.Main.Body)
 	}
 	for _, site := range lang.SpawnSites(prog) {
 		from := a.byNode[site.Txn]

@@ -1,13 +1,10 @@
 package dataflow
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 	"github.com/sdl-lang/sdl/internal/lang"
-	"github.com/sdl-lang/sdl/internal/process"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -49,8 +46,8 @@ func judgments(t *testing.T, res *Result, proc string) []*Judgment {
 }
 
 // Spawn actuals flow into parameters, and a view-restricted process whose
-// leads are those parameters is widened to Ground — the acceptance
-// shape from the sort corpus program, reduced.
+// leads are those parameters has every lead ground — the shape of the sort
+// corpus program, reduced.
 func TestSpawnActualsWidenParams(t *testing.T) {
 	_, res := analyze(t, `
 process Swap(a, b)
@@ -81,12 +78,6 @@ end
 		t.Errorf("param a provenance %v, want spawn sites", a.Sites)
 	}
 	j := judgments(t, res, "Swap")[0]
-	if j.Class != footprint.Ground {
-		t.Errorf("Swap judgment class %v, want Ground", j.Class)
-	}
-	if !j.ViewRestricted || !j.Widened {
-		t.Errorf("Swap judgment restricted=%v widened=%v, want both true", j.ViewRestricted, j.Widened)
-	}
 	for _, ld := range j.Leads {
 		if !ld.Ground {
 			t.Errorf("lead %s %d not ground: %s", ld.What, ld.Index, ld.Why)
@@ -94,9 +85,9 @@ end
 	}
 }
 
-// Literal leads and lets folding through the runtime's own evaluator
-// produce a GroundKeys judgment with the exact key set.
-func TestClosedLetsFoldToStaticKeys(t *testing.T) {
+// A let folds through the runtime's own evaluator, and a lead that
+// references it carries the folded constant and the let as its witness.
+func TestLetsFoldIntoLeadValues(t *testing.T) {
 	_, res := analyze(t, `
 main
   let k = 1 + 2;
@@ -105,19 +96,16 @@ end
 `)
 	js := judgments(t, res, "main")
 	j := js[len(js)-1]
-	if j.Class != footprint.GroundKeys {
-		t.Fatalf("class %v, want GroundKeys (leads: %+v)", j.Class, j.Leads)
-	}
-	if len(j.Keys) != 1 {
-		t.Fatalf("keys %v, want exactly one (pattern and assert share the bucket)", j.Keys)
-	}
-	k := j.Keys[0]
-	if k.Arity != 2 || !k.LeadKnown || !k.Lead.Equal(tuple.Int(3)) {
-		t.Errorf("key %+v, want arity 2, lead 3", k)
+	if len(j.Leads) != 2 {
+		t.Fatalf("leads %+v, want the pattern and the assertion", j.Leads)
 	}
 	for _, ld := range j.Leads {
-		if !ld.Closed {
-			t.Errorf("lead %s %d not closed: %s", ld.What, ld.Index, ld.Why)
+		v, single := ld.Val.Single()
+		if !ld.Ground || !single || !v.Equal(tuple.Int(3)) {
+			t.Errorf("%s %d: ground=%v value %v, want ground with the constant 3", ld.What, ld.Index, ld.Ground, ld.Val)
+		}
+		if !strings.Contains(ld.Why, "let k") {
+			t.Errorf("%s %d: witness %q does not name let k", ld.What, ld.Index, ld.Why)
 		}
 	}
 }
@@ -137,9 +125,6 @@ main
 end
 `)
 	j := judgments(t, res, "Relay")[0]
-	if j.Class != footprint.Wildcard {
-		t.Fatalf("class %v, want Wildcard", j.Class)
-	}
 	var blocked *Lead
 	for i := range j.Leads {
 		if !j.Leads[i].Ground {
@@ -148,7 +133,7 @@ end
 		}
 	}
 	if blocked == nil {
-		t.Fatal("no blocked lead on a Wildcard judgment")
+		t.Fatal("no blocked lead on a query-bound transaction")
 	}
 	if blocked.What != "assertion" {
 		t.Errorf("blocked lead is a %s, want the assertion <?c, ?v>", blocked.What)
@@ -172,13 +157,13 @@ end
 		t.Fatalf("param q fact %+v, want Bottom (no spawn sites)", q)
 	}
 	j := judgments(t, res, "Worker")[0]
-	if j.Class != footprint.Ground {
-		// The lead IS the issuing environment's parameter: ground, but not
-		// closed — the dynamic planner evaluates it per execution.
-		t.Fatalf("class %v, want Ground", j.Class)
-	}
 	found := false
 	for _, ld := range j.Leads {
+		if !ld.Ground {
+			// The lead IS the issuing environment's parameter: the run-time
+			// planner evaluates it per execution.
+			t.Errorf("lead %s %d not ground: %s", ld.What, ld.Index, ld.Why)
+		}
 		if strings.Contains(ld.Why, "host-spawned") {
 			found = true
 		}
@@ -186,86 +171,4 @@ end
 	if !found {
 		t.Errorf("no lead witness mentions host-spawned unboundedness: %+v", j.Leads)
 	}
-}
-
-// The refiner's trust boundary: a GroundKeys judgment refines the
-// compiled transaction only when its keys are non-empty, and a Ground
-// judgment only upgrades Wildcard-classified view-restricted
-// transactions (the dynamic planner stays authoritative elsewhere).
-func TestRefinerTrustBoundary(t *testing.T) {
-	prog, res := analyze(t, `
-process Pair(a, b)
-import <a, *>; <b, *>
-export <a, *>; <b, *>
-behavior
-  exists x: <a, ?x>! -> <b, ?x>
-end
-
-main
-  spawn Pair(1, 2)
-end
-`)
-	compiled, err := lang.CompileWith(prog, lang.CompileOptions{Refiner: res.Refiner()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := lang.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined := collectFootprints(compiled)
-	base := collectFootprints(plain)
-	if len(refined) != len(base) {
-		t.Fatalf("transaction count changed: %d vs %d", len(refined), len(base))
-	}
-	upgraded := false
-	for i := range refined {
-		if base[i] == footprint.Wildcard && refined[i] == footprint.Ground {
-			upgraded = true
-		}
-		if base[i] == footprint.Ground && refined[i] == footprint.Wildcard {
-			t.Errorf("refinement downgraded a Ground transaction")
-		}
-	}
-	if !upgraded {
-		t.Errorf("no view-restricted transaction upgraded Wildcard -> Ground: base %v, refined %v", base, refined)
-	}
-}
-
-// collectFootprints walks a compiled program's definitions (sorted by
-// name) and gathers every transaction's footprint class in body order.
-func collectFootprints(c *lang.Compiled) []footprint.Class {
-	defs := append([]*process.Definition(nil), c.Defs...)
-	sort.Slice(defs, func(i, j int) bool { return defs[i].Name < defs[j].Name })
-	var out []footprint.Class
-	for _, d := range defs {
-		out = append(out, stmtFootprints(d.Body)...)
-	}
-	return out
-}
-
-func stmtFootprints(body []process.Stmt) []footprint.Class {
-	var out []footprint.Class
-	for _, s := range body {
-		switch st := s.(type) {
-		case process.Transact:
-			out = append(out, st.Footprint)
-		case process.Select:
-			for _, b := range st.Branches {
-				out = append(out, b.Guard.Footprint)
-				out = append(out, stmtFootprints(b.Body)...)
-			}
-		case process.Repeat:
-			for _, b := range st.Branches {
-				out = append(out, b.Guard.Footprint)
-				out = append(out, stmtFootprints(b.Body)...)
-			}
-		case process.Replicate:
-			for _, b := range st.Branches {
-				out = append(out, b.Guard.Footprint)
-				out = append(out, stmtFootprints(b.Body)...)
-			}
-		}
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 	"github.com/sdl-lang/sdl/internal/lang"
 	"github.com/sdl-lang/sdl/internal/lang/langtest"
 )
@@ -16,12 +15,9 @@ import (
 //   - Analyze never panics, on synthetic ASTs and parsed round trips;
 //   - the fixpoint converges within its round budget (or reports that it
 //     did not — it must never claim convergence after the cap);
-//   - every judgment is internally consistent: GroundKeys always carries
-//     a non-empty, concrete key set, Widened implies a view-restricted
-//     process with an all-ground judgment, and every lead a judgment
-//     reports belongs to the transaction it annotates;
-//   - refined compilation succeeds exactly when plain compilation does
-//     (the refiner can reclassify transactions, never break the build).
+//   - every judgment is internally consistent: it annotates the
+//     transaction it is filed under, and every lead it reports has a
+//     positive index and a witness.
 func FuzzDataflow(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
@@ -48,30 +44,12 @@ func FuzzDataflow(f *testing.F) {
 				if j.Node != txn {
 					t.Errorf("%s: judgment node mismatch", label)
 				}
-				switch j.Class {
-				case footprint.Ground, footprint.Wildcard, footprint.GroundKeys:
-				default:
-					t.Errorf("%s: judgment class %v out of range", label, j.Class)
-				}
-				if j.Class == footprint.GroundKeys {
-					if len(j.Keys) == 0 {
-						t.Errorf("%s: GroundKeys judgment with no keys in %s", label, j.Proc)
-					}
-					for _, k := range j.Keys {
-						if k.Arity > 0 && !k.LeadKnown {
-							t.Errorf("%s: GroundKeys key with unknown lead (arity %d)", label, k.Arity)
-						}
-					}
-				}
-				if j.Widened && !j.ViewRestricted {
-					t.Errorf("%s: widened judgment outside a view-restricted process (%s)", label, j.Proc)
-				}
 				for _, ld := range j.Leads {
 					if ld.Index < 1 {
 						t.Errorf("%s: lead with index %d", label, ld.Index)
 					}
-					if ld.Why == "" && !ld.Closed {
-						t.Errorf("%s: open lead with no witness in %s", label, j.Proc)
+					if ld.Why == "" {
+						t.Errorf("%s: lead with no witness in %s", label, j.Proc)
 					}
 				}
 			}
@@ -86,12 +64,5 @@ func FuzzDataflow(f *testing.F) {
 			t.Fatalf("formatted program does not parse: %v\n%s", err, src)
 		}
 		check(parsed, "parsed")
-
-		// Refinement must never change whether the program compiles.
-		_, plainErr := lang.Compile(parsed)
-		_, _, refinedErr := Compile(parsed)
-		if (plainErr == nil) != (refinedErr == nil) {
-			t.Fatalf("compile divergence: plain err %v, refined err %v\n%s", plainErr, refinedErr, src)
-		}
 	})
 }

@@ -3,64 +3,36 @@ package dataflow
 import (
 	"fmt"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
-	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/lang"
-	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// judge classifies one transaction's refined footprint.
+// judge explains one transaction's leads: for each pattern and assertion,
+// whether the issuing environment determines it and the witness why.
 func (a *analysis) judge(t *txnCtx) *Judgment {
-	p := t.proc
-	j := &Judgment{
-		Proc:           p.name,
-		Node:           t.node,
-		ViewRestricted: p.viewRestricted,
-	}
-	closedLets := a.closedLets(p)
-	issuing := a.issuingEnv(p)
-
-	allGround, allClosed := true, true
-	var keys []dataspace.InterestKey
+	j := &Judgment{Proc: t.proc.name, Node: t.node}
+	issuing := a.issuingEnv(t.proc)
 	addLead := func(pat lang.PatternNode, what string, index int) {
 		ld := Lead{What: what, Index: index, Pos: pat.Pos}
-		arity := len(pat.Fields)
-		if arity == 0 {
-			ld.Ground, ld.Closed = true, true
+		if len(pat.Fields) == 0 {
+			ld.Ground = true
 			ld.Why = "arity-0: the fixed zero-lead bucket"
-			keys = addKey(keys, dataspace.InterestKey{Arity: 0})
 			j.Leads = append(j.Leads, ld)
 			return
 		}
-		f := pat.Fields[0]
-		ef, isExpr := f.(lang.ExprField)
-		if !isExpr {
-			allGround, allClosed = false, false
+		ef, isExpr := pat.Fields[0].(lang.ExprField)
+		switch {
+		case !isExpr:
 			ld.Why = "lead is a wildcard"
-			j.Leads = append(j.Leads, ld)
-			return
-		}
-		if v, ok := closedFold(ef.Expr, t, closedLets); ok {
-			ld.Ground, ld.Closed = true, true
-			ld.Val = Of(v)
-			ld.Why = fmt.Sprintf("lead folds to the constant %s independent of the environment", v)
-			keys = addKey(keys, dataspace.InterestKey{Arity: arity, Lead: v, LeadKnown: true})
-			j.Leads = append(j.Leads, ld)
-			return
-		}
-		allClosed = false
-		if groundLead(ef.Expr, t) {
+		case groundLead(ef.Expr, t):
 			ld.Ground = true
 			ld.Val = foldVal(ef.Expr, issuing)
 			ld.Why = a.groundWitness(ef.Expr, t)
-		} else {
-			allGround = false
+		default:
 			ld.Val = foldVal(ef.Expr, a.envOf(t))
 			ld.Why = a.queryWitness(ef.Expr, t)
 		}
 		j.Leads = append(j.Leads, ld)
 	}
-
 	for i, item := range t.node.Items {
 		addLead(item.Pattern, "pattern", i+1)
 	}
@@ -71,32 +43,11 @@ func (a *analysis) judge(t *txnCtx) *Judgment {
 			addLead(as.Pattern, "assertion", n)
 		}
 	}
-
-	switch {
-	case allClosed && len(keys) > 0:
-		j.Class = footprint.GroundKeys
-		j.Keys = keys
-	case allGround:
-		j.Class = footprint.Ground
-	default:
-		j.Class = footprint.Wildcard
-	}
-	j.Widened = p.viewRestricted && allGround
 	return j
 }
 
-// addKey appends a key, deduplicating by (arity, lead).
-func addKey(keys []dataspace.InterestKey, k dataspace.InterestKey) []dataspace.InterestKey {
-	for _, have := range keys {
-		if have.Arity == k.Arity && have.LeadKnown == k.LeadKnown && have.Lead.Equal(k.Lead) {
-			return keys
-		}
-	}
-	return append(keys, k)
-}
-
-// groundLead mirrors the compiler's footprint.Classify lead rule at the
-// AST level: the lead is determined by the issuing environment iff it
+// groundLead reports, at the AST level, whether the run-time footprint
+// planner can evaluate the lead under the issuing environment: iff it
 // references no query variable. A ?var whose name is a parameter or let is
 // an equality test against that binding, so it stays ground; a bare
 // identifier bound only by a quantifier declaration compiles to a query
@@ -121,98 +72,10 @@ func groundLead(e lang.ExprNode, t *txnCtx) bool {
 	return ground
 }
 
-// closedLets computes the process's closed let-constants: lets whose every
-// assignment folds, environment-independently (through literals, atoms,
-// and other closed lets only), to one and the same constant. Only these
-// may feed a GroundKeys key set — parameters never qualify, because hosts
-// can spawn processes with arbitrary arguments at run time.
-func (a *analysis) closedLets(p *procInfo) map[string]tuple.Value {
-	assigns := make(map[string][]struct {
-		e lang.ExprNode
-		t *txnCtx
-	})
-	for _, t := range p.txns {
-		for _, act := range t.node.Actions {
-			if l, ok := act.(lang.LetAction); ok {
-				assigns[l.Name] = append(assigns[l.Name], struct {
-					e lang.ExprNode
-					t *txnCtx
-				}{l.Expr, t})
-			}
-		}
-	}
-	closed := make(map[string]tuple.Value)
-	for iter := 0; iter <= len(assigns); iter++ { // lets can reference lets; iterate to a fixpoint
-		changed := false
-		for name, as := range assigns {
-			if _, done := closed[name]; done {
-				continue
-			}
-			if isParam(p, name) {
-				continue
-			}
-			var val tuple.Value
-			ok := len(as) > 0
-			for i, asn := range as {
-				v, folded := closedFold(asn.e, asn.t, closed)
-				if !folded || (i > 0 && !v.Equal(val)) {
-					ok = false
-					break
-				}
-				val = v
-			}
-			if ok {
-				closed[name] = val
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return closed
-}
-
-func isParam(p *procInfo, name string) bool {
-	for _, prm := range p.params {
-		if prm == name {
-			return true
-		}
-	}
-	return false
-}
-
-// closedFold folds an expression to an environment-independent constant:
-// literals, unbound identifiers (atoms), closed lets, and operators and
-// built-ins over those, evaluated through the runtime's own evaluator. A
-// reference to a parameter, a query variable, or an open let fails the
-// fold — this is the trust boundary for GroundKeys: nothing a host can
-// influence at run time may feed a statically attached key.
-func closedFold(e lang.ExprNode, t *txnCtx, closed map[string]tuple.Value) (tuple.Value, bool) {
-	open := false
-	v := foldVal(e, func(name string) (Value, bool) {
-		if c, has := closed[name]; has {
-			// A closed let (never a parameter: closedLets excludes them).
-			// Referencing it — even as ?name — is an equality test against
-			// a known constant.
-			return Of(c), true
-		}
-		if t.proc.bound[name] || t.vars[name] {
-			open = true
-			return Top(), true
-		}
-		return Value{}, false // unbound identifier: an atom
-	})
-	if open {
-		return tuple.Value{}, false
-	}
-	return v.Single()
-}
-
 // --- witnesses ---
 
-// groundWitness explains a ground (but not closed) lead: which issuing
-// names it depends on and what values flow into them.
+// groundWitness explains a ground lead: which issuing names it depends on
+// and what values flow into them.
 func (a *analysis) groundWitness(e lang.ExprNode, t *txnCtx) string {
 	p := t.proc
 	names := leadNames(e, t)

@@ -7,14 +7,13 @@ import (
 // runFootprint is the footprint pass: it reports, per transaction, when the
 // runtime's commutativity-aware commit path (key-level locking + group
 // commit, see internal/dataspace) cannot be used, and why. The pass mirrors
-// the compiler's footprint.Classify judgment at the AST level:
-//
-//   - a transaction in a view-restricted process always bypasses footprint
-//     planning (a restricted import may consult arbitrary buckets);
-//   - a pattern or assertion whose leading field is a wildcard, a query
-//     variable, or an expression over query variables is not determined by
-//     the issuing environment, so the transaction's footprint cannot be
-//     bounded and it falls back to coarse locking.
+// the transaction engine's run-time footprint planner at the AST level: a
+// pattern or assertion whose leading field is a wildcard, a query
+// variable, or an expression over query variables is not determined by the
+// issuing environment, so the transaction's footprint cannot be bounded
+// and it falls back to coarse locking. (The planner's other condition, a
+// plannable view, always holds for SDL source: the compiler builds views
+// from pure pattern matchers.)
 //
 // Everything here is a Note: wide footprints are legal SDL, they just
 // serialize. The pass makes the performance cliff visible at vet time
@@ -24,37 +23,10 @@ func runFootprint(p *pass) {
 		if !p.reachable[u.name] {
 			continue
 		}
-		if u.decl != nil && (len(u.decl.Imports) > 0 || len(u.decl.Exports) > 0) {
-			if allRefined(p, u) {
-				p.addf(u.decl.Pos, CheckFootprint, Note,
-					"process %s restricts its view, but every transaction's leads are ground: the interprocedural refiner re-admits them to footprint planning (see the dataflow check)", u.name)
-			} else {
-				p.addf(u.decl.Pos, CheckFootprint, Note,
-					"process %s restricts its view; its transactions bypass footprint planning and take full-store locks", u.name)
-			}
-			continue
-		}
 		for _, ti := range u.txns {
 			reportWideLeads(p, ti)
 		}
 	}
-}
-
-// allRefined reports whether the interprocedural refiner re-admits every
-// transaction of a view-restricted unit to footprint planning, making the
-// blanket "full-store locks" note stale.
-func allRefined(p *pass, u *unit) bool {
-	if len(u.txns) == 0 {
-		return false
-	}
-	res := p.dataflowResult()
-	for _, ti := range u.txns {
-		j := res.Judgments[ti.txn]
-		if j == nil || !j.Widened {
-			return false
-		}
-	}
-	return true
 }
 
 // reportWideLeads flags every pattern of ti whose lead is not determined by

@@ -224,21 +224,6 @@ func TestE14Smoke(t *testing.T) {
 	}
 }
 
-func TestE15AdmissionExact(t *testing.T) {
-	tbl, err := E15RefinedAdmission(ctxT(t), []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unrefined, the restricted view forces the full lock set on every
-	// upsert; refined, every upsert commits on the key path.
-	got := byName(tbl.Rows[0])
-	for name, want := range map[string]float64{"unrefined fastpath": 0, "refined fastpath": 100} {
-		if got[name] != want {
-			t.Errorf("%s = %v%%, want %v%%", name, got[name], want)
-		}
-	}
-}
-
 func TestE17VisitedExact(t *testing.T) {
 	const n, groups, shards = 4096, 1024, 8
 	tbl, err := E17SecondaryIndex(ctxT(t), []int{n})

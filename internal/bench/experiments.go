@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 	"github.com/sdl-lang/sdl/internal/arraysum"
 	"github.com/sdl-lang/sdl/internal/consensus"
 	"github.com/sdl-lang/sdl/internal/dataspace"
@@ -1086,138 +1085,6 @@ func viaShardMutex(s *dataspace.Store) func(txn.Request) error {
 			return nil
 		})
 	}
-}
-
-// restrictedUpserts runs the E15 workload: the E13 disjoint-key upserts,
-// but every request carries a pure view-restricted pattern view (the shape
-// a compiled `import <*, *>; export <*, *>` process issues) and the given
-// static footprint class. With footprint.Unknown the admission gate in
-// txn.footprintKeys rejects planning — a restricted view without a
-// compiler-refined class forces the full lock set — so every commit is
-// coarse. With footprint.Ground (what the interprocedural refiner proves
-// for the same process) the same requests take the key-latch path. The
-// lost-increment invariant holds either way. The caller seeds the counters
-// (seedCounters) so its commit accounting covers only the upserts.
-func restrictedUpserts(e *txn.Engine, s *dataspace.Store, keysPerWorker, workers, opsPerWorker int, fp footprint.Class) (time.Duration, error) {
-	pairs := view.Union(view.Pat(pattern.P(pattern.W(), pattern.W())))
-	restricted := view.New(pairs, pairs)
-	d, err := timeIt(func() error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				base := int64(w * keysPerWorker)
-				for i := 0; i < opsPerWorker; i++ {
-					id := base + int64(i%keysPerWorker)
-					_, err := e.Immediate(txn.Request{
-						Proc:      tuple.ProcessID(w + 1),
-						View:      restricted,
-						Footprint: fp,
-						Query:     pattern.Q(pattern.R(pattern.C(tuple.Int(id)), pattern.V("v"))),
-						Asserts: []pattern.Pattern{pattern.P(pattern.C(tuple.Int(id)),
-							pattern.E(expr.Add(expr.V("v"), expr.Const(tuple.Int(1)))))},
-					})
-					if err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errCh)
-		return <-errCh
-	})
-	if err != nil {
-		return 0, err
-	}
-	var gotSum int64
-	s.Snapshot(func(r dataspace.Reader) {
-		r.Each(func(inst dataspace.Instance) bool {
-			v, _ := inst.Tuple.Field(1).AsInt()
-			gotSum += v
-			return true
-		})
-	})
-	if total := int64(workers * opsPerWorker); gotSum != total {
-		return 0, fmt.Errorf("value sum %d, want %d (lost or duplicated increments)", gotSum, total)
-	}
-	return d, nil
-}
-
-// seedCounters asserts <k, 0> for each of n counter keys.
-func seedCounters(s *dataspace.Store, n int) {
-	for k := 0; k < n; k++ {
-		s.Assert(tuple.Environment, tuple.New(tuple.Int(int64(k)), tuple.Int(0)))
-	}
-}
-
-// E15RefinedAdmission measures what the interprocedural refiner buys at the
-// commit path: the same view-restricted disjoint-key upsert workload run
-// with the footprint class an unrefined compile leaves (Unknown — every
-// commit serializes on the full lock set) against the class the dataflow
-// pass proves (Ground — commits take the key-latch/group-commit path). The
-// headline column is fast-path admission: the percentage of store commits
-// that went through per-key latches, 0% unrefined and 100% refined by
-// construction (TestE15AdmissionExact holds it).
-// Throughput rides along; like E13 it needs hardware parallelism to
-// separate, while the admission percentages are deterministic on any host.
-func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, error) {
-	t := &Table{
-		ID:    "E15",
-		Title: "interprocedural footprint refinement: fast-path admission under view restriction (unrefined vs refined)",
-		Note:  `a restricted view forces the full lock set unless the compiler proves the footprint Ground — the dataflow refiner widens the commuting fast path to view-restricted processes`,
-	}
-	variants := []struct {
-		name string
-		fp   footprint.Class
-	}{
-		{"unrefined", footprint.Unknown},
-		{"refined", footprint.Ground},
-	}
-	const shards = 8
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	const opsPerWorker = 2000
-	for _, kpw := range keysPerWorkerCounts {
-		row := Row{Config: fmt.Sprintf("keys/worker=%d workers=%d", kpw, workers)}
-		for _, v := range variants {
-			s := dataspace.New(dataspace.WithShards(shards))
-			seedCounters(s, kpw*workers)
-			before := s.Metrics().Snapshot()
-			d, err := restrictedUpserts(txn.New(s), s, kpw, workers, opsPerWorker, v.fp)
-			if err != nil {
-				return nil, fmt.Errorf("E15 %s kpw=%d: %w", v.name, kpw, err)
-			}
-			total := float64(workers * opsPerWorker)
-			after := s.Metrics().Snapshot()
-			commits := after.StoreCommits - before.StoreCommits
-			keyed := after.KeyCommits - before.KeyCommits
-			fastPath := 0.0
-			if commits > 0 {
-				fastPath = 100 * float64(keyed) / float64(commits)
-			}
-			switch v.fp {
-			case footprint.Ground:
-				if keyed != uint64(total) {
-					return nil, fmt.Errorf("E15 refined kpw=%d: %d key-path commits, want %d (refinement not admitted)", kpw, keyed, int(total))
-				}
-			default:
-				if keyed != 0 {
-					return nil, fmt.Errorf("E15 unrefined kpw=%d: %d key-path commits, want 0 (admission gate leaked)", kpw, keyed)
-				}
-			}
-			row.Metrics = append(row.Metrics,
-				Metric{Name: v.name + " fastpath", Value: fastPath, Unit: "%"},
-				Metric{Name: v.name, Value: total / d.Seconds() / 1000, Unit: "kops/s"})
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
 }
 
 // E13CommutingUpserts is the commit-path ablation: key-level latches plus

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
-	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/process"
@@ -22,50 +20,9 @@ type Compiled struct {
 	HasMain bool
 }
 
-// FootprintJudgment is an interprocedural refinement of a transaction's
-// static footprint class, produced by a FootprintRefiner (the
-// analysis/dataflow package). Keys must be non-empty exactly when Class is
-// footprint.GroundKeys: the refiner proved every lead environment-
-// independent and computed the complete bucket set.
-type FootprintJudgment struct {
-	Class footprint.Class
-	Keys  []dataspace.InterestKey
-}
-
-// FootprintRefiner refines the compiler's per-transaction footprint
-// classification with whole-program knowledge. RefineTxn is called once
-// per compiled transaction with the enclosing process name (MainProcess
-// for the main block), the transaction's AST node, and the compiler's own
-// conservative class; returning ok=false keeps the conservative class.
-//
-// The compiler only accepts refinements that widen the commuting fast
-// path's intake in directions the runtime can double-check: Ground (the
-// dynamic planner re-evaluates every lead and remains authoritative) and
-// GroundKeys with an attached key set (the engine trusts the keys, and the
-// store's writer panics on any mutation outside them).
-type FootprintRefiner interface {
-	RefineTxn(proc string, t *TxnNode, base footprint.Class) (FootprintJudgment, bool)
-}
-
-// CompileOptions configures compilation.
-type CompileOptions struct {
-	// Refiner, when non-nil, refines per-transaction footprint classes
-	// (see FootprintRefiner).
-	Refiner FootprintRefiner
-}
-
-// Compile translates a parsed program into process definitions using the
-// compiler's intraprocedural footprint classification only.
+// Compile translates a parsed program into process definitions.
 func Compile(prog *Program) (*Compiled, error) {
-	return CompileWith(prog, CompileOptions{})
-}
-
-// CompileWith is Compile with options.
-func CompileWith(prog *Program, opts CompileOptions) (*Compiled, error) {
-	c := &compiler{
-		arities: make(map[string]int),
-		refiner: opts.Refiner,
-	}
+	c := &compiler{arities: make(map[string]int)}
 	for _, pd := range prog.Processes {
 		if pd.Name == MainProcess {
 			return nil, errAt(pd.Pos, "process name %q is reserved", MainProcess)
@@ -88,7 +45,6 @@ func CompileWith(prog *Program, opts CompileOptions) (*Compiled, error) {
 		out.Defs = append(out.Defs, def)
 	}
 	if prog.Main != nil {
-		c.proc = MainProcess
 		sc := newScope(nil)
 		collectLets(prog.Main.Body, sc)
 		body, err := c.compileStmts(prog.Main.Body, sc)
@@ -98,6 +54,16 @@ func CompileWith(prog *Program, opts CompileOptions) (*Compiled, error) {
 		out.Defs = append(out.Defs, &process.Definition{Name: MainProcess, Body: body})
 	}
 	return out, nil
+}
+
+// CompileOptions is empty: compilation has nothing left to configure. It
+// and CompileWith remain only because the end-to-end benchmark under perf/
+// calls them; delete both once it calls Compile.
+type CompileOptions struct{}
+
+// CompileWith is Compile; see CompileOptions for why it remains.
+func CompileWith(prog *Program, _ CompileOptions) (*Compiled, error) {
+	return Compile(prog)
 }
 
 // Install registers every definition into the runtime.
@@ -171,14 +137,6 @@ func Merge(progs ...*Program) (*Program, error) {
 // compiler carries program-level context.
 type compiler struct {
 	arities map[string]int // process name -> parameter count
-	refiner FootprintRefiner
-	proc    string // name of the process being compiled
-	// viewRestricted is true while compiling a process with import/export
-	// clauses: its transactions can never be footprint-planned by the
-	// intraprocedural classifier alone (a restricted view may consult
-	// arbitrary buckets), so they are stamped footprint.Wildcard unless a
-	// refiner proves the view plannable and the leads ground.
-	viewRestricted bool
 }
 
 // scope tracks which identifiers denote runtime bindings (process
@@ -208,9 +166,6 @@ func (s *scope) bind(name string) { s.bound[name] = true }
 func (s *scope) isBound(name string) bool { return s.bound[name] }
 
 func (c *compiler) compileProcess(pd *ProcessDecl) (*process.Definition, error) {
-	c.proc = pd.Name
-	c.viewRestricted = len(pd.Imports) > 0 || len(pd.Exports) > 0
-	defer func() { c.viewRestricted = false }()
 	sc := newScope(pd.Params)
 	// Let-constants become bound identifiers for the whole behavior (a
 	// deliberate widening of the paper's sequential let scoping: a use
@@ -484,29 +439,6 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 		}
 	}
 
-	// Static footprint classification, against the issuing environment
-	// (params + lets — the outer scope, NOT ts: quantifier-declared and
-	// pattern-bound variables are not in the runtime request environment
-	// the leads are evaluated under). Computed after the actions loop so
-	// tx.Asserts is complete.
-	if c.viewRestricted {
-		tx.Footprint = footprint.Wildcard
-	} else {
-		tx.Footprint = footprint.Classify(q, tx.Asserts, sc.isBound)
-	}
-	if c.refiner != nil {
-		if j, ok := c.refiner.RefineTxn(c.proc, t, tx.Footprint); ok {
-			switch {
-			case j.Class == footprint.GroundKeys && len(j.Keys) > 0:
-				tx.Footprint, tx.StaticKeys = j.Class, j.Keys
-			case j.Class == footprint.Ground && len(j.Keys) == 0:
-				// A judgment, not a promise: the dynamic planner
-				// re-evaluates every lead, so a wrong Ground refinement
-				// costs a failed plan, never a wrong lock set.
-				tx.Footprint = footprint.Ground
-			}
-		}
-	}
 	return tx, nil
 }
 

@@ -205,8 +205,8 @@ type Registry struct {
 	txnLatency  [numTxnKinds]*Histogram // ns per execution; gated on Observed
 	sharedReads cell                    // executions served by the engine's shared read path
 
-	footprintAdmit   [FootprintClasses]cell // executions per static footprint class
-	footprintPlanned [FootprintClasses]cell // of those, how many the planner admitted
+	footprintPlanned   cell // executions the footprint planner planned
+	footprintUnplanned cell // executions it could not plan (whole-store path)
 
 	footprint    *Histogram // shards write-locked per update; gated on Observed
 	wakeupFanout *Histogram // subscriptions woken per mutating commit; gated on Observed
@@ -304,24 +304,14 @@ func (r *Registry) IncShardFallback() { r.shardFallbacks.Add(1) }
 // one of key / fallback / coarse — the audited-ladder invariant.
 func (r *Registry) IncCoarseCommit() { r.coarseCommits.Add(1) }
 
-// FootprintClasses is the number of static footprint classes
-// (analysis/footprint.NumClasses; the packages are kept decoupled and a
-// test asserts the constants and names agree).
-const FootprintClasses = 4
-
-// footprintClassNames mirrors footprint.Class.String() per index.
-var footprintClassNames = [FootprintClasses]string{"unknown", "ground", "wildcard", "ground-keys"}
-
-// IncFootprintAdmission counts one transaction execution admitted to
-// planning with the given static footprint class, and whether the dynamic
-// planner produced an exact plan (the commuting fast path's intake).
-func (r *Registry) IncFootprintAdmission(class uint8, planned bool) {
-	if class >= FootprintClasses {
-		class = 0
-	}
-	r.footprintAdmit[class].v.Add(1)
+// IncFootprintPlan counts one transaction execution the footprint planner
+// planned (the commuting fast path's and the epoch read path's intake) or
+// could not plan. Every execution is exactly one of the two.
+func (r *Registry) IncFootprintPlan(planned bool) {
 	if planned {
-		r.footprintPlanned[class].v.Add(1)
+		r.footprintPlanned.v.Add(1)
+	} else {
+		r.footprintUnplanned.v.Add(1)
 	}
 }
 
@@ -514,11 +504,8 @@ type Snapshot struct {
 	TxnLatency  map[string]HistogramSnapshot `json:"txnLatencyNs"`
 	SharedReads uint64                       `json:"sharedReads"` // executions served by the shared read path (no exclusive lock)
 
-	// FootprintAdmissions counts transaction executions per static
-	// footprint class; FootprintPlanned is the subset the dynamic planner
-	// admitted to the commuting fast path.
-	FootprintAdmissions map[string]uint64 `json:"footprintAdmissions"`
-	FootprintPlanned    map[string]uint64 `json:"footprintPlanned"`
+	FootprintPlanned   uint64 `json:"footprintPlanned"`   // executions with an exact footprint plan
+	FootprintUnplanned uint64 `json:"footprintUnplanned"` // executions without one (whole-store path)
 
 	Footprint    HistogramSnapshot `json:"footprintShards"`
 	WakeupFanout HistogramSnapshot `json:"wakeupFanout"`
@@ -607,8 +594,8 @@ func (r *Registry) Snapshot() Snapshot {
 		Txn:                      make(map[string]TxnCounters, int(numTxnKinds)),
 		TxnLatency:               make(map[string]HistogramSnapshot, int(numTxnKinds)),
 		SharedReads:              r.sharedReads.v.Load(),
-		FootprintAdmissions:      make(map[string]uint64, FootprintClasses),
-		FootprintPlanned:         make(map[string]uint64, FootprintClasses),
+		FootprintPlanned:         r.footprintPlanned.v.Load(),
+		FootprintUnplanned:       r.footprintUnplanned.v.Load(),
 		Footprint:                r.footprint.snapshot(),
 		WakeupFanout:             r.wakeupFanout.snapshot(),
 		ReactiveSubscriptions:    r.subsLive.Value(),
@@ -637,10 +624,6 @@ func (r *Registry) Snapshot() Snapshot {
 		WalDiscarded:             r.walDiscarded.Value(),
 		WalRecoveries:            r.walRecoveries.Value(),
 		WalRecoveryTime:          r.walRecoveryTime.snapshot(),
-	}
-	for i := 0; i < FootprintClasses; i++ {
-		s.FootprintAdmissions[footprintClassNames[i]] = r.footprintAdmit[i].v.Load()
-		s.FootprintPlanned[footprintClassNames[i]] = r.footprintPlanned[i].v.Load()
 	}
 	for i := range r.shards {
 		s.Shards[i] = ShardCounters{

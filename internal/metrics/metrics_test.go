@@ -99,6 +99,9 @@ func TestRegistrySnapshot(t *testing.T) {
 	r.IncShardWrite(3)
 	r.IncCommits()
 	r.ObserveFootprint(2)
+	r.IncFootprintPlan(true)
+	r.IncFootprintPlan(true)
+	r.IncFootprintPlan(false)
 	r.ObserveWakeupFanout(5)
 	r.SubscriptionsLive().Inc()
 	r.IncTxnAttempt(TxnDelayed)
@@ -139,6 +142,9 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 	if s.Footprint.Count != 1 || s.Footprint.Sum != 2 {
 		t.Errorf("footprint = %+v", s.Footprint)
+	}
+	if s.FootprintPlanned != 2 || s.FootprintUnplanned != 1 {
+		t.Errorf("footprint plans = %d planned / %d unplanned, want 2 / 1", s.FootprintPlanned, s.FootprintUnplanned)
 	}
 	if s.WakeupFanout.Sum != 5 || s.ReactiveSubscriptions != 1 {
 		t.Errorf("fanout=%+v subscriptions=%d", s.WakeupFanout, s.ReactiveSubscriptions)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
-	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/sched"
@@ -51,14 +49,6 @@ type Transact struct {
 	Actions []Action
 	// Export selects the policy for assertions outside the export set.
 	Export txn.ExportPolicy
-	// Footprint is the compiler's static footprint classification
-	// (footprint.Unknown for hand-built statements), forwarded to the
-	// transaction engine as a planning hint.
-	Footprint footprint.Class
-	// StaticKeys is the statically computed footprint key set attached by
-	// the compiler's interprocedural refiner alongside
-	// footprint.GroundKeys; nil for hand-built statements.
-	StaticKeys []dataspace.InterestKey
 }
 
 // Branch is one guarded sequence of a selection/repetition/replication.
@@ -210,14 +200,12 @@ func (p *proc) runStmt(ctx context.Context, s Stmt) error {
 // current process environment.
 func (p *proc) request(t Transact) txn.Request {
 	return txn.Request{
-		Proc:       p.pid,
-		View:       p.view,
-		Env:        p.env,
-		Query:      t.Query,
-		Asserts:    t.Asserts,
-		Export:     t.Export,
-		Footprint:  t.Footprint,
-		StaticKeys: t.StaticKeys,
+		Proc:    p.pid,
+		View:    p.view,
+		Env:     p.env,
+		Query:   t.Query,
+		Asserts: t.Asserts,
+		Export:  t.Export,
 	}
 }
 

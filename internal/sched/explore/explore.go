@@ -27,7 +27,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/sdl-lang/sdl/internal/analysis/dataflow"
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/lang"
 	"github.com/sdl-lang/sdl/internal/process"
@@ -222,16 +221,13 @@ func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (in
 	engine := txn.New(store)
 	rt := process.NewRuntime(engine, nil)
 
-	// Compile through the interprocedural footprint refiner so the
-	// exploration campaign exercises the same refined fast-path admissions
-	// (Ground/GroundKeys) that production runs take.
 	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 	runErr := func() error {
 		prog, err := lang.Parse(p.Src)
 		if err != nil {
 			return err
 		}
-		compiled, _, err := dataflow.Compile(prog)
+		compiled, err := lang.Compile(prog)
 		if err != nil {
 			return err
 		}

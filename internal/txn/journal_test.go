@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
@@ -33,19 +32,20 @@ func TestNextCommitCarriesOnlyItsOwnEffects(t *testing.T) {
 		items[i] = tuple.New(item, tuple.Int(int64(i)), tuple.Atom("payload"))
 	}
 	// paths runs a request on the key-latch path (planned) and on the
-	// whole-store path (a Wildcard footprint is never planned).
-	paths := map[string]footprint.Class{"key-latch": footprint.Unknown, "whole-store": footprint.Wildcard}
-	request := func(class footprint.Class, quant pattern.Quantifier, q pattern.Pattern, asserts ...pattern.Pattern) Request {
-		return Request{Proc: 7, View: view.Universal(), Footprint: class, Asserts: asserts,
+	// whole-store path (a view with a dynamic matcher is never planned).
+	everything := view.Union(view.Dyn(0, func(dataspace.Reader, expr.Env, tuple.Tuple) bool { return true }))
+	paths := map[string]view.View{"key-latch": view.Universal(), "whole-store": view.New(everything, everything)}
+	request := func(v view.View, quant pattern.Quantifier, q pattern.Pattern, asserts ...pattern.Pattern) Request {
+		return Request{Proc: 7, View: v, Asserts: asserts,
 			Query: pattern.Query{Quant: quant, Patterns: []pattern.Pattern{q}}}
 	}
 	bump := pattern.P(pattern.C(ctr), pattern.E(expr.Add(expr.V("v"), expr.Const(tuple.Int(1)))))
 	v := int64(0)
 	next := func(t *testing.T, after string) {
 		t.Helper()
-		for name, class := range paths {
+		for name, vw := range paths {
 			before := s.Version()
-			res, err := e.Immediate(request(class, pattern.Exists, pattern.R(pattern.C(ctr), pattern.V("v")), bump))
+			res, err := e.Immediate(request(vw, pattern.Exists, pattern.R(pattern.C(ctr), pattern.V("v")), bump))
 			if err != nil || !res.OK {
 				t.Fatalf("after %s, %s upsert: ok=%v err=%v", after, name, res.OK, err)
 			}
@@ -65,9 +65,9 @@ func TestNextCommitCarriesOnlyItsOwnEffects(t *testing.T) {
 
 	// A rollback: the retraction and the first assertion are applied (or
 	// buffered) before the second assertion fails to ground.
-	for name, class := range paths {
+	for name, vw := range paths {
 		unbound := pattern.P(pattern.C(ctr), pattern.E(expr.V("nosuch")))
-		res, err := e.Immediate(request(class, pattern.Exists, pattern.R(pattern.C(ctr), pattern.V("v")), bump, unbound))
+		res, err := e.Immediate(request(vw, pattern.Exists, pattern.R(pattern.C(ctr), pattern.V("v")), bump, unbound))
 		if err == nil || res.OK {
 			t.Fatalf("%s: an assertion that cannot ground committed", name)
 		}
@@ -89,9 +89,9 @@ func TestNextCommitCarriesOnlyItsOwnEffects(t *testing.T) {
 	next(t, "a failed Delete")
 
 	// A ∀ retract of 1 000 tuples, past what a pooled journal may keep.
-	for name, class := range paths {
+	for name, vw := range paths {
 		s.Assert(tuple.Environment, items...)
-		res, err := e.Immediate(request(class, pattern.ForAll, pattern.R(pattern.C(item), pattern.V("i"), pattern.V("p"))))
+		res, err := e.Immediate(request(vw, pattern.ForAll, pattern.R(pattern.C(item), pattern.V("i"), pattern.V("p"))))
 		if err != nil || !res.OK || len(res.Retracted) != len(items) || len(last.Deleted) != len(items) {
 			t.Fatalf("%s ∀ retract: ok=%v err=%v, %d retracted, record deleted %d", name, res.OK, err, len(res.Retracted), len(last.Deleted))
 		}

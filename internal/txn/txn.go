@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/metrics"
@@ -81,22 +80,6 @@ type Request struct {
 	Asserts []pattern.Pattern
 	// Export selects the policy for assertions outside the export set.
 	Export ExportPolicy
-	// Footprint is the compiler's static classification of the
-	// transaction's footprint (footprint.Unknown when no classifier ran).
-	// Wildcard short-circuits dynamic footprint planning — the plan would
-	// certainly fail; Ground and Unknown leave the dynamic planner, which
-	// stays authoritative, to decide. GroundKeys additionally promises
-	// that StaticKeys is the exact key set.
-	Footprint footprint.Class
-	// StaticKeys is the statically computed footprint key set attached by
-	// the compiler's interprocedural refiner, valid only with
-	// Footprint == footprint.GroundKeys. Every key is environment-
-	// independent (folded from literals and closed lets), so the engine
-	// uses it directly instead of re-evaluating pattern leads per
-	// execution. The set must cover every bucket the transaction scans,
-	// retracts from, or asserts into; hand-built requests should leave it
-	// nil and let the dynamic planner decide.
-	StaticKeys []dataspace.InterestKey
 }
 
 // Result reports a transaction's outcome.
@@ -195,27 +178,25 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 	return res, err
 }
 
-// footprintKeys statically plans the set of index buckets req can scan,
-// retract from, or assert into. When the plan is exact (ok=true), the
-// store needs to lock only the shards owning those buckets
+// footprintKeys plans, before evaluation, the set of index buckets req can
+// scan, retract from, or assert into. When the plan is exact (ok=true),
+// the store needs to lock only the shards owning those buckets
 // (UpdateKeys/SnapshotKeys) — transactions with disjoint footprints then
-// commit in parallel.
+// commit in parallel. It is the engine's only footprint planner, and it
+// plans a request iff
+//
+//   - its view is universal or View.Plannable — every matcher is pure, so
+//     the import filter and the export check decide on the candidate tuple
+//     alone and window scans with planned leads touch only planned buckets
+//     (a dynamic matcher may consult arbitrary buckets); and
+//   - every pattern and assertion lead of arity > 0 evaluates under
+//     req.Env.
 //
 // The plan is sound because pattern matching never rebinds a variable
 // already bound in req.Env (a bound variable compiles to an equality
 // test), so a lead determined under req.Env keeps that value under every
 // solution environment: every bucket the join, the negation checks, or the
-// assertion grounding can touch is in the plan. The plan is abandoned
-// (ok=false) when any lead of arity > 0 is undetermined under req.Env.
-//
-// A non-universal view normally forces the full-store lock — a restricted
-// import may consult arbitrary buckets (dynamic matchers). The exception
-// is a compiler-refined footprint (Ground or GroundKeys) under a plannable
-// view: every matcher is pure, so the import filter and the export check
-// decide on the candidate tuple alone, window scans with planned leads
-// touch only planned buckets, and the per-pattern plan above covers
-// everything the evaluation can read or write. That combination restores
-// the key-latch/group-commit path to view-restricted processes.
+// assertion grounding can touch is in the plan.
 //
 // Secondary field indexes never narrow this plan: a pattern with an
 // unknown lead stays unplanned even when constant non-lead fields give the
@@ -228,25 +209,8 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 // The keys are appended to buf — callers pass a stack array, so a plan costs
 // no allocation; the store copies what it keeps of them.
 func footprintKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
-	if !req.View.Import.All || !req.View.Export.All {
-		if req.Footprint != footprint.Ground && req.Footprint != footprint.GroundKeys {
-			return nil, false
-		}
-		if !req.View.Plannable() {
-			return nil, false
-		}
-	}
-	if req.Footprint == footprint.Wildcard {
-		// The compiler proved a lead undetermined under the issuing
-		// environment; per-pattern planning below would reach the same
-		// conclusion the slow way.
+	if !req.View.Plannable() {
 		return nil, false
-	}
-	if req.Footprint == footprint.GroundKeys && len(req.StaticKeys) > 0 {
-		// The refiner folded every lead to an environment-independent
-		// constant and attached the exact key set; skip per-pattern lead
-		// evaluation entirely.
-		return req.StaticKeys, true
 	}
 	keys := buf
 	add := func(p pattern.Pattern) bool {
@@ -275,15 +239,14 @@ func footprintKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.Intere
 	return keys, true
 }
 
-// planKeys runs the footprint planner and records the admission: one
-// counter bump per execution, keyed by the request's static class and by
-// whether the plan succeeded (planned executions are the commuting fast
-// path's and the epoch read path's intake; unplanned mutating ones
-// serialize on the full-store lock, unplanned reads share it). The keys are
-// appended to buf, as footprintKeys does.
+// planKeys runs the footprint planner and counts the execution as planned
+// or unplanned (planned executions are the commuting fast path's and the
+// epoch read path's intake; unplanned mutating ones serialize on the
+// full-store lock, unplanned reads share it). The keys are appended to buf,
+// as footprintKeys does.
 func (e *Engine) planKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
 	keys, planned := footprintKeys(req, buf)
-	e.m.IncFootprintAdmission(uint8(req.Footprint), planned)
+	e.m.IncFootprintPlan(planned)
 	return keys, planned
 }
 
@@ -536,8 +499,6 @@ func subscriptionSel(p pattern.Pattern, env expr.Env) pattern.FieldSel {
 // its patterns standalone. The class is deliberately conservative — every
 // exclusion falls back to the sound wake-on-any-covering-commit behavior:
 //
-//   - Wildcard footprints scan arbitrary buckets; the interest keys do
-//     not cover them.
 //   - Restricted views with impure (configuration-dependent) matchers can
 //     change an OLD tuple's window membership on an unrelated commit;
 //     universal and pure-matcher (Plannable) views cannot.
@@ -555,9 +516,6 @@ func subscriptionSel(p pattern.Pattern, env expr.Env) pattern.FieldSel {
 // guards and the test query: an over-approximation that may overfire but
 // never suppresses a needed wakeup) is sound under both quantifiers.
 func deltaSafe(req Request) bool {
-	if req.Footprint == footprint.Wildcard {
-		return false
-	}
 	if !req.View.Import.All && !req.View.Plannable() {
 		return false
 	}

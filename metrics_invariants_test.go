@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 )
 
 // Metrics invariants over a whole System run: the observability layer's
@@ -163,21 +161,12 @@ func systemMetricsInvariants(t *testing.T) {
 	if snap.CoarseCommits != envAsserts {
 		t.Errorf("coarse commits %d, want %d (env asserts only)", snap.CoarseCommits, envAsserts)
 	}
-	// Footprint admission accounting: the planned subset never exceeds the
-	// admissions per class, and every engine commit here came from a
-	// planned execution.
-	var plannedTotal uint64
-	for class, admits := range snap.FootprintAdmissions {
-		if p := snap.FootprintPlanned[class]; p > admits {
-			t.Errorf("class %s: planned %d > admitted %d", class, p, admits)
-		}
-	}
-	for _, p := range snap.FootprintPlanned {
-		plannedTotal += p
-	}
-	if plannedTotal < snap.TotalCommits() {
-		t.Errorf("planned executions %d < engine commits %d (an unplanned commit slipped through)",
-			plannedTotal, snap.TotalCommits())
+	// Footprint planning accounting: every execution is counted planned or
+	// unplanned exactly once, and every execution here is planned.
+	plannerBalanced(t, "workload", snap)
+	if snap.FootprintUnplanned != 0 {
+		t.Errorf("%d unplanned executions on a workload of concrete leads under universal views, want 0",
+			snap.FootprintUnplanned)
 	}
 	// Group-commit batches contain only key-mode commits (multi-shard key
 	// commits publish directly), batch sizes are at least one, and every
@@ -260,62 +249,54 @@ func systemMetricsInvariants(t *testing.T) {
 		t.Errorf("engine commits grew by %d over the read phase, want %d (the successful reads)", got, planned)
 	}
 
-	// Refined admission under a restricted view: a request the compiler's
-	// interprocedural refiner classified Ground, under a plannable
-	// (pure-matcher) view, takes the key-latch path — while the identical
-	// request without the refinement (class Unknown) serializes on the
-	// coarse full-store lock. This is the fast-path widening the refiner
-	// buys, observed through the admission counters.
+	// View-restricted requests are planned at run time iff the view is
+	// plannable: under a pure pattern view an upsert takes the key-latch
+	// path; under a view with a dynamic matcher — which may consult any
+	// bucket — the identical upsert serializes on the whole-store lock.
 	ctrPat := P(C(Atom("ctr0")), W())
-	restricted := NewView(Union(Pat(ctrPat)), Union(Pat(ctrPat)))
+	upsert := func(v View) Request {
+		return Request{
+			Proc:    ProcessID(2),
+			View:    v,
+			Query:   Q(R(C(Atom("ctr0")), V("n"))),
+			Asserts: []Pattern{P(C(Atom("ctr0")), E(Add(X("n"), Lit(Int(1)))))},
+		}
+	}
 	pre := sys.Snapshot()
-	const refined = 20
-	for i := 0; i < refined; i++ {
-		res, err := sys.Immediate(Request{
-			Proc:      ProcessID(2),
-			View:      restricted,
-			Footprint: footprint.Ground,
-			Query:     Q(R(C(Atom("ctr0")), V("n"))),
-			Asserts:   []Pattern{P(C(Atom("ctr0")), E(Add(X("n"), Lit(Int(1)))))},
-		})
-		if err != nil || !res.OK {
-			t.Fatalf("refined op %d: res=%+v err=%v", i, res, err)
+	const patViewOps = 20
+	for i := 0; i < patViewOps; i++ {
+		if res, err := sys.Immediate(upsert(NewView(Union(Pat(ctrPat)), Union(Pat(ctrPat))))); err != nil || !res.OK {
+			t.Fatalf("pattern-view op %d: res=%+v err=%v", i, res, err)
 		}
 	}
 	mid := sys.Snapshot()
-	if got := mid.KeyCommits - pre.KeyCommits; got != refined {
-		t.Errorf("refined view-restricted phase: key commits grew by %d, want %d", got, refined)
+	if got := mid.KeyCommits - pre.KeyCommits; got != patViewOps {
+		t.Errorf("pattern-view phase: key commits grew by %d, want %d", got, patViewOps)
 	}
 	if mid.CoarseCommits != pre.CoarseCommits {
-		t.Errorf("refined view-restricted phase took %d coarse commits, want 0",
-			mid.CoarseCommits-pre.CoarseCommits)
+		t.Errorf("pattern-view phase took %d coarse commits, want 0", mid.CoarseCommits-pre.CoarseCommits)
 	}
-	if got := mid.FootprintPlanned["ground"] - pre.FootprintPlanned["ground"]; got < refined {
-		t.Errorf("ground planned admissions grew by %d, want >= %d", got, refined)
+	if got := mid.FootprintPlanned - pre.FootprintPlanned; got != patViewOps {
+		t.Errorf("pattern-view phase: planned executions grew by %d, want %d", got, patViewOps)
 	}
-	const unrefined = 5
-	for i := 0; i < unrefined; i++ {
-		res, err := sys.Immediate(Request{
-			Proc:    ProcessID(2),
-			View:    restricted,
-			Query:   Q(R(C(Atom("ctr0")), V("n"))),
-			Asserts: []Pattern{P(C(Atom("ctr0")), E(Add(X("n"), Lit(Int(1)))))},
-		})
-		if err != nil || !res.OK {
-			t.Fatalf("unrefined op %d: res=%+v err=%v", i, res, err)
+	dyn := Union(Dyn(2, func(Reader, Env, Tuple) bool { return true }))
+	const dynViewOps = 5
+	for i := 0; i < dynViewOps; i++ {
+		if res, err := sys.Immediate(upsert(NewView(dyn, dyn))); err != nil || !res.OK {
+			t.Fatalf("dynamic-view op %d: res=%+v err=%v", i, res, err)
 		}
 	}
 	post := sys.Snapshot()
-	if got := post.CoarseCommits - mid.CoarseCommits; got != unrefined {
-		t.Errorf("unrefined view-restricted phase: coarse commits grew by %d, want %d", got, unrefined)
+	if got := post.CoarseCommits - mid.CoarseCommits; got != dynViewOps {
+		t.Errorf("dynamic-view phase: coarse commits grew by %d, want %d", got, dynViewOps)
 	}
 	if post.KeyCommits != mid.KeyCommits {
-		t.Errorf("unrefined view-restricted phase took %d key commits, want 0",
-			post.KeyCommits-mid.KeyCommits)
+		t.Errorf("dynamic-view phase took %d key commits, want 0", post.KeyCommits-mid.KeyCommits)
 	}
-	if got := post.FootprintPlanned["unknown"] - mid.FootprintPlanned["unknown"]; got != 0 {
-		t.Errorf("unknown-class planned admissions grew by %d under a restricted view, want 0", got)
+	if got := post.FootprintUnplanned - mid.FootprintUnplanned; got != dynViewOps {
+		t.Errorf("dynamic-view phase: unplanned executions grew by %d, want %d", got, dynViewOps)
 	}
+	plannerBalanced(t, "view phases", post)
 	if got := post.KeyCommits + post.ShardFallbacks + post.CoarseCommits; got != post.StoreCommits {
 		t.Errorf("commit ladder after view phases: key %d + fallback %d + coarse %d = %d, want %d",
 			post.KeyCommits, post.ShardFallbacks, post.CoarseCommits, got, post.StoreCommits)
@@ -387,6 +368,19 @@ func systemMetricsInvariants(t *testing.T) {
 	sys.Close()
 	if d := sys.Snapshot().ReactiveSubscriptions; d != 0 {
 		t.Errorf("live subscriptions %d after Close, want 0", d)
+	}
+}
+
+// plannerBalanced checks the audited planner invariant: the engine runs the
+// footprint planner once per immediate or delayed execution (consensus
+// fires lock on their own), so planned + unplanned executions equal those
+// executions.
+func plannerBalanced(t *testing.T, phase string, s MetricsSnapshot) {
+	t.Helper()
+	execs := s.Txn["immediate"].Attempts + s.Txn["delayed"].Attempts
+	if got := s.FootprintPlanned + s.FootprintUnplanned; got != execs {
+		t.Errorf("%s: planned %d + unplanned %d = %d, want %d immediate + delayed executions",
+			phase, s.FootprintPlanned, s.FootprintUnplanned, got, execs)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"github.com/sdl-lang/sdl/internal/analysis/footprint"
 )
 
 // exclusive sums the acquisitions only a mutating commit should make:
@@ -36,8 +34,7 @@ func TestReadOnlyTakesNoExclusiveLock(t *testing.T) {
 		{"forall group fetch", Request{View: Universal(), Query: QAll(P(V("x"), rec, C(Int(2))))}, 8},
 		{"failing query", Request{View: Universal(), Query: Q(P(C(Atom("absent")), V("n")))}, 0},
 		{"failing unplanned query", Request{View: Universal(), Query: Q(P(V("x"), rec, C(Int(99))))}, 0},
-		{"plannable restricted view", Request{View: NewView(ctrOnly, ctrOnly), Footprint: footprint.Ground,
-			Query: Q(P(ctr, V("n")))}, 1},
+		{"plannable restricted view", Request{View: NewView(ctrOnly, ctrOnly), Query: Q(P(ctr, V("n")))}, 1},
 		{"impure-matcher view", Request{View: NewView(impure, Everything()), Query: Q(P(ctr, V("n")))}, 1},
 	}
 	for _, name := range stableIDs {

@@ -22,11 +22,12 @@ race:
 	$(GO) test -race ./...
 
 # The count-exact allocation guards (what a match, a solution, an upsert, a
-# store commit, a WAL append and a read may allocate). They skip under the
-# race detector — it allocates on its own and sync.Pool drops Puts there — so
-# the race target above does not run them; this does.
+# store commit, a WAL append, a read, a read view, a wait and a lex may
+# allocate). They skip under the race detector — it allocates on its own and
+# sync.Pool drops Puts there — so the race target above does not run them;
+# this does.
 alloc-guard:
-	$(GO) test -run 'Alloc|Allocates' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/txn ./internal/wal .
+	$(GO) test -run 'Alloc|Allocates' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/txn ./internal/wal ./internal/lang .
 
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:

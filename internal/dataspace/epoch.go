@@ -1,6 +1,8 @@
 package dataspace
 
 import (
+	"slices"
+
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -129,7 +131,7 @@ func (s *Store) getSnap(si uint32) *shardSnap {
 
 // epochReader implements Reader over a set of shard snapshots. Like the
 // locked SnapshotKeys reader it exposes ONLY tuples in the footprint
-// shards.
+// shards. It lives in a pooled readView.
 type epochReader struct {
 	s       *Store
 	ss      *shardSet
@@ -225,21 +227,25 @@ func (s *Store) SnapshotKeysEpoch(keys []InterestKey, fn func(r Reader)) bool {
 	if !bounded {
 		return false // locked path only
 	}
-	snaps := make([]*shardSnap, len(s.shards))
+	v := s.readView(ss)
+	defer v.release()
+	r := &v.epoch
+	r.snaps = slices.Grow(r.snaps[:0], len(s.shards))[:len(s.shards)]
 	current := true
 	ss.forEach(func(si uint32) bool {
-		snaps[si] = s.getSnap(si)
-		current = snaps[si] != nil
+		r.snaps[si] = s.getSnap(si)
+		current = r.snaps[si] != nil
 		return current
 	})
 	if !current {
 		return false
 	}
 	s.metrics.IncEpochRead()
-	fn(epochReader{s: s, ss: &ss, snaps: snaps, version: s.version.Load()})
+	r.version = s.version.Load()
+	fn(r)
 	valid := true
 	ss.forEach(func(si uint32) bool {
-		if s.shards[si].seq.Load() != snaps[si].seq {
+		if s.shards[si].seq.Load() != r.snaps[si].seq {
 			valid = false
 			return false
 		}

@@ -12,14 +12,16 @@ import (
 // keyWriter buffers them here and applies them at publication. Either way
 // publish reads the journal in place — the CommitRecord it lends the hooks
 // and the durability sink is a view of the journal's slices — and notify
-// routes the same slices to the subscriptions.
+// routes the same slices to the subscriptions, through the journal's routing
+// state.
 //
 // Journals are pooled: a commit takes one, and returns it once its waiters
 // are notified (or its fn failed). Nothing in a journal outlives the commit,
 // so in the steady state a commit allocates only what it stores. A journal
-// that carried more than maxPooledEffects effects is dropped instead of
-// pooled, and a pooled one holds no instance, so the pool never pins
-// retracted tuples or the arrays of a bulk commit.
+// that carried more than maxPooledEffects effects or candidates is dropped
+// instead of pooled, and a pooled one holds no instance and no subscription,
+// so the pool never pins retracted tuples, the arrays of a bulk commit or a
+// cancelled waiter.
 type journal struct {
 	reader           // the live maps of the footprint; ss points at lp.ss
 	lp     latchPlan // the footprint: shards on both paths, latches and buckets on the key path
@@ -33,6 +35,9 @@ type journal struct {
 
 	dtok uint64        // durability wait token, set by publish
 	done chan struct{} // cap 1: the group-commit leader's "published" signal to a follower
+
+	dl      delivery        // notify: what the commit owes each candidate subscription
+	matched []*Subscription // notify: the registrations one instance meets
 }
 
 // maxPooledEffects caps the effects (and footprint buckets) a journal may
@@ -56,7 +61,8 @@ func (s *Store) journal(owner tuple.ProcessID) *journal {
 // next commit's record and result hold exactly its own effects — or drops
 // it when it grew past maxPooledEffects.
 func (j *journal) release() {
-	if cap(j.inserted) > maxPooledEffects || cap(j.deleted) > maxPooledEffects || cap(j.lp.keys) > maxPooledEffects {
+	if cap(j.inserted) > maxPooledEffects || cap(j.deleted) > maxPooledEffects || cap(j.lp.keys) > maxPooledEffects ||
+		!j.dl.reset() || cap(j.matched) > maxPooledEffects {
 		return
 	}
 	// Whole capacity: a cancelled buffered insert leaves a stale copy past len.
@@ -64,6 +70,8 @@ func (j *journal) release() {
 	clear(j.deleted[:cap(j.deleted)])
 	clear(j.lp.keys[:cap(j.lp.keys)])
 	clear(j.delIDs)
+	clear(j.matched[:cap(j.matched)])
+	j.matched = j.matched[:0]
 	j.inserted, j.insShard = j.inserted[:0], j.insShard[:0]
 	j.deleted, j.delShard = j.deleted[:0], j.delShard[:0]
 	j.lp = latchPlan{latches: j.lp.latches[:0], keys: j.lp.keys[:0]}

@@ -94,19 +94,22 @@ func TestSteadyCommitAllocatesNothing(t *testing.T) {
 
 // TestPooledJournalsHoldNothing pins the pool's hygiene: after commits that
 // grew a journal past maxPooledEffects (a bulk assert and a 1 000-tuple
-// retract, on both write paths), rolled one back, or failed a Delete, every
-// journal the pool hands out is empty — no instance, ID, key or owner left
-// in it, even past the slices' lengths — and within the pooling cap, so the
-// pool pins no retracted tuple and no bulk commit's arrays. Runs under -race
-// too, where the pool keeps fewer journals and the check covers fewer.
+// retract, on both write paths, routed to a waiter), rolled one back, or
+// failed a Delete, every journal the pool hands out is empty — no instance,
+// ID, key, owner or subscription left in it, even past the slices' lengths —
+// and within the pooling cap, so the pool pins no retracted tuple, no bulk
+// commit's arrays and no waiter. Runs under -race too, where the pool keeps
+// fewer journals and the check covers fewer.
 func TestPooledJournalsHoldNothing(t *testing.T) {
 	s := New(WithShards(2))
 	bulk := make([]tuple.Tuple, 3*maxPooledEffects)
 	for i := range bulk {
 		bulk[i] = tuple.New(tuple.Atom("item"), tuple.Int(int64(i)))
 	}
-	ids := s.Assert(1, bulk...)
 	item := []InterestKey{InterestOf(2, tuple.Atom("item"), true)}
+	sub := s.Subscribe(item, func(Delta) bool { return true })
+	defer sub.Cancel()
+	ids := s.Assert(1, bulk...)
 	retractAll := func(w Writer) error {
 		for _, id := range ids {
 			if err := w.Delete(id); err != nil {
@@ -162,6 +165,25 @@ func TestPooledJournalsHoldNothing(t *testing.T) {
 		for _, k := range j.lp.keys[:cap(j.lp.keys)] {
 			if k != (indexKey{}) {
 				t.Errorf("pooled journal still holds bucket %v", k)
+			}
+		}
+		if cap(j.dl.list) > maxPooledEffects || cap(j.matched) > maxPooledEffects || len(j.dl.list)+len(j.dl.index)+len(j.matched) != 0 {
+			t.Errorf("pooled journal kept routing state: %d candidates (cap %d), %d indexed, %d matched (cap %d)",
+				len(j.dl.list), cap(j.dl.list), len(j.dl.index), len(j.matched), cap(j.matched))
+		}
+		for _, sd := range j.dl.list[:cap(j.dl.list)] {
+			if sd.sub != nil || sd.full || sd.seen != 0 || len(sd.deltas) != 0 || cap(sd.deltas) > maxPooledEffects {
+				t.Errorf("pooled journal still routes to %p: %d deltas (cap %d)", sd.sub, len(sd.deltas), cap(sd.deltas))
+			}
+			for _, d := range sd.deltas[:cap(sd.deltas)] {
+				if d.Asserted || d.Inst.ID != 0 || d.Inst.Owner != 0 || d.Inst.Tuple.Arity() != 0 {
+					t.Errorf("pooled journal still holds delta %v", d)
+				}
+			}
+		}
+		for _, m := range j.matched[:cap(j.matched)] {
+			if m != nil {
+				t.Errorf("pooled journal still holds subscription %p", m)
 			}
 		}
 		if len(j.inserted)+len(j.insShard)+len(j.deleted)+len(j.delShard)+len(j.delIDs)+len(j.lp.latches)+len(j.lp.keys) != 0 ||

@@ -20,9 +20,15 @@ type Delta struct {
 // Subscription is the store's one wakeup primitive: a registered delta
 // sink. A blocked delayed transaction or guarded selection subscribes
 // once, and every relevant commit publishes its deltas into the
-// subscription's buffer and fires the ready channel; the waiter drains
-// the buffer, re-evaluates, and blocks again on the SAME subscription —
-// deltas arriving while it evaluates are buffered, not lost.
+// subscription's buffer and readies its channel; the waiter drains the
+// buffer, re-evaluates, and blocks again on the SAME subscription and the
+// same channel — deltas arriving while it evaluates are buffered, not lost.
+//
+// The ready channel is made once and holds at most one token: only publish
+// sends — the first after a Drain — and only Drain, which takes back a token
+// nobody received, resets fired, both under mu. So an unfired subscription's
+// channel is empty, the send never blocks, and a wait allocates nothing after
+// Subscribe.
 //
 // The publisher filters: a subscription created with a non-nil filter
 // receives only the deltas the filter accepts, and when every delta of a
@@ -41,13 +47,15 @@ type Subscription struct {
 	s      *Store
 	filter func(Delta) bool
 
+	ch chan struct{} // cap 1, for the subscription's whole life
+
 	mu     sync.Mutex
-	ch     chan struct{}
-	fired  bool
+	fired  bool // a token was sent since the last Drain
 	deltas []Delta
 	full   bool // a non-delta-safe or broad/spurious wakeup landed: re-query
 
 	regs       []subReg
+	regsBuf    [4]subReg // regs' backing while the subscription has at most four
 	cancelOnce sync.Once
 }
 
@@ -69,7 +77,8 @@ type Subscription struct {
 // ignored. The filter still has the last word.
 func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool, sels ...pattern.FieldSel) *Subscription {
 	s.sc.Yield(sched.PointWaiterRegister)
-	sub := &Subscription{s: s, filter: filter, ch: make(chan struct{})}
+	sub := &Subscription{s: s, filter: filter, ch: make(chan struct{}, 1)}
+	sub.regs = sub.regsBuf[:0]
 	s.metrics.SubscriptionsLive().Inc()
 	for i, k := range keys {
 		switch {
@@ -96,33 +105,36 @@ func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool, sels ...p
 	return sub
 }
 
-// Ready returns the channel the next publish fires. The channel identity
-// changes across Drain calls; re-read it before every wait.
+// Ready returns the subscription's ready channel, one channel for its whole
+// life: a receive succeeds once a publish has landed since the last Drain.
+// Receiving takes the token, so a waiter that woke must Drain before it
+// waits again.
 func (sub *Subscription) Ready() <-chan struct{} {
-	sub.mu.Lock()
-	ch := sub.ch
-	sub.mu.Unlock()
-	return ch
+	return sub.ch
 }
 
 // Drain swaps out the buffered deltas and the full-re-query flag, and
-// re-arms the ready channel. Publishes racing with Drain land either in
-// the returned batch or in the re-armed buffer with the fresh channel
-// fired — never between, so no wakeup is lost.
+// re-arms the ready channel in place, taking back a token nobody received.
+// Publishes racing with Drain land either in the returned batch or in the
+// emptied buffer with a fresh token sent — never between, so no wakeup is
+// lost.
 func (sub *Subscription) Drain() (deltas []Delta, full bool) {
 	sub.mu.Lock()
 	deltas, full = sub.deltas, sub.full
 	sub.deltas, sub.full = nil, false
 	if sub.fired {
-		sub.ch = make(chan struct{})
+		select {
+		case <-sub.ch:
+		default: // the waiter received it
+		}
 		sub.fired = false
 	}
 	sub.mu.Unlock()
 	return deltas, full
 }
 
-// publish appends a commit's deltas (or the full flag) and fires the
-// ready channel if it has not fired since the last Drain.
+// publish appends a commit's deltas (or the full flag) and readies the
+// channel if no token was sent since the last Drain.
 func (sub *Subscription) publish(deltas []Delta, full bool) {
 	sub.mu.Lock()
 	if full {
@@ -133,7 +145,7 @@ func (sub *Subscription) publish(deltas []Delta, full bool) {
 	}
 	if !sub.fired {
 		sub.fired = true
-		close(sub.ch)
+		sub.ch <- struct{}{}
 	}
 	sub.mu.Unlock()
 }
@@ -157,9 +169,9 @@ type subDelivery struct {
 	seen   int // ordinal of the last delta offered to sub (0 = none yet)
 }
 
-// delivery accumulates one commit's candidates in first-seen order. The
-// zero value is ready to use and allocates nothing until the first
-// candidate — most commits have none.
+// delivery accumulates one commit's candidates in first-seen order. It lives
+// in the commit's pooled journal, so list keeps its entries' delta buffers
+// and index its buckets from one commit to the next.
 type delivery struct {
 	index map[*Subscription]int // position in list
 	list  []subDelivery
@@ -173,9 +185,31 @@ func (dl *delivery) get(sub *Subscription) *subDelivery {
 		}
 		i = len(dl.list)
 		dl.index[sub] = i
-		dl.list = append(dl.list, subDelivery{sub: sub})
+		if i < cap(dl.list) {
+			dl.list = dl.list[:i+1] // reset emptied the entry and kept its delta buffer
+		} else {
+			dl.list = append(dl.list, subDelivery{})
+		}
+		dl.list[i].sub = sub
 	}
 	return &dl.list[i]
+}
+
+// reset empties the delivery for the journal's next commit — keeping the
+// list's delta buffers, with no subscription or instance left in them — and
+// reports whether it stayed within the pooling cap.
+func (dl *delivery) reset() bool {
+	for i := range dl.list {
+		sd := &dl.list[i]
+		if cap(sd.deltas) > maxPooledEffects {
+			return false
+		}
+		clear(sd.deltas)
+		*sd = subDelivery{deltas: sd.deltas[:0]}
+	}
+	dl.list = dl.list[:0]
+	clear(dl.index)
+	return cap(dl.list) <= maxPooledEffects
 }
 
 // add offers the commit's nth delta (n >= 1) to every subscription in subs,
@@ -214,25 +248,22 @@ func (dl *delivery) add(subs []*Subscription, n int, d Delta) {
 // this safe, and exploration verifies it stays safe. Correctness never
 // depends on suppression.
 func (s *Store) notify(j *journal) {
-	var (
-		dl      delivery
-		scratch []*Subscription
-	)
+	dl := &j.dl
 	if s.broadWake.Load() || s.sc.SpuriousWakeup() {
 		for _, sh := range s.shards {
-			scratch = sh.waiters.collectAll(scratch)
+			j.matched = sh.waiters.collectAll(j.matched)
 		}
-		for _, sub := range scratch {
+		for _, sub := range j.matched {
 			dl.get(sub).full = true
 		}
 	} else {
 		for i, inst := range j.inserted {
-			scratch = s.shards[j.insShard[i]].waiters.collect(inst, scratch[:0])
-			dl.add(scratch, 1+i, Delta{Asserted: true, Inst: inst})
+			j.matched = s.shards[j.insShard[i]].waiters.collect(inst, j.matched[:0])
+			dl.add(j.matched, 1+i, Delta{Asserted: true, Inst: inst})
 		}
 		for i, inst := range j.deleted {
-			scratch = s.shards[j.delShard[i]].waiters.collect(inst, scratch[:0])
-			dl.add(scratch, 1+len(j.inserted)+i, Delta{Asserted: false, Inst: inst})
+			j.matched = s.shards[j.delShard[i]].waiters.collect(inst, j.matched[:0])
+			dl.add(j.matched, 1+len(j.inserted)+i, Delta{Asserted: false, Inst: inst})
 		}
 	}
 	published := 0

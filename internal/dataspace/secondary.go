@@ -332,33 +332,34 @@ func (r reader) LeadWide(arity int, lead tuple.Value) bool {
 
 // --- join-cost estimation (pattern.Estimator) ---
 
-// estimator exposes the live index's cardinalities to the join planner.
-// It is reachable only through JoinEstimator, which gates it on the
+// estimator exposes the live index's cardinalities to the join planner: a
+// view of the reader it is reached from, so handing it out allocates
+// nothing. It is reachable only through JoinEstimator, which gates it on the
 // secondary layer being enabled — the ablated store plans with the legacy
 // boundness heuristic. Methods run under the same locks as Scan.
-type estimator struct{ r reader }
+type estimator reader
 
 // JoinEstimator implements pattern.EstimatorProvider.
-func (r reader) JoinEstimator() pattern.Estimator {
+func (r *reader) JoinEstimator() pattern.Estimator {
 	if !r.s.secondary {
 		return nil
 	}
-	return estimator{r}
+	return (*estimator)(r)
 }
 
-func (e estimator) ArityEstimate(arity int) float64 {
+func (e *estimator) ArityEstimate(arity int) float64 {
 	n := 0
-	e.r.ss.forEach(func(si uint32) bool {
-		n += e.r.s.shards[si].arityLen(arity)
+	e.ss.forEach(func(si uint32) bool {
+		n += e.s.shards[si].arityLen(arity)
 		return true
 	})
 	return float64(n)
 }
 
-func (e estimator) LeadEstimate(arity int) float64 {
+func (e *estimator) LeadEstimate(arity int) float64 {
 	n, buckets := 0, 0
-	e.r.ss.forEach(func(si uint32) bool {
-		if ai := e.r.s.shards[si].byArity[arity]; ai != nil {
+	e.ss.forEach(func(si uint32) bool {
+		if ai := e.s.shards[si].byArity[arity]; ai != nil {
 			n += ai.n
 			buckets += len(ai.leads)
 		}
@@ -370,16 +371,16 @@ func (e estimator) LeadEstimate(arity int) float64 {
 	return float64(n) / float64(buckets)
 }
 
-func (e estimator) LeadValueEstimate(arity int, lead tuple.Value) float64 {
+func (e *estimator) LeadValueEstimate(arity int, lead tuple.Value) float64 {
 	k := indexKey{arity: arity, lead: canonLead(lead)}
-	si := e.r.s.shardIndex(k)
-	if !e.r.ss.has(si) {
+	si := e.s.shardIndex(k)
+	if !e.ss.has(si) {
 		return 0
 	}
-	return float64(e.r.s.shards[si].leadSet(arity, k.lead).len())
+	return float64(e.s.shards[si].leadSet(arity, k.lead).len())
 }
 
-func (e estimator) FieldEstimate(arity, pos int) float64 {
+func (e *estimator) FieldEstimate(arity, pos int) float64 {
 	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, n int) float64 {
 		if idx := st.idx.Load(); idx != nil && len(idx.buckets) > 0 {
 			return float64(n) / float64(len(idx.buckets))
@@ -388,7 +389,7 @@ func (e estimator) FieldEstimate(arity, pos int) float64 {
 	})
 }
 
-func (e estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
+func (e *estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, _ int) float64 {
 		return float64(sh.shapeIndex(st, arity, pos).buckets[canonLead(val)].len())
 	})
@@ -397,10 +398,10 @@ func (e estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 // fieldEstimate sums a scan-cost estimate over the footprint shards: hot's
 // answer where the (arity, pos) shape is promoted, the honest full-scan
 // cost — every tuple of the arity — where it is not.
-func (e estimator) fieldEstimate(arity, pos int, hot func(sh *shard, st *shapeStats, n int) float64) float64 {
+func (e *estimator) fieldEstimate(arity, pos int, hot func(sh *shard, st *shapeStats, n int) float64) float64 {
 	total := 0.0
-	e.r.ss.forEach(func(si uint32) bool {
-		sh := e.r.s.shards[si]
+	e.ss.forEach(func(si uint32) bool {
+		sh := e.s.shards[si]
 		n := sh.arityLen(arity)
 		if st := sh.secShape(arity, pos); n > 0 && st != nil && st.state.Load() == shapeHot {
 			total += hot(sh, st, n)
@@ -540,6 +541,6 @@ var (
 	_ pattern.FieldSource       = reader{}
 	_ pattern.FieldSource       = keyWriter{}
 	_ pattern.FieldSource       = epochReader{}
-	_ pattern.EstimatorProvider = reader{}
+	_ pattern.EstimatorProvider = (*reader)(nil)
 	_ pattern.EstimatorProvider = keyWriter{}
 )

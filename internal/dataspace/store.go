@@ -585,11 +585,42 @@ var (
 	_ Writer = writer{}
 )
 
+// readView is one read's Reader on either read path: the footprint's shard
+// set, the locked reader and the epoch reader over it. A read takes a view
+// from the pool, hands fn a pointer into it — so the Reader boxes nothing —
+// and pools it again once fn returns, which is why a Reader is valid only
+// inside its callback. A pooled view pins no store and no snapshot.
+type readView struct {
+	ss     shardSet
+	locked reader      // ss points at the view's ss
+	epoch  epochReader // ss points at the view's ss; snaps is indexed by shard
+}
+
+var readViews = sync.Pool{New: func() any {
+	v := new(readView)
+	v.locked.ss, v.epoch.ss = &v.ss, &v.ss
+	return v
+}}
+
+// readView takes a view over ss from the pool.
+func (s *Store) readView(ss shardSet) *readView {
+	v := readViews.Get().(*readView)
+	v.ss, v.locked.s, v.epoch.s = ss, s, s
+	return v
+}
+
+// release returns the view to the pool, dropping its store and snapshots.
+func (v *readView) release() {
+	clear(v.epoch.snaps)
+	v.locked.s, v.epoch.s = nil, nil
+	readViews.Put(v)
+}
+
 // Snapshot runs fn with read access to a consistent configuration of the
 // whole dataspace. Scans within fn are reentrant (the locks are held once,
 // here).
 func (s *Store) Snapshot(fn func(r Reader)) {
-	s.snapshotSet(s.all, fn)
+	s.snapshotView(s.readView(s.all), fn)
 }
 
 // SnapshotKeys runs fn with read access to a consistent configuration of
@@ -599,13 +630,16 @@ func (s *Store) Snapshot(fn func(r Reader)) {
 // transaction engine's footprint planner does.
 func (s *Store) SnapshotKeys(keys []InterestKey, fn func(r Reader)) {
 	ss, _ := s.planShards(keys)
-	s.snapshotSet(ss, fn)
+	s.snapshotView(s.readView(ss), fn)
 }
 
-func (s *Store) snapshotSet(ss shardSet, fn func(r Reader)) {
-	s.rlockSet(&ss)
-	defer s.runlockSet(&ss)
-	fn(reader{s: s, ss: &ss})
+// snapshotView is the locked read path: fn runs under the read locks of the
+// view's shards.
+func (s *Store) snapshotView(v *readView, fn func(r Reader)) {
+	s.rlockSet(&v.ss)
+	defer v.release()
+	defer s.runlockSet(&v.ss)
+	fn(&v.locked)
 }
 
 // Update runs fn with exclusive access to the whole dataspace. If fn

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sdl-lang/sdl/internal/race"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -150,27 +151,43 @@ func TestFiredImpliesDrainNonEmpty(t *testing.T) {
 	assertNotFired(t, filtered.Ready())
 }
 
+// TestPublishAfterDrainFiresRearmedChannel pins the re-arm-in-place
+// contract: Ready is one channel for the subscription's whole life, Drain
+// leaves it unready, a publish after Drain readies it again, and Drain takes
+// back a token nobody received.
 func TestPublishAfterDrainFiresRearmedChannel(t *testing.T) {
 	s := New()
 	sub := s.Subscribe(yearKey, nil)
 	defer sub.Cancel()
+	ch := sub.Ready()
 	s.Assert(tuple.Environment, year(1))
-	first := sub.Ready()
-	if !waitFired(t, first) {
+	if !waitFired(t, ch) {
 		t.Fatal("not fired")
 	}
 	sub.Drain()
-	second := sub.Ready()
-	if second == first {
-		t.Fatal("Drain did not re-arm the ready channel")
+	if sub.Ready() != ch {
+		t.Fatal("Drain replaced the ready channel")
 	}
-	assertNotFired(t, second)
+	assertNotFired(t, ch)
 	s.Assert(tuple.Environment, year(2))
-	if !waitFired(t, second) {
-		t.Fatal("publish after Drain did not fire the re-armed channel")
+	if !waitFired(t, ch) {
+		t.Fatal("publish after Drain did not ready the channel")
 	}
 	if _, full := sub.Drain(); !full {
 		t.Error("fired but Drain reported nothing")
+	}
+
+	// A token nobody received: Drain takes it back.
+	s.Assert(tuple.Environment, year(3))
+	if len(ch) != 1 {
+		t.Fatalf("publish left %d tokens, want 1", len(ch))
+	}
+	if _, full := sub.Drain(); !full {
+		t.Error("Drain lost the unreceived publish")
+	}
+	assertNotFired(t, ch)
+	if sub.Ready() != ch {
+		t.Fatal("the ready channel changed over the subscription's life")
 	}
 }
 
@@ -287,4 +304,107 @@ func TestCancelConcurrentWithPublish(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	assertRegistriesEmpty(t, s)
+}
+
+// TestWaitAllocs pins what a wait costs the heap: Subscribe allocates the
+// subscription and its one ready channel — its registrations fit an inline
+// array — a Drain allocates nothing, and a steady-state commit that routes a
+// delta to the subscription allocates nothing beyond the subscription's
+// delta buffer: the routing state lives in the commit's pooled journal and
+// the channel re-arms in place.
+func TestWaitAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
+	}
+	s := New(WithShards(4))
+	a := leadOnShard(t, s, 0)
+	keys := []InterestKey{InterestOf(2, a, true)}
+	// A second subscription in the bucket keeps its registry entry alive and
+	// is a candidate of every commit whose filter rejects the delta.
+	idle := s.Subscribe(keys, func(Delta) bool { return false })
+	defer idle.Cancel()
+	asserted := func(d Delta) bool { return d.Asserted }
+	if n := testing.AllocsPerRun(200, func() { s.Subscribe(keys, asserted).Cancel() }); n > 2 {
+		t.Errorf("Subscribe+Cancel: %.1f allocations, want <= 2", n)
+	}
+
+	sub := s.Subscribe(keys, asserted)
+	defer sub.Cancel()
+	if n := testing.AllocsPerRun(200, func() { sub.Drain() }); n != 0 {
+		t.Errorf("Drain: %.1f allocations, want 0", n)
+	}
+	tup := tuple.New(a, tuple.Int(1))
+	ids := s.Assert(1, tup, tup) // the second keeps the bucket populated
+	cur := ids[0]
+	swap := func(w Writer) error {
+		if err := w.Delete(cur); err != nil {
+			return err
+		}
+		cur = w.Insert(tup, 1)
+		return nil
+	}
+	sub.Drain()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.UpdateCommuting(1, keys, swap); err != nil {
+			t.Fatal(err)
+		}
+		<-sub.Ready()
+		if deltas, full := sub.Drain(); full || len(deltas) != 1 || deltas[0].Inst.ID != cur {
+			t.Fatalf("Drain = %v, full=%t; want the one asserted delta", deltas, full)
+		}
+	}); n > 1 {
+		t.Errorf("commit routed to a waiter, then Drain: %.1f allocations, want <= 1 (the delta buffer)", n)
+	}
+}
+
+// TestTokenChannelNoLostWakeup stresses the one-token ready channel: several
+// publishers commit into a subscription's bucket while one waiter runs the
+// waiting protocol — drain, check, wait. Every published delta must be
+// drained exactly once, and whenever the waiter is about to block with deltas
+// buffered, the token must be in the channel (blocking on an empty channel
+// then would lose the wakeup). Meant for -race -count=20.
+func TestTokenChannelNoLostWakeup(t *testing.T) {
+	const publishers, each = 4, 250
+	s := New(WithShards(4))
+	lead := tuple.Atom("job")
+	sub := s.Subscribe([]InterestKey{InterestOf(2, lead, true)}, func(d Delta) bool { return d.Asserted })
+	defer sub.Cancel()
+	for p := 0; p < publishers; p++ {
+		go func() {
+			for i := 0; i < each; i++ {
+				s.Assert(tuple.Environment, tuple.New(lead, tuple.Int(int64(p*each+i))))
+			}
+		}()
+	}
+	seen := make(map[int64]bool, publishers*each)
+	for {
+		deltas, full := sub.Drain()
+		if full {
+			t.Fatal("a filtered subscription was marked for a full re-query")
+		}
+		for _, d := range deltas {
+			v, _ := d.Inst.Tuple.Field(1).AsInt()
+			if seen[v] {
+				t.Fatalf("delta %d drained twice", v)
+			}
+			seen[v] = true
+		}
+		if len(seen) == publishers*each {
+			break
+		}
+		sub.mu.Lock()
+		buffered, tokens := len(sub.deltas), len(sub.ch)
+		sub.mu.Unlock()
+		if buffered > 0 && tokens == 0 {
+			t.Fatalf("about to block on an empty channel with %d deltas buffered", buffered)
+		}
+		select {
+		case <-sub.Ready():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("lost wakeup: %d of %d deltas drained", len(seen), publishers*each)
+		}
+	}
+	if deltas, full := sub.Drain(); full || len(deltas) != 0 || len(sub.Ready()) != 0 {
+		t.Errorf("after the last delta: Drain = %d deltas, full=%t, %d tokens; want nothing", len(deltas), full, len(sub.Ready()))
+	}
 }

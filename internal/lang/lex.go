@@ -19,10 +19,11 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input.
+// Lex tokenizes the whole input. Every token but the final EOF spans at
+// least one byte of src, so the token slice is sized once, up front.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var out []Token
+	out := make([]Token, 0, len(src)+1)
 	for {
 		tok, err := lx.Next()
 		if err != nil {
@@ -191,7 +192,7 @@ func (lx *Lexer) Next() (Token, error) {
 	}
 	one := func(kind TokKind) (Token, error) {
 		lx.advance()
-		return Token{Kind: kind, Text: string(c), Pos: pos}, nil
+		return Token{Kind: kind, Text: lx.src[lx.off-1 : lx.off], Pos: pos}, nil
 	}
 	switch c {
 	case '<':

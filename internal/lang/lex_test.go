@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"github.com/sdl-lang/sdl/internal/race"
 )
 
 func kinds(t *testing.T, src string) []TokKind {
@@ -130,5 +132,24 @@ func TestLexIntFollowedByDotMethodLike(t *testing.T) {
 	// "1." without digit after the dot: the int ends, the '.' errors.
 	if _, err := Lex("1. 2"); err == nil {
 		t.Skip("1. tolerated")
+	}
+}
+
+// TestLexAllocates pins the lexer's heap use: the token slice, sized once
+// from the source, plus one string per string literal. One-byte punctuation
+// tokens take their text from the source instead of converting the byte.
+func TestLexAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	const literals = 2
+	src := strings.Repeat(`<a, ?b, 1>, <c, *>; (x + y) * 2 / z % 3 | {w} : `, 40) +
+		`-> <k, "lit", "two"> => <?v, 2.5> @> ! != == <= >= = -`
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := Lex(src); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2+literals {
+		t.Errorf("Lex of %d bytes with %d string literals: %.0f allocations, want <= %d", len(src), literals, got, 2+literals)
 	}
 }

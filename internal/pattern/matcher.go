@@ -247,7 +247,7 @@ type matcher struct {
 	deliver  []func(tuple.ID, tuple.Tuple) bool
 	retracts []Match   // retract-tagged matches of the current partial solution
 	arena    []Match   // retract-tagged matches of the solutions handed out
-	sols     []Binding // solutions collected for Solve and SolveAll
+	sols     []Binding // solutions collected for Solve and AppendSolutions
 	scratch  expr.Env  // the map behind env, kept across runs
 	found    bool      // a negated step's scan found a violation
 	stopped  bool      // the consumer asked for no more solutions

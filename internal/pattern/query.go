@@ -181,13 +181,17 @@ func Solve(q Query, src Source, base expr.Env) (Binding, bool, error) {
 // the composite effect is the union of the per-solution retractions and
 // assertions; the caller deduplicates retraction IDs.
 func SolveAll(q Query, src Source, base expr.Env) ([]Binding, error) {
+	return AppendSolutions(nil, q, src, base)
+}
+
+// AppendSolutions appends every solution of the query to dst and returns
+// the extended slice (nil when dst is nil and there is none). The matcher's
+// buffer grows as solutions arrive and dst grows once, so SolveAll's answer
+// is one exact-size slice, and a caller that recycles dst pays only for the
+// solutions themselves.
+func AppendSolutions(dst []Binding, q Query, src Source, base expr.Env) ([]Binding, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
 	err := m.run(q, src, base, nil, false)
-	if len(m.sols) == 0 {
-		return nil, err
-	}
-	// The matcher's buffer grew as solutions arrived; the caller gets one
-	// exact-size slice.
-	return append([]Binding(nil), m.sols...), err
+	return append(dst, m.sols...), err
 }

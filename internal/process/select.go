@@ -47,12 +47,13 @@ func (p *proc) runSelect(ctx context.Context, branches []Branch, _ bool) (bool, 
 
 // awaitGuard is the selection's blocking loop: it returns the index and
 // result of the first guard to commit. One nil-filter subscription (wake on
-// any commit covering a guard pattern) spans the whole wait; it is taken
-// before the guards are re-tried, and every later re-try is preceded by a
-// Drain, so a commit racing with an evaluation re-fires the ready channel
-// rather than being lost.
+// any commit covering a guard pattern) and its one ready channel span the
+// whole wait; the subscription is taken before the guards are re-tried, and
+// every later re-try is preceded by a Drain, so a commit racing with an
+// evaluation readies the channel again rather than being lost.
 func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx []int) (int, txn.Result, error) {
-	sub := p.rt.engine.Store().Subscribe(p.guardInterestKeys(branches), nil)
+	var keyBuf [8]dataspace.InterestKey
+	sub := p.rt.engine.Store().Subscribe(p.guardInterestKeys(branches, keyBuf[:0]), nil)
 	defer sub.Cancel()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -154,9 +155,9 @@ func (p *proc) runBranch(ctx context.Context, b Branch, res txn.Result) error {
 
 // guardInterestKeys unions the interest keys of every guard's query
 // patterns (positive and negated), with leads pinned when determined by
-// the process environment.
-func (p *proc) guardInterestKeys(branches []Branch) []dataspace.InterestKey {
-	var keys []dataspace.InterestKey
+// the process environment, appending them to keys (the caller's stack
+// buffer: Subscribe copies what it keeps).
+func (p *proc) guardInterestKeys(branches []Branch, keys []dataspace.InterestKey) []dataspace.InterestKey {
 	for _, b := range branches {
 		for _, pat := range b.Guard.Query.Patterns {
 			lead, known := pat.Lead(p.env)

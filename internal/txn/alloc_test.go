@@ -15,7 +15,8 @@ import (
 // transaction: what it allocates does not grow with how the one solution was
 // found, and a composite of one solution builds no de-duplication map — its
 // retract-tagged matches are pairwise distinct by construction — so the ∀
-// form of an upsert costs the ∃ form plus the one slice SolveAll returns.
+// form of an upsert costs exactly the ∃ form: both append their solutions to
+// a pooled buffer.
 func TestApplyAllocatesFixedCosts(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
@@ -49,7 +50,7 @@ func TestApplyAllocatesFixedCosts(t *testing.T) {
 	if max := 6.0; exists > max {
 		t.Errorf("∃ upsert: %.0f allocations, want <= %.0f", exists, max)
 	}
-	if forall > exists+1 {
-		t.Errorf("∀ upsert with one solution: %.0f allocations, the ∃ form %.0f: want at most one more", forall, exists)
+	if forall != exists {
+		t.Errorf("∀ upsert with one solution: %.0f allocations, the ∃ form %.0f: want the same", forall, exists)
 	}
 }

@@ -31,6 +31,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -300,12 +301,12 @@ func (e *Engine) write(req Request) (Result, error) {
 // registered before the evaluation, covers every commit past the cut).
 func (e *Engine) read(req Request) (Result, error) {
 	var (
-		one  [1]pattern.Binding
 		sols []pattern.Binding
 		err  error
 		buf  [8]dataspace.InterestKey
 	)
-	eval := func(r dataspace.Reader) { sols, err = solve(req, r, one[:0]) }
+	b := solutionBufs.Get().(*solutionBuf)
+	eval := func(r dataspace.Reader) { sols, err = solve(req, r, b.sols) }
 	e.attempts.Add(1)
 	e.m.IncSharedRead()
 	keys, planned := e.planKeys(req, buf[:0])
@@ -315,15 +316,18 @@ func (e *Engine) read(req Request) (Result, error) {
 	case !e.store.SnapshotKeysEpoch(keys, eval):
 		e.store.SnapshotKeys(keys, eval)
 	}
+	res := Result{Env: req.Env}
 	switch {
 	case err != nil:
-		return Result{}, err
+		res = Result{}
 	case len(sols) == 0:
 		e.failures.Add(1)
-		return Result{Env: req.Env}, nil
+	default:
+		e.commits.Add(1)
+		res = solved(req, sols)
 	}
-	e.commits.Add(1)
-	return solved(req, sols), nil
+	b.release(sols)
+	return res, err
 }
 
 // retractFree reports whether the query is statically retract-free: no
@@ -337,28 +341,45 @@ func retractFree(q pattern.Query) bool {
 	return true
 }
 
-// solve evaluates req's query through its view's window over r: the one
-// solution of an ∃ query, every solution of a ∀ query, none when it fails.
-// The ∃ solution is appended to buf, so a caller whose solutions do not
-// outlive it can keep them off the heap.
+// solve evaluates req's query through its view's window over r and appends
+// its solutions to buf: the one solution of an ∃ query, every solution of a
+// ∀ query, none when it fails. Callers pass a pooled solutionBuf's slice.
 func solve(req Request, r dataspace.Reader, buf []pattern.Binding) ([]pattern.Binding, error) {
 	var src pattern.Source = r // the universal import's window is the reader itself
 	if !req.View.Import.All {
 		src = req.View.Window(r, req.Env)
 	}
 	if req.Query.Quant == pattern.ForAll {
-		return pattern.SolveAll(req.Query, src, req.Env)
+		return pattern.AppendSolutions(buf, req.Query, src, req.Env)
 	}
 	b, found, err := pattern.Solve(req.Query, src, req.Env)
 	if err != nil || !found {
-		return nil, err
+		return buf, err
 	}
 	return append(buf, b), nil
 }
 
+// solutionBuf is a pooled buffer a transaction's solutions are appended to:
+// the result keeps only what it copies out of them (solved, apply), so a
+// read allocates only its Solutions slice beyond the environments.
+type solutionBuf struct{ sols []pattern.Binding }
+
+var solutionBufs = sync.Pool{New: func() any { return new(solutionBuf) }}
+
+// release pools the buffer with sols' array (solve may have grown it),
+// emptied so the pool pins no environment, unless it grew past 256.
+func (b *solutionBuf) release(sols []pattern.Binding) {
+	if cap(sols) <= 256 {
+		clear(sols[:cap(sols)])
+		b.sols = sols[:0]
+		solutionBufs.Put(b)
+	}
+}
+
 // solved builds the result of a successful evaluation before any effect is
-// applied: one solution environment per solution, and for ∃ the solution's
-// environment as the result's own.
+// applied: one solution environment per solution — the one copy of the
+// answer a transaction makes — and for ∃ the solution's environment as the
+// result's own.
 func solved(req Request, sols []pattern.Binding) Result {
 	res := Result{OK: true, Env: req.Env, Solutions: make([]expr.Env, len(sols))}
 	for i := range sols {
@@ -374,8 +395,9 @@ func solved(req Request, sols []pattern.Binding) Result {
 // retractions and assertions. It returns errFailed when the query has no
 // solution.
 func (e *Engine) evalAndApply(w dataspace.Writer, req Request) (Result, error) {
-	var one [1]pattern.Binding
-	sols, err := solve(req, w, one[:0])
+	b := solutionBufs.Get().(*solutionBuf)
+	sols, err := solve(req, w, b.sols)
+	defer func() { b.release(sols) }()
 	if err != nil {
 		return Result{}, err
 	}
@@ -457,12 +479,9 @@ func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) 
 // determined by the request environment alone, and — for a delta-safe
 // request (indexed), whose filter accepts only standalone matches of one of
 // its patterns — each key's selector: the field the store files that
-// registration under.
-func interest(req Request, indexed bool) (keys []dataspace.InterestKey, sels []pattern.FieldSel) {
-	keys = make([]dataspace.InterestKey, 0, len(req.Query.Patterns))
-	if indexed {
-		sels = make([]pattern.FieldSel, 0, len(req.Query.Patterns))
-	}
+// registration under. Keys and selectors are appended to the caller's
+// buffers (stack arrays: Subscribe copies what it keeps).
+func interest(req Request, indexed bool, keys []dataspace.InterestKey, sels []pattern.FieldSel) ([]dataspace.InterestKey, []pattern.FieldSel) {
 	for _, p := range req.Query.Patterns {
 		lead, known := p.Lead(req.Env)
 		keys = append(keys, dataspace.InterestOf(p.Arity(), lead, known))
@@ -573,7 +592,9 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 // commit.
 func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {
 	filter := deltaFilter(req)
-	keys, sels := interest(req, filter != nil)
+	var keyBuf [8]dataspace.InterestKey
+	var selBuf [8]pattern.FieldSel
+	keys, sels := interest(req, filter != nil, keyBuf[:0], selBuf[:0])
 	sub := e.store.Subscribe(keys, filter, sels...)
 	defer sub.Cancel()
 	for {

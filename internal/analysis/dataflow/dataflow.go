@@ -177,7 +177,7 @@ func build(prog *lang.Program) *analysis {
 		}
 		for _, s := range body {
 			lang.Walk(s, func(n lang.Node) bool {
-				if l, ok := n.(lang.LetAction); ok {
+				if l, ok := n.(*lang.LetAction); ok {
 					p.bound[l.Name] = true
 					p.letNames[l.Name] = true
 				}
@@ -196,7 +196,7 @@ func build(prog *lang.Program) *analysis {
 				}
 				for _, item := range tx.Items {
 					for _, f := range item.Pattern.Fields {
-						if ef, ok := f.(lang.ExprField); ok {
+						if ef, ok := f.(*lang.ExprField); ok {
 							if v, ok := ef.Expr.(*lang.VarNode); ok {
 								t.vars[v.Name] = true
 							}
@@ -206,7 +206,7 @@ func build(prog *lang.Program) *analysis {
 				p.txns = append(p.txns, t)
 				a.byNode[tx] = t
 				for _, act := range tx.Actions {
-					if as, ok := act.(lang.AssertAction); ok {
+					if as, ok := act.(*lang.AssertAction); ok {
 						a.asserts = append(a.asserts, &assertSite{txn: t, pat: as.Pattern})
 					}
 				}
@@ -282,7 +282,7 @@ func (a *analysis) fixpoint() (rounds int, converged bool) {
 			env := a.envOf(s.txn)
 			fields := make([]Value, len(s.pat.Fields))
 			for i, f := range s.pat.Fields {
-				ef, ok := f.(lang.ExprField)
+				ef, ok := f.(*lang.ExprField)
 				if !ok {
 					fields[i] = Top() // wildcard (compile rejects in asserts)
 					continue
@@ -308,7 +308,7 @@ func (a *analysis) fixpoint() (rounds int, converged bool) {
 			for _, t := range p.txns {
 				env := a.envOf(t)
 				for _, act := range t.node.Actions {
-					l, ok := act.(lang.LetAction)
+					l, ok := act.(*lang.LetAction)
 					if !ok {
 						continue
 					}
@@ -378,7 +378,7 @@ func (a *analysis) solveQuery(t *txnCtx) map[string]*Fact {
 		cons := make([]*tuple.Value, arity) // known constraints of the pattern
 		varAt := make(map[int]string)
 		for i, f := range item.Pattern.Fields {
-			ef, ok := f.(lang.ExprField)
+			ef, ok := f.(*lang.ExprField)
 			if !ok {
 				continue // wildcard: no constraint, no binding
 			}
@@ -468,7 +468,7 @@ func queryVarRef(e lang.ExprNode, t *txnCtx) (string, bool) {
 func renderPattern(p lang.PatternNode) string {
 	parts := make([]string, len(p.Fields))
 	for i, f := range p.Fields {
-		ef, ok := f.(lang.ExprField)
+		ef, ok := f.(*lang.ExprField)
 		if !ok {
 			parts[i] = "*"
 			continue

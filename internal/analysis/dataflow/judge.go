@@ -19,7 +19,7 @@ func (a *analysis) judge(t *txnCtx) *Judgment {
 			j.Leads = append(j.Leads, ld)
 			return
 		}
-		ef, isExpr := pat.Fields[0].(lang.ExprField)
+		ef, isExpr := pat.Fields[0].(*lang.ExprField)
 		switch {
 		case !isExpr:
 			ld.Why = "lead is a wildcard"
@@ -38,7 +38,7 @@ func (a *analysis) judge(t *txnCtx) *Judgment {
 	}
 	n := 0
 	for _, act := range t.node.Actions {
-		if as, ok := act.(lang.AssertAction); ok {
+		if as, ok := act.(*lang.AssertAction); ok {
 			n++
 			addLead(as.Pattern, "assertion", n)
 		}

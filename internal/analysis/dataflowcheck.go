@@ -65,7 +65,7 @@ func scanSelective(pat lang.PatternNode) bool {
 		return false
 	}
 	for _, f := range pat.Fields[1:] {
-		ef, ok := f.(lang.ExprField)
+		ef, ok := f.(*lang.ExprField)
 		if !ok {
 			continue
 		}

@@ -48,7 +48,7 @@ func reportWideLeads(p *pass, ti *txnInfo) {
 		check(item.Pattern, "pattern")
 	}
 	for _, a := range ti.txn.Actions {
-		if as, ok := a.(lang.AssertAction); ok {
+		if as, ok := a.(*lang.AssertAction); ok {
 			check(as.Pattern, "assertion")
 		}
 	}
@@ -59,7 +59,7 @@ func reportWideLeads(p *pass, ti *txnInfo) {
 // references no query variable (bare identifiers are atoms, bound
 // identifiers take their runtime value — both determined).
 func leadDetermined(f lang.FieldNode) bool {
-	ef, ok := f.(lang.ExprField)
+	ef, ok := f.(*lang.ExprField)
 	if !ok {
 		return false // wildcard lead
 	}

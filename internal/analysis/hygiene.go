@@ -57,8 +57,8 @@ func checkUnusedDecls(p *pass, ti *txnInfo) {
 		}
 		return true
 	}
-	for _, it := range ti.txn.Items {
-		lang.Walk(it, mark)
+	for i := range ti.txn.Items {
+		lang.Walk(&ti.txn.Items[i], mark)
 	}
 	lang.Walk(ti.txn.Where, mark)
 	for _, a := range ti.txn.Actions {
@@ -87,7 +87,7 @@ func checkUnboundUses(p *pass, u *unit, ti *txnInfo) {
 			continue
 		}
 		for _, f := range it.Pattern.Fields {
-			ef, ok := f.(lang.ExprField)
+			ef, ok := f.(*lang.ExprField)
 			if !ok {
 				continue
 			}

@@ -102,7 +102,7 @@ func buildUnits(prog *lang.Program) []*unit {
 		}
 		for _, s := range body {
 			lang.Walk(s, func(n lang.Node) bool {
-				if l, ok := n.(lang.LetAction); ok {
+				if l, ok := n.(*lang.LetAction); ok {
 					u.bound[l.Name] = true
 				}
 				return true
@@ -141,7 +141,7 @@ func buildUnits(prog *lang.Program) []*unit {
 func abstractPattern(p lang.PatternNode, bound boundSet) absPat {
 	a := absPat{fields: make([]absField, 0, len(p.Fields)), pos: p.Pos}
 	for _, f := range p.Fields {
-		ef, ok := f.(lang.ExprField)
+		ef, ok := f.(*lang.ExprField)
 		if !ok { // wildcard
 			a.fields = append(a.fields, absField{})
 			continue
@@ -260,7 +260,7 @@ func abstractClause(rules []lang.ViewRule, params []string) []absRule {
 		// its guard.
 		rb := bound.clone()
 		for _, f := range r.Pattern.Fields {
-			if ef, ok := f.(lang.ExprField); ok {
+			if ef, ok := f.(*lang.ExprField); ok {
 				if v, ok := ef.Expr.(*lang.VarNode); ok {
 					rb[v.Name] = true
 				}
@@ -301,7 +301,7 @@ func collectAsserts(units []*unit) []assertSite {
 	for _, u := range units {
 		for _, ti := range u.txns {
 			for _, a := range ti.txn.Actions {
-				if as, ok := a.(lang.AssertAction); ok {
+				if as, ok := a.(*lang.AssertAction); ok {
 					sites = append(sites, assertSite{unit: u, pat: abstractPattern(as.Pattern, ti.bound)})
 				}
 			}
@@ -337,7 +337,7 @@ func reachableUnits(units []*unit) map[string]bool {
 		reach[u.name] = true
 		for _, s := range u.body {
 			lang.Walk(s, func(n lang.Node) bool {
-				if sp, ok := n.(lang.SpawnAction); ok {
+				if sp, ok := n.(*lang.SpawnAction); ok {
 					if next, ok := byName[sp.Name]; ok {
 						visit(next)
 					}

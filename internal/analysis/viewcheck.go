@@ -20,7 +20,7 @@ func runView(p *pass) {
 		for _, ti := range u.txns {
 			if exp != nil {
 				for _, a := range ti.txn.Actions {
-					as, ok := a.(lang.AssertAction)
+					as, ok := a.(*lang.AssertAction)
 					if !ok {
 						continue
 					}

@@ -20,7 +20,59 @@ type InterestKey struct {
 	LeadKnown bool
 }
 
-type subSet map[*Subscription]struct{}
+// subSet is one registry bucket's subscriptions, shaped like idSet: most
+// buckets hold one or two waiters, so two members live in the set's own
+// words and the rest spill to a map, and a bucket's first subscribers
+// allocate nothing beyond their map slot. A subSet is a value held in that
+// slot; insertSub and deleteSub write it back after every edit.
+type subSet struct {
+	a, b  *Subscription
+	spill map[*Subscription]struct{}
+}
+
+func (s *subSet) add(sub *Subscription) {
+	if _, ok := s.spill[sub]; ok || s.a == sub || s.b == sub {
+		return
+	}
+	switch {
+	case s.a == nil:
+		s.a = sub
+	case s.b == nil:
+		s.b = sub
+	default:
+		if s.spill == nil {
+			s.spill = make(map[*Subscription]struct{})
+		}
+		s.spill[sub] = struct{}{}
+	}
+}
+
+func (s *subSet) remove(sub *Subscription) {
+	switch sub {
+	case s.a:
+		s.a = nil
+	case s.b:
+		s.b = nil
+	default:
+		delete(s.spill, sub)
+	}
+}
+
+func (s subSet) empty() bool { return s.a == nil && s.b == nil && len(s.spill) == 0 }
+
+// appendTo appends the members to into.
+func (s subSet) appendTo(into []*Subscription) []*Subscription {
+	if s.a != nil {
+		into = append(into, s.a)
+	}
+	if s.b != nil {
+		into = append(into, s.b)
+	}
+	for sub := range s.spill {
+		into = append(into, sub)
+	}
+	return into
+}
 
 // subReg is one registry entry of a subscription: the shard it lives in,
 // the bucket it covers and, for a field-indexed entry, the (pos, value) it
@@ -110,19 +162,20 @@ func (r *waiterRegistry) remove(reg subReg, sub *Subscription) {
 
 func insertSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
 	set := m[k]
-	if set == nil {
-		set = make(subSet)
-		m[k] = set
-	}
-	set[sub] = struct{}{}
+	set.add(sub)
+	m[k] = set
 }
 
 func deleteSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
-	if set := m[k]; set != nil {
-		delete(set, sub)
-		if len(set) == 0 {
-			delete(m, k)
-		}
+	set, ok := m[k]
+	if !ok {
+		return
+	}
+	set.remove(sub)
+	if set.empty() {
+		delete(m, k)
+	} else {
+		m[k] = set
 	}
 }
 
@@ -135,22 +188,16 @@ func deleteSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
 func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscription {
 	r.mu.Lock()
 	a := inst.Tuple.Arity()
-	for sub := range r.byArity[a] {
-		into = append(into, sub)
-	}
+	into = r.byArity[a].appendTo(into)
 	if a > 0 {
 		ik := indexKey{arity: a, lead: canonLead(inst.Tuple.Field(0))}
-		for sub := range r.byKey[ik] {
-			into = append(into, sub)
-		}
+		into = r.byKey[ik].appendTo(into)
 		if sb := r.bySel[ik]; sb != nil {
 			for pos := 1; pos < a && pos < maxFieldArity; pos++ {
 				if sb.perPos[pos] == 0 {
 					continue
 				}
-				for sub := range sb.byVal[subSel{pos: pos, val: canonLead(inst.Tuple.Field(pos))}] {
-					into = append(into, sub)
-				}
+				into = sb.byVal[subSel{pos: pos, val: canonLead(inst.Tuple.Field(pos))}].appendTo(into)
 			}
 		}
 	}
@@ -161,21 +208,16 @@ func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscri
 // collectAll appends every registered subscription (broad wakeups and the
 // spurious-wakeup fault).
 func (r *waiterRegistry) collectAll(into []*Subscription) []*Subscription {
-	appendSet := func(set subSet) {
-		for sub := range set {
-			into = append(into, sub)
-		}
-	}
 	r.mu.Lock()
 	for _, set := range r.byKey {
-		appendSet(set)
+		into = set.appendTo(into)
 	}
 	for _, set := range r.byArity {
-		appendSet(set)
+		into = set.appendTo(into)
 	}
 	for _, sb := range r.bySel {
 		for _, set := range sb.byVal {
-			appendSet(set)
+			into = set.appendTo(into)
 		}
 	}
 	r.mu.Unlock()

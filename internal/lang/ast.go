@@ -3,7 +3,10 @@ package lang
 import "github.com/sdl-lang/sdl/internal/tuple"
 
 // Program is a parsed SDL source file: process definitions plus an
-// optional main block (the initial process).
+// optional main block (the initial process). Parse cuts its nodes and
+// their child lists from backing arrays shared by the whole program; every
+// list is a full slice (len == cap), so appending to one reallocates it
+// instead of overwriting its neighbour.
 type Program struct {
 	Processes []*ProcessDecl
 	Main      *MainDecl
@@ -111,7 +114,7 @@ type PatternNode struct {
 	Pos    Pos
 }
 
-// FieldNode is one field of a pattern: a wildcard or an expression
+// FieldNode is one field of a pattern: a *WildField or an *ExprField
 // (classified as variable / constant / computed at compile time).
 type FieldNode interface{ fieldNode() }
 
@@ -121,10 +124,11 @@ type WildField struct{ Pos Pos }
 // ExprField is any other field.
 type ExprField struct{ Expr ExprNode }
 
-func (WildField) fieldNode() {}
-func (ExprField) fieldNode() {}
+func (*WildField) fieldNode() {}
+func (*ExprField) fieldNode() {}
 
-// ActionNode is one element of an action list.
+// ActionNode is one element of an action list: a pointer to one of the
+// action forms below.
 type ActionNode interface{ actionNode() }
 
 // Action forms.
@@ -151,12 +155,12 @@ type (
 	SkipAction struct{ Pos Pos }
 )
 
-func (AssertAction) actionNode() {}
-func (LetAction) actionNode()    {}
-func (SpawnAction) actionNode()  {}
-func (ExitAction) actionNode()   {}
-func (AbortAction) actionNode()  {}
-func (SkipAction) actionNode()   {}
+func (*AssertAction) actionNode() {}
+func (*LetAction) actionNode()    {}
+func (*SpawnAction) actionNode()  {}
+func (*ExitAction) actionNode()   {}
+func (*AbortAction) actionNode()  {}
+func (*SkipAction) actionNode()   {}
 
 // ExprNode is an expression.
 type ExprNode interface{ exprNode() }

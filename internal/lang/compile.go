@@ -3,6 +3,7 @@ package lang
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
@@ -23,6 +24,7 @@ type Compiled struct {
 // Compile translates a parsed program into process definitions.
 func Compile(prog *Program) (*Compiled, error) {
 	c := &compiler{arities: make(map[string]int)}
+	c.size(prog)
 	for _, pd := range prog.Processes {
 		if pd.Name == MainProcess {
 			return nil, errAt(pd.Pos, "process name %q is reserved", MainProcess)
@@ -134,9 +136,29 @@ func Merge(progs ...*Program) (*Program, error) {
 	return out, nil
 }
 
-// compiler carries program-level context.
+// compiler carries program-level context: the process arities, and the
+// slabs every compiled pattern's fields and every argument list are cut
+// from.
 type compiler struct {
 	arities map[string]int // process name -> parameter count
+	fields  slab[pattern.Field]
+	args    slab[expr.Expr]
+}
+
+// size sets the slabs' hints to the exact number of pattern fields and of
+// spawn and call arguments in the program.
+func (c *compiler) size(prog *Program) {
+	Walk(prog, func(n Node) bool {
+		switch x := n.(type) {
+		case *PatternNode:
+			c.fields.hint += len(x.Fields)
+		case *SpawnAction:
+			c.args.hint += len(x.Args)
+		case *CallNode:
+			c.args.hint += len(x.Args)
+		}
+		return true
+	})
 }
 
 // scope tracks which identifiers denote runtime bindings (process
@@ -197,7 +219,7 @@ func (c *compiler) compileProcess(pd *ProcessDecl) (*process.Definition, error) 
 func collectLets(stmts []StmtNode, sc *scope) {
 	for _, s := range stmts {
 		Walk(s, func(n Node) bool {
-			if l, ok := n.(LetAction); ok {
+			if l, ok := n.(*LetAction); ok {
 				sc.bind(l.Name)
 			}
 			return true
@@ -234,7 +256,7 @@ func (c *compiler) compileClause(rules []ViewRule, params []string) (view.Clause
 
 func declarePatternVars(p PatternNode, sc *scope) {
 	for _, f := range p.Fields {
-		if ef, ok := f.(ExprField); ok {
+		if ef, ok := f.(*ExprField); ok {
 			if v, ok := ef.Expr.(*VarNode); ok {
 				sc.bind(v.Name)
 			}
@@ -314,6 +336,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 	if t.Quant == QuantForall {
 		q.Quant = pattern.ForAll
 	}
+	q.Patterns = slices.Grow(q.Patterns, len(t.Items))
 	for _, item := range t.Items {
 		pat, err := c.compilePattern(item.Pattern, ts)
 		if err != nil {
@@ -374,9 +397,17 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 		tx.Kind = process.Immediate
 	}
 
+	asserts := 0
+	for _, a := range t.Actions {
+		if _, ok := a.(*AssertAction); ok {
+			asserts++
+		}
+	}
+	tx.Asserts = slices.Grow(tx.Asserts, asserts)
+	tx.Actions = slices.Grow(tx.Actions, len(t.Actions)-asserts)
 	for _, a := range t.Actions {
 		switch act := a.(type) {
-		case AssertAction:
+		case *AssertAction:
 			pat, err := c.compilePattern(act.Pattern, ts)
 			if err != nil {
 				return process.Transact{}, err
@@ -398,7 +429,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 				}
 			}
 			tx.Asserts = append(tx.Asserts, pat)
-		case LetAction:
+		case *LetAction:
 			e, err := c.compileExpr(act.Expr, ts)
 			if err != nil {
 				return process.Transact{}, err
@@ -407,7 +438,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 				return process.Transact{}, err
 			}
 			tx.Actions = append(tx.Actions, process.Let{Name: act.Name, Expr: e})
-		case SpawnAction:
+		case *SpawnAction:
 			arity, ok := c.arities[act.Name]
 			if !ok {
 				return process.Transact{}, errAt(act.Pos, "spawn of undefined process %q", act.Name)
@@ -416,7 +447,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 				return process.Transact{}, errAt(act.Pos,
 					"process %q takes %d argument(s), got %d", act.Name, arity, len(act.Args))
 			}
-			args := make([]expr.Expr, len(act.Args))
+			args := c.args.make(len(act.Args))
 			for i, an := range act.Args {
 				e, err := c.compileExpr(an, ts)
 				if err != nil {
@@ -428,11 +459,11 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 				args[i] = e
 			}
 			tx.Actions = append(tx.Actions, process.Spawn{Type: act.Name, Args: args})
-		case ExitAction:
+		case *ExitAction:
 			tx.Actions = append(tx.Actions, process.Exit{})
-		case AbortAction:
+		case *AbortAction:
 			tx.Actions = append(tx.Actions, process.Abort{})
-		case SkipAction:
+		case *SkipAction:
 			// no-op
 		default:
 			return process.Transact{}, fmt.Errorf("lang: unknown action %T", a)
@@ -443,29 +474,29 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 }
 
 func (c *compiler) compilePattern(p PatternNode, sc *scope) (pattern.Pattern, error) {
-	fields := make([]pattern.Field, 0, len(p.Fields))
-	for _, f := range p.Fields {
+	fields := c.fields.make(len(p.Fields))
+	for i, f := range p.Fields {
 		switch fn := f.(type) {
-		case WildField:
-			fields = append(fields, pattern.W())
-		case ExprField:
+		case *WildField:
+			fields[i] = pattern.W()
+		case *ExprField:
 			switch en := fn.Expr.(type) {
 			case *VarNode:
-				fields = append(fields, pattern.V(en.Name))
+				fields[i] = pattern.V(en.Name)
 			case *IdentNode:
 				if sc.isBound(en.Name) {
-					fields = append(fields, pattern.V(en.Name))
+					fields[i] = pattern.V(en.Name)
 				} else {
-					fields = append(fields, pattern.C(tuple.Atom(en.Name)))
+					fields[i] = pattern.C(tuple.Atom(en.Name))
 				}
 			case *LitNode:
-				fields = append(fields, pattern.C(en.Value))
+				fields[i] = pattern.C(en.Value)
 			default:
 				e, err := c.compileExpr(fn.Expr, sc)
 				if err != nil {
 					return pattern.Pattern{}, err
 				}
-				fields = append(fields, pattern.E(e))
+				fields[i] = pattern.E(e)
 			}
 		default:
 			return pattern.Pattern{}, fmt.Errorf("lang: unknown field %T", f)
@@ -527,7 +558,7 @@ func (c *compiler) compileExpr(e ExprNode, sc *scope) (expr.Expr, error) {
 		if !expr.HasBuiltin(en.Name) {
 			return nil, errAt(en.Pos, "unknown function %q", en.Name)
 		}
-		args := make([]expr.Expr, len(en.Args))
+		args := c.args.make(len(en.Args))
 		for i, a := range en.Args {
 			x, err := c.compileExpr(a, sc)
 			if err != nil {

@@ -172,21 +172,21 @@ func formatTxn(t *TxnNode) string {
 
 func formatAction(a ActionNode) string {
 	switch act := a.(type) {
-	case AssertAction:
+	case *AssertAction:
 		return formatPattern(act.Pattern)
-	case LetAction:
+	case *LetAction:
 		return fmt.Sprintf("let %s = %s", act.Name, formatExpr(act.Expr))
-	case SpawnAction:
+	case *SpawnAction:
 		args := make([]string, len(act.Args))
 		for i, e := range act.Args {
 			args[i] = formatExpr(e)
 		}
 		return fmt.Sprintf("spawn %s(%s)", act.Name, strings.Join(args, ", "))
-	case ExitAction:
+	case *ExitAction:
 		return "exit"
-	case AbortAction:
+	case *AbortAction:
 		return "abort"
-	case SkipAction:
+	case *SkipAction:
 		return "skip"
 	default:
 		return "?"
@@ -205,9 +205,9 @@ func formatPattern(p PatternNode) string {
 	fields := make([]string, len(p.Fields))
 	for i, f := range p.Fields {
 		switch fn := f.(type) {
-		case WildField:
+		case *WildField:
 			fields[i] = "*"
-		case ExprField:
+		case *ExprField:
 			fields[i] = formatExpr(fn.Expr)
 		default:
 			fields[i] = "?"

@@ -73,13 +73,13 @@ func (g *Gen) Pattern() lang.PatternNode {
 	for i := range fields {
 		switch g.rng.Intn(4) {
 		case 0:
-			fields[i] = lang.WildField{}
+			fields[i] = &lang.WildField{}
 		case 1:
-			fields[i] = lang.ExprField{Expr: &lang.VarNode{Name: g.varName()}}
+			fields[i] = &lang.ExprField{Expr: &lang.VarNode{Name: g.varName()}}
 		case 2:
-			fields[i] = lang.ExprField{Expr: &lang.IdentNode{Name: g.ident()}}
+			fields[i] = &lang.ExprField{Expr: &lang.IdentNode{Name: g.ident()}}
 		default:
-			fields[i] = lang.ExprField{Expr: g.Expr(1)}
+			fields[i] = &lang.ExprField{Expr: g.Expr(1)}
 		}
 	}
 	return lang.PatternNode{Fields: fields}
@@ -122,15 +122,15 @@ func (g *Gen) Txn(allowBlocking bool) *lang.TxnNode {
 	for i := g.rng.Intn(3); i > 0; i-- {
 		switch g.rng.Intn(5) {
 		case 0:
-			t.Actions = append(t.Actions, lang.AssertAction{Pattern: g.Pattern()})
+			t.Actions = append(t.Actions, &lang.AssertAction{Pattern: g.Pattern()})
 		case 1:
-			t.Actions = append(t.Actions, lang.LetAction{Name: "N", Expr: g.Expr(1)})
+			t.Actions = append(t.Actions, &lang.LetAction{Name: "N", Expr: g.Expr(1)})
 		case 2:
-			t.Actions = append(t.Actions, lang.ExitAction{})
+			t.Actions = append(t.Actions, &lang.ExitAction{})
 		case 3:
-			t.Actions = append(t.Actions, lang.SkipAction{})
+			t.Actions = append(t.Actions, &lang.SkipAction{})
 		default:
-			t.Actions = append(t.Actions, lang.AbortAction{})
+			t.Actions = append(t.Actions, &lang.AbortAction{})
 		}
 	}
 	return t

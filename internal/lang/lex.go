@@ -22,8 +22,13 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the whole input. Every token but the final EOF spans at
 // least one byte of src, so the token slice is sized once, up front.
 func Lex(src string) ([]Token, error) {
+	return lexInto(make([]Token, 0, len(src)+1), src)
+}
+
+// lexInto appends the tokens of src to out, which must have room for
+// len(src)+1 more.
+func lexInto(out []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
-	out := make([]Token, 0, len(src)+1)
 	for {
 		tok, err := lx.Next()
 		if err != nil {

@@ -1,23 +1,175 @@
 package lang
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// Parser is a recursive-descent parser over a token stream.
+// Parser is a recursive-descent parser over a token stream. It cuts every
+// node and every child list from the program's slabs (nodes), building
+// each list on a scratch stack first so that it lands at its exact size.
 type Parser struct {
 	toks []Token
 	pos  int
+	n    nodes
+	s    *scratch
 }
+
+// nodes is one program's storage: a slab per node type and per list
+// element type.
+type nodes struct {
+	lits     slab[LitNode]
+	idents   slab[IdentNode]
+	vars     slab[VarNode]
+	bins     slab[BinNode]
+	uns      slab[UnNode]
+	calls    slab[CallNode]
+	wilds    slab[WildField]
+	efields  slab[ExprField]
+	asserts  slab[AssertAction]
+	lets     slab[LetAction]
+	spawns   slab[SpawnAction]
+	exits    slab[ExitAction]
+	aborts   slab[AbortAction]
+	skips    slab[SkipAction]
+	txns     slab[TxnNode]
+	sels     slab[SelNode]
+	reps     slab[RepNode]
+	pars     slab[ParNode]
+	procs    slab[ProcessDecl]
+	fields   slab[FieldNode]
+	exprs    slab[ExprNode]
+	actions  slab[ActionNode]
+	stmts    slab[StmtNode]
+	items    slab[QueryItem]
+	branches slab[BranchNode]
+	rules    slab[ViewRule]
+	names    slab[string]
+	poss     slab[Pos]
+	decls    slab[*ProcessDecl]
+}
+
+// size sets every slab's hint from the token histogram: an upper bound on
+// what the tokens can produce, except for binary nodes, where '<' and '>'
+// also delimit patterns and only their imbalance surely counts comparisons.
+func (n *nodes) size(toks []Token) {
+	var k [tokKinds]int
+	heads, bodies := 0, 0     // '<' before and after a transaction tag
+	inArgs, argIdents := 0, 0 // ',' and identifiers inside parentheses
+	decls := 0                // quantifier declarations
+	afterTag, inDecl, depth := false, false, 0
+	for _, t := range toks {
+		k[t.Kind]++
+		switch t.Kind {
+		case TokArrow, TokDblArrow, TokConsArrow:
+			afterTag = true
+		case TokSemicolon, TokPipe, TokLBrace, TokRBrace, TokEnd:
+			afterTag = false
+		case TokLT:
+			if afterTag {
+				bodies++
+			} else {
+				heads++
+			}
+		case TokLParen:
+			depth++
+		case TokRParen:
+			depth--
+		case TokComma:
+			if depth > 0 {
+				inArgs++
+			}
+		case TokExists, TokForall:
+			inDecl = true
+		case TokColon:
+			inDecl = false
+		}
+		if t.Kind == TokIdent || t.Kind == TokVar {
+			if inDecl {
+				decls++
+			} else if depth > 0 {
+				argIdents++
+			}
+		}
+	}
+	n.lits.hint = k[TokInt] + k[TokFloat] + k[TokString] + k[TokTrue] + k[TokFalse]
+	n.idents.hint = k[TokIdent]
+	n.vars.hint = k[TokVar]
+	n.bins.hint = k[TokOr] + k[TokAnd] + k[TokEQ] + k[TokNE] + k[TokLE] + k[TokGE] +
+		k[TokPlus] + k[TokMinus] + k[TokStar] + k[TokSlash] + k[TokPercent] + max(k[TokLT]-k[TokGT], k[TokGT]-k[TokLT])
+	n.uns.hint = k[TokMinus] + k[TokNot]
+	n.calls.hint = k[TokLParen] - k[TokProcess] - k[TokSpawn]
+	n.wilds.hint = k[TokStar]
+	n.efields.hint = k[TokLT] + k[TokComma]
+	n.asserts.hint = bodies
+	n.lets.hint = k[TokLet]
+	n.spawns.hint = k[TokSpawn]
+	n.exits.hint = k[TokExit]
+	n.aborts.hint = k[TokAbort]
+	n.skips.hint = k[TokSkip]
+	actions := k[TokLet] + k[TokSpawn] + k[TokExit] + k[TokAbort] + k[TokSkip]
+	// A tagless transaction (statement-level action sugar) starts a
+	// statement: after ';', 'behavior' or 'main'.
+	n.txns.hint = k[TokArrow] + k[TokDblArrow] + k[TokConsArrow] +
+		min(actions, k[TokSemicolon]+k[TokBehavior]+k[TokMain])
+	n.sels.hint = k[TokSel]
+	n.reps.hint = k[TokRep]
+	n.pars.hint = k[TokPar]
+	n.procs.hint = k[TokProcess]
+	n.fields.hint = k[TokLT] + k[TokComma]
+	n.exprs.hint = k[TokLParen] + inArgs
+	n.actions.hint = bodies + actions
+	n.stmts.hint = n.txns.hint + k[TokSel] + k[TokRep] + k[TokPar]
+	n.items.hint = heads
+	n.branches.hint = k[TokLBrace] + k[TokPipe]
+	n.rules.hint = heads
+	n.names.hint = argIdents + decls // parameters and declared variables
+	n.poss.hint = decls
+	n.decls.hint = k[TokProcess]
+}
+
+// scratch holds what a parse needs only while it runs: the token buffer,
+// and the stacks lists are built on, one per element type. A list pushes
+// its entries above the base it found and cuts them into the slab when it
+// ends, so lists nest (a call argument holding a call). The scratch
+// outlives one parse: a pool hands it to the next, and it stops
+// allocating once it has grown to the longest source and list seen.
+type scratch struct {
+	toks     []Token
+	fields   []FieldNode
+	exprs    []ExprNode
+	actions  []ActionNode
+	stmts    []StmtNode
+	items    []QueryItem
+	branches []BranchNode
+	rules    []ViewRule
+	names    []string
+	poss     []Pos
+	decls    []*ProcessDecl
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Parse lexes and parses an SDL source file.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	s := scratchPool.Get().(*scratch)
+	toks, err := lexInto(slices.Grow(s.toks[:0], len(src)+1), src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
-	return p.parseProgram()
+	p := &Parser{toks: toks, s: s}
+	p.n.size(toks)
+	prog, err := p.parseProgram()
+	if err == nil {
+		// Every list of a successful parse was cut, so the stacks are
+		// empty; a failed parse drops its scratch with the partial lists.
+		clear(toks)
+		s.toks = toks[:0]
+		scratchPool.Put(s)
+	}
+	return prog, err
 }
 
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
@@ -50,6 +202,7 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 
 func (p *Parser) parseProgram() (*Program, error) {
 	prog := &Program{}
+	base := len(p.s.decls)
 	for !p.at(TokEOF) {
 		switch p.cur().Kind {
 		case TokProcess:
@@ -57,7 +210,7 @@ func (p *Parser) parseProgram() (*Program, error) {
 			if err != nil {
 				return nil, err
 			}
-			prog.Processes = append(prog.Processes, decl)
+			p.s.decls = append(p.s.decls, decl)
 		case TokMain:
 			if prog.Main != nil {
 				return nil, errAt(p.cur().Pos, "duplicate main block")
@@ -71,6 +224,7 @@ func (p *Parser) parseProgram() (*Program, error) {
 			return nil, errAt(p.cur().Pos, "expected 'process' or 'main', found %s", p.cur().Kind)
 		}
 	}
+	prog.Processes = cut(&p.n.decls, &p.s.decls, base)
 	return prog, nil
 }
 
@@ -83,13 +237,13 @@ func (p *Parser) parseProcess() (*ProcessDecl, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	var params []string
+	base := len(p.s.names)
 	for !p.at(TokRParen) {
 		id, err := p.expect(TokIdent)
 		if err != nil {
 			return nil, err
 		}
-		params = append(params, id.Text)
+		p.s.names = append(p.s.names, id.Text)
 		if !p.accept(TokComma) {
 			break
 		}
@@ -98,7 +252,7 @@ func (p *Parser) parseProcess() (*ProcessDecl, error) {
 		return nil, err
 	}
 
-	decl := &ProcessDecl{Name: name.Text, Params: params, Pos: start.Pos}
+	decl := p.n.procs.new(ProcessDecl{Name: name.Text, Params: cut(&p.n.names, &p.s.names, base), Pos: start.Pos})
 	if p.accept(TokImport) {
 		rules, err := p.parseViewRules()
 		if err != nil {
@@ -142,7 +296,7 @@ func (p *Parser) parseMain() (*MainDecl, error) {
 // parseViewRules parses `pattern [where expr] {; pattern [where expr]}`,
 // stopping before export/behavior.
 func (p *Parser) parseViewRules() ([]ViewRule, error) {
-	var rules []ViewRule
+	base := len(p.s.rules)
 	for {
 		pat, err := p.parsePattern()
 		if err != nil {
@@ -156,7 +310,7 @@ func (p *Parser) parseViewRules() ([]ViewRule, error) {
 			}
 			rule.Where = e
 		}
-		rules = append(rules, rule)
+		p.s.rules = append(p.s.rules, rule)
 		if !p.accept(TokSemicolon) {
 			break
 		}
@@ -164,25 +318,23 @@ func (p *Parser) parseViewRules() ([]ViewRule, error) {
 			break
 		}
 	}
-	return rules, nil
+	return cut(&p.n.rules, &p.s.rules, base), nil
 }
 
 // parseStmtList parses statements separated by ';' until end/}/|/EOF.
 func (p *Parser) parseStmtList() ([]StmtNode, error) {
-	var stmts []StmtNode
-	for {
-		if p.at(TokEnd) || p.at(TokRBrace) || p.at(TokPipe) || p.at(TokEOF) {
-			return stmts, nil
-		}
+	base := len(p.s.stmts)
+	for !p.at(TokEnd) && !p.at(TokRBrace) && !p.at(TokPipe) && !p.at(TokEOF) {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.s.stmts = append(p.s.stmts, s)
 		if !p.accept(TokSemicolon) {
-			return stmts, nil
+			break
 		}
 	}
+	return cut(&p.n.stmts, &p.s.stmts, base), nil
 }
 
 func (p *Parser) parseStmt() (StmtNode, error) {
@@ -193,32 +345,34 @@ func (p *Parser) parseStmt() (StmtNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SelNode{Branches: branches, Pos: pos}, nil
+		return p.n.sels.new(SelNode{Branches: branches, Pos: pos}), nil
 	case TokRep:
 		pos := p.next().Pos
 		branches, err := p.parseBranchBlock()
 		if err != nil {
 			return nil, err
 		}
-		return &RepNode{Branches: branches, Pos: pos}, nil
+		return p.n.reps.new(RepNode{Branches: branches, Pos: pos}), nil
 	case TokPar:
 		pos := p.next().Pos
 		branches, err := p.parseBranchBlock()
 		if err != nil {
 			return nil, err
 		}
-		return &ParNode{Branches: branches, Pos: pos}, nil
+		return p.n.pars.new(ParNode{Branches: branches, Pos: pos}), nil
 	case TokSpawn, TokLet, TokExit, TokAbort, TokSkip:
 		// Statement-level action sugar: `spawn P(…)` desugars to an
 		// unconditional immediate transaction carrying the action list.
-		t := &TxnNode{Tag: TagImmediate, Pos: p.cur().Pos}
+		t := p.n.txns.new(TxnNode{Tag: TagImmediate, Pos: p.cur().Pos})
+		base := len(p.s.actions)
 		for {
 			a, err := p.parseAction()
 			if err != nil {
 				return nil, err
 			}
-			t.Actions = append(t.Actions, a)
+			p.s.actions = append(p.s.actions, a)
 			if !p.accept(TokComma) {
+				t.Actions = cut(&p.n.actions, &p.s.actions, base)
 				return t, nil
 			}
 		}
@@ -231,7 +385,7 @@ func (p *Parser) parseBranchBlock() ([]BranchNode, error) {
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
-	var branches []BranchNode
+	base := len(p.s.branches)
 	for {
 		guard, err := p.parseTxn()
 		if err != nil {
@@ -245,21 +399,20 @@ func (p *Parser) parseBranchBlock() ([]BranchNode, error) {
 			}
 			branch.Body = body
 		}
-		branches = append(branches, branch)
-		if p.accept(TokPipe) {
-			continue
+		p.s.branches = append(p.s.branches, branch)
+		if !p.accept(TokPipe) {
+			break
 		}
-		break
 	}
 	if _, err := p.expect(TokRBrace); err != nil {
 		return nil, err
 	}
-	return branches, nil
+	return cut(&p.n.branches, &p.s.branches, base), nil
 }
 
 // parseTxn parses `[quant [vars] :] query tag [actions]`.
 func (p *Parser) parseTxn() (*TxnNode, error) {
-	t := &TxnNode{Pos: p.cur().Pos}
+	t := p.n.txns.new(TxnNode{Pos: p.cur().Pos})
 
 	// Quantifier prefix.
 	if p.at(TokExists) || p.at(TokForall) {
@@ -269,14 +422,17 @@ func (p *Parser) parseTxn() (*TxnNode, error) {
 			t.Quant = QuantForall
 		}
 		p.next()
+		names, poss := len(p.s.names), len(p.s.poss)
 		for p.at(TokIdent) || p.at(TokVar) {
 			tok := p.next()
-			t.DeclVars = append(t.DeclVars, tok.Text)
-			t.DeclVarPos = append(t.DeclVarPos, tok.Pos)
+			p.s.names = append(p.s.names, tok.Text)
+			p.s.poss = append(p.s.poss, tok.Pos)
 			if !p.accept(TokComma) {
 				break
 			}
 		}
+		t.DeclVars = cut(&p.n.names, &p.s.names, names)
+		t.DeclVarPos = cut(&p.n.poss, &p.s.poss, poss)
 		if _, err := p.expect(TokColon); err != nil {
 			return nil, err
 		}
@@ -301,11 +457,11 @@ func (p *Parser) parseTxn() (*TxnNode, error) {
 	p.next()
 
 	// Action list (possibly empty: ends at ; | } end EOF).
-	afterComma := false
+	base := len(p.s.actions)
 	for {
 		switch p.cur().Kind {
 		case TokSemicolon, TokPipe, TokRBrace, TokEnd, TokEOF:
-			if afterComma {
+			if len(p.s.actions) > base {
 				return nil, errAt(p.cur().Pos, "expected action after ','")
 			}
 			return t, nil
@@ -314,11 +470,11 @@ func (p *Parser) parseTxn() (*TxnNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Actions = append(t.Actions, a)
+		p.s.actions = append(p.s.actions, a)
 		if !p.accept(TokComma) {
+			t.Actions = cut(&p.n.actions, &p.s.actions, base)
 			return t, nil
 		}
-		afterComma = true
 	}
 }
 
@@ -339,6 +495,7 @@ func (p *Parser) parseQueryBody(t *TxnNode) error {
 		t.Where = e
 		return nil
 	}
+	base := len(p.s.items)
 	for {
 		item := QueryItem{Pos: p.cur().Pos}
 		if p.accept(TokNot) {
@@ -355,11 +512,12 @@ func (p *Parser) parseQueryBody(t *TxnNode) error {
 			}
 			item.Retract = true
 		}
-		t.Items = append(t.Items, item)
+		p.s.items = append(p.s.items, item)
 		if !p.accept(TokComma) {
 			break
 		}
 	}
+	t.Items = cut(&p.n.items, &p.s.items, base)
 	if p.accept(TokWhere) {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -379,10 +537,10 @@ func (p *Parser) parsePattern() (PatternNode, error) {
 	if p.accept(TokGT) {
 		return pat, nil // empty tuple <>
 	}
+	base := len(p.s.fields)
 	for {
 		if p.at(TokStar) {
-			pos := p.next().Pos
-			pat.Fields = append(pat.Fields, WildField{Pos: pos})
+			p.s.fields = append(p.s.fields, p.n.wilds.new(WildField{Pos: p.next().Pos}))
 		} else {
 			// Fields use the additive grammar level: '<' and '>' delimit
 			// the tuple, so comparisons inside a field need parentheses.
@@ -390,16 +548,16 @@ func (p *Parser) parsePattern() (PatternNode, error) {
 			if err != nil {
 				return PatternNode{}, err
 			}
-			pat.Fields = append(pat.Fields, ExprField{Expr: e})
+			p.s.fields = append(p.s.fields, p.n.efields.new(ExprField{Expr: e}))
 		}
-		if p.accept(TokComma) {
-			continue
+		if !p.accept(TokComma) {
+			break
 		}
-		break
 	}
 	if _, err := p.expect(TokGT); err != nil {
 		return PatternNode{}, err
 	}
+	pat.Fields = cut(&p.n.fields, &p.s.fields, base)
 	return pat, nil
 }
 
@@ -410,7 +568,7 @@ func (p *Parser) parseAction() (ActionNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return AssertAction{Pattern: pat}, nil
+		return p.n.asserts.new(AssertAction{Pattern: pat}), nil
 	case TokLet:
 		pos := p.next().Pos
 		name, err := p.expect(TokIdent)
@@ -424,43 +582,65 @@ func (p *Parser) parseAction() (ActionNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return LetAction{Name: name.Text, Expr: e, Pos: pos}, nil
+		return p.n.lets.new(LetAction{Name: name.Text, Expr: e, Pos: pos}), nil
 	case TokSpawn:
 		pos := p.next().Pos
 		name, err := p.expect(TokIdent)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokLParen); err != nil {
+		args, err := p.parseArgs()
+		if err != nil {
 			return nil, err
 		}
-		var args []ExprNode
-		for !p.at(TokRParen) {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
-			if !p.accept(TokComma) {
-				break
-			}
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return SpawnAction{Name: name.Text, Args: args, Pos: pos}, nil
+		return p.n.spawns.new(SpawnAction{Name: name.Text, Args: args, Pos: pos}), nil
 	case TokExit:
-		return ExitAction{Pos: p.next().Pos}, nil
+		return p.n.exits.new(ExitAction{Pos: p.next().Pos}), nil
 	case TokAbort:
-		return AbortAction{Pos: p.next().Pos}, nil
+		return p.n.aborts.new(AbortAction{Pos: p.next().Pos}), nil
 	case TokSkip:
-		return SkipAction{Pos: p.next().Pos}, nil
+		return p.n.skips.new(SkipAction{Pos: p.next().Pos}), nil
 	default:
 		return nil, errAt(p.cur().Pos, "expected action, found %s %q", p.cur().Kind, p.cur().Text)
 	}
 }
 
+// parseArgs parses a parenthesized, comma-separated expression list: the
+// arguments of a spawn or a call.
+func (p *Parser) parseArgs() ([]ExprNode, error) {
+	if _, err := p.expect(TokLParen); err != nil {
+		return nil, err
+	}
+	base := len(p.s.exprs)
+	for !p.at(TokRParen) {
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.s.exprs = append(p.s.exprs, a)
+		if !p.accept(TokComma) {
+			break
+		}
+	}
+	if _, err := p.expect(TokRParen); err != nil {
+		return nil, err
+	}
+	return cut(&p.n.exprs, &p.s.exprs, base), nil
+}
+
 // --- expressions ---
+
+func (p *Parser) bin(op TokKind, l, r ExprNode, pos Pos) *BinNode {
+	return p.n.bins.new(BinNode{Op: op, L: l, R: r, Pos: pos})
+}
+
+func (p *Parser) un(op TokKind, x ExprNode, pos Pos) *UnNode {
+	return p.n.uns.new(UnNode{Op: op, X: x, Pos: pos})
+}
+
+func (p *Parser) lit(v tuple.Value, pos Pos) *LitNode {
+	return p.n.lits.new(LitNode{Value: v, Pos: pos})
+}
 
 func (p *Parser) parseExpr() (ExprNode, error) { return p.parseOr() }
 
@@ -475,7 +655,7 @@ func (p *Parser) parseOr() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinNode{Op: TokOr, L: l, R: r, Pos: pos}
+		l = p.bin(TokOr, l, r, pos)
 	}
 	return l, nil
 }
@@ -491,7 +671,7 @@ func (p *Parser) parseAnd() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinNode{Op: TokAnd, L: l, R: r, Pos: pos}
+		l = p.bin(TokAnd, l, r, pos)
 	}
 	return l, nil
 }
@@ -503,7 +683,7 @@ func (p *Parser) parseNot() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnNode{Op: TokNot, X: x, Pos: pos}, nil
+		return p.un(TokNot, x, pos), nil
 	}
 	return p.parseCmp()
 }
@@ -520,7 +700,7 @@ func (p *Parser) parseCmp() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BinNode{Op: op.Kind, L: l, R: r, Pos: op.Pos}, nil
+		return p.bin(op.Kind, l, r, op.Pos), nil
 	}
 	return l, nil
 }
@@ -536,7 +716,7 @@ func (p *Parser) parseAdd() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinNode{Op: op.Kind, L: l, R: r, Pos: op.Pos}
+		l = p.bin(op.Kind, l, r, op.Pos)
 	}
 	return l, nil
 }
@@ -552,7 +732,7 @@ func (p *Parser) parseMul() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinNode{Op: op.Kind, L: l, R: r, Pos: op.Pos}
+		l = p.bin(op.Kind, l, r, op.Pos)
 	}
 	return l, nil
 }
@@ -564,7 +744,7 @@ func (p *Parser) parseUnary() (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnNode{Op: TokMinus, X: x, Pos: pos}, nil
+		return p.un(TokMinus, x, pos), nil
 	}
 	return p.parsePrimary()
 }
@@ -574,43 +754,32 @@ func (p *Parser) parsePrimary() (ExprNode, error) {
 	switch tok.Kind {
 	case TokInt:
 		p.next()
-		return &LitNode{Value: tuple.Int(tok.Int), Pos: tok.Pos}, nil
+		return p.lit(tuple.Int(tok.Int), tok.Pos), nil
 	case TokFloat:
 		p.next()
-		return &LitNode{Value: tuple.Float(tok.Flt), Pos: tok.Pos}, nil
+		return p.lit(tuple.Float(tok.Flt), tok.Pos), nil
 	case TokString:
 		p.next()
-		return &LitNode{Value: tuple.String(tok.Text), Pos: tok.Pos}, nil
+		return p.lit(tuple.String(tok.Text), tok.Pos), nil
 	case TokTrue:
 		p.next()
-		return &LitNode{Value: tuple.Bool(true), Pos: tok.Pos}, nil
+		return p.lit(tuple.Bool(true), tok.Pos), nil
 	case TokFalse:
 		p.next()
-		return &LitNode{Value: tuple.Bool(false), Pos: tok.Pos}, nil
+		return p.lit(tuple.Bool(false), tok.Pos), nil
 	case TokVar:
 		p.next()
-		return &VarNode{Name: tok.Text, Pos: tok.Pos}, nil
+		return p.n.vars.new(VarNode{Name: tok.Text, Pos: tok.Pos}), nil
 	case TokIdent:
 		p.next()
 		if p.at(TokLParen) {
-			p.next()
-			var args []ExprNode
-			for !p.at(TokRParen) {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.accept(TokComma) {
-					break
-				}
-			}
-			if _, err := p.expect(TokRParen); err != nil {
+			args, err := p.parseArgs()
+			if err != nil {
 				return nil, err
 			}
-			return &CallNode{Name: tok.Text, Args: args, Pos: tok.Pos}, nil
+			return p.n.calls.new(CallNode{Name: tok.Text, Args: args, Pos: tok.Pos}), nil
 		}
-		return &IdentNode{Name: tok.Text, Pos: tok.Pos}, nil
+		return p.n.idents.new(IdentNode{Name: tok.Text, Pos: tok.Pos}), nil
 	case TokLParen:
 		p.next()
 		e, err := p.parseExpr()

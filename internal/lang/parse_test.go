@@ -182,7 +182,7 @@ func TestParseComputedPatternField(t *testing.T) {
   exists a: <k - pow2(j - 1), ?a, j>! => <k, ?a, j + 1>
 end`)
 	tx := prog.Processes[0].Body[0].(*TxnNode)
-	f0, ok := tx.Items[0].Pattern.Fields[0].(ExprField)
+	f0, ok := tx.Items[0].Pattern.Fields[0].(*ExprField)
 	if !ok {
 		t.Fatalf("field 0 = %#v", tx.Items[0].Pattern.Fields[0])
 	}

@@ -1,0 +1,169 @@
+package lang
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/pattern"
+	"github.com/sdl-lang/sdl/internal/process"
+	"github.com/sdl-lang/sdl/internal/race"
+	"github.com/sdl-lang/sdl/internal/tuple"
+)
+
+// societySrc is a society of the paper's shape: one main block that
+// asserts n tuples and spawns n processes, the first strs of the tuples
+// carrying a string literal.
+func societySrc(n, strs int) string {
+	var b strings.Builder
+	b.WriteString("process Waiter(i)\nbehavior\n  <job, i>! => skip\nend\nmain\n  -> ")
+	for i := 0; i < n; i++ {
+		if i < strs {
+			fmt.Fprintf(&b, `<job, %d, "s">, `, i)
+		} else {
+			fmt.Fprintf(&b, "<job, %d>, ", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "spawn Waiter(%d)", i)
+		if i < n-1 {
+			b.WriteString(", ")
+		}
+	}
+	b.WriteString("\nend\n")
+	return b.String()
+}
+
+func parseAllocs(t *testing.T, src string) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(20, func() {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestParseAllocates pins that parsing allocates per program, not per
+// node: the Program, the main block and one backing array per slab in
+// use, whatever the size of the society, plus the lexer's one string per
+// string literal.
+func TestParseAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	small := parseAllocs(t, societySrc(10, 0))
+	large := parseAllocs(t, societySrc(1000, 0))
+	if perProgram := float64(reflect.TypeOf(nodes{}).NumField() + 2); small > perProgram {
+		t.Errorf("Parse of a 10-process society: %.0f allocations, want <= %.0f", small, perProgram)
+	}
+	if large < small-2 || large > small+2 {
+		t.Errorf("Parse allocations grow with the society: %.0f at n=10, %.0f at n=1000", small, large)
+	}
+	const strs = 50
+	if lits := parseAllocs(t, societySrc(1000, strs)); lits != large+strs {
+		t.Errorf("Parse with %d string literals: %.0f allocations, want %.0f", strs, lits, large+strs)
+	}
+}
+
+// TestCompileAllocates pins that compiling allocates at most one per
+// action plus a constant. An assertion costs nothing (its fields are cut
+// from the program's slab); a spawn costs its argument's boxed constant
+// and its boxed process.Spawn, which is the runtime's API.
+func TestCompileAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	const perProgram = 24
+	for _, n := range []int{10, 1000} {
+		prog, err := Parse(societySrc(n, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := Compile(prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(2*n + perProgram); got > want {
+			t.Errorf("Compile of %d asserts and %d spawns: %.0f allocations, want <= %.0f", n, n, got, want)
+		}
+	}
+}
+
+func TestWalkAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	prog, err := Parse(walkSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	if got := testing.AllocsPerRun(20, func() {
+		Walk(prog, func(Node) bool { nodes++; return true })
+	}); got != 0 {
+		t.Errorf("Walk: %.0f allocations, want 0", got)
+	}
+	if nodes == 0 {
+		t.Fatal("Walk visited nothing")
+	}
+}
+
+// TestSlabsDoNotAlias appends to lists cut from the parser's and the
+// compiler's slabs and checks that no neighbour changed: every list is a
+// full slice, so an append reallocates instead of writing into the next
+// list's storage.
+func TestSlabsDoNotAlias(t *testing.T) {
+	srcs := []string{
+		"process P(a, b)\nbehavior\n  <x, a, *> -> <y, b, min(a, b)>\nend\nmain\n  -> <k, 1>, <k, 2>, spawn P(1, 2), spawn P(3, 4)\nend\n",
+		"main\n  -> <m, 1, 2>, <m, 3, 4>\nend\n",
+	}
+	progs := make([]*Program, len(srcs))
+	comps := make([]*Compiled, len(srcs))
+	formatted := make([]string, len(srcs))
+	rendered := make([]string, len(srcs))
+	for i, src := range srcs {
+		var err error
+		if progs[i], err = Parse(src); err != nil {
+			t.Fatal(err)
+		}
+		if comps[i], err = Compile(progs[i]); err != nil {
+			t.Fatal(err)
+		}
+		formatted[i], rendered[i] = Format(progs[i]), renderDefs(comps[i])
+	}
+
+	main := comps[0].Defs[len(comps[0].Defs)-1].Body[0].(process.Transact)
+	_ = append(main.Asserts[0].Fields, pattern.C(tuple.Int(99)))
+	for _, a := range main.Actions {
+		if sp, ok := a.(process.Spawn); ok {
+			_ = append(sp.Args, expr.Const(tuple.Int(99)))
+			break
+		}
+	}
+	ast := progs[0].Main.Body[0].(*TxnNode)
+	_ = append(ast.Actions[0].(*AssertAction).Pattern.Fields, &WildField{})
+	_ = append(ast.Actions, &SkipAction{})
+	_ = append(progs[0].Processes[0].Params, "c")
+
+	for i := range srcs {
+		if got := Format(progs[i]); got != formatted[i] {
+			t.Errorf("program %d: Format changed after appends:\n%s\nwant:\n%s", i, got, formatted[i])
+		}
+		if got := renderDefs(comps[i]); got != rendered[i] {
+			t.Errorf("program %d: compiled definitions changed after appends:\n%s\nwant:\n%s", i, got, rendered[i])
+		}
+	}
+}
+
+// renderDefs prints the compiled definitions' statements, patterns and
+// actions.
+func renderDefs(c *Compiled) string {
+	var b strings.Builder
+	for _, d := range c.Defs {
+		fmt.Fprintf(&b, "%s(%v): %v\n", d.Name, d.Params, d.Body)
+	}
+	return b.String()
+}

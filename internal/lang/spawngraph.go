@@ -13,11 +13,11 @@ package lang
 // precede the spawn in the same action list (their bindings are visible to
 // the arguments).
 type SpawnSite struct {
-	Caller string     // enclosing behavior (MainProcess for the main block)
-	Callee string     // spawned process name
-	Args   []ExprNode // actual-argument expressions
-	Txn    *TxnNode   // enclosing transaction (the guard for guarded spawns)
-	Lets   []LetAction // lets preceding the spawn in the same action list
+	Caller string       // enclosing behavior (MainProcess for the main block)
+	Callee string       // spawned process name
+	Args   []ExprNode   // actual-argument expressions
+	Txn    *TxnNode     // enclosing transaction (the guard for guarded spawns)
+	Lets   []*LetAction // lets preceding the spawn in the same action list
 	Pos    Pos
 }
 
@@ -37,12 +37,12 @@ func SpawnSites(prog *Program) []SpawnSite {
 func appendSpawnSites(sites []SpawnSite, caller string, body []StmtNode) []SpawnSite {
 	var visit func(stmts []StmtNode)
 	fromTxn := func(t *TxnNode) {
-		var lets []LetAction
+		var lets []*LetAction
 		for _, a := range t.Actions {
 			switch act := a.(type) {
-			case LetAction:
+			case *LetAction:
 				lets = append(lets, act)
-			case SpawnAction:
+			case *SpawnAction:
 				sites = append(sites, SpawnSite{
 					Caller: caller,
 					Callee: act.Name,

@@ -94,6 +94,8 @@ const (
 	TokSkip
 	TokTrue
 	TokFalse
+
+	tokKinds // the number of kinds above; not a token
 )
 
 var kindNames = map[TokKind]string{

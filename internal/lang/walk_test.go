@@ -40,7 +40,7 @@ func TestWalkVisitsEveryNodeKind(t *testing.T) {
 			return "ProcessDecl"
 		case *MainDecl:
 			return "MainDecl"
-		case ViewRule:
+		case *ViewRule:
 			return "ViewRule"
 		case *TxnNode:
 			return "TxnNode"
@@ -50,27 +50,27 @@ func TestWalkVisitsEveryNodeKind(t *testing.T) {
 			return "RepNode"
 		case *ParNode:
 			return "ParNode"
-		case BranchNode:
+		case *BranchNode:
 			return "BranchNode"
-		case QueryItem:
+		case *QueryItem:
 			return "QueryItem"
-		case PatternNode:
+		case *PatternNode:
 			return "PatternNode"
-		case WildField:
+		case *WildField:
 			return "WildField"
-		case ExprField:
+		case *ExprField:
 			return "ExprField"
-		case AssertAction:
+		case *AssertAction:
 			return "AssertAction"
-		case LetAction:
+		case *LetAction:
 			return "LetAction"
-		case SpawnAction:
+		case *SpawnAction:
 			return "SpawnAction"
-		case ExitAction:
+		case *ExitAction:
 			return "ExitAction"
-		case AbortAction:
+		case *AbortAction:
 			return "AbortAction"
-		case SkipAction:
+		case *SkipAction:
 			return "SkipAction"
 		case *LitNode:
 			return "LitNode"
@@ -116,7 +116,7 @@ func TestWalkPrune(t *testing.T) {
 		switch n.(type) {
 		case *TxnNode:
 			return false
-		case PatternNode:
+		case *PatternNode:
 			patterns++
 		}
 		return true

@@ -75,7 +75,7 @@ type Offer struct {
 	m      *Manager
 	state  atomic.Int32
 	done   chan struct{}
-	res    txn.Result
+	ans    *txn.Answer
 	chosen int
 	err    error
 }
@@ -83,8 +83,20 @@ type Offer struct {
 // Done returns a channel closed when the offer has fired.
 func (o *Offer) Done() <-chan struct{} { return o.done }
 
-// Result returns the offer's outcome after Done is closed.
-func (o *Offer) Result() (txn.Result, error) { return o.res, o.err }
+// Result returns the offer's outcome after Done is closed, in the public,
+// map-shaped form.
+func (o *Offer) Result() (txn.Result, error) {
+	if o.err != nil {
+		return txn.Result{}, o.err
+	}
+	return o.ans.Result(), nil
+}
+
+// Answer returns the fired offer's answer after Done is closed: the chosen
+// alternative's solution as a row, and its effects. It passes to the caller,
+// who releases it (txn.Answer); after that neither Answer nor Result may be
+// called.
+func (o *Offer) Answer() (*txn.Answer, error) { return o.ans, o.err }
 
 // Chosen returns the index of the alternative that executed, valid after
 // Done is closed with a nil error.
@@ -500,7 +512,8 @@ func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
 // on the environment; when they do (a lead taken from a parameter), an offer
 // whose Env rebinds that parameter reads another bucket and is not covered.
 // Universal and unbounded members are watched through every commit and
-// evaluated under every lock, so anything is covered.
+// evaluated under every lock, so anything is covered. The bucket test builds
+// no shape: it walks the offer's buckets against the registered ones.
 func (mem *member) covers(reqs []txn.Request) bool {
 	if !mem.shape.Bounded {
 		return true
@@ -512,21 +525,8 @@ func (mem *member) covers(reqs []txn.Request) bool {
 		if mem.envFree && r.View.Import.Same(mem.view.Import) {
 			continue
 		}
-		rs := r.View.ImportShape(r.Env)
-		if !rs.Bounded {
+		if !r.View.ImportWithin(r.Env, mem.shape.Keys) {
 			return false
-		}
-		for _, k := range rs.Keys {
-			found := false
-			for _, have := range mem.shape.Keys {
-				if have == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
 		}
 	}
 	return true
@@ -535,20 +535,31 @@ func (mem *member) covers(reqs []txn.Request) bool {
 // Offer submits a consensus transaction and blocks until it fires or ctx
 // is cancelled.
 func (m *Manager) Offer(ctx context.Context, req txn.Request) (txn.Result, error) {
-	o, err := m.StartOffer(req)
+	a, err := m.Await(ctx, req)
 	if err != nil {
 		return txn.Result{}, err
 	}
+	defer a.Release()
+	return a.Result(), nil
+}
+
+// Await is Offer with the answer handed over rather than copied out: the
+// caller reads the fired transaction's row and effects, then releases the
+// answer (txn.Answer).
+func (m *Manager) Await(ctx context.Context, req txn.Request) (*txn.Answer, error) {
+	o, err := m.StartOffer(req)
+	if err != nil {
+		return nil, err
+	}
 	select {
 	case <-o.Done():
-		return o.Result()
 	case <-ctx.Done():
 		if o.Withdraw() {
-			return txn.Result{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 		<-o.Done() // fired while cancelling: the effect is committed
-		return o.Result()
 	}
+	return o.Answer()
 }
 
 // removeOffer forgets a withdrawn offer. A withdrawal can make no set
@@ -872,7 +883,7 @@ func materialize(mem *member, r dataspace.Reader) map[tuple.ID]view.BucketKey {
 // evaluated for a firing attempt is planned and served exactly as the same
 // query is inside an ordinary transaction.
 type hidingSource struct {
-	win    view.Window
+	win    *view.Window
 	hidden map[tuple.ID]struct{}
 }
 
@@ -978,7 +989,7 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 		claimed = append(claimed, o)
 	}
 
-	results := make([]txn.Result, len(claimed))
+	answers := make([]*txn.Answer, len(claimed))
 	chosen := make([]int, len(claimed))
 	// The window between claiming and committing is where withdrawals and
 	// cancellations race a firing attempt; stretch it.
@@ -995,78 +1006,43 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 			return errAbortFire
 		}
 		hidden := make(map[tuple.ID]struct{})
-		type planned struct {
-			retract []dataspace.Instance
-			assert  []tuple.Tuple
-			sol     pattern.Binding
-			req     txn.Request
-		}
-		plans := make([]planned, len(claimed))
 		// Phase 1: evaluate every member's query against the pre-state
-		// (minus instances claimed by earlier members). For each offer the
-		// first alternative whose query succeeds is the one executed.
+		// (minus instances claimed by earlier members) and ground its
+		// assertions. For each offer the first alternative whose query
+		// succeeds is the one executed.
 		for i, o := range claimed {
-			matched := false
 			for ai, req := range o.reqs {
-				src := hidingSource{win: req.View.Window(w, req.Env), hidden: hidden}
-				sol, found, err := pattern.Solve(req.Query, src, req.Env)
+				a := txn.NewAnswer(req)
+				found, err := a.Solve(hidingSource{win: a.Window(w), hidden: hidden}, true)
+				if err == nil && found {
+					err = a.Ground(w)
+				}
 				if err != nil {
+					a.Release()
 					return err
 				}
 				if !found {
+					a.Release()
 					continue
 				}
-				matched = true
-				chosen[i] = ai
-				plans[i].sol = sol
-				plans[i].req = req
-				for _, mt := range sol.Matched {
-					if !mt.Retract {
-						continue
-					}
-					inst, ok := w.Get(mt.ID)
-					if !ok {
-						return errAbortFire
-					}
+				answers[i], chosen[i] = a, ai
+				for _, mt := range a.Rows()[0].Matched() {
 					hidden[mt.ID] = struct{}{}
-					plans[i].retract = append(plans[i].retract, inst)
-				}
-				for _, ap := range req.Asserts {
-					t, gerr := ap.Ground(sol.Env)
-					if gerr != nil {
-						return gerr
-					}
-					if req.View.Exports(w, sol.Env, t) {
-						plans[i].assert = append(plans[i].assert, t)
-					} else if req.Export == txn.ExportError {
-						return txn.ErrExportViolation
-					}
 				}
 				break
 			}
-			if !matched {
+			if answers[i] == nil {
 				return errAbortFire
 			}
 		}
 		// Phase 2: all retractions, then all assertions.
-		for i := range plans {
-			for _, inst := range plans[i].retract {
-				if err := w.Delete(inst.ID); err != nil {
-					return err
-				}
+		for _, a := range answers {
+			if err := a.Retract(w); err != nil {
+				return err
 			}
 		}
-		for i := range plans {
-			owner := plans[i].req.Proc
-			res := txn.Result{OK: true, Env: plans[i].sol.Env,
-				Solutions: []expr.Env{plans[i].sol.Env},
-				Retracted: plans[i].retract}
-			for _, t := range plans[i].assert {
-				id := w.Insert(t, owner)
-				res.Asserted = append(res.Asserted,
-					dataspace.Instance{ID: id, Tuple: t, Owner: owner})
-			}
-			results[i] = res
+		for _, a := range answers {
+			a.Insert(w)
 		}
 		return nil
 	}
@@ -1077,6 +1053,11 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 		err = m.engine.Store().Update(tuple.Environment, attempt)
 	}
 	if err != nil {
+		for _, a := range answers {
+			if a != nil {
+				a.Release()
+			}
+		}
 		revert()
 		reg.IncTxnRetry(metrics.TxnConsensus)
 		return false
@@ -1104,7 +1085,7 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 	}
 	for _, i := range order {
 		o := claimed[i]
-		o.res = results[i]
+		o.ans = answers[i]
 		o.chosen = chosen[i]
 		o.state.Store(int32(stateFired))
 		close(o.done)

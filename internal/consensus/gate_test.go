@@ -160,17 +160,17 @@ type countingMatcher struct{ visits *atomic.Int64 }
 
 var readyAtom = tuple.Atom("ready")
 
-func (c countingMatcher) Admits(_ dataspace.Reader, _ expr.Env, t tuple.Tuple) bool {
+func (c countingMatcher) Admits(_ dataspace.Reader, _ expr.Scope, t tuple.Tuple) bool {
 	c.visits.Add(1)
 	return t.Arity() == 2 && t.Field(0).Equal(readyAtom)
 }
-func (c countingMatcher) Restriction(_ expr.Env, arity int) ([]tuple.Value, bool, bool) {
+func (c countingMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	if arity != 2 {
-		return nil, false, true
+		return leads, false, true
 	}
-	return []tuple.Value{readyAtom}, true, true
+	return append(leads, readyAtom), true, true
 }
-func (c countingMatcher) Arities() ([]int, bool) { return []int{2}, false }
+func (c countingMatcher) Arities() (int, bool) { return 2, false }
 
 // barrierFire builds an n-member barrier — every member's guard names all n
 // <ready, i> tuples — lets all but the last member offer, and returns the

@@ -3,8 +3,9 @@
 // expressions that appear in assertions and let-actions (e.g. `α + β`,
 // `k − 2^(j−1)`).
 //
-// Expressions evaluate against an Env, the variable bindings produced by a
-// binding query. Evaluation is side-effect free.
+// Expressions evaluate against a Scope, the variable bindings produced by a
+// binding query: an Env, the matcher's slot frame, or one solution row.
+// Evaluation is side-effect free.
 package expr
 
 import (
@@ -15,10 +16,24 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
+// Scope resolves the variables an expression reads. Env is the map-shaped
+// scope; the pattern matcher's slot frame and a solution row are scopes too,
+// so an expression reads bindings where they live instead of from a copy. A
+// nil Scope binds nothing: every variable is unbound.
+type Scope interface {
+	Lookup(name string) (tuple.Value, bool)
+}
+
 // Env holds variable bindings during query evaluation. Variable names are
 // the quantified variables of the enclosing transaction (the paper writes
 // them as Greek letters) plus process parameters and let-constants.
 type Env map[string]tuple.Value
+
+// Lookup implements Scope. A map converts to a Scope without allocating.
+func (e Env) Lookup(name string) (tuple.Value, bool) {
+	v, ok := e[name]
+	return v, ok
+}
 
 // Clone returns an independent copy of the environment.
 func (e Env) Clone() Env {
@@ -39,10 +54,10 @@ var (
 	ErrDivZero = errors.New("expr: division by zero")
 )
 
-// Expr is a side-effect-free expression over an Env.
+// Expr is a side-effect-free expression over a Scope.
 type Expr interface {
-	// Eval computes the value of the expression under env.
-	Eval(env Env) (tuple.Value, error)
+	// Eval computes the value of the expression under s.
+	Eval(s Scope) (tuple.Value, error)
 	// Vars appends the free variables of the expression to dst.
 	Vars(dst []string) []string
 	// String renders the expression in SDL surface syntax.
@@ -56,7 +71,7 @@ type Lit struct{ Value tuple.Value }
 func Const(v tuple.Value) Lit { return Lit{Value: v} }
 
 // Eval implements Expr.
-func (l Lit) Eval(Env) (tuple.Value, error) { return l.Value, nil }
+func (l Lit) Eval(Scope) (tuple.Value, error) { return l.Value, nil }
 
 // Vars implements Expr.
 func (l Lit) Vars(dst []string) []string { return dst }
@@ -70,12 +85,13 @@ type Var struct{ Name string }
 func V(name string) Var { return Var{Name: name} }
 
 // Eval implements Expr.
-func (v Var) Eval(env Env) (tuple.Value, error) {
-	val, ok := env[v.Name]
-	if !ok {
-		return tuple.Value{}, fmt.Errorf("%w: %s", ErrUnbound, v.Name)
+func (v Var) Eval(s Scope) (tuple.Value, error) {
+	if s != nil {
+		if val, ok := s.Lookup(v.Name); ok {
+			return val, nil
+		}
 	}
-	return val, nil
+	return tuple.Value{}, fmt.Errorf("%w: %s", ErrUnbound, v.Name)
 }
 
 // Vars implements Expr.
@@ -147,11 +163,11 @@ func And(l, r Expr) Binary { return Bin(OpAnd, l, r) }
 func Or(l, r Expr) Binary  { return Bin(OpOr, l, r) }
 
 // Eval implements Expr.
-func (b Binary) Eval(env Env) (tuple.Value, error) {
+func (b Binary) Eval(s Scope) (tuple.Value, error) {
 	// Short-circuit logical operators.
 	switch b.Op {
 	case OpAnd, OpOr:
-		lv, err := b.L.Eval(env)
+		lv, err := b.L.Eval(s)
 		if err != nil {
 			return tuple.Value{}, err
 		}
@@ -165,7 +181,7 @@ func (b Binary) Eval(env Env) (tuple.Value, error) {
 		if b.Op == OpOr && lb {
 			return tuple.Bool(true), nil
 		}
-		rv, err := b.R.Eval(env)
+		rv, err := b.R.Eval(s)
 		if err != nil {
 			return tuple.Value{}, err
 		}
@@ -176,11 +192,11 @@ func (b Binary) Eval(env Env) (tuple.Value, error) {
 		return tuple.Bool(rb), nil
 	}
 
-	lv, err := b.L.Eval(env)
+	lv, err := b.L.Eval(s)
 	if err != nil {
 		return tuple.Value{}, err
 	}
-	rv, err := b.R.Eval(env)
+	rv, err := b.R.Eval(s)
 	if err != nil {
 		return tuple.Value{}, err
 	}
@@ -279,8 +295,8 @@ func Not(x Expr) Unary { return Unary{Op: OpNot, X: x} }
 func Neg(x Expr) Unary { return Unary{Op: OpNeg, X: x} }
 
 // Eval implements Expr.
-func (u Unary) Eval(env Env) (tuple.Value, error) {
-	v, err := u.X.Eval(env)
+func (u Unary) Eval(s Scope) (tuple.Value, error) {
+	v, err := u.X.Eval(s)
 	if err != nil {
 		return tuple.Value{}, err
 	}
@@ -411,14 +427,14 @@ func HasBuiltin(name string) bool {
 }
 
 // Eval implements Expr.
-func (c Call) Eval(env Env) (tuple.Value, error) {
+func (c Call) Eval(s Scope) (tuple.Value, error) {
 	fn, ok := builtins[c.Name]
 	if !ok {
 		return tuple.Value{}, fmt.Errorf("expr: unknown function %q", c.Name)
 	}
 	args := make([]tuple.Value, len(c.Args))
 	for i, a := range c.Args {
-		v, err := a.Eval(env)
+		v, err := a.Eval(s)
 		if err != nil {
 			return tuple.Value{}, err
 		}
@@ -445,11 +461,11 @@ func (c Call) String() string {
 
 // EvalBool evaluates e and asserts a boolean result; it is the entry point
 // used for test queries.
-func EvalBool(e Expr, env Env) (bool, error) {
+func EvalBool(e Expr, s Scope) (bool, error) {
 	if e == nil {
 		return true, nil
 	}
-	v, err := e.Eval(env)
+	v, err := e.Eval(s)
 	if err != nil {
 		return false, err
 	}
@@ -462,9 +478,10 @@ func EvalBool(e Expr, env Env) (bool, error) {
 
 // Compile-time interface checks.
 var (
-	_ Expr = Lit{}
-	_ Expr = Var{}
-	_ Expr = Binary{}
-	_ Expr = Unary{}
-	_ Expr = Call{}
+	_ Expr  = Lit{}
+	_ Expr  = Var{}
+	_ Expr  = Binary{}
+	_ Expr  = Unary{}
+	_ Expr  = Call{}
+	_ Scope = Env(nil)
 )

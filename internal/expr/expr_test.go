@@ -152,6 +152,33 @@ func TestUnbound(t *testing.T) {
 	}
 }
 
+// TestEvalUnderNilScope: a nil Scope binds nothing. Closed expressions
+// evaluate, and every variable reference is unbound — an error, not a panic.
+func TestEvalUnderNilScope(t *testing.T) {
+	closed := Add(Const(tuple.Int(2)), Fn("pow2", Const(tuple.Int(3))))
+	if v, err := closed.Eval(nil); err != nil || v != tuple.Int(10) {
+		t.Errorf("%s under a nil scope = %v, %v; want 10", closed, v, err)
+	}
+	for _, e := range []Expr{
+		V("a"),
+		Add(V("a"), Const(tuple.Int(1))),
+		Not(V("a")),
+		Fn("abs", V("a")),
+		And(Const(tuple.Bool(true)), V("a")),
+	} {
+		if _, err := e.Eval(nil); !errors.Is(err, ErrUnbound) {
+			t.Errorf("%s under a nil scope: err = %v, want ErrUnbound", e, err)
+		}
+		if _, err := EvalBool(e, nil); !errors.Is(err, ErrUnbound) {
+			t.Errorf("EvalBool(%s) under a nil scope: err = %v, want ErrUnbound", e, err)
+		}
+	}
+	// A nil Env is a scope that binds nothing, too.
+	if _, err := V("a").Eval(Env(nil)); !errors.Is(err, ErrUnbound) {
+		t.Errorf("under a nil Env: err = %v, want ErrUnbound", err)
+	}
+}
+
 func TestBuiltins(t *testing.T) {
 	tests := []struct {
 		e    Expr

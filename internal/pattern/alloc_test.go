@@ -8,8 +8,9 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// Count-exact allocation guards of the matcher: an enumeration allocates
-// what it hands out — two allocations per solution environment (a map:
+// Count-exact allocation guards of the matcher: an enumeration into a
+// reused Table allocates nothing; the Binding-shaped entry points allocate
+// what they hand out — two allocations per solution environment (a map:
 // header plus buckets), one slice of solutions — and nothing per candidate,
 // per depth or per backtrack.
 
@@ -53,6 +54,17 @@ func TestSolveAllAllocatesPerSolution(t *testing.T) {
 			})
 			if max := float64(2*n + 4); got > max {
 				t.Errorf("%s under %v: %.0f allocations for %d solutions, want <= %.0f", name, base, got, n, max)
+			}
+			// The rows themselves cost nothing once the table has grown.
+			var tab Table
+			collect := func() {
+				if err := tab.Collect(q, s, base, false); err != nil || len(tab.Rows()) != n {
+					t.Fatalf("%s: %d rows, err %v", name, len(tab.Rows()), err)
+				}
+			}
+			collect()
+			if got := testing.AllocsPerRun(100, collect); got != 0 {
+				t.Errorf("%s under %v: Collect of %d rows allocated %.0f times, want 0", name, base, n, got)
 			}
 		}
 	}
@@ -113,8 +125,8 @@ func TestCandidatesAllocateNothing(t *testing.T) {
 }
 
 // TestMatchAllocatesNothing: the single-tuple match behind view admission and
-// delta filters allocates only when a where clause or computed field will
-// read a binding the pattern makes.
+// delta filters allocates nothing, even when a where clause or a computed
+// field reads a binding the pattern makes: the frame is their scope.
 func TestMatchAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	tp := tuple.New(tuple.Atom("k"), tuple.Int(5), tuple.Int(5))
@@ -139,7 +151,7 @@ func TestMatchAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: %.0f allocations, want <= %.0f", name, got, c.max)
 		}
 	}
-	// A tuple the pattern rejects never pays for the where clause's clone.
+	// Nor does a tuple the pattern rejects.
 	miss, where := P(C(tuple.Atom("other")), V("v"), W()), expr.Expr(lt)
 	if got := testing.AllocsPerRun(100, func() { miss.Match(tp, env, where) }); got != 0 {
 		t.Errorf("rejected tuple under a where clause: %.0f allocations, want 0", got)

@@ -310,6 +310,117 @@ func checkEnumerate(t *testing.T, data []byte) {
 	}
 }
 
+// probeNames are the names a row is asked for: every name a decoded query
+// can use, the base environment's parameter, and one nothing binds.
+var probeNames = append(slices.Clone(enumNames), "p", "absent")
+
+// checkRows collects q into a pattern.Table, every solution and then only
+// the first, and checks each row against its materialized environment: a
+// lookup of any name — a bound variable, a base variable, a variable only
+// negated patterns mention, a name nothing binds — agrees with the map, and
+// the rows are the oracle's solutions (or one of them).
+func checkRows(t *testing.T, where string, q pattern.Query, mk func() pattern.Source, base expr.Env, want map[string]int) {
+	t.Helper()
+	var tab pattern.Table
+	for _, first := range []bool{false, true} {
+		if err := tab.Collect(q, mk(), base, first); err != nil {
+			t.Fatalf("%s: Collect(first=%v): %v", where, first, err)
+		}
+		rows := tab.Rows()
+		got := map[string]int{}
+		for i := range rows {
+			r := &rows[i]
+			env := r.Env()
+			for _, name := range probeNames {
+				v, ok := r.Lookup(name)
+				if w, wok := env[name]; ok != wok || v != w {
+					t.Fatalf("%s: row %d looks up %s as %v (%v), its Env holds %v (%v)", where, i, name, v, ok, w, wok)
+				}
+			}
+			ids := make([]tuple.ID, 0, len(r.Matched()))
+			for _, m := range r.Matched() {
+				ids = append(ids, m.ID)
+			}
+			got[solutionKey(env, ids)]++
+		}
+		switch {
+		case !first && !maps.Equal(got, want):
+			t.Fatalf("%s: table rows\n got %v\nwant %v", where, got, want)
+		case first && (len(rows) != min(1, len(want)) || !subset(got, want)):
+			t.Fatalf("%s: first-only table rows %v, oracle %v", where, got, want)
+		}
+	}
+}
+
+// subset reports whether every key of got is a key of want.
+func subset(got, want map[string]int) bool {
+	for k := range got {
+		if want[k] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRowLookupsMatchEnv runs the row check over a pseudo-random corpus and
+// insists the corpus reaches the cases that matter: rows over a base
+// environment, queries with a variable only a negated pattern mentions, and
+// both quantifiers.
+func TestRowLookupsMatchEnv(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var withBase, negatedOnly, exists, forall int
+	for round := 0; round < 2000; round++ {
+		data := make([]byte, 32+r.Intn(96))
+		r.Read(data)
+		in := decodeEnumInput(data)
+		window := make([]refmodel.Instance, len(in.tuples))
+		for i, tp := range in.tuples {
+			window[i] = refmodel.Instance{ID: tuple.ID(i + 1), Tuple: tp}
+		}
+		oracle, err := refmodel.Solutions(in.q, window, in.base)
+		if err != nil || !scopedAsWritten(in.q, in.base) || len(oracle) == 0 {
+			continue
+		}
+		want := map[string]int{}
+		for _, s := range oracle {
+			want[solutionKey(s.Env, s.Retracted)]++
+		}
+		checkRows(t, fmt.Sprintf("%s from %v", in.q, in.base), in.q,
+			func() pattern.Source { return pattern.NewSliceSource(in.tuples) }, in.base, want)
+		if len(in.base) > 0 {
+			withBase++
+		}
+		if hasNegatedOnlyVar(in.q, in.base) {
+			negatedOnly++
+		}
+		if in.q.Quant == pattern.Exists {
+			exists++
+		} else {
+			forall++
+		}
+	}
+	if withBase < 50 || negatedOnly < 20 || exists < 50 || forall < 50 {
+		t.Fatalf("corpus too narrow: %d with a base, %d with a negated-only variable, %d ∃, %d ∀", withBase, negatedOnly, exists, forall)
+	}
+}
+
+// hasNegatedOnlyVar reports whether some variable of q appears only in
+// negated patterns (and is not a base variable).
+func hasNegatedOnlyVar(q pattern.Query, base expr.Env) bool {
+	positive := q.Vars()
+	for _, p := range q.Patterns {
+		if !p.Negated {
+			continue
+		}
+		for _, f := range p.Fields {
+			if _, inBase := base[f.Name]; f.Kind == pattern.FieldVar && !inBase && !slices.Contains(positive, f.Name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func FuzzEnumerate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 5, 2, 1, 5, 9, 0, 1, 1, 1, 5, 4, 0, 7, 3})

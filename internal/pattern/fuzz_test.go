@@ -128,12 +128,20 @@ func sameEnv(a, b expr.Env) bool {
 	return true
 }
 
-// envSpy is a where clause that records the environment it is evaluated
-// under and holds.
-type envSpy struct{ seen *expr.Env }
+// envSpy is a where clause that records the environment its scope resolves
+// over names and holds.
+type envSpy struct {
+	names []string
+	seen  *expr.Env
+}
 
-func (s envSpy) Eval(env expr.Env) (tuple.Value, error) {
-	*s.seen = env.Clone()
+func (s envSpy) Eval(scope expr.Scope) (tuple.Value, error) {
+	*s.seen = expr.Env{}
+	for _, name := range s.names {
+		if v, ok := scope.Lookup(name); ok {
+			(*s.seen)[name] = v
+		}
+	}
 	return tuple.Bool(true), nil
 }
 func (envSpy) Vars(dst []string) []string { return dst }
@@ -142,8 +150,12 @@ func (envSpy) String() string             { return "spy" }
 // matchEnv matches p against t under env and returns the environment a
 // where clause is evaluated under (nil when the match fails before it).
 func matchEnv(p Pattern, t tuple.Tuple, env expr.Env) (expr.Env, bool) {
+	names := p.Vars(append([]string(nil), fuzzNames...))
+	for name := range env {
+		names = append(names, name)
+	}
 	var seen expr.Env
-	ok := p.Match(t, env, envSpy{&seen})
+	ok := p.Match(t, env, envSpy{names, &seen})
 	return seen, ok
 }
 

@@ -20,10 +20,19 @@ import (
 // compiled (the names resolved so far are the bound mask) and the candidate
 // loop never asks: each pattern field is one op over one slot.
 //
-// Expressions (computed fields, guards, the test query) evaluate against an
-// expr.Env. A query that carries one runs with a scratch environment — the
-// base environment plus the current bindings, kept in step by the bind op —
-// and a query that carries none runs with no map at all.
+// The frame is also the expr.Scope that every expression of the query —
+// computed fields, guards, the test query — evaluates against: the slots
+// bound so far, then the read-only base environment. Which slots are bound
+// follows from their position. A step binds the slots right after the ones
+// earlier steps bound, in field order, so the bound slots are a prefix of
+// the positive patterns' slots plus, inside a negated step, a prefix of that
+// step's own (frame.enter). Backtracking undoes nothing: a slot past the
+// bound range keeps its stale value, and no lookup reaches it.
+//
+// A solution is appended to a Table as one row of its positive slots'
+// values, and no map is built. Only the Binding-shaped entry points — Solve,
+// SolveAll, AppendSolutions, Enumerate — build one per solution (binding),
+// from the frame as the solution is found.
 
 // opKind is what one compiled pattern field does with a tuple field.
 type opKind uint8
@@ -33,7 +42,7 @@ const (
 	opConst               // must Equal a pre-loaded slot: a literal, or a variable the base environment binds
 	opCheck               // must Equal the slot of a variable bound earlier in the run
 	opBind                // first occurrence of a variable: store into its slot
-	opExpr                // must Equal the field's expression under the scratch environment
+	opExpr                // must Equal the field's expression under the frame's scope
 )
 
 // fieldOp is one compiled pattern field; op i of a pattern belongs to its
@@ -44,15 +53,50 @@ type fieldOp struct {
 }
 
 // frame is the value state of one run. Both slices are sized up front, to
-// one slot per pattern field, and the environments around the frame are
-// passed to its methods rather than kept in it — so a frame built over stack
-// arrays stays on the stack.
+// one slot per pattern field. Apart from Lookup, which only a pooled
+// matcher's frame serves, a frame's methods never hand the frame or its base
+// to an interface — the scope an expression reads and the base are passed in
+// — so a frame built over stack arrays stays on the stack.
 type frame struct {
 	names  []string      // variable slot -> name
 	vals   []tuple.Value // slot -> value: variables [0, n), constants [consts, len)
+	base   expr.Scope    // the caller's environment, read-only; nil binds nothing
 	n      int           // variable slots in use
 	nsol   int           // of those, the slots positive patterns bind; the rest belong to negated ones
 	consts int           // lowest constant slot in use
+
+	// The scope: slots [0, outer) and [local, bound) are bound (see enter).
+	outer, local, bound int
+}
+
+// enter sets the scope to what is bound when a step starts: the slots
+// [0, outer) of the steps before it, and none yet of its own, which start
+// at local.
+func (f *frame) enter(outer, local int) {
+	f.outer, f.local, f.bound = outer, local, local
+}
+
+// Lookup implements expr.Scope: the bound slots, then the base environment.
+func (f *frame) Lookup(name string) (tuple.Value, bool) {
+	for i, n := range f.names[:f.outer] {
+		if n == name {
+			return f.vals[i], true
+		}
+	}
+	for i := f.local; i < f.bound; i++ {
+		if f.names[i] == name {
+			return f.vals[i], true
+		}
+	}
+	return lookup(f.base, name)
+}
+
+// lookup resolves name in s; a nil s binds nothing.
+func lookup(s expr.Scope, name string) (tuple.Value, bool) {
+	if s == nil {
+		return tuple.Value{}, false
+	}
+	return s.Lookup(name)
 }
 
 // slot resolves a variable to the slot an earlier op binds: one of the
@@ -74,10 +118,11 @@ func (f *frame) slot(name string, local int) int {
 
 // compile translates p's fields into ops — len(p.Fields) of them, zero on
 // entry (a fresh buffer, or one release cleared) — allocating a variable
-// slot for each variable that neither an earlier op nor the base environment
-// binds and a constant slot for each value fixed for the run. It reports
-// whether a field is computed.
-func (f *frame) compile(p *Pattern, ops []fieldOp, base expr.Env) (computed bool) {
+// slot for each variable that neither an earlier op nor base binds and a
+// constant slot for each value fixed for the run. base is passed on its own
+// rather than read from the frame: an interface call on a frame field would
+// move the frame's stack arrays to the heap.
+func (f *frame) compile(p *Pattern, ops []fieldOp, base expr.Scope) {
 	local := f.n
 	load := func(v tuple.Value) int32 {
 		f.consts--
@@ -92,7 +137,7 @@ func (f *frame) compile(p *Pattern, ops []fieldOp, base expr.Env) (computed bool
 		case FieldVar:
 			if s := f.slot(fd.Name, local); s >= 0 {
 				op.kind, op.slot = opCheck, int32(s)
-			} else if v, ok := base[fd.Name]; ok {
+			} else if v, ok := lookup(base, fd.Name); ok {
 				op.kind, op.slot = opConst, load(v)
 			} else {
 				op.kind, op.slot = opBind, int32(f.n)
@@ -101,71 +146,55 @@ func (f *frame) compile(p *Pattern, ops []fieldOp, base expr.Env) (computed bool
 			}
 		case FieldExpr:
 			op.kind = opExpr
-			computed = true
 		}
 	}
-	return computed
 }
 
-// match runs p's ops against t. env is the scratch environment — the base
-// environment plus the current bindings — when an expression will read it,
-// nil otherwise. It returns how many bind ops executed (the count unbind
-// needs, on failure too) and whether every field matched.
-func (f *frame) match(p *Pattern, ops []fieldOp, t tuple.Tuple, env expr.Env) (bound int, ok bool) {
+// match runs p's ops against t, widening the scope over each slot it binds.
+// s is the frame itself as a scope, for computed fields to read — nil when p
+// has none. It reports whether every field matched.
+func (f *frame) match(p *Pattern, ops []fieldOp, t tuple.Tuple, s expr.Scope) bool {
 	if t.Arity() != len(ops) {
-		return 0, false
+		return false
 	}
 	for i, op := range ops {
 		fv := t.Field(i)
 		switch op.kind {
 		case opConst, opCheck:
 			if !f.vals[op.slot].Equal(fv) {
-				return bound, false
+				return false
 			}
 		case opBind:
 			f.vals[op.slot] = fv
-			if env != nil {
-				env[f.names[op.slot]] = fv
-			}
-			bound++
+			f.bound = int(op.slot) + 1
 		case opExpr:
 			// An unevaluable computed field (a variable not bound yet)
 			// fails the candidate; it is not an error.
-			if want, err := p.Fields[i].Expr.Eval(env); err != nil || !want.Equal(fv) {
-				return bound, false
+			if want, err := p.Fields[i].Expr.Eval(s); err != nil || !want.Equal(fv) {
+				return false
 			}
 		}
 	}
-	return bound, true
+	return true
 }
 
-// unbind removes the first bound bindings of ops from the scratch
-// environment, so an expression evaluated after backtracking sees exactly the
-// variables in scope. The frame needs no undo: a slot is read only by ops
-// compiled after the one that binds it.
-func (f *frame) unbind(ops []fieldOp, bound int, env expr.Env) {
-	if env == nil {
-		return
-	}
-	for i := 0; bound > 0; i++ {
-		if ops[i].kind == opBind {
-			delete(env, f.names[ops[i].slot])
-			bound--
-		}
-	}
-}
-
-// Match reports whether t matches p on its own under env — constants equal,
-// variables bound in env equal, a repeated variable equal to its first
-// occurrence, computed fields equal to their value under env extended with
+// Match reports whether t matches p on its own under s — constants equal,
+// variables bound in s equal, a repeated variable equal to its first
+// occurrence, computed fields equal to their value under s extended with
 // p's bindings — and, when where is non-nil, whether where holds under that
-// extended environment. p's guard is not consulted. env is never modified,
-// and nothing is allocated unless p binds a variable that where or a
-// computed field may read.
-func (p Pattern) Match(t tuple.Tuple, env expr.Env, where expr.Expr) bool {
+// extended scope. p's guard is not consulted. A nil s binds nothing. s is
+// never modified, and nothing is allocated.
+func (p Pattern) Match(t tuple.Tuple, s expr.Scope, where expr.Expr) bool {
 	n := len(p.Fields)
 	if t.Arity() != n {
 		return false
+	}
+	if where != nil || p.computed() {
+		// An expression reads the frame as its scope, which moves the frame
+		// to the heap: borrow a pooled matcher's.
+		m := matchers.Get().(*matcher)
+		defer m.release()
+		return m.matchOne(&p, t, s, where)
 	}
 	// The program of one pattern fits the stack for ordinary arities.
 	const inline = 8
@@ -174,8 +203,7 @@ func (p Pattern) Match(t tuple.Tuple, env expr.Env, where expr.Expr) bool {
 		nameBuf [inline]string
 		valBuf  [inline]tuple.Value
 	)
-	var f frame
-	f.names, f.vals = nameBuf[:], valBuf[:]
+	f := frame{names: nameBuf[:], vals: valBuf[:]}
 	ops := opBuf[:]
 	if n > inline {
 		f.names, f.vals = make([]string, n), make([]tuple.Value, n)
@@ -183,30 +211,32 @@ func (p Pattern) Match(t tuple.Tuple, env expr.Env, where expr.Expr) bool {
 	}
 	f.consts = len(f.vals)
 	ops = ops[:n]
-	// Only a computed field reads bindings while the match runs; a where
-	// clause reads them after it, so a tuple that fails costs no clone.
-	computed := f.compile(&p, ops, env)
-	scratch := env
-	if computed && f.n > 0 {
-		scratch = env.Clone()
-	}
-	var mirror expr.Env
-	if computed {
-		mirror = scratch
-	}
-	if _, ok := f.match(&p, ops, t, mirror); !ok {
-		return false
-	}
-	if where == nil {
-		return true
-	}
-	if !computed && f.n > 0 {
-		scratch = env.Clone()
-		for i, name := range f.names[:f.n] {
-			scratch[name] = f.vals[i]
+	f.compile(&p, ops, s)
+	return f.match(&p, ops, t, nil)
+}
+
+// computed reports whether some field of p is an expression.
+func (p *Pattern) computed() bool {
+	for i := range p.Fields {
+		if p.Fields[i].Kind == FieldExpr {
+			return true
 		}
 	}
-	holds, err := expr.EvalBool(where, scratch)
+	return false
+}
+
+// matchOne is Pattern.Match over the matcher's frame, the scope p's computed
+// fields and where read.
+func (m *matcher) matchOne(p *Pattern, t tuple.Tuple, s expr.Scope, where expr.Expr) bool {
+	n := len(p.Fields)
+	m.base = s
+	m.names, m.vals, m.consts = grow(m.names, n), grow(m.vals, n), n
+	m.ops = grow(m.ops, n)
+	m.frame.compile(p, m.ops, s)
+	if !m.match(p, m.ops, t, &m.frame) {
+		return false
+	}
+	holds, err := expr.EvalBool(where, &m.frame)
 	return err == nil && holds
 }
 
@@ -217,6 +247,7 @@ type step struct {
 	sels  []FieldSel // this step's selector buffer (cap = arity), see scan
 	pi    int        // pat's index in the query
 	local int        // first variable slot the step can bind
+	outer int        // the slots [0, outer) bound when the step starts (see frame.enter)
 	// constrains: some non-lead field could yield a field selector (is
 	// anything but a wildcard).
 	constrains bool
@@ -224,18 +255,16 @@ type step struct {
 
 // matcher is the whole state of one enumeration. Nothing in it is allocated
 // per candidate, per depth or per backtrack, and the value itself is pooled,
-// so an enumeration allocates only what it hands out: per solution, one
-// exact-size environment (and the retract-tagged matches, appended to one
-// arena shared by the run's solutions).
+// so an enumeration allocates nothing of its own.
 type matcher struct {
 	frame
-	base  expr.Env // the caller's environment, read-only
-	env   expr.Env // scratch when the query carries an expression, else nil (see frame.match)
 	q     Query
 	src   Source
 	fsrc  FieldSource        // src's field-index access path, if it has one
-	fn    func(Binding) bool // nil: collect into sols
-	first bool               // collecting: stop after one solution
+	env   expr.Env           // the base environment as given, for the Bindings
+	fn    func(Binding) bool // Enumerate's consumer
+	first bool               // stop after one solution
+	tab   *Table             // Table.Collect's table; nil: solutions become Bindings
 
 	steps []step     // positive patterns in join order, then negated ones as written
 	npos  int        // number of positive steps
@@ -246,9 +275,8 @@ type matcher struct {
 	// deliver[k] is step k's scan callback, built once per matcher.
 	deliver  []func(tuple.ID, tuple.Tuple) bool
 	retracts []Match   // retract-tagged matches of the current partial solution
-	arena    []Match   // retract-tagged matches of the solutions handed out
-	sols     []Binding // solutions collected for Solve and AppendSolutions
-	scratch  expr.Env  // the map behind env, kept across runs
+	arena    []Match   // the matches of the Bindings handed out; never reused
+	sols     []Binding // the Bindings collected for Solve and AppendSolutions
 	found    bool      // a negated step's scan found a violation
 	stopped  bool      // the consumer asked for no more solutions
 	err      error
@@ -265,8 +293,8 @@ func grow[T any](s []T, n int) []T {
 }
 
 // release drops every reference the run left in the matcher — tuples,
-// values, expressions, the source, the caller's environment — and returns it
-// to the pool. Solutions already handed out own their memory.
+// values, expressions, the source, the caller's environment and table — and
+// returns it to the pool. Bindings already handed out own their memory.
 func (m *matcher) release() {
 	clear(m.names)
 	clear(m.vals)
@@ -275,7 +303,6 @@ func (m *matcher) release() {
 	clear(m.sels)
 	clear(m.retracts[:cap(m.retracts)])
 	clear(m.sols)
-	clear(m.scratch)
 	*m = matcher{
 		frame:    frame{names: m.names[:0], vals: m.vals[:0]},
 		steps:    m.steps[:0],
@@ -285,19 +312,22 @@ func (m *matcher) release() {
 		retracts: m.retracts[:0],
 		sols:     m.sols[:0],
 		deliver:  m.deliver,
-		scratch:  m.scratch,
 	}
 	matchers.Put(m)
 }
 
-// run enumerates q's solutions over src from base.
-func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool, first bool) error {
+// run enumerates q's solutions over src from base: into tab, an empty
+// table, or, when tab is nil, as Bindings handed to fn or collected.
+func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool, first bool, tab *Table) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	m.q, m.src, m.base, m.fn, m.first = q, src, base, fn, first
+	m.q, m.src, m.base, m.env, m.fn, m.first, m.tab = q, src, base, base, fn, first, tab
 	m.fsrc, _ = src.(FieldSource)
-	m.compile()
+	m.compile(base)
+	if tab != nil {
+		tab.base, tab.cols = base, append(tab.cols, m.names[:m.nsol]...)
+	}
 	if m.npos == 0 {
 		m.solution()
 	} else {
@@ -308,14 +338,12 @@ func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool,
 
 // compile builds the program: the join order from planJoinOrder, then one
 // step per pattern in the order the run visits them.
-func (m *matcher) compile() {
+func (m *matcher) compile(base expr.Env) {
 	q := m.q
 	fields, nret := 0, 0
-	needEnv := q.Test != nil
 	for i := range q.Patterns {
 		p := &q.Patterns[i]
 		fields += len(p.Fields)
-		needEnv = needEnv || p.Guard != nil
 		if p.Retract {
 			nret++
 		}
@@ -325,7 +353,7 @@ func (m *matcher) compile() {
 	}
 	m.npos = len(m.order)
 	if q.Plan == PlanAuto {
-		planJoinOrder(q, m.order, m.base, m.src)
+		planJoinOrder(q, m.order, base, m.src)
 	}
 	for i := range q.Patterns {
 		if q.Patterns[i].Negated {
@@ -340,11 +368,12 @@ func (m *matcher) compile() {
 	for k, pi := range m.order {
 		p := &q.Patterns[pi]
 		n := len(p.Fields)
-		st := step{pat: p, ops: m.ops[off : off+n], sels: m.sels[off : off : off+n], pi: pi, local: m.n}
+		st := step{pat: p, ops: m.ops[off : off+n], sels: m.sels[off : off : off+n], pi: pi, local: m.n, outer: m.n}
 		off += n
-		if m.frame.compile(p, st.ops, m.base) {
-			needEnv = true
+		if k >= m.npos {
+			st.outer = m.nsol // a negated step sees the positive slots, not its negated siblings'
 		}
+		m.frame.compile(p, st.ops, m.base)
 		if k < m.npos {
 			m.nsol = m.n
 		}
@@ -355,15 +384,6 @@ func (m *matcher) compile() {
 	}
 	for k := len(m.deliver); k < len(m.steps); k++ {
 		m.deliver = append(m.deliver, func(id tuple.ID, t tuple.Tuple) bool { return m.candidate(k, id, t) })
-	}
-	if needEnv {
-		if m.scratch == nil {
-			m.scratch = make(expr.Env, len(m.base)+m.n)
-		}
-		for k, v := range m.base {
-			m.scratch[k] = v
-		}
-		m.env = m.scratch
 	}
 }
 
@@ -380,7 +400,7 @@ func (m *matcher) known(st *step, i int) (tuple.Value, bool) {
 	case opCheck:
 		return m.vals[op.slot], int(op.slot) < st.local
 	case opExpr:
-		v, err := st.pat.Fields[i].Expr.Eval(m.env)
+		v, err := st.pat.Fields[i].Expr.Eval(m)
 		return v, err == nil
 	}
 	return tuple.Value{}, false
@@ -397,6 +417,7 @@ func (m *matcher) known(st *step, i int) (tuple.Value, bool) {
 // buffer per step.
 func (m *matcher) scan(k int) {
 	st := &m.steps[k]
+	m.enter(st.outer, st.local)
 	arity := len(st.ops)
 	lead, leadKnown := m.known(st, 0)
 	if m.fsrc != nil && (!leadKnown || st.constrains && m.fsrc.LeadWide(arity, lead)) {
@@ -433,10 +454,12 @@ func (m *matcher) candidate(k int, id tuple.ID, t tuple.Tuple) bool {
 			}
 		}
 	}
-	bound, ok := m.match(st.pat, st.ops, t, m.env)
+	// The steps beneath the previous candidate moved the scope on.
+	m.enter(st.outer, st.local)
+	ok := m.match(st.pat, st.ops, t, m)
 	if ok && st.pat.Guard != nil {
 		var err error
-		ok, err = expr.EvalBool(st.pat.Guard, m.env)
+		ok, err = expr.EvalBool(st.pat.Guard, m)
 		switch {
 		case err == nil:
 		case negated:
@@ -458,7 +481,6 @@ func (m *matcher) candidate(k int, id tuple.ID, t tuple.Tuple) bool {
 			m.retracts = m.retracts[:len(m.retracts)-1]
 		}
 	}
-	m.unbind(st.ops, bound, m.env)
 	if negated {
 		// A tuple the guard rejects does not count as a violation.
 		m.found = ok
@@ -469,11 +491,11 @@ func (m *matcher) candidate(k int, id tuple.ID, t tuple.Tuple) bool {
 
 // solution runs once every positive step has matched: the test query and the
 // negated patterns decide whether the bindings are a solution, and a
-// solution is materialised — the only point where the matcher allocates.
-// Variables that appear only in negated patterns act as wildcards there.
+// solution becomes a row of the table. Variables that appear only in negated
+// patterns act as wildcards.
 func (m *matcher) solution() {
 	if m.q.Test != nil {
-		ok, err := expr.EvalBool(m.q.Test, m.env)
+		ok, err := expr.EvalBool(m.q.Test, m)
 		if err != nil {
 			m.err = fmt.Errorf("pattern: test query: %w", err)
 		}
@@ -487,21 +509,24 @@ func (m *matcher) solution() {
 			return
 		}
 	}
-	sol := Binding{Env: make(expr.Env, len(m.base)+m.nsol)}
-	for name, v := range m.base {
-		sol.Env[name] = v
+	if m.tab != nil {
+		m.tab.add(m.vals[:m.nsol], m.retracts)
+		m.stopped = m.first
+		return
 	}
-	for i, name := range m.names[:m.nsol] {
-		sol.Env[name] = m.vals[i]
-	}
+	// The Binding-shaped entry points get each solution as a Binding. Its
+	// matches go to an arena that the handed-out Bindings share: each takes
+	// the tail appended for it, which no later append overwrites.
+	var matched []Match
 	if n := len(m.retracts); n > 0 {
 		m.arena = append(m.arena, m.retracts...)
-		sol.Matched = m.arena[len(m.arena)-n : len(m.arena) : len(m.arena)]
+		matched = m.arena[len(m.arena)-n : len(m.arena) : len(m.arena)]
 	}
+	b := binding(m.names[:m.nsol], m.vals[:m.nsol], m.env, matched)
 	if m.fn != nil {
-		m.stopped = !m.fn(sol)
-	} else {
-		m.sols = append(m.sols, sol)
-		m.stopped = m.first
+		m.stopped = !m.fn(b)
+		return
 	}
+	m.sols = append(m.sols, b)
+	m.stopped = m.first
 }

@@ -187,23 +187,28 @@ func (p Pattern) Vars(dst []string) []string {
 	return dst
 }
 
-// Ground instantiates the pattern into a concrete tuple under env. It fails
-// if the pattern contains wildcards or unbound variables; used to
-// materialize Export checks and negated-pattern display.
-func (p Pattern) Ground(env expr.Env) (tuple.Tuple, error) {
+// Ground instantiates the pattern into a concrete tuple under s: every
+// assertion of a transaction is grounded this way, once per solution, with
+// the solution as the scope. It fails if the pattern contains wildcards or
+// unbound variables. The tuple is the one allocation.
+func (p Pattern) Ground(s expr.Scope) (tuple.Tuple, error) {
 	fields := make([]tuple.Value, len(p.Fields))
 	for i, f := range p.Fields {
 		switch f.Kind {
 		case FieldConst:
 			fields[i] = f.Value
 		case FieldVar:
-			v, ok := env[f.Name]
+			var v tuple.Value
+			ok := false
+			if s != nil {
+				v, ok = s.Lookup(f.Name)
+			}
 			if !ok {
 				return tuple.Tuple{}, fmt.Errorf("pattern: ground: unbound %s", f.Name)
 			}
 			fields[i] = v
 		case FieldExpr:
-			v, err := f.Expr.Eval(env)
+			v, err := f.Expr.Eval(s)
 			if err != nil {
 				return tuple.Tuple{}, fmt.Errorf("pattern: ground: %w", err)
 			}

@@ -161,7 +161,7 @@ func (b Binding) RetractedIDs() []tuple.ID {
 func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error {
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	return m.run(q, src, base, fn, false)
+	return m.run(q, src, base, fn, false, nil)
 }
 
 // Solve finds a single solution for an existential query (or the first
@@ -170,7 +170,7 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 func Solve(q Query, src Source, base expr.Env) (Binding, bool, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	err := m.run(q, src, base, nil, true)
+	err := m.run(q, src, base, nil, true, nil)
 	if len(m.sols) == 0 {
 		return Binding{}, false, err
 	}
@@ -192,6 +192,6 @@ func SolveAll(q Query, src Source, base expr.Env) ([]Binding, error) {
 func AppendSolutions(dst []Binding, q Query, src Source, base expr.Env) ([]Binding, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	err := m.run(q, src, base, nil, false)
+	err := m.run(q, src, base, nil, false, nil)
 	return append(dst, m.sols...), err
 }

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"github.com/sdl-lang/sdl/internal/metrics"
 )
 
 // ErrReplicationGuard reports a replication whose guard is not immediate.
@@ -64,16 +66,17 @@ func (p *proc) runReplicate(ctx context.Context, r Replicate) error {
 						if ctx.Err() != nil {
 							return
 						}
-						res, err := p.rt.engine.Immediate(copyProc.request(b.Guard))
+						a, err := p.rt.engine.Run(ctx, copyProc.request(b.Guard), metrics.TxnImmediate)
 						if err != nil {
 							fail(err)
 							return
 						}
-						if !res.OK {
+						if !a.OK() {
+							a.Release()
 							return // this copy terminates
 						}
 						committed.Add(1)
-						if err := copyProc.runBranch(ctx, b, res); err != nil {
+						if err := copyProc.runBranch(ctx, b, a); err != nil {
 							if errors.Is(err, errExit) {
 								return // exit ends this sequence copy
 							}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/sdl-lang/sdl/internal/consensus"
 	"github.com/sdl-lang/sdl/internal/dataspace"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/txn"
 )
 
@@ -29,39 +30,39 @@ func (p *proc) runSelect(ctx context.Context, branches []Branch, _ bool) (bool, 
 	}
 
 	// First pass: attempt every non-consensus guard once.
-	if idx, res, err := p.tryGuards(branches); err != nil {
+	if idx, a, err := p.tryGuards(ctx, branches); err != nil {
 		return false, err
 	} else if idx >= 0 {
-		return true, p.runBranch(ctx, branches[idx], res)
+		return true, p.runBranch(ctx, branches[idx], a)
 	}
 	if !hasBlocking {
 		return false, nil // all guards immediate and all failed: skip
 	}
 
-	idx, res, err := p.awaitGuard(ctx, branches, consensusIdx)
+	idx, a, err := p.awaitGuard(ctx, branches, consensusIdx)
 	if err != nil {
 		return false, err
 	}
-	return true, p.runBranch(ctx, branches[idx], res)
+	return true, p.runBranch(ctx, branches[idx], a)
 }
 
 // awaitGuard is the selection's blocking loop: it returns the index and
-// result of the first guard to commit. One nil-filter subscription (wake on
+// answer of the first guard to commit. One nil-filter subscription (wake on
 // any commit covering a guard pattern) and its one ready channel span the
 // whole wait; the subscription is taken before the guards are re-tried, and
 // every later re-try is preceded by a Drain, so a commit racing with an
 // evaluation readies the channel again rather than being lost.
-func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx []int) (int, txn.Result, error) {
+func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx []int) (int, *txn.Answer, error) {
 	var keyBuf [8]dataspace.InterestKey
 	sub := p.rt.engine.Store().Subscribe(p.guardInterestKeys(branches, keyBuf[:0]), nil)
 	defer sub.Cancel()
 	for {
 		if err := ctx.Err(); err != nil {
-			return -1, txn.Result{}, err
+			return -1, nil, err
 		}
 		sub.Drain()
-		if idx, res, err := p.tryGuards(branches); err != nil || idx >= 0 {
-			return idx, res, err
+		if idx, a, err := p.tryGuards(ctx, branches); err != nil || idx >= 0 {
+			return idx, a, err
 		}
 
 		// Offer the consensus guards (if any), as alternatives of a single
@@ -75,17 +76,17 @@ func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx [
 			}
 			o, err := p.rt.cons.StartOfferAlts(reqs)
 			if err != nil {
-				return -1, txn.Result{}, err
+				return -1, nil, err
 			}
 			offer = o
 			offerDone = o.Done()
 		}
-		fired := func() (int, txn.Result, error) {
-			res, err := offer.Result()
+		fired := func() (int, *txn.Answer, error) {
+			a, err := offer.Answer()
 			if err != nil {
-				return -1, txn.Result{}, err
+				return -1, nil, err
 			}
-			return consensusIdx[offer.Chosen()], res, nil
+			return consensusIdx[offer.Chosen()], a, nil
 		}
 		// withdrawn reports whether the pending offer (if any) was taken
 		// back; false means the consensus fired while we were withdrawing —
@@ -114,17 +115,17 @@ func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx [
 			if !withdrawn() {
 				return fired()
 			}
-			return -1, txn.Result{}, ctx.Err()
+			return -1, nil, ctx.Err()
 		}
 	}
 }
 
 // tryGuards attempts each non-consensus guard once and returns the index
-// and result of the first that commits (-1 if none). The paper specifies
+// and answer of the first that commits (-1 if none). The paper specifies
 // that among several executable guards "an arbitrary one (but only one) is
 // selected"; attempts start at a rotating offset so a repetition does not
 // starve later guards whose earlier siblings are always enabled.
-func (p *proc) tryGuards(branches []Branch) (int, txn.Result, error) {
+func (p *proc) tryGuards(ctx context.Context, branches []Branch) (int, *txn.Answer, error) {
 	start := int(p.selSeq % uint64(len(branches)))
 	p.selSeq++
 	for off := 0; off < len(branches); off++ {
@@ -133,21 +134,24 @@ func (p *proc) tryGuards(branches []Branch) (int, txn.Result, error) {
 		if b.Guard.Kind == Consensus {
 			continue
 		}
-		res, err := p.rt.engine.Immediate(p.request(b.Guard))
+		a, err := p.rt.engine.Run(ctx, p.request(b.Guard), metrics.TxnImmediate)
 		if err != nil {
-			return -1, txn.Result{}, err
+			return -1, nil, err
 		}
-		if res.OK {
-			return i, res, nil
+		if a.OK() {
+			return i, a, nil
 		}
+		a.Release()
 	}
-	return -1, txn.Result{}, nil
+	return -1, nil, nil
 }
 
-// runBranch executes a selected branch: the guard's actions, then the
-// branch body.
-func (p *proc) runBranch(ctx context.Context, b Branch, res txn.Result) error {
-	if err := p.runActions(ctx, b.Guard.Actions, res); err != nil {
+// runBranch executes a selected branch: the guard's actions, which read and
+// then release its answer, then the branch body.
+func (p *proc) runBranch(ctx context.Context, b Branch, a *txn.Answer) error {
+	err := p.runActions(b.Guard.Actions, a)
+	a.Release()
+	if err != nil {
 		return err
 	}
 	return p.runSeq(ctx, b.Body)

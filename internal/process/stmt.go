@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -214,54 +215,47 @@ func (p *proc) request(t Transact) txn.Request {
 // (the paper treats it as information available to the selection).
 func (p *proc) runTransact(ctx context.Context, t Transact) (bool, error) {
 	var (
-		res txn.Result
+		a   *txn.Answer
 		err error
 	)
 	switch t.Kind {
 	case Delayed:
 		restore := p.setState(StateBlockedDelayed)
-		res, err = p.rt.engine.Delayed(ctx, p.request(t))
+		a, err = p.rt.engine.Run(ctx, p.request(t), metrics.TxnDelayed)
 		restore()
 	case Consensus:
 		restore := p.setState(StateBlockedConsensus)
-		res, err = p.rt.cons.Offer(ctx, p.request(t))
+		a, err = p.rt.cons.Await(ctx, p.request(t))
 		restore()
 	default:
-		res, err = p.rt.engine.Immediate(p.request(t))
+		a, err = p.rt.engine.Run(ctx, p.request(t), metrics.TxnImmediate)
 	}
 	if err != nil {
 		return false, err
 	}
-	if !res.OK {
+	defer a.Release()
+	if !a.OK() {
 		return false, nil
 	}
-	return true, p.runActions(ctx, t.Actions, res)
+	return true, p.runActions(t.Actions, a)
 }
 
-// runActions executes the local actions of a committed transaction.
-// Actions run in list order; a let-constant is visible to the actions
-// after it (the paper's `let N = α, (found, N)` idiom) and to all later
-// statements of the process.
-func (p *proc) runActions(_ context.Context, actions []Action, res txn.Result) error {
-	sols := res.Solutions
-	if len(sols) == 0 {
-		sols = []expr.Env{res.Env}
-	}
+// runActions executes the local actions of a committed transaction, reading
+// its answer's rows in place. Actions run in list order; a let-constant is
+// visible to the actions after it (the paper's `let N = α, (found, N)`
+// idiom) and to all later statements of the process.
+func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 	var lets expr.Env // accumulated let bindings from this action list
-	withLets := func(env expr.Env) expr.Env {
+	withLets := func(s expr.Scope) expr.Scope {
 		if len(lets) == 0 {
-			return env
+			return s
 		}
-		merged := env.Clone()
-		for k, v := range lets {
-			merged[k] = v
-		}
-		return merged
+		return letScope{lets, s}
 	}
-	for _, a := range actions {
-		switch act := a.(type) {
+	for _, act := range actions {
+		switch act := act.(type) {
 		case Let:
-			v, err := act.Expr.Eval(withLets(res.Env))
+			v, err := act.Expr.Eval(withLets(a.Scope()))
 			if err != nil {
 				return fmt.Errorf("let %s: %w", act.Name, err)
 			}
@@ -276,8 +270,9 @@ func (p *proc) runActions(_ context.Context, actions []Action, res txn.Result) e
 			env[act.Name] = v
 			p.env = env
 		case Spawn:
-			for _, sol := range sols {
-				vals, err := evalArgs(act.Args, withLets(sol))
+			rows := a.Rows()
+			for i := range rows {
+				vals, err := evalArgs(act.Args, withLets(&rows[i]))
 				if err != nil {
 					return fmt.Errorf("spawn %s: %w", act.Type, err)
 				}
@@ -290,16 +285,29 @@ func (p *proc) runActions(_ context.Context, actions []Action, res txn.Result) e
 		case Abort:
 			return errAbort
 		default:
-			return fmt.Errorf("process: unknown action %T", a)
+			return fmt.Errorf("process: unknown action %T", act)
 		}
 	}
 	return nil
 }
 
-func evalArgs(args []expr.Expr, env expr.Env) ([]tuple.Value, error) {
+// letScope layers an action list's let-constants over a solution.
+type letScope struct {
+	lets  expr.Env
+	under expr.Scope
+}
+
+func (s letScope) Lookup(name string) (tuple.Value, bool) {
+	if v, ok := s.lets[name]; ok {
+		return v, true
+	}
+	return s.under.Lookup(name)
+}
+
+func evalArgs(args []expr.Expr, s expr.Scope) ([]tuple.Value, error) {
 	vals := make([]tuple.Value, len(args))
 	for i, a := range args {
-		v, err := a.Eval(env)
+		v, err := a.Eval(s)
 		if err != nil {
 			return nil, err
 		}

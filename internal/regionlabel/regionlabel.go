@@ -206,7 +206,7 @@ type labelMatcher struct {
 }
 
 // Admits implements view.Matcher.
-func (m labelMatcher) Admits(rd dataspace.Reader, _ expr.Env, tp tuple.Tuple) bool {
+func (m labelMatcher) Admits(rd dataspace.Reader, _ expr.Scope, tp tuple.Tuple) bool {
 	if tp.Arity() != 3 {
 		return false
 	}
@@ -246,15 +246,15 @@ func (m labelMatcher) Admits(rd dataspace.Reader, _ expr.Env, tp tuple.Tuple) bo
 
 // Restriction implements view.Matcher: arity-3 tuples led by the pixel or
 // one of its 4-neighbours.
-func (m labelMatcher) Restriction(_ expr.Env, arity int) ([]tuple.Value, bool, bool) {
+func (m labelMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	if arity != 3 {
-		return nil, false, true
+		return leads, false, true
 	}
-	return m.leads, true, true
+	return append(leads, m.leads...), true, true
 }
 
 // Arities implements view.Matcher.
-func (m labelMatcher) Arities() ([]int, bool) { return []int{3}, false }
+func (m labelMatcher) Arities() (int, bool) { return 3, false }
 
 func labelView(im *workload.Image) process.ViewFunc {
 	return func(env expr.Env) view.View {

@@ -1,10 +1,12 @@
 package txn
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/race"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -40,17 +42,55 @@ func TestApplyAllocatesFixedCosts(t *testing.T) {
 		})
 	}
 	exists, forall := measure(upsert(pattern.Exists)), measure(upsert(pattern.ForAll))
-	// Measured 6, every one of them the transaction's own: the solution 3
-	// (its environment's two, one retract-tagged match), Solutions, the one
-	// array Retracted and Asserted are carved from, and the grounded tuple.
-	// The footprint keys live on the caller's stack, and the store's commit
-	// path — pooled journal, latch plan, group-commit slot — allocates
-	// nothing (TestSteadyCommitAllocatesNothing in internal/dataspace). The
-	// parent commit measured 22, its parent 40.
-	if max := 6.0; exists > max {
+	// Measured 5, every one of them the transaction's own: the grounded
+	// tuple, and the public Result built from the pooled answer — the
+	// solution's environment (two), Solutions, and the one array Retracted
+	// and Asserted are carved from. The solution row and its retract-tagged
+	// match live in the answer's pooled table, the footprint keys on the
+	// caller's stack, and the store's commit path — pooled journal, latch
+	// plan, group-commit slot — allocates nothing
+	// (TestSteadyCommitAllocatesNothing in internal/dataspace). Earlier
+	// engines measured 6, 22 and 40.
+	if max := 5.0; exists > max {
 		t.Errorf("∃ upsert: %.0f allocations, want <= %.0f", exists, max)
 	}
 	if forall != exists {
 		t.Errorf("∀ upsert with one solution: %.0f allocations, the ∃ form %.0f: want the same", forall, exists)
+	}
+}
+
+// TestReleasedAnswerPinsNothingBig: an answer that carried more than
+// maxPooledEffects effects, or deduplicated more retractions than that, goes
+// back to the pool without its effect arrays and dedup map; a small one keeps
+// its arrays, emptied.
+func TestReleasedAnswerPinsNothingBig(t *testing.T) {
+	const n = 2 * maxPooledEffects
+	s := dataspace.New()
+	for k := int64(0); k < n; k++ {
+		s.Assert(tuple.Environment, tuple.New(tuple.Atom("item"), tuple.Int(k)))
+	}
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("flag")))
+	e := New(s)
+	run := func(q pattern.Query) *Answer {
+		a, err := e.Run(context.Background(), Request{Proc: 1, View: view.Universal(), Query: q}, metrics.TxnImmediate)
+		if err != nil || !a.OK() {
+			t.Fatalf("%v: ok %v, err %v", q, a != nil && a.OK(), err)
+		}
+		return a
+	}
+	// ∀ <item, k>! <flag>! retracts n items and the flag, n times over.
+	a := run(pattern.QAll(pattern.R(pattern.C(tuple.Atom("item")), pattern.V("k")), pattern.R(pattern.C(tuple.Atom("flag")))))
+	if len(a.Retracted) != n+1 || len(a.seen) != n+1 {
+		t.Fatalf("retracted %d (seen %d), want %d", len(a.Retracted), len(a.seen), n+1)
+	}
+	a.Release()
+	if a.Retracted != nil || a.Asserted != nil || a.ground != nil || a.seen != nil {
+		t.Errorf("released answer kept caps %d/%d/%d and a seen map of %d", cap(a.Retracted), cap(a.Asserted), cap(a.ground), len(a.seen))
+	}
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("item"), tuple.Int(0)), tuple.New(tuple.Atom("item"), tuple.Int(1)))
+	a = run(pattern.QAll(pattern.R(pattern.C(tuple.Atom("item")), pattern.V("k"))))
+	a.Release()
+	if cap(a.Retracted) == 0 || len(a.Retracted) != 0 || a.seen == nil || len(a.seen) != 0 {
+		t.Errorf("small answer: Retracted len %d cap %d, seen %v", len(a.Retracted), cap(a.Retracted), a.seen)
 	}
 }

@@ -1,0 +1,223 @@
+package txn
+
+import (
+	"sync"
+
+	"github.com/sdl-lang/sdl/internal/dataspace"
+	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/pattern"
+	"github.com/sdl-lang/sdl/internal/tuple"
+	"github.com/sdl-lang/sdl/internal/view"
+)
+
+// Answer is a transaction's outcome as the engine produces it: its solutions
+// as the rows of one pooled pattern.Table, and its effects. It is the only
+// form an evaluation produces. The process runtime reads rows directly; the
+// map-shaped Result that Immediate, Delayed and consensus offers return is
+// built from an answer at that public edge (Result).
+//
+// Lifetime: answers are pooled. Whoever Engine.Run or NewAnswer hands one to
+// reads it — OK, Rows, Scope, the effects — and then calls Release, after
+// which none of it may be used: the next transaction reuses the memory. What
+// must outlive the answer is copied out first, as Result does.
+type Answer struct {
+	// Retracted and Asserted list the tuple instances removed/added, in
+	// application order.
+	Retracted []dataspace.Instance
+	Asserted  []dataspace.Instance
+
+	req    Request
+	first  bool // one solution sought: the ∃ form, or a consensus participant
+	rows   pattern.Table
+	win    view.Window           // the restricted import's window, reused by every evaluation
+	ground []tuple.Tuple         // the assertions to insert, see Ground
+	seen   map[tuple.ID]struct{} // retractions already applied, when several rows may share one
+}
+
+var answers = sync.Pool{New: func() any { return new(Answer) }}
+
+// NewAnswer returns an empty answer for req from the pool.
+func NewAnswer(req Request) *Answer {
+	a := answers.Get().(*Answer)
+	a.req = req
+	return a
+}
+
+// maxPooledEffects bounds the effects an answer keeps across uses: past it,
+// Release drops the arrays (or the dedup map) rather than pin them in the
+// pool, as the rows' table and the commit journal do.
+const maxPooledEffects = 256
+
+// Release returns the answer to the pool, emptied so the pool pins nothing.
+func (a *Answer) Release() {
+	big := cap(a.Retracted)+cap(a.Asserted)+cap(a.ground) > maxPooledEffects
+	bigSeen := len(a.seen) > maxPooledEffects
+	a.reset()
+	if big {
+		a.Retracted, a.Asserted, a.ground = nil, nil, nil
+	}
+	if bigSeen {
+		a.seen = nil
+	}
+	a.rows.Reset()
+	a.win.Reset(view.View{}, nil, nil)
+	a.req, a.first = Request{}, false
+	answers.Put(a)
+}
+
+// reset empties the effects before an evaluation: a delayed transaction
+// re-evaluates into the same answer after every failed attempt.
+func (a *Answer) reset() {
+	clear(a.Retracted)
+	clear(a.Asserted)
+	clear(a.ground)
+	clear(a.seen)
+	a.Retracted, a.Asserted, a.ground = a.Retracted[:0], a.Asserted[:0], a.ground[:0]
+}
+
+// OK reports whether the evaluation succeeded: the query has a solution.
+func (a *Answer) OK() bool { return len(a.rows.Rows()) > 0 }
+
+// Rows returns the solutions: the one of an ∃ query, every one of a ∀ query,
+// none when the query failed. Each is an expr.Scope over the request
+// environment and the solution's bindings.
+func (a *Answer) Rows() []pattern.Row { return a.rows.Rows() }
+
+// Scope is Result.Env as a scope: the solution when one was sought (∃), the
+// request environment otherwise (∀, or a failed query).
+func (a *Answer) Scope() expr.Scope {
+	if rows := a.rows.Rows(); a.first && len(rows) > 0 {
+		return &rows[0]
+	}
+	return a.req.Env
+}
+
+// Window returns the window through which a's request sees r: the answer's
+// own, pointed at the request's view, so an evaluation boxes nothing.
+func (a *Answer) Window(r dataspace.Reader) *view.Window {
+	a.win.Reset(a.req.View, r, a.req.Env)
+	return &a.win
+}
+
+// Solve evaluates the request's query over src — its window (Window), or a
+// source wrapping that window — into a's rows, replacing what a held: only
+// the first solution when first is set, every one otherwise. It reports
+// whether there is a solution.
+func (a *Answer) Solve(src pattern.Source, first bool) (bool, error) {
+	a.reset()
+	a.first = first
+	err := a.rows.Collect(a.req.Query, src, a.req.Env, first)
+	return a.OK(), err
+}
+
+// solve is the engine's evaluation over r: the universal import's window is
+// the reader itself; ∃ seeks one solution, ∀ every one.
+func (a *Answer) solve(r dataspace.Reader) (bool, error) {
+	var src pattern.Source = r
+	if !a.req.View.Import.All {
+		src = a.Window(r)
+	}
+	return a.Solve(src, a.req.Query.Quant == pattern.Exists)
+}
+
+// Retract deletes the instances a's rows matched for retraction — each once:
+// the solutions of a ∀ may share one — and records them in Retracted.
+func (a *Answer) Retract(w dataspace.Writer) error {
+	rows := a.rows.Rows()
+	for i := range rows {
+		for _, m := range rows[i].Matched() {
+			// One solution's retract-tagged matches are pairwise distinct by
+			// construction; an instance can recur only across solutions.
+			if len(rows) > 1 {
+				if a.seen == nil {
+					a.seen = make(map[tuple.ID]struct{})
+				}
+				if _, dup := a.seen[m.ID]; dup {
+					continue
+				}
+				a.seen[m.ID] = struct{}{}
+			}
+			inst, ok := w.Get(m.ID)
+			if !ok {
+				// The instance vanished between evaluation and application;
+				// cannot happen under the write lock.
+				return dataspace.ErrNoSuchTuple
+			}
+			if err := w.Delete(m.ID); err != nil {
+				return err
+			}
+			a.Retracted = append(a.Retracted, inst)
+		}
+	}
+	return nil
+}
+
+// Ground grounds the request's assertions under every row and keeps, for
+// Insert, those the export clause admits under the same row: D' takes
+// Export(p) ∩ W_a, so the others are dropped, or fail the transaction with
+// ErrExportViolation under ExportError. r is the configuration dynamic
+// export matchers consult.
+func (a *Answer) Ground(r dataspace.Reader) error {
+	rows := a.rows.Rows()
+	for i := range rows {
+		row := &rows[i]
+		for _, ap := range a.req.Asserts {
+			t, err := ap.Ground(row)
+			if err != nil {
+				return err
+			}
+			if !a.req.View.Exports(r, row, t) {
+				if a.req.Export == ExportError {
+					return ErrExportViolation
+				}
+				continue
+			}
+			a.ground = append(a.ground, t)
+		}
+	}
+	return nil
+}
+
+// Insert asserts the tuples Ground kept, owned by the issuing process, and
+// records them in Asserted.
+func (a *Answer) Insert(w dataspace.Writer) {
+	for _, t := range a.ground {
+		id := w.Insert(t, a.req.Proc)
+		a.Asserted = append(a.Asserted, dataspace.Instance{ID: id, Tuple: t, Owner: a.req.Proc})
+	}
+}
+
+// Result builds the public, map-shaped form of the answer — the one place a
+// Result is built. Each solution becomes an environment of its own (a map),
+// Solutions is one slice, and when one solution was sought Env is the same
+// map as Solutions[0]; otherwise Env is the request environment. The effects
+// are copied into one array, Retracted and Asserted capped so that an append
+// to one cannot run into the other. A failed answer is Result{Env: req.Env}.
+func (a *Answer) Result() Result {
+	res := Result{Env: a.req.Env}
+	rows := a.rows.Rows()
+	if len(rows) == 0 {
+		return res
+	}
+	res.OK = true
+	res.Solutions = make([]expr.Env, len(rows))
+	for i := range rows {
+		res.Solutions[i] = rows[i].Env()
+	}
+	if a.first {
+		res.Env = res.Solutions[0]
+	}
+	nr, na := len(a.Retracted), len(a.Asserted)
+	if nr+na > 0 {
+		effects := make([]dataspace.Instance, nr+na)
+		copy(effects, a.Retracted)
+		copy(effects[nr:], a.Asserted)
+		if nr > 0 {
+			res.Retracted = effects[:nr:nr]
+		}
+		if na > 0 {
+			res.Asserted = effects[nr:]
+		}
+	}
+	return res
+}

@@ -31,7 +31,6 @@ package txn
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,16 +143,52 @@ func (e *Engine) Stats() Stats {
 // the query succeeded; err reports evaluation errors (malformed queries,
 // export violations under ExportError).
 func (e *Engine) Immediate(req Request) (Result, error) {
-	return e.exec(req, metrics.TxnImmediate)
+	return result(e.Run(context.Background(), req, metrics.TxnImmediate))
 }
 
-// exec runs one evaluation of req — on the shared read path when req is
-// statically read-only, inside its exclusive section otherwise — recording
-// the per-kind metrics: one attempt per exec, one commit on success, and —
-// when an observer is attached — the end-to-end latency. The registry's
-// attempts therefore count executions, so per kind
+// Delayed executes req as a delayed ('⇒') transaction: it blocks until a
+// successful evaluation is possible or ctx is cancelled.
+func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {
+	return result(e.Run(ctx, req, metrics.TxnDelayed))
+}
+
+// result copies a run's answer out as the public Result and releases it.
+func result(a *Answer, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	defer a.Release()
+	return a.Result(), nil
+}
+
+// Run executes req and hands its answer to the caller, who reads it and then
+// releases it (see Answer). kind is the operational type: metrics.TxnDelayed
+// blocks until an evaluation commits or ctx is done; metrics.TxnImmediate
+// evaluates once, and the answer's OK reports whether it committed. err
+// reports evaluation errors (malformed queries, export violations under
+// ExportError) and cancellation; there is no answer with it.
+func (e *Engine) Run(ctx context.Context, req Request, kind metrics.TxnKind) (*Answer, error) {
+	a := NewAnswer(req)
+	var err error
+	if kind == metrics.TxnDelayed {
+		err = e.await(ctx, a)
+	} else {
+		err = e.exec(a, kind)
+	}
+	if err != nil {
+		a.Release()
+		return nil, err
+	}
+	return a, nil
+}
+
+// exec runs one evaluation of a's request into a — on the shared read path
+// when the request is statically read-only, inside its exclusive section
+// otherwise — recording the per-kind metrics: one attempt per exec, one
+// commit on success, and — when an observer is attached — the end-to-end
+// latency. The registry's attempts therefore count executions, so per kind
 // latency-histogram count == attempts ≥ commits.
-func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
+func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
 	e.sc.Yield(sched.PointTxnExec)
 	e.m.IncTxnAttempt(kind)
 	observed := e.m.Observed()
@@ -161,22 +196,19 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 	if observed {
 		start = time.Now()
 	}
-	var (
-		res Result
-		err error
-	)
-	if len(req.Asserts) == 0 && retractFree(req.Query) {
-		res, err = e.read(req)
+	var err error
+	if len(a.req.Asserts) == 0 && retractFree(a.req.Query) {
+		err = e.read(a)
 	} else {
-		res, err = e.write(req)
+		err = e.write(a)
 	}
 	if observed {
 		e.m.ObserveTxnLatency(kind, time.Since(start))
 	}
-	if err == nil && res.OK {
+	if err == nil && a.OK() {
 		e.m.IncTxnCommit(kind)
 	}
-	return res, err
+	return err
 }
 
 // footprintKeys plans, before evaluation, the set of index buckets req can
@@ -251,37 +283,33 @@ func (e *Engine) planKeys(req Request, buf []dataspace.InterestKey) ([]dataspace
 	return keys, planned
 }
 
-// write evaluates and applies a mutating req inside its exclusive section,
-// under the narrowest sound lock: the commutativity-aware key-level path
-// when the footprint plan is exact (per-bucket latches plus group commit,
-// falling back to shard locks for plans the lock table cannot latch), the
-// whole store otherwise. A query with no solution is a failure with no
-// effect; any other error aborts the transaction.
-func (e *Engine) write(req Request) (Result, error) {
-	var res Result
+// write evaluates and applies a's mutating request inside its exclusive
+// section, under the narrowest sound lock: the commutativity-aware key-level
+// path when the footprint plan is exact (per-bucket latches plus group
+// commit, falling back to shard locks for plans the lock table cannot
+// latch), the whole store otherwise. A query with no solution is a failure
+// with no effect; any other error aborts the transaction.
+func (e *Engine) write(a *Answer) error {
 	e.attempts.Add(1)
-	fn := func(w dataspace.Writer) (err error) {
-		res, err = e.evalAndApply(w, req)
-		return err
-	}
+	fn := a.evalAndApply
 	var (
 		err error
 		buf [8]dataspace.InterestKey
 	)
-	if keys, planned := e.planKeys(req, buf[:0]); planned {
-		err = e.store.UpdateCommuting(req.Proc, keys, fn)
+	if keys, planned := e.planKeys(a.req, buf[:0]); planned {
+		err = e.store.UpdateCommuting(a.req.Proc, keys, fn)
 	} else {
-		err = e.store.Update(req.Proc, fn)
+		err = e.store.Update(a.req.Proc, fn)
 	}
 	switch {
 	case errors.Is(err, errFailed):
 		e.failures.Add(1)
-		return Result{Env: req.Env}, nil
+		return nil
 	case err != nil:
-		return Result{}, err
+		return err
 	}
 	e.commits.Add(1)
-	return res, nil
+	return nil
 }
 
 // read executes a statically read-only request — nothing to assert and a
@@ -299,35 +327,29 @@ func (e *Engine) write(req Request) (Result, error) {
 // after that prefix. Success and failure are therefore both final: there is
 // nothing to validate and nothing to retry (a delayed guard's subscription,
 // registered before the evaluation, covers every commit past the cut).
-func (e *Engine) read(req Request) (Result, error) {
+func (e *Engine) read(a *Answer) error {
 	var (
-		sols []pattern.Binding
-		err  error
-		buf  [8]dataspace.InterestKey
+		err error
+		buf [8]dataspace.InterestKey
 	)
-	b := solutionBufs.Get().(*solutionBuf)
-	eval := func(r dataspace.Reader) { sols, err = solve(req, r, b.sols) }
+	eval := func(r dataspace.Reader) { _, err = a.solve(r) }
 	e.attempts.Add(1)
 	e.m.IncSharedRead()
-	keys, planned := e.planKeys(req, buf[:0])
+	keys, planned := e.planKeys(a.req, buf[:0])
 	switch {
 	case !planned:
 		e.store.Snapshot(eval)
 	case !e.store.SnapshotKeysEpoch(keys, eval):
 		e.store.SnapshotKeys(keys, eval)
 	}
-	res := Result{Env: req.Env}
 	switch {
 	case err != nil:
-		res = Result{}
-	case len(sols) == 0:
+	case !a.OK():
 		e.failures.Add(1)
 	default:
 		e.commits.Add(1)
-		res = solved(req, sols)
 	}
-	b.release(sols)
-	return res, err
+	return err
 }
 
 // retractFree reports whether the query is statically retract-free: no
@@ -341,137 +363,25 @@ func retractFree(q pattern.Query) bool {
 	return true
 }
 
-// solve evaluates req's query through its view's window over r and appends
-// its solutions to buf: the one solution of an ∃ query, every solution of a
-// ∀ query, none when it fails. Callers pass a pooled solutionBuf's slice.
-func solve(req Request, r dataspace.Reader, buf []pattern.Binding) ([]pattern.Binding, error) {
-	var src pattern.Source = r // the universal import's window is the reader itself
-	if !req.View.Import.All {
-		src = req.View.Window(r, req.Env)
-	}
-	if req.Query.Quant == pattern.ForAll {
-		return pattern.AppendSolutions(buf, req.Query, src, req.Env)
-	}
-	b, found, err := pattern.Solve(req.Query, src, req.Env)
-	if err != nil || !found {
-		return buf, err
-	}
-	return append(buf, b), nil
-}
-
-// solutionBuf is a pooled buffer a transaction's solutions are appended to:
-// the result keeps only what it copies out of them (solved, apply), so a
-// read allocates only its Solutions slice beyond the environments.
-type solutionBuf struct{ sols []pattern.Binding }
-
-var solutionBufs = sync.Pool{New: func() any { return new(solutionBuf) }}
-
-// release pools the buffer with sols' array (solve may have grown it),
-// emptied so the pool pins no environment, unless it grew past 256.
-func (b *solutionBuf) release(sols []pattern.Binding) {
-	if cap(sols) <= 256 {
-		clear(sols[:cap(sols)])
-		b.sols = sols[:0]
-		solutionBufs.Put(b)
-	}
-}
-
-// solved builds the result of a successful evaluation before any effect is
-// applied: one solution environment per solution — the one copy of the
-// answer a transaction makes — and for ∃ the solution's environment as the
-// result's own.
-func solved(req Request, sols []pattern.Binding) Result {
-	res := Result{OK: true, Env: req.Env, Solutions: make([]expr.Env, len(sols))}
-	for i := range sols {
-		res.Solutions[i] = sols[i].Env
-	}
-	if req.Query.Quant == pattern.Exists {
-		res.Env = sols[0].Env
-	}
-	return res
-}
-
-// evalAndApply evaluates the query against the window over w and applies
-// retractions and assertions. It returns errFailed when the query has no
+// evalAndApply evaluates a's query against the window over w and applies
+// its retractions and assertions. It returns errFailed when the query has no
 // solution.
-func (e *Engine) evalAndApply(w dataspace.Writer, req Request) (Result, error) {
-	b := solutionBufs.Get().(*solutionBuf)
-	sols, err := solve(req, w, b.sols)
-	defer func() { b.release(sols) }()
-	if err != nil {
-		return Result{}, err
+func (a *Answer) evalAndApply(w dataspace.Writer) error {
+	found, err := a.solve(w)
+	switch {
+	case err != nil:
+		return err
+	case !found:
+		return errFailed
 	}
-	if len(sols) == 0 {
-		return Result{}, errFailed
+	if err := a.Retract(w); err != nil {
+		return err
 	}
-	return e.apply(w, req, sols)
-}
-
-// apply performs the composite effect of the solutions: all retractions
-// (deduplicated by instance), then all assertions, as the paper specifies
-// for composite transactions.
-func (e *Engine) apply(w dataspace.Writer, req Request, sols []pattern.Binding) (Result, error) {
-	res := solved(req, sols)
-	retracts := 0
-	for i := range sols {
-		retracts += len(sols[i].Matched)
+	if err := a.Ground(w); err != nil {
+		return err
 	}
-	// Retracted and Asserted are carved out of one array, each capped so
-	// that an append by the caller cannot run into the other.
-	asserts := len(sols) * len(req.Asserts)
-	var effects []dataspace.Instance
-	if retracts+asserts > 0 {
-		effects = make([]dataspace.Instance, 0, retracts+asserts)
-	}
-	if retracts > 0 {
-		res.Retracted = effects[:0:retracts]
-	}
-	if asserts > 0 {
-		res.Asserted = effects[retracts:retracts:cap(effects)]
-	}
-	// One solution's retract-tagged matches are pairwise distinct by
-	// construction; an instance can recur only across the solutions of a ∀.
-	var seen map[tuple.ID]struct{}
-	if len(sols) > 1 && retracts > 1 {
-		seen = make(map[tuple.ID]struct{}, retracts)
-	}
-	for _, sol := range sols {
-		for _, m := range sol.Matched {
-			if seen != nil {
-				if _, dup := seen[m.ID]; dup {
-					continue
-				}
-				seen[m.ID] = struct{}{}
-			}
-			inst, ok := w.Get(m.ID)
-			if !ok {
-				// The instance vanished between evaluation and application;
-				// cannot happen under the write lock.
-				return Result{}, dataspace.ErrNoSuchTuple
-			}
-			if err := w.Delete(m.ID); err != nil {
-				return Result{}, err
-			}
-			res.Retracted = append(res.Retracted, inst)
-		}
-	}
-	for _, sol := range sols {
-		for _, ap := range req.Asserts {
-			t, err := ap.Ground(sol.Env)
-			if err != nil {
-				return Result{}, err
-			}
-			if !req.View.Exports(w, sol.Env, t) {
-				if req.Export == ExportError {
-					return Result{}, ErrExportViolation
-				}
-				continue // Export(p) ∩ W_a: drop silently
-			}
-			id := w.Insert(t, req.Proc)
-			res.Asserted = append(res.Asserted, dataspace.Instance{ID: id, Tuple: t, Owner: req.Proc})
-		}
-	}
-	return res, nil
+	a.Insert(w)
+	return nil
 }
 
 // interest derives the wakeup subscription for a blocked request: one key
@@ -580,9 +490,9 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 	}
 }
 
-// Delayed executes req as a delayed ('⇒') transaction: it blocks until a
-// successful evaluation is possible or ctx is cancelled. The subscribe-then-
-// evaluate protocol guarantees no lost wakeups.
+// await runs a's request as a delayed ('⇒') transaction: it blocks until an
+// evaluation commits or ctx is cancelled. The subscribe-then-evaluate
+// protocol guarantees no lost wakeups.
 //
 // The blocked guard holds one delta subscription for the whole wait: commits
 // publish their asserted/retracted tuples through the publisher-side filter,
@@ -590,20 +500,16 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 // group-commit drain batch into a single re-evaluation. A guard that is not
 // delta-safe subscribes with a nil filter and re-queries on every covering
 // commit.
-func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {
-	filter := deltaFilter(req)
+func (e *Engine) await(ctx context.Context, a *Answer) error {
+	filter := deltaFilter(a.req)
 	var keyBuf [8]dataspace.InterestKey
 	var selBuf [8]pattern.FieldSel
-	keys, sels := interest(req, filter != nil, keyBuf[:0], selBuf[:0])
+	keys, sels := interest(a.req, filter != nil, keyBuf[:0], selBuf[:0])
 	sub := e.store.Subscribe(keys, filter, sels...)
 	defer sub.Cancel()
 	for {
-		res, err := e.exec(req, metrics.TxnDelayed)
-		if err != nil {
-			return Result{}, err
-		}
-		if res.OK {
-			return res, nil
+		if err := e.exec(a, metrics.TxnDelayed); err != nil || a.OK() {
+			return err
 		}
 		e.m.IncTxnBlock(metrics.TxnDelayed)
 		select {
@@ -618,7 +524,7 @@ func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {
 				e.m.IncReactiveFallback()
 			}
 		case <-ctx.Done():
-			return Result{}, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }

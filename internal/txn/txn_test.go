@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -226,6 +227,49 @@ func TestExportDropAndError(t *testing.T) {
 			t.Errorf("strict export err = %v", err)
 		}
 	})
+}
+
+// TestExportSeesTheSolution: an export clause is checked under the solution
+// the assertion was grounded under — the request environment plus the
+// query's bindings — for pattern and dynamic matchers alike. A ∀ query's
+// rows are checked one by one.
+func TestExportSeesTheSolution(t *testing.T) {
+	out := tuple.Atom("out")
+	for _, tc := range []struct {
+		name   string
+		export view.Matcher
+	}{
+		{"pattern", view.Pat(pattern.P(pattern.C(out), pattern.V("a")))},
+		{"dynamic", view.Dyn(2, func(_ dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
+			a, ok := env["a"]
+			return ok && t.Field(1).Equal(a)
+		})},
+	} {
+		s := dataspace.New()
+		s.Assert(tuple.Environment, year(85), year(86))
+		req := Request{
+			Proc:  1,
+			View:  view.New(view.Everything(), view.Union(tc.export)),
+			Query: pattern.QAll(pattern.P(pattern.C(tuple.Atom("year")), pattern.V("a"))),
+			Asserts: []pattern.Pattern{
+				pattern.P(pattern.C(out), pattern.V("a")),
+				pattern.P(pattern.C(out), pattern.C(tuple.Int(86))),
+			},
+		}
+		res, err := New(s).Immediate(req)
+		if err != nil || !res.OK {
+			t.Fatalf("%s: ok %v, err %v", tc.name, res.OK, err)
+		}
+		// <out, a> passes under both rows; <out, 86> only under a = 86.
+		var got []int64
+		for _, in := range res.Asserted {
+			n, _ := in.Tuple.Field(1).AsInt()
+			got = append(got, n)
+		}
+		if slices.Sort(got); !slices.Equal(got, []int64{85, 86, 86}) {
+			t.Errorf("%s: asserted %v, want [85 86 86]", tc.name, got)
+		}
+	}
 }
 
 func TestExportErrorRollsBack(t *testing.T) {

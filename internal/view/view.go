@@ -22,6 +22,9 @@
 package view
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
@@ -38,20 +41,21 @@ import (
 // consults through the reader). The consensus detector relies on this to
 // invalidate cached imports by index bucket.
 type Matcher interface {
-	// Admits reports whether the tuple belongs to the clause under the
-	// process environment (parameters and let-constants). r provides the
-	// current configuration for dynamic matchers; it is never nil during
-	// transaction evaluation.
-	Admits(r dataspace.Reader, env expr.Env, t tuple.Tuple) bool
-	// Restriction returns the matcher's scan restriction for tuples of the
-	// given arity: the concrete leading values it can admit. It reports
-	// (nil, false, true) when it admits no tuple of this arity,
-	// (keys, true, true) when admitted tuples must carry one of the given
-	// leading values, and (nil, _, false) when unbounded.
-	Restriction(env expr.Env, arity int) (leads []tuple.Value, applies bool, bounded bool)
-	// Arities returns the tuple arities the matcher can admit; all=true
-	// means any arity (and the list is ignored).
-	Arities() (list []int, all bool)
+	// Admits reports whether the tuple belongs to the clause under s: the
+	// process environment (parameters and let-constants) for an import, and
+	// for an export the solution the asserted tuple was grounded under. r
+	// provides the current configuration for dynamic matchers; it is never
+	// nil during transaction evaluation.
+	Admits(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool
+	// Restriction appends to leads the matcher's scan restriction for tuples
+	// of the given arity: the concrete leading values it can admit. It
+	// reports applies=false when it admits no tuple of this arity,
+	// bounded=true when admitted tuples must carry one of the leading values
+	// it appended, and bounded=false, appending nothing, when unbounded.
+	Restriction(env expr.Env, arity int, leads []tuple.Value) (_ []tuple.Value, applies, bounded bool)
+	// Arities reports the arity of the tuples the matcher can admit, or
+	// anyArity=true when it can admit any (the arity is then ignored).
+	Arities() (arity int, anyArity bool)
 }
 
 // PureMatcher marks matchers whose Admits decision depends only on the
@@ -85,26 +89,24 @@ func PatWhere(p pattern.Pattern, where expr.Expr) PatternMatcher {
 }
 
 // Admits implements Matcher.
-func (m PatternMatcher) Admits(_ dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
-	return m.Pattern.Match(t, env, m.Where)
+func (m PatternMatcher) Admits(_ dataspace.Reader, s expr.Scope, t tuple.Tuple) bool {
+	return m.Pattern.Match(t, s, m.Where)
 }
 
 // Restriction implements Matcher.
-func (m PatternMatcher) Restriction(env expr.Env, arity int) ([]tuple.Value, bool, bool) {
+func (m PatternMatcher) Restriction(env expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	if m.Pattern.Arity() != arity {
-		return nil, false, true
+		return leads, false, true
 	}
 	lead, known := m.Pattern.Lead(env)
 	if !known {
-		return nil, true, false
+		return leads, true, false
 	}
-	return []tuple.Value{lead}, true, true
+	return append(leads, lead), true, true
 }
 
 // Arities implements Matcher.
-func (m PatternMatcher) Arities() ([]int, bool) {
-	return []int{m.Pattern.Arity()}, false
-}
+func (m PatternMatcher) Arities() (int, bool) { return m.Pattern.Arity(), false }
 
 // DynamicMatcher admits tuples via an arbitrary predicate with access to
 // the current dataspace configuration. Arity restricts the matcher to
@@ -120,29 +122,35 @@ func Dyn(arity int, fn func(r dataspace.Reader, env expr.Env, t tuple.Tuple) boo
 	return DynamicMatcher{Arity: arity, Fn: fn}
 }
 
-// Admits implements Matcher.
-func (m DynamicMatcher) Admits(r dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
+// Admits implements Matcher. Fn sees s as an environment (envOf).
+func (m DynamicMatcher) Admits(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool {
 	if m.Arity != 0 && t.Arity() != m.Arity {
 		return false
 	}
-	return m.Fn(r, env, t)
+	return m.Fn(r, envOf(s), t)
+}
+
+// envOf is a scope as the environment a dynamic matcher's function takes.
+// A clause is evaluated under an Env, passed as it is, or under a solution
+// row (an export check), which costs one map to materialize; any other
+// scope binds nothing here.
+func envOf(s expr.Scope) expr.Env {
+	switch s := s.(type) {
+	case expr.Env:
+		return s
+	case *pattern.Row:
+		return s.Env()
+	}
+	return nil
 }
 
 // Restriction implements Matcher.
-func (m DynamicMatcher) Restriction(_ expr.Env, arity int) ([]tuple.Value, bool, bool) {
-	if m.Arity != 0 && m.Arity != arity {
-		return nil, false, true
-	}
-	return nil, true, false
+func (m DynamicMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
+	return leads, m.Arity == 0 || m.Arity == arity, false
 }
 
 // Arities implements Matcher.
-func (m DynamicMatcher) Arities() ([]int, bool) {
-	if m.Arity == 0 {
-		return nil, true
-	}
-	return []int{m.Arity}, false
-}
+func (m DynamicMatcher) Arities() (int, bool) { return m.Arity, m.Arity == 0 }
 
 // Clause is one side of a view (import or export): a union of matchers, or
 // the universal clause admitting everything.
@@ -157,13 +165,13 @@ func Everything() Clause { return Clause{All: true} }
 // Union builds a clause from matchers.
 func Union(ms ...Matcher) Clause { return Clause{Matchers: ms} }
 
-// Admits reports whether the clause admits t.
-func (c Clause) Admits(r dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
+// Admits reports whether the clause admits t under s.
+func (c Clause) Admits(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool {
 	if c.All {
 		return true
 	}
 	for _, m := range c.Matchers {
-		if m.Admits(r, env, t) {
+		if m.Admits(r, s, t) {
 			return true
 		}
 	}
@@ -199,18 +207,20 @@ func (c Clause) Pure() bool {
 	return true
 }
 
-// restriction aggregates the matchers' restrictions for one arity:
-// admitsAny=false means no matcher covers the arity at all; bounded=true
-// means all covering matchers pin the lead, with leads the (deduplicated)
-// union.
-func (c Clause) restriction(env expr.Env, arity int) (leads []tuple.Value, admitsAny, bounded bool) {
+// restriction aggregates the matchers' restrictions for one arity, appending
+// the leads to the caller's buffer: admitsAny=false means no matcher covers
+// the arity at all; bounded=true means all covering matchers pin the lead,
+// with leads the (deduplicated) union. With a buffer the caller reuses, a
+// clause of pattern matchers restricts without allocating.
+func (c Clause) restriction(env expr.Env, arity int, leads []tuple.Value) (_ []tuple.Value, admitsAny, bounded bool) {
 	if c.All {
-		return nil, true, false
+		return leads, true, false
 	}
 	bounded = true
 	for _, m := range c.Matchers {
-		ls, applies, b := m.Restriction(env, arity)
-		if !applies {
+		n := len(leads)
+		var applies, b bool
+		if leads, applies, b = m.Restriction(env, arity, leads); !applies {
 			continue
 		}
 		admitsAny = true
@@ -218,23 +228,74 @@ func (c Clause) restriction(env expr.Env, arity int) (leads []tuple.Value, admit
 			bounded = false
 			continue
 		}
-		for _, l := range ls {
-			dup := false
-			for _, have := range leads {
-				if have.Equal(l) {
-					dup = true
-					break
-				}
+		leads = dedupe(leads, n)
+	}
+	if !admitsAny {
+		return leads, false, true
+	}
+	return leads, true, bounded
+}
+
+// dedupe drops each of leads[from:] that Equals a lead before it.
+func dedupe(leads []tuple.Value, from int) []tuple.Value {
+	out := leads[:from]
+next:
+	for _, l := range leads[from:] {
+		for _, have := range out {
+			if have.Equal(l) {
+				continue next
 			}
-			if !dup {
-				leads = append(leads, l)
+		}
+		out = append(out, l)
+	}
+	clear(leads[len(out):])
+	return out
+}
+
+// leadBufs lends eachBucket the buffer its matchers append their leads to:
+// a buffer handed to an interface method escapes, so a stack array would be
+// allocated on every walk.
+var leadBufs = sync.Pool{New: func() any { return new([]tuple.Value) }}
+
+// eachBucket calls fn with the canonical bucket of every lead the clause
+// pins under env — one call per matcher and lead, duplicates included — and
+// reports whether the clause is bounded: false for the universal clause, an
+// any-arity matcher or a lead env leaves open. A false from fn ends the walk
+// and is reported as false too. Over a clause of pattern matchers the walk
+// allocates nothing.
+func (c Clause) eachBucket(env expr.Env, fn func(BucketKey) bool) bool {
+	if c.All {
+		return false
+	}
+	buf := leadBufs.Get().(*[]tuple.Value)
+	defer putLeads(buf)
+	for _, m := range c.Matchers {
+		a, anyArity := m.Arities()
+		if anyArity {
+			return false
+		}
+		leads, applies, bounded := m.Restriction(env, a, (*buf)[:0])
+		*buf = leads
+		if !applies {
+			continue
+		}
+		if !bounded {
+			return false
+		}
+		for _, l := range leads {
+			if !fn(CanonBucket(a, l)) {
+				return false
 			}
 		}
 	}
-	if !admitsAny {
-		return nil, false, true
-	}
-	return leads, true, bounded
+	return true
+}
+
+// putLeads empties a buffer eachBucket borrowed and returns it to the pool.
+func putLeads(buf *[]tuple.Value) {
+	clear(*buf)
+	*buf = (*buf)[:0]
+	leadBufs.Put(buf)
 }
 
 // View pairs the import and export clauses of a process.
@@ -263,45 +324,108 @@ func (v View) Plannable() bool {
 }
 
 // Exports reports whether the process may assert t (the Export(p) ∩ W_a
-// filter).
-func (v View) Exports(r dataspace.Reader, env expr.Env, t tuple.Tuple) bool {
-	return v.Export.Admits(r, env, t)
+// filter) under s, the solution t was grounded under.
+func (v View) Exports(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool {
+	return v.Export.Admits(r, s, t)
 }
 
 // Window returns the pattern.Source presenting Import(p) ∩ D over the given
 // reader. The environment carries the process parameters referenced by the
 // view's patterns.
-func (v View) Window(r dataspace.Reader, env expr.Env) Window {
-	return Window{r: r, v: v, env: env}
+func (v View) Window(r dataspace.Reader, env expr.Env) *Window {
+	w := new(Window)
+	w.Reset(v, r, env)
+	return w
 }
 
 // Window is the transaction-time projection of the dataspace through a
-// view's import clause. It implements pattern.Source.
+// view's import clause. It implements pattern.Source. A window is reusable —
+// Reset points it at another view, reader or environment and keeps its scan
+// state — and supports the nested scans of one goroutine's join, not scans
+// from several goroutines at once.
 type Window struct {
 	r   dataspace.Reader
 	v   View
 	env expr.Env
+
+	// scans holds one entry per restricted scan in progress, the innermost
+	// last. The reader only ever calls back the innermost scan — an outer
+	// one resumes after the scans nested in it have ended — so one import
+	// filter, admit, built on the window's first restricted scan, serves
+	// every scan. The first scans' states live in the window itself.
+	scans  []scanState
+	admit  func(tuple.ID, tuple.Tuple) bool
+	inline [2]scanState
+}
+
+// scanState is one restricted scan in progress: its consumer, whether the
+// consumer stopped — a scan over several lead buckets ends with the first
+// stop — and the buffer its restriction's leads go to.
+type scanState struct {
+	fn      func(tuple.ID, tuple.Tuple) bool
+	stopped bool
+	leads   []tuple.Value
+}
+
+// Reset points the window at Import(p) ∩ D for view v over r under env.
+// Reset(View{}, nil, nil) drops every reference, as a pooled owner does.
+func (w *Window) Reset(v View, r dataspace.Reader, env expr.Env) {
+	w.v, w.r, w.env = v, r, env
+}
+
+// filter is the import filter: it forwards the tuples the import clause
+// admits to the innermost scan's consumer.
+func (w *Window) filter(id tuple.ID, t tuple.Tuple) bool {
+	if !w.v.Import.Admits(w.r, w.env, t) {
+		return true
+	}
+	// The consumer may run nested scans, which can move w.scans: index it
+	// again afterwards.
+	top := len(w.scans) - 1
+	stop := !w.scans[top].fn(id, t)
+	w.scans[top].stopped = stop
+	return !stop
+}
+
+// push starts a scan delivering to fn and returns its index in scans; pop
+// ends the innermost scan. A depth reached before keeps its leads buffer.
+func (w *Window) push(fn func(tuple.ID, tuple.Tuple) bool) int {
+	if w.admit == nil {
+		w.admit, w.scans = w.filter, w.inline[:0]
+	}
+	if n := len(w.scans); n < cap(w.scans) {
+		w.scans = w.scans[:n+1]
+	} else {
+		w.scans = append(w.scans, scanState{})
+	}
+	top := len(w.scans) - 1
+	w.scans[top].fn, w.scans[top].stopped = fn, false
+	return top
+}
+
+func (w *Window) pop() {
+	s := &w.scans[len(w.scans)-1]
+	clear(s.leads)
+	s.fn, s.leads = nil, s.leads[:0]
+	w.scans = w.scans[:len(w.scans)-1]
 }
 
 // Scan implements pattern.Source, filtering by the import clause and using
 // the clause's lead restrictions to avoid full-arity scans when possible.
-func (w Window) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
+func (w *Window) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
 	imp := w.v.Import
 	if imp.All {
 		w.r.Scan(arity, lead, leadKnown, fn)
 		return
 	}
-	filtered := func(id tuple.ID, t tuple.Tuple) bool {
-		if !imp.Admits(w.r, w.env, t) {
-			return true
-		}
-		return fn(id, t)
-	}
+	top := w.push(fn)
+	defer w.pop()
 	if leadKnown {
-		w.r.Scan(arity, lead, true, filtered)
+		w.r.Scan(arity, lead, true, w.admit)
 		return
 	}
-	leads, admitsAny, bounded := imp.restriction(w.env, arity)
+	leads, admitsAny, bounded := imp.restriction(w.env, arity, w.scans[top].leads)
+	w.scans[top].leads = leads
 	switch {
 	case !admitsAny:
 		return // the view imports nothing of this arity
@@ -309,18 +433,13 @@ func (w Window) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 		// fn's stop ends the whole scan, not only the current lead's bucket:
 		// a negated pattern stops at its first violation, and a later bucket
 		// must not overwrite that verdict.
-		stopped := false
-		each := func(id tuple.ID, t tuple.Tuple) bool {
-			stopped = !filtered(id, t)
-			return !stopped
-		}
 		for _, l := range leads {
-			if w.r.Scan(arity, l, true, each); stopped {
+			if w.r.Scan(arity, l, true, w.admit); w.scans[top].stopped {
 				return
 			}
 		}
 	default:
-		w.r.Scan(arity, tuple.Value{}, false, filtered)
+		w.r.Scan(arity, tuple.Value{}, false, w.admit)
 	}
 }
 
@@ -331,7 +450,7 @@ func (w Window) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 // to concrete lead buckets — cheaper than any field index — so only the
 // unbounded cases forward to the underlying reader's ScanFields. Readers
 // without field indexes fall back to what Scan performs.
-func (w Window) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
+func (w *Window) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	imp := w.v.Import
 	fs, indexed := w.r.(pattern.FieldSource)
 	lead, leadKnown := pattern.LeadSel(sels)
@@ -343,22 +462,20 @@ func (w Window) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID,
 		fs.ScanFields(arity, sels, fn)
 		return
 	}
+	top := w.push(fn)
+	defer w.pop()
 	if !leadKnown {
-		if _, admitsAny, bounded := imp.restriction(w.env, arity); !admitsAny || bounded {
+		leads, admitsAny, bounded := imp.restriction(w.env, arity, w.scans[top].leads)
+		if w.scans[top].leads = leads; !admitsAny || bounded {
 			w.Scan(arity, lead, false, fn)
 			return
 		}
 	}
-	fs.ScanFields(arity, sels, func(id tuple.ID, t tuple.Tuple) bool {
-		if !imp.Admits(w.r, w.env, t) {
-			return true
-		}
-		return fn(id, t)
-	})
+	fs.ScanFields(arity, sels, w.admit)
 }
 
 // LeadWide implements pattern.FieldSource by asking the underlying reader.
-func (w Window) LeadWide(arity int, lead tuple.Value) bool {
+func (w *Window) LeadWide(arity int, lead tuple.Value) bool {
 	fs, ok := w.r.(pattern.FieldSource)
 	return ok && fs.LeadWide(arity, lead)
 }
@@ -367,7 +484,7 @@ func (w Window) LeadWide(arity int, lead tuple.Value) bool {
 // underlying reader's cardinalities to the join planner. For restricted
 // views the estimates ignore the import filter — a uniform overestimate
 // that still orders patterns usefully.
-func (w Window) JoinEstimator() pattern.Estimator {
+func (w *Window) JoinEstimator() pattern.Estimator {
 	if p, ok := w.r.(pattern.EstimatorProvider); ok {
 		return p.JoinEstimator()
 	}
@@ -379,16 +496,16 @@ func (w Window) JoinEstimator() pattern.Estimator {
 
 // Get exposes the underlying reader's Get so callers holding a window can
 // re-inspect matched instances.
-func (w Window) Get(id tuple.ID) (dataspace.Instance, bool) { return w.r.Get(id) }
+func (w *Window) Get(id tuple.ID) (dataspace.Instance, bool) { return w.r.Get(id) }
 
 // Admits reports whether the window contains the tuple (import check for a
 // specific instance; used by retraction validation).
-func (w Window) Admits(t tuple.Tuple) bool {
+func (w *Window) Admits(t tuple.Tuple) bool {
 	return w.v.Import.Admits(w.r, w.env, t)
 }
 
 // Reader returns the underlying dataspace reader.
-func (w Window) Reader() dataspace.Reader { return w.r }
+func (w *Window) Reader() dataspace.Reader { return w.r }
 
 // Materialize returns the IDs of every tuple in Import(p) ∩ D. Consensus-set
 // computation uses this to evaluate the import-overlap relation
@@ -456,37 +573,27 @@ func (v View) ImportShape(env expr.Env) ImportShape {
 	}
 	sh := ImportShape{Bounded: true, Complete: true}
 	for _, m := range imp.Matchers {
-		arities, anyArity := m.Arities()
-		if anyArity {
-			return ImportShape{}
-		}
 		if pm, ok := m.(PatternMatcher); !ok || pm.Where != nil || !wildcardTail(pm.Pattern) {
 			sh.Complete = false
 		}
-		for _, a := range arities {
-			leads, applies, bounded := m.Restriction(env, a)
-			if !applies {
-				continue
-			}
-			if !bounded {
-				return ImportShape{}
-			}
-			for _, l := range leads {
-				k := CanonBucket(a, l)
-				dup := false
-				for _, have := range sh.Keys {
-					if have == k {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					sh.Keys = append(sh.Keys, k)
-				}
-			}
+	}
+	if !imp.eachBucket(env, func(k BucketKey) bool {
+		if !slices.Contains(sh.Keys, k) {
+			sh.Keys = append(sh.Keys, k)
 		}
+		return true
+	}) {
+		return ImportShape{}
 	}
 	return sh
+}
+
+// ImportWithin reports whether the import clause, under env, is bounded to
+// buckets among keys: ImportShape(env) is Bounded and every one of its Keys
+// is in keys. It builds no shape, so for a clause of pattern matchers it
+// allocates nothing.
+func (v View) ImportWithin(env expr.Env, keys []BucketKey) bool {
+	return v.Import.eachBucket(env, func(k BucketKey) bool { return slices.Contains(keys, k) })
 }
 
 // wildcardTail reports whether every non-lead field of p is a wildcard and p
@@ -507,6 +614,6 @@ func wildcardTail(p pattern.Pattern) bool {
 var (
 	_ Matcher                   = PatternMatcher{}
 	_ Matcher                   = DynamicMatcher{}
-	_ pattern.FieldSource       = Window{}
-	_ pattern.EstimatorProvider = Window{}
+	_ pattern.FieldSource       = (*Window)(nil)
+	_ pattern.EstimatorProvider = (*Window)(nil)
 )

@@ -11,7 +11,7 @@ import (
 
 func year(n int64) tuple.Tuple { return tuple.New(tuple.Atom("year"), tuple.Int(n)) }
 
-func scanAll(w Window, arity int) []tuple.Tuple {
+func scanAll(w *Window, arity int) []tuple.Tuple {
 	var out []tuple.Tuple
 	w.Scan(arity, tuple.Value{}, false, func(_ tuple.ID, t tuple.Tuple) bool {
 		out = append(out, t)
@@ -21,14 +21,14 @@ func scanAll(w Window, arity int) []tuple.Tuple {
 }
 
 // withWindow runs fn with a window over the store's current configuration.
-func withWindow(s *dataspace.Store, v View, env expr.Env, fn func(w Window)) {
+func withWindow(s *dataspace.Store, v View, env expr.Env, fn func(w *Window)) {
 	s.Snapshot(func(r dataspace.Reader) { fn(v.Window(r, env)) })
 }
 
 func TestUniversalViewPassesEverything(t *testing.T) {
 	s := dataspace.New()
 	s.Assert(tuple.Environment, year(87), year(90))
-	withWindow(s, Universal(), nil, func(w Window) {
+	withWindow(s, Universal(), nil, func(w *Window) {
 		if got := scanAll(w, 2); len(got) != 2 {
 			t.Errorf("scan = %d tuples", len(got))
 		}
@@ -58,7 +58,7 @@ func TestPaperYearView(t *testing.T) {
 	s.Assert(tuple.Environment, year(85), year(87), year(90),
 		tuple.New(tuple.Atom("month"), tuple.Int(1)))
 
-	withWindow(s, v, nil, func(w Window) {
+	withWindow(s, v, nil, func(w *Window) {
 		got := scanAll(w, 2)
 		if len(got) != 2 {
 			t.Fatalf("window = %v", got)
@@ -102,7 +102,7 @@ func TestViewWithProcessParameters(t *testing.T) {
 	s := dataspace.New()
 	s.Assert(tuple.Environment, mk(1), mk(2), mk(3))
 
-	withWindow(s, v, env, func(w Window) {
+	withWindow(s, v, env, func(w *Window) {
 		got := scanAll(w, 4)
 		if len(got) != 2 {
 			t.Fatalf("window = %v", got)
@@ -160,7 +160,7 @@ func TestBoundedScanStopsAcrossLeads(t *testing.T) {
 	), Everything())
 	s := dataspace.New()
 	s.Assert(tuple.Environment, tuple.New(a, tuple.Int(1)), tuple.New(b, tuple.Int(2)))
-	withWindow(s, v, nil, func(w Window) {
+	withWindow(s, v, nil, func(w *Window) {
 		delivered := 0
 		w.Scan(2, tuple.Value{}, false, func(tuple.ID, tuple.Tuple) bool {
 			delivered++
@@ -197,7 +197,7 @@ func TestClauseNoMatcherForArityScansNothing(t *testing.T) {
 	)
 	s := dataspace.New()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("a"), tuple.Int(1), tuple.Int(2)))
-	withWindow(s, v, nil, func(w Window) {
+	withWindow(s, v, nil, func(w *Window) {
 		if got := scanAll(w, 3); len(got) != 0 {
 			t.Errorf("arity-3 scan through arity-2-only view = %v", got)
 		}
@@ -227,14 +227,14 @@ func TestDynamicMatcher(t *testing.T) {
 	lbl := tuple.New(tuple.Atom("label"), tuple.Int(7), tuple.Int(7))
 	s.Assert(tuple.Environment, lbl)
 
-	withWindow(s, v, nil, func(w Window) {
+	withWindow(s, v, nil, func(w *Window) {
 		if got := scanAll(w, 3); len(got) != 0 {
 			t.Errorf("label admitted without threshold: %v", got)
 		}
 	})
 	// After the threshold tuple appears, the same view admits the label.
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("threshold"), tuple.Int(7), tuple.Int(1)))
-	withWindow(s, v, nil, func(w Window) {
+	withWindow(s, v, nil, func(w *Window) {
 		if got := scanAll(w, 3); len(got) != 1 {
 			t.Errorf("label not admitted with threshold: %v", got)
 		}
@@ -246,15 +246,21 @@ func TestDynamicMatcherArityGate(t *testing.T) {
 	if m.Admits(nil, nil, tuple.New(tuple.Int(1), tuple.Int(2), tuple.Int(3))) {
 		t.Error("arity-gated dynamic matcher admitted wrong arity")
 	}
-	if _, applies, _ := m.Restriction(nil, 3); applies {
+	if _, applies, _ := m.Restriction(nil, 3, nil); applies {
 		t.Error("restriction should not apply to other arities")
 	}
-	if _, applies, bounded := m.Restriction(nil, 2); !applies || bounded {
+	if leads, applies, bounded := m.Restriction(nil, 2, nil); !applies || bounded || len(leads) != 0 {
 		t.Error("dynamic matcher must be unbounded for its arity")
+	}
+	if a, anyA := m.Arities(); a != 2 || anyA {
+		t.Errorf("Arities = %d, %v; want 2, false", a, anyA)
 	}
 	anyArity := Dyn(0, func(dataspace.Reader, expr.Env, tuple.Tuple) bool { return true })
 	if !anyArity.Admits(nil, nil, tuple.New(tuple.Int(1))) {
 		t.Error("arity-0 dynamic matcher should admit any arity")
+	}
+	if _, anyA := anyArity.Arities(); !anyA {
+		t.Error("arity-0 dynamic matcher should report any arity")
 	}
 }
 
@@ -268,7 +274,7 @@ func TestScanWithKnownLeadStillFilters(t *testing.T) {
 	)
 	s := dataspace.New()
 	s.Assert(tuple.Environment, year(85), year(90))
-	withWindow(s, v, nil, func(w Window) {
+	withWindow(s, v, nil, func(w *Window) {
 		var got []tuple.Tuple
 		w.Scan(2, tuple.Atom("year"), true, func(_ tuple.ID, t tuple.Tuple) bool {
 			got = append(got, t)
@@ -339,7 +345,7 @@ func overlaps(a, b map[tuple.ID]struct{}) bool {
 func TestWindowGetAndReader(t *testing.T) {
 	s := dataspace.New()
 	ids := s.Assert(tuple.Environment, year(85))
-	withWindow(s, Universal(), nil, func(w Window) {
+	withWindow(s, Universal(), nil, func(w *Window) {
 		inst, ok := w.Get(ids[0])
 		if !ok || !inst.Tuple.Equal(year(85)) {
 			t.Errorf("Get = %+v, %v", inst, ok)

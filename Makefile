@@ -7,10 +7,12 @@ all: check
 build:
 	$(GO) build ./...
 
-# go vet over the Go sources, sdllint over the store's lock discipline,
-# then sdlvet over the shipped SDL corpus — the examples must stay clean
-# under every analyzer pass.
+# gofmt over every Go file (any it would rewrite fails the target), go vet
+# over the Go sources, sdllint over the store's lock discipline, then sdlvet
+# over the shipped SDL corpus — the examples must stay clean under every
+# analyzer pass.
 vet:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/sdllint internal/dataspace
 	$(GO) run ./cmd/sdlvet ./examples/sdl/*.sdl

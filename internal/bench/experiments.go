@@ -16,7 +16,9 @@ import (
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/process"
 	"github.com/sdl-lang/sdl/internal/proplist"
+	"github.com/sdl-lang/sdl/internal/refmodel"
 	"github.com/sdl-lang/sdl/internal/regionlabel"
+	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/tuple"
 	"github.com/sdl-lang/sdl/internal/txn"
 	"github.com/sdl-lang/sdl/internal/view"
@@ -638,19 +640,20 @@ func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 // block on distinct keys while a writer commits `noise` unrelated tuples;
 // keyed wakeups should leave the waiters asleep (zero spurious
 // re-evaluations), while broad wakeups re-evaluate all P waiters on every
-// commit.
+// commit. The broad arm is the spurious-wakeup fault at probability
+// 255/256, which wakes every subscription in every shard for a re-query.
 func E10WakeupIndex(ctx context.Context, waiterCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "ablation: interest-keyed vs broad delayed-transaction wakeups",
-		Note:  "design decision 2 in DESIGN.md",
+		Note:  "design decision 2 in DESIGN.md; broad = the spurious-wakeup fault on (nearly) every commit",
 	}
 	const noise = 300
 	for _, p := range waiterCounts {
 		row := Row{Config: fmt.Sprintf("waiters=%d noise=%d", p, noise)}
-		for _, broad := range []bool{false, true} {
-			s := dataspace.New()
-			s.SetBroadWakeups(broad)
+		for _, sc := range []*sched.Controller{nil, sched.New(seed, sched.Faults{SpuriousWakeup: 255})} {
+			broad := sc != nil
+			s := dataspace.New(dataspace.WithScheduler(sc))
 			// Both variants observed, so the gated fan-out histogram records
 			// and the timing handicap (one clock-free histogram update per
 			// commit) is identical on each side of the ablation.
@@ -712,19 +715,30 @@ func E10WakeupIndex(ctx context.Context, waiterCounts []int) (*Table, error) {
 	return t, nil
 }
 
-// E11JoinPlanner is the ablation for the query matcher's boundness-based
-// join planner: a region-labeling-style propagation query written in an
-// unfavourable order (the unbounded label scan first, the parameter-led
-// pattern last) is issued against stores of growing size, with the planner
-// on (PlanAuto) and off (PlanWritten).
+// E11JoinPlanner is the ablation for the query matcher's join planner: a
+// region-labeling-style propagation query written in an unfavourable order
+// (the unbounded label scan first, the parameter-led pattern last) is
+// issued against stores of growing size, planned by the engine and in
+// written order by refmodel.Solutions over the same instances. That
+// enumerator clones an environment for about 2n² candidates here, so it
+// runs only up to writtenMaxN.
 func E11JoinPlanner(_ context.Context, sizes []int) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
 		Title: "ablation: join planner (boundness ordering) on a propagation query",
-		Note:  "the 'sophisticated language implementation' §3.1 calls for",
+		Note:  "the 'sophisticated language implementation' §3.1 calls for; written order = refmodel.Solutions, n ≤ 1000",
 	}
-	const reps = 100
+	const reps, writtenReps, writtenMaxN = 100, 3, 1000
 	label := tuple.Atom("label")
+	// Propagation for pixel r, written label-scan-first: find a neighbour q
+	// of r whose label exceeds r's.
+	q := pattern.Q(
+		pattern.P(pattern.V("q"), pattern.C(label), pattern.V("lq")),
+		pattern.P(pattern.V("r"), pattern.C(label), pattern.V("lr")).
+			Guarded(expr.Lt(expr.V("lr"), expr.V("lq"))),
+		pattern.P(pattern.V("r"), pattern.V("q")),
+	)
+	env := expr.Env{"r": tuple.Int(3)}
 	for _, n := range sizes {
 		s := dataspace.New()
 		e := txn.New(s)
@@ -734,47 +748,41 @@ func E11JoinPlanner(_ context.Context, sizes []int) (*Table, error) {
 				tuple.New(tuple.Int(i), tuple.Int((i+1)%int64(n))),
 			)
 		}
-		// Propagation for pixel r, written label-scan-first: find a
-		// neighbour q of r whose label exceeds r's.
-		mkQuery := func(plan pattern.Plan) pattern.Query {
-			q := pattern.Q(
-				pattern.P(pattern.V("q"), pattern.C(label), pattern.V("lq")),
-				pattern.P(pattern.V("r"), pattern.C(label), pattern.V("lr")).
-					Guarded(expr.Lt(expr.V("lr"), expr.V("lq"))),
-				pattern.P(pattern.V("r"), pattern.V("q")),
-			)
-			q.Plan = plan
-			return q
+		model, _ := refmodel.ReplayFrom(s.All(), 0, nil) // no records to reject
+		window := model.All()
+		req := txn.Request{Proc: 1, View: view.Universal(), Env: env, Query: q}
+		arms := []struct {
+			name   string
+			reps   int
+			solved func() (bool, error)
+		}{
+			{"written order", writtenReps, func() (bool, error) {
+				sols, err := refmodel.Solutions(q, window, env)
+				return len(sols) > 0, err
+			}},
+			{"planned", reps, func() (bool, error) {
+				res, err := e.Immediate(req)
+				return res.OK, err
+			}},
+		}
+		if n > writtenMaxN {
+			arms = arms[1:]
 		}
 		row := Row{Config: fmt.Sprintf("n=%d", n)}
-		for _, plan := range []pattern.Plan{pattern.PlanWritten, pattern.PlanAuto} {
-			req := txn.Request{
-				Proc:  1,
-				View:  view.Universal(),
-				Env:   expr.Env{"r": tuple.Int(3)},
-				Query: mkQuery(plan),
-			}
+		for _, arm := range arms {
 			d, err := timeIt(func() error {
-				for i := 0; i < reps; i++ {
-					res, err := e.Immediate(req)
-					if err != nil {
-						return err
-					}
-					if !res.OK {
-						return fmt.Errorf("propagation query failed")
+				for i := 0; i < arm.reps; i++ {
+					if ok, err := arm.solved(); err != nil || !ok {
+						return fmt.Errorf("propagation query: ok=%v, err %v", ok, err)
 					}
 				}
 				return nil
 			})
 			if err != nil {
-				return nil, fmt.Errorf("E11 plan=%d n=%d: %w", plan, n, err)
-			}
-			name := "written order"
-			if plan == pattern.PlanAuto {
-				name = "planned"
+				return nil, fmt.Errorf("E11 %s n=%d: %w", arm.name, n, err)
 			}
 			row.Metrics = append(row.Metrics, Metric{
-				Name: name, Value: float64(d.Microseconds()) / reps, Unit: "us/txn"})
+				Name: arm.name, Value: float64(d.Microseconds()) / float64(arm.reps), Unit: "us/txn"})
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -1264,46 +1272,30 @@ func secondaryLoad(s *dataspace.Store, n, groups int) {
 	flush()
 }
 
-// secondaryLookups issues reps rounds of the two E17 queries. The point
-// lookup <?x, rec, G> constrains only non-lead fields, so the ablated
-// store walks every arity-3 tuple while the indexed store reads one
-// (arity, pos-2, G) bucket. The join's first leg <P, link, ?g> is
-// lead-keyed and binds ?g; its second leg <?y, rec, ?g> is selective only
-// through the runtime-bound ?g field, exercising both the bound-variable
-// field selector and the estimator-driven join order (the selective leg
-// must run second — ?g is unbound before the probe row binds it). Both
-// queries are ∀, which keeps the visited-candidate counts exact — an ∃
-// lookup stops at the first hit, which floats with shard/bucket iteration
-// order.
-func secondaryLookups(e *txn.Engine, reps, groups int) error {
+// secondaryLookups issues reps rounds of the two E17 queries through
+// solve, which returns a query's solution count. The point lookup
+// <?x, rec, G> constrains only non-lead fields, so without a field index it
+// walks every arity-3 tuple, while the indexed store reads one (arity,
+// pos-2, G) bucket. The join's first leg <P, link, ?g> is lead-keyed and
+// binds ?g; its second leg <?y, rec, ?g> is selective only through the
+// runtime-bound ?g field, exercising both the bound-variable field selector
+// and the estimator-driven join order (the selective leg must run second —
+// ?g is unbound before the probe row binds it). Both queries are ∀, which
+// keeps the visited-candidate counts exact — an ∃ lookup stops at the first
+// hit, which floats with shard/bucket iteration order.
+func secondaryLookups(reps, groups int, solve func(pattern.Query) (int, error)) error {
 	rec, link := tuple.Atom("rec"), tuple.Atom("link")
 	for i := 0; i < reps; i++ {
-		g := int64(i % groups)
-		res, err := e.Immediate(txn.Request{
-			Proc: 1,
-			View: view.Universal(),
-			Query: pattern.QAll(pattern.P(
-				pattern.V("x"), pattern.C(rec), pattern.C(tuple.Int(g)))),
-		})
-		if err != nil {
-			return err
-		}
-		if !res.OK || len(res.Solutions) == 0 {
-			return fmt.Errorf("lookup g=%d missed", g)
-		}
-		res, err = e.Immediate(txn.Request{
-			Proc: 1,
-			View: view.Universal(),
-			Query: pattern.QAll(
-				pattern.P(pattern.C(tuple.Int(g)), pattern.C(link), pattern.V("g")),
-				pattern.P(pattern.V("y"), pattern.C(rec), pattern.V("g")),
-			),
-		})
-		if err != nil {
-			return err
-		}
-		if !res.OK || len(res.Solutions) == 0 {
-			return fmt.Errorf("join p=%d missed", g)
+		g := tuple.Int(int64(i % groups))
+		for _, q := range []pattern.Query{
+			pattern.QAll(pattern.P(pattern.V("x"), pattern.C(rec), pattern.C(g))),
+			pattern.QAll(
+				pattern.P(pattern.C(g), pattern.C(link), pattern.V("g")),
+				pattern.P(pattern.V("y"), pattern.C(rec), pattern.V("g"))),
+		} {
+			if n, err := solve(q); err != nil || n == 0 {
+				return fmt.Errorf("%s: %d solutions, err %v", q, n, err)
+			}
 		}
 	}
 	return nil
@@ -1311,66 +1303,71 @@ func secondaryLookups(e *txn.Engine, reps, groups int) error {
 
 // E17SecondaryIndex is the ablation for the adaptive secondary field
 // indexes and the selectivity-guided join planner they feed (DESIGN.md
-// section 12). Both arms run the same wildcard-lead lookups and probe
-// joins after an identical warm-up; the indexed arm's warm-up pushes the
-// (arity-3, pos) shapes past the promotion bar and builds their buckets,
-// so the measured loop sees the steady state of each configuration. The
-// tuples/txn column is the visited-candidate count the matcher actually
-// enumerated — the quantity the index exists to shrink.
+// section 12). Both arms run the same wildcard-lead lookups and probe joins
+// over the same store. The scan baseline is refmodel.Solutions over the
+// store's instances: nested loops with no index, O(n) per pattern. The
+// indexed arm is the engine after a warm-up that pushes the (arity-3, pos)
+// shapes past the promotion bar and builds their buckets, so the measured
+// loop sees the steady state. The tuples/txn column is the
+// visited-candidate count — the quantity the index exists to shrink.
 func E17SecondaryIndex(_ context.Context, sizes []int) (*Table, error) {
 	t := &Table{
 		ID:    "E17",
-		Title: "ablation: adaptive secondary field indexes + selectivity join planning vs full arity scans",
-		Note:  "per-(arity, field, value) buckets promoted by scan pressure; the planner orders joins by estimated candidates visited (DESIGN.md section 12)",
+		Title: "ablation: adaptive secondary field indexes + selectivity join planning vs full scans",
+		Note:  "per-(arity, field, value) buckets promoted by scan pressure; the planner orders joins by estimated candidates visited (DESIGN.md section 12); scan = refmodel.Solutions",
 	}
 	const (
 		groups   = 1024
-		scanReps = 50
+		scanReps = 20
 		warmReps = 4
+		// The indexed arm's per-txn time is three orders of magnitude
+		// smaller, so it gets proportionally more reps — the reported
+		// metrics are per transaction, so the arms stay comparable while
+		// both measurement windows are long enough to read.
+		indexedReps = 2000
 	)
 	for _, n := range sizes {
 		row := Row{Config: fmt.Sprintf("n=%d groups=%d", n, groups)}
-		for _, secondary := range []bool{false, true} {
-			s := dataspace.New(dataspace.WithShards(8), dataspace.WithSecondaryIndex(secondary))
-			e := txn.New(s)
-			secondaryLoad(s, n, groups)
-			if err := secondaryLookups(e, warmReps, groups); err != nil {
-				return nil, fmt.Errorf("E17 warm secondary=%v n=%d: %w", secondary, n, err)
-			}
-			// The indexed arm's per-txn time is three orders of magnitude
-			// smaller, so it gets proportionally more reps — the reported
-			// metrics are per transaction, so the arms stay comparable
-			// while both measurement windows are long enough to read.
-			reps := scanReps
-			if secondary {
-				reps = 40 * scanReps
-			}
-			before := s.Metrics().Snapshot()
-			d, err := timeIt(func() error { return secondaryLookups(e, reps, groups) })
-			if err != nil {
-				return nil, fmt.Errorf("E17 secondary=%v n=%d: %w", secondary, n, err)
-			}
-			after := s.Metrics().Snapshot()
-			queries := float64(2 * reps)
-			visited := float64(after.SecondaryTuplesVisited - before.SecondaryTuplesVisited)
-			name := "scan"
-			if secondary {
-				name = "indexed"
-			}
-			row.Metrics = append(row.Metrics,
-				Metric{Name: name, Value: float64(d.Microseconds()) / queries, Unit: "us/txn"},
-				Metric{Name: name + " visited", Value: visited / queries, Unit: "tuples/txn"})
-			if secondary {
-				fieldScans := after.SecondaryFieldScans - before.SecondaryFieldScans
-				share := 0.0
-				if fieldScans > 0 {
-					share = 100 * float64(after.SecondaryIndexedScans-before.SecondaryIndexedScans) / float64(fieldScans)
-				}
-				row.Metrics = append(row.Metrics,
-					Count("promotions", float64(after.SecondaryPromotions), "shapes"),
-					Metric{Name: "indexed share", Value: share, Unit: "%"})
-			}
+		s := dataspace.New(dataspace.WithShards(8))
+		secondaryLoad(s, n, groups)
+		model, _ := refmodel.ReplayFrom(s.All(), 0, nil) // no records to reject
+		window, visited := model.All(), 0
+		scan := func(q pattern.Query) (int, error) {
+			// The enumerator tries every instance once per pattern loop it
+			// enters: the lookup's one, and the join's probe leg plus one
+			// under the single probe row <g, link, g> that leg matches.
+			visited += len(window) * len(q.Patterns)
+			sols, err := refmodel.Solutions(q, window, nil)
+			return len(sols), err
 		}
+		d, err := timeIt(func() error { return secondaryLookups(scanReps, groups, scan) })
+		if err != nil {
+			return nil, fmt.Errorf("E17 scan n=%d: %w", n, err)
+		}
+		row.Metrics = append(row.Metrics,
+			Metric{Name: "scan", Value: float64(d.Microseconds()) / (2 * scanReps), Unit: "us/txn"},
+			Metric{Name: "scan visited", Value: float64(visited) / (2 * scanReps), Unit: "tuples/txn"})
+
+		e := txn.New(s)
+		indexed := func(q pattern.Query) (int, error) {
+			res, err := e.Immediate(txn.Request{Proc: 1, View: view.Universal(), Query: q})
+			return len(res.Solutions), err
+		}
+		if err := secondaryLookups(warmReps, groups, indexed); err != nil {
+			return nil, fmt.Errorf("E17 warm n=%d: %w", n, err)
+		}
+		before := s.Metrics().Snapshot()
+		if d, err = timeIt(func() error { return secondaryLookups(indexedReps, groups, indexed) }); err != nil {
+			return nil, fmt.Errorf("E17 indexed n=%d: %w", n, err)
+		}
+		after := s.Metrics().Snapshot()
+		share := 100 * float64(after.SecondaryIndexedScans-before.SecondaryIndexedScans) /
+			float64(max(1, after.SecondaryFieldScans-before.SecondaryFieldScans))
+		row.Metrics = append(row.Metrics,
+			Metric{Name: "indexed", Value: float64(d.Microseconds()) / (2 * indexedReps), Unit: "us/txn"},
+			Metric{Name: "indexed visited", Value: float64(after.SecondaryTuplesVisited-before.SecondaryTuplesVisited) / (2 * indexedReps), Unit: "tuples/txn"},
+			Count("promotions", float64(after.SecondaryPromotions), "shapes"),
+			Metric{Name: "indexed share", Value: share, Unit: "%"})
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil

@@ -241,15 +241,14 @@ func (dl *delivery) add(subs []*Subscription, n int, d Delta) {
 //
 // A candidate whose filter rejected every delta is suppressed (counted,
 // not woken); the recorded fan-out is the subscriptions actually published
-// to. Broad mode (the E10 ablation) and the spurious-wakeup fault instead
-// force a full-re-query delivery to every subscription in every shard,
-// matched or not: woken waiters re-evaluate and, finding their query still
-// unsatisfied, block again — the subscribe-before-evaluate protocol makes
-// this safe, and exploration verifies it stays safe. Correctness never
-// depends on suppression.
+// to. The spurious-wakeup fault instead forces a full-re-query delivery to
+// every subscription in every shard, matched or not: woken waiters
+// re-evaluate and, finding their query still unsatisfied, block again —
+// the subscribe-before-evaluate protocol makes this safe, and exploration
+// verifies it stays safe. Correctness never depends on suppression.
 func (s *Store) notify(j *journal) {
 	dl := &j.dl
-	if s.broadWake.Load() || s.sc.SpuriousWakeup() {
+	if s.sc.SpuriousWakeup() {
 		for _, sh := range s.shards {
 			j.matched = sh.waiters.collectAll(j.matched)
 		}

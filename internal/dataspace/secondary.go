@@ -95,10 +95,9 @@ type shapeStats struct {
 // secondaryState is a shard's field-index layer. The shapes table is
 // fixed-size so counting on the read path never allocates or locks.
 type secondaryState struct {
-	enabled bool
-	met     *metrics.Registry
-	hot     atomic.Int32 // promoted shapes in this shard (fast skip for writers)
-	shapes  [maxFieldArity + 1][maxFieldArity]shapeStats
+	met    *metrics.Registry
+	hot    atomic.Int32 // promoted shapes in this shard (fast skip for writers)
+	shapes [maxFieldArity + 1][maxFieldArity]shapeStats
 }
 
 // secShape returns the stats slot for (arity, pos), or nil when the shape
@@ -137,7 +136,7 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 // ok=true with an empty bucket means an index proved there are no matches.
 // The caller holds sh.mu (read or write).
 func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idSet, bool) {
-	if !sh.sec.enabled || sh.sec.hot.Load() == 0 {
+	if sh.sec.hot.Load() == 0 {
 		return idSet{}, false
 	}
 	var (
@@ -168,9 +167,6 @@ func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idSe
 // see the fallback scans that promote it. Runs under sh.mu or lock-free
 // from the epoch path; the transition is a CAS.
 func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) {
-	if !sh.sec.enabled {
-		return
-	}
 	for _, sel := range sels {
 		st := sh.secShape(arity, sel.Pos)
 		if st == nil || st.state.Load() != shapeCold {
@@ -319,12 +315,8 @@ func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID,
 }
 
 // LeadWide implements pattern.FieldSource: the bucket is in the reader's
-// footprint and holds more than wideLeadBucket tuples. Stores without
-// secondary indexes answer false, keeping every lead-known scan on Scan.
+// footprint and holds more than wideLeadBucket tuples.
 func (r reader) LeadWide(arity int, lead tuple.Value) bool {
-	if !r.s.secondary {
-		return false
-	}
 	k := indexKey{arity: arity, lead: canonLead(lead)}
 	si := r.s.shardIndex(k)
 	return r.ss.has(si) && r.s.shards[si].leadSet(arity, k.lead).len() > wideLeadBucket
@@ -334,16 +326,11 @@ func (r reader) LeadWide(arity int, lead tuple.Value) bool {
 
 // estimator exposes the live index's cardinalities to the join planner: a
 // view of the reader it is reached from, so handing it out allocates
-// nothing. It is reachable only through JoinEstimator, which gates it on the
-// secondary layer being enabled — the ablated store plans with the legacy
-// boundness heuristic. Methods run under the same locks as Scan.
+// nothing. Methods run under the same locks as Scan.
 type estimator reader
 
 // JoinEstimator implements pattern.EstimatorProvider.
 func (r *reader) JoinEstimator() pattern.Estimator {
-	if !r.s.secondary {
-		return nil
-	}
 	return (*estimator)(r)
 }
 
@@ -528,9 +515,6 @@ func (r epochReader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tupl
 
 // LeadWide implements pattern.FieldSource over the snapshot's lead bucket.
 func (r epochReader) LeadWide(arity int, lead tuple.Value) bool {
-	if !r.s.secondary {
-		return false
-	}
 	k := indexKey{arity: arity, lead: canonLead(lead)}
 	si := r.s.shardIndex(k)
 	return r.ss.has(si) && len(r.snaps[si].byLead[k]) > wideLeadBucket

@@ -102,18 +102,6 @@ func TestLeadKnownScanFields(t *testing.T) {
 			t.Errorf("after retract+assert the (1, 7) bucket serves %v, want <job, 7, 0> and <other, 7, 1>", leads)
 		}
 	})
-
-	// Without the secondary layer no bucket is wide: lead-known scans stay
-	// on Scan.
-	plain := New(WithSecondaryIndex(false))
-	for i := 0; i < n; i++ {
-		plain.Assert(tuple.Environment, tuple.New(job, tuple.Int(int64(i)), tuple.Int(0)))
-	}
-	plain.Snapshot(func(r Reader) {
-		if r.(pattern.FieldSource).LeadWide(3, job) {
-			t.Error("a store without secondary indexes reports a wide lead bucket")
-		}
-	})
 }
 
 // TestUnselectiveHotShapeDoesNotStarveSelectiveOne: lead-known scans of a

@@ -249,23 +249,19 @@ type Store struct {
 	mask   uint32
 	all    shardSet // every shard index, for the full-lock paths
 
-	secondary bool // adaptive secondary field indexes + selectivity planning enabled
-
 	metrics *metrics.Registry
 	sc      *sched.Controller // nil unless schedule exploration is on
 
-	broadWake atomic.Bool
-	onCommit  []CommitHook
-	durable   DurableSink // nil unless a WAL is attached
+	onCommit []CommitHook
+	durable  DurableSink // nil unless a WAL is attached
 }
 
 // Option configures a Store under construction.
 type Option func(*storeConfig)
 
 type storeConfig struct {
-	shards      int
-	sc          *sched.Controller
-	noSecondary bool
+	shards int
+	sc     *sched.Controller
 }
 
 // WithShards sets the shard count. Values are rounded up to a power of two
@@ -282,15 +278,6 @@ func WithShards(n int) Option {
 // controller (the default) keeps every hook a no-op.
 func WithScheduler(sc *sched.Controller) Option {
 	return func(c *storeConfig) { c.sc = sc }
-}
-
-// WithSecondaryIndex enables or disables adaptive secondary field indexes
-// and the selectivity-guided join planner they feed (on by default).
-// Disabling it degrades every non-lead constrained scan to the full arity
-// walk and the planner to the boundness heuristic — the E17 ablation
-// baseline.
-func WithSecondaryIndex(on bool) Option {
-	return func(c *storeConfig) { c.noSecondary = !on }
 }
 
 func defaultShardCount() int {
@@ -357,18 +344,16 @@ func New(opts ...Option) *Store {
 	}
 	n := normalizeShardCount(cfg.shards)
 	s := &Store{
-		shards:    make([]*shard, n),
-		mask:      uint32(n - 1),
-		secondary: !cfg.noSecondary,
-		metrics:   metrics.NewRegistry(n),
-		sc:        cfg.sc,
+		shards:  make([]*shard, n),
+		mask:    uint32(n - 1),
+		metrics: metrics.NewRegistry(n),
+		sc:      cfg.sc,
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			entries: make(map[tuple.ID]entry),
 			byArity: make(map[int]*arityIndex),
 		}
-		s.shards[i].sec.enabled = s.secondary
 		s.shards[i].sec.met = s.metrics
 		s.all.add(uint32(i))
 	}
@@ -377,10 +362,6 @@ func New(opts ...Option) *Store {
 
 // NumShards returns the store's shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
-
-// SecondaryIndex reports whether adaptive secondary field indexes are
-// enabled.
-func (s *Store) SecondaryIndex() bool { return s.secondary }
 
 // Metrics returns the store's metrics registry. The registry is shared by
 // every component layered over the store (transaction engine, consensus

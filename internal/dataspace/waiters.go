@@ -205,8 +205,8 @@ func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscri
 	return into
 }
 
-// collectAll appends every registered subscription (broad wakeups and the
-// spurious-wakeup fault).
+// collectAll appends every registered subscription (the spurious-wakeup
+// fault).
 func (r *waiterRegistry) collectAll(into []*Subscription) []*Subscription {
 	r.mu.Lock()
 	for _, set := range r.byKey {
@@ -222,14 +222,6 @@ func (r *waiterRegistry) collectAll(into []*Subscription) []*Subscription {
 	}
 	r.mu.Unlock()
 	return into
-}
-
-// SetBroadWakeups disables interest-keyed wakeups: every commit wakes
-// every subscription for a full re-query, as a naive implementation would.
-// This exists solely for the E10 ablation benchmark; call it before the
-// store is shared.
-func (s *Store) SetBroadWakeups(broad bool) {
-	s.broadWake.Store(broad)
 }
 
 // InterestOf derives the interest keys for a set of (arity, lead) pattern

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/race"
+	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -216,14 +217,17 @@ func TestFilterRejectedCommitIsSuppressed(t *testing.T) {
 	}
 }
 
+// TestBroadWakeupsForceFullRequery: the spurious-wakeup fault is the broad
+// wakeup a naive implementation would do — a commit wakes every
+// subscription in every shard for a full re-query, covered or not. Seed 1
+// draws the fault on the first commit.
 func TestBroadWakeupsForceFullRequery(t *testing.T) {
-	s := New(WithShards(4))
-	s.SetBroadWakeups(true)
+	s := New(WithShards(4), WithScheduler(sched.New(1, sched.Faults{SpuriousWakeup: 255})))
 	sub := s.Subscribe(yearKey, func(Delta) bool { return false })
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("unrelated")))
 	if !waitFired(t, sub.Ready()) {
-		t.Fatal("broad mode did not wake an uncovered subscription")
+		t.Fatal("the spurious-wakeup fault did not wake an uncovered subscription")
 	}
 	if deltas, full := sub.Drain(); !full || len(deltas) != 0 {
 		t.Errorf("Drain = %v, full=%t; want full", deltas, full)

@@ -15,30 +15,28 @@ import (
 )
 
 // FuzzEnumerate and TestEnumerateMatchesOracle check the compiled matcher
-// against refmodel.Solutions — nested loops in written order, a cloned
-// environment per candidate, no planner, no frame, no index — on random
-// multi-pattern queries over random tuple sets: constants, wildcards, shared
-// and repeated variables, computed fields, guards, negated patterns with and
-// without guards, retract tags, a test query, a non-empty base environment.
-// Per query, through a plain Source and through the adversarial wideSource,
-// under PlanAuto and PlanWritten:
+// against refmodel.Solutions — nested loops, a cloned environment per
+// candidate, no frame, no index — on random multi-pattern queries over random
+// tuple sets: constants, wildcards, shared and repeated variables, computed
+// fields, guards, negated patterns with and without guards, retract tags, a
+// test query, a non-empty base environment. The oracle joins the positive
+// patterns in the order the planner chose for the matcher (JoinOrder), so the
+// two explore the same search tree. Per query, through a plain Source and
+// through the adversarial wideSource:
 //
-//   - SolveAll's solution multiset (environment + retracted instances)
-//     equals the oracle's, and Solve finds a member of it iff it is non-empty;
+//   - SolveAll fails exactly when the oracle does, and otherwise its solution
+//     multiset (environment + retracted instances) equals the oracle's;
+//     Solve finds a member of it iff it is non-empty;
+//   - the planner only reorders: when the written order has solutions and
+//     neither order raises an error, both orders have the same ones (the
+//     planner may find answers the written order misses, but only because as
+//     written a computed field reads a variable bound later and so never
+//     matches — then the written order has none);
 //   - the caller's base environment is untouched;
 //   - a solution handed to a consumer that stops the enumeration stays
 //     intact while the pooled matcher serves other enumerations;
 //   - an enumeration started from inside the consumer neither disturbs the
 //     outer run nor is disturbed by it.
-//
-// Evaluation errors (an unbound variable or a type error in a guard or the
-// test query) abort an enumeration at the first candidate that raises one,
-// and which candidate that is depends on the join order: under PlanWritten
-// the matcher must fail exactly when the oracle does, under PlanAuto a run
-// where either side fails is not compared. Nor is a PlanAuto run of a query
-// that writes a computed field before the pattern binding its variables:
-// evaluated as written such a field never matches, while the planner places
-// its pattern after the binder and finds the declarative answer.
 
 var (
 	enumVals = []tuple.Value{
@@ -151,46 +149,6 @@ func decodeEnumInput(data []byte) enumInput {
 	return in
 }
 
-// scopedAsWritten reports whether every computed field of q reads only
-// variables in scope where it is written: the base environment's, those of
-// earlier positive patterns, and those of earlier fields of its own pattern.
-func scopedAsWritten(q pattern.Query, base expr.Env) bool {
-	bound := map[string]bool{}
-	for name := range base {
-		bound[name] = true
-	}
-	scoped := func(p pattern.Pattern) (local []string, ok bool) {
-		for _, f := range p.Fields {
-			switch f.Kind {
-			case pattern.FieldVar:
-				local = append(local, f.Name)
-			case pattern.FieldExpr:
-				for _, v := range f.Expr.Vars(nil) {
-					if !bound[v] && !slices.Contains(local, v) {
-						return nil, false
-					}
-				}
-			}
-		}
-		return local, true
-	}
-	for _, negated := range []bool{false, true} {
-		for _, p := range q.Patterns {
-			if p.Negated != negated {
-				continue
-			}
-			local, ok := scoped(p)
-			if !ok {
-				return false
-			}
-			for _, v := range local {
-				bound[v] = bound[v] || !negated
-			}
-		}
-	}
-	return true
-}
-
 // solutionKey renders a solution canonically: sorted bindings, then the
 // sorted retracted instances (the matcher lists them in join order, the
 // oracle in written order). Numbers render by value: 1 and 1.0 are Equal, and
@@ -223,17 +181,46 @@ func bindingKeys(sols []pattern.Binding) map[string]int {
 	return out
 }
 
-func checkEnumerate(t *testing.T, data []byte) {
-	in := decodeEnumInput(data)
-	window := make([]refmodel.Instance, len(in.tuples))
-	for i, tp := range in.tuples {
+func oracleKeys(sols []refmodel.Solution) map[string]int {
+	out := map[string]int{}
+	for _, s := range sols {
+		out[solutionKey(s.Env, s.Retracted)]++
+	}
+	return out
+}
+
+// inJoinOrder returns q with its positive patterns permuted into order (a
+// JoinOrder) and its negated patterns after them as written: the query whose
+// written order is the matcher's join order.
+func inJoinOrder(q pattern.Query, order []int) pattern.Query {
+	pats := make([]pattern.Pattern, 0, len(q.Patterns))
+	for _, i := range order {
+		pats = append(pats, q.Patterns[i])
+	}
+	for _, p := range q.Patterns {
+		if p.Negated {
+			pats = append(pats, p)
+		}
+	}
+	q.Patterns = pats
+	return q
+}
+
+func windowOf(ts []tuple.Tuple) []refmodel.Instance {
+	window := make([]refmodel.Instance, len(ts))
+	for i, tp := range ts {
 		window[i] = refmodel.Instance{ID: tuple.ID(i + 1), Tuple: tp}
 	}
-	oracle, oracleErr := refmodel.Solutions(in.q, window, in.base)
-	want := map[string]int{}
-	for _, s := range oracle {
-		want[solutionKey(s.Env, s.Retracted)]++
-	}
+	return window
+}
+
+// checkEnumerate runs the differential check on one decoded input. Every one
+// of the first nest outer solutions starts a nested run (nest < 0: every
+// outer solution does).
+func checkEnumerate(t *testing.T, data []byte, nest int) {
+	in := decodeEnumInput(data)
+	window := windowOf(in.tuples)
+	written, writtenErr := refmodel.Solutions(in.q, window, in.base)
 	baseBefore := in.base.Clone()
 
 	sources := map[string]func() pattern.Source{
@@ -241,63 +228,69 @@ func checkEnumerate(t *testing.T, data []byte) {
 		"wide":  func() pattern.Source { return pattern.NewWideSource(in.tuples) },
 	}
 	for srcName, mk := range sources {
-		for _, plan := range []pattern.Plan{pattern.PlanAuto, pattern.PlanWritten} {
-			q := in.q
-			q.Plan = plan
-			where := fmt.Sprintf("%s over %v from %v (%s source, plan %d)", q, in.tuples, baseBefore, srcName, plan)
+		q := in.q
+		joined := inJoinOrder(q, pattern.JoinOrder(q, mk(), in.base))
+		where := fmt.Sprintf("%s over %v from %v (%s source, joined as %s)", q, in.tuples, baseBefore, srcName, joined)
+		oracle, oracleErr := refmodel.Solutions(joined, window, in.base)
+		want := oracleKeys(oracle)
+		if len(written) > 0 && writtenErr == nil && oracleErr == nil && !maps.Equal(oracleKeys(written), want) {
+			t.Fatalf("%s: the join order changes the answer:\n joined  %v\n written %v", where, want, oracleKeys(written))
+		}
 
-			sols, err := pattern.SolveAll(q, mk(), in.base)
-			if plan == pattern.PlanWritten && (err != nil) != (oracleErr != nil) {
-				t.Fatalf("%s: error %v, oracle %v", where, err, oracleErr)
-			}
-			if err != nil || oracleErr != nil || plan == pattern.PlanAuto && !scopedAsWritten(q, in.base) {
-				continue
-			}
-			if got := bindingKeys(sols); !maps.Equal(got, want) {
-				t.Fatalf("%s:\n got %v\nwant %v", where, got, want)
-			}
+		sols, err := pattern.SolveAll(q, mk(), in.base)
+		if (err != nil) != (oracleErr != nil) {
+			t.Fatalf("%s: error %v, oracle %v", where, err, oracleErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got := bindingKeys(sols); !maps.Equal(got, want) {
+			t.Fatalf("%s:\n got %v\nwant %v", where, got, want)
+		}
 
-			one, found, err := pattern.Solve(q, mk(), in.base)
-			if err != nil || found != (len(want) > 0) {
-				t.Fatalf("%s: Solve found %v, err %v; oracle has %d solutions", where, found, err, len(oracle))
-			}
-			if found && want[solutionKey(one.Env, one.RetractedIDs())] == 0 {
-				t.Fatalf("%s: Solve returned %v, not an oracle solution", where, one)
-			}
+		one, found, err := pattern.Solve(q, mk(), in.base)
+		if err != nil || found != (len(want) > 0) {
+			t.Fatalf("%s: Solve found %v, err %v; oracle has %d solutions", where, found, err, len(oracle))
+		}
+		if found && want[solutionKey(one.Env, one.RetractedIDs())] == 0 {
+			t.Fatalf("%s: Solve returned %v, not an oracle solution", where, one)
+		}
 
-			// Early stop: keep the solution the consumer stopped on, let the
-			// pooled matcher serve other runs, then look at it again.
-			var kept pattern.Binding
-			var keptKey string
-			if err := pattern.Enumerate(q, mk(), in.base, func(b pattern.Binding) bool {
-				kept, keptKey = b, solutionKey(b.Env, b.RetractedIDs())
-				return false
-			}); err != nil {
-				t.Fatalf("%s: early-stopped run: %v", where, err)
-			}
-			if _, err := pattern.SolveAll(q, mk(), in.base); err != nil {
-				t.Fatalf("%s: %v", where, err)
-			}
-			if len(want) > 0 && (solutionKey(kept.Env, kept.RetractedIDs()) != keptKey || want[keptKey] == 0) {
-				t.Fatalf("%s: handed-off solution changed from %s to %v", where, keptKey, kept)
-			}
+		// Early stop: keep the solution the consumer stopped on, let the
+		// pooled matcher serve other runs, then look at it again.
+		var kept pattern.Binding
+		var keptKey string
+		if err := pattern.Enumerate(q, mk(), in.base, func(b pattern.Binding) bool {
+			kept, keptKey = b, solutionKey(b.Env, b.RetractedIDs())
+			return false
+		}); err != nil {
+			t.Fatalf("%s: early-stopped run: %v", where, err)
+		}
+		if _, err := pattern.SolveAll(q, mk(), in.base); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if len(want) > 0 && (solutionKey(kept.Env, kept.RetractedIDs()) != keptKey || want[keptKey] == 0) {
+			t.Fatalf("%s: handed-off solution changed from %s to %v", where, keptKey, kept)
+		}
 
-			// Re-entrancy: every solution of the outer run starts a nested
-			// run; both must see the oracle's solutions.
-			var outer []pattern.Binding
-			if err := pattern.Enumerate(q, mk(), in.base, func(b pattern.Binding) bool {
-				outer = append(outer, b)
-				inner, err := pattern.SolveAll(q, mk(), in.base)
-				if err != nil || !maps.Equal(bindingKeys(inner), want) {
-					t.Fatalf("%s: nested run: %v, err %v; want %v", where, bindingKeys(inner), err, want)
-				}
+		// Re-entrancy: outer solutions start nested runs; both must see the
+		// oracle's solutions.
+		var outer []pattern.Binding
+		if err := pattern.Enumerate(q, mk(), in.base, func(b pattern.Binding) bool {
+			outer = append(outer, b)
+			if nest >= 0 && len(outer) > nest {
 				return true
-			}); err != nil {
-				t.Fatalf("%s: outer run: %v", where, err)
 			}
-			if got := bindingKeys(outer); !maps.Equal(got, want) {
-				t.Fatalf("%s: outer run around nested ones:\n got %v\nwant %v", where, got, want)
+			inner, err := pattern.SolveAll(q, mk(), in.base)
+			if err != nil || !maps.Equal(bindingKeys(inner), want) {
+				t.Fatalf("%s: nested run: %v, err %v; want %v", where, bindingKeys(inner), err, want)
 			}
+			return true
+		}); err != nil {
+			t.Fatalf("%s: outer run: %v", where, err)
+		}
+		if got := bindingKeys(outer); !maps.Equal(got, want) {
+			t.Fatalf("%s: outer run around nested ones:\n got %v\nwant %v", where, got, want)
 		}
 	}
 	if len(in.base) != len(baseBefore) {
@@ -306,6 +299,51 @@ func checkEnumerate(t *testing.T, data []byte) {
 	for k, v := range baseBefore {
 		if w, ok := in.base[k]; !ok || w != v {
 			t.Fatalf("base environment changed: %v, had %v", in.base, baseBefore)
+		}
+	}
+}
+
+// TestQuickPlannerPreservesSolutions: on random 2–3 pattern queries over
+// shared variables, constants, wildcards and retract tags — no computed
+// field, guard or test, so every order is in scope — the planned matcher's
+// solution multiset is the written-order oracle's.
+func TestQuickPlannerPreservesSolutions(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		var ts []tuple.Tuple
+		for n := 5 + rng.Intn(15); len(ts) < n; {
+			ts = append(ts, tuple.New(tuple.Int(int64(rng.Intn(4))), tuple.Int(int64(rng.Intn(4)))))
+		}
+		vars := []string{"a", "b", "c"}
+		mk := func() pattern.Pattern {
+			f := func() pattern.Field {
+				switch rng.Intn(3) {
+				case 0:
+					return pattern.C(tuple.Int(int64(rng.Intn(4))))
+				case 1:
+					return pattern.V(vars[rng.Intn(len(vars))])
+				default:
+					return pattern.W()
+				}
+			}
+			p := pattern.P(f(), f())
+			p.Retract = rng.Intn(2) == 0
+			return p
+		}
+		q := pattern.QAll(mk(), mk())
+		if rng.Intn(2) == 0 {
+			q.Patterns = append(q.Patterns, mk())
+		}
+		got, err := pattern.SolveAll(q, pattern.NewSliceSource(ts), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refmodel.Solutions(q, windowOf(ts), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(bindingKeys(got), oracleKeys(want)) {
+			t.Fatalf("trial %d: %s over %v:\n got %v\nwant %v", trial, q, ts, bindingKeys(got), oracleKeys(want))
 		}
 	}
 }
@@ -373,20 +411,13 @@ func TestRowLookupsMatchEnv(t *testing.T) {
 		data := make([]byte, 32+r.Intn(96))
 		r.Read(data)
 		in := decodeEnumInput(data)
-		window := make([]refmodel.Instance, len(in.tuples))
-		for i, tp := range in.tuples {
-			window[i] = refmodel.Instance{ID: tuple.ID(i + 1), Tuple: tp}
-		}
-		oracle, err := refmodel.Solutions(in.q, window, in.base)
-		if err != nil || !scopedAsWritten(in.q, in.base) || len(oracle) == 0 {
+		mk := func() pattern.Source { return pattern.NewSliceSource(in.tuples) }
+		joined := inJoinOrder(in.q, pattern.JoinOrder(in.q, mk(), in.base))
+		oracle, err := refmodel.Solutions(joined, windowOf(in.tuples), in.base)
+		if err != nil || len(oracle) == 0 {
 			continue
 		}
-		want := map[string]int{}
-		for _, s := range oracle {
-			want[solutionKey(s.Env, s.Retracted)]++
-		}
-		checkRows(t, fmt.Sprintf("%s from %v", in.q, in.base), in.q,
-			func() pattern.Source { return pattern.NewSliceSource(in.tuples) }, in.base, want)
+		checkRows(t, fmt.Sprintf("%s from %v", in.q, in.base), in.q, mk, in.base, oracleKeys(oracle))
 		if len(in.base) > 0 {
 			withBase++
 		}
@@ -432,11 +463,18 @@ func FuzzEnumerate(f *testing.F) {
 		r.Read(seed)
 		f.Add(seed)
 	}
-	f.Fuzz(checkEnumerate)
+	// Nested runs under every outer solution make the check quadratic in the
+	// solution count, and the fuzzer finds inputs with > 10⁴ solutions; here
+	// only the first fuzzNested outer solutions nest.
+	f.Fuzz(func(t *testing.T, data []byte) { checkEnumerate(t, data, fuzzNested) })
 }
 
+// fuzzNested is how many outer solutions start a nested run in FuzzEnumerate.
+const fuzzNested = 4
+
 // TestEnumerateMatchesOracle runs the fuzz body over a fixed pseudo-random
-// corpus, so the differential check rides every `go test`.
+// corpus, so the differential check rides every `go test`, nesting a run
+// under every outer solution.
 func TestEnumerateMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	compared := 0
@@ -447,7 +485,7 @@ func TestEnumerateMatchesOracle(t *testing.T) {
 		if sols, err := pattern.SolveAll(in.q, pattern.NewSliceSource(in.tuples), in.base); err == nil && len(sols) > 0 {
 			compared++
 		}
-		checkEnumerate(t, data)
+		checkEnumerate(t, data, -1)
 	}
 	if compared < 400 {
 		t.Fatalf("only %d of 4000 random queries had a solution: the corpus exercises too little", compared)

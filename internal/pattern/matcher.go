@@ -352,9 +352,7 @@ func (m *matcher) compile(base expr.Env) {
 		}
 	}
 	m.npos = len(m.order)
-	if q.Plan == PlanAuto {
-		planJoinOrder(q, m.order, base, m.src)
-	}
+	planJoinOrder(q, m.order, base, m.src)
 	for i := range q.Patterns {
 		if q.Patterns[i].Negated {
 			m.order = append(m.order, i)

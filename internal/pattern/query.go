@@ -29,30 +29,12 @@ func (q Quantifier) String() string {
 	}
 }
 
-// Plan selects how the matcher orders the positive patterns of a query.
-type Plan uint8
-
-// Plans.
-const (
-	// PlanAuto (the default) reorders positive patterns greedily by
-	// boundness: patterns whose leading field is determined by the
-	// bindings accumulated so far are matched first (they hit index
-	// buckets instead of arity scans), then patterns sharing a variable
-	// with the bindings. The solution set is unchanged — only the join
-	// order and therefore the scan cost. Experiment E11 measures it.
-	PlanAuto Plan = iota
-	// PlanWritten evaluates patterns exactly in written order (the naive
-	// semantics, and the ablation baseline).
-	PlanWritten
-)
-
 // Query is a complete SDL query: quantifier, binding query (patterns), and
 // test query (boolean expression over the bound variables).
 type Query struct {
 	Quant    Quantifier
 	Patterns []Pattern
 	Test     expr.Expr
-	Plan     Plan
 }
 
 // Q builds an existential query.

@@ -79,30 +79,24 @@ func (o Options) withDefaults() Options {
 // configPoint is the decision stream configFor hashes. It is frozen: the
 // value is the ordinal the stream had when seeds were first assigned their
 // configurations, so adding or retiring a sched.Point never reassigns a
-// recorded seed's shards or secondary arm.
+// recorded seed's shards.
 const configPoint sched.Point = 19
 
-// configFor derives the per-seed system configuration. All knobs are pure
-// functions of the seed, so a reported seed reproduces its configuration.
-func configFor(seed uint64, o Options) (shards int, secondary bool) {
-	h := sched.Decide(seed, configPoint, 0x5eed)
-	shards = o.Shards
-	if shards == 0 {
-		shards = 1 << (h % 4) // 1, 2, 4, 8
+// configFor derives the per-seed shard count, a pure function of the seed,
+// so a reported seed reproduces its configuration.
+func configFor(seed uint64, o Options) int {
+	if o.Shards != 0 {
+		return o.Shards
 	}
-	// The secondary-index path and its arity-scan fallback must both
-	// survive every schedule, so the campaign splits seeds between them.
-	secondary = h&(1<<18) != 0
-	return shards, secondary
+	return 1 << (sched.Decide(seed, configPoint, 0x5eed) % 4) // 1, 2, 4, 8
 }
 
 // Failure describes one failing (program, seed) pair.
 type Failure struct {
-	Program   string
-	Seed      uint64
-	Shards    int
-	Secondary bool
-	Err       error
+	Program string
+	Seed    uint64
+	Shards  int
+	Err     error
 	// Decisions is the number of decisions the failing run drew.
 	Decisions int64
 	// MinLimit is the smallest active-decision budget that still fails
@@ -113,7 +107,7 @@ type Failure struct {
 }
 
 func (f Failure) String() string {
-	s := fmt.Sprintf("%s: seed %d (shards=%d secondary=%t): %v", f.Program, f.Seed, f.Shards, f.Secondary, f.Err)
+	s := fmt.Sprintf("%s: seed %d (shards=%d): %v", f.Program, f.Seed, f.Shards, f.Err)
 	if f.MinLimit >= 0 {
 		s += fmt.Sprintf("\n  shrunk to %d active decisions (of %d drawn); replay: sdlexplore -program %s -seed %d -limit %d",
 			f.MinLimit, f.Decisions, f.Program, f.Seed, f.MinLimit)
@@ -150,8 +144,7 @@ func Run(opts Options) Report {
 				continue
 			}
 			failed++
-			shards, secondary := configFor(seed, opts)
-			f := Failure{Program: p.Name, Seed: seed, Shards: shards, Secondary: secondary,
+			f := Failure{Program: p.Name, Seed: seed, Shards: configFor(seed, opts),
 				Err: err, Decisions: decisions, MinLimit: -1}
 			logf("FAIL %s seed=%d: %v (shrinking...)", p.Name, seed, err)
 			f = Shrink(p, f, opts)
@@ -181,7 +174,7 @@ func RunSeed(p Program, seed uint64, limit int64, opts Options) (int64, error) {
 // runOnce assembles a fresh system under a seed-deterministic controller,
 // runs the program, and verifies the run.
 func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (int64, []sched.Decision, error) {
-	shards, secondary := configFor(seed, opts)
+	shards := configFor(seed, opts)
 	c := sched.New(seed, opts.Faults)
 	if limit >= 0 {
 		c.SetLimit(limit)
@@ -189,8 +182,7 @@ func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (in
 	if traced {
 		c.EnableTrace(0)
 	}
-	store := dataspace.New(dataspace.WithShards(shards), dataspace.WithScheduler(c),
-		dataspace.WithSecondaryIndex(secondary))
+	store := dataspace.New(dataspace.WithShards(shards), dataspace.WithScheduler(c))
 	clog := trace.NewCommitLog()
 	clog.Attach(store)
 

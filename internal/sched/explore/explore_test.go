@@ -229,77 +229,70 @@ type fakeErr struct{}
 func (*fakeErr) Error() string { return "fake failure" }
 
 func TestConfigForIsPure(t *testing.T) {
-	sawIndexed, sawScan := false, false
+	saw := map[int]bool{}
 	for seed := uint64(0); seed < 64; seed++ {
-		s1, x1 := configFor(seed, Options{})
-		s2, x2 := configFor(seed, Options{})
-		if s1 != s2 || x1 != x2 {
+		s := configFor(seed, Options{})
+		if s != configFor(seed, Options{}) {
 			t.Fatalf("configFor(%d) unstable", seed)
 		}
-		if s1 < 1 || s1 > 8 {
-			t.Errorf("configFor(%d) shards = %d", seed, s1)
+		if s < 1 || s > 8 {
+			t.Errorf("configFor(%d) shards = %d", seed, s)
 		}
-		if x1 {
-			sawIndexed = true
-		} else {
-			sawScan = true
-		}
+		saw[s] = true
 	}
-	if !sawIndexed || !sawScan {
-		t.Errorf("seed split misses a secondary-index arm: indexed=%t scan=%t", sawIndexed, sawScan)
+	if len(saw) != 4 {
+		t.Errorf("seeds 0..63 drew shard counts %v, want all of 1, 2, 4, 8", saw)
 	}
 	// Overrides win.
-	if s, _ := configFor(9, Options{Shards: 2}); s != 2 {
+	if s := configFor(9, Options{Shards: 2}); s != 2 {
 		t.Errorf("override ignored: shards=%d", s)
 	}
 }
 
-// TestConfigForGolden pins the configuration every recorded seed replays
-// with, as captured before the mode arm was deleted: each seed keeps its
-// shard count and secondary-index arm (the seeds that drew the Optimistic
-// mode now run the one engine).
+// TestConfigForGolden pins the shard count every recorded seed replays
+// with, as captured before the mode and secondary-index arms were deleted
+// (the seeds that drew either ablated arm now run the one configuration).
 func TestConfigForGolden(t *testing.T) {
 	golden := []struct {
-		seed      uint64
-		shards    int
-		secondary bool
+		seed   uint64
+		shards int
 	}{
-		{0, 2, true},
-		{1, 1, true},
-		{2, 2, true},
-		{3, 8, true},
-		{4, 4, false},
-		{5, 1, true},
-		{6, 1, false},
-		{7, 2, true},
-		{8, 2, false},
-		{9, 2, true},
-		{10, 2, true},
-		{11, 4, true},
-		{12, 4, true},
-		{13, 8, true},
-		{14, 8, true},
-		{15, 8, false},
-		{16, 2, true},
-		{17, 1, false},
-		{18, 8, false},
-		{19, 4, true},
-		{20, 1, true},
-		{21, 4, true},
-		{22, 2, true},
-		{23, 1, false},
-		{24, 4, true},
-		{25, 4, false},
-		{26, 4, false},
-		{27, 1, true},
-		{28, 1, false},
-		{29, 8, true},
-		{30, 4, false},
-		{31, 2, false},
+		{0, 2},
+		{1, 1},
+		{2, 2},
+		{3, 8},
+		{4, 4},
+		{5, 1},
+		{6, 1},
+		{7, 2},
+		{8, 2},
+		{9, 2},
+		{10, 2},
+		{11, 4},
+		{12, 4},
+		{13, 8},
+		{14, 8},
+		{15, 8},
+		{16, 2},
+		{17, 1},
+		{18, 8},
+		{19, 4},
+		{20, 1},
+		{21, 4},
+		{22, 2},
+		{23, 1},
+		{24, 4},
+		{25, 4},
+		{26, 4},
+		{27, 1},
+		{28, 1},
+		{29, 8},
+		{30, 4},
+		{31, 2},
 	}
 	for _, g := range golden {
-		if s, x := configFor(g.seed, Options{}); s != g.shards || x != g.secondary {
-			t.Errorf("configFor(%d) = shards %d secondary %t, want %d %t", g.seed, s, x, g.shards, g.secondary)
+		if s := configFor(g.seed, Options{}); s != g.shards {
+			t.Errorf("configFor(%d) = shards %d, want %d", g.seed, s, g.shards)
 		}
 	}
 }

@@ -266,9 +266,9 @@ end
 	// the repeated full-arity scans push the (arity-3, field) shapes past the
 	// promotion bar mid-run — while Churners retract and re-assert rows of
 	// the same shape, driving incremental maintenance of the hot buckets and
-	// write-pressure demotion. The campaign splits seeds between the indexed
-	// arm and its arity-scan ablation (configFor), and both must reach the
-	// same final state under every schedule.
+	// write-pressure demotion. Every shape starts cold, so each run also
+	// serves its first scans by the arity-scan fallback, and every schedule
+	// must reach the same final state.
 	microIndexSrc = `
 process Find(g, n)
 behavior

@@ -611,7 +611,7 @@ func BenchmarkImmediateRMW(b *testing.B) {
 // every mutating commit still publishes through the coarse full-store
 // path.
 func TestFieldIndexedQueryStaysUnplanned(t *testing.T) {
-	s := dataspace.New(dataspace.WithShards(4), dataspace.WithSecondaryIndex(true))
+	s := dataspace.New(dataspace.WithShards(4))
 	e := New(s)
 	for i := 0; i < 32; i++ {
 		s.Assert(tuple.Environment,

@@ -99,15 +99,6 @@ type StoreOption = dataspace.Option
 // the shards they touch, so disjoint transactions commit in parallel.
 var WithShards = dataspace.WithShards
 
-// WithSecondaryIndex enables or disables adaptive secondary field indexes
-// and selectivity-guided join planning (on by default). When on, scan
-// shapes with an unknown lead but constrained non-lead fields are promoted
-// to per-(arity, field-pos, value) indexes once hot, and the join planner
-// orders patterns by estimated candidates visited. Disabling it restores
-// full arity scans and the boundness heuristic — the ablation baseline of
-// experiment E17.
-var WithSecondaryIndex = dataspace.WithSecondaryIndex
-
 // Expressions (test queries, computed fields, action arguments).
 type (
 	// Expr is a side-effect-free expression over variable bindings.

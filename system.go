@@ -18,11 +18,6 @@ type Options struct {
 	// controller's seed. Nil (the default) leaves all hook points as
 	// no-ops.
 	Scheduler *SchedController
-	// DisableSecondaryIndex turns off adaptive secondary field indexes and
-	// the selectivity-guided join planner they feed: non-lead constrained
-	// scans degrade to full arity walks and plans to the boundness
-	// heuristic. The E17 ablation baseline.
-	DisableSecondaryIndex bool
 	// WALDir enables durability: commits are appended to a write-ahead
 	// log in this directory and become visible only once durable (per
 	// WALSync), and Open recovers any state the directory already holds —
@@ -68,8 +63,7 @@ func New(opts Options) *System {
 // recovered state is re-checkpointed, and only then is the log attached so
 // every commit is durable before it becomes visible.
 func Open(opts Options) (*System, error) {
-	store := NewStore(WithShards(opts.Shards), WithScheduler(opts.Scheduler),
-		WithSecondaryIndex(!opts.DisableSecondaryIndex))
+	store := NewStore(WithShards(opts.Shards), WithScheduler(opts.Scheduler))
 	var (
 		wlog     *WAL
 		recovery *WALRecoveryStats

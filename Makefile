@@ -25,11 +25,13 @@ race:
 
 # The count-exact allocation guards (what a match, a solution, a window scan,
 # an upsert, a store commit, a WAL append, a read, a read view, a wait, a
-# process's transaction statement and a lex may allocate). They skip under
+# delayed transaction's wait, a spawn, a process's transaction statement and
+# a lex may allocate, and that a process's selections re-arm one
+# subscription). They skip under
 # the race detector — it allocates on its own and sync.Pool drops Puts
 # there — so the race target above does not run them; this does.
 alloc-guard:
-	$(GO) test -run 'Alloc|Allocates' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/wal ./internal/lang .
+	$(GO) test -run 'Alloc|Allocates|ReusesSubscription' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/wal ./internal/lang .
 
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:

@@ -401,10 +401,11 @@ func printMetrics(snap metrics.Snapshot) {
 	fmt.Printf("  wakeups       mean fan-out %.2f, %d live subscriptions\n",
 		snap.WakeupFanout.Mean(), snap.ReactiveSubscriptions)
 	if snap.ReactiveSignals > 0 || snap.ReactiveEvals > 0 {
-		fmt.Printf("  reactive      %d signals (%d suppressed), %d evals (%d delta hits, %d full re-queries), %d consensus kicks suppressed\n",
+		fmt.Printf("  reactive      %d signals (%d suppressed), %d evals (%d delta hits, %d full re-queries, %d wasted), %d consensus kicks suppressed\n",
 			snap.ReactiveSignals, snap.ReactiveSuppressed, snap.ReactiveEvals,
-			snap.ReactiveHits, snap.ReactiveFallbacks, snap.ConsensusKicksSuppressed)
+			snap.ReactiveHits, snap.ReactiveFallbacks, snap.ReactiveWasted, snap.ConsensusKicksSuppressed)
 	}
+	fmt.Printf("  society       %d processes spawned, %d live\n", snap.ProcessesSpawned, snap.ProcessesLive)
 	if snap.SecondaryFieldScans > 0 {
 		fmt.Printf("  sec index     %d field scans (%d indexed, %d arity walks), %d tuples visited, %d promotions, %d demotions\n",
 			snap.SecondaryFieldScans, snap.SecondaryIndexedScans, snap.SecondaryArityScans,

@@ -91,7 +91,7 @@ func sum1() *sdl.Definition {
 				{Guard: sdl.Transact{
 					Kind:  sdl.Consensus,
 					Query: sdl.Query{Quant: sdl.Exists, Test: sdl.Eq(phase, iv(0))},
-					Actions: []sdl.Action{sdl.Spawn{
+					Actions: []sdl.Action{&sdl.Spawn{
 						Type: "Sum1",
 						Args: []sdl.Expr{sdl.X("k"), sdl.Add(sdl.X("j"), iv(1))},
 					}},

@@ -56,7 +56,7 @@ func searchDef() *sdl.Definition {
 						sdl.Ne(sdl.X("pi"), sdl.X("P")),
 						sdl.Ne(sdl.X("i"), sdl.Lit(nilAtom)),
 					)),
-				Actions: []sdl.Action{sdl.Spawn{Type: "Search",
+				Actions: []sdl.Action{&sdl.Spawn{Type: "Search",
 					Args: []sdl.Expr{sdl.X("i"), sdl.X("P")}}},
 			}},
 		}}},

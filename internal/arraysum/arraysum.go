@@ -104,7 +104,7 @@ func Sum1Def() *process.Definition {
 				{Guard: process.Transact{
 					Kind:  process.Consensus,
 					Query: pattern.Query{Quant: pattern.Exists, Test: expr.Eq(phase, iv(0))},
-					Actions: []process.Action{process.Spawn{
+					Actions: []process.Action{&process.Spawn{
 						Type: "Sum1",
 						Args: []expr.Expr{expr.V("k"), expr.Add(expr.V("j"), iv(1))},
 					}},

@@ -256,11 +256,13 @@ func TestE16ShapeExact(t *testing.T) {
 	// carries nobody's value, so it reaches no filter at all — nothing is
 	// left to suppress (this read waiters × noise while every commit met
 	// every filter of the bucket) — and each waiter re-evaluates exactly
-	// once, for the delta that satisfies it.
+	// once, for the delta that satisfies it — and commits, so none of those
+	// evaluations is wasted.
 	want := map[string]float64{
 		"reactive evals": waiters,
 		"suppressed":     0,
 		"delta hits":     waiters,
+		"wasted":         0,
 	}
 	for _, m := range tbl.Rows[0].Metrics {
 		if w, ok := want[m.Name]; ok && m.Value != w {

@@ -1236,6 +1236,7 @@ func E16ReactiveWakeups(ctx context.Context, waiterCounts []int) (*Table, error)
 				Count("reactive evals", float64(e.Stats().Wakeups), "wakeups"),
 				Count("suppressed", float64(snap.ReactiveSuppressed), "wakeups"),
 				Count("delta hits", float64(snap.ReactiveHits), "evals"),
+				Count("wasted", float64(snap.ReactiveWasted), "evals"),
 			},
 		})
 	}

@@ -71,7 +71,8 @@ const (
 // resolved either by firing (Done closes, Result returns the composite's
 // per-process outcome) or by Withdraw.
 type Offer struct {
-	reqs   []txn.Request
+	reqs   []txn.Request  // the alternatives: alts[:n], or an array of their own past two
+	alts   [2]txn.Request // the alternatives, inline when there are at most two
 	m      *Manager
 	state  atomic.Int32
 	done   chan struct{}
@@ -422,10 +423,22 @@ func (m *Manager) Close() {
 // Fires reports the number of consensus transactions executed.
 func (m *Manager) Fires() uint64 { return m.fires.Load() }
 
+// Member is a process's registration record, for embedding: a process
+// runtime keeps one inside its own process record, so that registering a
+// process allocates nothing of its own (RegisterMember).
+type Member struct{ m member }
+
 // Register adds a process (with its view and parameter environment) to the
 // society the manager considers for consensus sets.
 func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Env) {
-	mem := &member{pid: pid, view: v, env: env, shape: v.ImportShape(env), stale: true}
+	m.RegisterMember(new(Member), pid, v, env)
+}
+
+// RegisterMember is Register with the caller's record: rec belongs to the
+// manager from here until Unregister(pid), and registers once.
+func (m *Manager) RegisterMember(rec *Member, pid tuple.ProcessID, v view.View, env expr.Env) {
+	mem := &rec.m
+	*mem = member{pid: pid, view: v, env: env, shape: v.ImportShape(env), stale: true}
 	mem.envFree = mem.shape.Bounded && v.ImportShape(nil).Bounded
 	m.mu.Lock()
 	m.members[pid] = mem
@@ -455,10 +468,24 @@ func (m *Manager) StartOffer(req txn.Request) (*Offer, error) {
 	return m.StartOfferAlts([]txn.Request{req})
 }
 
+// newOffer copies the alternatives into a fresh offer — inline when there
+// are at most two, so a caller may build them in a stack array.
+func newOffer(m *Manager, reqs []txn.Request) *Offer {
+	o := &Offer{m: m, done: make(chan struct{})}
+	if len(reqs) <= len(o.alts) {
+		o.reqs = o.alts[:copy(o.alts[:], reqs)]
+	} else {
+		o.reqs = append([]txn.Request(nil), reqs...)
+	}
+	o.state.Store(int32(stateOffered))
+	return o
+}
+
 // StartOfferAlts submits a consensus offer with alternative transactions
 // (all from the same process): when the consensus fires, the first
 // alternative whose query succeeds executes. A selection construct with
-// several consensus guards offers them this way.
+// several consensus guards offers them this way. The offer keeps a copy of
+// reqs, so the caller may reuse the slice.
 func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("consensus: offer with no alternatives")
@@ -469,8 +496,8 @@ func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
 			return nil, errors.New("consensus: alternatives from different processes")
 		}
 	}
-	o := &Offer{reqs: reqs, m: m, done: make(chan struct{})}
-	o.state.Store(int32(stateOffered))
+	o := newOffer(m, reqs)
+	reqs = o.reqs
 	m.mu.Lock()
 	mem := m.members[pid]
 	switch {

@@ -36,8 +36,8 @@ type journal struct {
 	dtok uint64        // durability wait token, set by publish
 	done chan struct{} // cap 1: the group-commit leader's "published" signal to a follower
 
-	dl      delivery        // notify: what the commit owes each candidate subscription
-	matched []*Subscription // notify: the registrations one instance meets
+	dl      delivery    // notify: what the commit owes each candidate subscription
+	matched []collected // notify: the registrations one instance meets
 }
 
 // maxPooledEffects caps the effects (and footprint buckets) a journal may

@@ -2,6 +2,7 @@ package dataspace
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/sched"
@@ -17,20 +18,43 @@ type Delta struct {
 	Inst     Instance
 }
 
+// DeltaFilter decides, per delta, whether a change can affect a blocked
+// guard. The transaction engine's pooled answer is one (txn.Answer): a
+// blocked delayed transaction is its own filter, so a wait builds no closure.
+// The store runs AcceptDelta under the subscription's mutex, and only while
+// the subscription is armed in the incarnation the commit found it in: once
+// Cancel returns, its filter is never called again, so the owner may reuse
+// whatever the filter reads.
+type DeltaFilter interface {
+	AcceptDelta(d Delta) bool
+}
+
 // Subscription is the store's one wakeup primitive: a registered delta
-// sink. A blocked delayed transaction or guarded selection subscribes
-// once, and every relevant commit publishes its deltas into the
+// sink. A blocked delayed transaction or guarded selection arms one, and
+// every relevant commit puts its accepted deltas straight into the
 // subscription's buffer and readies its channel; the waiter drains the
 // buffer, re-evaluates, and blocks again on the SAME subscription and the
 // same channel — deltas arriving while it evaluates are buffered, not lost.
 //
-// The ready channel is made once and holds at most one token: only publish
-// sends — the first after a Drain — and only Drain, which takes back a token
-// nobody received, resets fired, both under mu. So an unfired subscription's
-// channel is empty, the send never blocks, and a wait allocates nothing after
-// Subscribe.
+// The ready channel is made once and holds at most one token: only a
+// commit's delivery sends — the first after a Drain — and only Drain, Arm
+// and Cancel, which take back a token nobody received, reset fired, all under
+// mu, where the delivery also lands its deltas. So an unfired subscription's
+// channel is empty, the send never blocks, fired implies a nonempty buffer,
+// and a wait allocates nothing after its first Arm: Drain hands out one
+// buffer and takes the other back.
 //
-// The publisher filters: a subscription created with a non-nil filter
+// Ownership and re-arm. A subscription belongs to one owner — a transaction's
+// pooled answer, or a process for its selections — which arms it for a wait
+// (Store.Arm), cancels it when the wait ends, and may arm it again for the
+// next. Each Arm and each Cancel starts a new incarnation (gen). A commit
+// reads gen when it finds the subscription in a registry, under the
+// registry's lock, and delivers under mu only while the subscription is
+// still armed in that incarnation: a delivery collected before a Cancel or a
+// re-arm is dropped, never landing in the next incarnation's buffer, and the
+// filter never runs for an incarnation that has ended.
+//
+// The publisher filters: a subscription armed with a non-nil filter
 // receives only the deltas the filter accepts, and when every delta of a
 // commit is rejected the wakeup is suppressed entirely. A nil filter means
 // "wake on any covering commit": the guard is not delta-safe, so any
@@ -41,31 +65,42 @@ type Delta struct {
 // interest key registers only in the shard owning its bucket, so commits
 // on other shards never even inspect it; lead-unknown keys of arity > 0
 // register in every shard (their tuples may appear anywhere); arity-0 keys
-// in the fixed zero-lead shard. The subscription mutex is a leaf — publish
-// and Drain never touch shard locks.
+// in the fixed zero-lead shard. The subscription mutex is a leaf — delivery,
+// Drain, Arm and Cancel never hold it while taking another lock.
 type Subscription struct {
-	s      *Store
-	filter func(Delta) bool
+	ch chan struct{} // cap 1, made by the first Arm and kept for good
 
-	ch chan struct{} // cap 1, for the subscription's whole life
+	// gen is the incarnation: bumped under mu by Arm and Cancel, read by a
+	// commit under the lock of the registry it found the subscription in.
+	gen atomic.Uint64
 
 	mu     sync.Mutex
-	fired  bool // a token was sent since the last Drain
-	deltas []Delta
-	full   bool // a non-delta-safe or broad/spurious wakeup landed: re-query
+	s      *Store      // the store armed on; nil while cancelled
+	filter DeltaFilter // nil: every covering commit requires a re-query
+	armed  bool
+	fired  bool    // a token was sent since the last Drain
+	deltas []Delta // filled by commits
+	spare  []Delta // the batch the last Drain handed out, taken back by the next
+	full   bool    // a non-delta-safe or broad/spurious wakeup landed: re-query
 
-	regs       []subReg
-	regsBuf    [4]subReg // regs' backing while the subscription has at most four
-	cancelOnce sync.Once
+	regs    []subReg
+	regsBuf [2]subReg // regs' backing while the subscription has at most two; past that regs keeps its array across incarnations
 }
 
-// Subscribe registers a subscription for the given interest keys. filter
-// decides, per delta, whether the change can affect the blocked guard; nil
-// means "any covering change requires a full re-query". To avoid lost
-// wakeups, callers must Subscribe BEFORE evaluating the query that may
-// block — any commit after registration fires the ready channel, so a
-// change racing with the evaluation is never missed — and must Cancel the
-// subscription when done (idempotent).
+// Subscribe arms a new subscription for the given interest keys (see Arm).
+func (s *Store) Subscribe(keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) *Subscription {
+	sub := new(Subscription)
+	s.Arm(sub, keys, filter, sels...)
+	return sub
+}
+
+// Arm registers sub — a zero Subscription, or one its owner has cancelled —
+// for the given interest keys, as a fresh incarnation with an empty buffer.
+// filter decides, per delta, whether the change can affect the blocked guard;
+// nil means "any covering change requires a full re-query". To avoid lost
+// wakeups, callers must Arm BEFORE evaluating the query that may block — any
+// commit after registration fires the ready channel, so a change racing with
+// the evaluation is never missed — and must Cancel the subscription when done.
 //
 // sels optionally narrows a filtered subscription inside its buckets:
 // sels[i] promises that filter accepts a tuple reached through keys[i] only
@@ -75,15 +110,19 @@ type Subscription struct {
 // the bucket. A missing or zero selector (Pos 0) means the whole bucket;
 // selectors of unfiltered subscriptions and of lead-unknown keys are
 // ignored. The filter still has the last word.
-func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool, sels ...pattern.FieldSel) *Subscription {
+func (s *Store) Arm(sub *Subscription, keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) {
 	s.sc.Yield(sched.PointWaiterRegister)
-	sub := &Subscription{s: s, filter: filter, ch: make(chan struct{}, 1)}
-	sub.regs = sub.regsBuf[:0]
-	s.metrics.SubscriptionsLive().Inc()
+	if sub.ch == nil {
+		sub.ch = make(chan struct{}, 1)
+	}
+	regs := sub.regsBuf[:0]
+	if cap(sub.regs) > len(sub.regsBuf) {
+		regs = sub.regs[:0]
+	}
 	for i, k := range keys {
 		switch {
 		case k.Arity == 0:
-			sub.regs = append(sub.regs, subReg{si: s.shardIndex(indexKey{})})
+			regs = append(regs, subReg{si: s.shardIndex(indexKey{})})
 		case k.LeadKnown:
 			reg := subReg{ik: indexKey{arity: k.Arity, lead: canonLead(k.Lead)}}
 			reg.si = s.shardIndex(reg.ik)
@@ -92,21 +131,27 @@ func (s *Store) Subscribe(keys []InterestKey, filter func(Delta) bool, sels ...p
 					reg.sel = subSel{pos: p, val: canonLead(sels[i].Val)}
 				}
 			}
-			sub.regs = append(sub.regs, reg)
+			regs = append(regs, reg)
 		default:
 			for si := range s.shards {
-				sub.regs = append(sub.regs, subReg{si: uint32(si), ik: indexKey{arity: k.Arity}})
+				regs = append(regs, subReg{si: uint32(si), ik: indexKey{arity: k.Arity}})
 			}
 		}
 	}
-	for _, reg := range sub.regs {
+	sub.mu.Lock()
+	sub.gen.Add(1)
+	sub.s, sub.filter, sub.armed, sub.regs = s, filter, true, regs
+	sub.full = false
+	sub.takeToken()
+	sub.mu.Unlock()
+	s.metrics.SubscriptionsLive().Inc()
+	for _, reg := range regs {
 		s.shards[reg.si].waiters.add(reg, sub)
 	}
-	return sub
 }
 
 // Ready returns the subscription's ready channel, one channel for its whole
-// life: a receive succeeds once a publish has landed since the last Drain.
+// life: a receive succeeds once a delivery has landed since the last Drain.
 // Receiving takes the token, so a waiter that woke must Drain before it
 // waits again.
 func (sub *Subscription) Ready() <-chan struct{} {
@@ -115,13 +160,34 @@ func (sub *Subscription) Ready() <-chan struct{} {
 
 // Drain swaps out the buffered deltas and the full-re-query flag, and
 // re-arms the ready channel in place, taking back a token nobody received.
-// Publishes racing with Drain land either in the returned batch or in the
+// A delivery racing with Drain lands either in the returned batch or in the
 // emptied buffer with a fresh token sent — never between, so no wakeup is
-// lost.
+// lost. The returned batch is the subscription's: it stays valid
+// until the next Drain, Arm or Cancel, which takes it back as the buffer
+// the next deltas fill, so draining allocates nothing.
 func (sub *Subscription) Drain() (deltas []Delta, full bool) {
 	sub.mu.Lock()
 	deltas, full = sub.deltas, sub.full
-	sub.deltas, sub.full = nil, false
+	sub.deltas, sub.spare = reclaim(sub.spare), deltas
+	sub.full = false
+	sub.takeToken()
+	sub.mu.Unlock()
+	return deltas, full
+}
+
+// reclaim empties a buffer Drain handed out, so it pins no instance, for
+// reuse as the next buffer — or drops it past the pooling cap.
+func reclaim(buf []Delta) []Delta {
+	if cap(buf) > maxPooledEffects {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
+}
+
+// takeToken resets fired, taking back a token nobody received. Caller
+// holds mu.
+func (sub *Subscription) takeToken() {
 	if sub.fired {
 		select {
 		case <-sub.ch:
@@ -129,106 +195,152 @@ func (sub *Subscription) Drain() (deltas []Delta, full bool) {
 		}
 		sub.fired = false
 	}
-	sub.mu.Unlock()
-	return deltas, full
 }
 
-// publish appends a commit's deltas (or the full flag) and readies the
-// channel if no token was sent since the last Drain.
-func (sub *Subscription) publish(deltas []Delta, full bool) {
+// deliver lands what one commit owes the subscription — collected in
+// incarnation sd.gen — in its buffer, and readies the channel if no token
+// was sent since the last Drain: the full flag when the commit marked the
+// delivery full or the subscription is unfiltered, else each offered delta
+// the filter accepts, in commit order. It reports whether the subscription
+// took anything; one no longer armed in sd.gen takes nothing, and a commit
+// whose every delta the filter rejects is suppressed.
+func (sub *Subscription) deliver(sd *subDelivery, dl *delivery, j *journal) (took bool) {
 	sub.mu.Lock()
-	if full {
+	switch {
+	case !sub.armed || sub.gen.Load() != sd.gen:
+	case sd.full || sub.filter == nil:
 		sub.full = true
-		sub.deltas = nil
-	} else if !sub.full {
-		sub.deltas = append(sub.deltas, deltas...)
+		clear(sub.deltas)
+		sub.deltas = sub.deltas[:0]
+		took = true
+	default:
+		for k := sd.head; k != 0; k = dl.offers[k-1].next {
+			d := j.delta(dl.offers[k-1].n)
+			if sub.filter.AcceptDelta(d) {
+				took = true
+				if !sub.full {
+					sub.deltas = append(sub.deltas, d)
+				}
+			}
+		}
 	}
-	if !sub.fired {
+	if took && !sub.fired {
 		sub.fired = true
 		sub.ch <- struct{}{}
 	}
 	sub.mu.Unlock()
+	return took
 }
 
-// Cancel releases the registration (idempotent, safe concurrently with
-// publishes).
+// Cancel ends the subscription's incarnation and releases its registration:
+// from its return no delivery lands in the buffer and the filter is never
+// called again. It is idempotent and safe concurrently with deliveries; a
+// Cancel racing another may return before the other has finished
+// deregistering.
 func (sub *Subscription) Cancel() {
-	sub.cancelOnce.Do(func() {
-		for _, reg := range sub.regs {
-			sub.s.shards[reg.si].waiters.remove(reg, sub)
-		}
-		sub.s.metrics.SubscriptionsLive().Dec()
-	})
+	sub.mu.Lock()
+	if !sub.armed {
+		sub.mu.Unlock()
+		return
+	}
+	s := sub.s
+	sub.gen.Add(1)
+	sub.s, sub.filter, sub.armed, sub.full = nil, nil, false, false
+	sub.deltas, sub.spare = reclaim(sub.deltas), reclaim(sub.spare)
+	sub.takeToken()
+	sub.mu.Unlock()
+	for _, reg := range sub.regs {
+		s.shards[reg.si].waiters.remove(reg, sub)
+	}
+	clear(sub.regs)
+	sub.regs = sub.regs[:0]
+	s.metrics.SubscriptionsLive().Dec()
 }
 
-// subDelivery is what one commit owes one candidate subscription.
+// collected is one registration a commit met: the subscription and the
+// incarnation it was armed in when the registry's lock was held.
+type collected struct {
+	sub *Subscription
+	gen uint64
+}
+
+// subDelivery is what one commit owes one candidate subscription: the
+// deltas offered to it, as a chain through the delivery's offers, or the
+// full flag.
 type subDelivery struct {
-	sub    *Subscription
-	deltas []Delta
-	full   bool
-	seen   int // ordinal of the last delta offered to sub (0 = none yet)
+	sub        *Subscription
+	gen        uint64 // the incarnation the commit first found sub armed in
+	head, tail int32  // the chain of offered deltas: 1 + index into offers, 0 = none
+	full       bool   // re-query: the spurious-wakeup fault
+}
+
+// offer is one delta offered to one candidate: the delta's ordinal in the
+// commit (journal.delta), and the next offer to the same candidate.
+type offer struct {
+	n    int
+	next int32 // 1 + index into offers, 0 = end of chain
 }
 
 // delivery accumulates one commit's candidates in first-seen order. It lives
-// in the commit's pooled journal, so list keeps its entries' delta buffers
-// and index its buckets from one commit to the next.
+// in the commit's pooled journal, so its list, index and offers keep their
+// storage from one commit to the next. A delta is offered by ordinal, never
+// copied: deliver reads it from the journal into the subscription's buffer.
 type delivery struct {
-	index map[*Subscription]int // position in list
-	list  []subDelivery
+	index  map[*Subscription]int // position in list
+	list   []subDelivery
+	offers []offer
 }
 
-func (dl *delivery) get(sub *Subscription) *subDelivery {
-	i, ok := dl.index[sub]
+func (dl *delivery) get(c collected) *subDelivery {
+	i, ok := dl.index[c.sub]
 	if !ok {
 		if dl.index == nil {
 			dl.index = make(map[*Subscription]int)
 		}
 		i = len(dl.list)
-		dl.index[sub] = i
-		if i < cap(dl.list) {
-			dl.list = dl.list[:i+1] // reset emptied the entry and kept its delta buffer
-		} else {
-			dl.list = append(dl.list, subDelivery{})
-		}
-		dl.list[i].sub = sub
+		dl.index[c.sub] = i
+		dl.list = append(dl.list, subDelivery{sub: c.sub, gen: c.gen})
 	}
 	return &dl.list[i]
 }
 
-// reset empties the delivery for the journal's next commit — keeping the
-// list's delta buffers, with no subscription or instance left in them — and
-// reports whether it stayed within the pooling cap.
+// reset empties the delivery for the journal's next commit, with no
+// subscription left in it, and reports whether it stayed within the pooling
+// cap.
 func (dl *delivery) reset() bool {
-	for i := range dl.list {
-		sd := &dl.list[i]
-		if cap(sd.deltas) > maxPooledEffects {
-			return false
-		}
-		clear(sd.deltas)
-		*sd = subDelivery{deltas: sd.deltas[:0]}
-	}
+	clear(dl.list)
 	dl.list = dl.list[:0]
+	dl.offers = dl.offers[:0]
 	clear(dl.index)
-	return cap(dl.list) <= maxPooledEffects
+	return cap(dl.list) <= maxPooledEffects && cap(dl.offers) <= maxPooledEffects
 }
 
-// add offers the commit's nth delta (n >= 1) to every subscription in subs,
-// through its filter — once, however many of its registrations collected it.
-func (dl *delivery) add(subs []*Subscription, n int, d Delta) {
-	for _, sub := range subs {
-		sd := dl.get(sub)
-		if sd.seen == n {
-			continue
+// add offers the commit's nth delta (n >= 1) to every subscription in subs —
+// once, however many of its registrations collected it.
+func (dl *delivery) add(subs []collected, n int) {
+	for _, c := range subs {
+		sd := dl.get(c)
+		if sd.tail != 0 && dl.offers[sd.tail-1].n == n {
+			continue // offered through another of its registrations
 		}
-		sd.seen = n
-		switch {
-		case sd.full:
-		case sub.filter == nil:
-			sd.full = true
-		case sub.filter(d):
-			sd.deltas = append(sd.deltas, d)
+		dl.offers = append(dl.offers, offer{n: n})
+		k := int32(len(dl.offers))
+		if sd.tail == 0 {
+			sd.head = k
+		} else {
+			dl.offers[sd.tail-1].next = k
 		}
+		sd.tail = k
 	}
+}
+
+// delta returns the commit's nth delta (n >= 1): the inserted instances
+// first, then the deleted ones.
+func (j *journal) delta(n int) Delta {
+	if n <= len(j.inserted) {
+		return Delta{Asserted: true, Inst: j.inserted[n-1]}
+	}
+	return Delta{Inst: j.deleted[n-1-len(j.inserted)]}
 }
 
 // notify is the store's single wakeup pass: it routes a commit's
@@ -252,17 +364,17 @@ func (s *Store) notify(j *journal) {
 		for _, sh := range s.shards {
 			j.matched = sh.waiters.collectAll(j.matched)
 		}
-		for _, sub := range j.matched {
-			dl.get(sub).full = true
+		for _, c := range j.matched {
+			dl.get(c).full = true
 		}
 	} else {
 		for i, inst := range j.inserted {
 			j.matched = s.shards[j.insShard[i]].waiters.collect(inst, j.matched[:0])
-			dl.add(j.matched, 1+i, Delta{Asserted: true, Inst: inst})
+			dl.add(j.matched, 1+i)
 		}
 		for i, inst := range j.deleted {
 			j.matched = s.shards[j.delShard[i]].waiters.collect(inst, j.matched[:0])
-			dl.add(j.matched, 1+len(j.inserted)+i, Delta{Asserted: false, Inst: inst})
+			dl.add(j.matched, 1+len(j.inserted)+i)
 		}
 	}
 	published := 0
@@ -273,8 +385,7 @@ func (s *Store) notify(j *journal) {
 		}
 		sd := &dl.list[i]
 		s.metrics.IncReactiveSignal()
-		if sd.full || len(sd.deltas) > 0 {
-			sd.sub.publish(sd.deltas, sd.full)
+		if sd.sub.deliver(sd, dl, j) {
 			published++
 		} else {
 			s.metrics.IncReactiveSuppressed()

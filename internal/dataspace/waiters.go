@@ -60,16 +60,19 @@ func (s *subSet) remove(sub *Subscription) {
 
 func (s subSet) empty() bool { return s.a == nil && s.b == nil && len(s.spill) == 0 }
 
-// appendTo appends the members to into.
-func (s subSet) appendTo(into []*Subscription) []*Subscription {
+// appendTo appends the members to into, each with the incarnation it is
+// armed in. Callers hold the registry's lock, which a member's Cancel needs
+// to leave the set, so each incarnation read is one the member was still
+// registered in.
+func (s subSet) appendTo(into []collected) []collected {
 	if s.a != nil {
-		into = append(into, s.a)
+		into = append(into, collected{s.a, s.a.gen.Load()})
 	}
 	if s.b != nil {
-		into = append(into, s.b)
+		into = append(into, collected{s.b, s.b.gen.Load()})
 	}
 	for sub := range s.spill {
-		into = append(into, sub)
+		into = append(into, collected{sub, sub.gen.Load()})
 	}
 	return into
 }
@@ -185,7 +188,7 @@ func deleteSub[K comparable](m map[K]subSet, k K, sub *Subscription) {
 // meets the bucket's other field-indexed subscriptions. A subscription
 // registered through several keys may be appended more than once; the
 // delivery pass offers it each delta once.
-func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscription {
+func (r *waiterRegistry) collect(inst Instance, into []collected) []collected {
 	r.mu.Lock()
 	a := inst.Tuple.Arity()
 	into = r.byArity[a].appendTo(into)
@@ -207,7 +210,7 @@ func (r *waiterRegistry) collect(inst Instance, into []*Subscription) []*Subscri
 
 // collectAll appends every registered subscription (the spurious-wakeup
 // fault).
-func (r *waiterRegistry) collectAll(into []*Subscription) []*Subscription {
+func (r *waiterRegistry) collectAll(into []collected) []collected {
 	r.mu.Lock()
 	for _, set := range r.byKey {
 		into = set.appendTo(into)

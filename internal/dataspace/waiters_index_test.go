@@ -112,10 +112,10 @@ func TestIndexedRegistryMatchesLinear(t *testing.T) {
 		add := func() {
 			spec := randomSub(r)
 			p := &pair{spec: spec}
-			var fi, fl func(Delta) bool
+			var fi, fl DeltaFilter
 			if spec.filter != nil {
 				p.linFilter = &matchFilter{pats: spec.filter.pats}
-				fi, fl = spec.filter.accept, p.linFilter.accept
+				fi, fl = filterFunc(spec.filter.accept), filterFunc(p.linFilter.accept)
 			}
 			p.isub = indexed.Subscribe(spec.keys, fi, spec.sels...)
 			p.lsub = linear.Subscribe(spec.keys, fl)
@@ -163,8 +163,8 @@ func TestIndexedRegistryMatchesLinear(t *testing.T) {
 				inst := Instance{Tuple: tup}
 				got := map[*Subscription]bool{}
 				si := indexed.shardIndex(indexKeyOf(tup))
-				for _, sub := range indexed.shards[si].waiters.collect(inst, nil) {
-					got[sub] = true
+				for _, c := range indexed.shards[si].waiters.collect(inst, nil) {
+					got[c.sub] = true
 				}
 				for _, p := range subs {
 					if p.spec.filter == nil {
@@ -222,10 +222,10 @@ func TestFanoutFilterInvocations(t *testing.T) {
 			me := tuple.Int(int64(i))
 			subs[i] = s.Subscribe(
 				[]InterestKey{{Arity: 3, Lead: job, LeadKnown: true}},
-				func(d Delta) bool {
+				filterFunc(func(d Delta) bool {
 					calls++
 					return d.Asserted && d.Inst.Tuple.Field(1).Equal(me) && d.Inst.Tuple.Field(2).Equal(tuple.Int(1))
-				},
+				}),
 				pattern.FieldSel{Pos: 1, Val: me})
 		}
 		for k := 0; k < 10; k++ {

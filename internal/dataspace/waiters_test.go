@@ -31,6 +31,11 @@ func assertNotFired(t *testing.T, ch <-chan struct{}) {
 
 var yearKey = []InterestKey{{Arity: 2, Lead: tuple.Atom("year"), LeadKnown: true}}
 
+// filterFunc adapts a function to DeltaFilter.
+type filterFunc func(Delta) bool
+
+func (f filterFunc) AcceptDelta(d Delta) bool { return f(d) }
+
 // assertRegistriesEmpty checks that no shard still indexes a subscription
 // and the live gauge is back to zero.
 func assertRegistriesEmpty(t *testing.T, s *Store) {
@@ -128,7 +133,7 @@ func TestCancelRemovesRegistration(t *testing.T) {
 
 func TestFiredImpliesDrainNonEmpty(t *testing.T) {
 	s := New()
-	filtered := s.Subscribe(yearKey, func(d Delta) bool { return d.Asserted })
+	filtered := s.Subscribe(yearKey, filterFunc(func(d Delta) bool { return d.Asserted }))
 	defer filtered.Cancel()
 	unfiltered := s.Subscribe(yearKey, nil)
 	defer unfiltered.Cancel()
@@ -194,9 +199,9 @@ func TestPublishAfterDrainFiresRearmedChannel(t *testing.T) {
 
 func TestFilterRejectedCommitIsSuppressed(t *testing.T) {
 	s := New()
-	sub := s.Subscribe(yearKey, func(d Delta) bool {
+	sub := s.Subscribe(yearKey, filterFunc(func(d Delta) bool {
 		return d.Asserted && d.Inst.Tuple.Field(1).Equal(tuple.Int(7))
-	})
+	}))
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, year(1), year(2)) // same bucket, every delta rejected
 	assertNotFired(t, sub.Ready())
@@ -223,7 +228,7 @@ func TestFilterRejectedCommitIsSuppressed(t *testing.T) {
 // draws the fault on the first commit.
 func TestBroadWakeupsForceFullRequery(t *testing.T) {
 	s := New(WithShards(4), WithScheduler(sched.New(1, sched.Faults{SpuriousWakeup: 255})))
-	sub := s.Subscribe(yearKey, func(Delta) bool { return false })
+	sub := s.Subscribe(yearKey, filterFunc(func(Delta) bool { return false }))
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("unrelated")))
 	if !waitFired(t, sub.Ready()) {
@@ -293,7 +298,7 @@ func TestCancelConcurrentWithPublish(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 300; i++ {
-		sub := s.Subscribe(append([]InterestKey{{Arity: 2}}, yearKey...), func(Delta) bool { return true })
+		sub := s.Subscribe(append([]InterestKey{{Arity: 2}}, yearKey...), filterFunc(func(Delta) bool { return true }))
 		if i%2 == 0 {
 			<-sub.Ready()
 			sub.Drain()
@@ -312,10 +317,12 @@ func TestCancelConcurrentWithPublish(t *testing.T) {
 
 // TestWaitAllocs pins what a wait costs the heap: Subscribe allocates the
 // subscription and its one ready channel — its registrations fit an inline
-// array — a Drain allocates nothing, and a steady-state commit that routes a
-// delta to the subscription allocates nothing beyond the subscription's
-// delta buffer: the routing state lives in the commit's pooled journal and
-// the channel re-arms in place.
+// array — re-arming a cancelled subscription allocates nothing, a Drain
+// allocates nothing, and a steady-state commit that routes a delta to the
+// subscription allocates nothing at all: the routing state lives in the
+// commit's pooled journal, the delta lands in the subscription's buffer,
+// Drain hands that buffer out and takes the last one back, and the channel
+// re-arms in place.
 func TestWaitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
@@ -325,15 +332,18 @@ func TestWaitAllocs(t *testing.T) {
 	keys := []InterestKey{InterestOf(2, a, true)}
 	// A second subscription in the bucket keeps its registry entry alive and
 	// is a candidate of every commit whose filter rejects the delta.
-	idle := s.Subscribe(keys, func(Delta) bool { return false })
+	idle := s.Subscribe(keys, filterFunc(func(Delta) bool { return false }))
 	defer idle.Cancel()
-	asserted := func(d Delta) bool { return d.Asserted }
+	asserted := filterFunc(func(d Delta) bool { return d.Asserted })
 	if n := testing.AllocsPerRun(200, func() { s.Subscribe(keys, asserted).Cancel() }); n > 2 {
 		t.Errorf("Subscribe+Cancel: %.1f allocations, want <= 2", n)
 	}
 
 	sub := s.Subscribe(keys, asserted)
 	defer sub.Cancel()
+	if n := testing.AllocsPerRun(200, func() { sub.Cancel(); s.Arm(sub, keys, asserted) }); n != 0 {
+		t.Errorf("Cancel+Arm: %.1f allocations, want 0", n)
+	}
 	if n := testing.AllocsPerRun(200, func() { sub.Drain() }); n != 0 {
 		t.Errorf("Drain: %.1f allocations, want 0", n)
 	}
@@ -356,8 +366,57 @@ func TestWaitAllocs(t *testing.T) {
 		if deltas, full := sub.Drain(); full || len(deltas) != 1 || deltas[0].Inst.ID != cur {
 			t.Fatalf("Drain = %v, full=%t; want the one asserted delta", deltas, full)
 		}
-	}); n > 1 {
-		t.Errorf("commit routed to a waiter, then Drain: %.1f allocations, want <= 1 (the delta buffer)", n)
+	}); n != 0 {
+		t.Errorf("commit routed to a waiter, then Drain: %.1f allocations, want 0", n)
+	}
+}
+
+// TestRearmDropsStaleDelivery pins the re-arm rule: a commit that found a
+// subscription in one incarnation and is still delivering when its owner
+// cancels and re-arms it delivers nothing to the new incarnation. The commit
+// is held inside the filter of another subscription of the same bucket —
+// delivered to first, being first in the bucket — after it has collected
+// both, while the owner re-arms the second with an accept-everything filter
+// on the same bucket. Without the incarnation check the stale delta would
+// land in the new incarnation's buffer.
+func TestRearmDropsStaleDelivery(t *testing.T) {
+	s := New(WithShards(2))
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once // only the first commit is held
+	holder := s.Subscribe(yearKey, filterFunc(func(Delta) bool {
+		hold.Do(func() {
+			close(entered)
+			<-release
+		})
+		return true
+	}))
+	defer holder.Cancel()
+	sub := s.Subscribe(yearKey, filterFunc(func(Delta) bool { return false }))
+	committed := make(chan struct{})
+	go func() {
+		s.Assert(tuple.Environment, year(1))
+		close(committed)
+	}()
+	<-entered // the commit has collected both subscriptions and is delivering
+	sub.Cancel()
+	s.Arm(sub, yearKey, filterFunc(func(Delta) bool { return true }))
+	defer sub.Cancel()
+	close(release)
+	<-committed
+	if deltas, full := sub.Drain(); full || len(deltas) != 0 {
+		t.Errorf("re-armed subscription drained %v, full=%t: a delivery collected in the previous incarnation landed", deltas, full)
+	}
+	assertNotFired(t, sub.Ready())
+	if !waitFired(t, holder.Ready()) {
+		t.Fatal("the holding subscription was never delivered to")
+	}
+	// The new incarnation still receives what is committed after it armed.
+	s.Assert(tuple.Environment, year(2))
+	if !waitFired(t, sub.Ready()) {
+		t.Fatal("the re-armed subscription missed a commit after its Arm")
+	}
+	if deltas, _ := sub.Drain(); len(deltas) != 1 || !deltas[0].Inst.Tuple.Field(1).Equal(tuple.Int(2)) {
+		t.Errorf("re-armed subscription drained %v, want the one delta committed after its Arm", deltas)
 	}
 }
 
@@ -371,7 +430,7 @@ func TestTokenChannelNoLostWakeup(t *testing.T) {
 	const publishers, each = 4, 250
 	s := New(WithShards(4))
 	lead := tuple.Atom("job")
-	sub := s.Subscribe([]InterestKey{InterestOf(2, lead, true)}, func(d Delta) bool { return d.Asserted })
+	sub := s.Subscribe([]InterestKey{InterestOf(2, lead, true)}, filterFunc(func(d Delta) bool { return d.Asserted }))
 	defer sub.Cancel()
 	for p := 0; p < publishers; p++ {
 		go func() {

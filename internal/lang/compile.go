@@ -137,25 +137,38 @@ func Merge(progs ...*Program) (*Program, error) {
 }
 
 // compiler carries program-level context: the process arities, and the
-// slabs every compiled pattern's fields and every argument list are cut
-// from.
+// slabs every compiled pattern's fields, every argument list, every literal
+// expression and every spawn action are cut from.
 type compiler struct {
 	arities map[string]int // process name -> parameter count
 	fields  slab[pattern.Field]
 	args    slab[expr.Expr]
+	lits    slab[expr.Lit]
+	spawns  slab[process.Spawn]
 }
 
-// size sets the slabs' hints to the exact number of pattern fields and of
-// spawn and call arguments in the program.
+// size sets the slabs' hints to the exact number of pattern fields, of spawn
+// and call arguments and of spawn actions in the program, and to a bound on
+// its literal expressions: every literal and identifier outside a pattern
+// field of its own (those compile to pattern constants and variables, and
+// a bound identifier to a variable).
 func (c *compiler) size(prog *Program) {
 	Walk(prog, func(n Node) bool {
 		switch x := n.(type) {
 		case *PatternNode:
 			c.fields.hint += len(x.Fields)
+		case *ExprField:
+			switch x.Expr.(type) {
+			case *LitNode, *IdentNode, *VarNode:
+				return false
+			}
 		case *SpawnAction:
 			c.args.hint += len(x.Args)
+			c.spawns.hint++
 		case *CallNode:
 			c.args.hint += len(x.Args)
+		case *LitNode, *IdentNode:
+			c.lits.hint++
 		}
 		return true
 	})
@@ -458,7 +471,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 				}
 				args[i] = e
 			}
-			tx.Actions = append(tx.Actions, process.Spawn{Type: act.Name, Args: args})
+			tx.Actions = append(tx.Actions, c.spawns.new(process.Spawn{Type: act.Name, Args: args}))
 		case *ExitAction:
 			tx.Actions = append(tx.Actions, process.Exit{})
 		case *AbortAction:
@@ -523,14 +536,14 @@ func OpFor(k TokKind) (expr.Op, bool) {
 func (c *compiler) compileExpr(e ExprNode, sc *scope) (expr.Expr, error) {
 	switch en := e.(type) {
 	case *LitNode:
-		return expr.Const(en.Value), nil
+		return c.lits.new(expr.Const(en.Value)), nil
 	case *VarNode:
 		return expr.V(en.Name), nil
 	case *IdentNode:
 		if sc.isBound(en.Name) {
 			return expr.V(en.Name), nil
 		}
-		return expr.Const(tuple.Atom(en.Name)), nil
+		return c.lits.new(expr.Const(tuple.Atom(en.Name))), nil
 	case *BinNode:
 		op, ok := tokToOp[en.Op]
 		if !ok {

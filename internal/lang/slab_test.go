@@ -67,15 +67,15 @@ func TestParseAllocates(t *testing.T) {
 	}
 }
 
-// TestCompileAllocates pins that compiling allocates at most one per
-// action plus a constant. An assertion costs nothing (its fields are cut
-// from the program's slab); a spawn costs its argument's boxed constant
-// and its boxed process.Spawn, which is the runtime's API.
+// TestCompileAllocates pins that compiling allocates per program, not per
+// action: an assertion's fields, a spawn's arguments, its literal argument
+// and the *process.Spawn itself are all cut from the program's slabs, so a
+// society of 1000 spawns compiles with as many allocations as one of 10.
 func TestCompileAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own; allocation counts are not exact")
 	}
-	const perProgram = 24
+	const perProgram = 26
 	for _, n := range []int{10, 1000} {
 		prog, err := Parse(societySrc(n, 0))
 		if err != nil {
@@ -86,8 +86,8 @@ func TestCompileAllocates(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if want := float64(2*n + perProgram); got > want {
-			t.Errorf("Compile of %d asserts and %d spawns: %.0f allocations, want <= %.0f", n, n, got, want)
+		if got > perProgram {
+			t.Errorf("Compile of %d asserts and %d spawns: %.0f allocations, want <= %d", n, n, got, perProgram)
 		}
 	}
 }
@@ -138,7 +138,7 @@ func TestSlabsDoNotAlias(t *testing.T) {
 	main := comps[0].Defs[len(comps[0].Defs)-1].Body[0].(process.Transact)
 	_ = append(main.Asserts[0].Fields, pattern.C(tuple.Int(99)))
 	for _, a := range main.Actions {
-		if sp, ok := a.(process.Spawn); ok {
+		if sp, ok := a.(*process.Spawn); ok {
 			_ = append(sp.Args, expr.Const(tuple.Int(99)))
 			break
 		}
@@ -159,11 +159,20 @@ func TestSlabsDoNotAlias(t *testing.T) {
 }
 
 // renderDefs prints the compiled definitions' statements, patterns and
-// actions.
+// actions, a spawn action by its contents rather than its address.
 func renderDefs(c *Compiled) string {
 	var b strings.Builder
 	for _, d := range c.Defs {
 		fmt.Fprintf(&b, "%s(%v): %v\n", d.Name, d.Params, d.Body)
+		for _, st := range d.Body {
+			if tx, ok := st.(process.Transact); ok {
+				for _, a := range tx.Actions {
+					if sp, ok := a.(*process.Spawn); ok {
+						fmt.Fprintf(&b, "  spawn %+v\n", *sp)
+					}
+				}
+			}
+		}
 	}
 	return b.String()
 }

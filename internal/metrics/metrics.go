@@ -217,6 +217,10 @@ type Registry struct {
 	reactiveEvals      Counter // guard re-evaluations after a subscription fired
 	reactiveHits       Counter // of those, driven by a concrete delta batch
 	reactiveFallbacks  Counter // of those, full re-queries (not delta-safe, or overflow/spurious)
+	reactiveWasted     Counter // of those, evaluations that blocked again
+
+	processesSpawned Counter // processes ever started by the process runtime
+	processesLive    Gauge   // processes started and not yet terminated
 
 	idxPromotions Counter // secondary-index shape promotions (cold -> hot)
 	idxDemotions  Counter // secondary-index shape demotions (write-heavy)
@@ -360,6 +364,19 @@ func (r *Registry) IncReactiveHit() { r.reactiveHits.Add(1) }
 // IncReactiveFallback counts one re-evaluation that fell back to a full
 // re-query (guard not delta-safe, broad/spurious wakeup, or empty batch).
 func (r *Registry) IncReactiveFallback() { r.reactiveFallbacks.Add(1) }
+
+// IncReactiveWasted counts one re-evaluation after a wakeup that found the
+// guard still unsatisfied and blocked again. It is at most the evaluations.
+func (r *Registry) IncReactiveWasted() { r.reactiveWasted.Add(1) }
+
+// IncProcessSpawned counts one process started by the process runtime.
+func (r *Registry) IncProcessSpawned() { r.processesSpawned.Add(1) }
+
+// ProcessesSpawned returns the number of processes ever started.
+func (r *Registry) ProcessesSpawned() uint64 { return r.processesSpawned.Value() }
+
+// ProcessesLive is the gauge of processes started and not yet terminated.
+func (r *Registry) ProcessesLive() *Gauge { return &r.processesLive }
 
 // IncIndexPromotion counts one secondary-index shape promotion.
 func (r *Registry) IncIndexPromotion() { r.idxPromotions.Add(1) }
@@ -516,6 +533,7 @@ type Snapshot struct {
 	ReactiveEvals            uint64 `json:"reactiveWakeupEvals"`      // guard re-evaluations after a subscription fired
 	ReactiveHits             uint64 `json:"reactiveDeltaHits"`        // of those, driven by a concrete delta batch
 	ReactiveFallbacks        uint64 `json:"reactiveFallbacks"`        // of those, full re-queries
+	ReactiveWasted           uint64 `json:"reactiveWakeupsWasted"`    // of those, evaluations that blocked again
 	ConsensusKicksSuppressed uint64 `json:"consensusKicksSuppressed"` // commits that left the consensus detector nothing to do
 
 	SecondaryPromotions    uint64 `json:"secondaryPromotions"`    // field-index shape promotions (cold -> hot)
@@ -524,6 +542,9 @@ type Snapshot struct {
 	SecondaryIndexedScans  uint64 `json:"secondaryIndexedScans"`  // of those, served by a promoted field index
 	SecondaryArityScans    uint64 `json:"secondaryArityScans"`    // of those, full per-shard arity walks
 	SecondaryTuplesVisited uint64 `json:"secondaryTuplesVisited"` // tuple candidates delivered by field scans
+
+	ProcessesSpawned uint64 `json:"processesSpawned"` // processes ever started
+	ProcessesLive    int64  `json:"processesLive"`    // processes started and not yet terminated
 
 	ConsensusRounds    uint64            `json:"consensusRounds"`
 	ConsensusCommunity HistogramSnapshot `json:"consensusCommunity"`
@@ -604,6 +625,9 @@ func (r *Registry) Snapshot() Snapshot {
 		ReactiveEvals:            r.reactiveEvals.Value(),
 		ReactiveHits:             r.reactiveHits.Value(),
 		ReactiveFallbacks:        r.reactiveFallbacks.Value(),
+		ReactiveWasted:           r.reactiveWasted.Value(),
+		ProcessesSpawned:         r.processesSpawned.Value(),
+		ProcessesLive:            r.processesLive.Value(),
 		ConsensusKicksSuppressed: r.consensusKicksSuppressed.Value(),
 		SecondaryPromotions:      r.idxPromotions.Value(),
 		SecondaryDemotions:       r.idxDemotions.Value(),

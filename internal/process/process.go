@@ -67,13 +67,12 @@ type Runtime struct {
 	engine *txn.Engine
 	cons   *consensus.Manager
 	sc     *sched.Controller // the store's exploration controller (usually nil)
+	m      *metrics.Registry // the store's registry: it counts the society
 
 	defsMu sync.RWMutex
 	defs   map[string]*Definition
 
 	nextPID atomic.Uint64
-	running atomic.Int64
-	spawned atomic.Uint64
 
 	liveMu sync.Mutex
 	live   map[tuple.ProcessID]*proc
@@ -99,6 +98,7 @@ func NewRuntime(engine *txn.Engine, cons *consensus.Manager) *Runtime {
 		engine: engine,
 		cons:   cons,
 		sc:     engine.Store().Sched(),
+		m:      engine.Metrics(),
 		defs:   make(map[string]*Definition),
 		live:   make(map[tuple.ProcessID]*proc),
 		ctx:    ctx,
@@ -134,13 +134,22 @@ func (rt *Runtime) Define(def *Definition) error {
 }
 
 // Spawn creates a process instance of the named definition with the given
-// argument values and starts it. It returns the new process's ID.
+// argument values and starts it. It returns the new process's ID. The
+// arguments are copied into the process's environment, so the caller may
+// reuse args.
 func (rt *Runtime) Spawn(name string, args ...tuple.Value) (tuple.ProcessID, error) {
-	pids, err := rt.SpawnGroup([]SpawnReq{{Type: name, Args: args}})
+	if rt.closed.Load() {
+		return 0, ErrRuntimeClosed
+	}
+	rt.defsMu.RLock()
+	p, err := rt.newProc(name, args)
+	rt.defsMu.RUnlock()
 	if err != nil {
 		return 0, err
 	}
-	return pids[0], nil
+	rt.register(p)
+	rt.start(p)
+	return p.pid, nil
 }
 
 // SpawnReq describes one process instance for SpawnGroup.
@@ -166,26 +175,12 @@ func (rt *Runtime) SpawnGroup(reqs []SpawnReq) ([]tuple.ProcessID, error) {
 	procs := make([]*proc, len(reqs))
 	rt.defsMu.RLock()
 	for i, req := range reqs {
-		def := rt.defs[req.Type]
-		if def == nil {
+		p, err := rt.newProc(req.Type, req.Args)
+		if err != nil {
 			rt.defsMu.RUnlock()
-			return nil, fmt.Errorf("%w: %q", ErrUnknownDefinition, req.Type)
+			return nil, err
 		}
-		if len(req.Args) != len(def.Params) {
-			rt.defsMu.RUnlock()
-			return nil, fmt.Errorf("%w: %s takes %d, got %d",
-				ErrArity, req.Type, len(def.Params), len(req.Args))
-		}
-		env := make(expr.Env, len(req.Args))
-		for j, p := range def.Params {
-			env[p] = req.Args[j]
-		}
-		v := view.Universal()
-		if def.View != nil {
-			v = def.View(env)
-		}
-		pid := tuple.ProcessID(rt.nextPID.Add(1))
-		procs[i] = &proc{rt: rt, pid: pid, def: def, view: v, env: env}
+		procs[i] = p
 	}
 	rt.defsMu.RUnlock()
 
@@ -193,7 +188,7 @@ func (rt *Runtime) SpawnGroup(reqs []SpawnReq) ([]tuple.ProcessID, error) {
 	pids := make([]tuple.ProcessID, len(procs))
 	for i, p := range procs {
 		pids[i] = p.pid
-		rt.cons.Register(p.pid, p.view, p.env)
+		rt.register(p)
 	}
 	start := procs
 	if perm := rt.sc.Perm(sched.PointProcSpawn, len(procs)); perm != nil {
@@ -206,28 +201,68 @@ func (rt *Runtime) SpawnGroup(reqs []SpawnReq) ([]tuple.ProcessID, error) {
 		}
 	}
 	for _, p := range start {
-		rt.running.Add(1)
-		rt.spawned.Add(1)
-		rt.wg.Add(1)
-		p.state.Store(int32(StateRunning))
-		rt.liveMu.Lock()
-		rt.live[p.pid] = p
-		rt.liveMu.Unlock()
-		go func(p *proc) {
-			defer rt.wg.Done()
-			defer rt.running.Add(-1)
-			defer rt.cons.Unregister(p.pid)
-			defer func() {
-				rt.liveMu.Lock()
-				delete(rt.live, p.pid)
-				rt.liveMu.Unlock()
-			}()
-			if err := p.runSeq(rt.ctx, p.def.Body); err != nil && !isControl(err) {
-				rt.recordError(fmt.Errorf("process %s[%d]: %w", p.def.Name, p.pid, err))
-			}
-		}(p)
+		rt.start(p)
 	}
 	return pids, nil
+}
+
+// newProc validates one spawn of the named definition and builds its
+// process record, which with its parameter environment and its goroutine is
+// all a process allocates. Caller holds defsMu for reading.
+func (rt *Runtime) newProc(name string, args []tuple.Value) (*proc, error) {
+	def := rt.defs[name]
+	if def == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDefinition, name)
+	}
+	if len(args) != len(def.Params) {
+		return nil, fmt.Errorf("%w: %s takes %d, got %d",
+			ErrArity, name, len(def.Params), len(args))
+	}
+	env := make(expr.Env, len(args))
+	for j, p := range def.Params {
+		env[p] = args[j]
+	}
+	v := view.Universal()
+	if def.View != nil {
+		v = def.View(env)
+	}
+	pid := tuple.ProcessID(rt.nextPID.Add(1))
+	return &proc{rt: rt, pid: pid, def: def, view: v, env: env}, nil
+}
+
+// register enters p into the consensus manager's society, through the
+// member record p carries.
+func (rt *Runtime) register(p *proc) {
+	rt.cons.RegisterMember(&p.member, p.pid, p.view, p.env)
+}
+
+// start makes a registered p live and runs it on its own goroutine.
+func (rt *Runtime) start(p *proc) {
+	rt.m.IncProcessSpawned()
+	rt.m.ProcessesLive().Inc()
+	rt.wg.Add(1)
+	p.state.Store(int32(StateRunning))
+	rt.liveMu.Lock()
+	rt.live[p.pid] = p
+	rt.liveMu.Unlock()
+	go p.run()
+}
+
+// run is a process's goroutine: its behavior, then its exit from the
+// society.
+func (p *proc) run() {
+	rt := p.rt
+	defer rt.wg.Done()
+	defer rt.m.ProcessesLive().Dec()
+	defer rt.cons.Unregister(p.pid)
+	defer func() {
+		rt.liveMu.Lock()
+		delete(rt.live, p.pid)
+		rt.liveMu.Unlock()
+	}()
+	if err := p.runSeq(rt.ctx, p.def.Body); err != nil && !isControl(err) {
+		rt.recordError(fmt.Errorf("process %s[%d]: %w", p.def.Name, p.pid, err))
+	}
 }
 
 // ProcessInfo describes one live process for introspection.
@@ -281,11 +316,13 @@ func (rt *Runtime) Errors() []error {
 	return out
 }
 
-// Running returns the number of live processes.
-func (rt *Runtime) Running() int64 { return rt.running.Load() }
+// Running returns the number of live processes: the registry's
+// processesLive gauge.
+func (rt *Runtime) Running() int64 { return rt.m.ProcessesLive().Value() }
 
-// SpawnCount returns the total number of processes ever spawned.
-func (rt *Runtime) SpawnCount() uint64 { return rt.spawned.Load() }
+// SpawnCount returns the total number of processes ever spawned: the
+// registry's processesSpawned counter.
+func (rt *Runtime) SpawnCount() uint64 { return rt.m.ProcessesSpawned() }
 
 // Wait blocks until the process society is empty (every process has
 // terminated). Programs whose processes all terminate — like the paper's

@@ -224,7 +224,7 @@ func TestSpawnActionCreatesProcess(t *testing.T) {
 		Body: []Stmt{Transact{
 			Kind:  Immediate,
 			Query: pattern.Q(pattern.P(pattern.C(atom("year")), pattern.V("a"))),
-			Actions: []Action{Spawn{
+			Actions: []Action{&Spawn{
 				Type: "Child",
 				Args: []expr.Expr{expr.Add(expr.V("a"), expr.Const(tuple.Int(1)))},
 			}},

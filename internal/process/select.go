@@ -49,12 +49,17 @@ func (p *proc) runSelect(ctx context.Context, branches []Branch, _ bool) (bool, 
 // awaitGuard is the selection's blocking loop: it returns the index and
 // answer of the first guard to commit. One nil-filter subscription (wake on
 // any commit covering a guard pattern) and its one ready channel span the
-// whole wait; the subscription is taken before the guards are re-tried, and
-// every later re-try is preceded by a Drain, so a commit racing with an
+// whole wait — the process's own, made by its first blocking selection and
+// re-armed by every later one; it is armed before the guards are re-tried,
+// and every later re-try is preceded by a Drain, so a commit racing with an
 // evaluation readies the channel again rather than being lost.
 func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx []int) (int, *txn.Answer, error) {
 	var keyBuf [8]dataspace.InterestKey
-	sub := p.rt.engine.Store().Subscribe(p.guardInterestKeys(branches, keyBuf[:0]), nil)
+	if p.sub == nil {
+		p.sub = new(dataspace.Subscription)
+	}
+	sub := p.sub
+	p.rt.engine.Store().Arm(sub, p.guardInterestKeys(branches, keyBuf[:0]), nil)
 	defer sub.Cancel()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -66,13 +71,15 @@ func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx [
 		}
 
 		// Offer the consensus guards (if any), as alternatives of a single
-		// offer, while the process is otherwise idle.
+		// offer, while the process is otherwise idle. The offer copies the
+		// requests, so they are built in a stack array when they fit.
 		var offer *consensus.Offer
 		var offerDone <-chan struct{}
 		if len(consensusIdx) > 0 {
-			reqs := make([]txn.Request, len(consensusIdx))
-			for i, bi := range consensusIdx {
-				reqs[i] = p.request(branches[bi].Guard)
+			var reqBuf [2]txn.Request
+			reqs := reqBuf[:0]
+			for _, bi := range consensusIdx {
+				reqs = append(reqs, p.request(branches[bi].Guard))
 			}
 			o, err := p.rt.cons.StartOfferAlts(reqs)
 			if err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"github.com/sdl-lang/sdl/internal/consensus"
+	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
@@ -101,7 +103,8 @@ type Let struct {
 
 // Spawn creates a new process instance; argument expressions evaluate
 // under the solution environment. For a ∀ transaction the spawn executes
-// once per solution.
+// once per solution. The action is a *Spawn: the compiler cuts them from one
+// array per program.
 type Spawn struct {
 	Type string
 	Args []expr.Expr
@@ -114,10 +117,10 @@ type Exit struct{}
 // Abort terminates the process.
 type Abort struct{}
 
-func (Let) action()   {}
-func (Spawn) action() {}
-func (Exit) action()  {}
-func (Abort) action() {}
+func (Let) action()    {}
+func (*Spawn) action() {}
+func (Exit) action()   {}
+func (Abort) action()  {}
 
 // State describes what a live process is doing, for society introspection
 // and stall diagnosis.
@@ -156,6 +159,10 @@ type proc struct {
 	env    expr.Env
 	selSeq uint64       // rotates the guard-attempt order across selections
 	state  atomic.Int32 // State, for introspection
+	member consensus.Member
+	// sub is the subscription every blocking selection re-arms, made by the
+	// first (awaitGuard).
+	sub *dataspace.Subscription
 }
 
 // setState records the process's current activity and returns a restore
@@ -269,10 +276,11 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 			env := p.env.Clone()
 			env[act.Name] = v
 			p.env = env
-		case Spawn:
+		case *Spawn:
+			var buf [8]tuple.Value // the arguments, evaluated in place: Spawn copies them
 			rows := a.Rows()
 			for i := range rows {
-				vals, err := evalArgs(act.Args, withLets(&rows[i]))
+				vals, err := evalArgs(buf[:0], act.Args, withLets(&rows[i]))
 				if err != nil {
 					return fmt.Errorf("spawn %s: %w", act.Type, err)
 				}
@@ -304,14 +312,14 @@ func (s letScope) Lookup(name string) (tuple.Value, bool) {
 	return s.under.Lookup(name)
 }
 
-func evalArgs(args []expr.Expr, s expr.Scope) ([]tuple.Value, error) {
-	vals := make([]tuple.Value, len(args))
-	for i, a := range args {
+// evalArgs appends the values of args under s to vals.
+func evalArgs(vals []tuple.Value, args []expr.Expr, s expr.Scope) ([]tuple.Value, error) {
+	for _, a := range args {
 		v, err := a.Eval(s)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
 	return vals, nil
 }

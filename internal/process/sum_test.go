@@ -180,7 +180,7 @@ func sum1Def() *Definition {
 				{Guard: Transact{
 					Kind:  Consensus,
 					Query: pattern.Query{Quant: pattern.Exists, Test: phaseDone},
-					Actions: []Action{Spawn{
+					Actions: []Action{&Spawn{
 						Type: "Sum1",
 						Args: []expr.Expr{expr.V("k"), expr.Add(expr.V("j"), iv(1))},
 					}},

@@ -60,7 +60,7 @@ func SearchDef() *process.Definition {
 						expr.Ne(expr.V("pi"), expr.V("P")),
 						expr.Ne(expr.V("i"), expr.Const(atomNil)),
 					)),
-				Actions: []process.Action{process.Spawn{
+				Actions: []process.Action{&process.Spawn{
 					Type: "Search",
 					Args: []expr.Expr{expr.V("i"), expr.V("P")},
 				}},

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
@@ -92,5 +93,63 @@ func TestReleasedAnswerPinsNothingBig(t *testing.T) {
 	a.Release()
 	if cap(a.Retracted) == 0 || len(a.Retracted) != 0 || a.seen == nil || len(a.seen) != 0 {
 		t.Errorf("small answer: Retracted len %d cap %d, seen %v", len(a.Retracted), cap(a.Retracted), a.seen)
+	}
+}
+
+// TestDelayedWaitAllocates pins what a delayed transaction's wait costs: a
+// request that blocks, is woken by a matching commit and then commits
+// allocates nothing in steady state. The answer is pooled and owns the
+// subscription it re-arms for every wait, the answer itself is the delta
+// filter, the commit lands its delta straight in the subscription's buffer
+// and Drain hands out one buffer and takes the other back.
+func TestDelayedWaitAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
+	}
+	s := dataspace.New(dataspace.WithShards(4))
+	e := New(s)
+	job := tuple.New(tuple.Atom("job"), tuple.Int(1))
+	req := Request{Proc: 1, View: view.Universal(),
+		Query: pattern.Q(pattern.R(pattern.C(tuple.Atom("job")), pattern.C(tuple.Int(1))))}
+	keys := []dataspace.InterestKey{dataspace.InterestOf(2, tuple.Atom("job"), true)}
+	insert := func(w dataspace.Writer) error { w.Insert(job, tuple.Environment); return nil }
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("job"), tuple.Int(2))) // keeps the bucket, and its index entries, populated
+
+	start, done := make(chan struct{}, 1), make(chan error, 1)
+	go func() {
+		for range start {
+			a, err := e.Run(context.Background(), req, metrics.TxnDelayed)
+			if err == nil {
+				if !a.OK() || len(a.Retracted) != 1 {
+					t.Errorf("woken wait committed %v with %d retractions", a.OK(), len(a.Retracted))
+				}
+				a.Release()
+			}
+			done <- err
+		}
+	}()
+	defer close(start)
+	wait := func() {
+		failures := e.Stats().Failures
+		start <- struct{}{}
+		for e.Stats().Failures == failures {
+			runtime.Gosched() // until the first evaluation has failed: the waiter is subscribed
+		}
+		if err := s.UpdateCommuting(tuple.Environment, keys, insert); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		wait() // warm the answer, its subscription and buffers, and the journals
+	}
+	wakeups := e.Stats().Wakeups
+	if got := testing.AllocsPerRun(200, wait); got != 0 {
+		t.Errorf("block, wake, commit: %.1f allocations, want 0", got)
+	}
+	if n := e.Stats().Wakeups - wakeups; n != 201 {
+		t.Errorf("%d wakeups over 201 waits, want one each", n)
 	}
 }

@@ -29,9 +29,10 @@ type Answer struct {
 	req    Request
 	first  bool // one solution sought: the ∃ form, or a consensus participant
 	rows   pattern.Table
-	win    view.Window           // the restricted import's window, reused by every evaluation
-	ground []tuple.Tuple         // the assertions to insert, see Ground
-	seen   map[tuple.ID]struct{} // retractions already applied, when several rows may share one
+	win    view.Window             // the restricted import's window, reused by every evaluation
+	ground []tuple.Tuple           // the assertions to insert, see Ground
+	seen   map[tuple.ID]struct{}   // retractions already applied, when several rows may share one
+	sub    *dataspace.Subscription // the delayed wait's: made by the answer's first, re-armed by every later one
 }
 
 var answers = sync.Pool{New: func() any { return new(Answer) }}
@@ -90,6 +91,23 @@ func (a *Answer) Scope() expr.Scope {
 		return &rows[0]
 	}
 	return a.req.Env
+}
+
+// AcceptDelta is the delta filter of a blocked delayed request (see
+// Engine.await and deltaSafe): it accepts exactly the asserted tuples that
+// match one of the query's patterns standalone under the request
+// environment. The store calls it only while the answer's subscription is
+// armed, so it never sees the request of the answer's next use.
+func (a *Answer) AcceptDelta(d dataspace.Delta) bool {
+	if !d.Asserted {
+		return false
+	}
+	for _, p := range a.req.Query.Patterns {
+		if p.Match(d.Inst.Tuple, a.req.Env, nil) {
+			return true
+		}
+	}
+	return false
 }
 
 // Window returns the window through which a's request sees r: the answer's

@@ -468,48 +468,38 @@ func deltaSafe(req Request) bool {
 	return true
 }
 
-// deltaFilter compiles req's guard into the publisher-side subscription
-// filter: accept exactly the asserted tuples that match one of the query's
-// patterns standalone under the request environment. It returns nil when
-// the guard is not delta-safe — the subscription then treats every
-// covering commit as requiring a full re-query.
-func deltaFilter(req Request) func(dataspace.Delta) bool {
-	if !deltaSafe(req) {
-		return nil
-	}
-	return func(d dataspace.Delta) bool {
-		if !d.Asserted {
-			return false
-		}
-		for _, p := range req.Query.Patterns {
-			if p.Match(d.Inst.Tuple, req.Env, nil) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // await runs a's request as a delayed ('⇒') transaction: it blocks until an
 // evaluation commits or ctx is cancelled. The subscribe-then-evaluate
 // protocol guarantees no lost wakeups.
 //
-// The blocked guard holds one delta subscription for the whole wait: commits
-// publish their asserted/retracted tuples through the publisher-side filter,
-// irrelevant commits are suppressed before any wakeup, and the commits of one
+// The blocked guard holds one delta subscription for the whole wait — the
+// answer's own, re-armed in place, so a wait on a pooled answer allocates
+// none. Commits put their asserted/retracted tuples through the
+// publisher-side filter (the answer itself, see AcceptDelta), irrelevant
+// commits are suppressed before any wakeup, and the commits of one
 // group-commit drain batch into a single re-evaluation. A guard that is not
-// delta-safe subscribes with a nil filter and re-queries on every covering
-// commit.
+// delta-safe arms with a nil filter and re-queries on every covering commit.
+// A re-evaluation after a wakeup that blocks again is counted wasted.
 func (e *Engine) await(ctx context.Context, a *Answer) error {
-	filter := deltaFilter(a.req)
+	var filter dataspace.DeltaFilter
+	if deltaSafe(a.req) {
+		filter = a
+	}
 	var keyBuf [8]dataspace.InterestKey
 	var selBuf [8]pattern.FieldSel
 	keys, sels := interest(a.req, filter != nil, keyBuf[:0], selBuf[:0])
-	sub := e.store.Subscribe(keys, filter, sels...)
+	if a.sub == nil {
+		a.sub = new(dataspace.Subscription)
+	}
+	sub := a.sub
+	e.store.Arm(sub, keys, filter, sels...)
 	defer sub.Cancel()
-	for {
+	for woke := false; ; woke = true {
 		if err := e.exec(a, metrics.TxnDelayed); err != nil || a.OK() {
 			return err
+		}
+		if woke {
+			e.m.IncReactiveWasted()
 		}
 		e.m.IncTxnBlock(metrics.TxnDelayed)
 		select {

@@ -311,6 +311,9 @@ func systemMetricsInvariants(t *testing.T) {
 		t.Errorf("reactive evals %d != hits %d + fallbacks %d",
 			post.ReactiveEvals, post.ReactiveHits, post.ReactiveFallbacks)
 	}
+	if post.ReactiveWasted > post.ReactiveEvals {
+		t.Errorf("reactive wasted wakeups %d > evals %d", post.ReactiveWasted, post.ReactiveEvals)
+	}
 	if post.ReactiveSuppressed > post.ReactiveSignals {
 		t.Errorf("reactive suppressed %d > signals %d",
 			post.ReactiveSuppressed, post.ReactiveSignals)
@@ -421,5 +424,85 @@ func TestMetricsSubscriptionsDrainOnCancel(t *testing.T) {
 	wg.Wait()
 	if n := live(); n != 0 {
 		t.Errorf("live subscriptions %d after cancellation, want 0", n)
+	}
+}
+
+// The process gauges audit the society: every process a run spawned is
+// counted once, SpawnCount reads the same counter, and once Wait returns the
+// live gauge is back at zero.
+func TestMetricsProcessesDrainOnWait(t *testing.T) {
+	sys := New(Options{})
+	defer sys.Close()
+	const waiters = 16
+	if err := sys.Runtime.Define(&Definition{
+		Name:   "Waiter",
+		Params: []string{"i"},
+		Body: []Stmt{Transact{Kind: Delayed,
+			Query:   Q(R(C(Atom("job")), V("i"))),
+			Asserts: []Pattern{P(C(Atom("done")), V("i"))}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < waiters; i++ {
+		if _, err := sys.Runtime.Spawn("Waiter", Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sys.Snapshot().ProcessesLive; n < 1 || n > waiters {
+		t.Errorf("live processes %d while waiting, want 1..%d", n, waiters)
+	}
+	for i := 0; i < waiters; i++ {
+		sys.Store.Assert(Environment, NewTuple(Atom("job"), Int(int64(i))))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sys.Runtime.WaitCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Snapshot()
+	if snap.ProcessesLive != 0 || sys.Runtime.Running() != 0 {
+		t.Errorf("live processes %d (Running %d) after Wait, want 0", snap.ProcessesLive, sys.Runtime.Running())
+	}
+	if snap.ProcessesSpawned != waiters || sys.Runtime.SpawnCount() != snap.ProcessesSpawned {
+		t.Errorf("spawned %d, SpawnCount %d, want both %d", snap.ProcessesSpawned, sys.Runtime.SpawnCount(), waiters)
+	}
+}
+
+// Under the spurious-wakeup fault every commit wakes every blocked waiter for
+// a full re-query; a waiter whose guard is still false blocks again, and
+// each such evaluation is counted wasted: wasted > 0, and wasted <= evals ==
+// hits + fallbacks.
+func TestMetricsWastedWakeupsUnderSpuriousFault(t *testing.T) {
+	sys := New(Options{Scheduler: NewScheduler(1, SchedFaults{SpuriousWakeup: 255})})
+	defer sys.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sys.Delayed(ctx, Request{Proc: 1, View: Universal(), Query: Q(R(C(Atom("go"))))})
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for sys.Snapshot().ReactiveWasted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no wasted wakeup under the spurious-wakeup fault: %+v", sys.Snapshot().Txn["delayed"])
+		}
+		sys.Store.Assert(Environment, NewTuple(Atom("noise")))
+		time.Sleep(time.Millisecond)
+	}
+	sys.Store.Assert(Environment, NewTuple(Atom("go")))
+	if err := <-done; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	cancel()
+	snap := sys.Snapshot()
+	if snap.ReactiveWasted == 0 || snap.ReactiveWasted > snap.ReactiveEvals {
+		t.Errorf("wasted %d, evals %d: want 0 < wasted <= evals", snap.ReactiveWasted, snap.ReactiveEvals)
+	}
+	if snap.ReactiveEvals != snap.ReactiveHits+snap.ReactiveFallbacks {
+		t.Errorf("evals %d != hits %d + fallbacks %d", snap.ReactiveEvals, snap.ReactiveHits, snap.ReactiveFallbacks)
+	}
+	// The one evaluation that committed is the only one not wasted.
+	if snap.ReactiveWasted != snap.ReactiveEvals-1 {
+		t.Errorf("wasted %d of %d evals, want all but the committing one", snap.ReactiveWasted, snap.ReactiveEvals)
 	}
 }

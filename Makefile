@@ -90,7 +90,9 @@ perf-pair:
 # The verification gate: everything a commit must pass.
 check: vet build race alloc-guard audit analyze-smoke sched-test explore-smoke wal-smoke perf-test
 
-# The package-level micro-benchmarks (read shapes, barrier rounds, …).
+# The package-level micro-benchmarks (read shapes, barrier rounds, the
+# checkpoint write and the WAL restart of 2^18 counters — BenchmarkCheckpoint,
+# BenchmarkRecover — …).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALRoundTrip -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzIDSet -fuzztime=10s -run '^$$' ./internal/dataspace
+	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=10s -run '^$$' ./internal/dataspace
 
 clean:
 	$(GO) clean ./...

@@ -224,7 +224,10 @@ func run(args []string) error {
 	}
 
 	store := dataspace.New(dataspace.WithShards(*shards), dataspace.WithScheduler(sc))
-	var wlog *wal.Log
+	var (
+		wlog     *wal.Log
+		recovery *wal.RecoveryStats
+	)
 	if *walDir != "" {
 		if *restore != "" {
 			return fmt.Errorf("-wal-dir and -restore are mutually exclusive: the WAL directory carries its own checkpoints")
@@ -237,17 +240,17 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		stats, err := wlog.Recover(store)
+		recovery, err = wlog.Recover(store)
 		if err != nil {
 			wlog.Close()
 			return fmt.Errorf("wal recovery: %w", err)
 		}
-		if stats.Replayed > 0 || stats.CheckpointVersion > 0 {
-			fmt.Printf("wal: recovered to version %d (checkpoint v%d + %d replayed records", stats.Version, stats.CheckpointVersion, stats.Replayed)
-			if stats.TornSegments > 0 {
-				fmt.Printf(", %d torn bytes discarded", stats.TornBytes)
+		if recovery.Replayed > 0 || recovery.CheckpointVersion > 0 {
+			fmt.Printf("wal: recovered to version %d (checkpoint v%d + %d replayed records", recovery.Version, recovery.CheckpointVersion, recovery.Replayed)
+			if recovery.TornSegments > 0 {
+				fmt.Printf(", %d torn bytes discarded", recovery.TornBytes)
 			}
-			fmt.Printf(") in %v\n", stats.Elapsed.Round(time.Microsecond))
+			fmt.Printf(") in %v\n", recovery.Elapsed.Round(time.Microsecond))
 		}
 		store.SetDurable(wlog)
 		defer func() {
@@ -372,8 +375,19 @@ func run(args []string) error {
 			ss.Asserts, ss.Retracts, store.Len(), store.Version())
 		fmt.Printf("  consensus     %d fires\n", rt.Consensus().Fires())
 		printMetrics(store.Metrics().Snapshot())
+		if recovery != nil {
+			printRecovery(recovery)
+		}
 	}
 	return nil
+}
+
+// printRecovery renders where the WAL open's recovery time went, phase by
+// phase (wal.RecoveryStats).
+func printRecovery(st *wal.RecoveryStats) {
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	fmt.Printf("  wal phases    decode %.1fms, restore %.1fms, replay %.1fms, verify %.1fms, re-anchor %.1fms of %.1fms\n",
+		ms(st.Decode), ms(st.Restore), ms(st.Replay), ms(st.Verify), ms(st.Reanchor), ms(st.Elapsed))
 }
 
 // printMetrics renders the metrics snapshot under the -stats dump.

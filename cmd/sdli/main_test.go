@@ -162,6 +162,30 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	}
 }
 
+// A -wal-dir restart under -stats counts its checkpoint read and prints
+// where the recovery time went.
+func TestRunWALRestartStats(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	p1 := writeProgram(t, `main -> <stage, 1>, <data, 42> end`)
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"-wal-dir", dir, p1})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p2 := writeProgram(t, `main exists v: <data, ?v>! -> <doubled, ?v * 2> end`)
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-wal-dir", dir, "-stats", p2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"wal: recovered to version", ", 1 reads (mean", "wal phases    decode", "re-anchor"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("restart output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestRunTimeoutStallReport(t *testing.T) {
 	path := writeProgram(t, `
 process Stuck()

@@ -438,7 +438,7 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 			if got := int(m.Fires() - firesBefore); got != len(want) {
 				fail("%d fires for members %v, reference fired the sets %v", got, gotPIDs, want)
 			}
-			if !refmodel.SameMultiset(refmodel.MultisetOf(store), ref.model.Multiset()) {
+			if !refmodel.SameContent(&ref.model, store) {
 				fail("dataspace diverged from the reference after firing %v", want)
 			}
 		}
@@ -446,7 +446,7 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 		if err != nil {
 			fail("commit log does not replay: %v", err)
 		}
-		if !refmodel.SameMultiset(replayed.Multiset(), refmodel.MultisetOf(store)) {
+		if !refmodel.SameContent(replayed, store) {
 			fail("replayed commit log diverges from the store")
 		}
 		m.Close()

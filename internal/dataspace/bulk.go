@@ -1,0 +1,189 @@
+package dataspace
+
+import (
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"github.com/sdl-lang/sdl/internal/tuple"
+)
+
+// The whole-dataspace bulk paths — a multi-shard Assert, WriteCheckpoint and
+// Restore — touch shards that hold disjoint tuples, so, like commits on
+// disjoint footprints, their per-shard work commutes (Malta & Martinez) and
+// runs on several cores. The rule that keeps this inside the lock
+// discipline: the caller takes the shard locks as the serial path would,
+// forShards runs one worker per shard at a time only inside that hold, and
+// every worker is joined before the caller unlocks. A worker is a named
+// function carrying the lock contract of its caller (`lint:holds mu`, or
+// `rmu` on the read path), so sdllint checks it like any other.
+
+// forShards runs work once for every shard of ss on min(GOMAXPROCS, |ss|)
+// workers, the caller being one of them, and returns when every run has
+// finished. A set of one shard runs on the caller alone.
+func forShards(ss *shardSet, work func(si uint32)) {
+	n := ss.count()
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		ss.forEach(func(si uint32) bool { work(si); return true })
+		return
+	}
+	list := make([]uint32, 0, n)
+	ss.forEach(func(si uint32) bool { list = append(list, si); return true })
+	var next atomic.Int32
+	drain := func() {
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			work(list[k])
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
+}
+
+// byShard groups positions 0..n-1 of a batch by home shard, keeping input
+// order within a shard: shard si's positions are order[start[si]:start[si+1]].
+type byShard struct {
+	order []int32
+	start []int32
+}
+
+func groupByShard(home []uint32, shards int) byShard {
+	g := byShard{order: make([]int32, len(home)), start: make([]int32, shards+1)}
+	for _, si := range home {
+		g.start[si+1]++
+	}
+	for si := 1; si <= shards; si++ {
+		g.start[si] += g.start[si-1]
+	}
+	fill := slices.Clone(g.start[:shards])
+	for i, si := range home {
+		g.order[fill[si]] = int32(i)
+		fill[si]++
+	}
+	return g
+}
+
+// of returns the positions homed on shard si.
+func (g byShard) of(si uint32) []int32 { return g.order[g.start[si]:g.start[si+1]] }
+
+// bulkInsert is one batch being filed into the shards it is homed on: a
+// multi-shard Assert's journaled inserts or a Restore's instances.
+type bulkInsert struct {
+	s     *Store
+	insts []Instance
+	homes byShard
+}
+
+// file installs the batch's instances homed on shard si: one worker's share
+// of the batch. Its callers hold every batch shard's exclusive mu.
+//
+// lint:holds mu
+func (b *bulkInsert) file(si uint32) {
+	sh := b.s.shards[si]
+	for _, i := range b.homes.of(si) {
+		inst := &b.insts[i]
+		sh.entries[inst.ID] = entry{t: inst.Tuple, owner: inst.Owner}
+		sh.indexAdd(inst.ID, inst.Tuple)
+	}
+}
+
+// insertAll is Insert for a whole batch, the bulk Assert path. It reserves
+// the batch's IDs with one add and journals the inserts in input order, so
+// the returned IDs, the commit record and the log bytes are those of one
+// Insert per tuple; each touched shard's entries and indexes are then filled
+// by its own worker. A batch homed on one shard stays on the caller.
+//
+// lint:holds intent mu
+func (w writer) insertAll(ts []tuple.Tuple, owner tuple.ProcessID, ids []tuple.ID) {
+	n, from := uint64(len(ts)), len(w.inserted)
+	first := tuple.ID(w.s.nextID.Add(n) - n + 1)
+	w.inserted = slices.Grow(w.inserted, len(ts))
+	w.insShard = slices.Grow(w.insShard, len(ts))
+	for i, t := range ts {
+		id := first + tuple.ID(i)
+		ids[i] = id
+		w.inserted = append(w.inserted, Instance{ID: id, Tuple: t, Owner: owner})
+		w.insShard = append(w.insShard, w.s.shardIndex(indexKeyOf(t)))
+	}
+	batch, homes := w.inserted[from:], w.insShard[from:]
+	if w.ss.count() == 1 {
+		sh := w.s.shards[homes[0]]
+		for _, ins := range batch {
+			sh.entries[ins.ID] = entry{t: ins.Tuple, owner: ins.Owner}
+			sh.indexAdd(ins.ID, ins.Tuple)
+		}
+		return
+	}
+	b := bulkInsert{s: w.s, insts: batch, homes: groupByShard(homes, len(w.s.shards))}
+	forShards(w.ss, b.file)
+}
+
+// checkpointRuns is a checkpoint's copy of the configuration: shard si's
+// instances sit in insts[start[si]:start[si+1]], sorted by ID.
+type checkpointRuns struct {
+	s     *Store
+	insts []Instance
+	start []int
+}
+
+// collect copies shard si's instances into its run and sorts the run: one
+// worker's share of WriteCheckpoint, under the read locks of every shard.
+//
+// lint:holds rmu
+func (c *checkpointRuns) collect(si uint32) {
+	run := c.insts[c.start[si]:c.start[si]]
+	for id, e := range c.s.shards[si].entries {
+		run = append(run, Instance{ID: id, Tuple: e.t, Owner: e.owner})
+	}
+	slices.SortFunc(run, func(a, b Instance) int { return cmp.Compare(a.ID, b.ID) })
+}
+
+// merge visits every instance of the runs in ascending ID order: a k-way
+// merge over a binary min-heap of the non-empty runs' heads.
+func (c *checkpointRuns) merge(fn func(Instance)) {
+	type head struct{ next, end int }
+	heap := make([]head, 0, len(c.start)-1)
+	for si := 0; si+1 < len(c.start); si++ {
+		if c.start[si] < c.start[si+1] {
+			heap = append(heap, head{c.start[si], c.start[si+1]})
+		}
+	}
+	less := func(a, b int) bool { return c.insts[heap[a].next].ID < c.insts[heap[b].next].ID }
+	down := func(i int) {
+		for {
+			m, l, r := i, 2*i+1, 2*i+2
+			if l < len(heap) && less(l, m) {
+				m = l
+			}
+			if r < len(heap) && less(r, m) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heap) > 0 {
+		fn(c.insts[heap[0].next])
+		if heap[0].next++; heap[0].next == heap[0].end {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+}

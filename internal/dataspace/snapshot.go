@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -33,22 +32,21 @@ const checkpointVersion = 1
 // WriteCheckpoint serializes the current configuration. The checkpoint
 // captures tuple contents, instance IDs, owners, and the store version —
 // enough to resume a stopped computation or to diff two configurations.
+// Under the read locks of every shard, each shard's instances are copied
+// and sorted by ID on its own worker (checkpointRuns.collect); the sorted
+// runs are then merged by ID straight into the encoder.
 func (s *Store) WriteCheckpoint(w io.Writer) error {
 	start := time.Now()
 	defer func() { s.metrics.ObserveCheckpointWrite(time.Since(start)) }()
-	var (
-		insts   []Instance
-		version uint64
-	)
-	s.Snapshot(func(r Reader) {
-		insts = make([]Instance, 0, r.Len())
-		r.Each(func(inst Instance) bool {
-			insts = append(insts, inst)
-			return true
-		})
-		version = r.Version()
-	})
-	sort.Slice(insts, func(i, j int) bool { return insts[i].ID < insts[j].ID })
+	runs := checkpointRuns{s: s, start: make([]int, len(s.shards)+1)}
+	s.rlockSet(&s.all)
+	for si, sh := range s.shards {
+		runs.start[si+1] = runs.start[si] + len(sh.entries)
+	}
+	runs.insts = make([]Instance, runs.start[len(s.shards)])
+	forShards(&s.all, runs.collect)
+	version := s.version.Load()
+	s.runlockSet(&s.all)
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(checkpointMagic[:]); err != nil {
@@ -57,12 +55,12 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 	buf := make([]byte, 0, 256)
 	buf = binary.AppendUvarint(buf, checkpointVersion)
 	buf = binary.AppendUvarint(buf, version)
-	buf = binary.AppendUvarint(buf, uint64(len(insts)))
-	for _, inst := range insts {
+	buf = binary.AppendUvarint(buf, uint64(len(runs.insts)))
+	runs.merge(func(inst Instance) {
 		buf = binary.AppendUvarint(buf, uint64(inst.ID))
 		buf = binary.AppendUvarint(buf, uint64(inst.Owner))
 		buf = tuple.AppendTuple(buf, inst.Tuple)
-	}
+	})
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
@@ -172,10 +170,12 @@ func checkIDs(insts []Instance) error {
 }
 
 // Restore bulk-loads a decoded configuration (DecodeCheckpoint's result, or
-// a wal.State's Base) into an empty store and sets its version. Each
-// shard's entry map is sized once from the instance count instead of
-// growing through the load. Like ReadCheckpoint it refuses a store that
-// already holds tuples, and instances with null or duplicate IDs.
+// a wal.State's Base) into an empty store and sets its version. The
+// instances are grouped by home shard, each shard's entry map is sized once
+// for its share instead of growing through the load, and each shard is
+// installed by its own worker (bulkInsert.file). Like ReadCheckpoint it
+// refuses a store that already holds tuples, and instances with null or
+// duplicate IDs.
 func (s *Store) Restore(insts []Instance, version uint64) error {
 	if err := checkIDs(insts); err != nil {
 		return err
@@ -188,21 +188,16 @@ func (s *Store) Restore(insts []Instance, version uint64) error {
 		}
 	}
 	home := make([]uint32, len(insts))
-	perShard := make([]int, len(s.shards))
-	for i, inst := range insts {
-		home[i] = s.shardIndex(indexKeyOf(inst.Tuple))
-		perShard[home[i]]++
-	}
-	for si, sh := range s.shards {
-		sh.entries = make(map[tuple.ID]entry, perShard[si])
-	}
 	var maxID tuple.ID
 	for i, inst := range insts {
-		sh := s.shards[home[i]]
-		sh.entries[inst.ID] = entry{t: inst.Tuple, owner: inst.Owner}
-		sh.indexAdd(inst.ID, inst.Tuple)
+		home[i] = s.shardIndex(indexKeyOf(inst.Tuple))
 		maxID = max(maxID, inst.ID)
 	}
+	b := bulkInsert{s: s, insts: insts, homes: groupByShard(home, len(s.shards))}
+	for si, sh := range s.shards {
+		sh.entries = make(map[tuple.ID]entry, len(b.homes.of(uint32(si))))
+	}
+	forShards(&s.all, b.file)
 	s.version.Store(version)
 	// Invalidate any epoch snapshots built against the pre-restore state.
 	for _, sh := range s.shards {

@@ -750,7 +750,9 @@ func (s *Store) Stats() Stats {
 }
 
 // Assert inserts tuples outside any transaction (initial dataspace
-// contents, tests). It returns the new instance IDs.
+// contents, tests) as one commit. It returns the new instance IDs: one
+// contiguous run, in input order. A batch spread over several shards is
+// filed shard-parallel (see insertAll).
 func (s *Store) Assert(owner tuple.ProcessID, ts ...tuple.Tuple) []tuple.ID {
 	ids := make([]tuple.ID, len(ts))
 	// Plan the exact shard set so bulk loads of one bucket stay narrow.
@@ -759,9 +761,7 @@ func (s *Store) Assert(owner tuple.ProcessID, ts ...tuple.Tuple) []tuple.ID {
 		ss.add(s.shardIndex(indexKeyOf(t)))
 	}
 	_ = s.updateSet(ss, owner, rungCoarse, func(w Writer) error {
-		for i, t := range ts {
-			ids[i] = w.Insert(t, owner)
-		}
+		w.(writer).insertAll(ts, owner, ids)
 		return nil
 	})
 	return ids

@@ -243,7 +243,7 @@ type Registry struct {
 	walSyncCover    *Histogram // records made durable per fsync (group-commit amortization)
 	walSegments     Counter    // segment rotations (new segment files opened)
 	walRecovered    Counter    // records replayed into a store during recovery
-	walDiscarded    Counter    // decoded-but-unusable records discarded at recovery (torn tail / version gap)
+	walDiscarded    Counter    // version gaps found at recovery (versions missing inside the replayed suffix)
 	walRecoveries   Counter    // completed Recover calls
 	walRecoveryTime *Histogram // ns per Recover (always on; rare)
 }
@@ -415,7 +415,8 @@ func (r *Registry) ObserveCheckpointWrite(d time.Duration) {
 	r.checkpointWrite.Observe(uint64(d.Nanoseconds()))
 }
 
-// ObserveCheckpointRead records a ReadCheckpoint duration.
+// ObserveCheckpointRead records one checkpoint read — decode plus install —
+// by ReadCheckpoint or by WAL recovery.
 func (r *Registry) ObserveCheckpointRead(d time.Duration) {
 	r.checkpointRead.Observe(uint64(d.Nanoseconds()))
 }
@@ -452,7 +453,8 @@ func (r *Registry) IncWalSegment() {
 }
 
 // ObserveWalRecovery records one completed recovery: replayed records,
-// discarded records (torn tail + version gap), and the wall time.
+// version gaps (versions missing inside the replayed suffix:
+// RecoveryStats.Gaps), and the wall time.
 func (r *Registry) ObserveWalRecovery(replayed, discarded uint64, d time.Duration) {
 	if r == nil {
 		return
@@ -558,7 +560,7 @@ type Snapshot struct {
 	WalSyncCover    HistogramSnapshot `json:"walSyncCover"`   // records durable per fsync
 	WalSegments     uint64            `json:"walSegments"`    // segment rotations
 	WalRecovered    uint64            `json:"walRecovered"`   // records replayed during recovery
-	WalDiscarded    uint64            `json:"walDiscarded"`   // records discarded during recovery
+	WalDiscarded    uint64            `json:"walDiscarded"`   // version gaps found by recovery (Σ RecoveryStats.Gaps)
 	WalRecoveries   uint64            `json:"walRecoveries"`  // completed recoveries
 	WalRecoveryTime HistogramSnapshot `json:"walRecoveryNs"`  // ns per recovery
 }

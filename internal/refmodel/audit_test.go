@@ -82,7 +82,7 @@ func TestSerializabilityAudit(t *testing.T) {
 						t.Fatalf("replaying record %d (v%d): %v", i, rec.Version, err)
 					}
 				}
-				if !sameMultiset(model.Multiset(), MultisetOf(store)) {
+				if !SameContent(model, store) {
 					t.Fatalf("serial replay diverges from final dataspace\nreplay: %v\nstore:  %v",
 						model.All(), dump(store))
 				}
@@ -143,7 +143,7 @@ func TestSerializabilityAuditObserved(t *testing.T) {
 			t.Fatalf("replaying record %d: %v", i, err)
 		}
 	}
-	if !sameMultiset(model.Multiset(), MultisetOf(store)) {
+	if !SameContent(model, store) {
 		t.Fatal("serial replay diverges from final dataspace under observation")
 	}
 	// The observed run populated the gated histograms consistently: one

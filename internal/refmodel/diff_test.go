@@ -3,6 +3,7 @@ package refmodel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
@@ -93,6 +94,24 @@ func genOp(rng *rand.Rand) op {
 	}
 }
 
+// multiset is the content multiset as a hash → count map: the oracle
+// SameContent's sorted hash lists are checked against.
+func multiset(insts []dataspace.Instance) map[uint64]int {
+	out := make(map[uint64]int, len(insts))
+	for _, inst := range insts {
+		out[inst.Tuple.Hash()]++
+	}
+	return out
+}
+
+func (m *Model) instancesOf() []dataspace.Instance {
+	out := make([]dataspace.Instance, len(m.instances))
+	for i, inst := range m.instances {
+		out[i] = dataspace.Instance{ID: inst.ID, Tuple: inst.Tuple, Owner: inst.Owner}
+	}
+	return out
+}
+
 func sameMultiset(a, b map[uint64]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -131,13 +150,80 @@ func TestDifferentialRandomSequences(t *testing.T) {
 						t.Fatalf("seed %d step %d (%s): OK %v vs model %v",
 							seedBase, step, o.descr, engRes.OK, refRes.OK)
 					}
-					if !sameMultiset(MultisetOf(store), model.Multiset()) {
+					if !SameContent(model, store) {
 						t.Fatalf("seed %d step %d (%s): state diverged\nengine: %v\nmodel:  %v",
 							seedBase, step, o.descr, dump(store), model.All())
 					}
 				}
 			}
 		})
+	}
+}
+
+// SameContent decides exactly the map-based multiset equality: on every step
+// of TestDifferentialRandomSequences' histories it agrees with the oracle,
+// both for the model in step with the store and for the model one step
+// behind it (which differs whenever the step changed the content).
+func TestSameContentAgreesWithMultiset(t *testing.T) {
+	differed := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := dataspace.New(dataspace.WithShards(4))
+		engine := txn.New(store)
+		model := &Model{}
+		for step := 0; step < 60; step++ {
+			prev := &Model{instances: slices.Clone(model.instances), nextID: model.nextID}
+			o := genOp(rng)
+			if _, err := engine.Immediate(o.req); err != nil {
+				t.Fatalf("seed %d step %d (%s): engine: %v", seed, step, o.descr, err)
+			}
+			if _, err := model.Apply(o.ref); err != nil {
+				t.Fatalf("seed %d step %d (%s): model: %v", seed, step, o.descr, err)
+			}
+			have := multiset(store.All())
+			for _, m := range []*Model{model, prev} {
+				want := sameMultiset(multiset(m.instancesOf()), have)
+				if got := SameContent(m, store); got != want {
+					t.Fatalf("seed %d step %d (%s): SameContent %v, multiset equality %v", seed, step, o.descr, got, want)
+				}
+				if !want {
+					differed++
+				}
+			}
+		}
+	}
+	if differed == 0 {
+		t.Fatal("no step changed the content: the agreement was only ever checked on equal contents")
+	}
+}
+
+// SameContent rejects a one-tuple difference either way and a difference in
+// counts alone (the same distinct tuples and the same total).
+func TestSameContentRejects(t *testing.T) {
+	x, y, z := tuple.New(tuple.Atom("x")), tuple.New(tuple.Atom("y"), tuple.Int(1)), tuple.New(tuple.Int(2))
+	store := dataspace.New(dataspace.WithShards(4))
+	store.Assert(1, x, y, y)
+	model := func(ts ...tuple.Tuple) *Model {
+		m := &Model{}
+		for _, t := range ts {
+			m.Assert(2, t)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		m    *Model
+		want bool
+	}{
+		{"equal", model(y, x, y), true},
+		{"one tuple missing", model(x, y), false},
+		{"one tuple extra", model(x, y, y, z), false},
+		{"one tuple replaced", model(x, y, z), false},
+		{"counts only", model(x, x, y), false},
+	} {
+		if got := SameContent(c.m, store); got != c.want {
+			t.Errorf("%s: SameContent = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -15,8 +15,9 @@
 package refmodel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
@@ -53,7 +54,7 @@ func (m *Model) Len() int { return len(m.instances) }
 func (m *Model) All() []Instance {
 	out := make([]Instance, len(m.instances))
 	copy(out, m.instances)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Instance) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -195,7 +196,7 @@ func (m *Model) Apply(tx Txn) (Result, error) {
 	for id := range retract {
 		res.Retracted = append(res.Retracted, id)
 	}
-	sort.Slice(res.Retracted, func(i, j int) bool { return res.Retracted[i] < res.Retracted[j] })
+	slices.Sort(res.Retracted)
 	for _, t := range asserts {
 		res.Asserted = append(res.Asserted, m.Assert(tx.Proc, t))
 	}
@@ -271,7 +272,11 @@ func Replay(recs []dataspace.CommitRecord) (*Model, error) {
 // still a legal serial history. Duplicate versions remain an error: two
 // records claiming one serialization position can never replay soundly.
 func ReplayFrom(base []dataspace.Instance, baseVersion uint64, recs []dataspace.CommitRecord) (*Model, error) {
-	m := &Model{}
+	n := len(base)
+	for _, rec := range recs {
+		n += len(rec.Inserted)
+	}
+	m := &Model{instances: make([]Instance, 0, n)}
 	for _, inst := range base {
 		m.instances = append(m.instances, Instance{ID: inst.ID, Tuple: inst.Tuple, Owner: inst.Owner})
 		if inst.ID > m.nextID {
@@ -292,41 +297,44 @@ func ReplayFrom(base []dataspace.Instance, baseVersion uint64, recs []dataspace.
 	return m, nil
 }
 
-// SameMultiset reports whether two content multisets are equal.
-func SameMultiset(a, b map[uint64]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, n := range a {
-		if b[k] != n {
-			return false
-		}
-	}
-	return true
-}
-
-// Multiset returns the content multiset (hash → count), ignoring instance
-// identity — the right equality notion for differential tests, since the
+// Content returns the model's content multiset — ignoring instance
+// identity, the right equality notion for differential tests, since the
 // production engine and the model allocate IDs differently once their
-// choices diverge.
-func (m *Model) Multiset() map[uint64]int {
-	out := make(map[uint64]int, len(m.instances))
-	for _, inst := range m.instances {
-		out[inst.Tuple.Hash()]++
+// choices diverge — as the sorted list of its tuples' hashes. Two
+// configurations hold equal content multisets exactly when their lists are
+// equal.
+func (m *Model) Content() []uint64 {
+	out := make([]uint64, len(m.instances))
+	for i, inst := range m.instances {
+		out[i] = inst.Tuple.Hash()
 	}
+	slices.Sort(out)
 	return out
 }
 
-// MultisetOf computes the same content multiset for a production store.
-func MultisetOf(s *dataspace.Store) map[uint64]int {
-	out := map[uint64]int{}
+// ContentOf is Content for a production store.
+func ContentOf(s *dataspace.Store) []uint64 {
+	var out []uint64
 	s.Snapshot(func(r dataspace.Reader) {
+		out = make([]uint64, 0, r.Len())
 		r.Each(func(inst dataspace.Instance) bool {
-			out[inst.Tuple.Hash()]++
+			out = append(out, inst.Tuple.Hash())
 			return true
 		})
 	})
+	slices.Sort(out)
 	return out
+}
+
+// SameContent reports whether the model and the store hold the same content
+// multiset: their sorted hash lists (Content, ContentOf) are equal. The two
+// sides are hashed and sorted side by side, the model on a goroutine of its
+// own and the store on the caller's.
+func SameContent(m *Model, s *dataspace.Store) bool {
+	model := make(chan []uint64, 1)
+	go func() { model <- m.Content() }()
+	store := ContentOf(s)
+	return slices.Equal(<-model, store)
 }
 
 // Compile-time check.

@@ -311,7 +311,7 @@ func verifyDurable(seed uint64, shards int, wlog *wal.Log, dir string, clog *tra
 	if _, err := l2.Recover(s2); err != nil {
 		return fmt.Errorf("post-crash recover: %w", err)
 	}
-	if !refmodel.SameMultiset(model.Multiset(), refmodel.MultisetOf(s2)) {
+	if !refmodel.SameContent(model, s2) {
 		return fmt.Errorf("durability: recovered store diverges from reference replay of the surviving log")
 	}
 	return nil
@@ -341,9 +341,9 @@ func verify(p Program, store *dataspace.Store, clog *trace.CommitLog) error {
 	if err != nil {
 		return fmt.Errorf("serializability: %w", err)
 	}
-	if got, want := refmodel.MultisetOf(store), model.Multiset(); !refmodel.SameMultiset(got, want) {
-		return fmt.Errorf("final state diverges from the serial replay of the commit log (store %d distinct, replay %d distinct)",
-			len(got), len(want))
+	if !refmodel.SameContent(model, store) {
+		return fmt.Errorf("final state diverges from the serial replay of the commit log (store %d tuples, replay %d)",
+			store.Len(), model.Len())
 	}
 	if p.MarkerLead != "" {
 		for _, rec := range recs {

@@ -101,7 +101,9 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 		return Tuple{}, 0, ErrCorrupt
 	}
 	n := w
-	fields := make([]Value, 0, arity)
+	// A value encodes to at least two bytes, which bounds what a corrupt
+	// arity can make us reserve.
+	fields := make([]Value, 0, min(arity, uint64(len(b)-w)/2))
 	for i := uint64(0); i < arity; i++ {
 		v, vn, err := DecodeValue(b[n:])
 		if err != nil {

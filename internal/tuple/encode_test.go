@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,12 @@ func TestDecodeCorrupt(t *testing.T) {
 	buf[0] = 3
 	if _, _, err := DecodeTuple(buf); err == nil {
 		t.Error("truncated tuple should fail")
+	}
+	// A corrupt arity far beyond the input fails cleanly instead of
+	// reserving room for it.
+	huge := binary.AppendUvarint(nil, 1<<62)
+	if _, _, err := DecodeTuple(append(huge, byte(KindBool), 1)); err == nil {
+		t.Error("tuple with a 2^62 arity should fail")
 	}
 }
 

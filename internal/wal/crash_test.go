@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -352,7 +353,7 @@ func runKillIteration(t *testing.T, rng *rand.Rand, shards, reShards int, mode S
 	if err != nil {
 		t.Fatalf("Recover at %d shards: %v", reShards, err)
 	}
-	if !refmodel.SameMultiset(model.Multiset(), refmodel.MultisetOf(s)) {
+	if !refmodel.SameContent(model, s) {
 		t.Fatalf("recovered store (%d shards) diverges from replayed evidence", reShards)
 	}
 	if stats.Replayed != len(st.Records) {
@@ -363,7 +364,7 @@ func runKillIteration(t *testing.T, rng *rand.Rand, shards, reShards int, mode S
 	// clean close and one more recovery round-trip.
 	s.SetDurable(l)
 	s.Assert(9, tuple.New(tuple.Int(300), tuple.Int(1)))
-	want := refmodel.MultisetOf(s)
+	want := refmodel.ContentOf(s)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -375,7 +376,7 @@ func runKillIteration(t *testing.T, rng *rand.Rand, shards, reShards int, mode S
 	if _, err := l2.Recover(s2); err != nil {
 		t.Fatalf("final recover: %v", err)
 	}
-	if !refmodel.SameMultiset(want, refmodel.MultisetOf(s2)) {
+	if !slices.Equal(want, refmodel.ContentOf(s2)) {
 		t.Fatal("post-recovery commits lost")
 	}
 	l2.Close()

@@ -1,10 +1,11 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
 )
@@ -66,8 +67,8 @@ func ReadState(dir string) (*State, error) {
 			ckpts = append(ckpts, seq)
 		}
 	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.SortFunc(ckpts, func(a, b uint64) int { return cmp.Compare(b, a) }) // newest first
+	slices.Sort(segs)
 
 	st := &State{}
 	for _, seq := range ckpts {
@@ -113,7 +114,7 @@ func ReadState(dir string) (*State, error) {
 		}
 		kept = append(kept, rec)
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Version < kept[j].Version })
+	slices.SortFunc(kept, func(a, b dataspace.CommitRecord) int { return cmp.Compare(a.Version, b.Version) })
 	prev := st.CheckpointVersion
 	for i, rec := range kept {
 		if rec.Version == prev {
@@ -154,7 +155,7 @@ func SegmentFiles(dir string) ([]string, error) {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	out := make([]string, len(seqs))
 	for i, seq := range seqs {
 		out[i] = filepath.Join(dir, segmentName(seq))

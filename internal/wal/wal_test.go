@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestRoundTripRecover(t *testing.T) {
 	s := dataspace.New(dataspace.WithShards(4))
 	l := attach(t, dir, s, Options{Sync: SyncCommit})
 	workload(t, s, 40)
-	wantMS := refmodel.MultisetOf(s)
+	wantMS := refmodel.ContentOf(s)
 	wantVersion := s.Version()
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -77,7 +78,7 @@ func TestRoundTripRecover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recover at %d shards: %v", shards, err)
 		}
-		if !refmodel.SameMultiset(wantMS, refmodel.MultisetOf(s2)) {
+		if !slices.Equal(wantMS, refmodel.ContentOf(s2)) {
 			t.Fatalf("recovered multiset at %d shards diverges", shards)
 		}
 		if s2.Version() != wantVersion {
@@ -98,7 +99,7 @@ func TestRecoverAcrossSegments(t *testing.T) {
 	// Tiny segments force rotation on nearly every commit.
 	l := attach(t, dir, s, Options{Sync: SyncBatch, SegmentSize: 64})
 	workload(t, s, 30)
-	want := refmodel.MultisetOf(s)
+	want := refmodel.ContentOf(s)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestRecoverAcrossSegments(t *testing.T) {
 	if _, err := l2.Recover(s2); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if !refmodel.SameMultiset(want, refmodel.MultisetOf(s2)) {
+	if !slices.Equal(want, refmodel.ContentOf(s2)) {
 		t.Fatal("recovered multiset diverges after multi-segment recovery")
 	}
 	l2.Close()
@@ -294,7 +295,7 @@ func TestCheckpointPrunesHistory(t *testing.T) {
 	// Commits after the checkpoint land in the fresh segment and recover
 	// on top of it.
 	workload(t, s, 10)
-	want := refmodel.MultisetOf(s)
+	want := refmodel.ContentOf(s)
 	l.Close()
 
 	s2 := dataspace.New(dataspace.WithShards(4))
@@ -306,7 +307,7 @@ func TestCheckpointPrunesHistory(t *testing.T) {
 	if stats.CheckpointVersion == 0 {
 		t.Fatal("recovery ignored the checkpoint")
 	}
-	if !refmodel.SameMultiset(want, refmodel.MultisetOf(s2)) {
+	if !slices.Equal(want, refmodel.ContentOf(s2)) {
 		t.Fatal("checkpoint+suffix recovery diverges")
 	}
 	l2.Close()
@@ -504,5 +505,57 @@ func TestAppendAllocatesNothing(t *testing.T) {
 		rec.Version++
 	}); n != 0 {
 		t.Errorf("Append: %.1f allocations per record, want 0", n)
+	}
+}
+
+// BenchmarkRecover restarts from a checkpoint of 2^18 two-field counters,
+// the upsert-durable workload's restart: decode, restore, verify against
+// the reference model, re-anchor. Each iteration recovers into a fresh
+// store; the re-anchor leaves the directory holding the same state.
+func BenchmarkRecover(b *testing.B) {
+	dir := b.TempDir()
+	s := dataspace.New()
+	l, err := Open(dir, Options{Sync: SyncInterval})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := l.Recover(s); err != nil {
+		b.Fatal(err)
+	}
+	s.SetDurable(l)
+	batch := make([]tuple.Tuple, 0, 4096)
+	for k := 0; k < 1<<18; k++ {
+		batch = append(batch, tup(int64(k), 0))
+		if len(batch) == cap(batch) {
+			s.Assert(tuple.Environment, batch...)
+			batch = batch[:0]
+		}
+	}
+	if err := l.Checkpoint(s); err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := Open(dir, Options{Sync: SyncInterval})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := l.Recover(dataspace.New())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if st.Replayed != 0 || st.CheckpointVersion == 0 {
+			b.Fatalf("recovered checkpoint v%d + %d records, want a checkpoint alone", st.CheckpointVersion, st.Replayed)
+		}
+		b.ReportMetric(float64(st.Restore.Microseconds())/1e3, "restore-ms")
+		b.ReportMetric(float64(st.Verify.Microseconds())/1e3, "verify-ms")
+		b.ReportMetric(float64(st.Reanchor.Microseconds())/1e3, "reanchor-ms")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sdl-lang/sdl/internal/dataspace"
 )
 
 // Metrics invariants over a whole System run: the observability layer's
@@ -505,4 +507,79 @@ func TestMetricsWastedWakeupsUnderSpuriousFault(t *testing.T) {
 	if snap.ReactiveWasted != snap.ReactiveEvals-1 {
 		t.Errorf("wasted %d of %d evals, want all but the committing one", snap.ReactiveWasted, snap.ReactiveEvals)
 	}
+}
+
+// A durable restart reads its checkpoint like ReadCheckpoint does, and the
+// recovery counters agree with the reports Open returns: one recovery per
+// Open, WalDiscarded the sum of the recoveries' version gaps, and the
+// recovery phases adding up to no more than its wall time.
+func TestMetricsWALRecoveryInvariants(t *testing.T) {
+	phasesFit := func(rec *WALRecoveryStats) {
+		t.Helper()
+		if sum := rec.Decode + rec.Restore + rec.Replay + rec.Verify + rec.Reanchor; sum > rec.Elapsed || sum <= 0 {
+			t.Errorf("recovery phases sum to %v of %v elapsed: %+v", sum, rec.Elapsed, *rec)
+		}
+	}
+
+	dir := t.TempDir()
+	sys, err := Open(Options{WALDir: dir, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		sys.Store.Assert(Environment, NewTuple(Int(int64(i)), Int(0)))
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err = Open(Options{WALDir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, rec := sys.Snapshot(), sys.Recovery
+	if rec.CheckpointVersion == 0 || sys.Store.Len() != 64 {
+		t.Fatalf("restart restored checkpoint v%d with %d tuples, want a checkpoint of 64", rec.CheckpointVersion, sys.Store.Len())
+	}
+	if snap.CheckpointRead.Count != 1 {
+		t.Errorf("checkpoint reads %d after restoring one checkpoint, want 1", snap.CheckpointRead.Count)
+	}
+	if snap.WalRecoveries != 1 || snap.WalDiscarded != uint64(rec.Gaps) || snap.WalRecovered != uint64(rec.Replayed) {
+		t.Errorf("recoveries %d, discarded %d, recovered %d; want 1, %d gaps, %d replayed",
+			snap.WalRecoveries, snap.WalDiscarded, snap.WalRecovered, rec.Gaps, rec.Replayed)
+	}
+	phasesFit(rec)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A log whose durable suffix skips versions 3, 5 and 6 and has no
+	// checkpoint: three gaps, no checkpoint read.
+	gapDir := t.TempDir()
+	l, err := OpenWAL(gapDir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{1, 2, 4, 7} {
+		l.Append(dataspace.CommitRecord{Version: v, Owner: 1, Inserted: []Instance{
+			{ID: TupleID(v), Tuple: NewTuple(Int(int64(v))), Owner: 1}}})
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err = Open(Options{WALDir: gapDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	snap, rec = sys.Snapshot(), sys.Recovery
+	if rec.Gaps != 3 || rec.Replayed != 4 {
+		t.Fatalf("recovery found %d gaps over %d records, want 3 over 4", rec.Gaps, rec.Replayed)
+	}
+	if snap.WalDiscarded != uint64(rec.Gaps) {
+		t.Errorf("WalDiscarded %d, want Σ RecoveryStats.Gaps = %d", snap.WalDiscarded, rec.Gaps)
+	}
+	if snap.CheckpointRead.Count != 0 {
+		t.Errorf("checkpoint reads %d with no checkpoint on disk, want 0", snap.CheckpointRead.Count)
+	}
+	phasesFit(rec)
 }

@@ -25,16 +25,16 @@ func TestReactiveWakeupsConfluent(t *testing.T) {
 	)
 	// The noise and release tuples survive, every waiter acked, and every
 	// token was consumed and converted.
-	want := map[uint64]int{}
+	var want refmodel.Model
 	for i := 0; i < waiters; i++ {
 		for k := 0; k < noise; k++ {
-			want[NewTuple(Atom("job"), Int(int64(i)), Int(int64(-1-k))).Hash()]++
+			want.Assert(Environment, NewTuple(Atom("job"), Int(int64(i)), Int(int64(-1-k))))
 		}
-		want[NewTuple(Atom("job"), Int(int64(i)), Int(1)).Hash()]++
-		want[NewTuple(Atom("ack"), Int(int64(i))).Hash()]++
+		want.Assert(Environment, NewTuple(Atom("job"), Int(int64(i)), Int(1)))
+		want.Assert(Environment, NewTuple(Atom("ack"), Int(int64(i))))
 	}
 	for v := 0; v < tokens; v++ {
-		want[NewTuple(Atom("did"), Int(int64(v))).Hash()]++
+		want.Assert(Environment, NewTuple(Atom("did"), Int(int64(v))))
 	}
 
 	run := func(t *testing.T, shards int) {
@@ -95,9 +95,9 @@ func TestReactiveWakeupsConfluent(t *testing.T) {
 		}
 		wg.Wait()
 
-		if got := refmodel.MultisetOf(sys.Store); !refmodel.SameMultiset(got, want) {
-			t.Errorf("final multiset has %d distinct tuples, want the closed form's %d (%d tuples)",
-				len(got), len(want), waiters*noise+2*waiters+tokens)
+		if !refmodel.SameContent(&want, sys.Store) {
+			t.Errorf("final content (%d tuples) differs from the closed form's %d tuples",
+				sys.Store.Len(), want.Len())
 		}
 		snap := sys.Snapshot()
 		if got := snap.ReactiveHits + snap.ReactiveFallbacks; got != snap.ReactiveEvals {

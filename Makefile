@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALRoundTrip -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzIDSet -fuzztime=10s -run '^$$' ./internal/dataspace
+	$(GO) test -fuzz=FuzzIDIndex -fuzztime=10s -run '^$$' ./internal/dataspace
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=10s -run '^$$' ./internal/dataspace
 
 clean:

@@ -323,18 +323,23 @@ func (sc *scope) walkExpr(e ast.Expr) {
 	}
 }
 
-// liveMap names the shard structure a selector chain ends in, or "" when it
+// liveMap names the shard structure a selector chain reaches, or "" when it
 // is none of them: the entries map, an arity's lead index (arityIndex.leads)
 // and a published secondary index (fieldIndex.buckets). The two indexes are
-// idIndex values edited through its add/remove methods. A fresh index being
-// filled in a local before publication has no such suffix and is free.
+// idIndex values edited through its add/remove methods; a chain that runs on
+// through one (ai.leads.num) reaches its per-class bucket maps, which are
+// just as live. A fresh index being filled in a local before publication
+// has no such selector and is free.
 func liveMap(chain string) string {
+	through := func(field string) bool {
+		return strings.HasSuffix(chain, field) || strings.Contains(chain, field+".")
+	}
 	switch {
 	case strings.HasSuffix(chain, ".entries"):
 		return "live entries map"
-	case strings.HasSuffix(chain, ".leads"):
+	case through(".leads"):
 		return "lead index"
-	case strings.HasSuffix(chain, ".buckets"):
+	case through(".buckets"):
 		return "published secondary index"
 	}
 	return ""

@@ -51,7 +51,7 @@ type shardSnap struct {
 func buildSnap(sh *shard, seq uint64) *shardSnap {
 	leads := 0
 	for _, ai := range sh.byArity {
-		leads += len(ai.leads)
+		leads += ai.leads.len()
 	}
 	snap := &shardSnap{
 		seq:     seq,
@@ -70,7 +70,7 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 	}
 	for a, ai := range sh.byArity {
 		arityStart := len(snap.insts)
-		for lead, set := range ai.leads {
+		ai.leads.each(func(lead leadKey, set idSet) bool {
 			leadStart := len(snap.insts)
 			set.each(func(id tuple.ID) bool {
 				e := sh.entries[id]
@@ -80,7 +80,8 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 			if a > 0 {
 				snap.byLead[indexKey{arity: a, lead: lead}] = snap.insts[leadStart:len(snap.insts):len(snap.insts)]
 			}
-		}
+			return true
+		})
 		of := snap.insts[arityStart:len(snap.insts):len(snap.insts)]
 		snap.byArity[a] = of
 		if a < 2 || a > maxFieldArity || snap.fieldShapes[a] == 0 {

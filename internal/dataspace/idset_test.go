@@ -1,6 +1,8 @@
 package dataspace
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 func runIDSetScript(t testing.TB, script []byte) {
 	t.Helper()
 	var k leadKey
-	ix := make(idIndex)
+	var ix idIndex
 	ref := make(map[tuple.ID]struct{})
 	for step, b := range script {
 		id := tuple.ID(1 + b&63)
@@ -38,7 +40,7 @@ func runIDSetScript(t testing.TB, script []byte) {
 			}
 		case 3:
 			limit, seen := int(b&63), 0
-			done := ix[k].each(func(tuple.ID) bool {
+			done := ix.get(k).each(func(tuple.ID) bool {
 				seen++
 				return seen < limit
 			})
@@ -48,8 +50,8 @@ func runIDSetScript(t testing.TB, script []byte) {
 			}
 		}
 
-		set, present := ix[k]
-		if present != (len(ref) > 0) {
+		set := ix.get(k)
+		if present := ix.len() == 1; present != (len(ref) > 0) {
 			t.Fatalf("step %d: bucket slot present=%v with %d members", step, present, len(ref))
 		}
 		if set.len() != len(ref) {
@@ -123,7 +125,7 @@ func FuzzIDSet(f *testing.F) {
 // two and three members reuses the spill it already has.
 func TestIDSetSmallExcursionsDoNotAllocate(t *testing.T) {
 	k := canonLead(tuple.Int(7))
-	ix := make(idIndex)
+	var ix idIndex
 	ix.add(k, 1)
 	next := tuple.ID(2)
 	if n := testing.AllocsPerRun(100, func() {
@@ -151,5 +153,195 @@ func TestIDSetRejectsNoID(t *testing.T) {
 			t.Error("filing NoID must panic: it marks a vacant slot")
 		}
 	}()
-	make(idIndex).add(leadKey{}, tuple.NoID)
+	new(idIndex).add(leadKey{}, tuple.NoID)
+}
+
+// idIndexKeys is a mixed-class key pool: numbers (a NaN and an infinity
+// among them), atoms and strings with equal text, both bools, the other
+// class and the arity-0 zero key.
+var idIndexKeys = []leadKey{
+	canonLead(tuple.Int(2)), canonLead(tuple.Float(2.5)), canonLead(tuple.Float(math.NaN())),
+	canonLead(tuple.Int(0)), canonLead(tuple.Int(-1)), canonLead(tuple.Float(math.Inf(1))),
+	canonLead(tuple.Atom("x")), canonLead(tuple.Atom("")), canonLead(tuple.Atom("y")),
+	canonLead(tuple.String("x")), canonLead(tuple.String("")),
+	canonLead(tuple.Bool(true)), canonLead(tuple.Bool(false)),
+	canonLead(tuple.Value{}), {}, canonLead(tuple.Int(1)),
+}
+
+// runIDIndexScript drives an idIndex and a map of plain sets with the same
+// edits over idIndexKeys and compares every bucket, the bucket count and a
+// full walk after each step. Each operation is two script bytes, an op and
+// key byte then an ID byte:
+//
+//	00..kkkk, 01..kkkk  add ID 1 + (next byte & 31) under key k
+//	10..kkkk            remove it
+//	11......            walk the buckets, stopping after (next byte & 63)
+func runIDIndexScript(t testing.TB, script []byte) {
+	t.Helper()
+	var ix idIndex
+	ref := make(map[leadKey]map[tuple.ID]struct{})
+	for step := 0; step+1 < len(script); step += 2 {
+		op, k, id := script[step]>>6, idIndexKeys[script[step]&15], tuple.ID(1+script[step+1]&31)
+		_, had := ref[k][id]
+		switch op {
+		case 0, 1:
+			if ref[k] == nil {
+				ref[k] = make(map[tuple.ID]struct{})
+			}
+			ref[k][id] = struct{}{}
+			if got := ix.add(k, id); got == had {
+				t.Fatalf("step %d: add(%v, %d) = %v with membership %v", step, k, id, got, had)
+			}
+		case 2:
+			if delete(ref[k], id); len(ref[k]) == 0 {
+				delete(ref, k)
+			}
+			if got := ix.remove(k, id); got != had {
+				t.Fatalf("step %d: remove(%v, %d) = %v with membership %v", step, k, id, got, had)
+			}
+		case 3:
+			limit, seen := int(script[step+1]&63), 0
+			done := ix.each(func(leadKey, idSet) bool {
+				seen++
+				return seen < limit
+			})
+			if want := min(max(limit, 1), len(ref)); seen != want || done != (len(ref) == 0 || seen < limit) {
+				t.Fatalf("step %d: early-stop walk visited %d of %d buckets (limit %d, done=%v)", step, seen, len(ref), limit, done)
+			}
+		}
+
+		if ix.len() != len(ref) {
+			t.Fatalf("step %d: len() = %d, want %d live buckets", step, ix.len(), len(ref))
+		}
+		for _, k := range idIndexKeys {
+			set := ix.get(k)
+			if set.len() != len(ref[k]) {
+				t.Fatalf("step %d: bucket %v holds %d, want %d", step, k, set.len(), len(ref[k]))
+			}
+			set.each(func(id tuple.ID) bool {
+				if _, ok := ref[k][id]; !ok {
+					t.Fatalf("step %d: bucket %v holds %d, which was not filed there", step, k, id)
+				}
+				return true
+			})
+		}
+		walked := make(map[leadKey]bool, len(ref))
+		ix.each(func(k leadKey, set idSet) bool {
+			if walked[k] || set.len() != len(ref[k]) {
+				t.Fatalf("step %d: walk met %v (again: %v) holding %d, want %d", step, k, walked[k], set.len(), len(ref[k]))
+			}
+			walked[k] = true
+			return true
+		})
+	}
+}
+
+func FuzzIDIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 2, 1, 0x80, 1, 0xC0, 5, 0x81, 1, 0x82, 1})
+	var ramp []byte
+	for i := byte(0); i < 32; i++ {
+		ramp = append(ramp, i&15, i, 2, i, 0xC0, i)
+	}
+	for i := byte(0); i < 32; i++ {
+		ramp = append(ramp, 0x80|i&15, i, 0x82, i)
+	}
+	f.Add(ramp)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		runIDIndexScript(t, script)
+	})
+}
+
+// TestIDIndexValueClasses: the lead index and a hot secondary shape file a
+// value in its class's map under its canonical key, so Equal numbers share
+// a bucket across int and float and across the zeros, a NaN bucket is
+// reachable, equal text in an atom and a string stays apart, and the bucket
+// counts the planner divides by are exact as buckets empty.
+func TestIDIndexValueClasses(t *testing.T) {
+	groups := [][]tuple.Value{ // each group is one bucket
+		{tuple.Int(2), tuple.Float(2)},
+		{tuple.Float(math.Copysign(0, -1)), tuple.Float(0), tuple.Int(0)},
+		{tuple.Float(math.NaN())},
+		{tuple.Atom("x")},
+		{tuple.String("x")},
+		{tuple.Bool(true)},
+		{tuple.Int(1)},
+	}
+	s := New(WithShards(1))
+	sh := s.shards[0]
+	st := sh.secShape(2, 1)
+	st.state.Store(shapeHot)
+	sh.sec.hot.Add(1)
+	idx := sh.shapeIndex(st, 2, 1) // built empty, then maintained by every commit
+
+	// <v, v> files v under the lead index and under the (2, 1) shape.
+	ids := make([][]tuple.ID, len(groups))
+	for g, vals := range groups {
+		for _, v := range vals {
+			ids[g] = append(ids[g], s.Assert(tuple.Environment, tuple.New(v, v))...)
+		}
+	}
+	empty := s.Assert(tuple.Environment, tuple.New())[0]
+
+	check := func(when string) {
+		t.Helper()
+		if st.idx.Load() != idx || idx.seq != sh.seq.Load() {
+			t.Fatalf("%s: the shape index was rebuilt or went stale instead of being maintained", when)
+		}
+		live := 0
+		for g, vals := range groups {
+			if len(ids[g]) > 0 {
+				live++
+			}
+			for _, v := range vals {
+				k := canonLead(v)
+				for name, set := range map[string]idSet{"lead": sh.leadSet(2, k), "shape": idx.buckets.get(k)} {
+					got := map[tuple.ID]bool{}
+					set.each(func(id tuple.ID) bool { got[id] = true; return true })
+					if len(got) != len(ids[g]) || set.len() != len(ids[g]) {
+						t.Fatalf("%s: %s bucket of %v holds %v, want %v", when, name, v, got, ids[g])
+					}
+					for _, id := range ids[g] {
+						if !got[id] {
+							t.Fatalf("%s: %s bucket of %v misses %d: %v", when, name, v, id, got)
+						}
+					}
+				}
+			}
+		}
+		leads := 0
+		if ai := sh.byArity[2]; ai != nil {
+			leads = ai.leads.len()
+		}
+		if leads != live || idx.buckets.len() != live {
+			t.Fatalf("%s: %d lead and %d shape buckets, want %d", when, leads, idx.buckets.len(), live)
+		}
+	}
+
+	check("loaded")
+	if set := sh.leadSet(0, leadKey{}); set.len() != 1 || set.a != empty || sh.byArity[0].leads.len() != 1 {
+		t.Fatalf("the arity-0 tuple is not the one member of the zero-key bucket: %+v", set)
+	}
+	del := func(id tuple.ID) {
+		t.Helper()
+		if err := s.Update(tuple.Environment, func(w Writer) error { return w.Delete(id) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del(empty)
+	if sh.byArity[0] != nil {
+		t.Fatal("the arity-0 index outlived its one tuple")
+	}
+	for round := 0; round < 3; round++ { // first members, then the rest
+		for g := range groups {
+			if len(ids[g]) == 0 {
+				continue
+			}
+			del(ids[g][0])
+			ids[g] = ids[g][1:]
+			check(fmt.Sprintf("round %d, group %d deleted from", round, g))
+		}
+	}
+	if sh.byArity[2] != nil {
+		t.Fatal("the arity-2 lead index outlived its tuples")
+	}
 }

@@ -121,7 +121,7 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 	if idx := st.idx.Load(); idx != nil && idx.seq == seq {
 		return idx
 	}
-	fresh := make(idIndex)
+	var fresh idIndex
 	sh.eachOfArity(arity, func(id tuple.ID) bool {
 		fresh.add(canonLead(sh.entries[id].t.Field(pos)), id)
 		return true
@@ -149,7 +149,7 @@ func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idSe
 			continue
 		}
 		st.scans.Add(1)
-		b := sh.shapeIndex(st, arity, sel.Pos).buckets[canonLead(sel.Val)]
+		b := sh.shapeIndex(st, arity, sel.Pos).buckets.get(canonLead(sel.Val))
 		if !ok || b.len() < best.len() {
 			best, ok = b, true
 		}
@@ -194,7 +194,7 @@ func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) 
 // demoted here.
 //
 // lint:holds mu
-func (sh *shard) secEdit(id tuple.ID, t tuple.Tuple, edit func(idIndex, leadKey, tuple.ID) bool) {
+func (sh *shard) secEdit(id tuple.ID, t tuple.Tuple, edit func(*idIndex, leadKey, tuple.ID) bool) {
 	if sh.sec.hot.Load() == 0 {
 		return
 	}
@@ -208,7 +208,7 @@ func (sh *shard) secEdit(id tuple.ID, t tuple.Tuple, edit func(idIndex, leadKey,
 			continue
 		}
 		if idx := st.idx.Load(); idx != nil && idx.seq == sh.seq.Load() {
-			edit(idx.buckets, canonLead(t.Field(pos)), id)
+			edit(&idx.buckets, canonLead(t.Field(pos)), id)
 		}
 	}
 }
@@ -348,7 +348,7 @@ func (e *estimator) LeadEstimate(arity int) float64 {
 	e.ss.forEach(func(si uint32) bool {
 		if ai := e.s.shards[si].byArity[arity]; ai != nil {
 			n += ai.n
-			buckets += len(ai.leads)
+			buckets += ai.leads.len()
 		}
 		return true
 	})
@@ -369,8 +369,8 @@ func (e *estimator) LeadValueEstimate(arity int, lead tuple.Value) float64 {
 
 func (e *estimator) FieldEstimate(arity, pos int) float64 {
 	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, n int) float64 {
-		if idx := st.idx.Load(); idx != nil && len(idx.buckets) > 0 {
-			return float64(n) / float64(len(idx.buckets))
+		if idx := st.idx.Load(); idx != nil && idx.buckets.len() > 0 {
+			return float64(n) / float64(idx.buckets.len())
 		}
 		return float64(n) // unbuilt: honest full-scan cost
 	})
@@ -378,7 +378,7 @@ func (e *estimator) FieldEstimate(arity, pos int) float64 {
 
 func (e *estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, _ int) float64 {
-		return float64(sh.shapeIndex(st, arity, pos).buckets[canonLead(val)].len())
+		return float64(sh.shapeIndex(st, arity, pos).buckets.get(canonLead(val)).len())
 	})
 }
 

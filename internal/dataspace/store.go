@@ -221,7 +221,7 @@ func (sh *shard) arityLen(arity int) int {
 // leadSet returns the IDs filed under (arity, lead); the zero set if none.
 func (sh *shard) leadSet(arity int, lead leadKey) idSet {
 	if ai := sh.byArity[arity]; ai != nil {
-		return ai.leads[lead]
+		return ai.leads.get(lead)
 	}
 	return idSet{}
 }
@@ -230,11 +230,7 @@ func (sh *shard) leadSet(arity int, lead leadKey) idSet {
 // until fn returns false; it reports whether it ran to completion.
 func (sh *shard) eachOfArity(arity int, fn func(tuple.ID) bool) bool {
 	if ai := sh.byArity[arity]; ai != nil {
-		for _, set := range ai.leads {
-			if !set.each(fn) {
-				return false
-			}
-		}
+		return ai.leads.each(func(_ leadKey, set idSet) bool { return set.each(fn) })
 	}
 	return true
 }
@@ -939,13 +935,13 @@ func (sh *shard) indexAdd(id tuple.ID, t tuple.Tuple) {
 	a := t.Arity()
 	ai := sh.byArity[a]
 	if ai == nil {
-		ai = &arityIndex{leads: make(idIndex)}
+		ai = &arityIndex{}
 		sh.byArity[a] = ai
 	}
 	if ai.leads.add(leadOf(t), id) {
 		ai.n++
 	}
-	sh.secEdit(id, t, idIndex.add)
+	sh.secEdit(id, t, (*idIndex).add)
 }
 
 // indexRemove is indexAdd's inverse for one delete; every caller holds the
@@ -959,5 +955,5 @@ func (sh *shard) indexRemove(id tuple.ID, t tuple.Tuple) {
 			delete(sh.byArity, a)
 		}
 	}
-	sh.secEdit(id, t, idIndex.remove)
+	sh.secEdit(id, t, (*idIndex).remove)
 }

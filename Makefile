@@ -23,13 +23,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The count-exact allocation guards (what a match, a solution, a window scan,
-# an upsert, a store commit, a WAL append, a read, a read view, a wait, a
-# delayed transaction's wait, a spawn, a process's transaction statement and
-# a lex may allocate, and that a process's selections re-arm one
-# subscription). They skip under
-# the race detector — it allocates on its own and sync.Pool drops Puts
-# there — so the race target above does not run them; this does.
+# The count-exact allocation guards (what a value constructor, a tuple
+# decode, a match, a solution, a window scan, an upsert, a store commit, a
+# WAL append, a read, a read view, a wait, a delayed transaction's wait, a
+# spawn, a process's transaction statement and a lex may allocate, and that
+# a process's selections re-arm one subscription). They skip under the race
+# detector — it allocates on its own and sync.Pool drops Puts there — so the
+# race target above does not run them; this does.
 alloc-guard:
 	$(GO) test -run 'Alloc|Allocates|ReusesSubscription' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/wal ./internal/lang .
 
@@ -104,6 +104,7 @@ sweep:
 
 # Run each fuzz target briefly — a smoke pass, not a campaign.
 fuzz-smoke:
+	$(GO) test -fuzz=FuzzValue -fuzztime=10s -run '^$$' ./internal/tuple
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/lang
 	$(GO) test -fuzz=FuzzLex -fuzztime=10s -run '^$$' ./internal/lang
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./internal/pattern

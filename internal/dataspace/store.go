@@ -160,7 +160,7 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // subscription registry are guarded by its mu (the registry additionally
 // has its own short-lived mutex so Subscribe/Cancel need no shard lock).
 //
-// A stored tuple is resident in three places: its fields block (32 bytes a
+// A stored tuple is resident in three places: its fields block (16 bytes a
 // field), its slot in entries, and its ID in one set of the lead index
 // byArity — arity, then canonical lead, then an idSet (idset.go) — from
 // which lead-known scans, arity scans, Arities and the planner's

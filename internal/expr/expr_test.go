@@ -3,10 +3,14 @@ package expr
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"github.com/sdl-lang/sdl/internal/race"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -334,4 +338,56 @@ func TestCondBuiltin(t *testing.T) {
 	if _, err := Fn("cond", Const(tuple.Bool(true))).Eval(nil); err == nil {
 		t.Error("wrong arity accepted")
 	}
+}
+
+// TestInternedStringsAreCollected mints 10⁵ distinct strings by
+// concatenation, drops them, and checks the heap returns to within 1 MiB of
+// where it was: interned text no Value holds is collected, not kept in a
+// symbol table. The first cycle frees the text and queues the cleanups that
+// drop its table entries; the cycle after those cleanups have run frees the
+// entries. That is two or three cycles when the cleanups keep up (they do,
+// on one CPU or two); the test waits up to 10 s. The race detector slows
+// the cleanups twentyfold, and this test has one goroutine, so it skips
+// there.
+func TestInternedStringsAreCollected(t *testing.T) {
+	if race.Enabled {
+		t.Skip("measures the heap; the race detector slows the cleanups it waits for")
+	}
+	const n = 100_000
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var digits [10]Expr
+	for i := range digits {
+		digits[i] = Const(tuple.String(strconv.Itoa(i)))
+	}
+	before := heap()
+	for range 4 {
+		before = min(before, heap())
+	}
+	vals := make([]tuple.Value, n)
+	for i := range vals {
+		// Five digits, concatenated left to right: "00000" … "99999".
+		e := digits[i/10_000]
+		for d := 1_000; d > 0; d /= 10 {
+			e = Add(e, digits[i/d%10])
+		}
+		vals[i] = mustEval(t, e, nil)
+	}
+	if s, _ := vals[n-1].AsString(); s != "99999" || vals[12345] != tuple.String("12345") {
+		t.Fatalf("minted %v and %v", vals[n-1], vals[12345])
+	}
+	vals = nil
+	var after uint64
+	for cycles, deadline := 1, time.Now().Add(10*time.Second); time.Now().Before(deadline); cycles++ {
+		if after = heap(); after <= before+1<<20 {
+			t.Logf("heap back to %d B (%d B before) after %d cycles", after, before, cycles)
+			return
+		}
+		time.Sleep(time.Millisecond) // lets the cleanups run
+	}
+	t.Errorf("heap %d B after dropping %d minted strings, %d B before: more than 1 MiB kept", after, n, before)
 }

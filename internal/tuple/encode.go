@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Binary encoding of values and tuples. The dataspace itself is in-memory,
@@ -26,23 +27,25 @@ var (
 // AppendValue appends the binary encoding of v to dst and returns the
 // extended slice.
 func AppendValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case KindAtom, KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		dst = append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, uint64(len(*v.p)))
+		dst = append(dst, *v.p...)
 	case KindInt:
-		dst = binary.AppendVarint(dst, int64(v.num))
+		dst = binary.AppendVarint(dst, int64(v.w))
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, v.num)
+		dst = binary.LittleEndian.AppendUint64(dst, v.w)
 	case KindBool:
-		dst = append(dst, byte(v.num))
+		dst = append(dst, byte(v.w))
 	}
 	return dst
 }
 
 // DecodeValue decodes one value from b, returning the value and the number
-// of bytes consumed.
+// of bytes consumed. An atom's or string's text is interned straight from
+// b: intern copies it only when it is new, and the Value keeps nothing of b.
 func DecodeValue(b []byte) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, ErrCorrupt
@@ -56,12 +59,11 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if w <= 0 || uint64(len(rest)-w) < l {
 			return Value{}, 0, ErrCorrupt
 		}
-		s := string(rest[w : w+int(l)])
-		n += w + int(l)
-		if kind == KindAtom {
-			return Atom(s), n, nil
+		var s string
+		if l > 0 {
+			s = unsafe.String(&rest[w], int(l))
 		}
-		return String(s), n, nil
+		return Value{p: intern(s), w: uint64(kind)}, n + w + int(l), nil
 	case KindInt:
 		x, w := binary.Varint(rest)
 		if w <= 0 {

@@ -2,8 +2,11 @@ package tuple
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/sdl-lang/sdl/internal/race"
 )
 
 func TestValueRoundTrip(t *testing.T) {
@@ -112,4 +115,23 @@ func TestAppendValueConcatenation(t *testing.T) {
 	if off != len(buf) {
 		t.Errorf("consumed %d of %d", off, len(buf))
 	}
+}
+
+// TestDecodeTupleAllocatesOnlyItsFields: decoding text already interned
+// allocates nothing for it, so a tuple costs its one fields block.
+func TestDecodeTupleAllocatesOnlyItsFields(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	tp := New(Int(42), Atom("rec"), String("a string payload"), Float(2.5), Bool(true))
+	buf := AppendTuple(nil, tp)
+	if n := testing.AllocsPerRun(100, func() {
+		got, _, err := DecodeTuple(buf)
+		if err != nil || !got.Equal(tp) {
+			t.Fatalf("decoded %v, %v", got, err)
+		}
+	}); n != 1 {
+		t.Errorf("DecodeTuple allocates %v times, want 1 (the fields block)", n)
+	}
+	runtime.KeepAlive(tp)
 }

@@ -120,19 +120,20 @@ func (t Tuple) Hash() uint64 {
 	)
 	h := uint64(offset64)
 	for _, v := range t.fields {
-		switch v.kind {
+		switch k := v.Kind(); k {
 		case KindAtom, KindString:
 			tag := byte('a')
-			if v.kind == KindString {
+			if k == KindString {
 				tag = 's'
 			}
 			h = (h ^ uint64(tag)) * prime64
-			for i := 0; i < len(v.str); i++ {
-				h = (h ^ uint64(v.str[i])) * prime64
+			s := *v.p
+			for i := 0; i < len(s); i++ {
+				h = (h ^ uint64(s[i])) * prime64
 			}
 		case KindBool:
 			h = (h ^ 'b') * prime64
-			h = (h ^ uint64(byte(v.num))) * prime64
+			h = (h ^ uint64(byte(v.w))) * prime64
 		case KindInt, KindFloat:
 			// Hash through float64 so Int(2) and Float(2.0) collide,
 			// consistent with Equal.

@@ -138,15 +138,18 @@ func TestQuickTupleCompareAntisymmetric(t *testing.T) {
 func fnvReferenceHash(t Tuple) uint64 {
 	h := fnv.New64a()
 	for _, v := range t.fields {
-		switch v.kind {
+		switch v.Kind() {
 		case KindAtom:
+			a, _ := v.AsAtom()
 			h.Write([]byte{'a'})
-			h.Write([]byte(v.str))
+			h.Write([]byte(a))
 		case KindString:
+			s, _ := v.AsString()
 			h.Write([]byte{'s'})
-			h.Write([]byte(v.str))
+			h.Write([]byte(s))
 		case KindBool:
-			h.Write([]byte{'b', byte(v.num)})
+			b, _ := v.AsBool()
+			h.Write([]byte{'b', map[bool]byte{true: 1}[b]})
 		case KindInt, KindFloat:
 			n, _ := v.Numeric()
 			bits := math.Float64bits(n)

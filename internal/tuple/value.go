@@ -5,10 +5,12 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates the value domain V of the dataspace.
@@ -47,24 +49,33 @@ func (k Kind) String() string {
 // with ==, so they can be used directly as map keys (the dataspace indexes
 // rely on this).
 //
-// Every scalar payload shares one 8-byte word, which keeps a Value at 32
-// bytes (a 3-field tuple is one 96-byte block). Because == compares that
-// word bit for bit, Float stores a canonical bit pattern: -0.0 is stored as
-// +0.0 and every NaN as the one quiet NaN, so same-kind == agrees with
-// numeric equality on zeros and a NaN equals itself (it can be found in,
-// and deleted from, a map).
+// A Value is two words, 16 bytes (a 3-field tuple is one 48-byte block).
+// An atom or string points p at its interned text (intern.go), the one copy
+// every Value of that text shares, and holds its kind in w; so == compares
+// text by pointer, and Atom and String of one text differ in w. An int,
+// float or bool points p at its kind's slot in kindSlots and holds its
+// payload in w. Because == compares that word bit for bit, Float stores a
+// canonical bit pattern: -0.0 is stored as +0.0 and every NaN as the one
+// quiet NaN, so same-kind == agrees with numeric equality on zeros and a NaN
+// equals itself (it can be found in, and deleted from, a map). The zero
+// Value (nil p, zero w) is KindInvalid.
 type Value struct {
-	kind Kind
-	num  uint64 // int (two's complement), float (canonical IEEE-754 bits) or bool (0/1) payload
-	str  string // atom or string payload
+	p *string // interned atom or string text, or &kindSlots[kind]
+	w uint64  // KindAtom/KindString, or the int (two's complement), float (canonical IEEE-754 bits) or bool (0/1) payload
 }
+
+// kindSlots gives each scalar kind a static address to point p at, so a
+// scalar's p never equals an interned text's and its kind is p's offset.
+var kindSlots [KindBool + 1]string
+
+func scalar(k Kind, w uint64) Value { return Value{p: &kindSlots[k], w: w} }
 
 // Atom returns an atom value. Atoms are symbolic constants such as `year`
 // or `nil`; they compare equal iff their names are equal.
-func Atom(name string) Value { return Value{kind: KindAtom, str: name} }
+func Atom(name string) Value { return Value{p: intern(name), w: uint64(KindAtom)} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
+func Int(v int64) Value { return scalar(KindInt, uint64(v)) }
 
 // Float returns a floating-point value, canonicalized so that == on Values
 // is numeric equality: -0.0 becomes +0.0 and every NaN the same NaN.
@@ -75,11 +86,11 @@ func Float(v float64) Value {
 	case v != v:
 		v = math.NaN()
 	}
-	return Value{kind: KindFloat, num: math.Float64bits(v)}
+	return scalar(KindFloat, math.Float64bits(v))
 }
 
 // String returns a string value.
-func String(v string) Value { return Value{kind: KindString, str: v} }
+func String(v string) Value { return Value{p: intern(v), w: uint64(KindString)} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -87,41 +98,70 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, num: n}
+	return scalar(KindBool, n)
 }
 
 // Kind reports the kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	const slot = unsafe.Sizeof(kindSlots[0])
+	if off := uintptr(unsafe.Pointer(v.p)) - uintptr(unsafe.Pointer(&kindSlots)); off < unsafe.Sizeof(kindSlots) {
+		return Kind(off / slot)
+	}
+	return Kind(v.w) // an atom or string tag; 0 for the zero Value
+}
 
 // IsValid reports whether the value is well formed (not the zero Value).
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
+func (v Value) IsValid() bool { return v.p != nil }
 
 // AsAtom returns the atom name; ok is false if the value is not an atom.
-func (v Value) AsAtom() (string, bool) { return v.str, v.kind == KindAtom }
+func (v Value) AsAtom() (string, bool) {
+	if v.Kind() != KindAtom {
+		return "", false
+	}
+	return *v.p, true
+}
 
 // AsInt returns the integer payload; ok is false if the value is not an int.
-func (v Value) AsInt() (int64, bool) { return int64(v.num), v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) {
+	if v.Kind() != KindInt {
+		return 0, false
+	}
+	return int64(v.w), true
+}
 
 // AsFloat returns the float payload; ok is false if the value is not a float.
 func (v Value) AsFloat() (float64, bool) {
-	return math.Float64frombits(v.num), v.kind == KindFloat
+	if v.Kind() != KindFloat {
+		return 0, false
+	}
+	return math.Float64frombits(v.w), true
 }
 
 // AsString returns the string payload; ok is false if the value is not a
 // string.
-func (v Value) AsString() (string, bool) { return v.str, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.Kind() != KindString {
+		return "", false
+	}
+	return *v.p, true
+}
 
 // AsBool returns the boolean payload; ok is false if the value is not a bool.
-func (v Value) AsBool() (bool, bool) { return v.num != 0, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) {
+	if v.Kind() != KindBool {
+		return false, false
+	}
+	return v.w != 0, true
+}
 
 // Numeric reports whether the value is an int or a float, and returns its
 // value as a float64 for mixed-mode arithmetic.
 func (v Value) Numeric() (float64, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return float64(int64(v.num)), true
+		return float64(int64(v.w)), true
 	case KindFloat:
-		return math.Float64frombits(v.num), true
+		return math.Float64frombits(v.w), true
 	default:
 		return 0, false
 	}
@@ -132,8 +172,11 @@ func (v Value) Numeric() (float64, bool) {
 // paper's untyped treatment of numbers in queries. Within one kind Equal is
 // ==, so a NaN equals itself and no int.
 func (v Value) Equal(w Value) bool {
-	if v.kind == w.kind {
-		return v == w
+	if v == w {
+		return true
+	}
+	if v.p == w.p { // one kind (or one text as atom and string): not equal
+		return false
 	}
 	vn, vok := v.Numeric()
 	wn, wok := w.Numeric()
@@ -141,10 +184,17 @@ func (v Value) Equal(w Value) bool {
 }
 
 // Compare orders two values. Numbers order numerically across int/float
-// (NaN before every other number); otherwise values order first by kind,
-// then by payload. It returns -1, 0, or +1. A total order over all values
-// is needed by ∀-transactions and by deterministic test fixtures.
+// (NaN before every other number; two ints exactly, so ints beyond 2⁵³ that
+// share a float64 still order apart, as Equal tells them apart); otherwise
+// values order first by kind, then by payload. It returns -1, 0, or +1. A
+// total order over all values is needed by ∀-transactions and by
+// deterministic test fixtures.
 func (v Value) Compare(w Value) int {
+	if vi, ok := v.AsInt(); ok {
+		if wi, ok := w.AsInt(); ok {
+			return cmp.Compare(vi, wi)
+		}
+	}
 	vn, vok := v.Numeric()
 	wn, wok := w.Numeric()
 	if vok && wok {
@@ -166,20 +216,21 @@ func (v Value) Compare(w Value) int {
 			return 0
 		}
 	}
-	if v.kind != w.kind {
-		if v.kind < w.kind {
+	vk, wk := v.Kind(), w.Kind()
+	if vk != wk {
+		if vk < wk {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch vk {
 	case KindAtom, KindString:
-		return strings.Compare(v.str, w.str)
+		return strings.Compare(*v.p, *w.p)
 	case KindBool:
 		switch {
-		case v.num < w.num:
+		case v.w < w.w:
 			return -1
-		case v.num > w.num:
+		case v.w > w.w:
 			return 1
 		}
 	}
@@ -189,17 +240,17 @@ func (v Value) Compare(w Value) int {
 // String renders the value in SDL literal syntax: atoms bare, strings
 // quoted, booleans as true/false.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindAtom:
-		return v.str
+		return *v.p
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.FormatInt(int64(v.w), 10)
 	case KindFloat:
-		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.w), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(*v.p)
 	case KindBool:
-		if v.num != 0 {
+		if v.w != 0 {
 			return "true"
 		}
 		return "false"

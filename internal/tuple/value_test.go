@@ -4,9 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"github.com/sdl-lang/sdl/internal/race"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -49,12 +54,206 @@ func TestZeroValueIsInvalid(t *testing.T) {
 	}
 }
 
-// TestValueLayout guards the resident size of a field: every scalar payload
-// shares one word beside the kind and the string header. A fourth word here
-// is 8 bytes per stored field of every dataspace.
+var sinkTuple Tuple
+
+// TestValueLayout guards the resident size of a field: two words, the
+// interned text or kind slot and the payload, so a 3-field tuple's fields
+// block is one 48-byte allocation. A third word here is 8 bytes per stored
+// field of every dataspace.
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got > 32 {
-		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n = 1000
+	fields := []Value{Int(1), Atom("rec"), Int(2)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sinkTuple = New(fields...)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got != 48 {
+		t.Errorf("a 3-field New allocates %d bytes, want 48", got)
+	}
+}
+
+var sinkValue Value
+
+// TestValueConstructorsDoNotAllocate: scalars never allocate, and atoms and
+// strings allocate only to intern text no Value holds yet.
+func TestValueConstructorsDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	held := []Value{Atom("rec"), String("a string payload")}
+	buf := []byte("rec")
+	for name, f := range map[string]func(){
+		"Int":              func() { sinkValue = Int(87) },
+		"Float":            func() { sinkValue = Float(-0.0) },
+		"Bool":             func() { sinkValue = Bool(true) },
+		"Atom":             func() { sinkValue = Atom("rec") },
+		"Atom(from bytes)": func() { sinkValue = Atom(string(buf)) },
+		"String":           func() { sinkValue = String("a string payload") },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+	runtime.KeepAlive(held)
+}
+
+// TestInternIsCanonical: equal text from different buffers interns to one
+// copy, which aliases neither buffer; decoded and constructed text share it.
+func TestInternIsCanonical(t *testing.T) {
+	a, b := []byte("shared text"), []byte("shared text")
+	p := intern(string(a))
+	if q := intern(string(b)); q != p {
+		t.Fatalf("equal text interned to %p and %p", p, q)
+	}
+	a[0], b[0] = 'X', 'X'
+	if *p != "shared text" {
+		t.Fatalf("the interned copy aliases its input: %q", *p)
+	}
+	v, _, err := DecodeValue(AppendValue(nil, String("shared text")))
+	if err != nil || v != String("shared text") || v.p != p {
+		t.Fatalf("decoded %v (%v), want the constructed value's copy", v, err)
+	}
+	if Atom("shared text") == String("shared text") {
+		t.Fatal("an atom and a string of one text must differ")
+	}
+}
+
+// TestInternConcurrent interns one set of texts from several goroutines at
+// once, while texts are dropped and collected, and checks every goroutine
+// holding a text got the one copy.
+func TestInternConcurrent(t *testing.T) {
+	const workers, texts, rounds = 8, 64, 50
+	got := make([][texts]*string, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range got[w] {
+					p := intern("shared " + strconv.Itoa(i))
+					if got[w][i] == nil {
+						got[w][i] = p
+					} else if p != got[w][i] {
+						t.Errorf("worker %d: text %d interned to a second copy", w, i)
+						return
+					}
+					// Text no one keeps: its copies die and are replaced.
+					_ = intern("dropped " + strconv.Itoa(r*texts+i))
+				}
+				if w == 0 && r%10 == 0 {
+					runtime.GC()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if got[w] != got[0] {
+			t.Fatalf("worker %d holds other copies than worker 0", w)
+		}
+	}
+}
+
+// FuzzValue checks == against a model of what it must mean: two values are
+// == exactly when their kinds and canonical payloads are equal. So an atom
+// and a string of one text differ, no text equals a scalar whatever its
+// payload (the kind tags included), Float folds −0 into +0 and every NaN
+// into one, and Compare, Equal, Hash and the encoding agree with ==.
+func FuzzValue(f *testing.F) {
+	nan, negZero := math.Float64bits(math.NaN()), math.Float64bits(math.Copysign(0, -1))
+	for _, seed := range []struct {
+		ka uint8
+		wa uint64
+		sa string
+		kb uint8
+		wb uint64
+		sb string
+	}{
+		{0, 0, "x", 3, 0, "x"},                  // atom vs string
+		{0, 0, "", 3, 0, ""},                    // empty atom vs empty string
+		{0, 0, "x", 1, uint64(KindAtom), ""},    // atom vs int of its tag
+		{3, 0, "x", 1, uint64(KindString), ""},  // string vs int of its tag
+		{3, 0, "x", 2, uint64(KindString), ""},  // string vs float of its tag's bits
+		{0, 0, "x", 4, uint64(KindAtom), ""},    // atom vs true
+		{2, negZero, "", 2, 0, ""},              // −0 vs +0
+		{2, nan, "", 2, 0x7ff8dead00000001, ""}, // two NaNs
+		{1, 2, "", 2, math.Float64bits(2), ""},  // 2 vs 2.0
+		{4, 1, "", 1, 1, ""},                    // true vs 1
+		{0, 0, "héllo\x00", 0, 0, "héllo\x00"},  // one atom twice
+		{3, 0, "a", 3, 0, "b"},                  // two strings
+		{1, 1 << 63, "", 1, 1<<63 - 1, ""},      // int extremes
+	} {
+		f.Add(seed.ka, seed.wa, seed.sa, seed.kb, seed.wb, seed.sb)
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, wa uint64, sa string, kb uint8, wb uint64, sb string) {
+		a, ma := fuzzValue(ka, wa, sa)
+		b, mb := fuzzValue(kb, wb, sb)
+		if a.Kind() != ma.kind || b.Kind() != mb.kind {
+			t.Fatalf("kinds %v, %v, want %v, %v", a.Kind(), b.Kind(), ma.kind, mb.kind)
+		}
+		if (a == b) != (ma == mb) {
+			t.Fatalf("%v == %v is %v, want %v", a, b, a == b, ma == mb)
+		}
+		if a.Kind() == b.Kind() && a.Equal(b) != (a == b) {
+			t.Fatalf("same-kind Equal(%v, %v) = %v disagrees with ==", a, b, a.Equal(b))
+		}
+		if (a.Compare(b) == 0) != a.Equal(b) || a.Compare(b) != -b.Compare(a) {
+			t.Fatalf("Compare(%v, %v) = %d, Equal %v", a, b, a.Compare(b), a.Equal(b))
+		}
+		if a.Equal(b) && New(a).Hash() != New(b).Hash() {
+			t.Fatalf("Equal %v and %v hash apart", a, b)
+		}
+		if ma.kind == KindAtom || ma.kind == KindString {
+			if Atom(sa) == String(sa) {
+				t.Fatalf("Atom(%q) == String(%q)", sa, sa)
+			}
+		}
+		for _, v := range []Value{a, b} {
+			buf := AppendValue(nil, v)
+			got, n, err := DecodeValue(buf)
+			if err != nil || n != len(buf) || got != v {
+				t.Fatalf("round trip %v -> %v, %d of %d bytes, %v", v, got, n, len(buf), err)
+			}
+		}
+	})
+}
+
+// valueModel is what a Value means: its kind and canonical payload.
+type valueModel struct {
+	kind Kind
+	num  uint64
+	text string
+}
+
+// fuzzValue builds a Value of kind k%5 from a word and a text, and its model.
+func fuzzValue(k uint8, w uint64, s string) (Value, valueModel) {
+	switch k % 5 {
+	case 0:
+		return Atom(s), valueModel{kind: KindAtom, text: s}
+	case 1:
+		return Int(int64(w)), valueModel{kind: KindInt, num: w}
+	case 2:
+		m := valueModel{kind: KindFloat, num: w}
+		switch x := math.Float64frombits(w); {
+		case x == 0:
+			m.num = 0
+		case x != x:
+			m.num = math.Float64bits(math.NaN())
+		}
+		return Float(math.Float64frombits(w)), m
+	case 3:
+		return String(s), valueModel{kind: KindString, text: s}
+	default:
+		return Bool(w&1 == 1), valueModel{kind: KindBool, num: w & 1}
 	}
 }
 

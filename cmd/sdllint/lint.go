@@ -327,22 +327,29 @@ func (sc *scope) walkExpr(e ast.Expr) {
 // is none of them: the entries map, an arity's lead index (arityIndex.leads)
 // and a published secondary index (fieldIndex.buckets). The two indexes are
 // idIndex values edited through its add/remove methods; a chain that runs on
-// through one (ai.leads.num) reaches its per-class bucket maps, which are
-// just as live. A fresh index being filled in a local before publication
-// has no such selector and is free.
+// through one reaches its per-class bucket maps (ai.leads.num) or the slab
+// its spilled sets live in (ai.leads.spill), which are just as live. A fresh
+// index being filled in a local before publication has no such selector and
+// is free.
 func liveMap(chain string) string {
 	through := func(field string) bool {
 		return strings.HasSuffix(chain, field) || strings.Contains(chain, field+".")
 	}
+	var what string
 	switch {
 	case strings.HasSuffix(chain, ".entries"):
 		return "live entries map"
 	case through(".leads"):
-		return "lead index"
+		what = "lead index"
 	case through(".buckets"):
-		return "published secondary index"
+		what = "published secondary index"
+	default:
+		return ""
 	}
-	return ""
+	if through(".spill") {
+		return "spill slab of the " + what
+	}
+	return what
 }
 
 // callEvent interprets one call: a lock operation, a modeled store helper,
@@ -398,6 +405,11 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 		if what := liveMap(recv); what != "" {
 			sc.requireExclusiveMu(call.Pos(), "mutation", method+" on a bucket of the "+what)
 		}
+	case "take":
+		// spillSlab's mutator: hands a set a slot.
+		if what := liveMap(recv); what != "" {
+			sc.requireExclusiveMu(call.Pos(), "mutation", "slot take from the "+what)
+		}
 	case "bumpSeq":
 		// Advances the change sequence and re-stamps maintained field
 		// indexes: commit-publication work, exclusive mu only.
@@ -413,14 +425,20 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	}
 }
 
-// mutationEvent flags assignments into the live entries map and directly
-// into an index's bucket map: exclusive mu only.
+// mutationEvent flags assignments into the live entries map, directly into
+// an index's bucket map, and to any field reached through a live index (its
+// spill slab's free list, say): exclusive mu only.
 func (sc *scope) mutationEvent(lhs ast.Expr) {
-	idx, ok := lhs.(*ast.IndexExpr)
-	if !ok {
+	var chain string
+	switch ex := lhs.(type) {
+	case *ast.IndexExpr:
+		chain = chainOf(ex.X)
+	case *ast.SelectorExpr:
+		chain = chainOf(ex)
+	default:
 		return
 	}
-	if what := liveMap(chainOf(idx.X)); what != "" {
+	if what := liveMap(chain); what != "" {
 		sc.requireExclusiveMu(lhs.Pos(), "mutation", "write to the "+what)
 	}
 }

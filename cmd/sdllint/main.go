@@ -8,8 +8,9 @@
 //     higher one is held; the group-commit queue mutex is a leaf.
 //   - unlocked/rlock-mutation: the live tuple maps (shard.entries, the
 //     lead index and published secondary indexes, whose buckets are
-//     edited through idIndex.add/remove) are only written under an
-//     exclusive shard mu — never lock-free, never under a read lock.
+//     edited through idIndex.add/remove, and the spill slabs their large
+//     sets live in) are only written under an exclusive shard mu — never
+//     lock-free, never under a read lock.
 //   - unlocked-append: DurableSink.Append runs inside the commit
 //     critical section (exclusive mu held), so conflicting commits reach
 //     the log in version order.

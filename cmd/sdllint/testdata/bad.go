@@ -95,9 +95,17 @@ func closureScope(sh *shard, run func(func())) {
 }
 
 type idIndex struct {
-	num  map[uint64]int
-	rest map[int]int
+	num   map[uint64]int
+	rest  map[int]int
+	spill *spillSlab
 }
+
+type spillSlab struct {
+	spills []struct{ ids []int }
+	free   []int
+}
+
+func (sl *spillSlab) take() int { return 0 }
 
 func (ix *idIndex) add(k, id int) bool    { return true }
 func (ix *idIndex) remove(k, id int) bool { return true }
@@ -155,6 +163,35 @@ func bareClassMapDelete(ai *arityIndex) {
 	delete(ai.leads.rest, 1) // want unlocked-mutation
 }
 
+// bareSpillTake hands a lead-index set a spill slot with no lock: the slab
+// is as live as the bucket maps whose sets point into it.
+func bareSpillTake(ai *arityIndex) {
+	ai.leads.spill.take() // want unlocked-mutation
+}
+
+// rlockSpillFree returns a published secondary index's spill slot to the
+// free list while holding only the read lock.
+func rlockSpillFree(sh *shard, st *shapeStats) {
+	sh.mu.RLock()
+	st.idx.buckets.spill.free = append(st.idx.buckets.spill.free, 3) // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// bareSpillWrite edits a spilled set's IDs in place with no lock.
+func bareSpillWrite(ai *arityIndex) {
+	ai.leads.spill.spills[0].ids[0] = 7 // want unlocked-mutation
+}
+
+// lockedSpillEdit is CLEAN: the same slab edits under the exclusive mu,
+// and a read of a spill needs no more than any read.
+func lockedSpillEdit(sh *shard, st *shapeStats, ai *arityIndex) {
+	_ = ai.leads.spill.spills[0].ids[0]
+	sh.mu.Lock()
+	ai.leads.spill.take()
+	st.idx.buckets.spill.free = nil
+	sh.mu.Unlock()
+}
+
 // lockedClassMapEdit is CLEAN: the same class-map edits under the
 // exclusive mu, and a read of one needs no more than any read.
 func lockedClassMapEdit(sh *shard, st *shapeStats, ai *arityIndex) {
@@ -203,6 +240,8 @@ func readLockedRebuild(st *shapeStats) {
 	var fresh idIndex
 	fresh.add(1, 2)
 	fresh.num[1] = 2
+	fresh.spill.take()
+	fresh.spill.free = nil
 	st.idx = &fieldIndex{buckets: fresh}
 }
 

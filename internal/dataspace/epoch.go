@@ -70,7 +70,7 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 	}
 	for a, ai := range sh.byArity {
 		arityStart := len(snap.insts)
-		ai.leads.each(func(lead leadKey, set idSet) bool {
+		ai.leads.each(func(lead leadKey, set idView) bool {
 			leadStart := len(snap.insts)
 			set.each(func(id tuple.ID) bool {
 				e := sh.entries[id]

@@ -135,12 +135,12 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 // smallest (arity, pos, value) ID set over every hot selector shape.
 // ok=true with an empty bucket means an index proved there are no matches.
 // The caller holds sh.mu (read or write).
-func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idSet, bool) {
+func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idView, bool) {
 	if sh.sec.hot.Load() == 0 {
-		return idSet{}, false
+		return idView{}, false
 	}
 	var (
-		best idSet
+		best idView
 		ok   bool
 	)
 	for _, sel := range sels {

@@ -88,8 +88,8 @@ func DecodeValue(b []byte) (Value, int, error) {
 
 // AppendTuple appends the binary encoding of t to dst.
 func AppendTuple(dst []byte, t Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(t.fields)))
-	for _, v := range t.fields {
+	dst = binary.AppendUvarint(dst, uint64(t.n))
+	for _, v := range t.fields() {
 		dst = AppendValue(dst, v)
 	}
 	return dst
@@ -114,5 +114,5 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 		fields = append(fields, v)
 		n += vn
 	}
-	return Tuple{fields: fields}, n, nil
+	return Adopt(fields), n, nil
 }

@@ -3,6 +3,7 @@ package tuple
 import (
 	"math"
 	"strings"
+	"unsafe"
 )
 
 // ID uniquely identifies one tuple *instance* in a dataspace. The paper
@@ -24,8 +25,16 @@ const Environment ProcessID = 0
 
 // Tuple is an immutable finite sequence of values. The zero Tuple is the
 // empty tuple.
+//
+// A Tuple is a 16-byte header: a pointer to its fields block and its arity
+// (a slice header would add a capacity word nothing reads, and every stored
+// tuple pays for its header in the store's entries and in each Instance).
+// The leading zero-size func array keeps Tuple non-comparable: == would
+// compare block addresses, not fields.
 type Tuple struct {
-	fields []Value
+	_ [0]func()
+	p *Value
+	n int
 }
 
 // New builds a tuple from the given values. The slice is copied, so the
@@ -33,13 +42,18 @@ type Tuple struct {
 func New(fields ...Value) Tuple {
 	cp := make([]Value, len(fields))
 	copy(cp, fields)
-	return Tuple{fields: cp}
+	return Adopt(cp)
 }
 
 // Adopt builds a tuple around fields without copying: the tuple takes
 // ownership, and the caller must not modify the slice afterwards. For
 // builders that fill a fresh slice field by field (pattern grounding).
-func Adopt(fields []Value) Tuple { return Tuple{fields: fields} }
+func Adopt(fields []Value) Tuple {
+	return Tuple{p: unsafe.SliceData(fields), n: len(fields)}
+}
+
+// fields returns the tuple's own fields block, for reading only.
+func (t Tuple) fields() []Value { return unsafe.Slice(t.p, t.n) }
 
 // Make builds a tuple from native Go values via Of. It returns an error if
 // any field has an unsupported type.
@@ -52,7 +66,7 @@ func Make(fields ...any) (Tuple, error) {
 		}
 		vals[i] = v
 	}
-	return Tuple{fields: vals}, nil
+	return Adopt(vals), nil
 }
 
 // MustMake is Make but panics on unsupported field types; for tests and
@@ -66,26 +80,27 @@ func MustMake(fields ...any) Tuple {
 }
 
 // Arity returns the number of fields.
-func (t Tuple) Arity() int { return len(t.fields) }
+func (t Tuple) Arity() int { return t.n }
 
 // Field returns the i-th field. It panics if i is out of range, mirroring
 // slice indexing.
-func (t Tuple) Field(i int) Value { return t.fields[i] }
+func (t Tuple) Field(i int) Value { return t.fields()[i] }
 
 // Fields returns a copy of the field slice.
 func (t Tuple) Fields() []Value {
-	cp := make([]Value, len(t.fields))
-	copy(cp, t.fields)
+	cp := make([]Value, t.n)
+	copy(cp, t.fields())
 	return cp
 }
 
 // Equal reports field-wise equality (using Value.Equal, so 2 and 2.0 match).
 func (t Tuple) Equal(u Tuple) bool {
-	if len(t.fields) != len(u.fields) {
+	if t.n != u.n {
 		return false
 	}
-	for i := range t.fields {
-		if !t.fields[i].Equal(u.fields[i]) {
+	uf := u.fields()
+	for i, v := range t.fields() {
+		if !v.Equal(uf[i]) {
 			return false
 		}
 	}
@@ -94,14 +109,15 @@ func (t Tuple) Equal(u Tuple) bool {
 
 // Compare orders tuples first by arity, then lexicographically by field.
 func (t Tuple) Compare(u Tuple) int {
-	if d := len(t.fields) - len(u.fields); d != 0 {
+	if d := t.n - u.n; d != 0 {
 		if d < 0 {
 			return -1
 		}
 		return 1
 	}
-	for i := range t.fields {
-		if c := t.fields[i].Compare(u.fields[i]); c != 0 {
+	uf := u.fields()
+	for i, v := range t.fields() {
+		if c := v.Compare(uf[i]); c != 0 {
 			return c
 		}
 	}
@@ -119,7 +135,7 @@ func (t Tuple) Hash() uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, v := range t.fields {
+	for _, v := range t.fields() {
 		switch k := v.Kind(); k {
 		case KindAtom, KindString:
 			tag := byte('a')
@@ -156,7 +172,7 @@ func (t Tuple) Hash() uint64 {
 func (t Tuple) String() string {
 	var b strings.Builder
 	b.WriteByte('<')
-	for i, v := range t.fields {
+	for i, v := range t.fields() {
 		if i > 0 {
 			b.WriteString(", ")
 		}

@@ -7,7 +7,32 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestTupleLayout guards the header every stored tuple pays for in the
+// store's entries and in every Instance: a pointer to the fields block and
+// the arity, 16 bytes. Tuple must stay non-comparable — == would compare
+// block addresses, so two equal tuples built apart would differ.
+func TestTupleLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Tuple{}) = %d, want 16", got)
+	}
+	if reflect.TypeOf(Tuple{}).Comparable() {
+		t.Error("Tuple is comparable: == would compare fields blocks by address")
+	}
+	for _, tp := range []Tuple{{}, New(), Adopt([]Value{}), Adopt(nil)} {
+		if tp.Arity() != 0 || !tp.Equal(Tuple{}) || tp.String() != "<>" || len(tp.Fields()) != 0 {
+			t.Errorf("an empty tuple reads as %v (arity %d)", tp, tp.Arity())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Field past the arity must panic like slice indexing")
+		}
+	}()
+	New(Int(1), Int(2)).Field(2)
+}
 
 func TestNewCopiesFields(t *testing.T) {
 	fields := []Value{Int(1), Int(2)}
@@ -137,7 +162,7 @@ func TestQuickTupleCompareAntisymmetric(t *testing.T) {
 // computed on both sides of a crash.
 func fnvReferenceHash(t Tuple) uint64 {
 	h := fnv.New64a()
-	for _, v := range t.fields {
+	for _, v := range t.fields() {
 		switch v.Kind() {
 		case KindAtom:
 			a, _ := v.AsAtom()

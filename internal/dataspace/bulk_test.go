@@ -169,8 +169,9 @@ func TestBulkAssertContiguousIDs(t *testing.T) {
 }
 
 // FuzzCheckpoint: no input makes DecodeCheckpoint panic, and a decodable
-// input restored into 1 and into 4 shards re-encodes to the same bytes,
-// which decode to the same configuration.
+// input restores without error or panic into 1 and into 4 shards, both
+// restores re-encode to the same bytes, and those decode to the same
+// configuration.
 func FuzzCheckpoint(f *testing.F) {
 	s := New(WithShards(4))
 	bulkConfiguration(f, s)
@@ -179,6 +180,12 @@ func FuzzCheckpoint(f *testing.F) {
 	if golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint-049c2d8.golden")); err == nil {
 		f.Add(golden)
 	}
+	// IDs at and around the index sets' spill tag (bit 63), alone and in a
+	// set that spills: the decoder must reject every one above the limit.
+	f.Add(checkpointOfIDs(uint64(spillTag)))
+	f.Add(checkpointOfIDs(1, 2, uint64(spillTag)|3))
+	f.Add(checkpointOfIDs(uint64(spillTag) - 1))
+	f.Add(checkpointOfIDs(1, 2, uint64(maxInstanceID)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insts, version, err := DecodeCheckpoint(bytes.NewReader(data))
 		if err != nil {

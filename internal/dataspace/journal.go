@@ -32,6 +32,7 @@ type journal struct {
 	deleted  []Instance
 	delShard []uint32              // shard of deleted[i]
 	delIDs   map[tuple.ID]struct{} // key path: the buffered deletes, hidden from live reads
+	scanning int                   // shard path: the Scan callbacks running, inside which an edit panics
 
 	dtok uint64        // durability wait token, set by publish
 	done chan struct{} // cap 1: the group-commit leader's "published" signal to a follower

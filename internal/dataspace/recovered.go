@@ -9,7 +9,7 @@ import (
 // ApplyRecovered replays one committed record's effects verbatim during
 // crash recovery: deletes are applied first (each target must be present
 // with the same tuple), then inserts are added under their original
-// instance IDs. Versions must arrive strictly increasing; gaps are legal
+// instance IDs (each new, and neither NoID nor above maxInstanceID). Versions must arrive strictly increasing; gaps are legal
 // (a version missing from a durable suffix was never fsynced, and it
 // provably commuted with every durable record above it — see
 // refmodel.ReplayFrom). The store ends at the last replayed version, so
@@ -49,6 +49,10 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 		if _, dup := sh.entries[ins.ID]; dup || ins.ID == tuple.NoID {
 			return fmt.Errorf("dataspace: recovered insert of duplicate or null instance #%d %s (version %d)",
 				ins.ID, ins.Tuple, rec.Version)
+		}
+		if ins.ID > maxInstanceID {
+			return fmt.Errorf("dataspace: recovered insert of #%d %s above the instance ID limit %d (version %d)",
+				ins.ID, ins.Tuple, maxInstanceID, rec.Version)
 		}
 		sh.entries[ins.ID] = entry{t: ins.Tuple, owner: ins.Owner}
 		sh.indexAdd(ins.ID, ins.Tuple)

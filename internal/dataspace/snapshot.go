@@ -82,7 +82,8 @@ func (s *Store) ReadCheckpoint(r io.Reader) error {
 
 // DecodeCheckpoint is the checkpoint format's only reader: it returns the
 // instances in file order and the store version, or ErrBadCheckpoint for a
-// malformed file, a duplicate instance ID, NoID, or trailing bytes.
+// malformed file, a duplicate instance ID, NoID, an ID above
+// maxInstanceID, or trailing bytes.
 func DecodeCheckpoint(r io.Reader) ([]Instance, uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -143,14 +144,24 @@ func DecodeCheckpoint(r io.Reader) ([]Instance, uint64, error) {
 	return insts, version, nil
 }
 
-// checkIDs rejects a configuration that carries the null instance ID or
-// the same ID twice. The checkpoint writer sorts by ID, and ascending IDs
-// rule duplicates out in one pass; only an unsorted input pays for a set.
+// maxInstanceID is the largest instance ID a checkpoint or a recovered
+// record may carry. The index sets tag a spill slot with bit 63 (idset.go),
+// so no ID may reach it; the bound sits at half that, leaving the IDs
+// minted after a restore 2⁶² values of headroom.
+const maxInstanceID = spillTag>>1 - 1
+
+// checkIDs rejects a configuration that carries the null instance ID, an
+// ID above maxInstanceID, or the same ID twice. The checkpoint writer sorts
+// by ID, and ascending IDs rule duplicates out in one pass; only an
+// unsorted input pays for a set.
 func checkIDs(insts []Instance) error {
 	ascending := true
 	for i, inst := range insts {
 		if inst.ID == tuple.NoID {
 			return fmt.Errorf("%w: instance %d carries the null ID", ErrBadCheckpoint, i)
+		}
+		if inst.ID > maxInstanceID {
+			return fmt.Errorf("%w: instance %d carries ID %d, above the limit %d", ErrBadCheckpoint, i, inst.ID, maxInstanceID)
 		}
 		if i > 0 && inst.ID <= insts[i-1].ID {
 			ascending = false

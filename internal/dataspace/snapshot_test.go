@@ -196,36 +196,77 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	}
 }
 
+// checkpointOfIDs is a checkpoint file at store version 9 holding one
+// year tuple per ID, in the given order.
+func checkpointOfIDs(ids ...uint64) []byte {
+	buf := append([]byte(nil), checkpointMagic[:]...)
+	buf = binary.AppendUvarint(buf, checkpointVersion)
+	buf = binary.AppendUvarint(buf, 9)
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, id)
+		buf = binary.AppendUvarint(buf, 1)
+		buf = tuple.AppendTuple(buf, year(int64(id)))
+	}
+	return buf
+}
+
 // TestCheckpointRejectsBadIDs: a duplicate instance ID — adjacent or not,
-// in a file that is otherwise ascending or not — and the null ID are
+// in a file that is otherwise ascending or not — the null ID and an ID
+// above maxInstanceID (the index sets' spill tag, bit 63, among them) are
 // ErrBadCheckpoint, from the decoder and from a direct Restore.
 func TestCheckpointRejectsBadIDs(t *testing.T) {
-	file := func(ids ...uint64) []byte {
-		buf := append([]byte(nil), checkpointMagic[:]...)
-		buf = binary.AppendUvarint(buf, checkpointVersion)
-		buf = binary.AppendUvarint(buf, 9)
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
-		for _, id := range ids {
-			buf = binary.AppendUvarint(buf, id)
-			buf = binary.AppendUvarint(buf, 1)
-			buf = tuple.AppendTuple(buf, year(int64(id)))
-		}
-		return buf
-	}
-	if err := New().ReadCheckpoint(bytes.NewReader(file(3, 1, 2))); err != nil {
+	if err := New().ReadCheckpoint(bytes.NewReader(checkpointOfIDs(3, 1, 2))); err != nil {
 		t.Errorf("unsorted but duplicate-free: %v", err)
 	}
-	for _, ids := range [][]uint64{{1, 1}, {1, 2, 1}, {2, 1, 2}, {0}, {1, 0}} {
-		if _, _, err := DecodeCheckpoint(bytes.NewReader(file(ids...))); !errors.Is(err, ErrBadCheckpoint) {
+	tag := uint64(spillTag)
+	for _, ids := range [][]uint64{{1, 1}, {1, 2, 1}, {2, 1, 2}, {0}, {1, 0},
+		{tag}, {1, 2, tag | 3}, {tag - 1}, {uint64(maxInstanceID) + 1}, {1<<64 - 1}} {
+		if _, _, err := DecodeCheckpoint(bytes.NewReader(checkpointOfIDs(ids...))); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("ids %v: err = %v", ids, err)
 		}
 	}
 	for _, insts := range [][]Instance{
 		{{ID: 4, Tuple: year(1)}, {ID: 4, Tuple: year(2)}},
 		{{ID: tuple.NoID, Tuple: year(1)}},
+		{{ID: 1, Tuple: year(1)}, {ID: 2, Tuple: year(2)}, {ID: spillTag | 3, Tuple: year(3)}},
+		{{ID: maxInstanceID + 1, Tuple: year(1)}},
 	} {
 		if err := New().Restore(insts, 1); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("Restore(%v): err = %v", insts, err)
 		}
+	}
+}
+
+// TestLargestInstanceID: a checkpoint, and a recovered record, may carry
+// IDs up to maxInstanceID, and the store then mints IDs above them, in
+// spilled index sets too; a recovered insert above the limit is an error,
+// not a panic in the index.
+func TestLargestInstanceID(t *testing.T) {
+	top := uint64(maxInstanceID)
+	s := New()
+	if err := s.ReadCheckpoint(bytes.NewReader(checkpointOfIDs(top-1, top))); err != nil {
+		t.Fatalf("restoring IDs up to the limit: %v", err)
+	}
+	ids := s.Assert(1, year(1), year(1), year(1))
+	if ids[0] != maxInstanceID+1 || s.Len() != 5 {
+		t.Fatalf("minted %v after restoring ID %d; store holds %d", ids, top, s.Len())
+	}
+	s = New()
+	ins := func(id tuple.ID) CommitRecord {
+		return CommitRecord{Version: uint64(id), Inserted: []Instance{{ID: id, Tuple: year(1), Owner: 1}}}
+	}
+	for _, id := range []tuple.ID{1, 2, maxInstanceID} {
+		if err := s.ApplyRecovered(ins(id)); err != nil {
+			t.Fatalf("recovering #%d: %v", id, err)
+		}
+	}
+	for _, id := range []tuple.ID{maxInstanceID + 1, spillTag, spillTag | 4} {
+		if err := s.ApplyRecovered(ins(id)); err == nil {
+			t.Errorf("recovered an insert of #%d, above the limit", id)
+		}
+	}
+	if s.Len() != 3 {
+		t.Errorf("store holds %d instances after the rejected inserts, want 3", s.Len())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -391,5 +392,56 @@ func TestInterestOfHelper(t *testing.T) {
 	k := InterestOf(3, tuple.Atom("x"), true)
 	if k.Arity != 3 || !k.LeadKnown || k.Lead != tuple.Atom("x") {
 		t.Errorf("key = %+v", k)
+	}
+}
+
+// TestWriterEditInsideScanPanics pins the Writer rule that a Scan or
+// ScanFields callback must not edit: the edit could free the walked
+// bucket's spill slot and hand it to another bucket. An edit inside the
+// callback panics, lead-known and arity-wide; the same edit made after the
+// scan, from the IDs it collected, commits.
+func TestWriterEditInsideScanPanics(t *testing.T) {
+	fill := func() *Store {
+		s := New()
+		s.Assert(1, year(1), year(1), year(1), year(2))
+		return s
+	}
+	year1 := []pattern.FieldSel{{Pos: 0, Val: tuple.Atom("year")}, {Pos: 1, Val: tuple.Int(1)}}
+	for name, edit := range map[string]func(w Writer) error{
+		"Delete in a lead Scan": func(w Writer) error {
+			w.Scan(2, tuple.Atom("year"), true, func(id tuple.ID, _ tuple.Tuple) bool { return w.Delete(id) == nil })
+			return nil
+		},
+		"Insert in an arity Scan": func(w Writer) error {
+			w.Scan(2, tuple.Value{}, false, func(tuple.ID, tuple.Tuple) bool { w.Insert(year(3), 1); return true })
+			return nil
+		},
+		"Delete in ScanFields": func(w Writer) error {
+			w.(pattern.FieldSource).ScanFields(2, year1, func(id tuple.ID, _ tuple.Tuple) bool { return w.Delete(id) == nil })
+			return nil
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the edit did not panic", name)
+				}
+			}()
+			fill().Update(1, edit)
+		}()
+	}
+	s := fill()
+	if err := s.Update(1, func(w Writer) error {
+		var ids []tuple.ID
+		w.Scan(2, tuple.Atom("year"), true, func(id tuple.ID, _ tuple.Tuple) bool { ids = append(ids, id); return true })
+		for _, id := range ids {
+			if err := w.Delete(id); err != nil {
+				return err
+			}
+		}
+		w.Insert(year(3), 1)
+		return nil
+	}); err != nil || s.Len() != 1 {
+		t.Fatalf("collect-then-edit: err %v, %d instances left, want 1", err, s.Len())
 	}
 }

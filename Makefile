@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzIDSet -fuzztime=10s -run '^$$' ./internal/dataspace
 	$(GO) test -fuzz=FuzzIDIndex -fuzztime=10s -run '^$$' ./internal/dataspace
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=10s -run '^$$' ./internal/dataspace
+	$(GO) test -fuzz=FuzzStoreSlab -fuzztime=10s -run '^$$' ./internal/dataspace
 
 clean:
 	$(GO) clean ./...

@@ -324,7 +324,8 @@ func (sc *scope) walkExpr(e ast.Expr) {
 }
 
 // liveMap names the shard structure a selector chain reaches, or "" when it
-// is none of them: the entries map, an arity's lead index (arityIndex.leads)
+// is none of them: the instance slab, the ID → slot map at and the free list
+// of vacant slots, an arity's lead index (arityIndex.leads)
 // and a published secondary index (fieldIndex.buckets). The two indexes are
 // idIndex values edited through its add/remove methods; a chain that runs on
 // through one reaches its per-class bucket maps (ai.leads.num) or the slab
@@ -337,8 +338,12 @@ func liveMap(chain string) string {
 	}
 	var what string
 	switch {
-	case strings.HasSuffix(chain, ".entries"):
-		return "live entries map"
+	case strings.HasSuffix(chain, ".slab"):
+		return "live instance slab"
+	case strings.HasSuffix(chain, ".at"):
+		return "live ID map"
+	case strings.HasSuffix(chain, ".vacant"):
+		return "live free list of slab slots"
 	case through(".leads"):
 		what = "lead index"
 	case through(".buckets"):
@@ -400,15 +405,18 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 		return
 	case "indexAdd", "indexRemove", "secEdit":
 		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard indexes")
+	case "place", "vacate":
+		// The shard's slab mutators: a slot filled or freed, and its indexes.
+		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard slab")
 	case "add", "remove":
 		// idIndex's mutators: an edit of one bucket's ID set.
 		if what := liveMap(recv); what != "" {
 			sc.requireExclusiveMu(call.Pos(), "mutation", method+" on a bucket of the "+what)
 		}
 	case "take":
-		// spillSlab's mutator: hands a set a slot.
+		// spillSlab's mutator: hands a set a cell.
 		if what := liveMap(recv); what != "" {
-			sc.requireExclusiveMu(call.Pos(), "mutation", "slot take from the "+what)
+			sc.requireExclusiveMu(call.Pos(), "mutation", "cell take from the "+what)
 		}
 	case "bumpSeq":
 		// Advances the change sequence and re-stamps maintained field
@@ -425,8 +433,8 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	}
 }
 
-// mutationEvent flags assignments into the live entries map, directly into
-// an index's bucket map, and to any field reached through a live index (its
+// mutationEvent flags assignments into the live slab, ID map and free list,
+// directly into an index's bucket map, and to any field reached through a live index (its
 // spill slab's free list, say): exclusive mu only.
 func (sc *scope) mutationEvent(lhs ast.Expr) {
 	var chain string

@@ -73,15 +73,15 @@ func TestAnnotationParsing(t *testing.T) {
 import "sync"
 
 type shard struct {
-	mu      sync.RWMutex
-	entries map[int]int
+	mu   sync.RWMutex
+	slab []int
 }
 
 // lint:holds mu, bogus
-func ok(sh *shard) { sh.entries[1] = 2 }
+func ok(sh *shard) { sh.slab[1] = 2 }
 
 // lint:holds latch
-func bad(sh *shard) { sh.entries[1] = 2 }
+func bad(sh *shard) { sh.slab[1] = 2 }
 `
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -112,19 +112,19 @@ type store struct {
 func (s *store) lockSet()   {}
 func (s *store) unlockSet() {}
 
-type shard struct{ entries map[int]int }
+type shard struct{ slab []int }
 
 func viaDefer(s *store, sh *shard) {
 	s.lockSet()
 	defer s.unlockSet()
-	sh.entries[1] = 2
+	sh.slab[1] = 2
 	s.durable.Append(nil)
 }
 
 func afterRelease(s *store, sh *shard) {
 	s.lockSet()
 	s.unlockSet()
-	sh.entries[1] = 2
+	sh.slab[1] = 2
 }
 `
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {

@@ -10,8 +10,13 @@ type shard struct {
 	intent  sync.RWMutex
 	latches [8]sync.Mutex
 	queue   struct{ mu sync.Mutex }
-	entries map[int]int
+	slab    []int
+	vacant  []uint32
+	at      map[int]uint32
 }
+
+func (sh *shard) place(inst int)     {}
+func (sh *shard) vacate(slot uint32) {}
 
 type store struct {
 	shards  []*shard
@@ -45,16 +50,55 @@ func leafViolation(sh *shard) {
 	sh.queue.mu.Unlock()
 }
 
-// rlockMutation writes the live entries map under a read lock.
+// rlockMutation writes a slot of the live instance slab under a read lock.
 func rlockMutation(sh *shard) {
 	sh.mu.RLock()
-	sh.entries[1] = 2 // want rlock-mutation
+	sh.slab[1] = 2 // want rlock-mutation
 	sh.mu.RUnlock()
 }
 
-// bareMutation deletes from the live entries map with no lock at all.
+// rlockIDMapWrite files an ID's slot in the live ID map under a read lock.
+func rlockIDMapWrite(sh *shard) {
+	sh.mu.RLock()
+	sh.at[1] = 2 // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// rlockFreeListPush puts a slot on the live free list under a read lock.
+func rlockFreeListPush(sh *shard) {
+	sh.mu.RLock()
+	sh.vacant = append(sh.vacant, 3) // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// rlockPlace fills a slot through the slab's mutator under a read lock.
+func rlockPlace(sh *shard) {
+	sh.mu.RLock()
+	sh.place(4) // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// bareMutation deletes from the live ID map with no lock at all.
 func bareMutation(sh *shard) {
-	delete(sh.entries, 1) // want unlocked-mutation
+	delete(sh.at, 1) // want unlocked-mutation
+}
+
+// bareVacate frees a slot with no lock at all.
+func bareVacate(sh *shard) {
+	sh.vacate(1) // want unlocked-mutation
+}
+
+// lockedSlabEdit is CLEAN: the same slab edits under the exclusive mu, and
+// a read of a slot needs no more than any read.
+func lockedSlabEdit(sh *shard) {
+	_ = sh.slab[sh.at[1]]
+	sh.mu.Lock()
+	sh.slab = append(sh.slab, 5)
+	sh.at[5] = uint32(len(sh.slab) - 1)
+	sh.vacant = sh.vacant[:0]
+	sh.place(6)
+	sh.vacate(2)
+	sh.mu.Unlock()
 }
 
 // bareAppend reaches the durability sink outside any commit critical
@@ -72,7 +116,7 @@ func earlyExitBalanced(sh *shard, err error) {
 		sh.mu.Unlock()
 		return
 	}
-	sh.entries[1] = 2
+	sh.slab[1] = 2
 	sh.mu.Unlock()
 }
 
@@ -81,7 +125,7 @@ func earlyExitBalanced(sh *shard, err error) {
 //
 // lint:holds mu
 func annotated(sh *shard) {
-	sh.entries[3] = 4
+	sh.at[3] = 4
 }
 
 // closureScope is CLEAN: the literal passed to run executes under the
@@ -89,7 +133,7 @@ func annotated(sh *shard) {
 func closureScope(sh *shard, run func(func())) {
 	run(func() {
 		sh.mu.Lock()
-		sh.entries[5] = 6
+		sh.slab[5] = 6
 		sh.mu.Unlock()
 	})
 }
@@ -258,5 +302,5 @@ func rmuBucketEdit(st *shapeStats) {
 //
 // lint:holds rmu
 func rmuIsNotExclusive(sh *shard) {
-	sh.entries[7] = 8 // want rlock-mutation
+	sh.slab[7] = 8 // want rlock-mutation
 }

@@ -91,16 +91,14 @@ type bulkInsert struct {
 func (b *bulkInsert) file(si uint32) {
 	sh := b.s.shards[si]
 	for _, i := range b.homes.of(si) {
-		inst := &b.insts[i]
-		sh.entries[inst.ID] = entry{t: inst.Tuple, owner: inst.Owner}
-		sh.indexAdd(inst.ID, inst.Tuple)
+		sh.place(b.insts[i])
 	}
 }
 
 // insertAll is Insert for a whole batch, the bulk Assert path. It reserves
 // the batch's IDs with one add and journals the inserts in input order, so
 // the returned IDs, the commit record and the log bytes are those of one
-// Insert per tuple; each touched shard's entries and indexes are then filled
+// Insert per tuple; each touched shard's slab and indexes are then filled
 // by its own worker. A batch homed on one shard stays on the caller.
 //
 // lint:holds intent mu
@@ -119,8 +117,7 @@ func (w writer) insertAll(ts []tuple.Tuple, owner tuple.ProcessID, ids []tuple.I
 	if w.ss.count() == 1 {
 		sh := w.s.shards[homes[0]]
 		for _, ins := range batch {
-			sh.entries[ins.ID] = entry{t: ins.Tuple, owner: ins.Owner}
-			sh.indexAdd(ins.ID, ins.Tuple)
+			sh.place(ins)
 		}
 		return
 	}
@@ -136,14 +133,16 @@ type checkpointRuns struct {
 	start []int
 }
 
-// collect copies shard si's instances into its run and sorts the run: one
+// collect copies shard si's live slots into its run and sorts the run: one
 // worker's share of WriteCheckpoint, under the read locks of every shard.
 //
 // lint:holds rmu
 func (c *checkpointRuns) collect(si uint32) {
 	run := c.insts[c.start[si]:c.start[si]]
-	for id, e := range c.s.shards[si].entries {
-		run = append(run, Instance{ID: id, Tuple: e.t, Owner: e.owner})
+	for _, inst := range c.s.shards[si].slab {
+		if inst.ID != tuple.NoID {
+			run = append(run, inst)
+		}
 	}
 	slices.SortFunc(run, func(a, b Instance) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -169,9 +169,9 @@ func TestBulkAssertContiguousIDs(t *testing.T) {
 }
 
 // FuzzCheckpoint: no input makes DecodeCheckpoint panic, and a decodable
-// input restores without error or panic into 1 and into 4 shards, both
-// restores re-encode to the same bytes, and those decode to the same
-// configuration.
+// input restores without error or panic into 1 and into 4 shards, each
+// restore passes checkSlab, both re-encode to the same bytes, and those
+// decode to the same configuration.
 func FuzzCheckpoint(f *testing.F) {
 	s := New(WithShards(4))
 	bulkConfiguration(f, s)
@@ -180,11 +180,11 @@ func FuzzCheckpoint(f *testing.F) {
 	if golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint-049c2d8.golden")); err == nil {
 		f.Add(golden)
 	}
-	// IDs at and around the index sets' spill tag (bit 63), alone and in a
-	// set that spills: the decoder must reject every one above the limit.
-	f.Add(checkpointOfIDs(uint64(spillTag)))
-	f.Add(checkpointOfIDs(1, 2, uint64(spillTag)|3))
-	f.Add(checkpointOfIDs(uint64(spillTag) - 1))
+	// IDs at and around bit 63, alone and in a bucket that spills: the
+	// decoder must reject every one above the limit.
+	f.Add(checkpointOfIDs(uint64(bit63)))
+	f.Add(checkpointOfIDs(1, 2, uint64(bit63)|3))
+	f.Add(checkpointOfIDs(uint64(bit63) - 1))
 	f.Add(checkpointOfIDs(1, 2, uint64(maxInstanceID)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insts, version, err := DecodeCheckpoint(bytes.NewReader(data))
@@ -197,6 +197,7 @@ func FuzzCheckpoint(f *testing.F) {
 			if err := s.Restore(insts, version); err != nil {
 				t.Fatalf("restoring a decoded checkpoint into %d shards: %v", n, err)
 			}
+			checkSlab(t, s)
 			enc[i] = checkpointBytes(t, s)
 		}
 		if !bytes.Equal(enc[0], enc[1]) {

@@ -1,98 +1,98 @@
 package dataspace
 
-import "github.com/sdl-lang/sdl/internal/tuple"
-
-// idSet is a set of tuple IDs shaped for the populations index buckets
-// really have: most hold one or two IDs (a keyed store has one tuple per
-// lead, and a read-modify-write passes through two), some a handful, a few
-// a large share of the shard. Two members live in the set's own words. A
-// set that outgrows them keeps a where it is and moves the rest to a spill
-// slot of its idIndex's slab; b then holds the slot number tagged with
-// spillTag, which no ID reaches (IDs count up from 1). A spill is an
-// unsorted slice up to wideLeadBucket IDs and a map above it, so add and
-// remove are O(1) at every size, and a set that stays at or below two
-// members never allocates.
+// idSet is a set of slots — positions in its shard's slab (store.go) —
+// shaped for the populations index buckets really have: most hold one or
+// two tuples (a keyed store has one tuple per lead, and a read-modify-write
+// passes through two), some a handful, a few a large share of the shard.
+// Two members live in the set's own words. A set that outgrows them keeps a
+// where it is and moves the rest to a cell of its idIndex's spill slab; b
+// then holds the cell number tagged with spillTag, which no slot reaches
+// (shard.place stops a slab short of it). A spill is an unsorted slice up to
+// wideLeadBucket slots and a map above it, so add and remove are O(1) at
+// every size, and a set that stays at or below two members never
+// allocates.
 //
-// An idSet holds no pointer, so an idIndex's number map holds none either
-// and the collector never scans it. It is a value that sits inline in its
-// index's map slot: reads go through an idView, which pairs it with its
-// slab, and every edit goes through idIndex, which writes the set back.
-// tuple.NoID marks a vacant slot and is never a member.
-type idSet struct{ a, b tuple.ID }
+// An idSet is 8 bytes and holds no pointer, so an idIndex's number map holds
+// none either and the collector never scans it. It is a value that sits
+// inline in its index's map entry: reads go through an idView, which pairs it
+// with its spill slab, and every edit goes through idIndex, which writes the
+// set back. Slot 0 of every shard slab is reserved, so 0 marks a vacant word
+// and is never a member.
+type idSet struct{ a, b uint32 }
 
-// spillTag marks b as a spill slot number rather than a member.
-const spillTag tuple.ID = 1 << 63
+// spillTag marks b as a spill cell number rather than a member.
+const spillTag uint32 = 1 << 31
 
-// slot returns the set's spill slot, if it has one.
-func (s idSet) slot() (int, bool) { return int(s.b &^ spillTag), s.b&spillTag != 0 }
+// cell returns the set's spill cell, if it has one.
+func (s idSet) cell() (int, bool) { return int(s.b &^ spillTag), s.b&spillTag != 0 }
 
 // idSpill holds a set's members beyond a, in m when it is non-nil and in
-// ids otherwise. An emptied spill keeps its slot until its whole set
+// slots otherwise. An emptied spill keeps its cell until its whole set
 // empties, so a set hovering around two members allocates once, not per
 // excursion.
 type idSpill struct {
-	ids []tuple.ID
-	m   map[tuple.ID]struct{}
+	slots []uint32
+	m     map[uint32]struct{}
 }
 
-func (sp *idSpill) len() int { return len(sp.ids) + len(sp.m) }
+func (sp *idSpill) len() int { return len(sp.slots) + len(sp.m) }
 
-// add reports whether id was new. The slice turns into a map when it would
+// add reports whether slot was new. The slice turns into a map when it would
 // outgrow wideLeadBucket.
-func (sp *idSpill) add(id tuple.ID) bool {
-	if sp.m == nil && len(sp.ids) < wideLeadBucket {
-		for _, have := range sp.ids {
-			if have == id {
+func (sp *idSpill) add(slot uint32) bool {
+	if sp.m == nil && len(sp.slots) < wideLeadBucket {
+		for _, have := range sp.slots {
+			if have == slot {
 				return false
 			}
 		}
-		sp.ids = append(sp.ids, id)
+		sp.slots = append(sp.slots, slot)
 		return true
 	}
 	if sp.m == nil {
-		sp.m = make(map[tuple.ID]struct{}, 2*wideLeadBucket)
-		for _, have := range sp.ids {
+		sp.m = make(map[uint32]struct{}, 2*wideLeadBucket)
+		for _, have := range sp.slots {
 			sp.m[have] = struct{}{}
 		}
-		sp.ids = nil
+		sp.slots = nil
 	}
 	before := len(sp.m)
-	sp.m[id] = struct{}{}
+	sp.m[slot] = struct{}{}
 	return len(sp.m) != before
 }
 
-// remove reports whether id was held. A map drained to half of
+// remove reports whether slot was held. A map drained to half of
 // wideLeadBucket goes back to a slice — which also returns the memory of a
 // once-large bucket, since Go maps never shrink; the gap between the two
 // thresholds keeps a bucket hovering at either from converting per edit.
-func (sp *idSpill) remove(id tuple.ID) bool {
+func (sp *idSpill) remove(slot uint32) bool {
 	if sp.m != nil {
 		before := len(sp.m)
-		delete(sp.m, id)
+		delete(sp.m, slot)
 		if len(sp.m) <= wideLeadBucket/2 {
-			sp.ids = make([]tuple.ID, 0, wideLeadBucket)
+			sp.slots = make([]uint32, 0, wideLeadBucket)
 			for have := range sp.m {
-				sp.ids = append(sp.ids, have)
+				sp.slots = append(sp.slots, have)
 			}
 			sp.m = nil
 		}
 		return sp.len() != before
 	}
-	for i, have := range sp.ids {
-		if have == id {
-			last := len(sp.ids) - 1
-			sp.ids[i] = sp.ids[last]
-			sp.ids = sp.ids[:last]
+	for i, have := range sp.slots {
+		if have == slot {
+			last := len(sp.slots) - 1
+			sp.slots[i] = sp.slots[last]
+			sp.slots = sp.slots[:last]
 			return true
 		}
 	}
 	return false
 }
 
-// spillSlab holds the spills of one idIndex's sets, one slot each. A set
-// that empties returns its slot to free, so the slab never grows past the
-// peak number of sets spilled at once. A freed slot keeps a slice of the
-// first spill's two IDs, so a set that spills into it does not allocate,
+// spillSlab holds the spills of one idIndex's sets, one cell each. A set
+// that empties returns its cell to free, so the slab never grows past the
+// peak number of sets spilled at once. A freed cell keeps a slice of the
+// first spill's two slots, so a set that spills into it does not allocate,
 // but drops a larger one: the memory of a once-large bucket goes back to
 // the collector with its set.
 type spillSlab struct {
@@ -100,20 +100,20 @@ type spillSlab struct {
 	free   []int
 }
 
-// release returns an emptied set's slot to the free list.
-func (sl *spillSlab) release(slot int) {
-	if sp := &sl.spills[slot]; cap(sp.ids) > 2 {
-		sp.ids = nil
+// release returns an emptied set's cell to the free list.
+func (sl *spillSlab) release(cell int) {
+	if sp := &sl.spills[cell]; cap(sp.slots) > 2 {
+		sp.slots = nil
 	}
-	sl.free = append(sl.free, slot)
+	sl.free = append(sl.free, cell)
 }
 
-// take returns a vacant slot, a freed one first.
+// take returns a vacant cell, a freed one first.
 func (sl *spillSlab) take() int {
 	if n := len(sl.free); n > 0 {
-		slot := sl.free[n-1]
+		cell := sl.free[n-1]
 		sl.free = sl.free[:n-1]
-		return slot
+		return cell
 	}
 	sl.spills = append(sl.spills, idSpill{})
 	return len(sl.spills) - 1
@@ -121,29 +121,29 @@ func (sl *spillSlab) take() int {
 
 // idView is a set read out of its idIndex: the set and the slab that holds
 // its spill. It is valid until the index is next edited: an edit may free
-// the set's slot and hand it to another set (see Writer).
+// the set's cell and hand it to another set (see Writer).
 type idView struct {
 	idSet
-	slab *spillSlab
+	spills *spillSlab
 }
 
 // spill returns the set's spill; nil if it has none.
 func (v idView) spill() *idSpill {
-	if slot, ok := v.slot(); ok {
-		return &v.slab.spills[slot]
+	if cell, ok := v.cell(); ok {
+		return &v.spills.spills[cell]
 	}
 	return nil
 }
 
 func (v idView) len() int {
 	n := 0
-	if v.a != tuple.NoID {
+	if v.a != 0 {
 		n++
 	}
 	if sp := v.spill(); sp != nil {
 		return n + sp.len()
 	}
-	if v.b != tuple.NoID {
+	if v.b != 0 {
 		n++
 	}
 	return n
@@ -151,35 +151,35 @@ func (v idView) len() int {
 
 // each visits the members in unspecified order until fn returns false, and
 // reports whether it ran to completion.
-func (v idView) each(fn func(tuple.ID) bool) bool {
-	if v.a != tuple.NoID && !fn(v.a) {
+func (v idView) each(fn func(slot uint32) bool) bool {
+	if v.a != 0 && !fn(v.a) {
 		return false
 	}
 	sp := v.spill()
 	if sp == nil {
-		return v.b == tuple.NoID || fn(v.b)
+		return v.b == 0 || fn(v.b)
 	}
-	for _, id := range sp.ids {
-		if !fn(id) {
+	for _, slot := range sp.slots {
+		if !fn(slot) {
 			return false
 		}
 	}
-	for id := range sp.m {
-		if !fn(id) {
+	for slot := range sp.m {
+		if !fn(slot) {
 			return false
 		}
 	}
 	return true
 }
 
-// idIndex files tuple IDs under a canonical field value. It is the store's
-// one bucket structure: each arity's lead index and every hot secondary
-// shape are an idIndex. Number buckets sit in their own map, keyed by the
-// 8-byte canonical word rather than a whole leadKey, and pointer-free; every
-// other class and the arity-0 zero key share the leadKey map. Each map, and
-// the spill slab, is made on first use. A value's slot exists exactly while
-// its set is non-empty, so len() is the number of live buckets. An idIndex
-// is embedded by value and copied only to move it (a fresh one into its
+// idIndex files slots under a canonical field value. It is the store's one
+// bucket structure: each arity's lead index and every hot secondary shape
+// are an idIndex. Number buckets sit in their own map, keyed by the 8-byte
+// canonical word rather than a whole leadKey, and pointer-free; every other
+// class and the arity-0 zero key share the leadKey map. Each map, and the
+// spill slab, is made on first use. A value's map entry exists exactly while
+// its set is non-empty, so len() is the number of live buckets. An idIndex is
+// embedded by value and copied only to move it (a fresh one into its
 // fieldIndex): a copy shares the maps and slab made so far but not the ones
 // made later.
 type idIndex struct {
@@ -188,7 +188,7 @@ type idIndex struct {
 	spill *spillSlab
 }
 
-// get returns the IDs filed under k; an empty view if none.
+// get returns the slots filed under k; an empty view if none.
 func (ix *idIndex) get(k leadKey) idView {
 	if k.class == leadNumber {
 		return idView{ix.num[k.num], ix.spill}
@@ -196,20 +196,20 @@ func (ix *idIndex) get(k leadKey) idView {
 	return idView{ix.rest[k], ix.spill}
 }
 
-// add reports whether id was new under k.
-func (ix *idIndex) add(k leadKey, id tuple.ID) bool {
+// add reports whether slot was new under k.
+func (ix *idIndex) add(k leadKey, slot uint32) bool {
 	if k.class == leadNumber {
-		return addID(ix, &ix.num, k.num, id)
+		return addSlot(ix, &ix.num, k.num, slot)
 	}
-	return addID(ix, &ix.rest, k, id)
+	return addSlot(ix, &ix.rest, k, slot)
 }
 
-// remove reports whether id was filed under k.
-func (ix *idIndex) remove(k leadKey, id tuple.ID) bool {
+// remove reports whether slot was filed under k.
+func (ix *idIndex) remove(k leadKey, slot uint32) bool {
 	if k.class == leadNumber {
-		return removeID(ix, ix.num, k.num, id)
+		return removeSlot(ix, ix.num, k.num, slot)
 	}
-	return removeID(ix, ix.rest, k, id)
+	return removeSlot(ix, ix.rest, k, slot)
 }
 
 func (ix *idIndex) len() int {
@@ -232,63 +232,63 @@ func (ix *idIndex) each(fn func(leadKey, idView) bool) bool {
 	return true
 }
 
-// addTo files id in s, moving s's second member and id into a spill slot
-// when both words are taken, and reports whether id was new.
-func (ix *idIndex) addTo(s *idSet, id tuple.ID) bool {
-	if id == tuple.NoID || id&spillTag != 0 {
-		panic("dataspace: NoID or an out-of-range ID filed in an index")
+// addTo files slot in s, moving s's second member and slot into a spill
+// cell when both words are taken, and reports whether slot was new.
+func (ix *idIndex) addTo(s *idSet, slot uint32) bool {
+	if slot == 0 || slot&spillTag != 0 {
+		panic("dataspace: the reserved slot 0 or an out-of-range slot filed in an index")
 	}
-	if s.a == id || s.b == id {
+	if s.a == slot || s.b == slot {
 		return false
 	}
-	if slot, ok := s.slot(); ok {
-		return ix.spill.spills[slot].add(id)
+	if cell, ok := s.cell(); ok {
+		return ix.spill.spills[cell].add(slot)
 	}
 	switch {
-	case s.a == tuple.NoID:
-		s.a = id
-	case s.b == tuple.NoID:
-		s.b = id
+	case s.a == 0:
+		s.a = slot
+	case s.b == 0:
+		s.b = slot
 	default:
 		if ix.spill == nil {
 			ix.spill = &spillSlab{}
 		}
-		slot := ix.spill.take()
-		sp := &ix.spill.spills[slot]
-		sp.ids = append(sp.ids, s.b, id)
-		s.b = spillTag | tuple.ID(slot)
+		cell := ix.spill.take()
+		sp := &ix.spill.spills[cell]
+		sp.slots = append(sp.slots, s.b, slot)
+		s.b = spillTag | uint32(cell)
 	}
 	return true
 }
 
-// removeFrom reports whether id was a member of s. A spilled set that
-// empties returns its slot to the slab's free list.
-func (ix *idIndex) removeFrom(s *idSet, id tuple.ID) bool {
-	slot, spilled := s.slot()
+// removeFrom reports whether slot was a member of s. A spilled set that
+// empties returns its cell to the slab's free list.
+func (ix *idIndex) removeFrom(s *idSet, slot uint32) bool {
+	cell, spilled := s.cell()
 	switch {
-	case id == tuple.NoID:
+	case slot == 0:
 		return false
-	case s.a == id:
-		s.a = tuple.NoID
-	case s.b == id:
-		s.b = tuple.NoID
-	case !spilled || !ix.spill.spills[slot].remove(id):
+	case s.a == slot:
+		s.a = 0
+	case s.b == slot:
+		s.b = 0
+	case !spilled || !ix.spill.spills[cell].remove(slot):
 		return false
 	}
-	if spilled && s.a == tuple.NoID && ix.spill.spills[slot].len() == 0 {
-		ix.spill.release(slot)
-		s.b = tuple.NoID
+	if spilled && s.a == 0 && ix.spill.spills[cell].len() == 0 {
+		ix.spill.release(cell)
+		s.b = 0
 	}
 	return true
 }
 
-func addID[K comparable](ix *idIndex, m *map[K]idSet, k K, id tuple.ID) bool {
+func addSlot[K comparable](ix *idIndex, m *map[K]idSet, k K, slot uint32) bool {
 	was := (*m)[k]
 	s := was
-	if !ix.addTo(&s, id) {
+	if !ix.addTo(&s, slot) {
 		return false
 	}
-	if s != was { // an edit inside the spill leaves the slot as it is
+	if s != was { // an edit inside the spill leaves the set as it is
 		if *m == nil {
 			*m = make(map[K]idSet)
 		}
@@ -297,10 +297,10 @@ func addID[K comparable](ix *idIndex, m *map[K]idSet, k K, id tuple.ID) bool {
 	return true
 }
 
-func removeID[K comparable](ix *idIndex, m map[K]idSet, k K, id tuple.ID) bool {
+func removeSlot[K comparable](ix *idIndex, m map[K]idSet, k K, slot uint32) bool {
 	was, ok := m[k]
 	s := was
-	if !ok || !ix.removeFrom(&s, id) {
+	if !ok || !ix.removeFrom(&s, slot) {
 		return false
 	}
 	switch {

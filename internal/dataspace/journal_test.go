@@ -36,7 +36,10 @@ func leadOnShard(t *testing.T, s *Store, si uint32, avoid ...tuple.Value) tuple.
 // nothing on any rung. The journal (effects, deleted-ID set, latch plan,
 // group-commit slot and done channel) comes from a pool, the latch plan
 // sorts in place, the group-commit queue is double-buffered, and the record
-// lent to hooks and the durability sink is a view of the journal.
+// lent to hooks and the durability sink is a view of the journal. The
+// insert refills the slab slot the retract freed — the key path applies
+// its buffered delete first, the shard-mode writer deletes before it
+// inserts — so the slab does not grow either.
 func TestSteadyCommitAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
@@ -77,13 +80,16 @@ func TestSteadyCommitAllocatesNothing(t *testing.T) {
 				cur = w.Insert(tup, 1)
 				return nil
 			}
-			before := seen
+			before, slots := seen, len(s.shards[0].slab)
 			if n := testing.AllocsPerRun(200, func() {
 				if err := tc.commit(fn); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
 				t.Errorf("retract+insert: %.1f allocations per commit, want 0", n)
+			}
+			if got := len(s.shards[0].slab); got != slots {
+				t.Errorf("retract+insert grew the slab from %d to %d slots", slots, got)
 			}
 			if got := seen - before; got != 2*201 {
 				t.Errorf("hooks saw %d effects over 201 commits, want %d", got, 2*201)

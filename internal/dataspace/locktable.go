@@ -428,27 +428,26 @@ func (s *Store) directCommit(j *journal) {
 	})
 }
 
-// applyBuffered applies one journal's buffered mutations to the live maps
+// applyBuffered applies one journal's buffered mutations to the live slabs
 // and publishes it (the commit's key latches are still held, so conflicting
-// commits append in version order). Callers hold the mu of every shard the
-// journal touches.
+// commits append in version order). Deletes go first, so a
+// read-modify-write refills the slot it frees and an exactly-sized slab
+// does not grow. Callers hold the mu of every shard the journal touches.
 //
 // lint:holds latch mu
 func (s *Store) applyBuffered(j *journal) {
-	for i, ins := range j.inserted {
-		sh := s.shards[j.insShard[i]]
-		sh.entries[ins.ID] = entry{t: ins.Tuple, owner: ins.Owner}
-		sh.indexAdd(ins.ID, ins.Tuple)
-	}
 	for i, del := range j.deleted {
 		sh := s.shards[j.delShard[i]]
-		if _, ok := sh.entries[del.ID]; !ok {
+		slot, ok := sh.at[del.ID]
+		if !ok {
 			// The latch held since evaluation makes this unreachable; a miss
 			// means the two-phase-locking invariant was broken.
 			panic(fmt.Sprintf("dataspace: buffered delete of %v lost its target (latch invariant violated)", del.Tuple))
 		}
-		delete(sh.entries, del.ID)
-		sh.indexRemove(del.ID, del.Tuple)
+		sh.vacate(slot)
+	}
+	for i, ins := range j.inserted {
+		s.shards[j.insShard[i]].place(ins)
 	}
 	s.publish(j, rungKey)
 }

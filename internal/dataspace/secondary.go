@@ -13,7 +13,7 @@ import (
 // pattern — e.g. a constant in position 2 — degenerated to a full arity
 // scan. This file adds, per shard, field-value indexes
 //
-//	(arity, field-pos, canonical value) → tuple-ID set
+//	(arity, field-pos, canonical value) → slab-slot set
 //
 // built adaptively: each (arity, field-pos) scan shape carries an atomic
 // fallback-scan counter, and a shape whose counter crosses the promotion
@@ -122,8 +122,8 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 		return idx
 	}
 	var fresh idIndex
-	sh.eachOfArity(arity, func(id tuple.ID) bool {
-		fresh.add(canonLead(sh.entries[id].t.Field(pos)), id)
+	sh.eachOfArity(arity, func(slot uint32) bool {
+		fresh.add(canonLead(sh.slab[slot].Tuple.Field(pos)), slot)
 		return true
 	})
 	idx := &fieldIndex{seq: seq, buckets: fresh}
@@ -194,7 +194,7 @@ func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) 
 // demoted here.
 //
 // lint:holds mu
-func (sh *shard) secEdit(id tuple.ID, t tuple.Tuple, edit func(*idIndex, leadKey, tuple.ID) bool) {
+func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, leadKey, uint32) bool) {
 	if sh.sec.hot.Load() == 0 {
 		return
 	}
@@ -208,7 +208,7 @@ func (sh *shard) secEdit(id tuple.ID, t tuple.Tuple, edit func(*idIndex, leadKey
 			continue
 		}
 		if idx := st.idx.Load(); idx != nil && idx.seq == sh.seq.Load() {
-			edit(&idx.buckets, canonLead(t.Field(pos)), id)
+			edit(&idx.buckets, canonLead(t.Field(pos)), slot)
 		}
 	}
 }
@@ -274,9 +274,10 @@ func (sh *shard) bumpSeq() {
 func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	var indexed, fallback, visited uint64
 	var sh *shard
-	visit := func(id tuple.ID) bool {
+	visit := func(slot uint32) bool {
 		visited++
-		return fn(id, sh.entries[id].t)
+		inst := &sh.slab[slot]
+		return fn(inst.ID, inst.Tuple)
 	}
 	if lead, known := pattern.LeadSel(sels); known {
 		k := indexKey{arity: arity, lead: canonLead(lead)}

@@ -41,7 +41,7 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 	runs := checkpointRuns{s: s, start: make([]int, len(s.shards)+1)}
 	s.rlockSet(&s.all)
 	for si, sh := range s.shards {
-		runs.start[si+1] = runs.start[si] + len(sh.entries)
+		runs.start[si+1] = runs.start[si] + len(sh.at)
 	}
 	runs.insts = make([]Instance, runs.start[len(s.shards)])
 	forShards(&s.all, runs.collect)
@@ -145,10 +145,9 @@ func DecodeCheckpoint(r io.Reader) ([]Instance, uint64, error) {
 }
 
 // maxInstanceID is the largest instance ID a checkpoint or a recovered
-// record may carry. The index sets tag a spill slot with bit 63 (idset.go),
-// so no ID may reach it; the bound sits at half that, leaving the IDs
-// minted after a restore 2⁶² values of headroom.
-const maxInstanceID = spillTag>>1 - 1
+// record may carry: 2⁶² − 1, which leaves the IDs minted after a restore
+// 2⁶² values of headroom below bit 63.
+const maxInstanceID tuple.ID = 1<<62 - 1
 
 // checkIDs rejects a configuration that carries the null instance ID, an
 // ID above maxInstanceID, or the same ID twice. The checkpoint writer sorts
@@ -182,11 +181,11 @@ func checkIDs(insts []Instance) error {
 
 // Restore bulk-loads a decoded configuration (DecodeCheckpoint's result, or
 // a wal.State's Base) into an empty store and sets its version. The
-// instances are grouped by home shard, each shard's entry map is sized once
-// for its share instead of growing through the load, and each shard is
-// installed by its own worker (bulkInsert.file). Like ReadCheckpoint it
-// refuses a store that already holds tuples, and instances with null or
-// duplicate IDs.
+// instances are grouped by home shard, each shard's slab and ID map are
+// sized once for its share instead of growing through the load, and each
+// shard is filled, in input order, by its own worker (bulkInsert.file).
+// Like ReadCheckpoint it refuses a store that already holds tuples, and
+// instances with null or duplicate IDs.
 func (s *Store) Restore(insts []Instance, version uint64) error {
 	if err := checkIDs(insts); err != nil {
 		return err
@@ -194,7 +193,7 @@ func (s *Store) Restore(insts []Instance, version uint64) error {
 	s.lockSet(&s.all)
 	defer s.unlockSet(&s.all)
 	for _, sh := range s.shards {
-		if len(sh.entries) != 0 {
+		if len(sh.at) != 0 {
 			return fmt.Errorf("%w: store not empty", ErrBadCheckpoint)
 		}
 	}
@@ -206,7 +205,9 @@ func (s *Store) Restore(insts []Instance, version uint64) error {
 	}
 	b := bulkInsert{s: s, insts: insts, homes: groupByShard(home, len(s.shards))}
 	for si, sh := range s.shards {
-		sh.entries = make(map[tuple.ID]entry, len(b.homes.of(uint32(si))))
+		n := len(b.homes.of(uint32(si)))
+		sh.slab, sh.vacant = make([]Instance, 1, 1+n), nil
+		sh.at = make(map[tuple.ID]uint32, n)
 	}
 	forShards(&s.all, b.file)
 	s.version.Store(version)

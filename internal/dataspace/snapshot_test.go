@@ -211,15 +211,18 @@ func checkpointOfIDs(ids ...uint64) []byte {
 	return buf
 }
 
+// bit63 is the top bit of an instance ID, the first the ID limit excludes.
+const bit63 tuple.ID = 1 << 63
+
 // TestCheckpointRejectsBadIDs: a duplicate instance ID — adjacent or not,
 // in a file that is otherwise ascending or not — the null ID and an ID
-// above maxInstanceID (the index sets' spill tag, bit 63, among them) are
-// ErrBadCheckpoint, from the decoder and from a direct Restore.
+// above maxInstanceID (bit 63 among them) are ErrBadCheckpoint, from the
+// decoder and from a direct Restore.
 func TestCheckpointRejectsBadIDs(t *testing.T) {
 	if err := New().ReadCheckpoint(bytes.NewReader(checkpointOfIDs(3, 1, 2))); err != nil {
 		t.Errorf("unsorted but duplicate-free: %v", err)
 	}
-	tag := uint64(spillTag)
+	tag := uint64(bit63)
 	for _, ids := range [][]uint64{{1, 1}, {1, 2, 1}, {2, 1, 2}, {0}, {1, 0},
 		{tag}, {1, 2, tag | 3}, {tag - 1}, {uint64(maxInstanceID) + 1}, {1<<64 - 1}} {
 		if _, _, err := DecodeCheckpoint(bytes.NewReader(checkpointOfIDs(ids...))); !errors.Is(err, ErrBadCheckpoint) {
@@ -229,7 +232,7 @@ func TestCheckpointRejectsBadIDs(t *testing.T) {
 	for _, insts := range [][]Instance{
 		{{ID: 4, Tuple: year(1)}, {ID: 4, Tuple: year(2)}},
 		{{ID: tuple.NoID, Tuple: year(1)}},
-		{{ID: 1, Tuple: year(1)}, {ID: 2, Tuple: year(2)}, {ID: spillTag | 3, Tuple: year(3)}},
+		{{ID: 1, Tuple: year(1)}, {ID: 2, Tuple: year(2)}, {ID: bit63 | 3, Tuple: year(3)}},
 		{{ID: maxInstanceID + 1, Tuple: year(1)}},
 	} {
 		if err := New().Restore(insts, 1); !errors.Is(err, ErrBadCheckpoint) {
@@ -261,7 +264,7 @@ func TestLargestInstanceID(t *testing.T) {
 			t.Fatalf("recovering #%d: %v", id, err)
 		}
 	}
-	for _, id := range []tuple.ID{maxInstanceID + 1, spillTag, spillTag | 4} {
+	for _, id := range []tuple.ID{maxInstanceID + 1, bit63, bit63 | 4} {
 		if err := s.ApplyRecovered(ins(id)); err == nil {
 			t.Errorf("recovered an insert of #%d, above the limit", id)
 		}

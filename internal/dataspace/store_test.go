@@ -269,7 +269,8 @@ func TestConcurrentUpdatesAreAtomic(t *testing.T) {
 }
 
 // Property: after a random interleaving of asserts and retracts, Len equals
-// asserts minus retracts, and every surviving ID is Get-able.
+// asserts minus retracts, and every surviving ID is Get-able; the slab
+// invariant holds after every step.
 func TestQuickMultisetInvariant(t *testing.T) {
 	cfg := &quick.Config{Rand: rand.New(rand.NewSource(testSeed(11))), MaxCount: 30}
 	f := func(ops []uint8) bool {
@@ -289,6 +290,7 @@ func TestQuickMultisetInvariant(t *testing.T) {
 				}
 				retracts++
 			}
+			checkSlab(t, s)
 		}
 		if s.Len() != asserts-retracts {
 			return false
@@ -317,6 +319,7 @@ func TestQuickIndexConsistency(t *testing.T) {
 				s.Assert(tuple.Environment, tuple.New(tuple.Int(int64(r%4))))
 			}
 		}
+		checkSlab(t, s)
 		for lead := int64(0); lead < 4; lead++ {
 			for arity := 1; arity <= 2; arity++ {
 				var scanned int

@@ -90,19 +90,21 @@ const (
 )
 
 // publish is the commit's one publication step, shared by both write paths:
-// it counts the commit, claims its version, and lends the journal's effects
-// to the hooks and the durability sink as one CommitRecord. Callers hold the
-// exclusive mu of every shard the journal wrote, plus the commit's latches
-// (key path) or intent locks (shard path), so conflicting commits publish —
-// and append — in version order.
+// it counts the commit, drops the arities its deletes emptied, claims its
+// version, and lends the journal's effects to the hooks and the durability
+// sink as one CommitRecord. Callers hold the exclusive mu of every shard the
+// journal wrote, plus the commit's latches (key path) or intent locks (shard
+// path), so conflicting commits publish — and append — in version order.
 //
 // lint:holds latch mu
 func (s *Store) publish(j *journal, r rung) {
 	for _, si := range j.insShard {
 		s.shards[si].asserts++
 	}
-	for _, si := range j.delShard {
-		s.shards[si].retracts++
+	for i, si := range j.delShard {
+		sh := s.shards[si]
+		sh.retracts++
+		sh.dropEmptyArity(j.deleted[i].Tuple.Arity())
 	}
 	s.metrics.IncCommits()
 	switch r {

@@ -324,14 +324,14 @@ func (sc *scope) walkExpr(e ast.Expr) {
 }
 
 // liveMap names the shard structure a selector chain reaches, or "" when it
-// is none of them: the instance slab, the ID → slot map at and the free list
-// of vacant slots, an arity's lead index (arityIndex.leads)
-// and a published secondary index (fieldIndex.buckets). The two indexes are
-// idIndex values edited through its add/remove methods; a chain that runs on
-// through one reaches its per-class bucket maps (ai.leads.num) or the slab
-// its spilled sets live in (ai.leads.spill), which are just as live. A fresh
-// index being filled in a local before publication has no such selector and
-// is free.
+// is none of them: the instance slab, the ID table ids and the free list of
+// vacant slots, an arity's lead index (arityIndex.leads) and a published
+// secondary index (fieldIndex.buckets). The ID table is edited through its
+// add/remove methods, the two indexes are idIndex values edited through
+// theirs; a chain that runs on through one reaches its table's cells
+// (sh.ids.cells, ai.leads.sets) or the slab its spilled sets live in
+// (ai.leads.spill), which are just as live. A fresh index being filled in a
+// local before publication has no such selector and is free.
 func liveMap(chain string) string {
 	through := func(field string) bool {
 		return strings.HasSuffix(chain, field) || strings.Contains(chain, field+".")
@@ -340,8 +340,8 @@ func liveMap(chain string) string {
 	switch {
 	case strings.HasSuffix(chain, ".slab"):
 		return "live instance slab"
-	case strings.HasSuffix(chain, ".at"):
-		return "live ID map"
+	case through(".ids"):
+		return "live ID table"
 	case strings.HasSuffix(chain, ".vacant"):
 		return "live free list of slab slots"
 	case through(".leads"):
@@ -408,10 +408,12 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	case "place", "vacate":
 		// The shard's slab mutators: a slot filled or freed, and its indexes.
 		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard slab")
-	case "add", "remove":
-		// idIndex's mutators: an edit of one bucket's ID set.
+	case "add", "remove", "refile", "fit", "insert", "removeAt":
+		// The tables' mutators: idTable's and idIndex's add/remove file or
+		// unfile a slot and refile/fit remake their table, table's
+		// insert/removeAt fill or empty a cell.
 		if what := liveMap(recv); what != "" {
-			sc.requireExclusiveMu(call.Pos(), "mutation", method+" on a bucket of the "+what)
+			sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the "+what)
 		}
 	case "take":
 		// spillSlab's mutator: hands a set a cell.
@@ -433,9 +435,9 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	}
 }
 
-// mutationEvent flags assignments into the live slab, ID map and free list,
-// directly into an index's bucket map, and to any field reached through a live index (its
-// spill slab's free list, say): exclusive mu only.
+// mutationEvent flags assignments into the live slab, ID table and free
+// list, into an index's table, and to any field reached through a live
+// index (its spill slab's free list, say): exclusive mu only.
 func (sc *scope) mutationEvent(lhs ast.Expr) {
 	var chain string
 	switch ex := lhs.(type) {

@@ -7,12 +7,12 @@
 //     then intent locks, then shard mu — never a lower class while a
 //     higher one is held; the group-commit queue mutex is a leaf.
 //   - unlocked/rlock-mutation: the live tuple structures (the instance
-//     slab shard.slab, its ID map shard.at and free list shard.vacant,
+//     slab shard.slab, its ID table shard.ids and free list shard.vacant,
 //     edited through shard.place/vacate; the lead index and published
 //     secondary indexes, whose buckets are edited through
-//     idIndex.add/remove, and the spill slabs their large sets live in)
-//     are only written under an exclusive shard mu — never lock-free,
-//     never under a read lock.
+//     idIndex.add/remove, and the spill slabs their large sets live in;
+//     the tables' own insert/removeAt) are only written under an
+//     exclusive shard mu — never lock-free, never under a read lock.
 //   - unlocked-append: DurableSink.Append runs inside the commit
 //     critical section (exclusive mu held), so conflicting commits reach
 //     the log in version order.

@@ -12,11 +12,25 @@ type shard struct {
 	queue   struct{ mu sync.Mutex }
 	slab    []int
 	vacant  []uint32
-	at      map[int]uint32
+	ids     idTable
 }
 
 func (sh *shard) place(inst int)     {}
 func (sh *shard) vacate(slot uint32) {}
+
+type table struct {
+	cells []uint32
+	n     int
+}
+
+func (t *table) insert(h uint64, c uint32) {}
+func (t *table) removeAt(i int)            {}
+
+type idTable struct{ table }
+
+func (it *idTable) find(slab []int, id int) (uint32, bool) { return 0, false }
+func (it *idTable) add(slab []int, slot uint32)            {}
+func (it *idTable) remove(slab []int, slot uint32)         {}
 
 type store struct {
 	shards  []*shard
@@ -57,10 +71,25 @@ func rlockMutation(sh *shard) {
 	sh.mu.RUnlock()
 }
 
-// rlockIDMapWrite files an ID's slot in the live ID map under a read lock.
-func rlockIDMapWrite(sh *shard) {
+// rlockIDCellWrite writes a cell of the live ID table under a read lock.
+func rlockIDCellWrite(sh *shard) {
 	sh.mu.RLock()
-	sh.at[1] = 2 // want rlock-mutation
+	sh.ids.cells[1] = 2 // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// rlockIDTableInsert files a slot in the live ID table under a read lock.
+func rlockIDTableInsert(sh *shard) {
+	sh.mu.RLock()
+	sh.ids.add(sh.slab, 2) // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// rlockTableInsert fills a cell through the ID table's own table under a
+// read lock.
+func rlockTableInsert(sh *shard) {
+	sh.mu.RLock()
+	sh.ids.insert(7, 2) // want rlock-mutation
 	sh.mu.RUnlock()
 }
 
@@ -78,9 +107,16 @@ func rlockPlace(sh *shard) {
 	sh.mu.RUnlock()
 }
 
-// bareMutation deletes from the live ID map with no lock at all.
-func bareMutation(sh *shard) {
-	delete(sh.at, 1) // want unlocked-mutation
+// bareIDTableDelete unfiles a slot from the live ID table with no lock at
+// all.
+func bareIDTableDelete(sh *shard) {
+	sh.ids.remove(sh.slab, 1) // want unlocked-mutation
+}
+
+// bareTableDelete empties a cell of the live ID table, shifting its chain,
+// with no lock at all.
+func bareTableDelete(sh *shard) {
+	sh.ids.removeAt(1) // want unlocked-mutation
 }
 
 // bareVacate frees a slot with no lock at all.
@@ -91,10 +127,11 @@ func bareVacate(sh *shard) {
 // lockedSlabEdit is CLEAN: the same slab edits under the exclusive mu, and
 // a read of a slot needs no more than any read.
 func lockedSlabEdit(sh *shard) {
-	_ = sh.slab[sh.at[1]]
+	_, _ = sh.ids.find(sh.slab, 1)
 	sh.mu.Lock()
 	sh.slab = append(sh.slab, 5)
-	sh.at[5] = uint32(len(sh.slab) - 1)
+	sh.ids.add(sh.slab, uint32(len(sh.slab)-1))
+	sh.ids.remove(sh.slab, 1)
 	sh.vacant = sh.vacant[:0]
 	sh.place(6)
 	sh.vacate(2)
@@ -125,7 +162,7 @@ func earlyExitBalanced(sh *shard, err error) {
 //
 // lint:holds mu
 func annotated(sh *shard) {
-	sh.at[3] = 4
+	sh.ids.cells[3] = 4
 }
 
 // closureScope is CLEAN: the literal passed to run executes under the
@@ -139,9 +176,9 @@ func closureScope(sh *shard, run func(func())) {
 }
 
 type idIndex struct {
-	num   map[uint64]int
-	rest  map[int]int
+	sets  table
 	spill *spillSlab
+	pos   int
 }
 
 type spillSlab struct {
@@ -188,23 +225,23 @@ func bareLeadEdit(ai *arityIndex) {
 	ai.leads.remove(1, 2) // want unlocked-mutation
 }
 
-// bareClassMapWrite files a number bucket straight into the lead index's
-// class map, around idIndex.add, with no lock held.
-func bareClassMapWrite(ai *arityIndex) {
-	ai.leads.num[1] = 0 // want unlocked-mutation
+// bareCellWrite writes a set straight into a cell of the lead index's
+// table, around idIndex.add, with no lock held.
+func bareCellWrite(ai *arityIndex) {
+	ai.leads.sets.cells[1] = 0 // want unlocked-mutation
 }
 
-// rlockClassMapDelete drops a number bucket of a published secondary index
+// rlockCellRemove empties a cell of a published secondary index's table
 // while holding only the read lock.
-func rlockClassMapDelete(sh *shard, st *shapeStats) {
+func rlockCellRemove(sh *shard, st *shapeStats) {
 	sh.mu.RLock()
-	delete(st.idx.buckets.num, 1) // want rlock-mutation
+	st.idx.buckets.sets.removeAt(1) // want rlock-mutation
 	sh.mu.RUnlock()
 }
 
-// bareClassMapDelete drops a lead-index bucket with no lock.
-func bareClassMapDelete(ai *arityIndex) {
-	delete(ai.leads.rest, 1) // want unlocked-mutation
+// bareCellInsert files a set in the lead index's table with no lock.
+func bareCellInsert(ai *arityIndex) {
+	ai.leads.sets.insert(1, 2) // want unlocked-mutation
 }
 
 // bareSpillTake hands a lead-index set a spill slot with no lock: the slab
@@ -236,13 +273,14 @@ func lockedSpillEdit(sh *shard, st *shapeStats, ai *arityIndex) {
 	sh.mu.Unlock()
 }
 
-// lockedClassMapEdit is CLEAN: the same class-map edits under the
-// exclusive mu, and a read of one needs no more than any read.
-func lockedClassMapEdit(sh *shard, st *shapeStats, ai *arityIndex) {
-	_ = ai.leads.num[1]
+// lockedCellEdit is CLEAN: the same cell edits under the exclusive mu,
+// and a read of one needs no more than any read.
+func lockedCellEdit(sh *shard, st *shapeStats, ai *arityIndex) {
+	_ = ai.leads.sets.cells[1]
 	sh.mu.Lock()
-	delete(ai.leads.num, 1)
-	st.idx.buckets.rest[1] = 0
+	ai.leads.sets.removeAt(1)
+	st.idx.buckets.sets.cells[1] = 0
+	st.idx.buckets.sets.insert(1, 2)
 	sh.mu.Unlock()
 }
 
@@ -283,7 +321,8 @@ func rlockBump(sh *shard) {
 func readLockedRebuild(st *shapeStats) {
 	var fresh idIndex
 	fresh.add(1, 2)
-	fresh.num[1] = 2
+	fresh.sets.cells[1] = 2
+	fresh.sets.insert(1, 2)
 	fresh.spill.take()
 	fresh.spill.free = nil
 	st.idx = &fieldIndex{buckets: fresh}

@@ -95,6 +95,27 @@ func (b *bulkInsert) file(si uint32) {
 	}
 }
 
+// restore is file for a Restore, whose shards start empty: each arity's
+// lead index is made with a table sized once for the arity's share — one
+// bucket a tuple, a keyed store's shape — and cut down to its buckets once
+// filled, should the share's tuples repeat leads.
+//
+// lint:holds mu
+func (b *bulkInsert) restore(si uint32) {
+	sh := b.s.shards[si]
+	share := make(map[int]int)
+	for _, i := range b.homes.of(si) {
+		share[b.insts[i].Tuple.Arity()]++
+	}
+	for a, n := range share {
+		sh.byArity[a] = &arityIndex{leads: idIndex{sets: newTable[idSet](n), arity: a}}
+	}
+	b.file(si)
+	for _, ai := range sh.byArity {
+		ai.leads.fit(sh.slab)
+	}
+}
+
 // insertAll is Insert for a whole batch, the bulk Assert path. It reserves
 // the batch's IDs with one add and journals the inserts in input order, so
 // the returned IDs, the commit record and the log bytes are those of one

@@ -55,7 +55,7 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 	}
 	snap := &shardSnap{
 		seq:     seq,
-		insts:   make([]Instance, 0, len(sh.at)),
+		insts:   make([]Instance, 0, sh.ids.len()),
 		byLead:  make(map[indexKey][]Instance, leads),
 		byArity: make(map[int][]Instance, len(sh.byArity)),
 	}
@@ -70,13 +70,14 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 	}
 	for a, ai := range sh.byArity {
 		arityStart := len(snap.insts)
-		ai.leads.each(func(lead leadKey, set idView) bool {
+		ai.leads.each(func(set idView) bool {
 			leadStart := len(snap.insts)
 			set.each(func(slot uint32) bool {
 				snap.insts = append(snap.insts, sh.slab[slot])
 				return true
 			})
 			if a > 0 {
+				lead := leadOf(snap.insts[leadStart].Tuple)
 				snap.byLead[indexKey{arity: a, lead: lead}] = snap.insts[leadStart:len(snap.insts):len(snap.insts)]
 			}
 			return true
@@ -118,7 +119,7 @@ func (s *Store) getSnap(si uint32) *shardSnap {
 		sh.mu.RUnlock()
 		return snap
 	}
-	if int(sh.staleReads.Add(1)) < len(sh.at) {
+	if int(sh.staleReads.Add(1)) < sh.ids.len() {
 		sh.mu.RUnlock()
 		return nil
 	}

@@ -1,5 +1,11 @@
 package dataspace
 
+import (
+	"hash/maphash"
+
+	"github.com/sdl-lang/sdl/internal/tuple"
+)
+
 // idSet is a set of slots — positions in its shard's slab (store.go) —
 // shaped for the populations index buckets really have: most hold one or
 // two tuples (a keyed store has one tuple per lead, and a read-modify-write
@@ -7,17 +13,19 @@ package dataspace
 // Two members live in the set's own words. A set that outgrows them keeps a
 // where it is and moves the rest to a cell of its idIndex's spill slab; b
 // then holds the cell number tagged with spillTag, which no slot reaches
-// (shard.place stops a slab short of it). A spill is an unsorted slice up to
-// wideLeadBucket slots and a map above it, so add and remove are O(1) at
-// every size, and a set that stays at or below two members never
-// allocates.
+// (shard.place stops a slab short of it). A non-empty set always has a
+// member in a, the one its index reads the set's key from. A spill is an
+// unsorted slice up to wideLeadBucket slots and a map above it, so add and
+// remove are O(1) at every size, and a set that stays at or below two
+// members never allocates.
 //
-// An idSet is 8 bytes and holds no pointer, so an idIndex's number map holds
-// none either and the collector never scans it. It is a value that sits
-// inline in its index's map entry: reads go through an idView, which pairs it
-// with its spill slab, and every edit goes through idIndex, which writes the
-// set back. Slot 0 of every shard slab is reserved, so 0 marks a vacant word
-// and is never a member.
+// An idSet is 8 bytes and holds no pointer, so an idIndex's table holds none
+// either and the collector never scans it. It is a value that sits in its
+// index's table cell: reads go through an idView, which pairs it with its
+// spill slab, and every edit goes through idIndex, which edits the cell in
+// place. Slot 0 of every shard slab is reserved, so 0 marks a vacant word
+// and is never a member, and the zero idSet — the empty set — marks an
+// empty cell.
 type idSet struct{ a, b uint32 }
 
 // spillTag marks b as a spill cell number rather than a member.
@@ -36,6 +44,20 @@ type idSpill struct {
 }
 
 func (sp *idSpill) len() int { return len(sp.slots) + len(sp.m) }
+
+// pop removes and returns a member of a non-empty spill.
+func (sp *idSpill) pop() uint32 {
+	if n := len(sp.slots); n > 0 {
+		slot := sp.slots[n-1]
+		sp.slots = sp.slots[:n-1]
+		return slot
+	}
+	for slot := range sp.m {
+		sp.remove(slot)
+		return slot
+	}
+	return 0
+}
 
 // add reports whether slot was new. The slice turns into a map when it would
 // outgrow wideLeadBucket.
@@ -174,70 +196,159 @@ func (v idView) each(fn func(slot uint32) bool) bool {
 
 // idIndex files slots under a canonical field value. It is the store's one
 // bucket structure: each arity's lead index and every hot secondary shape
-// are an idIndex. Number buckets sit in their own map, keyed by the 8-byte
-// canonical word rather than a whole leadKey, and pointer-free; every other
-// class and the arity-0 zero key share the leadKey map. Each map, and the
-// spill slab, is made on first use. A value's map entry exists exactly while
-// its set is non-empty, so len() is the number of live buckets. An idIndex is
-// embedded by value and copied only to move it (a fresh one into its
-// fieldIndex): a copy shares the maps and slab made so far but not the ones
-// made later.
+// are an idIndex. Its sets sit in a table (table.go) whose cells hold the
+// sets and no key: a set's key is the value at field pos of its member a's
+// tuple, read back from the shard's slab, so every lead class shares one
+// table, and a bucket costs its 8-byte set. A value's cell is non-empty
+// exactly while its set is, so len() is the number of live buckets. The
+// spill slab is made on first use. An idIndex is embedded by value and
+// copied only to move it (a fresh one into its fieldIndex).
+//
+// Every method takes the slab of the shard the index belongs to. add and
+// remove read the key from the slot they file or unfile, which must hold
+// its tuple: shard.place files a slot after it fills it, shard.vacate
+// unfiles it before it clears it.
 type idIndex struct {
-	num   map[uint64]idSet
-	rest  map[leadKey]idSet
+	sets  table[idSet]
 	spill *spillSlab
+	arity int // the arity of the tuples it files
+	pos   int // the field it files them under: 0 for a lead index
+}
+
+// leadSeed seeds the hash of atom and string keys.
+var leadSeed = maphash.MakeSeed()
+
+// leadHash hashes a canonical field value for an idIndex: a number's
+// canonical bits as they are (home spreads them), a bool's 0/1, and the
+// text of an atom or a string through a seeded hash; the class tells equal
+// text and equal words of different classes apart.
+func leadHash(k leadKey) uint64 {
+	if k.class == leadAtom || k.class == leadString {
+		return maphash.String(leadSeed, k.str) ^ uint64(k.class)
+	}
+	return k.num ^ uint64(k.class)
+}
+
+// keyOf returns the key a non-empty set is filed under.
+func (ix *idIndex) keyOf(slab []Instance, s idSet) leadKey {
+	return leadAt(slab[s.a].Tuple, ix.pos)
+}
+
+// find returns the cell of k's set.
+func (ix *idIndex) find(slab []Instance, k leadKey) (int, bool) {
+	if ix.sets.n == 0 {
+		return 0, false
+	}
+	for i := ix.sets.home(leadHash(k)); ; i = ix.sets.next(i) {
+		switch s := ix.sets.cells[i]; {
+		case s == idSet{}:
+			return 0, false
+		case ix.keyOf(slab, s) == k:
+			return i, true
+		}
+	}
 }
 
 // get returns the slots filed under k; an empty view if none.
-func (ix *idIndex) get(k leadKey) idView {
-	if k.class == leadNumber {
-		return idView{ix.num[k.num], ix.spill}
+func (ix *idIndex) get(slab []Instance, k leadKey) idView {
+	if i, ok := ix.find(slab, k); ok {
+		return idView{ix.sets.cells[i], ix.spill}
 	}
-	return idView{ix.rest[k], ix.spill}
+	return idView{}
 }
 
-// add reports whether slot was new under k.
-func (ix *idIndex) add(k leadKey, slot uint32) bool {
-	if k.class == leadNumber {
-		return addSlot(ix, &ix.num, k.num, slot)
+// add files slot under the key its tuple holds at pos and reports whether
+// it was new there.
+func (ix *idIndex) add(slab []Instance, slot uint32) bool {
+	if slot == 0 || slot&spillTag != 0 {
+		panic("dataspace: the reserved slot 0 or an out-of-range slot filed in an index")
 	}
-	return addSlot(ix, &ix.rest, k, slot)
-}
-
-// remove reports whether slot was filed under k.
-func (ix *idIndex) remove(k leadKey, slot uint32) bool {
-	if k.class == leadNumber {
-		return removeSlot(ix, ix.num, k.num, slot)
+	k := leadAt(slab[slot].Tuple, ix.pos)
+	if i, ok := ix.find(slab, k); ok {
+		return ix.addTo(&ix.sets.cells[i], slot)
 	}
-	return removeSlot(ix, ix.rest, k, slot)
+	if !ix.sets.room() {
+		ix.refile(slab, ix.sets.grown())
+	}
+	ix.sets.insert(leadHash(k), idSet{a: slot})
+	return true
 }
 
-func (ix *idIndex) len() int {
-	return len(ix.num) + len(ix.rest)
+// fit cuts the table of an index sized for more buckets than it holds down
+// to the size its buckets need.
+func (ix *idIndex) fit(slab []Instance) {
+	if size := tableCells(ix.len()); size < len(ix.sets.cells) {
+		ix.refile(slab, size)
+	}
 }
 
-// each visits the buckets in unspecified order until fn returns false, and
-// reports whether it ran to completion.
-func (ix *idIndex) each(fn func(leadKey, idView) bool) bool {
-	for n, s := range ix.num {
-		if !fn(leadKey{class: leadNumber, num: n}, idView{s, ix.spill}) {
-			return false
+// refile moves the sets to a table of size cells. It walks the slab's
+// tuples of the index's arity in slot order and moves the set whose a each
+// one is, found in the old table by that slot, so it reads the keys front
+// to back.
+func (ix *idIndex) refile(slab []Instance, size int) {
+	old := ix.sets
+	ix.sets = table[idSet]{cells: make([]idSet, size)}
+	if old.n == 0 {
+		return
+	}
+	for slot, inst := range slab {
+		if inst.ID == tuple.NoID || inst.Tuple.Arity() != ix.arity {
+			continue
+		}
+		h := leadHash(leadAt(inst.Tuple, ix.pos))
+		for i := old.home(h); old.cells[i] != (idSet{}); i = old.next(i) {
+			if old.cells[i].a == uint32(slot) {
+				ix.sets.insert(h, old.cells[i])
+				break
+			}
 		}
 	}
-	for k, s := range ix.rest {
-		if !fn(k, idView{s, ix.spill}) {
+}
+
+// remove unfiles slot from the key its tuple holds at pos and reports
+// whether it was filed there. A cell that names slot in its own words is
+// its set — a slot is filed once per index — so the probe reads a key only
+// from the spilled sets it passes.
+func (ix *idIndex) remove(slab []Instance, slot uint32) bool {
+	if ix.sets.n == 0 || slot == 0 {
+		return false
+	}
+	k := leadAt(slab[slot].Tuple, ix.pos)
+	for i := ix.sets.home(leadHash(k)); ; i = ix.sets.next(i) {
+		s := &ix.sets.cells[i]
+		_, spilled := s.cell()
+		switch {
+		case *s == idSet{}:
+			return false
+		case s.a != slot && s.b != slot && (!spilled || ix.keyOf(slab, *s) != k):
+			continue
+		case !ix.removeFrom(s, slot):
+			return false
+		case *s == idSet{}:
+			ix.sets.removeAt(i, func(s idSet) uint64 { return leadHash(ix.keyOf(slab, s)) })
+		}
+		return true
+	}
+}
+
+func (ix *idIndex) len() int { return ix.sets.len() }
+
+// each visits the sets in unspecified order until fn returns false, and
+// reports whether it ran to completion.
+func (ix *idIndex) each(fn func(idView) bool) bool {
+	for _, s := range ix.sets.cells {
+		if s != (idSet{}) && !fn(idView{s, ix.spill}) {
 			return false
 		}
 	}
 	return true
 }
 
-// addTo files slot in s, moving s's second member and slot into a spill
-// cell when both words are taken, and reports whether slot was new.
+// addTo files slot, which add checked, in s, moving s's second member
+// and slot into a spill cell when both words are taken, and reports whether
+// slot was new.
 func (ix *idIndex) addTo(s *idSet, slot uint32) bool {
-	if slot == 0 || slot&spillTag != 0 {
-		panic("dataspace: the reserved slot 0 or an out-of-range slot filed in an index")
-	}
 	if s.a == slot || s.b == slot {
 		return false
 	}
@@ -261,53 +372,25 @@ func (ix *idIndex) addTo(s *idSet, slot uint32) bool {
 	return true
 }
 
-// removeFrom reports whether slot was a member of s. A spilled set that
-// empties returns its cell to the slab's free list.
+// removeFrom reports whether slot was a member of s. A removed a is
+// refilled from b or the spill, so a set keeps a member in a while it has
+// one; a spilled set that empties returns its cell to the slab's free list.
 func (ix *idIndex) removeFrom(s *idSet, slot uint32) bool {
 	cell, spilled := s.cell()
 	switch {
 	case slot == 0:
 		return false
+	case s.a == slot && !spilled:
+		s.a, s.b = s.b, 0
+	case s.a == slot && ix.spill.spills[cell].len() > 0:
+		s.a = ix.spill.spills[cell].pop()
 	case s.a == slot:
-		s.a = 0
+		ix.spill.release(cell)
+		*s = idSet{}
 	case s.b == slot:
 		s.b = 0
 	case !spilled || !ix.spill.spills[cell].remove(slot):
 		return false
-	}
-	if spilled && s.a == 0 && ix.spill.spills[cell].len() == 0 {
-		ix.spill.release(cell)
-		s.b = 0
-	}
-	return true
-}
-
-func addSlot[K comparable](ix *idIndex, m *map[K]idSet, k K, slot uint32) bool {
-	was := (*m)[k]
-	s := was
-	if !ix.addTo(&s, slot) {
-		return false
-	}
-	if s != was { // an edit inside the spill leaves the set as it is
-		if *m == nil {
-			*m = make(map[K]idSet)
-		}
-		(*m)[k] = s
-	}
-	return true
-}
-
-func removeSlot[K comparable](ix *idIndex, m map[K]idSet, k K, slot uint32) bool {
-	was, ok := m[k]
-	s := was
-	if !ok || !ix.removeFrom(&s, slot) {
-		return false
-	}
-	switch {
-	case s == idSet{}:
-		delete(m, k)
-	case s != was:
-		m[k] = s
 	}
 	return true
 }

@@ -9,10 +9,21 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
+// keyedSlab returns a slab of n slots after the reserved slot 0, whose slot
+// s holds instance #s with tuple of(s).
+func keyedSlab(n int, of func(slot int) tuple.Tuple) []Instance {
+	slab := make([]Instance, n+1)
+	for s := 1; s <= n; s++ {
+		slab[s] = Instance{ID: tuple.ID(s), Tuple: of(s), Owner: 1}
+	}
+	return slab
+}
+
 // runIDSetScript drives an idIndex bucket and a plain map[uint32]struct{}
 // with the same edits and compares them after every step. Each script byte
-// is one operation on a slot drawn from 1..64 — enough distinct slots to
-// cross the inline, slice and map forms in both directions:
+// is one operation on a slot drawn from 1..64, every one holding a tuple of
+// the one key — enough distinct slots to cross the inline, slice and map
+// forms in both directions:
 //
 //	00iiiiii, 01iiiiii  add (re-adding a member, and re-adding a removed
 //	                    slot as a refilled slab slot does, included)
@@ -20,8 +31,9 @@ import (
 //	11iiiiii            iterate, stopping after i members
 func runIDSetScript(t testing.TB, script []byte) {
 	t.Helper()
-	var k leadKey
-	var ix idIndex
+	k := canonLead(tuple.Int(7))
+	slab := keyedSlab(64, func(int) tuple.Tuple { return tuple.New(tuple.Int(7)) })
+	ix := idIndex{arity: 1}
 	peak := 0
 	ref := make(map[uint32]struct{})
 	for step, b := range script {
@@ -30,18 +42,18 @@ func runIDSetScript(t testing.TB, script []byte) {
 		case 0, 1:
 			_, had := ref[id]
 			ref[id] = struct{}{}
-			if got := ix.add(k, id); got == had {
+			if got := ix.add(slab, id); got == had {
 				t.Fatalf("step %d: add(%d) = %v with membership %v", step, id, got, had)
 			}
 		case 2:
 			_, had := ref[id]
 			delete(ref, id)
-			if got := ix.remove(k, id); got != had {
+			if got := ix.remove(slab, id); got != had {
 				t.Fatalf("step %d: remove(%d) = %v with membership %v", step, id, got, had)
 			}
 		case 3:
 			limit, seen := int(b&63), 0
-			done := ix.get(k).each(func(uint32) bool {
+			done := ix.get(slab, k).each(func(uint32) bool {
 				seen++
 				return seen < limit
 			})
@@ -51,12 +63,12 @@ func runIDSetScript(t testing.TB, script []byte) {
 			}
 		}
 
-		set := ix.get(k)
+		set := ix.get(slab, k)
 		if present := ix.len() == 1; present != (len(ref) > 0) {
 			t.Fatalf("step %d: bucket slot present=%v with %d members", step, present, len(ref))
 		}
-		if set.len() != len(ref) {
-			t.Fatalf("step %d: len = %d, want %d", step, set.len(), len(ref))
+		if set.len() != len(ref) || (len(ref) > 0 && set.a == 0) {
+			t.Fatalf("step %d: len = %d, want %d, with a member in a (%d)", step, set.len(), len(ref), set.a)
 		}
 		visited := make(map[uint32]struct{}, len(ref))
 		set.each(func(id uint32) bool {
@@ -88,10 +100,10 @@ func runIDSetScript(t testing.TB, script []byte) {
 func checkSpillSlab(t testing.TB, step int, ix *idIndex, peak *int) {
 	t.Helper()
 	owned := make(map[int]bool)
-	ix.each(func(k leadKey, set idView) bool {
+	ix.each(func(set idView) bool {
 		if cell, ok := set.cell(); ok {
 			if owned[cell] {
-				t.Fatalf("step %d: spill cell %d is owned twice (again by %v)", step, cell, k)
+				t.Fatalf("step %d: spill cell %d is owned twice (again by %+v)", step, cell, set.idSet)
 			}
 			owned[cell] = true
 		}
@@ -167,34 +179,37 @@ func FuzzIDSet(f *testing.F) {
 // and three members reuses the spill it already has, and one that spills
 // and empties over and over reuses its freed cell.
 func TestIDSetSmallExcursionsDoNotAllocate(t *testing.T) {
-	k := canonLead(tuple.Int(7))
-	var ix idIndex
-	ix.add(k, 1)
+	seven, eight := tuple.New(tuple.Int(7)), tuple.New(tuple.Int(8))
+	slab := keyedSlab(1024, func(int) tuple.Tuple { return seven })
+	ix := idIndex{arity: 1}
+	ix.add(slab, 1)
 	next := uint32(2)
 	if n := testing.AllocsPerRun(100, func() {
-		ix.add(k, next)
-		ix.remove(k, next-1)
+		ix.add(slab, next)
+		ix.remove(slab, next-1)
 		next++
 	}); n != 0 {
 		t.Errorf("1 -> 2 -> 1 allocates %v times per round, want 0", n)
 	}
-	ix.add(k, next)
-	ix.add(k, next+1) // first spill
+	ix.add(slab, next)
+	ix.add(slab, next+1) // first spill
 	next += 2
 	if n := testing.AllocsPerRun(100, func() {
-		ix.remove(k, next-1)
-		ix.add(k, next)
+		ix.remove(slab, next-1)
+		ix.add(slab, next)
 		next++
 	}); n != 0 {
 		t.Errorf("3 -> 2 -> 3 allocates %v times per round, want 0", n)
 	}
-	k = canonLead(tuple.Int(8))
+	for s := int(next); s < len(slab); s++ {
+		slab[s].Tuple = eight
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		for id := next; id < next+3; id++ {
-			ix.add(k, id)
+			ix.add(slab, id)
 		}
 		for id := next; id < next+3; id++ {
-			ix.remove(k, id)
+			ix.remove(slab, id)
 		}
 		next += 3
 	}); n != 0 {
@@ -212,53 +227,63 @@ func TestIDSetSmallExcursionsDoNotAllocate(t *testing.T) {
 // wideLeadBucket into a map and drains to empty frees its cell and drops
 // its spill's memory.
 func TestIDIndexSpillSlots(t *testing.T) {
-	var ix idIndex
+	ix := idIndex{arity: 1}
+	// Slots 1-9 hold lead 1, 10-59 lead b, 60 on lead 3.
 	keys := []leadKey{canonLead(tuple.Int(1)), canonLead(tuple.Atom("b")), canonLead(tuple.Int(3))}
-	fill := func(k leadKey, from, to uint32) {
+	slab := keyedSlab(64, func(s int) tuple.Tuple {
+		switch {
+		case s < 10:
+			return tuple.New(tuple.Int(1))
+		case s < 60:
+			return tuple.New(tuple.Atom("b"))
+		}
+		return tuple.New(tuple.Int(3))
+	})
+	fill := func(from, to uint32) {
 		for id := from; id < to; id++ {
-			ix.add(k, id)
+			ix.add(slab, id)
 		}
 	}
-	drain := func(k leadKey, from, to uint32) {
+	drain := func(from, to uint32) {
 		for id := from; id < to; id++ {
-			ix.remove(k, id)
+			ix.remove(slab, id)
 		}
 	}
 	cellOf := func(k leadKey) int {
 		t.Helper()
-		cell, ok := ix.get(k).cell()
+		cell, ok := ix.get(slab, k).cell()
 		if !ok {
-			t.Fatalf("%v holds %d members and no spill cell", k, ix.get(k).len())
+			t.Fatalf("%v holds %d members and no spill cell", k, ix.get(slab, k).len())
 		}
 		return cell
 	}
-	fill(keys[0], 1, 3)
+	fill(1, 3)
 	if ix.spill != nil {
 		t.Fatal("a two-member set made a slab")
 	}
-	fill(keys[0], 3, 4)
-	fill(keys[1], 11, 14)
+	fill(3, 4)
+	fill(11, 14)
 	a, b := cellOf(keys[0]), cellOf(keys[1])
 	if a == b || len(ix.spill.spills) != 2 {
 		t.Fatalf("two spilled sets share cell %d / %d of %d", a, b, len(ix.spill.spills))
 	}
-	drain(keys[0], 1, 2)
+	drain(1, 2)
 	if cellOf(keys[0]) != a || len(ix.spill.free) != 0 {
 		t.Fatal("a set back at two members gave up its cell")
 	}
-	drain(keys[0], 2, 4)
-	if ix.get(keys[0]).len() != 0 || len(ix.spill.free) != 1 || ix.spill.free[0] != a {
+	drain(2, 4)
+	if ix.get(slab, keys[0]).len() != 0 || len(ix.spill.free) != 1 || ix.spill.free[0] != a {
 		t.Fatalf("an emptied set did not free cell %d: free %v", a, ix.spill.free)
 	}
-	fill(keys[2], 21, 24)
+	fill(61, 64)
 	if cellOf(keys[2]) != a || len(ix.spill.spills) != 2 || len(ix.spill.free) != 0 {
 		t.Fatalf("a new spill took cell %d of %d, want the freed %d", cellOf(keys[2]), len(ix.spill.spills), a)
 	}
-	fill(keys[1], 14, 14+2*wideLeadBucket)
-	if sp := ix.get(keys[1]).spill(); sp.m == nil || ix.get(keys[1]).len() != 3+2*wideLeadBucket {
+	fill(14, 14+2*wideLeadBucket)
+	if sp := ix.get(slab, keys[1]).spill(); sp.m == nil || ix.get(slab, keys[1]).len() != 3+2*wideLeadBucket {
 		t.Fatal("a set past wideLeadBucket did not turn its spill into a map")
 	}
-	drain(keys[1], 11, 14+2*wideLeadBucket)
+	drain(11, 14+2*wideLeadBucket)
 	if sp := &ix.spill.spills[b]; ix.len() != 1 || sp.m != nil || sp.slots != nil || len(ix.spill.free) != 1 || ix.spill.free[0] != b {
 		t.Fatalf("a drained map-form set did not free cell %d and drop its spill: free %v", b, ix.spill.free)
 	}
@@ -275,71 +300,103 @@ func TestIDSetRejectsNoID(t *testing.T) {
 					t.Errorf("filing slot %#x did not panic", slot)
 				}
 			}()
-			new(idIndex).add(leadKey{}, slot)
+			new(idIndex).add(make([]Instance, 1), slot)
 		}()
 	}
 }
 
-// idIndexKeys is a mixed-class key pool: numbers (a NaN and an infinity
-// among them), atoms and strings with equal text, both bools, the other
-// class and the arity-0 zero key.
-var idIndexKeys = []leadKey{
-	canonLead(tuple.Int(2)), canonLead(tuple.Float(2.5)), canonLead(tuple.Float(math.NaN())),
-	canonLead(tuple.Int(0)), canonLead(tuple.Int(-1)), canonLead(tuple.Float(math.Inf(1))),
-	canonLead(tuple.Atom("x")), canonLead(tuple.Atom("")), canonLead(tuple.Atom("y")),
-	canonLead(tuple.String("x")), canonLead(tuple.String("")),
-	canonLead(tuple.Bool(true)), canonLead(tuple.Bool(false)),
-	canonLead(tuple.Value{}), {}, canonLead(tuple.Int(1)),
+// idIndexLeads is a mixed-class pool of the values a lead index files
+// under: numbers (a NaN and an infinity among them), atoms and strings with
+// equal text, both bools and the other class. idIndexTuple makes a 1-field
+// tuple of each, and past the pool's end the empty tuple, which files under
+// the arity-0 zero key.
+var idIndexLeads = []tuple.Value{
+	tuple.Int(2), tuple.Float(2.5), tuple.Float(math.NaN()),
+	tuple.Int(0), tuple.Int(-1), tuple.Float(math.Inf(1)),
+	tuple.Atom("x"), tuple.Atom(""), tuple.Atom("y"),
+	tuple.String("x"), tuple.String(""),
+	tuple.Bool(true), tuple.Bool(false),
+	{}, tuple.Int(1),
 }
 
-// runIDIndexScript drives an idIndex and a map of plain sets with the same
-// edits over idIndexKeys and compares every bucket, the bucket count and a
-// full walk after each step. Each operation is two script bytes, an op and
-// key byte then a slot byte:
+// idIndexTuple returns the tuple key k of the pool names.
+func idIndexTuple(k int) tuple.Tuple {
+	if k >= len(idIndexLeads) {
+		return tuple.New()
+	}
+	return tuple.New(idIndexLeads[k])
+}
+
+// runIDIndexScript drives the lead indexes of arities 0 and 1 and a Go-map
+// model — key → set of slots — with the same edits and compares every
+// bucket, the bucket count, a full walk and the tables' invariants after
+// each step. The slab holds 32 slots; a slot takes the tuple of the key it
+// is filed under, and keeps it while unfiled, as a slot does between
+// vacate's unfiling and its clearing. Each operation is two script bytes,
+// an op and key byte then a slot byte:
 //
-//	00..kkkk, 01..kkkk  add slot 1 + (next byte & 31) under key k
-//	10..kkkk            remove it
-//	11......            walk the buckets, stopping after (next byte & 63)
+//	00..kkkk, 01..kkkk  file slot 1 + (next byte & 31) under key k, unless
+//	                    it is filed already (under any key)
+//	10......            unfile it
+//	11......            walk the arity-1 buckets, stopping after
+//	                    (next byte & 63)
 func runIDIndexScript(t testing.TB, script []byte) {
 	t.Helper()
-	var ix idIndex
-	peak := 0
+	slab := keyedSlab(32, func(int) tuple.Tuple { return idIndexTuple(0) })
+	ixs := [2]idIndex{{arity: 0}, {arity: 1}}
+	ixOf := func(slot uint32) *idIndex { return &ixs[slab[slot].Tuple.Arity()] }
+	peaks := [2]int{}
 	ref := make(map[leadKey]map[uint32]struct{})
+	filed := make(map[uint32]leadKey)
 	for step := 0; step+1 < len(script); step += 2 {
-		op, k, id := script[step]>>6, idIndexKeys[script[step]&15], uint32(1+script[step+1]&31)
-		_, had := ref[k][id]
+		op, id := script[step]>>6, uint32(1+script[step+1]&31)
+		k, had := filed[id]
 		switch op {
 		case 0, 1:
-			if ref[k] == nil {
-				ref[k] = make(map[uint32]struct{})
+			if !had {
+				slab[id].Tuple = idIndexTuple(int(script[step] & 15))
+				k = leadOf(slab[id].Tuple)
+				filed[id] = k
+				if ref[k] == nil {
+					ref[k] = make(map[uint32]struct{})
+				}
+				ref[k][id] = struct{}{}
 			}
-			ref[k][id] = struct{}{}
-			if got := ix.add(k, id); got == had {
+			if got := ixOf(id).add(slab, id); got == had {
 				t.Fatalf("step %d: add(%v, %d) = %v with membership %v", step, k, id, got, had)
 			}
 		case 2:
-			if delete(ref[k], id); len(ref[k]) == 0 {
-				delete(ref, k)
+			if had {
+				delete(filed, id)
+				if delete(ref[k], id); len(ref[k]) == 0 {
+					delete(ref, k)
+				}
 			}
-			if got := ix.remove(k, id); got != had {
+			if got := ixOf(id).remove(slab, id); got != had {
 				t.Fatalf("step %d: remove(%v, %d) = %v with membership %v", step, k, id, got, had)
 			}
 		case 3:
 			limit, seen := int(script[step+1]&63), 0
-			done := ix.each(func(leadKey, idView) bool {
+			done := ixs[1].each(func(idView) bool {
 				seen++
 				return seen < limit
 			})
-			if want := min(max(limit, 1), len(ref)); seen != want || done != (len(ref) == 0 || seen < limit) {
-				t.Fatalf("step %d: early-stop walk visited %d of %d buckets (limit %d, done=%v)", step, seen, len(ref), limit, done)
+			buckets := len(ref)
+			if _, ok := ref[leadKey{}]; ok {
+				buckets--
+			}
+			if want := min(max(limit, 1), buckets); seen != want || done != (buckets == 0 || seen < limit) {
+				t.Fatalf("step %d: early-stop walk visited %d of %d buckets (limit %d, done=%v)", step, seen, buckets, limit, done)
 			}
 		}
 
-		if ix.len() != len(ref) {
-			t.Fatalf("step %d: len() = %d, want %d live buckets", step, ix.len(), len(ref))
+		if n := ixs[0].len() + ixs[1].len(); n != len(ref) {
+			t.Fatalf("step %d: len() = %d, want %d live buckets", step, n, len(ref))
 		}
-		for _, k := range idIndexKeys {
-			set := ix.get(k)
+		for kk := 0; kk <= len(idIndexLeads); kk++ {
+			tup := idIndexTuple(kk)
+			k := leadOf(tup)
+			set := ixs[tup.Arity()].get(slab, k)
 			if set.len() != len(ref[k]) {
 				t.Fatalf("step %d: bucket %v holds %d, want %d", step, k, set.len(), len(ref[k]))
 			}
@@ -351,14 +408,19 @@ func runIDIndexScript(t testing.TB, script []byte) {
 			})
 		}
 		walked := make(map[leadKey]bool, len(ref))
-		ix.each(func(k leadKey, set idView) bool {
-			if walked[k] || set.len() != len(ref[k]) {
-				t.Fatalf("step %d: walk met %v (again: %v) holding %d, want %d", step, k, walked[k], set.len(), len(ref[k]))
-			}
-			walked[k] = true
-			return true
-		})
-		checkSpillSlab(t, step, &ix, &peak)
+		for a := range ixs {
+			ix := &ixs[a]
+			ix.each(func(set idView) bool {
+				k := ix.keyOf(slab, set.idSet)
+				if walked[k] || set.len() != len(ref[k]) {
+					t.Fatalf("step %d: walk met %v (again: %v) holding %d, want %d", step, k, walked[k], set.len(), len(ref[k]))
+				}
+				walked[k] = true
+				return true
+			})
+			checkIndexTable(t, slab, ix)
+			checkSpillSlab(t, step, ix, &peaks[a])
+		}
 	}
 }
 
@@ -437,7 +499,7 @@ func TestIDIndexValueClasses(t *testing.T) {
 			}
 			for _, v := range vals {
 				k := canonLead(v)
-				for name, set := range map[string]idView{"lead": sh.leadSet(2, k), "shape": idx.buckets.get(k)} {
+				for name, set := range map[string]idView{"lead": sh.leadSet(2, k), "shape": idx.buckets.get(sh.slab, k)} {
 					got := map[tuple.ID]bool{}
 					set.each(func(slot uint32) bool { got[sh.slab[slot].ID] = true; return true })
 					if len(got) != len(ids[g]) || set.len() != len(ids[g]) {

@@ -1,6 +1,7 @@
 package dataspace
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,17 +12,16 @@ import (
 
 // TestResidentBytesPerTuple guards the store's resident layout: a keyed
 // store (one tuple per lead, the worst case for a per-bucket structure)
-// costs at most the bound a tuple, all in — fields block, slab slot, ID-map
-// entry, lead-index slot. The 3-field case is join-read's shape (133 B a
-// tuple), the 2-field case upsert-durable's <k, v> counter (117); both grow
-// their maps through Assert batches.
+// costs at most the bound a tuple, all in — fields block, slab slot, ID
+// table cell, lead-index cell. The 3-field case is join-read's shape (117 B
+// a tuple), the 2-field case upsert-durable's <k, v> counter (101); both
+// grow their tables through Assert batches, to 2¹⁶ cells for 25 k keys a
+// shard.
 //
 // The power-of-two case is upsert-durable's own store: 2 shards × 2¹⁷
-// counters, restored from a checkpoint (136). A Go map presized for 2¹⁷
-// entries is at its worst there — its table count rounds up to a power of
-// two, which leaves it half full, and each 1 024-slot table is
-// page-rounded — so an ID-keyed map of 32-byte slots would cost 80 B a
-// tuple where the exactly-sized slab costs 32.
+// counters, restored from a checkpoint (88). Each shard's tables hold 2¹⁷
+// keys in 2¹⁸ cells: 8 B a tuple for the ID table, 16 for the lead index.
+// The Go maps they replaced cost 36 B a tuple each there.
 func TestResidentBytesPerTuple(t *testing.T) {
 	rec := tuple.Atom("rec")
 	for _, c := range []struct {
@@ -31,9 +31,9 @@ func TestResidentBytesPerTuple(t *testing.T) {
 		restore bool
 		bound   float64
 	}{
-		{"3-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), rec, tuple.Int(i%5000)) }, 50_000, false, 142},
-		{"2-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(i%5000)) }, 50_000, false, 125},
-		{"2-field-restored-2^18", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(0)) }, 1 << 18, true, 140},
+		{"3-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), rec, tuple.Int(i%5000)) }, 50_000, false, 123},
+		{"2-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(i%5000)) }, 50_000, false, 106},
+		{"2-field-restored-2^18", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(0)) }, 1 << 18, true, 95},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			per := residentBytesPerTuple(t, c.n, c.restore, c.of)
@@ -49,23 +49,10 @@ func TestResidentBytesPerTuple(t *testing.T) {
 // through 1 000-tuple Asserts, or through one Restore of IDs 1..n — and
 // returns the heap it holds per tuple.
 func residentBytesPerTuple(t *testing.T, n int, restore bool, of func(i int64) tuple.Tuple) float64 {
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	s := New(WithShards(2))
 	if restore {
-		insts := make([]Instance, n)
-		for i := range insts {
-			insts[i] = Instance{ID: tuple.ID(i + 1), Tuple: of(int64(i)), Owner: tuple.Environment}
-		}
-		if err := s.Restore(insts, 1); err != nil {
-			t.Fatal(err)
-		}
+		restoreTuples(t, s, n, of)
 	} else {
 		batch := make([]tuple.Tuple, 0, 1000)
 		for i := int64(0); i < int64(n); i++ {
@@ -76,7 +63,7 @@ func residentBytesPerTuple(t *testing.T, n int, restore bool, of func(i int64) t
 			}
 		}
 	}
-	after := heap()
+	after := liveHeap()
 	if got := s.Len(); got != n {
 		t.Fatalf("loaded %d tuples, want %d", got, n)
 	}
@@ -84,14 +71,81 @@ func residentBytesPerTuple(t *testing.T, n int, restore bool, of func(i int64) t
 	return float64(after-before) / float64(n)
 }
 
+// liveHeap returns the bytes the heap holds after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// restoreTuples restores n tuples of(i), as IDs 1..n, into the empty s.
+func restoreTuples(t *testing.T, s *Store, n int, of func(i int64) tuple.Tuple) {
+	insts := make([]Instance, n)
+	for i := range insts {
+		insts[i] = Instance{ID: tuple.ID(i + 1), Tuple: of(int64(i)), Owner: tuple.Environment}
+	}
+	if err := s.Restore(insts, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChurnKeepsResidentBytes: a restored 2-shard store of 2¹⁵ counters
+// takes 16 uniform read-modify-writes per tuple through UpdateKeys, each
+// retiring one ID and minting the next, and holds no more than 2 B a tuple
+// more than it did restored. Neither index table holds a tombstone, so the
+// same keys churning through the same count of cells never grow one; the
+// Go maps they replaced (Go 1.24's, which clears no tombstone in place)
+// grew 136.8 → 173.1 B a tuple here.
+func TestChurnKeepsResidentBytes(t *testing.T) {
+	const n = 1 << 15
+	counter := func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(0)) }
+	before := liveHeap()
+	s := New(WithShards(2))
+	restoreTuples(t, s, n, counter)
+	restored := liveHeap()
+	r := rand.New(rand.NewSource(testSeed(35)))
+	for range 16 * n {
+		k := tuple.Int(r.Int63n(n))
+		err := s.UpdateKeys(1, []InterestKey{InterestOf(2, k, true)}, func(w Writer) error {
+			var id tuple.ID
+			var v int64
+			w.Scan(2, k, true, func(got tuple.ID, tup tuple.Tuple) bool {
+				id = got
+				v, _ = tup.Field(1).AsInt()
+				return false
+			})
+			if err := w.Delete(id); err != nil {
+				return err
+			}
+			w.Insert(tuple.New(k, tuple.Int(v+1)), 1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	churned := liveHeap()
+	if got := s.Len(); got != n {
+		t.Fatalf("the store holds %d tuples after churn, want %d", got, n)
+	}
+	runtime.KeepAlive(s)
+	from, to := float64(restored-before)/n, float64(churned-before)/n
+	t.Logf("%.1f -> %.1f resident bytes per tuple over %d read-modify-writes", from, to, 16*n)
+	if to > from+2 {
+		t.Errorf("churn grew the store from %.1f to %.1f resident bytes per tuple, want at most %.1f", from, to, from+2)
+	}
+}
+
 // TestStoreLayout guards the per-tuple structures of the store: an
 // Instance — a slab slot, and every commit record, checkpoint run and epoch
 // snapshot entry — carries a 16-byte tuple header, and an idSet is two
-// 4-byte slots with no pointer in them. Nor may the number map the sets sit
-// in, a spill's slots, or the ID → slot map hold one, so the collector
-// skips every number-keyed lead index and hot secondary shape, their
-// spills, and at. A field that brought a pointer in would put them back on
-// its scan list.
+// 4-byte slots with no pointer in them. Nor may the cells of the ID table
+// (slots) and of an idIndex's table (sets), or a spill's slots, hold one, so
+// the collector skips the ID table, every lead index and hot secondary
+// shape, and their spills. A field that brought a pointer in would put
+// them back on its scan list.
 func TestStoreLayout(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -105,13 +159,12 @@ func TestStoreLayout(t *testing.T) {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	num := reflect.TypeOf(idIndex{}.num)
-	at := reflect.TypeOf(shard{}.at)
+	ids := reflect.TypeOf(idTable{}.cells)
+	sets := reflect.TypeOf(idIndex{}.sets.cells)
 	slots, m := reflect.TypeOf(idSpill{}.slots), reflect.TypeOf(idSpill{}.m)
-	for _, typ := range []reflect.Type{reflect.TypeOf(idSet{}), num.Key(), num.Elem(),
-		at.Key(), at.Elem(), slots.Elem(), m.Key(), m.Elem()} {
+	for _, typ := range []reflect.Type{ids.Elem(), sets.Elem(), slots.Elem(), m.Key(), m.Elem()} {
 		if path, ok := pointerFree(typ); !ok {
-			t.Errorf("%v holds a pointer at %s: the collector would scan the index sets or the ID map", typ, path)
+			t.Errorf("%v holds a pointer at %s: the collector would scan the index tables or the ID table", typ, path)
 		}
 	}
 }

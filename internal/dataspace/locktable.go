@@ -438,7 +438,7 @@ func (s *Store) directCommit(j *journal) {
 func (s *Store) applyBuffered(j *journal) {
 	for i, del := range j.deleted {
 		sh := s.shards[j.delShard[i]]
-		slot, ok := sh.at[del.ID]
+		slot, ok := sh.ids.find(sh.slab, del.ID)
 		if !ok {
 			// The latch held since evaluation makes this unreachable; a miss
 			// means the two-phase-locking invariant was broken.

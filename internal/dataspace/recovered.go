@@ -35,7 +35,7 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 	for _, del := range rec.Deleted {
 		si := s.shardIndex(indexKeyOf(del.Tuple))
 		sh := s.shards[si]
-		slot, ok := sh.at[del.ID]
+		slot, ok := sh.ids.find(sh.slab, del.ID)
 		if !ok {
 			return fmt.Errorf("dataspace: recovered delete of absent instance #%d %s (version %d)",
 				del.ID, del.Tuple, rec.Version)
@@ -50,7 +50,7 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 	for _, ins := range rec.Inserted {
 		si := s.shardIndex(indexKeyOf(ins.Tuple))
 		sh := s.shards[si]
-		if _, dup := sh.at[ins.ID]; dup || ins.ID == tuple.NoID {
+		if _, dup := sh.ids.find(sh.slab, ins.ID); dup || ins.ID == tuple.NoID {
 			return fmt.Errorf("dataspace: recovered insert of duplicate or null instance #%d %s (version %d)",
 				ins.ID, ins.Tuple, rec.Version)
 		}

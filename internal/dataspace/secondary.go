@@ -76,9 +76,9 @@ type fieldKey struct {
 	val   leadKey
 }
 
-// fieldIndex is one hot shape's bucket map, stamped with the shard change
+// fieldIndex is one hot shape's buckets, stamped with the shard change
 // sequence it is consistent with. A stale stamp (any commit the index was
-// not maintained through) makes readers rebuild from the live maps.
+// not maintained through) makes readers rebuild it from the live lead index.
 type fieldIndex struct {
 	seq     uint64
 	buckets idIndex
@@ -109,10 +109,11 @@ func (sh *shard) secShape(arity, pos int) *shapeStats {
 	return &sh.sec.shapes[arity][pos]
 }
 
-// shapeIndex returns the shape's bucket map, rebuilding it when the shard
-// has changed since it was built. The caller holds sh.mu (read or write),
-// so the live maps and seq are stable; concurrent readers may race to
-// rebuild and the last published wins — the epoch snapshot cache idiom
+// shapeIndex returns the shape's buckets, rebuilding them when the shard
+// has changed since they were built: sized for one bucket a tuple, filled,
+// then cut down to its buckets. The caller holds sh.mu (read or write), so
+// the slab, the lead index and seq are stable; concurrent readers may race
+// to rebuild and the last published wins — the epoch snapshot cache idiom
 // (epoch.go).
 //
 // lint:holds rmu
@@ -121,11 +122,12 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 	if idx := st.idx.Load(); idx != nil && idx.seq == seq {
 		return idx
 	}
-	var fresh idIndex
+	fresh := idIndex{sets: newTable[idSet](sh.arityLen(arity)), arity: arity, pos: pos}
 	sh.eachOfArity(arity, func(slot uint32) bool {
-		fresh.add(canonLead(sh.slab[slot].Tuple.Field(pos)), slot)
+		fresh.add(sh.slab, slot)
 		return true
 	})
+	fresh.fit(sh.slab)
 	idx := &fieldIndex{seq: seq, buckets: fresh}
 	st.idx.Store(idx)
 	return idx
@@ -149,7 +151,7 @@ func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idVi
 			continue
 		}
 		st.scans.Add(1)
-		b := sh.shapeIndex(st, arity, sel.Pos).buckets.get(canonLead(sel.Val))
+		b := sh.shapeIndex(st, arity, sel.Pos).buckets.get(sh.slab, canonLead(sel.Val))
 		if !ok || b.len() < best.len() {
 			best, ok = b, true
 		}
@@ -194,7 +196,7 @@ func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) 
 // demoted here.
 //
 // lint:holds mu
-func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, leadKey, uint32) bool) {
+func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, []Instance, uint32) bool) {
 	if sh.sec.hot.Load() == 0 {
 		return
 	}
@@ -208,7 +210,7 @@ func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, leadKey
 			continue
 		}
 		if idx := st.idx.Load(); idx != nil && idx.seq == sh.seq.Load() {
-			edit(&idx.buckets, canonLead(t.Field(pos)), slot)
+			edit(&idx.buckets, sh.slab, slot)
 		}
 	}
 }
@@ -379,7 +381,7 @@ func (e *estimator) FieldEstimate(arity, pos int) float64 {
 
 func (e *estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, _ int) float64 {
-		return float64(sh.shapeIndex(st, arity, pos).buckets.get(canonLead(val)).len())
+		return float64(sh.shapeIndex(st, arity, pos).buckets.get(sh.slab, canonLead(val)).len())
 	})
 }
 

@@ -2,22 +2,25 @@ package dataspace
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// checkSlab checks every shard's slab against its ID map, its free list and
-// its indexes, under the read locks of the whole store:
+// checkSlab checks every shard's slab against its ID table, its free list
+// and its indexes, under the read locks of the whole store:
 //
-//   - slot 0 is reserved, and every live slot's ID maps back to that slot
-//     through at, which holds nothing else;
+//   - slot 0 is reserved, and every live slot's ID finds that slot in the
+//     ID table, whose count is the live count;
 //   - the vacant slots are exactly the free list, each once, and pin no
 //     tuple;
 //   - every set of the lead index and of each current hot shape names only
 //     live slots whose tuple files under that bucket, and each index files
 //     every live tuple of its arity once;
+//   - every table (checkTable) reaches each of its cells from the cell's
+//     home, and every member of an index set derives its cell's key;
 //   - an arity is indexed only while the shard holds a tuple of it;
 //   - Len equals the live count.
 func checkSlab(t testing.TB, s *Store) {
@@ -58,8 +61,8 @@ func checkShardSlab(t testing.TB, s *Store, si uint32, sh *shard) int {
 		if free[uint32(slot)] {
 			t.Fatalf("shard %d: live slot %d (#%d) is on the free list", si, slot, inst.ID)
 		}
-		if at, ok := sh.at[inst.ID]; !ok || at != uint32(slot) {
-			t.Fatalf("shard %d: #%d sits in slot %d, but at maps it to %d (%t)", si, inst.ID, slot, at, ok)
+		if at, ok := sh.ids.find(sh.slab, inst.ID); !ok || at != uint32(slot) {
+			t.Fatalf("shard %d: #%d sits in slot %d, but the ID table finds it in %d (%t)", si, inst.ID, slot, at, ok)
 		}
 		if home := s.shardIndex(indexKeyOf(inst.Tuple)); home != si {
 			t.Fatalf("shard %d: #%d %v is homed on shard %d", si, inst.ID, inst.Tuple, home)
@@ -67,15 +70,21 @@ func checkShardSlab(t testing.TB, s *Store, si uint32, sh *shard) int {
 		live++
 		ofArity[inst.Tuple.Arity()]++
 	}
-	if len(sh.at) != live {
-		t.Fatalf("shard %d: at maps %d IDs, the slab holds %d live slots", si, len(sh.at), live)
+	if sh.ids.len() != live {
+		t.Fatalf("shard %d: the ID table counts %d IDs, the slab holds %d live slots", si, sh.ids.len(), live)
 	}
+	checkTable(t, fmt.Sprintf("shard %d: ID table", si), &sh.ids.table, func(s uint32) uint64 { return uint64(sh.slab[s].ID) })
 
 	// filed walks one index of the arity's tuples at field pos (0: the lead
 	// index) and checks each set against the slab.
 	filed := func(what string, a, pos int, ix *idIndex) {
+		if ix.pos != pos {
+			t.Fatalf("shard %d: the %s of arity %d at field %d keys field %d", si, what, a, pos, ix.pos)
+		}
+		checkIndexTable(t, sh.slab, ix)
 		seen := make(map[uint32]bool)
-		ix.each(func(k leadKey, set idView) bool {
+		ix.each(func(set idView) bool {
+			k := ix.keyOf(sh.slab, set.idSet)
 			if set.len() == 0 {
 				t.Fatalf("shard %d: %s bucket %v is empty but present", si, what, k)
 			}
@@ -118,6 +127,69 @@ func checkShardSlab(t testing.TB, s *Store, si uint32, sh *shard) int {
 		}
 	}
 	return live
+}
+
+// checkTable checks a table's shape — no cells, or a power of two of at
+// least minTableCells at a load of at most ¾ — its count, and that a probe
+// reaches every non-empty cell from the cell's home (hash reads its key)
+// without crossing an empty cell.
+func checkTable[C comparable](t testing.TB, what string, tb *table[C], hash func(C) uint64) {
+	t.Helper()
+	var empty C
+	size := len(tb.cells)
+	if size == 0 {
+		if tb.n != 0 {
+			t.Fatalf("%s: counts %d keys and has no cells", what, tb.n)
+		}
+		return
+	}
+	if size < minTableCells || size&(size-1) != 0 || tb.n*4 > size*3 {
+		t.Fatalf("%s: %d keys in %d cells", what, tb.n, size)
+	}
+	n := 0
+	for i, c := range tb.cells {
+		if c == empty {
+			continue
+		}
+		n++
+		for j := tb.home(hash(c)); j != i; j = tb.next(j) {
+			if tb.cells[j] == empty {
+				t.Fatalf("%s: cell %d is cut off from its home %d by the empty cell %d", what, i, tb.home(hash(c)), j)
+			}
+		}
+	}
+	if n != tb.n {
+		t.Fatalf("%s: counts %d keys in %d non-empty cells", what, tb.n, n)
+	}
+}
+
+// checkIndexTable checks an idIndex's table (checkTable), that every set
+// has a member in a, whose tuple its key is read from, and that every
+// member of each set derives the set's key, which no other set has.
+func checkIndexTable(t testing.TB, slab []Instance, ix *idIndex) {
+	t.Helper()
+	ix.each(func(set idView) bool {
+		if set.a == 0 {
+			t.Fatalf("the set %+v holds %d members and none in a", set.idSet, set.len())
+		}
+		return true
+	})
+	checkTable(t, "index table", &ix.sets, func(s idSet) uint64 { return leadHash(ix.keyOf(slab, s)) })
+	keys := make(map[leadKey]bool, ix.len())
+	ix.each(func(set idView) bool {
+		k := ix.keyOf(slab, set.idSet)
+		if keys[k] {
+			t.Fatalf("two sets of one index are filed under %v", k)
+		}
+		keys[k] = true
+		set.each(func(slot uint32) bool {
+			if got := leadAt(slab[slot].Tuple, ix.pos); got != k {
+				t.Fatalf("the set filed under %v holds slot %d, whose tuple %v files under %v", k, slot, slab[slot].Tuple, got)
+			}
+			return true
+		})
+		return true
+	})
 }
 
 // TestRestoredSlabDoesNotGrow: a restored slab is sized to its shard's share
@@ -171,6 +243,44 @@ func TestRestoredSlabDoesNotGrow(t *testing.T) {
 		}
 	}
 	checkSlab(t, s)
+}
+
+// TestRestoreSizesTables: Restore sizes each shard's ID table and lead
+// index once for its share, so a keyed store's tables hold its tuples at
+// the lowest size that keeps them at most ¾ full, and a lead index whose
+// tuples repeat leads is cut down to its buckets.
+func TestRestoreSizesTables(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		of    func(i int64) tuple.Tuple
+		leads func(share int) int
+	}{
+		{"keyed", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(0)) }, func(share int) int { return share }},
+		{"one lead", func(i int64) tuple.Tuple { return tuple.New(tuple.Atom("rec"), tuple.Int(i)) }, func(int) int { return 1 }},
+	} {
+		s := New(WithShards(2))
+		insts := make([]Instance, 5000)
+		for i := range insts {
+			insts[i] = Instance{ID: tuple.ID(i + 1), Tuple: c.of(int64(i)), Owner: 1}
+		}
+		if err := s.Restore(insts, 1); err != nil {
+			t.Fatal(err)
+		}
+		for si, sh := range s.shards {
+			share := sh.ids.len()
+			if share == 0 {
+				continue
+			}
+			if got, want := len(sh.ids.cells), tableCells(share); got != want {
+				t.Errorf("%s: shard %d's ID table has %d cells for %d IDs, want %d", c.name, si, got, share, want)
+			}
+			leads := sh.byArity[2].leads
+			if got, want := len(leads.sets.cells), tableCells(leads.len()); leads.len() != c.leads(share) || got != want {
+				t.Errorf("%s: shard %d's lead index has %d cells for %d buckets, want %d for %d", c.name, si, got, leads.len(), want, c.leads(share))
+			}
+		}
+		checkSlab(t, s)
+	}
 }
 
 // TestEmptiedArityIsDropped: an arity is indexed exactly while a shard holds

@@ -41,7 +41,7 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 	runs := checkpointRuns{s: s, start: make([]int, len(s.shards)+1)}
 	s.rlockSet(&s.all)
 	for si, sh := range s.shards {
-		runs.start[si+1] = runs.start[si] + len(sh.at)
+		runs.start[si+1] = runs.start[si] + sh.ids.len()
 	}
 	runs.insts = make([]Instance, runs.start[len(s.shards)])
 	forShards(&s.all, runs.collect)
@@ -181,9 +181,10 @@ func checkIDs(insts []Instance) error {
 
 // Restore bulk-loads a decoded configuration (DecodeCheckpoint's result, or
 // a wal.State's Base) into an empty store and sets its version. The
-// instances are grouped by home shard, each shard's slab and ID map are
-// sized once for its share instead of growing through the load, and each
-// shard is filled, in input order, by its own worker (bulkInsert.file).
+// instances are grouped by home shard, each shard's slab, ID table and
+// lead indexes are sized once for its share instead of growing through the
+// load, and each shard is filled, in input order, by its own worker
+// (bulkInsert.restore).
 // Like ReadCheckpoint it refuses a store that already holds tuples, and
 // instances with null or duplicate IDs.
 func (s *Store) Restore(insts []Instance, version uint64) error {
@@ -193,7 +194,7 @@ func (s *Store) Restore(insts []Instance, version uint64) error {
 	s.lockSet(&s.all)
 	defer s.unlockSet(&s.all)
 	for _, sh := range s.shards {
-		if len(sh.at) != 0 {
+		if sh.ids.len() != 0 {
 			return fmt.Errorf("%w: store not empty", ErrBadCheckpoint)
 		}
 	}
@@ -207,9 +208,9 @@ func (s *Store) Restore(insts []Instance, version uint64) error {
 	for si, sh := range s.shards {
 		n := len(b.homes.of(uint32(si)))
 		sh.slab, sh.vacant = make([]Instance, 1, 1+n), nil
-		sh.at = make(map[tuple.ID]uint32, n)
+		sh.ids = idTable{newTable[uint32](n)}
 	}
-	forShards(&s.all, b.file)
+	forShards(&s.all, b.restore)
 	s.version.Store(version)
 	// Invalidate any epoch snapshots built against the pre-restore state.
 	for _, sh := range s.shards {

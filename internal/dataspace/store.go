@@ -120,6 +120,15 @@ func leadOf(t tuple.Tuple) leadKey {
 	return canonLead(t.Field(0))
 }
 
+// leadAt returns the canonical value a tuple is filed under at field pos:
+// its lead for pos 0.
+func leadAt(t tuple.Tuple, pos int) leadKey {
+	if pos == 0 {
+		return leadOf(t)
+	}
+	return canonLead(t.Field(pos))
+}
+
 // maxShards bounds the shard count so lock sets fit a fixed-size bitset
 // (no allocation on the per-transaction lock path).
 const maxShards = 256
@@ -153,7 +162,7 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 	}
 }
 
-// shard is one partition of the dataspace. A shard's slab, maps, counters,
+// shard is one partition of the dataspace. A shard's slab, tables, counters,
 // and subscription registry are guarded by its mu (the registry
 // additionally has its own short-lived mutex so Subscribe/Cancel need no
 // shard lock).
@@ -161,19 +170,22 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // The shard keeps its instances in one array, slab, and every index names
 // an instance by its position there, its slot. A stored tuple is resident
 // in four places: its fields block (16 bytes a field), its slab slot (a
-// 32-byte Instance: ID, 16-byte tuple header, owner), its ID's entry in at
-// (ID → slot, pointer-free, so the collector skips it; only the by-ID paths
-// — Get, Delete, rollback, recovery — consult it), and its slot in one set
-// of the lead index byArity — arity, then canonical lead, then an 8-byte
-// idSet (idset.go), pointer-free under a number lead — from which
-// lead-known scans, arity scans, Arities and the planner's cardinalities
-// are all read, each candidate straight from slab. Hot secondary shapes
-// (secondary.go) file the slot once more per shape, in the same set type.
+// 32-byte Instance: ID, 16-byte tuple header, owner), its slot in the ID
+// table ids (only the by-ID paths — Get, Delete, rollback, recovery —
+// consult it), and its slot in one set of the lead index byArity — arity,
+// then an idIndex of 8-byte idSets (idset.go) — from which lead-known scans,
+// arity scans, Arities and the planner's cardinalities are all read, each
+// candidate straight from slab. Hot secondary shapes (secondary.go) file the
+// slot once more per shape, in the same index type. The ID table and every
+// idIndex are tables (table.go) whose cells hold slots or sets and no key:
+// a probe reads the key back from slab, so they cost 4 and 8 bytes a cell,
+// hold no pointer, and leave no tombstone when a key is deleted.
 //
-// Slot 0 is reserved, so a zero idSet word means empty. A vacant slot holds
-// Instance{} (no tuple pinned) and is on the free list vacant, which place
-// reuses last-freed first, so a read-modify-write refills the slot it just
-// freed. Like a Go map, the slab never shrinks below its peak.
+// Slot 0 is reserved, so a zero idSet word means empty, and so does a zero
+// table cell. A vacant slot holds Instance{} (no tuple pinned) and is on the
+// free list vacant, which place reuses last-freed first, so a
+// read-modify-write refills the slot it just freed. The slab never shrinks
+// below its peak.
 //
 // The commuting commit path (see locktable.go) layers two more lock
 // classes around mu. intent separates the two commit disciplines: key-mode
@@ -191,9 +203,9 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // the epoch read path.
 type shard struct {
 	mu      sync.RWMutex
-	slab    []Instance          // by slot; slot 0 and the vacant slots hold Instance{}
-	vacant  []uint32            // the free list
-	at      map[tuple.ID]uint32 // a live instance's slot, by ID
+	slab    []Instance // by slot; slot 0 and the vacant slots hold Instance{}
+	vacant  []uint32   // the free list
+	ids     idTable    // a live instance's slot, by ID
 	byArity map[int]*arityIndex
 
 	// sec is the adaptive secondary field-index layer (secondary.go).
@@ -218,7 +230,7 @@ type shard struct {
 // commit an emptied arity stays (n == 0), so a read-modify-write that
 // deletes the shard's last tuple of an arity before it inserts the
 // successor allocates nothing; the commit's publication (or rollback)
-// drops it if it is still empty, freeing its lead maps.
+// drops it if it is still empty, freeing its lead index.
 type arityIndex struct {
 	n     int     // tuples of this arity in the shard
 	leads idIndex // canonical lead → their slots
@@ -235,7 +247,7 @@ func (sh *shard) arityLen(arity int) int {
 // leadSet returns the slots filed under (arity, lead); an empty view if none.
 func (sh *shard) leadSet(arity int, lead leadKey) idView {
 	if ai := sh.byArity[arity]; ai != nil {
-		return ai.leads.get(lead)
+		return ai.leads.get(sh.slab, lead)
 	}
 	return idView{}
 }
@@ -244,7 +256,7 @@ func (sh *shard) leadSet(arity int, lead leadKey) idView {
 // bucket, until fn returns false; it reports whether it ran to completion.
 func (sh *shard) eachOfArity(arity int, fn func(slot uint32) bool) bool {
 	if ai := sh.byArity[arity]; ai != nil {
-		return ai.leads.each(func(_ leadKey, set idView) bool { return set.each(fn) })
+		return ai.leads.each(func(set idView) bool { return set.each(fn) })
 	}
 	return true
 }
@@ -362,7 +374,6 @@ func New(opts ...Option) *Store {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			slab:    make([]Instance, 1),
-			at:      make(map[tuple.ID]uint32),
 			byArity: make(map[int]*arityIndex),
 		}
 		s.shards[i].sec.met = s.metrics
@@ -834,7 +845,8 @@ func (r reader) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 func (r reader) find(id tuple.ID) (si, slot uint32, ok bool) {
 	r.ss.forEach(func(i uint32) bool {
 		si = i
-		slot, ok = r.s.shards[i].at[id]
+		sh := r.s.shards[i]
+		slot, ok = sh.ids.find(sh.slab, id)
 		return !ok
 	})
 	return si, slot, ok
@@ -888,7 +900,7 @@ func (r reader) Version() uint64 { return r.s.version.Load() }
 func (r reader) Len() int {
 	n := 0
 	r.ss.forEach(func(si uint32) bool {
-		n += len(r.s.shards[si].at)
+		n += r.s.shards[si].ids.len()
 		return true
 	})
 	return n
@@ -957,7 +969,7 @@ func (w writer) Delete(id tuple.ID) error {
 func (w writer) rollback() {
 	for i, ins := range w.inserted {
 		sh := w.s.shards[w.insShard[i]]
-		if slot, ok := sh.at[ins.ID]; ok {
+		if slot, ok := sh.ids.find(sh.slab, ins.ID); ok {
 			sh.vacate(slot)
 		}
 	}
@@ -996,7 +1008,7 @@ func (sh *shard) place(inst Instance) {
 		}
 		sh.slab = append(sh.slab, inst)
 	}
-	sh.at[inst.ID] = slot
+	sh.ids.add(sh.slab, slot)
 	sh.indexAdd(slot, inst.Tuple)
 }
 
@@ -1008,7 +1020,7 @@ func (sh *shard) place(inst Instance) {
 func (sh *shard) vacate(slot uint32) Instance {
 	inst := sh.slab[slot]
 	sh.indexRemove(slot, inst.Tuple)
-	delete(sh.at, inst.ID)
+	sh.ids.remove(sh.slab, slot)
 	sh.slab[slot] = Instance{}
 	sh.vacant = append(sh.vacant, slot)
 	return inst
@@ -1022,10 +1034,10 @@ func (sh *shard) indexAdd(slot uint32, t tuple.Tuple) {
 	a := t.Arity()
 	ai := sh.byArity[a]
 	if ai == nil {
-		ai = &arityIndex{}
+		ai = &arityIndex{leads: idIndex{arity: a}}
 		sh.byArity[a] = ai
 	}
-	if ai.leads.add(leadOf(t), slot) {
+	if ai.leads.add(sh.slab, slot) {
 		ai.n++
 	}
 	sh.secEdit(slot, t, (*idIndex).add)
@@ -1037,7 +1049,7 @@ func (sh *shard) indexAdd(slot uint32, t tuple.Tuple) {
 //
 // lint:holds mu
 func (sh *shard) indexRemove(slot uint32, t tuple.Tuple) {
-	if ai := sh.byArity[t.Arity()]; ai != nil && ai.leads.remove(leadOf(t), slot) {
+	if ai := sh.byArity[t.Arity()]; ai != nil && ai.leads.remove(sh.slab, slot) {
 		ai.n--
 	}
 	sh.secEdit(slot, t, (*idIndex).remove)

@@ -110,7 +110,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./internal/pattern
 	$(GO) test -fuzz=FuzzEnumerate -fuzztime=10s -run '^$$' ./internal/pattern
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=10s -run '^$$' ./internal/analysis
-	$(GO) test -fuzz=FuzzDataflow -fuzztime=10s -run '^$$' ./internal/analysis/dataflow
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALRoundTrip -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzIDSet -fuzztime=10s -run '^$$' ./internal/dataspace

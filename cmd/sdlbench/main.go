@@ -82,7 +82,7 @@ func experiments() []experiment {
 				return bench.E8SocietyScale(ctx, []int{500})
 			},
 			func(ctx context.Context) (*bench.Table, error) {
-				return bench.E8SocietyScale(ctx, []int{100, 1000, 5000, 10000})
+				return bench.E8SocietyScale(ctx, []int{100, 1000, 5000, 10000, 100000})
 			}},
 		{"E10",
 			func(ctx context.Context) (*bench.Table, error) {

@@ -30,9 +30,10 @@
 //	                          write-ahead-log directory, then log every
 //	                          commit durably before it becomes visible; the
 //	                          final state is checkpointed on exit
-//	-wal-sync commit|batch|interval
-//	                          WAL fsync policy (default commit): per-commit,
-//	                          group-amortized, or timer-driven
+//	-wal-sync batch|interval
+//	                          WAL fsync policy (default batch): durable
+//	                          before visible, one fsync per group of
+//	                          concurrent commits; or timer-driven
 //	-fmt                      format the program to stdout instead
 //	-vet                      run the static analyzer first and refuse to
 //	                          run if it reports errors; -vet=warn reports
@@ -49,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,7 +170,7 @@ func run(args []string) error {
 		restore     = fs.String("restore", "", "load a dataspace checkpoint before running")
 		ckptPath    = fs.String("checkpoint", "", "write the final dataspace to this checkpoint file")
 		walDir      = fs.String("wal-dir", "", "recover from and durably log commits to this write-ahead-log directory")
-		walSync     = fs.String("wal-sync", "commit", "WAL fsync policy: commit, batch, or interval")
+		walSync     = fs.String("wal-sync", "batch", "WAL fsync policy: batch or interval")
 
 		schedSeed   = fs.Int64("sched-seed", -1, "deterministic schedule-controller seed (-1 = off)")
 		schedFaults = fs.String("sched-faults", "light", "fault profile under -sched-seed: off, light, or heavy")
@@ -374,10 +376,12 @@ func run(args []string) error {
 		fmt.Printf("  dataspace     %d asserts, %d retracts, %d left, version %d\n",
 			ss.Asserts, ss.Retracts, store.Len(), store.Version())
 		fmt.Printf("  consensus     %d fires\n", rt.Consensus().Fires())
-		printMetrics(store.Metrics().Snapshot())
+		snap := store.Metrics().Snapshot()
+		printMetrics(snap)
 		if recovery != nil {
 			printRecovery(recovery)
 		}
+		printExplain(snap.Explain)
 	}
 	return nil
 }
@@ -388,6 +392,47 @@ func printRecovery(st *wal.RecoveryStats) {
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	fmt.Printf("  wal phases    decode %.1fms, restore %.1fms, replay %.1fms, verify %.1fms, re-anchor %.1fms of %.1fms\n",
 		ms(st.Decode), ms(st.Restore), ms(st.Replay), ms(st.Verify), ms(st.Reanchor), ms(st.Elapsed))
+}
+
+// printExplain renders the explain records under the -stats dump: per
+// transaction site (line:col), whether its executions planned — and, if
+// not, the lead that blocked them — the rungs they committed or read on,
+// and each matcher step in join order with its lead source, the access
+// paths its scans took and the candidates they visited.
+func printExplain(sites []metrics.ExplainSite) {
+	if len(sites) == 0 {
+		return
+	}
+	fmt.Println("-- explain --")
+	for _, s := range sites {
+		fmt.Printf("  %-8s %d execs: %d planned", s.Site, s.Planned+s.Unplanned, s.Planned)
+		if s.Unplanned > 0 {
+			fmt.Printf(", %d unplanned (%s)", s.Unplanned, s.Block)
+		}
+		fmt.Printf("; %s\n", nonzero[metrics.Rung](s.Rungs[:]))
+		for _, st := range s.Steps {
+			not := ""
+			if st.Negated {
+				not = "not "
+			}
+			fmt.Printf("    step %d: %spattern %d, lead %s; %s; %d visited, %d matched\n",
+				st.Order+1, not, st.Pattern+1, st.Lead, nonzero[metrics.Path](st.Scans[:]), st.Visited, st.Matched)
+		}
+	}
+}
+
+// nonzero renders the nonzero counts, indexed by K, as "n name, …".
+func nonzero[K interface {
+	~uint8
+	fmt.Stringer
+}](counts []uint64) string {
+	var parts []string
+	for k, n := range counts {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%d %s", n, K(k)))
+		}
+	}
+	return strings.Join(parts, ", ")
 }
 
 // printMetrics renders the metrics snapshot under the -stats dump.

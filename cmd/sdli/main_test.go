@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -221,6 +222,37 @@ func TestRunStatsMetricsSection(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// -stats ends with the explain block: sum3's replicated guard never plans,
+// because its first pattern's lead is a query variable, so it commits
+// coarsely, and both its steps walk the whole arity.
+func TestRunStatsExplainSum3(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-stats", "../../examples/sdl/sum3.sdl"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, explain, ok := strings.Cut(out, "-- explain --\n")
+	if !ok {
+		t.Fatalf("no explain block:\n%s", out)
+	}
+	site := regexp.MustCompile(`(?m)^  11:5 +(\d+) execs: 0 planned, (\d+) unplanned \(pattern 1 lead is a query variable\); (?:(\d+) no commit, )?(\d+) coarse\n` +
+		`    step 1: pattern 1, lead unknown; \d+ arity scan; \d+ visited, \d+ matched\n` +
+		`    step 2: pattern 2, lead unknown; \d+ arity scan; \d+ visited, \d+ matched\n`)
+	m := site.FindStringSubmatch(explain)
+	if m == nil {
+		t.Fatalf("explain block lacks sum3's guard at 11:5:\n%s", explain)
+	}
+	// Eight values fold into one: seven coarse commits, and executions
+	// that found no pair until the replication ended.
+	if m[1] != m[2] || m[4] != "7" {
+		t.Errorf("11:5: %s execs, %s unplanned, %s coarse; want every execution unplanned and 7 coarse commits", m[1], m[2], m[4])
+	}
+	if !strings.Contains(explain, "  16:3 ") || !strings.Contains(explain, "1 key latch") {
+		t.Errorf("explain block lacks main's planned assertion at 16:3:\n%s", explain)
 	}
 }
 

@@ -24,12 +24,11 @@
 //   - footprint: transactions the runtime's footprint planner cannot plan
 //     — patterns or assertions whose leading field is not determined by
 //     parameters and lets. Notes only: wide footprints are legal, they
-//     just serialize.
-//   - dataflow: interprocedural constant/lead propagation
-//     (analysis/dataflow) across the spawn graph. Reports footprint-blocked
-//     transactions with the binding chain from the offending lead to the
-//     sites that feed it, and the full arity scans (scan-heavy) the
-//     secondary index can or cannot absorb.
+//     just serialize. The pass mirrors the planner exactly; what a static
+//     pass cannot know — the join order the matcher picks, which leads an
+//     earlier pattern binds, the access path each scan takes — the runtime
+//     reports itself, per transaction site, in its explain records
+//     (metrics.Snapshot.Explain, the explain block of `sdli -stats`).
 //
 // All passes are conservative in the same direction: silence proves
 // nothing, but every error-severity diagnostic identifies a transaction
@@ -50,11 +49,10 @@ const (
 	CheckConsensus = "consensus"
 	CheckHygiene   = "hygiene"
 	CheckFootprint = "footprint"
-	CheckDataflow  = "dataflow"
 )
 
 // AllChecks lists every pass in execution order.
-var AllChecks = []string{CheckView, CheckShape, CheckBlocked, CheckConsensus, CheckHygiene, CheckFootprint, CheckDataflow}
+var AllChecks = []string{CheckView, CheckShape, CheckBlocked, CheckConsensus, CheckHygiene, CheckFootprint}
 
 // Options configures an analysis run.
 type Options struct {
@@ -64,7 +62,6 @@ type Options struct {
 
 // pass carries the shared model and accumulates diagnostics.
 type pass struct {
-	prog      *lang.Program
 	units     []*unit
 	asserts   []assertSite
 	reachable map[string]bool
@@ -88,7 +85,6 @@ func Analyze(prog *lang.Program, opts Options) ([]Diagnostic, error) {
 		CheckConsensus: runConsensus,
 		CheckHygiene:   runHygiene,
 		CheckFootprint: runFootprint,
-		CheckDataflow:  runDataflow,
 	}
 	selected := opts.Checks
 	if len(selected) == 0 {
@@ -100,7 +96,7 @@ func Analyze(prog *lang.Program, opts Options) ([]Diagnostic, error) {
 		}
 	}
 
-	p := &pass{prog: prog, units: buildUnits(prog)}
+	p := &pass{units: buildUnits(prog)}
 	p.asserts = collectAsserts(p.units)
 	p.reachable = reachableUnits(p.units)
 

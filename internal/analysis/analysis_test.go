@@ -56,8 +56,6 @@ func TestGolden(t *testing.T) {
 		{"consensus", analysis.Options{Checks: []string{analysis.CheckConsensus}}},
 		{"hygiene", analysis.Options{Checks: []string{analysis.CheckHygiene}}},
 		{"footprint", analysis.Options{Checks: []string{analysis.CheckFootprint}}},
-		{"dataflow", analysis.Options{Checks: []string{analysis.CheckDataflow}}},
-		{"scanheavy", analysis.Options{Checks: []string{analysis.CheckDataflow}}},
 		{"clean", analysis.Options{}},
 	}
 	for _, tc := range cases {
@@ -93,7 +91,6 @@ func TestSeededFindingsPerCheck(t *testing.T) {
 		analysis.CheckConsensus: analysis.Warn,
 		analysis.CheckHygiene:   analysis.Warn,
 		analysis.CheckFootprint: analysis.Note,
-		analysis.CheckDataflow:  analysis.Note,
 	}
 	for _, check := range analysis.AllChecks {
 		diags := analyzeFixture(t, check+".sdl", analysis.Options{Checks: []string{check}})

@@ -211,7 +211,7 @@ func TestE14Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := byName(tbl.Rows[0])
-	for _, policy := range []string{"volatile", "interval", "batch", "commit"} {
+	for _, policy := range []string{"volatile", "interval", "batch"} {
 		if got[policy] <= 0 {
 			t.Errorf("%s arm missing or idle: %v kops/s", policy, got[policy])
 		}

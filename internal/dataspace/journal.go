@@ -3,6 +3,7 @@ package dataspace
 import (
 	"sync"
 
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -34,6 +35,10 @@ type journal struct {
 	delIDs   map[tuple.ID]struct{} // key path: the buffered deletes, hidden from live reads
 	scanning int                   // shard path: the Scan callbacks running, inside which an edit panics
 
+	// rung is the commit-ladder rung the commit takes, which publish
+	// counts: key latches (UpdateCommuting), a planned shard set
+	// (UpdateKeys), or the whole store (Update, a bulk Assert).
+	rung metrics.Rung
 	dtok uint64        // durability wait token, set by publish
 	done chan struct{} // cap 1: the group-commit leader's "published" signal to a follower
 
@@ -80,15 +85,6 @@ func (j *journal) release() {
 	journals.Put(j)
 }
 
-// rung is the commit-ladder rung a commit took; publish counts it.
-type rung uint8
-
-const (
-	rungKey    rung = iota // key latches (UpdateCommuting)
-	rungShard              // a planned shard set (UpdateKeys, or a plan the latches could not take)
-	rungCoarse             // the whole store (Update) or a bulk Assert
-)
-
 // publish is the commit's one publication step, shared by both write paths:
 // it counts the commit, drops the arities its deletes emptied, claims its
 // version, and lends the journal's effects to the hooks and the durability
@@ -97,7 +93,7 @@ const (
 // path), so conflicting commits publish — and append — in version order.
 //
 // lint:holds latch mu
-func (s *Store) publish(j *journal, r rung) {
+func (s *Store) publish(j *journal) {
 	for _, si := range j.insShard {
 		s.shards[si].asserts++
 	}
@@ -107,10 +103,10 @@ func (s *Store) publish(j *journal, r rung) {
 		sh.dropEmptyArity(j.deleted[i].Tuple.Arity())
 	}
 	s.metrics.IncCommits()
-	switch r {
-	case rungKey:
+	switch j.rung {
+	case metrics.RungKey:
 		s.metrics.IncKeyCommit()
-	case rungShard:
+	case metrics.RungShard:
 		s.metrics.IncShardFallback()
 	default:
 		s.metrics.IncCoarseCommit()

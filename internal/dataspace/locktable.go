@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
@@ -128,6 +129,17 @@ func (s *Store) planLatches(keys []InterestKey, lp *latchPlan) bool {
 type keyWriter struct{ *journal }
 
 var _ Writer = keyWriter{}
+
+// CommitRung reports the rung the commit that handed out w publishes on.
+func CommitRung(w Writer) metrics.Rung {
+	switch w := w.(type) {
+	case keyWriter:
+		return w.rung
+	case writer:
+		return w.rung
+	}
+	return metrics.RungNone
+}
 
 func (kw keyWriter) isDeleted(id tuple.ID) bool {
 	_, gone := kw.delIDs[id]
@@ -285,6 +297,7 @@ func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn fu
 		j.release()
 		return s.UpdateKeys(owner, keys, fn)
 	}
+	j.rung = metrics.RungKey
 
 	// 1. Key latches, ascending global (shard, stripe) order.
 	for _, l := range lp.latches {
@@ -449,5 +462,5 @@ func (s *Store) applyBuffered(j *journal) {
 	for i, ins := range j.inserted {
 		s.shards[j.insShard[i]].place(ins)
 	}
-	s.publish(j, rungKey)
+	s.publish(j)
 }

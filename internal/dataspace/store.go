@@ -654,7 +654,7 @@ func (s *Store) snapshotView(v *readView, fn func(r Reader)) {
 // keys are woken, and commit hooks run. If fn returns an error, mutations
 // made through the writer are rolled back and the error is returned.
 func (s *Store) Update(owner tuple.ProcessID, fn func(w Writer) error) error {
-	return s.updateSet(s.all, owner, rungCoarse, fn)
+	return s.updateSet(s.all, owner, metrics.RungCoarse, fn)
 }
 
 // UpdateKeys is Update restricted to the shards covering keys: only those
@@ -664,7 +664,7 @@ func (s *Store) Update(owner tuple.ProcessID, fn func(w Writer) error) error {
 // covering every bucket they scan, retract from, or assert into.
 func (s *Store) UpdateKeys(owner tuple.ProcessID, keys []InterestKey, fn func(w Writer) error) error {
 	ss, _ := s.planShards(keys)
-	return s.updateSet(ss, owner, rungShard, fn)
+	return s.updateSet(ss, owner, metrics.RungShard, fn)
 }
 
 // updateSet is the shard-locked commit path: fn mutates the live maps of
@@ -673,8 +673,9 @@ func (s *Store) UpdateKeys(owner tuple.ProcessID, keys []InterestKey, fn func(w 
 // commit over the full lock set (or a bulk Assert) is coarse, a
 // keys-planned one a shard fallback. Together with the per-key path, every
 // mutating store commit lands in exactly one of the three counters.
-func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, r rung, fn func(w Writer) error) error {
+func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, r metrics.Rung, fn func(w Writer) error) error {
 	j := s.journal(owner)
+	j.rung = r
 	j.lp.ss = ss
 	s.lockSet(&j.lp.ss)
 	if s.sc != nil {
@@ -697,7 +698,7 @@ func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, r rung, fn func(w 
 	changed := len(j.inserted) > 0 || len(j.deleted) > 0
 	if changed {
 		s.bumpSeqs(j.insShard, j.delShard)
-		s.publish(j, r)
+		s.publish(j)
 	}
 	s.unlockSet(&j.lp.ss)
 	if changed {
@@ -785,7 +786,7 @@ func (s *Store) Assert(owner tuple.ProcessID, ts ...tuple.Tuple) []tuple.ID {
 	for _, t := range ts {
 		ss.add(s.shardIndex(indexKeyOf(t)))
 	}
-	_ = s.updateSet(ss, owner, rungCoarse, func(w Writer) error {
+	_ = s.updateSet(ss, owner, metrics.RungCoarse, func(w Writer) error {
 		w.(writer).insertAll(ts, owner, ids)
 		return nil
 	})

@@ -400,7 +400,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 		return process.Transact{}, err
 	}
 
-	tx := process.Transact{Query: q}
+	tx := process.Transact{Query: q, Site: t.Pos.String()}
 	switch t.Tag {
 	case TagDelayed:
 		tx.Kind = process.Delayed

@@ -12,10 +12,11 @@
 //     striped by shard index, so a counter cell is contended exactly as much
 //     as the shard lock next to it). Everything that needs a clock reading
 //     or touches a shared histogram on a per-operation basis — transaction
-//     latencies, footprint sizes, wakeup fan-out — is gated behind an
-//     Observed flag that Snapshot consumers flip on.
+//     latencies, footprint sizes, wakeup fan-out, explain records (see
+//     Explain) — is gated behind an Observed flag that Snapshot consumers
+//     flip on.
 //   - Lock-free recording: recording never blocks and is safe from any
-//     goroutine; Snapshot reads are racy-but-atomic (each field is a single
+//     goroutine (the gated explain records take a per-site lock); Snapshot reads are racy-but-atomic (each field is a single
 //     atomic load; cross-field consistency is not promised while a workload
 //     runs).
 package metrics
@@ -246,6 +247,8 @@ type Registry struct {
 	walDiscarded    Counter    // version gaps found at recovery (versions missing inside the replayed suffix)
 	walRecoveries   Counter    // completed Recover calls
 	walRecoveryTime *Histogram // ns per Recover (always on; rare)
+
+	explain explainLog // per-site explain aggregates; gated on Observed
 }
 
 // NewRegistry returns a registry for a store with the given shard count.
@@ -272,8 +275,8 @@ func NewRegistry(shards int) *Registry {
 
 // SetObserved attaches (or detaches) an observer: it enables the gated
 // instruments — transaction latency, footprint, and wakeup fan-out
-// histograms — which need clock readings or shared-cacheline updates per
-// operation. Flip it on before the workload whose histograms you want;
+// histograms, and the per-site explain records — which need clock readings
+// or shared-cacheline updates per operation. Flip it on before the workload whose histograms you want;
 // the always-on counters are unaffected.
 func (r *Registry) SetObserved(on bool) { r.observed.Store(on) }
 
@@ -563,6 +566,8 @@ type Snapshot struct {
 	WalDiscarded    uint64            `json:"walDiscarded"`   // version gaps found by recovery (Σ RecoveryStats.Gaps)
 	WalRecoveries   uint64            `json:"walRecoveries"`  // completed recoveries
 	WalRecoveryTime HistogramSnapshot `json:"walRecoveryNs"`  // ns per recovery
+
+	Explain []ExplainSite `json:"explain"` // per transaction site, sorted by site; recorded while observed
 }
 
 // TotalAttempts sums transaction attempts across kinds.
@@ -650,6 +655,7 @@ func (r *Registry) Snapshot() Snapshot {
 		WalDiscarded:             r.walDiscarded.Value(),
 		WalRecoveries:            r.walRecoveries.Value(),
 		WalRecoveryTime:          r.walRecoveryTime.snapshot(),
+		Explain:                  r.explain.snapshot(),
 	}
 	for i := range r.shards {
 		s.Shards[i] = ShardCounters{

@@ -58,7 +58,7 @@ func TestSolveAllAllocatesPerSolution(t *testing.T) {
 			// The rows themselves cost nothing once the table has grown.
 			var tab Table
 			collect := func() {
-				if err := tab.Collect(q, s, base, false); err != nil || len(tab.Rows()) != n {
+				if err := tab.Collect(q, s, base, false, nil); err != nil || len(tab.Rows()) != n {
 					t.Fatalf("%s: %d rows, err %v", name, len(tab.Rows()), err)
 				}
 			}

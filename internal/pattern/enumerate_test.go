@@ -361,7 +361,7 @@ func checkRows(t *testing.T, where string, q pattern.Query, mk func() pattern.So
 	t.Helper()
 	var tab pattern.Table
 	for _, first := range []bool{false, true} {
-		if err := tab.Collect(q, mk(), base, first); err != nil {
+		if err := tab.Collect(q, mk(), base, first, nil); err != nil {
 			t.Fatalf("%s: Collect(first=%v): %v", where, first, err)
 		}
 		rows := tab.Rows()

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -265,6 +266,7 @@ type matcher struct {
 	fn    func(Binding) bool // Enumerate's consumer
 	first bool               // stop after one solution
 	tab   *Table             // Table.Collect's table; nil: solutions become Bindings
+	ex    *metrics.Explain   // the execution's explain record; nil unless observed
 
 	steps []step     // positive patterns in join order, then negated ones as written
 	npos  int        // number of positive steps
@@ -272,8 +274,10 @@ type matcher struct {
 	ops   []fieldOp  // backing of every step's ops
 	sels  []FieldSel // backing of every step's selector buffer
 
-	// deliver[k] is step k's scan callback, built once per matcher.
+	// deliver[k] is step k's scan callback, built once per matcher;
+	// counted[k] is the same callback counting what it visits into ex.
 	deliver  []func(tuple.ID, tuple.Tuple) bool
+	counted  []func(tuple.ID, tuple.Tuple) bool
 	retracts []Match   // retract-tagged matches of the current partial solution
 	arena    []Match   // the matches of the Bindings handed out; never reused
 	sols     []Binding // the Bindings collected for Solve and AppendSolutions
@@ -312,17 +316,19 @@ func (m *matcher) release() {
 		retracts: m.retracts[:0],
 		sols:     m.sols[:0],
 		deliver:  m.deliver,
+		counted:  m.counted,
 	}
 	matchers.Put(m)
 }
 
 // run enumerates q's solutions over src from base: into tab, an empty
-// table, or, when tab is nil, as Bindings handed to fn or collected.
-func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool, first bool, tab *Table) error {
+// table, or, when tab is nil, as Bindings handed to fn or collected. A
+// non-nil ex gets one step per pattern (see metrics.Explain).
+func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool, first bool, tab *Table, ex *metrics.Explain) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	m.q, m.src, m.base, m.env, m.fn, m.first, m.tab = q, src, base, base, fn, first, tab
+	m.q, m.src, m.base, m.env, m.fn, m.first, m.tab, m.ex = q, src, base, base, fn, first, tab, ex
 	m.fsrc, _ = src.(FieldSource)
 	m.compile(base)
 	if tab != nil {
@@ -383,7 +389,36 @@ func (m *matcher) compile(base expr.Env) {
 	for k := len(m.deliver); k < len(m.steps); k++ {
 		m.deliver = append(m.deliver, func(id tuple.ID, t tuple.Tuple) bool { return m.candidate(k, id, t) })
 	}
+	if m.ex != nil {
+		m.explainSteps()
+	}
 }
+
+// explainSteps starts the explain record's steps, one per step in join
+// order, and builds the counting scan callbacks.
+func (m *matcher) explainSteps() {
+	m.ex.Steps = grow(m.ex.Steps, len(m.steps))
+	for k := range m.steps {
+		st := &m.steps[k]
+		lead := metrics.LeadUnknown // arity 0 has no lead
+		if len(st.ops) > 0 {
+			lead = leadOf[st.ops[0].kind]
+		}
+		m.ex.Steps[k] = metrics.Step{Order: k, Pattern: st.pi, Negated: k >= m.npos, Lead: lead}
+	}
+	for k := len(m.counted); k < len(m.steps); k++ {
+		m.counted = append(m.counted, func(id tuple.ID, t tuple.Tuple) bool {
+			m.ex.Steps[k].Visited++
+			return m.candidate(k, id, t)
+		})
+	}
+}
+
+// leadOf is where a lead compiled to each op comes from. A lead's opCheck
+// always reads an earlier step's slot: the lead is its pattern's first
+// field.
+var leadOf = [...]metrics.Lead{opWild: metrics.LeadUnknown, opConst: metrics.LeadConst,
+	opCheck: metrics.LeadEarlier, opBind: metrics.LeadUnknown, opExpr: metrics.LeadComputed}
 
 // known resolves the value step st requires at field i when it is determined
 // before the step's scan starts: a constant, a slot an earlier step bound, or
@@ -430,11 +465,26 @@ func (m *matcher) scan(k int) {
 			}
 		}
 		if len(sels) > fixed {
-			m.fsrc.ScanFields(arity, sels, m.deliver[k])
+			m.fsrc.ScanFields(arity, sels, m.visit(k, metrics.PathField))
 			return
 		}
 	}
-	m.src.Scan(arity, lead, leadKnown, m.deliver[k])
+	path := metrics.PathArity
+	if leadKnown {
+		path = metrics.PathLead
+	}
+	m.src.Scan(arity, lead, leadKnown, m.visit(k, path))
+}
+
+// visit returns step k's scan callback for a scan on path: the plain one, or,
+// when an explain record is attached, the counting one, with the scan
+// counted on its path.
+func (m *matcher) visit(k int, path metrics.Path) func(tuple.ID, tuple.Tuple) bool {
+	if m.ex == nil {
+		return m.deliver[k]
+	}
+	m.ex.Steps[k].Scans[path]++
+	return m.counted[k]
 }
 
 // candidate matches one delivered tuple against step k and, for a positive
@@ -465,6 +515,9 @@ func (m *matcher) candidate(k int, id tuple.ID, t tuple.Tuple) bool {
 		default:
 			m.err = fmt.Errorf("pattern: guard: %w", err)
 		}
+	}
+	if ok && m.ex != nil {
+		m.ex.Steps[k].Matched++
 	}
 	if ok && !negated {
 		if st.pat.Retract {

@@ -143,7 +143,7 @@ func (b Binding) RetractedIDs() []tuple.ID {
 func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error {
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	return m.run(q, src, base, fn, false, nil)
+	return m.run(q, src, base, fn, false, nil, nil)
 }
 
 // Solve finds a single solution for an existential query (or the first
@@ -152,7 +152,7 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 func Solve(q Query, src Source, base expr.Env) (Binding, bool, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	err := m.run(q, src, base, nil, true, nil)
+	err := m.run(q, src, base, nil, true, nil, nil)
 	if len(m.sols) == 0 {
 		return Binding{}, false, err
 	}
@@ -174,6 +174,6 @@ func SolveAll(q Query, src Source, base expr.Env) ([]Binding, error) {
 func AppendSolutions(dst []Binding, q Query, src Source, base expr.Env) ([]Binding, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	err := m.run(q, src, base, nil, false, nil)
+	err := m.run(q, src, base, nil, false, nil, nil)
 	return append(dst, m.sols...), err
 }

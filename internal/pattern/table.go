@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
@@ -35,13 +36,15 @@ const maxPooledRows = 256
 
 // Collect enumerates q's solutions over src from base into t, replacing what
 // it held: only the first solution when first is set, every one otherwise.
-// base is referenced by the rows, never modified. Nothing is allocated
-// beyond what t's arrays must grow by.
-func (t *Table) Collect(q Query, src Source, base expr.Env, first bool) error {
+// base is referenced by the rows, never modified. A non-nil ex receives the
+// enumeration's steps: each pattern's lead source, the access path of every
+// scan, the candidates visited and matched. Nothing is allocated beyond
+// what t's arrays (and ex's steps) must grow by.
+func (t *Table) Collect(q Query, src Source, base expr.Env, first bool, ex *metrics.Explain) error {
 	t.Reset()
 	m := matchers.Get().(*matcher)
 	defer m.release()
-	return m.run(q, src, base, nil, first, t)
+	return m.run(q, src, base, nil, first, t, ex)
 }
 
 // Rows returns the table's solutions in enumeration order.

@@ -52,6 +52,9 @@ type Transact struct {
 	Actions []Action
 	// Export selects the policy for assertions outside the export set.
 	Export txn.ExportPolicy
+	// Site names the statement's source for the explain records (see
+	// txn.Request.Site).
+	Site string
 }
 
 // Branch is one guarded sequence of a selection/repetition/replication.
@@ -214,6 +217,7 @@ func (p *proc) request(t Transact) txn.Request {
 		Query:   t.Query,
 		Asserts: t.Asserts,
 		Export:  t.Export,
+		Site:    t.Site,
 	}
 }
 

@@ -199,7 +199,7 @@ func runOnce(p Program, seed uint64, limit int64, traced bool, opts Options) (in
 			return 0, nil, fmt.Errorf("wal dir: %w", err)
 		}
 		defer os.RemoveAll(walDir)
-		syncMode := wal.SyncMode(sched.Decide(seed, sched.PointWalSync, 0) % 3)
+		syncMode := wal.SyncMode(sched.Decide(seed, sched.PointWalSync, 0) % 2) // batch or interval
 		wlog, err = wal.Open(walDir, wal.Options{Sync: syncMode})
 		if err != nil {
 			return 0, nil, fmt.Errorf("wal open: %w", err)

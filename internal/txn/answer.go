@@ -5,6 +5,7 @@ import (
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/tuple"
 	"github.com/sdl-lang/sdl/internal/view"
@@ -33,6 +34,11 @@ type Answer struct {
 	ground []tuple.Tuple           // the assertions to insert, see Ground
 	seen   map[tuple.ID]struct{}   // retractions already applied, when several rows may share one
 	sub    *dataspace.Subscription // the delayed wait's: made by the answer's first, re-armed by every later one
+
+	// The execution's explain record: ex is &explain while the engine
+	// records one (the registry is observed), nil otherwise.
+	explain metrics.Explain
+	ex      *metrics.Explain
 }
 
 var answers = sync.Pool{New: func() any { return new(Answer) }}
@@ -62,7 +68,7 @@ func (a *Answer) Release() {
 	}
 	a.rows.Reset()
 	a.win.Reset(view.View{}, nil, nil)
-	a.req, a.first = Request{}, false
+	a.req, a.first, a.ex = Request{}, false, nil
 	answers.Put(a)
 }
 
@@ -124,7 +130,7 @@ func (a *Answer) Window(r dataspace.Reader) *view.Window {
 func (a *Answer) Solve(src pattern.Source, first bool) (bool, error) {
 	a.reset()
 	a.first = first
-	err := a.rows.Collect(a.req.Query, src, a.req.Env, first)
+	err := a.rows.Collect(a.req.Query, src, a.req.Env, first, a.ex)
 	return a.OK(), err
 }
 

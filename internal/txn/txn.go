@@ -80,6 +80,10 @@ type Request struct {
 	Asserts []pattern.Pattern
 	// Export selects the policy for assertions outside the export set.
 	Export ExportPolicy
+	// Site names the transaction's source for the explain records
+	// (metrics.Snapshot.Explain): the SDL compiler sets the statement's
+	// line:col; a Go request may leave it empty.
+	Site string
 }
 
 // Result reports a transaction's outcome.
@@ -186,8 +190,9 @@ func (e *Engine) Run(ctx context.Context, req Request, kind metrics.TxnKind) (*A
 // when the request is statically read-only, inside its exclusive section
 // otherwise — recording the per-kind metrics: one attempt per exec, one
 // commit on success, and — when an observer is attached — the end-to-end
-// latency. The registry's attempts therefore count executions, so per kind
-// latency-histogram count == attempts ≥ commits.
+// latency and the execution's explain record (metrics.Explain), filed under
+// the request's site. The registry's attempts therefore count executions,
+// so per kind latency-histogram count == attempts ≥ commits.
 func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
 	e.sc.Yield(sched.PointTxnExec)
 	e.m.IncTxnAttempt(kind)
@@ -195,6 +200,8 @@ func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
 	var start time.Time
 	if observed {
 		start = time.Now()
+		a.explain = metrics.Explain{Steps: a.explain.Steps[:0]}
+		a.ex = &a.explain
 	}
 	var err error
 	if len(a.req.Asserts) == 0 && retractFree(a.req.Query) {
@@ -204,6 +211,8 @@ func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
 	}
 	if observed {
 		e.m.ObserveTxnLatency(kind, time.Since(start))
+		e.m.RecordExplain(a.req.Site, a.ex)
+		a.ex = nil
 	}
 	if err == nil && a.OK() {
 		e.m.IncTxnCommit(kind)
@@ -240,46 +249,57 @@ func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
 // locked footprint, not which shards the footprint locks.
 //
 // The keys are appended to buf — callers pass a stack array, so a plan costs
-// no allocation; the store copies what it keeps of them.
-func footprintKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
+// no allocation; the store copies what it keeps of them. When the request
+// does not plan, the keys are nil and the block names why: the view, or the
+// first pattern or assertion lead that req.Env does not determine.
+func footprintKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, metrics.Block) {
 	if !req.View.Plannable() {
-		return nil, false
+		return nil, metrics.Block{Cause: metrics.CauseView}
 	}
 	keys := buf
-	add := func(p pattern.Pattern) bool {
+	add := func(p *pattern.Pattern) metrics.Cause {
 		a := p.Arity()
 		if a == 0 {
 			keys = append(keys, dataspace.InterestKey{Arity: 0})
-			return true
+			return metrics.CauseNone
 		}
 		lead, known := p.Lead(req.Env)
-		if !known {
-			return false
+		switch {
+		case known:
+		case p.Fields[0].Kind == pattern.FieldWildcard:
+			return metrics.CauseWildcard
+		default:
+			return metrics.CauseQueryVar
 		}
 		keys = append(keys, dataspace.InterestKey{Arity: a, Lead: lead, LeadKnown: true})
-		return true
+		return metrics.CauseNone
 	}
-	for _, p := range req.Query.Patterns {
-		if !add(p) {
-			return nil, false
+	for i := range req.Query.Patterns {
+		if c := add(&req.Query.Patterns[i]); c != metrics.CauseNone {
+			return nil, metrics.Block{Cause: c, Index: i}
 		}
 	}
-	for _, ap := range req.Asserts {
-		if !add(ap) {
-			return nil, false
+	for i := range req.Asserts {
+		if c := add(&req.Asserts[i]); c != metrics.CauseNone {
+			return nil, metrics.Block{Cause: c, Assert: true, Index: i}
 		}
 	}
-	return keys, true
+	return keys, metrics.Block{}
 }
 
-// planKeys runs the footprint planner and counts the execution as planned
-// or unplanned (planned executions are the commuting fast path's and the
-// epoch read path's intake; unplanned mutating ones serialize on the
-// full-store lock, unplanned reads share it). The keys are appended to buf,
-// as footprintKeys does.
-func (e *Engine) planKeys(req Request, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
-	keys, planned := footprintKeys(req, buf)
+// planKeys runs the footprint planner for a's request and counts the
+// execution as planned or unplanned (planned executions are the commuting
+// fast path's and the epoch read path's intake; unplanned mutating ones
+// serialize on the full-store lock, unplanned reads share it), noting the
+// outcome in a's explain record when there is one. The keys are appended to
+// buf, as footprintKeys does.
+func (e *Engine) planKeys(a *Answer, buf []dataspace.InterestKey) ([]dataspace.InterestKey, bool) {
+	keys, block := footprintKeys(a.req, buf)
+	planned := block.Cause == metrics.CauseNone
 	e.m.IncFootprintPlan(planned)
+	if a.ex != nil {
+		a.ex.Block = block
+	}
 	return keys, planned
 }
 
@@ -296,10 +316,13 @@ func (e *Engine) write(a *Answer) error {
 		err error
 		buf [8]dataspace.InterestKey
 	)
-	if keys, planned := e.planKeys(a.req, buf[:0]); planned {
+	if keys, planned := e.planKeys(a, buf[:0]); planned {
 		err = e.store.UpdateCommuting(a.req.Proc, keys, fn)
 	} else {
 		err = e.store.Update(a.req.Proc, fn)
+	}
+	if a.ex != nil && (err != nil || len(a.Retracted)+len(a.Asserted) == 0) {
+		a.ex.Rung = metrics.RungNone // the store published nothing
 	}
 	switch {
 	case errors.Is(err, errFailed):
@@ -335,12 +358,18 @@ func (e *Engine) read(a *Answer) error {
 	eval := func(r dataspace.Reader) { _, err = a.solve(r) }
 	e.attempts.Add(1)
 	e.m.IncSharedRead()
-	keys, planned := e.planKeys(a.req, buf[:0])
+	keys, planned := e.planKeys(a, buf[:0])
+	rung := metrics.RungShared
 	switch {
 	case !planned:
 		e.store.Snapshot(eval)
-	case !e.store.SnapshotKeysEpoch(keys, eval):
+	case e.store.SnapshotKeysEpoch(keys, eval):
+		rung = metrics.RungEpoch
+	default:
 		e.store.SnapshotKeys(keys, eval)
+	}
+	if a.ex != nil {
+		a.ex.Rung = rung
 	}
 	switch {
 	case err != nil:
@@ -367,6 +396,9 @@ func retractFree(q pattern.Query) bool {
 // its retractions and assertions. It returns errFailed when the query has no
 // solution.
 func (a *Answer) evalAndApply(w dataspace.Writer) error {
+	if a.ex != nil {
+		a.ex.Rung = dataspace.CommitRung(w)
+	}
 	found, err := a.solve(w)
 	switch {
 	case err != nil:

@@ -215,7 +215,7 @@ func TestKillRecover(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	shardCounts := []int{1, 4, 16}
-	modes := []SyncMode{SyncCommit, SyncBatch}
+	modes := []SyncMode{SyncInterval, SyncBatch}
 	for _, shards := range shardCounts {
 		for i := 0; i < iters; i++ {
 			mode := modes[i%len(modes)]

@@ -36,7 +36,7 @@ func TestRecoverGoldenDirectory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		l, err := Open(dir, Options{Sync: SyncCommit})
+		l, err := Open(dir, Options{Sync: SyncBatch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestGoldenBytesReencode(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000002.ckpt"), ckpt, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(dir, Options{Sync: SyncCommit})
+	l, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,15 @@
 // commit becomes visible (waiter notification, caller return), which gives
 // durable-before-visible without stretching lock hold times by an fsync.
 //
-// Sync modes trade latency for throughput:
+// Two sync modes trade latency for throughput:
 //
-//   - SyncCommit: every commit issues its own fsync. The strongest and
-//     slowest mode; the durability baseline.
-//   - SyncBatch: a commit first checks whether a concurrent fsync already
-//     covered its record; if not, it elects itself leader, fsyncs once, and
-//     publishes the covered LSN. Concurrent committers behind the same
-//     leader are all released by that single fsync — group fsync emerges
-//     from the coverage check, one sync per batch.
+//   - SyncBatch (the default): a commit first checks whether a concurrent
+//     fsync already covered its record; if not, it elects itself leader,
+//     fsyncs once, and publishes the covered LSN. Concurrent committers
+//     behind the same leader are all released by that single fsync — group
+//     fsync emerges from the coverage check, one sync per batch, and a lone
+//     committer pays exactly one fsync per commit. No commit becomes visible
+//     before an fsync that covers its record.
 //   - SyncInterval: WaitDurable returns immediately; a background ticker
 //     fsyncs every Interval. Bounded data loss, no commit-path stall.
 //
@@ -48,18 +48,15 @@ import (
 type SyncMode int
 
 const (
-	// SyncCommit fsyncs on every commit.
-	SyncCommit SyncMode = iota
-	// SyncBatch fsyncs once per group of concurrent commits.
-	SyncBatch
+	// SyncBatch fsyncs once per group of concurrent commits, before any of
+	// them becomes visible.
+	SyncBatch SyncMode = iota
 	// SyncInterval fsyncs on a timer; WaitDurable does not block.
 	SyncInterval
 )
 
 func (m SyncMode) String() string {
 	switch m {
-	case SyncCommit:
-		return "commit"
 	case SyncBatch:
 		return "batch"
 	case SyncInterval:
@@ -72,20 +69,18 @@ func (m SyncMode) String() string {
 // ParseSyncMode parses the -wal-sync flag values.
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
-	case "commit":
-		return SyncCommit, nil
 	case "batch":
 		return SyncBatch, nil
 	case "interval":
 		return SyncInterval, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown sync mode %q (want commit, batch, or interval)", s)
+		return 0, fmt.Errorf("wal: unknown sync mode %q (want batch or interval)", s)
 	}
 }
 
 // Options configures a Log.
 type Options struct {
-	// Sync selects the fsync policy. Default SyncCommit.
+	// Sync selects the fsync policy. Default SyncBatch.
 	Sync SyncMode
 	// SegmentSize rotates to a new segment file once the current one
 	// exceeds this many bytes. Default 8 MiB.
@@ -322,10 +317,6 @@ func (l *Log) WaitDurable(lsn uint64) {
 	switch l.opts.Sync {
 	case SyncInterval:
 		return
-	case SyncCommit:
-		l.syncMu.Lock()
-		defer l.syncMu.Unlock()
-		l.syncNow()
 	default: // SyncBatch
 		if l.synced.Load() >= lsn {
 			return
@@ -359,8 +350,7 @@ func (l *Log) WaitDurable(lsn uint64) {
 // before the call — in particular the caller's own, which it observed as
 // appended (rotation seals and syncs older segments, so only the current
 // file can hold unsynced frames). At most one syncNow runs at a time:
-// commit/interval callers hold syncMu, batch leaders hold the syncing
-// flag.
+// interval callers hold syncMu, batch leaders hold the syncing flag.
 func (l *Log) syncNow() {
 	l.mu.Lock()
 	f := l.f

@@ -58,7 +58,7 @@ func workload(t *testing.T, s *dataspace.Store, n int) {
 func TestRoundTripRecover(t *testing.T) {
 	dir := t.TempDir()
 	s := dataspace.New(dataspace.WithShards(4))
-	l := attach(t, dir, s, Options{Sync: SyncCommit})
+	l := attach(t, dir, s, Options{Sync: SyncBatch})
 	workload(t, s, 40)
 	wantMS := refmodel.ContentOf(s)
 	wantVersion := s.Version()
@@ -70,7 +70,7 @@ func TestRoundTripRecover(t *testing.T) {
 	// shard-count independent.
 	for _, shards := range []int{1, 16} {
 		s2 := dataspace.New(dataspace.WithShards(shards))
-		l2, err := Open(dir, Options{Sync: SyncCommit})
+		l2, err := Open(dir, Options{Sync: SyncBatch})
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
@@ -128,7 +128,7 @@ func TestRecoverAcrossSegments(t *testing.T) {
 func TestTornTailDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s := dataspace.New(dataspace.WithShards(1))
-	l := attach(t, dir, s, Options{Sync: SyncCommit})
+	l := attach(t, dir, s, Options{Sync: SyncBatch})
 	for i := 0; i < 10; i++ {
 		s.Assert(1, tup(int64(i)))
 	}
@@ -178,7 +178,7 @@ func TestTornTailDiscarded(t *testing.T) {
 func TestCorruptFrameCutsSuffix(t *testing.T) {
 	dir := t.TempDir()
 	s := dataspace.New(dataspace.WithShards(1))
-	l := attach(t, dir, s, Options{Sync: SyncCommit})
+	l := attach(t, dir, s, Options{Sync: SyncBatch})
 	for i := 0; i < 10; i++ {
 		s.Assert(1, tup(int64(i)))
 	}
@@ -214,7 +214,7 @@ func TestCorruptFrameCutsSuffix(t *testing.T) {
 
 func TestVersionGapKeepsDurableRecords(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncCommit})
+	l, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestVersionGapKeepsDurableRecords(t *testing.T) {
 
 func TestDuplicateVersionRejected(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncCommit})
+	l, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestDuplicateVersionRejected(t *testing.T) {
 func TestCheckpointPrunesHistory(t *testing.T) {
 	dir := t.TempDir()
 	s := dataspace.New(dataspace.WithShards(2))
-	l := attach(t, dir, s, Options{Sync: SyncCommit, SegmentSize: 64})
+	l := attach(t, dir, s, Options{Sync: SyncBatch, SegmentSize: 64})
 	workload(t, s, 20)
 	if err := l.Checkpoint(s); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -396,7 +396,7 @@ func TestAppendsMatchCommits(t *testing.T) {
 func TestRecoverRejectsTamperedHistory(t *testing.T) {
 	dir := t.TempDir()
 	s := dataspace.New(dataspace.WithShards(1))
-	l := attach(t, dir, s, Options{Sync: SyncCommit})
+	l := attach(t, dir, s, Options{Sync: SyncBatch})
 	s.Assert(1, tup(1))
 	id := s.Assert(1, tup(2))[0]
 	if err := s.Update(1, func(w dataspace.Writer) error { return w.Delete(id) }); err != nil {
@@ -415,7 +415,7 @@ func TestRecoverRejectsTamperedHistory(t *testing.T) {
 	for _, p := range segs {
 		os.Remove(p)
 	}
-	l2, err := Open(dir, Options{Sync: SyncCommit})
+	l2, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -438,7 +438,7 @@ func TestRecoverRejectsTamperedHistory(t *testing.T) {
 func TestReadStateIsPure(t *testing.T) {
 	dir := t.TempDir()
 	s := dataspace.New(dataspace.WithShards(1))
-	l := attach(t, dir, s, Options{Sync: SyncCommit})
+	l := attach(t, dir, s, Options{Sync: SyncBatch})
 	for i := 0; i < 5; i++ {
 		s.Assert(1, tup(int64(i)))
 	}

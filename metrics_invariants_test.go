@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
+	"github.com/sdl-lang/sdl/internal/metrics"
 )
 
 // Metrics invariants over a whole System run: the observability layer's
@@ -582,4 +583,92 @@ func TestMetricsWALRecoveryInvariants(t *testing.T) {
 		t.Errorf("checkpoint reads %d with no checkpoint on disk, want 0", snap.CheckpointRead.Count)
 	}
 	phasesFit(rec)
+}
+
+// The explain records agree with the counters that already exist. An
+// observed program that commits on key latches (Counter), coarsely (Sum3)
+// and by a planned consensus on the shard rung (Worker), and reads on epoch snapshots and under shared
+// locks (Reader): summed over sites, the planned and unplanned executions
+// are the footprint planner's counts, and each rung's executions are its
+// counter's — except that a consensus fire, which commits a whole
+// community's transactions at once, is on the store's counters but on no
+// site's. Every step visits at least the candidates it matches.
+func TestMetricsExplainMatchesCounters(t *testing.T) {
+	sys := runObserved(t, `process Sum3()
+behavior
+  par {
+    <?n, ?a>!, <?m, ?b>! where ?n != ?m -> <?m, ?a + ?b>
+  }
+end
+
+process Counter(k)
+behavior
+  <ctr, k, ?v>! -> <ctr, k, ?v + 1>;
+  <ctr, k, ?v>! -> <ctr, k, ?v + 1>;
+  <ctr, k, ?v> -> skip
+end
+
+process Reader()
+behavior
+  <?t, ?k, ?v> -> skip
+end
+
+process Worker(id)
+import <ready, *, *>
+export <ready, *, *>; <passed, *, *>
+behavior
+  -> <ready, id, 0>;
+  <ready, 1, 0>, <ready, 2, 0> @> <passed, id, 0>
+end
+
+main
+  -> <1, 10>, <2, 20>, <3, 30>, <4, 40>, <ctr, a, 0>, <ctr, b, 0>;
+  spawn Sum3(), spawn Counter(a), spawn Counter(b), spawn Reader(), spawn Worker(1), spawn Worker(2)
+end
+`)
+	snap := sys.Snapshot()
+	var sum metrics.ExplainSite
+	for _, s := range snap.Explain {
+		sum.Planned += s.Planned
+		sum.Unplanned += s.Unplanned
+		for r, n := range s.Rungs {
+			sum.Rungs[r] += n
+		}
+		var rungs uint64
+		for _, n := range s.Rungs {
+			rungs += n
+		}
+		if s.Planned+s.Unplanned != rungs {
+			t.Errorf("site %s: planned %d + unplanned %d executions, %d on rungs", s.Site, s.Planned, s.Unplanned, rungs)
+		}
+		for _, st := range s.Steps {
+			if st.Visited < st.Matched {
+				t.Errorf("site %s step %d (pattern %d): visited %d < matched %d",
+					s.Site, st.Order+1, st.Pattern+1, st.Visited, st.Matched)
+			}
+		}
+	}
+	plannerBalanced(t, "explain", snap)
+	if sum.Planned != snap.FootprintPlanned || sum.Unplanned != snap.FootprintUnplanned {
+		t.Errorf("explain planned %d / unplanned %d, planner counters %d / %d",
+			sum.Planned, sum.Unplanned, snap.FootprintPlanned, snap.FootprintUnplanned)
+	}
+	fires := snap.Txn["consensus"].Commits
+	for _, c := range []struct {
+		rung          string
+		sites, global uint64
+	}{
+		{"key latch", sum.Rungs[metrics.RungKey], snap.KeyCommits},
+		{"shard fallback (+ consensus fires)", sum.Rungs[metrics.RungShard] + fires, snap.ShardFallbacks},
+		{"coarse", sum.Rungs[metrics.RungCoarse], snap.CoarseCommits},
+		{"epoch read (- torn)", sum.Rungs[metrics.RungEpoch], snap.EpochReads - snap.EpochFallbacks},
+		{"shared read", sum.Rungs[metrics.RungShared] + sum.Rungs[metrics.RungEpoch], snap.SharedReads},
+	} {
+		if c.sites != c.global {
+			t.Errorf("%s: %d over sites, %d counted", c.rung, c.sites, c.global)
+		}
+		if c.global == 0 {
+			t.Errorf("%s: the program took no such commit", c.rung)
+		}
+	}
 }

@@ -342,10 +342,9 @@ type (
 
 // Fsync policies.
 const (
-	// WALSyncCommit fsyncs every commit before it becomes visible.
-	WALSyncCommit = wal.SyncCommit
-	// WALSyncBatch amortizes: one fsync covers every record appended by
-	// the group that was waiting, so concurrent commits share syncs.
+	// WALSyncBatch, the default, fsyncs every commit before it becomes
+	// visible, and amortizes: one fsync covers every record appended by the
+	// group that was waiting, so concurrent commits share syncs.
 	WALSyncBatch = wal.SyncBatch
 	// WALSyncInterval fsyncs on a timer; commits do not wait (bounded
 	// data loss on power failure, none on process crash).
@@ -356,7 +355,7 @@ var (
 	// OpenWAL opens (or creates) a log directory. Recover into a fresh
 	// store before attaching it to one that accepts commits.
 	OpenWAL = wal.Open
-	// ParseWALSyncMode maps "commit" | "batch" | "interval" to a mode.
+	// ParseWALSyncMode maps "batch" | "interval" to a mode.
 	ParseWALSyncMode = wal.ParseSyncMode
 	// ReadWALState reads a log directory without modifying it.
 	ReadWALState = wal.ReadState

@@ -25,8 +25,9 @@ type Options struct {
 	// reference semantics — before the system accepts work. Empty
 	// disables the WAL.
 	WALDir string
-	// WALSync selects the fsync policy (WALSyncCommit, WALSyncBatch,
-	// WALSyncInterval). Default WALSyncCommit.
+	// WALSync selects the fsync policy: WALSyncBatch (the default) makes
+	// every commit durable before it becomes visible, sharing one fsync
+	// among concurrent commits; WALSyncInterval fsyncs on a timer.
 	WALSync WALSyncMode
 }
 

@@ -26,8 +26,9 @@ race:
 # The count-exact allocation guards (what a value constructor, a tuple
 # decode, a match, a solution, a window scan, an upsert, a store commit, a
 # WAL append, a read, a read view, a wait, a delayed transaction's wait, a
-# spawn, a process's transaction statement and a lex may allocate, and that
-# a process's selections re-arm one subscription). They skip under the race
+# spawn, a process's transaction statement, a parked process's wake and
+# re-park and a lex may allocate, and that a process's selections re-arm one
+# subscription). They skip under the race
 # detector — it allocates on its own and sync.Pool drops Puts there — so the
 # race target above does not run them; this does.
 alloc-guard:
@@ -54,10 +55,11 @@ explore:
 explore-smoke:
 	$(GO) run ./cmd/sdlexplore -seeds 3
 
-# The scheduler and exploration harness's own tests, race-enabled and run
-# twice to catch cross-run state leakage (stale globals, leaked waiters).
+# The scheduler, exploration harness, process run queue and consensus
+# offers' own tests, race-enabled and run twice to catch cross-run state
+# leakage (stale globals, leaked waiters or workers).
 sched-test:
-	$(GO) test -race -count=2 ./internal/sched/...
+	$(GO) test -race -count=2 ./internal/sched/... ./internal/process/... ./internal/consensus/...
 
 # The full durability campaign: 100 SIGKILL-and-recover iterations per
 # shard count plus a WAL decode fuzz pass. Any lost or duplicated

@@ -179,10 +179,15 @@ func run(n int) error {
 		return err
 	}
 	start = time.Now()
+	// The community spawns as one group: spawned one by one, an already
+	// ordered prefix could reach consensus, and exit, before the rest of
+	// the community exists to block it.
+	reqs := make([]sdl.SpawnReq, 0, n-1)
 	for i := 1; i < n; i++ {
-		if _, err := sys.SpawnVals("Sort", sdl.Int(int64(i)), sdl.Int(int64(i+1))); err != nil {
-			return err
-		}
+		reqs = append(reqs, sdl.SpawnReq{Type: "Sort", Args: []sdl.Value{sdl.Int(int64(i)), sdl.Int(int64(i + 1))}})
+	}
+	if _, err := sys.Runtime.SpawnGroup(reqs); err != nil {
+		return err
 	}
 	if err := sys.Runtime.WaitCtx(ctx); err != nil {
 		return err

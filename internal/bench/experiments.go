@@ -561,9 +561,9 @@ func E7LindaVsSDL(ctx context.Context, workerCounts []int) (*Table, error) {
 
 // E8SocietyScale measures spawning and waking large societies of blocked
 // processes — the paper's "many thousands of concurrent processes". A
-// blocked process costs its heap (its record, its answer, its armed
-// subscription) and its goroutine's stack, which the heap figure does not
-// include; the table reports both, per process.
+// blocked process costs its heap: its record, its answer and the answer's
+// armed subscription. It holds no goroutine; the stack column, the growth
+// of goroutine stacks over the spawn phase, shows the worker pool's few.
 func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 	t := &Table{
 		ID:    "E8",

@@ -53,8 +53,8 @@ var (
 	errAbortFire = errors.New("consensus: fire aborted")
 )
 
-// offerState tracks the lifecycle of one offer.
-type offerState int32
+// offerState tracks the lifecycle of one incarnation of an offer.
+type offerState uint64
 
 const (
 	stateOffered offerState = iota + 1
@@ -63,26 +63,69 @@ const (
 	stateWithdrawn
 )
 
+// stateBits is the width of the state in an offer's word; the incarnation
+// fills the bits above it.
+const stateBits = 8
+
+func pack(gen uint64, st offerState) uint64 { return gen<<stateBits | uint64(st) }
+
 // Offer is one process's pending consensus transaction. An offer carries
 // one or more alternative transactions (a selection construct with several
 // consensus guards offers them as alternatives of a single offer); when
 // the consensus fires, the first alternative whose query succeeds is the
-// one executed. Offers are created by StartOffer/StartOfferAlts and
-// resolved either by firing (Done closes, Result returns the composite's
-// per-process outcome) or by Withdraw.
+// one executed. An offer is resolved either by firing (its owner is woken,
+// Answer returns the composite's per-process outcome) or by Withdraw.
+//
+// Incarnations. A Go-API offer (StartOffer, StartOfferAlts) serves one wait
+// and its owner waits on Done, a channel its Waker closes. A process's offer
+// lives in its member record (Member.Offer) and is re-armed for every wait
+// (Rearm), waking the process through its Waker; each arm starts a new
+// incarnation. The incarnation and the state share one word, and every
+// transition compares the whole word, so a firing attempt that found an
+// earlier incarnation in the offer table — the detector may still hold a
+// withdrawn one — can neither claim nor resolve the current one.
 type Offer struct {
-	reqs   []txn.Request  // the alternatives: alts[:n], or an array of their own past two
-	alts   [2]txn.Request // the alternatives, inline when there are at most two
+	word   atomic.Uint64 // the incarnation and its offerState, see pack
+	reqs   []txn.Request // the alternatives, in an array kept across incarnations
 	m      *Manager
-	state  atomic.Int32
-	done   chan struct{}
+	w      dataspace.Waker // woken when the offer fires
 	ans    *txn.Answer
 	chosen int
 	err    error
 }
 
-// Done returns a channel closed when the offer has fired.
-func (o *Offer) Done() <-chan struct{} { return o.done }
+// load returns the offer's incarnation and state.
+func (o *Offer) load() (gen uint64, st offerState) {
+	w := o.word.Load()
+	return w >> stateBits, offerState(w & (1<<stateBits - 1))
+}
+
+// move changes incarnation gen's state from one state to another, and
+// reports whether it was in that state.
+func (o *Offer) move(gen uint64, from, to offerState) bool {
+	return o.word.CompareAndSwap(pack(gen, from), pack(gen, to))
+}
+
+// Done returns a channel closed when the offer has fired. Only a Go-API
+// offer (StartOffer, StartOfferAlts) has one; an offer armed through Rearm
+// alone wakes its own Waker, and its Done is nil.
+func (o *Offer) Done() <-chan struct{} {
+	c, _ := o.w.(closeWaker)
+	return c
+}
+
+// closeWaker is a Go-API offer's Waker: the offer's firing closes the
+// channel its Done returns.
+type closeWaker chan struct{}
+
+func (c closeWaker) Wake() { close(c) }
+
+// Fired reports whether the offer's current incarnation has fired: Answer is
+// then ready.
+func (o *Offer) Fired() bool {
+	_, st := o.load()
+	return st == stateFired
+}
 
 // Result returns the offer's outcome after Done is closed, in the public,
 // map-shaped form.
@@ -93,14 +136,14 @@ func (o *Offer) Result() (txn.Result, error) {
 	return o.ans.Result(), nil
 }
 
-// Answer returns the fired offer's answer after Done is closed: the chosen
+// Answer returns the fired offer's answer after it fired: the chosen
 // alternative's solution as a row, and its effects. It passes to the caller,
 // who releases it (txn.Answer); after that neither Answer nor Result may be
 // called.
 func (o *Offer) Answer() (*txn.Answer, error) { return o.ans, o.err }
 
 // Chosen returns the index of the alternative that executed, valid after
-// Done is closed with a nil error.
+// the offer fired with a nil error.
 func (o *Offer) Chosen() int { return o.chosen }
 
 // pid returns the offering process.
@@ -112,25 +155,44 @@ func (o *Offer) pid() tuple.ProcessID { return o.reqs[0].Proc }
 // this when another guard commits first.
 func (o *Offer) Withdraw() bool {
 	for {
-		if o.state.CompareAndSwap(int32(stateOffered), int32(stateWithdrawn)) {
-			o.m.removeOffer(o)
-			return true
-		}
-		switch offerState(o.state.Load()) {
+		gen, st := o.load()
+		switch st {
+		case stateOffered:
+			if o.move(gen, stateOffered, stateWithdrawn) {
+				o.m.removeOffer(o)
+				return true
+			}
 		case stateFired:
 			return false
 		case stateWithdrawn:
 			return true
 		case stateClaimed:
 			// A firing attempt owns the offer and will either fire it or
-			// revert it to Offered; park until it has settled.
+			// revert it to Offered; wait until it has settled.
 			o.m.mu.Lock()
-			for offerState(o.state.Load()) == stateClaimed {
+			for o.word.Load() == pack(gen, stateClaimed) {
 				o.m.settled.Wait()
 			}
 			o.m.mu.Unlock()
 		}
 	}
+}
+
+// resolve fires claimed incarnation gen with its outcome and wakes the
+// owner. Once the state says fired the owner may re-arm the record, so
+// everything resolve needs is read before.
+func (o *Offer) resolve(gen uint64, ans *txn.Answer, chosen int, err error) {
+	o.ans, o.chosen, o.err = ans, chosen, err
+	w := o.w
+	o.word.Store(pack(gen, stateFired))
+	w.Wake()
+}
+
+// claim is one offer incarnation as the detector found it in the offer
+// table.
+type claim struct {
+	o   *Offer
+	gen uint64
 }
 
 // member is one registered process.
@@ -402,9 +464,10 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	pending := make([]*Offer, 0, len(m.offers))
+	pending := make([]claim, 0, len(m.offers))
 	for _, o := range m.offers {
-		pending = append(pending, o)
+		gen, _ := o.load()
+		pending = append(pending, claim{o, gen})
 	}
 	m.offers = map[tuple.ProcessID]*Offer{}
 	m.valid = false
@@ -412,10 +475,9 @@ func (m *Manager) Close() {
 
 	close(m.stop)
 	m.wg.Wait()
-	for _, o := range pending {
-		if o.state.CompareAndSwap(int32(stateOffered), int32(stateFired)) {
-			o.err = ErrClosed
-			close(o.done)
+	for _, c := range pending {
+		if c.o.move(c.gen, stateOffered, stateClaimed) {
+			c.o.resolve(c.gen, nil, 0, ErrClosed)
 		}
 	}
 }
@@ -425,8 +487,15 @@ func (m *Manager) Fires() uint64 { return m.fires.Load() }
 
 // Member is a process's registration record, for embedding: a process
 // runtime keeps one inside its own process record, so that registering a
-// process allocates nothing of its own (RegisterMember).
-type Member struct{ m member }
+// process allocates nothing of its own (RegisterMember). It carries the
+// process's offer too (Offer), re-armed for each of its consensus waits.
+type Member struct {
+	m member
+	o Offer
+}
+
+// Offer returns the record's offer, for Rearm.
+func (rec *Member) Offer() *Offer { return &rec.o }
 
 // Register adds a process (with its view and parameter environment) to the
 // society the manager considers for consensus sets.
@@ -468,46 +537,56 @@ func (m *Manager) StartOffer(req txn.Request) (*Offer, error) {
 	return m.StartOfferAlts([]txn.Request{req})
 }
 
-// newOffer copies the alternatives into a fresh offer — inline when there
-// are at most two, so a caller may build them in a stack array.
-func newOffer(m *Manager, reqs []txn.Request) *Offer {
-	o := &Offer{m: m, done: make(chan struct{})}
-	if len(reqs) <= len(o.alts) {
-		o.reqs = o.alts[:copy(o.alts[:], reqs)]
-	} else {
-		o.reqs = append([]txn.Request(nil), reqs...)
-	}
-	o.state.Store(int32(stateOffered))
-	return o
-}
-
 // StartOfferAlts submits a consensus offer with alternative transactions
 // (all from the same process): when the consensus fires, the first
 // alternative whose query succeeds executes. A selection construct with
 // several consensus guards offers them this way. The offer keeps a copy of
-// reqs, so the caller may reuse the slice.
+// reqs, so the caller may reuse the slice. Wait on its Done.
 func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
+	// One allocation holds the offer and room for one alternative.
+	g := new(struct {
+		o   Offer
+		alt [1]txn.Request
+	})
+	o := &g.o
+	o.reqs = g.alt[:0]
+	if err := m.Rearm(o, reqs, make(closeWaker)); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// Rearm submits o as a new incarnation carrying the alternatives reqs, woken
+// through w when it fires. o is a zero Offer or one whose last incarnation
+// the caller has seen fire (and taken the answer of) or withdrawn — a
+// member record's own (Member.Offer) is re-armed this way for every wait, so
+// a wait allocates nothing. The offer keeps a copy of reqs.
+func (m *Manager) Rearm(o *Offer, reqs []txn.Request, w dataspace.Waker) error {
 	if len(reqs) == 0 {
-		return nil, errors.New("consensus: offer with no alternatives")
+		return errors.New("consensus: offer with no alternatives")
 	}
 	pid := reqs[0].Proc
 	for _, r := range reqs[1:] {
 		if r.Proc != pid {
-			return nil, errors.New("consensus: alternatives from different processes")
+			return errors.New("consensus: alternatives from different processes")
 		}
 	}
-	o := newOffer(m, reqs)
+	clear(o.reqs)
+	o.reqs = append(o.reqs[:0], reqs...)
+	o.m, o.w, o.ans, o.chosen, o.err = m, w, nil, 0, nil
 	reqs = o.reqs
 	m.mu.Lock()
 	mem := m.members[pid]
 	switch {
 	case m.closed:
 		m.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	case mem == nil:
 		m.mu.Unlock()
-		return nil, ErrNotRegistered
+		return ErrNotRegistered
 	}
+	gen, _ := o.load()
+	o.word.Store(pack(gen+1, stateOffered))
 	if !mem.wide && !mem.covers(reqs) {
 		mem.wide = true
 		m.valid = false
@@ -528,7 +607,7 @@ func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
 	if wake {
 		m.signal()
 	}
-	return o, nil
+	return nil
 }
 
 // covers reports whether offers under reqs read and write only what the
@@ -562,31 +641,25 @@ func (mem *member) covers(reqs []txn.Request) bool {
 // Offer submits a consensus transaction and blocks until it fires or ctx
 // is cancelled.
 func (m *Manager) Offer(ctx context.Context, req txn.Request) (txn.Result, error) {
-	a, err := m.Await(ctx, req)
-	if err != nil {
-		return txn.Result{}, err
-	}
-	defer a.Release()
-	return a.Result(), nil
-}
-
-// Await is Offer with the answer handed over rather than copied out: the
-// caller reads the fired transaction's row and effects, then releases the
-// answer (txn.Answer).
-func (m *Manager) Await(ctx context.Context, req txn.Request) (*txn.Answer, error) {
 	o, err := m.StartOffer(req)
 	if err != nil {
-		return nil, err
+		return txn.Result{}, err
 	}
 	select {
 	case <-o.Done():
 	case <-ctx.Done():
 		if o.Withdraw() {
-			return nil, ctx.Err()
+			return txn.Result{}, ctx.Err()
 		}
-		<-o.Done() // fired while cancelling: the effect is committed
+		// Fired while cancelling: the effect is committed, and Withdraw
+		// returned only once the answer was in.
 	}
-	return o.Answer()
+	a, err := o.Answer()
+	if err != nil {
+		return txn.Result{}, err
+	}
+	defer a.Release()
+	return a.Result(), nil
 }
 
 // removeOffer forgets a withdrawn offer. A withdrawal can make no set
@@ -684,9 +757,12 @@ func (m *Manager) evaluate(c *community) bool {
 		return false
 	}
 	c.dirty = false
-	offers := make([]*Offer, len(c.members))
+	offers := make([]claim, len(c.members))
 	for i, mem := range c.members {
-		offers[i] = m.offers[mem.pid]
+		if o := m.offers[mem.pid]; o != nil {
+			gen, _ := o.load()
+			offers[i] = claim{o, gen}
+		}
 	}
 	m.mu.Unlock()
 	m.attempts.Add(1)
@@ -949,13 +1025,13 @@ var (
 // read or write — the set's import buckets plus the buckets its offers
 // assert into — or planned=false when that is not statically known (an
 // unplanned set, or an assertion whose lead depends on the solution).
-func lockPlan(c *community, offers []*Offer) (keys []dataspace.InterestKey, planned bool) {
+func lockPlan(c *community, offers []claim) (keys []dataspace.InterestKey, planned bool) {
 	if !c.planned {
 		return nil, false
 	}
 	keys = c.keys[:len(c.keys):len(c.keys)]
-	for _, o := range offers {
-		for _, req := range o.reqs {
+	for _, cl := range offers {
+		for _, req := range cl.o.reqs {
 			for _, ap := range req.Asserts {
 				a := ap.Arity()
 				lead, known := ap.Lead(req.Env)
@@ -970,12 +1046,12 @@ func lockPlan(c *community, offers []*Offer) (keys []dataspace.InterestKey, plan
 }
 
 // tryFire attempts to execute the composite transaction of consensus set c.
-// It claims every member's offer, re-validates all queries inside one
-// exclusive section — over the shards of the set's lock plan when there is
-// one, over every shard otherwise — applies all retractions then all
-// assertions as one commit, and resolves the offers. On any failure the
-// claims revert.
-func (m *Manager) tryFire(c *community, offers []*Offer) bool {
+// It claims every member's offer in the incarnation evaluate found it in,
+// re-validates all queries inside one exclusive section — over the shards
+// of the set's lock plan when there is one, over every shard otherwise —
+// applies all retractions then all assertions as one commit, and resolves
+// the offers. On any failure the claims revert.
+func (m *Manager) tryFire(c *community, offers []claim) bool {
 	reg := m.engine.Metrics()
 	reg.IncTxnAttempt(metrics.TxnConsensus)
 	observed := reg.Observed()
@@ -993,27 +1069,27 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 		// unspecified: participants hide the instances they retract from
 		// later participants, and any claiming order must yield a consistent
 		// composite. Explore permutations of it.
-		permuted := make([]*Offer, len(offers))
+		permuted := make([]claim, len(offers))
 		for i, j := range perm {
 			permuted[i] = offers[j]
 		}
 		offers = permuted
 	}
-	claimed := make([]*Offer, 0, len(offers))
+	claimed := make([]claim, 0, len(offers))
 	revert := func() {
-		for _, o := range claimed {
-			o.state.CompareAndSwap(int32(stateClaimed), int32(stateOffered))
+		for _, cl := range claimed {
+			cl.o.move(cl.gen, stateClaimed, stateOffered)
 		}
 		m.mu.Lock()
 		m.settled.Broadcast()
 		m.mu.Unlock()
 	}
-	for _, o := range offers {
-		if o == nil || !o.state.CompareAndSwap(int32(stateOffered), int32(stateClaimed)) {
+	for _, cl := range offers {
+		if cl.o == nil || !cl.o.move(cl.gen, stateOffered, stateClaimed) {
 			revert()
 			return false
 		}
-		claimed = append(claimed, o)
+		claimed = append(claimed, cl)
 	}
 
 	answers := make([]*txn.Answer, len(claimed))
@@ -1037,8 +1113,8 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 		// (minus instances claimed by earlier members) and ground its
 		// assertions. For each offer the first alternative whose query
 		// succeeds is the one executed.
-		for i, o := range claimed {
-			for ai, req := range o.reqs {
+		for i, cl := range claimed {
+			for ai, req := range cl.o.reqs {
 				a := txn.NewAnswer(req)
 				found, err := a.Solve(hidingSource{win: a.Window(w), hidden: hidden}, true)
 				if err == nil && found {
@@ -1091,8 +1167,8 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 	}
 
 	m.mu.Lock()
-	for _, o := range claimed {
-		m.dropOffer(o)
+	for _, cl := range claimed {
+		m.dropOffer(cl.o)
 	}
 	m.mu.Unlock()
 	// Count the fire before resolving any offer: a resolved offerer may run
@@ -1111,11 +1187,7 @@ func (m *Manager) tryFire(c *community, offers []*Offer) bool {
 		}
 	}
 	for _, i := range order {
-		o := claimed[i]
-		o.ans = answers[i]
-		o.chosen = chosen[i]
-		o.state.Store(int32(stateFired))
-		close(o.done)
+		claimed[i].o.resolve(claimed[i].gen, answers[i], chosen[i], nil)
 		m.sc.Yield(sched.PointConsensusResolve)
 	}
 	m.mu.Lock()

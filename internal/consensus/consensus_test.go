@@ -338,7 +338,10 @@ func TestClosedManager(t *testing.T) {
 	e := txn.New(s)
 	m := NewManager(e)
 	m.Register(1, view.Universal(), nil)
-	o, err := m.StartOffer(barrierReq(1))
+	// A query nothing satisfies keeps the offer pending until Close: a
+	// barrier alone in an empty dataspace could fire first.
+	o, err := m.StartOffer(txn.Request{Proc: 1, View: view.Universal(),
+		Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("never"))))})
 	if err != nil {
 		t.Fatal(err)
 	}

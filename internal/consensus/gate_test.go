@@ -81,7 +81,8 @@ func TestWithdrawParksOnClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.state.Store(int32(stateClaimed)) // a firing attempt owns the offer
+	gen, _ := o.load()
+	o.move(gen, stateOffered, stateClaimed) // a firing attempt owns the offer
 	done := make(chan bool)
 	go func() { done <- o.Withdraw() }()
 	select {
@@ -90,7 +91,7 @@ func TestWithdrawParksOnClaim(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	// The attempt reverts, exactly as tryFire does.
-	o.state.CompareAndSwap(int32(stateClaimed), int32(stateOffered))
+	o.move(gen, stateClaimed, stateOffered)
 	m.mu.Lock()
 	m.settled.Broadcast()
 	m.mu.Unlock()
@@ -330,4 +331,55 @@ func TestSortTerminationEvaluations(t *testing.T) {
 			t.Fatalf("member %d did not terminate", a)
 		}
 	}
+}
+
+// wakeCount is a Waker that counts its wakes.
+type wakeCount struct{ n atomic.Int32 }
+
+func (w *wakeCount) Wake() { w.n.Add(1) }
+
+// TestRearmDropsStaleFire is the offer's analogue of the subscription's
+// re-arm rule: a firing attempt aimed at an incarnation its owner has since
+// withdrawn does nothing to the incarnation the owner re-armed. The detector
+// found the first incarnation in the offer table; the owner withdraws it and
+// re-arms the same record before the attempt claims. The attempt must
+// neither claim, fire nor wake the re-armed offer, which then fires normally.
+func TestRearmDropsStaleFire(t *testing.T) {
+	_, _, m := stepped(t)
+	m.Register(1, view.Universal(), nil)
+	var (
+		o Offer
+		w wakeCount
+	)
+	if err := m.Rearm(&o, []txn.Request{barrierReq(1)}, &w); err != nil {
+		t.Fatal(err)
+	}
+	m.repartition()
+	c := m.members[1].comm
+	gen, _ := o.load()
+	stale := []claim{{&o, gen}} // what the detector took from the offer table
+	if !o.Withdraw() {
+		t.Fatal("the first incarnation did not withdraw")
+	}
+	if err := m.Rearm(&o, []txn.Request{barrierReq(1)}, &w); err != nil {
+		t.Fatal(err)
+	}
+	if m.tryFire(c, stale) {
+		t.Fatal("a firing attempt aimed at the withdrawn incarnation fired")
+	}
+	if g, st := o.load(); g != gen+1 || st != stateOffered {
+		t.Fatalf("re-armed offer is incarnation %d in state %d, want %d offered", g, st, gen+1)
+	}
+	if o.Fired() || w.n.Load() != 0 || m.Fires() != 0 {
+		t.Fatalf("stale attempt touched the re-armed offer: fired %t, %d wakes, %d fires", o.Fired(), w.n.Load(), m.Fires())
+	}
+	drive(m)
+	if !o.Fired() || w.n.Load() != 1 || m.Fires() != 1 {
+		t.Fatalf("re-armed offer: fired %t, %d wakes, %d fires; want it fired once and woken once", o.Fired(), w.n.Load(), m.Fires())
+	}
+	a, err := o.Answer()
+	if err != nil || !a.OK() {
+		t.Fatalf("re-armed offer's answer: %v, %v", a, err)
+	}
+	a.Release()
 }

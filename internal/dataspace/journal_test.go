@@ -113,7 +113,7 @@ func TestPooledJournalsHoldNothing(t *testing.T) {
 		bulk[i] = tuple.New(tuple.Atom("item"), tuple.Int(int64(i)))
 	}
 	item := []InterestKey{InterestOf(2, tuple.Atom("item"), true)}
-	sub := s.Subscribe(item, filterFunc(func(Delta) bool { return true }))
+	sub := subscribe(s, item, filterFunc(func(Delta) bool { return true }))
 	defer sub.Cancel()
 	ids := s.Assert(1, bulk...)
 	retractAll := func(w Writer) error {

@@ -29,25 +29,33 @@ type DeltaFilter interface {
 	AcceptDelta(d Delta) bool
 }
 
+// Waker is told that a subscription it owns has something to drain: the
+// process runtime's process record is one, so a blocked process is woken by
+// a method on its record; a goroutine that waits on a channel passes a waker
+// that sends on it. Wake runs under the subscription's mutex; it must not
+// block, and may take only leaf locks (a run queue's).
+type Waker interface {
+	Wake()
+}
+
 // Subscription is the store's one wakeup primitive: a registered delta
 // sink. A blocked delayed transaction or guarded selection arms one, and
 // every relevant commit puts its accepted deltas straight into the
-// subscription's buffer and readies its channel; the waiter drains the
-// buffer, re-evaluates, and blocks again on the SAME subscription and the
-// same channel — deltas arriving while it evaluates are buffered, not lost.
+// subscription's buffer and wakes its owner; the owner drains the buffer,
+// re-evaluates, and blocks again on the SAME subscription — deltas arriving
+// while it evaluates are buffered, not lost.
 //
-// The ready channel is made once and holds at most one token: only a
-// commit's delivery sends — the first after a Drain — and only Drain, Arm
-// and Cancel, which take back a token nobody received, reset fired, all under
-// mu, where the delivery also lands its deltas. So an unfired subscription's
-// channel is empty, the send never blocks, fired implies a nonempty buffer,
+// The owner is woken through the Waker it armed the subscription with, at
+// most once per Drain: only a commit's delivery wakes — the first after a
+// Drain — and only Drain, Arm and Cancel reset fired, all under mu, where
+// the delivery also lands its deltas. So fired implies a nonempty buffer,
 // and a wait allocates nothing after its first Arm: Drain hands out one
 // buffer and takes the other back.
 //
 // Ownership and re-arm. A subscription belongs to one owner — a transaction's
-// pooled answer, or a process for its selections — which arms it for a wait
-// (Store.Arm), cancels it when the wait ends, and may arm it again for the
-// next. Each Arm and each Cancel starts a new incarnation (gen). A commit
+// pooled answer, or a process record for its selections — which arms it for
+// a wait (Store.Arm), cancels it when the wait ends, and may arm it again for
+// the next. Each Arm and each Cancel starts a new incarnation (gen). A commit
 // reads gen when it finds the subscription in a registry, under the
 // registry's lock, and delivers under mu only while the subscription is
 // still armed in that incarnation: a delivery collected before a Cancel or a
@@ -66,19 +74,19 @@ type DeltaFilter interface {
 // on other shards never even inspect it; lead-unknown keys of arity > 0
 // register in every shard (their tuples may appear anywhere); arity-0 keys
 // in the fixed zero-lead shard. The subscription mutex is a leaf — delivery,
-// Drain, Arm and Cancel never hold it while taking another lock.
+// Drain, Arm and Cancel never hold it while taking another lock, except the
+// leaf lock a Waker's Wake may take.
 type Subscription struct {
-	ch chan struct{} // cap 1, made by the first Arm and kept for good
-
 	// gen is the incarnation: bumped under mu by Arm and Cancel, read by a
 	// commit under the lock of the registry it found the subscription in.
 	gen atomic.Uint64
 
 	mu     sync.Mutex
 	s      *Store      // the store armed on; nil while cancelled
+	w      Waker       // the owner's, while armed
 	filter DeltaFilter // nil: every covering commit requires a re-query
 	armed  bool
-	fired  bool    // a token was sent since the last Drain
+	fired  bool    // the owner was woken since the last Drain
 	deltas []Delta // filled by commits
 	spare  []Delta // the batch the last Drain handed out, taken back by the next
 	full   bool    // a non-delta-safe or broad/spurious wakeup landed: re-query
@@ -88,18 +96,18 @@ type Subscription struct {
 }
 
 // Subscribe arms a new subscription for the given interest keys (see Arm).
-func (s *Store) Subscribe(keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) *Subscription {
+func (s *Store) Subscribe(w Waker, keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) *Subscription {
 	sub := new(Subscription)
-	s.Arm(sub, keys, filter, sels...)
+	s.Arm(sub, w, keys, filter, sels...)
 	return sub
 }
 
 // Arm registers sub — a zero Subscription, or one its owner has cancelled —
-// for the given interest keys, as a fresh incarnation with an empty buffer.
-// filter decides, per delta, whether the change can affect the blocked guard;
+// for the given interest keys, as a fresh incarnation with an empty buffer
+// whose deliveries wake w. filter decides, per delta, whether the change can affect the blocked guard;
 // nil means "any covering change requires a full re-query". To avoid lost
 // wakeups, callers must Arm BEFORE evaluating the query that may block — any
-// commit after registration fires the ready channel, so a change racing with
+// commit after registration wakes w, so a change racing with
 // the evaluation is never missed — and must Cancel the subscription when done.
 //
 // sels optionally narrows a filtered subscription inside its buckets:
@@ -110,11 +118,8 @@ func (s *Store) Subscribe(keys []InterestKey, filter DeltaFilter, sels ...patter
 // the bucket. A missing or zero selector (Pos 0) means the whole bucket;
 // selectors of unfiltered subscriptions and of lead-unknown keys are
 // ignored. The filter still has the last word.
-func (s *Store) Arm(sub *Subscription, keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) {
+func (s *Store) Arm(sub *Subscription, w Waker, keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) {
 	s.sc.Yield(sched.PointWaiterRegister)
-	if sub.ch == nil {
-		sub.ch = make(chan struct{}, 1)
-	}
 	regs := sub.regsBuf[:0]
 	if cap(sub.regs) > len(sub.regsBuf) {
 		regs = sub.regs[:0]
@@ -140,9 +145,8 @@ func (s *Store) Arm(sub *Subscription, keys []InterestKey, filter DeltaFilter, s
 	}
 	sub.mu.Lock()
 	sub.gen.Add(1)
-	sub.s, sub.filter, sub.armed, sub.regs = s, filter, true, regs
-	sub.full = false
-	sub.takeToken()
+	sub.s, sub.w, sub.filter, sub.armed, sub.regs = s, w, filter, true, regs
+	sub.full, sub.fired = false, false
 	sub.mu.Unlock()
 	s.metrics.SubscriptionsLive().Inc()
 	for _, reg := range regs {
@@ -150,27 +154,17 @@ func (s *Store) Arm(sub *Subscription, keys []InterestKey, filter DeltaFilter, s
 	}
 }
 
-// Ready returns the subscription's ready channel, one channel for its whole
-// life: a receive succeeds once a delivery has landed since the last Drain.
-// Receiving takes the token, so a waiter that woke must Drain before it
-// waits again.
-func (sub *Subscription) Ready() <-chan struct{} {
-	return sub.ch
-}
-
-// Drain swaps out the buffered deltas and the full-re-query flag, and
-// re-arms the ready channel in place, taking back a token nobody received.
-// A delivery racing with Drain lands either in the returned batch or in the
-// emptied buffer with a fresh token sent — never between, so no wakeup is
-// lost. The returned batch is the subscription's: it stays valid
+// Drain swaps out the buffered deltas and the full-re-query flag, and lets
+// the next delivery wake the owner again. A delivery racing with Drain
+// lands either in the returned batch or in the emptied buffer with a fresh
+// wake — never between, so no wakeup is lost. The returned batch is the subscription's: it stays valid
 // until the next Drain, Arm or Cancel, which takes it back as the buffer
 // the next deltas fill, so draining allocates nothing.
 func (sub *Subscription) Drain() (deltas []Delta, full bool) {
 	sub.mu.Lock()
 	deltas, full = sub.deltas, sub.full
 	sub.deltas, sub.spare = reclaim(sub.spare), deltas
-	sub.full = false
-	sub.takeToken()
+	sub.full, sub.fired = false, false
 	sub.mu.Unlock()
 	return deltas, full
 }
@@ -185,21 +179,9 @@ func reclaim(buf []Delta) []Delta {
 	return buf[:0]
 }
 
-// takeToken resets fired, taking back a token nobody received. Caller
-// holds mu.
-func (sub *Subscription) takeToken() {
-	if sub.fired {
-		select {
-		case <-sub.ch:
-		default: // the waiter received it
-		}
-		sub.fired = false
-	}
-}
-
 // deliver lands what one commit owes the subscription — collected in
-// incarnation sd.gen — in its buffer, and readies the channel if no token
-// was sent since the last Drain: the full flag when the commit marked the
+// incarnation sd.gen — in its buffer, and wakes the owner if it was not
+// woken since the last Drain: the full flag when the commit marked the
 // delivery full or the subscription is unfiltered, else each offered delta
 // the filter accepts, in commit order. It reports whether the subscription
 // took anything; one no longer armed in sd.gen takes nothing, and a commit
@@ -226,7 +208,7 @@ func (sub *Subscription) deliver(sd *subDelivery, dl *delivery, j *journal) (too
 	}
 	if took && !sub.fired {
 		sub.fired = true
-		sub.ch <- struct{}{}
+		sub.w.Wake()
 	}
 	sub.mu.Unlock()
 	return took
@@ -245,9 +227,9 @@ func (sub *Subscription) Cancel() {
 	}
 	s := sub.s
 	sub.gen.Add(1)
-	sub.s, sub.filter, sub.armed, sub.full = nil, nil, false, false
+	sub.s, sub.w, sub.filter, sub.armed = nil, nil, nil, false
+	sub.full, sub.fired = false, false
 	sub.deltas, sub.spare = reclaim(sub.deltas), reclaim(sub.spare)
-	sub.takeToken()
 	sub.mu.Unlock()
 	for _, reg := range sub.regs {
 		s.shards[reg.si].waiters.remove(reg, sub)

@@ -217,7 +217,7 @@ func TestCrossShardRollback(t *testing.T) {
 
 func TestSubscriptionCancelAfterFire(t *testing.T) {
 	s := New(WithShards(8))
-	sub := s.Subscribe([]InterestKey{{Arity: 2, Lead: tuple.Int(1), LeadKnown: true}}, nil)
+	sub := subscribe(s, []InterestKey{{Arity: 2, Lead: tuple.Int(1), LeadKnown: true}}, nil)
 	s.Assert(tuple.Environment, tuple.New(tuple.Int(1), tuple.Int(0)))
 	if !waitFired(t, sub.Ready()) {
 		t.Fatal("subscription not fired")
@@ -230,7 +230,7 @@ func TestSubscriptionCancelAfterFire(t *testing.T) {
 func TestCommitOnOtherShardDoesNotWake(t *testing.T) {
 	s := New(WithShards(8))
 	a, b := leadsOnDistinctShards(t, s, 2)
-	sub := s.Subscribe([]InterestKey{{Arity: 2, Lead: tuple.Int(a), LeadKnown: true}}, nil)
+	sub := subscribe(s, []InterestKey{{Arity: 2, Lead: tuple.Int(a), LeadKnown: true}}, nil)
 	defer sub.Cancel()
 	// A keyed commit on a different shard never even inspects the
 	// subscription's registry; it must not wake.
@@ -254,7 +254,7 @@ func TestAritySubscriptionRegisteredInAllShards(t *testing.T) {
 	s := New(WithShards(8))
 	_, b := leadsOnDistinctShards(t, s, 2)
 	// A lead-unknown subscription must be woken by a commit on ANY shard.
-	sub := s.Subscribe([]InterestKey{{Arity: 2}}, nil)
+	sub := subscribe(s, []InterestKey{{Arity: 2}}, nil)
 	defer sub.Cancel()
 	keys := []InterestKey{{Arity: 2, Lead: tuple.Int(b), LeadKnown: true}}
 	_ = s.UpdateKeys(tuple.Environment, keys, func(w Writer) error {
@@ -296,7 +296,7 @@ func TestConcurrentSubscribeUpdateSnapshotStress(t *testing.T) {
 						}
 					})
 				case 2: // subscription churn: register, commit, await, cancel
-					sub := s.Subscribe(keys, nil)
+					sub := subscribe(s, keys, nil)
 					_ = s.UpdateKeys(tuple.ProcessID(wkr+1), keys, func(w Writer) error {
 						id := w.Insert(tuple.New(lead, tuple.Int(-1)), tuple.ProcessID(wkr+1))
 						return w.Delete(id)

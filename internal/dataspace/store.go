@@ -274,8 +274,9 @@ type Store struct {
 	metrics *metrics.Registry
 	sc      *sched.Controller // nil unless schedule exploration is on
 
-	onCommit []CommitHook
-	durable  DurableSink // nil unless a WAL is attached
+	onCommit  []CommitHook
+	durable   DurableSink // nil unless a WAL is attached
+	syncWaits bool        // durable's WaitDurable blocks (see WaitsForSync)
 }
 
 // Option configures a Store under construction.
@@ -517,9 +518,13 @@ func (s *Store) OnCommit(h CommitHook) {
 // notified and before the mutating call returns: a commit is observable
 // only once durable (durable-before-visible), yet the fsync wait never
 // extends lock hold times.
+//
+// Blocking reports whether WaitDurable can block at all: a sink that syncs
+// on its own schedule returns from WaitDurable at once and says false.
 type DurableSink interface {
 	Append(rec CommitRecord) (token uint64)
 	WaitDurable(token uint64)
+	Blocking() bool
 }
 
 // SetDurable attaches a durability sink (a write-ahead log). Must be called
@@ -527,7 +532,14 @@ type DurableSink interface {
 // replay (recovered records are already durable and must not re-append).
 func (s *Store) SetDurable(d DurableSink) {
 	s.durable = d
+	s.syncWaits = d != nil && d.Blocking()
 }
+
+// WaitsForSync reports whether a mutating commit waits, before it returns,
+// for its record to reach stable storage: a caller that multiplexes work on
+// few goroutines (the process runtime's worker pool) must not let that wait
+// hold up the rest, which could otherwise share the fsync.
+func (s *Store) WaitsForSync() bool { return s.syncWaits }
 
 // waitDurable blocks the committing goroutine until its record is on
 // stable storage (no-op without a sink). PointWalSync lets the exploration

@@ -106,7 +106,7 @@ func TestIndexedRegistryMatchesLinear(t *testing.T) {
 		type pair struct {
 			spec       subSpec
 			linFilter  *matchFilter
-			isub, lsub *Subscription
+			isub, lsub testSub
 		}
 		var subs []*pair
 		add := func() {
@@ -117,8 +117,8 @@ func TestIndexedRegistryMatchesLinear(t *testing.T) {
 				p.linFilter = &matchFilter{pats: spec.filter.pats}
 				fi, fl = filterFunc(spec.filter.accept), filterFunc(p.linFilter.accept)
 			}
-			p.isub = indexed.Subscribe(spec.keys, fi, spec.sels...)
-			p.lsub = linear.Subscribe(spec.keys, fl)
+			p.isub = subscribe(indexed, spec.keys, fi, spec.sels...)
+			p.lsub = subscribe(linear, spec.keys, fl)
 			subs = append(subs, p)
 		}
 		for i := 0; i < 12; i++ {
@@ -171,7 +171,7 @@ func TestIndexedRegistryMatchesLinear(t *testing.T) {
 						continue
 					}
 					probe := matchFilter{pats: p.spec.filter.pats}
-					if probe.accept(Delta{Asserted: true, Inst: inst}) && !got[p.isub] {
+					if probe.accept(Delta{Asserted: true, Inst: inst}) && !got[p.isub.Subscription] {
 						t.Fatalf("seed %d step %d: collect(%s) missed subscription %s whose filter accepts it",
 							seed, step, tup, p.spec.describe)
 					}
@@ -216,11 +216,11 @@ func TestFanoutFilterInvocations(t *testing.T) {
 	for _, p := range []int{64, 128, 256} {
 		s := New()
 		calls := 0
-		subs := make([]*Subscription, p)
+		subs := make([]testSub, p)
 		for i := range subs {
 			i := i
 			me := tuple.Int(int64(i))
-			subs[i] = s.Subscribe(
+			subs[i] = subscribe(s,
 				[]InterestKey{{Arity: 3, Lead: job, LeadKnown: true}},
 				filterFunc(func(d Delta) bool {
 					calls++

@@ -2,9 +2,11 @@ package dataspace
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/race"
 	"github.com/sdl-lang/sdl/internal/sched"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -36,6 +38,59 @@ type filterFunc func(Delta) bool
 
 func (f filterFunc) AcceptDelta(d Delta) bool { return f(d) }
 
+// chanWaker is a test owner's Waker: a cap-1 channel the test waits on.
+type chanWaker chan struct{}
+
+func (c chanWaker) Wake() {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// testSub is a subscription whose owner, the test, waits on a channel.
+type testSub struct {
+	*Subscription
+	ready chanWaker
+}
+
+// subscribe arms a subscription whose deliveries wake the returned
+// testSub's channel.
+func subscribe(s *Store, keys []InterestKey, filter DeltaFilter, sels ...pattern.FieldSel) testSub {
+	ready := make(chanWaker, 1)
+	return testSub{s.Subscribe(ready, keys, filter, sels...), ready}
+}
+
+// Ready returns the channel the subscription's deliveries wake.
+func (t testSub) Ready() <-chan struct{} { return t.ready }
+
+// forget takes back a wake the test did not receive.
+func (t testSub) forget() {
+	select {
+	case <-t.ready:
+	default:
+	}
+}
+
+// Drain forgets an unreceived wake, then drains the subscription: a
+// delivery racing with it lands in this batch, or wakes again after it.
+func (t testSub) Drain() ([]Delta, bool) {
+	t.forget()
+	return t.Subscription.Drain()
+}
+
+// Cancel cancels the subscription and forgets an unreceived wake.
+func (t testSub) Cancel() {
+	t.Subscription.Cancel()
+	t.forget()
+}
+
+// arm re-arms the cancelled subscription on s, waking the same channel.
+func (t testSub) arm(s *Store, keys []InterestKey, filter DeltaFilter) {
+	t.forget()
+	s.Arm(t.Subscription, t.ready, keys, filter)
+}
+
 // assertRegistriesEmpty checks that no shard still indexes a subscription
 // and the live gauge is back to zero.
 func assertRegistriesEmpty(t *testing.T, s *Store) {
@@ -56,7 +111,7 @@ func assertRegistriesEmpty(t *testing.T, s *Store) {
 
 func TestSubscribeWakesOnMatchingInsert(t *testing.T) {
 	s := New()
-	sub := s.Subscribe(yearKey, nil)
+	sub := subscribe(s, yearKey, nil)
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, year(90))
 	if !waitFired(t, sub.Ready()) {
@@ -66,7 +121,7 @@ func TestSubscribeWakesOnMatchingInsert(t *testing.T) {
 
 func TestSubscribeIgnoresIrrelevantCommit(t *testing.T) {
 	s := New()
-	sub := s.Subscribe(yearKey, nil)
+	sub := subscribe(s, yearKey, nil)
 	defer sub.Cancel()
 	// Different lead and different arity must not fire the subscription.
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("month"), tuple.Int(1)))
@@ -78,7 +133,7 @@ func TestSubscribeWakesOnDelete(t *testing.T) {
 	// Deletes matter for negated patterns: retraction can enable a query.
 	s := New()
 	ids := s.Assert(tuple.Environment, year(90))
-	sub := s.Subscribe(yearKey, nil)
+	sub := subscribe(s, yearKey, nil)
 	defer sub.Cancel()
 	_ = s.Update(tuple.Environment, func(w Writer) error { return w.Delete(ids[0]) })
 	if !waitFired(t, sub.Ready()) {
@@ -88,7 +143,7 @@ func TestSubscribeWakesOnDelete(t *testing.T) {
 
 func TestSubscribeArityOnlyKey(t *testing.T) {
 	s := New()
-	sub := s.Subscribe([]InterestKey{{Arity: 2}}, nil)
+	sub := subscribe(s, []InterestKey{{Arity: 2}}, nil)
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("anything"), tuple.Int(1)))
 	if !waitFired(t, sub.Ready()) {
@@ -98,7 +153,7 @@ func TestSubscribeArityOnlyKey(t *testing.T) {
 
 func TestSubscribeArityZeroKey(t *testing.T) {
 	s := New(WithShards(8))
-	sub := s.Subscribe([]InterestKey{{Arity: 0}}, nil)
+	sub := subscribe(s, []InterestKey{{Arity: 0}}, nil)
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
 	assertNotFired(t, sub.Ready())
@@ -110,7 +165,7 @@ func TestSubscribeArityZeroKey(t *testing.T) {
 
 func TestSubscribeNumericLeadCanonical(t *testing.T) {
 	s := New()
-	sub := s.Subscribe([]InterestKey{{Arity: 2, Lead: tuple.Float(2.0), LeadKnown: true}}, nil)
+	sub := subscribe(s, []InterestKey{{Arity: 2, Lead: tuple.Float(2.0), LeadKnown: true}}, nil)
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Int(2), tuple.Int(9)))
 	if !waitFired(t, sub.Ready()) {
@@ -120,7 +175,7 @@ func TestSubscribeNumericLeadCanonical(t *testing.T) {
 
 func TestCancelRemovesRegistration(t *testing.T) {
 	s := New(WithShards(8))
-	sub := s.Subscribe(append([]InterestKey{{Arity: 3}, {Arity: 0}}, yearKey...), nil)
+	sub := subscribe(s, append([]InterestKey{{Arity: 3}, {Arity: 0}}, yearKey...), nil)
 	if n := s.Metrics().Snapshot().ReactiveSubscriptions; n != 1 {
 		t.Errorf("live subscription gauge = %d, want 1", n)
 	}
@@ -133,9 +188,9 @@ func TestCancelRemovesRegistration(t *testing.T) {
 
 func TestFiredImpliesDrainNonEmpty(t *testing.T) {
 	s := New()
-	filtered := s.Subscribe(yearKey, filterFunc(func(d Delta) bool { return d.Asserted }))
+	filtered := subscribe(s, yearKey, filterFunc(func(d Delta) bool { return d.Asserted }))
 	defer filtered.Cancel()
-	unfiltered := s.Subscribe(yearKey, nil)
+	unfiltered := subscribe(s, yearKey, nil)
 	defer unfiltered.Cancel()
 	ids := s.Assert(tuple.Environment, year(1))
 	s.Assert(tuple.Environment, year(2)) // a second publish before Drain must not panic
@@ -157,49 +212,45 @@ func TestFiredImpliesDrainNonEmpty(t *testing.T) {
 	assertNotFired(t, filtered.Ready())
 }
 
+// countWaker counts its wakes.
+type countWaker struct{ n atomic.Int32 }
+
+func (w *countWaker) Wake() { w.n.Add(1) }
+
 // TestPublishAfterDrainFiresRearmedChannel pins the re-arm-in-place
-// contract: Ready is one channel for the subscription's whole life, Drain
-// leaves it unready, a publish after Drain readies it again, and Drain takes
-// back a token nobody received.
+// contract: a publish wakes the owner once, later publishes do not wake it
+// again until it drains, and a publish after Drain wakes it again — the
+// owner's one channel or record serves the subscription's whole life.
 func TestPublishAfterDrainFiresRearmedChannel(t *testing.T) {
 	s := New()
-	sub := s.Subscribe(yearKey, nil)
+	var w countWaker
+	sub := s.Subscribe(&w, yearKey, nil)
 	defer sub.Cancel()
-	ch := sub.Ready()
+	wakes := func(want int32, when string) {
+		t.Helper()
+		if got := w.n.Load(); got != want {
+			t.Fatalf("%s: %d wakes, want %d", when, got, want)
+		}
+	}
 	s.Assert(tuple.Environment, year(1))
-	if !waitFired(t, ch) {
-		t.Fatal("not fired")
+	wakes(1, "first publish")
+	s.Assert(tuple.Environment, year(2))
+	wakes(1, "publish before Drain")
+	if _, full := sub.Drain(); !full {
+		t.Error("woken but Drain reported nothing")
 	}
 	sub.Drain()
-	if sub.Ready() != ch {
-		t.Fatal("Drain replaced the ready channel")
-	}
-	assertNotFired(t, ch)
-	s.Assert(tuple.Environment, year(2))
-	if !waitFired(t, ch) {
-		t.Fatal("publish after Drain did not ready the channel")
-	}
-	if _, full := sub.Drain(); !full {
-		t.Error("fired but Drain reported nothing")
-	}
-
-	// A token nobody received: Drain takes it back.
+	wakes(1, "Drain")
 	s.Assert(tuple.Environment, year(3))
-	if len(ch) != 1 {
-		t.Fatalf("publish left %d tokens, want 1", len(ch))
-	}
+	wakes(2, "publish after Drain")
 	if _, full := sub.Drain(); !full {
-		t.Error("Drain lost the unreceived publish")
-	}
-	assertNotFired(t, ch)
-	if sub.Ready() != ch {
-		t.Fatal("the ready channel changed over the subscription's life")
+		t.Error("Drain lost the publish after the last Drain")
 	}
 }
 
 func TestFilterRejectedCommitIsSuppressed(t *testing.T) {
 	s := New()
-	sub := s.Subscribe(yearKey, filterFunc(func(d Delta) bool {
+	sub := subscribe(s, yearKey, filterFunc(func(d Delta) bool {
 		return d.Asserted && d.Inst.Tuple.Field(1).Equal(tuple.Int(7))
 	}))
 	defer sub.Cancel()
@@ -228,7 +279,7 @@ func TestFilterRejectedCommitIsSuppressed(t *testing.T) {
 // draws the fault on the first commit.
 func TestBroadWakeupsForceFullRequery(t *testing.T) {
 	s := New(WithShards(4), WithScheduler(sched.New(1, sched.Faults{SpuriousWakeup: 255})))
-	sub := s.Subscribe(yearKey, filterFunc(func(Delta) bool { return false }))
+	sub := subscribe(s, yearKey, filterFunc(func(Delta) bool { return false }))
 	defer sub.Cancel()
 	s.Assert(tuple.Environment, tuple.New(tuple.Atom("unrelated")))
 	if !waitFired(t, sub.Ready()) {
@@ -244,7 +295,7 @@ func TestNoLostWakeupProtocol(t *testing.T) {
 	// evaluation (or with Drain) is caught because it fires whichever
 	// channel is current.
 	s := New()
-	sub := s.Subscribe(yearKey, nil)
+	sub := subscribe(s, yearKey, nil)
 	defer sub.Cancel()
 	for i := 0; i < 200; i++ {
 		done := make(chan struct{})
@@ -265,9 +316,9 @@ func TestNoLostWakeupProtocol(t *testing.T) {
 
 func TestMultipleSubscriptionsAllWoken(t *testing.T) {
 	s := New()
-	subs := make([]*Subscription, 10)
+	subs := make([]testSub, 10)
 	for i := range subs {
-		subs[i] = s.Subscribe(yearKey, nil)
+		subs[i] = subscribe(s, yearKey, nil)
 		defer subs[i].Cancel()
 	}
 	s.Assert(tuple.Environment, year(90))
@@ -298,7 +349,7 @@ func TestCancelConcurrentWithPublish(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 300; i++ {
-		sub := s.Subscribe(append([]InterestKey{{Arity: 2}}, yearKey...), filterFunc(func(Delta) bool { return true }))
+		sub := subscribe(s, append([]InterestKey{{Arity: 2}}, yearKey...), filterFunc(func(Delta) bool { return true }))
 		if i%2 == 0 {
 			<-sub.Ready()
 			sub.Drain()
@@ -316,13 +367,12 @@ func TestCancelConcurrentWithPublish(t *testing.T) {
 }
 
 // TestWaitAllocs pins what a wait costs the heap: Subscribe allocates the
-// subscription and its one ready channel — its registrations fit an inline
-// array — re-arming a cancelled subscription allocates nothing, a Drain
+// subscription — its registrations fit an inline array, and the owner brings
+// its Waker — re-arming a cancelled subscription allocates nothing, a Drain
 // allocates nothing, and a steady-state commit that routes a delta to the
 // subscription allocates nothing at all: the routing state lives in the
 // commit's pooled journal, the delta lands in the subscription's buffer,
-// Drain hands that buffer out and takes the last one back, and the channel
-// re-arms in place.
+// Drain hands that buffer out and takes the last one back.
 func TestWaitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
@@ -332,16 +382,17 @@ func TestWaitAllocs(t *testing.T) {
 	keys := []InterestKey{InterestOf(2, a, true)}
 	// A second subscription in the bucket keeps its registry entry alive and
 	// is a candidate of every commit whose filter rejects the delta.
-	idle := s.Subscribe(keys, filterFunc(func(Delta) bool { return false }))
+	idle := subscribe(s, keys, filterFunc(func(Delta) bool { return false }))
 	defer idle.Cancel()
 	asserted := filterFunc(func(d Delta) bool { return d.Asserted })
-	if n := testing.AllocsPerRun(200, func() { s.Subscribe(keys, asserted).Cancel() }); n > 2 {
-		t.Errorf("Subscribe+Cancel: %.1f allocations, want <= 2", n)
+	w := make(chanWaker, 1)
+	if n := testing.AllocsPerRun(200, func() { s.Subscribe(w, keys, asserted).Cancel() }); n > 1 {
+		t.Errorf("Subscribe+Cancel: %.1f allocations, want <= 1", n)
 	}
 
-	sub := s.Subscribe(keys, asserted)
+	sub := subscribe(s, keys, asserted)
 	defer sub.Cancel()
-	if n := testing.AllocsPerRun(200, func() { sub.Cancel(); s.Arm(sub, keys, asserted) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { sub.Cancel(); sub.arm(s, keys, asserted) }); n != 0 {
 		t.Errorf("Cancel+Arm: %.1f allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { sub.Drain() }); n != 0 {
@@ -383,7 +434,7 @@ func TestRearmDropsStaleDelivery(t *testing.T) {
 	s := New(WithShards(2))
 	entered, release := make(chan struct{}), make(chan struct{})
 	var hold sync.Once // only the first commit is held
-	holder := s.Subscribe(yearKey, filterFunc(func(Delta) bool {
+	holder := subscribe(s, yearKey, filterFunc(func(Delta) bool {
 		hold.Do(func() {
 			close(entered)
 			<-release
@@ -391,7 +442,7 @@ func TestRearmDropsStaleDelivery(t *testing.T) {
 		return true
 	}))
 	defer holder.Cancel()
-	sub := s.Subscribe(yearKey, filterFunc(func(Delta) bool { return false }))
+	sub := subscribe(s, yearKey, filterFunc(func(Delta) bool { return false }))
 	committed := make(chan struct{})
 	go func() {
 		s.Assert(tuple.Environment, year(1))
@@ -399,7 +450,7 @@ func TestRearmDropsStaleDelivery(t *testing.T) {
 	}()
 	<-entered // the commit has collected both subscriptions and is delivering
 	sub.Cancel()
-	s.Arm(sub, yearKey, filterFunc(func(Delta) bool { return true }))
+	sub.arm(s, yearKey, filterFunc(func(Delta) bool { return true }))
 	defer sub.Cancel()
 	close(release)
 	<-committed
@@ -420,17 +471,17 @@ func TestRearmDropsStaleDelivery(t *testing.T) {
 	}
 }
 
-// TestTokenChannelNoLostWakeup stresses the one-token ready channel: several
-// publishers commit into a subscription's bucket while one waiter runs the
-// waiting protocol — drain, check, wait. Every published delta must be
-// drained exactly once, and whenever the waiter is about to block with deltas
-// buffered, the token must be in the channel (blocking on an empty channel
-// then would lose the wakeup). Meant for -race -count=20.
+// TestTokenChannelNoLostWakeup stresses the one-wake-per-Drain rule:
+// several publishers commit into a subscription's bucket while one waiter
+// runs the waiting protocol — drain, check, wait on its channel. Every
+// published delta must be drained exactly once, and whenever the waiter is
+// about to block with deltas buffered, a wake must be outstanding (blocking
+// without one would lose the wakeup). Meant for -race -count=20.
 func TestTokenChannelNoLostWakeup(t *testing.T) {
 	const publishers, each = 4, 250
 	s := New(WithShards(4))
 	lead := tuple.Atom("job")
-	sub := s.Subscribe([]InterestKey{InterestOf(2, lead, true)}, filterFunc(func(d Delta) bool { return d.Asserted }))
+	sub := subscribe(s, []InterestKey{InterestOf(2, lead, true)}, filterFunc(func(d Delta) bool { return d.Asserted }))
 	defer sub.Cancel()
 	for p := 0; p < publishers; p++ {
 		go func() {
@@ -456,10 +507,10 @@ func TestTokenChannelNoLostWakeup(t *testing.T) {
 			break
 		}
 		sub.mu.Lock()
-		buffered, tokens := len(sub.deltas), len(sub.ch)
+		buffered, fired := len(sub.deltas), sub.fired
 		sub.mu.Unlock()
-		if buffered > 0 && tokens == 0 {
-			t.Fatalf("about to block on an empty channel with %d deltas buffered", buffered)
+		if buffered > 0 && !fired {
+			t.Fatalf("about to block with %d deltas buffered and no wake outstanding", buffered)
 		}
 		select {
 		case <-sub.Ready():

@@ -1,10 +1,11 @@
 package process
 
 import (
-	"context"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/race"
@@ -47,8 +48,9 @@ func TestProcessTransactionAllocates(t *testing.T) {
 		},
 	}
 	run := func() {
-		if ok, err := p.runTransact(context.Background(), swap); err != nil || !ok {
-			t.Fatalf("swap: committed %v, err %v", ok, err)
+		commits := rt.engine.Stats().Commits
+		if out := p.transact(swap); out != boundary || rt.engine.Stats().Commits != commits+1 {
+			t.Fatalf("swap: outcome %d, %d commits, err %v", out, rt.engine.Stats().Commits-commits, p.err)
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -61,10 +63,10 @@ func TestProcessTransactionAllocates(t *testing.T) {
 }
 
 // TestSpawnAllocates pins what a process costs to be born and to die, in
-// steady state: its record (the consensus member lives inside it), its
-// parameter map (a map is two allocations) and its goroutine's start
-// closure — no request or PID slice, no separate member, no argument copy.
-// The live set's map slot and the society's bookkeeping are amortized.
+// steady state: its record (the consensus member, its offer and its first
+// frames live inside it) and its parameter map (a map is two allocations).
+// The live set's map slot, the run queue and the society's bookkeeping are
+// amortized.
 func TestSpawnAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own; allocation counts are not exact")
@@ -83,8 +85,8 @@ func TestSpawnAllocates(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		spawn() // warm the live map and the consensus member table
 	}
-	if got := testing.AllocsPerRun(200, spawn); got > 5 {
-		t.Errorf("Spawn of a one-parameter process: %.1f allocations, want <= 5 (record, parameter map, goroutine)", got)
+	if got := testing.AllocsPerRun(200, spawn); got > 3 {
+		t.Errorf("Spawn of a one-parameter process: %.1f allocations, want <= 3 (record, parameter map)", got)
 	}
 	if n, want := rt.SpawnCount(), uint64(64+201); n != want {
 		t.Errorf("SpawnCount = %d, want %d", n, want)
@@ -154,5 +156,66 @@ func TestSelectionReusesSubscription(t *testing.T) {
 	}
 	if n := len(s.All()); n != passes {
 		t.Errorf("%d tuples left, want the %d asserted <went, k>", n, passes)
+	}
+}
+
+// TestParkWakeAllocates pins what a parked process costs to wake and park
+// again: nothing. A warmed process repeats a selection over a delayed guard
+// and a consensus guard; a commit enables the delayed guard, which the
+// process commits, and its next selection re-arms the record's subscription,
+// re-offers through the record's offer and parks. The consensus community
+// has a second member that never offers, so the detector never attempts it.
+func TestParkWakeAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
+	}
+	s, rt := newRuntime(t)
+	// <base> keeps the universal imports overlapping, <keep, 0> the arity-2
+	// index alive across the retractions of <go, 1>.
+	s.Assert(tuple.Environment, tuple.New(atom("base")), tuple.New(atom("keep"), tuple.Int(0)))
+	if err := rt.Define(&Definition{
+		Name: "P",
+		Body: []Stmt{Repeat{Branches: []Branch{
+			{Guard: Transact{Kind: Delayed, Query: pattern.Q(pattern.R(pattern.C(atom("go")), pattern.V("k")))}},
+			{Guard: Transact{Kind: Consensus, Query: pattern.Q(pattern.P(pattern.C(atom("never"))))}},
+		}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rt.Consensus().Register(1<<40, view.Universal(), nil) // the member that never offers
+	pid, err := rt.Spawn("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.liveMu.Lock()
+	p := rt.live[pid]
+	rt.liveMu.Unlock()
+	goTuple := tuple.New(atom("go"), tuple.Int(1))
+	release := func(w dataspace.Writer) error { w.Insert(goTuple, tuple.Environment); return nil }
+	deadline := time.Now().Add(10 * time.Second)
+	parkedAfter := func(commits uint64) {
+		for rt.engine.Stats().Commits < commits || p.wake.Load() != asleep || !p.offered {
+			if time.Now().After(deadline) {
+				t.Fatalf("process not parked again: %d commits, want %d", rt.engine.Stats().Commits, commits)
+			}
+			runtime.Gosched()
+		}
+	}
+	parkedAfter(0)
+	cycle := func() {
+		commits := rt.engine.Stats().Commits
+		if err := s.Update(tuple.Environment, release); err != nil {
+			t.Fatal(err)
+		}
+		parkedAfter(commits + 1) // the guard's retraction of <go, 1>
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the pools, the offer table and the run queue
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("wake, commit, re-arm and park: %.1f allocations, want 0", got)
+	}
+	if n := rt.Consensus().Fires(); n != 0 {
+		t.Errorf("%d consensus fires, want 0", n)
 	}
 }

@@ -3,18 +3,21 @@
 // constructs — sequence, selection, repetition, and replication — that
 // sequence transaction execution within a process.
 //
-// Each process instance runs on its own goroutine with a private
-// environment (parameters plus let-constants), a programmer-defined view,
-// and a unique ProcessID that owns the tuples it asserts. Processes are
-// created by other processes (the Spawn action) or by the embedding
-// program (Runtime.Spawn), and terminate when their behavior completes or
-// an abort action executes.
+// Each process instance is a record with a private environment (parameters
+// plus let-constants), a programmer-defined view, a unique ProcessID that
+// owns the tuples it asserts, and its behavior as an explicit continuation.
+// The runtime's worker pool runs the records; a blocked process holds no
+// goroutine, only its record and its armed subscription or offer (see
+// proc). Processes are created by other processes (the Spawn action) or by
+// the embedding program (Runtime.Spawn), and terminate when their behavior
+// completes or an abort action executes.
 package process
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,6 +66,26 @@ type Definition struct {
 
 // Runtime hosts a process society over one dataspace/engine/consensus
 // manager.
+//
+// The worker pool. A runtime runs its processes on at most GOMAXPROCS
+// workers of its own, started as work first arrives and stopped by
+// Shutdown. Each worker takes the record at the head of the run queue and
+// steps its continuation until it parks, ends, or yields: a process that
+// finishes a transaction while others are queued goes to the back of the
+// queue (weak fairness without preemption), and only a park point — a
+// delayed statement, a consensus statement, a blocking selection, or a
+// replication waiting on its copies — takes a process off the workers for
+// longer than a step. Three things wake a parked process and put it back on
+// the queue: a delivery to its subscription, its offer firing, and the
+// runtime's cancellation (Shutdown); a replication's last copy wakes the
+// process that replicated.
+//
+// On a store whose commits wait for an fsync (Store.WaitsForSync), a worker
+// running a transaction does not count against GOMAXPROCS: it may block for
+// the fsync, and a stand-in worker takes the queued processes meanwhile, so
+// their commits join the same group fsync rather than queueing behind it.
+// A worker that finds the pool over its bound when its process leaves it
+// stops.
 type Runtime struct {
 	engine *txn.Engine
 	cons   *consensus.Manager
@@ -82,6 +105,20 @@ type Runtime struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
+	// The run queue (a FIFO ring of runnable records) and its workers.
+	runMu      sync.Mutex
+	runCond    sync.Cond // idle workers wait here
+	runq       []*proc
+	runHead    int
+	runLen     int
+	queued     atomic.Int32 // runLen, read without runMu by a yielding process
+	workers    int          // started
+	idle       int          // waiting on runCond and not yet signalled
+	syncing    int          // running a transaction that may wait for an fsync
+	maxWorkers int
+	stopping   bool
+	workerWG   sync.WaitGroup
+
 	errMu  sync.Mutex
 	errs   []error
 	maxErr int
@@ -89,22 +126,26 @@ type Runtime struct {
 
 // NewRuntime creates a runtime over the engine. The consensus manager may
 // be shared with other components; pass nil to create a private one.
+// Shutdown stops the runtime's workers, which its first processes start.
 func NewRuntime(engine *txn.Engine, cons *consensus.Manager) *Runtime {
 	if cons == nil {
 		cons = consensus.NewManager(engine)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Runtime{
-		engine: engine,
-		cons:   cons,
-		sc:     engine.Store().Sched(),
-		m:      engine.Metrics(),
-		defs:   make(map[string]*Definition),
-		live:   make(map[tuple.ProcessID]*proc),
-		ctx:    ctx,
-		cancel: cancel,
-		maxErr: 64,
+	rt := &Runtime{
+		engine:     engine,
+		cons:       cons,
+		sc:         engine.Store().Sched(),
+		m:          engine.Metrics(),
+		defs:       make(map[string]*Definition),
+		live:       make(map[tuple.ProcessID]*proc),
+		ctx:        ctx,
+		cancel:     cancel,
+		maxErr:     64,
+		maxWorkers: runtime.GOMAXPROCS(0),
 	}
+	rt.runCond.L = &rt.runMu
+	return rt
 }
 
 // Engine returns the runtime's transaction engine.
@@ -138,18 +179,28 @@ func (rt *Runtime) Define(def *Definition) error {
 // arguments are copied into the process's environment, so the caller may
 // reuse args.
 func (rt *Runtime) Spawn(name string, args ...tuple.Value) (tuple.ProcessID, error) {
+	p, err := rt.prepare(name, args)
+	if err != nil {
+		return 0, err
+	}
+	rt.start(p)
+	return p.pid, nil
+}
+
+// prepare builds and registers one spawn of the named definition; the
+// caller starts it.
+func (rt *Runtime) prepare(name string, args []tuple.Value) (*proc, error) {
 	if rt.closed.Load() {
-		return 0, ErrRuntimeClosed
+		return nil, ErrRuntimeClosed
 	}
 	rt.defsMu.RLock()
 	p, err := rt.newProc(name, args)
 	rt.defsMu.RUnlock()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	rt.register(p)
-	rt.start(p)
-	return p.pid, nil
+	return p, nil
 }
 
 // SpawnReq describes one process instance for SpawnGroup.
@@ -190,25 +241,28 @@ func (rt *Runtime) SpawnGroup(reqs []SpawnReq) ([]tuple.ProcessID, error) {
 		pids[i] = p.pid
 		rt.register(p)
 	}
-	start := procs
-	if perm := rt.sc.Perm(sched.PointProcSpawn, len(procs)); perm != nil {
-		// Start order within a group is unspecified (registration above is
-		// what carries the atomicity guarantee); explore permutations of it.
-		// pids keeps the request order regardless.
-		start = make([]*proc, len(procs))
-		for i, j := range perm {
-			start[i] = procs[j]
-		}
-	}
-	for _, p := range start {
-		rt.start(p)
-	}
+	rt.startGroup(procs)
 	return pids, nil
 }
 
+// startGroup starts a group of registered processes. Start order within a
+// group is unspecified (registering the whole group first is what carries
+// the atomicity guarantee), so exploration permutes it.
+func (rt *Runtime) startGroup(procs []*proc) {
+	if perm := rt.sc.Perm(sched.PointProcSpawn, len(procs)); perm != nil {
+		for _, j := range perm {
+			rt.start(procs[j])
+		}
+		return
+	}
+	for _, p := range procs {
+		rt.start(p)
+	}
+}
+
 // newProc validates one spawn of the named definition and builds its
-// process record, which with its parameter environment and its goroutine is
-// all a process allocates. Caller holds defsMu for reading.
+// process record, which with its parameter environment is all a process
+// allocates. Caller holds defsMu for reading.
 func (rt *Runtime) newProc(name string, args []tuple.Value) (*proc, error) {
 	def := rt.defs[name]
 	if def == nil {
@@ -227,7 +281,9 @@ func (rt *Runtime) newProc(name string, args []tuple.Value) (*proc, error) {
 		v = def.View(env)
 	}
 	pid := tuple.ProcessID(rt.nextPID.Add(1))
-	return &proc{rt: rt, pid: pid, def: def, view: v, env: env}, nil
+	p := &proc{rt: rt, pid: pid, def: def, view: v, env: env}
+	p.init(frame{kind: frameSeq, stmts: def.Body})
+	return p, nil
 }
 
 // register enters p into the consensus manager's society, through the
@@ -236,7 +292,7 @@ func (rt *Runtime) register(p *proc) {
 	rt.cons.RegisterMember(&p.member, p.pid, p.view, p.env)
 }
 
-// start makes a registered p live and runs it on its own goroutine.
+// start makes a registered p live and queues it to run.
 func (rt *Runtime) start(p *proc) {
 	rt.m.IncProcessSpawned()
 	rt.m.ProcessesLive().Inc()
@@ -245,23 +301,106 @@ func (rt *Runtime) start(p *proc) {
 	rt.liveMu.Lock()
 	rt.live[p.pid] = p
 	rt.liveMu.Unlock()
-	go p.run()
+	rt.enqueue(p)
 }
 
-// run is a process's goroutine: its behavior, then its exit from the
-// society.
-func (p *proc) run() {
-	rt := p.rt
-	defer rt.wg.Done()
-	defer rt.m.ProcessesLive().Dec()
-	defer rt.cons.Unregister(p.pid)
-	defer func() {
-		rt.liveMu.Lock()
-		delete(rt.live, p.pid)
-		rt.liveMu.Unlock()
-	}()
-	if err := p.runSeq(rt.ctx, p.def.Body); err != nil && !isControl(err) {
-		rt.recordError(fmt.Errorf("process %s[%d]: %w", p.def.Name, p.pid, err))
+// finish retires an ended process from the society, recording the error
+// its behavior ended with unless that was control flow.
+func (rt *Runtime) finish(p *proc) {
+	if p.err != nil && !isControl(p.err) {
+		rt.recordError(fmt.Errorf("process %s[%d]: %w", p.def.Name, p.pid, p.err))
+	}
+	rt.liveMu.Lock()
+	delete(rt.live, p.pid)
+	rt.liveMu.Unlock()
+	rt.cons.Unregister(p.pid)
+	rt.m.ProcessesLive().Dec()
+	rt.wg.Done()
+}
+
+// enqueue puts a runnable record at the back of the run queue and hands it
+// to an idle worker, or to a new one while the pool is below GOMAXPROCS.
+func (rt *Runtime) enqueue(p *proc) {
+	rt.runMu.Lock()
+	if rt.runLen == len(rt.runq) { // full: unroll the ring into one twice its size
+		grown := make([]*proc, max(16, 2*len(rt.runq)))
+		n := copy(grown, rt.runq[rt.runHead:])
+		copy(grown[n:], rt.runq[:rt.runHead])
+		rt.runq, rt.runHead = grown, 0
+	}
+	rt.runq[(rt.runHead+rt.runLen)%len(rt.runq)] = p
+	rt.runLen++
+	rt.queued.Store(int32(rt.runLen))
+	rt.addWorker()
+	rt.runMu.Unlock()
+}
+
+// addWorker hands the queue to an idle worker, or to a new one while fewer
+// than GOMAXPROCS workers are outside an fsync wait. Caller holds runMu.
+func (rt *Runtime) addWorker() {
+	switch {
+	case rt.idle > 0:
+		rt.idle--
+		rt.runCond.Signal()
+	case rt.workers-rt.syncing < rt.maxWorkers:
+		rt.workers++
+		rt.workerWG.Add(1)
+		go rt.work()
+	}
+}
+
+// beginSync marks the calling worker as running a transaction that may wait
+// for an fsync, and hands the queued processes to a stand-in worker; it
+// reports whether it did (see Runtime). Pair it with endSync.
+func (rt *Runtime) beginSync() bool {
+	if !rt.engine.Store().WaitsForSync() {
+		return false
+	}
+	rt.runMu.Lock()
+	rt.syncing++
+	if rt.runLen > 0 {
+		rt.addWorker()
+	}
+	rt.runMu.Unlock()
+	return true
+}
+
+// endSync ends a beginSync that reported true.
+func (rt *Runtime) endSync() {
+	rt.runMu.Lock()
+	rt.syncing--
+	rt.runMu.Unlock()
+}
+
+// work is one pool worker: it runs queued records until Shutdown stops the
+// pool, or until the pool has more workers outside an fsync wait than
+// GOMAXPROCS.
+func (rt *Runtime) work() {
+	defer rt.workerWG.Done()
+	rt.runMu.Lock()
+	for {
+		if rt.workers-rt.syncing > rt.maxWorkers {
+			rt.workers--
+			rt.runMu.Unlock()
+			return
+		}
+		for rt.runLen == 0 {
+			if rt.stopping {
+				rt.workers--
+				rt.runMu.Unlock()
+				return
+			}
+			rt.idle++
+			rt.runCond.Wait()
+		}
+		p := rt.runq[rt.runHead]
+		rt.runq[rt.runHead] = nil
+		rt.runHead = (rt.runHead + 1) % len(rt.runq)
+		rt.runLen--
+		rt.queued.Store(int32(rt.runLen))
+		rt.runMu.Unlock()
+		p.run()
+		rt.runMu.Lock()
 	}
 }
 
@@ -341,11 +480,22 @@ func (rt *Runtime) WaitCtx(ctx context.Context) error {
 	}
 }
 
-// Shutdown cancels every process and waits for them to stop. The consensus
-// manager is left running if it was supplied externally; Close it
-// separately.
+// Shutdown cancels every process, wakes the parked ones so they see it,
+// waits for them to stop, and stops the worker pool. The consensus manager
+// is left running if it was supplied externally; Close it separately.
 func (rt *Runtime) Shutdown() {
 	rt.closed.Store(true)
 	rt.cancel()
+	rt.liveMu.Lock()
+	for _, p := range rt.live {
+		p.Wake()
+	}
+	rt.liveMu.Unlock()
 	rt.wg.Wait()
+	rt.runMu.Lock()
+	rt.stopping = true
+	rt.idle = 0
+	rt.runCond.Broadcast()
+	rt.runMu.Unlock()
+	rt.workerWG.Wait()
 }

@@ -1,130 +1,167 @@
 package process
 
 import (
-	"context"
-	"errors"
-
-	"github.com/sdl-lang/sdl/internal/consensus"
 	"github.com/sdl-lang/sdl/internal/dataspace"
-	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/txn"
 )
 
-// runSelect executes the selection construct. It returns whether a branch
-// was selected; false with a nil error is the paper's "selection fails,
-// modeled as skip". Delayed and consensus guards make the selection block
-// until one guard commits. Multiple consensus guards (as in Sum1's phase
-// barrier) are offered as alternatives of a single consensus offer: when
-// the set fires, the first guard whose query succeeds is the one selected.
-func (p *proc) runSelect(ctx context.Context, branches []Branch, _ bool) (bool, error) {
-	var consensusIdx []int
-	hasBlocking := false
-	for i, b := range branches {
-		switch b.Guard.Kind {
-		case Consensus:
-			consensusIdx = append(consensusIdx, i)
-			hasBlocking = true
-		case Delayed:
-			hasBlocking = true
+// selection runs the selection of f's branches — a selection's or a
+// repetition's — or, while it is waiting, resumes it after a wake. A branch
+// selected runs its guard's actions and pushes its body; no branch
+// selectable is the paper's "selection fails, modeled as skip" (and ends a
+// repetition). Delayed and consensus guards make the selection park until
+// one guard commits.
+// Multiple consensus guards (as in Sum1's phase barrier) are offered as
+// alternatives of a single consensus offer: when the set fires, the first
+// guard whose query succeeds is the one selected.
+//
+// A blocking selection waits on the record's subscription, made by its first
+// blocking selection and re-armed by every later one, with a nil filter
+// (wake on any commit covering a guard pattern), armed before the guards are
+// re-tried; every re-try is preceded by a Drain, so a commit racing with an
+// evaluation wakes the record again rather than being lost. Its consensus
+// guards are offered through the record's offer while it is parked, and
+// withdrawn when it wakes for anything else.
+func (p *proc) selection(f *frame) outcome {
+	branches := f.branches
+	if !p.waiting {
+		// A repetition of immediate guards may never reach another
+		// statement: it sees the runtime's cancellation here.
+		if err := p.rt.ctx.Err(); err != nil {
+			return p.raise(err)
+		}
+		// First pass: attempt every non-consensus guard once.
+		idx, a, err := p.tryGuards(branches)
+		switch {
+		case err != nil:
+			return p.raise(err)
+		case idx >= 0:
+			return p.selected(f, idx, a)
+		case !blocking(branches):
+			p.pop() // all guards immediate and all failed: skip
+			return boundary
+		}
+		if p.sub == nil {
+			p.sub = new(dataspace.Subscription)
+		}
+		var keyBuf [8]dataspace.InterestKey
+		p.rt.engine.Store().Arm(p.sub, p, p.guardInterestKeys(branches, keyBuf[:0]), nil)
+		p.waiting = true
+	}
+	for {
+		if out, fired := p.unoffer(f); fired {
+			return out
+		}
+		p.armWake()
+		if err := p.rt.ctx.Err(); err != nil {
+			p.endSelect()
+			return p.raise(err)
+		}
+		p.sub.Drain()
+		if idx, a, err := p.tryGuards(branches); err != nil || idx >= 0 {
+			p.endSelect()
+			if err != nil {
+				return p.raise(err)
+			}
+			return p.selected(f, idx, a)
+		}
+		if err := p.offer(branches); err != nil {
+			p.endSelect()
+			return p.raise(err)
+		}
+		p.state.Store(int32(StateBlockedSelect))
+		if p.park() {
+			return parked
 		}
 	}
-
-	// First pass: attempt every non-consensus guard once.
-	if idx, a, err := p.tryGuards(ctx, branches); err != nil {
-		return false, err
-	} else if idx >= 0 {
-		return true, p.runBranch(ctx, branches[idx], a)
-	}
-	if !hasBlocking {
-		return false, nil // all guards immediate and all failed: skip
-	}
-
-	idx, a, err := p.awaitGuard(ctx, branches, consensusIdx)
-	if err != nil {
-		return false, err
-	}
-	return true, p.runBranch(ctx, branches[idx], a)
 }
 
-// awaitGuard is the selection's blocking loop: it returns the index and
-// answer of the first guard to commit. One nil-filter subscription (wake on
-// any commit covering a guard pattern) and its one ready channel span the
-// whole wait — the process's own, made by its first blocking selection and
-// re-armed by every later one; it is armed before the guards are re-tried,
-// and every later re-try is preceded by a Drain, so a commit racing with an
-// evaluation readies the channel again rather than being lost.
-func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx []int) (int, *txn.Answer, error) {
-	var keyBuf [8]dataspace.InterestKey
-	if p.sub == nil {
-		p.sub = new(dataspace.Subscription)
-	}
-	sub := p.sub
-	p.rt.engine.Store().Arm(sub, p.guardInterestKeys(branches, keyBuf[:0]), nil)
-	defer sub.Cancel()
-	for {
-		if err := ctx.Err(); err != nil {
-			return -1, nil, err
-		}
-		sub.Drain()
-		if idx, a, err := p.tryGuards(ctx, branches); err != nil || idx >= 0 {
-			return idx, a, err
-		}
-
-		// Offer the consensus guards (if any), as alternatives of a single
-		// offer, while the process is otherwise idle. The offer copies the
-		// requests, so they are built in a stack array when they fit.
-		var offer *consensus.Offer
-		var offerDone <-chan struct{}
-		if len(consensusIdx) > 0 {
-			var reqBuf [2]txn.Request
-			reqs := reqBuf[:0]
-			for _, bi := range consensusIdx {
-				reqs = append(reqs, p.request(branches[bi].Guard))
-			}
-			o, err := p.rt.cons.StartOfferAlts(reqs)
-			if err != nil {
-				return -1, nil, err
-			}
-			offer = o
-			offerDone = o.Done()
-		}
-		fired := func() (int, *txn.Answer, error) {
-			a, err := offer.Answer()
-			if err != nil {
-				return -1, nil, err
-			}
-			return consensusIdx[offer.Chosen()], a, nil
-		}
-		// withdrawn reports whether the pending offer (if any) was taken
-		// back; false means the consensus fired while we were withdrawing —
-		// its effect is committed, so that guard is the selected one.
-		withdrawn := func() bool {
-			if offer == nil || offer.Withdraw() {
-				return true
-			}
-			<-offer.Done()
-			return false
-		}
-
-		restore := p.setState(StateBlockedSelect)
-		select {
-		case <-offerDone:
-			restore()
-			return fired()
-		case <-sub.Ready():
-			restore()
-			if !withdrawn() {
-				return fired()
-			}
-			// Dataspace changed: loop and re-try the guards.
-		case <-ctx.Done():
-			restore()
-			if !withdrawn() {
-				return fired()
-			}
-			return -1, nil, ctx.Err()
+// blocking reports whether a selection over branches waits for a guard: it
+// has a delayed or consensus one.
+func blocking(branches []Branch) bool {
+	for _, b := range branches {
+		if b.Guard.Kind == Delayed || b.Guard.Kind == Consensus {
+			return true
 		}
 	}
+	return false
+}
+
+// offer arms the record's offer with the selection's consensus guards, as
+// alternatives of one offer, if it has any. The offer copies the requests,
+// so they are built in a stack array when they fit.
+func (p *proc) offer(branches []Branch) error {
+	var reqBuf [2]txn.Request
+	reqs := reqBuf[:0]
+	for _, b := range branches {
+		if b.Guard.Kind == Consensus {
+			reqs = append(reqs, p.request(b.Guard))
+		}
+	}
+	if len(reqs) == 0 {
+		return nil
+	}
+	if err := p.rt.cons.Rearm(p.member.Offer(), reqs, p); err != nil {
+		return err
+	}
+	p.offered = true
+	return nil
+}
+
+// unoffer is a waiting selection's first act on every pass: it takes back
+// the offer, if one is armed, unless it fired — the consensus is committed,
+// so its guard is the one selected: the selection ends, and unoffer reports
+// it with the outcome of running that branch. Either way the record is
+// running again.
+func (p *proc) unoffer(f *frame) (outcome, bool) {
+	p.state.Store(int32(StateRunning))
+	if !p.offered {
+		return stepped, false
+	}
+	p.offered = false
+	o := p.member.Offer()
+	if !o.Fired() && o.Withdraw() {
+		return stepped, false
+	}
+	p.endSelect()
+	a, err := o.Answer()
+	if err != nil {
+		return p.raise(err), true
+	}
+	n := o.Chosen()
+	for i, b := range f.branches {
+		if b.Guard.Kind == Consensus {
+			if n == 0 {
+				return p.selected(f, i, a), true
+			}
+			n--
+		}
+	}
+	panic("process: offer fired an alternative the selection does not have")
+}
+
+// endSelect ends a blocking selection's wait: its subscription is cancelled.
+func (p *proc) endSelect() {
+	p.sub.Cancel()
+	p.waiting = false
+	p.state.Store(int32(StateRunning))
+}
+
+// selected runs branch i of f, chosen with answer a: the guard's actions,
+// which read and then release the answer, then — pushed, unless empty — the
+// branch body.
+func (p *proc) selected(f *frame, i int, a *txn.Answer) outcome {
+	b := &f.branches[i]
+	if f.kind == frameSelect {
+		f.pc = 1
+	}
+	err := p.runActions(b.Guard.Actions, a)
+	a.Release()
+	if err != nil {
+		return p.raise(err)
+	}
+	p.pushSeq(b.Body)
+	return boundary
 }
 
 // tryGuards attempts each non-consensus guard once and returns the index
@@ -132,7 +169,7 @@ func (p *proc) awaitGuard(ctx context.Context, branches []Branch, consensusIdx [
 // that among several executable guards "an arbitrary one (but only one) is
 // selected"; attempts start at a rotating offset so a repetition does not
 // starve later guards whose earlier siblings are always enabled.
-func (p *proc) tryGuards(ctx context.Context, branches []Branch) (int, *txn.Answer, error) {
+func (p *proc) tryGuards(branches []Branch) (int, *txn.Answer, error) {
 	start := int(p.selSeq % uint64(len(branches)))
 	p.selSeq++
 	for off := 0; off < len(branches); off++ {
@@ -141,7 +178,7 @@ func (p *proc) tryGuards(ctx context.Context, branches []Branch) (int, *txn.Answ
 		if b.Guard.Kind == Consensus {
 			continue
 		}
-		a, err := p.rt.engine.Run(ctx, p.request(b.Guard), metrics.TxnImmediate)
+		a, err := p.immediate(b.Guard)
 		if err != nil {
 			return -1, nil, err
 		}
@@ -153,21 +190,10 @@ func (p *proc) tryGuards(ctx context.Context, branches []Branch) (int, *txn.Answ
 	return -1, nil, nil
 }
 
-// runBranch executes a selected branch: the guard's actions, which read and
-// then release its answer, then the branch body.
-func (p *proc) runBranch(ctx context.Context, b Branch, a *txn.Answer) error {
-	err := p.runActions(b.Guard.Actions, a)
-	a.Release()
-	if err != nil {
-		return err
-	}
-	return p.runSeq(ctx, b.Body)
-}
-
 // guardInterestKeys unions the interest keys of every guard's query
 // patterns (positive and negated), with leads pinned when determined by
 // the process environment, appending them to keys (the caller's stack
-// buffer: Subscribe copies what it keeps).
+// buffer: Arm copies what it keeps).
 func (p *proc) guardInterestKeys(branches []Branch, keys []dataspace.InterestKey) []dataspace.InterestKey {
 	for _, b := range branches {
 		for _, pat := range b.Guard.Query.Patterns {
@@ -176,21 +202,4 @@ func (p *proc) guardInterestKeys(branches []Branch, keys []dataspace.InterestKey
 		}
 	}
 	return keys
-}
-
-// runRepeat executes the repetition construct: the selection restarts
-// after each selected branch; a failed selection or an exit action
-// terminates it.
-func (p *proc) runRepeat(ctx context.Context, branches []Branch) error {
-	for {
-		selected, err := p.runSelect(ctx, branches, true)
-		switch {
-		case errors.Is(err, errExit):
-			return nil // exit terminates the guarded sequence and the repetition
-		case err != nil:
-			return err
-		case !selected:
-			return nil // selection failed: repetition terminates
-		}
-	}
 }

@@ -1,7 +1,7 @@
 package process
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -153,7 +153,25 @@ func (s State) String() string {
 	}
 }
 
-// proc is one live process instance.
+// proc is one process instance's record — or one copy of a replication's
+// guarded sequence (copyOf) — with its behavior as an explicit
+// continuation: a stack of frames, each a statement list and its pc or a
+// construct's selection or replication state. A worker steps the record
+// (run); where the behavior must wait, the record parks itself instead of
+// blocking the worker, having armed what will wake it:
+//
+//   - a delayed statement arms its answer's subscription, and a blocking
+//     selection the record's own (sub), either waking the record through
+//     Wake;
+//   - a consensus statement or guard arms the record's own offer (the one
+//     inside member), which wakes it through Wake when it fires;
+//   - a replication waits for its copies, the last of which wakes it.
+//
+// Shutdown wakes every live record too, so a parked process sees the
+// cancellation. A wake puts the record back on the run queue; resuming, the
+// record learns which source woke it by looking at its offer, its copies,
+// the runtime's context and its subscription's buffer, so a spurious wake
+// costs one re-check.
 type proc struct {
 	rt     *Runtime
 	pid    tuple.ProcessID
@@ -162,49 +180,217 @@ type proc struct {
 	env    expr.Env
 	selSeq uint64       // rotates the guard-attempt order across selections
 	state  atomic.Int32 // State, for introspection
+	wake   atomic.Int32 // the park protocol: awake, notified or asleep
 	member consensus.Member
 	// sub is the subscription every blocking selection re-arms, made by the
-	// first (awaitGuard).
+	// first.
 	sub *dataspace.Subscription
+
+	frames   []frame
+	frameBuf [2]frame    // frames' backing while the behavior nests at most two deep
+	waiting  bool        // the top frame is waiting: its next step resumes the wait
+	offered  bool        // a blocking selection's offer is armed
+	ans      *txn.Answer // a waiting delayed statement's answer
+	err      error       // what the behavior ended with
+	copyOf   *replication
 }
 
-// setState records the process's current activity and returns a restore
-// function for the previous state.
-func (p *proc) setState(s State) func() {
-	prev := p.state.Swap(int32(s))
-	return func() { p.state.Store(prev) }
+// frameKind tells what a frame of the continuation runs.
+type frameKind uint8
+
+const (
+	frameSeq       frameKind = iota + 1 // a statement sequence: stmts from pc
+	frameSelect                         // a selection: pc is 1 once its branch ran
+	frameRepeat                         // a repetition: selects again after each branch
+	frameReplicate                      // a replication: rep
+	frameCopy                           // a replication copy's guarded sequence: branches[0]
+)
+
+// frame is one level of a process's continuation.
+type frame struct {
+	stmts    []Stmt
+	branches []Branch
+	rep      *replication
+	pc       int32
+	kind     frameKind
 }
 
-// runSeq executes a statement sequence; control-flow sentinels propagate
-// as errors.
-func (p *proc) runSeq(ctx context.Context, stmts []Stmt) error {
-	for _, s := range stmts {
-		if err := ctx.Err(); err != nil {
-			return err
+// outcome is where one step left a process.
+type outcome uint8
+
+const (
+	stepped  outcome = iota // more to run
+	boundary                // a transaction finished: the worker may go to another process
+	parked                  // parked: the record is its waker's until it wakes
+	ended                   // the behavior is over
+)
+
+// The park protocol's states (proc.wake).
+const (
+	awake    int32 = iota // running or queued, not woken since armWake
+	notified              // running or queued, woken since armWake
+	asleep                // parked: the next Wake queues it
+)
+
+// init sets up a fresh record to run its outermost frame.
+func (p *proc) init(f frame) {
+	p.frames = append(p.frameBuf[:0], f)
+}
+
+// Wake is the record's dataspace.Waker, called by deliveries to the
+// subscriptions it armed, its offer's firing, a replication's last copy and
+// Shutdown: it
+// queues the record when parked, and otherwise notes the wake for the park
+// about to come, which then does not sleep.
+func (p *proc) Wake() {
+	for {
+		switch p.wake.Load() {
+		case asleep:
+			if p.wake.CompareAndSwap(asleep, awake) {
+				p.rt.enqueue(p)
+				return
+			}
+		case awake:
+			if p.wake.CompareAndSwap(awake, notified) {
+				return
+			}
+		default:
+			return
+		}
+	}
+}
+
+// armWake forgets earlier wakes. A waiting step calls it before it looks at
+// what could wake it, so a wake after the look is never lost: it makes park
+// fail.
+func (p *proc) armWake() { p.wake.Store(awake) }
+
+// park puts the record to sleep unless it was woken since armWake, and
+// reports whether it sleeps: the caller's worker must then leave the record
+// alone — a wake may already have queued it for another.
+func (p *proc) park() bool {
+	if p.wake.CompareAndSwap(awake, asleep) {
+		return true
+	}
+	p.wake.Store(awake)
+	return false
+}
+
+// run steps p on the calling worker until it parks or ends, or yields the
+// worker at a transaction boundary while other processes are queued.
+func (p *proc) run() {
+	for {
+		switch p.step() {
+		case parked:
+			return
+		case ended:
+			if p.copyOf != nil {
+				p.copyOf.done(p)
+			} else {
+				p.rt.finish(p)
+			}
+			return
+		case boundary:
+			if p.rt.queued.Load() > 0 { // yield to the processes waiting for a worker
+				p.rt.enqueue(p)
+				return
+			}
+		}
+	}
+}
+
+// step runs the top frame of the continuation by one statement, selection
+// or replication round, or resumes the wait it is parked on.
+func (p *proc) step() outcome {
+	if len(p.frames) == 0 {
+		return ended
+	}
+	f := &p.frames[len(p.frames)-1]
+	switch f.kind {
+	case frameSeq:
+		if p.waiting {
+			t := f.stmts[f.pc-1].(Transact)
+			if t.Kind == Delayed {
+				return p.delayed(t, true)
+			}
+			return p.consensus(t, true)
+		}
+		if int(f.pc) == len(f.stmts) {
+			p.pop()
+			return stepped
+		}
+		if err := p.rt.ctx.Err(); err != nil {
+			return p.raise(err)
 		}
 		p.rt.sc.Yield(sched.PointProcStep)
-		if err := p.runStmt(ctx, s); err != nil {
-			return err
+		f.pc++
+		return p.exec(f.stmts[f.pc-1])
+	case frameSelect:
+		if f.pc > 0 {
+			p.pop() // its branch ran
+			return stepped
 		}
+		return p.selection(f)
+	case frameRepeat:
+		return p.selection(f)
+	case frameReplicate:
+		return p.replicate(f.rep)
+	default:
+		return p.copyRound(f)
 	}
-	return nil
 }
 
-func (p *proc) runStmt(ctx context.Context, s Stmt) error {
+func (p *proc) push(f frame) { p.frames = append(p.frames, f) }
+
+// pushSeq pushes a statement sequence — none for an empty one, so a guarded
+// sequence that is all guard (Sort's swap) keeps the frames shallow.
+func (p *proc) pushSeq(stmts []Stmt) {
+	if len(stmts) > 0 {
+		p.push(frame{kind: frameSeq, stmts: stmts})
+	}
+}
+
+func (p *proc) pop() {
+	n := len(p.frames) - 1
+	p.frames[n] = frame{}
+	p.frames = p.frames[:n]
+}
+
+// raise unwinds the continuation for err: an exit ends the innermost
+// repetition or replication copy, and anything else the whole behavior,
+// which then ends with err.
+func (p *proc) raise(err error) outcome {
+	for len(p.frames) > 0 {
+		kind := p.frames[len(p.frames)-1].kind
+		p.pop()
+		if (kind == frameRepeat || kind == frameCopy) && errors.Is(err, errExit) {
+			return stepped
+		}
+	}
+	p.err = err
+	return ended
+}
+
+// exec starts statement s: a transaction runs, a construct pushes its frame.
+func (p *proc) exec(s Stmt) outcome {
 	switch st := s.(type) {
 	case Transact:
-		_, err := p.runTransact(ctx, st)
-		return err
+		return p.transact(st)
 	case Select:
-		_, err := p.runSelect(ctx, st.Branches, false)
-		return err
+		p.push(frame{kind: frameSelect, branches: st.Branches})
 	case Repeat:
-		return p.runRepeat(ctx, st.Branches)
+		p.push(frame{kind: frameRepeat, branches: st.Branches})
 	case Replicate:
-		return p.runReplicate(ctx, st)
+		for _, b := range st.Branches {
+			if b.Guard.Kind != Immediate {
+				return p.raise(ErrReplicationGuard)
+			}
+		}
+		p.push(frame{kind: frameReplicate, rep: &replication{r: st}})
 	default:
-		return fmt.Errorf("process: unknown statement %T", s)
+		return p.raise(fmt.Errorf("process: unknown statement %T", s))
 	}
+	return stepped
 }
 
 // request assembles the txn.Request for a transaction statement under the
@@ -221,34 +407,122 @@ func (p *proc) request(t Transact) txn.Request {
 	}
 }
 
-// runTransact executes a transaction statement. It returns whether the
-// transaction committed; a failed immediate transaction is not an error
-// (the paper treats it as information available to the selection).
-func (p *proc) runTransact(ctx context.Context, t Transact) (bool, error) {
-	var (
-		a   *txn.Answer
-		err error
-	)
+// transact runs a transaction statement: an immediate one to its end, a
+// delayed or consensus one until it commits or parks. A failed immediate
+// transaction is not an error (the paper treats it as information available
+// to the selection).
+func (p *proc) transact(t Transact) outcome {
 	switch t.Kind {
 	case Delayed:
-		restore := p.setState(StateBlockedDelayed)
-		a, err = p.rt.engine.Run(ctx, p.request(t), metrics.TxnDelayed)
-		restore()
+		p.ans = txn.NewAnswer(p.request(t))
+		return p.delayed(t, false)
 	case Consensus:
-		restore := p.setState(StateBlockedConsensus)
-		a, err = p.rt.cons.Await(ctx, p.request(t))
-		restore()
+		return p.consensus(t, false)
 	default:
-		a, err = p.rt.engine.Run(ctx, p.request(t), metrics.TxnImmediate)
+		a, err := p.immediate(t)
+		if err != nil {
+			return p.raise(err)
+		}
+		return p.committed(t.Actions, a)
 	}
+}
+
+// immediate runs t as an immediate transaction — a statement, a guard or a
+// replication copy's guard — with the worker off the pool's count while the
+// commit may wait for an fsync (Runtime.beginSync).
+func (p *proc) immediate(t Transact) (*txn.Answer, error) {
+	syncing := p.rt.beginSync()
+	a, err := p.rt.engine.Run(p.rt.ctx, p.request(t), metrics.TxnImmediate)
+	if syncing {
+		p.rt.endSync()
+	}
+	return a, err
+}
+
+// committed runs a finished transaction's actions if it committed, then
+// releases its answer.
+func (p *proc) committed(actions []Action, a *txn.Answer) outcome {
+	var err error
+	if a.OK() {
+		err = p.runActions(actions, a)
+	}
+	a.Release()
 	if err != nil {
-		return false, err
+		return p.raise(err)
 	}
-	defer a.Release()
-	if !a.OK() {
-		return false, nil
+	return boundary
+}
+
+// delayed runs the delayed statement t (woke false) or resumes it after a
+// wake: it evaluates through the engine's non-blocking half of a delayed
+// run (txn.Engine.Attempt), woken through the record, and parks while the
+// request stays blocked.
+func (p *proc) delayed(t Transact, woke bool) outcome {
+	p.waiting = true
+	for ; ; woke = true {
+		p.armWake()
+		done, err := true, p.rt.ctx.Err()
+		if err == nil {
+			syncing := p.rt.beginSync()
+			done, err = p.rt.engine.Attempt(p.ans, p, woke)
+			if syncing {
+				p.rt.endSync()
+			}
+		}
+		if done {
+			a := p.ans
+			p.ans, p.waiting = nil, false
+			p.state.Store(int32(StateRunning))
+			if err != nil {
+				a.Release() // cancels the wait's subscription
+				return p.raise(err)
+			}
+			return p.committed(t.Actions, a)
+		}
+		p.state.Store(int32(StateBlockedDelayed))
+		if p.park() {
+			return parked
+		}
 	}
-	return true, p.runActions(t.Actions, a)
+}
+
+// consensus runs the consensus statement t (woke false) or resumes it after
+// a wake: it arms the record's offer and parks until the offer fires, or
+// withdraws it when the runtime is cancelled.
+func (p *proc) consensus(t Transact, woke bool) outcome {
+	o := p.member.Offer()
+	if !woke {
+		reqs := [1]txn.Request{p.request(t)}
+		if err := p.rt.cons.Rearm(o, reqs[:], p); err != nil {
+			return p.raise(err)
+		}
+		p.waiting = true
+		p.state.Store(int32(StateBlockedConsensus))
+	}
+	for {
+		p.armWake()
+		if o.Fired() {
+			break
+		}
+		if err := p.rt.ctx.Err(); err != nil {
+			if o.Withdraw() {
+				p.waiting = false
+				p.state.Store(int32(StateRunning))
+				return p.raise(err)
+			}
+			break // fired while withdrawing: the effect is committed
+		}
+		if p.park() {
+			return parked
+		}
+	}
+	p.waiting = false
+	p.state.Store(int32(StateRunning))
+	a, err := o.Answer()
+	if err != nil {
+		return p.raise(err)
+	}
+	return p.committed(t.Actions, a)
 }
 
 // runActions executes the local actions of a committed transaction, reading
@@ -257,6 +531,12 @@ func (p *proc) runTransact(ctx context.Context, t Transact) (bool, error) {
 // idiom) and to all later statements of the process.
 func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 	var lets expr.Env // accumulated let bindings from this action list
+	// The list's spawns register as they go and start together when it
+	// ends, as SpawnGroup's do: a consensus community that one action list
+	// spawns cannot reach a partial consensus before its last member exists.
+	var spawnBuf [8]*proc
+	spawned := spawnBuf[:0]
+	defer func() { p.rt.startGroup(spawned) }()
 	withLets := func(s expr.Scope) expr.Scope {
 		if len(lets) == 0 {
 			return s
@@ -274,9 +554,9 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 				lets = expr.Env{}
 			}
 			lets[act.Name] = v
-			// The process environment is shared with in-flight requests
-			// only within this goroutine; copy-on-write keeps issued
-			// requests stable.
+			// The process environment is shared with the requests this
+			// record has issued (a parked offer's among them); copy-on-write
+			// keeps them stable.
 			env := p.env.Clone()
 			env[act.Name] = v
 			p.env = env
@@ -288,9 +568,11 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 				if err != nil {
 					return fmt.Errorf("spawn %s: %w", act.Type, err)
 				}
-				if _, err := p.rt.Spawn(act.Type, vals...); err != nil {
+				c, err := p.rt.prepare(act.Type, vals)
+				if err != nil {
 					return fmt.Errorf("spawn %s: %w", act.Type, err)
 				}
+				spawned = append(spawned, c)
 			}
 		case Exit:
 			return errExit

@@ -33,7 +33,8 @@ type Answer struct {
 	win    view.Window             // the restricted import's window, reused by every evaluation
 	ground []tuple.Tuple           // the assertions to insert, see Ground
 	seen   map[tuple.ID]struct{}   // retractions already applied, when several rows may share one
-	sub    *dataspace.Subscription // the delayed wait's: made by the answer's first, re-armed by every later one
+	sub    *dataspace.Subscription // the delayed wait's: made by the answer's first, re-armed (with its owner's waker) by every later one
+	ready  readyWaker              // a Go-API delayed wait's waker: made by the answer's first, kept across uses
 
 	// The execution's explain record: ex is &explain while the engine
 	// records one (the registry is observed), nil otherwise.
@@ -56,7 +57,12 @@ func NewAnswer(req Request) *Answer {
 const maxPooledEffects = 256
 
 // Release returns the answer to the pool, emptied so the pool pins nothing.
+// A delayed run abandoned before it was done (its owner cancelled) has its
+// subscription cancelled here.
 func (a *Answer) Release() {
+	if a.sub != nil {
+		a.sub.Cancel()
+	}
 	big := cap(a.Retracted)+cap(a.Asserted)+cap(a.ground) > maxPooledEffects
 	bigSeen := len(a.seen) > maxPooledEffects
 	a.reset()
@@ -100,7 +106,7 @@ func (a *Answer) Scope() expr.Scope {
 }
 
 // AcceptDelta is the delta filter of a blocked delayed request (see
-// Engine.await and deltaSafe): it accepts exactly the asserted tuples that
+// Engine.Attempt and deltaSafe): it accepts exactly the asserted tuples that
 // match one of the query's patterns standalone under the request
 // environment. The store calls it only while the answer's subscription is
 // armed, so it never sees the request of the answer's next use.

@@ -500,53 +500,93 @@ func deltaSafe(req Request) bool {
 	return true
 }
 
+// readyWaker wakes a goroutine waiting on the channel: a cap-1 channel, so
+// a wake while one is pending is dropped.
+type readyWaker chan struct{}
+
+// Wake implements dataspace.Waker.
+func (r readyWaker) Wake() {
+	select {
+	case r <- struct{}{}:
+	default:
+	}
+}
+
 // await runs a's request as a delayed ('⇒') transaction: it blocks until an
-// evaluation commits or ctx is cancelled. The subscribe-then-evaluate
-// protocol guarantees no lost wakeups.
-//
-// The blocked guard holds one delta subscription for the whole wait — the
-// answer's own, re-armed in place, so a wait on a pooled answer allocates
-// none. Commits put their asserted/retracted tuples through the
-// publisher-side filter (the answer itself, see AcceptDelta), irrelevant
-// commits are suppressed before any wakeup, and the commits of one
-// group-commit drain batch into a single re-evaluation. A guard that is not
-// delta-safe arms with a nil filter and re-queries on every covering commit.
-// A re-evaluation after a wakeup that blocks again is counted wasted.
+// evaluation commits or ctx is cancelled. It is the Go API's blocking loop
+// over Attempt, waiting on the answer's ready channel.
 func (e *Engine) await(ctx context.Context, a *Answer) error {
-	var filter dataspace.DeltaFilter
-	if deltaSafe(a.req) {
-		filter = a
+	if a.ready == nil {
+		a.ready = make(readyWaker, 1)
 	}
-	var keyBuf [8]dataspace.InterestKey
-	var selBuf [8]pattern.FieldSel
-	keys, sels := interest(a.req, filter != nil, keyBuf[:0], selBuf[:0])
-	if a.sub == nil {
-		a.sub = new(dataspace.Subscription)
+	select {
+	case <-a.ready: // a wake the answer's last wait left: its own commit's delivery
+	default:
 	}
-	sub := a.sub
-	e.store.Arm(sub, keys, filter, sels...)
-	defer sub.Cancel()
 	for woke := false; ; woke = true {
-		if err := e.exec(a, metrics.TxnDelayed); err != nil || a.OK() {
+		if done, err := e.Attempt(a, a.ready, woke); done {
 			return err
 		}
-		if woke {
-			e.m.IncReactiveWasted()
-		}
-		e.m.IncTxnBlock(metrics.TxnDelayed)
 		select {
-		case <-sub.Ready():
-			e.wakeups.Add(1)
-			e.sc.Yield(sched.PointTxnWakeup)
-			deltas, full := sub.Drain()
-			e.m.IncReactiveEval()
-			if filter != nil && !full && len(deltas) > 0 {
-				e.m.IncReactiveHit()
-			} else {
-				e.m.IncReactiveFallback()
-			}
+		case <-a.ready:
 		case <-ctx.Done():
-			return ctx.Err()
+			return ctx.Err() // Run's Release cancels the subscription
 		}
 	}
+}
+
+// Attempt is the non-blocking half of a delayed ('⇒') run of a's request,
+// for an owner that waits its own way: a process parks its record, which w
+// is, and the Go API's await blocks on a channel w sends on (see
+// dataspace.Waker). The first call (woke false) arms the answer's subscription —
+// made by the answer's first wait and re-armed by every later one, so a wait
+// on a pooled answer allocates none — and evaluates; each later one, made
+// after the subscription woke its owner, drains it and evaluates again. It
+// reports done when the run is over — committed, or failed with err — and
+// has then cancelled the subscription; otherwise the request blocked and the
+// subscription stays armed for the next wake. The subscribe-then-evaluate
+// order loses no wakeup.
+//
+// The blocked guard holds one subscription for the whole wait, re-armed in
+// place. Commits put their asserted/retracted tuples through the
+// publisher-side filter (the answer itself, see AcceptDelta), irrelevant
+// commits are suppressed before any wakeup, and the commits that land before
+// the owner drains batch into a single re-evaluation. A guard that is not
+// delta-safe arms with a nil filter and re-queries on every covering commit.
+// A re-evaluation after a wakeup that blocks again is counted wasted.
+func (e *Engine) Attempt(a *Answer, w dataspace.Waker, woke bool) (done bool, err error) {
+	if woke {
+		e.wakeups.Add(1)
+		e.sc.Yield(sched.PointTxnWakeup)
+		// An unfiltered subscription's deliveries are always full, so deltas
+		// without the full flag mean the filter took them.
+		deltas, full := a.sub.Drain()
+		e.m.IncReactiveEval()
+		if !full && len(deltas) > 0 {
+			e.m.IncReactiveHit()
+		} else {
+			e.m.IncReactiveFallback()
+		}
+	} else {
+		var filter dataspace.DeltaFilter
+		if deltaSafe(a.req) {
+			filter = a
+		}
+		var keyBuf [8]dataspace.InterestKey
+		var selBuf [8]pattern.FieldSel
+		keys, sels := interest(a.req, filter != nil, keyBuf[:0], selBuf[:0])
+		if a.sub == nil {
+			a.sub = new(dataspace.Subscription)
+		}
+		e.store.Arm(a.sub, w, keys, filter, sels...)
+	}
+	if err := e.exec(a, metrics.TxnDelayed); err != nil || a.OK() {
+		a.sub.Cancel()
+		return true, err
+	}
+	if woke {
+		e.m.IncReactiveWasted()
+	}
+	e.m.IncTxnBlock(metrics.TxnDelayed)
+	return false, nil
 }

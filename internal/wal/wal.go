@@ -346,6 +346,10 @@ func (l *Log) WaitDurable(lsn uint64) {
 	}
 }
 
+// Blocking reports whether WaitDurable can block: under SyncBatch it waits
+// for an fsync, under SyncInterval it returns at once.
+func (l *Log) Blocking() bool { return l.opts.Sync != SyncInterval }
+
 // syncNow fsyncs the current segment, covering every record appended
 // before the call — in particular the caller's own, which it observed as
 // appended (rotation seals and syncs older segments, so only the current

@@ -247,6 +247,8 @@ type (
 	// ProcessInfo describes one live process; ProcessState its activity.
 	ProcessInfo  = process.ProcessInfo
 	ProcessState = process.State
+	// SpawnReq is one process of a Runtime.SpawnGroup.
+	SpawnReq = process.SpawnReq
 )
 
 // NewRuntime creates a process runtime over an engine.

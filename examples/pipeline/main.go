@@ -68,7 +68,7 @@ func worker() *sdl.Definition {
 	)
 	return &sdl.Definition{
 		Name: "Worker",
-		View: func(sdl.Env) sdl.View { return sdl.NewView(jobsAndResults, jobsAndResults) },
+		View: func(sdl.Scope) sdl.View { return sdl.NewView(jobsAndResults, jobsAndResults) },
 		Body: []sdl.Stmt{sdl.Repeat{Branches: []sdl.Branch{
 			{Guard: sdl.Transact{
 				Kind:  sdl.Delayed,
@@ -101,7 +101,7 @@ func collector() *sdl.Definition {
 	)
 	return &sdl.Definition{
 		Name: "Collector",
-		View: func(sdl.Env) sdl.View { return sdl.NewView(resultsAndTally, resultsAndTally) },
+		View: func(sdl.Scope) sdl.View { return sdl.NewView(resultsAndTally, resultsAndTally) },
 		Body: []sdl.Stmt{sdl.Repeat{Branches: []sdl.Branch{
 			{Guard: sdl.Transact{
 				Kind: sdl.Delayed,

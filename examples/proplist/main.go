@@ -93,7 +93,7 @@ func sortDef() *sdl.Definition {
 	return &sdl.Definition{
 		Name:   "Sort",
 		Params: []string{"a", "b"},
-		View: func(sdl.Env) sdl.View {
+		View: func(sdl.Scope) sdl.View {
 			return sdl.NewView(nodesView, nodesView)
 		},
 		Body: []sdl.Stmt{sdl.Repeat{Branches: []sdl.Branch{

@@ -71,7 +71,7 @@ func TestFullSystemScenario(t *testing.T) {
 	// tuple, so the two tallies are one consensus community and emit their
 	// totals together.
 	tallyView := func(parity int64) sdl.ViewFunc {
-		return func(sdl.Env) sdl.View {
+		return func(sdl.Scope) sdl.View {
 			imp := sdl.Union(
 				sdl.PatWhere(
 					sdl.P(sdl.C(sdl.Atom("cooked")), sdl.V("i"), sdl.W()),

@@ -1177,8 +1177,10 @@ func reactiveWakeupCell(ctx context.Context, s *dataspace.Store, e *txn.Engine, 
 			}
 		}(i)
 	}
-	// Let every waiter run its first (failing) attempt and block.
-	for int(e.Stats().Attempts) < p {
+	// Let every waiter evaluate, fail and block. A block is counted once
+	// the waiter's first read is done; an attempt is counted before it
+	// reads, and a waiter descheduled there would read after the release.
+	for s.Metrics().Snapshot().Txn["delayed"].Blocks < uint64(p) {
 		runtime.Gosched()
 	}
 	return timeIt(func() error {

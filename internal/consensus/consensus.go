@@ -23,10 +23,11 @@
 package consensus
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,7 +200,7 @@ type claim struct {
 type member struct {
 	pid  tuple.ProcessID
 	view view.View
-	env  expr.Env
+	env  expr.Scope
 
 	// shape is the static shape of the import clause under env.
 	shape view.ImportShape
@@ -497,15 +498,18 @@ type Member struct {
 // Offer returns the record's offer, for Rearm.
 func (rec *Member) Offer() *Offer { return &rec.o }
 
-// Register adds a process (with its view and parameter environment) to the
-// society the manager considers for consensus sets.
-func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Env) {
+// Register adds a process (with its view and the scope of its parameters)
+// to the society the manager considers for consensus sets. The manager reads
+// env while the process is registered and never changes it: a process's
+// record, or a Go caller's expr.Env, which the caller leaves unmodified
+// meanwhile.
+func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Scope) {
 	m.RegisterMember(new(Member), pid, v, env)
 }
 
 // RegisterMember is Register with the caller's record: rec belongs to the
 // manager from here until Unregister(pid), and registers once.
-func (m *Manager) RegisterMember(rec *Member, pid tuple.ProcessID, v view.View, env expr.Env) {
+func (m *Manager) RegisterMember(rec *Member, pid tuple.ProcessID, v view.View, env expr.Scope) {
 	mem := &rec.m
 	*mem = member{pid: pid, view: v, env: env, shape: v.ImportShape(env), stale: true}
 	mem.envFree = mem.shape.Bounded && v.ImportShape(nil).Bounded
@@ -802,17 +806,19 @@ func (m *Manager) repartition() {
 		}
 		m.mu.Unlock()
 
-		sort.Slice(members, func(i, j int) bool { return members[i].pid < members[j].pid })
+		slices.SortFunc(members, func(a, b *member) int { return cmp.Compare(a.pid, b.pid) })
 		for _, mem := range refresh {
 			mem.ids = materialize(mem, r)
 		}
 		total := r.Len()
 		counts := make(map[view.BucketKey]int)
+		n := 0 // the bucket being counted: one counter and callback serve every bucket
+		count := func(tuple.ID, tuple.Tuple) bool { n++; return true }
 		for _, mem := range members {
 			for _, k := range mem.shape.Keys {
 				if _, ok := counts[k]; !ok {
-					n := 0
-					r.Scan(k.Arity, k.Lead, true, func(tuple.ID, tuple.Tuple) bool { n++; return true })
+					n = 0
+					r.Scan(k.Arity, k.Lead, true, count)
 					counts[k] = n
 				}
 			}

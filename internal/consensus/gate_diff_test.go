@@ -162,7 +162,7 @@ func (rs *refSociety) tryFire(t *testing.T, set []tuple.ProcessID) bool {
 		mem := rs.members[pid]
 		matched := false
 		for _, req := range rs.offers[pid] {
-			reqMem := refMember{v: req.View, env: req.Env}
+			reqMem := refMember{v: req.View, env: expr.EnvOf(req.Env)}
 			sol, found, err := pattern.Solve(req.Query, refSource{rs.window(reqMem, hidden)}, req.Env)
 			if err != nil {
 				t.Fatal(err)

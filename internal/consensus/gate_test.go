@@ -165,7 +165,7 @@ func (c countingMatcher) Admits(_ dataspace.Reader, _ expr.Scope, t tuple.Tuple)
 	c.visits.Add(1)
 	return t.Arity() == 2 && t.Field(0).Equal(readyAtom)
 }
-func (c countingMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
+func (c countingMatcher) Restriction(_ expr.Scope, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	if arity != 2 {
 		return leads, false, true
 	}

@@ -4,8 +4,8 @@
 // `k − 2^(j−1)`).
 //
 // Expressions evaluate against a Scope, the variable bindings produced by a
-// binding query: an Env, the matcher's slot frame, or one solution row.
-// Evaluation is side-effect free.
+// binding query: a process's record and its let-constants, an Env, the
+// matcher's slot frame, or one solution row. Evaluation is side-effect free.
 package expr
 
 import (
@@ -16,15 +16,26 @@ import (
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
 
-// Scope resolves the variables an expression reads. Env is the map-shaped
-// scope; the pattern matcher's slot frame and a solution row are scopes too,
-// so an expression reads bindings where they live instead of from a copy. A
-// nil Scope binds nothing: every variable is unbound.
+// Scope resolves the variables an expression reads. A process's record
+// (its parameters), a Let over it, the pattern matcher's slot frame and a
+// solution row are scopes, so an expression reads bindings where they live
+// instead of from a copy; Env is the map-shaped scope of the Go API. A nil
+// Scope binds nothing: every variable is unbound.
 type Scope interface {
 	Lookup(name string) (tuple.Value, bool)
 }
 
-// Env holds variable bindings during query evaluation. Variable names are
+// Lister is a scope that can list its bindings, so that EnvOf can hand them
+// to an API that promises a map.
+type Lister interface {
+	Scope
+	// AddTo binds in env every name the scope binds, to the value Lookup
+	// resolves it to.
+	AddTo(env Env)
+}
+
+// Env holds variable bindings as a map: the environment a Go caller passes
+// with a request, and the solutions a Result reports. Variable names are
 // the quantified variables of the enclosing transaction (the paper writes
 // them as Greek letters) plus process parameters and let-constants.
 type Env map[string]tuple.Value
@@ -35,12 +46,94 @@ func (e Env) Lookup(name string) (tuple.Value, bool) {
 	return v, ok
 }
 
+// AddTo implements Lister.
+func (e Env) AddTo(env Env) {
+	for k, v := range e {
+		env[k] = v
+	}
+}
+
+// Let is a scope extended by one binding — an SDL let-constant over the
+// scope it extends: Name binds Value, and every other name resolves in
+// Under. A Let is never changed once made, so a scope handed out before a
+// let (a request a parked offer still holds) keeps what it saw: a let adds
+// a node over the scope and changes nothing beneath it.
+type Let struct {
+	Name  string
+	Value tuple.Value
+	Under Scope
+}
+
+// Lookup implements Scope.
+func (l *Let) Lookup(name string) (tuple.Value, bool) {
+	if name == l.Name {
+		return l.Value, true
+	}
+	if l.Under == nil {
+		return tuple.Value{}, false
+	}
+	return l.Under.Lookup(name)
+}
+
+// AddTo implements Lister: what Under binds, then Name over it.
+func (l *Let) AddTo(env Env) {
+	Fill(env, l.Under)
+	env[l.Name] = l.Value
+}
+
+// With returns s extended by name bound to v: one Let over s — over s
+// without its Let of name, if it has one, so a name rebound in a loop does
+// not lengthen the scope. Dropping a Let copies the Lets above it and
+// shares the ones below; s itself is unchanged.
+func With(s Scope, name string, v tuple.Value) *Let {
+	under, _ := without(s, name)
+	return &Let{Name: name, Value: v, Under: under}
+}
+
+// without returns s minus the Let that binds name among its Lets, and
+// whether it had one.
+func without(s Scope, name string) (Scope, bool) {
+	l, ok := s.(*Let)
+	if !ok {
+		return s, false
+	}
+	if l.Name == name {
+		return l.Under, true
+	}
+	under, dropped := without(l.Under, name)
+	if !dropped {
+		return l, false
+	}
+	return &Let{Name: l.Name, Value: l.Value, Under: under}, true
+}
+
+// Fill binds in env what s binds, when s can list it (a Lister); a nil
+// scope, or one that cannot list, adds nothing.
+func Fill(env Env, s Scope) {
+	if l, ok := s.(Lister); ok {
+		l.AddTo(env)
+	}
+}
+
+// EnvOf returns s as an Env, for the APIs that promise a map: s itself when
+// it is one, a new map of its bindings when it is a Lister, and nil
+// otherwise.
+func EnvOf(s Scope) Env {
+	switch s := s.(type) {
+	case Env:
+		return s
+	case Lister:
+		env := Env{}
+		s.AddTo(env)
+		return env
+	}
+	return nil
+}
+
 // Clone returns an independent copy of the environment.
 func (e Env) Clone() Env {
 	cp := make(Env, len(e))
-	for k, v := range e {
-		cp[k] = v
-	}
+	e.AddTo(cp)
 	return cp
 }
 
@@ -478,10 +571,11 @@ func EvalBool(e Expr, s Scope) (bool, error) {
 
 // Compile-time interface checks.
 var (
-	_ Expr  = Lit{}
-	_ Expr  = Var{}
-	_ Expr  = Binary{}
-	_ Expr  = Unary{}
-	_ Expr  = Call{}
-	_ Scope = Env(nil)
+	_ Expr   = Lit{}
+	_ Expr   = Var{}
+	_ Expr   = Binary{}
+	_ Expr   = Unary{}
+	_ Expr   = Call{}
+	_ Lister = Env(nil)
+	_ Lister = (*Let)(nil)
 )

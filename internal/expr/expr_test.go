@@ -263,6 +263,66 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// A Let resolves its own name, then its scope's; With drops an earlier Let
+// of the same name, so rebinding a name in a loop keeps the scope one Let
+// deep, and leaves the scope it extended as it was.
+func TestLetScopes(t *testing.T) {
+	base := &Let{Name: "p", Value: tuple.Int(1), Under: Env{"q": tuple.Int(2)}}
+	s1 := With(base, "n", tuple.Int(10))
+	s2 := With(s1, "m", tuple.Int(20))
+	s3 := With(s2, "n", tuple.Int(30))
+	lookup := func(s Scope, name string) tuple.Value {
+		v, _ := s.Lookup(name)
+		return v
+	}
+	if got := lookup(s3, "n"); got != tuple.Int(30) {
+		t.Errorf("s3 n = %v, want 30", got)
+	}
+	if got := lookup(s2, "n"); got != tuple.Int(10) {
+		t.Errorf("s2 n = %v after a later let, want 10: the scope it extended changed", got)
+	}
+	if got := lookup(s3, "p"); got != tuple.Int(1) {
+		t.Errorf("s3 p = %v, want 1 from the base", got)
+	}
+	if got := lookup(s3, "q"); got != tuple.Int(2) {
+		t.Errorf("s3 q = %v, want 2 from the base's Env", got)
+	}
+	if _, ok := s3.Lookup("r"); ok {
+		t.Error("s3 binds r")
+	}
+	if u, ok := s3.Under.(*Let); !ok || u.Name != "m" || u.Under != Scope(base) {
+		t.Errorf("s3 = n over %#v, want n over m over the base, the earlier n dropped", s3.Under)
+	}
+	want := Env{"q": tuple.Int(2), "p": tuple.Int(1), "n": tuple.Int(30), "m": tuple.Int(20)}
+	if got := EnvOf(s3); len(got) != len(want) || got["q"] != want["q"] || got["p"] != want["p"] || got["n"] != want["n"] || got["m"] != want["m"] {
+		t.Errorf("EnvOf(s3) = %v, want %v", got, want)
+	}
+	loop := Scope(base)
+	for i := 0; i < 100; i++ {
+		loop = With(loop, "n", tuple.Int(int64(i)))
+	}
+	if l := loop.(*Let); l.Under != Scope(base) || l.Value != tuple.Int(99) {
+		t.Errorf("100 lets of n: %#v, want one Let over the base", l)
+	}
+}
+
+// EnvOf hands back an Env as it is, lists a Lister into a new map, and has
+// nothing for a nil scope.
+func TestEnvOf(t *testing.T) {
+	env := Env{"a": tuple.Int(1)}
+	if got := EnvOf(env); len(got) != 1 {
+		t.Fatalf("EnvOf(env) = %v", got)
+	} else if got["b"] = tuple.Int(2); env["b"] != tuple.Int(2) {
+		t.Error("EnvOf(env) copied the caller's map")
+	}
+	if got := EnvOf(nil); got != nil {
+		t.Errorf("EnvOf(nil) = %v, want nil", got)
+	}
+	if got := EnvOf(With(nil, "x", tuple.Int(3))); len(got) != 1 || got["x"] != tuple.Int(3) {
+		t.Errorf("EnvOf(x over nil) = %v", got)
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	e := And(Gt(V("x"), Const(tuple.Int(87))), Not(Eq(V("y"), Const(tuple.Atom("nil")))))
 	want := "((x > 87) and (not (y == nil)))"

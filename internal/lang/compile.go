@@ -222,7 +222,7 @@ func (c *compiler) compileProcess(pd *ProcessDecl) (*process.Definition, error) 
 		if err != nil {
 			return nil, err
 		}
-		def.View = func(expr.Env) view.View {
+		def.View = func(expr.Scope) view.View {
 			return view.New(impClause, expClause)
 		}
 	}

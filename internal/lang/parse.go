@@ -2,7 +2,6 @@ package lang
 
 import (
 	"slices"
-	"sync"
 
 	"github.com/sdl-lang/sdl/internal/tuple"
 )
@@ -134,8 +133,8 @@ func (n *nodes) size(toks []Token) {
 // and the stacks lists are built on, one per element type. A list pushes
 // its entries above the base it found and cuts them into the slab when it
 // ends, so lists nest (a call argument holding a call). The scratch
-// outlives one parse: a pool hands it to the next, and it stops
-// allocating once it has grown to the longest source and list seen.
+// outlives one parse: spare hands it to the next, and it stops allocating
+// once it has grown to the longest source and list seen.
 type scratch struct {
 	toks     []Token
 	fields   []FieldNode
@@ -150,11 +149,9 @@ type scratch struct {
 	decls    []*ProcessDecl
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // Parse lexes and parses an SDL source file.
 func Parse(src string) (*Program, error) {
-	s := scratchPool.Get().(*scratch)
+	s := takeScratch()
 	toks, err := lexInto(slices.Grow(s.toks[:0], len(src)+1), src)
 	if err != nil {
 		return nil, err
@@ -167,7 +164,7 @@ func Parse(src string) (*Program, error) {
 		// empty; a failed parse drops its scratch with the partial lists.
 		clear(toks)
 		s.toks = toks[:0]
-		scratchPool.Put(s)
+		putScratch(s)
 	}
 	return prog, err
 }

@@ -3,7 +3,9 @@ package lang
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/sdl-lang/sdl/internal/expr"
@@ -64,6 +66,46 @@ func TestParseAllocates(t *testing.T) {
 	const strs = 50
 	if lits := parseAllocs(t, societySrc(1000, strs)); lits != large+strs {
 		t.Errorf("Parse with %d string literals: %.0f allocations, want %.0f", strs, lits, large+strs)
+	}
+}
+
+// TestParseOnAnotherGoroutineAllocates pins that the scratch a parse leaves
+// serves the next parse whichever goroutine, on whichever P, runs it, even
+// after a collection: after a warm parse on this goroutine, a parse on a
+// fresh goroutine — run on another P while this one spins — allocates no
+// more than TestParseAllocates allows a parse, every time. A parse that
+// misses the scratch grows a token buffer and every list stack again, ≈ 40
+// allocations for this source. Mallocs is read around the goroutine, which
+// costs its closure too.
+func TestParseOnAnotherGoroutineAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs a second P")
+	}
+	src := societySrc(1000, 0)
+	perProgram := uint64(reflect.TypeOf(nodes{}).NumField() + 2)
+	for i := 0; i < 10; i++ {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		var done atomic.Bool
+		runtime.ReadMemStats(&before)
+		go func() {
+			defer done.Store(true)
+			if _, err := Parse(src); err != nil {
+				t.Error(err)
+			}
+		}()
+		for !done.Load() { // keep this P busy: another runs the parse
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got > perProgram {
+			t.Fatalf("parse %d on a fresh goroutine: %d allocations, want <= %d", i, got, perProgram)
+		}
 	}
 }
 

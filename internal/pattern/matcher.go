@@ -262,7 +262,6 @@ type matcher struct {
 	q     Query
 	src   Source
 	fsrc  FieldSource        // src's field-index access path, if it has one
-	env   expr.Env           // the base environment as given, for the Bindings
 	fn    func(Binding) bool // Enumerate's consumer
 	first bool               // stop after one solution
 	tab   *Table             // Table.Collect's table; nil: solutions become Bindings
@@ -324,13 +323,13 @@ func (m *matcher) release() {
 // run enumerates q's solutions over src from base: into tab, an empty
 // table, or, when tab is nil, as Bindings handed to fn or collected. A
 // non-nil ex gets one step per pattern (see metrics.Explain).
-func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool, first bool, tab *Table, ex *metrics.Explain) error {
+func (m *matcher) run(q Query, src Source, base expr.Scope, fn func(Binding) bool, first bool, tab *Table, ex *metrics.Explain) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	m.q, m.src, m.base, m.env, m.fn, m.first, m.tab, m.ex = q, src, base, base, fn, first, tab, ex
+	m.q, m.src, m.base, m.fn, m.first, m.tab, m.ex = q, src, base, fn, first, tab, ex
 	m.fsrc, _ = src.(FieldSource)
-	m.compile(base)
+	m.compile()
 	if tab != nil {
 		tab.base, tab.cols = base, append(tab.cols, m.names[:m.nsol]...)
 	}
@@ -344,7 +343,7 @@ func (m *matcher) run(q Query, src Source, base expr.Env, fn func(Binding) bool,
 
 // compile builds the program: the join order from planJoinOrder, then one
 // step per pattern in the order the run visits them.
-func (m *matcher) compile(base expr.Env) {
+func (m *matcher) compile() {
 	q := m.q
 	fields, nret := 0, 0
 	for i := range q.Patterns {
@@ -358,7 +357,7 @@ func (m *matcher) compile(base expr.Env) {
 		}
 	}
 	m.npos = len(m.order)
-	planJoinOrder(q, m.order, base, m.src)
+	planJoinOrder(q, m.order, m.base, m.src)
 	for i := range q.Patterns {
 		if q.Patterns[i].Negated {
 			m.order = append(m.order, i)
@@ -573,7 +572,7 @@ func (m *matcher) solution() {
 		m.arena = append(m.arena, m.retracts...)
 		matched = m.arena[len(m.arena)-n : len(m.arena) : len(m.arena)]
 	}
-	b := binding(m.names[:m.nsol], m.vals[:m.nsol], m.env, matched)
+	b := binding(m.names[:m.nsol], m.vals[:m.nsol], m.base, matched)
 	if m.fn != nil {
 		m.stopped = !m.fn(b)
 		return

@@ -148,11 +148,11 @@ func (p Pattern) String() string {
 	return b.String()
 }
 
-// Lead computes the index key of the pattern's leading field under env:
-// the concrete value the matched tuple must carry in position 0, if it is
-// determined (constant, bound variable, or closed expression). known=false
+// Lead computes the index key of the pattern's leading field under s: the
+// concrete value the matched tuple must carry in position 0, if it is
+// determined (constant, variable s binds, or closed expression). known=false
 // means the pattern must scan all tuples of its arity.
-func (p Pattern) Lead(env expr.Env) (v tuple.Value, known bool) {
+func (p Pattern) Lead(s expr.Scope) (v tuple.Value, known bool) {
 	if len(p.Fields) == 0 {
 		return tuple.Value{}, false
 	}
@@ -160,10 +160,9 @@ func (p Pattern) Lead(env expr.Env) (v tuple.Value, known bool) {
 	case FieldConst:
 		return f.Value, true
 	case FieldVar:
-		val, ok := env[f.Name]
-		return val, ok
+		return lookup(s, f.Name)
 	case FieldExpr:
-		val, err := f.Expr.Eval(env)
+		val, err := f.Expr.Eval(s)
 		if err != nil {
 			return tuple.Value{}, false
 		}

@@ -41,7 +41,7 @@ import (
 // (reproducing the written-order behavior, including its errors).
 //
 // Ties break toward written order, keeping plans deterministic.
-func planJoinOrder(q Query, positives []int, base expr.Env, src Source) []int {
+func planJoinOrder(q Query, positives []int, base expr.Scope, src Source) []int {
 	n := len(positives)
 	if n <= 1 {
 		return positives
@@ -109,12 +109,12 @@ const (
 // are handed.
 type planner struct {
 	q    Query
-	base expr.Env
+	base expr.Scope
 	est  Estimator
 }
 
 func (pl *planner) isBound(name string, bound []string) bool {
-	if _, ok := pl.base[name]; ok {
+	if _, ok := lookup(pl.base, name); ok {
 		return true
 	}
 	for _, b := range bound {
@@ -210,11 +210,10 @@ func (pl *planner) planValue(f Field) (tuple.Value, bool) {
 	case FieldConst:
 		return f.Value, true
 	case FieldVar:
-		v, ok := pl.base[f.Name]
-		return v, ok
+		return lookup(pl.base, f.Name)
 	case FieldExpr:
 		for _, v := range f.Expr.Vars(nil) {
-			if _, ok := pl.base[v]; !ok {
+			if _, ok := lookup(pl.base, v); !ok {
 				return tuple.Value{}, false
 			}
 		}

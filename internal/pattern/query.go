@@ -128,11 +128,11 @@ func (b Binding) RetractedIDs() []tuple.ID {
 	return ids
 }
 
-// Enumerate finds solutions to q against src starting from the base
-// environment, invoking fn for each; enumeration stops early when fn
-// returns false. Within one solution, retract-tagged patterns always match
-// pairwise-distinct tuple instances (one instance can be retracted only
-// once); read patterns may alias.
+// Enumerate finds solutions to q against src starting from the base scope,
+// invoking fn for each; enumeration stops early when fn returns false.
+// Within one solution, retract-tagged patterns always match pairwise-distinct
+// tuple instances (one instance can be retracted only once); read patterns
+// may alias.
 //
 // Negated patterns and the test query are checked per candidate solution
 // after all positive patterns have matched; variables that appear only in
@@ -140,7 +140,7 @@ func (b Binding) RetractedIDs() []tuple.ID {
 //
 // base is never modified, every Binding is independent of the enumeration
 // that produced it, and fn may itself enumerate.
-func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error {
+func Enumerate(q Query, src Source, base expr.Scope, fn func(Binding) bool) error {
 	m := matchers.Get().(*matcher)
 	defer m.release()
 	return m.run(q, src, base, fn, false, nil, nil)
@@ -149,7 +149,7 @@ func Enumerate(q Query, src Source, base expr.Env, fn func(Binding) bool) error 
 // Solve finds a single solution for an existential query (or the first
 // solution of a universal one). found is false when the query has no
 // solution.
-func Solve(q Query, src Source, base expr.Env) (Binding, bool, error) {
+func Solve(q Query, src Source, base expr.Scope) (Binding, bool, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
 	err := m.run(q, src, base, nil, true, nil, nil)
@@ -162,7 +162,7 @@ func Solve(q Query, src Source, base expr.Env) (Binding, bool, error) {
 // SolveAll collects every solution of the query. For ForAll transactions
 // the composite effect is the union of the per-solution retractions and
 // assertions; the caller deduplicates retraction IDs.
-func SolveAll(q Query, src Source, base expr.Env) ([]Binding, error) {
+func SolveAll(q Query, src Source, base expr.Scope) ([]Binding, error) {
 	return AppendSolutions(nil, q, src, base)
 }
 
@@ -171,7 +171,7 @@ func SolveAll(q Query, src Source, base expr.Env) ([]Binding, error) {
 // buffer grows as solutions arrive and dst grows once, so SolveAll's answer
 // is one exact-size slice, and a caller that recycles dst pays only for the
 // solutions themselves.
-func AppendSolutions(dst []Binding, q Query, src Source, base expr.Env) ([]Binding, error) {
+func AppendSolutions(dst []Binding, q Query, src Source, base expr.Scope) ([]Binding, error) {
 	m := matchers.Get().(*matcher)
 	defer m.release()
 	err := m.run(q, src, base, nil, false, nil, nil)

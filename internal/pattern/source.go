@@ -95,22 +95,22 @@ func sourceEstimator(src Source) Estimator {
 }
 
 // FieldSels collects the concrete non-lead field constraints of p under
-// env — every position whose required value is already known — appending
+// s — every position whose required value is already known — appending
 // to dst. Unevaluable computed fields are skipped (they fail candidates
 // during the match instead): the selectors the matcher hands ScanFields for
 // p when no earlier pattern has bound anything. A blocked transaction picks
 // the selector its subscription is filed under from this list.
-func FieldSels(p Pattern, env expr.Env, dst []FieldSel) []FieldSel {
+func FieldSels(p Pattern, s expr.Scope, dst []FieldSel) []FieldSel {
 	for i := 1; i < len(p.Fields); i++ {
 		switch f := p.Fields[i]; f.Kind {
 		case FieldConst:
 			dst = append(dst, FieldSel{Pos: i, Val: f.Value})
 		case FieldVar:
-			if v, ok := env[f.Name]; ok {
+			if v, ok := lookup(s, f.Name); ok {
 				dst = append(dst, FieldSel{Pos: i, Val: v})
 			}
 		case FieldExpr:
-			if v, err := f.Expr.Eval(env); err == nil {
+			if v, err := f.Expr.Eval(s); err == nil {
 				dst = append(dst, FieldSel{Pos: i, Val: v})
 			}
 		}

@@ -8,22 +8,22 @@ import (
 
 // Table holds the solutions of one enumeration as rows of slot values: one
 // column-name slice (the variables the positive patterns bind, in slot
-// order), every row's values in one flat slice, the base environment
-// referenced rather than copied, and every row's retract-tagged matches in
-// one arena. A table is meant to be reused: Collect refills it, and what it
-// allocated once serves every later enumeration.
+// order), every row's values in one flat slice, the base scope referenced
+// rather than copied, and every row's retract-tagged matches in one arena.
+// A table is meant to be reused: Collect refills it, and what it allocated
+// once serves every later enumeration.
 type Table struct {
 	cols  []string      // column names
 	vals  []tuple.Value // row-major, len(cols) values per row
-	base  expr.Env      // the enumeration's base environment, read-only
+	base  expr.Scope    // the enumeration's base scope, read-only
 	arena []Match       // every row's retract-tagged matches, in row order
 	rows  []Row
 }
 
 // Row is one solution in a Table. As an expr.Scope it resolves the query's
-// variables from the row's values, then from the base environment — exactly
-// what its materialized Env holds. A Row is valid until its table is
-// refilled or reset.
+// variables from the row's values, then from the base scope — exactly what
+// its materialized Env holds. A Row is valid until its table is refilled or
+// reset.
 type Row struct {
 	t      *Table
 	val    int // first of the row's values in t.vals
@@ -40,7 +40,7 @@ const maxPooledRows = 256
 // enumeration's steps: each pattern's lead source, the access path of every
 // scan, the candidates visited and matched. Nothing is allocated beyond
 // what t's arrays (and ex's steps) must grow by.
-func (t *Table) Collect(q Query, src Source, base expr.Env, first bool, ex *metrics.Explain) error {
+func (t *Table) Collect(q Query, src Source, base expr.Scope, first bool, ex *metrics.Explain) error {
 	t.Reset()
 	m := matchers.Get().(*matcher)
 	defer m.release()
@@ -82,27 +82,34 @@ func (r *Row) Lookup(name string) (tuple.Value, bool) {
 			return t.vals[r.val+i], true
 		}
 	}
-	v, ok := t.base[name]
-	return v, ok
+	return lookup(t.base, name)
+}
+
+// AddTo implements expr.Lister: the base scope's bindings, then the row's.
+func (r *Row) AddTo(env expr.Env) {
+	t := r.t
+	expr.Fill(env, t.base)
+	for i, c := range t.cols {
+		env[c] = t.vals[r.val+i]
+	}
 }
 
 // Matched returns the tuple instances the row's retract-tagged patterns
 // matched, in join order. The slice belongs to the table.
 func (r *Row) Matched() []Match { return r.t.arena[r.m0:r.m1:r.m1] }
 
-// Env materializes the row as an environment of its own: the base
-// environment plus the row's bindings. It costs one map.
+// Env materializes the row as an environment of its own: the base scope's
+// bindings plus the row's. It costs one map.
 func (r *Row) Env() expr.Env {
 	t := r.t
 	return materialize(t.cols, t.vals[r.val:r.val+len(t.cols)], t.base)
 }
 
-// materialize builds the environment base plus cols bound to vals.
-func materialize(cols []string, vals []tuple.Value, base expr.Env) expr.Env {
-	env := make(expr.Env, len(base)+len(cols))
-	for k, v := range base {
-		env[k] = v
-	}
+// materialize builds the environment of base's bindings plus cols bound to
+// vals, sized for the columns: with no base, that is the whole map.
+func materialize(cols []string, vals []tuple.Value, base expr.Scope) expr.Env {
+	env := make(expr.Env, len(cols))
+	expr.Fill(env, base)
 	for i, c := range cols {
 		env[c] = vals[i]
 	}
@@ -112,7 +119,7 @@ func materialize(cols []string, vals []tuple.Value, base expr.Env) expr.Env {
 // binding builds one map-shaped solution — the Bindings of Solve, SolveAll,
 // AppendSolutions and Enumerate are built here and nowhere else: an
 // environment of its own, and matched, memory the caller hands over.
-func binding(cols []string, vals []tuple.Value, base expr.Env, matched []Match) Binding {
+func binding(cols []string, vals []tuple.Value, base expr.Scope, matched []Match) Binding {
 	b := Binding{Env: materialize(cols, vals, base)}
 	if len(matched) > 0 {
 		b.Matched = matched
@@ -120,4 +127,4 @@ func binding(cols []string, vals []tuple.Value, base expr.Env, matched []Match) 
 	return b
 }
 
-var _ expr.Scope = (*Row)(nil)
+var _ expr.Lister = (*Row)(nil)

@@ -37,7 +37,7 @@ func TestProcessTransactionAllocates(t *testing.T) {
 	w := pattern.W()
 	node := view.Union(view.Pat(pattern.P(v("a"), w, w, w)), view.Pat(pattern.P(v("b"), w, w, w)))
 	p := &proc{rt: rt, pid: 1, def: &Definition{Name: "Sort"}, view: view.New(node, node),
-		env: expr.Env{"a": a, "b": b}}
+		scope: expr.Env{"a": a, "b": b}}
 	swap := Transact{
 		Kind: Immediate,
 		Query: pattern.Q(pattern.R(v("a"), v("n1"), v("v1"), v("x")), pattern.R(v("b"), v("n2"), v("v2"), v("y"))).
@@ -63,10 +63,10 @@ func TestProcessTransactionAllocates(t *testing.T) {
 }
 
 // TestSpawnAllocates pins what a process costs to be born and to die, in
-// steady state: its record (the consensus member, its offer and its first
-// frames live inside it) and its parameter map (a map is two allocations).
-// The live set's map slot, the run queue and the society's bookkeeping are
-// amortized.
+// steady state: its record, which holds its parameters, its consensus
+// member and offer and its first frames, and is the scope its statements
+// read. The live set's map slot, the run queue and the society's
+// bookkeeping are amortized.
 func TestSpawnAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own; allocation counts are not exact")
@@ -85,11 +85,54 @@ func TestSpawnAllocates(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		spawn() // warm the live map and the consensus member table
 	}
-	if got := testing.AllocsPerRun(200, spawn); got > 3 {
-		t.Errorf("Spawn of a one-parameter process: %.1f allocations, want <= 3 (record, parameter map)", got)
+	if got := testing.AllocsPerRun(200, spawn); got > 1 {
+		t.Errorf("Spawn of a one-parameter process: %.1f allocations, want <= 1 (the record)", got)
 	}
 	if n, want := rt.SpawnCount(), uint64(64+201); n != want {
 		t.Errorf("SpawnCount = %d, want %d", n, want)
+	}
+}
+
+// TestLetAllocates pins what a let-constant costs a process: one node over
+// its scope. A warmed process runs a statement whose action list lets N,
+// then a statement whose query reads N; the pair allocates at most the let's
+// node (the answers, rows and windows are pooled, and the read grounds
+// nothing), where a copy of a map-shaped scope would cost two or more.
+func TestLetAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
+	}
+	s, rt := newRuntime(t)
+	s.Assert(tuple.Environment,
+		tuple.New(atom("year"), tuple.Int(90)),
+		tuple.New(atom("const"), tuple.Int(7), tuple.Int(90)))
+	p := &proc{rt: rt, pid: 1, def: &Definition{Name: "P", Params: []string{"k"}}, view: view.Universal()}
+	p.args = append(p.argBuf[:0], tuple.Int(7))
+	p.scope = p
+	let := Transact{
+		Kind:    Immediate,
+		Query:   pattern.Q(pattern.P(pattern.C(atom("year")), pattern.V("a"))),
+		Actions: []Action{Let{Name: "N", Expr: expr.V("a")}},
+	}
+	read := Transact{ // holds only while N is 90 and the parameter k is 7
+		Kind: Immediate,
+		Query: pattern.Q(pattern.P(pattern.C(atom("const")), pattern.V("k"), pattern.V("x"))).
+			Where(expr.Eq(expr.V("x"), expr.V("N"))),
+	}
+	run := func() {
+		failures := rt.engine.Stats().Failures
+		if p.transact(let) != boundary || p.transact(read) != boundary || rt.engine.Stats().Failures != failures {
+			t.Fatalf("let then read: err %v, %d failed", p.err, rt.engine.Stats().Failures-failures)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		run() // warm the answer and matcher pools
+	}
+	if got := testing.AllocsPerRun(200, run); got > 1 {
+		t.Errorf("let then read: %.1f allocations, want <= 1 (the let's node)", got)
+	}
+	if l, ok := p.scope.(*expr.Let); !ok || l.Under != expr.Scope(p) {
+		t.Errorf("scope after repeated lets of N = %#v, want one Let over the record", p.scope)
 	}
 }
 

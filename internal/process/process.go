@@ -3,9 +3,10 @@
 // constructs — sequence, selection, repetition, and replication — that
 // sequence transaction execution within a process.
 //
-// Each process instance is a record with a private environment (parameters
-// plus let-constants), a programmer-defined view, a unique ProcessID that
-// owns the tuples it asserts, and its behavior as an explicit continuation.
+// Each process instance is a record that is its own scope (its parameters,
+// with its let-constants layered over it), a programmer-defined view, a
+// unique ProcessID that owns the tuples it asserts, and its behavior as an
+// explicit continuation.
 // The runtime's worker pool runs the records; a blocked process holds no
 // goroutine, only its record and its armed subscription or offer (see
 // proc). Processes are created by other processes (the Spawn action) or by
@@ -47,16 +48,17 @@ var (
 	errAbort = errors.New("process: abort")
 )
 
-// ViewFunc builds a process's view from its parameter environment, so
-// views can reference parameters (IMPORT <node_id,*,*,*> in the Sort
-// process). A nil ViewFunc means the universal view.
-type ViewFunc func(env expr.Env) view.View
+// ViewFunc builds a process's view from its parameters, read through s —
+// the new process's record — so views can reference parameters (IMPORT
+// <node_id,*,*,*> in the Sort process). The view may keep s: a record's
+// parameters never change. A nil ViewFunc means the universal view.
+type ViewFunc func(s expr.Scope) view.View
 
 // Definition is a parameterized process type.
 type Definition struct {
 	// Name identifies the type for Spawn actions.
 	Name string
-	// Params names the formal parameters, bound in the process environment.
+	// Params names the formal parameters, bound in the process's record.
 	Params []string
 	// View builds the process view from the parameters (nil = universal).
 	View ViewFunc
@@ -176,8 +178,8 @@ func (rt *Runtime) Define(def *Definition) error {
 
 // Spawn creates a process instance of the named definition with the given
 // argument values and starts it. It returns the new process's ID. The
-// arguments are copied into the process's environment, so the caller may
-// reuse args.
+// arguments are copied into the process's record, so the caller may reuse
+// args.
 func (rt *Runtime) Spawn(name string, args ...tuple.Value) (tuple.ProcessID, error) {
 	p, err := rt.prepare(name, args)
 	if err != nil {
@@ -261,8 +263,8 @@ func (rt *Runtime) startGroup(procs []*proc) {
 }
 
 // newProc validates one spawn of the named definition and builds its
-// process record, which with its parameter environment is all a process
-// allocates. Caller holds defsMu for reading.
+// process record, which holds its parameters (inline, up to len(argBuf)) and
+// is all a process allocates. Caller holds defsMu for reading.
 func (rt *Runtime) newProc(name string, args []tuple.Value) (*proc, error) {
 	def := rt.defs[name]
 	if def == nil {
@@ -272,24 +274,20 @@ func (rt *Runtime) newProc(name string, args []tuple.Value) (*proc, error) {
 		return nil, fmt.Errorf("%w: %s takes %d, got %d",
 			ErrArity, name, len(def.Params), len(args))
 	}
-	env := make(expr.Env, len(args))
-	for j, p := range def.Params {
-		env[p] = args[j]
-	}
-	v := view.Universal()
+	p := &proc{rt: rt, pid: tuple.ProcessID(rt.nextPID.Add(1)), def: def, view: view.Universal()}
+	p.args = append(p.argBuf[:0], args...)
+	p.scope = p
 	if def.View != nil {
-		v = def.View(env)
+		p.view = def.View(p)
 	}
-	pid := tuple.ProcessID(rt.nextPID.Add(1))
-	p := &proc{rt: rt, pid: pid, def: def, view: v, env: env}
 	p.init(frame{kind: frameSeq, stmts: def.Body})
 	return p, nil
 }
 
 // register enters p into the consensus manager's society, through the
-// member record p carries.
+// member record p carries, under p's parameters.
 func (rt *Runtime) register(p *proc) {
-	rt.cons.RegisterMember(&p.member, p.pid, p.view, p.env)
+	rt.cons.RegisterMember(&p.member, p.pid, p.view, p)
 }
 
 // start makes a registered p live and queues it to run.

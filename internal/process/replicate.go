@@ -89,9 +89,10 @@ func (p *proc) startRound(rep *replication) {
 	rep.copies = rep.copies[:0]
 	for bi := range rep.r.Branches {
 		for w := 0; w < workers; w++ {
-			// Each copy is a record of its own, with its own environment,
-			// so Let actions in the body cannot race with sibling copies.
-			c := &proc{rt: p.rt, pid: p.pid, def: p.def, view: p.view, env: p.env, copyOf: rep}
+			// Each copy is a record of its own, its scope starting at the
+			// replicating process's: a let in a copy extends that copy's
+			// scope alone, so sibling copies neither see nor race with it.
+			c := &proc{rt: p.rt, pid: p.pid, def: p.def, view: p.view, scope: p.scope, copyOf: rep}
 			c.init(frame{kind: frameCopy, branches: rep.r.Branches[bi : bi+1]})
 			rep.copies = append(rep.copies, c)
 		}

@@ -192,12 +192,12 @@ func (p *proc) tryGuards(branches []Branch) (int, *txn.Answer, error) {
 
 // guardInterestKeys unions the interest keys of every guard's query
 // patterns (positive and negated), with leads pinned when determined by
-// the process environment, appending them to keys (the caller's stack
+// the process's scope, appending them to keys (the caller's stack
 // buffer: Arm copies what it keeps).
 func (p *proc) guardInterestKeys(branches []Branch, keys []dataspace.InterestKey) []dataspace.InterestKey {
 	for _, b := range branches {
 		for _, pat := range b.Guard.Query.Patterns {
-			lead, known := pat.Lead(p.env)
+			lead, known := pat.Lead(p.scope)
 			keys = append(keys, dataspace.InterestOf(pat.Arity(), lead, known))
 		}
 	}

@@ -97,7 +97,7 @@ func (Replicate) stmt() {}
 // the transaction commits.
 type Action interface{ action() }
 
-// Let binds a constant in the process environment, evaluated under the
+// Let binds a constant in the process's scope, evaluated under the
 // transaction's solution environment (the paper's `let N = α`).
 type Let struct {
 	Name string
@@ -172,12 +172,22 @@ func (s State) String() string {
 // record learns which source woke it by looking at its offer, its copies,
 // the runtime's context and its subscription's buffer, so a spurious wake
 // costs one re-check.
+//
+// The record is the process's expr.Scope too: it binds the definition's
+// parameters to args, found by a scan of the handful of names. What the
+// process's statements read is scope — the record, or the let-constants
+// layered over it, one immutable expr.Let each, so a request issued before
+// a let (a parked offer the detector still holds) keeps the scope it was
+// issued with. A replication copy has no parameters of its own: its scope
+// starts as the replicating process's.
 type proc struct {
 	rt     *Runtime
 	pid    tuple.ProcessID
 	def    *Definition
 	view   view.View
-	env    expr.Env
+	args   []tuple.Value // the parameters' values, in def.Params order
+	argBuf [2]tuple.Value
+	scope  expr.Scope
 	selSeq uint64       // rotates the guard-attempt order across selections
 	state  atomic.Int32 // State, for introspection
 	wake   atomic.Int32 // the park protocol: awake, notified or asleep
@@ -231,6 +241,26 @@ const (
 	notified              // running or queued, woken since armWake
 	asleep                // parked: the next Wake queues it
 )
+
+// Lookup implements expr.Scope: the process's parameters (none for a
+// replication copy).
+func (p *proc) Lookup(name string) (tuple.Value, bool) {
+	for i, v := range p.args {
+		if p.def.Params[i] == name {
+			return v, true
+		}
+	}
+	return tuple.Value{}, false
+}
+
+// AddTo implements expr.Lister.
+func (p *proc) AddTo(env expr.Env) {
+	for i, v := range p.args {
+		env[p.def.Params[i]] = v
+	}
+}
+
+var _ expr.Lister = (*proc)(nil)
 
 // init sets up a fresh record to run its outermost frame.
 func (p *proc) init(f frame) {
@@ -394,12 +424,12 @@ func (p *proc) exec(s Stmt) outcome {
 }
 
 // request assembles the txn.Request for a transaction statement under the
-// current process environment.
+// process's current scope.
 func (p *proc) request(t Transact) txn.Request {
 	return txn.Request{
 		Proc:    p.pid,
 		View:    p.view,
-		Env:     p.env,
+		Env:     p.scope,
 		Query:   t.Query,
 		Asserts: t.Asserts,
 		Export:  t.Export,
@@ -530,36 +560,28 @@ func (p *proc) consensus(t Transact, woke bool) outcome {
 // visible to the actions after it (the paper's `let N = α, (found, N)`
 // idiom) and to all later statements of the process.
 func (p *proc) runActions(actions []Action, a *txn.Answer) error {
-	var lets expr.Env // accumulated let bindings from this action list
 	// The list's spawns register as they go and start together when it
 	// ends, as SpawnGroup's do: a consensus community that one action list
 	// spawns cannot reach a partial consensus before its last member exists.
 	var spawnBuf [8]*proc
 	spawned := spawnBuf[:0]
 	defer func() { p.rt.startGroup(spawned) }()
+	lets := 0 // the list's actions run so far, if one was a let
 	withLets := func(s expr.Scope) expr.Scope {
-		if len(lets) == 0 {
+		if lets == 0 {
 			return s
 		}
-		return letScope{lets, s}
+		return letScope{actions[:lets], p.scope, s}
 	}
-	for _, act := range actions {
+	for i, act := range actions {
 		switch act := act.(type) {
 		case Let:
 			v, err := act.Expr.Eval(withLets(a.Scope()))
 			if err != nil {
 				return fmt.Errorf("let %s: %w", act.Name, err)
 			}
-			if lets == nil {
-				lets = expr.Env{}
-			}
-			lets[act.Name] = v
-			// The process environment is shared with the requests this
-			// record has issued (a parked offer's among them); copy-on-write
-			// keeps them stable.
-			env := p.env.Clone()
-			env[act.Name] = v
-			p.env = env
+			p.scope = expr.With(p.scope, act.Name, v)
+			lets = i + 1
 		case *Spawn:
 			var buf [8]tuple.Value // the arguments, evaluated in place: Spawn copies them
 			rows := a.Rows()
@@ -585,15 +607,20 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 	return nil
 }
 
-// letScope layers an action list's let-constants over a solution.
+// letScope layers an action list's let-constants over a solution: a name
+// one of the list's actions so far lets resolves in the process's scope,
+// which binds it to its latest value, and any other in the solution.
 type letScope struct {
-	lets  expr.Env
+	done  []Action
+	scope expr.Scope
 	under expr.Scope
 }
 
 func (s letScope) Lookup(name string) (tuple.Value, bool) {
-	if v, ok := s.lets[name]; ok {
-		return v, true
+	for _, act := range s.done {
+		if l, ok := act.(Let); ok && l.Name == name {
+			return s.scope.Lookup(name)
+		}
 	}
 	return s.under.Lookup(name)
 }

@@ -98,12 +98,11 @@ func FindDef() *process.Definition {
 //
 //	IMPORT <node_id,*,*,*>, <next_node_id,*,*,*>
 //	EXPORT <node_id,*,*,*>, <next_node_id,*,*,*>
-func sortView(env expr.Env) view.View {
+func sortView(expr.Scope) view.View {
 	clause := view.Union(
 		view.Pat(pattern.P(pattern.V("a"), pattern.W(), pattern.W(), pattern.W())),
 		view.Pat(pattern.P(pattern.V("b"), pattern.W(), pattern.W(), pattern.W())),
 	)
-	_ = env
 	return view.New(clause, clause)
 }
 

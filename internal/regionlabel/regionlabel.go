@@ -246,7 +246,7 @@ func (m labelMatcher) Admits(rd dataspace.Reader, _ expr.Scope, tp tuple.Tuple) 
 
 // Restriction implements view.Matcher: arity-3 tuples led by the pixel or
 // one of its 4-neighbours.
-func (m labelMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
+func (m labelMatcher) Restriction(_ expr.Scope, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	if arity != 3 {
 		return leads, false, true
 	}
@@ -257,11 +257,13 @@ func (m labelMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([
 func (m labelMatcher) Arities() (int, bool) { return 3, false }
 
 func labelView(im *workload.Image) process.ViewFunc {
-	return func(env expr.Env) view.View {
-		r, _ := env["r"].AsInt()
+	return func(s expr.Scope) view.View {
+		rv, _ := s.Lookup("r")
+		r, _ := rv.AsInt()
+		t, _ := s.Lookup("t")
 		m := labelMatcher{
 			r:          r,
-			t:          env["t"],
+			t:          t,
 			neighbours: make(map[int64]bool, 4),
 			leads:      []tuple.Value{tuple.Int(r)},
 		}

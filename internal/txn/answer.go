@@ -220,22 +220,24 @@ func (a *Answer) Insert(w dataspace.Writer) {
 // Result builds the public, map-shaped form of the answer — the one place a
 // Result is built. Each solution becomes an environment of its own (a map),
 // Solutions is one slice, and when one solution was sought Env is the same
-// map as Solutions[0]; otherwise Env is the request environment. The effects
-// are copied into one array, Retracted and Asserted capped so that an append
-// to one cannot run into the other. A failed answer is Result{Env: req.Env}.
+// map as Solutions[0]; otherwise Env is the request environment as a map
+// (expr.EnvOf). The effects are copied into one array, Retracted and
+// Asserted capped so that an append to one cannot run into the other. A
+// failed answer is Result{Env: expr.EnvOf(req.Env)}.
 func (a *Answer) Result() Result {
-	res := Result{Env: a.req.Env}
-	rows := a.rows.Rows()
-	if len(rows) == 0 {
-		return res
+	if !a.OK() {
+		return Result{Env: expr.EnvOf(a.req.Env)}
 	}
-	res.OK = true
+	res := Result{OK: true}
+	rows := a.rows.Rows()
 	res.Solutions = make([]expr.Env, len(rows))
 	for i := range rows {
 		res.Solutions[i] = rows[i].Env()
 	}
 	if a.first {
 		res.Env = res.Solutions[0]
+	} else {
+		res.Env = expr.EnvOf(a.req.Env)
 	}
 	nr, na := len(a.Retracted), len(a.Asserted)
 	if nr+na > 0 {

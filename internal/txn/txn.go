@@ -71,8 +71,10 @@ type Request struct {
 	// process does not restrict it.
 	View view.View
 	// Env carries the process parameters and let-constants visible to the
-	// query and the assertion patterns.
-	Env expr.Env
+	// query and the assertion patterns: a process's record or a let over it
+	// for a process's request, and for a Go caller usually an expr.Env. The
+	// engine only reads it, for as long as it holds the request.
+	Env expr.Scope
 	// Query is the transaction's query.
 	Query pattern.Query
 	// Asserts are the tuples added on success, grounded under each
@@ -91,7 +93,9 @@ type Result struct {
 	// OK is true when the transaction committed.
 	OK bool
 	// Env is the solution environment of an ∃ transaction (the request Env
-	// extended with the query's bindings); for ∀ it is the request Env.
+	// extended with the query's bindings); for ∀, and for a failed
+	// transaction, it is the request Env as a map (expr.EnvOf: the caller's
+	// own map when it passed one).
 	Env expr.Env
 	// Solutions holds every solution environment of a ∀ transaction (one
 	// entry, equal to Env, for ∃).
@@ -441,9 +445,9 @@ func interest(req Request, indexed bool, keys []dataspace.InterestKey, sels []pa
 // definition share their literals but differ in their parameters, so the
 // parameter is what tells their subscriptions apart. The zero selector
 // means none.
-func subscriptionSel(p pattern.Pattern, env expr.Env) pattern.FieldSel {
+func subscriptionSel(p pattern.Pattern, s expr.Scope) pattern.FieldSel {
 	var buf [8]pattern.FieldSel
-	sels := pattern.FieldSels(p, env, buf[:0])
+	sels := pattern.FieldSels(p, s, buf[:0])
 	for _, s := range sels {
 		if p.Fields[s.Pos].Kind != pattern.FieldConst {
 			return s

@@ -48,11 +48,12 @@ type Matcher interface {
 	// nil during transaction evaluation.
 	Admits(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool
 	// Restriction appends to leads the matcher's scan restriction for tuples
-	// of the given arity: the concrete leading values it can admit. It
-	// reports applies=false when it admits no tuple of this arity,
-	// bounded=true when admitted tuples must carry one of the leading values
-	// it appended, and bounded=false, appending nothing, when unbounded.
-	Restriction(env expr.Env, arity int, leads []tuple.Value) (_ []tuple.Value, applies, bounded bool)
+	// of the given arity under s, the process environment: the concrete
+	// leading values it can admit. It reports applies=false when it admits
+	// no tuple of this arity, bounded=true when admitted tuples must carry
+	// one of the leading values it appended, and bounded=false, appending
+	// nothing, when unbounded.
+	Restriction(s expr.Scope, arity int, leads []tuple.Value) (_ []tuple.Value, applies, bounded bool)
 	// Arities reports the arity of the tuples the matcher can admit, or
 	// anyArity=true when it can admit any (the arity is then ignored).
 	Arities() (arity int, anyArity bool)
@@ -94,11 +95,11 @@ func (m PatternMatcher) Admits(_ dataspace.Reader, s expr.Scope, t tuple.Tuple) 
 }
 
 // Restriction implements Matcher.
-func (m PatternMatcher) Restriction(env expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
+func (m PatternMatcher) Restriction(s expr.Scope, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	if m.Pattern.Arity() != arity {
 		return leads, false, true
 	}
-	lead, known := m.Pattern.Lead(env)
+	lead, known := m.Pattern.Lead(s)
 	if !known {
 		return leads, true, false
 	}
@@ -122,30 +123,18 @@ func Dyn(arity int, fn func(r dataspace.Reader, env expr.Env, t tuple.Tuple) boo
 	return DynamicMatcher{Arity: arity, Fn: fn}
 }
 
-// Admits implements Matcher. Fn sees s as an environment (envOf).
+// Admits implements Matcher. Fn sees s as an environment (expr.EnvOf): an
+// Env as it is, and any other scope — a process's record, a solution row
+// of an export check — as a map of its bindings, built for the call.
 func (m DynamicMatcher) Admits(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool {
 	if m.Arity != 0 && t.Arity() != m.Arity {
 		return false
 	}
-	return m.Fn(r, envOf(s), t)
-}
-
-// envOf is a scope as the environment a dynamic matcher's function takes.
-// A clause is evaluated under an Env, passed as it is, or under a solution
-// row (an export check), which costs one map to materialize; any other
-// scope binds nothing here.
-func envOf(s expr.Scope) expr.Env {
-	switch s := s.(type) {
-	case expr.Env:
-		return s
-	case *pattern.Row:
-		return s.Env()
-	}
-	return nil
+	return m.Fn(r, expr.EnvOf(s), t)
 }
 
 // Restriction implements Matcher.
-func (m DynamicMatcher) Restriction(_ expr.Env, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
+func (m DynamicMatcher) Restriction(_ expr.Scope, arity int, leads []tuple.Value) ([]tuple.Value, bool, bool) {
 	return leads, m.Arity == 0 || m.Arity == arity, false
 }
 
@@ -212,7 +201,7 @@ func (c Clause) Pure() bool {
 // the arity at all; bounded=true means all covering matchers pin the lead,
 // with leads the (deduplicated) union. With a buffer the caller reuses, a
 // clause of pattern matchers restricts without allocating.
-func (c Clause) restriction(env expr.Env, arity int, leads []tuple.Value) (_ []tuple.Value, admitsAny, bounded bool) {
+func (c Clause) restriction(s expr.Scope, arity int, leads []tuple.Value) (_ []tuple.Value, admitsAny, bounded bool) {
 	if c.All {
 		return leads, true, false
 	}
@@ -220,7 +209,7 @@ func (c Clause) restriction(env expr.Env, arity int, leads []tuple.Value) (_ []t
 	for _, m := range c.Matchers {
 		n := len(leads)
 		var applies, b bool
-		if leads, applies, b = m.Restriction(env, arity, leads); !applies {
+		if leads, applies, b = m.Restriction(s, arity, leads); !applies {
 			continue
 		}
 		admitsAny = true
@@ -258,12 +247,12 @@ next:
 var leadBufs = sync.Pool{New: func() any { return new([]tuple.Value) }}
 
 // eachBucket calls fn with the canonical bucket of every lead the clause
-// pins under env — one call per matcher and lead, duplicates included — and
+// pins under s — one call per matcher and lead, duplicates included — and
 // reports whether the clause is bounded: false for the universal clause, an
-// any-arity matcher or a lead env leaves open. A false from fn ends the walk
+// any-arity matcher or a lead s leaves open. A false from fn ends the walk
 // and is reported as false too. Over a clause of pattern matchers the walk
 // allocates nothing.
-func (c Clause) eachBucket(env expr.Env, fn func(BucketKey) bool) bool {
+func (c Clause) eachBucket(s expr.Scope, fn func(BucketKey) bool) bool {
 	if c.All {
 		return false
 	}
@@ -274,7 +263,7 @@ func (c Clause) eachBucket(env expr.Env, fn func(BucketKey) bool) bool {
 		if anyArity {
 			return false
 		}
-		leads, applies, bounded := m.Restriction(env, a, (*buf)[:0])
+		leads, applies, bounded := m.Restriction(s, a, (*buf)[:0])
 		*buf = leads
 		if !applies {
 			continue
@@ -330,11 +319,11 @@ func (v View) Exports(r dataspace.Reader, s expr.Scope, t tuple.Tuple) bool {
 }
 
 // Window returns the pattern.Source presenting Import(p) ∩ D over the given
-// reader. The environment carries the process parameters referenced by the
+// reader. The scope s carries the process parameters referenced by the
 // view's patterns.
-func (v View) Window(r dataspace.Reader, env expr.Env) *Window {
+func (v View) Window(r dataspace.Reader, s expr.Scope) *Window {
 	w := new(Window)
-	w.Reset(v, r, env)
+	w.Reset(v, r, s)
 	return w
 }
 
@@ -346,7 +335,7 @@ func (v View) Window(r dataspace.Reader, env expr.Env) *Window {
 type Window struct {
 	r   dataspace.Reader
 	v   View
-	env expr.Env
+	env expr.Scope
 
 	// scans holds one entry per restricted scan in progress, the innermost
 	// last. The reader only ever calls back the innermost scan — an outer
@@ -367,10 +356,10 @@ type scanState struct {
 	leads   []tuple.Value
 }
 
-// Reset points the window at Import(p) ∩ D for view v over r under env.
+// Reset points the window at Import(p) ∩ D for view v over r under s.
 // Reset(View{}, nil, nil) drops every reference, as a pooled owner does.
-func (w *Window) Reset(v View, r dataspace.Reader, env expr.Env) {
-	w.v, w.r, w.env = v, r, env
+func (w *Window) Reset(v View, r dataspace.Reader, s expr.Scope) {
+	w.v, w.r, w.env = v, r, s
 }
 
 // filter is the import filter: it forwards the tuples the import clause
@@ -515,9 +504,9 @@ func (w *Window) Reader() dataspace.Reader { return w.r }
 // pin their leading fields materializes in time proportional to its own
 // import, not to |D| — the property that keeps consensus detection cheap
 // for community-model programs.
-func Materialize(v View, r dataspace.Reader, env expr.Env) map[tuple.ID]struct{} {
+func Materialize(v View, r dataspace.Reader, s expr.Scope) map[tuple.ID]struct{} {
 	out := make(map[tuple.ID]struct{})
-	w := v.Window(r, env)
+	w := v.Window(r, s)
 	for _, arity := range r.Arities() {
 		w.Scan(arity, tuple.Value{}, false, func(id tuple.ID, _ tuple.Tuple) bool {
 			out[id] = struct{}{}
@@ -545,7 +534,7 @@ func CanonBucket(arity int, lead tuple.Value) BucketKey {
 }
 
 // ImportShape is the static shape of a view's import clause under a process
-// environment — what the consensus detector can know about Import(p) ∩ D
+// scope — what the consensus detector can know about Import(p) ∩ D
 // without reading D.
 type ImportShape struct {
 	// Universal: the import is the whole dataspace.
@@ -565,8 +554,8 @@ type ImportShape struct {
 	Keys []BucketKey
 }
 
-// ImportShape classifies the view's import clause under env.
-func (v View) ImportShape(env expr.Env) ImportShape {
+// ImportShape classifies the view's import clause under s.
+func (v View) ImportShape(s expr.Scope) ImportShape {
 	imp := v.Import
 	if imp.All {
 		return ImportShape{Universal: true}
@@ -577,7 +566,7 @@ func (v View) ImportShape(env expr.Env) ImportShape {
 			sh.Complete = false
 		}
 	}
-	if !imp.eachBucket(env, func(k BucketKey) bool {
+	if !imp.eachBucket(s, func(k BucketKey) bool {
 		if !slices.Contains(sh.Keys, k) {
 			sh.Keys = append(sh.Keys, k)
 		}
@@ -588,12 +577,12 @@ func (v View) ImportShape(env expr.Env) ImportShape {
 	return sh
 }
 
-// ImportWithin reports whether the import clause, under env, is bounded to
-// buckets among keys: ImportShape(env) is Bounded and every one of its Keys
+// ImportWithin reports whether the import clause, under s, is bounded to
+// buckets among keys: ImportShape(s) is Bounded and every one of its Keys
 // is in keys. It builds no shape, so for a clause of pattern matchers it
 // allocates nothing.
-func (v View) ImportWithin(env expr.Env, keys []BucketKey) bool {
-	return v.Import.eachBucket(env, func(k BucketKey) bool { return slices.Contains(keys, k) })
+func (v View) ImportWithin(s expr.Scope, keys []BucketKey) bool {
+	return v.Import.eachBucket(s, func(k BucketKey) bool { return slices.Contains(keys, k) })
 }
 
 // wildcardTail reports whether every non-lead field of p is a wildcard and p

@@ -103,8 +103,11 @@ var WithShards = dataspace.WithShards
 type (
 	// Expr is a side-effect-free expression over variable bindings.
 	Expr = expr.Expr
-	// Env holds variable bindings.
+	// Env holds variable bindings as a map.
 	Env = expr.Env
+	// Scope resolves variable bindings: a process's parameters and
+	// let-constants (what a Definition's View reads), or an Env.
+	Scope = expr.Scope
 )
 
 // Expression constructors.

@@ -681,8 +681,12 @@ func E10WakeupIndex(ctx context.Context, waiterCounts []int) (*Table, error) {
 					}
 				}(i)
 			}
-			// Let every waiter run its first (failing) attempt and block.
-			for int(e.Stats().Attempts) < p {
+			// Let every waiter evaluate, fail and block. A block is counted
+			// once the waiter's first read is done; an attempt is counted
+			// before it reads, and a waiter descheduled there would read
+			// after the release. No commit precedes the noise, so the broad
+			// arm's spurious wakeups cannot add blocks before then.
+			for s.Metrics().Snapshot().Txn["delayed"].Blocks < uint64(p) {
 				runtime.Gosched()
 			}
 			d, err := timeIt(func() error {

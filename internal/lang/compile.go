@@ -137,24 +137,33 @@ func Merge(progs ...*Program) (*Program, error) {
 }
 
 // compiler carries program-level context: the process arities, and the
-// slabs every compiled pattern's fields, every argument list, every literal
-// expression and every spawn action are cut from.
+// slabs every transaction's query and assertion lists, every compiled
+// pattern's fields, every literal assertion's tuple, every argument list,
+// every literal expression and every spawn action are cut from.
 type compiler struct {
-	arities map[string]int // process name -> parameter count
-	fields  slab[pattern.Field]
-	args    slab[expr.Expr]
-	lits    slab[expr.Lit]
-	spawns  slab[process.Spawn]
+	arities  map[string]int // process name -> parameter count
+	patterns slab[pattern.Pattern]
+	fields   slab[pattern.Field]
+	values   slab[tuple.Value]
+	args     slab[expr.Expr]
+	lits     slab[expr.Lit]
+	spawns   slab[process.Spawn]
 }
 
-// size sets the slabs' hints to the exact number of pattern fields, of spawn
-// and call arguments and of spawn actions in the program, and to a bound on
-// its literal expressions: every literal and identifier outside a pattern
-// field of its own (those compile to pattern constants and variables, and
-// a bound identifier to a variable).
+// size sets the slabs' hints to the exact number of query items and
+// assertions, of pattern fields, of spawn and call arguments and of spawn
+// actions in the program, and to bounds on its literal assertions' values
+// (every assertion field) and on its literal expressions: every literal
+// and identifier outside a pattern field of its own (those compile to
+// pattern constants and variables, and a bound identifier to a variable).
 func (c *compiler) size(prog *Program) {
 	Walk(prog, func(n Node) bool {
 		switch x := n.(type) {
+		case *QueryItem:
+			c.patterns.hint++
+		case *AssertAction:
+			c.patterns.hint++
+			c.values.hint += len(x.Pattern.Fields)
 		case *PatternNode:
 			c.fields.hint += len(x.Fields)
 		case *ExprField:
@@ -349,7 +358,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 	if t.Quant == QuantForall {
 		q.Quant = pattern.ForAll
 	}
-	q.Patterns = slices.Grow(q.Patterns, len(t.Items))
+	q.Patterns = c.patterns.make(len(t.Items))[:0]
 	for _, item := range t.Items {
 		pat, err := c.compilePattern(item.Pattern, ts)
 		if err != nil {
@@ -416,7 +425,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 			asserts++
 		}
 	}
-	tx.Asserts = slices.Grow(tx.Asserts, asserts)
+	tx.Asserts = c.patterns.make(asserts)[:0]
 	tx.Actions = slices.Grow(tx.Actions, len(t.Actions)-asserts)
 	for _, a := range t.Actions {
 		switch act := a.(type) {
@@ -425,8 +434,11 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 			if err != nil {
 				return process.Transact{}, err
 			}
+			consts := 0
 			for i, f := range pat.Fields {
 				switch f.Kind {
+				case pattern.FieldConst:
+					consts++
 				case pattern.FieldWildcard:
 					return process.Transact{}, errAt(act.Pattern.Pos,
 						"assertion field %d is a wildcard; assertions must be ground", i+1)
@@ -440,6 +452,10 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 						return process.Transact{}, err
 					}
 				}
+			}
+			if consts == len(pat.Fields) {
+				// The same tuple under every solution: build it now.
+				pat = pat.Literal(c.values.make(consts))
 			}
 			tx.Asserts = append(tx.Asserts, pat)
 		case *LetAction:

@@ -110,9 +110,10 @@ func TestParseOnAnotherGoroutineAllocates(t *testing.T) {
 }
 
 // TestCompileAllocates pins that compiling allocates per program, not per
-// action: an assertion's fields, a spawn's arguments, its literal argument
-// and the *process.Spawn itself are all cut from the program's slabs, so a
-// society of 1000 spawns compiles with as many allocations as one of 10.
+// action: a statement's assertion list, an assertion's fields and literal
+// tuple, a spawn's arguments, its literal argument and the *process.Spawn
+// itself are all cut from the program's slabs, so a society of 1000 spawns
+// compiles with as many allocations as one of 10.
 func TestCompileAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own; allocation counts are not exact")
@@ -131,6 +132,58 @@ func TestCompileAllocates(t *testing.T) {
 		if got > perProgram {
 			t.Errorf("Compile of %d asserts and %d spawns: %.0f allocations, want <= %d", n, n, got, perProgram)
 		}
+	}
+}
+
+// TestLiteralAssertionsAllocateNothing pins that a literal assertion is
+// ground once, at compile time: grounding a compiled action list of 64
+// literal assertions allocates nothing, and each grounds to the tuple its
+// fields spell. An assertion with a variable still grounds per solution.
+func TestLiteralAssertionsAllocateNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	const n = 64
+	var b strings.Builder
+	b.WriteString("main\n  -> ")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<k, %d, \"s\">, ", i)
+	}
+	b.WriteString("skip\nend\n")
+	prog, err := Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asserts := comp.Defs[0].Body[0].(process.Transact).Asserts
+	if len(asserts) != n {
+		t.Fatalf("%d assertions compiled, want %d", len(asserts), n)
+	}
+	for i, a := range asserts {
+		got, err := a.Ground(nil)
+		if want := tuple.New(tuple.Atom("k"), tuple.Int(int64(i)), tuple.String("s")); err != nil || !got.Equal(want) {
+			t.Fatalf("assertion %d grounds to %v (%v), want %v", i, got, err, want)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		for _, a := range asserts {
+			if _, err := a.Ground(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != 0 {
+		t.Errorf("grounding %d literal assertions: %.0f allocations, want 0", n, got)
+	}
+	env, v := expr.Env{"x": tuple.Int(1)}, pattern.P(pattern.C(tuple.Atom("k")), pattern.V("x"))
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := v.Ground(env); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("grounding an assertion with a variable: %.0f allocations, want 1 (its tuple)", got)
 	}
 }
 
@@ -156,7 +209,8 @@ func TestWalkAllocatesNothing(t *testing.T) {
 // TestSlabsDoNotAlias appends to lists cut from the parser's and the
 // compiler's slabs and checks that no neighbour changed: every list is a
 // full slice, so an append reallocates instead of writing into the next
-// list's storage.
+// list's storage. The literal assertions' tuples, cut from the values slab,
+// each keep the values their fields spell.
 func TestSlabsDoNotAlias(t *testing.T) {
 	srcs := []string{
 		"process P(a, b)\nbehavior\n  <x, a, *> -> <y, b, min(a, b)>\nend\nmain\n  -> <k, 1>, <k, 2>, spawn P(1, 2), spawn P(3, 4)\nend\n",
@@ -179,6 +233,7 @@ func TestSlabsDoNotAlias(t *testing.T) {
 
 	main := comps[0].Defs[len(comps[0].Defs)-1].Body[0].(process.Transact)
 	_ = append(main.Asserts[0].Fields, pattern.C(tuple.Int(99)))
+	_ = append(comps[0].Defs[0].Body[0].(process.Transact).Query.Patterns, pattern.P(pattern.W()))
 	for _, a := range main.Actions {
 		if sp, ok := a.(*process.Spawn); ok {
 			_ = append(sp.Args, expr.Const(tuple.Int(99)))
@@ -190,6 +245,17 @@ func TestSlabsDoNotAlias(t *testing.T) {
 	_ = append(ast.Actions, &SkipAction{})
 	_ = append(progs[0].Processes[0].Params, "c")
 
+	for i, want := range [][]tuple.Tuple{
+		{tuple.New(tuple.Atom("k"), tuple.Int(1)), tuple.New(tuple.Atom("k"), tuple.Int(2))},
+		{tuple.New(tuple.Atom("m"), tuple.Int(1), tuple.Int(2)), tuple.New(tuple.Atom("m"), tuple.Int(3), tuple.Int(4))},
+	} {
+		asserts := comps[i].Defs[len(comps[i].Defs)-1].Body[0].(process.Transact).Asserts
+		for j, a := range asserts {
+			if got, err := a.Ground(nil); err != nil || !got.Equal(want[j]) {
+				t.Errorf("program %d: literal assertion %d grounds to %v (%v), want %v", i, j, got, err, want[j])
+			}
+		}
+	}
 	for i := range srcs {
 		if got := Format(progs[i]); got != formatted[i] {
 			t.Errorf("program %d: Format changed after appends:\n%s\nwant:\n%s", i, got, formatted[i])
@@ -201,13 +267,19 @@ func TestSlabsDoNotAlias(t *testing.T) {
 }
 
 // renderDefs prints the compiled definitions' statements, patterns and
-// actions, a spawn action by its contents rather than its address.
+// actions, a spawn action by its contents rather than its address, and the
+// tuple of every assertion that grounds without a scope (a literal one).
 func renderDefs(c *Compiled) string {
 	var b strings.Builder
 	for _, d := range c.Defs {
 		fmt.Fprintf(&b, "%s(%v): %v\n", d.Name, d.Params, d.Body)
 		for _, st := range d.Body {
 			if tx, ok := st.(process.Transact); ok {
+				for _, a := range tx.Asserts {
+					if g, err := a.Ground(nil); err == nil {
+						fmt.Fprintf(&b, "  ground %v\n", g)
+					}
+				}
 				for _, a := range tx.Actions {
 					if sp, ok := a.(*process.Spawn); ok {
 						fmt.Fprintf(&b, "  spawn %+v\n", *sp)

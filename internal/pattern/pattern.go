@@ -82,6 +82,8 @@ type Pattern struct {
 	// tuples count as violations, expressing guarded negation such as
 	// "¬∃ q,λ': <q, label, λ'> ∧ λ' ≠ λ".
 	Guard expr.Expr
+	// lit is the pattern's tuple when a compiler built it ahead (Literal).
+	lit tuple.Tuple
 }
 
 // Guarded returns a copy of the pattern with the guard predicate attached.
@@ -186,11 +188,34 @@ func (p Pattern) Vars(dst []string) []string {
 	return dst
 }
 
+// Literal returns p carrying its tuple, built in block, when every field of
+// p is a constant and block holds one value per field; otherwise it returns
+// p as it is. Ground then returns that tuple under any scope: a tuple is
+// immutable, so every instance asserted from p shares block. The caller
+// must not write to block afterwards.
+func (p Pattern) Literal(block []tuple.Value) Pattern {
+	if len(block) != len(p.Fields) {
+		return p
+	}
+	for i, f := range p.Fields {
+		if f.Kind != FieldConst {
+			return p
+		}
+		block[i] = f.Value
+	}
+	p.lit = tuple.Adopt(block)
+	return p
+}
+
 // Ground instantiates the pattern into a concrete tuple under s: every
 // assertion of a transaction is grounded this way, once per solution, with
 // the solution as the scope. It fails if the pattern contains wildcards or
-// unbound variables. The tuple is the one allocation.
+// unbound variables. The tuple is the one allocation, except for a pattern
+// Literal built ahead, whose tuple Ground returns without allocating.
 func (p Pattern) Ground(s expr.Scope) (tuple.Tuple, error) {
+	if p.lit.Arity() > 0 {
+		return p.lit, nil
+	}
 	fields := make([]tuple.Value, len(p.Fields))
 	for i, f := range p.Fields {
 		switch f.Kind {

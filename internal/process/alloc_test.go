@@ -93,6 +93,56 @@ func TestSpawnAllocates(t *testing.T) {
 	}
 }
 
+// TestSpawnListAllocates pins that a list of spawns pays for its records
+// once: an action list of 64 spawns allocates their records as one block
+// and its list of them, and SpawnGroup of 64 the block, its list and the
+// returned IDs — not one record per spawn.
+func TestSpawnListAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
+	}
+	const n = 64
+	s, rt := newRuntime(t)
+	if err := rt.Define(&Definition{Name: "Nop", Params: []string{"i"}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Assert(tuple.Environment, tuple.New(atom("go")))
+	p := &proc{rt: rt, pid: 1, def: &Definition{Name: "Main"}, view: view.Universal()}
+	p.scope = p
+	list := Transact{Kind: Immediate, Query: pattern.Q(pattern.P(pattern.C(atom("go"))))}
+	reqs := make([]SpawnReq, n)
+	for i := range reqs {
+		arg := tuple.Int(int64(i))
+		list.Actions = append(list.Actions, &Spawn{Type: "Nop", Args: []expr.Expr{expr.Const(arg)}})
+		reqs[i] = SpawnReq{Type: "Nop", Args: []tuple.Value{arg}}
+	}
+	runList := func() {
+		if out := p.transact(list); out != boundary {
+			t.Fatalf("spawn list: outcome %d, err %v", out, p.err)
+		}
+		rt.Wait()
+	}
+	runGroup := func() {
+		if _, err := rt.SpawnGroup(reqs); err != nil {
+			t.Fatal(err)
+		}
+		rt.Wait()
+	}
+	for i := 0; i < 16; i++ {
+		runList() // warm the live map, the consensus member table and the pools
+		runGroup()
+	}
+	if got := testing.AllocsPerRun(50, runList); got > 2 {
+		t.Errorf("action list of %d spawns: %.1f allocations, want <= 2 (the block and its list)", n, got)
+	}
+	if got := testing.AllocsPerRun(50, runGroup); got > 3 {
+		t.Errorf("SpawnGroup of %d: %.1f allocations, want <= 3 (the block, its list and the IDs)", n, got)
+	}
+	if got, want := rt.SpawnCount(), uint64(2*n*(16+51)); got != want {
+		t.Errorf("SpawnCount = %d, want %d", got, want)
+	}
+}
+
 // TestLetAllocates pins what a let-constant costs a process: one node over
 // its scope. A warmed process runs a statement whose action list lets N,
 // then a statement whose query reads N; the pair allocates at most the let's

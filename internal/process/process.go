@@ -181,28 +181,28 @@ func (rt *Runtime) Define(def *Definition) error {
 // arguments are copied into the process's record, so the caller may reuse
 // args.
 func (rt *Runtime) Spawn(name string, args ...tuple.Value) (tuple.ProcessID, error) {
-	p, err := rt.prepare(name, args)
-	if err != nil {
+	p := new(proc)
+	if err := rt.prepare(p, name, args); err != nil {
 		return 0, err
 	}
 	rt.start(p)
 	return p.pid, nil
 }
 
-// prepare builds and registers one spawn of the named definition; the
-// caller starts it.
-func (rt *Runtime) prepare(name string, args []tuple.Value) (*proc, error) {
+// prepare builds one spawn of the named definition into the zero record p
+// and registers it; the caller starts it.
+func (rt *Runtime) prepare(p *proc, name string, args []tuple.Value) error {
 	if rt.closed.Load() {
-		return nil, ErrRuntimeClosed
+		return ErrRuntimeClosed
 	}
 	rt.defsMu.RLock()
-	p, err := rt.newProc(name, args)
+	err := rt.newProc(p, name, args)
 	rt.defsMu.RUnlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rt.register(p)
-	return p, nil
+	return nil
 }
 
 // SpawnReq describes one process instance for SpawnGroup.
@@ -225,15 +225,15 @@ func (rt *Runtime) SpawnGroup(reqs []SpawnReq) ([]tuple.ProcessID, error) {
 	if rt.closed.Load() {
 		return nil, ErrRuntimeClosed
 	}
+	block := make([]proc, len(reqs))
 	procs := make([]*proc, len(reqs))
 	rt.defsMu.RLock()
 	for i, req := range reqs {
-		p, err := rt.newProc(req.Type, req.Args)
-		if err != nil {
+		procs[i] = &block[i]
+		if err := rt.newProc(procs[i], req.Type, req.Args); err != nil {
 			rt.defsMu.RUnlock()
 			return nil, err
 		}
-		procs[i] = p
 	}
 	rt.defsMu.RUnlock()
 
@@ -263,25 +263,27 @@ func (rt *Runtime) startGroup(procs []*proc) {
 }
 
 // newProc validates one spawn of the named definition and builds its
-// process record, which holds its parameters (inline, up to len(argBuf)) and
-// is all a process allocates. Caller holds defsMu for reading.
-func (rt *Runtime) newProc(name string, args []tuple.Value) (*proc, error) {
+// process record into the zero record p. The record holds the parameters
+// (inline, up to len(argBuf)) and is all a process allocates: one
+// allocation for a single spawn, one block of records for a group or an
+// action list's spawns. Caller holds defsMu for reading.
+func (rt *Runtime) newProc(p *proc, name string, args []tuple.Value) error {
 	def := rt.defs[name]
 	if def == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDefinition, name)
+		return fmt.Errorf("%w: %q", ErrUnknownDefinition, name)
 	}
 	if len(args) != len(def.Params) {
-		return nil, fmt.Errorf("%w: %s takes %d, got %d",
+		return fmt.Errorf("%w: %s takes %d, got %d",
 			ErrArity, name, len(def.Params), len(args))
 	}
-	p := &proc{rt: rt, pid: tuple.ProcessID(rt.nextPID.Add(1)), def: def, view: view.Universal()}
+	p.rt, p.pid, p.def, p.view = rt, tuple.ProcessID(rt.nextPID.Add(1)), def, view.Universal()
 	p.args = append(p.argBuf[:0], args...)
 	p.scope = p
 	if def.View != nil {
 		p.view = def.View(p)
 	}
 	p.init(frame{kind: frameSeq, stmts: def.Body})
-	return p, nil
+	return nil
 }
 
 // register enters p into the consensus manager's society, through the

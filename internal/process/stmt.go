@@ -563,9 +563,23 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 	// The list's spawns register as they go and start together when it
 	// ends, as SpawnGroup's do: a consensus community that one action list
 	// spawns cannot reach a partial consensus before its last member exists.
+	// Their records are cut from one block, as a group's are.
+	n := 0
+	for _, act := range actions {
+		if _, ok := act.(*Spawn); ok {
+			n += len(a.Rows())
+		}
+	}
+	var block []proc
 	var spawnBuf [8]*proc
 	spawned := spawnBuf[:0]
-	defer func() { p.rt.startGroup(spawned) }()
+	if n > 0 {
+		block = make([]proc, n)
+		if n > len(spawnBuf) {
+			spawned = make([]*proc, 0, n)
+		}
+		defer func() { p.rt.startGroup(spawned) }()
+	}
 	lets := 0 // the list's actions run so far, if one was a let
 	withLets := func(s expr.Scope) expr.Scope {
 		if lets == 0 {
@@ -590,8 +604,8 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 				if err != nil {
 					return fmt.Errorf("spawn %s: %w", act.Type, err)
 				}
-				c, err := p.rt.prepare(act.Type, vals)
-				if err != nil {
+				c := &block[len(spawned)]
+				if err := p.rt.prepare(c, act.Type, vals); err != nil {
 					return fmt.Errorf("spawn %s: %w", act.Type, err)
 				}
 				spawned = append(spawned, c)

@@ -24,6 +24,21 @@ import (
 
 var tags = []string{"a", "b", "c"}
 
+// literals holds the assertion <tag, v> for each tag and each v < 6, its
+// tuple built once as the compiler builds a literal assertion's
+// (Pattern.Literal): every unconditional assert of one content, on every
+// worker of the audit, shares that tuple.
+var literals = func() [][]pattern.Pattern {
+	out := make([][]pattern.Pattern, len(tags))
+	for i, tag := range tags {
+		for v := range 6 {
+			p := pattern.P(pattern.C(tuple.Atom(tag)), pattern.C(tuple.Int(int64(v))))
+			out[i] = append(out[i], p.Literal(make([]tuple.Value, 2)))
+		}
+	}
+	return out
+}()
+
 // op is one randomly generated confluent transaction.
 type op struct {
 	descr string
@@ -32,11 +47,12 @@ type op struct {
 }
 
 func genOp(rng *rand.Rand) op {
-	tag := tuple.Atom(tags[rng.Intn(len(tags))])
+	ti := rng.Intn(len(tags))
+	tag := tuple.Atom(tags[ti])
 	val := rng.Int63n(6)
 	switch rng.Intn(5) {
-	case 0: // unconditional assert
-		a := []pattern.Pattern{pattern.P(pattern.C(tag), pattern.C(tuple.Int(val)))}
+	case 0: // unconditional assert of a literal
+		a := []pattern.Pattern{literals[ti][val]}
 		q := pattern.Query{Quant: pattern.Exists}
 		return op{
 			descr: fmt.Sprintf("assert <%s,%d>", tag, val),

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
@@ -189,6 +190,7 @@ func (a *Answer) Retract(w dataspace.Writer) error {
 // export matchers consult.
 func (a *Answer) Ground(r dataspace.Reader) error {
 	rows := a.rows.Rows()
+	a.ground = slices.Grow(a.ground, len(rows)*len(a.req.Asserts))
 	for i := range rows {
 		row := &rows[i]
 		for _, ap := range a.req.Asserts {
@@ -211,6 +213,7 @@ func (a *Answer) Ground(r dataspace.Reader) error {
 // Insert asserts the tuples Ground kept, owned by the issuing process, and
 // records them in Asserted.
 func (a *Answer) Insert(w dataspace.Writer) {
+	a.Asserted = slices.Grow(a.Asserted, len(a.ground))
 	for _, t := range a.ground {
 		id := w.Insert(t, a.req.Proc)
 		a.Asserted = append(a.Asserted, dataspace.Instance{ID: id, Tuple: t, Owner: a.req.Proc})

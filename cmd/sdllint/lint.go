@@ -51,7 +51,7 @@ var classByName = map[string]int{
 // Finding is one lock-discipline violation.
 type Finding struct {
 	Pos  token.Position
-	Rule string // lock-order, leaf-lock, unlocked-mutation, rlock-mutation, unlocked-append, rlock-append
+	Rule string // lock-order, leaf-lock, unlocked-mutation, rlock-mutation, unlocked-append, rlock-append, locked-after-commit
 	Msg  string
 }
 
@@ -403,6 +403,10 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	case "runlockSet":
 		sc.release(classMu)
 		return
+	case "unlatch":
+		// Modeled helper: releases the commit's key latches.
+		sc.release(classLatch)
+		return
 	case "indexAdd", "indexRemove", "secEdit":
 		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard indexes")
 	case "place", "vacate":
@@ -427,6 +431,16 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	case "Append":
 		if strings.HasSuffix(recv, ".durable") {
 			sc.requireExclusiveMu(call.Pos(), "append", "durability append")
+		}
+	case "runAfterCommit":
+		// The after-commit hooks may call back into the store, and commit.
+		for c := classLatch; c <= classMu; c++ {
+			if h := sc.held[c]; h != nil && h.n > 0 {
+				sc.addf(call.Pos(), "locked-after-commit",
+					"%s runs the after-commit hooks holding %s: they may commit, so they run once the commit's locks are released",
+					sc.name, classNames[c])
+				break
+			}
 		}
 	}
 	sc.walkExpr(sel.X)

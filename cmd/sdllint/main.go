@@ -1,6 +1,6 @@
 // Command sdllint checks the runtime's lock discipline. It lints the
 // shared-dataspace store (and any other package directory named on the
-// command line) against three rules the code comments promise but the
+// command line) against four rules the code comments promise but the
 // compiler cannot enforce:
 //
 //   - lock-order: the three-layer commit ladder acquires key latches,
@@ -16,6 +16,9 @@
 //   - unlocked-append: DurableSink.Append runs inside the commit
 //     critical section (exclusive mu held), so conflicting commits reach
 //     the log in version order.
+//   - locked-after-commit: the after-commit hooks (Store.runAfterCommit)
+//     run once the commit's locks are released — no key latch, intent or
+//     mu held, nor annotated as held — because a hook may commit.
 //
 // The analysis is intraprocedural; functions whose callers hold locks
 // carry a `lint:holds <class ...>` doc-comment annotation (see lint.go).

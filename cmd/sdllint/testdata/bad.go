@@ -37,6 +37,11 @@ type store struct {
 	durable interface{ Append(any) uint64 }
 }
 
+func (s *store) lockSet()              {}
+func (s *store) unlockSet()            {}
+func (s *store) unlatch(latches []int) {}
+func (s *store) runAfterCommit()       {}
+
 // orderInversion takes the shard mu before the intent lock: mu is class 3,
 // intent is class 2, and the ladder only descends.
 func orderInversion(sh *shard) {
@@ -142,6 +147,43 @@ func lockedSlabEdit(sh *shard) {
 // section.
 func bareAppend(s *store) {
 	s.durable.Append(nil) // want unlocked-append
+}
+
+// afterCommitUnderMu runs the after-commit hooks inside the commit's
+// critical section: a hook that commits would deadlock on the shard lock.
+func afterCommitUnderMu(s *store) {
+	s.lockSet()
+	s.runAfterCommit() // want locked-after-commit
+	s.unlockSet()
+}
+
+// afterCommitUnderLatch runs them with the key latches still held.
+func afterCommitUnderLatch(s *store, sh *shard) {
+	sh.latches[1].Lock()
+	s.runAfterCommit() // want locked-after-commit
+	s.unlatch(nil)
+}
+
+// afterCommitAnnotated runs them where its callers hold the intent lock.
+//
+// lint:holds intent
+func afterCommitAnnotated(s *store) {
+	s.runAfterCommit() // want locked-after-commit
+}
+
+// afterCommitUnlocked is CLEAN: the hooks run once the shard locks and the
+// key latches are released, as both commit paths run them.
+func afterCommitUnlocked(s *store, sh *shard) {
+	s.lockSet()
+	s.unlockSet()
+	s.runAfterCommit()
+	sh.latches[2].Lock()
+	if sh.slab == nil {
+		s.unlatch(nil)
+		return
+	}
+	s.unlatch(nil)
+	s.runAfterCommit()
 }
 
 // earlyExitBalanced is CLEAN: the error branch unlocks and returns, the

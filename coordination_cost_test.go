@@ -42,9 +42,9 @@ func runProgram(t *testing.T, src string) (*System, MetricsSnapshot) {
 }
 
 // TestBarrierProgramEvaluations: the 64-way consensus barrier, written in
-// SDL and run through the whole stack, costs the detector a handful of
+// SDL and run through the whole stack, costs the consensus gate a handful of
 // evaluations — the last arrival's, plus at most the few that race main's
-// exit — where a detector that re-evaluates on every event needs one per
+// exit — where a gate that re-evaluates on every event needs one per
 // commit, offer and membership change (over a hundred).
 func TestBarrierProgramEvaluations(t *testing.T) {
 	const k = 64
@@ -69,7 +69,7 @@ func TestBarrierProgramEvaluations(t *testing.T) {
 		t.Fatalf("%d consensus fires, want 1", fires)
 	}
 	if snap.ConsensusRounds > 4 {
-		t.Errorf("%d detector evaluations for one 64-way fire, want <= 4", snap.ConsensusRounds)
+		t.Errorf("%d gate evaluations for one 64-way fire, want <= 4", snap.ConsensusRounds)
 	}
 	if snap.ConsensusCommunity.Sum != k {
 		t.Errorf("fired community of %d, want %d", snap.ConsensusCommunity.Sum, k)
@@ -77,7 +77,7 @@ func TestBarrierProgramEvaluations(t *testing.T) {
 	// Every commit was a worker announcing itself or the composite; none of
 	// them found a fully offered community to re-evaluate except the last.
 	if snap.ConsensusKicksSuppressed+snap.ConsensusRounds < snap.StoreCommits-1 {
-		t.Errorf("%d kicks suppressed + %d evaluations over %d commits: commits are waking the detector for nothing",
+		t.Errorf("%d kicks suppressed + %d evaluations over %d commits: commits are leaving the gate work for nothing",
 			snap.ConsensusKicksSuppressed, snap.ConsensusRounds, snap.StoreCommits)
 	}
 }
@@ -87,7 +87,7 @@ func TestBarrierProgramEvaluations(t *testing.T) {
 // offer only when it wakes, so an attempt can find a stale offer whose query
 // no longer holds — but every such attempt needs a swap to have staled an
 // offer first: evaluations stay below the commit count, where the
-// re-evaluate-on-every-event detector ran about two per commit. The
+// re-evaluate-on-every-event gate ran about two per commit. The
 // count-exact version of this guard, with the race taken out, is
 // internal/consensus TestSortTerminationEvaluations.
 func TestSortProgramEvaluations(t *testing.T) {
@@ -133,7 +133,7 @@ main
 		t.Errorf("fired community of %d, want %d", snap.ConsensusCommunity.Sum, n-1)
 	}
 	if snap.ConsensusRounds >= snap.StoreCommits {
-		t.Errorf("%d detector evaluations over %d commits: the detector is polling", snap.ConsensusRounds, snap.StoreCommits)
+		t.Errorf("%d gate evaluations over %d commits: the gate is polling", snap.ConsensusRounds, snap.StoreCommits)
 	}
 	t.Logf("%d evaluations, %d commits", snap.ConsensusRounds, snap.StoreCommits)
 }

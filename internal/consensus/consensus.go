@@ -10,10 +10,12 @@
 // performing the retractions of all participating transactions and then
 // the assertions, as a single atomic transformation. Detection is the
 // paper's "very similar to the quiescence detection problem", and is
-// implemented as one: the detector keeps the partition of the society into
-// consensus sets and, per set, how many of its members are offering; it
-// evaluates a set only when all of them are and something its evaluation
-// depends on has changed since the set last failed (the gate, see Manager).
+// implemented as one, with no central process: the manager keeps the
+// partition of the society into consensus sets and, per set, how many of
+// its members are offering; it evaluates a set only when all of them are
+// and something its evaluation depends on has changed since the set last
+// failed (the gate, see Manager), on the goroutine of the offer or commit
+// that left it that work.
 //
 // Processes register with the Manager (carrying their view and parameter
 // environment) so that consensus sets range over the whole process
@@ -83,7 +85,7 @@ func pack(gen uint64, st offerState) uint64 { return gen<<stateBits | uint64(st)
 // (Rearm), waking the process through its Waker; each arm starts a new
 // incarnation. The incarnation and the state share one word, and every
 // transition compares the whole word, so a firing attempt that found an
-// earlier incarnation in the offer table — the detector may still hold a
+// earlier incarnation in the offer table — a drain may still hold a
 // withdrawn one — can neither claim nor resolve the current one.
 type Offer struct {
 	word   atomic.Uint64 // the incarnation and its offerState, see pack
@@ -189,8 +191,7 @@ func (o *Offer) resolve(gen uint64, ans *txn.Answer, chosen int, err error) {
 	w.Wake()
 }
 
-// claim is one offer incarnation as the detector found it in the offer
-// table.
+// claim is one offer incarnation as a drain found it in the offer table.
 type claim struct {
 	o   *Offer
 	gen uint64
@@ -218,11 +219,11 @@ type member struct {
 	// the first partition after registration). Guarded by Manager.mu.
 	comm *community
 
-	// ids is the tuple-ID refinement of an import that is not
+	// ids is the tuple-ID refinement of a bounded import that is not
 	// bucket-complete: the materialized Import(p) ∩ D with each instance's
-	// bucket. It is owned by the detector goroutine and refreshed when
-	// stale; stale is set (under Manager.mu) by commits touching the
-	// import's buckets. Unbounded imports are refreshed at every partition.
+	// bucket. It is owned by the running drain and refreshed when stale;
+	// stale is set (under Manager.mu) by commits touching the import's
+	// buckets. An unbounded import is probed at every partition instead.
 	ids   map[tuple.ID]view.BucketKey
 	stale bool
 }
@@ -269,7 +270,7 @@ func (w *bucketWatch) watchedBy(c *community) {
 
 // Manager coordinates consensus transactions over one engine/store.
 //
-// The gate. The detector keeps the exact partition of the registered
+// The gate. The manager keeps the exact partition of the registered
 // society into consensus sets (communities) between events, together with
 // each set's offered count, and runs a firing attempt only for a set that
 // is fully offered and dirty. Soundness rests on one rule — a skipped
@@ -288,6 +289,11 @@ func (w *bucketWatch) watchedBy(c *community) {
 //     all while some import is unbounded — and a firing attempt re-checks,
 //     inside its exclusive section, that the partition it was chosen from
 //     is still the current one.
+//
+// The gate's work runs on the goroutine of the event that left it some — an
+// offer, a member leaving, a commit once its locks are released — one drain
+// at a time (see drain), so a single evaluator owns the partition and the
+// attempts, as the rules above assume.
 type Manager struct {
 	engine *txn.Engine
 	sc     *sched.Controller // the store's exploration controller (usually nil)
@@ -303,7 +309,7 @@ type Manager struct {
 
 	// The partition and the gate's commit-side index of it. gen counts
 	// membership changes; valid is cleared by anything that may change the
-	// partition and set when the detector installs a fresh one.
+	// partition and set when a drain installs a fresh one.
 	gen      uint64
 	valid    bool
 	comms    []*community
@@ -316,37 +322,28 @@ type Manager struct {
 	// path: a society without members has nothing to gate.
 	registered atomic.Int32
 
-	kick chan struct{} // detector wakeup (capacity 1)
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// The drain (see drain), guarded by mu: passes counts the passes
+	// begun, firing marks a fire's commit in flight. due is set by the
+	// commit hook, and by a registration, for the after-commit hook.
+	draining, firing bool
+	passes           uint64
+	due              atomic.Bool
 
-	fires    atomic.Uint64 // successful consensus firings
-	attempts atomic.Uint64 // firing attempts (evaluations of a ready set)
+	fires atomic.Uint64 // successful consensus firings
 }
 
-// NewManager creates a manager over the engine and starts its detector.
-// Close must be called to stop the detector.
+// NewManager creates a manager over the engine. It starts no goroutine:
+// the gate's work runs on its callers' (see Manager).
 func NewManager(engine *txn.Engine) *Manager {
-	m := newUnstarted(engine)
-	m.wg.Add(1)
-	go m.detector()
-	return m
-}
-
-// newUnstarted builds a manager whose detector is not running: step must be
-// driven by the caller (the detector goroutine, or a test stepping the gate
-// deterministically).
-func newUnstarted(engine *txn.Engine) *Manager {
 	m := &Manager{
 		engine:  engine,
 		sc:      engine.Store().Sched(),
 		members: make(map[tuple.ProcessID]*member),
 		offers:  make(map[tuple.ProcessID]*Offer),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
 	m.settled = sync.NewCond(&m.mu)
 	engine.Store().OnCommit(m.onCommit)
+	engine.Store().AfterCommit(m.afterCommit)
 	return m
 }
 
@@ -361,8 +358,8 @@ func bucketOf(t tuple.Tuple) view.BucketKey {
 
 // onCommit is the gate's commit side. It runs under the commit's shard
 // write locks: it marks the sets whose imports the commit touched dirty,
-// invalidates the partition when the commit may have changed it, and wakes
-// the detector only when that leaves it something to do — a ready set to
+// invalidates the partition when the commit may have changed it, and marks
+// the gate due only when that leaves it something to do — a ready set to
 // evaluate or a partition to recompute. Every other commit is counted as a
 // suppressed kick.
 func (m *Manager) onCommit(rec dataspace.CommitRecord) {
@@ -374,35 +371,39 @@ func (m *Manager) onCommit(rec dataspace.CommitRecord) {
 		return
 	}
 	m.mu.Lock()
-	// While the partition is invalid the counters below are about to be
-	// rebuilt and the detector is already awake; the bookkeeping still runs
-	// — the staleness of a tuple-ID refinement must not be lost — but wakes
-	// nobody.
-	kick := m.valid
-	kick = m.noteCommit(rec) && kick
+	// While the partition is invalid its counters are about to be rebuilt;
+	// the bookkeeping still runs — the staleness of a tuple-ID refinement
+	// must not be lost — but the drain is left to whoever invalidated it:
+	// every invalidator drains, or (a registration) sets due.
+	valid := m.valid
+	due := m.noteCommit(rec) && valid
+	if due {
+		m.due.Store(true)
+	}
 	m.mu.Unlock()
-	switch {
-	case !kick:
-		// Nothing this commit touched can make a set fire, and whoever
-		// invalidated the partition before it has already woken the
-		// detector.
+	if !due {
 		m.engine.Metrics().IncConsensusKickSuppressed()
-	case m.sc != nil && m.sc.DelaySignal():
-		// Delayed-invalidation fault: the gate's state is already updated
-		// (above), so only the detector kick is deferred — delivery is
-		// late, never lost. The detector must tolerate learning about a
-		// commit arbitrarily after it happened.
+	}
+}
+
+// afterCommit is the gate's after-commit hook: the committer drains, its
+// locks released, when its commit hook marked the gate due. The
+// delayed-signal fault defers the drain: late, never lost.
+func (m *Manager) afterCommit() {
+	switch {
+	case !m.due.Load():
+	case m.sc.DelaySignal():
 		go func() {
 			runtime.Gosched()
-			m.signal()
+			m.drain()
 		}()
 	default:
-		m.signal()
+		m.drain()
 	}
 }
 
 // noteCommit applies one commit to the gate's state and reports whether it
-// left the detector something to do: a fully offered set touched, or the
+// left the gate something to do: a fully offered set touched, or the
 // partition invalidated. Caller holds mu.
 func (m *Manager) noteCommit(rec dataspace.CommitRecord) (wake bool) {
 	touch := func(c *community) {
@@ -457,7 +458,8 @@ func (m *Manager) noteCommit(rec dataspace.CommitRecord) (wake bool) {
 	return wake
 }
 
-// Close stops the detector. Pending offers fail with ErrClosed.
+// Close closes the manager: it waits for a running drain to end, then fails
+// the pending offers with ErrClosed.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -465,6 +467,9 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
+	for m.draining {
+		m.settled.Wait()
+	}
 	pending := make([]claim, 0, len(m.offers))
 	for _, o := range m.offers {
 		gen, _ := o.load()
@@ -474,8 +479,6 @@ func (m *Manager) Close() {
 	m.valid = false
 	m.mu.Unlock()
 
-	close(m.stop)
-	m.wg.Wait()
 	for _, c := range pending {
 		if c.o.move(c.gen, stateOffered, stateClaimed) {
 			c.o.resolve(c.gen, nil, 0, ErrClosed)
@@ -508,7 +511,9 @@ func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Scope) {
 }
 
 // RegisterMember is Register with the caller's record: rec belongs to the
-// manager from here until Unregister(pid), and registers once.
+// manager from here until Unregister(pid), and registers once. It does not
+// drain: a new member makes no set fully offered, so the partition it
+// invalidates is recomputed by the next offer's drain, or the next commit's.
 func (m *Manager) RegisterMember(rec *Member, pid tuple.ProcessID, v view.View, env expr.Scope) {
 	mem := &rec.m
 	*mem = member{pid: pid, view: v, env: env, shape: v.ImportShape(env), stale: true}
@@ -518,11 +523,14 @@ func (m *Manager) RegisterMember(rec *Member, pid tuple.ProcessID, v view.View, 
 	m.registered.Store(int32(len(m.members)))
 	m.gen++
 	m.valid = false
+	if len(m.offers) > 0 {
+		m.due.Store(true)
+	}
 	m.mu.Unlock()
-	m.signal()
 }
 
-// Unregister removes a process (at termination).
+// Unregister removes a process (at termination), and drains: the member
+// leaving can complete its set.
 func (m *Manager) Unregister(pid tuple.ProcessID) {
 	m.mu.Lock()
 	delete(m.members, pid)
@@ -531,7 +539,7 @@ func (m *Manager) Unregister(pid tuple.ProcessID) {
 	m.gen++
 	m.valid = false
 	m.mu.Unlock()
-	m.signal()
+	m.drain()
 }
 
 // StartOffer submits a consensus transaction for the registered process
@@ -564,7 +572,9 @@ func (m *Manager) StartOfferAlts(reqs []txn.Request) (*Offer, error) {
 // through w when it fires. o is a zero Offer or one whose last incarnation
 // the caller has seen fire (and taken the answer of) or withdrawn — a
 // member record's own (Member.Offer) is re-armed this way for every wait, so
-// a wait allocates nothing. The offer keeps a copy of reqs.
+// a wait allocates nothing. The offer keeps a copy of reqs. When the offer
+// completes its set Rearm attempts the fire itself, and may return with the
+// offer fired and w woken.
 func (m *Manager) Rearm(o *Offer, reqs []txn.Request, w dataspace.Waker) error {
 	if len(reqs) == 0 {
 		return errors.New("consensus: offer with no alternatives")
@@ -609,7 +619,7 @@ func (m *Manager) Rearm(o *Offer, reqs []txn.Request, w dataspace.Waker) error {
 	m.mu.Unlock()
 	m.engine.Metrics().IncTxnBlock(metrics.TxnConsensus)
 	if wake {
-		m.signal()
+		m.drain()
 	}
 	return nil
 }
@@ -667,7 +677,7 @@ func (m *Manager) Offer(ctx context.Context, req txn.Request) (txn.Result, error
 }
 
 // removeOffer forgets a withdrawn offer. A withdrawal can make no set
-// ready, so the detector is not woken.
+// ready, so it does not drain.
 func (m *Manager) removeOffer(o *Offer) {
 	m.mu.Lock()
 	m.dropOffer(o)
@@ -687,33 +697,37 @@ func (m *Manager) dropOffer(o *Offer) {
 	}
 }
 
-func (m *Manager) signal() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
+// drain brings the partition up to date and attempts the ready sets until
+// neither is left to do, on the calling goroutine, one pass at a time. An
+// event is covered by the first pass that begins after it: a caller that
+// finds a pass running waits for it to end, then runs the next one — unless
+// another waiter has begun it. A fire's own commit (firing) returns at once:
+// the drain steps again after a fire.
+func (m *Manager) drain() {
+	m.mu.Lock()
+	next := m.passes + 1
+	for !m.firing && m.draining && m.passes < next {
+		m.settled.Wait()
 	}
+	if m.firing || m.passes >= next {
+		m.mu.Unlock()
+		return
+	}
+	m.passes, m.draining = next, true
+	m.due.Store(false)
+	m.mu.Unlock()
+	for m.step() {
+	}
+	m.mu.Lock()
+	m.draining = false
+	m.settled.Broadcast() // the next pass's waiters, and Close
+	m.mu.Unlock()
 }
 
-// detector is the manager's background loop: on every signal it brings the
-// partition up to date and evaluates the ready sets, until neither is left
-// to do.
-func (m *Manager) detector() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-m.kick:
-		}
-		for m.step() {
-		}
-	}
-}
-
-// step does one unit of detector work: recompute an invalid partition, or
+// step does one unit of the gate's work: recompute an invalid partition, or
 // attempt to fire the ready sets (fully offered and dirty) until one
 // fires. It reports whether another step may find more to do; every event
-// that makes a set ready after step looked signals the detector itself.
+// that makes a set ready after step looked drains itself.
 func (m *Manager) step() bool {
 	m.sc.Yield(sched.PointConsensusEval)
 	m.mu.Lock()
@@ -749,7 +763,10 @@ func (m *Manager) step() bool {
 			return true
 		}
 	}
-	return false
+	// A registration during the attempts stood them down: recompute.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !m.valid
 }
 
 // evaluate runs one firing attempt for c if it is still ready, clearing its
@@ -769,7 +786,6 @@ func (m *Manager) evaluate(c *community) bool {
 		}
 	}
 	m.mu.Unlock()
-	m.attempts.Add(1)
 	m.engine.Metrics().IncConsensusRound()
 	return m.tryFire(c, offers)
 }
@@ -790,7 +806,8 @@ func (m *Manager) evaluate(c *community) bool {
 // allows: a universal import overlaps every nonempty one; two
 // bucket-complete imports overlap iff they share a nonempty bucket (a
 // count, maintained afterwards by the hook); only imports that admit part
-// of a bucket, or are unbounded, are compared by tuple instance.
+// of a bucket, or are unbounded, are compared by tuple instance — an
+// unbounded one through its window, never materialized (see overlapSets).
 func (m *Manager) repartition() {
 	m.engine.Store().Snapshot(func(r dataspace.Reader) {
 		m.mu.Lock()
@@ -799,7 +816,7 @@ func (m *Manager) repartition() {
 		var refresh []*member
 		for _, mem := range m.members {
 			members = append(members, mem)
-			if sh := mem.shape; !sh.Universal && !sh.Complete && (mem.stale || !sh.Bounded) {
+			if sh := mem.shape; sh.Bounded && !sh.Complete && mem.stale {
 				mem.stale = false
 				refresh = append(refresh, mem)
 			}
@@ -824,7 +841,7 @@ func (m *Manager) repartition() {
 			}
 		}
 
-		root := overlapSets(members, counts, total)
+		root := overlapSets(members, counts, total, r)
 
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -844,8 +861,14 @@ func (m *Manager) repartition() {
 // overlapSets closes the members (ascending pid) under import overlap and
 // returns, per member index, the index of its set's representative. counts
 // holds the live size of every bucket a bounded member imports, total the
-// size of the dataspace.
-func overlapSets(members []*member, counts map[view.BucketKey]int, total int) []int {
+// size of the dataspace, r the dataspace.
+//
+// An unbounded import is probed through its window, so its cost follows
+// what the other imports hold, not the dataspace: each nonempty bucket a
+// complete import holds and each instance a partial one holds, until the
+// first it shows. Only a universal member (is it nonempty?) or a later
+// unbounded one (do they share an instance?) makes it scan every arity.
+func overlapSets(members []*member, counts map[view.BucketKey]int, total int, r dataspace.Reader) []int {
 	parent := make([]int, len(members))
 	for i := range parent {
 		parent[i] = i
@@ -885,8 +908,12 @@ func overlapSets(members []*member, counts map[view.BucketKey]int, total int) []
 			}
 		}
 		importers := make(map[tuple.ID]int)
+		var unbounded []int
 		for i, mem := range members {
-			if mem.shape.Universal || mem.shape.Complete {
+			if !mem.shape.Universal && !mem.shape.Bounded {
+				unbounded = append(unbounded, i)
+			}
+			if !mem.shape.Bounded || mem.shape.Complete {
 				continue
 			}
 			for id, k := range mem.ids {
@@ -899,6 +926,46 @@ func overlapSets(members []*member, counts map[view.BucketKey]int, total int) []
 				if first, ok := firstComplete[k]; ok {
 					union(first, i)
 				}
+			}
+		}
+		wins := make([]*view.Window, len(unbounded))
+		for n, i := range unbounded {
+			wins[n] = members[i].view.Window(r, members[i].env)
+		}
+		for n, i := range unbounded {
+			w, later := wins[n], wins[n+1:]
+			shown := false
+			first := func(tuple.ID, tuple.Tuple) bool { shown = true; return false }
+			for k, c := range firstComplete {
+				if shown = false; find(c) != find(i) {
+					if w.Scan(k.Arity, k.Lead, true, first); shown {
+						union(c, i)
+						nonEmpty[i] = true
+					}
+				}
+			}
+			for id, j := range importers {
+				if find(j) != find(i) {
+					if inst, ok := r.Get(id); ok && w.Admits(inst.Tuple) {
+						union(j, i)
+						nonEmpty[i] = true
+					}
+				}
+			}
+			each := func(_ tuple.ID, t tuple.Tuple) bool {
+				nonEmpty[i] = true
+				for l, wl := range later {
+					if j := unbounded[n+1+l]; find(j) != find(i) && wl.Admits(t) {
+						union(j, i)
+					}
+				}
+				return len(later) > 0
+			}
+			for _, a := range r.Arities() {
+				if len(later) == 0 && (universal < 0 || nonEmpty[i]) {
+					break
+				}
+				w.Scan(a, tuple.Value{}, false, each)
 			}
 		}
 		if universal >= 0 {
@@ -963,9 +1030,9 @@ func (m *Manager) install(members []*member, root []int, counts map[view.BucketK
 	m.valid = true
 }
 
-// materialize computes Import(p) ∩ D for a member whose import is not
-// bucket-complete, recording each instance's bucket. A bounded import scans
-// exactly its own buckets; an unbounded one every arity present.
+// materialize computes Import(p) ∩ D for a member whose bounded import is
+// not bucket-complete, recording each instance's bucket: it scans exactly
+// the import's buckets.
 func materialize(mem *member, r dataspace.Reader) map[tuple.ID]view.BucketKey {
 	ids := make(map[tuple.ID]view.BucketKey)
 	w := mem.view.Window(r, mem.env)
@@ -973,14 +1040,8 @@ func materialize(mem *member, r dataspace.Reader) map[tuple.ID]view.BucketKey {
 		ids[id] = bucketOf(t)
 		return true
 	}
-	if mem.shape.Bounded {
-		for _, k := range mem.shape.Keys {
-			w.Scan(k.Arity, k.Lead, true, collect)
-		}
-		return ids
-	}
-	for _, arity := range r.Arities() {
-		w.Scan(arity, tuple.Value{}, false, collect)
+	for _, k := range mem.shape.Keys {
+		w.Scan(k.Arity, k.Lead, true, collect)
 	}
 	return ids
 }
@@ -996,7 +1057,7 @@ type hidingSource struct {
 	hidden map[tuple.ID]struct{}
 }
 
-func (h hidingSource) visible(fn func(tuple.ID, tuple.Tuple) bool) func(tuple.ID, tuple.Tuple) bool {
+func (h *hidingSource) visible(fn func(tuple.ID, tuple.Tuple) bool) func(tuple.ID, tuple.Tuple) bool {
 	if len(h.hidden) == 0 {
 		return fn
 	}
@@ -1008,23 +1069,23 @@ func (h hidingSource) visible(fn func(tuple.ID, tuple.Tuple) bool) func(tuple.ID
 	}
 }
 
-func (h hidingSource) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
+func (h *hidingSource) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.ID, tuple.Tuple) bool) {
 	h.win.Scan(arity, lead, leadKnown, h.visible(fn))
 }
 
-func (h hidingSource) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
+func (h *hidingSource) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	h.win.ScanFields(arity, sels, h.visible(fn))
 }
 
-func (h hidingSource) LeadWide(arity int, lead tuple.Value) bool {
+func (h *hidingSource) LeadWide(arity int, lead tuple.Value) bool {
 	return h.win.LeadWide(arity, lead)
 }
 
-func (h hidingSource) JoinEstimator() pattern.Estimator { return h.win.JoinEstimator() }
+func (h *hidingSource) JoinEstimator() pattern.Estimator { return h.win.JoinEstimator() }
 
 var (
-	_ pattern.FieldSource       = hidingSource{}
-	_ pattern.EstimatorProvider = hidingSource{}
+	_ pattern.FieldSource       = (*hidingSource)(nil)
+	_ pattern.EstimatorProvider = (*hidingSource)(nil)
 )
 
 // lockPlan returns the keys covering everything a firing attempt for c can
@@ -1087,6 +1148,7 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 			cl.o.move(cl.gen, stateClaimed, stateOffered)
 		}
 		m.mu.Lock()
+		m.firing = false
 		m.settled.Broadcast()
 		m.mu.Unlock()
 	}
@@ -1114,15 +1176,17 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 		if !current {
 			return errAbortFire
 		}
-		hidden := make(map[tuple.ID]struct{})
 		// Phase 1: evaluate every member's query against the pre-state
 		// (minus instances claimed by earlier members) and ground its
 		// assertions. For each offer the first alternative whose query
-		// succeeds is the one executed.
+		// succeeds is the one executed. One source serves every
+		// alternative, its window set to each in turn.
+		src := &hidingSource{hidden: make(map[tuple.ID]struct{})}
 		for i, cl := range claimed {
 			for ai, req := range cl.o.reqs {
 				a := txn.NewAnswer(req)
-				found, err := a.Solve(hidingSource{win: a.Window(w), hidden: hidden}, true)
+				src.win = a.Window(w)
+				found, err := a.Solve(src, true)
 				if err == nil && found {
 					err = a.Ground(w)
 				}
@@ -1136,7 +1200,7 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 				}
 				answers[i], chosen[i] = a, ai
 				for _, mt := range a.Rows()[0].Matched() {
-					hidden[mt.ID] = struct{}{}
+					src.hidden[mt.ID] = struct{}{}
 				}
 				break
 			}
@@ -1153,6 +1217,9 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 		for _, a := range answers {
 			a.Insert(w)
 		}
+		m.mu.Lock()
+		m.firing = true // its commit's after-commit hook must not wait for this drain
+		m.mu.Unlock()
 		return nil
 	}
 	var err error
@@ -1173,6 +1240,9 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 	}
 
 	m.mu.Lock()
+	// The drain steps again after a fire and sees every event up to here.
+	m.firing = false
+	m.due.Store(false)
 	for _, cl := range claimed {
 		m.dropOffer(cl.o)
 	}

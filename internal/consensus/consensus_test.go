@@ -3,6 +3,7 @@ package consensus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +16,9 @@ import (
 	"github.com/sdl-lang/sdl/internal/view"
 )
 
-func newManager(t *testing.T) (*dataspace.Store, *txn.Engine, *Manager) {
+func newManager(t *testing.T, opts ...dataspace.Option) (*dataspace.Store, *txn.Engine, *Manager) {
 	t.Helper()
-	s := dataspace.New()
+	s := dataspace.New(opts...)
 	e := txn.New(s)
 	m := NewManager(e)
 	t.Cleanup(m.Close)
@@ -31,6 +32,18 @@ func barrierReq(pid tuple.ProcessID) txn.Request {
 		Proc:  pid,
 		View:  view.Universal(),
 		Query: pattern.Query{Quant: pattern.Exists},
+	}
+}
+
+var goTuple = tuple.New(tuple.Atom("go"))
+
+// goReq is a consensus transaction that waits for <go>: it stays pending
+// until goTuple is asserted.
+func goReq(pid tuple.ProcessID) txn.Request {
+	return txn.Request{
+		Proc:  pid,
+		View:  view.Universal(),
+		Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("go")))),
 	}
 }
 
@@ -440,10 +453,15 @@ func TestSortStyleTerminationConsensus(t *testing.T) {
 	}
 
 	pairs := [][2]int64{{1, 2}, {2, 3}}
+	// The whole society registers before any member runs, as a spawn list
+	// does: a member that offered while it was registered alone would form
+	// a consensus set of its own, fire alone and leave the other waiting.
+	for i, pr := range pairs {
+		m.Register(tuple.ProcessID(i+1), nodeView(pr[0], pr[1]), nil)
+	}
 	var wg sync.WaitGroup
 	for i, pr := range pairs {
 		pid := tuple.ProcessID(i + 1)
-		m.Register(pid, nodeView(pr[0], pr[1]), nil)
 		wg.Add(1)
 		go func(pid tuple.ProcessID, a, b int64) {
 			defer wg.Done()
@@ -608,12 +626,61 @@ func BenchmarkBarrierRound(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitBesideUnboundedMember times commits while a member whose
+// import is unbounded (its pattern leaves the lead open) has an offer
+// pending that none of them satisfies. Each such commit invalidates the
+// partition, and its committer recomputes it before the attempt rules the
+// offer out. The store holds size <bulk, i, 0> tuples; each commit swaps
+// the committer's probe tuple, which the unbounded import admits, for a new
+// one. Alone, the unbounded member overlaps nobody; beside a second member
+// whose complete import is the bulk bucket, the recomputation probes that
+// bucket for a tuple the unbounded import admits (it holds none).
+func BenchmarkCommitBesideUnboundedMember(b *testing.B) {
+	fill, bulk := tuple.Atom("fill"), tuple.Atom("bulk")
+	for _, size := range []int{256, 4096} {
+		for _, beside := range []bool{false, true} {
+			b.Run(fmt.Sprintf("size=%d/beside=%t", size, beside), func(b *testing.B) {
+				s := dataspace.New(dataspace.WithShards(4))
+				m := NewManager(txn.New(s))
+				defer m.Close()
+				for i := 0; i < size; i++ {
+					s.Assert(tuple.Environment, tuple.New(bulk, tuple.Int(int64(i)), tuple.Int(0)))
+				}
+				v := view.New(view.Union(view.Pat(pattern.P(pattern.W(), pattern.C(fill), pattern.W()))), view.Everything())
+				m.Register(1, v, nil)
+				if beside {
+					m.Register(2, view.New(view.Union(view.Pat(pattern.P(pattern.C(bulk), pattern.W(), pattern.W()))), view.Everything()), nil)
+				}
+				if _, err := m.StartOffer(txn.Request{Proc: 1, View: v, Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("go"))))}); err != nil {
+					b.Fatal(err)
+				}
+				var prev tuple.ID
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					err := s.Update(tuple.Environment, func(w dataspace.Writer) error {
+						if prev != 0 {
+							if err := w.Delete(prev); err != nil {
+								return err
+							}
+						}
+						prev = w.Insert(tuple.New(tuple.Int(int64(-i)), fill, tuple.Int(1)), tuple.Environment)
+						return nil
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestBoundedImportCacheInvalidation(t *testing.T) {
 	// Two members whose bounded views cover the <g, *> bucket. With an
 	// empty dataspace their imports are empty (cached as such): disjoint
 	// singleton sets, but their queries fail, so nothing fires. Asserting
 	// <g, ready> touches their bucket: the caches must be invalidated so
-	// the detector sees the overlap and fires ONE composite for both —
+	// the gate sees the overlap and fires ONE composite for both —
 	// a stale cache would fire two singletons (or none).
 	s, _, m := newManager(t)
 	gView := view.New(
@@ -637,7 +704,7 @@ func TestBoundedImportCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the detector a chance to evaluate (and cache empty imports).
+	// Give the gate a chance to evaluate (and cache empty imports).
 	time.Sleep(30 * time.Millisecond)
 	select {
 	case <-o1.Done():

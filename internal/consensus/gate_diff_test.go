@@ -22,10 +22,11 @@ import (
 // imports <x,*,*> whose offers may rebind x mixed in — is driven
 // through a random event sequence (register, unregister, offer with
 // satisfiable, unsatisfiable-until-later, negated and retracting queries, withdraw,
-// assert, retract, empty a bucket, refill it) against two detectors:
+// assert, retract, empty a bucket, refill it) against two gates:
 //
-//   - the production Manager, its gate stepped synchronously after every
-//     event so the comparison is deterministic;
+//   - the production Manager, whose events run the gate's attempts on the
+//     caller that made a set ready, so by the time an event returns every
+//     fire it owes has happened and the comparison is deterministic;
 //   - refSociety, which keeps no state between events and after each one
 //     re-derives everything from the definitions by brute force: the
 //     partition from materialized import overlap, readiness by evaluating
@@ -33,11 +34,11 @@ import (
 //     assertions" on a refmodel.Model.
 //
 // After every event both must have fired exactly the same consensus sets
-// and hold the same dataspace; and the gate may not owe an unrequested
-// fire: when an event did not wake the detector, stepping it must fire
-// nothing (the soundness rule — a skipped evaluation cannot fire). At the
-// end the production commit log replays through refmodel to the store's
-// contents.
+// and hold the same dataspace: an event that left a ready set unattempted
+// (a lost wake) shows as a missed fire, and one whose skipped evaluation
+// could have fired (the soundness rule) as a fire the production gate owes.
+// At the end the production commit log replays through refmodel to the
+// store's contents.
 
 var (
 	diffRegions = []tuple.Value{tuple.Atom("a"), tuple.Atom("b"), tuple.Atom("c"), tuple.Atom("d")}
@@ -289,7 +290,7 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 		engine := txn.New(store)
 		log := trace.NewCommitLog()
 		log.Attach(store)
-		m := newUnstarted(engine)
+		m := NewManager(engine)
 		ref := &refSociety{members: map[tuple.ProcessID]refMember{}, offers: map[tuple.ProcessID][]txn.Request{}}
 		pending := map[tuple.ProcessID]*Offer{}
 		views := map[tuple.ProcessID]view.View{}
@@ -316,10 +317,63 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 			store.Assert(tuple.Environment, tup)
 			ref.model.Assert(tuple.Environment, tup)
 		}
+		// check compares the gate with the reference after one commit or
+		// other event: the gate's event ran the attempts it owed, so both
+		// must have fired the same sets since the last check, and hold the
+		// same dataspace.
+		firesSeen := uint64(0)
+		check := func() {
+			t.Helper()
+			want := ref.fire(t)
+			for _, set := range want {
+				fires++
+				if len(set) > 1 {
+					multi++
+				}
+			}
+			var wantPIDs, gotPIDs []tuple.ProcessID
+			for _, set := range want {
+				wantPIDs = append(wantPIDs, set...)
+			}
+			for pid, o := range pending {
+				select {
+				case <-o.Done():
+					if res, err := o.Result(); err != nil || !res.OK {
+						fail("offer %d resolved with res=%+v err=%v", pid, res, err)
+					}
+					gotPIDs = append(gotPIDs, pid)
+					delete(pending, pid)
+				default:
+				}
+			}
+			sort.Slice(wantPIDs, func(i, j int) bool { return wantPIDs[i] < wantPIDs[j] })
+			sort.Slice(gotPIDs, func(i, j int) bool { return gotPIDs[i] < gotPIDs[j] })
+			if fmt.Sprint(gotPIDs) != fmt.Sprint(wantPIDs) {
+				fail("fired members %v, reference fired %v (sets %v)", gotPIDs, wantPIDs, want)
+			}
+			if got := int(m.Fires() - firesSeen); got != len(want) {
+				fail("%d fires for members %v, reference fired the sets %v", got, gotPIDs, want)
+			}
+			firesSeen = m.Fires()
+			if !refmodel.SameContent(&ref.model, store) {
+				fail("dataspace diverged from the reference after firing %v", want)
+			}
+		}
+		// retractRegion retracts one instance of the region, or all of them
+		// one commit each, checking after every commit: a set can fire
+		// between two of them.
 		retractRegion := func(reg tuple.Value, all bool) {
-			for _, inst := range store.All() {
-				if !inst.Tuple.Field(0).Equal(reg) {
-					continue
+			for {
+				var inst dataspace.Instance
+				found := false
+				for _, in := range store.All() {
+					if in.Tuple.Field(0).Equal(reg) {
+						inst, found = in, true
+						break
+					}
+				}
+				if !found {
+					return
 				}
 				if err := store.Update(tuple.Environment, func(w dataspace.Writer) error { return w.Delete(inst.ID) }); err != nil {
 					t.Fatal(err)
@@ -333,6 +387,7 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 						break
 					}
 				}
+				check()
 				if !all {
 					return
 				}
@@ -341,9 +396,6 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 
 		var nextPID tuple.ProcessID
 		for ev := 0; ev < events; ev++ {
-			for len(m.kick) > 0 {
-				<-m.kick
-			}
 			switch op := r.Intn(16); {
 			case len(views) < 3 || (op == 0 && len(views) < 7):
 				nextPID++
@@ -392,55 +444,15 @@ func TestGateMatchesEvaluateEverywhereReference(t *testing.T) {
 				trail = append(trail, fmt.Sprintf("assert %s", tup))
 			case op == 14:
 				reg := diffRegions[r.Intn(len(diffRegions))]
-				retractRegion(reg, false)
 				trail = append(trail, fmt.Sprintf("retract one of %s", reg))
+				retractRegion(reg, false)
 			default:
 				reg := diffRegions[r.Intn(len(diffRegions))]
-				retractRegion(reg, true)
 				trail = append(trail, fmt.Sprintf("empty %s", reg))
+				retractRegion(reg, true)
 			}
+			check()
 
-			kicked := len(m.kick) > 0
-			firesBefore := m.Fires()
-			for m.step() {
-			}
-			if !kicked && m.Fires() != firesBefore {
-				fail("the event did not wake the detector, yet stepping it fired %d set(s): a real detector would have slept through them", m.Fires()-firesBefore)
-			}
-
-			want := ref.fire(t)
-			for _, set := range want {
-				fires++
-				if len(set) > 1 {
-					multi++
-				}
-			}
-			var wantPIDs, gotPIDs []tuple.ProcessID
-			for _, set := range want {
-				wantPIDs = append(wantPIDs, set...)
-			}
-			for pid, o := range pending {
-				select {
-				case <-o.Done():
-					if res, err := o.Result(); err != nil || !res.OK {
-						fail("offer %d resolved with res=%+v err=%v", pid, res, err)
-					}
-					gotPIDs = append(gotPIDs, pid)
-					delete(pending, pid)
-				default:
-				}
-			}
-			sort.Slice(wantPIDs, func(i, j int) bool { return wantPIDs[i] < wantPIDs[j] })
-			sort.Slice(gotPIDs, func(i, j int) bool { return gotPIDs[i] < gotPIDs[j] })
-			if fmt.Sprint(gotPIDs) != fmt.Sprint(wantPIDs) {
-				fail("fired members %v, reference fired %v (sets %v)", gotPIDs, wantPIDs, want)
-			}
-			if got := int(m.Fires() - firesBefore); got != len(want) {
-				fail("%d fires for members %v, reference fired the sets %v", got, gotPIDs, want)
-			}
-			if !refmodel.SameContent(&ref.model, store) {
-				fail("dataspace diverged from the reference after firing %v", want)
-			}
 		}
 		replayed, err := refmodel.Replay(log.Commits())
 		if err != nil {
@@ -477,13 +489,11 @@ func joinLines(lines []string) string {
 // there, and on one asserted after a failed attempt.
 func TestOfferUnderRebindingEnvFires(t *testing.T) {
 	store := dataspace.New(dataspace.WithShards(16))
-	m := newUnstarted(txn.New(store))
+	m := NewManager(txn.New(store))
 	defer m.Close()
 	v := view.New(view.Union(view.Pat(pattern.P(pattern.V("x"), pattern.W()))), view.Everything())
 	query := pattern.Q(pattern.P(pattern.V("x"), pattern.V("n")))
 	fired := func(o *Offer) bool {
-		for m.step() {
-		}
 		select {
 		case <-o.Done():
 			return true

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,20 +17,8 @@ import (
 	"github.com/sdl-lang/sdl/internal/view"
 )
 
-// stepped returns a manager whose gate the test steps itself.
-func stepped(t *testing.T, opts ...dataspace.Option) (*dataspace.Store, *txn.Engine, *Manager) {
-	t.Helper()
-	s := dataspace.New(opts...)
-	e := txn.New(s)
-	m := newUnstarted(e)
-	t.Cleanup(m.Close)
-	return s, e, m
-}
-
-func drive(m *Manager) {
-	for m.step() {
-	}
-}
+// rounds returns the firing attempts the gate has run on s.
+func rounds(s *dataspace.Store) uint64 { return s.Metrics().Snapshot().ConsensusRounds }
 
 // TestConsensusQueryUsesFieldIndex: a query evaluated for a firing attempt
 // gets the access paths the same query gets in a transaction. A lead-unknown
@@ -37,7 +26,7 @@ func drive(m *Manager) {
 // shape is promoted, not the whole arity.
 func TestConsensusQueryUsesFieldIndex(t *testing.T) {
 	const records, groups = 400, 20
-	s, e, m := stepped(t, dataspace.WithShards(1))
+	s, e, m := newManager(t, dataspace.WithShards(1))
 	rec := tuple.Atom("rec")
 	for i := 0; i < records; i++ {
 		s.Assert(tuple.Environment, tuple.New(tuple.Int(int64(i)), rec, tuple.Int(int64(i%groups))))
@@ -57,7 +46,6 @@ func TestConsensusQueryUsesFieldIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(m)
 	select {
 	case <-o.Done():
 	default:
@@ -75,9 +63,9 @@ func TestConsensusQueryUsesFieldIndex(t *testing.T) {
 // TestWithdrawParksOnClaim: Withdraw of a claimed offer blocks — on the
 // attempt's outcome, not in a spin — until the attempt settles it.
 func TestWithdrawParksOnClaim(t *testing.T) {
-	_, _, m := stepped(t)
+	_, _, m := newManager(t)
 	m.Register(1, view.Universal(), nil)
-	o, err := m.StartOffer(barrierReq(1))
+	o, err := m.StartOffer(goReq(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +93,11 @@ func TestWithdrawParksOnClaim(t *testing.T) {
 	}
 }
 
-// TestWithdrawDuringStretchedClaim races withdrawals against firing
-// attempts whose claim window the exploration controller stretches at every
-// PointConsensusClaim. Each round either withdraws both offers or fires
-// both — never one of each, never a hang. Run under -race.
+// TestWithdrawDuringStretchedClaim races a withdrawal against the firing
+// attempt the set's last offer runs, its claim window stretched by the
+// exploration controller at every PointConsensusClaim. Each round either
+// withdraws both offers or fires both — never one of each, never a hang.
+// Run under -race.
 func TestWithdrawDuringStretchedClaim(t *testing.T) {
 	sc := sched.New(3, sched.Faults{Yield: 255})
 	s := dataspace.New(dataspace.WithScheduler(sc))
@@ -119,26 +108,33 @@ func TestWithdrawDuringStretchedClaim(t *testing.T) {
 	m.Register(2, view.Universal(), nil)
 	var fired, withdrawn int
 	for round := 0; round < 200; round++ {
-		o1, err1 := m.StartOffer(barrierReq(1))
-		o2, err2 := m.StartOffer(barrierReq(2))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+		o1, err := m.StartOffer(barrierReq(1))
+		if err != nil {
+			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
 		var got [2]bool
-		for i, o := range []*Offer{o1, o2} {
-			wg.Add(1)
-			go func(i int, o *Offer) {
-				defer wg.Done()
-				for y := round % 8; y > 0; y-- {
-					runtime.Gosched() // vary where the withdrawal lands in the attempt
-				}
-				got[i] = o.Withdraw()
-				if !got[i] {
-					<-o.Done()
-				}
-			}(i, o)
-		}
+		wg.Add(2)
+		go func() { // offers 2: its drain attempts the fire
+			defer wg.Done()
+			o2, err := m.StartOffer(barrierReq(2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got[1] = o2.Withdraw(); !got[1] {
+				<-o2.Done()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for y := round % 8; y > 0; y-- {
+				runtime.Gosched() // vary where the withdrawal lands in the attempt
+			}
+			if got[0] = o1.Withdraw(); !got[0] {
+				<-o1.Done()
+			}
+		}()
 		wg.Wait()
 		switch {
 		case got[0] && got[1]:
@@ -152,6 +148,152 @@ func TestWithdrawDuringStretchedClaim(t *testing.T) {
 		}
 	}
 	t.Logf("%d rounds fired, %d withdrew", fired, withdrawn)
+}
+
+// TestCloseDuringStretchedClaim races Close against the firing attempt the
+// set's last offer runs, its claims held across a claim window the
+// exploration controller stretches at every PointConsensusClaim. The
+// attempt runs on the offering goroutine: an offer that returns before Close
+// began has fired. Close waits for the attempt to settle, so every offer
+// resolves — both fired, or both failed with ErrClosed — and nothing hangs.
+// Run under -race.
+func TestCloseDuringStretchedClaim(t *testing.T) {
+	wait := func(what string, c <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: hung", what)
+		}
+	}
+	var fired, closed int
+	for round := uint64(0); round < 64; round++ {
+		s := dataspace.New(dataspace.WithScheduler(sched.New(round, sched.Faults{Yield: 255})))
+		m := NewManager(txn.New(s))
+		s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
+		m.Register(1, view.Universal(), nil)
+		m.Register(2, view.Universal(), nil)
+		o1, err := m.StartOffer(barrierReq(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o2 *Offer
+		var closing atomic.Bool
+		offered, done := make(chan struct{}), make(chan struct{})
+		go func() { // offers 2: its drain attempts the fire
+			defer close(offered)
+			var err error
+			o2, err = m.StartOffer(barrierReq(2))
+			switch {
+			case err != nil && !errors.Is(err, ErrClosed):
+				t.Error(err)
+			case err == nil && !closing.Load() && !o2.Fired():
+				t.Errorf("round %d: the set's last offer returned unfired before Close began", round)
+			}
+		}()
+		go func() {
+			defer close(done)
+			for y := round % 8; y > 0; y-- {
+				runtime.Gosched() // vary where Close lands in the attempt
+			}
+			closing.Store(true)
+			m.Close()
+		}()
+		wait("the offer", offered)
+		wait("Close", done)
+		wait("offer 1", o1.Done())
+		_, err1 := o1.Result()
+		switch {
+		case o2 == nil: // offered after Close
+			if !errors.Is(err1, ErrClosed) {
+				t.Fatalf("round %d: offer 1 alone resolved with %v, want ErrClosed", round, err1)
+			}
+			closed++
+		default:
+			wait("offer 2", o2.Done())
+			_, err2 := o2.Result()
+			if (err1 == nil) != (err2 == nil) || (err1 != nil && !errors.Is(err1, ErrClosed)) || (err2 != nil && !errors.Is(err2, ErrClosed)) {
+				t.Fatalf("round %d: offer 1 resolved with %v, offer 2 with %v: want both fired or both ErrClosed", round, err1, err2)
+			}
+			if err1 == nil {
+				fired++
+			} else {
+				closed++
+			}
+		}
+	}
+	t.Logf("%d rounds fired, %d closed first", fired, closed)
+}
+
+// TestRegisterDuringStretchedAttempt races a registration against the
+// firing attempt a set's last offer runs, stretched by the exploration
+// controller at every decision point. The newcomer imports nothing the set
+// does, but it invalidates the partition, which stands the attempt down;
+// the drain must recompute the partition and fire the set with no further
+// event — no commit, offer or member leaving comes to run it. Run under
+// -race.
+func TestRegisterDuringStretchedAttempt(t *testing.T) {
+	elsewhere := view.New(view.Union(view.Pat(pattern.P(pattern.C(tuple.Atom("y"))))), view.Everything())
+	for round := uint64(0); round < 64; round++ {
+		s := dataspace.New(dataspace.WithScheduler(sched.New(round, sched.Faults{Yield: 255})))
+		m := NewManager(txn.New(s))
+		s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
+		m.Register(1, view.Universal(), nil)
+		var o *Offer
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // the set's only offer: its drain attempts the fire
+			defer wg.Done()
+			var err error
+			if o, err = m.StartOffer(barrierReq(1)); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for y := round % 8; y > 0; y-- {
+				runtime.Gosched() // vary where the registration lands in the attempt
+			}
+			m.Register(2, elsewhere, nil)
+		}()
+		wg.Wait()
+		if o != nil && !o.Fired() {
+			t.Fatalf("round %d: a registration during the attempt left the ready set unfired", round)
+		}
+		m.Close()
+	}
+}
+
+// TestManagerStartsNoGoroutine: the gate's work runs on its callers. A
+// manager that registers, offers, fires and closes leaves the goroutine
+// count where it found it.
+func TestManagerStartsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := dataspace.New()
+	m := NewManager(txn.New(s))
+	s.Assert(tuple.Environment, tuple.New(tuple.Atom("x")))
+	m.Register(1, view.Universal(), nil)
+	m.Register(2, view.Universal(), nil)
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after NewManager and Register, want <= %d", got, base)
+	}
+	o1, err1 := m.StartOffer(barrierReq(1))
+	o2, err2 := m.StartOffer(barrierReq(2))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	for _, o := range []*Offer{o1, o2} {
+		if !o.Fired() {
+			t.Fatal("the last offer returned before its set fired")
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after a fire, want <= %d", got, base)
+	}
+	m.Close()
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after Close, want <= %d", got, base)
+	}
 }
 
 // countingMatcher admits every <ready, *> tuple and counts how many it was
@@ -179,7 +321,7 @@ func (c countingMatcher) Arities() (int, bool) { return 2, false }
 // triggers.
 func barrierFire(t *testing.T, n int) (evaluations uint64, visited int64) {
 	t.Helper()
-	s, _, m := stepped(t, dataspace.WithShards(1))
+	s, _, m := newManager(t, dataspace.WithShards(1))
 	var visits atomic.Int64
 	v := view.New(view.Union(countingMatcher{&visits}), view.Everything())
 	guard := pattern.Query{Quant: pattern.Exists}
@@ -203,13 +345,11 @@ func barrierFire(t *testing.T, n int) (evaluations uint64, visited int64) {
 	for i := 0; i < n-1; i++ {
 		offer(i)
 	}
-	drive(m) // partition settled; nothing is ready
-	if m.attempts.Load() != 0 {
-		t.Fatalf("n=%d: %d evaluations before the last member offered", n, m.attempts.Load())
+	if rounds(s) != 0 {
+		t.Fatalf("n=%d: %d evaluations before the last member offered", n, rounds(s))
 	}
 	visits.Store(0)
 	offer(n - 1)
-	drive(m)
 	for i, o := range offers {
 		select {
 		case <-o.Done():
@@ -220,7 +360,7 @@ func barrierFire(t *testing.T, n int) (evaluations uint64, visited int64) {
 	if m.Fires() != 1 {
 		t.Fatalf("n=%d: %d fires, want 1", n, m.Fires())
 	}
-	return m.attempts.Load(), visits.Load()
+	return rounds(s), visits.Load()
 }
 
 // TestBarrierFireCost: one n-member, n-leg barrier fire is evaluated once
@@ -251,7 +391,7 @@ func TestBarrierFireCost(t *testing.T) {
 // next evaluation fires all 23.
 func TestSortTerminationEvaluations(t *testing.T) {
 	const n = 24
-	s, e, m := stepped(t, dataspace.WithShards(4))
+	s, e, m := newManager(t, dataspace.WithShards(4))
 	node := func(i int) pattern.Field { return pattern.C(tuple.Int(int64(i))) }
 	for i := 1; i <= n; i++ {
 		val := int64(10 * i)
@@ -288,9 +428,8 @@ func TestSortTerminationEvaluations(t *testing.T) {
 	}
 	for a := 1; a < n; a++ {
 		offer(a)
-		drive(m)
 	}
-	if got := m.attempts.Load(); got != 1 {
+	if got := rounds(s); got != 1 {
 		t.Fatalf("%d evaluations after the 23rd offer over an unsorted chain, want 1 (failed)", got)
 	}
 	// Noise outside every import, then churn that leaves the set one offer
@@ -301,8 +440,7 @@ func TestSortTerminationEvaluations(t *testing.T) {
 	if !offers[5].Withdraw() {
 		t.Fatal("withdraw refused")
 	}
-	drive(m)
-	if got := m.attempts.Load(); got != 1 {
+	if got := rounds(s); got != 1 {
 		t.Fatalf("%d evaluations after noise and a withdrawal, want still 1", got)
 	}
 	// The swap that sorts the chain: not fully offered, so no evaluation yet.
@@ -315,13 +453,11 @@ func TestSortTerminationEvaluations(t *testing.T) {
 	if err != nil || !res.OK {
 		t.Fatalf("swap: res=%+v err=%v", res, err)
 	}
-	drive(m)
-	if got := m.attempts.Load(); got != 1 {
+	if got := rounds(s); got != 1 {
 		t.Fatalf("%d evaluations while member 5 was not offering, want still 1", got)
 	}
 	offer(5)
-	drive(m)
-	if got, fires := m.attempts.Load(), m.Fires(); got != 2 || fires != 1 {
+	if got, fires := rounds(s), m.Fires(); got != 2 || fires != 1 {
 		t.Fatalf("%d evaluations and %d fires once the chain was sorted and fully offered, want 2 and 1", got, fires)
 	}
 	for a := 1; a < n; a++ {
@@ -340,28 +476,28 @@ func (w *wakeCount) Wake() { w.n.Add(1) }
 
 // TestRearmDropsStaleFire is the offer's analogue of the subscription's
 // re-arm rule: a firing attempt aimed at an incarnation its owner has since
-// withdrawn does nothing to the incarnation the owner re-armed. The detector
+// withdrawn does nothing to the incarnation the owner re-armed. A drain
 // found the first incarnation in the offer table; the owner withdraws it and
 // re-arms the same record before the attempt claims. The attempt must
-// neither claim, fire nor wake the re-armed offer, which then fires normally.
+// neither claim, fire nor wake the re-armed offer, which then fires normally
+// once its query holds.
 func TestRearmDropsStaleFire(t *testing.T) {
-	_, _, m := stepped(t)
+	s, _, m := newManager(t)
 	m.Register(1, view.Universal(), nil)
 	var (
 		o Offer
 		w wakeCount
 	)
-	if err := m.Rearm(&o, []txn.Request{barrierReq(1)}, &w); err != nil {
+	if err := m.Rearm(&o, []txn.Request{goReq(1)}, &w); err != nil {
 		t.Fatal(err)
 	}
-	m.repartition()
 	c := m.members[1].comm
 	gen, _ := o.load()
-	stale := []claim{{&o, gen}} // what the detector took from the offer table
+	stale := []claim{{&o, gen}} // what a drain took from the offer table
 	if !o.Withdraw() {
 		t.Fatal("the first incarnation did not withdraw")
 	}
-	if err := m.Rearm(&o, []txn.Request{barrierReq(1)}, &w); err != nil {
+	if err := m.Rearm(&o, []txn.Request{goReq(1)}, &w); err != nil {
 		t.Fatal(err)
 	}
 	if m.tryFire(c, stale) {
@@ -373,7 +509,7 @@ func TestRearmDropsStaleFire(t *testing.T) {
 	if o.Fired() || w.n.Load() != 0 || m.Fires() != 0 {
 		t.Fatalf("stale attempt touched the re-armed offer: fired %t, %d wakes, %d fires", o.Fired(), w.n.Load(), m.Fires())
 	}
-	drive(m)
+	s.Assert(tuple.Environment, goTuple)
 	if !o.Fired() || w.n.Load() != 1 || m.Fires() != 1 {
 		t.Fatalf("re-armed offer: fired %t, %d wakes, %d fires; want it fired once and woken once", o.Fired(), w.n.Load(), m.Fires())
 	}

@@ -305,12 +305,6 @@ func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn fu
 		s.shards[l.si].latches[l.stripe].Lock()
 		s.metrics.IncShardKeyLocks(l.si, 1)
 	}
-	unlatch := func() {
-		for i := len(lp.latches) - 1; i >= 0; i-- {
-			l := lp.latches[i]
-			s.shards[l.si].latches[l.stripe].Unlock()
-		}
-	}
 	if s.sc != nil {
 		// Contention spike: widen the latched section, piling conflicting
 		// key commits up behind this footprint.
@@ -342,7 +336,7 @@ func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn fu
 	if err != nil || (len(j.inserted) == 0 && len(j.deleted) == 0) {
 		// Nothing was applied; discarding the buffers is the whole rollback.
 		unintent()
-		unlatch()
+		s.unlatch(lp.latches)
 		j.release()
 		return err
 	}
@@ -358,11 +352,20 @@ func (s *Store) UpdateCommuting(owner tuple.ProcessID, keys []InterestKey, fn fu
 		s.directCommit(j)
 	}
 	unintent()
-	unlatch()
+	s.unlatch(lp.latches)
 	s.waitDurable(j.dtok)
 	s.notify(j)
+	s.runAfterCommit()
 	j.release()
 	return nil
+}
+
+// unlatch releases a commit's key latches, in reverse order of acquisition.
+func (s *Store) unlatch(latches []latchRef) {
+	for i := len(latches) - 1; i >= 0; i-- {
+		l := latches[i]
+		s.shards[l.si].latches[l.stripe].Unlock()
+	}
 }
 
 // groupCommit publishes a single-shard buffered commit through the shard's

@@ -274,9 +274,10 @@ type Store struct {
 	metrics *metrics.Registry
 	sc      *sched.Controller // nil unless schedule exploration is on
 
-	onCommit  []CommitHook
-	durable   DurableSink // nil unless a WAL is attached
-	syncWaits bool        // durable's WaitDurable blocks (see WaitsForSync)
+	onCommit    []CommitHook
+	afterCommit []func()    // run by the committer once its locks are released
+	durable     DurableSink // nil unless a WAL is attached
+	syncWaits   bool        // durable's WaitDurable blocks (see WaitsForSync)
 }
 
 // Option configures a Store under construction.
@@ -506,6 +507,21 @@ func (s *Store) OnCommit(h CommitHook) {
 	s.onCommit = append(s.onCommit, h)
 }
 
+// AfterCommit registers a hook the committer runs after every mutating
+// commit, its locks released: unlike a CommitHook it may commit. Must be
+// called before the store is shared between goroutines.
+func (s *Store) AfterCommit(h func()) {
+	s.afterCommit = append(s.afterCommit, h)
+}
+
+// runAfterCommit runs the after-commit hooks; its callers hold no store
+// lock (sdllint checks).
+func (s *Store) runAfterCommit() {
+	for _, h := range s.afterCommit {
+		h()
+	}
+}
+
 // DurableSink makes commits durable before they become visible. Append is
 // called inside the commit's critical section — the same place hooks run,
 // with the same lent record, after the version is allocated and while
@@ -716,6 +732,7 @@ func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, r metrics.Rung, fn
 	if changed {
 		s.waitDurable(j.dtok)
 		s.notify(j)
+		s.runAfterCommit()
 	}
 	j.release()
 	return nil

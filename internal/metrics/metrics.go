@@ -230,9 +230,9 @@ type Registry struct {
 	idxArityScans Counter // of those, served by the full arity-scan fallback
 	idxTuples     Counter // tuple candidates delivered by field scans
 
-	consensusKicksSuppressed Counter // commits that woke no consensus detector work
+	consensusKicksSuppressed Counter // commits that left the consensus gate no work
 
-	consensusRounds    Counter    // detector evaluation rounds
+	consensusRounds    Counter    // consensus gate evaluations (firing attempts)
 	consensusCommunity *Histogram // members per fired consensus set (always on; fires are rare)
 
 	checkpointWrite *Histogram // ns per WriteCheckpoint (always on; rare)
@@ -256,19 +256,29 @@ func NewRegistry(shards int) *Registry {
 	if shards < 1 {
 		shards = 1
 	}
+	// The histograms are cut from one block, and their counts from another.
+	const sized, timed = 5, 3 + int(numTxnKinds)
+	hs := make([]Histogram, sized+timed)
+	counts := make([]atomic.Uint64, sized*(len(SizeBounds)+1)+timed*(len(LatencyBounds)+1))
+	next := func(bounds []uint64) *Histogram {
+		h, n := &hs[0], len(bounds)+1
+		h.bounds, h.counts = bounds, counts[:n:n]
+		hs, counts = hs[1:], counts[n:]
+		return h
+	}
 	r := &Registry{
 		shards:             make([]shardCells, shards),
-		groupBatch:         NewHistogram(SizeBounds),
-		footprint:          NewHistogram(SizeBounds),
-		wakeupFanout:       NewHistogram(SizeBounds),
-		consensusCommunity: NewHistogram(SizeBounds),
-		checkpointWrite:    NewHistogram(LatencyBounds),
-		checkpointRead:     NewHistogram(LatencyBounds),
-		walSyncCover:       NewHistogram(SizeBounds),
-		walRecoveryTime:    NewHistogram(LatencyBounds),
+		groupBatch:         next(SizeBounds),
+		footprint:          next(SizeBounds),
+		wakeupFanout:       next(SizeBounds),
+		consensusCommunity: next(SizeBounds),
+		checkpointWrite:    next(LatencyBounds),
+		checkpointRead:     next(LatencyBounds),
+		walSyncCover:       next(SizeBounds),
+		walRecoveryTime:    next(LatencyBounds),
 	}
 	for k := range r.txnLatency {
-		r.txnLatency[k] = NewHistogram(LatencyBounds)
+		r.txnLatency[k] = next(LatencyBounds)
 	}
 	return r
 }
@@ -408,9 +418,9 @@ func (r *Registry) AddFieldScans(indexed, arity, visited uint64) {
 	}
 }
 
-// IncConsensusKickSuppressed counts one commit that did not kick the
-// consensus detector: it touched no bucket imported by a fully offered
-// consensus set and could not have changed the partition into sets.
+// IncConsensusKickSuppressed counts one commit that left the consensus gate
+// no work: it touched no bucket imported by a fully offered consensus set
+// and could not have changed the partition into sets.
 func (r *Registry) IncConsensusKickSuppressed() { r.consensusKicksSuppressed.Add(1) }
 
 // ObserveCheckpointWrite records a WriteCheckpoint duration.
@@ -497,8 +507,9 @@ func (r *Registry) ObserveTxnLatency(k TxnKind, d time.Duration) {
 	r.txnLatency[k].Observe(uint64(d.Nanoseconds()))
 }
 
-// IncConsensusRound counts one detector evaluation: a firing attempt for a
-// consensus set the readiness gate admitted (fully offered and dirty).
+// IncConsensusRound counts one evaluation of the consensus gate: a firing
+// attempt, run by a drain, for a consensus set the gate admitted (fully
+// offered and dirty).
 func (r *Registry) IncConsensusRound() { r.consensusRounds.Add(1) }
 
 // ObserveCommunity records the size of a fired consensus set.
@@ -539,7 +550,7 @@ type Snapshot struct {
 	ReactiveHits             uint64 `json:"reactiveDeltaHits"`        // of those, driven by a concrete delta batch
 	ReactiveFallbacks        uint64 `json:"reactiveFallbacks"`        // of those, full re-queries
 	ReactiveWasted           uint64 `json:"reactiveWakeupsWasted"`    // of those, evaluations that blocked again
-	ConsensusKicksSuppressed uint64 `json:"consensusKicksSuppressed"` // commits that left the consensus detector nothing to do
+	ConsensusKicksSuppressed uint64 `json:"consensusKicksSuppressed"` // commits that left the consensus gate nothing to do
 
 	SecondaryPromotions    uint64 `json:"secondaryPromotions"`    // field-index shape promotions (cold -> hot)
 	SecondaryDemotions     uint64 `json:"secondaryDemotions"`     // field-index shape demotions (write-heavy)
@@ -551,7 +562,7 @@ type Snapshot struct {
 	ProcessesSpawned uint64 `json:"processesSpawned"` // processes ever started
 	ProcessesLive    int64  `json:"processesLive"`    // processes started and not yet terminated
 
-	ConsensusRounds    uint64            `json:"consensusRounds"`
+	ConsensusRounds    uint64            `json:"consensusRounds"` // consensus gate evaluations (firing attempts)
 	ConsensusCommunity HistogramSnapshot `json:"consensusCommunity"`
 
 	CheckpointWrite HistogramSnapshot `json:"checkpointWriteNs"`

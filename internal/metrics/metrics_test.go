@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sdl-lang/sdl/internal/race"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -176,6 +178,38 @@ func TestLatencyBoundsAscending(t *testing.T) {
 		for i := 1; i < len(bs); i++ {
 			if bs[i] <= bs[i-1] {
 				t.Fatalf("bounds not ascending at %d: %v", i, bs)
+			}
+		}
+	}
+}
+
+// TestNewRegistryAllocates: a registry's histograms are cut from one block
+// and their counts from another, so NewRegistry allocates a fixed handful —
+// the registry, its shard cells and the two blocks — not two per histogram.
+// Each histogram still owns its counts: an observation shows in one of them
+// only, in a bucket of its own bounds.
+func TestNewRegistryAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	if got := testing.AllocsPerRun(20, func() { NewRegistry(4) }); got > 4 {
+		t.Errorf("NewRegistry allocates %.0f times, want <= 4", got)
+	}
+	r := NewRegistry(1)
+	hists := []*Histogram{r.groupBatch, r.footprint, r.wakeupFanout, r.consensusCommunity,
+		r.checkpointWrite, r.checkpointRead, r.walSyncCover, r.walRecoveryTime}
+	for _, h := range r.txnLatency {
+		hists = append(hists, h)
+	}
+	for i, h := range hists {
+		h.Observe(^uint64(0)) // the overflow bucket: the last of h's counts
+		for j, o := range hists {
+			want := uint64(0)
+			if j <= i {
+				want = 1
+			}
+			if hs := o.snapshot(); len(hs.Counts) != len(hs.Bounds)+1 || hs.Counts[len(hs.Counts)-1] != want || hs.Count != want {
+				t.Fatalf("after observing histograms 0..%d, histogram %d holds %+v", i, j, hs)
 			}
 		}
 	}

@@ -257,7 +257,7 @@ func TestSelectionReusesSubscription(t *testing.T) {
 // and a consensus guard; a commit enables the delayed guard, which the
 // process commits, and its next selection re-arms the record's subscription,
 // re-offers through the record's offer and parks. The consensus community
-// has a second member that never offers, so the detector never attempts it.
+// has a second member that never offers, so the gate never attempts it.
 func TestParkWakeAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")

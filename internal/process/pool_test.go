@@ -26,10 +26,9 @@ func settle(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // TestBlockedProcessesHoldNoGoroutines: a blocked process is its record,
 // not a goroutine. Ten thousand processes parked on delayed guards raise the
-// goroutine count by at most the worker pool (GOMAXPROCS) and the consensus
-// detector; one releasing commit finishes all of them, and once the runtime
-// and its manager are closed the count is back where it started — no worker
-// leaks.
+// goroutine count by at most the worker pool (GOMAXPROCS); one releasing
+// commit finishes all of them, and once the runtime and its manager are
+// closed the count is back where it started — no worker leaks.
 func TestBlockedProcessesHoldNoGoroutines(t *testing.T) {
 	const n = 10000
 	base := runtime.NumGoroutine()
@@ -61,9 +60,9 @@ func TestBlockedProcessesHoldNoGoroutines(t *testing.T) {
 	settle(t, 30*time.Second, "every waiter blocked", func() bool {
 		return s.Metrics().SubscriptionsLive().Value() == n
 	})
-	const detector, slack = 1, 2
-	if got, max := runtime.NumGoroutine()-base, runtime.GOMAXPROCS(0)+detector+slack; got > max {
-		t.Errorf("%d blocked processes hold %d goroutines, want <= %d (the pool, the detector and slack)", n, got, max)
+	const slack = 2
+	if got, max := runtime.NumGoroutine()-base, runtime.GOMAXPROCS(0)+slack; got > max {
+		t.Errorf("%d blocked processes hold %d goroutines, want <= %d (the pool and slack)", n, got, max)
 	}
 	batch := make([]tuple.Tuple, n)
 	for i := range batch {

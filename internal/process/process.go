@@ -313,7 +313,13 @@ func (rt *Runtime) finish(p *proc) {
 	rt.liveMu.Lock()
 	delete(rt.live, p.pid)
 	rt.liveMu.Unlock()
+	// Off the pool's count, as in proc.rearm: the member leaving can
+	// complete its set, and Unregister fires it.
+	syncing := rt.beginSync()
 	rt.cons.Unregister(p.pid)
+	if syncing {
+		rt.endSync()
+	}
 	rt.m.ProcessesLive().Dec()
 	rt.wg.Done()
 }

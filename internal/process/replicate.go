@@ -17,7 +17,10 @@ var ErrReplicationGuard = errors.New("process: replication guards must be immedi
 // replication is one replication statement's state while it runs: the
 // current round's copies and what they report.
 type replication struct {
-	r       Replicate
+	r Replicate
+	// parent is the replicating process, set once: the last copy of a
+	// round reads it to wake the parent, which may already be starting
+	// the next round.
 	parent  *proc
 	v0      uint64  // the dataspace version the round started at
 	copies  []*proc // the round's copies, woken when the runtime is cancelled
@@ -82,7 +85,6 @@ func (p *proc) startRound(rep *replication) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rep.parent = p
 	rep.v0 = p.rt.engine.Store().Version()
 	rep.committed.Store(0)
 	clear(rep.copies)

@@ -17,7 +17,7 @@ import (
 // offer armed under the scope where N is 1, and a delayed guard that lets
 // N = 2. The process is its consensus community's only member and the
 // community's import is a dynamic matcher, so every commit sends the
-// detector to evaluate the offer, reading N through the matcher. While
+// gate to evaluate the offer, reading N through the matcher. While
 // commits keep it evaluating, the delayed guard is enabled: the process
 // withdraws the offer and lets N = 2. Every evaluation must read N = 1 —
 // the scope the offer was issued with — and none may race with the let.
@@ -83,7 +83,7 @@ func TestLetLeavesWithdrawnOfferScope(t *testing.T) {
 
 	stop := make(chan struct{})
 	kicked := make(chan struct{})
-	go func() { // commits that keep the detector evaluating the offer
+	go func() { // commits that keep the gate evaluating the offer
 		defer close(kicked)
 		for i := int64(1); ; i++ {
 			select {
@@ -96,7 +96,7 @@ func TestLetLeavesWithdrawnOfferScope(t *testing.T) {
 	}()
 	for before := evaluations(); evaluations() < before+3; {
 		if time.Now().After(deadline) {
-			t.Fatal("the detector stopped evaluating the offer")
+			t.Fatal("the gate stopped evaluating the offer")
 		}
 		time.Sleep(time.Millisecond)
 	}

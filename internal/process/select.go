@@ -101,11 +101,22 @@ func (p *proc) offer(branches []Branch) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := p.rt.cons.Rearm(p.member.Offer(), reqs, p); err != nil {
+	if err := p.rearm(reqs); err != nil {
 		return err
 	}
 	p.offered = true
 	return nil
+}
+
+// rearm arms the record's offer with reqs, off the pool's count: an offer
+// that completes its set fires it, and the commit may wait for an fsync.
+func (p *proc) rearm(reqs []txn.Request) error {
+	syncing := p.rt.beginSync()
+	err := p.rt.cons.Rearm(p.member.Offer(), reqs, p)
+	if syncing {
+		p.rt.endSync()
+	}
+	return err
 }
 
 // unoffer is a waiting selection's first act on every pass: it takes back

@@ -177,7 +177,7 @@ func (s State) String() string {
 // parameters to args, found by a scan of the handful of names. What the
 // process's statements read is scope — the record, or the let-constants
 // layered over it, one immutable expr.Let each, so a request issued before
-// a let (a parked offer the detector still holds) keeps the scope it was
+// a let (a parked offer a drain still holds) keeps the scope it was
 // issued with. A replication copy has no parameters of its own: its scope
 // starts as the replicating process's.
 type proc struct {
@@ -416,7 +416,7 @@ func (p *proc) exec(s Stmt) outcome {
 				return p.raise(ErrReplicationGuard)
 			}
 		}
-		p.push(frame{kind: frameReplicate, rep: &replication{r: st}})
+		p.push(frame{kind: frameReplicate, rep: &replication{r: st, parent: p}})
 	default:
 		return p.raise(fmt.Errorf("process: unknown statement %T", s))
 	}
@@ -523,7 +523,7 @@ func (p *proc) consensus(t Transact, woke bool) outcome {
 	o := p.member.Offer()
 	if !woke {
 		reqs := [1]txn.Request{p.request(t)}
-		if err := p.rt.cons.Rearm(o, reqs[:], p); err != nil {
+		if err := p.rearm(reqs[:]); err != nil {
 			return p.raise(err)
 		}
 		p.waiting = true

@@ -57,8 +57,8 @@ const (
 	PointCommitPublish                 // dataspace: commit version allocation
 	PointWakeupSpurious                // dataspace: spurious-wakeup injection
 	PointWaiterRegister                // dataspace: delayed-txn interest registration
-	PointConsensusEval                 // consensus: detector evaluation round
-	PointConsensusSignal               // consensus: invalidation signal delivery
+	PointConsensusEval                 // consensus: a drain's gate step (permutes the ready sets)
+	PointConsensusSignal               // consensus: a commit's drain, run at once or deferred
 	PointConsensusClaim                // consensus: offer claiming during a fire
 	PointConsensusResolve              // consensus: offer resolution ordering
 	PointProcStep                      // process: between behavior statements
@@ -130,7 +130,7 @@ type Faults struct {
 	// the interest-matched ones; delayed transactions must re-evaluate and
 	// re-block harmlessly.
 	SpuriousWakeup uint8
-	// DelaySignal defers (never drops) a consensus invalidation signal.
+	// DelaySignal defers (never drops) the consensus drain a commit owes.
 	DelaySignal uint8
 	// LockSpike widens a commit's critical section with extra yields while
 	// the shard locks are held, simulating contention spikes.
@@ -355,8 +355,8 @@ func (c *Controller) SpuriousWakeup() bool {
 	return v != 0 && uint8(v>>16) < c.faults.SpuriousWakeup
 }
 
-// DelaySignal reports whether a consensus invalidation signal should be
-// deferred to a separate goroutine (delivered later, never dropped).
+// DelaySignal reports whether the consensus drain a commit owes should be
+// deferred to a separate goroutine (run later, never dropped).
 func (c *Controller) DelaySignal() bool {
 	v := c.draw(PointConsensusSignal)
 	return v != 0 && uint8(v>>16) < c.faults.DelaySignal

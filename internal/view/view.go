@@ -38,7 +38,7 @@ import (
 // for every arity the matcher covers, the matcher's Admits decision may
 // depend only on tuples whose leading field is one of those leads (its
 // own candidates, and — for dataspace-dependent matchers — any tuples it
-// consults through the reader). The consensus detector relies on this to
+// consults through the reader). The consensus gate relies on this to
 // invalidate cached imports by index bucket.
 type Matcher interface {
 	// Admits reports whether the tuple belongs to the clause under s: the
@@ -534,7 +534,7 @@ func CanonBucket(arity int, lead tuple.Value) BucketKey {
 }
 
 // ImportShape is the static shape of a view's import clause under a process
-// scope — what the consensus detector can know about Import(p) ∩ D
+// scope — what the consensus gate can know about Import(p) ∩ D
 // without reading D.
 type ImportShape struct {
 	// Universal: the import is the whole dataspace.

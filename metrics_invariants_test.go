@@ -308,7 +308,7 @@ func systemMetricsInvariants(t *testing.T) {
 	// Reactive delta-wakeup accounting: every guard re-evaluation after a
 	// subscription fired was either driven by a concrete delta batch or
 	// fell back to a full re-query — nothing else; a commit can suppress at
-	// most the signals it raised; and the consensus detector can only
+	// most the signals it raised; and the consensus gate can only
 	// elide kicks that commits actually offered.
 	if got := post.ReactiveHits + post.ReactiveFallbacks; got != post.ReactiveEvals {
 		t.Errorf("reactive evals %d != hits %d + fallbacks %d",

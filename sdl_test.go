@@ -126,7 +126,7 @@ func TestSystemMultipleDefinitionsAndCollect(t *testing.T) {
 
 func TestSystemCloseReleasesGoroutines(t *testing.T) {
 	// Creating and closing many systems must not leak goroutines
-	// (detector loops, process goroutines, watcher loops).
+	// (process workers, watcher loops).
 	runtime.GC()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {

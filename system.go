@@ -99,7 +99,8 @@ func Open(opts Options) (*System, error) {
 }
 
 // Close shuts the system down: processes are cancelled, the consensus
-// detector stops, and — when a WAL is attached — the final state is
+// manager waits for its running drain and fails the offers still pending,
+// and — when a WAL is attached — the final state is
 // checkpointed and the log is synced and closed, so the next Open restores
 // from the checkpoint without replay. The returned error reports
 // checkpoint or log-close failures (always nil without a WAL).

@@ -23,16 +23,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The count-exact allocation guards (what a value constructor, a tuple
-# decode, a match, a solution, a window scan, an upsert, a store commit, a
-# WAL append, a read, a read view, a wait, a delayed transaction's wait, a
+# The count-exact allocation guards (what a value constructor, an intern
+# hit or miss, a tuple decode, a match, a solution, a plan of a 64-pattern
+# query on a pooled matcher, a window scan, an upsert, a store commit, a WAL
+# append, a read, a read view, a wait, a delayed transaction's wait, a
 # spawn, a let-constant, a process's transaction statement, a parked
-# process's wake and re-park, a lex and a parse on another P may allocate,
-# and that a process's selections re-arm one subscription). They skip under
-# the race detector — it allocates on its own and sync.Pool drops Puts
-# there — so the race target above does not run them; this does.
+# process's wake and re-park, a consensus member's registration, first and
+# later offer, a repartition at 24 and 96 members, a lex and a parse on
+# another P may allocate, and that a process's selections re-arm one
+# subscription). They skip under the race detector — it allocates on its
+# own and sync.Pool drops Puts there — so the race target above does not
+# run them; this does.
 alloc-guard:
-	$(GO) test -run 'Alloc|Allocates|ReusesSubscription' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/wal ./internal/lang .
+	$(GO) test -run 'Alloc|Allocates|ReusesSubscription' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/consensus ./internal/wal ./internal/lang .
 
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:

@@ -1,0 +1,194 @@
+package consensus
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/sdl-lang/sdl/internal/dataspace"
+	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/pattern"
+	"github.com/sdl-lang/sdl/internal/race"
+	"github.com/sdl-lang/sdl/internal/tuple"
+	"github.com/sdl-lang/sdl/internal/txn"
+	"github.com/sdl-lang/sdl/internal/view"
+)
+
+// Count-exact allocation guards of the consensus gate: what a society pays
+// for its consensus sets is paid per partition and per set, not per member.
+// An offer re-arms the member's record and a slot cut from a block the
+// society shares; a repartition cuts a few blocks and reuses the drain's
+// scratch; a registration builds at most its import's bucket list.
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own and sync.Pool drops Puts; allocation counts are not exact")
+	}
+}
+
+// sortView is a Sort(a, b) process's view from the paper's section 3.2:
+// import <a, *, *, *>; <b, *, *, *>, a and b taken from the scope.
+func sortView() view.View {
+	imp := view.Union(
+		view.Pat(pattern.P(pattern.V("a"), pattern.W(), pattern.W(), pattern.W())),
+		view.Pat(pattern.P(pattern.V("b"), pattern.W(), pattern.W(), pattern.W())),
+	)
+	return view.New(imp, imp)
+}
+
+// sortSociety registers n-1 Sort members over a store holding the n
+// elements <i, n_i, v_i, next>, so the members form one consensus set.
+func sortSociety(t *testing.T, n int) (*dataspace.Store, *Manager, []Member) {
+	s, _, m := newManager(t)
+	for i := 1; i <= n; i++ {
+		s.Assert(tuple.Environment, tuple.New(tuple.Int(int64(i)), tuple.Atom("n"), tuple.Int(int64(10*i)), tuple.Int(int64(i+1))))
+	}
+	recs := make([]Member, n-1)
+	for i := range recs {
+		env := expr.Env{"a": tuple.Int(int64(i + 1)), "b": tuple.Int(int64(i + 2))}
+		m.RegisterMember(&recs[i], tuple.ProcessID(i+1), sortView(), env)
+	}
+	return s, m, recs
+}
+
+// pendingReq is a consensus transaction of member pid that waits for <go>
+// under the member's own view and scope.
+func pendingReq(rec *Member, pid tuple.ProcessID) []txn.Request {
+	return []txn.Request{{
+		Proc:  pid,
+		View:  rec.m.view,
+		Env:   rec.m.env,
+		Query: pattern.Q(pattern.P(pattern.C(tuple.Atom("go")))),
+	}}
+}
+
+// TestOfferAllocatesNothing: a member's first offer takes a slot from the
+// society's block and its record's offer, and a later offer re-arms both,
+// so neither allocates — once some member's offer has cut the block and the
+// partition is current.
+func TestOfferAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	const n = 40
+	_, m, recs := sortSociety(t, n)
+	var w wakeCount
+	reqs := make([][]txn.Request, len(recs))
+	for i := range recs {
+		reqs[i] = pendingReq(&recs[i], tuple.ProcessID(i+1))
+	}
+	offer := func(i int) {
+		if err := m.Rearm(recs[i].Offer(), reqs[i], &w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offer(0) // cuts the block and partitions the society
+	next := 1
+	first := testing.AllocsPerRun(n-4, func() { offer(next); next++ })
+	if first != 0 {
+		t.Errorf("a member's first offer allocated %.0f times, want 0", first)
+	}
+	later := testing.AllocsPerRun(100, func() {
+		if !recs[0].Offer().Withdraw() {
+			t.Fatal("the pending offer did not withdraw")
+		}
+		offer(0)
+	})
+	if later != 0 {
+		t.Errorf("a member's later offer allocated %.0f times, want 0", later)
+	}
+	if w.n.Load() != 0 {
+		t.Fatalf("%d offers woke, want none: no <go> was asserted", w.n.Load())
+	}
+}
+
+// TestRepartitionAllocatesPerSet: recomputing the partition of a society
+// whose members form one set costs the same at 24 members as at 96 (± 2):
+// install cuts its blocks, and the drain's scratch is cleared, not remade.
+func TestRepartitionAllocatesPerSet(t *testing.T) {
+	skipUnderRace(t)
+	cost := func(n int) float64 {
+		_, m, recs := sortSociety(t, n)
+		var w wakeCount
+		if err := m.Rearm(recs[0].Offer(), pendingReq(&recs[0], 1), &w); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.comms) != 1 {
+			t.Fatalf("%d Sort members form %d sets, want 1", n-1, len(m.comms))
+		}
+		return testing.AllocsPerRun(20, func() {
+			m.mu.Lock()
+			m.valid = false
+			m.mu.Unlock()
+			m.repartition()
+		})
+	}
+	small, large := cost(24), cost(96)
+	t.Logf("a repartition allocates %.0f times at 24 members, %.0f at 96", small, large)
+	if large > small+2 || large < small-2 {
+		t.Errorf("a repartition allocates %.0f times at 24 members and %.0f at 96, want the same ± 2", small, large)
+	}
+	if small > 7 {
+		t.Errorf("a repartition allocates %.0f times, want <= 7: the partition's four blocks and the union-find's closures", small)
+	}
+}
+
+// TestRegisterMemberAllocatesAtMostItsKeys: a registration builds the
+// member's import shape and nothing else: one bucket list for a Sort
+// member, whose leads come from its scope.
+func TestRegisterMemberAllocatesAtMostItsKeys(t *testing.T) {
+	skipUnderRace(t)
+	_, m, _ := sortSociety(t, 8)
+	env := expr.Env{"a": tuple.Int(1), "b": tuple.Int(2)}
+	v := sortView()
+	recs := make([]Member, 101)
+	next := 0
+	got := testing.AllocsPerRun(100, func() {
+		m.RegisterMember(&recs[next], 1000, v, env)
+		m.Unregister(1000)
+		next++
+	})
+	if got > 1 {
+		t.Errorf("RegisterMember allocated %.0f times, want <= 1", got)
+	}
+}
+
+// TestOfferSlotCleared: Unregister clears a leaving member's request slot,
+// also while a drain pass runs, so the society's slot block keeps nothing
+// of the leaver alive; a member that leaves with its offer armed keeps its
+// request, and can still withdraw the offer.
+func TestOfferSlotCleared(t *testing.T) {
+	_, m, recs := sortSociety(t, 4)
+	var w wakeCount
+	for i, running := range []bool{false, true} {
+		pid := tuple.ProcessID(i + 1)
+		if err := m.Rearm(recs[i].Offer(), pendingReq(&recs[i], pid), &w); err != nil {
+			t.Fatal(err)
+		}
+		slot := &recs[i].o.reqs[0]
+		if !recs[i].Offer().Withdraw() {
+			t.Fatal("the pending offer did not withdraw")
+		}
+		m.mu.Lock()
+		m.draining, m.firing = running, running // a pass firing: Unregister does not wait for it
+		m.mu.Unlock()
+		m.Unregister(pid)
+		m.mu.Lock()
+		m.draining, m.firing = false, false
+		m.mu.Unlock()
+		if slot.Env != nil {
+			t.Errorf("pass running %v: Unregister left the slot holding the leaver's request", running)
+		}
+	}
+
+	if err := m.Rearm(recs[2].Offer(), pendingReq(&recs[2], 3), &w); err != nil {
+		t.Fatal(err)
+	}
+	armed := &recs[2].o.reqs[0]
+	m.Unregister(3)
+	if armed.Env == nil {
+		t.Error("a member leaving with its offer armed lost its request")
+	}
+	if !recs[2].Offer().Withdraw() {
+		t.Error("the armed offer of a member that left did not withdraw")
+	}
+	runtime.KeepAlive(recs)
+}

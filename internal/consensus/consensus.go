@@ -216,8 +216,10 @@ type member struct {
 	// shard. Guarded by Manager.mu.
 	wide bool
 	// comm is the member's community in the current partition (nil until
-	// the first partition after registration). Guarded by Manager.mu.
-	comm *community
+	// the first partition after registration), offer its offer in the offer
+	// table (nil when it is not offering). Guarded by Manager.mu.
+	comm  *community
+	offer *Offer
 
 	// ids is the tuple-ID refinement of a bounded import that is not
 	// bucket-complete: the materialized Import(p) ∩ D with each instance's
@@ -230,19 +232,20 @@ type member struct {
 
 // community is one consensus set of the current partition, with the
 // readiness counters of the gate. All fields are guarded by Manager.mu;
-// members and the lock plan are immutable once installed.
+// members is immutable once installed. A partition's communities and their
+// member lists are two blocks cut by install, never reused: an attempt may
+// outlive the partition it was chosen from, holding its community.
 type community struct {
 	members []*member // ascending pid
-	// offered counts the members with an offer in Manager.offers.
+	// offered counts the members with an offer in the table (member.offer).
 	offered int
 	// dirty records that something an evaluation of this set depends on
 	// has changed since its last firing attempt began: a new offer, or a
 	// commit touching a bucket some member imports.
 	dirty bool
-	// keys cover every import bucket of the set when planned; an unplanned
-	// set (a universal, unbounded or wide member) is evaluated under every
-	// shard's lock.
-	keys    []dataspace.InterestKey
+	// planned: the set's import buckets are known (see lockPlan); an
+	// unplanned set (a universal, unbounded or wide member) is evaluated
+	// under every shard's lock.
 	planned bool
 }
 
@@ -256,6 +259,8 @@ type bucketWatch struct {
 	// overlap relation.
 	partial []*member
 	comms   []*community
+	// importers sizes comms: install counts the members importing the bucket.
+	importers int
 }
 
 // watchedBy adds c to the sets the bucket's commits touch.
@@ -303,8 +308,8 @@ type Manager struct {
 	// respect to the store: never call into the store while holding it.
 	mu      sync.Mutex
 	settled *sync.Cond // broadcast when a firing attempt reverts or fires its claims
-	members map[tuple.ProcessID]*member
-	offers  map[tuple.ProcessID]*Offer
+	members map[tuple.ProcessID]*Member
+	offers  int // members with an offer in the table (member.offer)
 	closed  bool
 
 	// The partition and the gate's commit-side index of it. gen counts
@@ -312,11 +317,11 @@ type Manager struct {
 	// partition and set when a drain installs a fresh one.
 	gen      uint64
 	valid    bool
-	comms    []*community
-	watch    map[view.BucketKey]*bucketWatch
-	broad    []*community // sets every commit touches (universal, unbounded or wide member)
-	volatile bool         // some import is unbounded but not universal: any commit may re-partition
-	total    int          // live instances in the dataspace, tracked while broad is non-empty
+	comms    []community                     // ascending first member
+	watch    map[view.BucketKey]*bucketWatch // cleared and refilled by each install
+	broad    []*community                    // sets every commit touches (universal, unbounded or wide member)
+	volatile bool                            // some import is unbounded but not universal: any commit may re-partition
+	total    int                             // live instances in the dataspace, tracked while broad is non-empty
 
 	// registered mirrors len(members) for the commit hook's lock-free fast
 	// path: a society without members has nothing to gate.
@@ -328,6 +333,12 @@ type Manager struct {
 	draining, firing bool
 	passes           uint64
 	due              atomic.Bool
+	scratch          drainScratch // the running pass's
+
+	// A member's offer keeps its alternative in a slot cut from slots, a
+	// block shared by the society, so a process's first offer allocates
+	// nothing of its own. Unregister clears the slot; it is not reused.
+	slots []txn.Request
 
 	fires atomic.Uint64 // successful consensus firings
 }
@@ -338,8 +349,7 @@ func NewManager(engine *txn.Engine) *Manager {
 	m := &Manager{
 		engine:  engine,
 		sc:      engine.Store().Sched(),
-		members: make(map[tuple.ProcessID]*member),
-		offers:  make(map[tuple.ProcessID]*Offer),
+		members: make(map[tuple.ProcessID]*Member),
 	}
 	m.settled = sync.NewCond(&m.mu)
 	engine.Store().OnCommit(m.onCommit)
@@ -470,12 +480,15 @@ func (m *Manager) Close() {
 	for m.draining {
 		m.settled.Wait()
 	}
-	pending := make([]claim, 0, len(m.offers))
-	for _, o := range m.offers {
-		gen, _ := o.load()
-		pending = append(pending, claim{o, gen})
+	pending := make([]claim, 0, m.offers)
+	for _, rec := range m.members {
+		if o := rec.m.offer; o != nil {
+			gen, _ := o.load()
+			pending = append(pending, claim{o, gen})
+			rec.m.offer = nil
+		}
 	}
-	m.offers = map[tuple.ProcessID]*Offer{}
+	m.offers = 0
 	m.valid = false
 	m.mu.Unlock()
 
@@ -514,32 +527,61 @@ func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Scope) {
 // manager from here until Unregister(pid), and registers once. It does not
 // drain: a new member makes no set fully offered, so the partition it
 // invalidates is recomputed by the next offer's drain, or the next commit's.
+// It allocates at most the shape's bucket list.
 func (m *Manager) RegisterMember(rec *Member, pid tuple.ProcessID, v view.View, env expr.Scope) {
 	mem := &rec.m
 	*mem = member{pid: pid, view: v, env: env, shape: v.ImportShape(env), stale: true}
-	mem.envFree = mem.shape.Bounded && v.ImportShape(nil).Bounded
+	// Bounded with no scope at all, the clause takes no lead from one.
+	mem.envFree = mem.shape.Bounded && v.ImportWithin(nil, mem.shape.Keys)
 	m.mu.Lock()
-	m.members[pid] = mem
+	m.members[pid] = rec
 	m.registered.Store(int32(len(m.members)))
 	m.gen++
 	m.valid = false
-	if len(m.offers) > 0 {
+	if m.offers > 0 {
 		m.due.Store(true)
 	}
 	m.mu.Unlock()
 }
 
 // Unregister removes a process (at termination), and drains: the member
-// leaving can complete its set.
+// leaving can complete its set. The member's request slot is cleared, so
+// the society's slot block keeps nothing of the leaver alive: no drain pass
+// reads an offer out of the table (its claim fails, and a fired claim's
+// reads end before dropOffer). A member leaving with its offer still armed
+// (a Go caller's; a process's offer has fired or been withdrawn) keeps the
+// request, since a drain may still claim the offer and its owner withdraw
+// it, until the record is armed again.
 func (m *Manager) Unregister(pid tuple.ProcessID) {
 	m.mu.Lock()
-	delete(m.members, pid)
-	delete(m.offers, pid)
+	if rec := m.members[pid]; rec != nil {
+		if rec.m.offer != nil {
+			rec.m.offer = nil
+			m.offers--
+		} else {
+			clear(rec.o.reqs)
+		}
+		delete(m.members, pid)
+	}
 	m.registered.Store(int32(len(m.members)))
 	m.gen++
 	m.valid = false
 	m.mu.Unlock()
 	m.drain()
+}
+
+// slotBlock bounds the slots one block holds.
+const slotBlock = 128
+
+// slot cuts an empty one-request slot for a member record's offer from the
+// society's block. Caller holds mu.
+func (m *Manager) slot() []txn.Request {
+	if len(m.slots) == 0 {
+		m.slots = make([]txn.Request, min(max(len(m.members), 8), slotBlock))
+	}
+	s := m.slots[:0:1]
+	m.slots = m.slots[1:]
+	return s
 }
 
 // StartOffer submits a consensus transaction for the registered process
@@ -585,20 +627,24 @@ func (m *Manager) Rearm(o *Offer, reqs []txn.Request, w dataspace.Waker) error {
 			return errors.New("consensus: alternatives from different processes")
 		}
 	}
-	clear(o.reqs)
-	o.reqs = append(o.reqs[:0], reqs...)
-	o.m, o.w, o.ans, o.chosen, o.err = m, w, nil, 0, nil
-	reqs = o.reqs
 	m.mu.Lock()
-	mem := m.members[pid]
+	rec := m.members[pid]
 	switch {
 	case m.closed:
 		m.mu.Unlock()
 		return ErrClosed
-	case mem == nil:
+	case rec == nil:
 		m.mu.Unlock()
 		return ErrNotRegistered
 	}
+	if cap(o.reqs) < len(reqs) && len(reqs) == 1 && o == &rec.o {
+		o.reqs = m.slot()
+	}
+	clear(o.reqs)
+	o.reqs = append(o.reqs[:0], reqs...)
+	o.m, o.w, o.ans, o.chosen, o.err = m, w, nil, 0, nil
+	reqs = o.reqs
+	mem := &rec.m
 	gen, _ := o.load()
 	o.word.Store(pack(gen+1, stateOffered))
 	if !mem.wide && !mem.covers(reqs) {
@@ -606,10 +652,13 @@ func (m *Manager) Rearm(o *Offer, reqs []txn.Request, w dataspace.Waker) error {
 		m.valid = false
 	}
 	wake := !m.valid
-	if m.offers[pid] == nil && m.valid {
-		mem.comm.offered++
+	if mem.offer == nil {
+		m.offers++
+		if m.valid {
+			mem.comm.offered++
+		}
 	}
-	m.offers[pid] = o
+	mem.offer = o
 	if m.valid {
 		// A new offer is a new query: whatever the set's last attempt
 		// concluded no longer stands.
@@ -687,13 +736,14 @@ func (m *Manager) removeOffer(o *Offer) {
 // dropOffer removes o from the offer table (if it is still the process's
 // current offer) and from its community's offered count. Caller holds mu.
 func (m *Manager) dropOffer(o *Offer) {
-	pid := o.pid()
-	if m.offers[pid] != o {
+	rec := m.members[o.pid()]
+	if rec == nil || rec.m.offer != o {
 		return
 	}
-	delete(m.offers, pid)
-	if mem := m.members[pid]; m.valid && mem != nil {
-		mem.comm.offered--
+	rec.m.offer = nil
+	m.offers--
+	if m.valid {
+		rec.m.comm.offered--
 	}
 }
 
@@ -731,7 +781,7 @@ func (m *Manager) drain() {
 func (m *Manager) step() bool {
 	m.sc.Yield(sched.PointConsensusEval)
 	m.mu.Lock()
-	if m.closed || len(m.offers) == 0 {
+	if m.closed || m.offers == 0 {
 		// Without offers nothing can fire; a stale partition is recomputed
 		// when the first offer arrives.
 		m.mu.Unlock()
@@ -743,8 +793,8 @@ func (m *Manager) step() bool {
 		return true
 	}
 	var ready []*community
-	for _, c := range m.comms {
-		if c.dirty && c.offered == len(c.members) {
+	for i := range m.comms {
+		if c := &m.comms[i]; c.dirty && c.offered == len(c.members) {
 			ready = append(ready, c)
 		}
 	}
@@ -780,7 +830,7 @@ func (m *Manager) evaluate(c *community) bool {
 	c.dirty = false
 	offers := make([]claim, len(c.members))
 	for i, mem := range c.members {
-		if o := m.offers[mem.pid]; o != nil {
+		if o := mem.offer; o != nil {
 			gen, _ := o.load()
 			offers[i] = claim{o, gen}
 		}
@@ -788,6 +838,33 @@ func (m *Manager) evaluate(c *community) bool {
 	m.mu.Unlock()
 	m.engine.Metrics().IncConsensusRound()
 	return m.tryFire(c, offers)
+}
+
+// drainScratch is the drain's working memory: only one drain pass runs at a
+// time (see drain), so it belongs to the running pass, which clears what it
+// takes instead of making it anew. Nothing in it outlives the pass; what a
+// partition keeps, install allocates.
+type drainScratch struct {
+	members, refresh []*member
+	counts           map[view.BucketKey]int // the live size of every imported bucket
+	n                int                    // the bucket being counted
+	count            func(tuple.ID, tuple.Tuple) bool
+
+	// overlapSets's union-find and indexes, and install's set numbers.
+	parent        []int
+	nonEmpty      []bool
+	firstComplete map[view.BucketKey]int
+	importers     map[tuple.ID]int
+	commOf        []int
+	sizes         []int
+}
+
+// grow returns s with length n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // repartition recomputes the consensus sets of the whole society from the
@@ -809,39 +886,49 @@ func (m *Manager) evaluate(c *community) bool {
 // of a bucket, or are unbounded, are compared by tuple instance — an
 // unbounded one through its window, never materialized (see overlapSets).
 func (m *Manager) repartition() {
+	s := &m.scratch
+	if s.counts == nil {
+		s.counts = make(map[view.BucketKey]int)
+		s.firstComplete = make(map[view.BucketKey]int)
+		s.importers = make(map[tuple.ID]int)
+		s.count = func(tuple.ID, tuple.Tuple) bool { s.n++; return true }
+	}
+	defer func() {
+		clear(s.members)
+		clear(s.refresh)
+		s.members, s.refresh = s.members[:0], s.refresh[:0]
+		clear(s.counts)
+	}()
 	m.engine.Store().Snapshot(func(r dataspace.Reader) {
 		m.mu.Lock()
 		gen := m.gen
-		members := make([]*member, 0, len(m.members))
-		var refresh []*member
-		for _, mem := range m.members {
-			members = append(members, mem)
+		s.members = slices.Grow(s.members, len(m.members))
+		for _, rec := range m.members {
+			mem := &rec.m
+			s.members = append(s.members, mem)
 			if sh := mem.shape; sh.Bounded && !sh.Complete && mem.stale {
 				mem.stale = false
-				refresh = append(refresh, mem)
+				s.refresh = append(s.refresh, mem)
 			}
 		}
 		m.mu.Unlock()
 
-		slices.SortFunc(members, func(a, b *member) int { return cmp.Compare(a.pid, b.pid) })
-		for _, mem := range refresh {
+		slices.SortFunc(s.members, func(a, b *member) int { return cmp.Compare(a.pid, b.pid) })
+		for _, mem := range s.refresh {
 			mem.ids = materialize(mem, r)
 		}
 		total := r.Len()
-		counts := make(map[view.BucketKey]int)
-		n := 0 // the bucket being counted: one counter and callback serve every bucket
-		count := func(tuple.ID, tuple.Tuple) bool { n++; return true }
-		for _, mem := range members {
+		for _, mem := range s.members {
 			for _, k := range mem.shape.Keys {
-				if _, ok := counts[k]; !ok {
-					n = 0
-					r.Scan(k.Arity, k.Lead, true, count)
-					counts[k] = n
+				if _, ok := s.counts[k]; !ok {
+					s.n = 0
+					r.Scan(k.Arity, k.Lead, true, s.count)
+					s.counts[k] = s.n
 				}
 			}
 		}
 
-		root := overlapSets(members, counts, total, r)
+		root := s.overlapSets(total, r)
 
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -849,27 +936,29 @@ func (m *Manager) repartition() {
 			// The society changed while we computed: start over. The
 			// refinements refreshed above are not yet watched, so nothing
 			// would record a commit staling them.
-			for _, mem := range refresh {
+			for _, mem := range s.refresh {
 				mem.stale = true
 			}
 			return
 		}
-		m.install(members, root, counts, total)
+		m.install(root, total)
 	})
 }
 
-// overlapSets closes the members (ascending pid) under import overlap and
-// returns, per member index, the index of its set's representative. counts
-// holds the live size of every bucket a bounded member imports, total the
-// size of the dataspace, r the dataspace.
+// overlapSets closes s.members (ascending pid) under import overlap and
+// returns, per member index, the index of its set's representative.
+// s.counts holds the live size of every bucket a bounded member imports,
+// total the size of the dataspace, r the dataspace.
 //
 // An unbounded import is probed through its window, so its cost follows
 // what the other imports hold, not the dataspace: each nonempty bucket a
 // complete import holds and each instance a partial one holds, until the
 // first it shows. Only a universal member (is it nonempty?) or a later
 // unbounded one (do they share an instance?) makes it scan every arity.
-func overlapSets(members []*member, counts map[view.BucketKey]int, total int, r dataspace.Reader) []int {
-	parent := make([]int, len(members))
+func (s *drainScratch) overlapSets(total int, r dataspace.Reader) []int {
+	members := s.members
+	parent := grow(s.parent, len(members))
+	s.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
@@ -882,9 +971,13 @@ func overlapSets(members []*member, counts map[view.BucketKey]int, total int, r 
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 	if total > 0 { // an empty dataspace has no overlaps: every member is a singleton set
+		defer clear(s.firstComplete)
+		defer clear(s.importers)
 		universal := -1
-		nonEmpty := make([]bool, len(members))
-		firstComplete := make(map[view.BucketKey]int) // first bucket-complete importer of a nonempty bucket
+		nonEmpty := grow(s.nonEmpty, len(members))
+		s.nonEmpty = nonEmpty
+		clear(nonEmpty)
+		firstComplete := s.firstComplete // first bucket-complete importer of a nonempty bucket
 		for i, mem := range members {
 			switch {
 			case mem.shape.Universal:
@@ -895,7 +988,7 @@ func overlapSets(members []*member, counts map[view.BucketKey]int, total int, r 
 				universal = i
 			case mem.shape.Complete:
 				for _, k := range mem.shape.Keys {
-					if counts[k] == 0 {
+					if s.counts[k] == 0 {
 						continue
 					}
 					nonEmpty[i] = true
@@ -907,7 +1000,7 @@ func overlapSets(members []*member, counts map[view.BucketKey]int, total int, r 
 				}
 			}
 		}
-		importers := make(map[tuple.ID]int)
+		importers := s.importers
 		var unbounded []int
 		for i, mem := range members {
 			if !mem.shape.Universal && !mem.shape.Bounded {
@@ -986,20 +1079,75 @@ func overlapSets(members []*member, counts map[view.BucketKey]int, total int, r 
 // their offered counts and lock plans, and the commit hook's index of them
 // (bucket watches seeded with the snapshot's counts, the broad sets, the
 // dataspace size). Caller holds mu, inside the partition snapshot.
-func (m *Manager) install(members []*member, root []int, counts map[view.BucketKey]int, total int) {
-	m.comms, m.broad, m.volatile, m.total = nil, nil, false, total
-	m.watch = make(map[view.BucketKey]*bucketWatch)
-	byRoot := make(map[int]*community)
+//
+// The partition is four blocks, sized by a counting pass: the communities,
+// their member lists, the bucket watches and the watches' set lists. They are fresh for every partition, since an
+// attempt chosen from the previous one may still hold its community; the
+// watch map and the broad list are the commit hook's alone, and are
+// refilled in place.
+func (m *Manager) install(root []int, total int) {
+	s := &m.scratch
+	members := s.members
+
+	// Count: number the sets in order of their first member, and size every
+	// block.
+	commOf := grow(s.commOf, len(members))
+	s.commOf = commOf
+	for i := range commOf {
+		commOf[i] = -1
+	}
+	ncomm, nkeys := 0, 0
 	for i, mem := range members {
-		c := byRoot[root[i]]
-		if c == nil {
-			c = &community{dirty: true, planned: true}
-			byRoot[root[i]] = c
-			m.comms = append(m.comms, c) // ascending first member: a deterministic attempt order
+		if commOf[root[i]] < 0 {
+			commOf[root[i]] = ncomm
+			ncomm++
 		}
+		nkeys += len(mem.shape.Keys)
+	}
+	sizes := grow(s.sizes, ncomm) // members per set
+	s.sizes = sizes
+	clear(sizes)
+	if m.watch == nil {
+		m.watch = make(map[view.BucketKey]*bucketWatch, len(s.counts))
+	}
+	clear(m.watch)
+	watches := make([]bucketWatch, len(s.counts))
+	nw := 0
+	for i, mem := range members {
+		sizes[commOf[root[i]]]++
+		for _, key := range mem.shape.Keys {
+			w := m.watch[key]
+			if w == nil {
+				w = &watches[nw]
+				nw++
+				w.count = s.counts[key]
+				m.watch[key] = w
+			}
+			w.importers++
+		}
+	}
+
+	// Cut the blocks.
+	m.comms = make([]community, ncomm)
+	memBlock := make([]*member, len(members))
+	for k, n := range sizes {
+		m.comms[k] = community{members: memBlock[:0:n], dirty: true, planned: true}
+		memBlock = memBlock[n:]
+	}
+	commBlock := make([]*community, nkeys)
+	for i := range watches {
+		w := &watches[i]
+		w.comms, commBlock = commBlock[:0:w.importers], commBlock[w.importers:]
+	}
+
+	// Fill.
+	clear(m.broad)
+	m.broad, m.volatile, m.total = m.broad[:0], false, total
+	for i, mem := range members {
+		c := &m.comms[commOf[root[i]]]
 		c.members = append(c.members, mem)
 		mem.comm = c
-		if m.offers[mem.pid] != nil {
+		if mem.offer != nil {
 			c.offered++
 		}
 		if !mem.shape.Bounded || mem.wide {
@@ -1010,20 +1158,14 @@ func (m *Manager) install(members []*member, root []int, counts map[view.BucketK
 		}
 		for _, k := range mem.shape.Keys {
 			w := m.watch[k]
-			if w == nil {
-				w = &bucketWatch{count: counts[k]}
-				m.watch[k] = w
-			}
 			if !mem.shape.Complete {
 				w.partial = append(w.partial, mem)
 			}
 			w.watchedBy(c)
-			c.keys = append(c.keys, dataspace.InterestKey{Arity: k.Arity, Lead: k.Lead, LeadKnown: k.Arity > 0})
 		}
 	}
-	for _, c := range m.comms {
-		if !c.planned {
-			c.keys = nil
+	for k := range m.comms {
+		if c := &m.comms[k]; !c.planned {
 			m.broad = append(m.broad, c)
 		}
 	}
@@ -1096,7 +1238,16 @@ func lockPlan(c *community, offers []claim) (keys []dataspace.InterestKey, plann
 	if !c.planned {
 		return nil, false
 	}
-	keys = c.keys[:len(c.keys):len(c.keys)]
+	n := len(offers) // an assertion an offer, as a rule
+	for _, mem := range c.members {
+		n += len(mem.shape.Keys)
+	}
+	keys = make([]dataspace.InterestKey, 0, n)
+	for _, mem := range c.members {
+		for _, k := range mem.shape.Keys {
+			keys = append(keys, dataspace.InterestKey{Arity: k.Arity, Lead: k.Lead, LeadKnown: k.Arity > 0})
+		}
+	}
 	for _, cl := range offers {
 		for _, req := range cl.o.reqs {
 			for _, ap := range req.Asserts {

@@ -491,7 +491,7 @@ func TestRearmDropsStaleFire(t *testing.T) {
 	if err := m.Rearm(&o, []txn.Request{goReq(1)}, &w); err != nil {
 		t.Fatal(err)
 	}
-	c := m.members[1].comm
+	c := m.members[1].m.comm
 	gen, _ := o.load()
 	stale := []claim{{&o, gen}} // what a drain took from the offer table
 	if !o.Withdraw() {

@@ -403,12 +403,12 @@ func TestCondBuiltin(t *testing.T) {
 // TestInternedStringsAreCollected mints 10⁵ distinct strings by
 // concatenation, drops them, and checks the heap returns to within 1 MiB of
 // where it was: interned text no Value holds is collected, not kept in a
-// symbol table. The first cycle frees the text and queues the cleanups that
-// drop its table entries; the cycle after those cleanups have run frees the
-// entries. That is two or three cycles when the cleanups keep up (they do,
-// on one CPU or two); the test waits up to 10 s. The race detector slows
-// the cleanups twentyfold, and this test has one goroutine, so it skips
-// there.
+// symbol table. The first cycle frees the text and queues the table's
+// sweep. Each cycle's sweep drops the entries of a bounded share of the
+// table, so the entries go over about a dozen cycles (len / sweep budget),
+// and the cycle after each sweep frees what it dropped; the test waits up
+// to 10 s. The race detector slows cleanups twentyfold, and this test has
+// one goroutine, so it skips there.
 func TestInternedStringsAreCollected(t *testing.T) {
 	if race.Enabled {
 		t.Skip("measures the heap; the race detector slows the cleanups it waits for")

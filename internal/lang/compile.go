@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/process"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -137,11 +138,13 @@ func Merge(progs ...*Program) (*Program, error) {
 }
 
 // compiler carries program-level context: the process arities, and the
-// slabs every transaction's query and assertion lists, every compiled
-// pattern's fields, every literal assertion's tuple, every argument list,
-// every literal expression and every spawn action are cut from.
+// slabs every transaction statement, every transaction's query and
+// assertion lists, every compiled pattern's fields, every literal
+// assertion's tuple, every argument list, every literal expression and
+// every spawn action are cut from.
 type compiler struct {
 	arities  map[string]int // process name -> parameter count
+	txns     slab[process.Transact]
 	patterns slab[pattern.Pattern]
 	fields   slab[pattern.Field]
 	values   slab[tuple.Value]
@@ -150,15 +153,20 @@ type compiler struct {
 	spawns   slab[process.Spawn]
 }
 
-// size sets the slabs' hints to the exact number of query items and
-// assertions, of pattern fields, of spawn and call arguments and of spawn
-// actions in the program, and to bounds on its literal assertions' values
+// size sets the slabs' hints to the exact number of transaction statements
+// (guards excluded), of query items and assertions, of pattern fields, of
+// spawn and call arguments and of spawn actions in the program, and to
+// bounds on its literal assertions' values
 // (every assertion field) and on its literal expressions: every literal
 // and identifier outside a pattern field of its own (those compile to
 // pattern constants and variables, and a bound identifier to a variable).
 func (c *compiler) size(prog *Program) {
 	Walk(prog, func(n Node) bool {
 		switch x := n.(type) {
+		case *TxnNode:
+			c.txns.hint++
+		case *BranchNode:
+			c.txns.hint-- // its guard
 		case *QueryItem:
 			c.patterns.hint++
 		case *AssertAction:
@@ -301,7 +309,11 @@ func (c *compiler) compileStmts(stmts []StmtNode, sc *scope) ([]process.Stmt, er
 func (c *compiler) compileStmt(s StmtNode, sc *scope) (process.Stmt, error) {
 	switch st := s.(type) {
 	case *TxnNode:
-		return c.compileTxn(st, sc)
+		tx, err := c.compileTxn(st, sc)
+		if err != nil {
+			return nil, err
+		}
+		return c.txns.new(tx), nil
 	case *SelNode:
 		bs, err := c.compileBranches(st.Branches, sc, false)
 		if err != nil {
@@ -409,7 +421,7 @@ func (c *compiler) compileTxn(t *TxnNode, sc *scope) (process.Transact, error) {
 		return process.Transact{}, err
 	}
 
-	tx := process.Transact{Query: q, Site: t.Pos.String()}
+	tx := process.Transact{Query: q, Pos: metrics.Pos{Line: int32(t.Pos.Line), Col: int32(t.Pos.Col)}}
 	switch t.Tag {
 	case TagDelayed:
 		tx.Kind = process.Delayed

@@ -66,7 +66,7 @@ behavior
 end
 `)
 	def := c.Defs[0]
-	tx := def.Body[0].(process.Transact)
+	tx := def.Body[0].(*process.Transact)
 	fields := tx.Query.Patterns[0].Fields
 	if fields[0].Kind != pattern.FieldConst { // atom year
 		t.Errorf("field 0 = %+v", fields[0])
@@ -85,7 +85,7 @@ end
 func TestCompileDeclaredVarBareUse(t *testing.T) {
 	// `exists a:` declares a, so bare `a` is a variable.
 	c := compileOK(t, `main exists a: <year, a> -> <out, a> end`)
-	tx := c.Defs[0].Body[0].(process.Transact)
+	tx := c.Defs[0].Body[0].(*process.Transact)
 	if f := tx.Query.Patterns[0].Fields[1]; f.Kind != pattern.FieldVar || f.Name != "a" {
 		t.Errorf("field = %+v", f)
 	}

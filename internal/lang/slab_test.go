@@ -109,28 +109,47 @@ func TestParseOnAnotherGoroutineAllocates(t *testing.T) {
 	}
 }
 
+// statementsSrc is a main block of n one-assertion transaction statements,
+// like the society's stream of noise commits.
+func statementsSrc(n int) string {
+	var b strings.Builder
+	b.WriteString("main\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "  -> <job, %d, 0>;\n", i)
+	}
+	b.WriteString("  -> <done>\nend\n")
+	return b.String()
+}
+
 // TestCompileAllocates pins that compiling allocates per program, not per
-// action: a statement's assertion list, an assertion's fields and literal
-// tuple, a spawn's arguments, its literal argument and the *process.Spawn
-// itself are all cut from the program's slabs, so a society of 1000 spawns
-// compiles with as many allocations as one of 10.
+// action or statement: a statement's assertion list, an assertion's fields
+// and literal tuple, a spawn's arguments, its literal argument and the
+// *process.Spawn itself are all cut from the program's slabs, and so is a
+// transaction statement, which is not boxed and formats no site. So a
+// society of 1000 spawns, or a main of 1000 statements, compiles with as
+// many allocations as one of 10.
 func TestCompileAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own; allocation counts are not exact")
 	}
 	const perProgram = 26
 	for _, n := range []int{10, 1000} {
-		prog, err := Parse(societySrc(n, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := testing.AllocsPerRun(20, func() {
-			if _, err := Compile(prog); err != nil {
+		for what, src := range map[string]string{
+			fmt.Sprintf("%d asserts and %d spawns", n, n): societySrc(n, 0),
+			fmt.Sprintf("%d statements", n):               statementsSrc(n),
+		} {
+			prog, err := Parse(src)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if got > perProgram {
-			t.Errorf("Compile of %d asserts and %d spawns: %.0f allocations, want <= %d", n, n, got, perProgram)
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := Compile(prog); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > perProgram {
+				t.Errorf("Compile of %s: %.0f allocations, want <= %d", what, got, perProgram)
+			}
 		}
 	}
 }
@@ -158,7 +177,7 @@ func TestLiteralAssertionsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asserts := comp.Defs[0].Body[0].(process.Transact).Asserts
+	asserts := comp.Defs[0].Body[0].(*process.Transact).Asserts
 	if len(asserts) != n {
 		t.Fatalf("%d assertions compiled, want %d", len(asserts), n)
 	}
@@ -231,9 +250,9 @@ func TestSlabsDoNotAlias(t *testing.T) {
 		formatted[i], rendered[i] = Format(progs[i]), renderDefs(comps[i])
 	}
 
-	main := comps[0].Defs[len(comps[0].Defs)-1].Body[0].(process.Transact)
+	main := comps[0].Defs[len(comps[0].Defs)-1].Body[0].(*process.Transact)
 	_ = append(main.Asserts[0].Fields, pattern.C(tuple.Int(99)))
-	_ = append(comps[0].Defs[0].Body[0].(process.Transact).Query.Patterns, pattern.P(pattern.W()))
+	_ = append(comps[0].Defs[0].Body[0].(*process.Transact).Query.Patterns, pattern.P(pattern.W()))
 	for _, a := range main.Actions {
 		if sp, ok := a.(*process.Spawn); ok {
 			_ = append(sp.Args, expr.Const(tuple.Int(99)))
@@ -249,7 +268,7 @@ func TestSlabsDoNotAlias(t *testing.T) {
 		{tuple.New(tuple.Atom("k"), tuple.Int(1)), tuple.New(tuple.Atom("k"), tuple.Int(2))},
 		{tuple.New(tuple.Atom("m"), tuple.Int(1), tuple.Int(2)), tuple.New(tuple.Atom("m"), tuple.Int(3), tuple.Int(4))},
 	} {
-		asserts := comps[i].Defs[len(comps[i].Defs)-1].Body[0].(process.Transact).Asserts
+		asserts := comps[i].Defs[len(comps[i].Defs)-1].Body[0].(*process.Transact).Asserts
 		for j, a := range asserts {
 			if got, err := a.Ground(nil); err != nil || !got.Equal(want[j]) {
 				t.Errorf("program %d: literal assertion %d grounds to %v (%v), want %v", i, j, got, err, want[j])
@@ -274,7 +293,7 @@ func renderDefs(c *Compiled) string {
 	for _, d := range c.Defs {
 		fmt.Fprintf(&b, "%s(%v): %v\n", d.Name, d.Params, d.Body)
 		for _, st := range d.Body {
-			if tx, ok := st.(process.Transact); ok {
+			if tx, ok := st.(*process.Transact); ok {
 				for _, a := range tx.Asserts {
 					if g, err := a.Ground(nil); err == nil {
 						fmt.Fprintf(&b, "  ground %v\n", g)

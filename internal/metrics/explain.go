@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -121,8 +122,9 @@ type Step struct {
 }
 
 // ExplainSite sums one transaction site's executions: Planned + Unplanned
-// of them, one on each rung. The site is the request's: an SDL statement's
-// line:col, or empty for a Go request that names none.
+// of them, one on each rung. The site is the request's: a Go request's
+// Site, an SDL statement's line:col (its Pos), or empty for a Go request
+// that names none.
 type ExplainSite struct {
 	Site      string
 	Planned   uint64
@@ -132,26 +134,54 @@ type ExplainSite struct {
 	Steps     []Step
 }
 
-// explainLog holds the sites' sums, under one lock: recording is gated on
-// Observed and takes it once per execution.
-type explainLog struct {
-	mu    sync.Mutex
-	sites map[string]*ExplainSite
+// Pos is an SDL statement's source position. Only an explain record
+// renders it, as its site's line:col, when it first records the site.
+type Pos struct{ Line, Col int32 }
+
+// String renders line:col.
+func (p Pos) String() string {
+	return strconv.Itoa(int(p.Line)) + ":" + strconv.Itoa(int(p.Col))
 }
 
-// RecordExplain adds one execution's record to its site's sum. Gated: call
-// only when Observed.
-func (r *Registry) RecordExplain(site string, ex *Explain) {
+// siteKey is a site as a request names it: a Go request by its Site, an SDL
+// statement by its Pos.
+type siteKey struct {
+	site string
+	pos  Pos
+}
+
+// explainLog holds the sites' sums, under one lock: recording is gated on
+// Observed and takes it once per execution. A sum is found by the site as a
+// request names it, and kept by its rendered name, so a Go site "3:5" and
+// an SDL statement at 3:5 share one sum.
+type explainLog struct {
+	mu    sync.Mutex
+	sites map[siteKey]*ExplainSite
+	named map[string]*ExplainSite
+}
+
+// RecordExplain adds one execution's record to its site's sum: site when
+// the request names one, else pos when it has one. Gated: call only when
+// Observed.
+func (r *Registry) RecordExplain(site string, pos Pos, ex *Explain) {
 	l := &r.explain
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.sites[site]
+	k := siteKey{site, pos}
+	s := l.sites[k]
 	if s == nil {
 		if l.sites == nil {
-			l.sites = make(map[string]*ExplainSite)
+			l.sites = make(map[siteKey]*ExplainSite)
+			l.named = make(map[string]*ExplainSite)
 		}
-		s = &ExplainSite{Site: site}
-		l.sites[site] = s
+		if site == "" && pos != (Pos{}) {
+			site = pos.String()
+		}
+		if s = l.named[site]; s == nil {
+			s = &ExplainSite{Site: site}
+			l.named[site] = s
+		}
+		l.sites[k] = s
 	}
 	if ex.Block.Cause == CauseNone {
 		s.Planned++
@@ -187,8 +217,8 @@ func (s *ExplainSite) step(st *Step) *Step {
 // snapshot copies every site's sum, sorted by site.
 func (l *explainLog) snapshot() []ExplainSite {
 	l.mu.Lock()
-	out := make([]ExplainSite, 0, len(l.sites))
-	for _, s := range l.sites {
+	out := make([]ExplainSite, 0, len(l.named))
+	for _, s := range l.named {
 		c := *s
 		c.Steps = append([]Step(nil), s.Steps...)
 		out = append(out, c)

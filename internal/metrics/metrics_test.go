@@ -214,3 +214,19 @@ func TestNewRegistryAllocates(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainSitesMergeByName: a Go request's site "3:5" and an SDL
+// statement at 3:5 sum into one explain site; another position keeps its
+// own.
+func TestExplainSitesMergeByName(t *testing.T) {
+	r := NewRegistry(1)
+	var ex Explain
+	r.RecordExplain("3:5", Pos{}, &ex)
+	r.RecordExplain("", Pos{Line: 3, Col: 5}, &ex)
+	r.RecordExplain("", Pos{Line: 3, Col: 5}, &ex)
+	r.RecordExplain("", Pos{Line: 4, Col: 1}, &ex)
+	got := r.Snapshot().Explain
+	if len(got) != 2 || got[0].Site != "3:5" || got[0].Planned != 3 || got[1].Site != "4:1" || got[1].Planned != 1 {
+		t.Errorf("explain sites %+v, want 3:5 with 3 executions and 4:1 with 1", got)
+	}
+}

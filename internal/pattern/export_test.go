@@ -27,5 +27,5 @@ func JoinOrder(q Query, src Source, base expr.Env) []int {
 			positives = append(positives, i)
 		}
 	}
-	return planJoinOrder(q, positives, base, src)
+	return planJoinOrder(q, positives, base, src, new([]float64))
 }

@@ -49,7 +49,7 @@ func TestPlanProbesLinear(t *testing.T) {
 			positives[i] = i
 		}
 		est := &probeCounter{}
-		got := planJoinOrder(q, positives, nil, est)
+		got := planJoinOrder(q, positives, nil, est, new([]float64))
 		if est.probes > 2*n {
 			t.Errorf("n=%d constant patterns: %d estimator probes, want <= %d", n, est.probes, 2*n)
 		}
@@ -70,7 +70,7 @@ func TestPlanProbesLinear(t *testing.T) {
 		positives = append(positives, i)
 	}
 	est := &probeCounter{}
-	planJoinOrder(q, positives, nil, est)
+	planJoinOrder(q, positives, nil, est, new([]float64))
 	// Initial costing: 1 probe for the constant lead, and per lead-unknown
 	// link the arity probe (its variable fields are unbound: no selector
 	// probes). Each placement re-costs one link with one probe.
@@ -89,10 +89,32 @@ func TestPlanAllocatesNothing(t *testing.T) {
 	positives := []int{0, 1, 2}
 	allocs := testing.AllocsPerRun(100, func() {
 		positives[0], positives[1], positives[2] = 0, 1, 2
-		planJoinOrder(q, positives, nil, est)
+		planJoinOrder(q, positives, nil, est, new([]float64))
 	})
 	if allocs != 0 {
 		t.Errorf("planJoinOrder allocated %.0f times per run, want 0", allocs)
+	}
+
+	// A query longer than planInline (the society's 64-way barrier) keeps
+	// its costs in the pooled matcher: once a run has grown them, the next
+	// plans without allocating.
+	skipUnderRace(t)
+	ready := tuple.Atom("ready")
+	long := Query{Quant: Exists}
+	src := &sliceSource{}
+	for i := range 64 {
+		long.Patterns = append(long.Patterns, P(C(ready), C(tuple.Int(int64(i)))))
+		src.tuples = append(src.tuples, tuple.New(ready, tuple.Int(int64(i))))
+	}
+	var tab Table
+	collect := func() {
+		if err := tab.Collect(long, src, nil, true, nil); err != nil || len(tab.Rows()) != 1 {
+			t.Fatalf("64-pattern barrier: %d rows, err %v", len(tab.Rows()), err)
+		}
+	}
+	collect()
+	if got := testing.AllocsPerRun(1, collect); got != 0 {
+		t.Errorf("a 64-pattern query's second run through a pooled matcher allocated %.0f times, want 0", got)
 	}
 }
 

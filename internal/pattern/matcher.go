@@ -270,6 +270,7 @@ type matcher struct {
 	steps []step     // positive patterns in join order, then negated ones as written
 	npos  int        // number of positive steps
 	order []int      // pattern indexes in step order
+	costs []float64  // the planner's costs of a query longer than planInline
 	ops   []fieldOp  // backing of every step's ops
 	sels  []FieldSel // backing of every step's selector buffer
 
@@ -310,6 +311,7 @@ func (m *matcher) release() {
 		frame:    frame{names: m.names[:0], vals: m.vals[:0]},
 		steps:    m.steps[:0],
 		order:    m.order[:0],
+		costs:    m.costs,
 		ops:      m.ops[:0],
 		sels:     m.sels[:0],
 		retracts: m.retracts[:0],
@@ -357,7 +359,7 @@ func (m *matcher) compile() {
 		}
 	}
 	m.npos = len(m.order)
-	planJoinOrder(q, m.order, m.base, m.src)
+	planJoinOrder(q, m.order, m.base, m.src, &m.costs)
 	for i := range q.Patterns {
 		if q.Patterns[i].Negated {
 			m.order = append(m.order, i)

@@ -29,7 +29,7 @@ import (
 // with a computed field or a guard are re-costed conservatively), so a
 // query of n constant patterns makes n estimator probes, not n². The plan
 // allocates nothing for queries of up to planInline patterns without
-// computed fields or guards.
+// computed fields or guards, nor for a longer one once spill has grown.
 //
 // Eligibility preserves semantics exactly: a pattern may be placed only
 // when every variable of its computed (FieldExpr) fields is already
@@ -40,8 +40,10 @@ import (
 // remaining pattern is eligible, the next one in written order is taken
 // (reproducing the written-order behavior, including its errors).
 //
-// Ties break toward written order, keeping plans deterministic.
-func planJoinOrder(q Query, positives []int, base expr.Scope, src Source) []int {
+// Ties break toward written order, keeping plans deterministic. A query of
+// more than planInline patterns keeps its costs in *spill, the caller's
+// array kept across plans (a pooled matcher's), grown only when short.
+func planJoinOrder(q Query, positives []int, base expr.Scope, src Source, spill *[]float64) []int {
 	n := len(positives)
 	if n <= 1 {
 		return positives
@@ -57,7 +59,10 @@ func planJoinOrder(q Query, positives []int, base expr.Scope, src Source) []int 
 	bound := boundBuf[:0]
 	cost := costBuf[:0]
 	if n > planInline {
-		cost = make([]float64, 0, n)
+		if cap(*spill) < n {
+			*spill = make([]float64, 0, n)
+		}
+		cost = (*spill)[:0]
 	}
 	for _, pi := range positives {
 		cost = append(cost, pl.cost(pi, bound))

@@ -262,7 +262,7 @@ func TestPlanOrderGolden(t *testing.T) {
 					positives = append(positives, i)
 				}
 			}
-			got := planJoinOrder(tc.q, positives, tc.base, tc.src)
+			got := planJoinOrder(tc.q, positives, tc.base, tc.src, new([]float64))
 			if len(got) != len(tc.want) {
 				t.Fatalf("plan = %v, want %v", got, tc.want)
 			}

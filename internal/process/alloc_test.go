@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
@@ -90,6 +91,16 @@ func TestSpawnAllocates(t *testing.T) {
 	}
 	if n, want := rt.SpawnCount(), uint64(64+201); n != want {
 		t.Errorf("SpawnCount = %d, want %d", n, want)
+	}
+}
+
+// TestRecordSizeClass pins a process record to the 640-byte size class: a
+// blocked process costs its record, so a field that crosses into the next
+// class (704 B) costs every blocked process of a large society — an inline
+// consensus request in the member record would take it to 800 B.
+func TestRecordSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(proc{}); size > 640 {
+		t.Errorf("a process record is %d B, want <= 640 (its size class)", size)
 	}
 }
 

@@ -52,9 +52,11 @@ type Transact struct {
 	Actions []Action
 	// Export selects the policy for assertions outside the export set.
 	Export txn.ExportPolicy
-	// Site names the statement's source for the explain records (see
-	// txn.Request.Site).
+	// Site names a Go-built statement's source for the explain records
+	// (see txn.Request.Site); the SDL compiler leaves it empty and sets Pos,
+	// the statement's source position, instead.
 	Site string
+	Pos  metrics.Pos
 }
 
 // Branch is one guarded sequence of a selection/repetition/replication.
@@ -88,6 +90,9 @@ type Replicate struct {
 	Workers int
 }
 
+// A transaction statement is a Transact or a *Transact: the SDL compiler
+// emits pointers into one array per program, so a statement is not boxed;
+// a Go caller may write either. The runtime reads both through transaction.
 func (Transact) stmt()  {}
 func (Select) stmt()    {}
 func (Repeat) stmt()    {}
@@ -339,7 +344,7 @@ func (p *proc) step() outcome {
 	switch f.kind {
 	case frameSeq:
 		if p.waiting {
-			t := f.stmts[f.pc-1].(Transact)
+			t, _ := transaction(f.stmts[f.pc-1])
 			if t.Kind == Delayed {
 				return p.delayed(t, true)
 			}
@@ -401,11 +406,23 @@ func (p *proc) raise(err error) outcome {
 	return ended
 }
 
+// transaction returns s as a transaction statement, and whether it is one.
+func transaction(s Stmt) (Transact, bool) {
+	switch t := s.(type) {
+	case *Transact:
+		return *t, true
+	case Transact:
+		return t, true
+	}
+	return Transact{}, false
+}
+
 // exec starts statement s: a transaction runs, a construct pushes its frame.
 func (p *proc) exec(s Stmt) outcome {
+	if t, ok := transaction(s); ok {
+		return p.transact(t)
+	}
 	switch st := s.(type) {
-	case Transact:
-		return p.transact(st)
 	case Select:
 		p.push(frame{kind: frameSelect, branches: st.Branches})
 	case Repeat:
@@ -434,6 +451,7 @@ func (p *proc) request(t Transact) txn.Request {
 		Asserts: t.Asserts,
 		Export:  t.Export,
 		Site:    t.Site,
+		Pos:     t.Pos,
 	}
 }
 

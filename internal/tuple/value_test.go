@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"github.com/sdl-lang/sdl/internal/race"
@@ -162,6 +163,65 @@ func TestInternConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestInternTableStaysBounded: text nobody keeps does not accumulate. Each
+// cycle interns 10⁵ texts no Value holds and drops them; the sweeps after
+// the collection cycles that follow take their entries out, so the table is
+// back under the sweep floor before the next cycle interns more, however
+// many cycles run.
+func TestInternTableStaysBounded(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector slows the cleanup the sweep runs from")
+	}
+	const batch, cycles = 100_000, 3
+	size := func() (n int) {
+		for i := range interned {
+			sh := &interned[i]
+			sh.RLock()
+			n += len(sh.m)
+			sh.RUnlock()
+		}
+		return n
+	}
+	const bound = internShards * minSweep
+	for c := range cycles {
+		for i := range batch {
+			_ = intern("unkept " + strconv.Itoa(c*batch+i))
+		}
+		n := size()
+		for deadline := time.Now().Add(10 * time.Second); n >= bound && time.Now().Before(deadline); n = size() {
+			runtime.GC()
+			time.Sleep(time.Millisecond) // lets the sweep run
+		}
+		if n >= bound {
+			t.Fatalf("cycle %d: the table holds %d entries after %d dropped texts, want < %d", c, n, (c+1)*batch, bound)
+		}
+	}
+}
+
+// TestInternAllocations: a hit allocates nothing, and a miss at most three
+// times: the copy's header, its bytes and its weak handle.
+func TestInternAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	texts := make([]string, 201)
+	for i := range texts {
+		texts[i] = "miss " + strconv.Itoa(i)
+	}
+	held := make([]*string, 0, len(texts))
+	next := 0
+	miss := func() { held = append(held, intern(texts[next])); next++ }
+	if n := testing.AllocsPerRun(200, miss); n > 3 {
+		t.Errorf("a miss allocates %v times, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkString = intern(texts[7]) }); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
+	}
+	runtime.KeepAlive(held)
+}
+
+var sinkString *string
 
 // FuzzValue checks == against a model of what it must mean: two values are
 // == exactly when their kinds and canonical payloads are equal. So an atom

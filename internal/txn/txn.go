@@ -83,9 +83,11 @@ type Request struct {
 	// Export selects the policy for assertions outside the export set.
 	Export ExportPolicy
 	// Site names the transaction's source for the explain records
-	// (metrics.Snapshot.Explain): the SDL compiler sets the statement's
-	// line:col; a Go request may leave it empty.
+	// (metrics.Snapshot.Explain); a Go request may leave it empty. An SDL
+	// statement leaves it empty and names itself by Pos, which the record
+	// renders as line:col.
 	Site string
+	Pos  metrics.Pos
 }
 
 // Result reports a transaction's outcome.
@@ -215,7 +217,7 @@ func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
 	}
 	if observed {
 		e.m.ObserveTxnLatency(kind, time.Since(start))
-		e.m.RecordExplain(a.req.Site, a.ex)
+		e.m.RecordExplain(a.req.Site, a.req.Pos, a.ex)
 		a.ex = nil
 	}
 	if err == nil && a.OK() {

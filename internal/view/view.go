@@ -566,14 +566,17 @@ func (v View) ImportShape(s expr.Scope) ImportShape {
 			sh.Complete = false
 		}
 	}
-	if !imp.eachBucket(s, func(k BucketKey) bool {
+	n := 0 // the walk's calls: Keys is sized once, duplicates included
+	if !imp.eachBucket(s, func(BucketKey) bool { n++; return true }) {
+		return ImportShape{}
+	}
+	sh.Keys = make([]BucketKey, 0, n)
+	imp.eachBucket(s, func(k BucketKey) bool {
 		if !slices.Contains(sh.Keys, k) {
 			sh.Keys = append(sh.Keys, k)
 		}
 		return true
-	}) {
-		return ImportShape{}
-	}
+	})
 	return sh
 }
 

@@ -30,12 +30,14 @@ race:
 # spawn, a let-constant, a process's transaction statement, a parked
 # process's wake and re-park, a consensus member's registration, first and
 # later offer, a repartition at 24 and 96 members, a lex and a parse on
-# another P may allocate, and that a process's selections re-arm one
-# subscription). They skip under the race detector — it allocates on its
-# own and sync.Pool drops Puts there — so the race target above does not
-# run them; this does.
+# another P, a metrics registry and its snapshot may allocate, that a
+# process's selections re-arm one subscription, that a consensus fire
+# grounds into one fields block and a churning process keeps one alive, and
+# that a process record stays in its 640-byte size class). They skip under the race detector — it
+# allocates on its own and sync.Pool drops Puts there — so the race target
+# above does not run them; this does.
 alloc-guard:
-	$(GO) test -run 'Alloc|Allocates|ReusesSubscription' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/consensus ./internal/wal ./internal/lang .
+	$(GO) test -run 'Alloc|Allocates|ReusesSubscription|RecordSizeClass|OneBlock' ./internal/tuple ./internal/dataspace ./internal/pattern ./internal/view ./internal/txn ./internal/process ./internal/consensus ./internal/wal ./internal/lang ./internal/metrics .
 
 # The serializability-audit suite and metrics invariants, race-enabled.
 audit:

@@ -1,11 +1,13 @@
 package consensus
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
+	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/pattern"
 	"github.com/sdl-lang/sdl/internal/race"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -191,4 +193,74 @@ func TestOfferSlotCleared(t *testing.T) {
 		t.Error("the armed offer of a member that left did not withdraw")
 	}
 	runtime.KeepAlive(recs)
+}
+
+// TestFireGroundsOneBlock: a fire grounds every member's assertions into
+// one fields block for the attempt (pattern.Block), not a heap block per
+// tuple. A 64-member barrier round whose members assert <passed, id>, id
+// from each member's scope, allocates at most 2 blocks more than the same
+// round asserting the same tuples built ahead (pattern.Literal, which
+// grounds nothing): its 128 values fill two blocks of 64.
+func TestFireGroundsOneBlock(t *testing.T) {
+	skipUnderRace(t)
+	const n = 64
+	passed := tuple.Atom("passed")
+	round := func(literal bool) float64 {
+		s, e, m := newManager(t)
+		s.Assert(tuple.Environment, goTuple) // every member imports it: one set
+		recs := make([]Member, n)
+		reqs := make([][]txn.Request, n)
+		for i := range recs {
+			pid := tuple.ProcessID(i + 1)
+			env := expr.Env{"id": tuple.Int(int64(pid))}
+			m.RegisterMember(&recs[i], pid, view.Universal(), env)
+			assert := pattern.P(pattern.C(passed), pattern.V("id"))
+			if literal {
+				assert = pattern.P(pattern.C(passed), pattern.C(tuple.Int(int64(pid)))).Literal(make([]tuple.Value, 2))
+			}
+			reqs[i] = []txn.Request{{Proc: pid, View: view.Universal(), Env: env,
+				Query: goReq(pid).Query, Asserts: []pattern.Pattern{assert}}}
+		}
+		clean := txn.Request{Proc: tuple.Environment, View: view.Universal(),
+			Query: pattern.Query{Quant: pattern.ForAll, Patterns: []pattern.Pattern{pattern.R(pattern.C(passed), pattern.W())}}}
+		var w wakeCount
+		fire := func() {
+			fires := m.Fires()
+			for i := range recs {
+				if err := m.Rearm(recs[i].Offer(), reqs[i], &w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.Fires() != fires+1 {
+				t.Fatalf("the barrier did not fire: %d fires, want %d", m.Fires(), fires+1)
+			}
+			for i := range recs {
+				a, err := recs[i].Offer().Answer()
+				if err != nil {
+					t.Fatalf("member %d: %v", i+1, err)
+				}
+				if len(a.Asserted) != 1 || !a.Asserted[0].Tuple.Equal(tuple.New(passed, tuple.Int(int64(i+1)))) {
+					t.Fatalf("member %d asserted %v, want <passed, %d>", i+1, a.Asserted, i+1)
+				}
+				a.Release()
+			}
+			a, err := e.Run(context.Background(), clean, metrics.TxnImmediate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Retracted) != n {
+				t.Fatalf("retracted %d of the barrier's tuples, want %d", len(a.Retracted), n)
+			}
+			a.Release()
+		}
+		for i := 0; i < 8; i++ {
+			fire() // warm the partition, the slot block and the pools
+		}
+		return testing.AllocsPerRun(20, fire)
+	}
+	grounded, built := round(false), round(true)
+	t.Logf("a 64-member barrier round: %.0f allocations grounding its tuples, %.0f with them built ahead", grounded, built)
+	if grounded > built+2 {
+		t.Errorf("a 64-member barrier round grounding <passed, id> allocates %.0f times, %.0f more than with its tuples built ahead; want <= 2 more (one fields block of 64 values per 32 tuples)", grounded, grounded-built)
+	}
 }

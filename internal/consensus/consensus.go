@@ -857,6 +857,11 @@ type drainScratch struct {
 	importers     map[tuple.ID]int
 	commOf        []int
 	sizes         []int
+
+	// vals is the running fire attempt's fields block (pattern.Block),
+	// cleared when the attempt ends: the members are parked, so the fire
+	// grounds their assertions into a block of its own, not their records'.
+	vals pattern.Block
 }
 
 // grow returns s with length n, reallocating only when its capacity is short.
@@ -1313,6 +1318,17 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 
 	answers := make([]*txn.Answer, len(claimed))
 	chosen := make([]int, len(claimed))
+	// The process members' assertions are cut from one block for the
+	// attempt, sized by their first alternatives; a Go-API offer's (it has
+	// Done) get a heap block per tuple, as its other requests do.
+	width := 0
+	for _, cl := range claimed {
+		if cl.o.Done() == nil {
+			width += pattern.GroundWidth(cl.o.reqs[0].Asserts)
+		}
+	}
+	vals := &m.scratch.vals
+	vals.Open(width)
 	// The window between claiming and committing is where withdrawals and
 	// cancellations race a firing attempt; stretch it.
 	m.sc.Yield(sched.PointConsensusClaim)
@@ -1336,6 +1352,9 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 		for i, cl := range claimed {
 			for ai, req := range cl.o.reqs {
 				a := txn.NewAnswer(req)
+				if cl.o.Done() == nil {
+					a.CutFrom(vals)
+				}
 				src.win = a.Window(w)
 				found, err := a.Solve(src, true)
 				if err == nil && found {
@@ -1379,6 +1398,7 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 	} else {
 		err = m.engine.Store().Update(tuple.Environment, attempt)
 	}
+	*vals = pattern.Block{} // the attempt is over: pin nothing past it
 	if err != nil {
 		for _, a := range answers {
 			if a != nil {

@@ -2,8 +2,9 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -224,6 +225,6 @@ func (l *explainLog) snapshot() []ExplainSite {
 		out = append(out, c)
 	}
 	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
+	slices.SortFunc(out, func(a, b ExplainSite) int { return strings.Compare(a.Site, b.Site) })
 	return out
 }

@@ -100,13 +100,16 @@ func (hs HistogramSnapshot) Mean() float64 {
 	return float64(hs.Sum) / float64(hs.Count)
 }
 
-func (h *Histogram) snapshot() HistogramSnapshot {
+// snapshot copies h, its counts cut from the front of *block.
+func (h *Histogram) snapshot(block *[]uint64) HistogramSnapshot {
+	n := len(h.counts)
 	hs := HistogramSnapshot{
 		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
+		Counts: (*block)[:n:n],
 		Count:  h.count.Load(),
 		Sum:    h.sum.Load(),
 	}
+	*block = (*block)[n:]
 	for i := range h.counts {
 		hs.Counts[i] = h.counts[i].Load()
 	}
@@ -251,15 +254,23 @@ type Registry struct {
 	explain explainLog // per-site explain aggregates; gated on Observed
 }
 
+// The registry's histograms: sizedHists over SizeBounds, timedHists over
+// LatencyBounds.
+const sizedHists, timedHists = 5, 3 + int(numTxnKinds)
+
+// histCells returns the counts of the registry's histograms in all.
+func histCells() int {
+	return sizedHists*(len(SizeBounds)+1) + timedHists*(len(LatencyBounds)+1)
+}
+
 // NewRegistry returns a registry for a store with the given shard count.
 func NewRegistry(shards int) *Registry {
 	if shards < 1 {
 		shards = 1
 	}
 	// The histograms are cut from one block, and their counts from another.
-	const sized, timed = 5, 3 + int(numTxnKinds)
-	hs := make([]Histogram, sized+timed)
-	counts := make([]atomic.Uint64, sized*(len(SizeBounds)+1)+timed*(len(LatencyBounds)+1))
+	hs := make([]Histogram, sizedHists+timedHists)
+	counts := make([]atomic.Uint64, histCells())
 	next := func(bounds []uint64) *Histogram {
 		h, n := &hs[0], len(bounds)+1
 		h.bounds, h.counts = bounds, counts[:n:n]
@@ -619,6 +630,7 @@ func (s Snapshot) KeyLockTotal() uint64 {
 
 // Snapshot copies every instrument.
 func (r *Registry) Snapshot() Snapshot {
+	counts := make([]uint64, histCells()) // every histogram's counts, one block
 	s := Snapshot{
 		Observed:                 r.observed.Load(),
 		Shards:                   make([]ShardCounters, len(r.shards)),
@@ -626,7 +638,7 @@ func (r *Registry) Snapshot() Snapshot {
 		KeyCommits:               r.keyCommits.Value(),
 		ShardFallbacks:           r.shardFallbacks.Value(),
 		CoarseCommits:            r.coarseCommits.Value(),
-		GroupBatch:               r.groupBatch.snapshot(),
+		GroupBatch:               r.groupBatch.snapshot(&counts),
 		EpochReads:               r.epochReads.Value(),
 		EpochRebuilds:            r.epochRebuilds.Value(),
 		EpochFallbacks:           r.epochFallbacks.Value(),
@@ -635,8 +647,8 @@ func (r *Registry) Snapshot() Snapshot {
 		SharedReads:              r.sharedReads.v.Load(),
 		FootprintPlanned:         r.footprintPlanned.v.Load(),
 		FootprintUnplanned:       r.footprintUnplanned.v.Load(),
-		Footprint:                r.footprint.snapshot(),
-		WakeupFanout:             r.wakeupFanout.snapshot(),
+		Footprint:                r.footprint.snapshot(&counts),
+		WakeupFanout:             r.wakeupFanout.snapshot(&counts),
 		ReactiveSubscriptions:    r.subsLive.Value(),
 		ReactiveSignals:          r.reactiveSignals.Value(),
 		ReactiveSuppressed:       r.reactiveSuppressed.Value(),
@@ -654,18 +666,18 @@ func (r *Registry) Snapshot() Snapshot {
 		SecondaryArityScans:      r.idxArityScans.Value(),
 		SecondaryTuplesVisited:   r.idxTuples.Value(),
 		ConsensusRounds:          r.consensusRounds.Value(),
-		ConsensusCommunity:       r.consensusCommunity.snapshot(),
-		CheckpointWrite:          r.checkpointWrite.snapshot(),
-		CheckpointRead:           r.checkpointRead.snapshot(),
+		ConsensusCommunity:       r.consensusCommunity.snapshot(&counts),
+		CheckpointWrite:          r.checkpointWrite.snapshot(&counts),
+		CheckpointRead:           r.checkpointRead.snapshot(&counts),
 		WalAppends:               r.walAppends.Value(),
 		WalAppendBytes:           r.walAppendBytes.Value(),
 		WalSyncs:                 r.walSyncs.Value(),
-		WalSyncCover:             r.walSyncCover.snapshot(),
+		WalSyncCover:             r.walSyncCover.snapshot(&counts),
 		WalSegments:              r.walSegments.Value(),
 		WalRecovered:             r.walRecovered.Value(),
 		WalDiscarded:             r.walDiscarded.Value(),
 		WalRecoveries:            r.walRecoveries.Value(),
-		WalRecoveryTime:          r.walRecoveryTime.snapshot(),
+		WalRecoveryTime:          r.walRecoveryTime.snapshot(&counts),
 		Explain:                  r.explain.snapshot(),
 	}
 	for i := range r.shards {
@@ -682,7 +694,7 @@ func (r *Registry) Snapshot() Snapshot {
 			Retries:  r.txn[k].retries.v.Load(),
 			Blocks:   r.txn[k].blocks.v.Load(),
 		}
-		s.TxnLatency[k.String()] = r.txnLatency[k].snapshot()
+		s.TxnLatency[k.String()] = r.txnLatency[k].snapshot(&counts)
 	}
 	return s
 }

@@ -24,12 +24,18 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// snapshotOf snapshots h alone, into a counts block of its own.
+func snapshotOf(h *Histogram) HistogramSnapshot {
+	block := make([]uint64, len(h.counts))
+	return h.snapshot(&block)
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]uint64{10, 100, 1000})
 	for _, v := range []uint64{0, 10, 11, 100, 5000} {
 		h.Observe(v)
 	}
-	s := h.snapshot()
+	s := snapshotOf(h)
 	want := []uint64{2, 2, 0, 1} // (<=10)x2, (<=100)x2, (<=1000)x0, overflow x1
 	for i, w := range want {
 		if s.Counts[i] != w {
@@ -65,7 +71,7 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s := h.snapshot()
+	s := snapshotOf(h)
 	var total uint64
 	for _, c := range s.Counts {
 		total += c
@@ -208,10 +214,36 @@ func TestNewRegistryAllocates(t *testing.T) {
 			if j <= i {
 				want = 1
 			}
-			if hs := o.snapshot(); len(hs.Counts) != len(hs.Bounds)+1 || hs.Counts[len(hs.Counts)-1] != want || hs.Count != want {
+			if hs := snapshotOf(o); len(hs.Counts) != len(hs.Bounds)+1 || hs.Counts[len(hs.Counts)-1] != want || hs.Count != want {
 				t.Fatalf("after observing histograms 0..%d, histogram %d holds %+v", i, j, hs)
 			}
 		}
+	}
+}
+
+// TestSnapshotAllocates: a snapshot copies every histogram's counts into
+// one block, as NewRegistry cuts the histograms' counts from one, so it
+// allocates a fixed handful — the counts block, the shard counters and the
+// two per-kind maps (a header and a group each) — not one counts slice per
+// histogram. Each snapshot's
+// histograms still hold their own counts.
+func TestSnapshotAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; allocation counts are not exact")
+	}
+	r := NewRegistry(4)
+	got := testing.AllocsPerRun(20, func() { r.Snapshot() })
+	if got > 6 {
+		t.Errorf("Snapshot allocates %.0f times, want <= 6", got)
+	}
+	r.wakeupFanout.Observe(3)
+	s := r.Snapshot()
+	r.wakeupFanout.Observe(3)
+	if c := s.WakeupFanout.Counts; len(c) != len(SizeBounds)+1 || c[3] != 1 || s.WakeupFanout.Count != 1 {
+		t.Errorf("a snapshot's WakeupFanout = %+v, want one observation in bucket 3", s.WakeupFanout)
+	}
+	if n := len(s.Footprint.Counts); n != len(SizeBounds)+1 || cap(s.Footprint.Counts) != n {
+		t.Errorf("a snapshot's Footprint counts have len %d, cap %d, want both %d", n, cap(s.Footprint.Counts), len(SizeBounds)+1)
 	}
 }
 

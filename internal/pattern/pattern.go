@@ -13,6 +13,7 @@ package pattern
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/tuple"
@@ -210,13 +211,18 @@ func (p Pattern) Literal(block []tuple.Value) Pattern {
 // Ground instantiates the pattern into a concrete tuple under s: every
 // assertion of a transaction is grounded this way, once per solution, with
 // the solution as the scope. It fails if the pattern contains wildcards or
-// unbound variables. The tuple is the one allocation, except for a pattern
-// Literal built ahead, whose tuple Ground returns without allocating.
-func (p Pattern) Ground(s expr.Scope) (tuple.Tuple, error) {
+// unbound variables. The tuple's fields are one heap block of their own,
+// except for a pattern Literal built ahead, whose tuple Ground returns
+// without allocating; GroundIn cuts them from a committer's Block instead.
+func (p Pattern) Ground(s expr.Scope) (tuple.Tuple, error) { return p.GroundIn(s, nil) }
+
+// GroundIn is Ground with the tuple's fields cut from b (see Block); a nil b
+// allocates them on the heap, as Ground does.
+func (p Pattern) GroundIn(s expr.Scope, b *Block) (tuple.Tuple, error) {
 	if p.lit.Arity() > 0 {
 		return p.lit, nil
 	}
-	fields := make([]tuple.Value, len(p.Fields))
+	fields := b.cut(len(p.Fields))
 	for i, f := range p.Fields {
 		switch f.Kind {
 		case FieldConst:
@@ -242,4 +248,67 @@ func (p Pattern) Ground(s expr.Scope) (tuple.Tuple, error) {
 		}
 	}
 	return tuple.Adopt(fields), nil
+}
+
+// GroundWidth returns the values grounding ps once cuts from a Block: the
+// arity of each pattern that is not a Literal.
+func GroundWidth(ps []Pattern) int {
+	n := 0
+	for i := range ps {
+		if ps[i].lit.Arity() == 0 {
+			n += len(ps[i].Fields)
+		}
+	}
+	return n
+}
+
+// blockCap bounds a Block's blocks: 64 values, 1 KiB.
+const blockCap = 64
+
+// Block is a committer's fields block: GroundIn cuts each tuple's fields
+// from it instead of allocating them one tuple at a time. The first block
+// holds the width Open asks for, each later one twice its predecessor, up to
+// 64 values (1 KiB); a tuple wider than that gets a heap block of its own.
+// A block is never reused and a cut is never written once grounded: the
+// collector frees a block when no tuple cut from it is reachable, so no
+// reclamation scheme is needed, and a live tuple pins at most 1 KiB.
+//
+// A Block belongs to one committer — a process record, or one consensus
+// fire — and only the goroutine grounding for that committer uses it. Its
+// zero value is empty. It is a pointer and two counts, so that a process
+// record holds one within its size class.
+type Block struct {
+	base       *tuple.Value
+	used, size uint32
+}
+
+// Open gives b its first block, of width values (at most 64), unless b has
+// one: width is what its committer is about to ground.
+func (b *Block) Open(width int) {
+	if b.base == nil && width > 0 {
+		b.alloc(min(width, blockCap))
+	}
+}
+
+func (b *Block) alloc(n int) {
+	s := make([]tuple.Value, n)
+	b.base, b.used, b.size = unsafe.SliceData(s), 0, uint32(n)
+}
+
+// cut returns n fresh values for one tuple: from b's block, starting the next
+// one when it is short, as a full slice — an append to one cut cannot reach
+// the next. A nil b, or n past a block, allocates them on the heap; arity 0
+// cuts nothing.
+func (b *Block) cut(n int) []tuple.Value {
+	switch {
+	case n == 0:
+		return nil
+	case b == nil || n > blockCap:
+		return make([]tuple.Value, n)
+	case int(b.size-b.used) < n:
+		b.alloc(max(n, min(2*int(b.size), blockCap)))
+	}
+	i := int(b.used)
+	b.used += uint32(n)
+	return unsafe.Slice(b.base, b.size)[i : i+n : i+n]
 }

@@ -181,7 +181,7 @@ func (p *proc) selected(f *frame, i int, a *txn.Answer) outcome {
 // selected"; attempts start at a rotating offset so a repetition does not
 // starve later guards whose earlier siblings are always enabled.
 func (p *proc) tryGuards(branches []Branch) (int, *txn.Answer, error) {
-	start := int(p.selSeq % uint64(len(branches)))
+	start := int(p.selSeq % uint32(len(branches)))
 	p.selSeq++
 	for off := 0; off < len(branches); off++ {
 		i := (start + off) % len(branches)

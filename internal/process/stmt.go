@@ -193,21 +193,28 @@ type proc struct {
 	args   []tuple.Value // the parameters' values, in def.Params order
 	argBuf [2]tuple.Value
 	scope  expr.Scope
-	selSeq uint64       // rotates the guard-attempt order across selections
 	state  atomic.Int32 // State, for introspection
 	wake   atomic.Int32 // the park protocol: awake, notified or asleep
-	member consensus.Member
+	// selSeq rotates the guard-attempt order across selections. It and the
+	// flags after it share one word, keeping the record in its size class.
+	selSeq  uint32
+	waiting bool // the top frame is waiting: its next step resumes the wait
+	offered bool // a blocking selection's offer is armed
+	member  consensus.Member
 	// sub is the subscription every blocking selection re-arms, made by the
 	// first.
 	sub *dataspace.Subscription
 
 	frames   []frame
 	frameBuf [2]frame    // frames' backing while the behavior nests at most two deep
-	waiting  bool        // the top frame is waiting: its next step resumes the wait
-	offered  bool        // a blocking selection's offer is armed
 	ans      *txn.Answer // a waiting delayed statement's answer
 	err      error       // what the behavior ended with
 	copyOf   *replication
+	// vals is the block the record's transactions cut their asserted
+	// tuples' fields from (pattern.Block): the executing record's, not its
+	// scope's — a replication's copies share their parent's scope and
+	// commit concurrently. It is dropped when the process ends.
+	vals pattern.Block
 }
 
 // frameKind tells what a frame of the continuation runs.
@@ -319,6 +326,7 @@ func (p *proc) run() {
 		case parked:
 			return
 		case ended:
+			p.vals = pattern.Block{}
 			if p.copyOf != nil {
 				p.copyOf.done(p)
 			} else {
@@ -462,7 +470,7 @@ func (p *proc) request(t Transact) txn.Request {
 func (p *proc) transact(t Transact) outcome {
 	switch t.Kind {
 	case Delayed:
-		p.ans = txn.NewAnswer(p.request(t))
+		p.ans = txn.NewAnswer(p.request(t)).CutFrom(&p.vals)
 		return p.delayed(t, false)
 	case Consensus:
 		return p.consensus(t, false)
@@ -479,12 +487,17 @@ func (p *proc) transact(t Transact) outcome {
 // replication copy's guard — with the worker off the pool's count while the
 // commit may wait for an fsync (Runtime.beginSync).
 func (p *proc) immediate(t Transact) (*txn.Answer, error) {
+	a := txn.NewAnswer(p.request(t)).CutFrom(&p.vals)
 	syncing := p.rt.beginSync()
-	a, err := p.rt.engine.Run(p.rt.ctx, p.request(t), metrics.TxnImmediate)
+	err := p.rt.engine.Exec(a, metrics.TxnImmediate)
 	if syncing {
 		p.rt.endSync()
 	}
-	return a, err
+	if err != nil {
+		a.Release()
+		return nil, err
+	}
+	return a, nil
 }
 
 // committed runs a finished transaction's actions if it committed, then

@@ -33,6 +33,7 @@ type Answer struct {
 	rows   pattern.Table
 	win    view.Window             // the restricted import's window, reused by every evaluation
 	ground []tuple.Tuple           // the assertions to insert, see Ground
+	vals   *pattern.Block          // their fields' block, see CutFrom; nil: one heap block per tuple
 	seen   map[tuple.ID]struct{}   // retractions already applied, when several rows may share one
 	sub    *dataspace.Subscription // the delayed wait's: made by the answer's first, re-armed (with its owner's waker) by every later one
 	ready  readyWaker              // a Go-API delayed wait's waker: made by the answer's first, kept across uses
@@ -75,7 +76,7 @@ func (a *Answer) Release() {
 	}
 	a.rows.Reset()
 	a.win.Reset(view.View{}, nil, nil)
-	a.req, a.first, a.ex = Request{}, false, nil
+	a.req, a.first, a.ex, a.vals = Request{}, false, nil, nil
 	answers.Put(a)
 }
 
@@ -87,6 +88,16 @@ func (a *Answer) reset() {
 	clear(a.ground)
 	clear(a.seen)
 	a.Retracted, a.Asserted, a.ground = a.Retracted[:0], a.Asserted[:0], a.ground[:0]
+}
+
+// CutFrom makes Ground cut the fields of the tuples it grounds from b, and
+// returns a. b is the committer's (pattern.Block): a process record's, or a
+// consensus fire's, used only by the goroutine running the answer until
+// Release. An answer without one — a Go-API request's — gives each tuple a
+// heap block of its own.
+func (a *Answer) CutFrom(b *pattern.Block) *Answer {
+	a.vals = b
+	return a
 }
 
 // OK reports whether the evaluation succeeded: the query has a solution.
@@ -183,7 +194,8 @@ func (a *Answer) Retract(w dataspace.Writer) error {
 	return nil
 }
 
-// Ground grounds the request's assertions under every row and keeps, for
+// Ground grounds the request's assertions under every row — their fields
+// cut from the answer's block, if it has one (CutFrom) — and keeps, for
 // Insert, those the export clause admits under the same row: D' takes
 // Export(p) ∩ W_a, so the others are dropped, or fail the transaction with
 // ErrExportViolation under ExportError. r is the configuration dynamic
@@ -191,10 +203,13 @@ func (a *Answer) Retract(w dataspace.Writer) error {
 func (a *Answer) Ground(r dataspace.Reader) error {
 	rows := a.rows.Rows()
 	a.ground = slices.Grow(a.ground, len(rows)*len(a.req.Asserts))
+	if a.vals != nil {
+		a.vals.Open(len(rows) * pattern.GroundWidth(a.req.Asserts))
+	}
 	for i := range rows {
 		row := &rows[i]
 		for _, ap := range a.req.Asserts {
-			t, err := ap.Ground(row)
+			t, err := ap.GroundIn(row, a.vals)
 			if err != nil {
 				return err
 			}

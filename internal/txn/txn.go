@@ -183,7 +183,7 @@ func (e *Engine) Run(ctx context.Context, req Request, kind metrics.TxnKind) (*A
 	if kind == metrics.TxnDelayed {
 		err = e.await(ctx, a)
 	} else {
-		err = e.exec(a, kind)
+		err = e.Exec(a, kind)
 	}
 	if err != nil {
 		a.Release()
@@ -192,14 +192,16 @@ func (e *Engine) Run(ctx context.Context, req Request, kind metrics.TxnKind) (*A
 	return a, nil
 }
 
-// exec runs one evaluation of a's request into a — on the shared read path
+// Exec runs one evaluation of a's request into a — on the shared read path
 // when the request is statically read-only, inside its exclusive section
-// otherwise — recording the per-kind metrics: one attempt per exec, one
-// commit on success, and — when an observer is attached — the end-to-end
+// otherwise. It is Run's immediate kind on an answer its caller made
+// (NewAnswer), as a process does to ground into its record's block
+// (Answer.CutFrom); on an error the caller releases a. Exec records the
+// per-kind metrics: one attempt per execution, one commit on success, and — when an observer is attached — the end-to-end
 // latency and the execution's explain record (metrics.Explain), filed under
 // the request's site. The registry's attempts therefore count executions,
 // so per kind latency-histogram count == attempts ≥ commits.
-func (e *Engine) exec(a *Answer, kind metrics.TxnKind) error {
+func (e *Engine) Exec(a *Answer, kind metrics.TxnKind) error {
 	e.sc.Yield(sched.PointTxnExec)
 	e.m.IncTxnAttempt(kind)
 	observed := e.m.Observed()
@@ -586,7 +588,7 @@ func (e *Engine) Attempt(a *Answer, w dataspace.Waker, woke bool) (done bool, er
 		}
 		e.store.Arm(a.sub, w, keys, filter, sels...)
 	}
-	if err := e.exec(a, metrics.TxnDelayed); err != nil || a.OK() {
+	if err := e.Exec(a, metrics.TxnDelayed); err != nil || a.OK() {
 		a.sub.Cancel()
 		return true, err
 	}

@@ -49,8 +49,8 @@ audit:
 analyze-smoke:
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=5s -run '^$$' ./internal/analysis
 
-# The full schedule-exploration campaign: 1000+ seeds across the eighteen
-# corpus programs (18 programs x 84 seeds = 1512 runs), light faults,
+# The full schedule-exploration campaign: 1000+ seeds across the nineteen
+# corpus programs (19 programs x 84 seeds = 1596 runs), light faults,
 # serializability-checked. Any failure prints a replayable seed.
 explore:
 	$(GO) run ./cmd/sdlexplore -seeds 84

@@ -41,13 +41,10 @@ func runProgram(t *testing.T, src string) (*System, MetricsSnapshot) {
 	return sys, sys.Snapshot()
 }
 
-// TestBarrierProgramEvaluations: the 64-way consensus barrier, written in
-// SDL and run through the whole stack, costs the consensus gate a handful of
-// evaluations — the last arrival's, plus at most the few that race main's
-// exit — where a gate that re-evaluates on every event needs one per
-// commit, offer and membership change (over a hundred).
-func TestBarrierProgramEvaluations(t *testing.T) {
-	const k = 64
+// barrierSource is the k-way consensus barrier in SDL: k workers announce
+// themselves, then all run the one consensus statement whose query reads
+// every announcement.
+func barrierSource(k int) string {
 	var b strings.Builder
 	b.WriteString("process Worker(id)\nbehavior\n  -> <ready, id>;\n  ")
 	for i := 1; i <= k; i++ {
@@ -64,7 +61,17 @@ func TestBarrierProgramEvaluations(t *testing.T) {
 		}
 	}
 	b.WriteString("\nend\n")
-	sys, snap := runProgram(t, b.String())
+	return b.String()
+}
+
+// TestBarrierProgramEvaluations: the 64-way consensus barrier, written in
+// SDL and run through the whole stack, costs the consensus gate a handful of
+// evaluations — the last arrival's, plus at most the few that race main's
+// exit — where a gate that re-evaluates on every event needs one per
+// commit, offer and membership change (over a hundred).
+func TestBarrierProgramEvaluations(t *testing.T) {
+	const k = 64
+	sys, snap := runProgram(t, barrierSource(k))
 	if fires := sys.Cons.Fires(); fires != 1 {
 		t.Fatalf("%d consensus fires, want 1", fires)
 	}
@@ -136,4 +143,56 @@ main
 		t.Errorf("%d gate evaluations over %d commits: the gate is polling", snap.ConsensusRounds, snap.StoreCommits)
 	}
 	t.Logf("%d evaluations, %d commits", snap.ConsensusRounds, snap.StoreCommits)
+}
+
+// BenchmarkBarrierFire runs the compiled k-way barrier program on a fresh
+// system per iteration: k spawns and announcements, then one consensus fire
+// whose members all issue the same k-pattern query. The fire evaluates that
+// query once, so the program's time grows linearly in k.
+func BenchmarkBarrierFire(b *testing.B) {
+	for _, k := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			prog, err := lang.Parse(barrierSource(k))
+			if err != nil {
+				b.Fatal(err)
+			}
+			compiled, err := lang.Compile(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				sys := New(Options{})
+				if err := compiled.Install(sys.Runtime); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.Runtime.Spawn(lang.MainProcess); err != nil {
+					b.Fatal(err)
+				}
+				sys.Runtime.Wait()
+				if fires := sys.Cons.Fires(); fires != 1 {
+					b.Fatalf("%d consensus fires, want 1", fires)
+				}
+				_ = sys.Close()
+			}
+		})
+	}
+}
+
+// TestFireSharesIdenticalQueries: the members of the compiled 64-way barrier
+// all issue one statement, and its query reads no binding of theirs, so a
+// fire evaluates the 64-pattern query once and copies its solution to the
+// other 63: the store's field scans deliver about k candidates for the fire,
+// not the k² of one evaluation per member. One evaluation is k scans, one
+// candidate each once the field index is promoted; the scans before that
+// walk the bucket, up to k candidates each, so the bound is 4k.
+func TestFireSharesIdenticalQueries(t *testing.T) {
+	const k = 64
+	sys, snap := runProgram(t, barrierSource(k))
+	if fires := sys.Cons.Fires(); fires != 1 {
+		t.Fatalf("%d consensus fires, want 1", fires)
+	}
+	t.Logf("%d tuples visited, %d field scans (%d arity walks), %d gate evaluations", snap.SecondaryTuplesVisited, snap.SecondaryFieldScans, snap.SecondaryArityScans, snap.ConsensusRounds)
+	if v := snap.SecondaryTuplesVisited; v > 4*k {
+		t.Errorf("the barrier's fire visited %d tuples, want <= %d: one evaluation of its %d patterns", v, 4*k, k)
+	}
 }

@@ -586,9 +586,17 @@ func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 			closeRT(rt)
 			return nil, err
 		}
+		// Each heap reading follows two collections: the first moves what
+		// the pools keep (sync.Pool) to their victim caches and the second
+		// frees it, so neither reading counts a pool's spares — before the
+		// spawn, the previous size's released answers.
 		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		collect := func(ms *runtime.MemStats) {
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(ms)
+		}
+		collect(&before)
 		dSpawn, err := timeIt(func() error {
 			for i := 0; i < p; i++ {
 				if _, err := rt.Spawn("Waiter", tuple.Int(int64(i))); err != nil {
@@ -601,11 +609,17 @@ func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 			closeRT(rt)
 			return nil, fmt.Errorf("E8 spawn p=%d: %w", p, err)
 		}
-		// Let the society block.
-		for rt.Running() != int64(p) {
+		// Let the society block: every Waiter has armed its wait's
+		// subscription, so that the heap column is what a blocked society
+		// keeps live.
+		for subs := rt.Engine().Metrics().SubscriptionsLive(); subs.Value() != int64(p); {
+			if err := ctx.Err(); err != nil {
+				closeRT(rt)
+				return nil, fmt.Errorf("E8 block p=%d: %w", p, err)
+			}
 			runtime.Gosched()
 		}
-		runtime.ReadMemStats(&after)
+		collect(&after)
 		heap := float64(after.HeapAlloc-before.HeapAlloc) / float64(p)
 		stack := float64(after.StackInuse-before.StackInuse) / float64(p)
 

@@ -309,6 +309,7 @@ type Manager struct {
 	mu      sync.Mutex
 	settled *sync.Cond // broadcast when a firing attempt reverts or fires its claims
 	members map[tuple.ProcessID]*Member
+	room    int // the registrations members was last sized for (Reserve)
 	offers  int // members with an offer in the table (member.offer)
 	closed  bool
 
@@ -521,6 +522,24 @@ func (rec *Member) Offer() *Offer { return &rec.o }
 // meanwhile.
 func (m *Manager) Register(pid tuple.ProcessID, v view.View, env expr.Scope) {
 	m.RegisterMember(new(Member), pid, v, env)
+}
+
+// Reserve prepares the society for n registrations about to follow — a
+// group of processes spawned together — so that the member table grows to
+// hold them once, rather than doubling as they arrive. The table at least
+// doubles when it grows, so a society grown by many small groups copies it
+// O(log n) times, as the map's own growth would.
+func (m *Manager) Reserve(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if need := len(m.members) + n; need > max(m.room, 8) {
+		m.room = max(need, 2*len(m.members))
+		grown := make(map[tuple.ProcessID]*Member, m.room)
+		for pid, rec := range m.members {
+			grown[pid] = rec
+		}
+		m.members = grown
+	}
 }
 
 // RegisterMember is Register with the caller's record: rec belongs to the
@@ -792,12 +811,14 @@ func (m *Manager) step() bool {
 		m.repartition()
 		return true
 	}
-	var ready []*community
+	ready := m.scratch.ready[:0]
 	for i := range m.comms {
 		if c := &m.comms[i]; c.dirty && c.offered == len(c.members) {
 			ready = append(ready, c)
 		}
 	}
+	m.scratch.ready = ready
+	defer clear(ready)
 	m.mu.Unlock()
 	if perm := m.sc.Perm(sched.PointConsensusEval, len(ready)); perm != nil {
 		// The attempt order over ready sets is unspecified (each is an
@@ -806,7 +827,7 @@ func (m *Manager) step() bool {
 		for i, j := range perm {
 			permuted[i] = ready[j]
 		}
-		ready = permuted
+		copy(ready, permuted)
 	}
 	for _, c := range ready {
 		if m.evaluate(c) {
@@ -828,16 +849,18 @@ func (m *Manager) evaluate(c *community) bool {
 		return false
 	}
 	c.dirty = false
-	offers := make([]claim, len(c.members))
+	s := &m.scratch
+	s.offers = grow(s.offers, len(c.members))
 	for i, mem := range c.members {
+		s.offers[i] = claim{}
 		if o := mem.offer; o != nil {
 			gen, _ := o.load()
-			offers[i] = claim{o, gen}
+			s.offers[i] = claim{o, gen}
 		}
 	}
 	m.mu.Unlock()
 	m.engine.Metrics().IncConsensusRound()
-	return m.tryFire(c, offers)
+	return m.tryFire(c, s.offers)
 }
 
 // drainScratch is the drain's working memory: only one drain pass runs at a
@@ -858,10 +881,26 @@ type drainScratch struct {
 	commOf        []int
 	sizes         []int
 
-	// vals is the running fire attempt's fields block (pattern.Block),
-	// cleared when the attempt ends: the members are parked, so the fire
-	// grounds their assertions into a block of its own, not their records'.
-	vals pattern.Block
+	// The running step's ready sets, and its firing attempt's (tryFire)
+	// memory, cleared when the attempt ends: the set's offers, each offer's
+	// pick, the lock plan, the source phase 1 evaluates over, its memo of
+	// shared evaluations, and its fields blocks (pattern.Block) — the
+	// members are parked, so the fire grounds their assertions into blocks
+	// of its own, not their records'.
+	ready  []*community
+	offers []claim
+	picks  []pick
+	keys   []dataspace.InterestKey
+	src    hidingSource
+	vals   pattern.Block
+	shared sharing
+}
+
+// pick is the alternative a firing attempt's phase 1 chose for one offer,
+// and its answer.
+type pick struct {
+	a   *txn.Answer
+	alt int
 }
 
 // grow returns s with length n, reallocating only when its capacity is short.
@@ -1235,19 +1274,20 @@ var (
 	_ pattern.EstimatorProvider = (*hidingSource)(nil)
 )
 
-// lockPlan returns the keys covering everything a firing attempt for c can
-// read or write — the set's import buckets plus the buckets its offers
-// assert into — or planned=false when that is not statically known (an
-// unplanned set, or an assertion whose lead depends on the solution).
-func lockPlan(c *community, offers []claim) (keys []dataspace.InterestKey, planned bool) {
+// lockPlan appends to keys[:0] the keys covering everything a firing
+// attempt for c can read or write — the set's import buckets plus the
+// buckets its offers assert into — or reports planned=false when that is not
+// statically known (an unplanned set, or an assertion whose lead depends on
+// the solution).
+func lockPlan(c *community, offers []claim, keys []dataspace.InterestKey) (_ []dataspace.InterestKey, planned bool) {
 	if !c.planned {
-		return nil, false
+		return keys, false
 	}
 	n := len(offers) // an assertion an offer, as a rule
 	for _, mem := range c.members {
 		n += len(mem.shape.Keys)
 	}
-	keys = make([]dataspace.InterestKey, 0, n)
+	keys = slices.Grow(keys[:0], n)
 	for _, mem := range c.members {
 		for _, k := range mem.shape.Keys {
 			keys = append(keys, dataspace.InterestKey{Arity: k.Arity, Lead: k.Lead, LeadKnown: k.Arity > 0})
@@ -1259,7 +1299,7 @@ func lockPlan(c *community, offers []claim) (keys []dataspace.InterestKey, plann
 				a := ap.Arity()
 				lead, known := ap.Lead(req.Env)
 				if a > 0 && !known {
-					return nil, false
+					return keys, false
 				}
 				keys = append(keys, dataspace.InterestKey{Arity: a, Lead: lead, LeadKnown: a > 0})
 			}
@@ -1296,116 +1336,46 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 		for i, j := range perm {
 			permuted[i] = offers[j]
 		}
-		offers = permuted
+		copy(offers, permuted)
 	}
-	claimed := make([]claim, 0, len(offers))
-	revert := func() {
-		for _, cl := range claimed {
-			cl.o.move(cl.gen, stateClaimed, stateOffered)
-		}
-		m.mu.Lock()
-		m.firing = false
-		m.settled.Broadcast()
-		m.mu.Unlock()
-	}
-	for _, cl := range offers {
+	s := &m.scratch
+	s.picks = grow(s.picks, len(offers))
+	defer s.endAttempt()
+	for n, cl := range offers {
 		if cl.o == nil || !cl.o.move(cl.gen, stateOffered, stateClaimed) {
-			revert()
+			m.revert(offers[:n])
 			return false
 		}
-		claimed = append(claimed, cl)
 	}
 
-	answers := make([]*txn.Answer, len(claimed))
-	chosen := make([]int, len(claimed))
 	// The process members' assertions are cut from one block for the
 	// attempt, sized by their first alternatives; a Go-API offer's (it has
 	// Done) get a heap block per tuple, as its other requests do.
 	width := 0
-	for _, cl := range claimed {
+	for _, cl := range offers {
 		if cl.o.Done() == nil {
 			width += pattern.GroundWidth(cl.o.reqs[0].Asserts)
 		}
 	}
-	vals := &m.scratch.vals
-	vals.Open(width)
+	s.vals.Open(width)
 	// The window between claiming and committing is where withdrawals and
 	// cancellations race a firing attempt; stretch it.
 	m.sc.Yield(sched.PointConsensusClaim)
-	attempt := func(w dataspace.Writer) error {
-		// The locks now held exclude every commit that could re-partition
-		// this set (such a commit writes a bucket one of its members
-		// imports); a membership change or an earlier invalidation shows
-		// here, and the attempt stands down for the recomputation.
-		m.mu.Lock()
-		current := m.valid && c.members[0].comm == c
-		m.mu.Unlock()
-		if !current {
-			return errAbortFire
-		}
-		// Phase 1: evaluate every member's query against the pre-state
-		// (minus instances claimed by earlier members) and ground its
-		// assertions. For each offer the first alternative whose query
-		// succeeds is the one executed. One source serves every
-		// alternative, its window set to each in turn.
-		src := &hidingSource{hidden: make(map[tuple.ID]struct{})}
-		for i, cl := range claimed {
-			for ai, req := range cl.o.reqs {
-				a := txn.NewAnswer(req)
-				if cl.o.Done() == nil {
-					a.CutFrom(vals)
-				}
-				src.win = a.Window(w)
-				found, err := a.Solve(src, true)
-				if err == nil && found {
-					err = a.Ground(w)
-				}
-				if err != nil {
-					a.Release()
-					return err
-				}
-				if !found {
-					a.Release()
-					continue
-				}
-				answers[i], chosen[i] = a, ai
-				for _, mt := range a.Rows()[0].Matched() {
-					src.hidden[mt.ID] = struct{}{}
-				}
-				break
-			}
-			if answers[i] == nil {
-				return errAbortFire
-			}
-		}
-		// Phase 2: all retractions, then all assertions.
-		for _, a := range answers {
-			if err := a.Retract(w); err != nil {
-				return err
-			}
-		}
-		for _, a := range answers {
-			a.Insert(w)
-		}
-		m.mu.Lock()
-		m.firing = true // its commit's after-commit hook must not wait for this drain
-		m.mu.Unlock()
-		return nil
-	}
+	attempt := func(w dataspace.Writer) error { return m.attempt(w, c, offers) }
 	var err error
-	if keys, planned := lockPlan(c, claimed); planned {
-		err = m.engine.Store().UpdateKeys(tuple.Environment, keys, attempt)
+	var planned bool
+	if s.keys, planned = lockPlan(c, offers, s.keys); planned {
+		err = m.engine.Store().UpdateKeys(tuple.Environment, s.keys, attempt)
 	} else {
 		err = m.engine.Store().Update(tuple.Environment, attempt)
 	}
-	*vals = pattern.Block{} // the attempt is over: pin nothing past it
 	if err != nil {
-		for _, a := range answers {
-			if a != nil {
-				a.Release()
+		for _, p := range s.picks {
+			if p.a != nil {
+				p.a.Release()
 			}
 		}
-		revert()
+		m.revert(offers)
 		reg.IncTxnRetry(metrics.TxnConsensus)
 		return false
 	}
@@ -1414,7 +1384,7 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 	// The drain steps again after a fire and sees every event up to here.
 	m.firing = false
 	m.due.Store(false)
-	for _, cl := range claimed {
+	for _, cl := range offers {
 		m.dropOffer(cl.o)
 	}
 	m.mu.Unlock()
@@ -1422,23 +1392,135 @@ func (m *Manager) tryFire(c *community, offers []claim) bool {
 	// (and its observer read Fires) the moment done closes.
 	m.fires.Add(1)
 	reg.IncTxnCommit(metrics.TxnConsensus)
-	reg.ObserveCommunity(len(claimed))
+	reg.ObserveCommunity(len(offers))
 	// Resolution order across participants is unspecified (the composite is
 	// already committed); explore permutations and stretch the gaps so some
 	// participants resume long before others learn their offer fired.
-	order := m.sc.Perm(sched.PointConsensusResolve, len(claimed))
-	if order == nil {
-		order = make([]int, len(claimed))
-		for i := range order {
-			order[i] = i
+	order := m.sc.Perm(sched.PointConsensusResolve, len(offers))
+	for n := range offers {
+		i := n
+		if order != nil {
+			i = order[n]
 		}
-	}
-	for _, i := range order {
-		claimed[i].o.resolve(claimed[i].gen, answers[i], chosen[i], nil)
+		offers[i].o.resolve(offers[i].gen, s.picks[i].a, s.picks[i].alt, nil)
 		m.sc.Yield(sched.PointConsensusResolve)
 	}
 	m.mu.Lock()
 	m.settled.Broadcast()
 	m.mu.Unlock()
 	return true
+}
+
+// revert returns the claimed offers to the table and ends the attempt's
+// exclusive hold on the drain.
+func (m *Manager) revert(claimed []claim) {
+	for _, cl := range claimed {
+		cl.o.move(cl.gen, stateClaimed, stateOffered)
+	}
+	m.mu.Lock()
+	m.firing = false
+	m.settled.Broadcast()
+	m.mu.Unlock()
+}
+
+// endAttempt clears what a firing attempt left in the scratch, so that it
+// pins nothing past the attempt.
+func (s *drainScratch) endAttempt() {
+	clear(s.offers)
+	clear(s.picks)
+	clear(s.keys)
+	s.offers, s.picks, s.keys = s.offers[:0], s.picks[:0], s.keys[:0]
+	s.vals = pattern.Block{}
+	s.src.win = nil
+	clear(s.src.hidden)
+	s.shared.reset()
+}
+
+// attempt is the exclusive section of tryFire's attempt for c's claimed
+// offers, run by the store under the attempt's locks. A method, not a
+// closure over tryFire's locals: those would move to the heap each attempt.
+func (m *Manager) attempt(w dataspace.Writer, c *community, offers []claim) error {
+	s := &m.scratch
+	// The locks now held exclude every commit that could re-partition
+	// this set (such a commit writes a bucket one of its members
+	// imports); a membership change or an earlier invalidation shows
+	// here, and the attempt stands down for the recomputation.
+	m.mu.Lock()
+	current := m.valid && c.members[0].comm == c
+	m.mu.Unlock()
+	if !current {
+		return errAbortFire
+	}
+	// Phase 1: evaluate every member's query against the pre-state
+	// (minus instances claimed by earlier members) and ground its
+	// assertions. For each offer the first alternative whose query
+	// succeeds is the one executed. One source serves every
+	// alternative, its window set to each in turn; a member issuing a
+	// statement an earlier one solved under the same bindings copies
+	// that solution (sharing).
+	for i, cl := range offers {
+		process := cl.o.Done() == nil
+		for ai := range cl.o.reqs {
+			a := txn.NewAnswer(cl.o.reqs[ai])
+			if process {
+				a.CutFrom(&s.vals)
+			}
+			found, err := s.solve(a, &cl.o.reqs[ai], process, w)
+			if err == nil && found {
+				err = a.Ground(w)
+			}
+			if err != nil {
+				a.Release()
+				return err
+			}
+			if !found {
+				a.Release()
+				continue
+			}
+			s.picks[i] = pick{a, ai}
+			for _, mt := range a.Rows()[0].Matched() {
+				if s.src.hidden == nil {
+					s.src.hidden = make(map[tuple.ID]struct{})
+				}
+				s.src.hidden[mt.ID] = struct{}{}
+			}
+			break
+		}
+		if s.picks[i].a == nil {
+			return errAbortFire
+		}
+	}
+	// Phase 2: all retractions, then all assertions.
+	for _, p := range s.picks {
+		if err := p.a.Retract(w); err != nil {
+			return err
+		}
+	}
+	for _, p := range s.picks {
+		p.a.Insert(w)
+	}
+	m.mu.Lock()
+	m.firing = true // its commit's after-commit hook must not wait for this drain
+	m.mu.Unlock()
+	return nil
+}
+
+// solve evaluates req's query into a for phase 1 over the attempt's source,
+// unless a process member's earlier answer to the same statement under the
+// same bindings can be copied (sharing).
+func (s *drainScratch) solve(a *txn.Answer, req *txn.Request, process bool, w dataspace.Writer) (bool, error) {
+	key, share := stmt{}, false
+	hidden := len(s.src.hidden)
+	if process {
+		var from *txn.Answer
+		if key, from, share = s.shared.lookup(req, hidden); from != nil {
+			return a.CopyRows(from), nil
+		}
+	}
+	s.src.win = a.Window(w)
+	found, err := a.Solve(&s.src, true)
+	if share && found && err == nil {
+		s.shared.keep(key, a, req.Env, hidden)
+	}
+	return found, err
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -28,7 +29,7 @@ func TestBlockCutsDoNotAlias(t *testing.T) {
 }
 
 // TestBlockSizes: the first block holds the width Open asks for (at most
-// 64), each later one twice its predecessor up to 64, a tuple wider than 64
+// 63), each later one twice its predecessor up to 63, a tuple wider than 63
 // gets a heap block of its own, a nil Block allocates per tuple, and arity 0
 // cuts nothing.
 func TestBlockSizes(t *testing.T) {
@@ -94,5 +95,28 @@ func TestGroundIn(t *testing.T) {
 	}
 	if l, _ := lit.GroundIn(env, &b); !l.Equal(tuple.New(tuple.Atom("b"), tuple.Int(1))) || b.used != 3 {
 		t.Errorf("a literal grounded to %v and cut %d values, want <b, 1> and none", l, b.used-3)
+	}
+}
+
+// TestBlockAllocSizeClass: a full block takes the 1 024 B size class, not the
+// next one up: its values and the allocator's 8-byte header (an object over
+// 512 B that holds pointers carries one) fit in 1 KiB.
+func TestBlockAllocSizeClass(t *testing.T) {
+	skipUnderRace(t)
+	const n = 1000
+	best := ^uint64(0)
+	for trial := 0; trial < 5; trial++ { // the least of five: another goroutine may allocate meanwhile
+		blocks := make([]Block, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range blocks {
+			blocks[i].Open(blockCap)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/n)
+		runtime.KeepAlive(blocks)
+	}
+	if best > 1024 {
+		t.Errorf("a full block of %d values takes %d B, want <= 1024", blockCap, best)
 	}
 }

@@ -262,16 +262,19 @@ func GroundWidth(ps []Pattern) int {
 	return n
 }
 
-// blockCap bounds a Block's blocks: 64 values, 1 KiB.
-const blockCap = 64
+// blockCap bounds a Block's blocks: 63 values are 1 008 B, and with the
+// 8-byte header the allocator puts on an object over 512 B that holds
+// pointers they fill the 1 024 B size class; 64 would take the 1 152 B one.
+const blockCap = 63
 
 // Block is a committer's fields block: GroundIn cuts each tuple's fields
 // from it instead of allocating them one tuple at a time. The first block
 // holds the width Open asks for, each later one twice its predecessor, up to
-// 64 values (1 KiB); a tuple wider than that gets a heap block of its own.
-// A block is never reused and a cut is never written once grounded: the
-// collector frees a block when no tuple cut from it is reachable, so no
-// reclamation scheme is needed, and a live tuple pins at most 1 KiB.
+// 63 values (the 1 024 B size class); a tuple wider than that gets a heap
+// block of its own. A block is never reused and a cut is never written once
+// grounded: the collector frees a block when no tuple cut from it is
+// reachable, so no reclamation scheme is needed, and a live tuple pins at
+// most 1 KiB.
 //
 // A Block belongs to one committer — a process record, or one consensus
 // fire — and only the goroutine grounding for that committer uses it. Its
@@ -282,7 +285,7 @@ type Block struct {
 	used, size uint32
 }
 
-// Open gives b its first block, of width values (at most 64), unless b has
+// Open gives b its first block, of width values (at most 63), unless b has
 // one: width is what its committer is about to ground.
 func (b *Block) Open(width int) {
 	if b.base == nil && width > 0 {

@@ -47,6 +47,22 @@ func (t *Table) Collect(q Query, src Source, base expr.Scope, first bool, ex *me
 	return m.run(q, src, base, nil, first, t, ex)
 }
 
+// Rebase makes t a copy of from's solutions over base in place of from's
+// base scope: what an enumeration of from's query from base would collect,
+// when base binds every variable the query reads as from's base does and the
+// source is unchanged. from is only read.
+func (t *Table) Rebase(from *Table, base expr.Scope) {
+	t.Reset()
+	t.cols = append(t.cols, from.cols...)
+	t.vals = append(t.vals, from.vals...)
+	t.arena = append(t.arena, from.arena...)
+	t.base = base
+	for _, r := range from.rows {
+		r.t = t
+		t.rows = append(t.rows, r)
+	}
+}
+
 // Rows returns the table's solutions in enumeration order.
 func (t *Table) Rows() []Row { return t.rows }
 

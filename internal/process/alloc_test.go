@@ -22,8 +22,8 @@ import (
 //
 // under its restricted view, in steady state, allocates at most one block
 // amortized and nothing per solution: its two grounded tuples' fields are
-// cut from the record's fields block, which takes a new block of 64 values
-// every eight swaps; the answer's rows, the window and the effects are
+// cut from the record's fields block, which takes a new block of 63 values
+// every seven swaps; the answer's rows, the window and the effects are
 // pooled, the statement reads its solution in place, and no environment map
 // is built (a map is two allocations, more than the constant allows).
 func TestProcessTransactionAllocates(t *testing.T) {
@@ -60,7 +60,7 @@ func TestProcessTransactionAllocates(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(200, run)
 	if got > 1 {
-		t.Errorf("swap statement: %.0f allocations, want <= 1 (amortized: a fields block of 64 values per 8 swaps)", got)
+		t.Errorf("swap statement: %.0f allocations, want <= 1 (amortized: a fields block of 63 values per 7 swaps)", got)
 	}
 }
 

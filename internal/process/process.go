@@ -238,6 +238,7 @@ func (rt *Runtime) SpawnGroup(reqs []SpawnReq) ([]tuple.ProcessID, error) {
 	rt.defsMu.RUnlock()
 
 	// Register the whole group before starting any member.
+	rt.cons.Reserve(len(procs))
 	pids := make([]tuple.ProcessID, len(procs))
 	for i, p := range procs {
 		pids[i] = p.pid

@@ -605,6 +605,7 @@ func (p *proc) runActions(actions []Action, a *txn.Answer) error {
 	var spawnBuf [8]*proc
 	spawned := spawnBuf[:0]
 	if n > 0 {
+		p.rt.cons.Reserve(n)
 		block = make([]proc, n)
 		if n > len(spawnBuf) {
 			spawned = make([]*proc, 0, n)

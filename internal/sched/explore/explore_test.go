@@ -300,7 +300,7 @@ func TestConfigForGolden(t *testing.T) {
 func TestCorpusComplete(t *testing.T) {
 	want := []string{"barrier", "pairing", "philosophers", "proplist", "sort", "sum1", "sum3",
 		"micro-upsert", "micro-commute", "micro-transfer", "micro-consensus", "micro-parallel",
-		"micro-durable", "micro-fair", "micro-reactive", "fanout", "two-communities", "micro-index"}
+		"micro-durable", "micro-fair", "micro-reactive", "fanout", "two-communities", "micro-shared-consensus", "micro-index"}
 	got := Corpus()
 	if len(got) != len(want) {
 		t.Fatalf("corpus has %d programs, want %d", len(got), len(want))

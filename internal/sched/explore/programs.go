@@ -319,6 +319,31 @@ main
 end
 `
 
+	// microSharedConsensusSrc is one consensus set in which three Readers
+	// issue one statement, two of them under the same binding of g: the
+	// fire evaluates that query once for both and copies the solution. The
+	// third reads another g and evaluates on its own, and the Taker's
+	// retracting query is never shared. Claim order is explored: a Taker
+	// claimed between the two sharing Readers hides the token the first one
+	// saw, so the second must evaluate afresh. The marker check pins every
+	// <fired, ...> commit to the whole set of four.
+	microSharedConsensusSrc = `
+process Reader(id, g)
+behavior
+  <go, g>, <tok, ?t> @> <fired, id>, <saw, id, ?t>
+end
+
+process Taker()
+behavior
+  <tok, ?t>! @> <fired, 0>, <took, ?t>
+end
+
+main
+  -> <go, 1>, <go, 2>, <tok, 1>, <tok, 2>;
+  spawn Reader(1, 1), spawn Reader(2, 1), spawn Reader(3, 2), spawn Taker()
+end
+`
+
 	// twoCommunitiesSrc exercises the consensus gate's partition upkeep: two
 	// disjoint three-member communities (group 1 is two Members plus Edge,
 	// group 2 three Members), and a Drifter whose community changes when a
@@ -541,6 +566,13 @@ func Corpus() []Program {
 			MarkerCount: 3,
 		},
 		{
+			Name:        "micro-shared-consensus",
+			Src:         microSharedConsensusSrc,
+			Check:       sharedConsensusCheck,
+			MarkerLead:  "fired",
+			MarkerCount: 4,
+		},
+		{
 			Name: "micro-index",
 			Src:  microIndexSrc,
 			Check: exact(map[string]int{
@@ -551,6 +583,34 @@ func Corpus() []Program {
 			}),
 		},
 	}
+}
+
+// sharedConsensusCheck is micro-shared-consensus's final state: both <go>
+// tuples, the four members' markers, one token taken and the other left,
+// and each Reader's sighting of one of the two tokens.
+func sharedConsensusCheck(final []tuple.Tuple) error {
+	got := make(map[string]int, len(final))
+	for _, t := range final {
+		got[t.String()]++
+	}
+	want := map[string]int{"<go, 1>": 1, "<go, 2>": 1,
+		"<fired, 0>": 1, "<fired, 1>": 1, "<fired, 2>": 1, "<fired, 3>": 1}
+	switch {
+	case got["<took, 1>"] == 1 && got["<tok, 2>"] == 1:
+		want["<took, 1>"], want["<tok, 2>"] = 1, 1
+	case got["<took, 2>"] == 1 && got["<tok, 1>"] == 1:
+		want["<took, 2>"], want["<tok, 1>"] = 1, 1
+	default:
+		return fmt.Errorf("want one token taken and the other left%s", diffSuffix(got, want))
+	}
+	for id := 1; id <= 3; id++ {
+		one, two := fmt.Sprintf("<saw, %d, 1>", id), fmt.Sprintf("<saw, %d, 2>", id)
+		if got[one]+got[two] != 1 {
+			return fmt.Errorf("reader %d saw %d tokens, want 1%s", id, got[one]+got[two], diffSuffix(got, want))
+		}
+		want[one], want[two] = got[one], got[two]
+	}
+	return exact(want)(final)
 }
 
 // Find returns the corpus program with the given name.

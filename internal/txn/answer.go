@@ -152,6 +152,18 @@ func (a *Answer) Solve(src pattern.Source, first bool) (bool, error) {
 	return a.OK(), err
 }
 
+// CopyRows gives a the solutions of from, an answer to the same query, in
+// place of evaluating a's own: from's rows over a's environment. It is
+// Solve's result when a's environment binds every variable the query reads
+// as from's does and nothing the query reads has changed since from was
+// solved; the caller ensures both. It reports whether there is a solution.
+func (a *Answer) CopyRows(from *Answer) bool {
+	a.reset()
+	a.first = from.first
+	a.rows.Rebase(&from.rows, a.req.Env)
+	return a.OK()
+}
+
 // solve is the engine's evaluation over r: the universal import's window is
 // the reader itself; ∃ seeks one solution, ∀ every one.
 func (a *Answer) solve(r dataspace.Reader) (bool, error) {

@@ -230,11 +230,14 @@ func TestE17VisitedExact(t *testing.T) {
 	// matches: 3 passes per 2 queries. With the index, each reads one (pos 2,
 	// g) bucket: the n/groups records of group g plus the probe row <g, link,
 	// g>. Warm-up promotes the two field shapes the lookups carry (pos 1 and
-	// 2) in every shard, and every measured field scan is served indexed.
+	// 2) in every shard, and every measured field scan is served indexed:
+	// by the group's bucket, so the tag's shape (pos 1) serves nothing and
+	// is demoted in every shard.
 	want := map[string]float64{
 		"scan visited":    1.5 * (n + groups),
 		"indexed visited": n/groups + 1,
 		"promotions":      2 * shards,
+		"demotions":       shards,
 		"indexed share":   100,
 	}
 	got := byName(tbl.Rows[0])

@@ -1386,6 +1386,7 @@ func E17SecondaryIndex(_ context.Context, sizes []int) (*Table, error) {
 			Metric{Name: "indexed", Value: float64(d.Microseconds()) / (2 * indexedReps), Unit: "us/txn"},
 			Metric{Name: "indexed visited", Value: float64(after.SecondaryTuplesVisited-before.SecondaryTuplesVisited) / (2 * indexedReps), Unit: "tuples/txn"},
 			Count("promotions", float64(after.SecondaryPromotions), "shapes"),
+			Count("demotions", float64(after.SecondaryDemotions), "shapes"),
 			Metric{Name: "indexed share", Value: share, Unit: "%"})
 		t.Rows = append(t.Rows, row)
 	}

@@ -267,7 +267,7 @@ func TestOfferSlotCleared(t *testing.T) {
 // tuple. A 64-member barrier round whose members assert <passed, id>, id
 // from each member's scope, allocates at most 3 blocks more than the same
 // round asserting the same tuples built ahead (pattern.Literal, which
-// grounds nothing): its 128 values fill three blocks of 63, 31 tuples each.
+// grounds nothing): its 128 values take blocks of 63, 63 and 4 values.
 func TestFireGroundsOneBlock(t *testing.T) {
 	skipUnderRace(t)
 	const n = 64

@@ -15,15 +15,26 @@ import (
 //
 //	(arity, field-pos, canonical value) → slab-slot set
 //
-// built adaptively: each (arity, field-pos) scan shape carries an atomic
-// fallback-scan counter, and a shape whose counter crosses the promotion
-// threshold flips to hot. A hot shape's buckets are populated lazily — the
-// first scan that needs them builds them under the shard lock already held
-// for the read — then maintained incrementally by every assert/retract
-// (writer, rollback, and the keyWriter's batched apply all funnel through
-// indexAdd/indexRemove into secEdit) and validated by the same change
-// sequence the epoch snapshots use. Shapes whose write traffic dwarfs their
-// scan usage are demoted back to cold, dropping their buckets.
+// built adaptively and kept only while they earn their keep. Each
+// (arity, field-pos) scan shape carries atomic counters. A cold shape is
+// charged by every field scan carrying its selector that no narrow bucket
+// (at most wideLeadBucket tuples) served — such a scan has no use for
+// another index — and flips to hot at the promotion threshold. A hot
+// shape's buckets are populated lazily — the first scan that needs them
+// builds them under the shard lock already held for the read — then
+// maintained incrementally by every assert/retract (writer, rollback, and
+// the keyWriter's batched apply all funnel through indexAdd/indexRemove into
+// secEdit) and validated by the same change sequence the epoch snapshots
+// use. A hot shape is credited only with the scans its bucket served, and
+// pays its keep twice over: one that has served nothing after
+// demoteMinWrites scans compared its bucket is demoted on the read path,
+// and one whose write traffic dwarfs the scans it served is demoted on the
+// write path; either way its buckets are dropped. A shape demoted for
+// serving nothing remembers the bucket it lost with and is charged again
+// only by scans served a wider set, so a shape that can never win is not
+// rebuilt. The live reader, the keyWriter overlay and the epoch reader all
+// book their scans through settleFieldShapes, so the rule is the same on
+// every read path.
 //
 // Concurrency discipline (checked by cmd/sdllint): a published index's
 // buckets are edited only through idIndex.add/remove while the shard's
@@ -32,7 +43,8 @@ import (
 // published fieldIndex whose seq matches the shard's is immutable (writers
 // need the exclusive mu to change either). Shape state, scan, and write
 // counters are atomics so the read path stays lock-free-ish under mu.RLock;
-// the cold→hot transition is a CAS that concurrent scanners race benignly.
+// both transitions are CASes that concurrent scanners and writers race
+// benignly.
 
 const (
 	// maxFieldArity bounds the shapes tracked per shard; tuples with more
@@ -44,9 +56,12 @@ const (
 	promoteScanBar = 2
 	// demoteMinWrites is the write count (since promotion) below which a
 	// hot shape is never demoted; past it, a shape whose writes outnumber
-	// its indexed scans 8:1 drops its buckets.
+	// the scans it served 8:1 drops its buckets. It is also the number of
+	// scans that consulted a hot shape and were served another set after
+	// which a shape that has served none is demoted on the read path.
 	demoteMinWrites = 256
-	// demoteCheckMask rate-limits the demotion check to every 256th write.
+	// demoteCheckMask rate-limits both demotion checks to every 256th write
+	// or pass.
 	demoteCheckMask = 0xFF
 	// wideLeadBucket is the (arity, lead) bucket size above which a
 	// lead-known scan consults the field indexes (LeadWide). Swept over
@@ -64,7 +79,7 @@ const (
 
 // Shape lifecycle states.
 const (
-	shapeCold uint32 = iota // counting fallback scans
+	shapeCold uint32 = iota // counting the scans that could use it
 	shapeHot                // promoted: buckets built lazily, maintained incrementally
 )
 
@@ -87,9 +102,18 @@ type fieldIndex struct {
 // shapeStats is the adaptive state of one (arity, field-pos) scan shape.
 type shapeStats struct {
 	state  atomic.Uint32 // shapeCold | shapeHot
-	scans  atomic.Uint64 // cold: fallback scans toward promotion; hot: indexed scans
+	scans  atomic.Uint64 // cold: scans charged toward promotion; hot: scans its buckets served
+	passes atomic.Uint64 // hot: scans that compared its bucket and were served another set; cold: the bucket it lost with when demoted for serving nothing
 	writes atomic.Uint64 // hot: writes at this arity since promotion
 	idx    atomic.Pointer[fieldIndex]
+}
+
+// compared is what a field scan learned in one shard from the promoted
+// buckets it compared: bit pos of mask for each hot shape, and the size of
+// its bucket.
+type compared struct {
+	mask uint8
+	size [maxFieldArity]uint32
 }
 
 // secondaryState is a shard's field-index layer. The shapes table is
@@ -114,7 +138,8 @@ func (sh *shard) secShape(arity, pos int) *shapeStats {
 // then cut down to its buckets. The caller holds sh.mu (read or write), so
 // the slab, the lead index and seq are stable; concurrent readers may race
 // to rebuild and the last published wins — the epoch snapshot cache idiom
-// (epoch.go).
+// (epoch.go). A build that a read-path demotion overtook is unpublished
+// again, so a cold shape holds no index.
 //
 // lint:holds rmu
 func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
@@ -130,58 +155,81 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 	fresh.fit(sh.slab)
 	idx := &fieldIndex{seq: seq, buckets: fresh}
 	st.idx.Store(idx)
+	if st.state.Load() != shapeHot {
+		st.idx.CompareAndSwap(idx, nil)
+	}
 	return idx
 }
 
 // fieldBucket picks the most selective promoted bucket among sels: the
-// smallest (arity, pos, value) ID set over every hot selector shape.
-// ok=true with an empty bucket means an index proved there are no matches.
-// The caller holds sh.mu (read or write).
-func (s *Store) fieldBucket(sh *shard, arity int, sels []pattern.FieldSel) (idView, bool) {
+// smallest (arity, pos, value) ID set over every hot selector shape, and its
+// position (-1 when no shape is hot). It records each bucket it compared in
+// c; an empty bucket means an index proved there are no matches. Whether
+// the bucket serves is the caller's to say, in settleFieldShapes. The
+// caller holds sh.mu (read or write).
+func (sh *shard) fieldBucket(arity int, sels []pattern.FieldSel, c *compared) (best idView, pos int) {
+	pos = -1
 	if sh.sec.hot.Load() == 0 {
-		return idView{}, false
+		return best, pos
 	}
-	var (
-		best idView
-		ok   bool
-	)
 	for _, sel := range sels {
 		st := sh.secShape(arity, sel.Pos)
 		if st == nil || st.state.Load() != shapeHot {
 			continue
 		}
-		st.scans.Add(1)
 		b := sh.shapeIndex(st, arity, sel.Pos).buckets.get(sh.slab, canonLead(sel.Val))
-		if !ok || b.len() < best.len() {
-			best, ok = b, true
+		if pos < 0 || b.len() < best.len() {
+			best, pos = b, sel.Pos
 		}
+		c.mask |= 1 << sel.Pos
+		c.size[sel.Pos] = uint32(b.len())
 	}
-	return best, ok
+	return best, pos
 }
 
-// countFieldShapes charges one scan to every selector's cold shape,
-// promoting shapes that cross the threshold (unless the scheduler defers the
-// promotion — the exploration harness perturbs build timing through this
-// decision point). Every field scan charges, also one a hot shape served: a
-// shape promoted by queries that carry it alone (a type tag next to a known
-// lead, say) would otherwise serve its unselective bucket to every later
-// query that also carries a selective field, whose shape would then never
-// see the fallback scans that promote it. Runs under sh.mu or lock-free
-// from the epoch path; the transition is a CAS.
-func (s *Store) countFieldShapes(sh *shard, arity int, sels []pattern.FieldSel) {
+// settleFieldShapes books one field scan against its selectors' shapes once
+// the scan knows what served it: the promoted bucket at position won (-1:
+// the lead bucket or the arity walk did), holding served tuples (-1: the
+// arity walk), after comparing the buckets c records.
+//
+//   - A compared hot shape is credited if its bucket served, and counts a
+//     pass otherwise. One that has served nothing after demoteMinWrites
+//     passes is demoted here, on the read path, and keeps the size of the
+//     bucket it lost with in passes.
+//   - A cold shape is charged toward promotion by an arity walk, and by a
+//     scan served a set wider than wideLeadBucket and than the bucket it
+//     lost with. A scan a narrow bucket served needs no other index, and
+//     one served a set no wider than the shape's own bucket cannot gain by
+//     it, so a shape that can never win is not rebuilt. A wide set still
+//     charges: a shape promoted by queries that carry it alone (a type tag
+//     next to a known lead, say) serves its unselective bucket to every
+//     later query that also carries a selective field, whose shape must
+//     still be promoted.
+//
+// Promotion defers when the scheduler says so (the exploration harness
+// perturbs build timing through this decision point). Runs under sh.mu or
+// lock-free from the epoch path; both transitions are CASes.
+func (s *Store) settleFieldShapes(sh *shard, arity int, sels []pattern.FieldSel, c *compared, won, served int) {
 	for _, sel := range sels {
 		st := sh.secShape(arity, sel.Pos)
-		if st == nil || st.state.Load() != shapeCold {
+		if st == nil {
 			continue
 		}
-		if st.scans.Add(1) < promoteScanBar {
-			continue
-		}
-		if s.sc.DeferPromote() {
-			continue
-		}
-		if st.state.CompareAndSwap(shapeCold, shapeHot) {
+		asked := c.mask&(1<<sel.Pos) != 0
+		switch hot := st.state.Load() == shapeHot; {
+		case asked && hot:
+			if sel.Pos == won {
+				st.scans.Add(1)
+			} else if p := st.passes.Add(1); p&demoteCheckMask == 0 && st.scans.Load() == 0 {
+				sh.demote(st, uint64(c.size[sel.Pos]))
+			}
+		case hot || asked || served >= 0 && uint64(served) <= max(wideLeadBucket, st.passes.Load()):
+			// Hot but not materialized in an epoch snapshot, demoted since
+			// the scan compared it, or a scan it cannot improve on.
+		case st.scans.Add(1) < promoteScanBar || s.sc.DeferPromote():
+		case st.state.CompareAndSwap(shapeCold, shapeHot):
 			st.scans.Store(0)
+			st.passes.Store(0)
 			st.writes.Store(0)
 			sh.sec.hot.Add(1)
 			s.metrics.IncIndexPromotion()
@@ -216,21 +264,28 @@ func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, []Insta
 }
 
 // secWrite charges one write to a hot shape and demotes it when its write
-// rate since promotion dwarfs its indexed-scan usage; reports whether the
+// rate since promotion dwarfs the scans it served; reports whether the
 // shape was demoted.
 //
 // lint:holds mu
 func (sh *shard) secWrite(st *shapeStats) bool {
 	w := st.writes.Add(1)
-	if w&demoteCheckMask != 0 || w < demoteMinWrites {
+	if w&demoteCheckMask != 0 || w < demoteMinWrites || w <= 8*(st.scans.Load()+1) {
 		return false
 	}
-	if w <= 8*(st.scans.Load()+1) {
+	return sh.demote(st, 0)
+}
+
+// demote turns a hot shape cold, drops its buckets and leaves lost, the
+// bucket it lost with (0 for a write-path demotion), in passes. The CAS
+// makes a read-path and a write-path demotion of one shape count once.
+func (sh *shard) demote(st *shapeStats, lost uint64) bool {
+	if !st.state.CompareAndSwap(shapeHot, shapeCold) {
 		return false
 	}
-	st.state.Store(shapeCold)
 	st.idx.Store(nil)
 	st.scans.Store(0)
+	st.passes.Store(lost)
 	st.writes.Store(0)
 	sh.sec.hot.Add(-1)
 	sh.sec.met.IncIndexDemotion()
@@ -269,10 +324,10 @@ func (sh *shard) bumpSeq() {
 // bucket among sels, falling back to the arity scan when none is hot. With
 // one, the lead's bucket in its one shard is the candidate to beat: a
 // smaller promoted (pos, value) bucket is served instead, otherwise the
-// lead bucket is walked as Scan would. Either way every selector's cold
-// shape is charged toward promotion. Delivery is a superset of
-// the tuples matching sels — the matcher re-verifies — and never includes
-// tuples outside the reader's locked shards.
+// lead bucket is walked as Scan would. Either way the scan is booked with
+// settleFieldShapes. Delivery is a superset of the tuples matching sels —
+// the matcher re-verifies — and never includes tuples outside the reader's
+// locked shards.
 func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	var indexed, fallback, visited uint64
 	var sh *shard
@@ -286,15 +341,16 @@ func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID,
 		if si := r.s.shardIndex(k); r.ss.has(si) {
 			sh = r.s.shards[si]
 			if byLead := sh.leadSet(arity, k.lead); byLead.len() > 0 {
-				bucket, ok := r.s.fieldBucket(sh, arity, sels[1:])
-				r.s.countFieldShapes(sh, arity, sels[1:])
-				if ok && bucket.len() < byLead.len() {
+				var c compared
+				bucket, pos := sh.fieldBucket(arity, sels[1:], &c)
+				if pos >= 0 && bucket.len() < byLead.len() {
 					indexed++
-					bucket.each(visit)
 				} else {
+					bucket, pos = byLead, -1
 					fallback++
-					byLead.each(visit)
 				}
+				r.s.settleFieldShapes(sh, arity, sels[1:], &c, pos, bucket.len())
+				bucket.each(visit)
 			}
 		}
 		r.s.metrics.AddFieldScans(indexed, fallback, visited)
@@ -305,14 +361,16 @@ func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID,
 		if sh.arityLen(arity) == 0 {
 			return true
 		}
-		bucket, ok := r.s.fieldBucket(sh, arity, sels)
-		r.s.countFieldShapes(sh, arity, sels)
-		if ok {
-			indexed++
-			return bucket.each(visit)
+		var c compared
+		bucket, pos := sh.fieldBucket(arity, sels, &c)
+		if pos < 0 {
+			fallback++
+			r.s.settleFieldShapes(sh, arity, sels, &c, -1, -1)
+			return sh.eachOfArity(arity, visit)
 		}
-		fallback++
-		return sh.eachOfArity(arity, visit)
+		indexed++
+		r.s.settleFieldShapes(sh, arity, sels, &c, pos, bucket.len())
+		return bucket.each(visit)
 	})
 	r.s.metrics.AddFieldScans(indexed, fallback, visited)
 }
@@ -450,10 +508,13 @@ func (kw keyWriter) JoinEstimator() pattern.Estimator {
 
 // ScanFields implements pattern.FieldSource over epoch snapshots. A shape
 // materialized in the snapshot (it was hot at build time) serves its
-// bucket — including proving emptiness — and scans against unmaterialized
-// shapes count toward promotion exactly like locked reads, so a read-only
-// workload on the epoch path still promotes. A lead selector makes the
-// snapshot's lead bucket the candidate to beat, as in reader.ScanFields.
+// bucket — including proving emptiness — and every scan is booked against
+// the live shard's shapes with settleFieldShapes exactly like a locked
+// read: the materialized shapes it compared are credited or pass, and the
+// others may be charged toward promotion, so a read-only workload on the
+// epoch path still promotes, and demotes what it never serves. A lead selector
+// makes the snapshot's lead bucket the candidate to beat, as in
+// reader.ScanFields.
 func (r epochReader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
 	var indexed, fallback, visited uint64
 	serve := func(insts []Instance) bool {
@@ -465,35 +526,40 @@ func (r epochReader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tupl
 		}
 		return true
 	}
-	// best is the smallest materialized (pos, value) bucket among sels.
-	best := func(snap *shardSnap, sels []pattern.FieldSel) (b []Instance, ok bool) {
+	// best is the smallest materialized (pos, value) bucket among sels and
+	// its position, recording the buckets it compared, as fieldBucket does.
+	best := func(snap *shardSnap, sels []pattern.FieldSel, c *compared) (b []Instance, pos int) {
+		pos = -1
 		if arity < 2 || arity > maxFieldArity {
-			return nil, false
+			return nil, pos
 		}
 		for _, sel := range sels {
 			if sel.Pos < 1 || sel.Pos >= arity || snap.fieldShapes[arity]&(1<<sel.Pos) == 0 {
 				continue
 			}
-			c := snap.byField[fieldKey{arity: arity, pos: sel.Pos, val: canonLead(sel.Val)}]
-			if !ok || len(c) < len(b) {
-				b, ok = c, true
+			in := snap.byField[fieldKey{arity: arity, pos: sel.Pos, val: canonLead(sel.Val)}]
+			if pos < 0 || len(in) < len(b) {
+				b, pos = in, sel.Pos
 			}
+			c.mask |= 1 << sel.Pos
+			c.size[sel.Pos] = uint32(len(in))
 		}
-		return b, ok
+		return b, pos
 	}
 	if lead, known := pattern.LeadSel(sels); known {
 		k := indexKey{arity: arity, lead: canonLead(lead)}
 		if si := r.s.shardIndex(k); r.ss.has(si) {
 			if byLead := r.snaps[si].byLead[k]; len(byLead) > 0 {
-				b, ok := best(r.snaps[si], sels[1:])
-				r.s.countFieldShapes(r.s.shards[si], arity, sels[1:])
-				if ok && len(b) < len(byLead) {
+				var c compared
+				b, pos := best(r.snaps[si], sels[1:], &c)
+				if pos >= 0 && len(b) < len(byLead) {
 					indexed++
-					serve(b)
 				} else {
+					b, pos = byLead, -1
 					fallback++
-					serve(byLead)
 				}
+				r.s.settleFieldShapes(r.s.shards[si], arity, sels[1:], &c, pos, len(b))
+				serve(b)
 			}
 		}
 		r.s.metrics.AddFieldScans(indexed, fallback, visited)
@@ -501,17 +567,20 @@ func (r epochReader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tupl
 	}
 	r.ss.forEach(func(si uint32) bool {
 		snap := r.snaps[si]
-		if len(snap.byArity[arity]) == 0 {
+		of := snap.byArity[arity]
+		if len(of) == 0 {
 			return true
 		}
-		b, ok := best(snap, sels)
-		r.s.countFieldShapes(r.s.shards[si], arity, sels)
-		if ok {
-			indexed++
-			return serve(b)
+		var c compared
+		b, pos := best(snap, sels, &c)
+		if pos < 0 {
+			fallback++
+			r.s.settleFieldShapes(r.s.shards[si], arity, sels, &c, -1, -1)
+			return serve(of)
 		}
-		fallback++
-		return serve(snap.byArity[arity])
+		indexed++
+		r.s.settleFieldShapes(r.s.shards[si], arity, sels, &c, pos, len(b))
+		return serve(b)
 	})
 	r.s.metrics.AddFieldScans(indexed, fallback, visited)
 }

@@ -227,7 +227,7 @@ type Registry struct {
 	processesLive    Gauge   // processes started and not yet terminated
 
 	idxPromotions Counter // secondary-index shape promotions (cold -> hot)
-	idxDemotions  Counter // secondary-index shape demotions (write-heavy)
+	idxDemotions  Counter // secondary-index shape demotions (write-heavy or never served)
 	idxFieldScans Counter // non-lead field scans (every ScanFields shard visit)
 	idxScans      Counter // of those, served by a promoted field index
 	idxArityScans Counter // of those, served by the full arity-scan fallback

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -36,7 +37,7 @@ func TestBlockSizes(t *testing.T) {
 	var b Block
 	b.Open(3)
 	b.Open(50) // b has a block: no effect
-	var sizes []uint32
+	var sizes []uint16
 	for i := 0; i < 12; i++ {
 		base := b.base
 		b.cut(3)
@@ -44,7 +45,7 @@ func TestBlockSizes(t *testing.T) {
 			sizes = append(sizes, b.size)
 		}
 	}
-	want := []uint32{6, 12, 24} // 3, then each twice the last (the 12 cuts take 36 values)
+	want := []uint16{6, 12, 24} // 3, then each twice the last (the 12 cuts take 36 values)
 	if len(sizes) != len(want) || b.size != 24 {
 		t.Fatalf("blocks after the first: %v, want %v", sizes, want)
 	}
@@ -118,5 +119,46 @@ func TestBlockAllocSizeClass(t *testing.T) {
 	}
 	if best > 1024 {
 		t.Errorf("a full block of %d values takes %d B, want <= 1024", blockCap, best)
+	}
+}
+
+// TestBlockAllocFollowsOpenWidth: after its first block a Block sizes the
+// next by what is left of the width Open announced, so the 128 values of a
+// 64-member barrier fire's <passed, id> tuples take blocks of 63, 63 and 4
+// values — 2 × 1 024 B + 64 B in three allocations — not three full ones.
+func TestBlockAllocFollowsOpenWidth(t *testing.T) {
+	skipUnderRace(t)
+	const members, rounds = 64, 100
+	var b Block
+	b.Open(2 * members)
+	sizes := []uint16{b.size}
+	for i := 0; i < members; i++ {
+		base := b.base
+		b.cut(2)
+		if b.base != base {
+			sizes = append(sizes, b.size)
+		}
+	}
+	if want := []uint16{63, 63, 4}; !slices.Equal(sizes, want) {
+		t.Fatalf("blocks %v for %d cuts of 2 after Open(%d), want %v", sizes, members, 2*members, want)
+	}
+	best, mallocs := ^uint64(0), ^uint64(0)
+	for trial := 0; trial < 5; trial++ { // the least of five: another goroutine may allocate meanwhile
+		blocks := make([]Block, rounds)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := range blocks {
+			blocks[r].Open(2 * members)
+			for i := 0; i < members; i++ {
+				blocks[r].cut(2)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/rounds)
+		mallocs = min(mallocs, (after.Mallocs-before.Mallocs)/rounds)
+		runtime.KeepAlive(blocks)
+	}
+	if best > 2*1024+64 || mallocs > 3 {
+		t.Errorf("a fire's 128 values take %d B in %d allocations, want <= %d B in 3", best, mallocs, 2*1024+64)
 	}
 }

@@ -269,33 +269,38 @@ const blockCap = 63
 
 // Block is a committer's fields block: GroundIn cuts each tuple's fields
 // from it instead of allocating them one tuple at a time. The first block
-// holds the width Open asks for, each later one twice its predecessor, up to
-// 63 values (the 1 024 B size class); a tuple wider than that gets a heap
-// block of its own. A block is never reused and a cut is never written once
-// grounded: the collector frees a block when no tuple cut from it is
-// reachable, so no reclamation scheme is needed, and a live tuple pins at
-// most 1 KiB.
+// holds the width Open asks for, up to 63 values (the 1 024 B size class).
+// A later one holds what is left of that width, up to 63 again, and once it
+// is all cut, twice its predecessor up to 63; a tuple wider than 63 gets a
+// heap block of its own. So a fire grounding 64 two-value tuples takes
+// blocks of 63, 63 and 4 values — not a third full one — and a process that
+// commits tuple by tuple still amortizes its blocks. A block is never reused
+// and a cut is never written once grounded: the collector frees a block
+// when no tuple cut from it is reachable, so no reclamation scheme is
+// needed, and a live tuple pins at most 1 KiB.
 //
 // A Block belongs to one committer — a process record, or one consensus
 // fire — and only the goroutine grounding for that committer uses it. Its
-// zero value is empty. It is a pointer and two counts, so that a process
-// record holds one within its size class.
+// zero value is empty. It is a pointer and three counts in 16 bytes, so
+// that a process record holds one within its size class.
 type Block struct {
 	base       *tuple.Value
-	used, size uint32
+	used, size uint16 // of the current block, at most blockCap
+	left       uint32 // of the width Open announced, what is not yet cut
 }
 
 // Open gives b its first block, of width values (at most 63), unless b has
 // one: width is what its committer is about to ground.
 func (b *Block) Open(width int) {
 	if b.base == nil && width > 0 {
+		b.left = uint32(width)
 		b.alloc(min(width, blockCap))
 	}
 }
 
 func (b *Block) alloc(n int) {
 	s := make([]tuple.Value, n)
-	b.base, b.used, b.size = unsafe.SliceData(s), 0, uint32(n)
+	b.base, b.used, b.size = unsafe.SliceData(s), 0, uint16(n)
 }
 
 // cut returns n fresh values for one tuple: from b's block, starting the next
@@ -308,10 +313,13 @@ func (b *Block) cut(n int) []tuple.Value {
 		return nil
 	case b == nil || n > blockCap:
 		return make([]tuple.Value, n)
+	case int(b.size-b.used) < n && b.left > 0:
+		b.alloc(max(n, min(int(b.left), blockCap)))
 	case int(b.size-b.used) < n:
 		b.alloc(max(n, min(2*int(b.size), blockCap)))
 	}
 	i := int(b.used)
-	b.used += uint32(n)
+	b.used += uint16(n)
+	b.left -= min(b.left, uint32(n))
 	return unsafe.Slice(b.base, b.size)[i : i+n : i+n]
 }

@@ -290,6 +290,52 @@ main
 end
 `
 
+	// microDemoteSrc walks a shape through promotion and read-path demotion
+	// while its neighbour's buckets churn. Main files 24 <hub, rec, k>, so
+	// the hub's lead bucket is wide and every scan of <hub, rec, ...>
+	// consults the field indexes of its shard. The tag's bucket (field 1)
+	// holds the whole lead bucket, so it never serves. Main's tag-only
+	// scans promote it (the promotion is a scheduler decision, so it may
+	// take several); then the Finders' and Churners' <hub, rec, g> scans,
+	// served the wide lead bucket, promote the group's shape (field 2),
+	// whose bucket serves every later scan, while the tag's only loses the
+	// comparison until enough such scans demote it. A narrow group bucket
+	// then serves each scan, which charges no cold shape, so the tag stays
+	// cold. Meanwhile the Churners retract and re-assert their group's hub
+	// record, so the group index is maintained through commits that race
+	// the scans, the promotion and the demotion. The counters are pairs, so
+	// their commits are no writes to the arity-3 shapes. Every schedule must
+	// reach the same final state.
+	microDemoteSrc = `
+process Find(g, n)
+behavior
+  rep {
+    <g, ?k>!, <hub, rec, g> where ?k > 0 -> <g, ?k - 1>
+  | <g, 0>! -> <hit, g, n>, exit
+  }
+end
+
+process Churn(i, c)
+behavior
+  rep {
+    <c, ?k>!, <hub, rec, i>! where ?k > 0 -> <c, ?k - 1>, <hub, rec, i>
+  | <c, 0>! -> exit
+  }
+end
+
+main
+  -> <fill, 24>, <warm, 20>, <1, 200>, <2, 200>, <11, 24>, <12, 24>;
+  rep {
+    <fill, ?k>! where ?k > 0 -> <hub, rec, ?k>, <fill, ?k - 1>
+  };
+  rep {
+    <warm, ?k>!, <hub, rec, *> where ?k > 0 -> <warm, ?k - 1>
+  };
+  <fill, 0>!, <warm, 0>! -> skip;
+  spawn Find(1, 1), spawn Find(2, 1), spawn Churn(1, 11), spawn Churn(2, 12)
+end
+`
+
 	// fanoutSrc is the perf benchmark's fan-out program at P=6: every Waiter
 	// blocks on its own <job, i, 1> in ONE index bucket, so their delta
 	// subscriptions are filed under (field 1 = i); main waits until all are
@@ -582,7 +628,22 @@ func Corpus() []Program {
 				"<hit, 2, 1>": 1, "<hit, 2, 2>": 1, "<hit, 2, 3>": 1,
 			}),
 		},
+		{
+			Name:  "micro-demote",
+			Src:   microDemoteSrc,
+			Check: exact(demoteFinal()),
+		},
 	}
+}
+
+// demoteFinal is micro-demote's final state: the hub records main filed
+// and each Finder's hit.
+func demoteFinal() map[string]int {
+	want := map[string]int{"<hit, 1, 1>": 1, "<hit, 2, 1>": 1}
+	for k := 1; k <= 24; k++ {
+		want[fmt.Sprintf("<hub, rec, %d>", k)] = 1
+	}
+	return want
 }
 
 // sharedConsensusCheck is micro-shared-consensus's final state: both <go>

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/sdl-lang/sdl/internal/race"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -117,6 +120,35 @@ func TestE8Smoke(t *testing.T) {
 	}
 	if len(tbl.Rows) != 1 {
 		t.Errorf("rows = %+v", tbl.Rows)
+	}
+}
+
+// TestE8WakeBurstLeavesNoHeap: once a society of 10⁴ parked processes has
+// been woken and closed, one collection leaves at most 1 MB live above the
+// heap before it. A parked process holds its record and its wait, and an
+// evaluation's answer goes back to the pool as soon as it is read, so the
+// pools keep a few answers per worker across the collection, not one per
+// woken process with its subscription and rows.
+func TestE8WakeBurstLeavesNoHeap(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's shadow memory makes the live heap inexact")
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	runtime.GC()
+	runtime.GC()
+	before := heap()
+	if _, err := E8SocietyScale(ctxT(t), []int{10_000}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	after := heap()
+	t.Logf("live heap %.2f MB before the society, %.2f MB after it and one collection", float64(before)/(1<<20), float64(after)/(1<<20))
+	if after > before+1<<20 {
+		t.Errorf("a woken and closed society of 10⁴ left %.2f MB live after one collection, want <= 1 MB", float64(after-before)/(1<<20))
 	}
 }
 

@@ -561,9 +561,11 @@ func E7LindaVsSDL(ctx context.Context, workerCounts []int) (*Table, error) {
 
 // E8SocietyScale measures spawning and waking large societies of blocked
 // processes — the paper's "many thousands of concurrent processes". A
-// blocked process costs its heap: its record, its answer and the answer's
-// armed subscription. It holds no goroutine; the stack column, the growth
-// of goroutine stacks over the spawn phase, shows the worker pool's few.
+// blocked process costs its heap: its record and its wait — the record's
+// armed subscription, cut from the runtime's block, and its registry entry;
+// no answer, which an evaluation gives back before the process parks. It
+// holds no goroutine; the stack column, the growth of goroutine stacks over
+// the spawn phase, shows the worker pool's few.
 func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 	t := &Table{
 		ID:    "E8",
@@ -588,8 +590,9 @@ func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 		}
 		// Each heap reading follows two collections: the first moves what
 		// the pools keep (sync.Pool) to their victim caches and the second
-		// frees it, so neither reading counts a pool's spares — before the
-		// spawn, the previous size's released answers.
+		// frees it, so neither reading counts a pool's spares — the answers
+		// the Waiters' evaluations gave back before they parked, and before
+		// the spawn the previous size's.
 		var before, after runtime.MemStats
 		collect := func(ms *runtime.MemStats) {
 			runtime.GC()
@@ -609,7 +612,7 @@ func E8SocietyScale(ctx context.Context, sizes []int) (*Table, error) {
 			closeRT(rt)
 			return nil, fmt.Errorf("E8 spawn p=%d: %w", p, err)
 		}
-		// Let the society block: every Waiter has armed its wait's
+		// Let the society block: every Waiter has armed its record's
 		// subscription, so that the heap column is what a blocked society
 		// keeps live.
 		for subs := rt.Engine().Metrics().SubscriptionsLive(); subs.Value() != int64(p); {

@@ -19,12 +19,13 @@ type Delta struct {
 }
 
 // DeltaFilter decides, per delta, whether a change can affect a blocked
-// guard. The transaction engine's pooled answer is one (txn.Answer): a
-// blocked delayed transaction is its own filter, so a wait builds no closure.
-// The store runs AcceptDelta under the subscription's mutex, and only while
-// the subscription is armed in the incarnation the commit found it in: once
-// Cancel returns, its filter is never called again, so the owner may reuse
-// whatever the filter reads.
+// guard. A wait's owner is its own filter, so a wait builds no closure: a
+// process record, for the delayed statement it is parked on, and a Go-API
+// delayed wait's answer (txn.Answer). The store runs AcceptDelta under the
+// subscription's mutex, and only while the subscription is armed in the
+// incarnation the commit found it in: a filter sees only what its owner
+// wrote before Arm, and once Cancel returns it is never called again, so the
+// owner may change whatever the filter reads.
 type DeltaFilter interface {
 	AcceptDelta(d Delta) bool
 }
@@ -50,12 +51,15 @@ type Waker interface {
 // Drain — and only Drain, Arm and Cancel reset fired, all under mu, where
 // the delivery also lands its deltas. So fired implies a nonempty buffer,
 // and a wait allocates nothing after its first Arm: Drain hands out one
-// buffer and takes the other back.
+// buffer and takes the other back. The first of the two is inline
+// (deltaBuf), so a wait that takes one delta per drain — a waiter released
+// by one commit — allocates no buffer at all.
 //
-// Ownership and re-arm. A subscription belongs to one owner — a transaction's
-// pooled answer, or a process record for its selections — which arms it for
-// a wait (Store.Arm), cancels it when the wait ends, and may arm it again for
-// the next. Each Arm and each Cancel starts a new incarnation (gen). A commit
+// Ownership and re-arm. A subscription belongs to one owner — a process
+// record, for its delayed statements and blocking selections alike, or a
+// Go-API delayed wait's pooled answer — which arms it for a wait
+// (Store.Arm), cancels it when the wait ends, and may arm it again for the
+// next. Each Arm and each Cancel starts a new incarnation (gen). A commit
 // reads gen when it finds the subscription in a registry, under the
 // registry's lock, and delivers under mu only while the subscription is
 // still armed in that incarnation: a delivery collected before a Cancel or a
@@ -91,8 +95,9 @@ type Subscription struct {
 	spare  []Delta // the batch the last Drain handed out, taken back by the next
 	full   bool    // a non-delta-safe or broad/spurious wakeup landed: re-query
 
-	regs    []subReg
-	regsBuf [2]subReg // regs' backing while the subscription has at most two; past that regs keeps its array across incarnations
+	regs     []subReg
+	regsBuf  [2]subReg // regs' backing while the subscription has at most two; past that regs keeps its array across incarnations
+	deltaBuf [1]Delta  // the first buffer's backing, until a delivery outgrows it (see Arm)
 }
 
 // Subscribe arms a new subscription for the given interest keys (see Arm).
@@ -147,6 +152,9 @@ func (s *Store) Arm(sub *Subscription, w Waker, keys []InterestKey, filter Delta
 	sub.gen.Add(1)
 	sub.s, sub.w, sub.filter, sub.armed, sub.regs = s, w, filter, true, regs
 	sub.full, sub.fired = false, false
+	if cap(sub.deltas) == 0 && cap(sub.spare) == 0 { // neither buffer is deltaBuf
+		sub.deltas = sub.deltaBuf[:0]
+	}
 	sub.mu.Unlock()
 	s.metrics.SubscriptionsLive().Inc()
 	for _, reg := range regs {

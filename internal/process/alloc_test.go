@@ -327,3 +327,93 @@ func TestParkWakeAllocates(t *testing.T) {
 		t.Errorf("%d consensus fires, want 0", n)
 	}
 }
+
+// TestParkedWaitAfterCollectionAllocates pins that a parked process costs
+// its record and its wait, and that neither is a pool's to lose. A round
+// spawns a list of Waiters, <go, i> => skip, which park; one commit of their
+// tuples wakes them all, each through its own delta. After warm rounds, two
+// collections empty the pools before each measured round, and the 64 waiters
+// a round of 128 has over a round of 64 must cost fewer than one allocation
+// each: their records are one block, their subscriptions are cut from the
+// runtime's block and take their one delta inline, and each evaluation takes
+// an answer for its own length, so what the collections emptied is refilled
+// once per worker and per commit, not once per waiter — where a parked
+// waiter that held a pooled answer took a fresh answer, subscription and
+// delta buffer. (The round of 64 reads ≈ 96 allocations, ≈ 60 of them the
+// journal, matcher and answer pools' refills.)
+func TestParkedWaitAfterCollectionAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are not exact")
+	}
+	const n, rounds = 64, 5
+	s, rt := newRuntime(t)
+	if err := rt.Define(&Definition{
+		Name:   "Waiter",
+		Params: []string{"i"},
+		Body:   []Stmt{Transact{Kind: Delayed, Query: pattern.Q(pattern.P(pattern.C(atom("go")), pattern.V("i")))}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]SpawnReq, 2*n)
+	release := make([]tuple.Tuple, 2*n)
+	for i := range reqs {
+		arg := tuple.Int(int64(i))
+		reqs[i] = SpawnReq{Type: "Waiter", Args: []tuple.Value{arg}}
+		release[i] = tuple.New(atom("go"), arg)
+	}
+	s.Assert(tuple.Environment, tuple.New(atom("go"), tuple.Int(-1))) // keeps the bucket, and its index entries, populated
+	live := s.Metrics().SubscriptionsLive()
+	var released []tuple.ID
+	retract := func(w dataspace.Writer) error {
+		for _, id := range released {
+			if err := w.Delete(id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// round runs k waiters from spawn to end, after two collections when
+	// collect is set, and returns what it allocated.
+	round := func(k int, collect bool) uint64 {
+		if collect {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rt.SpawnGroup(reqs[:k]); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for live.Value() != int64(k) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d waiters parked", live.Value(), k)
+			}
+			runtime.Gosched()
+		}
+		released = s.Assert(tuple.Environment, release[:k]...)
+		rt.Wait()
+		runtime.ReadMemStats(&after)
+		if err := s.Update(tuple.Environment, retract); err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 16; i++ {
+		round(n, false) // warm the live map, the consensus member table and the store's buckets
+		round(2*n, false)
+	}
+	var small, large uint64
+	for i := 0; i < rounds; i++ {
+		small += round(n, true)
+		large += round(2*n, true)
+	}
+	perWaiter := (float64(large) - float64(small)) / rounds / n
+	t.Logf("after two collections: %d waiters %.1f allocations, %d waiters %.1f", n, float64(small)/rounds, 2*n, float64(large)/rounds)
+	if perWaiter >= 1 {
+		t.Errorf("a waiter spawned, parked and woken after two collections: %.2f allocations, want < 1", perWaiter)
+	}
+	if n := s.Len(); n != 1 {
+		t.Errorf("%d tuples left, want the bucket's keeper", n)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"github.com/sdl-lang/sdl/internal/consensus"
+	"github.com/sdl-lang/sdl/internal/dataspace"
 	"github.com/sdl-lang/sdl/internal/expr"
 	"github.com/sdl-lang/sdl/internal/metrics"
 	"github.com/sdl-lang/sdl/internal/sched"
@@ -121,9 +122,34 @@ type Runtime struct {
 	stopping   bool
 	workerWG   sync.WaitGroup
 
+	// The block records cut their subscriptions from (newSub): the rest of
+	// the latest block, and that block's length.
+	subMu    sync.Mutex
+	subs     []dataspace.Subscription
+	subBlock int
+
 	errMu  sync.Mutex
 	errs   []error
 	maxErr int
+}
+
+// Subscription blocks start at minSubBlock and double, up to maxSubBlock, as
+// a society's records keep waiting.
+const minSubBlock, maxSubBlock = 8, 64
+
+// newSub cuts a record's subscription from the runtime's block — one
+// allocation per block, not per record that waits, as a spawn list's
+// records are one block. A block lives while any of its records does.
+func (rt *Runtime) newSub() *dataspace.Subscription {
+	rt.subMu.Lock()
+	if len(rt.subs) == 0 {
+		rt.subBlock = min(max(2*rt.subBlock, minSubBlock), maxSubBlock)
+		rt.subs = make([]dataspace.Subscription, rt.subBlock)
+	}
+	sub := &rt.subs[0]
+	rt.subs = rt.subs[1:]
+	rt.subMu.Unlock()
+	return sub
 }
 
 // NewRuntime creates a runtime over the engine. The consensus manager may

@@ -15,8 +15,8 @@ import (
 // alternatives of a single consensus offer: when the set fires, the first
 // guard whose query succeeds is the one selected.
 //
-// A blocking selection waits on the record's subscription, made by its first
-// blocking selection and re-armed by every later one, with a nil filter
+// A blocking selection waits on the record's subscription, cut by its first
+// wait and re-armed by every later one, with a nil filter
 // (wake on any commit covering a guard pattern), armed before the guards are
 // re-tried; every re-try is preceded by a Drain, so a commit racing with an
 // evaluation wakes the record again rather than being lost. Its consensus
@@ -41,11 +41,8 @@ func (p *proc) selection(f *frame) outcome {
 			p.pop() // all guards immediate and all failed: skip
 			return boundary
 		}
-		if p.sub == nil {
-			p.sub = new(dataspace.Subscription)
-		}
 		var keyBuf [8]dataspace.InterestKey
-		p.rt.engine.Store().Arm(p.sub, p, p.guardInterestKeys(branches, keyBuf[:0]), nil)
+		p.rt.engine.Store().Arm(p.wait(), p, p.guardInterestKeys(branches, keyBuf[:0]), nil)
 		p.waiting = true
 	}
 	for {

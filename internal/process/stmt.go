@@ -165,9 +165,9 @@ func (s State) String() string {
 // (run); where the behavior must wait, the record parks itself instead of
 // blocking the worker, having armed what will wake it:
 //
-//   - a delayed statement arms its answer's subscription, and a blocking
-//     selection the record's own (sub), either waking the record through
-//     Wake;
+//   - a delayed statement and a blocking selection arm the record's
+//     subscription (sub), which wakes the record through Wake — a delayed
+//     statement's filtered by the record itself (AcceptDelta);
 //   - a consensus statement or guard arms the record's own offer (the one
 //     inside member), which wakes it through Wake when it fires;
 //   - a replication waits for its copies, the last of which wakes it.
@@ -201,14 +201,14 @@ type proc struct {
 	waiting bool // the top frame is waiting: its next step resumes the wait
 	offered bool // a blocking selection's offer is armed
 	member  consensus.Member
-	// sub is the subscription every blocking selection re-arms, made by the
-	// first.
+	// sub is the record's wait: the subscription every delayed statement and
+	// blocking selection re-arms, cut from the runtime's block by the first
+	// (Runtime.newSub). A parked delayed statement holds it and no answer.
 	sub *dataspace.Subscription
 
 	frames   []frame
-	frameBuf [2]frame    // frames' backing while the behavior nests at most two deep
-	ans      *txn.Answer // a waiting delayed statement's answer
-	err      error       // what the behavior ended with
+	frameBuf [2]frame // frames' backing while the behavior nests at most two deep
+	err      error    // what the behavior ended with
 	copyOf   *replication
 	// vals is the block the record's transactions cut their asserted
 	// tuples' fields from (pattern.Block): the executing record's, not its
@@ -470,7 +470,6 @@ func (p *proc) request(t Transact) txn.Request {
 func (p *proc) transact(t Transact) outcome {
 	switch t.Kind {
 	case Delayed:
-		p.ans = txn.NewAnswer(p.request(t)).CutFrom(&p.vals)
 		return p.delayed(t, false)
 	case Consensus:
 		return p.consensus(t, false)
@@ -516,35 +515,61 @@ func (p *proc) committed(actions []Action, a *txn.Answer) outcome {
 
 // delayed runs the delayed statement t (woke false) or resumes it after a
 // wake: it evaluates through the engine's non-blocking half of a delayed
-// run (txn.Engine.Attempt), woken through the record, and parks while the
-// request stays blocked.
+// run (txn.Engine.Attempt) on the record's wait, and parks while the request
+// stays blocked. Each evaluation takes an answer and, unless it commits,
+// gives it back before the record parks.
 func (p *proc) delayed(t Transact, woke bool) outcome {
 	p.waiting = true
+	sub := p.wait()
 	for ; ; woke = true {
 		p.armWake()
-		done, err := true, p.rt.ctx.Err()
-		if err == nil {
-			syncing := p.rt.beginSync()
-			done, err = p.rt.engine.Attempt(p.ans, p, woke)
-			if syncing {
-				p.rt.endSync()
-			}
+		if err := p.rt.ctx.Err(); err != nil {
+			sub.Cancel()
+			p.waiting = false
+			p.state.Store(int32(StateRunning))
+			return p.raise(err)
+		}
+		a := txn.NewAnswer(p.request(t)).CutFrom(&p.vals)
+		syncing := p.rt.beginSync()
+		done, err := p.rt.engine.Attempt(a, sub, p, p, woke)
+		if syncing {
+			p.rt.endSync()
 		}
 		if done {
-			a := p.ans
-			p.ans, p.waiting = nil, false
+			p.waiting = false
 			p.state.Store(int32(StateRunning))
 			if err != nil {
-				a.Release() // cancels the wait's subscription
+				a.Release()
 				return p.raise(err)
 			}
 			return p.committed(t.Actions, a)
 		}
+		a.Release()
 		p.state.Store(int32(StateBlockedDelayed))
 		if p.park() {
 			return parked
 		}
 	}
+}
+
+// AcceptDelta is the record's delta filter while a delayed statement waits
+// on its subscription: the statement's (txn.Wakes), which is the top
+// sequence frame's current one, under the record's scope. The store calls it
+// only while that wait is armed, and the record changes neither its frames
+// nor its scope until the wait is cancelled.
+func (p *proc) AcceptDelta(d dataspace.Delta) bool {
+	f := &p.frames[len(p.frames)-1]
+	t, _ := transaction(f.stmts[f.pc-1])
+	return txn.Wakes(d, t.Query, p.scope)
+}
+
+// wait returns the record's subscription, cut from the runtime's block on
+// the record's first wait.
+func (p *proc) wait() *dataspace.Subscription {
+	if p.sub == nil {
+		p.sub = p.rt.newSub()
+	}
+	return p.sub
 }
 
 // consensus runs the consensus statement t (woke false) or resumes it after

@@ -18,10 +18,14 @@ import (
 // map-shaped Result that Immediate, Delayed and consensus offers return is
 // built from an answer at that public edge (Result).
 //
-// Lifetime: answers are pooled. Whoever Engine.Run or NewAnswer hands one to
+// Lifetime: answers are pooled, and an answer lives for one evaluation and
+// what its caller reads of it. Whoever Engine.Run or NewAnswer hands one to
 // reads it — OK, Rows, Scope, the effects — and then calls Release, after
 // which none of it may be used: the next transaction reuses the memory. What
-// must outlive the answer is copied out first, as Result does.
+// must outlive the answer is copied out first, as Result does. A process
+// that parks on a delayed statement gives its answer back first: its wait is
+// its record's (see Engine.Attempt). Only a Go-API delayed run (Run's await)
+// keeps one answer, and its wait in it, until the run is over.
 type Answer struct {
 	// Retracted and Asserted list the tuple instances removed/added, in
 	// application order.
@@ -35,8 +39,8 @@ type Answer struct {
 	ground []tuple.Tuple           // the assertions to insert, see Ground
 	vals   *pattern.Block          // their fields' block, see CutFrom; nil: one heap block per tuple
 	seen   map[tuple.ID]struct{}   // retractions already applied, when several rows may share one
-	sub    *dataspace.Subscription // the delayed wait's: made by the answer's first, re-armed (with its owner's waker) by every later one
-	ready  readyWaker              // a Go-API delayed wait's waker: made by the answer's first, kept across uses
+	sub    *dataspace.Subscription // a Go-API delayed run's wait (await): made by the answer's first, re-armed by every later one
+	ready  readyWaker              // that wait's waker, made with sub and kept across uses
 
 	// The execution's explain record: ex is &explain while the engine
 	// records one (the registry is observed), nil otherwise.
@@ -59,8 +63,8 @@ func NewAnswer(req Request) *Answer {
 const maxPooledEffects = 256
 
 // Release returns the answer to the pool, emptied so the pool pins nothing.
-// A delayed run abandoned before it was done (its owner cancelled) has its
-// subscription cancelled here.
+// A Go-API delayed run abandoned before it was done (its context cancelled)
+// has its subscription cancelled here.
 func (a *Answer) Release() {
 	if a.sub != nil {
 		a.sub.Cancel()
@@ -117,17 +121,22 @@ func (a *Answer) Scope() expr.Scope {
 	return a.req.Env
 }
 
-// AcceptDelta is the delta filter of a blocked delayed request (see
-// Engine.Attempt and deltaSafe): it accepts exactly the asserted tuples that
-// match one of the query's patterns standalone under the request
-// environment. The store calls it only while the answer's subscription is
-// armed, so it never sees the request of the answer's next use.
-func (a *Answer) AcceptDelta(d dataspace.Delta) bool {
+// AcceptDelta is the delta filter of a Go-API delayed run (await): the
+// answer's request's (Wakes). The store calls it only while the answer's
+// subscription is armed, so it never sees the request of the answer's next
+// use.
+func (a *Answer) AcceptDelta(d dataspace.Delta) bool { return Wakes(d, a.req.Query, a.req.Env) }
+
+// Wakes is the delta filter of a blocked delayed request with query q under
+// env (see Engine.Attempt and deltaSafe), whoever owns its wait: it accepts
+// exactly the asserted tuples that match one of q's patterns standalone
+// under env.
+func Wakes(d dataspace.Delta, q pattern.Query, env expr.Scope) bool {
 	if !d.Asserted {
 		return false
 	}
-	for _, p := range a.req.Query.Patterns {
-		if p.Match(d.Inst.Tuple, a.req.Env, nil) {
+	for _, p := range q.Patterns {
+		if p.Match(d.Inst.Tuple, env, nil) {
 			return true
 		}
 	}

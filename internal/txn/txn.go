@@ -522,17 +522,20 @@ func (r readyWaker) Wake() {
 
 // await runs a's request as a delayed ('⇒') transaction: it blocks until an
 // evaluation commits or ctx is cancelled. It is the Go API's blocking loop
-// over Attempt, waiting on the answer's ready channel.
+// over Attempt, its wait kept in the answer: the subscription, made by the
+// answer's first wait and re-armed by every later one, so a wait on a pooled
+// answer allocates none; the ready channel it wakes; and the answer itself as
+// the filter.
 func (e *Engine) await(ctx context.Context, a *Answer) error {
-	if a.ready == nil {
-		a.ready = make(readyWaker, 1)
+	if a.sub == nil {
+		a.sub, a.ready = new(dataspace.Subscription), make(readyWaker, 1)
 	}
 	select {
 	case <-a.ready: // a wake the answer's last wait left: its own commit's delivery
 	default:
 	}
 	for woke := false; ; woke = true {
-		if done, err := e.Attempt(a, a.ready, woke); done {
+		if done, err := e.Attempt(a, a.sub, a.ready, a, woke); done {
 			return err
 		}
 		select {
@@ -543,32 +546,32 @@ func (e *Engine) await(ctx context.Context, a *Answer) error {
 	}
 }
 
-// Attempt is the non-blocking half of a delayed ('⇒') run of a's request,
-// for an owner that waits its own way: a process parks its record, which w
-// is, and the Go API's await blocks on a channel w sends on (see
-// dataspace.Waker). The first call (woke false) arms the answer's subscription —
-// made by the answer's first wait and re-armed by every later one, so a wait
-// on a pooled answer allocates none — and evaluates; each later one, made
-// after the subscription woke its owner, drains it and evaluates again. It
-// reports done when the run is over — committed, or failed with err — and
-// has then cancelled the subscription; otherwise the request blocked and the
-// subscription stays armed for the next wake. The subscribe-then-evaluate
-// order loses no wakeup.
+// Attempt is one evaluation of a delayed ('⇒') run of a's request, for an
+// owner that waits its own way on the wait it passes in: sub, whose
+// deliveries wake w, filtered by filter — which must accept what Wakes
+// accepts for a's request. A process passes its record's subscription, with
+// the record as waker and filter, and takes a fresh answer for each
+// evaluation; the Go API's await passes the answer's own. The first call
+// (woke false) arms sub and evaluates; each later one, made after sub woke
+// its owner, drains it and evaluates again. Attempt reports done when the
+// run is over — committed into a, or failed with err — and has then
+// cancelled sub; otherwise the request blocked and sub stays armed for the
+// next wake. The subscribe-then-evaluate order loses no wakeup.
 //
 // The blocked guard holds one subscription for the whole wait, re-armed in
 // place. Commits put their asserted/retracted tuples through the
-// publisher-side filter (the answer itself, see AcceptDelta), irrelevant
-// commits are suppressed before any wakeup, and the commits that land before
-// the owner drains batch into a single re-evaluation. A guard that is not
-// delta-safe arms with a nil filter and re-queries on every covering commit.
-// A re-evaluation after a wakeup that blocks again is counted wasted.
-func (e *Engine) Attempt(a *Answer, w dataspace.Waker, woke bool) (done bool, err error) {
+// publisher-side filter, irrelevant commits are suppressed before any
+// wakeup, and the commits that land before the owner drains batch into a
+// single re-evaluation. A guard that is not delta-safe arms with a nil
+// filter and re-queries on every covering commit. A re-evaluation after a
+// wakeup that blocks again is counted wasted.
+func (e *Engine) Attempt(a *Answer, sub *dataspace.Subscription, w dataspace.Waker, filter dataspace.DeltaFilter, woke bool) (done bool, err error) {
 	if woke {
 		e.wakeups.Add(1)
 		e.sc.Yield(sched.PointTxnWakeup)
 		// An unfiltered subscription's deliveries are always full, so deltas
 		// without the full flag mean the filter took them.
-		deltas, full := a.sub.Drain()
+		deltas, full := sub.Drain()
 		e.m.IncReactiveEval()
 		if !full && len(deltas) > 0 {
 			e.m.IncReactiveHit()
@@ -576,20 +579,16 @@ func (e *Engine) Attempt(a *Answer, w dataspace.Waker, woke bool) (done bool, er
 			e.m.IncReactiveFallback()
 		}
 	} else {
-		var filter dataspace.DeltaFilter
-		if deltaSafe(a.req) {
-			filter = a
+		if !deltaSafe(a.req) {
+			filter = nil
 		}
 		var keyBuf [8]dataspace.InterestKey
 		var selBuf [8]pattern.FieldSel
 		keys, sels := interest(a.req, filter != nil, keyBuf[:0], selBuf[:0])
-		if a.sub == nil {
-			a.sub = new(dataspace.Subscription)
-		}
-		e.store.Arm(a.sub, w, keys, filter, sels...)
+		e.store.Arm(sub, w, keys, filter, sels...)
 	}
 	if err := e.Exec(a, metrics.TxnDelayed); err != nil || a.OK() {
-		a.sub.Cancel()
+		sub.Cancel()
 		return true, err
 	}
 	if woke {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race alloc-guard audit perf-test perf-pair check bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
+.PHONY: all build vet test race alloc-guard audit perf-test perf-pair loc check bench sweep fuzz-smoke analyze-smoke explore explore-smoke sched-test wal-test wal-smoke clean
 
 all: check
 
@@ -93,6 +93,13 @@ N ?= 10
 S ?= 20
 perf-pair:
 	bash scripts/perf-pair.sh $(W) $(N) $(S)
+
+# Line counts of the root module's tracked Go files, non-test and test,
+# with perf/ and testdata excluded: `make loc`, or `make loc REV=HEAD^` for
+# a commit's.
+REV ?=
+loc:
+	bash scripts/loc.sh $(REV)
 
 # The verification gate: everything a commit must pass.
 check: vet build race alloc-guard audit analyze-smoke sched-test explore-smoke wal-smoke perf-test

@@ -116,34 +116,34 @@ func (b *bulkInsert) restore(si uint32) {
 	}
 }
 
-// insertAll is Insert for a whole batch, the bulk Assert path. It reserves
-// the batch's IDs with one add and journals the inserts in input order, so
-// the returned IDs, the commit record and the log bytes are those of one
-// Insert per tuple; each touched shard's slab and indexes are then filled
-// by its own worker. A batch homed on one shard stays on the caller.
+// insertAll files a whole batch straight into the live shards, the bulk
+// Assert path, under the exclusive locks its caller takes with lockSet. It
+// reserves the batch's IDs with one add and journals the inserts in input
+// order, so the returned IDs, the commit record and the log bytes are those
+// of one Insert per tuple; each touched shard's slab and indexes are then
+// filled by its own worker. A batch homed on one shard stays on the caller.
 //
 // lint:holds intent mu
-func (w writer) insertAll(ts []tuple.Tuple, owner tuple.ProcessID, ids []tuple.ID) {
-	n, from := uint64(len(ts)), len(w.inserted)
-	first := tuple.ID(w.s.nextID.Add(n) - n + 1)
-	w.inserted = slices.Grow(w.inserted, len(ts))
-	w.insShard = slices.Grow(w.insShard, len(ts))
+func (j *journal) insertAll(ts []tuple.Tuple, owner tuple.ProcessID, ids []tuple.ID) {
+	n := uint64(len(ts))
+	first := tuple.ID(j.s.nextID.Add(n) - n + 1)
+	j.inserted = slices.Grow(j.inserted, len(ts))
+	j.insShard = slices.Grow(j.insShard, len(ts))
 	for i, t := range ts {
 		id := first + tuple.ID(i)
 		ids[i] = id
-		w.inserted = append(w.inserted, Instance{ID: id, Tuple: t, Owner: owner})
-		w.insShard = append(w.insShard, w.s.shardIndex(indexKeyOf(t)))
+		j.inserted = append(j.inserted, Instance{ID: id, Tuple: t, Owner: owner})
+		j.insShard = append(j.insShard, j.s.shardIndex(indexKeyOf(t)))
 	}
-	batch, homes := w.inserted[from:], w.insShard[from:]
-	if w.ss.count() == 1 {
-		sh := w.s.shards[homes[0]]
-		for _, ins := range batch {
+	if j.ss.count() == 1 {
+		sh := j.s.shards[j.insShard[0]]
+		for _, ins := range j.inserted {
 			sh.place(ins)
 		}
 		return
 	}
-	b := bulkInsert{s: w.s, insts: batch, homes: groupByShard(homes, len(w.s.shards))}
-	forShards(w.ss, b.file)
+	b := bulkInsert{s: j.s, insts: j.inserted, homes: groupByShard(j.insShard, len(j.s.shards))}
+	forShards(j.ss, b.file)
 }
 
 // checkpointRuns is a checkpoint's copy of the configuration: shard si's

@@ -8,32 +8,30 @@ import (
 )
 
 // journal is one mutating commit's state, from its footprint to its
-// publication, shared by both write paths: the shard-locked writer applies
-// its mutations to the live maps and records them here; the key-latch
-// keyWriter buffers them here and applies them at publication. Either way
-// publish reads the journal in place — the CommitRecord it lends the hooks
-// and the durability sink is a view of the journal's slices — and notify
-// routes the same slices to the subscriptions, through the journal's routing
-// state.
+// publication, on every rung: keyWriter buffers the commit's mutations here
+// and applyBuffered applies them at publication (a bulk Assert files its
+// inserts directly, under exclusive shard locks). publish reads the journal
+// in place — the CommitRecord it lends the hooks and the durability sink is
+// a view of the journal's slices — and notify routes the same slices to the
+// subscriptions, through the journal's routing state.
 //
 // Journals are pooled: a commit takes one, and returns it once its waiters
-// are notified (or its fn failed). Nothing in a journal outlives the commit,
-// so in the steady state a commit allocates only what it stores. A journal
-// that carried more than maxPooledEffects effects or candidates is dropped
-// instead of pooled, and a pooled one holds no instance and no subscription,
-// so the pool never pins retracted tuples, the arrays of a bulk commit or a
-// cancelled waiter.
+// are notified (or its fn failed or changed nothing). Nothing in a journal
+// outlives the commit, so in the steady state a commit allocates only what
+// it stores. A journal that carried more than maxPooledEffects effects or
+// candidates is dropped instead of pooled, and a pooled one holds no
+// instance and no subscription, so the pool never pins retracted tuples, the
+// arrays of a bulk commit or a cancelled waiter.
 type journal struct {
 	reader           // the live maps of the footprint; ss points at lp.ss
-	lp     latchPlan // the footprint: shards on both paths, latches and buckets on the key path
+	lp     latchPlan // the footprint: shards on every rung, latches and buckets on the key rung
 	owner  tuple.ProcessID
 
 	inserted []Instance
 	insShard []uint32 // shard of inserted[i]
 	deleted  []Instance
 	delShard []uint32              // shard of deleted[i]
-	delIDs   map[tuple.ID]struct{} // key path: the buffered deletes, hidden from live reads
-	scanning int                   // shard path: the Scan callbacks running, inside which an edit panics
+	delIDs   map[tuple.ID]struct{} // the IDs deleted and the inserts deleted again, hidden from reads
 
 	// rung is the commit-ladder rung the commit takes, which publish
 	// counts: key latches (UpdateCommuting), a planned shard set
@@ -85,14 +83,15 @@ func (j *journal) release() {
 	journals.Put(j)
 }
 
-// publish is the commit's one publication step, shared by both write paths:
-// it counts the commit, drops the arities its deletes emptied, claims its
+// publish is the commit's one publication step, shared by every rung: it
+// counts the commit, drops the arities its deletes emptied, claims its
 // version, and lends the journal's effects to the hooks and the durability
 // sink as one CommitRecord. Callers hold the exclusive mu of every shard the
-// journal wrote, plus the commit's latches (key path) or intent locks (shard
-// path), so conflicting commits publish — and append — in version order.
+// journal wrote, plus the commit's intent locks — exclusive, or shared
+// under its latches on the key rung — so conflicting commits publish, and
+// append, in version order.
 //
-// lint:holds latch mu
+// lint:holds intent mu
 func (s *Store) publish(j *journal) {
 	for _, si := range j.insShard {
 		s.shards[si].asserts++

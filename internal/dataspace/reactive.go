@@ -337,8 +337,7 @@ func (j *journal) delta(n int) Delta {
 // tuple-level changes to the subscriptions whose interest covers them.
 // Each written instance is matched against the registry of the shard it
 // lives in — commits never touch the registries of shards outside their
-// footprint; the journal records each instance's shard (shard path and key
-// path alike). It runs after the commit's locks are released and after the
+// footprint; the journal records each instance's shard. It runs after the commit's locks are released and after the
 // durability wait, so filters may be arbitrary user-level matchers.
 //
 // A candidate whose filter rejected every delta is suppressed (counted,

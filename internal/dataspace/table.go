@@ -100,8 +100,8 @@ func (t *table[C]) removeAt(i int, hash func(C) uint64) {
 
 // idTable finds a live instance's slot from its ID: a table of slots, each
 // keyed by its slab slot's ID, which is the only copy of the ID. The by-ID
-// paths — Get, Delete, the writer's rollback, applyBuffered's deletes and
-// ApplyRecovered — consult it, and its count is the shard's live count.
+// paths — Get, Delete, applyBuffered's deletes and ApplyRecovered —
+// consult it, and its count is the shard's live count.
 type idTable struct{ table[uint32] }
 
 // find returns the slot holding id.

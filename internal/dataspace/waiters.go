@@ -114,6 +114,7 @@ type waiterRegistry struct {
 	byKey   map[indexKey]subSet
 	byArity map[int]subSet
 	bySel   map[indexKey]*selBucket
+	spare   *selBucket // the last bucket emptied, for the next one made: a lone waiter re-arms allocating nothing
 }
 
 func (r *waiterRegistry) add(reg subReg, sub *Subscription) {
@@ -130,7 +131,9 @@ func (r *waiterRegistry) add(reg subReg, sub *Subscription) {
 		}
 		sb := r.bySel[reg.ik]
 		if sb == nil {
-			sb = &selBucket{byVal: make(map[subSel]subSet)}
+			if sb, r.spare = r.spare, nil; sb == nil {
+				sb = &selBucket{byVal: make(map[subSel]subSet)}
+			}
 			r.bySel[reg.ik] = sb
 		}
 		insertSub(sb.byVal, reg.sel, sub)
@@ -155,6 +158,7 @@ func (r *waiterRegistry) remove(reg subReg, sub *Subscription) {
 			sb.perPos[reg.sel.pos]--
 			if len(sb.byVal) == 0 {
 				delete(r.bySel, reg.ik)
+				r.spare = sb
 			}
 		}
 	default:

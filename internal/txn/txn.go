@@ -471,14 +471,15 @@ func subscriptionSel(p pattern.Pattern, s expr.Scope) pattern.FieldSel {
 //   - Restricted views with impure (configuration-dependent) matchers can
 //     change an OLD tuple's window membership on an unrelated commit;
 //     universal and pure-matcher (Plannable) views cannot.
-//   - Retract-tagged and negated patterns let retractions flip the guard
-//     from unsatisfiable to satisfiable; only assertions are delta-checked.
+//   - Negated patterns let retractions flip the guard from unsatisfiable
+//     to satisfiable (a retract-tagged pattern is positive, so cannot);
+//     only assertions are delta-checked.
 //   - A pattern whose lead is not determined by the request environment,
 //     or with an expression field that is not closed under it, cannot be
 //     matched standalone against a candidate tuple (Pattern.Match would
 //     wrongly reject tuples whose match depends on earlier join bindings).
 //
-// For the surviving class — pure-positive, lead-known, standalone-
+// For the surviving class — positive, lead-known, standalone-
 // matchable patterns under a stable window — an unsatisfiable query
 // becomes satisfiable only when a NEW tuple matching some pattern is
 // asserted, so filtering deltas to standalone pattern matches (ignoring
@@ -489,7 +490,7 @@ func deltaSafe(req Request) bool {
 		return false
 	}
 	for _, p := range req.Query.Patterns {
-		if p.Negated || p.Retract {
+		if p.Negated {
 			return false
 		}
 		if p.Arity() > 0 {

@@ -12,11 +12,11 @@ import (
 
 // Delta-driven wakeups are a pure scheduling optimization: a confluent
 // workload must reach its one closed-form final content multiset however
-// the wakeups interleave. The workload mixes both blocked-guard classes —
-// delta-safe pure-positive waiters, whose irrelevant-commit wakeups the
-// publisher suppresses, and retract-pattern consumers, which re-query on
-// every covering commit — under churn that lands in the waiters' own index
-// buckets without ever matching them.
+// the wakeups interleave. The workload mixes delta-filtered waiters, whose
+// irrelevant-commit wakeups the publisher suppresses, and retract-pattern
+// consumers that race for the same tokens, so a consumer woken by a token
+// another one takes blocks again — under churn that lands in the waiters'
+// own index buckets without ever matching them.
 func TestReactiveWakeupsConfluent(t *testing.T) {
 	const (
 		waiters = 6
@@ -63,8 +63,8 @@ func TestReactiveWakeupsConfluent(t *testing.T) {
 			}(i)
 		}
 		// Retract consumers: each consumes one <tok, v> and converts it.
-		// The retract pattern is not delta-safe, so these subscribe with a
-		// nil filter and exercise the full-re-query fallback.
+		// A retract tag keeps the guard delta-safe: only an asserted
+		// token can wake a consumer.
 		for i := 0; i < tokens; i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -121,59 +121,77 @@ func TestReactiveWakeupsConfluent(t *testing.T) {
 
 // TestFanoutWakeupCost pins what a commit costs the fan-out shape at the
 // public API: P delayed transactions blocked in ONE index bucket, each on
-// its own <job, i, 1>. Their subscriptions are filed under (field 1 = i), so
-// a noise commit into the bucket offers its tuple to at most 2 of them and
-// the releasing commit's P tuples to at most 2P — not to all P and P².
-// ReactiveSignals counts the subscriptions a commit offered deltas to.
+// its own <job, i, 1>, read or retract-tagged. Their subscriptions are filed
+// under (field 1 = i), so a noise commit into the bucket offers its tuple to
+// at most 2 of them and the releasing commit's P tuples to at most 2P — not
+// to all P and P². ReactiveSignals counts the subscriptions a commit offered
+// deltas to.
 func TestFanoutWakeupCost(t *testing.T) {
-	for _, p := range []int{64, 128, 256} {
-		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			sys := New(Options{})
-			defer sys.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			var wg sync.WaitGroup
-			for i := 0; i < p; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					res, err := sys.Delayed(ctx, Request{
-						Proc:  ProcessID(i + 1),
-						View:  Universal(),
-						Env:   Env{"i": Int(int64(i))},
-						Query: Q(P(C(Atom("job")), V("i"), C(Int(1)))),
-					})
-					if err != nil || !res.OK {
-						t.Errorf("waiter %d: res=%+v err=%v", i, res, err)
-					}
-				}(i)
+	for _, tc := range []struct {
+		name    string
+		query   Query
+		retract bool
+	}{
+		{"P=%d", Q(P(C(Atom("job")), V("i"), C(Int(1)))), false},
+		{"P=%d-retract", Q(R(C(Atom("job")), V("i"), C(Int(1)))), true},
+	} {
+		for _, p := range []int{64, 128, 256} {
+			t.Run(fmt.Sprintf(tc.name, p), func(t *testing.T) { fanoutWakeupCost(t, p, tc.query, tc.retract) })
+		}
+	}
+}
+
+func fanoutWakeupCost(t *testing.T, p int, query Query, retract bool) {
+	sys := New(Options{})
+	defer sys.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < p; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := sys.Delayed(ctx, Request{
+				Proc:  ProcessID(i + 1),
+				View:  Universal(),
+				Env:   Env{"i": Int(int64(i))},
+				Query: query,
+			})
+			if err != nil || !res.OK {
+				t.Errorf("waiter %d: res=%+v err=%v", i, res, err)
 			}
-			for sys.Snapshot().ReactiveSubscriptions < int64(p) || sys.Snapshot().Txn["delayed"].Blocks < uint64(p) {
-				time.Sleep(time.Millisecond)
-			}
-			signals := func() uint64 { return sys.Snapshot().ReactiveSignals }
-			for k := 0; k < 8; k++ {
-				before := signals()
-				sys.Store.Assert(Environment, NewTuple(Atom("job"), Int(int64(p+k)), Int(0)))
-				if got := signals() - before; got > 2 {
-					t.Errorf("noise commit %d offered its tuple to %d subscriptions, want <= 2", k, got)
-				}
-			}
-			release := make([]Tuple, p)
-			for i := range release {
-				release[i] = NewTuple(Atom("job"), Int(int64(i)), Int(1))
-			}
-			before := signals()
-			sys.Store.Assert(Environment, release...)
-			if got := signals() - before; got > uint64(2*p) {
-				t.Errorf("the releasing commit offered deltas to %d subscriptions, want <= %d", got, 2*p)
-			}
-			wg.Wait()
-			snap := sys.Snapshot()
-			if snap.ReactiveHits != uint64(p) || snap.ReactiveSuppressed != 0 {
-				t.Errorf("%d delta hits and %d suppressed candidates, want %d and 0: every waiter wakes once, on its own tuple, and no commit meets a filter that rejects it",
-					snap.ReactiveHits, snap.ReactiveSuppressed, p)
-			}
-		})
+		}(i)
+	}
+	for sys.Snapshot().ReactiveSubscriptions < int64(p) || sys.Snapshot().Txn["delayed"].Blocks < uint64(p) {
+		time.Sleep(time.Millisecond)
+	}
+	signals := func() uint64 { return sys.Snapshot().ReactiveSignals }
+	for k := 0; k < 8; k++ {
+		before := signals()
+		sys.Store.Assert(Environment, NewTuple(Atom("job"), Int(int64(p+k)), Int(0)))
+		if got := signals() - before; got > 2 {
+			t.Errorf("noise commit %d offered its tuple to %d subscriptions, want <= 2", k, got)
+		}
+	}
+	release := make([]Tuple, p)
+	for i := range release {
+		release[i] = NewTuple(Atom("job"), Int(int64(i)), Int(1))
+	}
+	before := signals()
+	sys.Store.Assert(Environment, release...)
+	if got := signals() - before; got > uint64(2*p) {
+		t.Errorf("the releasing commit offered deltas to %d subscriptions, want <= %d", got, 2*p)
+	}
+	wg.Wait()
+	// Every waiter wakes once, on its own tuple, and no commit meets a
+	// filter that rejects it — but a retracting waiter's own commit, which
+	// meets its filter once before the waiter cancels it.
+	snap := sys.Snapshot()
+	suppressed := uint64(0)
+	if retract {
+		suppressed = uint64(p)
+	}
+	if snap.ReactiveHits != uint64(p) || snap.ReactiveSuppressed != suppressed {
+		t.Errorf("%d delta hits and %d suppressed candidates, want %d and %d", snap.ReactiveHits, snap.ReactiveSuppressed, p, suppressed)
 	}
 }

@@ -16,8 +16,9 @@
 //   - unlocked-append: DurableSink.Append runs inside the commit
 //     critical section (exclusive mu held), so conflicting commits reach
 //     the log in version order.
-//   - locked-after-commit: the after-commit hooks (Store.runAfterCommit)
-//     run once the commit's locks are released — no key latch, intent or
+//   - locked-after-commit: the after-commit hooks (Store.runAfterCommit,
+//     and the commit tail Store.finishCommit that calls it) run once the
+//     commit's locks are released — no key latch, intent or
 //     mu held, nor annotated as held — because a hook may commit.
 //
 // The analysis is intraprocedural; functions whose callers hold locks

@@ -349,7 +349,8 @@ func (sc *scope) walkExpr(e ast.Expr) {
 }
 
 // liveMap names the shard structure a selector chain reaches, or "" when it
-// is none of them: the instance slab, the ID table ids and the free list of
+// is none of them: the instance slab (its entries and its wide map), the ID
+// table ids and the free list of
 // vacant slots, an arity's lead index (arityIndex.leads) and a published
 // secondary index (fieldIndex.buckets). The ID table is edited through its
 // add/remove methods, the two indexes are idIndex values edited through
@@ -363,7 +364,7 @@ func liveMap(chain string) string {
 	}
 	var what string
 	switch {
-	case strings.HasSuffix(chain, ".slab"):
+	case through(".slab"):
 		return "live instance slab"
 	case through(".ids"):
 		return "live ID table"
@@ -448,10 +449,10 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 	case "place", "vacate":
 		// The shard's slab mutators: a slot filled or freed, and its indexes.
 		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard slab")
-	case "add", "remove", "refile", "fit", "insert", "removeAt":
+	case "add", "remove", "refile", "fit", "insert", "removeAt", "put":
 		// The tables' mutators: idTable's and idIndex's add/remove file or
 		// unfile a slot and refile/fit remake their table, table's
-		// insert/removeAt fill or empty a cell.
+		// insert/removeAt fill or empty a cell, the slab's put fills a slot.
 		if what := liveMap(recv); what != "" {
 			sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the "+what)
 		}

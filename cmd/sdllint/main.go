@@ -8,7 +8,8 @@
 //     higher one is held; the group-commit queue mutex is a leaf.
 //   - unlocked/rlock-mutation: the live tuple structures (the instance
 //     slab shard.slab, its ID table shard.ids and free list shard.vacant,
-//     edited through shard.place/vacate; the lead index and published
+//     edited through shard.place/vacate and the slab's put; the lead
+//     index and published
 //     secondary indexes, whose buckets are edited through
 //     idIndex.add/remove, and the spill slabs their large sets live in;
 //     the tables' own insert/removeAt) are only written under an

@@ -101,6 +101,21 @@ func rlockMutation(sh *shard) {
 	sh.mu.RUnlock()
 }
 
+// rlockSlabEntryWrite writes an entry of the live slab, directly and
+// through the slab's put, under a read lock.
+func rlockSlabEntryWrite(sh *shard) {
+	sh.mu.RLock()
+	sh.slab.slots[1] = 2 // want rlock-mutation
+	sh.slab.put(1, 2)    // want rlock-mutation
+	sh.mu.RUnlock()
+}
+
+// bareSlabWideDelete drops a wide instance of the live slab with no lock
+// at all.
+func bareSlabWideDelete(sh *shard) {
+	delete(sh.slab.wide, 1) // want unlocked-mutation
+}
+
 // rlockIDCellWrite writes a cell of the live ID table under a read lock.
 func rlockIDCellWrite(sh *shard) {
 	sh.mu.RLock()

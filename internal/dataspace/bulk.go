@@ -112,7 +112,7 @@ func (b *bulkInsert) restore(si uint32) {
 	}
 	b.file(si)
 	for _, ai := range sh.byArity {
-		ai.leads.fit(sh.slab)
+		ai.leads.fit(&sh.slab)
 	}
 }
 
@@ -160,9 +160,10 @@ type checkpointRuns struct {
 // lint:holds rmu
 func (c *checkpointRuns) collect(si uint32) {
 	run := c.insts[c.start[si]:c.start[si]]
-	for _, inst := range c.s.shards[si].slab {
-		if inst.ID != tuple.NoID {
-			run = append(run, inst)
+	sl := &c.s.shards[si].slab
+	for slot, e := range sl.slots {
+		if e.id != tuple.NoID {
+			run = append(run, sl.instAt(uint32(slot)))
 		}
 	}
 	slices.SortFunc(run, func(a, b Instance) int { return cmp.Compare(a.ID, b.ID) })

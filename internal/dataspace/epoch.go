@@ -73,7 +73,7 @@ func buildSnap(sh *shard, seq uint64) *shardSnap {
 		ai.leads.each(func(set idView) bool {
 			leadStart := len(snap.insts)
 			set.each(func(slot uint32) bool {
-				snap.insts = append(snap.insts, sh.slab[slot])
+				snap.insts = append(snap.insts, sh.slab.instAt(slot))
 				return true
 			})
 			if a > 0 {

@@ -11,12 +11,12 @@ import (
 
 // keyedSlab returns a slab of n slots after the reserved slot 0, whose slot
 // s holds instance #s with tuple of(s).
-func keyedSlab(n int, of func(slot int) tuple.Tuple) []Instance {
-	slab := make([]Instance, n+1)
+func keyedSlab(n int, of func(slot int) tuple.Tuple) *slab {
+	sl := &slab{slots: make([]entry, n+1)}
 	for s := 1; s <= n; s++ {
-		slab[s] = Instance{ID: tuple.ID(s), Tuple: of(s), Owner: 1}
+		sl.put(uint32(s), Instance{ID: tuple.ID(s), Tuple: of(s), Owner: 1})
 	}
-	return slab
+	return sl
 }
 
 // runIDSetScript drives an idIndex bucket and a plain map[uint32]struct{}
@@ -67,8 +67,8 @@ func runIDSetScript(t testing.TB, script []byte) {
 		if present := ix.len() == 1; present != (len(ref) > 0) {
 			t.Fatalf("step %d: bucket slot present=%v with %d members", step, present, len(ref))
 		}
-		if set.len() != len(ref) || (len(ref) > 0 && set.a == 0) {
-			t.Fatalf("step %d: len = %d, want %d, with a member in a (%d)", step, set.len(), len(ref), set.a)
+		if set.len() != len(ref) || (len(ref) > 0 && ix.keySlot(set.idSet) == 0) {
+			t.Fatalf("step %d: len = %d, want %d, with a key member (%d)", step, set.len(), len(ref), ix.keySlot(set.idSet))
 		}
 		visited := make(map[uint32]struct{}, len(ref))
 		set.each(func(id uint32) bool {
@@ -124,8 +124,8 @@ func checkSpillSlab(t testing.TB, step int, ix *idIndex, peak *int) {
 		if owned[cell] {
 			t.Fatalf("step %d: cell %d is free and owned (or freed twice)", step, cell)
 		}
-		if sp := &sl.spills[cell]; sp.len() != 0 || sp.m != nil || cap(sp.slots) > 2 {
-			t.Fatalf("step %d: free cell %d still holds %d slots, a map (%t) or a %d-slot slice", step, cell, sp.len(), sp.m != nil, cap(sp.slots))
+		if sp := &sl.spills[cell]; sp.key != 0 || sp.second != 0 || len(sp.slots) != 0 || sp.m != nil || cap(sp.slots) > 2 {
+			t.Fatalf("step %d: free cell %d still holds members (%d, %d, %d more), a map (%t) or a %d-slot slice", step, cell, sp.key, sp.second, len(sp.slots), sp.m != nil, cap(sp.slots))
 		}
 		owned[cell] = true
 	}
@@ -168,16 +168,18 @@ func TestIDSetDifferential(t *testing.T) {
 func FuzzIDSet(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x80, 0x81, 0x82})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0xC5, 0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D, 0})
+	// One member to two and back, by the key member's removal and by the
+	// other's, then to empty and into the kept spill again.
+	f.Add([]byte{0, 1, 0x80, 2, 0xC1, 0x81, 0xC0, 0x82, 3, 4, 0x83, 0xC2, 0x84, 5})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		runIDSetScript(t, script)
 	})
 }
 
-// TestIDSetSmallExcursionsDoNotAllocate: the 1 → 2 → 1 walk of a
-// read-modify-write that inserts before it deletes (the shard-path writer
-// in that order) stays in the inline words, a bucket hovering between two
-// and three members reuses the spill it already has, and one that spills
-// and empties over and over reuses its freed cell.
+// TestIDSetSmallExcursionsDoNotAllocate: a bucket walking 1 → 2 → 1 over
+// and over keeps the spill its first excursion made, a bucket
+// hovering between two and three members reuses the spill it already has,
+// and one that spills and empties over and over reuses its freed cell.
 func TestIDSetSmallExcursionsDoNotAllocate(t *testing.T) {
 	seven, eight := tuple.New(tuple.Int(7)), tuple.New(tuple.Int(8))
 	slab := keyedSlab(1024, func(int) tuple.Tuple { return seven })
@@ -201,8 +203,8 @@ func TestIDSetSmallExcursionsDoNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("3 -> 2 -> 3 allocates %v times per round, want 0", n)
 	}
-	for s := int(next); s < len(slab); s++ {
-		slab[s].Tuple = eight
+	for s := int(next); s < len(slab.slots); s++ {
+		slab.put(uint32(s), Instance{ID: tuple.ID(s), Tuple: eight, Owner: 1})
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for id := next; id < next+3; id++ {
@@ -221,11 +223,11 @@ func TestIDSetSmallExcursionsDoNotAllocate(t *testing.T) {
 }
 
 // TestIDIndexSpillSlots walks one spill slab through a cell's lifecycle:
-// sets that cross 2 → 3 take a cell each, a set back at two members keeps
-// its own, a set that empties frees it, the next set to spill takes the
-// freed cell instead of growing the slab, and a set that crosses
-// wideLeadBucket into a map and drains to empty frees its cell and drops
-// its spill's memory.
+// a one-member set keeps its member in its word, sets that cross 1 → 2
+// take a cell each, a set back at one member keeps its own, a set that
+// empties frees it, the next set to spill takes the freed cell instead of
+// growing the slab, and a set that crosses wideLeadBucket into a map and
+// drains to empty frees its cell and drops its spill's memory.
 func TestIDIndexSpillSlots(t *testing.T) {
 	ix := idIndex{arity: 1}
 	// Slots 1-9 hold lead 1, 10-59 lead b, 60 on lead 3.
@@ -257,25 +259,26 @@ func TestIDIndexSpillSlots(t *testing.T) {
 		}
 		return cell
 	}
-	fill(1, 3)
+	fill(1, 2)
+	fill(11, 12)
 	if ix.spill != nil {
-		t.Fatal("a two-member set made a slab")
+		t.Fatal("a one-member set made a slab")
 	}
-	fill(3, 4)
-	fill(11, 14)
+	fill(2, 3)
+	fill(12, 14)
 	a, b := cellOf(keys[0]), cellOf(keys[1])
 	if a == b || len(ix.spill.spills) != 2 {
 		t.Fatalf("two spilled sets share cell %d / %d of %d", a, b, len(ix.spill.spills))
 	}
 	drain(1, 2)
 	if cellOf(keys[0]) != a || len(ix.spill.free) != 0 {
-		t.Fatal("a set back at two members gave up its cell")
+		t.Fatal("a set back at one member gave up its cell")
 	}
-	drain(2, 4)
+	drain(2, 3)
 	if ix.get(slab, keys[0]).len() != 0 || len(ix.spill.free) != 1 || ix.spill.free[0] != a {
 		t.Fatalf("an emptied set did not free cell %d: free %v", a, ix.spill.free)
 	}
-	fill(61, 64)
+	fill(61, 63)
 	if cellOf(keys[2]) != a || len(ix.spill.spills) != 2 || len(ix.spill.free) != 0 {
 		t.Fatalf("a new spill took cell %d of %d, want the freed %d", cellOf(keys[2]), len(ix.spill.spills), a)
 	}
@@ -300,7 +303,7 @@ func TestIDSetRejectsNoID(t *testing.T) {
 					t.Errorf("filing slot %#x did not panic", slot)
 				}
 			}()
-			new(idIndex).add(make([]Instance, 1), slot)
+			new(idIndex).add(&slab{slots: make([]entry, 1)}, slot)
 		}()
 	}
 }
@@ -344,7 +347,7 @@ func runIDIndexScript(t testing.TB, script []byte) {
 	t.Helper()
 	slab := keyedSlab(32, func(int) tuple.Tuple { return idIndexTuple(0) })
 	ixs := [2]idIndex{{arity: 0}, {arity: 1}}
-	ixOf := func(slot uint32) *idIndex { return &ixs[slab[slot].Tuple.Arity()] }
+	ixOf := func(slot uint32) *idIndex { return &ixs[slab.instAt(slot).Tuple.Arity()] }
 	peaks := [2]int{}
 	ref := make(map[leadKey]map[uint32]struct{})
 	filed := make(map[uint32]leadKey)
@@ -354,8 +357,8 @@ func runIDIndexScript(t testing.TB, script []byte) {
 		switch op {
 		case 0, 1:
 			if !had {
-				slab[id].Tuple = idIndexTuple(int(script[step] & 15))
-				k = leadOf(slab[id].Tuple)
+				slab.put(id, Instance{ID: tuple.ID(id), Tuple: idIndexTuple(int(script[step] & 15)), Owner: 1})
+				k = leadOf(slab.instAt(id).Tuple)
 				filed[id] = k
 				if ref[k] == nil {
 					ref[k] = make(map[uint32]struct{})
@@ -426,6 +429,10 @@ func runIDIndexScript(t testing.TB, script []byte) {
 
 func FuzzIDIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 0x80, 1, 0xC0, 5, 0x81, 1, 0x82, 1})
+	// Two keys' sets cross one member to two and back, each way round: the
+	// key member leaves first on key 0, the other member on key 1.
+	f.Add([]byte{0, 0, 0, 1, 0x80, 0, 0, 2, 0x80, 1, 0xC0, 5, 0x80, 2,
+		1, 3, 1, 4, 0x81, 4, 1, 5, 0x81, 3, 0xC0, 5, 0x81, 5, 0, 0})
 	var ramp []byte
 	for i := byte(0); i < 32; i++ {
 		ramp = append(ramp, i&15, i, 2, i, 0xC0, i)
@@ -499,9 +506,9 @@ func TestIDIndexValueClasses(t *testing.T) {
 			}
 			for _, v := range vals {
 				k := canonLead(v)
-				for name, set := range map[string]idView{"lead": sh.leadSet(2, k), "shape": idx.buckets.get(sh.slab, k)} {
+				for name, set := range map[string]idView{"lead": sh.leadSet(2, k), "shape": idx.buckets.get(&sh.slab, k)} {
 					got := map[tuple.ID]bool{}
-					set.each(func(slot uint32) bool { got[sh.slab[slot].ID] = true; return true })
+					set.each(func(slot uint32) bool { got[sh.slab.slots[slot].id] = true; return true })
 					if len(got) != len(ids[g]) || set.len() != len(ids[g]) {
 						t.Fatalf("%s: %s bucket of %v holds %v, want %v", when, name, v, got, ids[g])
 					}
@@ -524,7 +531,7 @@ func TestIDIndexValueClasses(t *testing.T) {
 	}
 
 	check("loaded")
-	if set := sh.leadSet(0, leadKey{}); set.len() != 1 || sh.slab[set.a].ID != empty || sh.byArity[0].leads.len() != 1 {
+	if set := sh.leadSet(0, leadKey{}); set.len() != 1 || sh.slab.slots[set.idSet].id != empty || sh.byArity[0].leads.len() != 1 {
 		t.Fatalf("the arity-0 tuple is not the one member of the zero-key bucket: %+v", set)
 	}
 	del := func(id tuple.ID) {

@@ -40,8 +40,9 @@ type journal struct {
 	dtok uint64        // durability wait token, set by publish
 	done chan struct{} // cap 1: the group-commit leader's "published" signal to a follower
 
-	dl      delivery    // notify: what the commit owes each candidate subscription
-	matched []collected // notify: the registrations one instance meets
+	dl      delivery      // notify: what the commit owes each candidate subscription
+	matched []collected   // notify: the registrations one instance meets
+	own     *Subscription // notify: the committer's own wait, skipped (see SkipWait)
 }
 
 // maxPooledEffects caps the effects (and footprint buckets) a journal may
@@ -79,7 +80,7 @@ func (j *journal) release() {
 	j.inserted, j.insShard = j.inserted[:0], j.insShard[:0]
 	j.deleted, j.delShard = j.deleted[:0], j.delShard[:0]
 	j.lp = latchPlan{latches: j.lp.latches[:0], keys: j.lp.keys[:0]}
-	j.s, j.owner, j.dtok = nil, 0, 0
+	j.s, j.owner, j.dtok, j.own = nil, 0, 0, nil
 	journals.Put(j)
 }
 

@@ -80,7 +80,7 @@ func TestSteadyCommitAllocatesNothing(t *testing.T) {
 				cur = w.Insert(tup, 1)
 				return nil
 			}
-			before, slots := seen, len(s.shards[0].slab)
+			before, slots := seen, len(s.shards[0].slab.slots)
 			if n := testing.AllocsPerRun(200, func() {
 				if err := tc.commit(fn); err != nil {
 					t.Fatal(err)
@@ -88,7 +88,7 @@ func TestSteadyCommitAllocatesNothing(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("retract+insert: %.1f allocations per commit, want 0", n)
 			}
-			if got := len(s.shards[0].slab); got != slots {
+			if got := len(s.shards[0].slab.slots); got != slots {
 				t.Errorf("retract+insert grew the slab from %d to %d slots", slots, got)
 			}
 			if got := seen - before; got != 2*201 {
@@ -255,4 +255,44 @@ func TestConcurrentGroupCommitJournals(t *testing.T) {
 		t.Errorf("store holds %d tuples, want %d", n, workers)
 	}
 	t.Logf("group-commit batches: mean %.2f", s.Metrics().Snapshot().GroupBatch.Mean())
+}
+
+// TestDirectCommitLocksWrittenShards: a commit that applies on its own
+// write-locks the shards it writes, not its whole footprint. An Update's
+// footprint is every shard of the store; on 8 shards, one that inserts a
+// tuple write-locks one, and one that moves a tuple between two shards
+// write-locks two.
+func TestDirectCommitLocksWrittenShards(t *testing.T) {
+	s := New(WithShards(8))
+	writes := func() (n uint64) {
+		for _, sc := range s.Metrics().Snapshot().Shards {
+			n += sc.WriteLocks
+		}
+		return n
+	}
+	var a, b tuple.Tuple
+	for i := int64(0); b.Arity() == 0; i++ {
+		switch t := tuple.New(tuple.Int(i)); {
+		case i == 0:
+			a = t
+		case s.shardIndex(indexKeyOf(t)) != s.shardIndex(indexKeyOf(a)):
+			b = t
+		}
+	}
+	var id tuple.ID
+	before := writes()
+	if err := s.Update(1, func(w Writer) error { id = w.Insert(a, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := writes() - before; got != 1 {
+		t.Errorf("a one-tuple Update on 8 shards write-locked %d shards, want 1", got)
+	}
+	before = writes()
+	if err := s.Update(1, func(w Writer) error { w.Insert(b, 1); return w.Delete(id) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := writes() - before; got != 2 {
+		t.Errorf("an Update moving a tuple between two of 8 shards write-locked %d shards, want 2", got)
+	}
+	checkSlab(t, s)
 }

@@ -11,19 +11,23 @@ import (
 )
 
 // TestResidentBytesPerTuple guards the store's resident layout: a keyed
-// store (one tuple per lead, the worst case for a per-bucket structure)
-// costs at most the bound a tuple, all in — fields block, slab slot, ID
-// table cell, lead-index cell. The 3-field case is join-read's shape (117 B
-// a tuple), the 2-field case upsert-durable's <k, v> counter (101); both
-// grow their tables through Assert batches, to 2¹⁶ cells for 25 k keys a
-// shard.
+// store (one tuple per lead) costs at most the bound a tuple, all in —
+// fields block, slab slot, ID table cell, lead-index cell. The 3-field case
+// is join-read's record shape (97 B a tuple), the 2-field case
+// upsert-durable's <k, v> counter (81); both grow their tables through
+// Assert batches, to 2¹⁶ cells for 25 k keys a shard. The shared-lead case
+// is join-read's linked leads, a record and a link on each lead (115): each
+// lead's set holds two members, so it spills, and its 40-B spill cell costs
+// 20 B a tuple.
 //
 // The power-of-two case is upsert-durable's own store: 2 shards × 2¹⁷
-// counters, restored from a checkpoint (88). Each shard's tables hold 2¹⁷
-// keys in 2¹⁸ cells: 8 B a tuple for the ID table, 16 for the lead index.
-// The Go maps they replaced cost 36 B a tuple each there.
+// counters, restored from a checkpoint (72). Each shard's tables hold 2¹⁷
+// keys in 2¹⁸ cells: 8 B a tuple for the ID table, 8 for the lead index,
+// next to the 24-B slab slot and the 32-B fields block. The Go maps the
+// tables replaced cost 36 B a tuple each there.
 func TestResidentBytesPerTuple(t *testing.T) {
-	rec := tuple.Atom("rec")
+	rec, link := tuple.Atom("rec"), tuple.Atom("link")
+	tags := [2]tuple.Value{rec, link}
 	for _, c := range []struct {
 		name    string
 		of      func(i int64) tuple.Tuple
@@ -31,9 +35,10 @@ func TestResidentBytesPerTuple(t *testing.T) {
 		restore bool
 		bound   float64
 	}{
-		{"3-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), rec, tuple.Int(i%5000)) }, 50_000, false, 123},
-		{"2-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(i%5000)) }, 50_000, false, 106},
-		{"2-field-restored-2^18", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(0)) }, 1 << 18, true, 95},
+		{"3-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), rec, tuple.Int(i%5000)) }, 50_000, false, 103},
+		{"2-field", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(i%5000)) }, 50_000, false, 87},
+		{"shared-lead", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i/2), tags[i%2], tuple.Int(i/2%5000)) }, 50_000, false, 121},
+		{"2-field-restored-2^18", func(i int64) tuple.Tuple { return tuple.New(tuple.Int(i), tuple.Int(0)) }, 1 << 18, true, 74},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			per := residentBytesPerTuple(t, c.n, c.restore, c.of)
@@ -138,14 +143,15 @@ func TestChurnKeepsResidentBytes(t *testing.T) {
 	}
 }
 
-// TestStoreLayout guards the per-tuple structures of the store: an
-// Instance — a slab slot, and every commit record, checkpoint run and epoch
-// snapshot entry — carries a 16-byte tuple header, and an idSet is two
-// 4-byte slots with no pointer in them. Nor may the cells of the ID table
-// (slots) and of an idIndex's table (sets), or a spill's slots, hold one, so
-// the collector skips the ID table, every lead index and hot secondary
-// shape, and their spills. A field that brought a pointer in would put
-// them back on its scan list.
+// TestStoreLayout guards the per-tuple structures of the store: a slab
+// slot (entry) is three words — ID, fields pointer, owner and arity packed
+// in one — an Instance, which every commit record, checkpoint run and epoch
+// snapshot entry carries, is four, and an idSet is one 4-byte word with no
+// pointer in it. Nor may the cells of the ID table (slots) and of an
+// idIndex's table (sets), or a spill's slots, hold one, so the collector
+// skips the ID table, every lead index and hot secondary shape, and their
+// spills' slots. A field that brought a pointer in would put them back on
+// its scan list.
 func TestStoreLayout(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -153,7 +159,8 @@ func TestStoreLayout(t *testing.T) {
 		want uintptr
 	}{
 		{"Instance", unsafe.Sizeof(Instance{}), 32},
-		{"idSet", unsafe.Sizeof(idSet{}), 8},
+		{"entry", unsafe.Sizeof(entry{}), 24},
+		{"idSet", unsafe.Sizeof(idSet(0)), 4},
 	} {
 		if c.got != c.want {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)

@@ -49,8 +49,8 @@ import (
 // becomes the leader, drains everyone's journals under a single mu.Lock
 // (amortizing the E12 locks/op cost) and signals each follower on its
 // journal's reusable done channel. Every other commit applies directly,
-// holding every footprint shard's mu (so full-store snapshots never observe
-// a torn commit). Either way the one publish step reads the journal in
+// holding the mu of every shard it writes (so full-store snapshots never
+// observe a torn commit). Either way the one publish step reads the journal in
 // place. Latches (key mode) or exclusive intent locks (shard mode) are held
 // until the commit's mutations are applied and its version allocated,
 // preserving two-phase locking; a commit whose fn fails or changes nothing
@@ -139,6 +139,14 @@ func CommitRung(w Writer) metrics.Rung {
 		return kw.rung
 	}
 	return metrics.RungNone
+}
+
+// SkipWait keeps the commit that handed out w from offering its effects to
+// sub, the committer's own wait, which it cancels once the commit returns.
+func SkipWait(w Writer, sub *Subscription) {
+	if kw, ok := w.(keyWriter); ok {
+		kw.own = sub
+	}
 }
 
 // isDeleted reports whether the commit deleted id: a live instance or one
@@ -480,22 +488,29 @@ func (s *Store) groupCommit(si uint32, j *journal) {
 	sh.mu.Unlock()
 }
 
-// directCommit publishes a buffered commit on its own, holding every
-// footprint shard's mu (ascending) for the apply so cross-shard snapshots
+// directCommit publishes a buffered commit on its own, holding the mu of
+// every shard it writes (ascending) for the apply so cross-shard snapshots
 // observe the commit atomically. Its callers hold the footprint's intent
 // locks, exclusive or shared under the commit's latches, from before its
-// evaluation: nothing the evaluation read has changed since.
+// evaluation: nothing the evaluation read, in any shard, has changed since.
 //
 // lint:holds intent
 func (s *Store) directCommit(j *journal) {
-	j.lp.ss.forEach(func(i uint32) bool {
+	var written shardSet
+	for _, si := range j.insShard {
+		written.add(si)
+	}
+	for _, si := range j.delShard {
+		written.add(si)
+	}
+	written.forEach(func(i uint32) bool {
 		s.shards[i].mu.Lock()
 		s.metrics.IncShardWrite(i)
 		return true
 	})
 	s.applyBuffered(j)
-	s.bumpSeqs(j.insShard, j.delShard)
-	j.lp.ss.forEach(func(i uint32) bool {
+	s.bumpSeqs(&written)
+	written.forEach(func(i uint32) bool {
 		s.shards[i].mu.Unlock()
 		return true
 	})
@@ -511,7 +526,7 @@ func (s *Store) directCommit(j *journal) {
 func (s *Store) applyBuffered(j *journal) {
 	for i, del := range j.deleted {
 		sh := s.shards[j.delShard[i]]
-		slot, ok := sh.ids.find(sh.slab, del.ID)
+		slot, ok := sh.ids.find(&sh.slab, del.ID)
 		if !ok {
 			// The latch or exclusive intent lock held since evaluation makes
 			// this unreachable; a miss means two-phase locking was broken.

@@ -373,6 +373,9 @@ func (s *Store) notify(j *journal) {
 			i = perm[i]
 		}
 		sd := &dl.list[i]
+		if sd.sub == j.own {
+			continue
+		}
 		s.metrics.IncReactiveSignal()
 		if sd.sub.deliver(sd, dl, j) {
 			published++

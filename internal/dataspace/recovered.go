@@ -26,7 +26,8 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 	}
 	s.lockSet(&s.all)
 	defer s.unlockSet(&s.all)
-	var touchedIns, touchedDel []uint32
+	var touched shardSet
+	var touchedDel []uint32
 	defer func() {
 		for i, si := range touchedDel {
 			s.shards[si].dropEmptyArity(rec.Deleted[i].Tuple.Arity())
@@ -35,22 +36,23 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 	for _, del := range rec.Deleted {
 		si := s.shardIndex(indexKeyOf(del.Tuple))
 		sh := s.shards[si]
-		slot, ok := sh.ids.find(sh.slab, del.ID)
+		slot, ok := sh.ids.find(&sh.slab, del.ID)
 		if !ok {
 			return fmt.Errorf("dataspace: recovered delete of absent instance #%d %s (version %d)",
 				del.ID, del.Tuple, rec.Version)
 		}
-		if have := sh.slab[slot].Tuple; !have.Equal(del.Tuple) {
+		if have := sh.slab.instAt(slot).Tuple; !have.Equal(del.Tuple) {
 			return fmt.Errorf("dataspace: recovered delete of #%d sees %s, store has %s (version %d)",
 				del.ID, del.Tuple, have, rec.Version)
 		}
 		sh.vacate(slot)
 		touchedDel = append(touchedDel, si)
+		touched.add(si)
 	}
 	for _, ins := range rec.Inserted {
 		si := s.shardIndex(indexKeyOf(ins.Tuple))
 		sh := s.shards[si]
-		if _, dup := sh.ids.find(sh.slab, ins.ID); dup || ins.ID == tuple.NoID {
+		if _, dup := sh.ids.find(&sh.slab, ins.ID); dup || ins.ID == tuple.NoID {
 			return fmt.Errorf("dataspace: recovered insert of duplicate or null instance #%d %s (version %d)",
 				ins.ID, ins.Tuple, rec.Version)
 		}
@@ -59,10 +61,10 @@ func (s *Store) ApplyRecovered(rec CommitRecord) error {
 				ins.ID, ins.Tuple, maxInstanceID, rec.Version)
 		}
 		sh.place(ins)
-		touchedIns = append(touchedIns, si)
+		touched.add(si)
 		s.reserveIDs(ins.ID)
 	}
-	s.bumpSeqs(touchedIns, touchedDel)
+	s.bumpSeqs(&touched)
 	s.version.Store(rec.Version)
 	return nil
 }

@@ -148,10 +148,10 @@ func (sh *shard) shapeIndex(st *shapeStats, arity, pos int) *fieldIndex {
 	}
 	fresh := idIndex{sets: newTable[idSet](sh.arityLen(arity)), arity: arity, pos: pos}
 	sh.eachOfArity(arity, func(slot uint32) bool {
-		fresh.add(sh.slab, slot)
+		fresh.add(&sh.slab, slot)
 		return true
 	})
-	fresh.fit(sh.slab)
+	fresh.fit(&sh.slab)
 	idx := &fieldIndex{seq: seq, buckets: fresh}
 	st.idx.Store(idx)
 	if st.state.Load() != shapeHot {
@@ -176,7 +176,7 @@ func (sh *shard) fieldBucket(arity int, sels []pattern.FieldSel, c *compared) (b
 		if st == nil || st.state.Load() != shapeHot {
 			continue
 		}
-		b := sh.shapeIndex(st, arity, sel.Pos).buckets.get(sh.slab, canonLead(sel.Val))
+		b := sh.shapeIndex(st, arity, sel.Pos).buckets.get(&sh.slab, canonLead(sel.Val))
 		if pos < 0 || b.len() < best.len() {
 			best, pos = b, sel.Pos
 		}
@@ -243,7 +243,7 @@ func (s *Store) settleFieldShapes(sh *shard, arity int, sels []pattern.FieldSel,
 // demoted here.
 //
 // lint:holds mu
-func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, []Instance, uint32) bool) {
+func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, *slab, uint32) bool) {
 	if sh.sec.hot.Load() == 0 {
 		return
 	}
@@ -257,7 +257,7 @@ func (sh *shard) secEdit(slot uint32, t tuple.Tuple, edit func(*idIndex, []Insta
 			continue
 		}
 		if idx := st.idx.Load(); idx != nil && idx.seq == sh.seq.Load() {
-			edit(&idx.buckets, sh.slab, slot)
+			edit(&idx.buckets, &sh.slab, slot)
 		}
 	}
 }
@@ -332,7 +332,7 @@ func (r reader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID,
 	var sh *shard
 	visit := func(slot uint32) bool {
 		visited++
-		inst := &sh.slab[slot]
+		inst := sh.slab.instAt(slot)
 		return fn(inst.ID, inst.Tuple)
 	}
 	if lead, known := pattern.LeadSel(sels); known {
@@ -438,7 +438,7 @@ func (e *estimator) FieldEstimate(arity, pos int) float64 {
 
 func (e *estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 	return e.fieldEstimate(arity, pos, func(sh *shard, st *shapeStats, _ int) float64 {
-		return float64(sh.shapeIndex(st, arity, pos).buckets.get(sh.slab, canonLead(val)).len())
+		return float64(sh.shapeIndex(st, arity, pos).buckets.get(&sh.slab, canonLead(val)).len())
 	})
 }
 

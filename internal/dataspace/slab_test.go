@@ -15,7 +15,8 @@ import (
 //   - slot 0 is reserved, and every live slot's ID finds that slot in the
 //     ID table, whose count is the live count;
 //   - the vacant slots are exactly the free list, each once, and pin no
-//     tuple;
+//     tuple, and the wide map holds exactly the live slots whose entry
+//     carries wideMark;
 //   - every set of the lead index and of each current hot shape names only
 //     live slots whose tuple files under that bucket, and each index files
 //     every live tuple of its arity once;
@@ -39,29 +40,35 @@ func checkSlab(t testing.TB, s *Store) {
 // checkShardSlab is checkSlab for one shard; it returns the live count.
 func checkShardSlab(t testing.TB, s *Store, si uint32, sh *shard) int {
 	t.Helper()
-	if len(sh.slab) == 0 || !reflect.ValueOf(sh.slab[0]).IsZero() {
+	slots := sh.slab.slots
+	if len(slots) == 0 || !reflect.ValueOf(slots[0]).IsZero() {
 		t.Fatalf("shard %d: slot 0 is not reserved", si)
 	}
 	free := make(map[uint32]bool, len(sh.vacant))
 	for _, slot := range sh.vacant {
-		if slot == 0 || int(slot) >= len(sh.slab) || free[slot] {
-			t.Fatalf("shard %d: the free list holds slot %d twice or outside the %d-slot slab", si, slot, len(sh.slab))
+		if slot == 0 || int(slot) >= len(slots) || free[slot] {
+			t.Fatalf("shard %d: the free list holds slot %d twice or outside the %d-slot slab", si, slot, len(slots))
 		}
 		free[slot] = true
 	}
-	live, ofArity := 0, map[int]int{}
-	for slot := 1; slot < len(sh.slab); slot++ {
-		inst := sh.slab[slot]
-		if inst.ID == tuple.NoID {
-			if !free[uint32(slot)] || !reflect.ValueOf(inst).IsZero() {
+	live, wide, ofArity := 0, 0, map[int]int{}
+	for slot := 1; slot < len(slots); slot++ {
+		if slots[slot].id == tuple.NoID {
+			if !free[uint32(slot)] || !reflect.ValueOf(slots[slot]).IsZero() {
 				t.Fatalf("shard %d: vacant slot %d is off the free list (%t) or pins a tuple", si, slot, !free[uint32(slot)])
 			}
 			continue
 		}
+		inst := sh.slab.instAt(uint32(slot))
 		if free[uint32(slot)] {
 			t.Fatalf("shard %d: live slot %d (#%d) is on the free list", si, slot, inst.ID)
 		}
-		if at, ok := sh.ids.find(sh.slab, inst.ID); !ok || at != uint32(slot) {
+		if _, ok := sh.slab.wide[uint32(slot)]; ok != (slots[slot].word>>ownerBits == wideMark) {
+			t.Fatalf("shard %d: live slot %d (#%d) is in the wide map %t, its entry's word %#x", si, slot, inst.ID, ok, slots[slot].word)
+		} else if ok {
+			wide++
+		}
+		if at, ok := sh.ids.find(&sh.slab, inst.ID); !ok || at != uint32(slot) {
 			t.Fatalf("shard %d: #%d sits in slot %d, but the ID table finds it in %d (%t)", si, inst.ID, slot, at, ok)
 		}
 		if home := s.shardIndex(indexKeyOf(inst.Tuple)); home != si {
@@ -70,10 +77,10 @@ func checkShardSlab(t testing.TB, s *Store, si uint32, sh *shard) int {
 		live++
 		ofArity[inst.Tuple.Arity()]++
 	}
-	if sh.ids.len() != live {
-		t.Fatalf("shard %d: the ID table counts %d IDs, the slab holds %d live slots", si, sh.ids.len(), live)
+	if sh.ids.len() != live || len(sh.slab.wide) != wide {
+		t.Fatalf("shard %d: the ID table counts %d IDs and the wide map %d slots, the slab holds %d live slots, %d wide", si, sh.ids.len(), len(sh.slab.wide), live, wide)
 	}
-	checkTable(t, fmt.Sprintf("shard %d: ID table", si), &sh.ids.table, func(s uint32) uint64 { return uint64(sh.slab[s].ID) })
+	checkTable(t, fmt.Sprintf("shard %d: ID table", si), &sh.ids.table, func(s uint32) uint64 { return uint64(slots[s].id) })
 
 	// filed walks one index of the arity's tuples at field pos (0: the lead
 	// index) and checks each set against the slab.
@@ -81,19 +88,19 @@ func checkShardSlab(t testing.TB, s *Store, si uint32, sh *shard) int {
 		if ix.pos != pos {
 			t.Fatalf("shard %d: the %s of arity %d at field %d keys field %d", si, what, a, pos, ix.pos)
 		}
-		checkIndexTable(t, sh.slab, ix)
+		checkIndexTable(t, &sh.slab, ix)
 		seen := make(map[uint32]bool)
 		ix.each(func(set idView) bool {
-			k := ix.keyOf(sh.slab, set.idSet)
+			k := ix.keyOf(&sh.slab, set.idSet)
 			if set.len() == 0 {
 				t.Fatalf("shard %d: %s bucket %v is empty but present", si, what, k)
 			}
 			set.each(func(slot uint32) bool {
-				if int(slot) >= len(sh.slab) || sh.slab[slot].ID == tuple.NoID || seen[slot] {
+				if int(slot) >= len(slots) || slots[slot].id == tuple.NoID || seen[slot] {
 					t.Fatalf("shard %d: %s bucket %v names slot %d, vacant, outside the slab or twice", si, what, k, slot)
 				}
 				seen[slot] = true
-				tup := sh.slab[slot].Tuple
+				tup := sh.slab.instAt(slot).Tuple
 				if tup.Arity() != a || (a > 0 && canonLead(tup.Field(pos)) != k) || (a == 0 && k != leadKey{}) {
 					t.Fatalf("shard %d: %s bucket %v of arity %d names slot %d holding %v", si, what, k, a, slot, tup)
 				}
@@ -164,13 +171,13 @@ func checkTable[C comparable](t testing.TB, what string, tb *table[C], hash func
 }
 
 // checkIndexTable checks an idIndex's table (checkTable), that every set
-// has a member in a, whose tuple its key is read from, and that every
+// has a key member, whose tuple its key is read from, and that every
 // member of each set derives the set's key, which no other set has.
-func checkIndexTable(t testing.TB, slab []Instance, ix *idIndex) {
+func checkIndexTable(t testing.TB, slab *slab, ix *idIndex) {
 	t.Helper()
 	ix.each(func(set idView) bool {
-		if set.a == 0 {
-			t.Fatalf("the set %+v holds %d members and none in a", set.idSet, set.len())
+		if ix.keySlot(set.idSet) == 0 {
+			t.Fatalf("the set %#x holds %d members and no key member", set.idSet, set.len())
 		}
 		return true
 	})
@@ -183,8 +190,8 @@ func checkIndexTable(t testing.TB, slab []Instance, ix *idIndex) {
 		}
 		keys[k] = true
 		set.each(func(slot uint32) bool {
-			if got := leadAt(slab[slot].Tuple, ix.pos); got != k {
-				t.Fatalf("the set filed under %v holds slot %d, whose tuple %v files under %v", k, slot, slab[slot].Tuple, got)
+			if got := leadAt(slab.instAt(slot).Tuple, ix.pos); got != k {
+				t.Fatalf("the set filed under %v holds slot %d, whose tuple %v files under %v", k, slot, slab.instAt(slot).Tuple, got)
 			}
 			return true
 		})
@@ -209,10 +216,10 @@ func TestRestoredSlabDoesNotGrow(t *testing.T) {
 	type shape struct{ len, cap int }
 	before := make([]shape, len(s.shards))
 	for si, sh := range s.shards {
-		if len(sh.slab) != cap(sh.slab) {
-			t.Fatalf("shard %d: restored slab has %d of %d slots in use", si, len(sh.slab), cap(sh.slab))
+		if len(sh.slab.slots) != cap(sh.slab.slots) {
+			t.Fatalf("shard %d: restored slab has %d of %d slots in use", si, len(sh.slab.slots), cap(sh.slab.slots))
 		}
-		before[si] = shape{len(sh.slab), cap(sh.slab)}
+		before[si] = shape{len(sh.slab.slots), cap(sh.slab.slots)}
 	}
 	rmw := func(w Writer, k int64) error {
 		var id tuple.ID
@@ -238,7 +245,7 @@ func TestRestoredSlabDoesNotGrow(t *testing.T) {
 		}
 	}
 	for si, sh := range s.shards {
-		if got := (shape{len(sh.slab), cap(sh.slab)}); got != before[si] {
+		if got := (shape{len(sh.slab.slots), cap(sh.slab.slots)}); got != before[si] {
 			t.Errorf("shard %d: slab went from %+v to %+v slots over read-modify-writes", si, before[si], got)
 		}
 	}

@@ -207,7 +207,7 @@ func (s *Store) Restore(insts []Instance, version uint64) error {
 	b := bulkInsert{s: s, insts: insts, homes: groupByShard(home, len(s.shards))}
 	for si, sh := range s.shards {
 		n := len(b.homes.of(uint32(si)))
-		sh.slab, sh.vacant = make([]Instance, 1, 1+n), nil
+		sh.slab, sh.vacant = slab{slots: make([]entry, 1, 1+n)}, nil
 		sh.ids = idTable{newTable[uint32](n)}
 	}
 	forShards(&s.all, b.restore)

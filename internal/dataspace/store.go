@@ -166,19 +166,20 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // The shard keeps its instances in one array, slab, and every index names
 // an instance by its position there, its slot. A stored tuple is resident
 // in four places: its fields block (16 bytes a field), its slab slot (a
-// 32-byte Instance: ID, 16-byte tuple header, owner), its slot in the ID
-// table ids (only the by-ID paths — Get, Delete, an apply, recovery —
-// consult it), and its slot in one set of the lead index byArity — arity,
-// then an idIndex of 8-byte idSets (idset.go) — from which lead-known scans,
-// arity scans, Arities and the planner's cardinalities are all read, each
-// candidate straight from slab. Hot secondary shapes (secondary.go) file the
-// slot once more per shape, in the same index type. The ID table and every
-// idIndex are tables (table.go) whose cells hold slots or sets and no key:
-// a probe reads the key back from slab, so they cost 4 and 8 bytes a cell,
-// hold no pointer, and leave no tombstone when a key is deleted.
+// 24-byte entry: ID, fields pointer, owner and arity in one word), its slot
+// in the ID table ids (only the by-ID paths — Get, Delete, an apply,
+// recovery — consult it), and its slot in one set of the lead index byArity
+// — arity, then an idIndex of 4-byte idSets (idset.go) — from which
+// lead-known scans, arity scans, Arities and the planner's cardinalities are
+// all read, each candidate straight from slab. Hot secondary shapes
+// (secondary.go) file the slot once more per shape, in the same index type.
+// The ID table and every idIndex are tables (table.go) whose cells hold
+// slots or sets and no key: a probe reads the key back from slab, so they
+// cost 4 bytes a cell, hold no pointer, and leave no tombstone when a key is
+// deleted.
 //
-// Slot 0 is reserved, so a zero idSet word means empty, and so does a zero
-// table cell. A vacant slot holds Instance{} (no tuple pinned) and is on the
+// Slot 0 is reserved, so a zero idSet means empty, and so does a zero
+// table cell. A vacant slot holds entry{} (no tuple pinned) and is on the
 // free list vacant, which place reuses last-freed first, so a
 // read-modify-write refills the slot it just freed. The slab never shrinks
 // below its peak.
@@ -200,9 +201,9 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 // the epoch read path.
 type shard struct {
 	mu      sync.RWMutex
-	slab    []Instance // by slot; slot 0 and the vacant slots hold Instance{}
-	vacant  []uint32   // the free list
-	ids     idTable    // a live instance's slot, by ID
+	slab    slab
+	vacant  []uint32 // the free list
+	ids     idTable  // a live instance's slot, by ID
 	byArity map[int]*arityIndex
 
 	// sec is the adaptive secondary field-index layer (secondary.go).
@@ -220,6 +221,45 @@ type shard struct {
 	staleReads atomic.Uint32 // epoch reads that found snap stale since the last commit
 
 	waiters waiterRegistry
+}
+
+// entry is a slab slot: one instance in three words, word packing the owner
+// (its low ownerBits) and the arity (the rest). An instance whose owner or
+// arity does not fit has wideMark there and is kept whole in the wide map.
+type entry struct {
+	id   tuple.ID
+	p    *tuple.Value // the tuple's fields block
+	word uint64
+}
+
+const ownerBits, wideMark = 48, 1<<16 - 1 // the arity takes the word's top 64-ownerBits
+
+// slab is a shard's instances by slot; slot 0 and the vacant slots hold
+// entry{}.
+type slab struct {
+	slots []entry
+	wide  map[uint32]Instance // by slot: the instances whose entry has wideMark
+}
+
+// put stores inst in slot.
+func (sl *slab) put(slot uint32, inst Instance) {
+	a, owner := uint64(inst.Tuple.Arity()), uint64(inst.Owner)
+	if a >= wideMark || owner>>ownerBits != 0 {
+		if sl.wide == nil {
+			sl.wide = make(map[uint32]Instance)
+		}
+		sl.wide[slot], a, owner = inst, wideMark, 0
+	}
+	sl.slots[slot] = entry{inst.ID, inst.Tuple.Block(), a<<ownerBits | owner}
+}
+
+// instAt returns the instance in slot.
+func (sl *slab) instAt(slot uint32) Instance {
+	e := &sl.slots[slot]
+	if e.word>>ownerBits == wideMark {
+		return sl.wide[slot]
+	}
+	return Instance{ID: e.id, Tuple: tuple.FromBlock(e.p, int(e.word>>ownerBits)), Owner: tuple.ProcessID(e.word & (1<<ownerBits - 1))}
 }
 
 // arityIndex is one arity's part of a shard's lead index. An arity is in
@@ -244,7 +284,7 @@ func (sh *shard) arityLen(arity int) int {
 // leadSet returns the slots filed under (arity, lead); an empty view if none.
 func (sh *shard) leadSet(arity int, lead leadKey) idView {
 	if ai := sh.byArity[arity]; ai != nil {
-		return ai.leads.get(sh.slab, lead)
+		return ai.leads.get(&sh.slab, lead)
 	}
 	return idView{}
 }
@@ -372,7 +412,7 @@ func New(opts ...Option) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			slab:    make([]Instance, 1),
+			slab:    slab{slots: make([]entry, 1)},
 			byArity: make(map[int]*arityIndex),
 		}
 		s.shards[i].sec.met = s.metrics
@@ -707,24 +747,16 @@ func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, r metrics.Rung, fn
 	return s.commit(j, fn)
 }
 
-// bumpSeqs advances the change sequence of every shard the commit wrote,
-// once per shard, invalidating cached epoch snapshots (and re-stamping
-// maintained field indexes — see shard.bumpSeq). Callers hold the written
+// bumpSeqs advances the change sequence of every shard of ss, the shards a
+// commit wrote, invalidating cached epoch snapshots (and re-stamping
+// maintained field indexes — see shard.bumpSeq). Callers hold those
 // shards' mu locks.
 //
 // lint:holds mu
-func (s *Store) bumpSeqs(insShard, delShard []uint32) {
-	var touched shardSet
-	for _, si := range insShard {
-		if !touched.has(si) {
-			touched.add(si)
-			s.shards[si].bumpSeq()
-		}
-	}
-	for _, si := range delShard {
-		if !touched.has(si) {
-			touched.add(si)
-			s.shards[si].bumpSeq()
+func (s *Store) bumpSeqs(ss *shardSet) {
+	for si, sh := range s.shards {
+		if ss.has(uint32(si)) {
+			sh.bumpSeq()
 		}
 	}
 }
@@ -794,7 +826,7 @@ func (s *Store) Assert(owner tuple.ProcessID, ts ...tuple.Tuple) []tuple.ID {
 		s.metrics.ObserveFootprint(j.lp.ss.count())
 	}
 	j.insertAll(ts, owner, ids)
-	s.bumpSeqs(j.insShard, nil)
+	s.bumpSeqs(&j.lp.ss)
 	s.publish(j)
 	s.unlockSet(&j.lp.ss)
 	s.finishCommit(j)
@@ -834,7 +866,7 @@ func (r reader) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 		}
 		sh := r.s.shards[si]
 		sh.leadSet(arity, k.lead).each(func(slot uint32) bool {
-			inst := &sh.slab[slot]
+			inst := sh.slab.instAt(slot)
 			return fn(inst.ID, inst.Tuple)
 		})
 		return
@@ -843,7 +875,7 @@ func (r reader) Scan(arity int, lead tuple.Value, leadKnown bool, fn func(tuple.
 	r.ss.forEach(func(si uint32) bool {
 		sh := r.s.shards[si]
 		return sh.eachOfArity(arity, func(slot uint32) bool {
-			inst := &sh.slab[slot]
+			inst := sh.slab.instAt(slot)
 			return fn(inst.ID, inst.Tuple)
 		})
 	})
@@ -854,8 +886,8 @@ func (r reader) Get(id tuple.ID) (inst Instance, ok bool) {
 	r.ss.forEach(func(i uint32) bool {
 		sh := r.s.shards[i]
 		var slot uint32
-		if slot, ok = sh.ids.find(sh.slab, id); ok {
-			inst = sh.slab[slot]
+		if slot, ok = sh.ids.find(&sh.slab, id); ok {
+			inst = sh.slab.instAt(slot)
 		}
 		return !ok
 	})
@@ -864,8 +896,9 @@ func (r reader) Get(id tuple.ID) (inst Instance, ok bool) {
 
 func (r reader) Each(fn func(Instance) bool) {
 	r.ss.forEach(func(si uint32) bool {
-		for _, inst := range r.s.shards[si].slab {
-			if inst.ID != tuple.NoID && !fn(inst) {
+		sl := &r.s.shards[si].slab
+		for slot, e := range sl.slots {
+			if e.id != tuple.NoID && !fn(sl.instAt(uint32(slot))) {
 				return false
 			}
 		}
@@ -917,29 +950,28 @@ func (sh *shard) place(inst Instance) {
 	if n := len(sh.vacant); n > 0 {
 		slot = sh.vacant[n-1]
 		sh.vacant = sh.vacant[:n-1]
-		sh.slab[slot] = inst
 	} else {
-		if slot = uint32(len(sh.slab)); slot&spillTag != 0 {
+		if slot = uint32(len(sh.slab.slots)); slot&spillTag != 0 {
 			panic("dataspace: a shard's slab is full (2^31 slots)")
 		}
-		sh.slab = append(sh.slab, inst)
+		sh.slab.slots = append(sh.slab.slots, entry{})
 	}
-	sh.ids.add(sh.slab, slot)
+	sh.slab.put(slot, inst)
+	sh.ids.add(&sh.slab, slot)
 	sh.indexAdd(slot, inst.Tuple)
 }
 
 // vacate is place's inverse: it takes the instance in slot out of the
-// indexes and the slab, puts the slot on the free list and returns the
-// instance; every caller holds the shard's exclusive mu.
+// indexes and the slab and puts the slot on the free list; every caller
+// holds the shard's exclusive mu.
 //
 // lint:holds mu
-func (sh *shard) vacate(slot uint32) Instance {
-	inst := sh.slab[slot]
-	sh.indexRemove(slot, inst.Tuple)
-	sh.ids.remove(sh.slab, slot)
-	sh.slab[slot] = Instance{}
+func (sh *shard) vacate(slot uint32) {
+	sh.indexRemove(slot, sh.slab.instAt(slot).Tuple)
+	sh.ids.remove(&sh.slab, slot)
+	delete(sh.slab.wide, slot)
+	sh.slab.slots[slot] = entry{}
 	sh.vacant = append(sh.vacant, slot)
-	return inst
 }
 
 // indexAdd files one placed tuple's slot in the lead index and the hot
@@ -953,7 +985,7 @@ func (sh *shard) indexAdd(slot uint32, t tuple.Tuple) {
 		ai = &arityIndex{leads: idIndex{arity: a}}
 		sh.byArity[a] = ai
 	}
-	if ai.leads.add(sh.slab, slot) {
+	if ai.leads.add(&sh.slab, slot) {
 		ai.n++
 	}
 	sh.secEdit(slot, t, (*idIndex).add)
@@ -965,7 +997,7 @@ func (sh *shard) indexAdd(slot uint32, t tuple.Tuple) {
 //
 // lint:holds mu
 func (sh *shard) indexRemove(slot uint32, t tuple.Tuple) {
-	if ai := sh.byArity[t.Arity()]; ai != nil && ai.leads.remove(sh.slab, slot) {
+	if ai := sh.byArity[t.Arity()]; ai != nil && ai.leads.remove(&sh.slab, slot) {
 		ai.n--
 	}
 	sh.secEdit(slot, t, (*idIndex).remove)

@@ -8,7 +8,7 @@ import (
 
 // table is an open-addressing hash table whose cells hold no key. A cell
 // names tuples by their slab slot, and a probe reads the key back from the
-// shard's slab: the ID table's cells are slots, keyed by slab[slot].ID, and
+// shard's slab: the ID table's cells are slots, keyed by their entry's ID, and
 // an idIndex's cells are idSets, keyed by the canonical value of the field
 // the index files under. So a table costs its cells and nothing else, and
 // it holds no pointer, so the collector skips it.
@@ -26,7 +26,7 @@ import (
 // doubled array what it finds there, so growth reads the slab, and the
 // fields blocks a bulk load allocates in the same order, front to back
 // instead of at random. Every filed key must stay readable while it is
-// filed: shard.place writes slab[slot] before it files the slot, and
+// filed: shard.place fills a slot before it files it, and
 // shard.vacate unfiles it before it clears the slot.
 type table[C comparable] struct {
 	cells []C // nil, or a power of two of at least minTableCells
@@ -105,7 +105,7 @@ func (t *table[C]) removeAt(i int, hash func(C) uint64) {
 type idTable struct{ table[uint32] }
 
 // find returns the slot holding id.
-func (it *idTable) find(slab []Instance, id tuple.ID) (uint32, bool) {
+func (it *idTable) find(sl *slab, id tuple.ID) (uint32, bool) {
 	if it.n == 0 {
 		return 0, false
 	}
@@ -113,40 +113,40 @@ func (it *idTable) find(slab []Instance, id tuple.ID) (uint32, bool) {
 		switch slot := it.cells[i]; {
 		case slot == 0:
 			return 0, false
-		case slab[slot].ID == id:
+		case sl.slots[slot].id == id:
 			return slot, true
 		}
 	}
 }
 
 // add files a slot whose instance is new to the table.
-func (it *idTable) add(slab []Instance, slot uint32) {
+func (it *idTable) add(sl *slab, slot uint32) {
 	if !it.room() {
-		it.refile(slab, it.grown()) // files slot with the rest
+		it.refile(sl, it.grown()) // files slot with the rest
 		return
 	}
-	it.insert(uint64(slab[slot].ID), slot)
+	it.insert(uint64(sl.slots[slot].id), slot)
 }
 
 // refile remakes the table with size cells and files every live slot of
-// slab in it. Every caller holds the slab's live slots filed but for at
+// the slab in it. Every caller holds the slab's live slots filed but for at
 // most the one it is adding.
-func (it *idTable) refile(slab []Instance, size int) {
+func (it *idTable) refile(sl *slab, size int) {
 	it.table = table[uint32]{cells: make([]uint32, size)}
-	for slot, inst := range slab {
-		if inst.ID != tuple.NoID {
-			it.insert(uint64(inst.ID), uint32(slot))
+	for slot, e := range sl.slots {
+		if e.id != tuple.NoID {
+			it.insert(uint64(e.id), uint32(slot))
 		}
 	}
 }
 
 // remove unfiles a filed slot, which still holds its instance. The cell is
 // found by its slot, so the probe reads no key.
-func (it *idTable) remove(slab []Instance, slot uint32) {
-	for i := it.home(uint64(slab[slot].ID)); ; i = it.next(i) {
+func (it *idTable) remove(sl *slab, slot uint32) {
+	for i := it.home(uint64(sl.slots[slot].id)); ; i = it.next(i) {
 		switch it.cells[i] {
 		case slot:
-			it.removeAt(i, func(s uint32) uint64 { return uint64(slab[s].ID) })
+			it.removeAt(i, func(s uint32) uint64 { return uint64(sl.slots[s].id) })
 			return
 		case 0:
 			panic("dataspace: the ID table lost a live slot")

@@ -13,7 +13,7 @@ import (
 type homedSlab struct {
 	t     *testing.T
 	cells int
-	slab  []Instance
+	slab  slab
 	ids   []tuple.ID
 	next  tuple.ID // the smallest ID not yet tried
 }
@@ -24,10 +24,10 @@ func (hs *homedSlab) add(h int) uint32 {
 	probe := table[uint32]{cells: make([]uint32, hs.cells)}
 	for ; hs.next < 1<<20; hs.next++ {
 		if probe.home(uint64(hs.next)) == h {
-			hs.slab = append(hs.slab, Instance{ID: hs.next, Tuple: tuple.New(), Owner: 1})
+			hs.slab.slots = append(hs.slab.slots, entry{id: hs.next, word: 1})
 			hs.ids = append(hs.ids, hs.next)
 			hs.next++
-			return uint32(len(hs.slab) - 1)
+			return uint32(len(hs.slab.slots) - 1)
 		}
 	}
 	hs.t.Fatalf("no ID below 2^20 is homed on cell %d of %d", h, hs.cells)
@@ -43,17 +43,17 @@ func (hs *homedSlab) add(h int) uint32 {
 // the table's invariants hold (checkTable) and each filed slot, and no
 // vacated one, is found from its ID.
 func TestTableShiftsAndGrows(t *testing.T) {
-	hs := &homedSlab{t: t, cells: minTableCells, slab: make([]Instance, 1), ids: make([]tuple.ID, 1), next: 1}
+	hs := &homedSlab{t: t, cells: minTableCells, slab: slab{slots: make([]entry, 1)}, ids: make([]tuple.ID, 1), next: 1}
 	var it idTable
 	filed := map[uint32]bool{}
 	check := func(when string, want map[int]uint32) {
 		t.Helper()
-		checkTable(t, when, &it.table, func(s uint32) uint64 { return uint64(hs.slab[s].ID) })
+		checkTable(t, when, &it.table, func(s uint32) uint64 { return uint64(hs.slab.slots[s].id) })
 		if it.len() != len(filed) {
 			t.Fatalf("%s: %d slots filed, the table counts %d", when, len(filed), it.len())
 		}
-		for slot := uint32(1); slot < uint32(len(hs.slab)); slot++ {
-			got, ok := it.find(hs.slab, hs.ids[slot])
+		for slot := uint32(1); slot < uint32(len(hs.slab.slots)); slot++ {
+			got, ok := it.find(&hs.slab, hs.ids[slot])
 			if ok != filed[slot] || (ok && got != slot) {
 				t.Fatalf("%s: #%d finds slot %d (%t), want %d (%t)", when, hs.ids[slot], got, ok, slot, filed[slot])
 			}
@@ -66,13 +66,13 @@ func TestTableShiftsAndGrows(t *testing.T) {
 	}
 	add := func(home int) uint32 {
 		slot := hs.add(home)
-		it.add(hs.slab, slot)
+		it.add(&hs.slab, slot)
 		filed[slot] = true
 		return slot
 	}
 	remove := func(slot uint32) {
-		it.remove(hs.slab, slot)
-		hs.slab[slot] = Instance{}
+		it.remove(&hs.slab, slot)
+		hs.slab.slots[slot] = entry{}
 		delete(filed, slot)
 	}
 

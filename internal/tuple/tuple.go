@@ -55,6 +55,12 @@ func Adopt(fields []Value) Tuple {
 // fields returns the tuple's own fields block, for reading only.
 func (t Tuple) fields() []Value { return unsafe.Slice(t.p, t.n) }
 
+// Block returns the tuple's fields block, which FromBlock takes back.
+func (t Tuple) Block() *Value { return t.p }
+
+// FromBlock returns the tuple of arity n whose fields block is p, a Block.
+func FromBlock(p *Value, n int) Tuple { return Tuple{p: p, n: n} }
+
 // Make builds a tuple from native Go values via Of. It returns an error if
 // any field has an unsupported type.
 func Make(fields ...any) (Tuple, error) {

@@ -41,6 +41,7 @@ type Answer struct {
 	seen   map[tuple.ID]struct{}   // retractions already applied, when several rows may share one
 	sub    *dataspace.Subscription // a Go-API delayed run's wait (await): made by the answer's first, re-armed by every later one
 	ready  readyWaker              // that wait's waker, made with sub and kept across uses
+	armed  *dataspace.Subscription // the wait Attempt armed for this evaluation, which its own commit skips
 
 	// The execution's explain record: ex is &explain while the engine
 	// records one (the registry is observed), nil otherwise.

@@ -407,6 +407,7 @@ func (a *Answer) evalAndApply(w dataspace.Writer) error {
 	if a.ex != nil {
 		a.ex.Rung = dataspace.CommitRung(w)
 	}
+	dataspace.SkipWait(w, a.armed)
 	found, err := a.solve(w)
 	switch {
 	case err != nil:
@@ -565,7 +566,8 @@ func (e *Engine) await(ctx context.Context, a *Answer) error {
 // wakeup, and the commits that land before the owner drains batch into a
 // single re-evaluation. A guard that is not delta-safe arms with a nil
 // filter and re-queries on every covering commit. A re-evaluation after a
-// wakeup that blocks again is counted wasted.
+// wakeup that blocks again is counted wasted. The evaluation's own commit
+// skips sub, which is cancelled right after it (dataspace.SkipWait).
 func (e *Engine) Attempt(a *Answer, sub *dataspace.Subscription, w dataspace.Waker, filter dataspace.DeltaFilter, woke bool) (done bool, err error) {
 	if woke {
 		e.wakeups.Add(1)
@@ -588,7 +590,9 @@ func (e *Engine) Attempt(a *Answer, sub *dataspace.Subscription, w dataspace.Wak
 		keys, sels := interest(a.req, filter != nil, keyBuf[:0], selBuf[:0])
 		e.store.Arm(sub, w, keys, filter, sels...)
 	}
-	if err := e.Exec(a, metrics.TxnDelayed); err != nil || a.OK() {
+	a.armed = sub
+	err = e.Exec(a, metrics.TxnDelayed)
+	if a.armed = nil; err != nil || a.OK() {
 		sub.Cancel()
 		return true, err
 	}

@@ -6,16 +6,27 @@
 # metric each side's median and quartiles, the change's win count, whether
 # a gain is shown, and resolved/unresolved against the BENCHMARK.json bound.
 #
-#   scripts/perf-pair.sh <workload> [pairs=10] [seconds=20] [base]
+#   scripts/perf-pair.sh <workload> [pairs=10] [seconds=20] [base] [trace]
 #
 # base defaults to HEAD when the working tree has uncommitted changes (the
 # change is the tree) and to HEAD^ otherwise (the change is the commit). The
 # export is a `git archive` into a temp dir under $TMPDIR, removed on exit;
-# every run's result line is kept in perf/out/pair-<workload>.tsv.
+# every run's result line is kept in perf/out/pair-<workload>.tsv. With the
+# word trace among the arguments, the runs are traced (`--trace 1`, whose
+# result line carries the per-layer metrics instead of the end-to-end ones)
+# and the statistics are each per-layer metric's medians, quartiles and win
+# count; their lines go to perf/out/pair-<workload>-trace.tsv.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload=${1:?usage: scripts/perf-pair.sh <workload> [pairs=10] [seconds=20] [base]}
+trace=0
+args=()
+for a in "$@"; do
+	if [ "$a" = trace ]; then trace=1; else args+=("$a"); fi
+done
+set -- "${args[@]}"
+
+workload=${1:?usage: scripts/perf-pair.sh <workload> [pairs=10] [seconds=20] [base] [trace]}
 pairs=${2:-10}
 seconds=${3:-20}
 [ "$pairs" -ge 2 ] || { echo "perf-pair: quartiles need at least 2 pairs" >&2; exit 2; }
@@ -28,15 +39,16 @@ command -v python3 >/dev/null || { echo "perf-pair: python3 is needed for the st
 parent=$(mktemp -d "${TMPDIR:-/tmp}/perf-pair.XXXXXX")
 trap 'rm -rf "$parent"' EXIT
 git archive "$base" | tar -x -C "$parent"
-echo "perf-pair: $workload, $pairs pairs of ${seconds}s, parent = $(git rev-parse --short "$base") exported to $parent"
+echo "perf-pair: $workload, $pairs pairs of ${seconds}s (trace $trace), parent = $(git rev-parse --short "$base") exported to $parent"
 
 mkdir -p perf/out
 log=perf/out/pair-$workload.tsv
+[ "$trace" -eq 0 ] || log=perf/out/pair-$workload-trace.tsv
 : >"$log"
 run() { # side dir pair
 	local line
 	# A run whose invariants fail exits non-zero but still prints its line.
-	line=$(cd "$2" && bash perf/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1) || true
+	line=$(cd "$2" && bash perf/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace "$trace" | tail -n 1) || true
 	printf '%s\t%s\t%s\n' "$1" "$3" "$line" >>"$log"
 	echo "  pair $3 $1: $line"
 }
@@ -48,7 +60,7 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-python3 - "$log" BENCHMARK.json <<'EOF'
+python3 - "$log" BENCHMARK.json "$trace" <<'EOF'
 import json, statistics, sys
 
 runs = {"parent": {}, "change": {}}
@@ -68,7 +80,20 @@ def quartiles(xs):  # q1, median, q3
 
 pairs = sorted(set(runs["parent"]) & set(runs["change"]))
 print(f"\n{len(pairs)} pairs; failed operations or invariants: parent {failed['parent']}, change {failed['change']}")
-for m in json.load(open(sys.argv[2]))["end_to_end"]:
+bench = json.load(open(sys.argv[2]))
+if sys.argv[3] == "1":  # traced: per-layer metrics, which have no bound
+    for m in bench["per_layer"]:
+        name, higher = m["name"], m["better"] == "higher"
+        p = [runs["parent"][i].get(name, 0) for i in pairs]
+        c = [runs["change"][i].get(name, 0) for i in pairs]
+        pq1, pmed, pq3 = quartiles(p)
+        cq1, cmed, cq3 = quartiles(c)
+        wins = sum(x > y if higher else x < y for x, y in zip(c, p))
+        losses = sum(y > x if higher else y < x for x, y in zip(c, p))
+        print(f"{name} [{m['unit']}, {m['better']} is better]: parent {pmed:.6g} ({pq1:.6g} .. {pq3:.6g}), "
+              f"change {cmed:.6g} ({cq1:.6g} .. {cq3:.6g}); change wins {wins}, loses {losses} of {len(pairs)}")
+    sys.exit(0)
+for m in bench["end_to_end"]:
     name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
     p = [runs["parent"][i][name] for i in pairs]
     c = [runs["change"][i][name] for i in pairs]

@@ -227,7 +227,7 @@ type Registry struct {
 	processesLive    Gauge   // processes started and not yet terminated
 
 	idxPromotions Counter // secondary-index shape promotions (cold -> hot)
-	idxDemotions  Counter // secondary-index shape demotions (write-heavy or never served)
+	idxDemotions  Counter // secondary-index shape demotions: writes and lost comparisons outran the scans served
 	idxFieldScans Counter // non-lead field scans (every ScanFields shard visit)
 	idxScans      Counter // of those, served by a promoted field index
 	idxArityScans Counter // of those, served by the full arity-scan fallback
@@ -564,7 +564,7 @@ type Snapshot struct {
 	ConsensusKicksSuppressed uint64 `json:"consensusKicksSuppressed"` // commits that left the consensus gate nothing to do
 
 	SecondaryPromotions    uint64 `json:"secondaryPromotions"`    // field-index shape promotions (cold -> hot)
-	SecondaryDemotions     uint64 `json:"secondaryDemotions"`     // field-index shape demotions (write-heavy)
+	SecondaryDemotions     uint64 `json:"secondaryDemotions"`     // field-index shape demotions: writes and lost comparisons outran the scans served
 	SecondaryFieldScans    uint64 `json:"secondaryFieldScans"`    // non-lead field scans, any access path
 	SecondaryIndexedScans  uint64 `json:"secondaryIndexedScans"`  // of those, served by a promoted field index
 	SecondaryArityScans    uint64 `json:"secondaryArityScans"`    // of those, full per-shard arity walks

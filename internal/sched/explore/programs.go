@@ -290,8 +290,8 @@ main
 end
 `
 
-	// microDemoteSrc walks a shape through promotion and read-path demotion
-	// while its neighbour's buckets churn. Main files 24 <hub, rec, k>, so
+	// microDemoteSrc walks a shape through promotion and demotion while its
+	// neighbour's buckets churn. Main files 24 <hub, rec, k>, so
 	// the hub's lead bucket is wide and every scan of <hub, rec, ...>
 	// consults the field indexes of its shard. The tag's bucket (field 1)
 	// holds the whole lead bucket, so it never serves. Main's tag-only
@@ -299,7 +299,8 @@ end
 	// take several); then the Finders' and Churners' <hub, rec, g> scans,
 	// served the wide lead bucket, promote the group's shape (field 2),
 	// whose bucket serves every later scan, while the tag's only loses the
-	// comparison until enough such scans demote it. A narrow group bucket
+	// comparison until those lost comparisons and the Churners' writes
+	// debit it to the floor and demote it. A narrow group bucket
 	// then serves each scan, which charges no cold shape, so the tag stays
 	// cold. Meanwhile the Churners retract and re-assert their group's hub
 	// record, so the group index is maintained through commits that race
